@@ -2,145 +2,11 @@ package codegen
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 
+	"livesim/internal/randrtl"
 	"livesim/internal/vm"
 )
-
-// rtlGen builds random-but-legal LiveHDL modules: acyclic combinational
-// nets over declared signals, a clocked process with nested control flow,
-// and a fully-assigned combinational process. Each generated design is
-// compiled with BOTH codegen styles and simulated in lockstep — the two
-// lowering pipelines (symbolic+mux vs. branchy direct emission) act as
-// cross-checking implementations.
-type rtlGen struct {
-	rng  uint64
-	w    int      // base vector width
-	sigs []string // defined signals readable so far
-	sb   strings.Builder
-}
-
-func (g *rtlGen) next(mod uint64) uint64 {
-	g.rng = g.rng*6364136223846793005 + 1442695040888963407
-	return (g.rng >> 33) % mod
-}
-
-func (g *rtlGen) pick() string { return g.sigs[g.next(uint64(len(g.sigs)))] }
-
-// expr emits a random expression of bounded depth over defined signals.
-func (g *rtlGen) expr(depth int) string {
-	if depth <= 0 || g.next(3) == 0 {
-		switch g.next(4) {
-		case 0:
-			return fmt.Sprintf("%d'h%x", g.w, g.next(1<<16))
-		default:
-			return g.pick()
-		}
-	}
-	switch g.next(14) {
-	case 0:
-		return fmt.Sprintf("(%s + %s)", g.expr(depth-1), g.expr(depth-1))
-	case 1:
-		return fmt.Sprintf("(%s - %s)", g.expr(depth-1), g.expr(depth-1))
-	case 2:
-		return fmt.Sprintf("(%s & %s)", g.expr(depth-1), g.expr(depth-1))
-	case 3:
-		return fmt.Sprintf("(%s | %s)", g.expr(depth-1), g.expr(depth-1))
-	case 4:
-		return fmt.Sprintf("(%s ^ %s)", g.expr(depth-1), g.expr(depth-1))
-	case 5:
-		return fmt.Sprintf("(~%s)", g.expr(depth-1))
-	case 6:
-		return fmt.Sprintf("(%s >> %d)", g.expr(depth-1), g.next(uint64(g.w)))
-	case 7:
-		return fmt.Sprintf("(%s << %d)", g.expr(depth-1), g.next(uint64(g.w)))
-	case 8:
-		return fmt.Sprintf("(%s == %s ? %s : %s)",
-			g.expr(depth-1), g.expr(depth-1), g.expr(depth-1), g.expr(depth-1))
-	case 9:
-		hi := g.next(uint64(g.w))
-		lo := g.next(hi + 1)
-		return fmt.Sprintf("%s[%d:%d]", g.pick(), hi, lo)
-	case 10:
-		return fmt.Sprintf("(%s < %s)", g.expr(depth-1), g.expr(depth-1))
-	case 11:
-		return fmt.Sprintf("($signed(%s) >>> %d)", g.expr(depth-1), g.next(uint64(g.w)))
-	case 12:
-		return fmt.Sprintf("(%s * %s)", g.expr(depth-1), g.expr(depth-1))
-	default:
-		return fmt.Sprintf("{%s[%d:0], %s[%d:%d]}",
-			g.pick(), g.w/2, g.pick(), g.w-1, g.w/2+1)
-	}
-}
-
-// stmt emits a random procedural statement assigning only regs in targets
-// (non-blocking).
-func (g *rtlGen) stmt(depth int, targets []string) string {
-	tgt := targets[g.next(uint64(len(targets)))]
-	if depth <= 0 || g.next(3) == 0 {
-		return fmt.Sprintf("      %s <= %s;\n", tgt, g.expr(2))
-	}
-	switch g.next(3) {
-	case 0:
-		return fmt.Sprintf("      if (%s)\n  %s", g.expr(1),
-			g.stmt(depth-1, targets))
-	case 1:
-		return fmt.Sprintf("      if (%s) begin\n  %s  %s      end\n", g.expr(1),
-			g.stmt(depth-1, targets), g.stmt(depth-1, targets))
-	default:
-		return fmt.Sprintf("      case (%s[1:0])\n        2'd0: %s        2'd1: %s        default: %s      endcase\n",
-			g.pick(),
-			strings.TrimLeft(g.stmt(0, targets), " "),
-			strings.TrimLeft(g.stmt(0, targets), " "),
-			strings.TrimLeft(g.stmt(0, targets), " "))
-	}
-}
-
-// generate returns module text with inputs a,b,c and outputs o0..o3.
-func generateRTL(seed uint64) string {
-	g := &rtlGen{rng: seed*2654435761 + 1}
-	g.w = int(4 + g.next(61)) // 4..64 bits
-	g.sigs = []string{"a", "b", "c"}
-	fmt.Fprintf(&g.sb, "module rnd (input clk, input [%d:0] a, b, c, output [%d:0] o0, o1, o2, o3);\n", g.w-1, g.w-1)
-
-	// Combinational wires.
-	nWires := int(2 + g.next(6))
-	for i := 0; i < nWires; i++ {
-		name := fmt.Sprintf("w%d", i)
-		fmt.Fprintf(&g.sb, "  wire [%d:0] %s = %s;\n", g.w-1, name, g.expr(3))
-		g.sigs = append(g.sigs, name)
-	}
-
-	// Registers in a clocked process.
-	nRegs := int(2 + g.next(3))
-	var regs []string
-	for i := 0; i < nRegs; i++ {
-		name := fmt.Sprintf("r%d", i)
-		fmt.Fprintf(&g.sb, "  reg [%d:0] %s;\n", g.w-1, name)
-		regs = append(regs, name)
-	}
-	g.sb.WriteString("  always @(posedge clk) begin\n")
-	nStmts := int(2 + g.next(4))
-	for i := 0; i < nStmts; i++ {
-		g.sb.WriteString(g.stmt(2, regs))
-	}
-	g.sb.WriteString("  end\n")
-	g.sigs = append(g.sigs, regs...)
-
-	// A fully-assigned comb process.
-	fmt.Fprintf(&g.sb, "  reg [%d:0] y;\n", g.w-1)
-	fmt.Fprintf(&g.sb, "  always @(*) begin\n    y = %s;\n    if (%s)\n      y = %s;\n  end\n",
-		g.expr(2), g.expr(1), g.expr(2))
-	g.sigs = append(g.sigs, "y")
-
-	fmt.Fprintf(&g.sb, "  assign o0 = %s;\n", g.pick())
-	fmt.Fprintf(&g.sb, "  assign o1 = %s;\n", g.expr(2))
-	fmt.Fprintf(&g.sb, "  assign o2 = y;\n")
-	fmt.Fprintf(&g.sb, "  assign o3 = %s ^ %s;\n", g.pick(), g.pick())
-	g.sb.WriteString("endmodule\n")
-	return g.sb.String()
-}
 
 // TestRandomRTLStyleEquivalence: for random designs and random stimulus,
 // grouped and mux codegen must agree on every output every cycle.
@@ -152,7 +18,7 @@ func TestRandomRTLStyleEquivalence(t *testing.T) {
 	for seed := uint64(1); seed <= uint64(seeds); seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			src := generateRTL(seed)
+			src := randrtl.Module(seed, "rnd", 0)
 			og, err := tryCompileSrc(src, "rnd", StyleGrouped)
 			if err != nil {
 				t.Fatalf("grouped compile: %v\n%s", err, src)

@@ -148,8 +148,20 @@ func TestGatewayStalePromoteFenced(t *testing.T) {
 	if second == nil || second == first {
 		t.Fatalf("second primary = %v, want a promoted standby", second)
 	}
+	// The second failover needs the gateway to know the new standby, which
+	// it records when the primary's reply to `replicate` arrives. The
+	// primary reports a ReplicaAddr before it sends that reply, so halting
+	// it on that evidence can lose the reply and leave the route without a
+	// promotion target for good; wait for the gateway's own record instead
+	// (one arm at create, one after the failover).
 	waitUntil(t, 10*time.Second, "replication re-armed after failover", func() bool {
-		return sessionInfosOf(t, second)["s0"].ReplicaAddr != ""
+		armed := 0
+		for _, e := range g.Events().All() {
+			if e.Type == "replication_armed" && e.Session == "s0" {
+				armed++
+			}
+		}
+		return armed >= 2
 	})
 
 	// Failover #2 under the fault: the stale attempt must be fenced,

@@ -28,7 +28,7 @@ func Build(n int, style codegen.Style) (map[string]*vm.Object, string, error) {
 }
 
 // NewSim builds a ready simulation of an n-node PGAS.
-func NewSim(n int, style codegen.Style) (*sim.Sim, error) {
+func NewSim(n int, style codegen.Style, opts ...sim.Option) (*sim.Sim, error) {
 	objs, top, err := Build(n, style)
 	if err != nil {
 		return nil, err
@@ -38,7 +38,7 @@ func NewSim(n int, style codegen.Style) (*sim.Sim, error) {
 			return o, nil
 		}
 		return nil, fmt.Errorf("no object %q", key)
-	}), top)
+	}), top, opts...)
 }
 
 // LoadImage writes a program image into node i's local store.

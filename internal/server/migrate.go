@@ -444,4 +444,5 @@ func (s *Server) Halt() {
 		}
 	}
 	s.connWG.Wait()
+	s.bgWG.Wait()
 }

@@ -200,6 +200,7 @@ type Server struct {
 	inflight    sync.WaitGroup // every request from read to response write
 	connWG      sync.WaitGroup
 	recoveryWG  sync.WaitGroup // outstanding Recover goroutines
+	bgWG        sync.WaitGroup // janitor, governor, blackbox flusher
 	janitorStop chan struct{}
 	stopOnce    sync.Once
 
@@ -312,10 +313,10 @@ func New(cfg Config) *Server {
 		s.disk = govern.NewDiskMonitor(cfg.StateDir, s.diskProbe(), cfg.DiskWatermarks)
 	}
 	if cfg.IdleTimeout > 0 {
-		go s.janitor()
+		s.background(s.janitor)
 	}
 	if s.disk != nil || cfg.MemBudget > 0 {
-		go s.governor()
+		s.background(s.governor)
 	}
 	if s.flight != nil && s.cfg.BlackboxDir != "" && cfg.BlackboxFlushEvery >= 0 {
 		if s.cfg.BlackboxFlushEvery == 0 {
@@ -323,9 +324,21 @@ func New(cfg Config) *Server {
 		}
 		os.MkdirAll(s.cfg.BlackboxDir, 0o755)
 		s.bootBlackbox = obs.BlackboxPath(s.cfg.BlackboxDir, time.Now())
-		go s.blackboxFlusher()
+		s.background(s.blackboxFlusher)
 	}
 	return s
+}
+
+// background starts a housekeeping goroutine that runs until janitorStop
+// closes. Shutdown and Halt wait for all of them: the blackbox flusher's
+// last write, or an eviction in progress, must not land in the state dir
+// after the caller has been told the server is down.
+func (s *Server) background(f func()) {
+	s.bgWG.Add(1)
+	go func() {
+		defer s.bgWG.Done()
+		f()
+	}()
 }
 
 // Metrics returns the server-level registry.
@@ -1349,6 +1362,7 @@ func (s *Server) Shutdown(ctx context.Context) (*DrainReport, error) {
 		c.nc.Close()
 	}
 	s.connWG.Wait()
+	s.bgWG.Wait()
 
 	if rep.Timeout {
 		return rep, fmt.Errorf("drain deadline exceeded: %w", ctx.Err())

@@ -485,25 +485,27 @@ func TestSlowClientFault(t *testing.T) {
 // checkpoint lands in DrainDir.
 func TestIdleEviction(t *testing.T) {
 	drainDir := t.TempDir()
-	_, addr := startServer(t, server.Config{IdleTimeout: 60 * time.Millisecond, DrainDir: drainDir})
+	srv, addr := startServer(t, server.Config{IdleTimeout: 60 * time.Millisecond, DrainDir: drainDir})
 	c := dial(t, addr)
 	createTiny(t, c, "s", 50)
 	mustOK(t, c, &server.Request{Session: "s", Verb: "run", Args: []string{"clock", "p0", "12"}})
 
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		resp := mustOK(t, c, &server.Request{Verb: "sessions"})
-		var infos []server.SessionInfo
-		if err := json.Unmarshal(resp.Data, &infos); err != nil {
-			t.Fatal(err)
-		}
-		if len(infos) == 0 {
-			break
-		}
+	// The janitor unlinks the session first and checkpoints it afterwards,
+	// so an empty session list does not mean the checkpoint is on disk;
+	// the eviction counter moves once it is.
+	evicted := srv.Metrics().Counter("server_sessions_evicted")
+	for deadline := time.Now().Add(5 * time.Second); evicted.Value() == 0; time.Sleep(10 * time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("session was never evicted: %+v", infos)
+			t.Fatal("session was never evicted")
 		}
-		time.Sleep(10 * time.Millisecond)
+	}
+	resp := mustOK(t, c, &server.Request{Verb: "sessions"})
+	var infos []server.SessionInfo
+	if err := json.Unmarshal(resp.Data, &infos); err != nil {
+		t.Fatal(err)
+	}
+	if len(infos) != 0 {
+		t.Fatalf("evicted session still listed: %+v", infos)
 	}
 
 	path := filepath.Join(drainDir, "s.p0.lscp")

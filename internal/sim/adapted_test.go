@@ -88,8 +88,7 @@ endmodule`
 
 // TestCrossModuleCombLoopDetected: a combinational cycle THROUGH module
 // boundaries must be caught by the settle cap, not hang.
-func TestCrossModuleCombLoopDetected(t *testing.T) {
-	src := `
+const combLoopSrc = `
 module inv (input [3:0] x, output [3:0] y);
   assign y = x + 1;
 endmodule
@@ -99,7 +98,9 @@ module root (output [3:0] o);
   inv u1 (.x(a), .y(b));
   assign o = a;
 endmodule`
-	objs, top := buildDesign(t, src, "root", codegen.StyleGrouped)
+
+func TestCrossModuleCombLoopDetected(t *testing.T) {
+	objs, top := buildDesign(t, combLoopSrc, "root", codegen.StyleGrouped)
 	s, err := New(tableResolver(objs), top)
 	if err != nil {
 		t.Fatal(err)
@@ -134,5 +135,32 @@ func TestReloadUnknownKeyCount(t *testing.T) {
 	}
 	if _, err := s.Reload("nope", nil); err == nil {
 		t.Error("want resolver error for unknown key")
+	}
+}
+
+// TestFailedSettleStaysFailed: a settle that did not converge must not
+// leave the simulation marked settled, or the next Settle (or Tick) would
+// report success on unsettled state.
+func TestFailedSettleStaysFailed(t *testing.T) {
+	objs, top := buildDesign(t, combLoopSrc, "root", codegen.StyleGrouped)
+	s, err := New(tableResolver(objs), top)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for call := 1; call <= 2; call++ {
+		if err := s.Settle(); err == nil || !strings.Contains(err.Error(), "converge") {
+			t.Fatalf("Settle call %d: want settle-convergence error, got %v", call, err)
+		}
+	}
+	if err := s.Tick(1); err == nil {
+		t.Error("Tick after a failed settle reported success")
+	}
+	// The reference kernel rejects the same design.
+	r, err := New(tableResolver(objs), top)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.referenceSettle(nil); err == nil || !strings.Contains(err.Error(), "converge") {
+		t.Fatalf("reference: want settle-convergence error, got %v", err)
 	}
 }

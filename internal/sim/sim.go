@@ -6,15 +6,24 @@
 //
 // The kernel keeps the paper's structure: objects are shared, instances
 // hold only state, and module boundaries are preserved at run time (no
-// cross-module inlining). Combinational values that cross module
-// boundaries are settled by fixed-point iteration over the instance tree;
-// within a module the compiler has already levelized, so the loop
-// converges in as many passes as the deepest cross-module comb chain.
+// cross-module inlining). Within a module the compiler has already
+// levelized; combinational values that cross module boundaries are
+// settled by a schedule compiled once per New and per Reload: every port
+// bind becomes a copy that its source instance pushes right after it
+// evaluates, a value that lands on a slot wired further is carried on at
+// once, a push that changes a slot the receiver's comb code reads marks the
+// receiver dirty, and a worklist evaluates the dirty instances, cheapest
+// comb program first. When the worklist is empty every instance has
+// evaluated on exactly the values its neighbours drive — the unique fixed
+// point of acyclic combinational logic; a combinational loop through
+// module boundaries has none and is reported as an error.
 package sim
 
 import (
 	"fmt"
 	"io"
+	"math/bits"
+	"slices"
 	"strings"
 
 	"livesim/internal/obs"
@@ -53,9 +62,27 @@ type Node struct {
 	// on it so the hot path never does a map lookup.
 	idx int
 
-	// dirty marks that an input or internal state changed since the last
-	// combinational evaluation (event-driven settle).
-	dirty bool
+	// The node's part of the settle schedule, rebuilt by rebuildIndex:
+	// rank is its position in the worklist (Sim.order) and push its
+	// compiled binds, sorted by source slot.
+	rank int
+	push []copyOp
+}
+
+// copyOp is one compiled port bind: slot src of the owning node — an
+// out-port, or a slot wired to a child's in-port — is copied into dstSlot
+// of the parent or child dst.
+type copyOp struct {
+	dst     *Node
+	src     uint32
+	dstSlot uint32
+	mask    uint64
+	// dst.push[fwdLo:fwdHi] are the binds that carry dstSlot onwards: a
+	// value crosses a wiring-only level without an evaluation of dst.
+	fwdLo, fwdHi int32
+	// wake says dst's comb program reads dstSlot, so dst must re-evaluate
+	// when the value changes; a port that feeds Seq only is just stored.
+	wake bool
 }
 
 // Sim is a running hierarchical simulation.
@@ -76,6 +103,13 @@ type Sim struct {
 	resolver Resolver
 	output   io.Writer
 	nodes    []*Node // pre-order
+
+	// The settle schedule: order is the worklist, bit r of dirty says
+	// order[r] saw an input or its own state change since it last
+	// evaluated, and no word of dirty below low has a bit set.
+	order []*Node
+	dirty []uint64
+	low   int
 
 	codeBase uint64
 	dataBase uint64
@@ -142,10 +176,7 @@ func (s *Sim) build(key, name string, parent *Node) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	if obj.BaseAddr == 0 {
-		obj.BaseAddr = s.codeBase
-		s.codeBase += uint64(obj.CodeBytes()+4095) &^ 4095
-	}
+	s.place(obj)
 	n := &Node{Name: name, Obj: obj, Inst: s.newInstance(obj), parent: parent}
 	if parent != nil {
 		n.Path = parent.Path + "." + name
@@ -160,6 +191,14 @@ func (s *Sim) build(key, name string, parent *Node) (*Node, error) {
 		n.Children = append(n.Children, cn)
 	}
 	return n, nil
+}
+
+// place gives obj its modeled load address the first time a simulation
+// loads it.
+func (s *Sim) place(obj *vm.Object) {
+	if obj.AssignBase(s.codeBase) {
+		s.codeBase += uint64(obj.CodeBytes()+4095) &^ 4095
+	}
 }
 
 // newInstance creates an instance with modeled data addresses assigned.
@@ -186,8 +225,107 @@ func (s *Sim) rebuildIndex() {
 		}
 	}
 	walk(s.Root)
+	s.compileSchedule()
 	if s.sp != nil {
 		s.bindProfiler()
+	}
+}
+
+// compileSchedule turns the hierarchy's port binds into per-node push
+// tables and ranks the nodes for the settle worklist: instances whose comb
+// program reads no bound port first — nothing that happens during a settle
+// can make them evaluate twice — then cheapest first, so that the
+// expensive instances wait until their inputs have stopped moving.
+func (s *Sim) compileSchedule() {
+	// A counting sort by source slot: start[off[i]+x] and the entry after
+	// it delimit, in the push table of node i, the binds that read slot x.
+	off := make([]int, len(s.nodes)+1)
+	for i, n := range s.nodes {
+		off[i+1] = off[i] + int(n.Obj.NumSlots) + 1
+	}
+	start := make([]int32, off[len(s.nodes)])
+	s.eachBind(func(from *Node, op copyOp) { start[off[from.idx]+int(op.src)+1]++ })
+	for i, n := range s.nodes {
+		seg := start[off[i]:off[i+1]]
+		for x := 1; x < len(seg); x++ {
+			seg[x] += seg[x-1]
+		}
+		n.push = append(n.push[:0], make([]copyOp, seg[len(seg)-1])...)
+	}
+	next := append([]int32(nil), start...)
+	woken := make([]bool, len(s.nodes)) // by idx: some bind wakes the node
+	s.eachBind(func(from *Node, op copyOp) {
+		d := off[op.dst.idx] + int(op.dstSlot)
+		op.fwdLo, op.fwdHi = start[d], start[d+1]
+		op.wake = op.dst.Obj.CombReads()[op.dstSlot]
+		woken[op.dst.idx] = woken[op.dst.idx] || op.wake
+		at := &next[off[from.idx]+int(op.src)]
+		from.push[*at] = op
+		*at++
+	})
+
+	s.order = append(s.order[:0], s.nodes...)
+	slices.SortStableFunc(s.order, func(a, b *Node) int {
+		if woken[a.idx] != woken[b.idx] {
+			if woken[b.idx] {
+				return -1
+			}
+			return 1
+		}
+		return len(a.Obj.Comb) - len(b.Obj.Comb)
+	})
+	for r, n := range s.order {
+		n.rank = r
+	}
+	s.dirty = make([]uint64, (len(s.order)+63)/64)
+	s.low = 0
+}
+
+// eachBind calls f for every port bind of the hierarchy, as the copy it
+// compiles to and with the node whose slot the copy reads.
+func (s *Sim) eachBind(f func(from *Node, op copyOp)) {
+	for _, n := range s.nodes {
+		for ci, spec := range n.Obj.Children {
+			child := n.Children[ci]
+			for _, b := range spec.Binds {
+				port := &child.Obj.Ports[b.ChildPort]
+				if port.Dir == vm.In {
+					f(n, copyOp{dst: child, src: b.ParentSlot, dstSlot: port.Slot, mask: port.Mask})
+				} else {
+					f(child, copyOp{dst: n, src: port.Slot, dstSlot: b.ParentSlot, mask: ^uint64(0)})
+				}
+			}
+		}
+	}
+}
+
+// mark schedules n for combinational re-evaluation.
+func (s *Sim) mark(n *Node) {
+	w := n.rank >> 6
+	s.dirty[w] |= 1 << (n.rank & 63)
+	if w < s.low {
+		s.low = w
+	}
+}
+
+// push copies the source slots of ops, binds of n, to their destinations.
+// A destination whose value changed is marked if its comb program reads
+// the slot, and the binds that carry the slot onwards are pushed in turn.
+func (s *Sim) push(n *Node, ops []copyOp) {
+	src := n.Inst.Slots
+	for i := range ops {
+		op := &ops[i]
+		v := src[op.src] & op.mask
+		d := op.dst
+		if p := &d.Inst.Slots[op.dstSlot]; *p != v {
+			*p = v
+			if op.wake {
+				s.mark(d)
+			}
+			if op.fwdLo < op.fwdHi {
+				s.push(d, d.push[op.fwdLo:op.fwdHi])
+			}
+		}
 	}
 }
 
@@ -241,75 +379,67 @@ func (s *Sim) Settle() error { return s.settle(nil) }
 // never has to fall back to the unprofiled fixed point.
 func (s *Sim) SettleProfiled(prof vm.Profiler) error { return s.settle(prof) }
 
-func (s *Sim) settle(prof vm.Profiler) error {
+// settle runs the compiled schedule until no instance is dirty. The
+// invariant is that every bind is pushed after the last change of its
+// source slot: an instance pushes all its binds right after it evaluates;
+// a slot a neighbour's push wrote is pushed onwards at once and marks its
+// instance if comb code reads it; whatever else writes a slot (Commit,
+// SetIn, Poke, PokeMem; Restore and Reload dirty everything) marks the
+// written instance, which then evaluates and pushes again. Evaluations are
+// bounded by MaxSettle per instance, which only a combinational loop
+// through module boundaries exceeds.
+func (s *Sim) settle(vp vm.Profiler) error {
 	if s.settled {
 		return nil
 	}
-	s.settled = true
 	s.cSettleCalls.Inc()
 	if s.allDirty {
-		for _, n := range s.nodes {
-			n.dirty = true
+		for _, n := range s.order {
+			s.mark(n)
 		}
 		s.allDirty = false
 	}
-	// Each pass has two phases. Eval: dirty instances re-run their comb
-	// programs. Copy: port values move across module boundaries (parents
-	// first, so downward chains and sibling-to-sibling forwarding traverse
-	// multiple hops per pass); a changed copy dirties the receiving
-	// instance. The fixed point is reached when a copy phase moves nothing
-	// — then every instance's inputs already matched its neighbours'
-	// outputs when it last evaluated.
-	for pass := 0; pass < s.MaxSettle; pass++ {
-		for _, n := range s.nodes {
-			if !n.dirty {
-				continue
-			}
-			n.dirty = false
-			if sp := s.sp; sp != nil {
-				t0 := sp.SampleStart()
-				if prof == nil {
-					n.Inst.RunComb(&s.Stats)
-				} else {
-					n.Inst.RunCombProfiled(&s.Stats, prof)
-				}
-				sp.CombDone(n.idx, t0)
-			} else if prof == nil {
-				n.Inst.RunComb(&s.Stats)
-			} else {
-				n.Inst.RunCombProfiled(&s.Stats, prof)
-			}
+	plain := s.sp == nil && vp == nil
+	budget := s.MaxSettle * len(s.order)
+	scans := uint64(1) // times the worklist started moving up the ranks
+	for s.low < len(s.dirty) {
+		w := s.low
+		word := s.dirty[w]
+		if word == 0 {
+			s.low++
+			continue
 		}
-		changed := false
-		for _, n := range s.nodes {
-			for ci, spec := range n.Obj.Children {
-				child := n.Children[ci]
-				for _, b := range spec.Binds {
-					port := child.Obj.Ports[b.ChildPort]
-					if port.Dir == vm.In {
-						v := n.Inst.Slots[b.ParentSlot] & port.Mask
-						if child.Inst.Slots[port.Slot] != v {
-							child.Inst.Slots[port.Slot] = v
-							child.dirty = true
-							changed = true
-						}
-					} else {
-						v := child.Inst.Slots[port.Slot]
-						if n.Inst.Slots[b.ParentSlot] != v {
-							n.Inst.Slots[b.ParentSlot] = v
-							n.dirty = true
-							changed = true
-						}
-					}
-				}
-			}
+		if budget--; budget < 0 {
+			return fmt.Errorf("combinational settle did not converge after %d evaluations per instance (cross-module loop?)", s.MaxSettle)
 		}
-		if !changed {
-			s.cSettlePasses.Add(uint64(pass + 1))
-			return nil
+		bit := word & -word
+		s.dirty[w] = word &^ bit
+		n := s.order[w<<6|bits.TrailingZeros64(word)]
+		if plain {
+			n.Inst.RunComb(&s.Stats)
+		} else {
+			s.combInstrumented(n, vp)
+		}
+		s.push(n, n.push)
+		if s.low < w || s.dirty[w]&(bit-1) != 0 {
+			scans++
 		}
 	}
-	return fmt.Errorf("combinational settle did not converge after %d passes (cross-module loop?)", s.MaxSettle)
+	s.cSettlePasses.Add(scans)
+	s.settled = true
+	return nil
+}
+
+// combInstrumented is RunComb with the activity profiler, the
+// instruction-stream profiler, or both attached.
+func (s *Sim) combInstrumented(n *Node, vp vm.Profiler) {
+	if s.sp == nil {
+		n.Inst.RunCombProfiled(&s.Stats, vp)
+		return
+	}
+	t0 := s.sp.SampleStart()
+	n.Inst.RunCombProfiled(&s.Stats, vp)
+	s.sp.CombDone(n.idx, t0)
 }
 
 // Tick advances the simulation n cycles.
@@ -318,42 +448,18 @@ func (s *Sim) Tick(n int) error { return s.tick(n, nil) }
 // TickProfiled advances n cycles feeding the profiler (host cache model).
 func (s *Sim) TickProfiled(n int, prof vm.Profiler) error { return s.tick(n, prof) }
 
-func (s *Sim) tick(n int, prof vm.Profiler) error {
+func (s *Sim) tick(n int, vp vm.Profiler) error {
 	start := s.cycle
-	defer func() { s.cTicks.Add(s.cycle - start) }()
+	plain := s.sp == nil && vp == nil
+	var err error
 	for i := 0; i < n; i++ {
-		if err := s.settle(prof); err != nil {
-			return fmt.Errorf("cycle %d: %w", s.cycle, err)
+		if err = s.settle(vp); err != nil {
+			break
 		}
-		for _, nd := range s.nodes {
-			if sp := s.sp; sp != nil {
-				t0 := sp.SampleStart()
-				if prof == nil {
-					nd.Inst.RunSeq(&s.Stats)
-				} else {
-					nd.Inst.RunSeqProfiled(&s.Stats, prof)
-				}
-				sp.SeqDone(nd.idx, t0)
-			} else if prof == nil {
-				nd.Inst.RunSeq(&s.Stats)
-			} else {
-				nd.Inst.RunSeqProfiled(&s.Stats, prof)
-			}
-		}
-		for _, nd := range s.nodes {
-			changed := nd.Inst.Commit()
-			if changed {
-				nd.dirty = true
-			}
-			if s.sp != nil {
-				s.sp.Commit(nd.idx, changed)
-			}
-			if nd.Inst.FinishReq {
-				s.finished = true
-			}
-		}
-		if s.sp != nil {
-			s.sp.EndCycle(s.cycle)
+		if plain {
+			s.clockEdge()
+		} else {
+			s.clockEdgeInstrumented(vp)
 		}
 		s.settled = false
 		s.cycle++
@@ -361,12 +467,63 @@ func (s *Sim) tick(n int, prof vm.Profiler) error {
 			break
 		}
 	}
-	// Leave the simulation settled so ports and probes reflect the state
-	// after the final clock edge.
-	if err := s.settle(prof); err != nil {
+	s.cTicks.Add(s.cycle - start)
+	if err == nil {
+		// Leave the simulation settled so ports and probes reflect the
+		// state after the final clock edge.
+		err = s.settle(vp)
+	}
+	if err != nil {
 		return fmt.Errorf("cycle %d: %w", s.cycle, err)
 	}
 	return nil
+}
+
+// clockEdge evaluates every instance's sequential program and commits it;
+// an instance whose registers or memories changed is dirty for the next
+// settle.
+func (s *Sim) clockEdge() {
+	for _, nd := range s.nodes {
+		nd.Inst.RunSeq(&s.Stats)
+	}
+	for _, nd := range s.nodes {
+		if nd.Inst.Commit() {
+			s.mark(nd)
+		}
+		if nd.Inst.FinishReq {
+			s.finished = true
+		}
+	}
+}
+
+// clockEdgeInstrumented is clockEdge with the activity profiler, the
+// instruction-stream profiler, or both attached.
+func (s *Sim) clockEdgeInstrumented(vp vm.Profiler) {
+	sp := s.sp
+	for _, nd := range s.nodes {
+		if sp == nil {
+			nd.Inst.RunSeqProfiled(&s.Stats, vp)
+			continue
+		}
+		t0 := sp.SampleStart()
+		nd.Inst.RunSeqProfiled(&s.Stats, vp)
+		sp.SeqDone(nd.idx, t0)
+	}
+	for _, nd := range s.nodes {
+		changed := nd.Inst.Commit()
+		if changed {
+			s.mark(nd)
+		}
+		if sp != nil {
+			sp.Commit(nd.idx, changed)
+		}
+		if nd.Inst.FinishReq {
+			s.finished = true
+		}
+	}
+	if sp != nil {
+		sp.EndCycle(s.cycle)
+	}
 }
 
 // ---------------------------------------------------------------- access
@@ -381,7 +538,7 @@ func (s *Sim) SetIn(port string, v uint64) error {
 	if s.Root.Inst.Slots[p.Slot] != v&p.Mask {
 		s.Root.Inst.Slots[p.Slot] = v & p.Mask
 		s.settled = false
-		s.Root.dirty = true
+		s.mark(s.Root)
 	}
 	return nil
 }
@@ -440,7 +597,15 @@ func (s *Sim) Poke(path string, v uint64) error {
 		if d.Name == sig {
 			node.Inst.Slots[d.Slot] = v & vm.Mask(d.Bits)
 			s.settled = false
-			node.dirty = true
+			// A neighbour may drive the poked slot: have the neighbours
+			// push again, so the poke is overwritten as a driven wire's is.
+			s.mark(node)
+			if node.parent != nil {
+				s.mark(node.parent)
+			}
+			for _, c := range node.Children {
+				s.mark(c)
+			}
 			return nil
 		}
 	}
@@ -478,7 +643,7 @@ func (s *Sim) PokeMem(path string, addr, v uint64) error {
 	}
 	node.Inst.Mems[m.Index][addr] = v & m.Mask
 	s.settled = false
-	node.dirty = true
+	s.mark(node)
 	return nil
 }
 

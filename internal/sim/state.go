@@ -154,10 +154,7 @@ func (s *Sim) Reload(key string, migrate MigrateFunc) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if newObj.BaseAddr == 0 {
-		newObj.BaseAddr = s.codeBase
-		s.codeBase += uint64(newObj.CodeBytes()+4095) &^ 4095
-	}
+	s.place(newObj)
 	count := 0
 	var walk func(n *Node) error
 	walk = func(n *Node) error {

@@ -103,6 +103,31 @@ type Instr struct {
 	Imm  uint64
 }
 
+// reads calls f for every slot the instruction reads when it executes in
+// an instance of o.
+func (in *Instr) reads(o *Object, f func(slot uint32)) {
+	switch in.Op {
+	case OpNop, OpConst, OpJmp, OpFinish:
+	case OpMove, OpNot, OpNeg, OpSext, OpRedOr, OpRedAnd, OpRedXor,
+		OpAndImm, OpOrImm, OpShlImm, OpShrImm, OpEqImm, OpJz, OpJnz, OpMemRd:
+		f(in.A)
+	case OpMux:
+		f(in.A)
+		f(in.B)
+		f(in.C)
+	case OpMemWr:
+		f(in.A)
+		f(in.C)
+	case OpDisplay:
+		for _, a := range o.Displays[in.Imm].Args {
+			f(a)
+		}
+	default: // two-operand arithmetic, logic, shifts and compares
+		f(in.A)
+		f(in.B)
+	}
+}
+
 // String disassembles the instruction.
 func (in Instr) String() string {
 	switch in.Op {

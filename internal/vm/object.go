@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // PortDir is a compiled port direction.
@@ -113,6 +114,38 @@ type Object struct {
 	BaseAddr uint64
 
 	hash string
+
+	baseMu        sync.Mutex // orders AssignBase between loaders
+	combReadsOnce sync.Once
+	combReads     []bool
+}
+
+// AssignBase places the object at base unless a loader already placed it,
+// and reports whether it did. Simulations that share an object (the
+// session's pipes, concurrent verification replays) may load it at the
+// same time; the first one wins and the others see its address.
+func (o *Object) AssignBase(base uint64) bool {
+	o.baseMu.Lock()
+	defer o.baseMu.Unlock()
+	if o.BaseAddr != 0 {
+		return false
+	}
+	o.BaseAddr = base
+	return true
+}
+
+// CombReads reports, per slot, whether any Comb instruction reads it. The
+// kernel compiles it into its settle schedule: a port that feeds only Seq
+// can change without the instance's combinational outputs moving. Derived
+// from Comb on first use and cached; not part of the content hash.
+func (o *Object) CombReads() []bool {
+	o.combReadsOnce.Do(func() {
+		o.combReads = make([]bool, o.NumSlots)
+		for i := range o.Comb {
+			o.Comb[i].reads(o, func(slot uint32) { o.combReads[slot] = true })
+		}
+	})
+	return o.combReads
 }
 
 // PortIndex returns the index of the named port, or -1.

@@ -57,15 +57,6 @@ var (
 	flagLogLevel = flag.String("log-level", "info", "structured log threshold: debug, info, warn or error")
 	flagEvents   = flag.Int("event-ring", 256, "operational event ring capacity (events verb, /eventsz)")
 
-	// Distributed tracing & flight recorder (see README "Distributed
-	// tracing & flight recorder").
-	flagProcName   = flag.String("proc-name", "", "process label in assembled fleet traces and blackbox dumps (default livesimd:<pid>)")
-	flagTraceStore = flag.Int("trace-store", 0, "in-memory span store capacity in traces, for `spans`/`trace <id>`/tracez (0 = default 256, negative = off)")
-	flagTraceSlow  = flag.Duration("trace-slow", 0, "tail-sampling threshold: retain completed traces at least this slow, or errored (0 = default: -slow-request, else 250ms)")
-	flagFlight     = flag.Int("flight", 0, "flight-recorder ring capacity in span/event lines, for /flightz and blackbox dumps (0 = default 512, negative = off)")
-	flagBlackbox   = flag.String("blackbox-dir", "", "directory for blackbox-<ts>.jsonl dumps on abnormal exits (default: -state-dir)")
-	flagBBFlush    = flag.Duration("blackbox-flush", 0, "periodic blackbox flush cadence — the record surviving SIGKILL (0 = default 2s, negative = off)")
-
 	// Durability & robustness (see README "Durability & recovery").
 	flagState     = flag.String("state-dir", "", "state directory for per-session change journals + watermark checkpoints; enables crash-restart recovery")
 	flagRunBudget = flag.Duration("run-budget", 0, "hung-run watchdog: cancel runs exceeding this wall-clock budget (0 = off)")
@@ -88,6 +79,14 @@ var (
 	flagFaultRepl     = flag.String("fault-repl", "", "TESTING: fail the next replication stage of this name (seed or ship) with an injected error")
 	flagFaultReplDrop = flag.Int("fault-repl-drop", 0, "TESTING: sever the replication stream before the Nth shipped batch (1-based; 0 = off)")
 )
+
+// telemetry holds the distributed-tracing & flight-recorder flags (see
+// README "Distributed tracing & flight recorder").
+var telemetry obs.TelemetryConfig
+
+func init() {
+	telemetry.RegisterFlags(flag.CommandLine, "livesimd", "`spans`/`trace <id>`", ": -slow-request, else 250ms", "default: -state-dir")
+}
 
 // parsePair splits a "from:count"-style flag into two non-negative ints.
 func parsePair(flagName, v string) (a, b int64, err error) {
@@ -137,12 +136,7 @@ func run() int {
 		SlowRequest:     *flagSlowReq,
 		EventRingCap:    *flagEvents,
 
-		ProcName:           *flagProcName,
-		SpanStoreCap:       *flagTraceStore,
-		TraceSlow:          *flagTraceSlow,
-		FlightRecorderCap:  *flagFlight,
-		BlackboxDir:        *flagBlackbox,
-		BlackboxFlushEvery: *flagBBFlush,
+		TelemetryConfig: telemetry,
 
 		StateDir:               *flagState,
 		RunBudget:              *flagRunBudget,

@@ -14,6 +14,7 @@ import (
 	"livesim/internal/gateway"
 	"livesim/internal/server"
 	"livesim/internal/server/client"
+	"livesim/internal/wire"
 )
 
 // failoverBench measures the replication + failover story end to end,
@@ -196,11 +197,11 @@ func failoverBench() {
 			if derr != nil {
 				break
 			}
-			if resp.Code == server.CodeFenced {
+			if resp.Code == wire.CodeFenced {
 				fenceVerdict = "PASS"
 				break
 			}
-			if resp.Code == server.CodeNoSession || resp.Code == server.CodeMoved {
+			if resp.Code == wire.CodeNoSession || resp.Code == wire.CodeMoved {
 				// The reconcile sweep already closed the corpse — equally
 				// split-brain-safe, but keep probing briefly for the fence.
 				fenceVerdict = "PASS (swept)"

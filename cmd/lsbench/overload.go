@@ -11,6 +11,7 @@ import (
 
 	"livesim/internal/server"
 	"livesim/internal/server/client"
+	"livesim/internal/wire"
 )
 
 // overloadBench measures the admission controller under offered load at
@@ -63,7 +64,7 @@ func overloadBench() {
 			if resp.OK {
 				return
 			}
-			if resp.Code != server.CodeOverloaded && resp.Code != server.CodeBackpressure {
+			if resp.Code != wire.CodeOverloaded && resp.Code != wire.CodeBackpressure {
 				fatal(fmt.Errorf("%s (%s)", resp.Error, resp.Code))
 			}
 			time.Sleep(time.Duration(resp.RetryAfterMs) * time.Millisecond)
@@ -109,9 +110,9 @@ func overloadBench() {
 					switch {
 					case resp.OK:
 						ok++
-					case resp.Code == server.CodeOverloaded:
+					case resp.Code == wire.CodeOverloaded:
 						over++
-					case resp.Code == server.CodeBackpressure:
+					case resp.Code == wire.CodeBackpressure:
 						back++
 					default:
 						mu.Unlock()

@@ -76,19 +76,18 @@ var (
 	flagEvents   = flag.Int("event-ring", 256, "operational event ring capacity")
 	flagMetrics  = flag.Bool("metrics", true, "print the gateway metrics registry on exit")
 
-	// Distributed tracing & flight recorder (see README "Distributed
-	// tracing & flight recorder").
-	flagProcName   = flag.String("proc-name", "", "process label in assembled fleet traces and blackbox dumps (default lsgate:<pid>)")
-	flagTraceStore = flag.Int("trace-store", 0, "in-memory span store capacity in traces, for `trace <id>`/tracez (0 = default 256, negative = off)")
-	flagTraceSlow  = flag.Duration("trace-slow", 0, "tail-sampling threshold: retain completed traces at least this slow, or errored (0 = default 250ms)")
-	flagFlight     = flag.Int("flight", 0, "flight-recorder ring capacity in span/event lines, for /flightz and blackbox dumps (0 = default 512, negative = off)")
-	flagBlackbox   = flag.String("blackbox-dir", "", "directory for blackbox-<ts>.jsonl dumps on abnormal exits (empty = no dumps)")
-	flagBBFlush    = flag.Duration("blackbox-flush", 0, "periodic blackbox flush cadence — the record surviving SIGKILL (0 = default 2s, negative = off)")
-
 	// Replication & failover (see README "Replication & failover").
 	flagReplicate = flag.Bool("replicate", false, "arm session replication: every placed session gets a hot standby on the rendezvous next-best backend, promoted automatically on primary failure")
 	flagFailGrace = flag.Duration("failover-grace", 2*time.Second, "how long a primary must stay down before its sessions fail over to their standbys")
 )
+
+// telemetry holds the distributed-tracing & flight-recorder flags (see
+// README "Distributed tracing & flight recorder").
+var telemetry obs.TelemetryConfig
+
+func init() {
+	telemetry.RegisterFlags(flag.CommandLine, "lsgate", "`trace <id>`", " 250ms", "empty = no dumps")
+}
 
 func main() {
 	os.Exit(run())
@@ -127,12 +126,7 @@ func run() int {
 		Log:            logger,
 		EventRingCap:   *flagEvents,
 
-		ProcName:           *flagProcName,
-		SpanStoreCap:       *flagTraceStore,
-		TraceSlow:          *flagTraceSlow,
-		FlightRecorderCap:  *flagFlight,
-		BlackboxDir:        *flagBlackbox,
-		BlackboxFlushEvery: *flagBBFlush,
+		TelemetryConfig: telemetry,
 	})
 	if err != nil {
 		logger.Error("gateway init failed", obs.Str("err", err.Error()))

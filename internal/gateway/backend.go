@@ -9,8 +9,8 @@ import (
 	"time"
 
 	"livesim/internal/obs"
-	"livesim/internal/server"
 	"livesim/internal/server/client"
+	"livesim/internal/wire"
 )
 
 // BackendSpec names one livesimd the gateway fronts.
@@ -126,8 +126,7 @@ func (b *backend) client() (*client.Client, error) {
 }
 
 // dropClient discards cli if it is still the backend's current client.
-// Closing it fails any calls in flight on it, including the leaked
-// waiter a doTimeout left behind.
+// Closing it fails any calls in flight on it.
 func (b *backend) dropClient(cli *client.Client) {
 	b.mu.Lock()
 	if b.cli == cli {
@@ -136,30 +135,6 @@ func (b *backend) dropClient(cli *client.Client) {
 	b.mu.Unlock()
 	if cli != nil {
 		cli.Close()
-	}
-}
-
-// doTimeout runs one request with an upper bound. The wire client
-// blocks until response or connection loss; a wedged backend must not
-// wedge the gateway, so on timeout the caller is released and must
-// dropClient (closing the conn reaps the abandoned call).
-func doTimeout(cli *client.Client, req *server.Request, d time.Duration) (*server.Response, error) {
-	type result struct {
-		resp *server.Response
-		err  error
-	}
-	ch := make(chan result, 1)
-	go func() {
-		resp, err := cli.Do(req)
-		ch <- result{resp, err}
-	}()
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case r := <-ch:
-		return r.resp, r.err
-	case <-timer.C:
-		return nil, fmt.Errorf("backend request timed out after %v", d)
 	}
 }
 
@@ -172,7 +147,7 @@ func (g *Gateway) probe(b *backend) {
 		g.setBackendState(b, bsDown, err.Error())
 		return
 	}
-	resp, err := doTimeout(cli, &server.Request{Verb: "ping"}, g.probeTimeout())
+	resp, err := cli.DoTimeout(&wire.Request{Verb: "ping"}, g.cfg.ProbeTimeout)
 	if err != nil {
 		b.dropClient(cli)
 		g.setBackendState(b, bsDown, err.Error())
@@ -190,7 +165,7 @@ func (g *Gateway) probe(b *backend) {
 	if pd.Draining {
 		st = bsDraining
 	} else if b.spec.AdminAddr != "" {
-		if adm, ok := adminState(b.spec.AdminAddr, g.probeTimeout()); ok {
+		if adm, ok := adminState(b.spec.AdminAddr, g.cfg.ProbeTimeout); ok {
 			st = adm
 		}
 	}
@@ -244,7 +219,7 @@ func (g *Gateway) setBackendState(b *backend, st backendState, why string) {
 	if why != "" {
 		msg += ": " + why
 	}
-	g.events.Add("backend_state", "", b.addr()+": "+msg)
+	g.tel.Events.Add("backend_state", "", b.addr()+": "+msg)
 	g.log.Info("backend state", obs.Str("backend", b.addr()),
 		obs.Str("from", prev.String()), obs.Str("to", st.String()))
 	wasAlive := prev != bsDown && prev != bsUnknown

@@ -7,7 +7,7 @@ import (
 
 	"livesim/internal/obs"
 	"livesim/internal/replica"
-	"livesim/internal/server"
+	"livesim/internal/wire"
 )
 
 // Failover. When replication is armed (Config.Replicate), every session
@@ -41,10 +41,10 @@ func (g *Gateway) armReplication(session string, primary *backend, trace, parent
 	if trace == "" {
 		trace = obs.NewTraceID()
 	}
-	asp := g.tracer.StartRemote(trace, parentSID, "replicate_arm",
+	asp := g.tel.Tracer.StartRemote(trace, parentSID, "replicate_arm",
 		obs.Str("session", session), obs.Str("standby", standby.addr()))
 	defer asp.End()
-	resp := g.forward(primary, &server.Request{Session: session, Verb: "replicate",
+	resp := g.forward(primary, &wire.Request{Session: session, Verb: "replicate",
 		Args: []string{standby.addr()}, TraceID: trace, ParentSpan: asp.SID()})
 	if !resp.OK {
 		g.reg.Counter("gateway_replication_arm_failures").Inc()
@@ -112,7 +112,7 @@ func (g *Gateway) failover(name string, r *route, standby *backend) {
 	// inherit a trace from — so each mints its own, and the promote RPC
 	// carries it: the standby's promote span joins this tree.
 	trace := obs.NewTraceID()
-	fsp := g.tracer.StartRemote(trace, "", "failover",
+	fsp := g.tel.Tracer.StartRemote(trace, "", "failover",
 		obs.Str("session", name), obs.Str("dead", dead.addr()), obs.Str("standby", standby.addr()))
 	defer fsp.End()
 
@@ -120,16 +120,16 @@ func (g *Gateway) failover(name string, r *route, standby *backend) {
 		// Fault-injection seam: promote under the current (stale) epoch
 		// instead of bumping. The standby must reject it typed — this is
 		// the proof a replayed or duplicate promotion cannot fork history.
-		resp := g.forward(standby, &server.Request{Session: name, Verb: "promote", Epoch: epoch,
+		resp := g.forward(standby, &wire.Request{Session: name, Verb: "promote", Epoch: epoch,
 			TraceID: trace, ParentSpan: fsp.SID()})
-		if !resp.OK && resp.Code == server.CodeFenced {
+		if !resp.OK && resp.Code == wire.CodeFenced {
 			g.reg.Counter("gateway_stale_promotes_fenced").Inc()
 			g.eventT("stale_promote_fenced", name, trace,
 				fmt.Sprintf("standby %s rejected promote at stale epoch %d", standby.addr(), epoch))
 		}
 	}
 
-	resp := g.forward(standby, &server.Request{Session: name, Verb: "promote",
+	resp := g.forward(standby, &wire.Request{Session: name, Verb: "promote",
 		TraceID: trace, ParentSpan: fsp.SID()})
 	if !resp.OK {
 		g.reg.Counter("gateway_failover_failures").Inc()

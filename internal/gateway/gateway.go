@@ -20,25 +20,25 @@
 package gateway
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
-	"os"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"livesim/internal/faultinject"
 	"livesim/internal/govern"
 	"livesim/internal/obs"
 	"livesim/internal/server"
+	"livesim/internal/server/client"
 	"livesim/internal/transfer"
+	"livesim/internal/wire"
 )
 
 // Config tunes a Gateway.
@@ -56,8 +56,6 @@ type Config struct {
 	// MigrateTimeout bounds one live migration end to end, including
 	// waiting out the session's in-flight requests (default 15s).
 	MigrateTimeout time.Duration
-	// WriteTimeout bounds one response write to a client (default 10s).
-	WriteTimeout time.Duration
 	// Replicate arms session replication: every placed session gets a
 	// standby on the rendezvous next-best backend, and the failover
 	// sweep promotes it when the primary stays down past FailoverGrace.
@@ -74,28 +72,8 @@ type Config struct {
 	// TraceOut, when set, receives the gateway's span JSONL (request,
 	// forward, migrate and failover spans) in addition to the span store.
 	TraceOut io.Writer
-	// ProcName identifies this process in assembled fleet traces and
-	// blackbox dumps (default "lsgate:<pid>").
-	ProcName string
-	// SpanStoreCap bounds the in-memory span store (live + retained
-	// traces, for the `trace` verb and /tracez). 0 uses the default
-	// (256 traces); negative disables the store.
-	SpanStoreCap int
-	// TraceSlow is the tail-sampling threshold: completed traces at
-	// least this slow (or errored) are retained in the span store, fast
-	// successes only pass through the recent ring (default 250ms).
-	TraceSlow time.Duration
-	// FlightRecorderCap sizes the always-on black-box ring served by
-	// /flightz. 0 uses the default (512 lines); negative disables it.
-	FlightRecorderCap int
-	// BlackboxDir receives blackbox-<ts>.jsonl dumps on panic and on the
-	// periodic flush. Empty disables dumps (the /flightz endpoint still
-	// serves the ring).
-	BlackboxDir string
-	// BlackboxFlushEvery is the cadence of the periodic black-box flush
-	// to BlackboxDir — the record that survives a SIGKILL. 0 uses the
-	// default (2s); negative disables the flusher.
-	BlackboxFlushEvery time.Duration
+	// TelemetryConfig tunes fleet tracing and the crash flight recorder.
+	obs.TelemetryConfig
 	// Faults injects failures at migration stages (tests only).
 	Faults *faultinject.Plan
 	// OnMigrateStage, when set, is called before each migration stage
@@ -107,33 +85,26 @@ type Config struct {
 // Gateway fronts a pool of livesimd backends. Stateless by design:
 // everything in it (routes, health) is re-derivable from the backends.
 type Gateway struct {
-	cfg    Config
-	reg    *obs.Registry
-	log    *obs.Logger
-	events *obs.EventRing
-	start  time.Time
+	cfg   Config
+	reg   *obs.Registry
+	log   *obs.Logger
+	start time.Time
 
-	// Fleet tracing + crash forensics: every request and forward is a
-	// span on tracer; the span store indexes completed spans by trace id
-	// for the `trace` verb and /tracez; the flight recorder is the
-	// always-on black box /flightz serves and blackbox() dumps.
-	tracer       *obs.Tracer
-	fan          *obs.Fanout
-	store        *obs.SpanStore
-	flight       *obs.FlightRecorder
-	blackboxTS   atomic.Int64 // last trigger dump, unix nanos (rate limit)
-	bootBlackbox string       // periodic flush target path
+	// tel is the tracing + crash-forensics plane: every request and
+	// forward is a span on its tracer; the span store backs the `trace`
+	// verb and /tracez; the flight recorder is the black box /flightz
+	// serves and blackbox() dumps.
+	tel *obs.Telemetry
+	// acc owns the listeners and client connections.
+	acc *wire.Acceptor
 
 	backends []*backend
 
-	mu        sync.Mutex
-	routes    map[string]*route
-	listeners map[net.Listener]bool
-	conns     map[*gconn]bool
-	draining  bool
+	mu       sync.Mutex
+	routes   map[string]*route
+	draining bool
 
 	inflight sync.WaitGroup
-	connWG   sync.WaitGroup
 	stop     chan struct{}
 	stopOnce sync.Once
 }
@@ -215,47 +186,13 @@ func New(cfg Config) (*Gateway, error) {
 	if cfg.MigrateTimeout <= 0 {
 		cfg.MigrateTimeout = 15 * time.Second
 	}
-	if cfg.WriteTimeout <= 0 {
-		cfg.WriteTimeout = 10 * time.Second
-	}
 	if cfg.FailoverGrace <= 0 {
 		cfg.FailoverGrace = 2 * time.Second
 	}
-	g := &Gateway{
-		cfg:       cfg,
-		reg:       cfg.Metrics,
-		log:       cfg.Log,
-		events:    obs.NewEventRing(cfg.EventRingCap),
-		start:     time.Now(),
-		fan:       obs.NewFanout(),
-		routes:    make(map[string]*route),
-		listeners: make(map[net.Listener]bool),
-		conns:     make(map[*gconn]bool),
-		stop:      make(chan struct{}),
-	}
-	if cfg.TraceOut != nil {
-		g.fan.Attach(cfg.TraceOut)
-	}
-	if cfg.ProcName == "" {
-		g.cfg.ProcName = fmt.Sprintf("lsgate:%d", os.Getpid())
-	}
-	if cfg.TraceSlow == 0 {
-		g.cfg.TraceSlow = 250 * time.Millisecond
-	}
-	if cfg.SpanStoreCap >= 0 {
-		g.store = obs.NewSpanStore(obs.SpanStoreConfig{
-			Proc:         g.cfg.ProcName,
-			MaxTraces:    cfg.SpanStoreCap,
-			RetainOverUS: g.cfg.TraceSlow.Microseconds(),
-		})
-		g.fan.Attach(g.store)
-	}
-	if cfg.FlightRecorderCap >= 0 {
-		g.flight = obs.NewFlightRecorder(g.cfg.ProcName, cfg.FlightRecorderCap)
-		g.fan.Attach(g.flight)
-	}
-	g.tracer = obs.NewTracer(g.fan)
+	// Validate before anything is started: the telemetry plane below owns
+	// a goroutine only Shutdown stops.
 	seen := make(map[string]bool, len(cfg.Backends))
+	backends := make([]*backend, 0, len(cfg.Backends))
 	for _, spec := range cfg.Backends {
 		if spec.Addr == "" {
 			return nil, fmt.Errorf("gateway: backend with empty address")
@@ -264,8 +201,20 @@ func New(cfg Config) (*Gateway, error) {
 			return nil, fmt.Errorf("gateway: duplicate backend %s", spec.Addr)
 		}
 		seen[spec.Addr] = true
-		g.backends = append(g.backends, newBackend(spec))
+		backends = append(backends, newBackend(spec))
 	}
+	g := &Gateway{
+		cfg:   cfg,
+		reg:   cfg.Metrics,
+		log:   cfg.Log,
+		start: time.Now(),
+		tel: obs.NewTelemetry(cfg.TelemetryConfig, "lsgate", cfg.TraceOut, cfg.EventRingCap,
+			cfg.Metrics.Counter("gateway_blackbox_dumps"), cfg.Log),
+		backends: backends,
+		routes:   make(map[string]*route),
+		stop:     make(chan struct{}),
+	}
+	g.acc = wire.NewAcceptor(g.serveConn)
 	g.probeAll() // synchronous: placement works from the first request
 	for _, b := range g.backends {
 		if b.alive() {
@@ -273,24 +222,14 @@ func New(cfg Config) (*Gateway, error) {
 		}
 	}
 	go g.healthLoop()
-	if g.flight != nil && g.cfg.BlackboxDir != "" && cfg.BlackboxFlushEvery >= 0 {
-		if g.cfg.BlackboxFlushEvery == 0 {
-			g.cfg.BlackboxFlushEvery = 2 * time.Second
-		}
-		os.MkdirAll(g.cfg.BlackboxDir, 0o755)
-		g.bootBlackbox = obs.BlackboxPath(g.cfg.BlackboxDir, time.Now())
-		go g.blackboxFlusher()
-	}
 	return g, nil
 }
-
-func (g *Gateway) probeTimeout() time.Duration { return g.cfg.ProbeTimeout }
 
 // Metrics returns the gateway's registry (nil when disabled).
 func (g *Gateway) Metrics() *obs.Registry { return g.reg }
 
 // Events returns the gateway's operational event ring.
-func (g *Gateway) Events() *obs.EventRing { return g.events }
+func (g *Gateway) Events() *obs.EventRing { return g.tel.Events }
 
 func (g *Gateway) healthLoop() {
 	// ±20% jitter per tick: several gateways fronting one pool (or this
@@ -338,7 +277,7 @@ func (g *Gateway) discover(b *backend) {
 	if err != nil {
 		return
 	}
-	resp, err := doTimeout(cli, &server.Request{Verb: "sessions"}, g.probeTimeout())
+	resp, err := cli.DoTimeout(&wire.Request{Verb: "sessions"}, g.cfg.ProbeTimeout)
 	if err != nil {
 		b.dropClient(cli)
 		return
@@ -400,12 +339,12 @@ func (g *Gateway) discover(b *backend) {
 		}
 		if pinned {
 			g.reg.Counter("gateway_resurrections_closed").Inc()
-			g.events.Add("resurrection", info.Name,
+			g.tel.Events.Add("resurrection", info.Name,
 				fmt.Sprintf("stale copy on %s closed; authoritative on %s", b.addr(), owner.addr()))
-			g.forward(b, &server.Request{Session: info.Name, Verb: "close",
+			g.forward(b, &wire.Request{Session: info.Name, Verb: "close",
 				Args: []string{"moved", owner.addr()}})
 		} else {
-			g.events.Add("session_conflict", info.Name,
+			g.tel.Events.Add("session_conflict", info.Name,
 				fmt.Sprintf("hosted on both %s and %s; routing to %s", owner.addr(), b.addr(), owner.addr()))
 			g.log.Error("session conflict", obs.Str("session", info.Name),
 				obs.Str("routed", owner.addr()), obs.Str("also_on", b.addr()))
@@ -480,114 +419,49 @@ func (g *Gateway) dropRoute(session string, b *backend) {
 	}
 }
 
-// Serve accepts connections on ln until the listener closes.
-func (g *Gateway) Serve(ln net.Listener) error {
-	g.mu.Lock()
-	if g.draining {
-		g.mu.Unlock()
-		ln.Close()
-		return server.ErrDraining
-	}
-	g.listeners[ln] = true
-	g.mu.Unlock()
-	for {
-		nc, err := ln.Accept()
-		if err != nil {
-			g.mu.Lock()
-			draining := g.draining
-			g.mu.Unlock()
-			if draining {
-				return nil
-			}
-			return err
-		}
-		g.reg.Counter("gateway_conns_opened").Inc()
-		g.connWG.Add(1)
-		go g.handleConn(nc)
-	}
-}
+// Serve accepts connections on ln until the listener closes: nil when
+// Shutdown stopped it, wire.ErrClosed if the gateway had already stopped.
+func (g *Gateway) Serve(ln net.Listener) error { return g.acc.Serve(ln) }
 
-// gconn is one client connection; responses from concurrent request
-// goroutines serialize on writeMu.
-type gconn struct {
-	g       *Gateway
-	nc      net.Conn
-	writeMu sync.Mutex
-}
-
-func (c *gconn) write(resp *server.Response) {
-	line, err := json.Marshal(resp)
-	if err != nil {
-		c.g.log.Error("marshal response failed", obs.Str("err", err.Error()))
-		return
-	}
-	line = append(line, '\n')
-	c.writeMu.Lock()
-	defer c.writeMu.Unlock()
-	c.nc.SetWriteDeadline(time.Now().Add(c.g.cfg.WriteTimeout))
-	c.nc.Write(line)
-}
-
-func (g *Gateway) handleConn(nc net.Conn) {
-	c := &gconn{g: g, nc: nc}
-	g.mu.Lock()
-	g.conns[c] = true
-	g.mu.Unlock()
-	defer func() {
-		nc.Close()
-		g.mu.Lock()
-		delete(g.conns, c)
-		g.mu.Unlock()
-		g.reg.Counter("gateway_conns_closed").Inc()
-		g.connWG.Done()
-	}()
-
-	sc := bufio.NewScanner(nc)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024) // design sources and transfer blobs ride in requests
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var req server.Request
-		if err := json.Unmarshal(line, &req); err != nil {
-			c.write(&server.Response{OK: false, Error: "bad request: " + err.Error(), Code: server.CodeBadRequest})
-			continue
-		}
-		// Every request gets its own goroutine: a forward blocks on the
-		// backend, and one slow session must not stall the others
-		// pipelined on this connection. Responses are id-matched.
+// serveConn is the acceptor's per-connection hook. Every request gets
+// its own goroutine: a forward blocks on the backend, and one slow
+// session must not stall the others pipelined on this connection.
+// Responses are id-matched.
+func (g *Gateway) serveConn(c *wire.Conn) func(*wire.Request) {
+	g.reg.Counter("gateway_conns_opened").Inc()
+	c.OnClose(g.reg.Counter("gateway_conns_closed").Inc)
+	return func(req *wire.Request) {
 		g.inflight.Add(1)
-		go func(req *server.Request) {
+		go func() {
 			defer g.inflight.Done()
-			c.write(g.handle(req))
-		}(&req)
+			c.Reply(g.handle(req)) // a failed write is the client's loss
+		}()
 	}
 }
 
 // handle routes one request and returns its response.
-func (g *Gateway) handle(req *server.Request) (resp *server.Response) {
+func (g *Gateway) handle(req *wire.Request) (resp *wire.Response) {
 	t0 := time.Now()
 	g.reg.Counter("gateway_requests").Inc()
 	if req.TraceID == "" {
 		req.TraceID = obs.NewTraceID() // one tree across gateway and backend
 	}
 	trace := req.TraceID
-	sp := g.tracer.StartRemote(trace, req.ParentSpan, "request",
+	sp := g.tel.Tracer.StartRemote(trace, req.ParentSpan, "request",
 		obs.Str("verb", req.Verb), obs.Str("session", req.Session))
 	req.ParentSpan = sp.SID() // forwards and fleet verbs parent here
 	defer func() {
 		if r := recover(); r != nil {
 			g.reg.Counter("gateway_panics_recovered").Inc()
 			g.blackbox("panic", req.Session, trace, fmt.Sprintf("recovered gateway panic: %v", r))
-			resp = gerr(req, server.CodePanic, fmt.Errorf("gateway panic: %v", r))
+			resp = gerr(req, wire.CodePanic, fmt.Errorf("gateway panic: %v", r))
 		}
 		sp.Annotate(obs.Bool("ok", resp != nil && resp.OK))
 		sp.End()
 		dur := time.Since(t0)
 		// The request span just emitted, so the store holds the whole
 		// gateway-side tree — the tail keep/drop decision happens here.
-		g.store.Complete(trace, dur.Microseconds(), resp != nil && resp.OK)
+		g.tel.Store.Complete(trace, dur.Microseconds(), resp != nil && resp.OK)
 		g.reg.Histogram("gateway_request_seconds", nil).Observe(dur.Seconds())
 	}()
 
@@ -595,7 +469,7 @@ func (g *Gateway) handle(req *server.Request) (resp *server.Response) {
 	draining := g.draining
 	g.mu.Unlock()
 	if draining {
-		return gerr(req, server.CodeDraining, server.ErrDraining)
+		return gerr(req, wire.CodeDraining, server.ErrDraining)
 	}
 
 	verb := strings.ToLower(req.Verb)
@@ -608,15 +482,15 @@ func (g *Gateway) handle(req *server.Request) (resp *server.Response) {
 		snap := g.reg.Snapshot()
 		var txt bytes.Buffer
 		g.reg.WriteText(&txt)
-		return &server.Response{ID: req.ID, OK: true, Output: txt.String(), Data: snap.JSON()}
+		return &wire.Response{ID: req.ID, OK: true, Output: txt.String(), Data: snap.JSON()}
 	case "events":
-		evs := g.events.All()
+		evs := g.tel.Events.All()
 		data, _ := json.Marshal(evs)
 		var b strings.Builder
 		for _, e := range evs {
 			fmt.Fprintf(&b, "%d %s %s %s %s\n", e.Seq, e.TS.Format(time.RFC3339), e.Type, e.Session, e.Msg)
 		}
-		return &server.Response{ID: req.ID, OK: true, Output: b.String(), Data: data}
+		return &wire.Response{ID: req.ID, OK: true, Output: b.String(), Data: data}
 	case "backends":
 		return g.backendsResp(req)
 	case "sessions":
@@ -638,13 +512,13 @@ func (g *Gateway) handle(req *server.Request) (resp *server.Response) {
 			return g.traceVerb(req)
 		}
 	case "subscribe":
-		return gerr(req, server.CodeBadRequest, fmt.Errorf(
+		return gerr(req, wire.CodeBadRequest, fmt.Errorf(
 			"subscribe is not supported through the gateway; connect to the backend directly (see `backends`)"))
 	}
 	// Everything else — session verbs, close, unquarantine, export —
 	// needs a session and follows the route table.
 	if req.Session == "" {
-		return gerr(req, server.CodeBadRequest, fmt.Errorf("verb %q needs a session", req.Verb))
+		return gerr(req, wire.CodeBadRequest, fmt.Errorf("verb %q needs a session", req.Verb))
 	}
 	return g.forwardSession(req, verb)
 }
@@ -653,7 +527,7 @@ func (g *Gateway) handle(req *server.Request) (resp *server.Response) {
 // go to their backend (waiting out any migration freeze); unknown
 // sessions sweep the alive backends in rendezvous order so the answer
 // is found wherever it lives and the route is learned for next time.
-func (g *Gateway) forwardSession(req *server.Request, verb string) *server.Response {
+func (g *Gateway) forwardSession(req *wire.Request, verb string) *wire.Response {
 	g.mu.Lock()
 	r := g.routes[req.Session]
 	g.mu.Unlock()
@@ -661,7 +535,7 @@ func (g *Gateway) forwardSession(req *server.Request, verb string) *server.Respo
 	if r != nil {
 		b, err := r.acquire(g.cfg.MigrateTimeout)
 		if err != nil {
-			return gerr(req, server.CodeUnavailable, err)
+			return gerr(req, wire.CodeUnavailable, err)
 		}
 		if req.Epoch == 0 && verb != "promote" && verb != "replapply" {
 			// Stamp the fencing token the gateway knows for this session.
@@ -675,16 +549,16 @@ func (g *Gateway) forwardSession(req *server.Request, verb string) *server.Respo
 		resp := g.forward(b, req)
 		r.release()
 		switch {
-		case resp.Code == server.CodeNoSession:
+		case resp.Code == wire.CodeNoSession:
 			// The backend no longer hosts it (closed, idle-evicted): the
 			// route is stale, not the session's existence elsewhere.
 			g.dropRoute(req.Session, b)
-		case resp.Code == server.CodeFollower || resp.Code == server.CodeFenced:
+		case resp.Code == wire.CodeFollower || resp.Code == wire.CodeFenced:
 			// The route points at a standby or a fenced corpse — stale
 			// either way (a failover happened around this gateway). Drop
 			// it so the next request sweeps for the live primary.
 			g.dropRoute(req.Session, b)
-		case resp.Code == server.CodeMoved && resp.MovedTo != "":
+		case resp.Code == wire.CodeMoved && resp.MovedTo != "":
 			// Another actor migrated it. Chase one hop and relearn.
 			if nb := g.backendByAddr(resp.MovedTo); nb != nil && nb.alive() {
 				g.reg.Counter("gateway_moved_follows").Inc()
@@ -699,20 +573,20 @@ func (g *Gateway) forwardSession(req *server.Request, verb string) *server.Respo
 
 	order := rendezvousOrder(req.Session, g.aliveBackends())
 	if len(order) == 0 {
-		return gerr(req, server.CodeUnavailable, fmt.Errorf("no backend available"))
+		return gerr(req, wire.CodeUnavailable, fmt.Errorf("no backend available"))
 	}
-	var last *server.Response
+	var last *wire.Response
 	for _, b := range order {
 		resp := g.forward(b, req)
 		last = resp
 		switch resp.Code {
-		case server.CodeNoSession, server.CodeUnavailable:
+		case wire.CodeNoSession, wire.CodeUnavailable:
 			continue // not here / can't tell; a miss means nothing executed
-		case server.CodeFollower, server.CodeFenced:
+		case wire.CodeFollower, wire.CodeFenced:
 			// A standby's copy or a fenced corpse answered: the live
 			// primary is elsewhere — keep sweeping.
 			continue
-		case server.CodeMoved:
+		case wire.CodeMoved:
 			if nb := g.backendByAddr(resp.MovedTo); nb != nil && nb.alive() {
 				g.reg.Counter("gateway_moved_follows").Inc()
 				g.setRoute(req.Session, nb, false)
@@ -720,7 +594,7 @@ func (g *Gateway) forwardSession(req *server.Request, verb string) *server.Respo
 			}
 			return resp
 		}
-		if resp.Code != server.CodeBadRequest {
+		if resp.Code != wire.CodeBadRequest {
 			// Any session-scoped answer (success, quarantined, recovering,
 			// backpressure…) proves the session lives here.
 			g.reg.Counter("gateway_routes_learned").Inc()
@@ -736,7 +610,7 @@ func (g *Gateway) forwardSession(req *server.Request, verb string) *server.Respo
 // failure marks the backend down — the health checker will decide when
 // it is back — and surfaces as CodeUnavailable with a retry hint sized
 // to the probe cadence.
-func (g *Gateway) forward(b *backend, req *server.Request) *server.Response {
+func (g *Gateway) forward(b *backend, req *wire.Request) *wire.Response {
 	cli, err := b.client()
 	if err != nil {
 		g.reg.Counter("gateway_forward_errors").Inc()
@@ -751,16 +625,22 @@ func (g *Gateway) forward(b *backend, req *server.Request) *server.Response {
 	// verb's own span queries) stay spanless by design.
 	var fsp *obs.Span
 	if creq.TraceID != "" {
-		fsp = g.tracer.StartRemote(creq.TraceID, creq.ParentSpan, "forward",
+		fsp = g.tel.Tracer.StartRemote(creq.TraceID, creq.ParentSpan, "forward",
 			obs.Str("backend", b.addr()), obs.Str("verb", creq.Verb))
 		creq.ParentSpan = fsp.SID()
 	}
-	resp, err := doTimeout(cli, &creq, g.cfg.ForwardTimeout)
+	resp, err := cli.DoTimeout(&creq, g.cfg.ForwardTimeout)
 	if err != nil {
 		fsp.Annotate(obs.Bool("ok", false))
 		fsp.End()
-		b.dropClient(cli)
 		g.reg.Counter("gateway_forward_errors").Inc()
+		if errors.Is(err, wire.ErrTooLong) && !errors.Is(err, client.ErrDisconnected) {
+			// The request was too long to frame and never left: that says
+			// nothing about the backend, and its connection carries other
+			// sessions. Fail this request with the reason and keep routing.
+			return gerr(req, wire.CodeError, fmt.Errorf("backend %s: %w", b.addr(), err))
+		}
+		b.dropClient(cli)
 		g.setBackendState(b, bsDown, err.Error())
 		return g.unavailResp(req, b, err)
 	}
@@ -770,25 +650,25 @@ func (g *Gateway) forward(b *backend, req *server.Request) *server.Response {
 	return resp
 }
 
-func (g *Gateway) unavailResp(req *server.Request, b *backend, err error) *server.Response {
-	return &server.Response{
-		ID: req.ID, OK: false, Code: server.CodeUnavailable,
+func (g *Gateway) unavailResp(req *wire.Request, b *backend, err error) *wire.Response {
+	return &wire.Response{
+		ID: req.ID, OK: false, Code: wire.CodeUnavailable,
 		Error:        fmt.Sprintf("backend %s unavailable: %v", b.addr(), err),
 		RetryAfterMs: g.cfg.HealthEvery.Milliseconds() + 1,
 	}
 }
 
-func gerr(req *server.Request, code string, err error) *server.Response {
-	return &server.Response{ID: req.ID, OK: false, Error: err.Error(), Code: code}
+func gerr(req *wire.Request, code string, err error) *wire.Response {
+	return &wire.Response{ID: req.ID, OK: false, Error: err.Error(), Code: code}
 }
 
 // placeCreate picks a backend by rendezvous hash over the placeable
 // slate and pins the route. The typed failure path flows through: a
 // session_limit or disk_full from the chosen backend is the client's
 // answer (placement is deterministic, not load-dodging).
-func (g *Gateway) placeCreate(req *server.Request) *server.Response {
+func (g *Gateway) placeCreate(req *wire.Request) *wire.Response {
 	if req.Session == "" {
-		return gerr(req, server.CodeBadRequest, fmt.Errorf("create needs a session name"))
+		return gerr(req, wire.CodeBadRequest, fmt.Errorf("create needs a session name"))
 	}
 	g.mu.Lock()
 	if r := g.routes[req.Session]; r != nil {
@@ -796,13 +676,13 @@ func (g *Gateway) placeCreate(req *server.Request) *server.Response {
 		owner := r.backend
 		r.mu.Unlock()
 		g.mu.Unlock()
-		return gerr(req, server.CodeNoSession,
+		return gerr(req, wire.CodeNoSession,
 			fmt.Errorf("session %q already exists on %s", req.Session, owner.addr()))
 	}
 	g.mu.Unlock()
 	b := rendezvousPick(req.Session, g.placeableBackends())
 	if b == nil {
-		return gerr(req, server.CodeUnavailable, fmt.Errorf("no placeable backend"))
+		return gerr(req, wire.CodeUnavailable, fmt.Errorf("no placeable backend"))
 	}
 	resp := g.forward(b, req)
 	if resp.OK {
@@ -818,12 +698,12 @@ func (g *Gateway) placeCreate(req *server.Request) *server.Response {
 
 // placeImport places a transfer blob like a create: decode just the
 // meta for the session name, rendezvous-pick, pin on success.
-func (g *Gateway) placeImport(req *server.Request) *server.Response {
+func (g *Gateway) placeImport(req *wire.Request) *wire.Response {
 	name := req.Session
 	if name == "" {
 		blob, err := transfer.Decode(req.Blob)
 		if err != nil {
-			return gerr(req, server.CodeBadRequest, fmt.Errorf("import blob: %w", err))
+			return gerr(req, wire.CodeBadRequest, fmt.Errorf("import blob: %w", err))
 		}
 		name = blob.Meta.Session
 	}
@@ -831,11 +711,11 @@ func (g *Gateway) placeImport(req *server.Request) *server.Response {
 	_, exists := g.routes[name]
 	g.mu.Unlock()
 	if exists {
-		return gerr(req, server.CodeNoSession, fmt.Errorf("session %q already exists", name))
+		return gerr(req, wire.CodeNoSession, fmt.Errorf("session %q already exists", name))
 	}
 	b := rendezvousPick(name, g.placeableBackends())
 	if b == nil {
-		return gerr(req, server.CodeUnavailable, fmt.Errorf("no placeable backend"))
+		return gerr(req, wire.CodeUnavailable, fmt.Errorf("no placeable backend"))
 	}
 	resp := g.forward(b, req)
 	if resp.OK {
@@ -845,7 +725,7 @@ func (g *Gateway) placeImport(req *server.Request) *server.Response {
 	return resp
 }
 
-func (g *Gateway) pingResp(req *server.Request) *server.Response {
+func (g *Gateway) pingResp(req *wire.Request) *wire.Response {
 	alive := 0
 	for _, b := range g.backends {
 		if b.alive() {
@@ -862,10 +742,10 @@ func (g *Gateway) pingResp(req *server.Request) *server.Response {
 		"routes":      routes,
 		"gateway":     true,
 	})
-	return &server.Response{ID: req.ID, OK: true, Output: "pong (gateway)\n", Data: data}
+	return &wire.Response{ID: req.ID, OK: true, Output: "pong (gateway)\n", Data: data}
 }
 
-func (g *Gateway) helpResp(req *server.Request) *server.Response {
+func (g *Gateway) helpResp(req *wire.Request) *wire.Response {
 	var b strings.Builder
 	b.WriteString("gateway verbs:\n")
 	b.WriteString("  backends                      backend pool health and route counts\n")
@@ -879,7 +759,7 @@ func (g *Gateway) helpResp(req *server.Request) *server.Response {
 	b.WriteString("everything else (create, close, run, apply, …) is forwarded to\n")
 	b.WriteString("the backend hosting the named session; `subscribe` is the one\n")
 	b.WriteString("verb that needs a direct backend connection.\n")
-	return &server.Response{ID: req.ID, OK: true, Output: b.String()}
+	return &wire.Response{ID: req.ID, OK: true, Output: b.String()}
 }
 
 // BackendInfo is one row of the `backends` verb's Data payload.
@@ -895,7 +775,7 @@ type BackendInfo struct {
 	Placeable     bool `json:"placeable"`
 }
 
-func (g *Gateway) backendsResp(req *server.Request) *server.Response {
+func (g *Gateway) backendsResp(req *wire.Request) *wire.Response {
 	byBackend := make(map[*backend]int)
 	replicasOn := make(map[*backend]int)
 	g.mu.Lock()
@@ -921,7 +801,7 @@ func (g *Gateway) backendsResp(req *server.Request) *server.Response {
 			info.Addr, info.State, info.Sessions, info.Routes, info.ReplicaRoutes, info.Placeable)
 	}
 	data, _ := json.Marshal(infos)
-	return &server.Response{ID: req.ID, OK: true, Output: b.String(), Data: data}
+	return &wire.Response{ID: req.ID, OK: true, Output: b.String(), Data: data}
 }
 
 // FleetSessionInfo is one row of the gateway's aggregated `sessions`
@@ -931,7 +811,7 @@ type FleetSessionInfo struct {
 	server.SessionInfo
 }
 
-func (g *Gateway) aggregateSessions(req *server.Request) *server.Response {
+func (g *Gateway) aggregateSessions(req *wire.Request) *wire.Response {
 	type result struct {
 		b     *backend
 		infos []server.SessionInfo
@@ -940,7 +820,7 @@ func (g *Gateway) aggregateSessions(req *server.Request) *server.Response {
 	ch := make(chan result, len(alive))
 	for _, b := range alive {
 		go func(b *backend) {
-			resp := g.forward(b, &server.Request{Verb: "sessions",
+			resp := g.forward(b, &wire.Request{Verb: "sessions",
 				TraceID: req.TraceID, ParentSpan: req.ParentSpan})
 			var infos []server.SessionInfo
 			if resp.OK && resp.Data != nil {
@@ -981,12 +861,12 @@ func (g *Gateway) aggregateSessions(req *server.Request) *server.Response {
 		b.WriteByte('\n')
 	}
 	data, _ := json.Marshal(rows)
-	return &server.Response{ID: req.ID, OK: true, Output: b.String(), Data: data}
+	return &wire.Response{ID: req.ID, OK: true, Output: b.String(), Data: data}
 }
 
-func (g *Gateway) migrateVerb(req *server.Request) *server.Response {
+func (g *Gateway) migrateVerb(req *wire.Request) *wire.Response {
 	if req.Session == "" {
-		return gerr(req, server.CodeBadRequest, fmt.Errorf("migrate needs a session"))
+		return gerr(req, wire.CodeBadRequest, fmt.Errorf("migrate needs a session"))
 	}
 	target := ""
 	if len(req.Args) > 0 {
@@ -994,21 +874,21 @@ func (g *Gateway) migrateVerb(req *server.Request) *server.Response {
 	}
 	rep, err := g.MigrateTraced(req.Session, target, req.TraceID, req.ParentSpan)
 	if err != nil {
-		return gerr(req, server.CodeError, err)
+		return gerr(req, wire.CodeError, err)
 	}
 	data, _ := json.Marshal(rep)
-	return &server.Response{ID: req.ID, OK: true, Data: data,
+	return &wire.Response{ID: req.ID, OK: true, Data: data,
 		Output: fmt.Sprintf("migrated %s: %s -> %s (%.1fms blackout, %dB journal)\n",
 			rep.Session, rep.From, rep.To, rep.BlackoutMs, rep.WALBytes)}
 }
 
-func (g *Gateway) drainVerb(req *server.Request) *server.Response {
+func (g *Gateway) drainVerb(req *wire.Request) *wire.Response {
 	if len(req.Args) == 0 {
-		return gerr(req, server.CodeBadRequest, fmt.Errorf("drain needs a backend address"))
+		return gerr(req, wire.CodeBadRequest, fmt.Errorf("drain needs a backend address"))
 	}
 	rep, err := g.drainBackendTraced(req.Args[0], req.TraceID, req.ParentSpan)
 	if err != nil {
-		return gerr(req, server.CodeError, err)
+		return gerr(req, wire.CodeError, err)
 	}
 	data, _ := json.Marshal(rep)
 	var b strings.Builder
@@ -1020,9 +900,9 @@ func (g *Gateway) drainVerb(req *server.Request) *server.Response {
 	for name, msg := range rep.Failed {
 		fmt.Fprintf(&b, "  %s FAILED: %s\n", name, msg)
 	}
-	resp := &server.Response{ID: req.ID, OK: len(rep.Failed) == 0, Data: data, Output: b.String()}
+	resp := &wire.Response{ID: req.ID, OK: len(rep.Failed) == 0, Data: data, Output: b.String()}
 	if !resp.OK {
-		resp.Code = server.CodeError
+		resp.Code = wire.CodeError
 		resp.Error = fmt.Sprintf("%d sessions failed to migrate off %s", len(rep.Failed), rep.Backend)
 	}
 	return resp
@@ -1030,10 +910,10 @@ func (g *Gateway) drainVerb(req *server.Request) *server.Response {
 
 // AdminPing returns the ping verb's pool-summary payload as JSON, for
 // lsgate's /healthz.
-func (g *Gateway) AdminPing() []byte { return g.pingResp(&server.Request{}).Data }
+func (g *Gateway) AdminPing() []byte { return g.pingResp(&wire.Request{}).Data }
 
 // AdminBackends returns the backends table as JSON, for /backendz.
-func (g *Gateway) AdminBackends() []byte { return g.backendsResp(&server.Request{}).Data }
+func (g *Gateway) AdminBackends() []byte { return g.backendsResp(&wire.Request{}).Data }
 
 // Shutdown stops the gateway: close listeners, stop the health loop,
 // wait out in-flight forwards (bounded by ctx), drop client conns.
@@ -1041,14 +921,8 @@ func (g *Gateway) AdminBackends() []byte { return g.backendsResp(&server.Request
 func (g *Gateway) Shutdown(ctx context.Context) error {
 	g.mu.Lock()
 	g.draining = true
-	lns := make([]net.Listener, 0, len(g.listeners))
-	for ln := range g.listeners {
-		lns = append(lns, ln)
-	}
 	g.mu.Unlock()
-	for _, ln := range lns {
-		ln.Close()
-	}
+	g.acc.StopAccepting()
 	g.stopOnce.Do(func() { close(g.stop) })
 
 	done := make(chan struct{})
@@ -1061,16 +935,7 @@ func (g *Gateway) Shutdown(ctx context.Context) error {
 	case <-ctx.Done():
 	}
 
-	g.mu.Lock()
-	conns := make([]*gconn, 0, len(g.conns))
-	for c := range g.conns {
-		conns = append(conns, c)
-	}
-	g.mu.Unlock()
-	for _, c := range conns {
-		c.nc.Close()
-	}
-	g.connWG.Wait()
+	g.acc.Close()
 	for _, b := range g.backends {
 		b.mu.Lock()
 		cli := b.cli
@@ -1080,5 +945,6 @@ func (g *Gateway) Shutdown(ctx context.Context) error {
 			cli.Close()
 		}
 	}
+	g.tel.Stop()
 	return nil
 }

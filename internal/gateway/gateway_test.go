@@ -12,6 +12,7 @@ import (
 	"livesim/internal/gateway"
 	"livesim/internal/server"
 	"livesim/internal/server/client"
+	"livesim/internal/wire"
 )
 
 const tinyDesign = `
@@ -259,7 +260,7 @@ func TestGatewayPlacementAndAggregation(t *testing.T) {
 	}
 
 	// subscribe needs a direct backend connection.
-	if resp, _ := c.Do(&server.Request{Verb: "subscribe"}); resp.OK || resp.Code != server.CodeBadRequest {
+	if resp, _ := c.Do(&server.Request{Verb: "subscribe"}); resp.OK || resp.Code != wire.CodeBadRequest {
 		t.Errorf("subscribe through gateway = %+v, want bad_request", resp)
 	}
 }
@@ -296,7 +297,7 @@ func TestGatewayRerouteOnBackendCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.OK || resp.Code != server.CodeUnavailable || resp.RetryAfterMs < 1 {
+	if resp.OK || resp.Code != wire.CodeUnavailable || resp.RetryAfterMs < 1 {
 		t.Fatalf("request against dead backend = %+v, want unavailable with retry hint", resp)
 	}
 
@@ -366,7 +367,7 @@ func TestGatewayMigrationMovesLiveSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if moved.OK || moved.Code != server.CodeMoved || moved.MovedTo != rep.To {
+	if moved.OK || moved.Code != wire.CodeMoved || moved.MovedTo != rep.To {
 		t.Errorf("source response after migration = %+v, want moved to %s", moved, rep.To)
 	}
 }

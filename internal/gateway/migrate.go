@@ -8,6 +8,7 @@ import (
 
 	"livesim/internal/obs"
 	"livesim/internal/server"
+	"livesim/internal/wire"
 )
 
 // Live migration. The protocol is deliberately asymmetric about where
@@ -116,7 +117,7 @@ func (g *Gateway) MigrateTraced(session, targetAddr, trace, parentSID string) (*
 	if trace == "" {
 		trace = obs.NewTraceID()
 	}
-	msp := g.tracer.StartRemote(trace, parentSID, "migrate",
+	msp := g.tel.Tracer.StartRemote(trace, parentSID, "migrate",
 		obs.Str("session", session), obs.Str("from", source.addr()), obs.Str("to", target.addr()))
 	rep, err := g.migrateFrozen(r, session, source, target, trace, msp)
 	msp.Annotate(obs.Bool("ok", err == nil))
@@ -196,14 +197,14 @@ func (g *Gateway) migrateFrozen(r *route, session string, source, target *backen
 	// the latch with the source still authoritative.
 	abortToSource := func(targetMayHold bool) {
 		if targetMayHold {
-			g.forward(target, &server.Request{Session: session, Verb: "close",
+			g.forward(target, &wire.Request{Session: session, Verb: "close",
 				TraceID: trace, ParentSpan: msp.SID()})
 		}
 		unfreeze(nil)
 	}
 	// stage wraps one migration stage in a span so the assembled trace
 	// shows where the blackout went.
-	stage := func(name string, b *backend, fn func(psid string) *server.Response) *server.Response {
+	stage := func(name string, b *backend, fn func(psid string) *wire.Response) *wire.Response {
 		sp := msp.Child(name, obs.Str("backend", b.addr()))
 		resp := fn(sp.SID())
 		sp.Annotate(obs.Bool("ok", resp.OK))
@@ -215,8 +216,8 @@ func (g *Gateway) migrateFrozen(r *route, session string, source, target *backen
 		abortToSource(false)
 		return nil, err
 	}
-	exResp := stage("migrate_export", source, func(psid string) *server.Response {
-		return g.forward(source, &server.Request{Session: session, Verb: "export",
+	exResp := stage("migrate_export", source, func(psid string) *wire.Response {
+		return g.forward(source, &wire.Request{Session: session, Verb: "export",
 			TraceID: trace, ParentSpan: psid})
 	})
 	if !exResp.OK {
@@ -233,8 +234,8 @@ func (g *Gateway) migrateFrozen(r *route, session string, source, target *backen
 		abortToSource(true)
 		return nil, err
 	}
-	imResp := stage("migrate_import", target, func(psid string) *server.Response {
-		return g.forward(target, &server.Request{Session: session, Verb: "import", Blob: ed.Blob,
+	imResp := stage("migrate_import", target, func(psid string) *wire.Response {
+		return g.forward(target, &wire.Request{Session: session, Verb: "import", Blob: ed.Blob,
 			TraceID: trace, ParentSpan: psid})
 	})
 	if !imResp.OK {
@@ -256,8 +257,8 @@ func (g *Gateway) migrateFrozen(r *route, session string, source, target *backen
 	// would route to a corpse while the source can still serve. The
 	// target's journal holds the acked copy, so the abort leaves it as
 	// a resurrection for the reconcile sweep, not lost data.
-	vr := stage("migrate_verify_target", target, func(psid string) *server.Response {
-		return g.forward(target, &server.Request{Verb: "ping", TraceID: trace, ParentSpan: psid})
+	vr := stage("migrate_verify_target", target, func(psid string) *wire.Response {
+		return g.forward(target, &wire.Request{Verb: "ping", TraceID: trace, ParentSpan: psid})
 	})
 	if !vr.OK {
 		abortToSource(true)
@@ -269,8 +270,8 @@ func (g *Gateway) migrateFrozen(r *route, session string, source, target *backen
 	// Post-commit, best effort: leave a forwarding tombstone on the
 	// source. A dead source just means no redirect until the reconcile
 	// sweep closes its resurrected copy when it returns.
-	tomb := stage("migrate_tombstone", source, func(psid string) *server.Response {
-		return g.forward(source, &server.Request{Session: session, Verb: "close",
+	tomb := stage("migrate_tombstone", source, func(psid string) *wire.Response {
+		return g.forward(source, &wire.Request{Session: session, Verb: "close",
 			Args: []string{"moved", target.addr()}, TraceID: trace, ParentSpan: psid})
 	})
 	if !tomb.OK {
@@ -319,13 +320,13 @@ func (g *Gateway) drainBackendTraced(addr, trace, parentSID string) (*DrainBacke
 	if trace == "" {
 		trace = obs.NewTraceID()
 	}
-	dsp := g.tracer.StartRemote(trace, parentSID, "drain_backend", obs.Str("backend", addr))
+	dsp := g.tel.Tracer.StartRemote(trace, parentSID, "drain_backend", obs.Str("backend", addr))
 	defer dsp.End()
 	b.noPlace.Store(true)
 	rep := &DrainBackendReport{Backend: addr, Failed: map[string]string{}}
 
 	// Inventory from the backend itself — routes can lag reality.
-	invResp := g.forward(b, &server.Request{Verb: "sessions", TraceID: trace, ParentSpan: dsp.SID()})
+	invResp := g.forward(b, &wire.Request{Verb: "sessions", TraceID: trace, ParentSpan: dsp.SID()})
 	if !invResp.OK {
 		return nil, fmt.Errorf("sessions on %s: %s", addr, invResp.Error)
 	}
@@ -350,7 +351,7 @@ func (g *Gateway) drainBackendTraced(addr, trace, parentSID string) (*DrainBacke
 	}
 
 	if len(rep.Failed) == 0 {
-		dr := g.forward(b, &server.Request{Verb: "drain", TraceID: trace, ParentSpan: dsp.SID()})
+		dr := g.forward(b, &wire.Request{Verb: "drain", TraceID: trace, ParentSpan: dsp.SID()})
 		rep.DrainSent = dr.OK
 		if dr.OK {
 			g.eventT("backend_drained", "", trace, addr+": all sessions migrated, drain sent")

@@ -11,6 +11,7 @@ import (
 
 	"livesim/internal/obs"
 	"livesim/internal/server"
+	"livesim/internal/wire"
 )
 
 // Fleet-wide trace assembly and the gateway's crash forensics. One
@@ -73,7 +74,7 @@ func (g *Gateway) assembleTrace(id string) *TraceAssembly {
 		wg.Add(1)
 		go func(b *backend) {
 			defer wg.Done()
-			resp := g.forward(b, &server.Request{Verb: "spans", Args: []string{id}})
+			resp := g.forward(b, &wire.Request{Verb: "spans", Args: []string{id}})
 			mu.Lock()
 			defer mu.Unlock()
 			if !resp.OK {
@@ -91,7 +92,7 @@ func (g *Gateway) assembleTrace(id string) *TraceAssembly {
 		}(b)
 	}
 	wg.Wait()
-	asm.Spans = append(asm.Spans, g.store.Query(id)...)
+	asm.Spans = append(asm.Spans, g.tel.Store.Query(id)...)
 	sort.Strings(asm.Missing)
 	return asm
 }
@@ -119,16 +120,16 @@ func renderAssembly(w *strings.Builder, asm *TraceAssembly) {
 // traceVerb is the fleet assembly verb: `trace <id>` returns one
 // assembled tree (Data: TraceAssembly), bare `trace` returns the trace
 // index aggregated across the gateway and every alive backend.
-func (g *Gateway) traceVerb(req *server.Request) *server.Response {
+func (g *Gateway) traceVerb(req *wire.Request) *wire.Response {
 	if len(req.Args) > 1 {
-		return gerr(req, server.CodeBadRequest, fmt.Errorf("usage: trace [trace-id]"))
+		return gerr(req, wire.CodeBadRequest, fmt.Errorf("usage: trace [trace-id]"))
 	}
 	if len(req.Args) == 1 {
 		asm := g.assembleTrace(req.Args[0])
 		data, _ := json.Marshal(asm)
 		var out strings.Builder
 		renderAssembly(&out, asm)
-		return &server.Response{ID: req.ID, OK: true, Output: out.String(), Data: data}
+		return &wire.Response{ID: req.ID, OK: true, Output: out.String(), Data: data}
 	}
 
 	// Index: this gateway's stored traces plus each backend's, labeled
@@ -137,14 +138,14 @@ func (g *Gateway) traceVerb(req *server.Request) *server.Response {
 		Proc   string             `json:"proc"`
 		Traces []obs.TraceSummary `json:"traces"`
 	}
-	idx := []procIndex{{Proc: g.cfg.ProcName, Traces: g.store.Traces(64)}}
+	idx := []procIndex{{Proc: g.tel.Proc, Traces: g.tel.Store.Traces(64)}}
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	for _, b := range g.aliveBackends() {
 		wg.Add(1)
 		go func(b *backend) {
 			defer wg.Done()
-			resp := g.forward(b, &server.Request{Verb: "spans"})
+			resp := g.forward(b, &wire.Request{Verb: "spans"})
 			if !resp.OK || resp.Data == nil {
 				return
 			}
@@ -176,20 +177,20 @@ func (g *Gateway) traceVerb(req *server.Request) *server.Response {
 				t.Trace, t.Root, t.Spans, time.Duration(t.DurUS)*time.Microsecond, t.OK, state)
 		}
 	}
-	return &server.Response{ID: req.ID, OK: true, Output: out.String(), Data: data}
+	return &wire.Response{ID: req.ID, OK: true, Output: out.String(), Data: data}
 }
 
 // HandleTracez is the gateway's /tracez admin endpoint: the local trace
 // index without ?id=, the fleet-assembled TraceAssembly for ?id=<trace>
 // (add &render=text for the tree instead of JSON).
 func (g *Gateway) HandleTracez(w http.ResponseWriter, r *http.Request) {
-	if g.store == nil {
+	if g.tel.Store == nil {
 		http.Error(w, "span store disabled", http.StatusNotFound)
 		return
 	}
 	id := r.URL.Query().Get("id")
 	if id == "" {
-		body, _ := json.Marshal(g.store.Traces(64))
+		body, _ := json.Marshal(g.tel.Store.Traces(64))
 		w.Header().Set("Content-Type", "application/json")
 		w.Write(append(body, '\n'))
 		return
@@ -210,68 +211,22 @@ func (g *Gateway) HandleTracez(w http.ResponseWriter, r *http.Request) {
 // HandleFlightz is the gateway's /flightz admin endpoint: the flight
 // recorder ring as NDJSON, exactly as a blackbox dump would write it.
 func (g *Gateway) HandleFlightz(w http.ResponseWriter, r *http.Request) {
-	if g.flight == nil {
+	if g.tel.Flight == nil {
 		http.Error(w, "flight recorder disabled", http.StatusNotFound)
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	g.flight.Dump(w, "flightz")
+	g.tel.Flight.Dump(w, "flightz")
 }
 
-// eventT records one lifecycle event in the ring (trace-stamped), the
-// log, and the flight recorder — so the black box holds the event
-// timeline interleaved with the spans.
-func (g *Gateway) eventT(typ, session, trace, msg string) {
-	g.events.AddT(typ, session, trace, msg)
-	g.flight.Note(typ, session, trace, msg)
-}
+// eventT records one lifecycle event (trace-stamped) in the ring and
+// the flight recorder.
+func (g *Gateway) eventT(typ, session, trace, msg string) { g.tel.Event(typ, session, trace, msg) }
 
-// blackbox records an abnormal event and dumps the flight recorder to
-// BlackboxDir (rate-limited to one dump per second). Gateway callers:
-// panic recovery; the periodic flusher covers everything it can't see.
+// blackbox records an abnormal event and dumps the flight recorder
+// (rate-limited). Gateway callers: panic recovery; the periodic flusher
+// covers everything it can't see.
 func (g *Gateway) blackbox(reason, session, trace, msg string) {
 	g.eventT(reason, session, trace, msg)
-	if g.flight == nil || g.cfg.BlackboxDir == "" {
-		return
-	}
-	now := time.Now()
-	last := g.blackboxTS.Load()
-	if now.UnixNano()-last < int64(time.Second) || !g.blackboxTS.CompareAndSwap(last, now.UnixNano()) {
-		return
-	}
-	path := obs.BlackboxPath(g.cfg.BlackboxDir, now)
-	if err := g.flight.DumpToFile(path, reason); err != nil {
-		g.log.Error("blackbox dump failed", obs.Str("err", err.Error()), obs.Str("path", path))
-		return
-	}
-	g.reg.Counter("gateway_blackbox_dumps").Inc()
-	g.log.Warn("blackbox dumped", obs.Str("reason", reason), obs.Str("path", path))
-}
-
-// blackboxFlusher periodically rewrites this boot's blackbox file while
-// the ring is dirty — the record that survives a SIGKILL. Stops when
-// Shutdown closes g.stop.
-func (g *Gateway) blackboxFlusher() {
-	tick := time.NewTicker(g.cfg.BlackboxFlushEvery)
-	defer tick.Stop()
-	var flushed uint64
-	flush := func() {
-		if w := g.flight.Writes(); w != flushed {
-			if err := g.flight.DumpToFile(g.bootBlackbox, "periodic"); err == nil {
-				flushed = w
-			}
-		}
-	}
-	// Write immediately so the file exists from boot — an early SIGKILL
-	// must still leave an (empty but parseable) black box behind.
-	g.flight.DumpToFile(g.bootBlackbox, "periodic")
-	for {
-		select {
-		case <-g.stop:
-			flush()
-			return
-		case <-tick.C:
-			flush()
-		}
-	}
+	g.tel.Dump(reason)
 }

@@ -19,27 +19,26 @@
 // ack implies the standby has the record. A standby that cannot be
 // reached degrades the stream (the session keeps serving, lag grows)
 // and the next ship attempt reconnects and catches up from the acked
-// watermark. A standby that answers "fenced" — it was promoted under a
+// watermark. A standby that answers wire.CodeFenced — it was promoted under a
 // newer epoch — is authoritative: the shipper reports ErrFenced and the
 // server fences the session, which is what prevents a resurrected or
 // partitioned stale primary from split-braining.
 package replica
 
 import (
-	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"livesim/internal/faultinject"
 	"livesim/internal/obs"
+	"livesim/internal/server/client"
 	"livesim/internal/wal"
+	"livesim/internal/wire"
 )
 
 // BatchMagic identifies a shipped record batch.
@@ -51,11 +50,20 @@ const BatchVersion = 1
 // batchHeaderLen: magic (4) + version (4) + epoch (8) + afterSeq (8).
 const batchHeaderLen = 24
 
-// MaxBatchBytes bounds one encoded batch. The wire caps request lines
-// at 16 MB and JSON base64-encodes the blob (4/3 overhead), so 8 MB of
-// frames leaves comfortable headroom for the request envelope; the
+// MaxBatchBytes bounds one encoded batch so its replapply request fits
+// a wire line: JSON base64-encodes the blob (4/3 overhead), and half the
+// line limit leaves that plus comfortable headroom for the envelope. The
 // shipper splits larger tails into consecutive acked batches.
-const MaxBatchBytes = 8 << 20
+const MaxBatchBytes = wire.MaxLine / 2
+
+const (
+	// callTimeout bounds each seed/batch round trip.
+	callTimeout = 5 * time.Second
+	// redialEvery rate-limits reconnect attempts while the stream is
+	// broken, so a dead standby costs the mutation path one clock read,
+	// not a dial timeout.
+	redialEvery = 500 * time.Millisecond
+)
 
 // ErrFenced is returned when the standby rejects the stream or seed
 // because it holds a newer fencing epoch — this primary is stale and
@@ -70,7 +78,7 @@ var ErrReseed = errors.New("standby needs a fresh seed (reanchor in stream)")
 
 // Ack is the standby's structured answer to a seed or batch: its
 // journal head after applying (the primary's new acked watermark) and
-// the epoch it holds. A "repl_resync" rejection carries it too, telling
+// the epoch it holds. A wire.CodeReplResync rejection carries it too, telling
 // the shipper where to restart the tail.
 type Ack struct {
 	AckedSeq uint64 `json:"acked_seq"`
@@ -141,14 +149,6 @@ type Config struct {
 	// Epoch is the primary's fencing token, stamped on every seed and
 	// batch so a promoted standby can reject a stale stream.
 	Epoch uint64
-	// DialTimeout bounds each (re)connect, CallTimeout each seed/batch
-	// round trip, RedialEvery rate-limits reconnect attempts while the
-	// stream is broken so a dead standby costs the mutation path one
-	// clock read, not a dial timeout. Zero values take defaults
-	// (2s / 5s / 500ms).
-	DialTimeout time.Duration
-	CallTimeout time.Duration
-	RedialEvery time.Duration
 	// Faults injects drop-stream and stage failures; Metrics (the
 	// session's registry, may be nil) receives the repl_* gauges.
 	Faults  *faultinject.Plan
@@ -161,10 +161,9 @@ type Config struct {
 type Shipper struct {
 	cfg Config
 
-	mu       sync.Mutex
-	conn     net.Conn
-	br       *bufio.Reader
-	nextID   uint64
+	mu sync.Mutex
+	// cli is the stream's wire client; nil while the stream is broken.
+	cli      *client.Client
 	sentSeq  uint64 // highest seq the standby acked (resume point)
 	off      int64  // journal byte offset of sentSeq's frame end
 	batches  int    // lifetime batch count, for the drop-stream fault
@@ -178,18 +177,7 @@ type Shipper struct {
 }
 
 // New builds a shipper; no connection is made until Seed or Ship.
-func New(cfg Config) *Shipper {
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 2 * time.Second
-	}
-	if cfg.CallTimeout <= 0 {
-		cfg.CallTimeout = 5 * time.Second
-	}
-	if cfg.RedialEvery <= 0 {
-		cfg.RedialEvery = 500 * time.Millisecond
-	}
-	return &Shipper{cfg: cfg}
-}
+func New(cfg Config) *Shipper { return &Shipper{cfg: cfg} }
 
 // Target returns the standby's wire address.
 func (s *Shipper) Target() string { return s.cfg.Target }
@@ -216,32 +204,7 @@ func (s *Shipper) Err() error {
 func (s *Shipper) Stop() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.dropConnLocked()
-}
-
-// wireRequest/wireResponse mirror the server's NDJSON envelope for the
-// three verbs the shipper speaks (import, replapply). The replica
-// package cannot import internal/server — the server imports it — so
-// the handful of fields are declared here with matching JSON tags.
-type wireRequest struct {
-	ID      uint64 `json:"id"`
-	Session string `json:"session,omitempty"`
-	Verb    string `json:"verb"`
-	TraceID string `json:"trace,omitempty"`
-	// ParentSpan carries the primary's replicate_ship span sid so the
-	// standby's replapply request span joins the same fleet trace tree.
-	ParentSpan string   `json:"pspan,omitempty"`
-	Args       []string `json:"args,omitempty"`
-	Blob       []byte   `json:"blob,omitempty"`
-	Epoch      uint64   `json:"epoch,omitempty"`
-}
-
-type wireResponse struct {
-	ID    uint64          `json:"id"`
-	OK    bool            `json:"ok"`
-	Error string          `json:"error,omitempty"`
-	Code  string          `json:"code,omitempty"`
-	Data  json.RawMessage `json:"data,omitempty"`
+	s.severLocked()
 }
 
 // Seed hands the standby the session's full transfer blob in follower
@@ -258,7 +221,7 @@ func (s *Shipper) Seed(blob []byte, seq uint64) error {
 		s.lastErr = err
 		return err
 	}
-	resp, err := s.callLocked(&wireRequest{
+	resp, err := s.call(&wire.Request{
 		Session: s.cfg.Session, Verb: "import",
 		Args: []string{"follower"}, Blob: blob, Epoch: s.cfg.Epoch,
 	})
@@ -267,7 +230,7 @@ func (s *Shipper) Seed(blob []byte, seq uint64) error {
 		return err
 	}
 	if !resp.OK {
-		if resp.Code == "fenced" {
+		if resp.Code == wire.CodeFenced {
 			s.noteFencedLocked(resp.Error)
 			return ErrFenced
 		}
@@ -301,7 +264,7 @@ func (s *Shipper) ShipTraced(trace, parentSID string) error {
 		return ErrFenced
 	}
 	if err := s.cfg.Faults.ReplFault("ship"); err != nil {
-		s.dropConnLocked()
+		s.severLocked()
 		s.lastErr = err
 		return err
 	}
@@ -335,12 +298,12 @@ func (s *Shipper) ShipTraced(trace, parentSID string) error {
 
 		s.batches++
 		if s.cfg.Faults.ReplDrop(s.batches) {
-			s.dropConnLocked()
+			s.severLocked()
 			s.lastErr = fmt.Errorf("replica stream severed (injected) before batch %d", s.batches)
 			return s.lastErr
 		}
 
-		resp, cerr := s.callLocked(&wireRequest{
+		resp, cerr := s.call(&wire.Request{
 			Session: s.cfg.Session, Verb: "replapply",
 			TraceID: trace, ParentSpan: parentSID,
 			Blob: batch, Epoch: s.cfg.Epoch,
@@ -355,13 +318,13 @@ func (s *Shipper) ShipTraced(trace, parentSID string) error {
 		}
 		if !resp.OK {
 			switch resp.Code {
-			case "fenced":
+			case wire.CodeFenced:
 				s.noteFencedLocked(resp.Error)
 				return ErrFenced
-			case "repl_reseed":
+			case wire.CodeReplReseed:
 				s.lastErr = fmt.Errorf("%w: %s", ErrReseed, resp.Error)
 				return ErrReseed
-			case "repl_resync":
+			case wire.CodeReplResync:
 				// The standby's head does not line up with our watermark
 				// (a reseed or its own restart); adopt its head and let
 				// the next iteration re-read the tail from there.
@@ -402,7 +365,7 @@ func (s *Shipper) ShipTraced(trace, parentSID string) error {
 func (s *Shipper) noteFencedLocked(detail string) {
 	s.fenced.Store(true)
 	s.lastErr = fmt.Errorf("%w: %s", ErrFenced, detail)
-	s.dropConnLocked()
+	s.severLocked()
 	s.cfg.Metrics.Counter("repl_fenced").Inc()
 }
 
@@ -410,75 +373,36 @@ func (s *Shipper) gauges(acked uint64) {
 	s.cfg.Metrics.Gauge("repl_acked_seq").Set(acked)
 }
 
-// callLocked sends one request and reads its response, (re)connecting
-// as needed. The caller holds s.mu.
-func (s *Shipper) callLocked(req *wireRequest) (*wireResponse, error) {
-	if s.conn == nil {
-		if since := time.Since(s.lastDial); since < s.cfg.RedialEvery {
+// call runs one request against the standby, (re)connecting as
+// needed, over a fail-fast client: the shipper owns the retry policy,
+// and an overloaded standby must surface, not stall the mutation path.
+// Any transport failure severs the stream. The caller holds s.mu.
+func (s *Shipper) call(req *wire.Request) (*wire.Response, error) {
+	if s.cli == nil {
+		if since := time.Since(s.lastDial); since < redialEvery {
 			return nil, fmt.Errorf("replica stream to %s broken (retry in %s)",
-				s.cfg.Target, s.cfg.RedialEvery-since)
+				s.cfg.Target, redialEvery-since)
 		}
 		s.lastDial = time.Now()
-		network, target := splitAddr(s.cfg.Target)
-		conn, err := net.DialTimeout(network, target, s.cfg.DialTimeout)
+		cli, err := client.DialOptions(s.cfg.Target, client.Options{OverloadRetries: -1})
 		if err != nil {
 			s.cfg.Metrics.Counter("repl_dial_failures").Inc()
 			return nil, err
 		}
-		s.conn = conn
-		s.br = bufio.NewReaderSize(conn, 64<<10)
+		s.cli = cli
 		s.cfg.Metrics.Counter("repl_dials").Inc()
 	}
-
-	s.nextID++
-	req.ID = s.nextID
-	line, err := json.Marshal(req)
+	resp, err := s.cli.DoTimeout(req, callTimeout)
 	if err != nil {
+		s.severLocked()
 		return nil, err
 	}
-	line = append(line, '\n')
-	s.conn.SetDeadline(time.Now().Add(s.cfg.CallTimeout))
-	if _, err := s.conn.Write(line); err != nil {
-		s.dropConnLocked()
-		return nil, err
-	}
-	raw, err := s.br.ReadBytes('\n')
-	if err != nil {
-		s.dropConnLocked()
-		return nil, err
-	}
-	var resp wireResponse
-	if err := json.Unmarshal(raw, &resp); err != nil {
-		s.dropConnLocked()
-		return nil, fmt.Errorf("replica stream: bad response line: %v", err)
-	}
-	if resp.ID != req.ID {
-		s.dropConnLocked()
-		return nil, fmt.Errorf("replica stream: response id %d for request %d", resp.ID, req.ID)
-	}
-	return &resp, nil
+	return resp, nil
 }
 
-func (s *Shipper) dropConnLocked() {
-	if s.conn != nil {
-		s.conn.Close()
-		s.conn = nil
-		s.br = nil
-	}
-}
-
-// splitAddr resolves the address scheme shared by every livesim
-// frontend flag (mirrors client.SplitAddr, which this package cannot
-// import).
-func splitAddr(addr string) (network, target string) {
-	switch {
-	case strings.HasPrefix(addr, "unix:"):
-		return "unix", strings.TrimPrefix(addr, "unix:")
-	case strings.HasPrefix(addr, "tcp:"):
-		return "tcp", strings.TrimPrefix(addr, "tcp:")
-	case strings.ContainsAny(addr, "/\\"):
-		return "unix", addr
-	default:
-		return "tcp", addr
+func (s *Shipper) severLocked() {
+	if s.cli != nil {
+		s.cli.Close()
+		s.cli = nil
 	}
 }

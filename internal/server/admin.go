@@ -225,18 +225,18 @@ func (s *Server) handleProfilez(w http.ResponseWriter, r *http.Request) {
 // index, /tracez?id=<trace> returns that trace's SpanDump (add
 // &render=text for the assembled local tree instead of JSON).
 func (s *Server) handleTracez(w http.ResponseWriter, r *http.Request) {
-	if s.store == nil {
+	if s.tel.Store == nil {
 		http.Error(w, "span store disabled", http.StatusNotFound)
 		return
 	}
 	id := r.URL.Query().Get("id")
 	if id == "" {
-		body, _ := json.Marshal(s.store.Traces(64))
+		body, _ := json.Marshal(s.tel.Store.Traces(64))
 		w.Header().Set("Content-Type", "application/json")
 		w.Write(append(body, '\n'))
 		return
 	}
-	recs := s.store.Query(id)
+	recs := s.tel.Store.Query(id)
 	if r.URL.Query().Get("render") == "text" {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		if len(recs) == 0 {
@@ -246,7 +246,7 @@ func (s *Server) handleTracez(w http.ResponseWriter, r *http.Request) {
 		obs.WriteSpanTree(w, obs.BuildSpanTree(recs))
 		return
 	}
-	body, _ := json.Marshal(SpanDump{Proc: s.cfg.ProcName, Spans: recs})
+	body, _ := json.Marshal(SpanDump{Proc: s.tel.Proc, Spans: recs})
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(append(body, '\n'))
 }
@@ -255,12 +255,12 @@ func (s *Server) handleTracez(w http.ResponseWriter, r *http.Request) {
 // box — as NDJSON, newest-last, exactly as a blackbox dump would write
 // it.
 func (s *Server) handleFlightz(w http.ResponseWriter, r *http.Request) {
-	if s.flight == nil {
+	if s.tel.Flight == nil {
 		http.Error(w, "flight recorder disabled", http.StatusNotFound)
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	s.flight.Dump(w, "flightz")
+	s.tel.Flight.Dump(w, "flightz")
 }
 
 func (s *Server) handleEventsz(w http.ResponseWriter, r *http.Request) {
@@ -273,7 +273,7 @@ func (s *Server) handleEventsz(w http.ResponseWriter, r *http.Request) {
 		}
 		since = n
 	}
-	evs := s.events.Since(since)
+	evs := s.tel.Events.Since(since)
 	body, _ := json.Marshal(evs)
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(append(body, '\n'))

@@ -1,8 +1,8 @@
 // Package client is the small wire-protocol client for livesimd, shared
-// by the livesim shell's -connect remote mode, the lsbench -serve
-// throughput benchmark and the server tests. It speaks the
-// newline-delimited JSON protocol of internal/server: requests carry an
-// id, responses echo it, and subscribed span events (objects with an
+// by the livesim shell's -connect remote mode, the gateway's backend
+// hop, the replication shipper, the benchmarks and the tests. It speaks
+// the newline-delimited JSON protocol of internal/wire: requests carry
+// an id, responses echo it, and subscribed span events (objects with an
 // "ev" field and no id) are demultiplexed onto a separate channel.
 //
 // Dial gives the plain fail-fast client. DialOptions with Reconnect set
@@ -21,12 +21,12 @@
 package client
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
 	"net"
+	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -35,7 +35,7 @@ import (
 	"livesim/internal/command"
 	"livesim/internal/govern"
 	"livesim/internal/obs"
-	"livesim/internal/server"
+	"livesim/internal/wire"
 )
 
 // ErrDisconnected is returned for calls that cannot survive a dropped
@@ -83,6 +83,10 @@ type Options struct {
 // pointing at each other cannot loop a request forever.
 const maxMovedHops = 4
 
+// dialTimeout bounds every connect (first dial, redial, moved-follow):
+// a peer that accepts nothing must cost a caller seconds, not forever.
+const dialTimeout = 2 * time.Second
+
 // redialJitter is the ±fraction applied to every redial backoff and
 // overload-retry sleep: N clients cut off by one daemon restart must
 // not reconnect (or re-send) in lockstep.
@@ -100,8 +104,8 @@ const (
 // from multiple goroutines interleave on the wire and are matched back
 // to callers by request id.
 type Client struct {
-	opts            Options
-	network, target string
+	opts Options
+	addr string
 
 	writeMu sync.Mutex
 	nextID  atomic.Uint64
@@ -140,7 +144,7 @@ type pendingCall struct {
 }
 
 type callResult struct {
-	resp *server.Response
+	resp *wire.Response
 	err  error
 }
 
@@ -166,15 +170,13 @@ func DialOptions(addr string, opts Options) (*Client, error) {
 	if opts.OverloadRetries == 0 {
 		opts.OverloadRetries = 4
 	}
-	network, target := SplitAddr(addr)
-	nc, err := net.Dial(network, target)
+	nc, err := dial(addr)
 	if err != nil {
 		return nil, err
 	}
 	c := &Client{
 		opts:    opts,
-		network: network,
-		target:  target,
+		addr:    addr,
 		nc:      nc,
 		pending: make(map[uint64]*pendingCall),
 		closed:  make(chan struct{}),
@@ -185,38 +187,31 @@ func DialOptions(addr string, opts Options) (*Client, error) {
 	return c, nil
 }
 
-// SplitAddr resolves the address scheme shared by every livesimd
-// frontend flag.
-func SplitAddr(addr string) (network, target string) {
-	switch {
-	case strings.HasPrefix(addr, "unix:"):
-		return "unix", strings.TrimPrefix(addr, "unix:")
-	case strings.HasPrefix(addr, "tcp:"):
-		return "tcp", strings.TrimPrefix(addr, "tcp:")
-	case strings.ContainsAny(addr, "/\\"):
-		return "unix", addr
-	default:
-		return "tcp", addr
-	}
+func dial(addr string) (net.Conn, error) {
+	network, target := wire.SplitAddr(addr)
+	return net.DialTimeout(network, target, dialTimeout)
 }
 
 // Idempotent reports whether a verb can safely be sent twice: read-only
 // session verbs (from the shared command table's Mutates flag) and
-// read-only server verbs. Mutations and one-shot server verbs (create,
-// close, subscribe, unquarantine) are not resendable — the daemon may
-// have applied them before the connection died. Verbs that change only
-// observability state (profile start/stop/reset) are deliberately
-// marked non-mutating in the table: resending one after a reconnect is
-// harmless, so they stay on the resend path.
+// read-only server and gateway verbs, each named here on purpose — the
+// server and gateway tests fail on a verb this switch does not know.
+// Mutations and one-shot verbs (create, close, subscribe, migrate, …)
+// are not resendable: the daemon may have applied them before the
+// connection died. Verbs that change only observability state (profile
+// start/stop/reset) are deliberately marked non-mutating in the table:
+// resending one after a reconnect is harmless, so they stay on the
+// resend path.
 func Idempotent(verb string) bool {
 	switch strings.ToLower(verb) {
-	case "ping", "help", "metricz", "sessions", "events", "top":
+	case "ping", "help", "metricz", "sessions", "events", "top", "spans", "backends":
 		return true
 	case "export":
 		// Export is non-destructive and re-running it just refreshes the
 		// watermark; a resend after reconnect returns a fresh blob.
 		return true
-	case "create", "close", "subscribe", "unquarantine", "import", "drain":
+	case "create", "close", "subscribe", "unquarantine", "import", "drain",
+		"replicate", "replapply", "promote", "migrate":
 		return false
 	}
 	if cmd, ok := command.Lookup(verb); ok {
@@ -238,18 +233,25 @@ func Idempotent(verb string) bool {
 // for every verb: an admission rejection happens before the request
 // executes, so nothing was applied. A still-overloaded daemon after the
 // retry budget returns the overloaded response to the caller.
-func (c *Client) Do(req *server.Request) (*server.Response, error) {
+func (c *Client) Do(req *wire.Request) (*wire.Response, error) { return c.DoTimeout(req, 0) }
+
+// DoTimeout is Do with an upper bound d (when positive) on each
+// exchange: a call still unanswered after d fails with an error wrapping
+// os.ErrDeadlineExceeded and is unregistered, so a late response is
+// dropped. The connection stays usable; a caller that concludes the
+// peer is wedged closes the client.
+func (c *Client) DoTimeout(req *wire.Request, d time.Duration) (*wire.Response, error) {
 	retries := c.opts.OverloadRetries
 	if retries < 0 {
 		retries = 0
 	}
 	hops := 0
 	for attempt := 0; ; attempt++ {
-		resp, err := c.doOnce(req)
+		resp, err := c.doOnce(req, d)
 		if err != nil || resp == nil {
 			return resp, err
 		}
-		if c.opts.FollowMoves && resp.Code == server.CodeMoved && resp.MovedTo != "" && hops < maxMovedHops {
+		if c.opts.FollowMoves && resp.Code == wire.CodeMoved && resp.MovedTo != "" && hops < maxMovedHops {
 			if ferr := c.follow(resp.MovedTo); ferr != nil {
 				// The new backend is unreachable; the moved response (with
 				// its forwarding address) is the most useful answer we have.
@@ -259,7 +261,7 @@ func (c *Client) Do(req *server.Request) (*server.Response, error) {
 			attempt = -1 // fresh overload budget on the new backend
 			continue
 		}
-		if resp.Code != server.CodeOverloaded || attempt >= retries {
+		if resp.Code != wire.CodeOverloaded || attempt >= retries {
 			return resp, err
 		}
 		hint := time.Duration(resp.RetryAfterMs) * time.Millisecond
@@ -276,8 +278,7 @@ func (c *Client) Do(req *server.Request) (*server.Response, error) {
 // purpose. The old connection is closed; its read loop exits and sees
 // itself superseded.
 func (c *Client) follow(addr string) error {
-	network, target := SplitAddr(addr)
-	nc, err := net.Dial(network, target)
+	nc, err := dial(addr)
 	if err != nil {
 		return err
 	}
@@ -288,7 +289,7 @@ func (c *Client) follow(addr string) error {
 		return ErrDisconnected
 	}
 	old := c.nc
-	c.network, c.target = network, target
+	c.addr = addr
 	c.nc = nc
 	c.state = stConnected // also halts any redial loop aimed at the old address
 	resend := make([][]byte, 0, len(c.pending))
@@ -316,18 +317,23 @@ func (c *Client) follow(addr string) error {
 }
 
 // doOnce runs one request/response exchange on the wire.
-func (c *Client) doOnce(req *server.Request) (*server.Response, error) {
+func (c *Client) doOnce(req *wire.Request, d time.Duration) (*wire.Response, error) {
 	id := c.nextID.Add(1)
 	req.ID = id
 	if req.TraceID == "" {
 		req.TraceID = obs.NewTraceID()
 	}
-	line, err := json.Marshal(req)
+	line, err := wire.EncodeLine(req)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%s request not sent: %w", req.Verb, err)
 	}
-	line = append(line, '\n')
 	pc := &pendingCall{line: line, idem: Idempotent(req.Verb), ch: make(chan callResult, 1)}
+	var expired <-chan time.Time
+	if d > 0 {
+		timer := time.NewTimer(d)
+		defer timer.Stop()
+		expired = timer.C
+	}
 
 	c.mu.Lock()
 	switch c.state {
@@ -352,12 +358,21 @@ func (c *Client) doOnce(req *server.Request) (*server.Response, error) {
 		nc := c.nc
 		c.mu.Unlock()
 		c.writeMu.Lock()
+		if d > 0 {
+			// The timer below only bounds the wait for the answer; a peer
+			// that stopped reading must not wedge the write either.
+			nc.SetWriteDeadline(time.Now().Add(d))
+		}
 		_, err = nc.Write(line)
+		if d > 0 {
+			nc.SetWriteDeadline(time.Time{})
+		}
 		c.writeMu.Unlock()
 		if err != nil && !(c.opts.Reconnect && pc.idem) {
 			c.mu.Lock()
 			delete(c.pending, id)
 			c.mu.Unlock()
+			nc.Close() // the line may be torn: nothing more can be framed on this conn
 			return nil, err
 		}
 		// A failed write on a reconnecting client leaves the call
@@ -368,6 +383,11 @@ func (c *Client) doOnce(req *server.Request) (*server.Response, error) {
 	select {
 	case r := <-pc.ch:
 		return r.resp, r.err
+	case <-expired:
+		c.mu.Lock()
+		delete(c.pending, id)
+		c.mu.Unlock()
+		return nil, fmt.Errorf("%s: no response within %v: %w", req.Verb, d, os.ErrDeadlineExceeded)
 	case <-c.closed:
 		c.mu.Lock()
 		err := c.readErr
@@ -478,9 +498,10 @@ func (c *Client) redial() {
 			c.mu.Unlock()
 			return
 		}
+		addr := c.addr
 		c.mu.Unlock()
 
-		nc, err := net.Dial(c.network, c.target)
+		nc, err := dial(addr)
 		if err == nil {
 			c.mu.Lock()
 			if c.state != stReconnecting {
@@ -520,21 +541,21 @@ func (c *Client) redial() {
 }
 
 func (c *Client) readLoop(nc net.Conn) {
-	sc := bufio.NewScanner(nc)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	sc := wire.NewScanner(nc)
 	for sc.Scan() {
-		line := sc.Bytes()
-		// Span events have an "ev" discriminator and no request id;
-		// responses always carry their id.
-		var probe struct {
+		// One decode per line. Span events have an "ev" discriminator and
+		// no request id; responses always carry their id (the outer ID
+		// shadows the embedded one, so its absence is visible).
+		var in struct {
 			Ev string  `json:"ev"`
 			ID *uint64 `json:"id"`
+			wire.Response
 		}
-		if err := json.Unmarshal(line, &probe); err != nil {
+		if err := json.Unmarshal(sc.Bytes(), &in); err != nil {
 			continue
 		}
-		if probe.Ev != "" || probe.ID == nil {
-			ev := json.RawMessage(append([]byte(nil), line...))
+		if in.Ev != "" || in.ID == nil {
+			ev := json.RawMessage(append([]byte(nil), sc.Bytes()...))
 			c.mu.Lock()
 			if c.state != stClosed {
 				select {
@@ -545,10 +566,8 @@ func (c *Client) readLoop(nc net.Conn) {
 			c.mu.Unlock()
 			continue
 		}
-		var resp server.Response
-		if err := json.Unmarshal(line, &resp); err != nil {
-			continue
-		}
+		resp := in.Response
+		resp.ID = *in.ID
 		c.mu.Lock()
 		pc := c.pending[resp.ID]
 		delete(c.pending, resp.ID)
@@ -558,8 +577,12 @@ func (c *Client) readLoop(nc net.Conn) {
 		}
 	}
 	err := sc.Err()
-	if err == nil {
+	switch {
+	case err == nil:
 		err = fmt.Errorf("connection closed by server")
+	case errors.Is(err, wire.ErrTooLong):
+		// Nothing after an unframeable line can be trusted to be a line.
+		err = fmt.Errorf("%w: response line exceeds the %d-byte wire limit: %w", ErrDisconnected, wire.MaxLine, err)
 	}
 	c.disconnected(nc, err)
 }

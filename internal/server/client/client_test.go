@@ -9,7 +9,7 @@ import (
 	"time"
 
 	"livesim/internal/govern"
-	"livesim/internal/server"
+	"livesim/internal/wire"
 )
 
 // Two clients' redial schedules must diverge: jitter exists so a daemon
@@ -64,16 +64,16 @@ func fakeOverloadServer(t *testing.T, rejects int64) (addr string, served *atomi
 				defer nc.Close()
 				sc := bufio.NewScanner(nc)
 				for sc.Scan() {
-					var req server.Request
+					var req wire.Request
 					if json.Unmarshal(sc.Bytes(), &req) != nil {
 						continue
 					}
 					n := served.Add(1)
-					resp := server.Response{ID: req.ID, OK: true, Output: "pong\n"}
+					resp := wire.Response{ID: req.ID, OK: true, Output: "pong\n"}
 					if n <= rejects {
-						resp = server.Response{
+						resp = wire.Response{
 							ID: req.ID, OK: false,
-							Code: server.CodeOverloaded, Error: "overloaded",
+							Code: wire.CodeOverloaded, Error: "overloaded",
 							RetryAfterMs: 2,
 						}
 					}
@@ -96,7 +96,7 @@ func TestDoRetriesOverload(t *testing.T) {
 	}
 	defer c.Close()
 
-	resp, err := c.Do(&server.Request{Verb: "ping"})
+	resp, err := c.Do(&wire.Request{Verb: "ping"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,11 +118,11 @@ func TestDoOverloadSurfacesWithoutRetries(t *testing.T) {
 	}
 	defer c.Close()
 
-	resp, err := c.Do(&server.Request{Verb: "ping"})
+	resp, err := c.Do(&wire.Request{Verb: "ping"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.OK || resp.Code != server.CodeOverloaded {
+	if resp.OK || resp.Code != wire.CodeOverloaded {
 		t.Fatalf("want overloaded response, got ok=%v code=%s", resp.OK, resp.Code)
 	}
 	if resp.RetryAfterMs <= 0 {

@@ -15,6 +15,7 @@ import (
 	"livesim/internal/server"
 	"livesim/internal/server/client"
 	"livesim/internal/wal"
+	"livesim/internal/wire"
 )
 
 // The subprocess crash matrix: a real livesimd child is SIGKILLed at
@@ -462,16 +463,16 @@ func TestCrashMatrixStalePrimaryFenced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fenced.OK || fenced.Code != server.CodeFenced {
+	if fenced.OK || fenced.Code != wire.CodeFenced {
 		d2.dumpLog(t)
-		t.Fatalf("stale primary mutation = %+v, want code %q", fenced, server.CodeFenced)
+		t.Fatalf("stale primary mutation = %+v, want code %q", fenced, wire.CodeFenced)
 	}
 	// The fence is sticky: even an unstamped mutation is now rejected.
 	sticky, err := c2.Do(&server.Request{Session: "s1", Verb: "run", Args: []string{"tb0", "p0", "10"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sticky.OK || sticky.Code != server.CodeFenced {
+	if sticky.OK || sticky.Code != wire.CodeFenced {
 		t.Fatalf("fence not sticky: %+v", sticky)
 	}
 	// And the survivor is untouched by the corpse's attempts.

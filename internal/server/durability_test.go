@@ -14,6 +14,7 @@ import (
 	"livesim/internal/faultinject"
 	"livesim/internal/server"
 	"livesim/internal/server/client"
+	"livesim/internal/wire"
 )
 
 // startServerOn runs a server on an explicit socket with manual
@@ -68,7 +69,7 @@ func doUntilRecovered(t *testing.T, c *client.Client, req *server.Request) *serv
 		if resp.OK {
 			return resp
 		}
-		if resp.Code != server.CodeRecovering || time.Now().After(deadline) {
+		if resp.Code != wire.CodeRecovering || time.Now().After(deadline) {
 			t.Fatalf("%s: %s (%s)", req.Verb, resp.Error, resp.Code)
 		}
 		time.Sleep(5 * time.Millisecond)
@@ -298,8 +299,8 @@ func TestQuarantineTripsAndClears(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Code != server.CodeQuarantined {
-		t.Fatalf("after 3 failures: code %s (%s), want %s", resp.Code, resp.Error, server.CodeQuarantined)
+	if resp.Code != wire.CodeQuarantined {
+		t.Fatalf("after 3 failures: code %s (%s), want %s", resp.Code, resp.Error, wire.CodeQuarantined)
 	}
 	// Reads keep working while quarantined.
 	mustOK(t, c, &server.Request{Session: "q0", Verb: "cycle", Args: []string{"p0"}})

@@ -16,6 +16,7 @@ import (
 	"livesim/internal/faultinject"
 	"livesim/internal/server"
 	"livesim/internal/server/client"
+	"livesim/internal/wire"
 )
 
 // Resource-governance tests: the global admission budget, the
@@ -106,7 +107,7 @@ func TestAdmissionRejectsOverBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.OK || resp.Code != server.CodeOverloaded {
+	if resp.OK || resp.Code != wire.CodeOverloaded {
 		t.Fatalf("run over budget: ok=%v code=%q err=%q", resp.OK, resp.Code, resp.Error)
 	}
 	if resp.RetryAfterMs < 1 {
@@ -186,12 +187,12 @@ func TestOverloadSoak(t *testing.T) {
 					transport = append(transport, err)
 				case resp.OK:
 					okN++
-				case resp.Code == server.CodeOverloaded:
+				case resp.Code == wire.CodeOverloaded:
 					overN++
 					if resp.RetryAfterMs < 1 {
 						badCodes = append(badCodes, "overloaded-without-hint")
 					}
-				case resp.Code == server.CodeBackpressure:
+				case resp.Code == wire.CodeBackpressure:
 					backN++
 				default:
 					badCodes = append(badCodes, fmt.Sprintf("%s(%s)", resp.Code, resp.Error))
@@ -318,7 +319,7 @@ func TestDiskPressureLadder(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !resp.OK {
-			if resp.Code != server.CodeDiskFull {
+			if resp.Code != wire.CodeDiskFull {
 				t.Fatalf("emergency rejection code = %q (%s), want disk_full", resp.Code, resp.Error)
 			}
 			break
@@ -328,7 +329,7 @@ func TestDiskPressureLadder(t *testing.T) {
 			t.Fatal("emergency rung never rejected a mutation")
 		}
 	}
-	if resp, err := c.Do(&server.Request{Session: "d1", Verb: "create", PGAS: 1}); err != nil || resp.OK || resp.Code != server.CodeDiskFull {
+	if resp, err := c.Do(&server.Request{Session: "d1", Verb: "create", PGAS: 1}); err != nil || resp.OK || resp.Code != wire.CodeDiskFull {
 		t.Fatalf("create at emergency: resp=%+v err=%v", resp, err)
 	}
 	if resp := mustOK(t, c, &server.Request{Session: "d0", Verb: "cycle", Args: []string{"p0"}}); !strings.Contains(resp.Output, fmt.Sprint(cycles)) {
@@ -352,7 +353,7 @@ func TestDiskPressureLadder(t *testing.T) {
 			if info, ok := sessionInfo(t, c, "d0"); ok && !info.Nondurable {
 				break
 			}
-		} else if resp.Code != server.CodeDiskFull {
+		} else if resp.Code != wire.CodeDiskFull {
 			t.Fatalf("unexpected rejection while clearing: %s (%s)", resp.Error, resp.Code)
 		}
 		if time.Now().After(deadline) {

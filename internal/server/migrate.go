@@ -3,7 +3,6 @@ package server
 import (
 	"encoding/json"
 	"fmt"
-	"net"
 	"path/filepath"
 	"time"
 
@@ -11,6 +10,7 @@ import (
 	"livesim/internal/govern"
 	"livesim/internal/transfer"
 	"livesim/internal/wal"
+	"livesim/internal/wire"
 )
 
 // Live migration. A session's durable state — journal plus watermark
@@ -71,12 +71,12 @@ type ImportData struct {
 func (s *Server) exportTask(h *hosted, t *task) *Response {
 	req := t.req
 	if h.wal == nil {
-		return errResp(req, CodeBadRequest,
+		return errResp(req, wire.CodeBadRequest,
 			fmt.Errorf("session %q has no journal (state dir disabled); not portable", h.name))
 	}
 	img, meta, err := s.exportBlob(h)
 	if err != nil {
-		return errResp(req, CodeError, fmt.Errorf("export: %w", err))
+		return errResp(req, wire.CodeError, fmt.Errorf("export: %w", err))
 	}
 	data, _ := json.Marshal(ExportData{
 		Session: h.name, Blob: img, WALBytes: meta.WALBytes, Seq: meta.Seq, Pipes: meta.Pipes,
@@ -104,10 +104,10 @@ func (s *Server) exportTask(h *hosted, t *task) *Response {
 // never over a primary.
 func (s *Server) importSession(req *Request) *Response {
 	if s.cfg.StateDir == "" {
-		return errResp(req, CodeBadRequest, fmt.Errorf("import requires a state dir"))
+		return errResp(req, wire.CodeBadRequest, fmt.Errorf("import requires a state dir"))
 	}
 	if len(req.Blob) == 0 {
-		return errResp(req, CodeBadRequest, fmt.Errorf("import needs a transfer blob"))
+		return errResp(req, wire.CodeBadRequest, fmt.Errorf("import needs a transfer blob"))
 	}
 	follower := false
 	switch {
@@ -115,19 +115,19 @@ func (s *Server) importSession(req *Request) *Response {
 	case len(req.Args) == 1 && req.Args[0] == "follower":
 		follower = true
 	default:
-		return errResp(req, CodeBadRequest, fmt.Errorf("usage: import [follower]"))
+		return errResp(req, wire.CodeBadRequest, fmt.Errorf("usage: import [follower]"))
 	}
 	blob, err := transfer.Decode(req.Blob)
 	if err != nil {
-		return errResp(req, CodeBadRequest, err)
+		return errResp(req, wire.CodeBadRequest, err)
 	}
 	name := blob.Meta.Session
 	if req.Session != "" && req.Session != name {
-		return errResp(req, CodeBadRequest,
+		return errResp(req, wire.CodeBadRequest,
 			fmt.Errorf("request names session %q but blob carries %q", req.Session, name))
 	}
 	if !nameRE.MatchString(name) {
-		return errResp(req, CodeBadRequest,
+		return errResp(req, wire.CodeBadRequest,
 			fmt.Errorf("session name %q must match %s", name, nameRE.String()))
 	}
 	// Entry whitelist: exactly this session's journal and checkpoint
@@ -141,18 +141,18 @@ func (s *Server) importSession(req *Request) *Response {
 		case filepath.Ext(e.Name) == ".lscp" &&
 			len(e.Name) > len(name)+6 && e.Name[:len(name)+1] == name+".":
 		default:
-			return errResp(req, CodeBadRequest,
+			return errResp(req, wire.CodeBadRequest,
 				fmt.Errorf("blob entry %q does not belong to session %q", e.Name, name))
 		}
 	}
 	if !sawWAL {
-		return errResp(req, CodeBadRequest, fmt.Errorf("blob carries no journal for %q", name))
+		return errResp(req, wire.CodeBadRequest, fmt.Errorf("blob carries no journal for %q", name))
 	}
 	if s.diskLevelNow() >= govern.LevelCritical {
 		// An import is all writes; at the critical rung the target could
 		// not even keep the session durable once landed.
 		s.reg.Counter("server_diskfull_rejects").Inc()
-		return errResp(req, CodeDiskFull, ErrDiskFull)
+		return errResp(req, wire.CodeDiskFull, ErrDiskFull)
 	}
 
 	if follower {
@@ -184,14 +184,14 @@ func (s *Server) importSession(req *Request) *Response {
 	switch {
 	case s.draining:
 		s.mu.Unlock()
-		return errResp(req, CodeDraining, ErrDraining)
+		return errResp(req, wire.CodeDraining, ErrDraining)
 	case s.sessions[name] != nil:
 		s.mu.Unlock()
-		return errResp(req, CodeBadRequest, fmt.Errorf("session %q already exists", name))
+		return errResp(req, wire.CodeBadRequest, fmt.Errorf("session %q already exists", name))
 	case len(s.sessions) >= s.cfg.MaxSessions:
 		s.mu.Unlock()
 		s.reg.Counter("server_session_limit_rejects").Inc()
-		return errResp(req, CodeSessionLimit,
+		return errResp(req, wire.CodeSessionLimit,
 			fmt.Errorf("session limit %d reached: %w", s.cfg.MaxSessions, ErrSessionLimit))
 	}
 	s.sessions[name] = h
@@ -208,7 +208,7 @@ func (s *Server) importSession(req *Request) *Response {
 		close(h.queue)
 		for t := range h.queue {
 			if !t.abandoned.Load() {
-				t.reply <- errResp(t.req, CodeNoSession, fmt.Errorf("session %q failed to import", name))
+				t.reply <- errResp(t.req, wire.CodeNoSession, fmt.Errorf("session %q failed to import", name))
 			}
 		}
 		s.removeSessionState(name)
@@ -222,20 +222,20 @@ func (s *Server) importSession(req *Request) *Response {
 	for _, e := range blob.Entries {
 		path := filepath.Join(s.cfg.StateDir, e.Name)
 		if err := checkpoint.WriteFileAtomic(path, e.Payload, nil); err != nil {
-			return fail(CodeError, fmt.Errorf("write %s: %w", e.Name, err))
+			return fail(wire.CodeError, fmt.Errorf("write %s: %w", e.Name, err))
 		}
 	}
 	w, recs, err := wal.Open(s.walPath(name), s.walOpts())
 	if err != nil {
-		return fail(CodeError, fmt.Errorf("journal open: %w", err))
+		return fail(wire.CodeError, fmt.Errorf("journal open: %w", err))
 	}
 	h.wal = w
 	if len(recs) == 0 || recs[0].Type != wal.TypeBoot {
-		return fail(CodeError, fmt.Errorf("imported journal has no boot record"))
+		return fail(wire.CodeError, fmt.Errorf("imported journal has no boot record"))
 	}
 	rep, err := s.replayRecords(h, recs)
 	if err != nil {
-		return fail(CodeError, err)
+		return fail(wire.CodeError, err)
 	}
 
 	if follower {
@@ -246,7 +246,7 @@ func (s *Server) importSession(req *Request) *Response {
 			h.epoch.Store(req.Epoch)
 		}
 		if err := s.writeFollowerMeta(name, h.epoch.Load()); err != nil {
-			return fail(CodeError, fmt.Errorf("persist follower meta: %w", err))
+			return fail(wire.CodeError, fmt.Errorf("persist follower meta: %w", err))
 		}
 		h.follower.Store(true)
 	}
@@ -330,7 +330,7 @@ func (s *Server) noteMark(h *hosted) {
 // inline would deadlock on this very request's in-flight count.
 func (s *Server) requestDrain(req *Request) *Response {
 	if s.isDraining() {
-		return errResp(req, CodeDraining, ErrDraining)
+		return errResp(req, wire.CodeDraining, ErrDraining)
 	}
 	s.drainOnce.Do(func() { close(s.drainReq) })
 	s.reg.Counter("server_drain_requests").Inc()
@@ -387,7 +387,7 @@ func (s *Server) movedTo(name string) (string, bool) {
 
 // movedResp builds the CodeMoved redirect response.
 func movedResp(req *Request, addr string) *Response {
-	r := errResp(req, CodeMoved, fmt.Errorf("session %q: %w (now at %s)", req.Session, ErrMoved, addr))
+	r := errResp(req, wire.CodeMoved, fmt.Errorf("session %q: %w (now at %s)", req.Session, ErrMoved, addr))
 	r.MovedTo = addr
 	return r
 }
@@ -404,14 +404,6 @@ func (s *Server) Halt() {
 		return
 	}
 	s.draining = true
-	lns := make([]net.Listener, 0, len(s.listeners))
-	for ln := range s.listeners {
-		lns = append(lns, ln)
-	}
-	conns := make([]*conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
 	hs := make([]*hosted, 0, len(s.sessions))
 	for _, h := range s.sessions {
 		if h.sess != nil && !h.recovering.Load() {
@@ -421,12 +413,7 @@ func (s *Server) Halt() {
 	s.sessions = make(map[string]*hosted)
 	s.mu.Unlock()
 
-	for _, ln := range lns {
-		ln.Close()
-	}
-	for _, c := range conns {
-		c.nc.Close()
-	}
+	s.acc.Close()
 	s.stopOnce.Do(func() { close(s.janitorStop) })
 	for _, h := range hs {
 		close(h.queue)
@@ -443,6 +430,6 @@ func (s *Server) Halt() {
 			h.wal.Close()
 		}
 	}
-	s.connWG.Wait()
 	s.bgWG.Wait()
+	s.tel.Stop()
 }

@@ -9,6 +9,7 @@ import (
 	"livesim/internal/server"
 	"livesim/internal/server/client"
 	"livesim/internal/transfer"
+	"livesim/internal/wire"
 )
 
 // exportBlob drives a session to a known state and exports it,
@@ -74,8 +75,8 @@ func TestExportImportMovesSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if moved.OK || moved.Code != server.CodeMoved || moved.MovedTo != addrB {
-		t.Fatalf("post-move response = %+v, want code %q moved_to %q", moved, server.CodeMoved, addrB)
+	if moved.OK || moved.Code != wire.CodeMoved || moved.MovedTo != addrB {
+		t.Fatalf("post-move response = %+v, want code %q moved_to %q", moved, wire.CodeMoved, addrB)
 	}
 
 	// A redirect-following client dialed at the OLD backend transparently
@@ -114,7 +115,7 @@ func TestImportRejectsBadBlobs(t *testing.T) {
 	_, addr := startServer(t, server.Config{StateDir: dir})
 	c := dial(t, addr)
 
-	if resp, err := c.Do(&server.Request{Verb: "import", Blob: []byte("not a blob")}); err != nil || resp.OK || resp.Code != server.CodeBadRequest {
+	if resp, err := c.Do(&server.Request{Verb: "import", Blob: []byte("not a blob")}); err != nil || resp.OK || resp.Code != wire.CodeBadRequest {
 		t.Fatalf("garbage import = %+v err=%v", resp, err)
 	}
 
@@ -126,7 +127,7 @@ func TestImportRejectsBadBlobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp, _ := c.Do(&server.Request{Verb: "import", Blob: img}); resp.OK || resp.Code != server.CodeBadRequest {
+	if resp, _ := c.Do(&server.Request{Verb: "import", Blob: img}); resp.OK || resp.Code != wire.CodeBadRequest {
 		t.Fatalf("foreign-entry import = %+v, want bad_request", resp)
 	}
 
@@ -153,7 +154,7 @@ func TestExportRequiresJournal(t *testing.T) {
 	c := dial(t, addr)
 	createTiny(t, c, "e0", 25)
 	resp, err := c.Do(&server.Request{Session: "e0", Verb: "export"})
-	if err != nil || resp.OK || resp.Code != server.CodeBadRequest {
+	if err != nil || resp.OK || resp.Code != wire.CodeBadRequest {
 		t.Fatalf("journal-less export = %+v err=%v", resp, err)
 	}
 }

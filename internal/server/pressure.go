@@ -46,9 +46,9 @@ const (
 	createCost = 8
 	// defaultDiskPollEvery is the governor tick cadence.
 	defaultDiskPollEvery = 2 * time.Second
-	// defaultMemEvictIdle: sessions idle less than this are never shed
-	// for memory, however tight the budget — someone is using them.
-	defaultMemEvictIdle = 30 * time.Second
+	// memEvictIdle: sessions idle less than this are never shed for
+	// memory, however tight the budget — someone is using them.
+	memEvictIdle = 30 * time.Second
 	// defaultJournalResumeDelay is the pause→resume cooldown.
 	defaultJournalResumeDelay = 250 * time.Millisecond
 	// pressureGroupCommit is the WAL fsync batching interval forced onto
@@ -310,7 +310,7 @@ func (s *Server) memGovern() {
 		}
 		h := c.h
 		if s.sessions[h.name] != h || h.recovering.Load() || len(h.queue) > 0 ||
-			h.idle() < s.cfg.MemEvictIdle {
+			h.idle() < memEvictIdle {
 			continue
 		}
 		delete(s.sessions, h.name)

@@ -19,15 +19,14 @@ import (
 // Config.QuarantineAfter is unset.
 const defaultQuarantineAfter = 3
 
-// defaultQuarantineDecay is the failure-decay window when
-// Config.QuarantineDecay is unset.
-const defaultQuarantineDecay = time.Minute
+// quarantineDecay is how far apart failures may be and still count as
+// one streak.
+const quarantineDecay = time.Minute
 
 // breaker is the per-session failure circuit breaker.
 type breaker struct {
 	mu        sync.Mutex
-	threshold int           // <= 0 disables tripping entirely
-	decay     time.Duration
+	threshold int // <= 0 disables tripping entirely
 	fails     int
 	lastFail  time.Time
 	tripped   bool
@@ -40,7 +39,7 @@ func (b *breaker) fail(reason string) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	now := time.Now()
-	if b.decay > 0 && !b.lastFail.IsZero() && now.Sub(b.lastFail) > b.decay {
+	if !b.lastFail.IsZero() && now.Sub(b.lastFail) > quarantineDecay {
 		b.fails = 0 // stale streak: failures this far apart don't accumulate
 	}
 	b.fails++

@@ -12,6 +12,7 @@ import (
 	"livesim/internal/replica"
 	"livesim/internal/transfer"
 	"livesim/internal/wal"
+	"livesim/internal/wire"
 )
 
 // Session replication. A primary backend streams each durable session's
@@ -72,7 +73,7 @@ func (s *Server) readFollowerMeta(name string) (followerMeta, bool) {
 // journal head and epoch so the (stale) caller can at least observe how
 // far ahead the fleet moved.
 func (s *Server) fencedResp(req *Request, h *hosted) *Response {
-	r := errResp(req, CodeFenced,
+	r := errResp(req, wire.CodeFenced,
 		fmt.Errorf("session %q: %w (epoch here %d, request carried %d)",
 			req.Session, ErrFenced, h.epoch.Load(), req.Epoch))
 	ack := replica.Ack{Epoch: h.epoch.Load()}
@@ -96,7 +97,7 @@ func (s *Server) replGate(h *hosted, req *Request) *Response {
 	}
 	if h.follower.Load() {
 		s.reg.Counter("server_follower_rejects").Inc()
-		return errResp(req, CodeFollower,
+		return errResp(req, wire.CodeFollower,
 			fmt.Errorf("session %q: %w", req.Session, ErrFollower))
 	}
 	if req.Epoch != 0 {
@@ -157,24 +158,24 @@ func (s *Server) replicateTask(h *hosted, t *task) *Response {
 			Output: fmt.Sprintf("replication for %s stopped\n", h.name)}
 	}
 	if len(req.Args) != 1 || req.Args[0] == "" {
-		return errResp(req, CodeBadRequest, fmt.Errorf("usage: replicate <addr>|stop"))
+		return errResp(req, wire.CodeBadRequest, fmt.Errorf("usage: replicate <addr>|stop"))
 	}
 	if h.wal == nil {
-		return errResp(req, CodeBadRequest,
+		return errResp(req, wire.CodeBadRequest,
 			fmt.Errorf("session %q has no journal (state dir disabled); cannot replicate", h.name))
 	}
 	if h.fenced.Load() {
 		return s.fencedResp(req, h)
 	}
 	if h.follower.Load() {
-		return errResp(req, CodeFollower,
+		return errResp(req, wire.CodeFollower,
 			fmt.Errorf("session %q: %w; promote it before replicating onward", h.name, ErrFollower))
 	}
 	target := req.Args[0]
 
 	img, meta, err := s.exportBlob(h)
 	if err != nil {
-		return errResp(req, CodeError, fmt.Errorf("replicate seed export: %w", err))
+		return errResp(req, wire.CodeError, fmt.Errorf("replicate seed export: %w", err))
 	}
 	if old := h.shipper.Swap(nil); old != nil {
 		old.Stop()
@@ -192,7 +193,7 @@ func (s *Server) replicateTask(h *hosted, t *task) *Response {
 			s.fenceSession(h, "standby "+target+" holds a newer epoch")
 			return s.fencedResp(req, h)
 		}
-		return errResp(req, CodeError, fmt.Errorf("replicate seed to %s: %w", target, err))
+		return errResp(req, wire.CodeError, fmt.Errorf("replicate seed to %s: %w", target, err))
 	}
 	h.shipper.Store(sp)
 	h.reg.Gauge("repl_lag_records").Set(0)
@@ -240,13 +241,13 @@ func (s *Server) replApplyTask(h *hosted, t *task) *Response {
 		return s.fencedResp(req, h)
 	}
 	if h.wal == nil {
-		return errResp(req, CodeBadRequest,
+		return errResp(req, wire.CodeBadRequest,
 			fmt.Errorf("session %q has no journal; cannot apply a replication batch", h.name))
 	}
 
 	epoch, afterSeq, recs, err := replica.DecodeBatch(req.Blob)
 	if err != nil {
-		return errResp(req, CodeBadRequest, fmt.Errorf("replapply: %w", err))
+		return errResp(req, wire.CodeBadRequest, fmt.Errorf("replapply: %w", err))
 	}
 	if epoch < cur {
 		s.reg.Counter("server_fenced_rejects").Inc()
@@ -258,7 +259,7 @@ func (s *Server) replApplyTask(h *hosted, t *task) *Response {
 		// Adopt it durably so a later stream from the older epoch is
 		// rejected even across a follower restart.
 		if err := s.writeFollowerMeta(h.name, epoch); err != nil {
-			return errResp(req, CodeError, fmt.Errorf("replapply: persist epoch: %w", err))
+			return errResp(req, wire.CodeError, fmt.Errorf("replapply: persist epoch: %w", err))
 		}
 		h.epoch.Store(epoch)
 	}
@@ -267,7 +268,7 @@ func (s *Server) replApplyTask(h *hosted, t *task) *Response {
 		// The stream and this journal disagree about the head (a shipper
 		// restart, or our own crash recovery truncated an unsynced tail).
 		// Tell the shipper where to resume.
-		r := errResp(req, CodeReplResync,
+		r := errResp(req, wire.CodeReplResync,
 			fmt.Errorf("batch continues from seq %d but journal head is %d", afterSeq, head))
 		r.Data = replAck(h)
 		s.reg.Counter("server_repl_resyncs").Inc()
@@ -279,7 +280,7 @@ func (s *Server) replApplyTask(h *hosted, t *task) *Response {
 			// checkpoint exists only on its disk, so the gap is
 			// unreconstructable from records here. A fresh seed is the
 			// only honest continuation.
-			resp := errResp(req, CodeReplReseed,
+			resp := errResp(req, wire.CodeReplReseed,
 				fmt.Errorf("batch carries a reanchor for pipe %q; follower needs a fresh seed", r.Pipe))
 			resp.Data = replAck(h)
 			s.reg.Counter("server_repl_reseed_requests").Inc()
@@ -292,7 +293,7 @@ func (s *Server) replApplyTask(h *hosted, t *task) *Response {
 	// cannot repair. The honest recovery is a fresh seed, which rebuilds
 	// this follower from the primary's current image.
 	poison := func(stage string, cause error) *Response {
-		r := errResp(req, CodeReplReseed,
+		r := errResp(req, wire.CodeReplReseed,
 			fmt.Errorf("replapply %s: %w; follower needs a fresh seed", stage, cause))
 		r.Data = replAck(h)
 		s.reg.Counter("server_repl_reseed_requests").Inc()
@@ -317,12 +318,12 @@ func (s *Server) replApplyTask(h *hosted, t *task) *Response {
 		case wal.TypeEpoch:
 			if r.Epoch > h.epoch.Load() {
 				if err := s.writeFollowerMeta(h.name, r.Epoch); err != nil {
-					return errResp(req, CodeError, fmt.Errorf("replapply: persist epoch: %w", err))
+					return errResp(req, wire.CodeError, fmt.Errorf("replapply: persist epoch: %w", err))
 				}
 				h.epoch.Store(r.Epoch)
 			}
 		default:
-			return errResp(req, CodeBadRequest,
+			return errResp(req, wire.CodeBadRequest,
 				fmt.Errorf("replapply: record seq %d has type %q (not shippable)", r.Seq, r.Type))
 		}
 		// Append mirrors the primary's journal seq-for-seq: Append assigns
@@ -378,10 +379,10 @@ func (s *Server) promoteTask(h *hosted, t *task) *Response {
 	}
 	if h.wal != nil {
 		if err := h.wal.Append(&wal.Record{Type: wal.TypeEpoch, Epoch: newEpoch}); err != nil {
-			return errResp(req, CodeError, fmt.Errorf("promote: journal epoch record: %w", err))
+			return errResp(req, wire.CodeError, fmt.Errorf("promote: journal epoch record: %w", err))
 		}
 		if err := h.wal.Sync(); err != nil {
-			return errResp(req, CodeError, fmt.Errorf("promote: journal sync: %w", err))
+			return errResp(req, wire.CodeError, fmt.Errorf("promote: journal sync: %w", err))
 		}
 	}
 	h.epoch.Store(newEpoch)
@@ -416,7 +417,7 @@ func (s *Server) shipTail(h *hosted, t *task) {
 	// The ship is part of the client's request latency — give it its own
 	// span under the request's exec span, and hand the shipper the trace
 	// context so the standby's replapply request joins the same tree.
-	shipSpan := s.tracer.StartRemote(t.trace, t.execSID, "replicate_ship",
+	shipSpan := s.tel.Tracer.StartRemote(t.trace, t.execSID, "replicate_ship",
 		obs.Str("session", h.name), obs.Str("target", sp.Target()))
 	defer shipSpan.End()
 	err := sp.ShipTraced(t.trace, shipSpan.SID())

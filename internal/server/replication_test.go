@@ -6,6 +6,7 @@ import (
 
 	"livesim/internal/replica"
 	"livesim/internal/server"
+	"livesim/internal/wire"
 )
 
 // sessionInfos fetches and decodes the sessions table.
@@ -58,8 +59,8 @@ func TestReplicationSeedShipPromote(t *testing.T) {
 	}
 	// Followers take mutations only from the stream.
 	if r, err := cB.Do(&server.Request{Session: "r0", Verb: "poke",
-		Args: []string{"p0", "top.d", "9"}}); err != nil || r.OK || r.Code != server.CodeFollower {
-		t.Fatalf("direct mutation on follower = %+v err=%v, want code %q", r, err, server.CodeFollower)
+		Args: []string{"p0", "top.d", "9"}}); err != nil || r.OK || r.Code != wire.CodeFollower {
+		t.Fatalf("direct mutation on follower = %+v err=%v, want code %q", r, err, wire.CodeFollower)
 	}
 
 	// Post-seed mutations ship on commit: every OK below implies the
@@ -125,13 +126,13 @@ func TestReplicationFencesStalePrimary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.OK || r.Code != server.CodeFenced {
-		t.Fatalf("stale-primary mutation = %+v, want code %q", r, server.CodeFenced)
+	if r.OK || r.Code != wire.CodeFenced {
+		t.Fatalf("stale-primary mutation = %+v, want code %q", r, wire.CodeFenced)
 	}
 	// Fencing is terminal: everything after rejects immediately.
 	if r, _ := cA.Do(&server.Request{Session: "f0", Verb: "run",
-		Args: []string{"clock", "p0", "5"}}); r.OK || r.Code != server.CodeFenced {
-		t.Fatalf("post-fence mutation = %+v, want code %q", r, server.CodeFenced)
+		Args: []string{"clock", "p0", "5"}}); r.OK || r.Code != wire.CodeFenced {
+		t.Fatalf("post-fence mutation = %+v, want code %q", r, wire.CodeFenced)
 	}
 	if in := sessionInfos(t, cA)["f0"]; !in.Fenced {
 		t.Fatalf("stale primary sessions row = %+v, want fenced", in)
@@ -157,8 +158,8 @@ func TestReplicationEpochStampFencing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.OK || r.Code != server.CodeFenced {
-		t.Fatalf("newer-epoch stamp = %+v, want code %q", r, server.CodeFenced)
+	if r.OK || r.Code != wire.CodeFenced {
+		t.Fatalf("newer-epoch stamp = %+v, want code %q", r, wire.CodeFenced)
 	}
 	if in := sessionInfos(t, c)["e0"]; !in.Fenced {
 		t.Fatalf("sessions row after epoch fence = %+v, want fenced", in)

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -25,6 +24,7 @@ import (
 	"livesim/internal/govern"
 	"livesim/internal/obs"
 	"livesim/internal/wal"
+	"livesim/internal/wire"
 )
 
 // Config tunes a Server.
@@ -37,9 +37,6 @@ type Config struct {
 	// discarded and the client gets CodeTimeout. Default 30s; negative
 	// disables.
 	RequestTimeout time.Duration
-	// WriteTimeout bounds each response/event write so a stalled client
-	// cannot wedge a connection goroutine. Default 10s.
-	WriteTimeout time.Duration
 	// IdleTimeout evicts sessions with no traffic for this long (dirty
 	// ones are checkpointed into DrainDir first). 0 disables eviction.
 	IdleTimeout time.Duration
@@ -64,9 +61,6 @@ type Config struct {
 	// consecutive failures (rollbacks, panics, blown deadlines, durability
 	// IO failures). 0 uses the default (3); negative disables quarantine.
 	QuarantineAfter int
-	// QuarantineDecay is how far apart failures may be and still count as
-	// one streak. 0 uses the default (1m).
-	QuarantineDecay time.Duration
 	// WALSyncEvery tunes journal fsync batching: negative = fsync inline
 	// on every append (maximum durability, the crash-test setting), 0 =
 	// default 100ms group commit, positive = that flush interval.
@@ -89,13 +83,9 @@ type Config struct {
 	// TraceOut, when set, receives the server's per-request span JSONL in
 	// addition to any `subscribe` clients.
 	TraceOut io.Writer
-	// Log receives structured JSONL operational logs (see obs.Logger).
-	// Takes precedence over Logf.
+	// Log receives structured JSONL operational logs (see obs.Logger);
+	// nil discards them.
 	Log *obs.Logger
-	// Logf receives operational log lines printf-style; each structured
-	// line is rendered through it. Superseded by Log; nil with Log nil
-	// discards logs.
-	Logf func(format string, args ...any)
 	// SlowRequest, when positive, logs a warning and records an event for
 	// every request slower than this threshold, with its trace id — the
 	// paper's latency claim made greppable per offending request.
@@ -105,31 +95,10 @@ type Config struct {
 	// fallbacks) served by the `events` verb and /eventsz. Default 256.
 	EventRingCap int
 
-	// ProcName identifies this process in assembled fleet traces and
-	// blackbox dumps. Empty defaults to "livesimd:<pid>".
-	ProcName string
-	// SpanStoreCap bounds the in-memory span store (live + retained
-	// traces) behind the `spans` verb and /tracez. 0 uses the default
-	// (256 traces); negative disables the store.
-	SpanStoreCap int
-	// TraceSlow is the tail-sampling threshold: completed traces at
-	// least this slow (or errored) are retained in the span store, fast
-	// successful ones rotate through a small recent ring. 0 defaults to
-	// SlowRequest when set, else 250ms.
-	TraceSlow time.Duration
-	// FlightRecorderCap bounds the always-on black-box ring of recent
-	// spans and lifecycle notes dumped on abnormal exits and served by
-	// /flightz. 0 uses the default (512 lines); negative disables it.
-	FlightRecorderCap int
-	// BlackboxDir receives blackbox-<ts>.jsonl dumps on panic,
-	// self-fence, quarantine trip, watchdog cancel and drain-stuck.
-	// Empty defaults to StateDir; with both empty, dumps are skipped
-	// (the /flightz endpoint still serves the ring).
-	BlackboxDir string
-	// BlackboxFlushEvery is the cadence of the periodic black-box flush
-	// to disk, which is what survives SIGKILL. 0 uses the default (2s);
-	// negative disables periodic flushing (trigger dumps still happen).
-	BlackboxFlushEvery time.Duration
+	// TelemetryConfig tunes fleet tracing and the crash flight recorder.
+	// Two defaults are livesimd's own: TraceSlow falls back to
+	// SlowRequest when that is set, BlackboxDir to StateDir.
+	obs.TelemetryConfig
 
 	// AdmitBudget is the process-wide in-flight admission budget in verb
 	// cost units (see command.Command.Cost), layered on top of the
@@ -140,9 +109,6 @@ type Config struct {
 	// DiskPollEvery is the resource governor's probe cadence (disk
 	// pressure ladder, memory gauges, journal-resume sweep). Default 2s.
 	DiskPollEvery time.Duration
-	// DiskWatermarks are the free-space fractions at which the pressure
-	// ladder's rungs engage; zero-value uses govern.DefaultWatermarks.
-	DiskWatermarks govern.Watermarks
 	// DiskProbe overrides the free-space probe (tests); nil uses Statfs
 	// on StateDir. A Faults plan's ForceDiskFree always wins over both.
 	DiskProbe govern.DiskProbe
@@ -151,9 +117,6 @@ type Config struct {
 	// the idlest evictable sessions (checkpointing dirty ones first,
 	// exactly like idle eviction). 0 disables.
 	MemBudget uint64
-	// MemEvictIdle is how long a session must have been idle to be
-	// sheddable under memory pressure. Default 30s.
-	MemEvictIdle time.Duration
 	// JournalResumeDelay is the cooldown between a journal pause and the
 	// first resume attempt, so a flapping disk doesn't thrash
 	// pause/reanchor cycles. Default 250ms.
@@ -163,31 +126,24 @@ type Config struct {
 // Server hosts sessions and serves connections. Create one with New,
 // feed it listeners with Serve, stop it with Shutdown.
 type Server struct {
-	cfg    Config
-	reg    *obs.Registry
-	tracer *obs.Tracer
-	fan    *obs.Fanout // server-level span subscribers
-	log    *obs.Logger
-	events *obs.EventRing
-	start  time.Time
+	cfg   Config
+	reg   *obs.Registry
+	log   *obs.Logger
+	start time.Time
 
-	// Fleet tracing + crash forensics: the span store indexes completed
-	// spans by trace id for the `spans` verb and /tracez; the flight
-	// recorder keeps the last N spans/notes and is dumped to
-	// blackbox-<ts>.jsonl on abnormal exits. Both are nil when disabled.
-	store       *obs.SpanStore
-	flight      *obs.FlightRecorder
-	blackboxTS  atomic.Int64 // last trigger dump, unixnano (rate limit)
-	bootBlackbox string      // periodic flush target path
+	// tel is the tracing + crash-forensics plane: request spans, the
+	// span store behind `spans` and /tracez, the flight recorder dumped
+	// to blackbox-<ts>.jsonl on abnormal exits, the event ring.
+	tel *obs.Telemetry
+	// acc owns the listeners and client connections.
+	acc *wire.Acceptor
 
 	winMu    sync.Mutex
 	verbWins map[string]*obs.Window // per-verb rolling request latencies
 
-	mu        sync.Mutex
-	sessions  map[string]*hosted
-	conns     map[*conn]bool
-	listeners map[net.Listener]bool
-	draining  bool
+	mu       sync.Mutex
+	sessions map[string]*hosted
+	draining bool
 	// moved holds forwarding tombstones for migrated-away sessions:
 	// name -> new backend address, served as CodeMoved redirects.
 	moved map[string]movedEntry
@@ -198,9 +154,8 @@ type Server struct {
 	drainOnce sync.Once
 
 	inflight    sync.WaitGroup // every request from read to response write
-	connWG      sync.WaitGroup
 	recoveryWG  sync.WaitGroup // outstanding Recover goroutines
-	bgWG        sync.WaitGroup // janitor, governor, blackbox flusher
+	bgWG        sync.WaitGroup // janitor, governor
 	janitorStop chan struct{}
 	stopOnce    sync.Once
 
@@ -223,9 +178,6 @@ func New(cfg Config) *Server {
 	if cfg.RequestTimeout == 0 {
 		cfg.RequestTimeout = 30 * time.Second
 	}
-	if cfg.WriteTimeout <= 0 {
-		cfg.WriteTimeout = 10 * time.Second
-	}
 	if cfg.MaxSessions <= 0 {
 		cfg.MaxSessions = 64
 	}
@@ -235,17 +187,11 @@ func New(cfg Config) *Server {
 	if cfg.QuarantineAfter == 0 {
 		cfg.QuarantineAfter = defaultQuarantineAfter
 	}
-	if cfg.QuarantineDecay == 0 {
-		cfg.QuarantineDecay = defaultQuarantineDecay
-	}
 	if cfg.AdmitBudget == 0 {
 		cfg.AdmitBudget = defaultAdmitBudget
 	}
 	if cfg.DiskPollEvery <= 0 {
 		cfg.DiskPollEvery = defaultDiskPollEvery
-	}
-	if cfg.MemEvictIdle <= 0 {
-		cfg.MemEvictIdle = defaultMemEvictIdle
 	}
 	if cfg.JournalResumeDelay <= 0 {
 		cfg.JournalResumeDelay = defaultJournalResumeDelay
@@ -259,58 +205,30 @@ func New(cfg Config) *Server {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	log := cfg.Log
-	if log == nil && cfg.Logf != nil {
-		log = obs.NewLogger(logfWriter{cfg.Logf}, obs.LevelDebug)
+	if cfg.TraceSlow == 0 && cfg.SlowRequest > 0 {
+		cfg.TraceSlow = cfg.SlowRequest
+	}
+	if cfg.BlackboxDir == "" {
+		cfg.BlackboxDir = cfg.StateDir
 	}
 	s := &Server{
-		cfg:         cfg,
-		reg:         reg,
-		fan:         obs.NewFanout(),
-		log:         log, // nil discards: obs.Logger methods are nil-safe
-		events:      obs.NewEventRing(cfg.EventRingCap),
-		start:       time.Now(),
+		cfg:   cfg,
+		reg:   reg,
+		log:   cfg.Log, // nil discards: obs.Logger methods are nil-safe
+		start: time.Now(),
+		tel: obs.NewTelemetry(cfg.TelemetryConfig, "livesimd", cfg.TraceOut, cfg.EventRingCap,
+			reg.Counter("server_blackbox_dumps"), cfg.Log),
 		verbWins:    make(map[string]*obs.Window),
 		sessions:    make(map[string]*hosted),
-		conns:       make(map[*conn]bool),
-		listeners:   make(map[net.Listener]bool),
 		moved:       make(map[string]movedEntry),
 		drainReq:    make(chan struct{}),
 		janitorStop: make(chan struct{}),
 	}
-	if cfg.TraceOut != nil {
-		s.fan.Attach(cfg.TraceOut)
-	}
-	if cfg.ProcName == "" {
-		s.cfg.ProcName = fmt.Sprintf("livesimd:%d", os.Getpid())
-	}
-	if cfg.TraceSlow == 0 {
-		if cfg.SlowRequest > 0 {
-			s.cfg.TraceSlow = cfg.SlowRequest
-		} else {
-			s.cfg.TraceSlow = 250 * time.Millisecond
-		}
-	}
-	if cfg.SpanStoreCap >= 0 {
-		s.store = obs.NewSpanStore(obs.SpanStoreConfig{
-			Proc:         s.cfg.ProcName,
-			MaxTraces:    cfg.SpanStoreCap,
-			RetainOverUS: s.cfg.TraceSlow.Microseconds(),
-		})
-		s.fan.Attach(s.store)
-	}
-	if cfg.FlightRecorderCap >= 0 {
-		s.flight = obs.NewFlightRecorder(s.cfg.ProcName, cfg.FlightRecorderCap)
-		s.fan.Attach(s.flight)
-	}
-	if s.cfg.BlackboxDir == "" {
-		s.cfg.BlackboxDir = cfg.StateDir
-	}
-	s.tracer = obs.NewTracer(s.fan)
+	s.acc = wire.NewAcceptor(s.serveConn)
 	s.admit = govern.NewAdmission(cfg.AdmitBudget)
 	s.ckptFactor.Store(1)
 	if cfg.StateDir != "" {
-		s.disk = govern.NewDiskMonitor(cfg.StateDir, s.diskProbe(), cfg.DiskWatermarks)
+		s.disk = govern.NewDiskMonitor(cfg.StateDir, s.diskProbe(), govern.Watermarks{})
 	}
 	if cfg.IdleTimeout > 0 {
 		s.background(s.janitor)
@@ -318,21 +236,13 @@ func New(cfg Config) *Server {
 	if s.disk != nil || cfg.MemBudget > 0 {
 		s.background(s.governor)
 	}
-	if s.flight != nil && s.cfg.BlackboxDir != "" && cfg.BlackboxFlushEvery >= 0 {
-		if s.cfg.BlackboxFlushEvery == 0 {
-			s.cfg.BlackboxFlushEvery = 2 * time.Second
-		}
-		os.MkdirAll(s.cfg.BlackboxDir, 0o755)
-		s.bootBlackbox = obs.BlackboxPath(s.cfg.BlackboxDir, time.Now())
-		s.background(s.blackboxFlusher)
-	}
 	return s
 }
 
 // background starts a housekeeping goroutine that runs until janitorStop
-// closes. Shutdown and Halt wait for all of them: the blackbox flusher's
-// last write, or an eviction in progress, must not land in the state dir
-// after the caller has been told the server is down.
+// closes. Shutdown and Halt wait for all of them: an eviction in progress
+// must not land in the state dir after the caller has been told the
+// server is down.
 func (s *Server) background(f func()) {
 	s.bgWG.Add(1)
 	go func() {
@@ -345,16 +255,7 @@ func (s *Server) background(f func()) {
 func (s *Server) Metrics() *obs.Registry { return s.reg }
 
 // Events returns the server's operational event ring.
-func (s *Server) Events() *obs.EventRing { return s.events }
-
-// logfWriter adapts a legacy printf-style Logf into a structured log
-// sink: each JSONL line is forwarded as one formatted message.
-type logfWriter struct{ f func(format string, args ...any) }
-
-func (w logfWriter) Write(p []byte) (int, error) {
-	w.f("%s", strings.TrimRight(string(p), "\n"))
-	return len(p), nil
-}
+func (s *Server) Events() *obs.EventRing { return s.tel.Events }
 
 // event records one operational incident in the ring, mirrors it to the
 // structured log, and copies it into the black-box ring — the event ring
@@ -365,9 +266,16 @@ func (s *Server) event(typ, session, msg string) { s.eventT(typ, session, "", ms
 // eventT is event with the trace id the incident happened under, so
 // operators can pivot from an /eventsz row to its assembled span tree.
 func (s *Server) eventT(typ, session, trace, msg string) {
-	s.events.AddT(typ, session, trace, msg)
+	s.tel.Event(typ, session, trace, msg)
 	s.log.Info(msg, obs.Str("event", typ), obs.Str("session", session), obs.Str("trace", trace))
-	s.flight.Note(typ, session, trace, msg)
+}
+
+// blackbox records an abnormal event (always) and dumps the flight
+// recorder (rate-limited). Callers: panic recovery, self-fence,
+// quarantine trip, watchdog cancel, drain-stuck.
+func (s *Server) blackbox(reason, session, trace, msg string) {
+	s.eventT(reason, session, trace, msg)
+	s.tel.Dump(reason)
 }
 
 // specialVerbs run on the session's worker goroutine via task.special
@@ -408,119 +316,26 @@ func (s *Server) isDraining() bool {
 
 // Serve accepts connections on ln until the listener closes (Shutdown
 // closes all registered listeners). It blocks; run it in a goroutine to
-// serve several listeners at once.
-func (s *Server) Serve(ln net.Listener) error {
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		ln.Close()
-		return ErrDraining
-	}
-	s.listeners[ln] = true
-	s.mu.Unlock()
-	for {
-		nc, err := ln.Accept()
-		if err != nil {
-			if s.isDraining() {
-				return nil
-			}
-			return err
-		}
-		s.reg.Counter("server_conns_opened").Inc()
-		s.connWG.Add(1)
-		go s.handleConn(nc)
-	}
-}
+// serve several listeners at once. It returns nil when Shutdown or Halt
+// stopped it, wire.ErrClosed if the server had already stopped.
+func (s *Server) Serve(ln net.Listener) error { return s.acc.Serve(ln) }
 
-// conn is one client connection. All writes — responses from any
-// request goroutine and span events from fanouts — serialize on writeMu
-// and carry a write deadline, so a stalled client can only hurt itself.
-type conn struct {
-	s  *Server
-	nc net.Conn
-
-	writeMu sync.Mutex
-
-	detachMu sync.Mutex
-	detaches []func()
-}
-
-func (c *conn) write(resp *Response) {
-	line, err := json.Marshal(resp)
-	if err != nil {
-		c.s.log.Error("marshal response failed", obs.Str("err", err.Error()))
-		return
-	}
-	line = append(line, '\n')
-	if d := c.s.cfg.Faults.ResponseDelay(); d > 0 {
-		time.Sleep(d)
-	}
-	c.writeMu.Lock()
-	defer c.writeMu.Unlock()
-	c.nc.SetWriteDeadline(time.Now().Add(c.s.cfg.WriteTimeout))
-	c.nc.Write(line)
-}
-
-func (c *conn) addDetach(f func()) {
-	c.detachMu.Lock()
-	c.detaches = append(c.detaches, f)
-	c.detachMu.Unlock()
-}
-
-// eventWriter adapts a conn into a fanout sink for span events. A write
-// failure propagates so the fanout detaches this subscriber.
-type eventWriter struct{ c *conn }
-
-func (w *eventWriter) Write(p []byte) (int, error) {
-	w.c.writeMu.Lock()
-	defer w.c.writeMu.Unlock()
-	w.c.nc.SetWriteDeadline(time.Now().Add(w.c.s.cfg.WriteTimeout))
-	return w.c.nc.Write(p)
-}
-
-func (s *Server) handleConn(nc net.Conn) {
-	c := &conn{s: s, nc: nc}
-	s.mu.Lock()
-	s.conns[c] = true
-	s.mu.Unlock()
-	defer func() {
-		c.detachMu.Lock()
-		detaches := c.detaches
-		c.detaches = nil
-		c.detachMu.Unlock()
-		for _, f := range detaches {
-			f()
-		}
-		nc.Close()
-		s.mu.Lock()
-		delete(s.conns, c)
-		s.mu.Unlock()
-		s.reg.Counter("server_conns_closed").Inc()
-		s.connWG.Done()
-	}()
-
-	sc := bufio.NewScanner(nc)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024) // design sources ride in requests
+// serveConn is the acceptor's per-connection hook; the handler it
+// returns dispatches each request inline on the connection's reader.
+func (s *Server) serveConn(c *wire.Conn) func(*Request) {
+	s.reg.Counter("server_conns_opened").Inc()
+	c.OnClose(s.reg.Counter("server_conns_closed").Inc)
 	served := 0
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var req Request
-		if err := json.Unmarshal(line, &req); err != nil {
-			c.write(&Response{OK: false, Error: "bad request: " + err.Error(), Code: CodeBadRequest})
-			continue
-		}
+	return func(req *Request) {
 		served++
 		if s.cfg.Faults.ConnRequest(served) {
 			// Injected mid-request disconnect: sever the transport but let
 			// the request run — the server must finish the work, discard
 			// the unroutable response and free the session worker.
 			s.reg.Counter("server_conns_dropped_by_fault").Inc()
-			nc.Close()
+			c.Close()
 		}
-		s.dispatch(c, &req)
+		s.dispatch(c, req)
 	}
 }
 
@@ -536,7 +351,7 @@ var serverVerbs = map[string]bool{
 // dispatch routes one request: server verbs run inline, session verbs
 // enqueue on the session's worker (rejecting on a full queue) and a
 // waiter goroutine enforces the deadline so the reader keeps reading.
-func (s *Server) dispatch(c *conn, req *Request) {
+func (s *Server) dispatch(c *wire.Conn, req *Request) {
 	s.inflight.Add(1)
 	s.reg.Counter("server_requests").Inc()
 	verb := strings.ToLower(req.Verb)
@@ -544,11 +359,11 @@ func (s *Server) dispatch(c *conn, req *Request) {
 	if trace == "" {
 		trace = obs.NewTraceID() // unstamped client: still one correlatable tree
 	}
-	sp := s.tracer.StartRemote(trace, req.ParentSpan, "request",
+	sp := s.tel.Tracer.StartRemote(trace, req.ParentSpan, "request",
 		obs.Str("verb", req.Verb), obs.Str("session", req.Session))
 	t0 := time.Now()
-	var h *hosted       // set before any finish call; read by the waiter goroutine
-	var admitted int64  // cost units held against the admission budget
+	var h *hosted      // set before any finish call; read by the waiter goroutine
+	var admitted int64 // cost units held against the admission budget
 	finish := func(resp *Response) {
 		if admitted > 0 {
 			s.admit.Release(admitted)
@@ -558,7 +373,7 @@ func (s *Server) dispatch(c *conn, req *Request) {
 		dur := time.Since(t0)
 		// The request span just emitted, so the store has the whole local
 		// tree in hand — the tail keep/drop decision happens here.
-		s.store.Complete(trace, dur.Microseconds(), resp.OK)
+		s.tel.Store.Complete(trace, dur.Microseconds(), resp.OK)
 		secs := dur.Seconds()
 		s.reg.Histogram("server_request_seconds", nil).Observe(secs)
 		s.verbWindow(verb).Observe(secs)
@@ -567,19 +382,22 @@ func (s *Server) dispatch(c *conn, req *Request) {
 		}
 		if s.cfg.SlowRequest > 0 && dur >= s.cfg.SlowRequest {
 			s.reg.Counter("server_slow_requests").Inc()
-			s.events.AddT("slow_request", req.Session, trace,
+			s.tel.Events.AddT("slow_request", req.Session, trace,
 				fmt.Sprintf("%s took %v (trace %s)", verb, dur.Round(time.Microsecond), trace))
 			s.log.Warn("slow request",
 				obs.Str("verb", verb), obs.Str("session", req.Session),
 				obs.Str("trace", trace), obs.Str("dur", dur.String()))
 		}
-		c.write(resp)
+		if d := s.cfg.Faults.ResponseDelay(); d > 0 {
+			time.Sleep(d)
+		}
+		c.Reply(resp) // a failed write is the client's loss; Reply closed the conn
 		s.inflight.Done()
 	}
 
 	if s.isDraining() {
 		s.reg.Counter("server_draining_rejects").Inc()
-		finish(errResp(req, CodeDraining, ErrDraining))
+		finish(errResp(req, wire.CodeDraining, ErrDraining))
 		return
 	}
 
@@ -591,7 +409,7 @@ func (s *Server) dispatch(c *conn, req *Request) {
 		ok, retry := s.admit.TryAcquire(cost)
 		if !ok {
 			s.reg.Counter("server_overload_rejects").Inc()
-			resp := errResp(req, CodeOverloaded, ErrOverloaded)
+			resp := errResp(req, wire.CodeOverloaded, ErrOverloaded)
 			if resp.RetryAfterMs = retry.Milliseconds(); resp.RetryAfterMs < 1 {
 				resp.RetryAfterMs = 1
 			}
@@ -637,20 +455,20 @@ func (s *Server) dispatch(c *conn, req *Request) {
 
 	switch {
 	case h == nil && req.Session == "":
-		finish(errResp(req, CodeBadRequest, fmt.Errorf("verb %q needs a session", req.Verb)))
+		finish(errResp(req, wire.CodeBadRequest, fmt.Errorf("verb %q needs a session", req.Verb)))
 	case h == nil:
 		if addr, ok := s.movedTo(req.Session); ok {
 			s.reg.Counter("server_moved_redirects").Inc()
 			finish(movedResp(req, addr))
 			return
 		}
-		finish(errResp(req, CodeNoSession, fmt.Errorf("no session %q", req.Session)))
+		finish(errResp(req, wire.CodeNoSession, fmt.Errorf("no session %q", req.Session)))
 	case recovering:
 		s.reg.Counter("server_recovering_rejects").Inc()
-		finish(errResp(req, CodeRecovering, ErrRecovering))
+		finish(errResp(req, wire.CodeRecovering, ErrRecovering))
 	case enqErr != nil:
 		s.reg.Counter("server_backpressure_rejects").Inc()
-		finish(errResp(req, CodeBackpressure, enqErr))
+		finish(errResp(req, wire.CodeBackpressure, enqErr))
 	default:
 		go func() {
 			var resp *Response
@@ -667,7 +485,7 @@ func (s *Server) dispatch(c *conn, req *Request) {
 					case resp = <-t.reply: // finished on the wire, barely
 					default:
 						s.reg.Counter("server_timeouts").Inc()
-						resp = errResp(req, CodeTimeout, ErrDeadline)
+						resp = errResp(req, wire.CodeTimeout, ErrDeadline)
 					}
 				}
 			}
@@ -680,11 +498,11 @@ var nameRE = regexp.MustCompile(`^[A-Za-z0-9_.-]{1,64}$`)
 
 // execServer runs one server verb with the same panic-to-error recovery
 // the session workers use.
-func (s *Server) execServer(c *conn, req *Request, verb string) (resp *Response) {
+func (s *Server) execServer(c *wire.Conn, req *Request, verb string) (resp *Response) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.reg.Counter("server_panics_recovered").Inc()
-			resp = errResp(req, CodePanic, fmt.Errorf("request panic: %v", r))
+			resp = errResp(req, wire.CodePanic, fmt.Errorf("request panic: %v", r))
 		}
 	}()
 	switch verb {
@@ -757,7 +575,7 @@ func (s *Server) execServer(c *conn, req *Request, verb string) (resp *Response)
 		h := s.sessions[req.Session]
 		s.mu.Unlock()
 		if h == nil {
-			return errResp(req, CodeNoSession, fmt.Errorf("no session %q", req.Session))
+			return errResp(req, wire.CodeNoSession, fmt.Errorf("no session %q", req.Session))
 		}
 		h.brk.clear()
 		s.updateQuarantineGauge()
@@ -765,7 +583,7 @@ func (s *Server) execServer(c *conn, req *Request, verb string) (resp *Response)
 		return &Response{ID: req.ID, OK: true,
 			Output: fmt.Sprintf("session %s unquarantined\n", req.Session)}
 	}
-	return errResp(req, CodeBadRequest, fmt.Errorf("unknown server verb %q", verb))
+	return errResp(req, wire.CodeBadRequest, fmt.Errorf("unknown server verb %q", verb))
 }
 
 func (s *Server) sessionCount() int {
@@ -859,11 +677,11 @@ func (s *Server) listEvents(req *Request) *Response {
 	if len(req.Args) > 0 {
 		n, err := strconv.ParseUint(req.Args[0], 10, 64)
 		if err != nil {
-			return errResp(req, CodeBadRequest, fmt.Errorf("events [since-seq]: %w", err))
+			return errResp(req, wire.CodeBadRequest, fmt.Errorf("events [since-seq]: %w", err))
 		}
 		since = n
 	}
-	evs := s.events.Since(since)
+	evs := s.tel.Events.Since(since)
 	var out strings.Builder
 	for _, e := range evs {
 		fmt.Fprintf(&out, "  #%-5d %s  %-16s %-12s %s",
@@ -973,28 +791,28 @@ func (s *Server) Session(name string) *core.Session {
 func (s *Server) createSession(req *Request) *Response {
 	name := req.Session
 	if !nameRE.MatchString(name) {
-		return errResp(req, CodeBadRequest,
+		return errResp(req, wire.CodeBadRequest,
 			fmt.Errorf("session name %q must match %s", name, nameRE.String()))
 	}
 	if s.diskLevelNow() >= govern.LevelEmergency {
 		// A new session's first durable act is journaling its boot record;
 		// with no room for even that, creating it would be a lie.
 		s.reg.Counter("server_diskfull_rejects").Inc()
-		return errResp(req, CodeDiskFull, ErrDiskFull)
+		return errResp(req, wire.CodeDiskFull, ErrDiskFull)
 	}
 	h := s.newHosted(name)
 	s.mu.Lock()
 	switch {
 	case s.draining:
 		s.mu.Unlock()
-		return errResp(req, CodeDraining, ErrDraining)
+		return errResp(req, wire.CodeDraining, ErrDraining)
 	case s.sessions[name] != nil:
 		s.mu.Unlock()
-		return errResp(req, CodeBadRequest, fmt.Errorf("session %q already exists", name))
+		return errResp(req, wire.CodeBadRequest, fmt.Errorf("session %q already exists", name))
 	case len(s.sessions) >= s.cfg.MaxSessions:
 		s.mu.Unlock()
 		s.reg.Counter("server_session_limit_rejects").Inc()
-		return errResp(req, CodeSessionLimit,
+		return errResp(req, wire.CodeSessionLimit,
 			fmt.Errorf("session limit %d reached: %w", s.cfg.MaxSessions, ErrSessionLimit))
 	}
 	s.sessions[name] = h
@@ -1058,10 +876,10 @@ func (s *Server) createSession(req *Request) *Response {
 		close(h.queue)
 		for t := range h.queue { // fail anything that queued mid-create
 			if !t.abandoned.Load() {
-				t.reply <- errResp(t.req, CodeNoSession, fmt.Errorf("session %q failed to create", name))
+				t.reply <- errResp(t.req, wire.CodeNoSession, fmt.Errorf("session %q failed to create", name))
 			}
 		}
-		return errResp(req, CodeError, err)
+		return errResp(req, wire.CodeError, err)
 	}
 	h.sess = sess
 	h.wal = w
@@ -1086,12 +904,12 @@ func (s *Server) closeSession(req *Request) *Response {
 	case len(req.Args) == 2 && req.Args[0] == "moved" && req.Args[1] != "":
 		movedAddr = req.Args[1]
 	default:
-		return errResp(req, CodeBadRequest, fmt.Errorf("usage: close [moved <addr>]"))
+		return errResp(req, wire.CodeBadRequest, fmt.Errorf("usage: close [moved <addr>]"))
 	}
 	s.mu.Lock()
 	if h := s.sessions[req.Session]; h != nil && h.recovering.Load() {
 		s.mu.Unlock()
-		return errResp(req, CodeRecovering, ErrRecovering)
+		return errResp(req, wire.CodeRecovering, ErrRecovering)
 	}
 	s.mu.Unlock()
 	h := s.removeSession(req.Session)
@@ -1107,7 +925,7 @@ func (s *Server) closeSession(req *Request) *Response {
 		if addr, ok := s.movedTo(req.Session); ok {
 			return movedResp(req, addr)
 		}
-		return errResp(req, CodeNoSession, fmt.Errorf("no session %q", req.Session))
+		return errResp(req, wire.CodeNoSession, fmt.Errorf("no session %q", req.Session))
 	}
 	close(h.queue)
 	<-h.stopped
@@ -1145,21 +963,22 @@ func (s *Server) removeSession(name string) *hosted {
 	return h
 }
 
-func (s *Server) subscribe(c *conn, req *Request) *Response {
-	fan := s.fan
+func (s *Server) subscribe(c *wire.Conn, req *Request) *Response {
+	fan := s.tel.Fan
 	scope := "server"
 	if req.Session != "" {
 		s.mu.Lock()
 		h := s.sessions[req.Session]
 		s.mu.Unlock()
 		if h == nil {
-			return errResp(req, CodeNoSession, fmt.Errorf("no session %q", req.Session))
+			return errResp(req, wire.CodeNoSession, fmt.Errorf("no session %q", req.Session))
 		}
 		fan = h.fan
 		scope = "session " + req.Session
 	}
-	detach := fan.Attach(&eventWriter{c: c})
-	c.addDetach(detach)
+	// The conn is the sink: a failed event write closes it, and the
+	// error detaches it from the fanout.
+	c.OnClose(fan.Attach(c))
 	s.reg.Counter("server_subscriptions").Inc()
 	return &Response{ID: req.ID, OK: true,
 		Output: fmt.Sprintf("subscribed to %s spans; events stream on this connection\n", scope)}
@@ -1263,15 +1082,9 @@ func (s *Server) Shutdown(ctx context.Context) (*DrainReport, error) {
 		return nil, fmt.Errorf("already draining")
 	}
 	s.draining = true
-	lns := make([]net.Listener, 0, len(s.listeners))
-	for ln := range s.listeners {
-		lns = append(lns, ln)
-	}
 	s.mu.Unlock()
 
-	for _, ln := range lns {
-		ln.Close()
-	}
+	s.acc.StopAccepting()
 	s.stopOnce.Do(func() { close(s.janitorStop) })
 
 	rep := &DrainReport{}
@@ -1352,17 +1165,9 @@ func (s *Server) Shutdown(ctx context.Context) (*DrainReport, error) {
 		}
 	}
 
-	s.mu.Lock()
-	conns := make([]*conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	s.mu.Unlock()
-	for _, c := range conns {
-		c.nc.Close()
-	}
-	s.connWG.Wait()
+	s.acc.Close()
 	s.bgWG.Wait()
+	s.tel.Stop()
 
 	if rep.Timeout {
 		return rep, fmt.Errorf("drain deadline exceeded: %w", ctx.Err())

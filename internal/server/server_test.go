@@ -17,6 +17,7 @@ import (
 	"livesim/internal/faultinject"
 	"livesim/internal/server"
 	"livesim/internal/server/client"
+	"livesim/internal/wire"
 )
 
 const tinyDesign = `
@@ -153,7 +154,7 @@ func TestConcurrentClientsDisjointSessions(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			if !resp.OK && resp.Code == server.CodeBackpressure {
+			if !resp.OK && resp.Code == wire.CodeBackpressure {
 				time.Sleep(2 * time.Millisecond)
 				continue
 			}
@@ -277,7 +278,7 @@ func TestBackpressureRejectsCleanly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.OK || resp.Code != server.CodeBackpressure {
+	if resp.OK || resp.Code != wire.CodeBackpressure {
 		t.Fatalf("wanted a backpressure rejection, got ok=%v code=%q err=%q", resp.OK, resp.Code, resp.Error)
 	}
 	if !strings.Contains(resp.Error, "backpressure") {
@@ -316,12 +317,12 @@ func TestRequestTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.OK || resp.Code != server.CodeTimeout {
+	if resp.OK || resp.Code != wire.CodeTimeout {
 		t.Fatalf("wanted timeout, got ok=%v code=%q err=%q", resp.OK, resp.Code, resp.Error)
 	}
 
 	close(gateCh)
-	if r := <-blockRes; r.OK || r.Code != server.CodeTimeout {
+	if r := <-blockRes; r.OK || r.Code != wire.CodeTimeout {
 		t.Fatalf("parked request should time out too, got %+v", r)
 	}
 	// The worker drained both stale tasks; a fresh request must succeed.
@@ -357,7 +358,7 @@ func TestPanicMidRequestServerStaysUp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.OK || resp.Code != server.CodePanic || !strings.Contains(resp.Error, "injected test panic") {
+	if resp.OK || resp.Code != wire.CodePanic || !strings.Contains(resp.Error, "injected test panic") {
 		t.Fatalf("wanted recovered panic, got ok=%v code=%q err=%q", resp.OK, resp.Code, resp.Error)
 	}
 
@@ -435,7 +436,7 @@ func TestConnDropMidRequestRollsBackNothing(t *testing.T) {
 	_, addr := startServer(t, server.Config{Faults: plan})
 
 	c := dial(t, addr)
-	createTiny(t, c, "s", 100)                                                      // requests 1+2
+	createTiny(t, c, "s", 100)                                                                    // requests 1+2
 	mustOK(t, c, &server.Request{Session: "s", Verb: "run", Args: []string{"clock", "p0", "25"}}) // 3
 	// Request 4: the fault severs this connection mid-request.
 	if resp, err := c.Do(&server.Request{Session: "s", Verb: "run", Args: []string{"clock", "p0", "25"}}); err == nil {
@@ -516,7 +517,7 @@ func TestIdleEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.OK || resp.Code != server.CodeNoSession {
+	if resp.OK || resp.Code != wire.CodeNoSession {
 		t.Errorf("evicted session should be gone, got ok=%v code=%q", resp.OK, resp.Code)
 	}
 }
@@ -529,8 +530,8 @@ func TestSubscribeStreamsSpans(t *testing.T) {
 	createTiny(t, c, "s", 25)
 	mustOK(t, c, &server.Request{Session: "s", Verb: "run", Args: []string{"clock", "p0", "30"}})
 
-	mustOK(t, c, &server.Request{Verb: "subscribe"})                 // server spans
-	mustOK(t, c, &server.Request{Session: "s", Verb: "subscribe"})   // session live-loop spans
+	mustOK(t, c, &server.Request{Verb: "subscribe"})               // server spans
+	mustOK(t, c, &server.Request{Session: "s", Verb: "subscribe"}) // session live-loop spans
 	edited := strings.Replace(tinyDesign, "total + d", "total + d + 1", 1)
 	mustOK(t, c, &server.Request{Session: "s", Verb: "apply", Files: map[string]string{"top.v": edited}})
 
@@ -582,13 +583,13 @@ func TestSessionLifecycleVerbs(t *testing.T) {
 	}
 
 	mustOK(t, c, &server.Request{Session: "a", Verb: "close"})
-	if r, _ := c.Do(&server.Request{Session: "a", Verb: "cycle", Args: []string{"p0"}}); r == nil || r.Code != server.CodeNoSession {
+	if r, _ := c.Do(&server.Request{Session: "a", Verb: "cycle", Args: []string{"p0"}}); r == nil || r.Code != wire.CodeNoSession {
 		t.Errorf("closed session: %+v", r)
 	}
-	if r, _ := c.Do(&server.Request{Session: "b", Verb: "create", PGAS: 1}); r == nil || r.Code != server.CodeBadRequest {
+	if r, _ := c.Do(&server.Request{Session: "b", Verb: "create", PGAS: 1}); r == nil || r.Code != wire.CodeBadRequest {
 		t.Errorf("duplicate create: %+v", r)
 	}
-	if r, _ := c.Do(&server.Request{Session: "no such name", Verb: "create", PGAS: 1}); r == nil || r.Code != server.CodeBadRequest {
+	if r, _ := c.Do(&server.Request{Session: "no such name", Verb: "create", PGAS: 1}); r == nil || r.Code != wire.CodeBadRequest {
 		t.Errorf("bad name create: %+v", r)
 	}
 }

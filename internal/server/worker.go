@@ -15,6 +15,7 @@ import (
 	"livesim/internal/obs"
 	"livesim/internal/replica"
 	"livesim/internal/wal"
+	"livesim/internal/wire"
 )
 
 // hosted is one session under server management: the core session, its
@@ -125,16 +126,9 @@ func (s *Server) newHosted(name string) *hosted {
 		stopped: make(chan struct{}),
 	}
 	// The session's live-loop spans flow into the fleet span store and
-	// the flight recorder alongside any `subscribe` clients — both are
-	// nil-tolerant writers, and attach is free when disabled.
-	if s.store != nil {
-		h.fan.Attach(s.store)
-	}
-	if s.flight != nil {
-		h.fan.Attach(s.flight)
-	}
+	// the flight recorder alongside any `subscribe` clients.
+	s.tel.AttachSinks(h.fan)
 	h.brk.threshold = s.cfg.QuarantineAfter
-	h.brk.decay = s.cfg.QuarantineDecay
 	h.touch()
 	return h
 }
@@ -186,12 +180,12 @@ func (s *Server) execSession(h *hosted, t *task) (resp *Response) {
 			s.reg.Counter("server_panics_recovered").Inc()
 			s.blackbox("panic", h.name, t.trace, fmt.Sprintf("recovered request panic: %v", r))
 			s.noteFailure(h, fmt.Sprintf("panic: %v", r))
-			resp = errResp(t.req, CodePanic, fmt.Errorf("request panic: %v", r))
+			resp = errResp(t.req, wire.CodePanic, fmt.Errorf("request panic: %v", r))
 		}
 	}()
 	if !t.deadline.IsZero() && time.Now().After(t.deadline) {
 		s.reg.Counter("server_timeouts").Inc()
-		return errResp(t.req, CodeTimeout, ErrDeadline)
+		return errResp(t.req, wire.CodeTimeout, ErrDeadline)
 	}
 	if t.special != nil {
 		resp = t.special(h, t)
@@ -201,7 +195,7 @@ func (s *Server) execSession(h *hosted, t *task) (resp *Response) {
 
 	cmd, ok := command.Lookup(t.req.Verb)
 	if !ok {
-		return errResp(t.req, CodeBadRequest, fmt.Errorf("unknown verb %q (try help)", t.req.Verb))
+		return errResp(t.req, wire.CodeBadRequest, fmt.Errorf("unknown verb %q (try help)", t.req.Verb))
 	}
 	if cmd.Mutates {
 		if resp := s.replGate(h, t.req); resp != nil {
@@ -209,14 +203,14 @@ func (s *Server) execSession(h *hosted, t *task) (resp *Response) {
 		}
 		if q, reason := h.brk.quarantined(); q {
 			s.reg.Counter("server_quarantine_rejects").Inc()
-			return errResp(t.req, CodeQuarantined, fmt.Errorf("%s: %w", reason, ErrQuarantined))
+			return errResp(t.req, wire.CodeQuarantined, fmt.Errorf("%s: %w", reason, ErrQuarantined))
 		}
 		if s.diskLevelNow() >= govern.LevelEmergency {
 			// Emergency rung: no room left to journal or checkpoint what
 			// this mutation would produce — refusing it is the only honest
 			// answer. Reads keep working.
 			s.reg.Counter("server_diskfull_rejects").Inc()
-			return errResp(t.req, CodeDiskFull, ErrDiskFull)
+			return errResp(t.req, wire.CodeDiskFull, ErrDiskFull)
 		}
 	}
 
@@ -259,7 +253,7 @@ func (s *Server) execSession(h *hosted, t *task) (resp *Response) {
 				// promoted under a newer epoch: the mutation is applied
 				// locally, but this branch of the session is dead — acking
 				// it would claim a write the promoted replica never saw.
-				return errResp(t.req, CodeFenced,
+				return errResp(t.req, wire.CodeFenced,
 					fmt.Errorf("session %q: %w", h.name, ErrFenced))
 			}
 		case errors.Is(err, core.ErrRunCancelled):
@@ -269,7 +263,7 @@ func (s *Server) execSession(h *hosted, t *task) (resp *Response) {
 			s.blackbox("watchdog_cancel", h.name, t.trace, err.Error())
 			s.noteFailure(h, err.Error())
 		case errors.Is(err, core.ErrRolledBack):
-			s.events.AddT("rollback", h.name, t.trace, err.Error())
+			s.tel.Events.AddT("rollback", h.name, t.trace, err.Error())
 			s.noteFailure(h, err.Error())
 		}
 	}
@@ -280,7 +274,7 @@ func (s *Server) execSession(h *hosted, t *task) (resp *Response) {
 		output = disp + output
 	}
 	if err != nil {
-		r := errResp(t.req, CodeError, err)
+		r := errResp(t.req, wire.CodeError, err)
 		r.Output = output
 		return r
 	}

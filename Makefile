@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race bench fuzz-smoke serve-smoke crash-recovery-smoke admin-smoke profile-smoke overload-smoke fleet-smoke failover-smoke trace-smoke
+.PHONY: check vet build test race bench opmix fuzz-smoke serve-smoke crash-recovery-smoke admin-smoke profile-smoke overload-smoke fleet-smoke failover-smoke trace-smoke
 
 check: vet build race fuzz-smoke serve-smoke crash-recovery-smoke admin-smoke profile-smoke overload-smoke fleet-smoke failover-smoke trace-smoke
 
@@ -26,6 +26,12 @@ race:
 # Small-configuration benchmarks (cmd/lsbench runs the full sweeps).
 bench:
 	$(GO) test -bench=. -benchtime=1x ./...
+
+# What the VM executes per cycle on the PGAS compute kernel, 1x1 and 4x4:
+# ops/cycle by opcode and the adjacent pairs where the second op reads the
+# first one's result. The same test holds ops/cycle under a ceiling in tier-1.
+opmix:
+	$(GO) test -run TestOpMix -v -count=1 ./internal/pgas
 
 # Short fuzz runs over the checkpoint and journal decoders (Go allows
 # one -fuzz target per invocation). ~10s each keeps this viable in CI

@@ -15,7 +15,10 @@
 // The compiler performs constant folding and value-numbering CSE during
 // emission (scoped so values computed under a condition never leak), full
 // combinational levelization with cycle reporting, and latch detection for
-// always @(*) blocks.
+// always @(*) blocks. There is one lowering and one code form: a construct
+// becomes the op that means it (a replication is one op, not a shift-or
+// chain), and tidy, the one pass over the finished code, removes the copies
+// between a fresh temporary and the named signal next to it.
 package codegen
 
 import (
@@ -52,8 +55,27 @@ type Options struct {
 	SrcPath string
 }
 
+// Version names the code generator's output for a given input. Whoever
+// keeps compiled objects beyond the process (livecompiler's object
+// directory) keys them on it; bump it with every change to what Compile
+// emits, so an object written by an older binary is recompiled, not served.
+const Version = 2
+
 // Compile lowers one elaborated module specialization to an object.
 func Compile(m *elab.Module, opts Options) (*vm.Object, error) {
+	obj, err := lower(m, opts)
+	if err != nil {
+		return nil, fmt.Errorf("module %s: %w", m.Key, err)
+	}
+	tidy(obj)
+	if err := obj.Validate(); err != nil {
+		return nil, fmt.Errorf("module %s: internal codegen error: %w", m.Key, err)
+	}
+	return obj, nil
+}
+
+// lower emits the object's tables and code; tidy has not run on it.
+func lower(m *elab.Module, opts Options) (*vm.Object, error) {
 	c := &compiler{
 		m: m,
 		obj: &vm.Object{
@@ -68,10 +90,7 @@ func Compile(m *elab.Module, opts Options) (*vm.Object, error) {
 		consts:   make(map[uint64]uint32),
 	}
 	if err := c.run(); err != nil {
-		return nil, fmt.Errorf("module %s: %w", m.Key, err)
-	}
-	if err := c.obj.Validate(); err != nil {
-		return nil, fmt.Errorf("module %s: internal codegen error: %w", m.Key, err)
+		return nil, err
 	}
 	return c.obj, nil
 }

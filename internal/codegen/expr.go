@@ -267,18 +267,7 @@ func (e *emitter) expr(x ast.Expr) (value, error) {
 		return e.concat(n.Parts)
 
 	case *ast.Repl:
-		cnt, err := elab.EvalConst(n.Count, e.c.m.Consts)
-		if err != nil {
-			return value{}, fmt.Errorf("replication count: %w", err)
-		}
-		if cnt == 0 || cnt > 64 {
-			return value{}, fmt.Errorf("replication count %d out of range", cnt)
-		}
-		parts := make([]ast.Expr, cnt)
-		for i := range parts {
-			parts[i] = n.Value
-		}
-		return e.concat(parts)
+		return e.repl(n)
 
 	case *ast.SysFunc:
 		switch n.Name {
@@ -368,13 +357,11 @@ func (e *emitter) binary(n *ast.Binary) (value, error) {
 
 	switch n.Op {
 	case ast.LogAnd, ast.LogOr:
-		bx := e.op(vm.Instr{Op: vm.OpRedOr, A: x.slot})
-		by := e.op(vm.Instr{Op: vm.OpRedOr, A: y.slot})
 		op := vm.OpAnd
 		if n.Op == ast.LogOr {
 			op = vm.OpOr
 		}
-		s := e.op(vm.Instr{Op: op, A: bx, B: by})
+		s := e.op(vm.Instr{Op: op, A: e.truth(x), B: e.truth(y)})
 		return value{slot: s, width: 1}, nil
 
 	case ast.Shl:
@@ -475,10 +462,7 @@ func (e *emitter) ternary(n *ast.Ternary) (value, error) {
 	if err != nil {
 		return value{}, err
 	}
-	cbool := cond.slot
-	if cond.width > 1 {
-		cbool = e.op(vm.Instr{Op: vm.OpRedOr, A: cond.slot})
-	}
+	cbool := e.truth(cond)
 
 	if e.c.style == StyleMux {
 		a, err := e.expr(n.Then)
@@ -587,9 +571,7 @@ func (e *emitter) index(n *ast.Index) (value, error) {
 		if iv >= uint64(v.width) {
 			return value{slot: e.c.constSlot(0), width: 1}, nil
 		}
-		s := e.op(vm.Instr{Op: vm.OpShrImm, A: v.slot, B: uint32(iv)})
-		s = e.op(vm.Instr{Op: vm.OpAndImm, A: s, Imm: 1})
-		return value{slot: s, width: 1}, nil
+		return e.bits(v, int(iv), int(iv)), nil
 	}
 	idx, err := e.expr(n.Index)
 	if err != nil {
@@ -616,15 +598,62 @@ func (e *emitter) partSelect(n *ast.PartSelect) (value, error) {
 	if msb < lsb || msb >= 64 {
 		return value{}, fmt.Errorf("bad part select [%d:%d]", msb, lsb)
 	}
-	w := int(msb-lsb) + 1
+	return e.bits(v, int(msb), int(lsb)), nil
+}
+
+// bits lowers v[msb:lsb], msb < 64, to at most one op. Slots are stored
+// masked, so a select that reaches v's top bit is a shift and one that
+// starts at bit 0 is a mask. One strictly inside v is the VM's masked right
+// shift, OpSshr, told that the sign sits at bit 63: nothing is extended,
+// and what the arithmetic shift fills in lies above the mask.
+func (e *emitter) bits(v value, msb, lsb int) value {
+	w := msb - lsb + 1
 	s := v.slot
-	if lsb > 0 {
-		s = e.op(vm.Instr{Op: vm.OpShrImm, A: s, B: uint32(lsb)})
-	}
-	if int(msb)+1 < v.width || lsb > 0 {
+	switch top := msb+1 >= v.width; {
+	case lsb == 0 && top:
+	case lsb == 0:
 		s = e.op(vm.Instr{Op: vm.OpAndImm, A: s, Imm: vm.Mask(w)})
+	case top:
+		s = e.op(vm.Instr{Op: vm.OpShrImm, A: s, B: uint32(lsb)})
+	default:
+		s = e.op(vm.Instr{Op: vm.OpSshr, A: s, B: e.c.constSlot(uint64(lsb)), W: 64, Imm: vm.Mask(w)})
 	}
-	return value{slot: s, width: w}, nil
+	return value{slot: s, width: w}
+}
+
+// repl lowers {count{x}}: x is evaluated once and spread by one op. A 1-bit
+// x negates into count ones; a wider x, stored masked to its w bits, is
+// multiplied by the word with a one every w bits, whose partial products
+// cannot overlap.
+func (e *emitter) repl(n *ast.Repl) (value, error) {
+	cnt, err := elab.EvalConst(n.Count, e.c.m.Consts)
+	if err != nil {
+		return value{}, fmt.Errorf("replication count: %w", err)
+	}
+	if cnt == 0 || cnt > 64 {
+		return value{}, fmt.Errorf("replication count %d out of range", cnt)
+	}
+	v, err := e.expr(n.Value)
+	if err != nil {
+		return value{}, err
+	}
+	total := int(cnt) * v.width
+	if total > 64 {
+		return value{}, fmt.Errorf("concatenation wider than 64 bits (%d)", total)
+	}
+	switch {
+	case cnt == 1:
+		return value{slot: v.slot, width: total}, nil
+	case v.width == 1:
+		s := e.op(vm.Instr{Op: vm.OpNeg, A: v.slot, Imm: vm.Mask(total)})
+		return value{slot: s, width: total}, nil
+	}
+	var ones uint64
+	for i := 0; i < total; i += v.width {
+		ones |= 1 << uint(i)
+	}
+	s := e.op(vm.Instr{Op: vm.OpMul, A: v.slot, B: e.c.constSlot(ones), Imm: vm.Mask(total)})
+	return value{slot: s, width: total}, nil
 }
 
 func (e *emitter) concat(parts []ast.Expr) (value, error) {
@@ -766,14 +795,20 @@ func (e *emitter) exprShape(x ast.Expr) (int, bool, error) {
 	return 0, false, fmt.Errorf("unsupported expression %T", x)
 }
 
+// truth returns a 0/1 slot that is set iff v is non-zero. A 1-bit value,
+// stored masked, already is one.
+func (e *emitter) truth(v value) uint32 {
+	if v.width == 1 {
+		return v.slot
+	}
+	return e.op(vm.Instr{Op: vm.OpRedOr, A: v.slot})
+}
+
 // boolSlot lowers x and reduces it to a 0/1 slot.
 func (e *emitter) boolSlot(x ast.Expr) (uint32, error) {
 	v, err := e.expr(x)
 	if err != nil {
 		return 0, err
 	}
-	if v.width == 1 {
-		return v.slot, nil
-	}
-	return e.op(vm.Instr{Op: vm.OpRedOr, A: v.slot}), nil
+	return e.truth(v), nil
 }

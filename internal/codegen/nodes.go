@@ -149,11 +149,7 @@ func (c *compiler) buildCombNodes() error {
 						id := p.(*ast.Ident)
 						s := c.sig(id.Name)
 						off -= s.Width
-						tmp := v.slot
-						if off > 0 {
-							tmp = e.op(vm.Instr{Op: vm.OpShrImm, A: tmp, B: uint32(off)})
-						}
-						e.opInto(c.slots[id.Name], vm.Instr{Op: vm.OpAndImm, A: tmp, Imm: vm.Mask(s.Width)})
+						e.assignTo(c.slots[id.Name], s.Width, e.bits(v, off+s.Width-1, off))
 					}
 					return nil
 				},
@@ -516,11 +512,7 @@ func (c *compiler) emitAssignDirect(e *emitter, a *ast.Assign, effectsOnly bool)
 				return fmt.Errorf("%q assigned in clocked block but has no register slot", id.Name)
 			}
 			off -= s.Width
-			tmp := v.slot
-			if off > 0 {
-				tmp = e.op(vm.Instr{Op: vm.OpShrImm, A: tmp, B: uint32(off)})
-			}
-			e.opInto(next, vm.Instr{Op: vm.OpAndImm, A: tmp, Imm: vm.Mask(s.Width)})
+			e.assignTo(next, s.Width, e.bits(v, off+s.Width-1, off))
 		}
 		return nil
 	}

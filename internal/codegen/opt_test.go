@@ -167,3 +167,68 @@ func TestFoldConstMirrorsVM(t *testing.T) {
 		}
 	}
 }
+
+// tidyByHand runs a hand-built object as written and tidied, for both values
+// of its 1-bit input c (slot 0) and a (slot 1) = 0x0f, and requires equal
+// outputs w (slot 2). It returns the tidied code.
+func tidyByHand(t *testing.T, numSlots uint32, consts []vm.ConstInit, comb []vm.Instr) []vm.Instr {
+	t.Helper()
+	const c, a, w = 0, 1, 2
+	build := func() *vm.Object {
+		return &vm.Object{
+			Key: "t", ModName: "t", NumSlots: numSlots,
+			Ports: []vm.Port{
+				{Name: "c", Slot: c, Mask: 1}, {Name: "a", Slot: a, Mask: 0xff},
+				{Name: "w", Dir: vm.Out, Slot: w, Mask: 0xff},
+			},
+			Consts: consts,
+			Comb:   append([]vm.Instr(nil), comb...),
+		}
+	}
+	ref, obj := build(), build()
+	tidy(obj)
+	if err := obj.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for _, cv := range []uint64{0, 1} {
+		ri, oi := vm.NewInstance(ref), vm.NewInstance(obj)
+		for _, in := range []*vm.Instance{ri, oi} {
+			in.Slots[c], in.Slots[a] = cv, 0x0f
+			in.RunComb(nil)
+		}
+		if ri.Slots[w] != oi.Slots[w] {
+			t.Errorf("c=%d: w = %#x as lowered, %#x tidied\n%s", cv, ri.Slots[w], oi.Slots[w], disasm(obj.Comb))
+		}
+	}
+	return obj.Comb
+}
+
+// TestTidyKeepsMoveThatIsAJumpTarget: a move some jump lands on can run
+// without the instruction before it, so that one may not write the move's
+// destination in its place.
+func TestTidyKeepsMoveThatIsAJumpTarget(t *testing.T) {
+	const c, a, w, k, tmp = 0, 1, 2, 3, 4
+	tidyByHand(t, 5, []vm.ConstInit{{Slot: k, Value: 5}}, []vm.Instr{
+		{Op: vm.OpMove, Dst: tmp, A: k},
+		{Op: vm.OpJnz, A: c, B: 3},
+		{Op: vm.OpNot, Dst: tmp, A: a, Imm: 0xff},
+		{Op: vm.OpMove, Dst: w, A: tmp},
+	})
+}
+
+// TestTidyForwardsTheWriterNextToTheMove: tidy does not count a temporary's
+// writers. Of two, the one next to the move always runs last, so it takes
+// the move's destination; the other, in a branch that may be skipped, is
+// left writing a slot nothing reads and goes as dead code.
+func TestTidyForwardsTheWriterNextToTheMove(t *testing.T) {
+	const c, a, w, tmp = 0, 1, 2, 3
+	got := tidyByHand(t, 4, nil, []vm.Instr{
+		{Op: vm.OpJz, A: c, B: 2},
+		{Op: vm.OpNot, Dst: tmp, A: a, Imm: 0xff},
+		{Op: vm.OpNeg, Dst: tmp, A: a, Imm: 0xff},
+		{Op: vm.OpMove, Dst: w, A: tmp},
+	})
+	if len(got) != 2 || got[1].Op != vm.OpNeg || got[1].Dst != w || got[0].B != 1 {
+		t.Errorf("want the jump and neg into w:\n%s", disasm(got))
+	}
+}

@@ -6,15 +6,29 @@ import (
 
 	"livesim/internal/codegen"
 	"livesim/internal/pgas"
+	"livesim/internal/randrtl"
 	"livesim/internal/sim"
 	"livesim/internal/vm"
 )
 
-// TestRandomFlattenEquivalence wraps randomly generated modules (the
-// codegen package's generator, reproduced here via the PGAS node as a
-// stand-in is too narrow) — instead we reuse deterministic small designs
-// with two instances and compare the flattened single-object simulation
-// against the hierarchical kernel cycle by cycle on random stimulus.
+// randomPair wraps two chained instances of one randrtl module in a top
+// with the port names the hand-written designs below use.
+func randomPair(seed uint64) string {
+	const w = 24
+	return randrtl.Module(seed, "rnd", w) + fmt.Sprintf(`
+module top (input clk, input [%[1]d:0] x, output [%[1]d:0] y0, y1);
+  wire [%[1]d:0] p0, p1, p2, p3, q0, q1, q2, q3;
+  rnd u0 (.clk(clk), .a(x), .b(~x), .c(x + 1), .o0(p0), .o1(p1), .o2(p2), .o3(p3));
+  rnd u1 (.clk(clk), .a(p0 ^ x), .b(p1), .c(p2), .o0(q0), .o1(q1), .o2(q2), .o3(q3));
+  assign y0 = p3 ^ q0;
+  assign y1 = (q1 + q2) ^ q3;
+endmodule`, w-1)
+}
+
+// TestRandomFlattenEquivalence compares the flattened single-object
+// simulation against the hierarchical kernel cycle by cycle on random
+// stimulus: two hand-written designs with two instances each, then pairs
+// of randrtl modules.
 func TestRandomFlattenEquivalence(t *testing.T) {
 	designs := []string{
 		`
@@ -42,6 +56,9 @@ module top (input clk, input [7:0] x, output [7:0] y0, y1);
   s u0 (.clk(clk), .d(x), .o(y0));
   s u1 (.clk(clk), .d(x + 8'd3), .o(y1));
 endmodule`,
+	}
+	for seed := uint64(1); seed <= 12; seed++ {
+		designs = append(designs, randomPair(seed))
 	}
 	for di, src := range designs {
 		src := src

@@ -8,8 +8,8 @@
 // parameter binding), so a 256-core mesh still compiles each stage once
 // (Figure 4(d)). The object cache is keyed by everything that can affect
 // the generated code: the module's behavioural token hash, its parameter
-// binding, the codegen style, and the interface fingerprints of its
-// children.
+// binding, the codegen style and version, and the interface fingerprints
+// of its children.
 package livecompiler
 
 import (
@@ -285,10 +285,11 @@ func (c *Compiler) BuildSpan(src liveparser.Source, parent *obs.Span) (*Result, 
 }
 
 // contentKey fingerprints everything that can influence the compiled
-// object of one specialization.
+// object of one specialization — the code generator included, or an object
+// directory filled by an older binary would go on serving its objects.
 func (c *Compiler) contentKey(a *liveparser.Analysis, em *elab.Module) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "%s|style=%d|body=%x", em.Key, c.style, a.Modules[em.Name].BodyHash)
+	fmt.Fprintf(&sb, "%s|gen=%d|style=%d|body=%x", em.Key, codegen.Version, c.style, a.Modules[em.Name].BodyHash)
 	for _, inst := range em.Instances {
 		childInfo := a.Modules[inst.Child.Name]
 		fmt.Fprintf(&sb, "|child=%s:%x", inst.ChildKey, childInfo.IfaceHash)

@@ -1,13 +1,17 @@
 package livecompiler
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"livesim/internal/codegen"
+	"livesim/internal/hdl/ast"
+	"livesim/internal/hdl/elab"
 	"livesim/internal/liveparser"
+	"livesim/internal/vm"
 )
 
 const design = `
@@ -255,5 +259,54 @@ func TestPersistentObjectCache(t *testing.T) {
 	}
 	if res3.Stats.Compiled != 1 || res3.Stats.DiskHits != 2 {
 		t.Fatalf("corrupt-fallback stats %+v", res3.Stats)
+	}
+}
+
+// TestObjectCacheKeyedOnCodegenVersion: objects another code generator
+// version left in the object directory are recompiled, not loaded.
+func TestObjectCacheKeyedOnCodegenVersion(t *testing.T) {
+	a, err := liveparser.Analyze(files(design))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srcs := map[string]*ast.Module{}
+	for name, mi := range a.Modules {
+		srcs[name] = mi.AST
+	}
+	d, err := elab.Elaborate(srcs, "pipe", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The files an older binary would have left: valid objects for the same
+	// sources, under keys that differ in the generator's version only.
+	c := New("pipe", codegen.StyleGrouped, nil)
+	c.SetObjectDir(t.TempDir())
+	this := fmt.Sprintf("|gen=%d|", codegen.Version)
+	for _, key := range d.Order {
+		em := d.Modules[key]
+		obj, err := codegen.Compile(em, codegen.Options{Style: codegen.StyleGrouped})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ck := c.contentKey(a, em)
+		if strings.Count(ck, this) != 1 {
+			t.Fatalf("content key %q does not name the generator as %q", ck, this)
+		}
+		older := strings.Replace(ck, this, fmt.Sprintf("|gen=%d|", codegen.Version-1), 1)
+		if err := os.WriteFile(c.objectFile(older), vm.EncodeObject(obj), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	res, err := c.Build(files(design))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Compiled != 3 || res.Stats.DiskHits != 0 {
+		t.Fatalf("build over another version's objects: %+v, want 3 compiled and no disk hit", res.Stats)
+	}
+	if entries, _ := os.ReadDir(c.objDir); len(entries) != 6 {
+		t.Errorf("%d object files, want each version's 3 side by side", len(entries))
 	}
 }

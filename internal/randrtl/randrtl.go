@@ -38,7 +38,7 @@ func (g *rtlGen) expr(depth int) string {
 			return g.pick()
 		}
 	}
-	switch g.next(14) {
+	switch g.next(24) {
 	case 0:
 		return fmt.Sprintf("(%s + %s)", g.expr(depth-1), g.expr(depth-1))
 	case 1:
@@ -68,9 +68,45 @@ func (g *rtlGen) expr(depth int) string {
 		return fmt.Sprintf("($signed(%s) >>> %d)", g.expr(depth-1), g.next(uint64(g.w)))
 	case 12:
 		return fmt.Sprintf("(%s * %s)", g.expr(depth-1), g.expr(depth-1))
-	default:
+	case 13:
 		return fmt.Sprintf("{%s[%d:0], %s[%d:%d]}",
 			g.pick(), g.w/2, g.pick(), g.w-1, g.w/2+1)
+	case 14:
+		return fmt.Sprintf("(%s && %s)", g.expr(depth-1), g.expr(depth-1))
+	case 15:
+		return fmt.Sprintf("(%s || %s)", g.expr(depth-1), g.expr(depth-1))
+	case 16:
+		return fmt.Sprintf("(!%s)", g.expr(depth-1))
+	case 17:
+		return fmt.Sprintf("($signed(%s) < $signed(%s))", g.expr(depth-1), g.expr(depth-1))
+	case 18:
+		return fmt.Sprintf("%s[%d]", g.pick(), g.next(uint64(g.w)))
+	case 19: // a replicated bit
+		return fmt.Sprintf("{%d{%s[%d]}}", 1+g.next(uint64(g.w)), g.pick(), g.next(uint64(g.w)))
+	case 20: // a replicated field, 64 bits at most
+		fw := 1 + g.next(uint64(min(g.w, 8)))
+		lo := g.next(uint64(g.w) - fw + 1)
+		return fmt.Sprintf("{%d{%s[%d:%d]}}", 1+g.next(64/fw), g.pick(), lo+fw-1, lo)
+	case 21: // sign extension the Verilog-2001 way, g.w bits at most
+		hi := g.next(uint64(g.w))
+		lo := g.next(hi + 1)
+		sig := g.pick()
+		ext := uint64(g.w) - (hi - lo + 1)
+		if ext == 0 {
+			return fmt.Sprintf("%s[%d:%d]", sig, hi, lo)
+		}
+		return fmt.Sprintf("{{%d{%s[%d]}}, %s[%d:%d]}", 1+g.next(ext), sig, hi, sig, hi, lo)
+	case 22: // a replicated field beside a select with its top bit: no sign extension
+		fw := 2 + g.next(uint64(min(g.w, 8))-1)
+		hi := fw - 1 + g.next(uint64(g.w)-fw+1)
+		tw := 1 + g.next(min(hi+1, 64-fw))
+		sig := g.pick()
+		return fmt.Sprintf("{{%d{%s[%d:%d]}}, %s[%d:%d]}", 1+g.next((64-tw)/fw), sig, hi, hi-fw+1, sig, hi, hi-tw+1)
+	default: // nested concatenation, g.w bits at most
+		h := uint64(g.w) / 2
+		lo := g.next(h)
+		return fmt.Sprintf("{%s[%d:0], {%s[%d:%d], %s[%d]}}",
+			g.pick(), g.next(h-1), g.pick(), lo+g.next(h-lo), lo, g.pick(), g.next(uint64(g.w)))
 	}
 }
 

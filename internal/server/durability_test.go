@@ -7,13 +7,16 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"livesim/internal/checkpoint"
 	"livesim/internal/faultinject"
 	"livesim/internal/server"
 	"livesim/internal/server/client"
+	"livesim/internal/sim"
 	"livesim/internal/wire"
 )
 
@@ -221,6 +224,74 @@ func TestCorruptWatermarkFallsBack(t *testing.T) {
 	if got != wantCycle {
 		t.Errorf("recovered cycle %q, want %q", got, wantCycle)
 	}
+}
+
+// TestWatermarkFromAnotherSlotLayoutReplaysInFull: checkpoints are not
+// portable across code generator versions — a lowering change moves the
+// temporaries, so the slot arrays no longer fit — but journals are. A
+// watermark written under another slot layout must be refused by
+// sim.Restore, and recovery must then re-execute the whole journal to
+// exactly the state the session had.
+func TestWatermarkFromAnotherSlotLayoutReplaysInFull(t *testing.T) {
+	dir := shortDir(t)
+	state := filepath.Join(dir, "state")
+	cfg := server.Config{StateDir: state, WALSyncEvery: -1}
+
+	srvA, stopA := startServerOn(t, cfg, filepath.Join(dir, "a.sock"))
+	cA := dial(t, "unix:"+filepath.Join(dir, "a.sock"))
+	createTiny(t, cA, "v0", 25)
+	mustOK(t, cA, &server.Request{Session: "v0", Verb: "run", Args: []string{"clock", "p0", "150"}})
+	mustOK(t, cA, &server.Request{Session: "v0", Verb: "poke", Args: []string{"p0", "top.en", "1"}})
+	mustOK(t, cA, &server.Request{Session: "v0", Verb: "run", Args: []string{"clock", "p0", "90"}})
+	pipeState := func(srv *server.Server) *sim.State {
+		p, ok := srv.Session("v0").Pipe("p0")
+		if !ok {
+			t.Fatal("no pipe p0")
+		}
+		return p.Sim.Snapshot()
+	}
+	want := pipeState(srvA)
+	if err := stopA(); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+
+	// The drain saved a watermark; rewrite it as the compiler before an
+	// upgrade would have: the same state with more temporaries per node.
+	ckpt := filepath.Join(state, "v0.p0.lscp")
+	fc, _, err := checkpoint.LoadFile(ckpt)
+	if err != nil {
+		t.Fatalf("watermark was not saved: %v", err)
+	}
+	for i := range fc.State.Nodes {
+		fc.State.Nodes[i].Slots = append(fc.State.Nodes[i].Slots, 0, 0, 0)
+	}
+	cp := checkpoint.NewStore().Add(fc.State, fc.Version, fc.HistoryPos)
+	cp.Aux = fc.Aux
+	if err := os.WriteFile(ckpt, checkpoint.EncodeFile(cp), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	os.Remove(checkpoint.BackupPath(ckpt))
+
+	srvB, stopB := startServerOn(t, cfg, filepath.Join(dir, "b.sock"))
+	defer stopB()
+	srvB.WaitRecovered()
+	if srvB.Session("v0") == nil {
+		t.Fatal("session v0 not recovered")
+	}
+	var fallback string
+	for _, ev := range srvB.Events().All() {
+		if ev.Type == "wal_fallback" {
+			fallback = ev.Msg
+		}
+	}
+	if !strings.Contains(fallback, "shape mismatch") {
+		t.Errorf("wal_fallback event %q, want the restore refused for a shape mismatch", fallback)
+	}
+	if got := pipeState(srvB); !reflect.DeepEqual(got, want) {
+		t.Errorf("state after full replay differs from the live session's: cycle %d, want %d", got.Cycle, want.Cycle)
+	}
+	cB := dial(t, "unix:"+filepath.Join(dir, "b.sock"))
+	mustOK(t, cB, &server.Request{Session: "v0", Verb: "run", Args: []string{"clock", "p0", "10"}})
 }
 
 func fileExists(path string) bool {

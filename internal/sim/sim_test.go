@@ -187,6 +187,26 @@ func TestSnapshotRestore(t *testing.T) {
 	}
 }
 
+// TestRestoreRefusesAnotherSlotLayout: a state captured under a code
+// generator that laid the slots out differently — every change to a
+// lowering moves the temporaries — is refused, not copied in.
+func TestRestoreRefusesAnotherSlotLayout(t *testing.T) {
+	objs, top := buildDesign(t, pipelineSrc, "pipe", codegen.StyleGrouped)
+	s, err := New(tableResolver(objs), top)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetIn("in", 7)
+	s.Tick(5)
+	snap := s.Snapshot()
+	last := &snap.Nodes[len(snap.Nodes)-1]
+	last.Slots = append(last.Slots, 0, 0) // two temporaries this compiler no longer emits
+	err = s.Restore(snap)
+	if err == nil || !strings.Contains(err.Error(), "shape mismatch") {
+		t.Fatalf("Restore of a state with two more slots in %s: %v, want a shape mismatch", last.Path, err)
+	}
+}
+
 func TestSnapshotBytes(t *testing.T) {
 	objs, top := buildDesign(t, pipelineSrc, "pipe", codegen.StyleGrouped)
 	s, _ := New(tableResolver(objs), top)

@@ -103,9 +103,19 @@ type Instr struct {
 	Imm  uint64
 }
 
-// reads calls f for every slot the instruction reads when it executes in
+// Pure reports whether the op computes s[Dst] from its operands and does
+// nothing else, so an instruction whose destination nobody reads can go.
+func (op OpCode) Pure() bool {
+	switch op {
+	case OpNop, OpJmp, OpJz, OpJnz, OpMemWr, OpDisplay, OpFinish:
+		return false
+	}
+	return op < opCount
+}
+
+// Reads calls f for every slot the instruction reads when it executes in
 // an instance of o.
-func (in *Instr) reads(o *Object, f func(slot uint32)) {
+func (in *Instr) Reads(o *Object, f func(slot uint32)) {
 	switch in.Op {
 	case OpNop, OpConst, OpJmp, OpFinish:
 	case OpMove, OpNot, OpNeg, OpSext, OpRedOr, OpRedAnd, OpRedXor,

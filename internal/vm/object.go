@@ -142,7 +142,7 @@ func (o *Object) CombReads() []bool {
 	o.combReadsOnce.Do(func() {
 		o.combReads = make([]bool, o.NumSlots)
 		for i := range o.Comb {
-			o.Comb[i].reads(o, func(slot uint32) { o.combReads[slot] = true })
+			o.Comb[i].Reads(o, func(slot uint32) { o.combReads[slot] = true })
 		}
 	})
 	return o.combReads

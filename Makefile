@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race bench opmix fuzz-smoke serve-smoke crash-recovery-smoke admin-smoke profile-smoke overload-smoke fleet-smoke failover-smoke trace-smoke
+.PHONY: check vet build test race bench opmix frontend fuzz-smoke serve-smoke crash-recovery-smoke admin-smoke profile-smoke overload-smoke fleet-smoke failover-smoke trace-smoke
 
 check: vet build race fuzz-smoke serve-smoke crash-recovery-smoke admin-smoke profile-smoke overload-smoke fleet-smoke failover-smoke trace-smoke
 
@@ -33,9 +33,19 @@ bench:
 opmix:
 	$(GO) test -run TestOpMix -v -count=1 ./internal/pgas
 
-# Short fuzz runs over the checkpoint and journal decoders (Go allows
-# one -fuzz target per invocation). ~10s each keeps this viable in CI
-# while still churning hundreds of thousands of corrupted inputs.
+# What an edit costs the front end once the compiler is warm, by mesh size:
+# ms and bytes per (stage edit + revert) at 1, 16, 64 and 256 nodes. The
+# counts behind it (files parsed, specializations elaborated and compiled)
+# are held in tier-1 by TestRebuildCounts; the times are only reported.
+frontend:
+	$(GO) test -run '^$$' -bench BenchmarkRebuild -benchmem -count=1 ./internal/livecompiler
+
+# Short fuzz runs over the checkpoint and journal decoders and the
+# incremental analyzer (Go allows one -fuzz target per invocation). ~10s
+# each keeps this viable in CI while still churning hundreds of thousands
+# of corrupted inputs. The analyzer's inputs are whole source files at a
+# millisecond per run: without a cap the fuzzer spends the whole budget
+# minimizing the first one that reaches new coverage.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeState -fuzztime=$(FUZZTIME) ./internal/checkpoint/
@@ -43,6 +53,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzWALDecode -fuzztime=$(FUZZTIME) ./internal/wal/
 	$(GO) test -run='^$$' -fuzz=FuzzTransferDecode -fuzztime=$(FUZZTIME) ./internal/transfer/
 	$(GO) test -run='^$$' -fuzz=FuzzReplicaFrameDecode -fuzztime=$(FUZZTIME) ./internal/replica/
+	$(GO) test -run='^$$' -fuzz=FuzzAnalyzeIncremental -fuzztime=$(FUZZTIME) -fuzzminimizetime=50x ./internal/liveparser/
 
 # End-to-end server smoke: scripted livesim session against a livesimd
 # on a unix socket, then a SIGTERM graceful-drain assertion.

@@ -84,8 +84,9 @@ func requireIdentical(t *testing.T, pre, post map[string]pipePrint) {
 
 // retryAndCheck re-applies the edit after a failed attempt and checks the
 // session lands on ground truth — the "corrected retry succeeds" half of
-// every fault test.
-func retryAndCheck(t *testing.T, s *Session, pipeNames ...string) {
+// every fault test. Whatever the failed attempt left in the compiler's
+// memos, the retry must diff and swap against the code still running.
+func retryAndCheck(t *testing.T, s *Session, pipeNames ...string) *ChangeReport {
 	t.Helper()
 	rep, err := s.ApplyChange(srcOf(lateEdit))
 	if err != nil {
@@ -93,6 +94,9 @@ func retryAndCheck(t *testing.T, s *Session, pipeNames ...string) {
 	}
 	if rep.RolledBack {
 		t.Fatalf("retry rolled back: %+v", rep)
+	}
+	if want := []string{"acc_stage"}; !reflect.DeepEqual(rep.Swapped, want) || !reflect.DeepEqual(rep.Diff.BodyChanged, want) {
+		t.Errorf("retry swapped %v, body changed %v, want %v", rep.Swapped, rep.Diff.BodyChanged, want)
 	}
 	rep.WaitVerification()
 	if s.Version() != "v1" {
@@ -107,6 +111,7 @@ func retryAndCheck(t *testing.T, s *Session, pipeNames ...string) {
 			t.Errorf("pipe %s: sum %d, ground truth %d", name, sum, want)
 		}
 	}
+	return rep
 }
 
 // TestFaultCompileRollsBack: a build that fails mid-phase must leave the
@@ -176,7 +181,13 @@ func TestFaultReloadRollsBackAllPipes(t *testing.T) {
 	if h.RolledBack != 1 || h.ChangesFailed != 1 || h.LastRollback == "" {
 		t.Errorf("health %+v", h)
 	}
-	retryAndCheck(t, s, "p0", "p1")
+	// The build of the failed attempt was complete: the retry finds the
+	// edited file parsed, the design elaborated and the object compiled,
+	// and still swaps it in.
+	rep = retryAndCheck(t, s, "p0", "p1")
+	if st := rep.CompileStats; st.FilesParsed != 0 || st.Elaborated != 0 || st.Compiled != 0 {
+		t.Errorf("retry of a built edit: %+v", st)
+	}
 }
 
 // TestFaultTestbenchPanicRollsBack: a panic in user testbench code during

@@ -113,6 +113,16 @@ func TestLiveLoopObservability(t *testing.T) {
 	if sw.Attrs["pipe"] != "p0" || sw.Attrs["version"] != "v1" || sw.Attrs["cycle"] != float64(60) {
 		t.Errorf("swap span attrs = %v", sw.Attrs)
 	}
+	// The build phases say how much of the design they had to touch: both
+	// builds parsed the one file; the edit elaborated acc_stage and acc_top.
+	for _, ev := range byName["parse"] {
+		if ev.Attrs["files_parsed"] != float64(1) || ev.Attrs["files_reused"] != float64(0) {
+			t.Errorf("parse span attrs = %v", ev.Attrs)
+		}
+	}
+	if el := byName["elab"]; len(el) != 2 || el[1].Attrs["elaborated"] != float64(2) || el[1].Attrs["specializations"] != float64(2) {
+		t.Errorf("elab spans = %v", el)
+	}
 	vf := byName["verify"][0]
 	if _, ok := vf.Attrs["consistent"]; !ok {
 		t.Errorf("verify span missing outcome attrs: %v", vf.Attrs)
@@ -133,6 +143,7 @@ func TestLiveLoopObservability(t *testing.T) {
 	snap := reg.Snapshot()
 	wantPositive := []string{
 		"compile_builds", "compile_cache_hits", "compile_compiled",
+		"compile_files_parsed", "compile_elaborated",
 		"checkpoint_takes", "session_runs", "session_cycles_run",
 		"changes_applied", "objects_swapped", "verify_runs",
 		"sim_ticks", "sim_settle_calls",
@@ -170,6 +181,45 @@ func TestLiveLoopObservability(t *testing.T) {
 	}
 	if !reflect.DeepEqual(&back, snap) {
 		t.Errorf("snapshot did not round-trip:\n got %+v\nwant %+v", back, snap)
+	}
+}
+
+// TestFailedBuildIsTraced: the trace of a change that does not build is the
+// one somebody will read, so the phase that failed must be in it, ended and
+// carrying the error: apply_change -> compile -> parse for a syntax error,
+// -> elab for a design that parses and does not elaborate.
+func TestFailedBuildIsTraced(t *testing.T) {
+	for phase, text := range map[string]string{
+		"parse": strings.Replace(accDesign, "sum <= sum + d;", "sum <= sum + ;", 1),
+		"elab":  strings.Replace(accDesign, "acc_stage u0", "no_such_stage u0", 1),
+	} {
+		t.Run(phase, func(t *testing.T) {
+			var traceBuf bytes.Buffer
+			s := NewSession("acc_top", Config{CheckpointEvery: 10, Lookback: 10, TraceOut: &traceBuf})
+			if _, err := s.LoadDesign(srcOf(accDesign)); err != nil {
+				t.Fatal(err)
+			}
+			traceBuf.Reset()
+			_, err := s.ApplyChange(srcOf(text))
+			if err == nil {
+				t.Fatal("the change built")
+			}
+
+			byName := map[string]traceEvent{}
+			for _, ev := range parseTrace(t, traceBuf.Bytes()) {
+				byName[ev.Name] = ev
+			}
+			root, compile, failed := byName["apply_change"], byName["compile"], byName[phase]
+			if root.ID == 0 || compile.Parent != root.ID || failed.ID == 0 || failed.Parent != compile.ID {
+				t.Fatalf("no apply_change -> compile -> %s chain in %v", phase, byName)
+			}
+			if failed.Attrs["error"] != err.Error() {
+				t.Errorf("%s span error attribute %q, ApplyChange returned %q", phase, failed.Attrs["error"], err)
+			}
+			if _, later := byName["codegen"]; later {
+				t.Error("a phase after the failed one was traced")
+			}
+		})
 	}
 }
 

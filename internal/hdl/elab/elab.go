@@ -94,6 +94,9 @@ type Design struct {
 	// Order lists specialization keys children-first (topological), so
 	// compiling in Order always finds child objects ready.
 	Order []string
+	// Elaborated counts the specializations this design elaborated itself;
+	// the others were carried over from an Elaborator's previous design.
+	Elaborated int
 }
 
 // Top returns the elaborated top module.
@@ -124,21 +127,79 @@ func Key(name string, params map[string]uint64) string {
 // Elaborate specializes the hierarchy rooted at top. srcs maps module names
 // to their ASTs; overrides optionally rebinds top-level parameters.
 func Elaborate(srcs map[string]*ast.Module, top string, overrides map[string]uint64) (*Design, error) {
+	return new(Elaborator).Elaborate(srcs, top, overrides)
+}
+
+// Elaborator elaborates successive versions of one design and keeps the
+// last design it produced. A specialization of that design is carried into
+// the next one as it is — the same *Module — when the module's AST is the
+// identical *ast.Module and the same holds for every specialization below
+// it; a specialization is a function of its parameter binding (part of its
+// key) and of those ASTs and nothing else. Everything else — the changed
+// module and the specializations on the path from it to the top, whose
+// instance references point into it — is elaborated afresh. Reuse is
+// decided by pointer identity, so it is as sound as the caller's promise
+// that a parsed AST is never written to. The zero value is ready to use.
+type Elaborator struct {
+	prev *Design
+}
+
+// Elaborate is the package-level Elaborate that reuses what it can of the
+// previous successful call's design. Modules of the result may be shared
+// with that design: treat them as read-only.
+func (el *Elaborator) Elaborate(srcs map[string]*ast.Module, top string, overrides map[string]uint64) (*Design, error) {
 	e := &elaborator{
-		srcs: srcs,
-		d:    &Design{Modules: make(map[string]*Module)},
+		srcs:  srcs,
+		d:     &Design{Modules: make(map[string]*Module)},
+		prev:  el.prev,
+		fresh: make(map[*Module]bool),
 	}
 	key, err := e.instantiate(top, overrides, nil)
 	if err != nil {
 		return nil, err
 	}
 	e.d.TopKey = key
+	el.prev = e.d
 	return e.d, nil
 }
 
 type elaborator struct {
 	srcs map[string]*ast.Module
 	d    *Design
+	// prev is the design specializations may be carried over from (nil:
+	// none); fresh memoises, per module of prev, whether it can be.
+	prev  *Design
+	fresh map[*Module]bool
+	// connected is addInstance's scratch space.
+	connected []bool
+}
+
+// reusable reports whether m, a specialization of the previous design, is
+// what elaborating its key against srcs would produce again.
+func (e *elaborator) reusable(m *Module) bool {
+	ok, seen := e.fresh[m]
+	if seen {
+		return ok
+	}
+	ok = e.srcs[m.Name] == m.src
+	for i := 0; ok && i < len(m.Instances); i++ {
+		ok = e.reusable(m.Instances[i].Child)
+	}
+	e.fresh[m] = ok
+	return ok
+}
+
+// carry puts a reusable specialization and everything below it into the
+// design, children first — the order elaborating it would have appended.
+func (e *elaborator) carry(m *Module) {
+	if _, done := e.d.Modules[m.Key]; done {
+		return
+	}
+	for _, inst := range m.Instances {
+		e.carry(inst.Child)
+	}
+	e.d.Modules[m.Key] = m
+	e.d.Order = append(e.d.Order, m.Key)
 }
 
 // instantiate elaborates one specialization (memoized by key).
@@ -148,9 +209,14 @@ func (e *elaborator) instantiate(name string, params map[string]uint64, stack []
 		return "", fmt.Errorf("module %q not found (instantiated from %s)", name, stackStr(stack))
 	}
 
-	// Bind parameters: defaults, then overrides.
-	bound := make(map[string]uint64)
-	consts := make(map[string]uint64)
+	// Bind parameters: defaults, then overrides. A mesh top comes through
+	// here once per instance only to find the key already elaborated, so a
+	// module without parameters gets its (empty) maps when it is declared.
+	var bound, consts map[string]uint64
+	if len(src.Params) > 0 {
+		bound = make(map[string]uint64, len(src.Params))
+		consts = make(map[string]uint64, len(src.Params))
+	}
 	for _, p := range src.Params {
 		v := uint64(0)
 		if p.Default != nil {
@@ -166,7 +232,7 @@ func (e *elaborator) instantiate(name string, params map[string]uint64, stack []
 		bound[p.Name] = v
 		consts[p.Name] = v
 	}
-	for pn := range params {
+	for pn := range params { // overrides of parameters the module does not have
 		if _, ok := consts[pn]; !ok {
 			return "", fmt.Errorf("module %s: unknown parameter %q overridden", name, pn)
 		}
@@ -176,39 +242,85 @@ func (e *elaborator) instantiate(name string, params map[string]uint64, stack []
 	if _, done := e.d.Modules[key]; done {
 		return key, nil
 	}
+	var pm *Module // the previous design's specialization of this key
+	if e.prev != nil {
+		pm = e.prev.Modules[key]
+	}
+	if pm != nil && e.reusable(pm) {
+		e.carry(pm)
+		return key, nil
+	}
 	for _, s := range stack {
 		if s == key {
 			return "", fmt.Errorf("recursive instantiation of %s (%s)", key, stackStr(append(stack, key)))
 		}
 	}
 
-	m := &Module{
-		Name:      name,
-		Key:       key,
-		Params:    bound,
-		SigByName: make(map[string]*Signal),
-		Consts:    consts,
-		src:       src,
+	// A module's signals, constants and processes are a function of its
+	// own AST and binding alone. When only something below it changed, the
+	// previous specialization's are shared and just the instance
+	// references, which point into the children, are resolved again.
+	var m *Module
+	var was []*InstanceRef // of the same AST: one per instance item, in order
+	if pm != nil && pm.src == src {
+		cp := *pm
+		m = &cp
+		was, m.Instances = pm.Instances, nil
+	} else {
+		if consts == nil {
+			bound, consts = map[string]uint64{}, map[string]uint64{}
+		}
+		m = &Module{
+			Name:      name,
+			Key:       key,
+			Params:    bound,
+			SigByName: make(map[string]*Signal),
+			Consts:    consts,
+			src:       src,
+		}
+		if err := m.declare(); err != nil {
+			return "", fmt.Errorf("module %s: %w", name, err)
+		}
+	}
+	for _, it := range src.Items {
+		if inst, ok := it.(*ast.Instance); ok {
+			var old *InstanceRef
+			if was != nil {
+				old = was[len(m.Instances)]
+			}
+			if err := e.addInstance(m, inst, old, stack, key); err != nil {
+				return "", fmt.Errorf("module %s: %w", name, err)
+			}
+		}
 	}
 
+	e.d.Modules[key] = m
+	e.d.Order = append(e.d.Order, key) // children were appended first
+	e.d.Elaborated++
+	return key, nil
+}
+
+// declare elaborates everything of m that does not depend on other
+// modules: localparams, ports, nets, assigns and processes.
+func (m *Module) declare() error {
 	// First pass: localparams (they may be used in declarations below).
-	for _, it := range src.Items {
+	for _, it := range m.src.Items {
 		lp, ok := it.(*ast.LocalParam)
 		if !ok {
 			continue
 		}
-		v, err := EvalConst(lp.Value, consts)
+		v, err := EvalConst(lp.Value, m.Consts)
 		if err != nil {
-			return "", fmt.Errorf("module %s: localparam %s: %w", name, lp.Name, err)
+			return fmt.Errorf("localparam %s: %w", lp.Name, err)
 		}
-		consts[lp.Name] = v
+		m.Consts[lp.Name] = v
 	}
 
 	// Ports.
-	for i, p := range src.Ports {
-		w, err := rangeWidth(p.Range, consts)
+	for i, p := range m.src.Ports {
+		w, err := rangeWidth(p.Range, m.Consts)
 		if err != nil {
-			return "", fmt.Errorf("module %s: port %s: %w", name, p.Name, err)
+			return fmt.Errorf("port %s: %w", p.Name, err)
 		}
 		kind := Wire
 		if p.IsReg {
@@ -219,22 +331,20 @@ func (e *elaborator) instantiate(name string, params map[string]uint64, stack []
 			IsPort: true, PortDir: p.Dir, PortIdx: i,
 		}
 		if p.Dir == ast.Inout {
-			return "", fmt.Errorf("module %s: inout port %s not supported", name, p.Name)
+			return fmt.Errorf("inout port %s not supported", p.Name)
 		}
 		if err := m.addSignal(sig); err != nil {
-			return "", fmt.Errorf("module %s: %w", name, err)
+			return err
 		}
 		m.Ports = append(m.Ports, sig)
 	}
 
 	// Declarations and items.
-	for _, it := range src.Items {
+	for _, it := range m.src.Items {
 		switch d := it.(type) {
-		case *ast.LocalParam:
-			// handled above
 		case *ast.NetDecl:
-			if err := e.addDecl(m, d); err != nil {
-				return "", fmt.Errorf("module %s: %w", name, err)
+			if err := m.addDecl(d); err != nil {
+				return err
 			}
 		case *ast.ContAssign:
 			m.Assigns = append(m.Assigns, d)
@@ -242,26 +352,19 @@ func (e *elaborator) instantiate(name string, params map[string]uint64, stack []
 			switch d.Edge {
 			case ast.Posedge:
 				if m.Clock != "" && m.Clock != d.Clock {
-					return "", fmt.Errorf("module %s: multiple clocks (%s and %s) not supported", name, m.Clock, d.Clock)
+					return fmt.Errorf("multiple clocks (%s and %s) not supported", m.Clock, d.Clock)
 				}
 				m.Clock = d.Clock
 			case ast.Negedge:
-				return "", fmt.Errorf("module %s: negedge processes not supported", name)
+				return fmt.Errorf("negedge processes not supported")
 			}
 			m.Always = append(m.Always, d)
-		case *ast.Instance:
-			if err := e.addInstance(m, d, stack, key); err != nil {
-				return "", fmt.Errorf("module %s: %w", name, err)
-			}
 		}
 	}
-
-	e.d.Modules[key] = m
-	e.d.Order = append(e.d.Order, key) // children were appended first
-	return key, nil
+	return nil
 }
 
-func (e *elaborator) addDecl(m *Module, d *ast.NetDecl) error {
+func (m *Module) addDecl(d *ast.NetDecl) error {
 	w, err := rangeWidth(d.Range, m.Consts)
 	if err != nil {
 		return fmt.Errorf("signal %s: %w", d.Name, err)
@@ -326,14 +429,23 @@ func (e *elaborator) addDecl(m *Module, d *ast.NetDecl) error {
 	return nil
 }
 
-func (e *elaborator) addInstance(m *Module, inst *ast.Instance, stack []string, selfKey string) error {
+// addInstance resolves one instantiation in m. old is what the same
+// instance item resolved to in the previous design (nil: nothing to go
+// by). It is kept when the child it points to is still the child, and its
+// connections are kept when the child is a new specialization that shares
+// its port signals with the old one (see instantiate): they were checked
+// against, and point at, those very signals.
+func (e *elaborator) addInstance(m *Module, inst *ast.Instance, old *InstanceRef, stack []string, selfKey string) error {
 	childSrc, ok := e.srcs[inst.ModName]
 	if !ok {
 		return fmt.Errorf("instance %s: module %q not found", inst.Name, inst.ModName)
 	}
 
 	// Resolve parameter overrides in the parent's constant context.
-	overrides := make(map[string]uint64)
+	var overrides map[string]uint64
+	if len(inst.Params) > 0 {
+		overrides = make(map[string]uint64, len(inst.Params))
+	}
 	for i, pc := range inst.Params {
 		pname := pc.Name
 		if pname == "" {
@@ -354,9 +466,28 @@ func (e *elaborator) addInstance(m *Module, inst *ast.Instance, stack []string, 
 		return err
 	}
 	child := e.d.Modules[childKey]
+	switch {
+	case old == nil:
+	case old.Child == child:
+		m.Instances = append(m.Instances, old)
+		return nil
+	case len(child.Ports) > 0 && len(old.Child.Ports) > 0 && child.Ports[0] == old.Child.Ports[0]:
+		m.Instances = append(m.Instances, &InstanceRef{Name: inst.Name, ChildKey: childKey, Child: child, Conns: old.Conns})
+		return nil
+	}
 
-	ref := &InstanceRef{Name: inst.Name, ChildKey: childKey, Child: child}
-	seen := make(map[string]bool)
+	ref := &InstanceRef{Name: inst.Name, ChildKey: childKey, Child: child,
+		Conns: make([]Conn, 0, len(inst.Conns))}
+	// connected[i] is set once port i of the child has a connection; the
+	// slice is scratch space shared by all instances of one elaboration (a
+	// mesh top makes thousands of connections).
+	if cap(e.connected) < len(child.Ports) {
+		e.connected = make([]bool, len(child.Ports))
+	}
+	connected := e.connected[:len(child.Ports)]
+	for i := range connected {
+		connected[i] = false
+	}
 	for i, c := range inst.Conns {
 		var port *Signal
 		if c.Name == "" {
@@ -370,10 +501,10 @@ func (e *elaborator) addInstance(m *Module, inst *ast.Instance, stack []string, 
 				return fmt.Errorf("instance %s: no port %q on module %s", inst.Name, c.Name, inst.ModName)
 			}
 		}
-		if seen[port.Name] {
+		if connected[port.PortIdx] {
 			return fmt.Errorf("instance %s: port %q connected twice", inst.Name, port.Name)
 		}
-		seen[port.Name] = true
+		connected[port.PortIdx] = true
 		if c.Expr == nil {
 			continue // explicitly unconnected
 		}

@@ -1,9 +1,11 @@
 // Package lexer tokenizes LiveHDL source text.
 //
 // The lexer has two modes. The parser uses the default mode, which skips
-// whitespace and comments. LiveParser uses KeepTrivia mode so it can tell
-// a comment-only edit from a behavioural one (paper Section III-C: "confirm
-// that actual behavior was changed, not just comments or spacing").
+// whitespace and comments; LiveParser fingerprints that same token stream,
+// which is how it tells a comment-only edit from a behavioural one (paper
+// Section III-C: "confirm that actual behavior was changed, not just
+// comments or spacing"). KeepTrivia mode emits the trivia too, for tools
+// that must reproduce the text.
 package lexer
 
 import (
@@ -39,9 +41,12 @@ func New(file, src string, opts ...Option) *Lexer {
 }
 
 // Tokenize scans the entire input and returns all tokens, ending with EOF.
+// The slice is sized from the input up front: the PGAS sources run 3.3 to
+// 5.6 bytes per token, and growing a slice of 64-byte tokens by doubling
+// used to cost more than the scan itself.
 func Tokenize(file, src string, opts ...Option) []token.Token {
 	l := New(file, src, opts...)
-	var toks []token.Token
+	toks := make([]token.Token, 0, len(src)/3+16)
 	for {
 		t := l.Next()
 		toks = append(toks, t)

@@ -33,16 +33,28 @@ type parser struct {
 
 // ParseFile parses a whole (already preprocessed) source file.
 func ParseFile(file, src string) (*ast.SourceFile, error) {
+	sf, _, err := ParseFileTokens(file, src)
+	return sf, err
+}
+
+// ParseFileTokens is ParseFile that also returns, for each module in order,
+// the tokens it was parsed from (`module` through `endmodule`, slices of
+// the file's one token stream), so LiveParser can fingerprint a module
+// without lexing its text again.
+func ParseFileTokens(file, src string) (*ast.SourceFile, [][]token.Token, error) {
 	p := &parser{toks: lexer.Tokenize(file, src)}
 	sf := &ast.SourceFile{Name: file}
+	var spans [][]token.Token
 	for p.cur().Kind != token.EOF {
+		start := p.i
 		m, err := p.parseModule()
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		sf.Modules = append(sf.Modules, m)
+		spans = append(spans, p.toks[start:p.i])
 	}
-	return sf, nil
+	return sf, spans, nil
 }
 
 // ParseModule parses a single module definition from src.

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"livesim/internal/hdl/ast"
+	"livesim/internal/hdl/lexer"
 )
 
 const adderSrc = `
@@ -349,6 +350,32 @@ func TestWireInitSugar(t *testing.T) {
 	d := m.Items[0].(*ast.NetDecl)
 	if d.Init == nil {
 		t.Fatal("init missing")
+	}
+}
+
+// TestModuleTokens: the per-module token slices are exactly what lexing the
+// module's own text gives — `module` through `endmodule`, nothing of the
+// neighbours or of the comments between them.
+func TestModuleTokens(t *testing.T) {
+	src := "// head\nmodule a (input x); /* c */ wire y = x; endmodule\n// between\nmodule b (); endmodule // tail\n"
+	sf, toks, err := ParseFileTokens("f.v", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(toks) != len(sf.Modules) {
+		t.Fatalf("%d token slices for %d modules", len(toks), len(sf.Modules))
+	}
+	for i, m := range sf.Modules {
+		own := lexer.Tokenize("f.v", src[m.Pos.Offset:m.End.Offset])
+		own = own[:len(own)-1] // EOF
+		if len(toks[i]) != len(own) {
+			t.Fatalf("module %s: %d tokens, its text lexes to %d", m.Name, len(toks[i]), len(own))
+		}
+		for j, tok := range toks[i] {
+			if tok.Kind != own[j].Kind || tok.Text != own[j].Text {
+				t.Errorf("module %s token %d: %v, want %v", m.Name, j, tok, own[j])
+			}
+		}
 	}
 }
 

@@ -37,6 +37,18 @@ type Result struct {
 	// DefineLines maps macro names to the lines on which they were
 	// (re)defined or undefined.
 	DefineLines map[string][]int
+	// Includes lists, in the order they were resolved, every path an
+	// active `include asked the Includer for and the text it answered
+	// with (nested includes too). Text is a function of the input, the
+	// seed defines and these answers, so a caller holding a Result can
+	// tell whether it is still current by asking the Includer again.
+	Includes []Include
+}
+
+// Include is one resolved `include.
+type Include struct {
+	Path string
+	Text string
 }
 
 // Includer resolves `include paths to file contents.
@@ -174,6 +186,7 @@ func (p *processor) run(src string, out *strings.Builder, conds []condState) err
 				if err != nil {
 					return fmt.Errorf("%s:%d: `include %q: %w", p.file, srcLine, path, err)
 				}
+				p.res.Includes = append(p.res.Includes, Include{Path: path, Text: body})
 				if err := p.run(body, out, conds); err != nil {
 					return err
 				}
@@ -230,6 +243,9 @@ func (p *processor) emit(out *strings.Builder, line string, deps []string) {
 func (p *processor) expand(line string, srcLine, depth int) (string, []string, error) {
 	if depth > maxExpandDepth {
 		return "", nil, fmt.Errorf("%s:%d: macro expansion too deep (recursive `define?)", p.file, srcLine)
+	}
+	if strings.IndexByte(line, '`') < 0 {
+		return line, nil, nil // nothing to substitute: most lines
 	}
 	var used []string
 	var out strings.Builder

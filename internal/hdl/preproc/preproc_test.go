@@ -2,6 +2,7 @@ package preproc
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -97,15 +98,24 @@ func TestSeededDefines(t *testing.T) {
 
 func TestInclude(t *testing.T) {
 	inc := func(path string) (string, error) {
-		if path == "defs.vh" {
+		switch path {
+		case "defs.vh":
+			return "`include \"width.vh\"", nil
+		case "width.vh":
 			return "`define W 16", nil
 		}
 		return "", fmt.Errorf("not found")
 	}
-	src := "`include \"defs.vh\"\nwire [`W-1:0] x;"
+	src := "`include \"defs.vh\"\nwire [`W-1:0] x;\n`ifdef NOPE\n`include \"skipped.vh\"\n`endif"
 	r := mustProcess(t, src, Options{Include: inc})
 	if !strings.Contains(r.Text, "wire [16-1:0] x;") {
 		t.Errorf("text %q", r.Text)
+	}
+	// Every resolved include is recorded with the text it resolved to,
+	// nested ones too, inactive ones not.
+	want := []Include{{"defs.vh", "`include \"width.vh\""}, {"width.vh", "`define W 16"}}
+	if !reflect.DeepEqual(r.Includes, want) {
+		t.Errorf("includes %q, want %q", r.Includes, want)
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
+	"strconv"
 	"time"
 
 	"livesim/internal/codegen"
@@ -35,6 +35,9 @@ type Stats struct {
 	ParseTime   time.Duration // preprocess + parse + fingerprint
 	ElabTime    time.Duration
 	CompileTime time.Duration
+	FilesParsed int // source files preprocessed and parsed
+	FilesReused int // source files whose kept analysis was still current
+	Elaborated  int // specializations elaborated (the rest were carried over)
 	Compiled    int // specializations actually compiled
 	CacheHits   int // specializations served from cache
 	DiskHits    int // cache hits satisfied from the on-disk object store
@@ -65,8 +68,17 @@ type Compiler struct {
 	top       string
 	overrides map[string]uint64
 
-	prevAnalysis *liveparser.Analysis
-	prevObjects  map[string]*vm.Object
+	// analyzer and elaborator hold what the last builds parsed and
+	// elaborated, keyed by source bytes and by AST identity. They are not
+	// part of BuildState: nothing in them can match a snapshot it was not
+	// made from, so a failed or rolled-back build needs no undoing there.
+	analyzer   liveparser.Analyzer
+	elaborator elab.Elaborator
+
+	// last is the last successful build: the diff baseline, the object
+	// table the swap decision compares against, and what a build without
+	// behavioural change returns again.
+	last BuildState
 
 	// cache maps content keys to compiled objects across builds.
 	cache map[string]*vm.Object
@@ -91,6 +103,7 @@ type Compiler struct {
 type BuildState struct {
 	analysis *liveparser.Analysis
 	objects  map[string]*vm.Object
+	topKey   string
 }
 
 // New creates a compiler for the module named top, using the given
@@ -120,18 +133,13 @@ func (c *Compiler) SetPhaseHook(fn func(phase string) error) { c.phaseHook = fn 
 
 // State captures the last-build identity (diff baseline + object table)
 // for a later Rollback.
-func (c *Compiler) State() BuildState {
-	return BuildState{analysis: c.prevAnalysis, objects: c.prevObjects}
-}
+func (c *Compiler) State() BuildState { return c.last }
 
 // Rollback restores a previously captured build state, so the next Build
 // diffs against the objects actually live in the simulation rather than
 // against a build whose swap failed. The content-addressed object cache
 // is deliberately kept: a corrected retry still reuses compiled objects.
-func (c *Compiler) Rollback(st BuildState) {
-	c.prevAnalysis = st.analysis
-	c.prevObjects = st.objects
-}
+func (c *Compiler) Rollback(st BuildState) { c.last = st }
 
 // ObjectFile returns the on-disk path an object with the given content
 // key would use ("" when no object directory is configured).
@@ -145,12 +153,12 @@ func (c *Compiler) objectFile(contentKey string) string {
 }
 
 // Objects returns the object table of the last successful build.
-func (c *Compiler) Objects() map[string]*vm.Object { return c.prevObjects }
+func (c *Compiler) Objects() map[string]*vm.Object { return c.last.objects }
 
 // Resolver exposes the last build's objects to the simulation kernel.
 func (c *Compiler) Resolver() func(key string) (*vm.Object, error) {
 	return func(key string) (*vm.Object, error) {
-		if o, ok := c.prevObjects[key]; ok {
+		if o, ok := c.last.objects[key]; ok {
 			return o, nil
 		}
 		return nil, fmt.Errorf("no compiled object %q", key)
@@ -166,112 +174,95 @@ func (c *Compiler) Build(src liveparser.Source) (*Result, error) {
 
 // BuildSpan is Build with trace-span context: when parent is non-nil the
 // parse, elab and codegen phases are recorded as child spans, so a traced
-// live loop shows where build time went.
+// live loop shows where build time went. A phase that fails still ends its
+// span, with an error attribute.
+//
+// The work is proportional to what changed: only files whose bytes differ
+// from a kept analysis are parsed, only the specializations from a changed
+// module up to the top are elaborated, and an edit LiveParser finds no
+// behavioural change in (Diff.NoChange) returns the previous objects
+// without elaborating at all.
 func (c *Compiler) BuildSpan(src liveparser.Source, parent *obs.Span) (*Result, error) {
-	res := &Result{Objects: make(map[string]*vm.Object)}
+	res, err := c.build(src, parent)
+	if err == nil {
+		c.observe(&res.Stats)
+	}
+	return res, err
+}
 
-	phase := func(name string) error {
-		if c.phaseHook == nil {
-			return nil
+func (c *Compiler) build(src liveparser.Source, parent *obs.Span) (*Result, error) {
+	res := &Result{}
+	var analysis *liveparser.Analysis
+	var err error
+	res.Stats.ParseTime, err = c.phase(parent, "parse", func(sp *obs.Span) (err error) {
+		if analysis, err = c.analyzer.Analyze(src); err != nil {
+			return err
 		}
-		return c.phaseHook(name)
-	}
-
-	sp := parent.Child("parse")
-	if err := phase("parse"); err != nil {
-		return nil, err
-	}
-	t0 := time.Now()
-	analysis, err := liveparser.Analyze(src)
+		res.Stats.FilesParsed, res.Stats.FilesReused = analysis.FilesParsed, analysis.FilesReused
+		sp.Annotate(obs.U64("files_parsed", uint64(analysis.FilesParsed)),
+			obs.U64("files_reused", uint64(analysis.FilesReused)))
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	res.Stats.ParseTime = time.Since(t0)
-	sp.End()
 
-	if c.prevAnalysis != nil {
-		res.Diff = liveparser.Compare(c.prevAnalysis, analysis)
+	if c.last.analysis != nil {
+		res.Diff = liveparser.Compare(c.last.analysis, analysis)
+		if res.Diff.NoChange() {
+			// Same behavioural tokens in every module: the objects of the
+			// previous build are the objects of this one.
+			res.TopKey, res.Objects = c.last.topKey, c.last.objects
+			res.Stats.CacheHits = len(res.Objects)
+			c.last.analysis = analysis
+			return res, nil
+		}
 	}
 
-	srcs := make(map[string]*ast.Module, len(analysis.Modules))
-	for name, mi := range analysis.Modules {
-		srcs[name] = mi.AST
-	}
-	sp = parent.Child("elab")
-	if err := phase("elab"); err != nil {
-		return nil, err
-	}
-	t1 := time.Now()
-	design, err := elab.Elaborate(srcs, c.top, c.overrides)
+	var design *elab.Design
+	res.Stats.ElabTime, err = c.phase(parent, "elab", func(sp *obs.Span) (err error) {
+		srcs := make(map[string]*ast.Module, len(analysis.Modules))
+		for name, mi := range analysis.Modules {
+			srcs[name] = mi.AST
+		}
+		if design, err = c.elaborator.Elaborate(srcs, c.top, c.overrides); err != nil {
+			return err
+		}
+		res.Stats.Elaborated = design.Elaborated
+		sp.Annotate(obs.U64("elaborated", uint64(design.Elaborated)),
+			obs.U64("specializations", uint64(len(design.Order))))
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	res.Stats.ElabTime = time.Since(t1)
-	sp.End()
 	res.TopKey = design.TopKey
 
-	sp = parent.Child("codegen")
-	if err := phase("codegen"); err != nil {
-		return nil, err
-	}
-	t2 := time.Now()
-	for _, key := range design.Order {
-		em := design.Modules[key]
-		ck := c.contentKey(analysis, em)
-		if obj, ok := c.cache[ck]; ok {
-			res.Objects[key] = obj
-			res.Stats.CacheHits++
-			continue
-		}
-		if file := c.objectFile(ck); file != "" {
-			if data, err := os.ReadFile(file); err == nil {
-				if obj, err := vm.DecodeObject(data); err == nil && obj.Key == em.Key {
-					c.cache[ck] = obj
-					res.Objects[key] = obj
-					res.Stats.CacheHits++
-					res.Stats.DiskHits++
-					continue
-				}
+	res.Objects = make(map[string]*vm.Object, len(design.Order))
+	res.Stats.CompileTime, err = c.phase(parent, "codegen", func(sp *obs.Span) error {
+		for _, key := range design.Order {
+			obj, err := c.object(analysis, design.Modules[key], &res.Stats)
+			if err != nil {
+				return err
 			}
+			res.Objects[key] = obj
 		}
-		obj, err := codegen.Compile(em, codegen.Options{
-			Style:   c.style,
-			SrcPath: analysis.Modules[em.Name].File + "#" + em.Name,
-		})
-		if err != nil {
-			return nil, err
-		}
-		c.cache[ck] = obj
-		res.Objects[key] = obj
-		res.Stats.Compiled++
-		if file := c.objectFile(ck); file != "" {
-			// Best effort: a failed write only loses future reuse.
-			_ = os.WriteFile(file, vm.EncodeObject(obj), 0o644)
-		}
-	}
-	res.Stats.CompileTime = time.Since(t2)
-	sp.Annotate(obs.U64("compiled", uint64(res.Stats.Compiled)),
-		obs.U64("cache_hits", uint64(res.Stats.CacheHits)))
-	sp.End()
-
-	if c.metrics != nil {
-		c.metrics.Counter("compile_builds").Inc()
-		c.metrics.Counter("compile_cache_hits").Add(uint64(res.Stats.CacheHits))
-		c.metrics.Counter("compile_disk_hits").Add(uint64(res.Stats.DiskHits))
-		c.metrics.Counter("compile_compiled").Add(uint64(res.Stats.Compiled))
-		c.metrics.Histogram("compile_parse_seconds", nil).Observe(res.Stats.ParseTime.Seconds())
-		c.metrics.Histogram("compile_elab_seconds", nil).Observe(res.Stats.ElabTime.Seconds())
-		c.metrics.Histogram("compile_codegen_seconds", nil).Observe(res.Stats.CompileTime.Seconds())
+		sp.Annotate(obs.U64("compiled", uint64(res.Stats.Compiled)),
+			obs.U64("cache_hits", uint64(res.Stats.CacheHits)))
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	// Swap decision: hash-compare against the previous build.
 	for key, obj := range res.Objects {
-		prev, had := c.prevObjects[key]
-		if !had || prev.Hash() != obj.Hash() {
+		prev, had := c.last.objects[key]
+		if !had || (prev != obj && prev.Hash() != obj.Hash()) {
 			res.Swapped = append(res.Swapped, key)
 		}
 	}
-	for key := range c.prevObjects {
+	for key := range c.last.objects {
 		if _, still := res.Objects[key]; !still {
 			res.Removed = append(res.Removed, key)
 		}
@@ -279,20 +270,107 @@ func (c *Compiler) BuildSpan(src liveparser.Source, parent *obs.Span) (*Result, 
 	sort.Strings(res.Swapped)
 	sort.Strings(res.Removed)
 
-	c.prevAnalysis = analysis
-	c.prevObjects = res.Objects
+	c.last = BuildState{analysis: analysis, objects: res.Objects, topKey: res.TopKey}
 	return res, nil
+}
+
+// phase runs one build phase under a child span of parent, after asking
+// the phase hook, and returns how long the phase itself took. The span is
+// ended on every path; a failure is recorded on it first.
+func (c *Compiler) phase(parent *obs.Span, name string, run func(sp *obs.Span) error) (time.Duration, error) {
+	sp := parent.Child(name)
+	defer sp.End()
+	var err error
+	if c.phaseHook != nil {
+		err = c.phaseHook(name)
+	}
+	t0 := time.Now()
+	if err == nil {
+		err = run(sp)
+	}
+	if err != nil {
+		sp.Annotate(obs.Str("error", err.Error()))
+	}
+	return time.Since(t0), err
+}
+
+// object returns the compiled object of one specialization: from the
+// in-memory cache, from the object directory, or by compiling it.
+func (c *Compiler) object(a *liveparser.Analysis, em *elab.Module, st *Stats) (*vm.Object, error) {
+	ck := c.contentKey(a, em)
+	if obj, ok := c.cache[ck]; ok {
+		st.CacheHits++
+		return obj, nil
+	}
+	file := c.objectFile(ck)
+	if file != "" {
+		if data, err := os.ReadFile(file); err == nil {
+			if obj, err := vm.DecodeObject(data); err == nil && obj.Key == em.Key {
+				c.cache[ck] = obj
+				st.CacheHits++
+				st.DiskHits++
+				return obj, nil
+			}
+		}
+	}
+	obj, err := codegen.Compile(em, codegen.Options{
+		Style:   c.style,
+		SrcPath: a.Modules[em.Name].File + "#" + em.Name,
+	})
+	if err != nil {
+		return nil, err
+	}
+	c.cache[ck] = obj
+	st.Compiled++
+	if file != "" {
+		// Best effort: a failed write only loses future reuse.
+		_ = os.WriteFile(file, vm.EncodeObject(obj), 0o644)
+	}
+	return obj, nil
+}
+
+// observe feeds one successful build's counts and phase times to the
+// metrics registry.
+func (c *Compiler) observe(st *Stats) {
+	if c.metrics == nil {
+		return
+	}
+	c.metrics.Counter("compile_builds").Inc()
+	c.metrics.Counter("compile_files_parsed").Add(uint64(st.FilesParsed))
+	c.metrics.Counter("compile_files_reused").Add(uint64(st.FilesReused))
+	c.metrics.Counter("compile_elaborated").Add(uint64(st.Elaborated))
+	c.metrics.Counter("compile_cache_hits").Add(uint64(st.CacheHits))
+	c.metrics.Counter("compile_disk_hits").Add(uint64(st.DiskHits))
+	c.metrics.Counter("compile_compiled").Add(uint64(st.Compiled))
+	c.metrics.Histogram("compile_parse_seconds", nil).Observe(st.ParseTime.Seconds())
+	c.metrics.Histogram("compile_elab_seconds", nil).Observe(st.ElabTime.Seconds())
+	c.metrics.Histogram("compile_codegen_seconds", nil).Observe(st.CompileTime.Seconds())
 }
 
 // contentKey fingerprints everything that can influence the compiled
 // object of one specialization — the code generator included, or an object
 // directory filled by an older binary would go on serving its objects.
 func (c *Compiler) contentKey(a *liveparser.Analysis, em *elab.Module) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%s|gen=%d|style=%d|body=%x", em.Key, codegen.Version, c.style, a.Modules[em.Name].BodyHash)
+	// Appended by hand: a mesh top has one child term per instance, and
+	// this is fmt's "%s|gen=%d|style=%d|body=%x" then "|child=%s:%x" each.
+	b := make([]byte, 0, 64+48*len(em.Instances))
+	b = append(b, em.Key...)
+	b = append(b, "|gen="...)
+	b = strconv.AppendInt(b, int64(codegen.Version), 10)
+	b = append(b, "|style="...)
+	b = strconv.AppendInt(b, int64(c.style), 10)
+	b = append(b, "|body="...)
+	b = strconv.AppendUint(b, a.Modules[em.Name].BodyHash, 16)
+	var child string // of the previous term: a mesh repeats one child
+	var iface uint64
 	for _, inst := range em.Instances {
-		childInfo := a.Modules[inst.Child.Name]
-		fmt.Fprintf(&sb, "|child=%s:%x", inst.ChildKey, childInfo.IfaceHash)
+		if name := inst.Child.Name; name != child {
+			child, iface = name, a.Modules[name].IfaceHash
+		}
+		b = append(b, "|child="...)
+		b = append(b, inst.ChildKey...)
+		b = append(b, ':')
+		b = strconv.AppendUint(b, iface, 16)
 	}
-	return sb.String()
+	return string(b)
 }

@@ -290,6 +290,15 @@ func TestObjectCacheKeyedOnCodegenVersion(t *testing.T) {
 			t.Fatal(err)
 		}
 		ck := c.contentKey(a, em)
+		// The key's spelling names the files of an existing object
+		// directory: it is this format, however it is assembled.
+		spelled := fmt.Sprintf("%s|gen=%d|style=%d|body=%x", em.Key, codegen.Version, codegen.StyleGrouped, a.Modules[em.Name].BodyHash)
+		for _, inst := range em.Instances {
+			spelled += fmt.Sprintf("|child=%s:%x", inst.ChildKey, a.Modules[inst.Child.Name].IfaceHash)
+		}
+		if ck != spelled {
+			t.Fatalf("content key %q, want %q", ck, spelled)
+		}
 		if strings.Count(ck, this) != 1 {
 			t.Fatalf("content key %q does not name the generator as %q", ck, this)
 		}

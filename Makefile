@@ -18,8 +18,8 @@ test:
 	$(GO) build ./... && $(GO) test ./...
 
 # The documented pre-merge bar: tier-1 plus the race detector, which
-# exercises the background checkpoint writers, verification workers and
-# the concurrent metrics registry.
+# exercises the verification workers reading checkpoints, the WAL
+# flusher and the concurrent metrics registry.
 race:
 	$(GO) test -race ./...
 
@@ -40,14 +40,15 @@ opmix:
 frontend:
 	$(GO) test -run '^$$' -bench BenchmarkRebuild -benchmem -count=1 ./internal/livecompiler
 
-# Short fuzz runs over the checkpoint and journal decoders and the
-# incremental analyzer (Go allows one -fuzz target per invocation). ~10s
-# each keeps this viable in CI while still churning hundreds of thousands
+# Short fuzz runs over the frame container, the checkpoint, journal,
+# transfer and replication decoders on it, and the incremental analyzer
+# (Go allows one -fuzz target per invocation). ~10s each keeps this viable in CI while still churning hundreds of thousands
 # of corrupted inputs. The analyzer's inputs are whole source files at a
 # millisecond per run: without a cap the fuzzer spends the whole budget
 # minimizing the first one that reaches new coverage.
 FUZZTIME ?= 10s
 fuzz-smoke:
+	$(GO) test -run='^$$' -fuzz=FuzzFrame -fuzztime=$(FUZZTIME) ./internal/frame/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeState -fuzztime=$(FUZZTIME) ./internal/checkpoint/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeFile -fuzztime=$(FUZZTIME) ./internal/checkpoint/
 	$(GO) test -run='^$$' -fuzz=FuzzWALDecode -fuzztime=$(FUZZTIME) ./internal/wal/

@@ -2,10 +2,10 @@
 // (Sections III-B, III-D and Figure 2 of the paper):
 //
 //   - checkpoints are taken at regular cycle intervals during execution;
-//   - creation is kept off the simulation's critical path: the hot path
-//     only performs a stop-the-world state copy (the paper's fork), while
-//     serialization happens on a background goroutine (the paper's child
-//     process that "creates the checkpoint and halts");
+//   - a checkpoint is a stop-the-world copy of the state, as the paper's
+//     forked child that "creates the checkpoint and halts" is its memory:
+//     nothing serializes it until it leaves the process (a checkpoint
+//     file, or Bytes);
 //   - reloading picks the checkpoint closest to 10k cycles before the
 //     point of interest (Section III-D, the distance is tunable);
 //   - garbage collection keeps the latest 100 checkpoints and thins older
@@ -17,13 +17,13 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"livesim/internal/obs"
 	"livesim/internal/sim"
 )
 
-// Checkpoint is one saved simulation state.
+// Checkpoint is one saved simulation state. Its State is never written
+// after Add, so any number of goroutines may read it.
 type Checkpoint struct {
 	ID      int
 	Cycle   uint64
@@ -37,18 +37,10 @@ type Checkpoint struct {
 	// session stores testbench snapshots here so a reload resumes the
 	// whole operation history, not just the RTL state.
 	Aux map[string][]byte
-
-	// encoded is the serialized form, produced asynchronously.
-	encoded []byte
-	ready   chan struct{}
 }
 
-// Bytes returns the serialized checkpoint, blocking until the background
-// writer has finished.
-func (c *Checkpoint) Bytes() []byte {
-	<-c.ready
-	return c.encoded
-}
+// Bytes serializes the checkpoint's state (see DecodeState), on each call.
+func (c *Checkpoint) Bytes() []byte { return encodeState(c.State) }
 
 // Store holds a session's checkpoints and applies the GC policy.
 type Store struct {
@@ -63,19 +55,15 @@ type Store struct {
 
 	cps    []*Checkpoint
 	nextID int
-	wg     sync.WaitGroup
 
 	// Deleted counts checkpoints removed by GC (observability).
 	Deleted int
 
-	// metrics, when set, receives checkpoint_* counters and encode
-	// latency (all on the background writer, never the hot path).
-	// The per-take instruments are resolved once in SetMetrics so Add
-	// never pays a registry lookup; all are nil-safe no-ops when unset.
-	metrics       *obs.Registry
-	cTakes        *obs.Counter
-	cEncodedBytes *obs.Counter
-	hEncode       *obs.Histogram
+	// metrics, when set, receives checkpoint_* counters. cTakes is
+	// resolved once in SetMetrics so Add never pays a registry lookup;
+	// both are nil-safe no-ops when unset.
+	metrics *obs.Registry
+	cTakes  *obs.Counter
 }
 
 // NewStore returns a store with the paper's defaults.
@@ -84,57 +72,40 @@ func NewStore() *Store {
 }
 
 // SetMetrics points the store at a metrics registry (nil = off):
-// checkpoint_takes, checkpoint_encoded_bytes, checkpoint_gc_deleted and
-// the checkpoint_encode_seconds histogram.
+// checkpoint_takes and checkpoint_gc_deleted.
 func (s *Store) SetMetrics(reg *obs.Registry) {
 	s.mu.Lock()
 	s.metrics = reg
 	s.cTakes = reg.Counter("checkpoint_takes")
-	s.cEncodedBytes = reg.Counter("checkpoint_encoded_bytes")
-	s.hEncode = reg.Histogram("checkpoint_encode_seconds", nil)
 	s.mu.Unlock()
 }
 
-// Add captures st as a new checkpoint. The call does only cheap work; the
-// serialization runs on a background goroutine. The returned checkpoint is
-// immediately usable for Restore (its State is live).
+// Add records st, which the caller hands over and must not write again,
+// as a new checkpoint and applies the GC policy.
 func (s *Store) Add(st *sim.State, version string, historyPos int) *Checkpoint {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	cp := &Checkpoint{
 		ID:         s.nextID,
 		Cycle:      st.Cycle,
 		Version:    version,
 		HistoryPos: historyPos,
 		State:      st,
-		ready:      make(chan struct{}),
 	}
 	s.nextID++
 	s.cps = append(s.cps, cp)
 	s.gcLocked()
-	cTakes, cBytes, hEncode := s.cTakes, s.cEncodedBytes, s.hEncode
-	s.mu.Unlock()
-
-	cTakes.Inc()
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		t0 := time.Now()
-		cp.encoded = encodeState(st)
-		close(cp.ready)
-		hEncode.Observe(time.Since(t0).Seconds())
-		cBytes.Add(uint64(len(cp.encoded)))
-	}()
+	s.cTakes.Inc()
 	return cp
 }
 
-// Wait blocks until all background serializations have finished.
-func (s *Store) Wait() { s.wg.Wait() }
+// Wait returns at once: a checkpoint is complete when Add returns, so
+// there is nothing to wait for.
+func (s *Store) Wait() {}
 
 // ApproxBytes estimates the store's in-memory footprint: every live
-// checkpoint's state copy plus its encoded blob (when the background
-// serialization has landed — the estimate never blocks on it) plus Aux
-// side state. Feeds the governance plane's per-session memory gauges;
-// an estimate that lags one encode is fine for ranking and alarming.
+// checkpoint's state copy plus its Aux side state. Feeds the governance
+// plane's per-session memory gauges.
 func (s *Store) ApproxBytes() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -142,11 +113,6 @@ func (s *Store) ApproxBytes() uint64 {
 	for _, cp := range s.cps {
 		if cp.State != nil {
 			n += uint64(cp.State.Bytes())
-		}
-		select {
-		case <-cp.ready:
-			n += uint64(len(cp.encoded))
-		default:
 		}
 		for _, aux := range cp.Aux {
 			n += uint64(len(aux))
@@ -365,156 +331,136 @@ func (s *Store) gcLocked() {
 	}
 }
 
-// encodeState serializes a state deterministically. This is the work the
-// paper's forked child performs off the critical path.
+// encodeState serializes a state deterministically: cycle, finished flag
+// and node count, then per node its path, object key, slots and memories,
+// every string and run counted, all u64 LE.
 func encodeState(st *sim.State) []byte {
-	size := 16
+	return appendState(make([]byte, 0, stateSize(st)), st)
+}
+
+// stateSize is the length of encodeState(st).
+func stateSize(st *sim.State) int {
+	size := 24
 	for i := range st.Nodes {
 		n := &st.Nodes[i]
-		size += 8 + len(n.Path) + len(n.ObjKey) + 8 + 8*len(n.Slots) + 8
+		size += 32 + len(n.Path) + len(n.ObjKey) + 8*len(n.Slots)
 		for _, m := range n.Mems {
 			size += 8 + 8*len(m)
 		}
 	}
-	buf := make([]byte, 0, size)
-	var tmp [8]byte
-	put := func(v uint64) {
-		binary.LittleEndian.PutUint64(tmp[:], v)
-		buf = append(buf, tmp[:]...)
-	}
-	putStr := func(s string) {
-		put(uint64(len(s)))
-		buf = append(buf, s...)
-	}
-	put(st.Cycle)
-	if st.Finished {
-		put(1)
-	} else {
-		put(0)
-	}
-	put(uint64(len(st.Nodes)))
-	for i := range st.Nodes {
-		n := &st.Nodes[i]
-		putStr(n.Path)
-		putStr(n.ObjKey)
-		put(uint64(len(n.Slots)))
-		for _, v := range n.Slots {
-			put(v)
-		}
-		put(uint64(len(n.Mems)))
-		for _, m := range n.Mems {
-			put(uint64(len(m)))
-			for _, v := range m {
-				put(v)
-			}
-		}
-	}
-	return buf
+	return size
 }
 
-// DecodeState parses the serialized form produced by the background
-// writer.
-func DecodeState(buf []byte) (*sim.State, error) {
-	off := 0
-	need := func(n int) error {
-		if off+n > len(buf) {
-			return fmt.Errorf("checkpoint truncated at offset %d", off)
-		}
-		return nil
+func appendState(b []byte, st *sim.State) []byte {
+	finished := uint64(0)
+	if st.Finished {
+		finished = 1
 	}
-	get := func() (uint64, error) {
-		if err := need(8); err != nil {
-			return 0, err
-		}
-		v := binary.LittleEndian.Uint64(buf[off:])
-		off += 8
-		return v, nil
-	}
-	getStr := func() (string, error) {
-		n, err := get()
-		if err != nil {
-			return "", err
-		}
-		// Hard bound against the buffer, not int(n): a corrupt 64-bit
-		// length must not overflow int or drive a huge allocation.
-		if n > uint64(len(buf)-off) {
-			return "", fmt.Errorf("checkpoint corrupt: %d-byte string at offset %d exceeds buffer", n, off)
-		}
-		s := string(buf[off : off+int(n)])
-		off += int(n)
-		return s, nil
-	}
-
-	st := &sim.State{}
-	cyc, err := get()
-	if err != nil {
-		return nil, err
-	}
-	st.Cycle = cyc
-	fin, err := get()
-	if err != nil {
-		return nil, err
-	}
-	st.Finished = fin != 0
-	nNodes, err := get()
-	if err != nil {
-		return nil, err
-	}
-	// Every node costs at least four 8-byte length fields, so a count
-	// beyond remaining/32 cannot be satisfied by the buffer — reject it
-	// before allocating.
-	if nNodes > uint64(len(buf)-off)/32 {
-		return nil, fmt.Errorf("checkpoint corrupt: %d nodes in %d remaining bytes", nNodes, len(buf)-off)
-	}
-	st.Nodes = make([]sim.NodeState, nNodes)
+	b = binary.LittleEndian.AppendUint64(b, st.Cycle)
+	b = binary.LittleEndian.AppendUint64(b, finished)
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(st.Nodes)))
 	for i := range st.Nodes {
 		n := &st.Nodes[i]
-		if n.Path, err = getStr(); err != nil {
-			return nil, err
-		}
-		if n.ObjKey, err = getStr(); err != nil {
-			return nil, err
-		}
-		nSlots, err := get()
-		if err != nil {
-			return nil, err
-		}
-		if nSlots > uint64(len(buf)-off)/8 {
-			return nil, fmt.Errorf("checkpoint corrupt: %d slots in %d remaining bytes", nSlots, len(buf)-off)
-		}
-		if nSlots > 0 {
-			n.Slots = make([]uint64, nSlots)
-			for j := range n.Slots {
-				n.Slots[j] = binary.LittleEndian.Uint64(buf[off:])
-				off += 8
-			}
-		}
-		nMems, err := get()
-		if err != nil {
-			return nil, err
-		}
-		// Each memory costs at least its 8-byte depth field.
-		if nMems > uint64(len(buf)-off)/8 {
-			return nil, fmt.Errorf("checkpoint corrupt: %d memories in %d remaining bytes", nMems, len(buf)-off)
-		}
-		if nMems > 0 {
-			n.Mems = make([][]uint64, nMems)
-		}
-		for mi := 0; mi < int(nMems); mi++ {
-			depth, err := get()
-			if err != nil {
-				return nil, err
-			}
-			if depth > uint64(len(buf)-off)/8 {
-				return nil, fmt.Errorf("checkpoint corrupt: memory depth %d in %d remaining bytes", depth, len(buf)-off)
-			}
-			m := make([]uint64, depth)
-			for j := range m {
-				m[j] = binary.LittleEndian.Uint64(buf[off:])
-				off += 8
-			}
-			n.Mems[mi] = m
+		b = appendString(b, n.Path)
+		b = appendString(b, n.ObjKey)
+		b = appendWords(b, n.Slots)
+		b = binary.LittleEndian.AppendUint64(b, uint64(len(n.Mems)))
+		for _, m := range n.Mems {
+			b = appendWords(b, m)
 		}
 	}
+	return b
+}
+
+func appendString(b []byte, s string) []byte {
+	return append(binary.LittleEndian.AppendUint64(b, uint64(len(s))), s...)
+}
+
+func appendWords(b []byte, w []uint64) []byte {
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(w)))
+	for _, v := range w {
+		b = binary.LittleEndian.AppendUint64(b, v)
+	}
+	return b
+}
+
+// DecodeState parses what Bytes produces. It never panics, and allocates
+// nothing the length of buf cannot justify.
+func DecodeState(buf []byte) (*sim.State, error) {
+	r := &reader{buf: buf}
+	st := &sim.State{Cycle: r.u64(), Finished: r.u64() != 0}
+	// A node is at least its four 8-byte counts.
+	st.Nodes = make([]sim.NodeState, r.count(32, "nodes"))
+	for i := range st.Nodes {
+		n := &st.Nodes[i]
+		n.Path, n.ObjKey = string(r.bytes()), string(r.bytes())
+		n.Slots = r.words()
+		if nm := r.count(8, "memories"); nm > 0 {
+			n.Mems = make([][]uint64, nm)
+			for j := range n.Mems {
+				n.Mems[j] = r.words()
+			}
+		}
+	}
+	if r.err != nil {
+		return nil, r.err
+	}
 	return st, nil
+}
+
+// reader reads a checkpoint payload: u64 LE values, and counted runs
+// bounded by the bytes that remain. The first failure sticks; every read
+// after it returns a zero value.
+type reader struct {
+	buf []byte
+	off int
+	err error
+}
+
+func (r *reader) u64() uint64 {
+	if r.err == nil && len(r.buf)-r.off < 8 {
+		r.err = fmt.Errorf("checkpoint truncated at offset %d", r.off)
+	}
+	if r.err != nil {
+		return 0
+	}
+	v := binary.LittleEndian.Uint64(r.buf[r.off:])
+	r.off += 8
+	return v
+}
+
+// count reads the count of a run of items of at least size bytes each,
+// refusing one the remaining bytes cannot hold before anything is
+// allocated from it.
+func (r *reader) count(size int, what string) int {
+	n := r.u64()
+	if rem := uint64(len(r.buf) - r.off); n > rem/uint64(size) {
+		if r.err == nil {
+			r.err = fmt.Errorf("checkpoint corrupt: %d %s in %d remaining bytes", n, what, rem)
+		}
+		return 0
+	}
+	return int(n)
+}
+
+func (r *reader) bytes() []byte {
+	n := r.count(1, "bytes of string")
+	b := r.buf[r.off : r.off+n]
+	r.off += n
+	return b
+}
+
+// words reads a counted run of u64s; an empty run is nil.
+func (r *reader) words() []uint64 {
+	n := r.count(8, "words")
+	if n == 0 {
+		return nil
+	}
+	w := make([]uint64, n)
+	b := r.buf[r.off : r.off+8*n]
+	for i := range w {
+		w[i] = binary.LittleEndian.Uint64(b[8*i:])
+	}
+	r.off += 8 * n
+	return w
 }

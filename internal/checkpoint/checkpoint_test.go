@@ -1,7 +1,10 @@
 package checkpoint
 
 import (
+	"bytes"
 	"reflect"
+	"runtime"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -51,15 +54,82 @@ func TestSelectEmpty(t *testing.T) {
 	}
 }
 
+// TestEncodedRoundTrip: Bytes is deterministic and round-trips through
+// DecodeState.
 func TestEncodedRoundTrip(t *testing.T) {
 	s := NewStore()
 	cp := s.Add(mkState(42), "v1", 3)
-	got, err := DecodeState(cp.Bytes())
+	enc := cp.Bytes()
+	if !bytes.Equal(enc, cp.Bytes()) || len(enc) != stateSize(cp.State) {
+		t.Error("Bytes is not deterministic or not stateSize long")
+	}
+	got, err := DecodeState(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, cp.State) {
 		t.Errorf("round trip mismatch:\n got %+v\nwant %+v", got, cp.State)
+	}
+}
+
+// TestAddStartsNoGoroutine: a checkpoint is its state; taking one
+// serializes nothing, in the background or otherwise.
+func TestAddStartsNoGoroutine(t *testing.T) {
+	s := NewStore()
+	// Goroutines of earlier tests may still be exiting: the count must
+	// not rise, it may fall.
+	before := runtime.NumGoroutine()
+	for c := uint64(0); c < 200; c++ {
+		s.Add(mkState(c), "v1", int(c))
+		if n := runtime.NumGoroutine(); n > before {
+			t.Fatalf("after add %d: %d goroutines, %d before", c, n, before)
+		}
+	}
+}
+
+// TestApproxBytesCountsEachStateOnce: the estimate is the state copies
+// plus the Aux side state, exactly.
+func TestApproxBytesCountsEachStateOnce(t *testing.T) {
+	s := NewStore()
+	want := 0
+	for c := uint64(0); c < 30; c++ {
+		cp := s.Add(mkState(c), "v1", 0)
+		cp.Aux = map[string][]byte{"tb0": make([]byte, c)}
+		want += cp.State.Bytes() + int(c)
+	}
+	if got := s.ApproxBytes(); got != uint64(want) {
+		t.Errorf("ApproxBytes %d, want %d", got, want)
+	}
+}
+
+// TestConcurrentUse: Add, Select, Before and Bytes from several goroutines
+// at once (run under -race).
+func TestConcurrentUse(t *testing.T) {
+	s := NewStore()
+	s.MaxTotal, s.KeepLatest = 20, 5
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				c := uint64(g*1000 + i)
+				s.Add(mkState(c), "v1", i)
+				if cp := s.Select(c, 10); cp != nil {
+					if _, err := DecodeState(cp.Bytes()); err != nil {
+						t.Error(err)
+					}
+				}
+				for _, cp := range s.Before(c) {
+					cp.Bytes()
+				}
+				s.ApproxBytes()
+			}
+		}(g)
+	}
+	wg.Wait()
+	if s.Len() != 20 {
+		t.Errorf("len %d", s.Len())
 	}
 }
 

@@ -3,258 +3,110 @@ package checkpoint
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
-	"path/filepath"
 	"sort"
 
+	"livesim/internal/frame"
 	"livesim/internal/sim"
 )
 
-// On-disk checkpoint container (format version 1):
-//
-//	offset 0  : magic "LSCP"
-//	offset 4  : format version (u32 LE)
-//	offset 8  : CRC32 (IEEE) of the payload (u32 LE)
-//	offset 12 : payload length (u64 LE)
-//	offset 20 : payload
-//
-// and the payload is:
+// A checkpoint file (format version 2) is a frame header and one frame
+// record whose payload is
 //
 //	design version string | history position (u64) |
 //	aux count (u64) | { handle string | blob } ... (handles sorted) |
 //	state blob length (u64) | encodeState blob
 //
-// where strings and blobs are length-prefixed (u64 LE). Files written by
-// older releases are raw encodeState output with no header; DecodeFile
-// accepts them through a legacy path that cannot carry the design
-// version, history position or testbench snapshots.
-
-// FileMagic identifies a versioned checkpoint file.
-const FileMagic = "LSCP"
-
-// FileFormatVersion is the current container version.
-const FileFormatVersion = 1
-
-const fileHeaderLen = 4 + 4 + 4 + 8
+// where strings and blobs are length-prefixed (u64 LE). Version 1 files
+// (every state and drain dir written before version 2) carry the same
+// payload behind the same CRC, with a u64 length; they stay readable.
+var fileFormat = frame.Header{Magic: "LSCP", Min: 1, Max: 2}
 
 // FileCheckpoint is the decoded content of a checkpoint file.
 type FileCheckpoint struct {
-	// FormatVersion is the container version (0 for legacy headerless
-	// files, which carry only the state).
+	// FormatVersion is the container version the file was written in.
 	FormatVersion uint32
-	// Version is the design version the state was captured under ("" in
-	// legacy files).
+	// Version is the design version the state was captured under.
 	Version string
-	// HistoryPos is the session-history position at capture (-1 when the
-	// file predates the versioned format and does not carry it).
+	// HistoryPos is the session-history position at capture.
 	HistoryPos int
 	// State is the simulation state.
 	State *sim.State
-	// Aux carries the testbench snapshots captured with the state (nil in
-	// legacy files).
+	// Aux carries the testbench snapshots captured with the state.
 	Aux map[string][]byte
 }
 
-// EncodeFile serializes a checkpoint into the versioned container. It
-// blocks until the background state serialization has finished.
+// EncodeFile serializes a checkpoint into the current file format.
 func EncodeFile(cp *Checkpoint) []byte {
-	state := cp.Bytes()
 	handles := make([]string, 0, len(cp.Aux))
-	payloadLen := 8 + len(cp.Version) + 8 + 8
-	for h := range cp.Aux {
+	stateLen := stateSize(cp.State)
+	size := 8 + len(cp.Version) + 8 + 8 + 8 + stateLen
+	for h, blob := range cp.Aux {
 		handles = append(handles, h)
-		payloadLen += 8 + len(h) + 8 + len(cp.Aux[h])
+		size += 8 + len(h) + 8 + len(blob)
 	}
 	sort.Strings(handles)
-	payloadLen += 8 + len(state)
 
-	buf := make([]byte, 0, fileHeaderLen+payloadLen)
-	buf = append(buf, FileMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, FileFormatVersion)
-	buf = binary.LittleEndian.AppendUint32(buf, 0) // CRC placeholder
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(payloadLen))
-
-	put := func(v uint64) { buf = binary.LittleEndian.AppendUint64(buf, v) }
-	putBytes := func(b []byte) {
-		put(uint64(len(b)))
-		buf = append(buf, b...)
-	}
-	putBytes([]byte(cp.Version))
-	put(uint64(cp.HistoryPos))
-	put(uint64(len(handles)))
+	p := make([]byte, 0, size)
+	p = appendString(p, cp.Version)
+	p = binary.LittleEndian.AppendUint64(p, uint64(cp.HistoryPos))
+	p = binary.LittleEndian.AppendUint64(p, uint64(len(handles)))
 	for _, h := range handles {
-		putBytes([]byte(h))
-		putBytes(cp.Aux[h])
+		p = appendString(p, h)
+		p = append(binary.LittleEndian.AppendUint64(p, uint64(len(cp.Aux[h]))), cp.Aux[h]...)
 	}
-	putBytes(state)
-
-	crc := crc32.ChecksumIEEE(buf[fileHeaderLen:])
-	binary.LittleEndian.PutUint32(buf[8:], crc)
-	return buf
+	p = binary.LittleEndian.AppendUint64(p, uint64(stateLen))
+	p = appendState(p, cp.State)
+	return frame.AppendRecord(fileFormat.Append(make([]byte, 0, frame.HeaderLen+frame.RecordHeaderLen+len(p))), p)
 }
 
-// DecodeFile parses a checkpoint file: the versioned container when the
-// magic is present (rejecting unknown future versions and CRC
-// mismatches), or the legacy headerless state blob otherwise.
+// DecodeFile parses a checkpoint file, rejecting unsupported versions,
+// CRC mismatches and anything but exactly one record after the header.
 func DecodeFile(data []byte) (*FileCheckpoint, error) {
-	if len(data) < 4 || string(data[:4]) != FileMagic {
-		// Legacy path: a raw state blob from before the versioned format.
-		st, err := DecodeState(data)
-		if err != nil {
-			return nil, fmt.Errorf("not a checkpoint file (no %s header, and not a legacy state blob): %w", FileMagic, err)
+	ver, body, err := fileFormat.Read(data)
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint file: %w", err)
+	}
+	if ver == 1 {
+		// Version 1 stored the payload length as a u64: the same record
+		// with the length's four high (zero) bytes after its low half.
+		if len(body) < 12 || binary.LittleEndian.Uint32(body[8:]) != 0 {
+			return nil, fmt.Errorf("checkpoint file corrupt: no version 1 length")
 		}
-		return &FileCheckpoint{FormatVersion: 0, HistoryPos: -1, State: st}, nil
+		body = append(body[:8:8], body[12:]...)
 	}
-	if len(data) < fileHeaderLen {
-		return nil, fmt.Errorf("checkpoint file truncated: %d bytes < %d-byte header", len(data), fileHeaderLen)
+	payload, n, err := frame.ReadRecord(body, len(body))
+	if err == nil && n != len(body) {
+		err = fmt.Errorf("%d bytes after the record", len(body)-n)
 	}
-	ver := binary.LittleEndian.Uint32(data[4:])
-	if ver == 0 || ver > FileFormatVersion {
-		return nil, fmt.Errorf("checkpoint file format version %d not supported (this build reads 1..%d)", ver, FileFormatVersion)
-	}
-	wantCRC := binary.LittleEndian.Uint32(data[8:])
-	plen := binary.LittleEndian.Uint64(data[12:])
-	if plen != uint64(len(data)-fileHeaderLen) {
-		return nil, fmt.Errorf("checkpoint file corrupt: payload length %d, file carries %d", plen, len(data)-fileHeaderLen)
-	}
-	payload := data[fileHeaderLen:]
-	if got := crc32.ChecksumIEEE(payload); got != wantCRC {
-		return nil, fmt.Errorf("checkpoint file corrupt: CRC mismatch (file %#x, computed %#x)", wantCRC, got)
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint file corrupt: %w", err)
 	}
 
-	off := 0
-	get := func() (uint64, error) {
-		if off+8 > len(payload) {
-			return 0, fmt.Errorf("checkpoint payload truncated at offset %d", off)
-		}
-		v := binary.LittleEndian.Uint64(payload[off:])
-		off += 8
-		return v, nil
-	}
-	getBytes := func() ([]byte, error) {
-		n, err := get()
-		if err != nil {
-			return nil, err
-		}
-		if n > uint64(len(payload)-off) {
-			return nil, fmt.Errorf("checkpoint payload corrupt: %d-byte field at offset %d exceeds payload", n, off)
-		}
-		b := payload[off : off+int(n)]
-		off += int(n)
-		return b, nil
-	}
-
-	fc := &FileCheckpoint{FormatVersion: ver}
-	verStr, err := getBytes()
-	if err != nil {
-		return nil, err
-	}
-	fc.Version = string(verStr)
-	hpos, err := get()
-	if err != nil {
-		return nil, err
-	}
-	fc.HistoryPos = int(hpos)
-	nAux, err := get()
-	if err != nil {
-		return nil, err
-	}
-	// Each aux entry needs at least two length prefixes.
-	if nAux > uint64(len(payload)-off)/16 {
-		return nil, fmt.Errorf("checkpoint payload corrupt: %d aux entries in %d bytes", nAux, len(payload)-off)
-	}
-	if nAux > 0 {
+	r := &reader{buf: payload}
+	fc := &FileCheckpoint{FormatVersion: ver, Version: string(r.bytes()), HistoryPos: int(r.u64())}
+	// An aux entry is at least its two length prefixes.
+	if nAux := r.count(16, "aux entries"); nAux > 0 {
 		fc.Aux = make(map[string][]byte, nAux)
-	}
-	for i := uint64(0); i < nAux; i++ {
-		h, err := getBytes()
-		if err != nil {
-			return nil, err
+		for i := 0; i < nAux; i++ {
+			h := string(r.bytes())
+			fc.Aux[h] = append([]byte(nil), r.bytes()...)
 		}
-		blob, err := getBytes()
-		if err != nil {
-			return nil, err
-		}
-		fc.Aux[string(h)] = append([]byte(nil), blob...)
 	}
-	stateBlob, err := getBytes()
-	if err != nil {
+	stateBlob := r.bytes()
+	if r.err != nil {
+		return nil, r.err
+	}
+	if fc.State, err = DecodeState(stateBlob); err != nil {
 		return nil, err
 	}
-	st, err := DecodeState(stateBlob)
-	if err != nil {
-		return nil, err
-	}
-	fc.State = st
 	return fc, nil
 }
 
-// BackupPath returns the path of the one-deep backup kept beside a
-// checkpoint file.
-func BackupPath(path string) string { return path + ".bak" }
-
-// WriteFileAtomic writes data to path so that a crash at any point leaves
-// either the previous file, the previous file under BackupPath(path), or
-// the complete new file — never a torn mix. The protocol is: write and
-// fsync a temp file in the same directory, move any existing file to the
-// .bak slot, rename the temp into place, and fsync the directory. hook,
-// when non-nil, is consulted between stages ("after-temp", "after-backup")
-// so fault-injection tests can simulate a crash mid-protocol; a hook
-// error aborts the write at that point exactly as a crash would.
-func WriteFileAtomic(path string, data []byte, hook func(stage string) error) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	if hook != nil {
-		if err := hook("after-temp"); err != nil {
-			return err
-		}
-	}
-	if _, err := os.Stat(path); err == nil {
-		if err := os.Rename(path, BackupPath(path)); err != nil {
-			os.Remove(tmpName)
-			return err
-		}
-	}
-	if hook != nil {
-		if err := hook("after-backup"); err != nil {
-			return err
-		}
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	// Best effort: persist the renames. A failure here only weakens
-	// durability against power loss, not atomicity.
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
-	return nil
-}
-
 // LoadFile reads and decodes a checkpoint file. When the primary file is
-// missing or corrupt and a .bak sibling decodes cleanly, the backup is
-// returned with fromBackup=true; otherwise the primary error is returned.
+// missing or corrupt and its frame.BackupPath sibling decodes cleanly, the
+// backup is returned with fromBackup=true; otherwise the primary error is
+// returned.
 func LoadFile(path string) (fc *FileCheckpoint, fromBackup bool, err error) {
 	data, rerr := os.ReadFile(path)
 	if rerr == nil {
@@ -264,7 +116,7 @@ func LoadFile(path string) (fc *FileCheckpoint, fromBackup bool, err error) {
 			rerr = derr
 		}
 	}
-	bdata, berr := os.ReadFile(BackupPath(path))
+	bdata, berr := os.ReadFile(frame.BackupPath(path))
 	if berr == nil {
 		if fc, derr := DecodeFile(bdata); derr == nil {
 			return fc, true, nil

@@ -4,12 +4,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+
+	"livesim/internal/frame"
 )
 
 func mkFileCheckpoint(cycle uint64) *Checkpoint {
@@ -30,7 +31,7 @@ func TestFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fc.FormatVersion != FileFormatVersion {
+	if fc.FormatVersion != fileFormat.Max {
 		t.Errorf("format version %d", fc.FormatVersion)
 	}
 	if fc.Version != "v3" || fc.HistoryPos != 7 {
@@ -54,26 +55,38 @@ func TestFileEncodeDeterministic(t *testing.T) {
 	}
 }
 
-// TestFileLegacyCompat: a raw pre-versioned state blob still decodes,
-// carrying state only.
-func TestFileLegacyCompat(t *testing.T) {
-	s := NewStore()
-	cp := s.Add(mkState(11), "v0", 0)
-	fc, err := DecodeFile(cp.Bytes())
+// TestFileV1Readable: a version 1 file (testdata/v1.lscp, written by the
+// last build that wrote version 1 from mkFileCheckpoint(42)) decodes to
+// what the current encoding of the same checkpoint decodes to.
+func TestFileV1Readable(t *testing.T) {
+	v1, err := DecodeFile(mustRead(t, filepath.Join("testdata", "v1.lscp")))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fc.FormatVersion != 0 || fc.HistoryPos != -1 || fc.Aux != nil {
-		t.Errorf("legacy decode %+v", fc)
+	cur, err := DecodeFile(EncodeFile(mkFileCheckpoint(42)))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(fc.State, cp.State) {
-		t.Error("legacy state mismatch")
+	if v1.FormatVersion != 1 || cur.FormatVersion != 2 {
+		t.Errorf("format versions %d and %d, want 1 and 2", v1.FormatVersion, cur.FormatVersion)
+	}
+	v1.FormatVersion = cur.FormatVersion
+	if !reflect.DeepEqual(v1, cur) {
+		t.Errorf("version 1 file decodes to\n%+v\nwant\n%+v", v1, cur)
+	}
+}
+
+// TestFileRejectsHeaderlessState: a bare state blob is not a checkpoint
+// file.
+func TestFileRejectsHeaderlessState(t *testing.T) {
+	if _, err := DecodeFile(mkFileCheckpoint(11).Bytes()); err == nil || !strings.Contains(err.Error(), "not a LSCP file") {
+		t.Fatalf("headerless state blob: %v", err)
 	}
 }
 
 // TestFileRejectsCorruption: flipping any single byte of a valid file
-// must produce an error (CRC, header or legacy-parse), never a panic or
-// a silently wrong decode.
+// must produce an error (header, length or CRC), never a panic or a
+// silently wrong decode.
 func TestFileRejectsCorruption(t *testing.T) {
 	orig := EncodeFile(mkFileCheckpoint(13))
 	for off := 0; off < len(orig); off++ {
@@ -81,9 +94,6 @@ func TestFileRejectsCorruption(t *testing.T) {
 		data[off] ^= 0xff
 		fc, err := DecodeFile(data)
 		if err == nil {
-			// The only acceptable clean decode is a flip inside the CRC
-			// field itself being... no: a CRC-field flip mismatches the
-			// payload checksum. Every flip must error.
 			t.Fatalf("byte %d: corruption not detected (decoded %+v)", off, fc)
 		}
 	}
@@ -91,7 +101,8 @@ func TestFileRejectsCorruption(t *testing.T) {
 
 func TestFileRejectsTruncation(t *testing.T) {
 	orig := EncodeFile(mkFileCheckpoint(21))
-	for _, n := range []int{0, 1, 3, 4, 11, fileHeaderLen - 1, fileHeaderLen, fileHeaderLen + 5, len(orig) / 2, len(orig) - 1} {
+	hdr := frame.HeaderLen + frame.RecordHeaderLen
+	for _, n := range []int{0, 1, 3, 4, 11, hdr - 1, hdr, hdr + 5, len(orig) / 2, len(orig) - 1} {
 		if n >= len(orig) {
 			continue
 		}
@@ -103,12 +114,12 @@ func TestFileRejectsTruncation(t *testing.T) {
 
 func TestFileRejectsFutureVersion(t *testing.T) {
 	data := EncodeFile(mkFileCheckpoint(5))
-	binary.LittleEndian.PutUint32(data[4:], FileFormatVersion+1)
+	binary.LittleEndian.PutUint32(data[4:], fileFormat.Max+1)
 	_, err := DecodeFile(data)
 	if err == nil || !strings.Contains(err.Error(), "not supported") {
 		t.Fatalf("future version not rejected: %v", err)
 	}
-	if !strings.Contains(err.Error(), fmt.Sprintf("1..%d", FileFormatVersion)) {
+	if !strings.Contains(err.Error(), fmt.Sprintf("1..%d", fileFormat.Max)) {
 		t.Errorf("error should name the supported range: %v", err)
 	}
 }
@@ -117,15 +128,15 @@ func TestFileRejectsFutureVersion(t *testing.T) {
 // check before any allocation sized from it.
 func TestFileBoundedAux(t *testing.T) {
 	cp := mkFileCheckpoint(5)
-	data := EncodeFile(cp)
-	// Locate the aux-count field: version-string len+bytes, historyPos,
-	// then the count.
-	off := fileHeaderLen + 8 + len(cp.Version) + 8
-	binary.LittleEndian.PutUint64(data[off:], 1<<60)
-	// Fix the CRC so the bounds check (not the checksum) is what trips.
-	crc := crc32.ChecksumIEEE(data[fileHeaderLen:])
-	binary.LittleEndian.PutUint32(data[8:], crc)
-	_, err := DecodeFile(data)
+	_, payload, err := fileFormat.Read(EncodeFile(cp))
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload = append([]byte(nil), payload[frame.RecordHeaderLen:]...)
+	// The aux count follows the version string and the history position.
+	binary.LittleEndian.PutUint64(payload[8+len(cp.Version)+8:], 1<<60)
+	// Re-frame it so the bounds check, not the checksum, is what trips.
+	_, err = DecodeFile(frame.AppendRecord(fileFormat.Append(nil), payload))
 	if err == nil || !strings.Contains(err.Error(), "aux entries") {
 		t.Fatalf("oversized aux count not rejected: %v", err)
 	}
@@ -135,7 +146,7 @@ func TestWriteFileAtomicBasics(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "cp.lscp")
 	d1 := EncodeFile(mkFileCheckpoint(1))
-	if err := WriteFileAtomic(path, d1, nil); err != nil {
+	if err := frame.WriteFileAtomic(path, d1, nil); err != nil {
 		t.Fatal(err)
 	}
 	fc, fromBackup, err := LoadFile(path)
@@ -144,10 +155,10 @@ func TestWriteFileAtomicBasics(t *testing.T) {
 	}
 	// Second write keeps a one-deep backup of the first.
 	d2 := EncodeFile(mkFileCheckpoint(2))
-	if err := WriteFileAtomic(path, d2, nil); err != nil {
+	if err := frame.WriteFileAtomic(path, d2, nil); err != nil {
 		t.Fatal(err)
 	}
-	bfc, err2 := DecodeFile(mustRead(t, BackupPath(path)))
+	bfc, err2 := DecodeFile(mustRead(t, frame.BackupPath(path)))
 	if err2 != nil || bfc.State.Cycle != 1 {
 		t.Fatalf("backup: %v %+v", err2, bfc)
 	}
@@ -165,11 +176,11 @@ func TestWriteFileAtomicCrash(t *testing.T) {
 		t.Run(stage, func(t *testing.T) {
 			dir := t.TempDir()
 			path := filepath.Join(dir, "cp.lscp")
-			if err := WriteFileAtomic(path, EncodeFile(mkFileCheckpoint(1)), nil); err != nil {
+			if err := frame.WriteFileAtomic(path, EncodeFile(mkFileCheckpoint(1)), nil); err != nil {
 				t.Fatal(err)
 			}
 			crash := errors.New("simulated crash")
-			err := WriteFileAtomic(path, EncodeFile(mkFileCheckpoint(2)), func(s string) error {
+			err := frame.WriteFileAtomic(path, EncodeFile(mkFileCheckpoint(2)), func(s string) error {
 				if s == stage {
 					return crash
 				}
@@ -193,7 +204,7 @@ func TestWriteFileAtomicCrash(t *testing.T) {
 func TestLoadFileBackupFallback(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "cp.lscp")
-	if err := os.WriteFile(BackupPath(path), EncodeFile(mkFileCheckpoint(7)), 0o644); err != nil {
+	if err := os.WriteFile(frame.BackupPath(path), EncodeFile(mkFileCheckpoint(7)), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(path, []byte("torn gar"), 0o644); err != nil {
@@ -207,7 +218,7 @@ func TestLoadFileBackupFallback(t *testing.T) {
 		t.Errorf("cycle %d", fc.State.Cycle)
 	}
 	// With both gone/corrupt the primary's error is reported.
-	os.Remove(BackupPath(path))
+	os.Remove(frame.BackupPath(path))
 	if _, _, err := LoadFile(path); err == nil {
 		t.Error("want error with no usable file")
 	}

@@ -2,27 +2,37 @@ package checkpoint
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
+
+	"livesim/internal/frame"
 )
 
 // fuzzSeeds are valid encodings plus characteristic corruptions, so the
-// fuzzer starts from the interesting region of the input space.
-func fuzzSeeds() [][]byte {
+// fuzzer starts from the interesting region of the input space: state
+// blobs for DecodeState, version 2 and version 1 files for DecodeFile.
+func fuzzSeeds(f *testing.F) [][]byte {
 	s := NewStore()
 	small := s.Add(mkState(3), "v0", 0).Bytes()
 	big := s.Add(mkState(1_000_000), "v9", 42)
 	big.Aux = map[string][]byte{"tb0": bytes.Repeat([]byte{7}, 100)}
+	file := EncodeFile(big)
+	v1, err := os.ReadFile(filepath.Join("testdata", "v1.lscp"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	crcFlip := append([]byte(nil), file...)
+	crcFlip[frame.HeaderLen] ^= 0x80
 	seeds := [][]byte{
-		small,
-		EncodeFile(big),
+		small, file, v1, crcFlip,
 		EncodeFile(s.Add(mkState(0), "", 0)),
-		{}, {0}, []byte("LSCP"), []byte("LSCPxxxx"),
+		file[:frame.HeaderLen+frame.RecordHeaderLen],
+		{}, {0}, []byte("LSCP"), fileFormat.Append(nil),
 	}
 	// Truncations of a valid state blob.
 	for _, n := range []int{1, 8, 16, len(small) / 2, len(small) - 1} {
-		if n < len(small) {
-			seeds = append(seeds, small[:n])
-		}
+		seeds = append(seeds, small[:n])
 	}
 	// Single bit flips in a valid state blob.
 	for _, off := range []int{0, 8, 16, len(small) - 1} {
@@ -38,7 +48,7 @@ func fuzzSeeds() [][]byte {
 // (the count bounds inside DecodeState enforce the latter; a violation
 // shows up as an OOM/timeout under the fuzzer).
 func FuzzDecodeState(f *testing.F) {
-	for _, s := range fuzzSeeds() {
+	for _, s := range fuzzSeeds(f) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -56,10 +66,10 @@ func FuzzDecodeState(f *testing.F) {
 	})
 }
 
-// FuzzDecodeFile: the versioned container decoder under arbitrary bytes,
-// including the legacy fallback path.
+// FuzzDecodeFile: the checkpoint file decoder, both versions, under
+// arbitrary bytes.
 func FuzzDecodeFile(f *testing.F) {
-	for _, s := range fuzzSeeds() {
+	for _, s := range fuzzSeeds(f) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -70,8 +80,8 @@ func FuzzDecodeFile(f *testing.F) {
 		if fc == nil || fc.State == nil {
 			t.Fatal("clean decode returned nil checkpoint or state")
 		}
-		if fc.FormatVersion > FileFormatVersion {
-			t.Fatalf("accepted future format version %d", fc.FormatVersion)
+		if fc.FormatVersion < fileFormat.Min || fc.FormatVersion > fileFormat.Max {
+			t.Fatalf("accepted format version %d", fc.FormatVersion)
 		}
 	})
 }

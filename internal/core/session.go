@@ -19,6 +19,7 @@ import (
 	"livesim/internal/checkpoint"
 	"livesim/internal/codegen"
 	"livesim/internal/faultinject"
+	"livesim/internal/frame"
 	"livesim/internal/livecompiler"
 	"livesim/internal/liveparser"
 	"livesim/internal/obs"
@@ -601,8 +602,8 @@ func (s *Session) runChunked(p *Pipe, tb Testbench, cycles int, tok *runToken) e
 	return nil
 }
 
-// takeCheckpoint captures pipe state plus testbench snapshots. Only the
-// state copy happens here; serialization is asynchronous (Figure 2(a)).
+// takeCheckpoint captures pipe state plus testbench snapshots — the
+// stop-the-world copy that is the whole checkpoint (Figure 2(a)).
 func (s *Session) takeCheckpoint(p *Pipe) *checkpoint.Checkpoint {
 	var t0 time.Time
 	if s.metrics != nil {
@@ -617,8 +618,6 @@ func (s *Session) takeCheckpoint(p *Pipe) *checkpoint.Checkpoint {
 	cp.Aux = aux
 	p.lastCheckpoint = st.Cycle
 	if s.metrics != nil {
-		// The stop-the-world part only — serialization is async and
-		// measured by the store as checkpoint_encode_seconds.
 		s.hCkptCapture.Observe(time.Since(t0).Seconds())
 	}
 	return cp
@@ -656,7 +655,7 @@ func (s *Session) SaveCheckpoint(pipeName, path string) error {
 	if s.cfg.Faults != nil {
 		hook = s.cfg.Faults.SaveStage
 	}
-	if err := checkpoint.WriteFileAtomic(path, data, hook); err != nil {
+	if err := frame.WriteFileAtomic(path, data, hook); err != nil {
 		return err
 	}
 	s.metrics.Counter("checkpoint_saves").Inc()
@@ -670,7 +669,7 @@ func (s *Session) SaveCheckpoint(pipeName, path string) error {
 // from the file, and stale in-memory leftovers (checkpoints beyond the
 // restored cycle, the lastCheckpoint watermark) are cleared so the next
 // run continues from a consistent picture. A corrupt primary file falls
-// back to its .bak sibling; legacy headerless files restore state only.
+// back to its .bak sibling.
 func (s *Session) LoadCheckpoint(pipeName, path string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -786,11 +785,11 @@ func (s *Session) PipeStatus(name string) (cycle uint64, historyLen int, ok bool
 }
 
 // MemUsage estimates the session's in-memory footprint for the
-// governance plane: checkpoint history (state copies + encoded blobs +
-// Aux) and live pipe state (register slots + memories), in bytes. The
-// server calls it on the session's worker goroutine after mutations, so
-// the sums read settled state; the WAL tail is the server's to add (the
-// session does not own its journal).
+// governance plane: checkpoint history (state copies + Aux) and live
+// pipe state (register slots + memories), in bytes. The server calls it
+// on the session's worker goroutine after mutations, so the sums read
+// settled state; the WAL tail is the server's to add (the session does
+// not own its journal).
 func (s *Session) MemUsage() (checkpoints, state uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -812,22 +811,11 @@ func (s *Session) PipeNames() []string {
 	return append([]string(nil), s.pipeOrder...)
 }
 
-// Quiesce blocks until all background work owned by the session —
-// verification replays and asynchronous checkpoint serialization — has
-// completed. Servers call it before checkpointing a session for drain
-// or eviction, so the saved state reflects every finished operation.
-func (s *Session) Quiesce() {
-	s.verifyWG.Wait()
-	s.mu.Lock()
-	stores := make([]*checkpoint.Store, 0, len(s.pipes))
-	for _, p := range s.pipes {
-		stores = append(stores, p.Checkpoints)
-	}
-	s.mu.Unlock()
-	for _, st := range stores {
-		st.Wait()
-	}
-}
+// Quiesce blocks until all background work owned by the session — the
+// verification replays — has completed. Servers call it before
+// checkpointing a session for drain or eviction, so the saved state
+// reflects every finished operation.
+func (s *Session) Quiesce() { s.verifyWG.Wait() }
 
 // TransformOps exposes the version graph (for inspection and the manual
 // edits Section III-E allows).

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"livesim/internal/checkpoint"
 	"livesim/internal/liveparser"
 )
 
@@ -284,6 +285,52 @@ func TestApplyChangeEarlyBehavior(t *testing.T) {
 	want := groundTruth(t, edited, 60)
 	if sum != want {
 		t.Errorf("sum %d, ground truth %d", sum, want)
+	}
+}
+
+// TestCheckpointReadsDuringVerification: another goroutine serializes and
+// selects checkpoints while verification replays restore from them and
+// the session adds new ones (run under -race): a checkpoint is its state,
+// and nothing writes that state after Add.
+func TestCheckpointReadsDuringVerification(t *testing.T) {
+	s := newAccSession(t, accDesign)
+	if _, err := s.InstPipe("p0"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Run("tb0", "p0", 60); err != nil {
+		t.Fatal(err)
+	}
+	store := mustPipe(t, s, "p0").Checkpoints
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for _, cp := range store.All() {
+				if _, err := checkpoint.DecodeState(cp.Bytes()); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			store.Select(100, 10)
+		}
+	}()
+	rep, err := s.ApplyChange(srcOf(strings.Replace(accDesign, "sum <= sum + 1;", "sum <= sum + 2;", 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep.WaitVerification()
+	if err := s.Run("tb0", "p0", 40); err != nil {
+		t.Fatal(err)
+	}
+	close(stop)
+	<-done
+	if h := rep.Verifications[0]; h.Err != nil || !h.Refined {
+		t.Errorf("verification %+v", h)
 	}
 }
 

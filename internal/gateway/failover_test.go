@@ -2,13 +2,20 @@ package gateway_test
 
 import (
 	"encoding/json"
+	"fmt"
+	"net"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"livesim/internal/faultinject"
 	"livesim/internal/gateway"
+	"livesim/internal/replica"
 	"livesim/internal/server"
 	"livesim/internal/server/client"
+	"livesim/internal/wire"
 )
 
 // sessionInfosOf lists what a backend hosts, with the replication
@@ -194,5 +201,93 @@ func TestGatewayStalePromoteFenced(t *testing.T) {
 	}
 	if in := sessionInfosOf(t, third)["s0"]; in.Epoch < 2 {
 		t.Errorf("epoch after two failovers = %d, want >= 2", in.Epoch)
+	}
+}
+
+// startOldPrimary serves the little of livesimd that placing a session and
+// arming its replication needs — ping, sessions, create, replicate — as a
+// backend on the build before the frame container would: its replicate
+// seeds the standby, through the real shipper, with the transfer blob that
+// build wrote (testdata/session-v1.lsxf of internal/transfer).
+func startOldPrimary(t *testing.T) string {
+	t.Helper()
+	blob, err := os.ReadFile(filepath.Join("..", "transfer", "testdata", "session-v1.lsxf"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir, err := os.MkdirTemp("", "lsgw") // short path: unix sockets cap ~104 bytes
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { os.RemoveAll(dir) })
+	ln, err := net.Listen("unix", filepath.Join(dir, "old.sock"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	acc := wire.NewAcceptor(func(c *wire.Conn) func(*wire.Request) {
+		return func(req *wire.Request) {
+			resp := &wire.Response{ID: req.ID, OK: true}
+			switch req.Verb {
+			case "ping", "sessions", "create":
+			case "replicate":
+				sp := replica.New(replica.Config{Session: req.Session, Target: req.Args[0]})
+				if err := sp.Seed(blob, 1); err != nil {
+					resp = &wire.Response{ID: req.ID, Code: wire.CodeError, Error: err.Error()}
+				}
+				sp.Stop()
+			default:
+				resp = &wire.Response{ID: req.ID, Code: wire.CodeBadRequest, Error: "not served here"}
+			}
+			c.Reply(resp)
+		}
+	})
+	go acc.Serve(ln)
+	t.Cleanup(acc.Close)
+	return "unix:" + filepath.Join(dir, "old.sock")
+}
+
+// TestGatewayRefusedSeedIsArmFailure: a standby refuses a seed blob in a
+// transfer version its build does not read, naming the version, and the
+// gateway reports it as the replication_arm_failed event it emits for any
+// refused seed.
+func TestGatewayRefusedSeedIsArmFailure(t *testing.T) {
+	standby := newTestBackend(t)
+	old := startOldPrimary(t)
+	g, gaddr := startGateway(t, gateway.Config{
+		Backends:  []gateway.BackendSpec{{Addr: standby.addr()}, {Addr: old}},
+		Replicate: true,
+	})
+	c := dial(t, gaddr)
+	events := func(typ, session string) []string {
+		var msgs []string
+		for _, e := range g.Events().All() {
+			if e.Type == typ && e.Session == session {
+				msgs = append(msgs, e.Msg)
+			}
+		}
+		return msgs
+	}
+	// Placement is by hash: name the session so that it lands on the old
+	// primary. Arming runs before the create is answered.
+	name := ""
+	for i := 0; name == "" && i < 1<<16; i++ {
+		if n := fmt.Sprintf("old%d", i); gateway.RendezvousScore(old, n) > gateway.RendezvousScore(standby.addr(), n) {
+			name = n
+		}
+	}
+	if name == "" {
+		t.Fatal("no session name places on the old primary")
+	}
+	mustOK(t, c, &server.Request{Session: name, Verb: "create",
+		Files: map[string]string{"top.v": tinyDesign}, Top: "top"})
+	if placed := events("placed", name); len(placed) != 1 || !strings.HasSuffix(placed[0], old) {
+		t.Fatalf("placed events for %s: %q", name, placed)
+	}
+	failed := events("replication_arm_failed", name)
+	if len(failed) != 1 || !strings.Contains(failed[0], "LSXF version 1 not supported") {
+		t.Fatalf("arm events for %s: failed %q, armed %q", name, failed, events("replication_armed", name))
+	}
+	if _, ok := sessionInfosOf(t, standby)[name]; ok {
+		t.Errorf("the standby hosts %s after refusing its seed", name)
 	}
 }

@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"livesim/internal/codegen"
+	"livesim/internal/frame"
 	"livesim/internal/hdl/ast"
 	"livesim/internal/hdl/elab"
 	"livesim/internal/liveparser"
@@ -311,6 +312,9 @@ func (c *Compiler) object(a *liveparser.Analysis, em *elab.Module, st *Stats) (*
 				st.DiskHits++
 				return obj, nil
 			}
+			// Damaged, foreign or of an older layout: the file written
+			// below replaces it rather than keeping it as a backup.
+			os.Remove(file)
 		}
 	}
 	obj, err := codegen.Compile(em, codegen.Options{
@@ -324,7 +328,7 @@ func (c *Compiler) object(a *liveparser.Analysis, em *elab.Module, st *Stats) (*
 	st.Compiled++
 	if file != "" {
 		// Best effort: a failed write only loses future reuse.
-		_ = os.WriteFile(file, vm.EncodeObject(obj), 0o644)
+		_ = frame.WriteFileAtomic(file, vm.EncodeObject(obj), nil)
 	}
 	return obj, nil
 }

@@ -158,8 +158,9 @@ func (f *FlightRecorder) Dump(w io.Writer, reason string) error {
 // the same directory), so a reader never sees a half-written black box
 // and a crash mid-dump leaves the previous dump intact. Nil-safe.
 //
-// This duplicates checkpoint.WriteFileAtomic's shape on purpose: obs
-// sits below checkpoint in the import graph and must not reach up.
+// This is frame.WriteFileAtomic without its backup step, on purpose: the
+// periodic flusher rewrites a blackbox every 2 s (by default), and that
+// must not leave .bak files behind.
 func (f *FlightRecorder) DumpToFile(path, reason string) error {
 	if f == nil {
 		return nil

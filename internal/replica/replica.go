@@ -6,11 +6,11 @@
 // The protocol has two parts. A one-time seed hands the standby the
 // session's full state as an internal/transfer blob (the same image
 // live migration ships), imported in follower mode. After that the
-// primary ships only the WAL tail: batches of records framed with the
-// journal's own CRC + length + strict-sequence discipline, wrapped in a
-// small batch header carrying the primary's fencing epoch and the
-// sequence number the batch continues from. The standby appends each
-// record to its own journal, fsyncs, and acks the new head; the
+// primary ships only the WAL tail: batches of journal records, byte for
+// byte as the journal holds them, behind an internal/frame header and a
+// record carrying the primary's fencing epoch and the sequence number the
+// batch continues from. The standby appends each record to its own
+// journal, fsyncs, and acks the new head; the
 // primary's acked watermark then trails its journal head by exactly the
 // unshipped tail — the replication lag surfaced in `sessions` and
 // /metrics.
@@ -35,20 +35,16 @@ import (
 	"time"
 
 	"livesim/internal/faultinject"
+	"livesim/internal/frame"
 	"livesim/internal/obs"
 	"livesim/internal/server/client"
 	"livesim/internal/wal"
 	"livesim/internal/wire"
 )
 
-// BatchMagic identifies a shipped record batch.
-const BatchMagic = "LSRB"
-
-// BatchVersion is the current batch framing version.
-const BatchVersion = 1
-
-// batchHeaderLen: magic (4) + version (4) + epoch (8) + afterSeq (8).
-const batchHeaderLen = 24
+// batchFormat heads a shipped record batch. A build reads only the
+// version it writes: both ends of a stream run the same build.
+var batchFormat = frame.Header{Magic: "LSRB", Min: 2, Max: 2}
 
 // MaxBatchBytes bounds one encoded batch so its replapply request fits
 // a wire line: JSON base64-encodes the blob (4/3 overhead), and half the
@@ -85,28 +81,28 @@ type Ack struct {
 	Epoch    uint64 `json:"epoch,omitempty"`
 }
 
-// EncodeBatch frames records for shipping: a batch header binding the
-// primary's epoch and the sequence number the batch continues from,
-// then each record in the WAL's own frame encoding. Records must be
-// strictly consecutive starting at afterSeq+1 — the invariant the
+// EncodeBatch frames records for shipping: the batch header, a record
+// binding the primary's epoch and the sequence number the batch continues
+// from (two u64 LE), then each record in the WAL's own encoding. Records
+// must be strictly consecutive starting at afterSeq+1 — the invariant the
 // standby re-checks on decode.
 func EncodeBatch(epoch, afterSeq uint64, recs []*wal.Record) ([]byte, error) {
-	buf := make([]byte, 0, batchHeaderLen+64*len(recs))
-	buf = append(buf, BatchMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, BatchVersion)
-	buf = binary.LittleEndian.AppendUint64(buf, epoch)
-	buf = binary.LittleEndian.AppendUint64(buf, afterSeq)
+	var pos [16]byte
+	binary.LittleEndian.PutUint64(pos[:], epoch)
+	binary.LittleEndian.PutUint64(pos[8:], afterSeq)
+	buf := batchFormat.Append(make([]byte, 0, frame.HeaderLen+frame.RecordHeaderLen+len(pos)+64*len(recs)))
+	buf = frame.AppendRecord(buf, pos[:])
 	want := afterSeq
 	for _, r := range recs {
 		if r.Seq != want+1 {
 			return nil, fmt.Errorf("replica batch: record seq %d after %d (must be consecutive)", r.Seq, want)
 		}
 		want = r.Seq
-		frame, err := wal.EncodeRecord(r)
+		rec, err := wal.EncodeRecord(r)
 		if err != nil {
 			return nil, err
 		}
-		buf = append(buf, frame...)
+		buf = append(buf, rec...)
 	}
 	return buf, nil
 }
@@ -117,23 +113,22 @@ func EncodeBatch(epoch, afterSeq uint64, recs []*wal.Record) ([]byte, error) {
 // errors — a batch applies completely or not at all (there is no
 // partial-prefix recovery here; the primary just resends).
 func DecodeBatch(data []byte) (epoch, afterSeq uint64, recs []*wal.Record, err error) {
-	if len(data) < batchHeaderLen {
-		return 0, 0, nil, fmt.Errorf("replica batch %d bytes: shorter than the %d-byte header", len(data), batchHeaderLen)
+	_, body, err := batchFormat.Read(data)
+	if err != nil {
+		return 0, 0, nil, fmt.Errorf("replica batch: %w", err)
 	}
-	if string(data[:4]) != BatchMagic {
-		return 0, 0, nil, fmt.Errorf("not a replica batch (no %s magic)", BatchMagic)
+	pos, n, err := frame.ReadRecord(body, 16)
+	if err == nil && len(pos) != 16 {
+		err = fmt.Errorf("position record of %d bytes, want 16", len(pos))
 	}
-	if ver := binary.LittleEndian.Uint32(data[4:]); ver == 0 || ver > BatchVersion {
-		return 0, 0, nil, fmt.Errorf("replica batch version %d not supported (this build reads 1..%d)", ver, BatchVersion)
+	if err != nil {
+		return 0, 0, nil, fmt.Errorf("replica batch: %w", err)
 	}
-	epoch = binary.LittleEndian.Uint64(data[8:])
-	afterSeq = binary.LittleEndian.Uint64(data[16:])
-	recs, clean, derr := wal.DecodeSegment(data[batchHeaderLen:], afterSeq)
-	if derr != nil {
-		return 0, 0, nil, derr
-	}
-	if clean != len(data)-batchHeaderLen {
-		return 0, 0, nil, fmt.Errorf("replica batch: %d trailing bytes after last record", len(data)-batchHeaderLen-clean)
+	epoch, afterSeq = binary.LittleEndian.Uint64(pos), binary.LittleEndian.Uint64(pos[8:])
+	// DecodeSegment reads to the end of its input: a clean decode leaves
+	// no trailing bytes.
+	if recs, _, err = wal.DecodeSegment(body[n:], afterSeq); err != nil {
+		return 0, 0, nil, fmt.Errorf("replica batch: %w", err)
 	}
 	return epoch, afterSeq, recs, nil
 }

@@ -3,10 +3,18 @@ package replica
 import (
 	"bytes"
 	"encoding/binary"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
+	"livesim/internal/frame"
 	"livesim/internal/wal"
 )
+
+// posEnd is where a batch's first journal record starts: after the header
+// and the epoch/afterSeq record.
+const posEnd = frame.HeaderLen + frame.RecordHeaderLen + 16
 
 func mkRecs(afterSeq uint64, n int) []*wal.Record {
 	recs := make([]*wal.Record, n)
@@ -68,7 +76,7 @@ func TestDecodeBatchRejectsDamage(t *testing.T) {
 
 	cases := map[string][]byte{
 		"empty":     nil,
-		"short":     good[:batchHeaderLen-1],
+		"short":     good[:posEnd-1],
 		"bad-magic": append([]byte("XXXX"), good[4:]...),
 		"truncated": good[:len(good)-3],
 		"trailing":  append(append([]byte{}, good...), 0xde, 0xad),
@@ -77,11 +85,16 @@ func TestDecodeBatchRejectsDamage(t *testing.T) {
 	binary.LittleEndian.PutUint32(badVer[4:], 99)
 	cases["bad-version"] = badVer
 	crcFlip := append([]byte{}, good...)
-	crcFlip[batchHeaderLen] ^= 0xff
+	crcFlip[posEnd] ^= 0xff
 	cases["crc-flip"] = crcFlip
-	seqSkew := append([]byte{}, good...)
-	binary.LittleEndian.PutUint64(seqSkew[16:], 5) // afterSeq no longer matches first record
-	cases["seq-skew"] = seqSkew
+	epochFlip := append([]byte{}, good...)
+	epochFlip[posEnd-16] ^= 0x01
+	cases["epoch-flip"] = epochFlip
+	// afterSeq no longer matches the first record, under an intact CRC.
+	var pos [16]byte
+	binary.LittleEndian.PutUint64(pos[:], 2)
+	binary.LittleEndian.PutUint64(pos[8:], 5)
+	cases["seq-skew"] = append(frame.AppendRecord(batchFormat.Append(nil), pos[:]), good[posEnd:]...)
 
 	for name, data := range cases {
 		if _, _, _, err := DecodeBatch(data); err == nil {
@@ -95,6 +108,19 @@ func TestDecodeBatchRejectsDamage(t *testing.T) {
 	}
 }
 
+// TestDecodeBatchRefusesVersion1: a batch from the build before the frame
+// container (testdata/batch-v1.lsrb, made by that build's EncodeBatch) is
+// refused with an error naming its version.
+func TestDecodeBatchRefusesVersion1(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "batch-v1.lsrb"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := DecodeBatch(data); err == nil || !strings.Contains(err.Error(), "LSRB version 1 not supported") {
+		t.Fatalf("version 1 batch: %v", err)
+	}
+}
+
 // FuzzReplicaFrameDecode churns DecodeBatch with corrupted inputs: it
 // must never panic, and any mutation of a valid batch that still
 // decodes must yield a strictly consecutive record chain — the
@@ -105,20 +131,23 @@ func FuzzReplicaFrameDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(seed)
-	f.Add(seed[:batchHeaderLen])
-	f.Add([]byte(BatchMagic))
+	f.Add(seed[:posEnd])
+	f.Add([]byte("LSRB"))
 	empty, _ := EncodeBatch(1, 0, nil)
 	f.Add(empty)
+	if v1, err := os.ReadFile(filepath.Join("testdata", "batch-v1.lsrb")); err == nil {
+		f.Add(v1)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		epoch, after, recs, err := DecodeBatch(data)
 		if err != nil {
 			return
 		}
-		if len(data) < batchHeaderLen {
+		if len(data) < posEnd {
 			t.Fatalf("accepted %d-byte batch below header size", len(data))
 		}
-		if !bytes.Equal(data[:4], []byte(BatchMagic)) {
+		if !bytes.Equal(data[:4], []byte("LSRB")) {
 			t.Fatal("accepted batch without magic")
 		}
 		_ = epoch

@@ -14,6 +14,7 @@ import (
 
 	"livesim/internal/checkpoint"
 	"livesim/internal/faultinject"
+	"livesim/internal/frame"
 	"livesim/internal/server"
 	"livesim/internal/server/client"
 	"livesim/internal/sim"
@@ -270,7 +271,7 @@ func TestWatermarkFromAnotherSlotLayoutReplaysInFull(t *testing.T) {
 	if err := os.WriteFile(ckpt, checkpoint.EncodeFile(cp), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	os.Remove(checkpoint.BackupPath(ckpt))
+	os.Remove(frame.BackupPath(ckpt))
 
 	srvB, stopB := startServerOn(t, cfg, filepath.Join(dir, "b.sock"))
 	defer stopB()

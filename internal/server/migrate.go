@@ -6,7 +6,7 @@ import (
 	"path/filepath"
 	"time"
 
-	"livesim/internal/checkpoint"
+	"livesim/internal/frame"
 	"livesim/internal/govern"
 	"livesim/internal/transfer"
 	"livesim/internal/wal"
@@ -221,7 +221,7 @@ func (s *Server) importSession(req *Request) *Response {
 	s.removeSessionState(name)
 	for _, e := range blob.Entries {
 		path := filepath.Join(s.cfg.StateDir, e.Name)
-		if err := checkpoint.WriteFileAtomic(path, e.Payload, nil); err != nil {
+		if err := frame.WriteFileAtomic(path, e.Payload, nil); err != nil {
 			return fail(wire.CodeError, fmt.Errorf("write %s: %w", e.Name, err))
 		}
 	}

@@ -7,7 +7,7 @@ import (
 	"os"
 	"path/filepath"
 
-	"livesim/internal/checkpoint"
+	"livesim/internal/frame"
 	"livesim/internal/obs"
 	"livesim/internal/replica"
 	"livesim/internal/transfer"
@@ -52,7 +52,7 @@ func (s *Server) followerPath(name string) string {
 // crash never leaves a half-written sidecar).
 func (s *Server) writeFollowerMeta(name string, epoch uint64) error {
 	data, _ := json.Marshal(followerMeta{Epoch: epoch})
-	return checkpoint.WriteFileAtomic(s.followerPath(name), data, nil)
+	return frame.WriteFileAtomic(s.followerPath(name), data, nil)
 }
 
 // readFollowerMeta loads the sidecar; ok is false when the session was

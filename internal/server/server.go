@@ -17,10 +17,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"livesim/internal/checkpoint"
 	"livesim/internal/command"
 	"livesim/internal/core"
 	"livesim/internal/faultinject"
+	"livesim/internal/frame"
 	"livesim/internal/govern"
 	"livesim/internal/obs"
 	"livesim/internal/wal"
@@ -1159,7 +1159,7 @@ func (s *Server) Shutdown(ctx context.Context) (*DrainReport, error) {
 		data, err := json.MarshalIndent(rep, "", "  ")
 		if err == nil {
 			manifest := filepath.Join(s.cfg.DrainDir, "drain.json")
-			if werr := checkpoint.WriteFileAtomic(manifest, data, nil); werr != nil {
+			if werr := frame.WriteFileAtomic(manifest, data, nil); werr != nil {
 				s.log.Error("drain manifest write failed", obs.Str("err", werr.Error()))
 			}
 		}

@@ -1,10 +1,12 @@
 // Package transfer frames a session's durable state — its newest
 // checkpoint files plus the journal that references them — into a
-// single self-verifying blob for live migration between livesimd
-// backends. The format mirrors the repo's other on-disk containers
-// (LSCP checkpoints, LSWL journals): magic + version header, then
-// length-prefixed CRC32-guarded entries, so a truncated or corrupted
-// blob fails decode instead of importing half a session.
+// single self-verifying blob for live migration and replication seeds
+// between livesimd backends. A blob is an internal/frame container: the
+// header (LSXF, version 2), one record holding the JSON Meta and the
+// entry count, then two records per entry, its name and its bytes — so a
+// truncated or corrupted blob fails decode instead of importing half a
+// session. Version 1 (the build before the frame container) is not read:
+// both ends of a migration or replication stream run the same build.
 //
 // The blob deliberately carries the files verbatim: the importing
 // server writes them into its state dir and runs the exact same
@@ -14,22 +16,18 @@
 package transfer
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"strings"
+
+	"livesim/internal/frame"
 )
 
-// Magic identifies a transfer blob ("LiveSim Transfer Frame").
-const Magic = "LSXF"
-
-// Version is the current container format version.
-const Version = 1
+var format = frame.Header{Magic: "LSXF", Min: 2, Max: 2}
 
 // MaxEntries bounds the entry count a decoder will accept; a session
-// ships one journal, one meta entry, and one checkpoint per pipe, so
-// even pathological designs stay far below this.
+// ships one journal and one checkpoint per pipe, so even pathological
+// designs stay far below this.
 const MaxEntries = 1024
 
 // MaxEntrySize bounds any single entry's payload. It matches the
@@ -52,10 +50,14 @@ type Meta struct {
 	Pipes    int    `json:"pipes"`     // checkpoint entries expected
 }
 
-// metaName is the reserved entry name carrying the JSON-encoded Meta.
-const metaName = "meta"
+// metaRecord is the first record's JSON: the Meta plus how many entries
+// follow, so a blob cut at a record boundary is refused too.
+type metaRecord struct {
+	Meta
+	Entries int `json:"entries"`
+}
 
-// Entry is one named file (or the meta record) inside a blob.
+// Entry is one named file inside a blob.
 type Entry struct {
 	Name    string
 	Payload []byte
@@ -64,130 +66,74 @@ type Entry struct {
 // Blob is a decoded transfer container.
 type Blob struct {
 	Meta    Meta
-	Entries []Entry // files only; meta is lifted out
+	Entries []Entry
 }
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Encode frames meta plus the given file entries into a blob image.
 func Encode(meta Meta, entries []Entry) ([]byte, error) {
-	mj, err := json.Marshal(meta)
+	mj, err := json.Marshal(metaRecord{meta, len(entries)})
 	if err != nil {
 		return nil, fmt.Errorf("transfer: encode meta: %w", err)
 	}
-	all := make([]Entry, 0, len(entries)+1)
-	all = append(all, Entry{Name: metaName, Payload: mj})
-	all = append(all, entries...)
-
-	var buf []byte
-	buf = append(buf, Magic...)
-	buf = binary.LittleEndian.AppendUint32(buf, Version)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(all)))
-	for _, e := range all {
-		if e.Name == "" || len(e.Name) > 256 {
-			return nil, fmt.Errorf("transfer: bad entry name %q", e.Name)
-		}
-		if e.Name != metaName && !SafeName(e.Name) {
+	size := frame.HeaderLen + frame.RecordHeaderLen + len(mj)
+	for _, e := range entries {
+		if !SafeName(e.Name) {
 			return nil, fmt.Errorf("transfer: unsafe entry name %q", e.Name)
 		}
 		if len(e.Payload) > MaxEntrySize {
 			return nil, fmt.Errorf("transfer: entry %q exceeds %d bytes", e.Name, MaxEntrySize)
 		}
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(e.Name)))
-		buf = append(buf, e.Name...)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(e.Payload)))
-		buf = append(buf, e.Payload...)
-		buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(e.Payload, crcTable))
+		size += 2*frame.RecordHeaderLen + len(e.Name) + len(e.Payload)
+	}
+	buf := frame.AppendRecord(format.Append(make([]byte, 0, size)), mj)
+	for _, e := range entries {
+		buf = frame.AppendRecord(frame.AppendRecord(buf, []byte(e.Name)), e.Payload)
 	}
 	return buf, nil
 }
 
-// Decode parses and verifies a blob image. Every entry's CRC must
-// match, the meta entry must be present and first, and no entry name
-// may contain a path separator — a failure on any of these returns an
-// error and no partial result.
+// Decode parses and verifies a blob image. Every record's CRC must
+// match, the meta record must name a session and the number of entries
+// that follow, and every entry name must be a SafeName — a failure on any
+// of these returns an error and no partial result. Entry payloads alias
+// data.
 func Decode(data []byte) (*Blob, error) {
-	if len(data) < len(Magic)+8 {
-		return nil, fmt.Errorf("transfer: truncated header (%d bytes)", len(data))
+	_, body, err := format.Read(data)
+	if err != nil {
+		return nil, fmt.Errorf("transfer: %w", err)
 	}
-	if string(data[:len(Magic)]) != Magic {
-		return nil, fmt.Errorf("transfer: bad magic %q", data[:len(Magic)])
-	}
-	off := len(Magic)
-	ver := binary.LittleEndian.Uint32(data[off:])
-	if ver != Version {
-		return nil, fmt.Errorf("transfer: unsupported version %d", ver)
-	}
-	count := binary.LittleEndian.Uint32(data[off+4:])
-	if count == 0 || count > MaxEntries {
-		return nil, fmt.Errorf("transfer: entry count %d out of range", count)
-	}
-	off += 8
-
-	b := &Blob{}
-	for i := uint32(0); i < count; i++ {
-		name, payload, n, err := readEntry(data[off:])
-		if err != nil {
-			return nil, fmt.Errorf("transfer: entry %d: %w", i, err)
+	var recs [][]byte
+	if _, err := frame.Records(body, MaxEntrySize, func(p []byte) error {
+		if len(recs) > 2*MaxEntries {
+			return fmt.Errorf("more than %d entries", MaxEntries)
 		}
-		off += n
-		if i == 0 {
-			if name != metaName {
-				return nil, fmt.Errorf("transfer: first entry is %q, want %q", name, metaName)
-			}
-			if err := json.Unmarshal(payload, &b.Meta); err != nil {
-				return nil, fmt.Errorf("transfer: meta: %w", err)
-			}
-			if b.Meta.Session == "" {
-				return nil, fmt.Errorf("transfer: meta names no session")
-			}
-			continue
-		}
+		recs = append(recs, p)
+		return nil
+	}); err != nil {
+		return nil, fmt.Errorf("transfer: %w", err)
+	}
+	if len(recs) == 0 {
+		return nil, fmt.Errorf("transfer: no meta record")
+	}
+	var m metaRecord
+	if err := json.Unmarshal(recs[0], &m); err != nil {
+		return nil, fmt.Errorf("transfer: meta: %w", err)
+	}
+	if m.Session == "" {
+		return nil, fmt.Errorf("transfer: meta names no session")
+	}
+	if len(recs)%2 == 0 || m.Entries != len(recs)/2 {
+		return nil, fmt.Errorf("transfer: meta names %d entries, blob carries %d records after it", m.Entries, len(recs)-1)
+	}
+	b := &Blob{Meta: m.Meta}
+	for i := 1; i < len(recs); i += 2 {
+		name := string(recs[i])
 		if !SafeName(name) {
 			return nil, fmt.Errorf("transfer: unsafe entry name %q", name)
 		}
-		b.Entries = append(b.Entries, Entry{Name: name, Payload: payload})
-	}
-	if off != len(data) {
-		return nil, fmt.Errorf("transfer: %d trailing bytes after last entry", len(data)-off)
+		b.Entries = append(b.Entries, Entry{Name: name, Payload: recs[i+1]})
 	}
 	return b, nil
-}
-
-// readEntry parses one length-prefixed entry, returning its name,
-// payload, and the number of bytes consumed.
-func readEntry(data []byte) (string, []byte, int, error) {
-	if len(data) < 4 {
-		return "", nil, 0, fmt.Errorf("truncated name length")
-	}
-	nameLen := binary.LittleEndian.Uint32(data)
-	if nameLen == 0 || nameLen > 256 {
-		return "", nil, 0, fmt.Errorf("name length %d out of range", nameLen)
-	}
-	off := 4
-	if len(data) < off+int(nameLen)+4 {
-		return "", nil, 0, fmt.Errorf("truncated name")
-	}
-	name := string(data[off : off+int(nameLen)])
-	off += int(nameLen)
-	payLen := binary.LittleEndian.Uint32(data[off:])
-	if payLen > MaxEntrySize {
-		return "", nil, 0, fmt.Errorf("payload length %d exceeds cap", payLen)
-	}
-	off += 4
-	if len(data) < off+int(payLen)+4 {
-		return "", nil, 0, fmt.Errorf("truncated payload (want %d bytes)", payLen)
-	}
-	payload := data[off : off+int(payLen)]
-	off += int(payLen)
-	want := binary.LittleEndian.Uint32(data[off:])
-	off += 4
-	if got := crc32.Checksum(payload, crcTable); got != want {
-		return "", nil, 0, fmt.Errorf("crc mismatch (got %08x want %08x)", got, want)
-	}
-	out := make([]byte, payLen)
-	copy(out, payload)
-	return name, out, off, nil
 }
 
 // SafeName reports whether an entry name is a plain basename — no path

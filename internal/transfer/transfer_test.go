@@ -2,6 +2,8 @@ package transfer
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -120,6 +122,20 @@ func TestDecodeRejectsMissingMeta(t *testing.T) {
 	}
 }
 
+// TestDecodeRefusesVersion1: a blob from the build before the frame
+// container (testdata/session-v1.lsxf, that build's Encode of a small
+// session's journal and watermark) is refused with an error naming its
+// version.
+func TestDecodeRefusesVersion1(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "session-v1.lsxf"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Decode(data); err == nil || !strings.Contains(err.Error(), "LSXF version 1 not supported") {
+		t.Fatalf("version 1 blob: %v", err)
+	}
+}
+
 // FuzzTransferDecode churns arbitrary bytes through Decode: it must
 // never panic, and any accepted input must re-encode/re-decode to the
 // same content (no silent reinterpretation of malformed frames).
@@ -127,8 +143,11 @@ func FuzzTransferDecode(f *testing.F) {
 	meta, entries := sample()
 	img, _ := Encode(meta, entries)
 	f.Add(img)
-	f.Add([]byte(Magic))
+	f.Add([]byte("LSXF"))
 	f.Add([]byte{})
+	if v1, err := os.ReadFile(filepath.Join("testdata", "session-v1.lsxf")); err == nil {
+		f.Add(v1)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b, err := Decode(data)
 		if err != nil {

@@ -3,15 +3,17 @@ package vm
 import (
 	"encoding/binary"
 	"fmt"
+
+	"livesim/internal/frame"
 )
 
 // Object files: the on-disk form of a compiled module, the reproduction's
 // analog of the paper's per-module shared libraries ("/livesim/objs/...so"
-// in Table II). The format is a deterministic little-endian binary so the
-// same object always produces the same bytes.
-
-// objMagic identifies LiveSim object files ("LSO1").
-const objMagic = 0x314F534C
+// in Table II). A file is an internal/frame container — the header, then
+// one record holding the object body, a deterministic little-endian
+// encoding, so the same object always produces the same bytes and a
+// flipped byte anywhere fails the CRC.
+var objFormat = frame.Header{Magic: "LSO1", Min: 1, Max: 1}
 
 type objEncoder struct{ buf []byte }
 
@@ -22,11 +24,10 @@ func (e *objEncoder) str(s string) {
 	e.buf = append(e.buf, s...)
 }
 
-// EncodeObject serializes an object (BaseAddr, a load-time property, is
-// not included).
+// EncodeObject serializes an object into an object file (BaseAddr, a
+// load-time property, is not included).
 func EncodeObject(o *Object) []byte {
 	e := &objEncoder{buf: make([]byte, 0, 1024+InstrBytes*(len(o.Comb)+len(o.Seq)))}
-	e.u32(objMagic)
 	e.str(o.Key)
 	e.str(o.ModName)
 	e.str(o.SrcPath)
@@ -93,274 +94,124 @@ func EncodeObject(o *Object) []byte {
 		e.u32(d.Slot)
 		e.u32(uint32(d.Bits))
 	}
-	return e.buf
+	file := make([]byte, 0, frame.HeaderLen+frame.RecordHeaderLen+len(e.buf))
+	return frame.AppendRecord(objFormat.Append(file), e.buf)
 }
 
+// objDecoder reads an object body. The first failure sticks: every read
+// after it returns a zero value, and every count zero.
 type objDecoder struct {
 	buf []byte
 	off int
+	err error
 }
 
-func (d *objDecoder) need(n int) error {
-	if d.off+n > len(d.buf) {
-		return fmt.Errorf("object file truncated at offset %d", d.off)
+func (d *objDecoder) fail(format string, args ...any) {
+	if d.err == nil {
+		d.err = fmt.Errorf(format, args...)
 	}
-	return nil
 }
 
-func (d *objDecoder) u32() (uint32, error) {
-	if err := d.need(4); err != nil {
-		return 0, err
+// take returns the next n bytes, or nil once the body is exhausted.
+func (d *objDecoder) take(n int) []byte {
+	if d.err == nil && n > len(d.buf)-d.off {
+		d.fail("object file truncated at offset %d", d.off)
 	}
-	v := binary.LittleEndian.Uint32(d.buf[d.off:])
-	d.off += 4
-	return v, nil
+	if d.err != nil {
+		return nil
+	}
+	d.off += n
+	return d.buf[d.off-n : d.off]
 }
 
-func (d *objDecoder) u64() (uint64, error) {
-	if err := d.need(8); err != nil {
-		return 0, err
+func (d *objDecoder) u32() uint32 {
+	if b := d.take(4); b != nil {
+		return binary.LittleEndian.Uint32(b)
 	}
-	v := binary.LittleEndian.Uint64(d.buf[d.off:])
-	d.off += 8
-	return v, nil
+	return 0
 }
 
-func (d *objDecoder) str() (string, error) {
-	n, err := d.u32()
-	if err != nil {
-		return "", err
+func (d *objDecoder) u64() uint64 {
+	if b := d.take(8); b != nil {
+		return binary.LittleEndian.Uint64(b)
 	}
-	if n > 1<<20 {
-		return "", fmt.Errorf("object file corrupt: string length %d", n)
-	}
-	if err := d.need(int(n)); err != nil {
-		return "", err
-	}
-	s := string(d.buf[d.off : d.off+int(n)])
-	d.off += int(n)
-	return s, nil
+	return 0
 }
 
-func (d *objDecoder) count(max uint32, what string) (int, error) {
-	n, err := d.u32()
-	if err != nil {
-		return 0, err
+func (d *objDecoder) str() string {
+	return string(d.take(int(d.count("string bytes", 1))))
+}
+
+// count reads the length of a run of items at least size bytes each,
+// refusing one the rest of the body cannot hold before anything is
+// allocated from it.
+func (d *objDecoder) count(what string, size int) int {
+	n := d.u32()
+	if uint64(n)*uint64(size) > uint64(len(d.buf)-d.off) {
+		d.fail("object file corrupt: %d %s", n, what)
+		return 0
 	}
-	if n > max {
-		return 0, fmt.Errorf("object file corrupt: %d %s", n, what)
-	}
-	return int(n), nil
+	return int(n)
 }
 
 // DecodeObject parses an object file and validates it.
 func DecodeObject(buf []byte) (*Object, error) {
-	d := &objDecoder{buf: buf}
-	magic, err := d.u32()
+	_, rest, err := objFormat.Read(buf)
 	if err != nil {
 		return nil, err
 	}
-	if magic != objMagic {
-		return nil, fmt.Errorf("not a LiveSim object file (magic %#x)", magic)
+	body, n, err := frame.ReadRecord(rest, len(rest))
+	if err == nil && n != len(rest) {
+		err = fmt.Errorf("%d trailing bytes", len(rest)-n)
 	}
-	o := &Object{}
-	if o.Key, err = d.str(); err != nil {
-		return nil, err
-	}
-	if o.ModName, err = d.str(); err != nil {
-		return nil, err
-	}
-	if o.SrcPath, err = d.str(); err != nil {
-		return nil, err
-	}
-	if o.NumSlots, err = d.u32(); err != nil {
-		return nil, err
-	}
-
-	n, err := d.count(1<<20, "ports")
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("object file corrupt: %w", err)
 	}
-	for i := 0; i < n; i++ {
-		var p Port
-		if p.Name, err = d.str(); err != nil {
-			return nil, err
-		}
-		dir, err := d.u32()
-		if err != nil {
-			return nil, err
-		}
-		p.Dir = PortDir(dir)
-		if p.Slot, err = d.u32(); err != nil {
-			return nil, err
-		}
-		if p.Mask, err = d.u64(); err != nil {
-			return nil, err
-		}
-		o.Ports = append(o.Ports, p)
+	d := &objDecoder{buf: body}
+	o := &Object{Key: d.str(), ModName: d.str(), SrcPath: d.str(), NumSlots: d.u32()}
+	for i := d.count("ports", 20); i > 0; i-- {
+		o.Ports = append(o.Ports, Port{Name: d.str(), Dir: PortDir(d.u32()), Slot: d.u32(), Mask: d.u64()})
 	}
-
-	if n, err = d.count(1<<20, "regs"); err != nil {
-		return nil, err
+	for i := d.count("regs", 20); i > 0; i-- {
+		o.Regs = append(o.Regs, Reg{Name: d.str(), Cur: d.u32(), Next: d.u32(), Mask: d.u64()})
 	}
-	for i := 0; i < n; i++ {
-		var r Reg
-		if r.Name, err = d.str(); err != nil {
-			return nil, err
-		}
-		if r.Cur, err = d.u32(); err != nil {
-			return nil, err
-		}
-		if r.Next, err = d.u32(); err != nil {
-			return nil, err
-		}
-		if r.Mask, err = d.u64(); err != nil {
-			return nil, err
-		}
-		o.Regs = append(o.Regs, r)
+	for i := d.count("mems", 20); i > 0; i-- {
+		o.Mems = append(o.Mems, Mem{Name: d.str(), Index: d.u32(), Depth: d.u32(), Mask: d.u64()})
 	}
-
-	if n, err = d.count(1<<16, "mems"); err != nil {
-		return nil, err
+	for i := d.count("consts", 12); i > 0; i-- {
+		o.Consts = append(o.Consts, ConstInit{Slot: d.u32(), Value: d.u64()})
 	}
-	for i := 0; i < n; i++ {
-		var m Mem
-		if m.Name, err = d.str(); err != nil {
-			return nil, err
-		}
-		if m.Index, err = d.u32(); err != nil {
-			return nil, err
-		}
-		if m.Depth, err = d.u32(); err != nil {
-			return nil, err
-		}
-		if m.Mask, err = d.u64(); err != nil {
-			return nil, err
-		}
-		o.Mems = append(o.Mems, m)
-	}
-
-	if n, err = d.count(1<<20, "consts"); err != nil {
-		return nil, err
-	}
-	for i := 0; i < n; i++ {
-		var c ConstInit
-		if c.Slot, err = d.u32(); err != nil {
-			return nil, err
-		}
-		if c.Value, err = d.u64(); err != nil {
-			return nil, err
-		}
-		o.Consts = append(o.Consts, c)
-	}
-
-	if n, err = d.count(1<<16, "displays"); err != nil {
-		return nil, err
-	}
-	for i := 0; i < n; i++ {
-		var dd Display
-		if dd.Format, err = d.str(); err != nil {
-			return nil, err
-		}
-		na, err := d.count(1<<12, "display args")
-		if err != nil {
-			return nil, err
-		}
-		for j := 0; j < na; j++ {
-			a, err := d.u32()
-			if err != nil {
-				return nil, err
-			}
-			dd.Args = append(dd.Args, a)
+	for i := d.count("displays", 8); i > 0; i-- {
+		dd := Display{Format: d.str()}
+		for j := d.count("display args", 4); j > 0; j-- {
+			dd.Args = append(dd.Args, d.u32())
 		}
 		o.Displays = append(o.Displays, dd)
 	}
-
-	if n, err = d.count(1<<20, "children"); err != nil {
-		return nil, err
-	}
-	for i := 0; i < n; i++ {
-		var c Child
-		if c.InstName, err = d.str(); err != nil {
-			return nil, err
-		}
-		if c.ObjectKey, err = d.str(); err != nil {
-			return nil, err
-		}
-		nb, err := d.count(1<<16, "binds")
-		if err != nil {
-			return nil, err
-		}
-		for j := 0; j < nb; j++ {
-			var b ChildBind
-			if b.ParentSlot, err = d.u32(); err != nil {
-				return nil, err
-			}
-			if b.ChildPort, err = d.u32(); err != nil {
-				return nil, err
-			}
-			c.Binds = append(c.Binds, b)
+	for i := d.count("children", 12); i > 0; i-- {
+		c := Child{InstName: d.str(), ObjectKey: d.str()}
+		for j := d.count("binds", 8); j > 0; j-- {
+			c.Binds = append(c.Binds, ChildBind{ParentSlot: d.u32(), ChildPort: d.u32()})
 		}
 		o.Children = append(o.Children, c)
 	}
-
-	for ci := 0; ci < 2; ci++ {
-		nc, err := d.count(1<<24, "instructions")
-		if err != nil {
-			return nil, err
-		}
-		code := make([]Instr, nc)
-		for i := range code {
-			opw, err := d.u32()
-			if err != nil {
-				return nil, err
-			}
-			code[i].Op = OpCode(opw & 0xFF)
-			code[i].W = uint8(opw >> 8)
-			if code[i].Dst, err = d.u32(); err != nil {
-				return nil, err
-			}
-			if code[i].A, err = d.u32(); err != nil {
-				return nil, err
-			}
-			if code[i].B, err = d.u32(); err != nil {
-				return nil, err
-			}
-			if code[i].C, err = d.u32(); err != nil {
-				return nil, err
-			}
-			if code[i].Imm, err = d.u64(); err != nil {
-				return nil, err
-			}
-		}
-		if ci == 0 {
-			o.Comb = code
-		} else {
-			o.Seq = code
+	for _, code := range []*[]Instr{&o.Comb, &o.Seq} {
+		*code = make([]Instr, d.count("instructions", 28))
+		for i := range *code {
+			in := &(*code)[i]
+			opw := d.u32()
+			in.Op, in.W = OpCode(opw&0xFF), uint8(opw>>8)
+			in.Dst, in.A, in.B, in.C, in.Imm = d.u32(), d.u32(), d.u32(), d.u32(), d.u64()
 		}
 	}
-
-	if n, err = d.count(1<<20, "debug entries"); err != nil {
-		return nil, err
+	for i := d.count("debug entries", 12); i > 0; i-- {
+		o.Debug = append(o.Debug, SlotDebug{Name: d.str(), Slot: d.u32(), Bits: int(d.u32())})
 	}
-	for i := 0; i < n; i++ {
-		var sd SlotDebug
-		if sd.Name, err = d.str(); err != nil {
-			return nil, err
-		}
-		if sd.Slot, err = d.u32(); err != nil {
-			return nil, err
-		}
-		bits, err := d.u32()
-		if err != nil {
-			return nil, err
-		}
-		sd.Bits = int(bits)
-		o.Debug = append(o.Debug, sd)
+	if d.err == nil && d.off != len(body) {
+		d.fail("object file has %d trailing bytes", len(body)-d.off)
 	}
-
-	if d.off != len(buf) {
-		return nil, fmt.Errorf("object file has %d trailing bytes", len(buf)-d.off)
+	if d.err != nil {
+		return nil, d.err
 	}
 	if err := o.Validate(); err != nil {
 		return nil, fmt.Errorf("decoded object invalid: %w", err)

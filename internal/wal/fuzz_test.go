@@ -3,6 +3,8 @@ package wal
 import (
 	"bytes"
 	"testing"
+
+	"livesim/internal/frame"
 )
 
 // FuzzWALDecode hammers the journal decoder with corrupted images —
@@ -14,23 +16,23 @@ import (
 // checkpoint decoders.
 func FuzzWALDecode(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(Header())
-	seed := Header()
+	f.Add(format.Append(nil))
+	seed := format.Append(nil)
 	for i, r := range []*Record{
 		{Seq: 1, Type: TypeBoot, PGAS: 1, CheckpointEvery: 10},
 		{Seq: 2, Type: TypeCmd, Verb: "run", Args: []string{"tb0", "p0", "50"}, Version: "v0"},
 		{Seq: 3, Type: TypeMark, Pipe: "p0", Path: "s.p0.lscp", Cycle: 50, HistoryLen: 1},
 	} {
-		frame, err := EncodeRecord(r)
+		rec, err := EncodeRecord(r)
 		if err != nil {
 			f.Fatalf("seed %d: %v", i, err)
 		}
-		seed = append(seed, frame...)
-		f.Add(append([]byte(nil), seed...))          // growing clean prefixes
+		seed = append(seed, rec...)
+		f.Add(append([]byte(nil), seed...))               // growing clean prefixes
 		f.Add(append([]byte(nil), seed[:len(seed)-3]...)) // torn tails
 	}
 	flipped := append([]byte(nil), seed...)
-	flipped[headerLen] ^= 0xff // CRC byte of the first record
+	flipped[frame.HeaderLen] ^= 0xff // CRC byte of the first record
 	f.Add(flipped)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -41,7 +43,7 @@ func FuzzWALDecode(f *testing.F) {
 		if err == nil && clean != len(data) {
 			t.Fatalf("no error but clean=%d < len=%d", clean, len(data))
 		}
-		if len(recs) > 0 && clean < headerLen {
+		if len(recs) > 0 && clean < frame.HeaderLen {
 			t.Fatalf("%d records from a %d-byte clean prefix", len(recs), clean)
 		}
 		for i, r := range recs {
@@ -49,7 +51,7 @@ func FuzzWALDecode(f *testing.F) {
 				t.Fatalf("record %d has seq %d", i, r.Seq)
 			}
 		}
-		if clean >= headerLen {
+		if clean >= frame.HeaderLen {
 			recs2, clean2, err2 := DecodeAll(data[:clean])
 			if err2 != nil || clean2 != clean || len(recs2) != len(recs) {
 				t.Fatalf("clean prefix unstable: recs %d->%d clean %d->%d err2=%v",

@@ -2,21 +2,14 @@
 // livesimd's durable session recovery. Every committed mutation — a
 // session's boot parameters, each mutating command (run, poke, apply
 // with its full source payload, ...) and checkpoint watermarks — is
-// appended as one CRC32-framed record, so a daemon that dies (kill -9,
-// OOM, power loss) can reconstruct every hosted session bit-identically
-// by re-booting it and re-applying the journaled mutations
+// appended as one record, so a daemon that dies (kill -9, OOM, power
+// loss) can reconstruct every hosted session bit-identically by
+// re-booting it and re-applying the journaled mutations
 // (core.Session.ReplayFrom).
 //
-// On-disk layout (format version 1):
-//
-//	offset 0 : magic "LSWL"
-//	offset 4 : format version (u32 LE)
-//	then, repeated:
-//	  CRC32 (IEEE) of the payload (u32 LE)
-//	  payload length (u32 LE)
-//	  payload (JSON-encoded Record)
-//
-// The file is append-only. A crash mid-append leaves a torn tail;
+// A journal is an internal/frame file: the header (LSWL, version 1),
+// then one frame record per journal Record, its payload the Record's
+// JSON. The file is append-only. A crash mid-append leaves a torn tail;
 // Open detects it (length prefix past EOF, CRC mismatch, or a payload
 // that does not decode) and truncates back to the last intact record —
 // torn tails are a recovery event, never a boot failure. Sequence
@@ -31,27 +24,21 @@
 package wal
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"sync"
 	"time"
 
 	"livesim/internal/faultinject"
+	"livesim/internal/frame"
 	"livesim/internal/obs"
 )
 
-// Magic identifies a WAL file.
-const Magic = "LSWL"
-
-// FormatVersion is the current on-disk format.
-const FormatVersion = 1
-
-const headerLen = 8
-const frameHeaderLen = 8
+// format is the journal's file header. Version 1 is the only layout
+// there has been.
+var format = frame.Header{Magic: "LSWL", Min: 1, Max: 1}
 
 // MaxRecord bounds a single record payload; the largest legitimate
 // payload is an `apply` record carrying a full design source snapshot,
@@ -211,10 +198,7 @@ func Open(path string, opts Options) (*WAL, []*Record, error) {
 	}
 	w := &WAL{f: f, path: path, opts: opts, stop: make(chan struct{}), stopped: make(chan struct{})}
 	if len(data) == 0 {
-		hdr := make([]byte, 0, headerLen)
-		hdr = append(hdr, Magic...)
-		hdr = binary.LittleEndian.AppendUint32(hdr, FormatVersion)
-		if _, err := f.Write(hdr); err != nil {
+		if _, err := f.Write(format.Append(nil)); err != nil {
 			f.Close()
 			return nil, nil, err
 		}
@@ -222,7 +206,7 @@ func Open(path string, opts Options) (*WAL, []*Record, error) {
 			f.Close()
 			return nil, nil, err
 		}
-		w.size = headerLen
+		w.size = frame.HeaderLen
 	} else {
 		w.size = int64(clean)
 		if _, err := f.Seek(w.size, 0); err != nil {
@@ -279,7 +263,7 @@ func (w *WAL) Append(r *Record) error {
 		return fmt.Errorf("wal %s: closed", w.path)
 	}
 	r.Seq = w.seq + 1
-	frame, err := EncodeRecord(r)
+	buf, err := EncodeRecord(r)
 	if err != nil {
 		return err
 	}
@@ -295,28 +279,28 @@ func (w *WAL) Append(r *Record) error {
 		// session degrades to journal-paused, not dead.
 		return fmt.Errorf("wal %s: append: %w", w.path, ferr)
 	}
-	if tear := w.opts.Faults.WALTear(w.appends, len(frame)); tear >= 0 {
+	if tear := w.opts.Faults.WALTear(w.appends, len(buf)); tear >= 0 {
 		// Injected torn append: write only a prefix, sync it so the torn
 		// tail is really on disk, and fail as a crash at this exact
 		// offset would.
-		if tear > len(frame) {
-			tear = len(frame)
+		if tear > len(buf) {
+			tear = len(buf)
 		}
-		if _, werr := w.f.Write(frame[:tear]); werr != nil {
+		if _, werr := w.f.Write(buf[:tear]); werr != nil {
 			return werr
 		}
 		w.f.Sync()
 		w.size += int64(tear)
 		w.closed = true // a crashed writer never writes again
 		return fmt.Errorf("wal %s: torn append after %d/%d bytes: %w",
-			w.path, tear, len(frame), faultinject.ErrInjected)
+			w.path, tear, len(buf), faultinject.ErrInjected)
 	}
 
-	if _, err := w.f.Write(frame); err != nil {
+	if _, err := w.f.Write(buf); err != nil {
 		return err
 	}
 	w.seq = r.Seq
-	w.size += int64(len(frame))
+	w.size += int64(len(buf))
 	if w.opts.SyncEvery == 0 && w.group == 0 {
 		if err := w.f.Sync(); err != nil {
 			return err
@@ -325,7 +309,7 @@ func (w *WAL) Append(r *Record) error {
 		w.dirty = true
 	}
 	w.opts.Metrics.Counter("wal_appends").Inc()
-	w.opts.Metrics.Counter("wal_bytes").Add(uint64(len(frame)))
+	w.opts.Metrics.Counter("wal_bytes").Add(uint64(len(buf)))
 	if w.opts.OnWrite != nil {
 		w.opts.OnWrite(w.size)
 	}
@@ -399,7 +383,7 @@ func (w *WAL) flusher(every time.Duration) {
 	}
 }
 
-// EncodeRecord frames one record: CRC32 + length + JSON payload.
+// EncodeRecord frames one record: a frame record carrying its JSON.
 func EncodeRecord(r *Record) ([]byte, error) {
 	payload, err := json.Marshal(r)
 	if err != nil {
@@ -408,18 +392,7 @@ func EncodeRecord(r *Record) ([]byte, error) {
 	if len(payload) > MaxRecord {
 		return nil, fmt.Errorf("wal record %d bytes exceeds limit %d", len(payload), MaxRecord)
 	}
-	frame := make([]byte, 0, frameHeaderLen+len(payload))
-	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(payload))
-	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(payload)))
-	return append(frame, payload...), nil
-}
-
-// Header returns the 8-byte file header (exported for tests and fuzz
-// seeds).
-func Header() []byte {
-	hdr := make([]byte, 0, headerLen)
-	hdr = append(hdr, Magic...)
-	return binary.LittleEndian.AppendUint32(hdr, FormatVersion)
+	return frame.AppendRecord(make([]byte, 0, frame.RecordHeaderLen+len(payload)), payload), nil
 }
 
 // DecodeAll parses a WAL image, returning every intact record in order
@@ -431,18 +404,12 @@ func Header() []byte {
 // stops the scan at the last intact record, with the reason in err and
 // clean marking where a recovering writer should truncate.
 func DecodeAll(data []byte) (recs []*Record, clean int, err error) {
-	if len(data) < headerLen {
-		return nil, 0, fmt.Errorf("wal image %d bytes: shorter than the %d-byte header", len(data), headerLen)
+	_, body, err := format.Read(data)
+	if err != nil {
+		return nil, 0, err
 	}
-	if string(data[:4]) != Magic {
-		return nil, 0, fmt.Errorf("not a wal file (no %s magic)", Magic)
-	}
-	ver := binary.LittleEndian.Uint32(data[4:])
-	if ver == 0 || ver > FormatVersion {
-		return nil, 0, fmt.Errorf("wal format version %d not supported (this build reads 1..%d)", ver, FormatVersion)
-	}
-	recs, n, err := DecodeSegment(data[headerLen:], 0)
-	return recs, headerLen + n, err
+	recs, n, err := DecodeSegment(body, 0)
+	return recs, frame.HeaderLen + n, err
 }
 
 // DecodeSegment parses a headerless run of record frames whose first
@@ -452,37 +419,20 @@ func DecodeAll(data []byte) (recs []*Record, clean int, err error) {
 // DecodeAll and the same never-panic contract, returning the intact
 // records, the clean byte length, and the first damage found.
 func DecodeSegment(data []byte, afterSeq uint64) (recs []*Record, clean int, err error) {
-	off := 0
 	lastSeq := afterSeq
-	for off < len(data) {
-		if off+frameHeaderLen > len(data) {
-			return recs, off, fmt.Errorf("torn record header at offset %d", off)
-		}
-		wantCRC := binary.LittleEndian.Uint32(data[off:])
-		plen := binary.LittleEndian.Uint32(data[off+4:])
-		if plen > MaxRecord {
-			return recs, off, fmt.Errorf("record at offset %d claims %d bytes (limit %d)", off, plen, MaxRecord)
-		}
-		body := off + frameHeaderLen
-		if int(plen) > len(data)-body {
-			return recs, off, fmt.Errorf("torn record at offset %d: %d bytes claimed, %d present", off, plen, len(data)-body)
-		}
-		payload := data[body : body+int(plen)]
-		if got := crc32.ChecksumIEEE(payload); got != wantCRC {
-			return recs, off, fmt.Errorf("record at offset %d: CRC mismatch (file %#x, computed %#x)", off, wantCRC, got)
-		}
+	clean, err = frame.Records(data, MaxRecord, func(payload []byte) error {
 		var r Record
-		if uerr := json.Unmarshal(payload, &r); uerr != nil {
-			return recs, off, fmt.Errorf("record at offset %d: %v", off, uerr)
+		if err := json.Unmarshal(payload, &r); err != nil {
+			return err
 		}
 		if r.Seq != lastSeq+1 {
-			return recs, off, fmt.Errorf("record at offset %d: sequence %d after %d", off, r.Seq, lastSeq)
+			return fmt.Errorf("sequence %d after %d", r.Seq, lastSeq)
 		}
 		lastSeq = r.Seq
 		recs = append(recs, &r)
-		off = body + int(plen)
-	}
-	return recs, off, nil
+		return nil
+	})
+	return recs, clean, err
 }
 
 // ReadSince reads the journal at path and returns the records with
@@ -503,25 +453,14 @@ func ReadSince(path string, afterSeq uint64, off int64) (recs []*Record, newOff 
 	}
 	defer f.Close()
 
-	if off < headerLen {
-		hdr := make([]byte, headerLen)
-		if _, err := io.ReadFull(f, hdr); err != nil {
-			return nil, 0, fmt.Errorf("wal %s: header: %w", path, err)
-		}
-		if string(hdr[:4]) != Magic {
-			return nil, 0, fmt.Errorf("wal %s: not a wal file (no %s magic)", path, Magic)
-		}
-		if ver := binary.LittleEndian.Uint32(hdr[4:]); ver == 0 || ver > FormatVersion {
-			return nil, 0, fmt.Errorf("wal %s: format version %d not supported", path, ver)
-		}
-		off = headerLen
+	if off < frame.HeaderLen {
 		// Scanning from the top: sequence numbers start at 1, so decode
 		// the whole chain and drop what the caller already shipped.
 		data, err := io.ReadAll(f)
 		if err != nil {
 			return nil, 0, err
 		}
-		all, clean, derr := DecodeSegment(data, 0)
+		all, clean, derr := DecodeAll(data)
 		if derr != nil {
 			return nil, 0, fmt.Errorf("wal %s: %w", path, derr)
 		}
@@ -530,7 +469,7 @@ func ReadSince(path string, afterSeq uint64, off int64) (recs []*Record, newOff 
 				recs = append(recs, r)
 			}
 		}
-		return recs, off + int64(clean), nil
+		return recs, int64(clean), nil
 	}
 
 	if _, err := f.Seek(off, 0); err != nil {

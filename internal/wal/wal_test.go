@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"os"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"livesim/internal/faultinject"
+	"livesim/internal/frame"
 )
 
 func openT(t *testing.T, path string, opts Options) (*WAL, []*Record) {
@@ -66,24 +68,24 @@ func TestAppendReopenRoundTrip(t *testing.T) {
 // Torn tails — a frame header cut short, a payload cut short — must be
 // truncated off the file on reopen, keeping every earlier record.
 func TestOpenTruncatesTornTail(t *testing.T) {
-	for _, cut := range []int{1, 4, frameHeaderLen, frameHeaderLen + 3} {
+	for _, cut := range []int{1, 4, frame.RecordHeaderLen, frame.RecordHeaderLen + 3} {
 		path := filepath.Join(t.TempDir(), "s.wal")
 		w, _ := openT(t, path, Options{})
 		if err := w.Append(&Record{Type: TypeCmd, Verb: "run"}); err != nil {
 			t.Fatal(err)
 		}
 		keepSize := w.Size()
-		frame, _ := EncodeRecord(&Record{Seq: 2, Type: TypeCmd, Verb: "poke"})
+		rec, _ := EncodeRecord(&Record{Seq: 2, Type: TypeCmd, Verb: "poke"})
 		w.Close()
 
 		f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if cut > len(frame) {
-			cut = len(frame) - 1
+		if cut > len(rec) {
+			cut = len(rec) - 1
 		}
-		f.Write(frame[:cut])
+		f.Write(rec[:cut])
 		f.Close()
 
 		w2, recs := openT(t, path, Options{})
@@ -180,15 +182,14 @@ func TestBatchedSyncAndOnWrite(t *testing.T) {
 }
 
 func TestDecodeAllRejects(t *testing.T) {
-	good := Header()
-	frame, _ := EncodeRecord(&Record{Seq: 1, Type: TypeCmd, Verb: "run"})
-	good = append(good, frame...)
+	rec, _ := EncodeRecord(&Record{Seq: 1, Type: TypeCmd, Verb: "run"})
+	good := append(format.Append(nil), rec...)
 
 	t.Run("oversize-length", func(t *testing.T) {
 		data := append([]byte(nil), good...)
-		binary.LittleEndian.PutUint32(data[headerLen+4:], MaxRecord+1)
+		binary.LittleEndian.PutUint32(data[frame.HeaderLen+4:], MaxRecord+1)
 		recs, clean, err := DecodeAll(data)
-		if err == nil || len(recs) != 0 || clean != headerLen {
+		if err == nil || len(recs) != 0 || clean != frame.HeaderLen {
 			t.Fatalf("recs=%d clean=%d err=%v", len(recs), clean, err)
 		}
 	})
@@ -203,7 +204,7 @@ func TestDecodeAllRejects(t *testing.T) {
 	})
 	t.Run("bad-version", func(t *testing.T) {
 		data := append([]byte(nil), good...)
-		binary.LittleEndian.PutUint32(data[4:], FormatVersion+1)
+		binary.LittleEndian.PutUint32(data[4:], format.Max+1)
 		if _, _, err := DecodeAll(data); err == nil {
 			t.Fatal("future format version accepted")
 		}
@@ -220,6 +221,24 @@ func TestDecodeAllRejects(t *testing.T) {
 			t.Fatalf("clean prefix %d, want %d", clean2, len(good))
 		}
 	})
+}
+
+// TestEncodeRecordPinned: a record's bytes are what the build before the
+// frame container wrote, so every journal on disk stays readable without
+// a version bump. The hex is EncodeRecord's output at that build.
+func TestEncodeRecordPinned(t *testing.T) {
+	const want = "87ce861f560000007b22736571223a372c2274797065223a22636d64222c2276657262223a2272756e222c2261726773223a5b22746230222c227030222c223530225d2c2276657273696f6e223a227631222c226379636c65223a35307d"
+	got, err := EncodeRecord(&Record{Seq: 7, Type: TypeCmd, Verb: "run",
+		Args: []string{"tb0", "p0", "50"}, Version: "v1", Cycle: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hex.EncodeToString(got) != want {
+		t.Fatalf("EncodeRecord = %x\nwant          %s", got, want)
+	}
+	if !bytes.Equal(format.Append(nil), []byte("LSWL\x01\x00\x00\x00")) {
+		t.Fatalf("journal header %q", format.Append(nil))
+	}
 }
 
 func TestEncodeRecordRejectsOversize(t *testing.T) {

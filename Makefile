@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race bench opmix frontend fuzz-smoke serve-smoke crash-recovery-smoke admin-smoke profile-smoke overload-smoke fleet-smoke failover-smoke trace-smoke
+.PHONY: check vet build test race bench opmix frontend state fuzz-smoke serve-smoke crash-recovery-smoke admin-smoke profile-smoke overload-smoke fleet-smoke failover-smoke trace-smoke
 
 check: vet build race fuzz-smoke serve-smoke crash-recovery-smoke admin-smoke profile-smoke overload-smoke fleet-smoke failover-smoke trace-smoke
 
@@ -39,6 +39,13 @@ opmix:
 # are held in tier-1 by TestRebuildCounts; the times are only reported.
 frontend:
 	$(GO) test -run '^$$' -bench BenchmarkRebuild -benchmem -count=1 ./internal/livecompiler
+
+# What a checkpoint capture costs, on PGAS 4x4 and 8x8 after 1 000 cycles
+# of the compute kernel: ns and bytes allocated per sim.Snapshot, and the
+# bytes each added checkpoint retains in the store (pages unchanged since
+# the previous capture are shared, not copied). Times are only reported.
+state:
+	$(GO) test -run '^$$' -bench BenchmarkSnapshot -benchtime 20x -count=1 ./internal/pgas
 
 # Short fuzz runs over the frame container, the checkpoint, journal,
 # transfer and replication decoders on it, and the incremental analyzer

@@ -2,10 +2,12 @@
 // (Sections III-B, III-D and Figure 2 of the paper):
 //
 //   - checkpoints are taken at regular cycle intervals during execution;
-//   - a checkpoint is a stop-the-world copy of the state, as the paper's
-//     forked child that "creates the checkpoint and halts" is its memory:
-//     nothing serializes it until it leaves the process (a checkpoint
-//     file, or Bytes);
+//   - a checkpoint is a stop-the-world capture of the state, as the
+//     paper's forked child that "creates the checkpoint and halts" is its
+//     memory, and like the child's untouched pages its memory pages that
+//     did not change since the previous capture are shared with that
+//     capture (sim.Snapshot); nothing serializes it until it leaves the
+//     process (a checkpoint file, or Bytes);
 //   - reloading picks the checkpoint closest to 10k cycles before the
 //     point of interest (Section III-D, the distance is tunable);
 //   - garbage collection keeps the latest 100 checkpoints and thins older
@@ -104,18 +106,45 @@ func (s *Store) Add(st *sim.State, version string, historyPos int) *Checkpoint {
 func (s *Store) Wait() {}
 
 // ApproxBytes estimates the store's in-memory footprint: every live
-// checkpoint's state copy plus its Aux side state. Feeds the governance
-// plane's per-session memory gauges.
+// checkpoint's slot arrays, memory pages and Aux side state. A memory
+// page a checkpoint shares with the one before it in the store is not
+// counted again, so a run of consecutive captures costs its first state
+// plus the pages each later one changed. Feeds the governance plane's
+// per-session memory gauges.
 func (s *Store) ApproxBytes() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var n uint64
+	var prev *sim.State
 	for _, cp := range s.cps {
 		if cp.State != nil {
-			n += uint64(cp.State.Bytes())
+			n += unsharedBytes(cp.State, prev)
+			prev = cp.State
 		}
 		for _, aux := range cp.Aux {
 			n += uint64(len(aux))
+		}
+	}
+	return n
+}
+
+// unsharedBytes is the size of st less the memory pages it shares with
+// prev at the same node, memory and page index; prev may be nil.
+func unsharedBytes(st, prev *sim.State) uint64 {
+	var n uint64
+	for i := range st.Nodes {
+		nd := &st.Nodes[i]
+		n += 8 * uint64(len(nd.Slots))
+		for mi, m := range nd.Mems {
+			var pm sim.Mem
+			if prev != nil && i < len(prev.Nodes) && mi < len(prev.Nodes[i].Mems) {
+				pm = prev.Nodes[i].Mems[mi]
+			}
+			for pi, page := range m {
+				if pi >= len(pm) || !sim.SamePage(page, pm[pi]) {
+					n += 8 * uint64(len(page))
+				}
+			}
 		}
 	}
 	return n
@@ -189,7 +218,7 @@ func (s *Store) Before(target uint64) []*Checkpoint {
 	return out
 }
 
-// DropVersion removes checkpoints whose design version is not v — used
+// DropOtherVersions removes checkpoints whose design version is not v — used
 // when the consistency verifier proves old-version checkpoints invalid.
 func (s *Store) DropOtherVersions(v string) int {
 	s.mu.Lock()
@@ -345,7 +374,7 @@ func stateSize(st *sim.State) int {
 		n := &st.Nodes[i]
 		size += 32 + len(n.Path) + len(n.ObjKey) + 8*len(n.Slots)
 		for _, m := range n.Mems {
-			size += 8 + 8*len(m)
+			size += 8 + 8*m.Len()
 		}
 	}
 	return size
@@ -366,7 +395,12 @@ func appendState(b []byte, st *sim.State) []byte {
 		b = appendWords(b, n.Slots)
 		b = binary.LittleEndian.AppendUint64(b, uint64(len(n.Mems)))
 		for _, m := range n.Mems {
-			b = appendWords(b, m)
+			b = binary.LittleEndian.AppendUint64(b, uint64(m.Len()))
+			for _, page := range m {
+				for _, v := range page {
+					b = binary.LittleEndian.AppendUint64(b, v)
+				}
+			}
 		}
 	}
 	return b
@@ -396,9 +430,9 @@ func DecodeState(buf []byte) (*sim.State, error) {
 		n.Path, n.ObjKey = string(r.bytes()), string(r.bytes())
 		n.Slots = r.words()
 		if nm := r.count(8, "memories"); nm > 0 {
-			n.Mems = make([][]uint64, nm)
+			n.Mems = make([]sim.Mem, nm)
 			for j := range n.Mems {
-				n.Mems[j] = r.words()
+				n.Mems[j] = r.mem()
 			}
 		}
 	}
@@ -406,6 +440,25 @@ func DecodeState(buf []byte) (*sim.State, error) {
 		return nil, r.err
 	}
 	return st, nil
+}
+
+// mem reads a counted run of u64s into pages of sim.PageWords, each its
+// own allocation (see sim.Mem); an empty run is nil.
+func (r *reader) mem() sim.Mem {
+	n := r.count(8, "words")
+	if n == 0 {
+		return nil
+	}
+	m := make(sim.Mem, (n+sim.PageWords-1)/sim.PageWords)
+	for i := range m {
+		page := make([]uint64, min(sim.PageWords, n-i*sim.PageWords))
+		for j := range page {
+			page[j] = binary.LittleEndian.Uint64(r.buf[r.off:])
+			r.off += 8
+		}
+		m[i] = page
+	}
+	return m
 }
 
 // reader reads a checkpoint payload: u64 LE values, and counted runs

@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
 	"runtime"
 	"sync"
@@ -15,7 +16,7 @@ func mkState(cycle uint64) *sim.State {
 	return &sim.State{
 		Cycle: cycle,
 		Nodes: []sim.NodeState{
-			{Path: "top", ObjKey: "m", Slots: []uint64{cycle, cycle * 2}, Mems: [][]uint64{{1, 2, 3}}},
+			{Path: "top", ObjKey: "m", Slots: []uint64{cycle, cycle * 2}, Mems: []sim.Mem{{{1, 2, 3}}}},
 			{Path: "top.u0", ObjKey: "leaf", Slots: []uint64{cycle + 7}},
 		},
 	}
@@ -244,7 +245,7 @@ func TestRoundTripProperty(t *testing.T) {
 			Cycle:    cycle,
 			Finished: finished,
 			Nodes: []sim.NodeState{
-				{Path: "top", ObjKey: "k", Slots: slots, Mems: [][]uint64{mem}},
+				{Path: "top", ObjKey: "k", Slots: slots, Mems: []sim.Mem{sim.PagedMem(mem)}},
 			},
 		}
 		got, err := DecodeState(encodeState(st))
@@ -255,7 +256,7 @@ func TestRoundTripProperty(t *testing.T) {
 			return false
 		}
 		n := got.Nodes[0]
-		if len(n.Slots) != len(slots) || len(n.Mems[0]) != len(mem) {
+		if len(n.Slots) != len(slots) || n.Mems[0].Len() != len(mem) {
 			return false
 		}
 		for i := range slots {
@@ -264,7 +265,7 @@ func TestRoundTripProperty(t *testing.T) {
 			}
 		}
 		for i := range mem {
-			if n.Mems[0][i] != mem[i] {
+			if n.Mems[0].At(i) != mem[i] {
 				return false
 			}
 		}
@@ -272,5 +273,72 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// pagedState is a one-node state whose memory spans three full pages and
+// part of a fourth.
+func pagedState(cycle uint64) *sim.State {
+	words := make([]uint64, 3*sim.PageWords+5)
+	for i := range words {
+		words[i] = uint64(i) * 0x9E3779B97F4A7C15
+	}
+	return &sim.State{Cycle: cycle, Nodes: []sim.NodeState{
+		{Path: "top", ObjKey: "m", Slots: []uint64{cycle}, Mems: []sim.Mem{sim.PagedMem(words), nil}},
+	}}
+}
+
+// TestEncodeIgnoresPaging: the bytes of a paged memory are those of its
+// words in one counted run, the layout every LSCP file has; decoding
+// builds pages of sim.PageWords again.
+func TestEncodeIgnoresPaging(t *testing.T) {
+	st := pagedState(9)
+	m := st.Nodes[0].Mems[0]
+	flat := make([]uint64, m.Len())
+	m.CopyTo(flat)
+	want := binary.LittleEndian.AppendUint64(nil, 9)
+	want = binary.LittleEndian.AppendUint64(want, 0)
+	want = binary.LittleEndian.AppendUint64(want, 1)
+	want = appendString(want, "top")
+	want = appendString(want, "m")
+	want = appendWords(want, []uint64{9})
+	want = binary.LittleEndian.AppendUint64(want, 2)
+	want = appendWords(want, flat)
+	want = appendWords(want, nil)
+	got := encodeState(st)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("encoded %d bytes, want the flat layout's %d", len(got), len(want))
+	}
+	back, err := DecodeState(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dm := back.Nodes[0].Mems[0]
+	if len(dm) != 4 || len(dm[0]) != sim.PageWords || len(dm[3]) != 5 {
+		t.Fatalf("decoded %d pages, want 3 of %d words and one of 5", len(dm), sim.PageWords)
+	}
+	if !reflect.DeepEqual(back, st) {
+		t.Error("round trip mismatch")
+	}
+}
+
+// TestApproxBytesCountsSharedPagesOnce: a page a checkpoint holds at the
+// same place as the checkpoint before it is counted once.
+func TestApproxBytesCountsSharedPagesOnce(t *testing.T) {
+	s := NewStore()
+	a := pagedState(1)
+	b := pagedState(2)
+	am, bm := a.Nodes[0].Mems[0], b.Nodes[0].Mems[0]
+	copy(bm, am)
+	bm[2] = append([]uint64(nil), am[2]...)
+	bm[2][0]++
+	s.Add(a, "v1", 0)
+	s.Add(b, "v1", 1)
+	want := a.Bytes() + 8*len(b.Nodes[0].Slots) + 8*sim.PageWords
+	if got := s.ApproxBytes(); got != uint64(want) {
+		t.Errorf("ApproxBytes %d, want %d: the first state, the second's slots and its one changed page", got, want)
+	}
+	if got, want := b.Bytes(), a.Bytes(); got != want {
+		t.Errorf("State.Bytes %d of a state sharing pages, want the logical %d", got, want)
 	}
 }

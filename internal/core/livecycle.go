@@ -349,8 +349,8 @@ func (s *Session) restoreStateAdapted(sm *sim.Sim, cp *checkpoint.Checkpoint) er
 		if ns.ObjKey == n.Obj.Key && len(ns.Slots) == len(n.Inst.Slots) && len(ns.Mems) == len(n.Inst.Mems) {
 			if fromObjects[ns.ObjKey] == n.Obj {
 				copy(n.Inst.Slots, ns.Slots)
-				for mi := range ns.Mems {
-					copy(n.Inst.Mems[mi], ns.Mems[mi])
+				for mi, m := range ns.Mems {
+					m.CopyTo(n.Inst.Mems[mi])
 				}
 				return nil
 			}
@@ -381,12 +381,9 @@ func (s *Session) restoreStateAdapted(sm *sim.Sim, cp *checkpoint.Checkpoint) er
 				continue
 			}
 			dst, src := n.Inst.Mems[m.Index], ns.Mems[om.Index]
-			cnt := len(dst)
-			if len(src) < cnt {
-				cnt = len(src)
-			}
-			for i := 0; i < cnt; i++ {
-				dst[i] = src[i] & m.Mask
+			src.CopyTo(dst)
+			for i := range min(len(dst), src.Len()) {
+				dst[i] &= m.Mask
 			}
 		}
 		for _, pt := range n.Obj.Ports {
@@ -584,7 +581,9 @@ func (s *Session) verifyReplay(p *Pipe, from *checkpoint.Checkpoint, toCycle uin
 
 // compareToRecorded checks a replayed (current-version) state against a
 // recorded (possibly old-version) checkpoint: architectural registers are
-// compared through the transform ops, memories by name.
+// compared through the transform ops, memories by name. A replay shares
+// the pages it did not change with the checkpoint it started from, and so
+// often with the recorded one: those are skipped (sim.FirstDiff).
 func (s *Session) compareToRecorded(replayed *sim.State, recorded *checkpoint.Checkpoint) (bool, string) {
 	s.mu.Lock()
 	fromObjects := s.versionObjects[recorded.Version]
@@ -635,15 +634,9 @@ func (s *Session) compareToRecorded(replayed *sim.State, recorded *checkpoint.Ch
 				continue
 			}
 			got, wantM := rn.Mems[m.Index], rec.Mems[om.Index]
-			cnt := len(got)
-			if len(wantM) < cnt {
-				cnt = len(wantM)
-			}
-			for j := 0; j < cnt; j++ {
-				if got[j] != wantM[j]&m.Mask {
-					return false, fmt.Sprintf("%s mem %s[%d]: replayed %#x, recorded %#x",
-						rn.Path, m.Name, j, got[j], wantM[j]&m.Mask)
-				}
+			if j := sim.FirstDiff(got, wantM, m.Mask); j >= 0 {
+				return false, fmt.Sprintf("%s mem %s[%d]: replayed %#x, recorded %#x",
+					rn.Path, m.Name, j, got.At(j), wantM.At(j)&m.Mask)
 			}
 		}
 	}

@@ -603,7 +603,7 @@ func (s *Session) runChunked(p *Pipe, tb Testbench, cycles int, tok *runToken) e
 }
 
 // takeCheckpoint captures pipe state plus testbench snapshots — the
-// stop-the-world copy that is the whole checkpoint (Figure 2(a)).
+// stop-the-world capture that is the whole checkpoint (Figure 2(a)).
 func (s *Session) takeCheckpoint(p *Pipe) *checkpoint.Checkpoint {
 	var t0 time.Time
 	if s.metrics != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"livesim/internal/checkpoint"
 	"livesim/internal/codegen"
 	"livesim/internal/obs"
 	"livesim/internal/prof"
@@ -55,6 +56,57 @@ func BenchmarkTick(b *testing.B) {
 			b.ReportMetric(float64(s.Stats.Ops-ops0)/cycles, "ops/cycle")
 			b.ReportMetric(float64(t.CombEvals)/float64(t.Cycles), "comb-evals/cycle")
 			b.ReportMetric(float64(reg.Counter("sim_settle_passes").Value()-scans0)/cycles, "scans/cycle")
+		})
+	}
+}
+
+// BenchmarkSnapshot sizes a capture: sim.Snapshot on the 4x4 and 8x8
+// meshes running the compute kernel, one capture per checkpoint interval
+// of simulated work, each added to a checkpoint store the way a session
+// does. ns/op and B/op are one Snapshot's (the ticks between captures are
+// not timed); retained-B/ckpt is what each added checkpoint adds to the
+// store's ApproxBytes. `make state` runs it.
+func BenchmarkSnapshot(b *testing.B) {
+	const warm, every = 1000, 1000
+	for _, side := range []int{4, 8} {
+		n := side * side
+		b.Run(fmt.Sprintf("%dx%d", side, side), func(b *testing.B) {
+			s, err := NewSim(n, codegen.StyleGrouped)
+			if err != nil {
+				b.Fatal(err)
+			}
+			images, err := ComputeImages(n, 1<<30)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i, img := range images {
+				if err := LoadImage(s, n, i, img); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := s.Tick(warm); err != nil {
+				b.Fatal(err)
+			}
+			// The first capture has nothing to share with; the timed ones
+			// are the steady state after it.
+			store := checkpoint.NewStore()
+			store.Add(s.Snapshot(), "v0", 0)
+			bytes0 := store.ApproxBytes()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				if err := s.Tick(every); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				st := s.Snapshot()
+				b.StopTimer()
+				store.Add(st, "v0", i+1)
+				b.StartTimer()
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(store.ApproxBytes()-bytes0)/float64(b.N), "retained-B/ckpt")
 		})
 	}
 }

@@ -104,6 +104,10 @@ type Sim struct {
 	output   io.Writer
 	nodes    []*Node // pre-order
 
+	// base is the state last captured or loaded: Snapshot shares each of
+	// its memory pages whose words the live memory still holds.
+	base *State
+
 	// The settle schedule: order is the worklist, bit r of dirty says
 	// order[r] saw an input or its own state change since it last
 	// evaluated, and no word of dirty below low has a bit set.

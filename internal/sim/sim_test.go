@@ -432,3 +432,44 @@ func TestStatsAccumulate(t *testing.T) {
 		t.Error("no ops counted")
 	}
 }
+
+// TestMemPages: a captured memory is its words in pages of PageWords, the
+// last one short, and the helpers read it as the flat memory it was.
+func TestMemPages(t *testing.T) {
+	words := make([]uint64, 2*PageWords+3)
+	for i := range words {
+		words[i] = uint64(i) | 1<<40
+	}
+	m := PagedMem(words)
+	if len(m) != 3 || len(m[0]) != PageWords || len(m[2]) != 3 || m.Len() != len(words) {
+		t.Fatalf("%d pages, depth %d", len(m), m.Len())
+	}
+	for _, i := range []int{0, PageWords - 1, PageWords, len(words) - 1} {
+		if m.At(i) != words[i] {
+			t.Errorf("At(%d) = %#x, want %#x", i, m.At(i), words[i])
+		}
+	}
+	short := make([]uint64, PageWords+1)
+	m.CopyTo(short)
+	if short[PageWords] != words[PageWords] {
+		t.Error("CopyTo into a shorter memory")
+	}
+	if PagedMem(nil) != nil || Mem(nil).Len() != 0 {
+		t.Error("a memory of no words has no pages")
+	}
+
+	// FirstDiff compares words under the mask, except in pages the two
+	// share: there bit 40, outside the mask, is not seen.
+	other := append(Mem(nil), m...)
+	other[1] = append([]uint64(nil), m[1]...)
+	if got := FirstDiff(m, other, 0xFFFF); got != PageWords {
+		t.Errorf("FirstDiff under a mask = %d, want %d: the first word of the one unshared page", got, PageWords)
+	}
+	if got := FirstDiff(m, other, ^uint64(0)); got != -1 {
+		t.Errorf("FirstDiff of equal memories = %d", got)
+	}
+	other[1][7]++
+	if got := FirstDiff(m, other, ^uint64(0)); got != PageWords+7 {
+		t.Errorf("FirstDiff = %d, want %d", got, PageWords+7)
+	}
+}

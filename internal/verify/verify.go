@@ -159,7 +159,8 @@ func storeMin(addr *int64, v int64) {
 }
 
 // StateEqual compares two simulation states structurally, reporting the
-// first differing signal or memory word.
+// first differing signal or memory word. Memory pages the two states
+// share are skipped, not compared.
 func StateEqual(a, b *sim.State) (bool, string) {
 	if a.Cycle != b.Cycle {
 		return false, fmt.Sprintf("cycle %d vs %d", a.Cycle, b.Cycle)
@@ -185,13 +186,11 @@ func StateEqual(a, b *sim.State) (bool, string) {
 		}
 		for mi := range na.Mems {
 			ma, mb := na.Mems[mi], nb.Mems[mi]
-			if len(ma) != len(mb) {
-				return false, fmt.Sprintf("%s mem %d: depth %d vs %d", na.Path, mi, len(ma), len(mb))
+			if ma.Len() != mb.Len() {
+				return false, fmt.Sprintf("%s mem %d: depth %d vs %d", na.Path, mi, ma.Len(), mb.Len())
 			}
-			for j := range ma {
-				if ma[j] != mb[j] {
-					return false, fmt.Sprintf("%s mem %d[%d]: %#x vs %#x", na.Path, mi, j, ma[j], mb[j])
-				}
+			if j := sim.FirstDiff(ma, mb, ^uint64(0)); j >= 0 {
+				return false, fmt.Sprintf("%s mem %d[%d]: %#x vs %#x", na.Path, mi, j, ma.At(j), mb.At(j))
 			}
 		}
 	}
@@ -220,11 +219,8 @@ func RegsEqual(a, b *sim.State, regSlots map[string][]uint32) (bool, string) {
 			if mi >= len(nb.Mems) {
 				return false, fmt.Sprintf("%s: memory count differs", na.Path)
 			}
-			ma, mb := na.Mems[mi], nb.Mems[mi]
-			for j := range ma {
-				if j < len(mb) && ma[j] != mb[j] {
-					return false, fmt.Sprintf("%s mem %d[%d] differs", na.Path, mi, j)
-				}
+			if j := sim.FirstDiff(na.Mems[mi], nb.Mems[mi], ^uint64(0)); j >= 0 {
+				return false, fmt.Sprintf("%s mem %d[%d] differs", na.Path, mi, j)
 			}
 		}
 	}

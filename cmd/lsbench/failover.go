@@ -3,9 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
-	"net"
 	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -41,7 +39,7 @@ func failoverBench() {
 	}
 	defer os.RemoveAll(root)
 
-	nodes, gw, gaddr := startReplicatedFleet(root, 2)
+	nodes, gw, gaddr := startFleet(root, 2, true, replicatedFleet)
 	defer stopFleet(nodes, gw)
 
 	c, err := client.Dial(gaddr)
@@ -216,36 +214,12 @@ func failoverBench() {
 	fmt.Println()
 }
 
-// startReplicatedFleet is startFleet with replication + fast failover
-// armed at the gateway.
-func startReplicatedFleet(root string, count int) ([]*fleetNode, *gateway.Gateway, string) {
-	nodes := make([]*fleetNode, 0, count)
-	specs := make([]gateway.BackendSpec, 0, count)
-	for i := 0; i < count; i++ {
-		dir := filepath.Join(root, fmt.Sprintf("n%d", i))
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			fatal(err)
-		}
-		n := startFleetNode(dir, filepath.Join(root, fmt.Sprintf("d%d.sock", i)), true)
-		nodes = append(nodes, n)
-		specs = append(specs, gateway.BackendSpec{Addr: n.addr()})
-	}
-	gw, err := gateway.New(gateway.Config{
-		Backends:      specs,
-		HealthEvery:   50 * time.Millisecond,
-		Replicate:     true,
-		FailoverGrace: 300 * time.Millisecond,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	gsock := filepath.Join(root, "g.sock")
-	ln, err := net.Listen("unix", gsock)
-	if err != nil {
-		fatal(err)
-	}
-	go gw.Serve(ln)
-	return nodes, gw, "unix:" + gsock
+// replicatedFleet is the gateway setup with replication and fast
+// failover armed.
+var replicatedFleet = gateway.Config{
+	HealthEvery:   50 * time.Millisecond,
+	Replicate:     true,
+	FailoverGrace: 300 * time.Millisecond,
 }
 
 // replicaPair finds which node hosts the session as primary and which

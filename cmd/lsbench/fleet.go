@@ -24,8 +24,10 @@ import (
 //     grows 1 -> 2 -> 4 (16 clients, disjoint sessions, rendezvous
 //     placement),
 //  2. live-migration blackout under load: a session is migrated back
-//     and forth while clients hammer it; the report blackout and the
-//     worst client-observed request latency bound each other,
+//     and forth while clients hammer it, once seeding the target each
+//     time and once (-replicate) onto the standby it already has; the
+//     reported freeze window and the worst client-observed request
+//     latency bound each other,
 //  3. kill-one durability: backends journal with fsync-per-append, one
 //     is crashed mid-load and restarted, and every committed mutation
 //     must still be there — fingerprints compared through the gateway.
@@ -74,9 +76,10 @@ func startFleetNode(dir, sock string, durable bool) *fleetNode {
 
 func (n *fleetNode) addr() string { return "unix:" + n.sock }
 
-func startFleet(root string, count int, durable bool) ([]*fleetNode, *gateway.Gateway, string) {
+// startFleet boots count backends under root behind a gateway configured
+// by cfg (Backends filled in here, HealthEvery defaulting to 100ms).
+func startFleet(root string, count int, durable bool, cfg gateway.Config) ([]*fleetNode, *gateway.Gateway, string) {
 	nodes := make([]*fleetNode, 0, count)
-	specs := make([]gateway.BackendSpec, 0, count)
 	for i := 0; i < count; i++ {
 		dir := filepath.Join(root, fmt.Sprintf("n%d", i))
 		if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -84,9 +87,12 @@ func startFleet(root string, count int, durable bool) ([]*fleetNode, *gateway.Ga
 		}
 		n := startFleetNode(dir, filepath.Join(root, fmt.Sprintf("d%d.sock", i)), durable)
 		nodes = append(nodes, n)
-		specs = append(specs, gateway.BackendSpec{Addr: n.addr()})
+		cfg.Backends = append(cfg.Backends, gateway.BackendSpec{Addr: n.addr()})
 	}
-	gw, err := gateway.New(gateway.Config{Backends: specs, HealthEvery: 100 * time.Millisecond})
+	if cfg.HealthEvery == 0 {
+		cfg.HealthEvery = 100 * time.Millisecond
+	}
+	gw, err := gateway.New(cfg)
 	if err != nil {
 		fatal(err)
 	}
@@ -117,7 +123,11 @@ func fleetBench() {
 	defer os.RemoveAll(root)
 
 	fleetThroughput(root)
-	fleetMigrationBlackout(root)
+	const migrations = 8
+	fmt.Printf("   migration blackout over %d live migrations under load (4 clients):\n", migrations)
+	fmt.Printf("%-28s %10s %10s %14s\n", "   target", "p50", "max", "worst request")
+	fleetMigrationBlackout(filepath.Join(root, "mig"), "   seeded each move", migrations, gateway.Config{})
+	fleetMigrationBlackout(filepath.Join(root, "migrepl"), "   standby (-replicate)", migrations, replicatedFleet)
 	fleetKillOne(root)
 	fmt.Println()
 }
@@ -132,7 +142,7 @@ func fleetThroughput(root string) {
 		if err := os.MkdirAll(sub, 0o755); err != nil {
 			fatal(err)
 		}
-		nodes, gw, gaddr := startFleet(sub, nBackends, false)
+		nodes, gw, gaddr := startFleet(sub, nBackends, false, gateway.Config{})
 		var ok, bad atomic.Int64
 		var wg sync.WaitGroup
 		start := time.Now()
@@ -171,14 +181,15 @@ func fleetThroughput(root string) {
 }
 
 // fleetMigrationBlackout: migrate a live session back and forth while
-// clients hammer it. Two numbers matter: what the gateway reports as
-// the freeze window, and the worst latency any client actually saw.
-func fleetMigrationBlackout(root string) {
-	sub := filepath.Join(root, "mig")
-	if err := os.MkdirAll(sub, 0o755); err != nil {
+// clients hammer it, on two durable backends behind a gateway set up by
+// cfg. Two numbers matter: what the gateway reports as the freeze
+// window, and the worst latency any client actually saw. A failed load
+// request is fatal: a migration must cost clients time, never an error.
+func fleetMigrationBlackout(dir, label string, migrations int, cfg gateway.Config) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		fatal(err)
 	}
-	nodes, gw, gaddr := startFleet(sub, 2, true)
+	nodes, gw, gaddr := startFleet(dir, 2, true, cfg)
 	defer stopFleet(nodes, gw)
 
 	c, err := client.Dial(gaddr)
@@ -191,7 +202,6 @@ func fleetMigrationBlackout(root string) {
 	mustResp(c.Do(&server.Request{Session: "mig0", Verb: "instpipe", Args: []string{"p0"}}))
 	mustResp(c.Do(&server.Request{Session: "mig0", Verb: "poke", Args: []string{"p0", "top.en", "1"}}))
 
-	const migrations = 8
 	var worstReq atomic.Int64 // nanoseconds
 	stopLoad := make(chan struct{})
 	var wg sync.WaitGroup
@@ -252,9 +262,8 @@ func fleetMigrationBlackout(root string) {
 	if max >= 100 {
 		verdict = "OVER-BUDGET"
 	}
-	fmt.Printf("   migration blackout over %d live migrations under load:\n", migrations)
-	fmt.Printf("%-28s %10.2fms %10.2fms   budget <100ms: %s\n", "   blackout p50 / max", p50, max, verdict)
-	fmt.Printf("%-28s %10.2fms\n", "   worst client request", float64(worstReq.Load())/1e6)
+	fmt.Printf("%-28s %8.2fms %8.2fms %12.2fms   budget <100ms: %s\n",
+		label, p50, max, float64(worstReq.Load())/1e6, verdict)
 }
 
 // fleetKillOne: commit mutations through the gateway, SIGKILL-style
@@ -265,7 +274,7 @@ func fleetKillOne(root string) {
 	if err := os.MkdirAll(sub, 0o755); err != nil {
 		fatal(err)
 	}
-	nodes, gw, gaddr := startFleet(sub, 2, true)
+	nodes, gw, gaddr := startFleet(sub, 2, true, gateway.Config{})
 	defer stopFleet(nodes, gw)
 
 	c, err := client.Dial(gaddr)

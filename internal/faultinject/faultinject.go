@@ -53,7 +53,6 @@ type Plan struct {
 	diskDelayLeft int             // appends the delay still applies to
 	forceFree     int64           // DiskFree override: free bytes, -1 = unarmed
 	forceTotal    int64           // DiskFree override: total bytes
-	migrateStages map[string]bool // migration stage -> armed
 	replStages    map[string]bool // replication stage -> armed
 	replDropAt    int             // sever the repl stream before the nth batch, -1 = unarmed
 	promoteStale  bool            // gateway promotes under a stale (non-bumped) epoch
@@ -230,20 +229,6 @@ func (p *Plan) ClearDiskFree() *Plan {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.forceFree = -1
-	return p
-}
-
-// FailMigrateAt arms a one-shot failure at the named live-migration
-// stage ("export", "import" or "commit"). The gateway consults
-// MigrateFault before running each stage, so an armed stage simulates
-// the backend or network dying at exactly that point of the protocol.
-func (p *Plan) FailMigrateAt(stage string) *Plan {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.migrateStages == nil {
-		p.migrateStages = make(map[string]bool)
-	}
-	p.migrateStages[stage] = true
 	return p
 }
 
@@ -513,23 +498,6 @@ func (p *Plan) DiskFree() (free, total uint64, ok bool) {
 		return 0, 0, false
 	}
 	return uint64(p.forceFree), uint64(p.forceTotal), true
-}
-
-// MigrateFault is consulted by the gateway before each live-migration
-// stage. Nil-safe; returns a wrapped ErrInjected at the armed stage
-// exactly once.
-func (p *Plan) MigrateFault(stage string) error {
-	if p == nil {
-		return nil
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if !p.migrateStages[stage] {
-		return nil
-	}
-	delete(p.migrateStages, stage)
-	p.fired = append(p.fired, "migrate:"+stage)
-	return fmt.Errorf("faultinject: migration stage %s: %w", stage, ErrInjected)
 }
 
 // ReplFault is consulted by the replication shipper before each

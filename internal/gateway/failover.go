@@ -16,27 +16,23 @@ import (
 // primary's ship-on-commit stream. The health loop then runs a failover
 // sweep: a primary that stays down past FailoverGrace has its routes
 // promoted — the standby is told `promote`, which journals a new fencing
-// epoch, and the route retargets under that epoch. The epoch is what
-// makes this safe against the classic split-brain: the gateway stamps it
-// on every forwarded mutation, so a resurrected old primary (which still
-// holds the older epoch) fences itself on first contact, and its shipped
-// batches are rejected by the promoted copy the same way.
+// epoch, and the route retargets under that epoch. Live migration commits
+// through the same promote (migrate.go). The epoch is what makes this
+// safe against the classic split-brain: the gateway stamps it on every
+// forwarded mutation, so a resurrected old primary (which still holds the
+// older epoch) fences itself on first contact, and its shipped batches
+// are rejected by the promoted copy the same way.
 
 // armReplication picks the session's standby (rendezvous next-best,
-// skipping the primary) and tells the primary to seed and stream to it.
-// Degrades gracefully: a session without a standby is exactly as
-// durable as it was before this feature existed.
-func (g *Gateway) armReplication(session string, primary *backend, trace, parentSID string) {
-	var standby *backend
-	for _, cand := range rendezvousOrder(session, g.placeableBackends()) {
-		if cand != primary {
-			standby = cand
-			break
-		}
-	}
+// skipping the primary) and tells the primary to seed and stream to it,
+// returning the standby armed (nil when none was). Degrades gracefully:
+// a session without a standby is exactly as durable as it was before
+// this feature existed.
+func (g *Gateway) armReplication(session string, primary *backend, trace, parentSID string) *backend {
+	standby := g.pickExcept(session, primary)
 	if standby == nil {
 		g.eventT("replication_unarmed", session, trace, "no standby backend available")
-		return
+		return nil
 	}
 	if trace == "" {
 		trace = obs.NewTraceID()
@@ -50,7 +46,7 @@ func (g *Gateway) armReplication(session string, primary *backend, trace, parent
 		g.reg.Counter("gateway_replication_arm_failures").Inc()
 		g.eventT("replication_arm_failed", session, trace,
 			fmt.Sprintf("%s -> %s: %s (%s)", primary.addr(), standby.addr(), resp.Error, resp.Code))
-		return
+		return nil
 	}
 	g.mu.Lock()
 	if r := g.routes[session]; r != nil {
@@ -63,6 +59,7 @@ func (g *Gateway) armReplication(session string, primary *backend, trace, parent
 	g.mu.Unlock()
 	g.reg.Counter("gateway_replications_armed").Inc()
 	g.eventT("replication_armed", session, trace, primary.addr()+" -> "+standby.addr())
+	return standby
 }
 
 // failoverSweep runs on the health loop after each probe pass: any
@@ -98,10 +95,7 @@ func (g *Gateway) failoverSweep() {
 	}
 }
 
-// failover promotes one session's standby and retargets the route. The
-// promote carries no explicit epoch — the standby bumps its own journal
-// epoch, which is authoritative (the gateway's view can lag a restart) —
-// and the ack's epoch becomes the stamp forwarded mutations carry.
+// failover promotes one session's standby and retargets the route.
 func (g *Gateway) failover(name string, r *route, standby *backend) {
 	r.mu.Lock()
 	epoch := r.epoch
@@ -129,15 +123,36 @@ func (g *Gateway) failover(name string, r *route, standby *backend) {
 		}
 	}
 
-	resp := g.forward(standby, &wire.Request{Session: name, Verb: "promote",
-		TraceID: trace, ParentSpan: fsp.SID()})
-	if !resp.OK {
+	ack, err := g.promote(name, r, standby, trace, fsp.SID())
+	if err != nil {
 		g.reg.Counter("gateway_failover_failures").Inc()
-		g.eventT("failover_failed", name, trace,
-			fmt.Sprintf("promote on %s: %s (%s)", standby.addr(), resp.Error, resp.Code))
+		g.eventT("failover_failed", name, trace, err.Error())
 		return
 	}
+	g.reg.Counter("gateway_failovers").Inc()
+	g.eventT("failover", name, trace,
+		fmt.Sprintf("promoted standby %s at epoch %d (acked seq %d); primary %s down past %v",
+			standby.addr(), ack.Epoch, ack.AckedSeq, dead.addr(), g.cfg.FailoverGrace))
+	g.log.Info("failover", obs.Str("session", name), obs.Str("from", dead.addr()),
+		obs.Str("to", standby.addr()), obs.U64("epoch", ack.Epoch), obs.Str("trace", trace))
+	// Close the loop: the promoted primary gets its own standby so a
+	// second failure is survivable too.
+	g.restandby(name, standby, nil, trace, fsp.SID())
+}
+
+// promote makes standby the session's primary, for failover and live
+// migration alike. The promote carries no explicit epoch — the standby
+// bumps its own journal epoch, which is authoritative (the gateway's view
+// can lag a restart) — and the ack's epoch becomes the stamp forwarded
+// mutations carry. The route retargets to standby, pinned, with no
+// standby of its own until one is armed.
+func (g *Gateway) promote(name string, r *route, standby *backend, trace, parentSID string) (replica.Ack, error) {
 	var ack replica.Ack
+	resp := g.forward(standby, &wire.Request{Session: name, Verb: "promote",
+		TraceID: trace, ParentSpan: parentSID})
+	if !resp.OK {
+		return ack, fmt.Errorf("promote on %s: %s (%s)", standby.addr(), resp.Error, resp.Code)
+	}
 	if resp.Data != nil {
 		json.Unmarshal(resp.Data, &ack)
 	}
@@ -149,15 +164,5 @@ func (g *Gateway) failover(name string, r *route, standby *backend) {
 		r.epoch = ack.Epoch
 	}
 	r.mu.Unlock()
-	g.reg.Counter("gateway_failovers").Inc()
-	g.eventT("failover", name, trace,
-		fmt.Sprintf("promoted standby %s at epoch %d (acked seq %d); primary %s down past %v",
-			standby.addr(), ack.Epoch, ack.AckedSeq, dead.addr(), g.cfg.FailoverGrace))
-	g.log.Info("failover", obs.Str("session", name), obs.Str("from", dead.addr()),
-		obs.Str("to", standby.addr()), obs.U64("epoch", ack.Epoch), obs.Str("trace", trace))
-	if g.cfg.Replicate {
-		// Close the loop: the promoted primary gets its own standby so a
-		// second failure is survivable too.
-		g.armReplication(name, standby, trace, fsp.SID())
-	}
+	return ack, nil
 }

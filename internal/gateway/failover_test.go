@@ -231,7 +231,7 @@ func startOldPrimary(t *testing.T) string {
 			case "ping", "sessions", "create":
 			case "replicate":
 				sp := replica.New(replica.Config{Session: req.Session, Target: req.Args[0]})
-				if err := sp.Seed(blob, 1); err != nil {
+				if err := sp.Seed(blob, 1, 0); err != nil {
 					resp = &wire.Response{ID: req.ID, Code: wire.CodeError, Error: err.Error()}
 				}
 				sp.Stop()
@@ -289,5 +289,95 @@ func TestGatewayRefusedSeedIsArmFailure(t *testing.T) {
 	}
 	if _, ok := sessionInfosOf(t, standby)[name]; ok {
 		t.Errorf("the standby hosts %s after refusing its seed", name)
+	}
+}
+
+// TestGatewayReplicateStopDropsStandby: a `replicate stop` forwarded
+// through the gateway takes the route's standby with it. When the primary
+// then dies, its stale follower copy is not promoted, and the mutations
+// acked after the stream stopped are all there once the primary restarts.
+func TestGatewayReplicateStopDropsStandby(t *testing.T) {
+	b0, b1 := newTestBackend(t), newTestBackend(t)
+	const grace = 200 * time.Millisecond
+	g, gaddr := startGateway(t, gateway.Config{
+		Backends:      []gateway.BackendSpec{{Addr: b0.addr()}, {Addr: b1.addr()}},
+		Replicate:     true,
+		FailoverGrace: grace,
+	})
+	c := dial(t, gaddr)
+	createTiny(t, c, "s0")
+	drive(t, c, "s0")
+	primary := primaryOf(t, []*testBackend{b0, b1}, "s0")
+
+	mustOK(t, c, &server.Request{Session: "s0", Verb: "replicate", Args: []string{"stop"}})
+	mustOK(t, c, &server.Request{Session: "s0", Verb: "run", Args: []string{"clock", "p0", "10"}})
+	wantPeek, wantCycle := fingerprint(t, c, "s0")
+
+	primary.halt()
+	time.Sleep(3 * grace)
+	for _, e := range g.Events().All() {
+		if e.Type == "failover" && e.Session == "s0" {
+			t.Fatalf("stale standby promoted after replicate stop: %s", e.Msg)
+		}
+	}
+	primary.restart()
+	waitUntil(t, 5*time.Second, "primary serving again", func() bool {
+		r, err := c.Do(&server.Request{Session: "s0", Verb: "peek", Args: []string{"p0", "top.u0.total"}})
+		return err == nil && r.OK
+	})
+	if peek, cycle := fingerprint(t, c, "s0"); peek != wantPeek || cycle != wantCycle {
+		t.Errorf("state after restart = (%q, %q), want (%q, %q)", peek, cycle, wantPeek, wantCycle)
+	}
+}
+
+// TestGatewayDrainMovesStandbyNotPrimary: draining a backend that holds
+// only a session's standby copy re-arms the standby onto the third
+// backend and closes the copy. The primary does not move.
+func TestGatewayDrainMovesStandbyNotPrimary(t *testing.T) {
+	b0, b1, b2 := newTestBackend(t), newTestBackend(t), newTestBackend(t)
+	backends := []*testBackend{b0, b1, b2}
+	_, gaddr := startGateway(t, gateway.Config{
+		Backends:  []gateway.BackendSpec{{Addr: b0.addr()}, {Addr: b1.addr()}, {Addr: b2.addr()}},
+		Replicate: true,
+	})
+	c := dial(t, gaddr)
+	// Name the session so that rendezvous places it on b0 with b1, the
+	// backend drained below, as its standby.
+	name := ""
+	for i := 0; name == "" && i < 1<<16; i++ {
+		n := fmt.Sprintf("d%d", i)
+		s0, s1, s2 := gateway.RendezvousScore(b0.addr(), n), gateway.RendezvousScore(b1.addr(), n), gateway.RendezvousScore(b2.addr(), n)
+		if s0 > s1 && s1 > s2 {
+			name = n
+		}
+	}
+	createTiny(t, c, name)
+	wantPeek, wantCycle := drive(t, c, name)
+	if in := sessionInfosOf(t, b0)[name]; in.Follower || in.ReplicaAddr != b1.addr() {
+		t.Fatalf("primary row = %+v, want a primary on %s streaming to %s", in, b0.addr(), b1.addr())
+	}
+
+	resp := mustOK(t, c, &server.Request{Verb: "drain", Args: []string{b1.addr()}})
+	var rep gateway.DrainBackendReport
+	if err := json.Unmarshal(resp.Data, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Failed) != 0 || !rep.DrainSent || len(rep.Migrated) != 0 {
+		t.Fatalf("drain report = %+v, want nothing migrated, none failed, drain sent", rep)
+	}
+	if p := primaryOf(t, backends, name); p != b0 {
+		t.Fatalf("primary moved to %v, want it left on %s", p, b0.addr())
+	}
+	if in := sessionInfosOf(t, b0)[name]; in.ReplicaAddr != b2.addr() || in.ReplLag != 0 {
+		t.Fatalf("primary row after drain = %+v, want its standby on %s", in, b2.addr())
+	}
+	if in := sessionInfosOf(t, b2)[name]; !in.Follower {
+		t.Fatalf("third backend row = %+v, want the new follower copy", in)
+	}
+	if _, ok := sessionInfosOf(t, b1)[name]; ok {
+		t.Fatalf("drained backend still holds a copy of %s", name)
+	}
+	if peek, cycle := fingerprint(t, c, name); peek != wantPeek || cycle != wantCycle {
+		t.Errorf("state after drain = (%q, %q), want (%q, %q)", peek, cycle, wantPeek, wantCycle)
 	}
 }

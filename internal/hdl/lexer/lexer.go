@@ -56,35 +56,6 @@ func Tokenize(file, src string, opts ...Option) []token.Token {
 	}
 }
 
-// BehavioralTokens returns the token stream of src with trivia removed and
-// positions zeroed, suitable for comparing two versions of a module body to
-// decide whether an edit changed behaviour.
-func BehavioralTokens(src string) []token.Token {
-	var out []token.Token
-	for _, t := range Tokenize("", src) {
-		if t.Kind == token.EOF {
-			break
-		}
-		out = append(out, token.Token{Kind: t.Kind, Text: t.Text})
-	}
-	return out
-}
-
-// SameBehavior reports whether two source fragments have identical token
-// streams once comments and whitespace are ignored.
-func SameBehavior(a, b string) bool {
-	ta, tb := BehavioralTokens(a), BehavioralTokens(b)
-	if len(ta) != len(tb) {
-		return false
-	}
-	for i := range ta {
-		if ta[i] != tb[i] {
-			return false
-		}
-	}
-	return true
-}
-
 func (l *Lexer) pos() token.Pos {
 	return token.Pos{File: l.file, Offset: l.off, Line: l.line, Col: l.col}
 }

@@ -43,26 +43,9 @@ func TestPGASHashesPinned(t *testing.T) {
 		}
 		for name, mi := range a.Modules {
 			got[name] = mi
-			// The definition, written the slow way: FNV-1a over kind, text,
-			// NUL of the module text's behavioural tokens; the interface
-			// hash stops after the header's `;`.
-			text := src.Files[mi.File][mi.AST.Pos.Offset:mi.AST.End.Offset]
-			body, iface, inHeader := fnv.New64a(), fnv.New64a(), true
-			for _, tok := range lexer.BehavioralTokens(text) {
-				for _, h := range []interface{ Write([]byte) (int, error) }{body, iface} {
-					if h == iface && !inHeader {
-						continue
-					}
-					h.Write([]byte{byte(tok.Kind)})
-					h.Write([]byte(tok.Text))
-					h.Write([]byte{0})
-				}
-				if tok.Kind == token.Semi {
-					inHeader = false
-				}
-			}
-			if mi.BodyHash != body.Sum64() || mi.IfaceHash != iface.Sum64() {
-				t.Errorf("%s: hashes %x %x, by definition %x %x", name, mi.BodyHash, mi.IfaceHash, body.Sum64(), iface.Sum64())
+			body, iface := definitionHashes(src.Files[mi.File][mi.AST.Pos.Offset:mi.AST.End.Offset])
+			if mi.BodyHash != body || mi.IfaceHash != iface {
+				t.Errorf("%s: hashes %x %x, by definition %x %x", name, mi.BodyHash, mi.IfaceHash, body, iface)
 			}
 		}
 	}
@@ -77,6 +60,31 @@ func TestPGASHashesPinned(t *testing.T) {
 			t.Errorf("%s: body %#x iface %#x, pinned %#x %#x", p.module, mi.BodyHash, mi.IfaceHash, p.body, p.iface)
 		}
 	}
+}
+
+// definitionHashes is the fingerprint definition written the slow way:
+// FNV-1a over kind, text, NUL of the module text's tokens (the default
+// lexer mode drops comments and whitespace); the interface hash stops
+// after the header's `;`.
+func definitionHashes(text string) (body, iface uint64) {
+	bh, ih, inHeader := fnv.New64a(), fnv.New64a(), true
+	for _, tok := range lexer.Tokenize("", text) {
+		if tok.Kind == token.EOF {
+			break
+		}
+		for _, h := range []interface{ Write([]byte) (int, error) }{bh, ih} {
+			if h == ih && !inHeader {
+				continue
+			}
+			h.Write([]byte{byte(tok.Kind)})
+			h.Write([]byte(tok.Text))
+			h.Write([]byte{0})
+		}
+		if tok.Kind == token.Semi {
+			inHeader = false
+		}
+	}
+	return bh.Sum64(), ih.Sum64()
 }
 
 // FuzzAnalyzeIncremental replaces the bytes of one PGAS file and analyzes

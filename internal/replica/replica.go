@@ -4,8 +4,8 @@
 // standby and clients continue where they were.
 //
 // The protocol has two parts. A one-time seed hands the standby the
-// session's full state as an internal/transfer blob (the same image
-// live migration ships), imported in follower mode. After that the
+// session's full state as an internal/transfer blob, which the standby's
+// `import` lands as a follower. After that the
 // primary ships only the WAL tail: batches of journal records, byte for
 // byte as the journal holds them, behind an internal/frame header and a
 // record carrying the primary's fencing epoch and the sequence number the
@@ -163,12 +163,11 @@ type Shipper struct {
 	off      int64  // journal byte offset of sentSeq's frame end
 	batches  int    // lifetime batch count, for the drop-stream fault
 	lastDial time.Time
-	lastErr  error
+	fenced   bool // the standby holds a newer epoch: terminal
 
-	// acked and fenced are atomics so the hot read paths (lag gauges,
-	// fence checks in the request path) never touch the shipper mutex.
-	acked  atomic.Uint64
-	fenced atomic.Bool
+	// acked is atomic so the hot read paths (lag gauges, the sessions
+	// listing) never touch the shipper mutex.
+	acked atomic.Uint64
 }
 
 // New builds a shipper; no connection is made until Seed or Ship.
@@ -177,90 +176,68 @@ func New(cfg Config) *Shipper { return &Shipper{cfg: cfg} }
 // Target returns the standby's wire address.
 func (s *Shipper) Target() string { return s.cfg.Target }
 
-// Epoch returns the fencing token this shipper stamps on its stream.
-func (s *Shipper) Epoch() uint64 { return s.cfg.Epoch }
-
 // AckedSeq returns the highest journal sequence the standby has
 // durably acknowledged.
 func (s *Shipper) AckedSeq() uint64 { return s.acked.Load() }
 
-// Fenced reports whether the standby rejected this stream as stale.
-func (s *Shipper) Fenced() bool { return s.fenced.Load() }
-
-// Err returns the last stream error, nil when the stream is healthy.
-func (s *Shipper) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lastErr
-}
-
-// Stop closes the stream. The shipper stays queryable (acked watermark,
-// fenced flag) but ships nothing more.
+// Stop closes the stream. The shipper stays queryable (acked watermark)
+// but ships nothing more.
 func (s *Shipper) Stop() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.severLocked()
 }
 
-// Seed hands the standby the session's full transfer blob in follower
-// mode, establishing (or re-establishing) the replication baseline at
+// Seed hands the standby the session's full transfer blob to land as a
+// follower, establishing (or re-establishing) the replication baseline at
 // journal sequence seq. On success the acked watermark starts at seq
-// and subsequent Ship calls send only the tail past it.
-func (s *Shipper) Seed(blob []byte, seq uint64) error {
+// and subsequent Ship calls send only the tail past it, reading the
+// journal from off: its size when seq was its head (0 rescans it whole).
+func (s *Shipper) Seed(blob []byte, seq uint64, off int64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.fenced.Load() {
+	if s.fenced {
 		return ErrFenced
 	}
 	if err := s.cfg.Faults.ReplFault("seed"); err != nil {
-		s.lastErr = err
 		return err
 	}
 	resp, err := s.call(&wire.Request{
-		Session: s.cfg.Session, Verb: "import",
-		Args: []string{"follower"}, Blob: blob, Epoch: s.cfg.Epoch,
+		Session: s.cfg.Session, Verb: "import", Blob: blob, Epoch: s.cfg.Epoch,
 	})
 	if err != nil {
-		s.lastErr = err
 		return err
 	}
 	if !resp.OK {
 		if resp.Code == wire.CodeFenced {
-			s.noteFencedLocked(resp.Error)
-			return ErrFenced
+			return s.fenceLocked(resp.Error)
 		}
-		s.lastErr = fmt.Errorf("seed rejected: %s (%s)", resp.Error, resp.Code)
-		return s.lastErr
+		return fmt.Errorf("seed rejected: %s (%s)", resp.Error, resp.Code)
 	}
 	s.sentSeq = seq
-	s.off = 0 // next Ship rescans from the header to find the boundary
+	s.off = off
 	s.acked.Store(seq)
-	s.lastErr = nil
 	s.gauges(seq)
 	s.cfg.Metrics.Counter("repl_seeds").Inc()
 	return nil
 }
 
-// Ship sends every journal record past the acked watermark and waits
-// for the standby's durable ack — called on the session worker after
-// each committed mutation, so a client ack implies standby durability.
-// A broken stream reconnects (rate-limited) and resumes from the acked
-// watermark; ErrFenced is terminal.
-func (s *Shipper) Ship() error { return s.ShipTraced("", "") }
-
-// ShipTraced is Ship with distributed trace context: each replapply
-// request carries the mutation's trace id and the primary's ship span
-// sid, so the standby's spans assemble into the same fleet tree as the
-// gateway's and the primary's.
+// ShipTraced sends every journal record past the acked watermark and
+// waits for the standby's durable ack — called on the session worker
+// after each committed mutation, so a client ack implies standby
+// durability. A broken stream reconnects (rate-limited) and resumes from
+// the acked watermark; ErrFenced is terminal. Each replapply request
+// carries the mutation's trace id and the primary's ship span sid, so
+// the standby's spans assemble into the same fleet tree as the gateway's
+// and the primary's.
 func (s *Shipper) ShipTraced(trace, parentSID string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.fenced.Load() {
+	if s.fenced {
 		return ErrFenced
 	}
 	if err := s.cfg.Faults.ReplFault("ship"); err != nil {
 		s.severLocked()
-		s.lastErr = err
 		return err
 	}
 
@@ -270,7 +247,6 @@ func (s *Shipper) ShipTraced(trace, parentSID string) error {
 		// reseed): one full rescan before giving up.
 		recs, newOff, err = wal.ReadSince(s.cfg.WALPath, s.sentSeq, 0)
 		if err != nil {
-			s.lastErr = err
 			return err
 		}
 	}
@@ -287,15 +263,13 @@ func (s *Shipper) ShipTraced(trace, parentSID string) error {
 			batch, err = EncodeBatch(s.cfg.Epoch, s.sentSeq, recs[:n])
 		}
 		if err != nil {
-			s.lastErr = err
 			return err
 		}
 
 		s.batches++
 		if s.cfg.Faults.ReplDrop(s.batches) {
 			s.severLocked()
-			s.lastErr = fmt.Errorf("replica stream severed (injected) before batch %d", s.batches)
-			return s.lastErr
+			return fmt.Errorf("replica stream severed (injected) before batch %d", s.batches)
 		}
 
 		resp, cerr := s.call(&wire.Request{
@@ -304,7 +278,6 @@ func (s *Shipper) ShipTraced(trace, parentSID string) error {
 			Blob: batch, Epoch: s.cfg.Epoch,
 		})
 		if cerr != nil {
-			s.lastErr = cerr
 			return cerr
 		}
 		var ack Ack
@@ -314,11 +287,9 @@ func (s *Shipper) ShipTraced(trace, parentSID string) error {
 		if !resp.OK {
 			switch resp.Code {
 			case wire.CodeFenced:
-				s.noteFencedLocked(resp.Error)
-				return ErrFenced
+				return s.fenceLocked(resp.Error)
 			case wire.CodeReplReseed:
-				s.lastErr = fmt.Errorf("%w: %s", ErrReseed, resp.Error)
-				return ErrReseed
+				return fmt.Errorf("%w: %s", ErrReseed, resp.Error)
 			case wire.CodeReplResync:
 				// The standby's head does not line up with our watermark
 				// (a reseed or its own restart); adopt its head and let
@@ -329,13 +300,11 @@ func (s *Shipper) ShipTraced(trace, parentSID string) error {
 				var rerr error
 				recs, newOff, rerr = wal.ReadSince(s.cfg.WALPath, s.sentSeq, 0)
 				if rerr != nil {
-					s.lastErr = rerr
 					return rerr
 				}
 				continue
 			default:
-				s.lastErr = fmt.Errorf("batch rejected: %s (%s)", resp.Error, resp.Code)
-				return s.lastErr
+				return fmt.Errorf("batch rejected: %s (%s)", resp.Error, resp.Code)
 			}
 		}
 		s.sentSeq = recs[n-1].Seq
@@ -350,18 +319,17 @@ func (s *Shipper) ShipTraced(trace, parentSID string) error {
 		s.cfg.Metrics.Counter("repl_bytes").Add(uint64(len(batch)))
 	}
 	s.off = newOff
-	s.lastErr = nil
 	s.gauges(s.acked.Load())
 	return nil
 }
 
-// noteFencedLocked records the terminal fenced state and closes the
-// stream.
-func (s *Shipper) noteFencedLocked(detail string) {
-	s.fenced.Store(true)
-	s.lastErr = fmt.Errorf("%w: %s", ErrFenced, detail)
+// fenceLocked records the terminal fenced state, closes the stream and
+// returns the ErrFenced the caller reports.
+func (s *Shipper) fenceLocked(detail string) error {
+	s.fenced = true
 	s.severLocked()
 	s.cfg.Metrics.Counter("repl_fenced").Inc()
+	return fmt.Errorf("%w: %s", ErrFenced, detail)
 }
 
 func (s *Shipper) gauges(acked uint64) {

@@ -206,10 +206,6 @@ func Idempotent(verb string) bool {
 	switch strings.ToLower(verb) {
 	case "ping", "help", "metricz", "sessions", "events", "top", "spans", "backends":
 		return true
-	case "export":
-		// Export is non-destructive and re-running it just refreshes the
-		// watermark; a resend after reconnect returns a fresh blob.
-		return true
 	case "create", "close", "subscribe", "unquarantine", "import", "drain",
 		"replicate", "replapply", "promote", "migrate":
 		return false

@@ -271,12 +271,15 @@ func TestCrashMatrixSIGKILLAtWALOffsets(t *testing.T) {
 
 // replicatedPair starts a primary+standby livesimd pair on their own
 // state dirs and returns the primary daemon plus both socket paths.
-// extra flags go to the primary (the one the matrix kills).
+// extra flags go to the primary (the one the matrix kills). It returns
+// once the standby listens: a `replicate` sent to a standby still
+// starting fails, and the row would then promote a session never seeded.
 func replicatedPair(t *testing.T, bin, dir string, extra ...string) (prim, stby *daemon, sockA, sockB string) {
 	t.Helper()
 	sockA, sockB = filepath.Join(dir, "a.sock"), filepath.Join(dir, "b.sock")
 	prim = startDaemon(t, bin, sockA, filepath.Join(dir, "a"), extra...)
 	stby = startDaemon(t, bin, sockB, filepath.Join(dir, "b"))
+	waitDial(t, sockB)
 	return prim, stby, sockA, sockB
 }
 

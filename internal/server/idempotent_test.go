@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"slices"
 	"sort"
 	"strconv"
 	"testing"
@@ -61,7 +62,7 @@ func TestEveryServerVerbIsClassified(t *testing.T) {
 			t.Errorf("server verb %q is not classified in client.Idempotent", v)
 		}
 	}
-	for _, v := range []string{"ping", "sessions", "spans", "backends", "export"} {
+	for _, v := range []string{"ping", "sessions", "spans", "backends"} {
 		if !client.Idempotent(v) {
 			t.Errorf("read-only verb %q must be resendable", v)
 		}
@@ -69,6 +70,15 @@ func TestEveryServerVerbIsClassified(t *testing.T) {
 	for _, v := range []string{"create", "close", "import", "drain", "replicate", "replapply", "promote"} {
 		if client.Idempotent(v) {
 			t.Errorf("verb %q must not be resendable", v)
+		}
+	}
+	// And the other way: every verb the switch names is still answered by
+	// the server or the gateway, so a verb removed from both leaves no
+	// stale entry.
+	gatewayVerbs := caseStrings(t, "../gateway/gateway.go", "handle")
+	for v := range classified {
+		if !slices.Contains(verbs, v) && !gatewayVerbs[v] {
+			t.Errorf("client.Idempotent classifies %q, which no server or gateway answers", v)
 		}
 	}
 }

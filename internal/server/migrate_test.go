@@ -1,7 +1,6 @@
 package server_test
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -12,64 +11,21 @@ import (
 	"livesim/internal/wire"
 )
 
-// exportBlob drives a session to a known state and exports it,
-// returning the blob plus the source's fingerprint (peek + cycle).
-func exportBlob(t *testing.T, c *client.Client, name string) (blob []byte, peek, cycle string) {
-	t.Helper()
-	mustOK(t, c, &server.Request{Session: name, Verb: "poke", Args: []string{"p0", "top.en", "1"}})
-	mustOK(t, c, &server.Request{Session: name, Verb: "poke", Args: []string{"p0", "top.d", "7"}})
-	mustOK(t, c, &server.Request{Session: name, Verb: "run", Args: []string{"clock", "p0", "50"}})
-	peek = mustOK(t, c, &server.Request{Session: name, Verb: "peek", Args: []string{"p0", "top.u0.total"}}).Output
-	cycle = mustOK(t, c, &server.Request{Session: name, Verb: "cycle", Args: []string{"p0"}}).Output
-
-	resp := mustOK(t, c, &server.Request{Session: name, Verb: "export"})
-	var ed server.ExportData
-	if err := json.Unmarshal(resp.Data, &ed); err != nil {
-		t.Fatalf("export data: %v", err)
-	}
-	if ed.Session != name || len(ed.Blob) == 0 || ed.WALBytes == 0 {
-		t.Fatalf("export data = %+v", ed)
-	}
-	return ed.Blob, peek, cycle
-}
-
-// TestExportImportMovesSession is the migration round trip: export from
-// A, import into B, assert the fingerprint is identical, then close A's
-// copy with a forwarding tombstone and assert both the raw moved
-// response and the client's FollowMoves redirect land on B.
-func TestExportImportMovesSession(t *testing.T) {
-	dirA, dirB := t.TempDir(), t.TempDir()
-	_, addrA := startServer(t, server.Config{StateDir: dirA, WALSyncEvery: -1})
-	_, addrB := startServer(t, server.Config{StateDir: dirB, WALSyncEvery: -1})
+// TestCloseMovedLeavesTombstone: closing a session with a forwarding
+// address leaves a tombstone — the raw answer is a typed moved redirect,
+// and a FollowMoves client dialed at the old backend lands on the new one.
+func TestCloseMovedLeavesTombstone(t *testing.T) {
+	_, addrA := startServer(t, server.Config{})
+	_, addrB := startServer(t, server.Config{})
 	cA, cB := dial(t, addrA), dial(t, addrB)
 
 	createTiny(t, cA, "m0", 25)
-	blob, wantPeek, wantCycle := exportBlob(t, cA, "m0")
+	createTiny(t, cB, "m0", 25)
+	mustOK(t, cB, &server.Request{Session: "m0", Verb: "poke", Args: []string{"p0", "top.en", "1"}})
+	mustOK(t, cB, &server.Request{Session: "m0", Verb: "poke", Args: []string{"p0", "top.d", "7"}})
+	mustOK(t, cB, &server.Request{Session: "m0", Verb: "run", Args: []string{"clock", "p0", "50"}})
+	wantCycle := mustOK(t, cB, &server.Request{Session: "m0", Verb: "cycle", Args: []string{"p0"}}).Output
 
-	// Source must still be fully alive after a (non-destructive) export.
-	mustOK(t, cA, &server.Request{Session: "m0", Verb: "cycle", Args: []string{"p0"}})
-
-	resp := mustOK(t, cB, &server.Request{Verb: "import", Blob: blob})
-	var id server.ImportData
-	if err := json.Unmarshal(resp.Data, &id); err != nil {
-		t.Fatalf("import data: %v", err)
-	}
-	if id.Session != "m0" {
-		t.Fatalf("import data = %+v", id)
-	}
-	if !id.FastPath {
-		// Pure poke/run streams must take the watermark fast path — that
-		// is the whole point of exporting right after a strict watermark.
-		t.Errorf("import replayed without the fast path: %+v", id)
-	}
-	if got := mustOK(t, cB, &server.Request{Session: "m0", Verb: "peek", Args: []string{"p0", "top.u0.total"}}).Output; got != wantPeek {
-		t.Errorf("imported peek = %q, want %q", got, wantPeek)
-	}
-	if got := mustOK(t, cB, &server.Request{Session: "m0", Verb: "cycle", Args: []string{"p0"}}).Output; got != wantCycle {
-		t.Errorf("imported cycle = %q, want %q", got, wantCycle)
-	}
-
-	// Commit point: close the source copy with a forwarding tombstone.
 	mustOK(t, cA, &server.Request{Session: "m0", Verb: "close", Args: []string{"moved", addrB}})
 	moved, err := cA.Do(&server.Request{Session: "m0", Verb: "cycle", Args: []string{"p0"}})
 	if err != nil {
@@ -95,17 +51,6 @@ func TestExportImportMovesSession(t *testing.T) {
 	}
 	// The session keeps working through the followed connection.
 	mustOK(t, cF, &server.Request{Session: "m0", Verb: "run", Args: []string{"clock", "p0", "10"}})
-
-	// The imported session keeps journaling on B: a further mutation must
-	// raise the watermark numbers `sessions` now reports.
-	srows := mustOK(t, cB, &server.Request{Verb: "sessions"})
-	var infos []server.SessionInfo
-	if err := json.Unmarshal(srows.Data, &infos); err != nil {
-		t.Fatal(err)
-	}
-	if len(infos) != 1 || infos[0].WALBytes == 0 || infos[0].MarkSeq == 0 {
-		t.Fatalf("sessions after import = %+v, want wal_bytes and mark_seq set", infos)
-	}
 }
 
 // TestImportRejectsBadBlobs: corruption and foreign filenames must be
@@ -147,15 +92,15 @@ func TestImportRejectsBadBlobs(t *testing.T) {
 	}
 }
 
-// TestExportRequiresJournal: without a state dir there is nothing
-// durable to ship.
-func TestExportRequiresJournal(t *testing.T) {
+// TestReplicateRequiresJournal: without a state dir there is nothing
+// durable to seed a standby with.
+func TestReplicateRequiresJournal(t *testing.T) {
 	_, addr := startServer(t, server.Config{})
 	c := dial(t, addr)
 	createTiny(t, c, "e0", 25)
-	resp, err := c.Do(&server.Request{Session: "e0", Verb: "export"})
-	if err != nil || resp.OK || resp.Code != wire.CodeBadRequest {
-		t.Fatalf("journal-less export = %+v err=%v", resp, err)
+	resp, err := c.Do(&server.Request{Session: "e0", Verb: "replicate", Args: []string{addr}})
+	if err != nil || resp.OK || resp.Code != wire.CodeBadRequest || !strings.Contains(resp.Error, "no journal") {
+		t.Fatalf("journal-less replicate = %+v err=%v", resp, err)
 	}
 }
 

@@ -66,10 +66,10 @@ const (
 // is free so overload can always be diagnosed from the outside.
 func admissionCost(verb string) int64 {
 	switch verb {
-	case "create", "export", "import", "replicate":
-		// export checkpoints every pipe and reads the journal; import
-		// writes it all back and replays; replicate does an export plus a
-		// synchronous seed round trip — all weigh like create.
+	case "create", "import", "replicate":
+		// import writes a seed's journal and checkpoints and replays them;
+		// replicate checkpoints every pipe, reads the journal and waits on
+		// that import — both weigh like create.
 		return createCost
 	case "replapply", "promote":
 		// The replication stream and failover must keep flowing under

@@ -98,14 +98,14 @@ type SessionInfo struct {
 	// MemBytes is the session's estimated memory footprint (checkpoint
 	// history + live pipe state + journal tail).
 	MemBytes uint64 `json:"mem_bytes,omitempty"`
-	// WALBytes is the session's journal size on disk — what an export
-	// would ship. The gateway orders drain migrations cheapest-first by
-	// this. Zero when journaling is disabled.
+	// WALBytes is the session's journal size on disk — what a seed
+	// ships. The gateway orders drain migrations cheapest-first by this.
+	// Zero when journaling is disabled.
 	WALBytes int64 `json:"wal_bytes,omitempty"`
 	// MarkSeq/MarkCycle describe the last checkpoint watermark: the
 	// journal sequence the marks were written at and the highest pipe
 	// cycle they cover. The distance from MarkSeq to the journal head is
-	// the replay work a migration or crash recovery must do.
+	// the replay work a seed or crash recovery must do.
 	MarkSeq   uint64 `json:"mark_seq,omitempty"`
 	MarkCycle uint64 `json:"mark_cycle,omitempty"`
 	// Replication state. Epoch is the fencing token the session serves

@@ -175,7 +175,7 @@ func (s *Server) recoverSession(h *hosted, path string) {
 // replayRecords rebuilds h's session from its journal records: re-boot
 // from the boot record, replay via the checkpoint fast path, fall back
 // to full re-execution if the fast path diverges. It is the one replay
-// engine both restart recovery and migration import run — the two
+// engine both restart recovery and a replication seed run — the two
 // callers differ only in where the journal bytes came from. On return
 // h.sess is set (even on a fast-path fallback re-boot).
 func (s *Server) replayRecords(h *hosted, recs []*wal.Record) (*core.ReplayReport, error) {

@@ -279,11 +279,9 @@ func (s *Server) blackbox(reason, session, trace, msg string) {
 }
 
 // specialVerbs run on the session's worker goroutine via task.special
-// instead of the shared command table: export (migration) and the
-// replication verbs, all of which must serialize with every other
-// operation on the session.
+// instead of the shared command table: the replication verbs, which must
+// serialize with every other operation on the session.
 var specialVerbs = map[string]func(*Server) func(h *hosted, t *task) *Response{
-	"export":    func(s *Server) func(*hosted, *task) *Response { return s.exportTask },
 	"replicate": func(s *Server) func(*hosted, *task) *Response { return s.replicateTask },
 	"replapply": func(s *Server) func(*hosted, *task) *Response { return s.replApplyTask },
 	"promote":   func(s *Server) func(*hosted, *task) *Response { return s.promoteTask },
@@ -425,9 +423,9 @@ func (s *Server) dispatch(c *wire.Conn, req *Request) {
 	}
 
 	// Session verb: resolve and enqueue under the lock so an eviction
-	// cannot close the queue between lookup and enqueue. export is a
-	// session-queued verb too — it must serialize with everything else
-	// touching the session — but runs server code (task.special), not
+	// cannot close the queue between lookup and enqueue. The replication
+	// verbs are session-queued too — they must serialize with everything
+	// else touching the session — but run server code (task.special), not
 	// the command table.
 	var (
 		t          *task
@@ -521,9 +519,8 @@ func (s *Server) execServer(c *wire.Conn, req *Request, verb string) (resp *Resp
 		b.WriteString("server verbs:\n")
 		b.WriteString("  create [pgas N | files]       create a session (name in \"session\")\n")
 		b.WriteString("  close [moved <addr>]          discard a session (optionally leaving a forwarding tombstone)\n")
-		b.WriteString("  export                        freeze a session's journal+checkpoints into a transfer blob\n")
-		b.WriteString("  import [follower]             materialize a transfer blob as a hosted session (follower = replication standby)\n")
-		b.WriteString("  replicate <addr>|stop         seed a standby backend and stream committed WAL records to it\n")
+		b.WriteString("  replicate <addr>|stop         stream committed WAL records to a standby (seeded unless it already is one)\n")
+		b.WriteString("  import                        land a replication seed blob as a follower (sent by replicate)\n")
 		b.WriteString("  promote                       promote a follower to primary under a new fencing epoch\n")
 		b.WriteString("  drain                         request a graceful drain (same path as SIGTERM)\n")
 		b.WriteString("  sessions                      list hosted sessions\n")
@@ -927,6 +924,21 @@ func (s *Server) closeSession(req *Request) *Response {
 		}
 		return errResp(req, wire.CodeNoSession, fmt.Errorf("no session %q", req.Session))
 	}
+	s.discard(h)
+	s.reg.Counter("server_sessions_closed").Inc()
+	if movedAddr != "" {
+		s.noteMoved(req.Session, movedAddr)
+		s.event("session_moved", req.Session, "migrated away; forwarding to "+movedAddr)
+		return &Response{ID: req.ID, OK: true,
+			Output: fmt.Sprintf("closed session %s (moved to %s)\n", req.Session, movedAddr)}
+	}
+	s.event("session_closed", req.Session, "closed by client; state discarded")
+	return &Response{ID: req.ID, OK: true, Output: fmt.Sprintf("closed session %s\n", req.Session)}
+}
+
+// discard stops a session removeSession unlinked — its worker, then its
+// replication stream — and deletes its durable state.
+func (s *Server) discard(h *hosted) {
 	close(h.queue)
 	<-h.stopped
 	stopShipper(h)
@@ -937,15 +949,6 @@ func (s *Server) closeSession(req *Request) *Response {
 	if s.cfg.StateDir != "" {
 		s.removeSessionState(h.name)
 	}
-	s.reg.Counter("server_sessions_closed").Inc()
-	if movedAddr != "" {
-		s.noteMoved(req.Session, movedAddr)
-		s.event("session_moved", req.Session, "migrated away; forwarding to "+movedAddr)
-		return &Response{ID: req.ID, OK: true,
-			Output: fmt.Sprintf("closed session %s (moved to %s)\n", req.Session, movedAddr)}
-	}
-	s.event("session_closed", req.Session, "closed by client; state discarded")
-	return &Response{ID: req.ID, OK: true, Output: fmt.Sprintf("closed session %s\n", req.Session)}
 }
 
 // removeSession unlinks a session so only the caller may close its

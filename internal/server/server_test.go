@@ -312,6 +312,12 @@ func TestRequestTimeout(t *testing.T) {
 		}
 	}()
 	<-enteredCh
+	// Each answer is awaited while the gate is still shut: a waiter whose
+	// timer fires late takes a reply that is already there, so opening the
+	// gate first would race the timeout it is meant to test.
+	if r := <-blockRes; r.OK || r.Code != wire.CodeTimeout {
+		t.Fatalf("parked request should time out, got %+v", r)
+	}
 
 	resp, err := c.Do(&server.Request{Session: "s", Verb: "cycle", Args: []string{"p0"}})
 	if err != nil {
@@ -320,11 +326,7 @@ func TestRequestTimeout(t *testing.T) {
 	if resp.OK || resp.Code != wire.CodeTimeout {
 		t.Fatalf("wanted timeout, got ok=%v code=%q err=%q", resp.OK, resp.Code, resp.Error)
 	}
-
 	close(gateCh)
-	if r := <-blockRes; r.OK || r.Code != wire.CodeTimeout {
-		t.Fatalf("parked request should time out too, got %+v", r)
-	}
 	// The worker drained both stale tasks; a fresh request must succeed.
 	deadline := time.Now().Add(5 * time.Second)
 	for {

@@ -50,7 +50,7 @@ type hosted struct {
 	recovering atomic.Bool
 	// markSeq/markCycle describe the last checkpoint watermark (journal
 	// sequence of the marks, highest pipe cycle they cover) — surfaced
-	// by `sessions` so the gateway can order migrations cheapest-first.
+	// by `sessions`.
 	markSeq   atomic.Uint64
 	markCycle atomic.Uint64
 
@@ -109,9 +109,9 @@ type task struct {
 	trace     string // wire trace id the session's live-loop spans inherit
 	execSID   string // exec span's sid: parent for live-loop + shipping spans
 	// special, when set, replaces command-table dispatch: the worker
-	// runs it instead of looking the verb up. It is how export runs on
-	// the session's own goroutine — serialized against every other
-	// operation — without entering the shared verb table.
+	// runs it instead of looking the verb up. It is how the replication
+	// verbs run on the session's own goroutine — serialized against every
+	// other operation — without entering the shared verb table.
 	special func(h *hosted, t *task) *Response
 }
 

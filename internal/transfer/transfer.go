@@ -1,18 +1,18 @@
 // Package transfer frames a session's durable state — its newest
 // checkpoint files plus the journal that references them — into a
-// single self-verifying blob for live migration and replication seeds
-// between livesimd backends. A blob is an internal/frame container: the
-// header (LSXF, version 2), one record holding the JSON Meta and the
-// entry count, then two records per entry, its name and its bytes — so a
-// truncated or corrupted blob fails decode instead of importing half a
-// session. Version 1 (the build before the frame container) is not read:
-// both ends of a migration or replication stream run the same build.
+// single self-verifying blob: the replication seed between livesimd
+// backends, which live migration and failover both promote from. A blob
+// is an internal/frame container: the header (LSXF, version 2), one
+// record holding the JSON Meta and the entry count, then two records per
+// entry, its name and its bytes — so a truncated or corrupted blob fails
+// decode instead of importing half a session. Version 1 (the build before the frame container) is not read:
+// both ends of a replication stream run the same build.
 //
 // The blob deliberately carries the files verbatim: the importing
 // server writes them into its state dir and runs the exact same
 // single-session recovery path a restart would, watermark fast path
-// included. Migration therefore exercises no code that crash recovery
-// does not already exercise — one replay engine, two callers.
+// included. A seed therefore exercises no code that crash recovery does
+// not already exercise — one replay engine, two callers.
 package transfer
 
 import (

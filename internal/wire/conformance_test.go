@@ -241,19 +241,21 @@ var conformance = []struct {
 		}
 	}},
 	{"oversize reply becomes a typed error with the same id", func(t *testing.T, sp *speaker) {
-		// A session whose journal (it records the design source) exports to a
-		// blob that fits a line raw but not base64-encoded: too big to migrate.
+		// peek's error quotes the signal name it could not find, so each `"`
+		// in the name is 2 bytes of request line and 4 of reply line: a name
+		// that fits the bound asking does not fit it answering.
 		cli := dialClient(t, sp)
-		big := tinyDesign + "// " + strings.Repeat("x", testMaxLine*7/8) + "\n"
-		mustOK(t, cli, &wire.Request{Session: "big", Verb: "create", Files: map[string]string{"top.v": big}})
-		resp, err := cli.Do(&wire.Request{Session: "big", Verb: "export"})
+		mustOK(t, cli, &wire.Request{Session: "big", Verb: "create", Files: map[string]string{"top.v": tinyDesign}})
+		mustOK(t, cli, &wire.Request{Session: "big", Verb: "instpipe", Args: []string{"p0"}})
+		name := "top." + strings.Repeat(`"`, testMaxLine*3/8)
+		resp, err := cli.Do(&wire.Request{Session: "big", Verb: "peek", Args: []string{"p0", name}})
 		if err != nil {
-			t.Fatalf("export: %v (the connection must survive)", err)
+			t.Fatalf("peek: %v (the connection must survive)", err)
 		}
 		if resp.OK || resp.Code != wire.CodeError || !strings.Contains(resp.Error, "wire limit") {
-			t.Fatalf("export: ok=%v code=%q error=%q; want a typed error naming the wire limit", resp.OK, resp.Code, resp.Error)
+			t.Fatalf("peek: ok=%v code=%q error=%.200q; want a typed error naming the wire limit", resp.OK, resp.Code, resp.Error)
 		}
-		mustOK(t, cli, &wire.Request{Session: "big", Verb: "instpipe", Args: []string{"p0"}}) // same connection
+		mustOK(t, cli, &wire.Request{Session: "big", Verb: "cycle", Args: []string{"p0"}}) // same connection
 		if sp.backend != nil {
 			if st := sp.backend(); st != "ok" {
 				t.Fatalf("backend state %q after an unframeable reply, want ok", st)

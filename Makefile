@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race bench opmix frontend state fuzz-smoke serve-smoke crash-recovery-smoke admin-smoke profile-smoke overload-smoke fleet-smoke failover-smoke trace-smoke
+.PHONY: check vet build test race bench loc opmix frontend state fuzz-smoke serve-smoke crash-recovery-smoke admin-smoke profile-smoke overload-smoke fleet-smoke failover-smoke trace-smoke
 
 check: vet build race fuzz-smoke serve-smoke crash-recovery-smoke admin-smoke profile-smoke overload-smoke fleet-smoke failover-smoke trace-smoke
 
@@ -26,6 +26,16 @@ race:
 # Small-configuration benchmarks (cmd/lsbench runs the full sweeps).
 bench:
 	$(GO) test -bench=. -benchtime=1x ./...
+
+# Code size: non-test Go lines (blank and comment-only lines excluded)
+# per package, then the total outside bench/ — the one number every
+# simplicity change reports.
+LOC_FILES = find . -name '*.go' -not -name '*_test.go' -not -path './bench/*'
+loc:
+	@for d in $$($(LOC_FILES) -exec dirname {} \; | sort -u); do \
+		printf '%6d  %s\n' $$(ls $$d/*.go | grep -v '_test\.go$$' | xargs cat | grep -cvE '^\s*(//.*)?$$') $$d; \
+	done
+	@printf '%6d  total\n' $$($(LOC_FILES) | xargs cat | grep -cvE '^\s*(//.*)?$$')
 
 # What the VM executes per cycle on the PGAS compute kernel, 1x1 and 4x4:
 # ops/cycle by opcode and the adjacent pairs where the second op reads the

@@ -144,7 +144,7 @@ func TestReplayFastPathFromWatermark(t *testing.T) {
 	app(journalRun(t, s, "tb0", "p0", 20))
 
 	// Watermark: checkpoint to disk + mark record, like the server's
-	// saveWatermark.
+	// watermark.
 	if err := s.SaveCheckpoint("p0", filepath.Join(dir, "s.p0.lscp")); err != nil {
 		t.Fatal(err)
 	}

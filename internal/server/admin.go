@@ -55,33 +55,19 @@ func (s *Server) AdminHandler() http.Handler {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	// Collect the session list under the lock, snapshot outside it:
-	// Registry.Snapshot runs OnSnapshot hooks that take session locks.
-	type sessWin struct {
-		name string
-		h    *hosted
-	}
-	s.mu.Lock()
-	sessions := make([]sessWin, 0, len(s.sessions))
-	for name, h := range s.sessions {
-		if h.sess != nil {
-			sessions = append(sessions, sessWin{name, h})
-		}
-	}
-	s.mu.Unlock()
-	sort.Slice(sessions, func(i, j int) bool { return sessions[i].name < sessions[j].name })
-
+	// Snapshot outside the table lock: Registry.Snapshot runs OnSnapshot
+	// hooks that take session locks.
 	pw := obs.NewPromWriter("livesim_")
 	pw.AddSnapshot(nil, s.reg.Snapshot())
-	for _, sw := range sessions {
-		labels := map[string]string{"session": sw.name}
-		pw.AddSnapshot(labels, sw.h.reg.Snapshot())
+	for _, h := range s.hostedSet(true) {
+		labels := map[string]string{"session": h.name}
+		pw.AddSnapshot(labels, h.reg.Snapshot())
 		for _, q := range []float64{0.5, 0.95, 0.99} {
 			pw.AddSample("session_request_latency_seconds", "gauge",
-				map[string]string{"session": sw.name, "quantile": formatQ(q)},
-				sw.h.win.Quantile(q))
+				map[string]string{"session": h.name, "quantile": formatQ(q)},
+				h.win.Quantile(q))
 		}
-		pw.AddSample("session_request_rate", "gauge", labels, sw.h.win.Rate())
+		pw.AddSample("session_request_rate", "gauge", labels, h.win.Rate())
 	}
 
 	// Per-verb rolling-window latency quantiles over the last N requests
@@ -122,14 +108,10 @@ func formatQ(q float64) string {
 // nondurable, or the disk ladder is engaged (serving, but an operator
 // should look); 200 "ok" otherwise.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	draining := s.draining
-	total := 0
-	recovering := 0
-	quarantined := 0
-	nondurable := 0
-	for _, h := range s.sessions {
-		total++
+	draining := s.isDraining()
+	hs := s.hostedSet(true)
+	recovering, quarantined, nondurable := 0, 0, 0
+	for _, h := range hs {
 		if h.recovering.Load() {
 			recovering++
 		}
@@ -140,7 +122,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			nondurable++
 		}
 	}
-	s.mu.Unlock()
 	disk := s.diskLevelNow()
 
 	status, code := "ok", http.StatusOK
@@ -157,7 +138,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	body, _ := json.Marshal(map[string]any{
 		"status":           status,
 		"uptime_secs":      time.Since(s.start).Seconds(),
-		"sessions":         total,
+		"sessions":         len(hs),
 		"recovering":       recovering,
 		"quarantined":      quarantined,
 		"nondurable":       nondurable,
@@ -182,29 +163,20 @@ func (s *Server) handleProfilez(w http.ResponseWriter, r *http.Request) {
 	wantSess := r.URL.Query().Get("session")
 	wantPipe := r.URL.Query().Get("pipe")
 
-	s.mu.Lock()
-	names := make([]string, 0, len(s.sessions))
-	bySess := make(map[string]*core.Session, len(s.sessions))
-	for name, h := range s.sessions {
-		if h.sess == nil {
-			continue
+	var hs []*hosted
+	for _, h := range s.hostedSet(false) {
+		if wantSess == "" || h.name == wantSess {
+			hs = append(hs, h)
 		}
-		if wantSess != "" && name != wantSess {
-			continue
-		}
-		names = append(names, name)
-		bySess[name] = h.sess
 	}
-	s.mu.Unlock()
-	if wantSess != "" && len(names) == 0 {
+	if wantSess != "" && len(hs) == 0 {
 		http.Error(w, fmt.Sprintf("no session %q", wantSess), http.StatusNotFound)
 		return
 	}
-	sort.Strings(names)
 
-	out := make(map[string][]core.PipeProfile, len(names))
-	for _, name := range names {
-		profiles, err := bySess[name].ProfileSnapshot(wantPipe)
+	out := make(map[string][]core.PipeProfile, len(hs))
+	for _, h := range hs {
+		profiles, err := h.sess.ProfileSnapshot(wantPipe)
 		if err != nil {
 			// An unknown pipe is only an error when the caller named one
 			// session explicitly; across sessions it just means "not here".
@@ -214,7 +186,7 @@ func (s *Server) handleProfilez(w http.ResponseWriter, r *http.Request) {
 			}
 			continue
 		}
-		out[name] = profiles
+		out[h.name] = profiles
 	}
 	body, _ := json.Marshal(out)
 	w.Header().Set("Content-Type", "application/json")

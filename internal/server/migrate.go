@@ -2,10 +2,8 @@ package server
 
 import (
 	"fmt"
-	"path/filepath"
 	"time"
 
-	"livesim/internal/wal"
 	"livesim/internal/wire"
 )
 
@@ -28,52 +26,6 @@ const maxMovedTombstones = 512
 // degrades to no_session, which sends a well-behaved client back to
 // the gateway for fresh routing. A var so tests can shrink it.
 var movedTombstoneTTL = 10 * time.Minute
-
-// watermarkStrict is saveWatermark with teeth: any checkpoint save,
-// mark append or sync failure aborts with the error instead of logging
-// and carrying on. A seed uses it — a blob framed around a failed
-// watermark would ship a lie.
-func (s *Server) watermarkStrict(h *hosted) error {
-	for _, pipe := range h.sess.PipeNames() {
-		base := fmt.Sprintf("%s.%s.lscp", h.name, pipe)
-		path := filepath.Join(s.cfg.StateDir, base)
-		if err := s.saveCheckpointRetry(h, pipe, path); err != nil {
-			return fmt.Errorf("checkpoint %s: %w", pipe, err)
-		}
-		cycle, histLen, ok := h.sess.PipeStatus(pipe)
-		if !ok {
-			continue
-		}
-		mark := &wal.Record{Type: wal.TypeMark, Pipe: pipe, Path: base, Cycle: cycle, HistoryLen: histLen}
-		if err := h.wal.Append(mark); err != nil {
-			return fmt.Errorf("mark %s: %w", pipe, err)
-		}
-	}
-	if err := h.wal.Sync(); err != nil {
-		return fmt.Errorf("sync: %w", err)
-	}
-	h.mutations = 0
-	s.noteMark(h)
-	return nil
-}
-
-// noteMark refreshes the session's watermark bookkeeping (journal
-// sequence, highest covered pipe cycle) after marks were written or a
-// seed landed. Callers hold the session quiescent (worker goroutine,
-// or before the worker starts).
-func (s *Server) noteMark(h *hosted) {
-	if h.wal == nil || h.sess == nil {
-		return
-	}
-	h.markSeq.Store(h.wal.Seq())
-	top := uint64(0)
-	for _, pipe := range h.sess.PipeNames() {
-		if cycle, _, ok := h.sess.PipeStatus(pipe); ok && cycle > top {
-			top = cycle
-		}
-	}
-	h.markCycle.Store(top)
-}
 
 // requestDrain is the operator-initiated drain verb: it fires the same
 // graceful-drain machinery SIGTERM does — via the host process, which
@@ -150,38 +102,21 @@ func movedResp(req *Request, addr string) *Response {
 // in-process crash tests and the fleet benchmark can kill a backend
 // and restart it on the same state dir without forking a process.
 func (s *Server) Halt() {
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
+	if !s.beginStop() {
 		return
 	}
-	s.draining = true
-	hs := make([]*hosted, 0, len(s.sessions))
-	for _, h := range s.sessions {
-		if h.sess != nil && !h.recovering.Load() {
-			hs = append(hs, h)
-		}
-	}
-	s.sessions = make(map[string]*hosted)
-	s.mu.Unlock()
-
 	s.acc.Close()
 	s.stopOnce.Do(func() { close(s.janitorStop) })
-	for _, h := range hs {
-		close(h.queue)
-		if !waitClosed(h.stopped, 2*time.Second) {
-			continue
-		}
-		stopShipper(h)
-		h.sess.Quiesce()
-		if h.wal != nil {
-			// No watermark marks are written: recovery must replay the
-			// journal tail, exactly as after a real crash. (Close still
-			// flushes buffered appends; run crash-fidelity tests that need
-			// torn tails through the SIGKILL matrix instead.)
-			h.wal.Close()
+	for _, h := range s.hostedSet(false) {
+		// No marks are written: recovery must replay the journal tail,
+		// exactly as after a real crash. (Closing the journal still
+		// flushes buffered appends; run crash-fidelity tests that need
+		// torn tails through the SIGKILL matrix instead.)
+		if h = s.unlink(h.name, nil); h != nil && s.stop(h, 2*time.Second) {
+			s.persist(h, leaveJournal)
 		}
 	}
+	s.recoveryWG.Wait()
 	s.bgWG.Wait()
 	s.tel.Stop()
 }

@@ -46,9 +46,6 @@ const (
 	createCost = 8
 	// defaultDiskPollEvery is the governor tick cadence.
 	defaultDiskPollEvery = 2 * time.Second
-	// memEvictIdle: sessions idle less than this are never shed for
-	// memory, however tight the budget — someone is using them.
-	memEvictIdle = 30 * time.Second
 	// defaultJournalResumeDelay is the pause→resume cooldown.
 	defaultJournalResumeDelay = 250 * time.Millisecond
 	// pressureGroupCommit is the WAL fsync batching interval forced onto
@@ -59,6 +56,11 @@ const (
 	// watermark churn stops competing for the disk that's filling up.
 	elevatedCkptFactor = 4
 )
+
+// memEvictIdle: sessions idle less than this are never shed for memory,
+// however tight the budget — someone is using them. A var so tests can
+// shrink it.
+var memEvictIdle = 30 * time.Second
 
 // admissionCost maps a verb onto its admission-budget weight. Session
 // verbs use the shared command table's cost; create is weighed like a
@@ -142,15 +144,7 @@ func (s *Server) governTick() {
 			// while the rung was already critical missed the transition —
 			// the sweep pauses them too, so no journal writes happen at a
 			// rung where they are expected to fail.
-			s.mu.Lock()
-			hs := make([]*hosted, 0, len(s.sessions))
-			for _, h := range s.sessions {
-				if h.sess != nil && h.wal != nil {
-					hs = append(hs, h)
-				}
-			}
-			s.mu.Unlock()
-			for _, h := range hs {
+			for _, h := range s.hostedSet(false) {
 				s.pauseJournal(h, fmt.Sprintf("disk pressure %s", lvl))
 			}
 		}
@@ -170,14 +164,7 @@ func (s *Server) applyPressure(prev, next govern.PressureLevel) {
 	s.event("disk_pressure", "",
 		fmt.Sprintf("disk pressure %s -> %s (%d of %d bytes free)", prev, next, free, total))
 
-	s.mu.Lock()
-	hs := make([]*hosted, 0, len(s.sessions))
-	for _, h := range s.sessions {
-		if h.sess != nil && h.wal != nil {
-			hs = append(hs, h)
-		}
-	}
-	s.mu.Unlock()
+	hs := s.hostedSet(false) // all journaled: the ladder runs only with a state dir
 
 	switch {
 	case next >= govern.LevelElevated && prev < govern.LevelElevated:
@@ -245,14 +232,12 @@ func (s *Server) pauseJournal(h *hosted, reason string) {
 // updateNondurableGauge recounts journal-paused sessions into the
 // nondurable_sessions gauge.
 func (s *Server) updateNondurableGauge() {
-	s.mu.Lock()
 	n := uint64(0)
-	for _, h := range s.sessions {
+	for _, h := range s.hostedSet(false) {
 		if h.journalPaused.Load() {
 			n++
 		}
 	}
-	s.mu.Unlock()
 	s.reg.Gauge("nondurable_sessions").Set(n)
 }
 
@@ -275,22 +260,11 @@ func (s *Server) updateMemUsage(h *hosted) {
 // memGovern publishes the process-wide memory estimate and, past the
 // budget, sheds the idlest evictable sessions until back under it.
 func (s *Server) memGovern() {
-	type cand struct {
-		h   *hosted
-		mem uint64
-	}
-	s.mu.Lock()
+	hs := s.hostedSet(false)
 	total := uint64(0)
-	cands := make([]cand, 0, len(s.sessions))
-	for _, h := range s.sessions {
-		if h.sess == nil {
-			continue
-		}
-		m := h.memBytes().Total()
-		total += m
-		cands = append(cands, cand{h, m})
+	for _, h := range hs {
+		total += h.memBytes().Total()
 	}
-	s.mu.Unlock()
 	s.reg.Gauge("server_mem_bytes").Set(total)
 	s.updateNondurableGauge()
 
@@ -301,26 +275,17 @@ func (s *Server) memGovern() {
 	// Busy, recovering, or recently-used sessions are never shed — if
 	// everything is busy, the admission budget is the backstop, not
 	// eviction mid-use.
-	sort.Slice(cands, func(i, j int) bool { return cands[i].h.idle() > cands[j].h.idle() })
-	var victims []cand
-	s.mu.Lock()
-	for _, c := range cands {
+	sort.Slice(hs, func(i, j int) bool { return hs[i].idle() > hs[j].idle() })
+	sheddable := func(h *hosted) bool { return len(h.queue) == 0 && h.idle() >= memEvictIdle }
+	for _, h := range hs {
 		if total <= s.cfg.MemBudget {
 			break
 		}
-		h := c.h
-		if s.sessions[h.name] != h || h.recovering.Load() || len(h.queue) > 0 ||
-			h.idle() < memEvictIdle {
-			continue
+		mem := h.memBytes().Total()
+		if h = s.unlink(h.name, sheddable); h != nil {
+			total -= mem
+			s.reg.Counter("server_mem_pressure_evictions").Inc()
+			s.evict(h, fmt.Sprintf("memory pressure: shed ~%d bytes (idle %v)", mem, h.idle().Round(time.Second)))
 		}
-		delete(s.sessions, h.name)
-		victims = append(victims, c)
-		total -= c.mem
-	}
-	s.mu.Unlock()
-	for _, c := range victims {
-		s.reg.Counter("server_mem_pressure_evictions").Inc()
-		s.evictHosted(c.h, fmt.Sprintf("memory pressure: shed ~%d bytes (idle %v)",
-			c.mem, c.h.idle().Round(time.Second)))
 	}
 }

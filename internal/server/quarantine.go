@@ -93,13 +93,11 @@ func (s *Server) noteFailure(h *hosted, reason string) {
 // updateQuarantineGauge recounts open breakers into the
 // quarantined_sessions gauge.
 func (s *Server) updateQuarantineGauge() {
-	s.mu.Lock()
 	n := uint64(0)
-	for _, h := range s.sessions {
+	for _, h := range s.hostedSet(false) {
 		if q, _ := h.brk.quarantined(); q {
 			n++
 		}
 	}
-	s.mu.Unlock()
 	s.reg.Gauge("quarantined_sessions").Set(n)
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -55,9 +56,12 @@ func (s *Server) walPath(name string) string {
 	return filepath.Join(s.cfg.StateDir, name+".wal")
 }
 
-// removeSessionState deletes a session's journal and watermark
-// checkpoint files (create-over-stale and the close verb).
+// removeSessionState deletes a session's journal, sidecar and watermark
+// checkpoint files (create-over-stale, a failed import, the close verb).
 func (s *Server) removeSessionState(name string) {
+	if s.cfg.StateDir == "" {
+		return
+	}
 	os.Remove(s.walPath(name))
 	os.Remove(s.walPath(name) + ".failed")
 	os.Remove(s.followerPath(name))
@@ -88,64 +92,80 @@ func (s *Server) Recover() error {
 		if !nameRE.MatchString(name) {
 			continue
 		}
-		h := s.newHosted(name)
-		h.recovering.Store(true)
-		s.mu.Lock()
-		if s.draining || s.sessions[name] != nil {
-			s.mu.Unlock()
+		h, _, err := s.reserve(name, viaRecover)
+		if err != nil {
 			continue
 		}
-		s.sessions[name] = h
-		s.mu.Unlock()
-		s.recoveryWG.Add(1)
-		go s.recoverSession(h, path)
+		go func() {
+			defer s.recoveryWG.Done()
+			t0 := time.Now()
+			rep, err := s.recoverSession(h, nil)
+			switch {
+			case err == nil:
+				s.reg.Counter("server_sessions_recovered").Inc()
+				s.reg.Histogram("server_recover_seconds", nil).Observe(time.Since(t0).Seconds())
+				s.event("recovery", name,
+					fmt.Sprintf("recovered in %v (%d records: %d replayed, %d skipped via %d checkpoints, fast=%v)",
+						time.Since(t0).Round(time.Millisecond), rep.Records, rep.Executed, rep.Skipped,
+						rep.Checkpoints, rep.FastPath))
+			case !errors.Is(err, ErrDraining):
+				// Deterministic replay failure: set the journal aside so the
+				// next boot doesn't retry it forever, keep booting.
+				if rerr := os.Rename(path, path+".failed"); rerr != nil {
+					s.log.Error("recovery set-aside failed",
+						obs.Str("session", name), obs.Str("err", rerr.Error()))
+				}
+				s.reg.Counter("server_recoveries_failed").Inc()
+				s.event("recovery_failed", name,
+					fmt.Sprintf("%v (journal set aside as %s.failed)", err, filepath.Base(path)))
+			}
+		}()
 	}
 	return nil
 }
 
-// WaitRecovered blocks until every recovery started by Recover has
-// finished (successfully or not).
+// WaitRecovered blocks until every recovery started by Recover — and any
+// import replaying a seed — has finished (successfully or not). Call it
+// before Serve, as Recover.
 func (s *Server) WaitRecovered() { s.recoveryWG.Wait() }
 
-func (s *Server) recoverSession(h *hosted, path string) {
-	defer s.recoveryWG.Done()
-	t0 := time.Now()
-
-	failed := func(cause error) {
-		// Deterministic replay failure: set the journal aside so the next
-		// boot doesn't retry it forever, drop the placeholder, keep booting.
-		s.mu.Lock()
-		delete(s.sessions, h.name)
-		s.mu.Unlock()
-		if h.wal != nil {
-			h.wal.Close()
-		}
-		if rerr := os.Rename(path, path+".failed"); rerr != nil {
-			s.log.Error("recovery set-aside failed",
-				obs.Str("session", h.name), obs.Str("err", rerr.Error()))
-		}
-		s.reg.Counter("server_recoveries_failed").Inc()
-		s.event("recovery_failed", h.name,
-			fmt.Sprintf("%v (journal set aside as %s.failed)", cause, filepath.Base(path)))
+// recoverSession is the one recovery routine, run by Recover on the
+// files a previous process left and by import on the files land writes
+// from a seed: open the journal, check its boot record, replay it, adopt
+// the follower sidecar, start. A failure abandons the placeholder.
+// ErrDraining means a stop began first: the caller leaves the state dir
+// as it is, so the next boot recovers the session again.
+func (s *Server) recoverSession(h *hosted, land func() error) (*core.ReplayReport, error) {
+	sess, rep, err := s.rebuild(h, land)
+	if err == nil && s.launch(h, sess, rep) {
+		return rep, nil
 	}
+	if s.abandon(h) {
+		return nil, ErrDraining
+	}
+	return nil, err
+}
 
-	w, recs, err := wal.Open(path, s.walOpts())
+// rebuild is recoverSession up to the start: the built session and what
+// its replay did.
+func (s *Server) rebuild(h *hosted, land func() error) (*core.Session, *core.ReplayReport, error) {
+	if land != nil {
+		if err := land(); err != nil {
+			return nil, nil, err
+		}
+	}
+	w, recs, err := wal.Open(s.walPath(h.name), s.walOpts())
 	if err != nil {
-		failed(err)
-		return
+		return nil, nil, err
 	}
 	h.wal = w
 	if len(recs) == 0 || recs[0].Type != wal.TypeBoot {
-		failed(fmt.Errorf("journal has no boot record"))
-		return
+		return nil, nil, fmt.Errorf("journal has no boot record")
 	}
-
-	rep, err := s.replayRecords(h, recs)
+	sess, rep, err := s.replayRecords(h, recs)
 	if err != nil {
-		failed(err)
-		return
+		return nil, nil, err
 	}
-
 	// A follower's role and epoch survive restarts via the sidecar: a
 	// standby that rebooted amnesiac would accept direct mutations and
 	// fork the primary's stream. The journal's own epoch records (already
@@ -157,28 +177,13 @@ func (s *Server) recoverSession(h *hosted, path string) {
 			h.epoch.Store(meta.Epoch)
 		}
 	}
-
-	h.dirty.Store(rep.Executed+rep.Skipped > 0)
-	h.touch()
-	s.noteMark(h)
-	s.updateMemUsage(h) // safe: the worker has not started yet
-	go s.worker(h)
-	h.recovering.Store(false)
-	s.reg.Counter("server_sessions_recovered").Inc()
-	s.reg.Histogram("server_recover_seconds", nil).Observe(time.Since(t0).Seconds())
-	s.event("recovery", h.name,
-		fmt.Sprintf("recovered in %v (%d records: %d replayed, %d skipped via %d checkpoints, fast=%v)",
-			time.Since(t0).Round(time.Millisecond), rep.Records, rep.Executed, rep.Skipped,
-			rep.Checkpoints, rep.FastPath))
+	return sess, rep, nil
 }
 
-// replayRecords rebuilds h's session from its journal records: re-boot
+// replayRecords rebuilds a session from its journal records: re-boot
 // from the boot record, replay via the checkpoint fast path, fall back
-// to full re-execution if the fast path diverges. It is the one replay
-// engine both restart recovery and a replication seed run — the two
-// callers differ only in where the journal bytes came from. On return
-// h.sess is set (even on a fast-path fallback re-boot).
-func (s *Server) replayRecords(h *hosted, recs []*wal.Record) (*core.ReplayReport, error) {
+// to full re-execution if the fast path diverges.
+func (s *Server) replayRecords(h *hosted, recs []*wal.Record) (*core.Session, *core.ReplayReport, error) {
 	// Epoch records are fencing metadata, not session state: core replay
 	// would try to execute them as commands. Strip them here and adopt
 	// the highest epoch seen — that is their entire replay semantics.
@@ -196,14 +201,11 @@ func (s *Server) replayRecords(h *hosted, recs []*wal.Record) (*core.ReplayRepor
 			h.epoch.Store(maxEpoch)
 		}
 	}
-	exec := func(rec *wal.Record) error { return s.execRecord(h, rec) }
 	sess, err := s.bootFromRecord(h, recs[0])
 	if err != nil {
-		return nil, fmt.Errorf("re-boot: %w", err)
+		return nil, nil, fmt.Errorf("re-boot: %w", err)
 	}
-	s.mu.Lock()
-	h.sess = sess
-	s.mu.Unlock()
+	exec := func(rec *wal.Record) error { return execRecord(sess, h.reg, rec) }
 	rep, err := sess.ReplayFrom(s.cfg.StateDir, recs, exec)
 	if err != nil && rep != nil && rep.FastPath {
 		// The checkpoint fast path diverged (e.g. a stale watermark file):
@@ -211,16 +213,13 @@ func (s *Server) replayRecords(h *hosted, recs []*wal.Record) (*core.ReplayRepor
 		s.event("wal_fallback", h.name,
 			fmt.Sprintf("checkpoint fast path failed (%v); replaying in full", err))
 		if sess, err = s.bootFromRecord(h, recs[0]); err == nil {
-			s.mu.Lock()
-			h.sess = sess
-			s.mu.Unlock()
 			rep, err = sess.ReplayFull(s.cfg.StateDir, recs, exec)
 		}
 	}
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return rep, nil
+	return sess, rep, nil
 }
 
 // maxEpochIn returns the highest epoch recorded in a journal, 0 when it
@@ -247,8 +246,8 @@ func (s *Server) bootFromRecord(h *hosted, rec *wal.Record) (*core.Session, erro
 
 // execRecord replays one journaled command through the shared verb
 // table — the exact code path live traffic takes, minus the wire.
-func (s *Server) execRecord(h *hosted, rec *wal.Record) error {
-	env := &command.Env{Session: h.sess, Metrics: h.reg, Out: io.Discard}
+func execRecord(sess *core.Session, reg *obs.Registry, rec *wal.Record) error {
+	env := &command.Env{Session: sess, Metrics: reg, Out: io.Discard}
 	if rec.Files != nil {
 		files := rec.Files
 		env.ApplySource = func() (liveparser.Source, error) {
@@ -321,8 +320,7 @@ func (s *Server) journalMutation(h *hosted, t *task) {
 	h.mutations++
 	every := s.cfg.JournalCheckpointEvery * int(s.ckptFactor.Load())
 	if s.cfg.JournalCheckpointEvery > 0 && h.mutations >= every {
-		h.mutations = 0
-		s.saveWatermark(h)
+		s.watermark(h, wal.TypeMark)
 	}
 	// Ship-on-commit: the standby must hold this record before the client
 	// sees OK, so a primary lost the instant after responding loses no
@@ -338,10 +336,10 @@ func (s *Server) journalMutation(h *hosted, t *task) {
 //   - nothing was missed: just lift the pause — the journal tail is
 //     still a faithful prefix.
 //   - mutations were missed: the gap is unreconstructable from records,
-//     so re-anchor — checkpoint every pipe and append one TypeReanchor
-//     record per pipe carrying cycle, history and version. Replay (both
-//     gears) skips everything before the anchor and restores from it,
-//     which is exactly what the journal can now honestly promise.
+//     so re-anchor — a reanchor watermark, whose records carry cycle,
+//     history and version. Replay (both gears) skips everything before
+//     the anchor and restores from it, which is exactly what the journal
+//     can now honestly promise.
 //
 // Any IO failure re-arms the cooldown and keeps the pause: a resume
 // must be all-or-nothing, half an anchor is worse than none.
@@ -352,41 +350,11 @@ func (s *Server) tryResumeJournal(h *hosted) bool {
 	if s.diskLevelNow() >= govern.LevelCritical {
 		return false
 	}
-	rearm := func(stage string, err error) bool {
+	missed := h.missedAppends.Load()
+	if missed > 0 && s.watermark(h, wal.TypeReanchor) != nil {
 		h.pausedAt.Store(time.Now().UnixNano())
 		s.reg.Counter("server_journal_resume_failures").Inc()
-		s.log.Warn("journal resume failed; staying nondurable",
-			obs.Str("session", h.name), obs.Str("stage", stage), obs.Str("err", err.Error()))
 		return false
-	}
-	missed := h.missedAppends.Load()
-	if missed > 0 {
-		for _, pipe := range h.sess.PipeNames() {
-			base := fmt.Sprintf("%s.%s.lscp", h.name, pipe)
-			path := filepath.Join(s.cfg.StateDir, base)
-			err := govern.Retry(3, 10*time.Millisecond, nil, func() error {
-				return h.sess.SaveCheckpoint(pipe, path)
-			})
-			if err != nil {
-				return rearm("checkpoint "+pipe, err)
-			}
-			cycle, histLen, ok := h.sess.PipeStatus(pipe)
-			if !ok {
-				continue
-			}
-			anchor := &wal.Record{
-				Type: wal.TypeReanchor, Pipe: pipe, Path: base,
-				Cycle: cycle, HistoryLen: histLen,
-				Version: h.sess.Version(),
-				History: h.sess.HistorySteps(pipe),
-			}
-			if err := h.wal.Append(anchor); err != nil {
-				return rearm("anchor "+pipe, err)
-			}
-		}
-		if err := h.wal.Sync(); err != nil {
-			return rearm("sync", err)
-		}
 	}
 	h.missedAppends.Store(0)
 	h.mutations = 0
@@ -403,43 +371,11 @@ func (s *Server) tryResumeJournal(h *hosted) bool {
 	return true
 }
 
-// saveWatermark checkpoints every pipe into the state dir and journals
-// a mark record per pipe, then forces the journal to disk. After this,
-// restart recovery of a pure run/poke stream loads the checkpoints and
-// skips re-executing everything they cover.
-func (s *Server) saveWatermark(h *hosted) {
-	if h.wal == nil {
-		return
-	}
-	for _, pipe := range h.sess.PipeNames() {
-		base := fmt.Sprintf("%s.%s.lscp", h.name, pipe)
-		path := filepath.Join(s.cfg.StateDir, base)
-		if err := s.saveCheckpointRetry(h, pipe, path); err != nil {
-			s.log.Error("watermark save failed",
-				obs.Str("session", h.name), obs.Str("pipe", pipe), obs.Str("err", err.Error()))
-			continue
-		}
-		cycle, histLen, ok := h.sess.PipeStatus(pipe)
-		if !ok {
-			continue
-		}
-		mark := &wal.Record{Type: wal.TypeMark, Pipe: pipe, Path: base, Cycle: cycle, HistoryLen: histLen}
-		if err := h.wal.Append(mark); err != nil {
-			s.log.Error("watermark mark append failed",
-				obs.Str("session", h.name), obs.Str("pipe", pipe), obs.Str("err", err.Error()))
-		}
-	}
-	if err := h.wal.Sync(); err != nil {
-		s.log.Error("watermark sync failed",
-			obs.Str("session", h.name), obs.Str("err", err.Error()))
-		return
-	}
-	s.noteMark(h)
-}
-
 // saveCheckpointRetry is checkpoint-save IO with bounded jittered
 // retry-with-backoff (the shared govern.Retry loop); only an exhausted
-// retry budget feeds the session's quarantine breaker.
+// retry budget feeds the session's quarantine breaker — and not while
+// the journal is paused: the resume's reanchor failing on a full disk is
+// the daemon's condition, not the session's fault.
 func (s *Server) saveCheckpointRetry(h *hosted, pipe, path string) error {
 	err := govern.Retry(3, 10*time.Millisecond, nil, func() error {
 		if serr := h.sess.SaveCheckpoint(pipe, path); serr != nil {
@@ -448,7 +384,7 @@ func (s *Server) saveCheckpointRetry(h *hosted, pipe, path string) error {
 		}
 		return nil
 	})
-	if err != nil {
+	if err != nil && !h.journalPaused.Load() {
 		s.noteFailure(h, fmt.Sprintf("checkpoint save %s: %v", pipe, err))
 	}
 	return err

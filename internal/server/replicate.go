@@ -125,9 +125,9 @@ func (s *Server) replGate(h *hosted, req *Request) *Response {
 	return nil
 }
 
-// stopShipper tears down a session's replication stream, if any. Called
-// wherever a session stops being served here (close, evict, drain,
-// halt) so a dangling stream never outlives its primary.
+// stopShipper tears down a session's replication stream, if any. Every
+// way out runs it (through stop), so a dangling stream never outlives
+// its primary.
 func stopShipper(h *hosted) {
 	if sp := h.shipper.Swap(nil); sp != nil {
 		sp.Stop()
@@ -242,9 +242,9 @@ func (s *Server) replicateTask(h *hosted, t *task) *Response {
 }
 
 // importSession (verb "import") lands a seed blob as a follower: write
-// the journal and checkpoints into the state dir, then run the exact
-// single-session recovery path a restart would — synchronously, because
-// the seeding primary waits on the answer. Runs inline on the connection
+// the follower sidecar, journal and checkpoints into the state dir, then
+// run the recovery routine a restart would — synchronously, because the
+// seeding primary waits on the answer. Runs inline on the connection
 // goroutine like create; a recovering placeholder keeps concurrent
 // requests out until replay completes. The landed session takes
 // mutations only from the primary's replapply stream, under the epoch
@@ -299,93 +299,42 @@ func (s *Server) importSession(req *Request) *Response {
 		return errResp(req, wire.CodeDiskFull, ErrDiskFull)
 	}
 
-	s.mu.Lock()
-	existing := s.sessions[name]
-	s.mu.Unlock()
-	if existing != nil && existing.sess != nil && existing.follower.Load() &&
-		req.Epoch >= existing.epoch.Load() {
-		if old := s.removeSession(name); old != nil {
-			s.discard(old)
-			s.event("follower_reseed", name, "stale follower replaced by a fresh seed")
-		}
+	reseed := func(h *hosted) bool { return h.follower.Load() && req.Epoch >= h.epoch.Load() }
+	if old := s.unlink(name, reseed); old != nil {
+		s.stop(old, 0)
+		s.persist(old, leaveNothing)
+		s.event("follower_reseed", name, "stale follower replaced by a fresh seed")
 	}
 
-	h := s.newHosted(name)
-	h.recovering.Store(true)
-	s.mu.Lock()
-	switch {
-	case s.draining:
-		s.mu.Unlock()
-		return errResp(req, wire.CodeDraining, ErrDraining)
-	case s.sessions[name] != nil:
-		s.mu.Unlock()
-		return errResp(req, wire.CodeBadRequest, fmt.Errorf("session %q already exists", name))
-	case len(s.sessions) >= s.cfg.MaxSessions:
-		s.mu.Unlock()
-		s.reg.Counter("server_session_limit_rejects").Inc()
-		return errResp(req, wire.CodeSessionLimit,
-			fmt.Errorf("session limit %d reached: %w", s.cfg.MaxSessions, ErrSessionLimit))
+	h, code, err := s.reserve(name, viaImport)
+	if err != nil {
+		return errResp(req, code, err)
 	}
-	s.sessions[name] = h
-	delete(s.moved, name) // the session lives here now; drop any stale forwarding
-	s.mu.Unlock()
-
-	fail := func(code string, cause error) *Response {
-		s.mu.Lock()
-		delete(s.sessions, name)
-		s.mu.Unlock()
-		if h.wal != nil {
-			h.wal.Close()
+	defer s.recoveryWG.Done()
+	t0 := time.Now()
+	rep, err := s.recoverSession(h, func() error {
+		// The sidecar lands first, holding the seed's epoch: a restarted
+		// standby that forgot it was a follower would accept direct
+		// mutations and fork the stream, so no landed journal may lack it.
+		s.removeSessionState(name)
+		if err := s.writeFollowerMeta(name, req.Epoch); err != nil {
+			return fmt.Errorf("persist follower meta: %w", err)
 		}
-		close(h.queue)
-		for t := range h.queue {
-			if !t.abandoned.Load() {
-				t.reply <- errResp(t.req, wire.CodeNoSession, fmt.Errorf("session %q failed to import", name))
+		for _, e := range blob.Entries {
+			if err := frame.WriteFileAtomic(filepath.Join(s.cfg.StateDir, e.Name), e.Payload, nil); err != nil {
+				return fmt.Errorf("write %s: %w", e.Name, err)
 			}
 		}
-		s.removeSessionState(name)
-		s.reg.Counter("server_imports_failed").Inc()
-		s.event("import_failed", name, cause.Error())
-		return errResp(req, code, fmt.Errorf("import %q: %w", name, cause))
-	}
-
-	t0 := time.Now()
-	s.removeSessionState(name)
-	for _, e := range blob.Entries {
-		path := filepath.Join(s.cfg.StateDir, e.Name)
-		if err := frame.WriteFileAtomic(path, e.Payload, nil); err != nil {
-			return fail(wire.CodeError, fmt.Errorf("write %s: %w", e.Name, err))
+		return nil
+	})
+	if err != nil {
+		if !errors.Is(err, ErrDraining) {
+			s.removeSessionState(name)
 		}
+		s.reg.Counter("server_imports_failed").Inc()
+		s.event("import_failed", name, err.Error())
+		return errResp(req, wire.CodeError, fmt.Errorf("import %q: %w", name, err))
 	}
-	w, recs, err := wal.Open(s.walPath(name), s.walOpts())
-	if err != nil {
-		return fail(wire.CodeError, fmt.Errorf("journal open: %w", err))
-	}
-	h.wal = w
-	if len(recs) == 0 || recs[0].Type != wal.TypeBoot {
-		return fail(wire.CodeError, fmt.Errorf("imported journal has no boot record"))
-	}
-	rep, err := s.replayRecords(h, recs)
-	if err != nil {
-		return fail(wire.CodeError, err)
-	}
-	// Follower-ness and the seed epoch must be durable before the session
-	// serves: a restarted standby that forgot it was a follower would
-	// accept direct mutations and fork the stream.
-	if req.Epoch > h.epoch.Load() {
-		h.epoch.Store(req.Epoch)
-	}
-	if err := s.writeFollowerMeta(name, h.epoch.Load()); err != nil {
-		return fail(wire.CodeError, fmt.Errorf("persist follower meta: %w", err))
-	}
-	h.follower.Store(true)
-
-	h.dirty.Store(rep.Executed+rep.Skipped > 0)
-	h.touch()
-	s.noteMark(h)
-	s.updateMemUsage(h) // safe: the worker has not started yet
-	go s.worker(h)
-	h.recovering.Store(false)
 	dur := time.Since(t0)
 	s.reg.Counter("server_imports").Inc()
 	s.reg.Histogram("server_import_seconds", nil).Observe(dur.Seconds())
@@ -492,7 +441,7 @@ func (s *Server) replApplyTask(h *hosted, t *task) *Response {
 	for _, r := range recs {
 		switch r.Type {
 		case wal.TypeCmd:
-			if err := s.execRecord(h, r); err != nil {
+			if err := execRecord(h.sess, h.reg, r); err != nil {
 				return poison(fmt.Sprintf("record seq %d (%s)", r.Seq, r.Verb), err)
 			}
 		case wal.TypeMark:
@@ -665,9 +614,10 @@ func (s *Server) reseedReplica(h *hosted, sp *replica.Shipper) error {
 const maxWireBlob = 11 << 20
 
 // resumePaused ends a journal pause before the session's state leaves
-// this backend (a seed, a reseed, a migration's catch-up): a paused
-// journal is missing acked mutations, so what it would hand over is
-// stale. The resume cooldown is moot then.
+// this backend or this process (a seed, a reseed, a migration's
+// catch-up, an eviction, a drain): a paused journal is missing acked
+// mutations, so what it would hand over is stale. The resume cooldown
+// is moot then.
 func (s *Server) resumePaused(h *hosted) error {
 	if !h.journalPaused.Load() {
 		return nil
@@ -687,7 +637,7 @@ func (s *Server) exportBlob(h *hosted) ([]byte, transfer.Meta, error) {
 	if err := s.resumePaused(h); err != nil {
 		return nil, meta, err
 	}
-	if err := s.watermarkStrict(h); err != nil {
+	if err := s.watermark(h, wal.TypeMark); err != nil {
 		return nil, meta, fmt.Errorf("watermark: %w", err)
 	}
 	walBytes, err := os.ReadFile(h.wal.Path())

@@ -10,7 +10,6 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -567,9 +566,7 @@ func (s *Server) execServer(c *wire.Conn, req *Request, verb string) (resp *Resp
 		return s.subscribe(c, req)
 
 	case "unquarantine":
-		s.mu.Lock()
-		h := s.sessions[req.Session]
-		s.mu.Unlock()
+		h := s.lookup(req.Session)
 		if h == nil {
 			return errResp(req, wire.CodeNoSession, fmt.Errorf("no session %q", req.Session))
 		}
@@ -589,40 +586,32 @@ func (s *Server) sessionCount() int {
 }
 
 func (s *Server) listSessions(req *Request) *Response {
-	s.mu.Lock()
-	names := make([]string, 0, len(s.sessions))
-	for n := range s.sessions {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	infos := make([]SessionInfo, 0, len(names))
+	hs := s.hostedSet(true)
+	infos := make([]SessionInfo, 0, len(hs))
 	var out strings.Builder
-	for _, n := range names {
-		h := s.sessions[n]
-		if h.sess == nil { // still being created
-			continue
-		}
+	for _, h := range hs {
+		n := h.name
 		info := SessionInfo{
 			Name:        n,
-			Pipes:       h.sess.PipeNames(),
 			Dirty:       h.dirty.Load(),
 			Queued:      len(h.queue),
 			IdleSecs:    h.idle().Seconds(),
-			Version:     h.sess.Version(),
 			Subscribers: h.fan.Len(),
 			Recovering:  h.recovering.Load(),
 			Nondurable:  h.journalPaused.Load(),
 			MemBytes:    h.memBytes().Total(),
 			MarkSeq:     h.markSeq.Load(),
 			MarkCycle:   h.markCycle.Load(),
+			Epoch:       h.epoch.Load(),
+			Follower:    h.follower.Load(),
+			Fenced:      h.fenced.Load(),
 		}
-		if h.wal != nil {
-			info.WALBytes = h.wal.Size()
-			info.HeadSeq = h.wal.Seq()
+		if !info.Recovering { // a replaying session is not built yet
+			info.Pipes, info.Version = h.sess.PipeNames(), h.sess.Version()
+			if h.wal != nil {
+				info.WALBytes, info.HeadSeq = h.wal.Size(), h.wal.Seq()
+			}
 		}
-		info.Epoch = h.epoch.Load()
-		info.Follower = h.follower.Load()
-		info.Fenced = h.fenced.Load()
 		if sp := h.shipper.Load(); sp != nil {
 			info.ReplicaAddr = sp.Target()
 			info.ReplAckedSeq = sp.AckedSeq()
@@ -660,7 +649,6 @@ func (s *Server) listSessions(req *Request) *Response {
 		}
 		out.WriteString("\n")
 	}
-	s.mu.Unlock()
 	data, _ := json.Marshal(infos)
 	return &Response{ID: req.ID, OK: true, Output: out.String(), Data: data}
 }
@@ -680,34 +668,27 @@ func (s *Server) listEvents(req *Request) *Response {
 // request rate and latency quantiles from each session's rolling
 // window, queue depth, and health flags.
 func (s *Server) topReport(req *Request) *Response {
-	s.mu.Lock()
-	names := make([]string, 0, len(s.sessions))
-	for n, h := range s.sessions {
-		if h.sess != nil {
-			names = append(names, n)
-		}
-	}
-	sort.Strings(names)
-	rows := make([]TopRow, 0, len(names))
-	for _, n := range names {
-		h := s.sessions[n]
+	hs := s.hostedSet(true)
+	rows := make([]TopRow, 0, len(hs))
+	for _, h := range hs {
 		row := TopRow{
-			Name:       n,
+			Name:       h.name,
 			ReqPerSec:  h.win.Rate(),
 			P50Ms:      h.win.Quantile(0.50) * 1e3,
 			P95Ms:      h.win.Quantile(0.95) * 1e3,
 			P99Ms:      h.win.Quantile(0.99) * 1e3,
 			Queued:     len(h.queue),
 			Requests:   h.reg.Counter("session_requests").Value(),
-			Version:    h.sess.Version(),
 			Dirty:      h.dirty.Load(),
 			Recovering: h.recovering.Load(),
 			Nondurable: h.journalPaused.Load(),
 		}
+		if !row.Recovering {
+			row.Version = h.sess.Version()
+		}
 		row.Quarantined, _ = h.brk.quarantined()
 		rows = append(rows, row)
 	}
-	s.mu.Unlock()
 
 	var out strings.Builder
 	fmt.Fprintf(&out, "  %-16s %8s %9s %9s %9s %6s %8s %-6s %s\n",
@@ -778,24 +759,10 @@ func (s *Server) createSession(req *Request) *Response {
 		s.reg.Counter("server_diskfull_rejects").Inc()
 		return errResp(req, wire.CodeDiskFull, ErrDiskFull)
 	}
-	h := s.newHosted(name)
-	s.mu.Lock()
-	switch {
-	case s.draining:
-		s.mu.Unlock()
-		return errResp(req, wire.CodeDraining, ErrDraining)
-	case s.sessions[name] != nil:
-		s.mu.Unlock()
-		return errResp(req, wire.CodeBadRequest, fmt.Errorf("session %q already exists", name))
-	case len(s.sessions) >= s.cfg.MaxSessions:
-		s.mu.Unlock()
-		s.reg.Counter("server_session_limit_rejects").Inc()
-		return errResp(req, wire.CodeSessionLimit,
-			fmt.Errorf("session limit %d reached: %w", s.cfg.MaxSessions, ErrSessionLimit))
+	h, code, err := s.reserve(name, viaCreate)
+	if err != nil {
+		return errResp(req, code, err)
 	}
-	s.sessions[name] = h
-	delete(s.moved, name) // a re-created name is a new session, not the moved one
-	s.mu.Unlock()
 
 	every := req.CheckpointEvery
 	if every == 0 {
@@ -804,7 +771,6 @@ func (s *Server) createSession(req *Request) *Response {
 	ccfg := s.sessionConfig(h, every)
 	var (
 		sess *core.Session
-		err  error
 		desc string
 	)
 	if req.PGAS > 0 {
@@ -814,55 +780,34 @@ func (s *Server) createSession(req *Request) *Response {
 		sess, err = command.BootSource(req.Top, req.Files, ccfg)
 		desc = fmt.Sprintf("%d source files, testbench clock", len(req.Files))
 	}
-	var w *wal.WAL
 	if err == nil && s.cfg.StateDir != "" {
 		// Open this session's journal and make its boot record durable
 		// before serving: a crash at any later point can rebuild it. Any
 		// stale state under the same name (a closed or failed predecessor)
 		// must not resurrect into the new session.
 		s.removeSessionState(name)
-		w, _, err = wal.Open(s.walPath(name), s.walOpts())
-		if err == nil {
-			err = w.Append(&wal.Record{
+		if h.wal, _, err = wal.Open(s.walPath(name), s.walOpts()); err == nil {
+			if err = h.wal.Append(&wal.Record{
 				Type: wal.TypeBoot, PGAS: req.PGAS, Top: req.Top,
 				CheckpointEvery: every, Files: req.Files,
-			})
-			if err == nil {
-				err = w.Sync()
+			}); err == nil {
+				err = h.wal.Sync()
 			}
 		}
 		if err != nil {
-			if w != nil {
-				w.Close()
-				os.Remove(s.walPath(name))
-				w = nil
-			}
 			err = fmt.Errorf("journal: %w", err)
 		}
 	}
-	s.mu.Lock()
-	if err == nil && s.draining {
+	if err == nil && !s.launch(h, sess, nil) {
 		err = ErrDraining
 	}
 	if err != nil {
-		delete(s.sessions, name)
-		s.mu.Unlock()
-		if w != nil {
-			w.Close()
-			os.Remove(s.walPath(name))
-		}
-		close(h.queue)
-		for t := range h.queue { // fail anything that queued mid-create
-			if !t.abandoned.Load() {
-				t.reply <- errResp(t.req, wire.CodeNoSession, fmt.Errorf("session %q failed to create", name))
-			}
+		s.abandon(h)
+		if sess != nil { // the journal this create opened goes with it
+			s.removeSessionState(name)
 		}
 		return errResp(req, wire.CodeError, err)
 	}
-	h.sess = sess
-	h.wal = w
-	s.mu.Unlock()
-	go s.worker(h)
 	s.reg.Counter("server_sessions_created").Inc()
 	s.event("session_created", name, desc)
 	return &Response{ID: req.ID, OK: true,
@@ -884,13 +829,10 @@ func (s *Server) closeSession(req *Request) *Response {
 	default:
 		return errResp(req, wire.CodeBadRequest, fmt.Errorf("usage: close [moved <addr>]"))
 	}
-	s.mu.Lock()
-	if h := s.sessions[req.Session]; h != nil && h.recovering.Load() {
-		s.mu.Unlock()
+	if h := s.lookup(req.Session); h != nil && h.recovering.Load() {
 		return errResp(req, wire.CodeRecovering, ErrRecovering)
 	}
-	s.mu.Unlock()
-	h := s.removeSession(req.Session)
+	h := s.unlink(req.Session, nil)
 	if h == nil {
 		if movedAddr != "" && nameRE.MatchString(req.Session) {
 			// Anti-resurrection sweep after a source crash: the session is
@@ -905,7 +847,8 @@ func (s *Server) closeSession(req *Request) *Response {
 		}
 		return errResp(req, wire.CodeNoSession, fmt.Errorf("no session %q", req.Session))
 	}
-	s.discard(h)
+	s.stop(h, 0)
+	s.persist(h, leaveNothing)
 	s.reg.Counter("server_sessions_closed").Inc()
 	if movedAddr != "" {
 		s.noteMoved(req.Session, movedAddr)
@@ -917,43 +860,11 @@ func (s *Server) closeSession(req *Request) *Response {
 	return &Response{ID: req.ID, OK: true, Output: fmt.Sprintf("closed session %s\n", req.Session)}
 }
 
-// discard stops a session removeSession unlinked — its worker, then its
-// replication stream — and deletes its durable state.
-func (s *Server) discard(h *hosted) {
-	close(h.queue)
-	<-h.stopped
-	stopShipper(h)
-	h.sess.Quiesce()
-	if h.wal != nil {
-		h.wal.Close()
-	}
-	if s.cfg.StateDir != "" {
-		s.removeSessionState(h.name)
-	}
-}
-
-// removeSession unlinks a session so only the caller may close its
-// queue. Returns nil if absent, not yet fully created, or still being
-// recovered (no worker is draining a recovering session's queue, so
-// closing it would hang waiting for the stop).
-func (s *Server) removeSession(name string) *hosted {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	h := s.sessions[name]
-	if h == nil || h.sess == nil || h.recovering.Load() {
-		return nil
-	}
-	delete(s.sessions, name)
-	return h
-}
-
 func (s *Server) subscribe(c *wire.Conn, req *Request) *Response {
 	fan := s.tel.Fan
 	scope := "server"
 	if req.Session != "" {
-		s.mu.Lock()
-		h := s.sessions[req.Session]
-		s.mu.Unlock()
+		h := s.lookup(req.Session)
 		if h == nil {
 			return errResp(req, wire.CodeNoSession, fmt.Errorf("no session %q", req.Session))
 		}
@@ -989,44 +900,12 @@ func (s *Server) janitor() {
 }
 
 func (s *Server) evictIdle() {
-	s.mu.Lock()
-	var victims []*hosted
-	for name, h := range s.sessions {
-		if h.sess != nil && !h.recovering.Load() && len(h.queue) == 0 && h.idle() > s.cfg.IdleTimeout {
-			delete(s.sessions, name)
-			victims = append(victims, h)
+	idle := func(h *hosted) bool { return len(h.queue) == 0 && h.idle() > s.cfg.IdleTimeout }
+	for _, h := range s.hostedSet(false) {
+		if h = s.unlink(h.name, idle); h != nil {
+			s.evict(h, fmt.Sprintf("idle %v", h.idle().Round(time.Second)))
 		}
 	}
-	s.mu.Unlock()
-	for _, h := range victims {
-		s.evictHosted(h, fmt.Sprintf("idle %v", h.idle().Round(time.Second)))
-	}
-}
-
-// evictHosted shuts one already-unlinked session down and reclaims its
-// memory: stop the worker, checkpoint if dirty, watermark + release the
-// journal. Shared by the idle janitor and the memory governor's shed
-// path — eviction only reclaims memory; a journaled session resurrects
-// at the next daemon boot, and a re-create over the same name clears
-// the stale state first.
-func (s *Server) evictHosted(h *hosted, why string) {
-	close(h.queue)
-	<-h.stopped
-	stopShipper(h)
-	h.sess.Quiesce()
-	if h.dirty.Load() && s.cfg.DrainDir != "" {
-		ds := s.saveSession(h)
-		s.event("eviction", h.name, fmt.Sprintf("%s; checkpointed %d pipes", why, len(ds.Files)))
-	} else {
-		s.event("eviction", h.name, why)
-	}
-	if h.wal != nil {
-		if h.dirty.Load() && !h.journalPaused.Load() {
-			s.saveWatermark(h)
-		}
-		h.wal.Close()
-	}
-	s.reg.Counter("server_sessions_evicted").Inc()
 }
 
 // saveSession checkpoints every pipe of a quiesced session into
@@ -1060,14 +939,9 @@ func (s *Server) saveSession(h *hosted) DrainedSession {
 // saves every session whose worker could be stopped, and returns the
 // report alongside ctx's error.
 func (s *Server) Shutdown(ctx context.Context) (*DrainReport, error) {
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
+	if !s.beginStop() {
 		return nil, fmt.Errorf("already draining")
 	}
-	s.draining = true
-	s.mu.Unlock()
-
 	s.acc.StopAccepting()
 	s.stopOnce.Do(func() { close(s.janitorStop) })
 
@@ -1083,60 +957,25 @@ func (s *Server) Shutdown(ctx context.Context) (*DrainReport, error) {
 		rep.Timeout = true
 	}
 
-	s.mu.Lock()
-	hs := make([]*hosted, 0, len(s.sessions))
-	for _, h := range s.sessions {
-		// Sessions still mid-recovery are left alone: they have no worker
-		// to stop, and their journal on disk already holds everything — the
-		// next boot simply recovers them again.
-		if h.sess != nil && !h.recovering.Load() {
-			hs = append(hs, h)
+	// Sessions still mid-recovery are not in the running set: their
+	// journal on disk already holds everything, and their recovery, seeing
+	// the stop, starts nothing — the next boot recovers them again.
+	for _, h := range s.hostedSet(false) {
+		if h = s.unlink(h.name, nil); h == nil {
+			continue
 		}
-	}
-	s.sessions = make(map[string]*hosted)
-	s.mu.Unlock()
-	sort.Slice(hs, func(i, j int) bool { return hs[i].name < hs[j].name })
-
-	for _, h := range hs {
-		close(h.queue)
-		if !waitClosed(h.stopped, 2*time.Second) {
+		if !s.stop(h, 2*time.Second) {
 			// The worker is wedged mid-operation; saving now would race
 			// the running simulation, so skip this session.
 			s.blackbox("drain_stuck", h.name, "", "worker did not stop; skipping save")
 			continue
 		}
-		stopShipper(h)
-		h.sess.Quiesce()
-		ds := DrainedSession{Name: h.name}
-		if h.dirty.Load() && s.cfg.DrainDir != "" {
-			ds = s.saveSession(h)
-		}
+		ds := s.persist(h, leaveWatermark)
 		// Every drained session's final metrics ride in the manifest —
 		// drain.json is the post-mortem record, and a SIGTERM must not
 		// discard the numbers that explain the run.
 		ds.Metrics = h.reg.Snapshot()
 		rep.Sessions = append(rep.Sessions, ds)
-		if h.wal != nil {
-			// Watermark the journal so the restart replays from these
-			// checkpoints, then release it. The journal stays on disk — it
-			// IS the restart state.
-			if h.dirty.Load() {
-				if h.journalPaused.Load() {
-					// The worker is stopped, so reanchoring here is safe.
-					// Last chance to close the journal gap before exit; the
-					// cooldown is moot mid-drain.
-					h.pausedAt.Store(0)
-					s.tryResumeJournal(h)
-				}
-				// Never watermark a still-paused journal: a mark appended
-				// after missed mutations would silently diverge a replay.
-				// The intact pre-pause prefix is an honest restart state.
-				if !h.journalPaused.Load() {
-					s.saveWatermark(h)
-				}
-			}
-			h.wal.Close()
-		}
 	}
 
 	if s.cfg.DrainDir != "" {
@@ -1150,6 +989,7 @@ func (s *Server) Shutdown(ctx context.Context) (*DrainReport, error) {
 	}
 
 	s.acc.Close()
+	s.recoveryWG.Wait()
 	s.bgWG.Wait()
 	s.tel.Stop()
 
@@ -1167,13 +1007,4 @@ func (s *Server) Shutdown(ctx context.Context) (*DrainReport, error) {
 		return rep, fmt.Errorf("drain: %d checkpoint save(s) failed (see drain.json)", saveErrs)
 	}
 	return rep, nil
-}
-
-func waitClosed(ch <-chan struct{}, d time.Duration) bool {
-	select {
-	case <-ch:
-		return true
-	case <-time.After(d):
-		return false
-	}
 }

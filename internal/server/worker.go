@@ -37,8 +37,8 @@ type hosted struct {
 	lastUsed atomic.Int64 // unix nanos
 
 	// wal is the session's durable change journal (nil without StateDir).
-	// Only the worker goroutine (and createSession/recoverSession before
-	// the worker starts, and drain/evict after it stops) touch it.
+	// Only the worker goroutine (and the way in before launch, and
+	// persist after stop) touch it.
 	wal *wal.WAL
 	// brk is the session's quarantine breaker.
 	brk breaker

@@ -125,7 +125,7 @@ func run() int {
 		}
 		switch {
 		case line == "help":
-			printHelp()
+			fmt.Print(command.ShellHelp())
 		case line != "":
 			if err := command.DispatchLine(env, line); err != nil {
 				fmt.Println("error:", err)
@@ -134,12 +134,6 @@ func run() int {
 		fmt.Print("livesim> ")
 	}
 	return 0
-}
-
-func printHelp() {
-	fmt.Print("commands (paper Table I plus inspection):\n")
-	fmt.Print(command.HelpText())
-	fmt.Print("  help                          this text\n  exit\n")
 }
 
 func readDir(dir string) (map[string]string, error) {

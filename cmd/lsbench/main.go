@@ -15,6 +15,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strconv"
@@ -23,6 +24,7 @@ import (
 
 	"livesim/internal/checkpoint"
 	"livesim/internal/codegen"
+	"livesim/internal/command"
 	"livesim/internal/core"
 	"livesim/internal/faultinject"
 	"livesim/internal/flatsim"
@@ -789,23 +791,11 @@ func recoverySession(n int, withPipe bool) *core.Session {
 	return s
 }
 
-// recoveryExec replays journal records against a session — the same
-// verb mapping livesimd recovery uses, minus the server plumbing.
+// recoveryExec replays journal records against a session through the
+// verb catalogue, as livesimd recovery does, minus the server plumbing.
 func recoveryExec(s *core.Session) core.ExecRecord {
-	return func(r *wal.Record) error {
-		switch r.Verb {
-		case "instpipe":
-			_, err := s.InstPipe(r.Args[0])
-			return err
-		case "run":
-			cycles, err := strconv.Atoi(r.Args[2])
-			if err != nil {
-				return err
-			}
-			return s.Run(r.Args[0], r.Args[1], cycles)
-		}
-		return fmt.Errorf("unknown replay verb %q", r.Verb)
-	}
+	env := &command.Env{Session: s, Out: io.Discard}
+	return func(r *wal.Record) error { return command.Dispatch(env, r.Verb, r.Args) }
 }
 
 // recoveryBench measures (a) the steady-state cost of journaling every

@@ -1,9 +1,14 @@
-// Package command is the single implementation of LiveSim's user-facing
-// command vocabulary (the paper's Table I plus inspection commands).
-// Both frontends dispatch into this table — the interactive shell in
-// cmd/livesim and the livesimd wire protocol in internal/server — so the
-// `help` text, the argument validation and the behaviour of every verb
-// cannot drift between the two.
+// Package command is LiveSim's one catalogue of wire verbs. Each entry
+// says what a verb is called, how it is used, where it runs (a session's
+// worker, a livesimd connection, or lsgate), what it costs against
+// livesimd's admission budget and whether it mutates. The session verbs
+// of the paper's Table I plus the inspection commands also carry their
+// body here: the interactive shell in cmd/livesim and the session
+// workers of internal/server both run them through Dispatch, so their
+// behaviour cannot drift between frontends. The daemon verbs' bodies live
+// in each daemon's handler map, which must name exactly the daemon's
+// verbs of this catalogue. Admission cost, client resend and every help
+// screen are read from here.
 package command
 
 import (
@@ -11,7 +16,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -21,96 +25,185 @@ import (
 	"livesim/internal/trace"
 )
 
-// Env is everything a command needs to run. Out receives the command's
-// human-readable output (the shell points it at stdout; the server
-// captures it into the response). ApplySource supplies the full design
-// source for `apply` — the shell re-reads its -dir, the server takes the
-// files shipped in the request — and nil disables the verb.
+// Env is everything a shared verb needs to run. Out receives the
+// verb's human-readable output (the shell points it at stdout; the
+// server captures it into the response). ApplySource supplies the full
+// design source for `apply` — the shell re-reads its -dir, the server
+// takes the files shipped in the request — and nil disables the verb.
 type Env struct {
 	Session *core.Session
 	// Metrics backs the `stats` command; nil reports metrics as disabled.
 	Metrics *obs.Registry
 	// ApplySource returns the edited design source for `apply`.
 	ApplySource func() (liveparser.Source, error)
-	Out io.Writer
+	Out         io.Writer
 }
 
-// Command is one verb of the vocabulary.
-type Command struct {
+// Place is where a verb runs.
+type Place uint8
+
+const (
+	// Worker verbs run on livesimd, on the addressed session's worker
+	// goroutine, serialized with everything else touching the session.
+	Worker Place = iota
+	// Conn verbs run on livesimd, on the connection's goroutine, outside
+	// any session.
+	Conn
+	// Gateway verbs are answered by lsgate itself; lsgate forwards every
+	// other verb to the backend hosting the named session.
+	Gateway
+)
+
+// Verb is one entry of the catalogue.
+type Verb struct {
 	Name  string
 	Usage string // full usage line, e.g. "run <tb> <pipe> <cycles>"
 	Help  string // one-line description for help output
-	// MinArgs/MaxArgs bound len(args); MaxArgs -1 means variadic.
-	MinArgs, MaxArgs int
-	// Mutates marks verbs that change session state; the server uses it
-	// to track sessions that need a checkpoint on drain or eviction.
+	Place Place
+	// Cost weights the verb against livesimd's global admission budget:
+	// a 200-cycle run occupies more of the daemon than a cycle query.
+	// Every livesimd entry writes it out, because 0 is a real value: free,
+	// which keeps the operator verbs answering under overload.
+	Cost int64
+	// Mutates marks verbs that change state. A client never resends one
+	// after a reconnect; for a shared verb the server also journals it,
+	// marks the session dirty and puts it behind the mutation gates.
+	// Entries of one name agree on it, so the resend class is per name.
 	Mutates bool
-	// Cost weights this verb against the server's global admission
-	// budget: a 200-cycle run occupies more of the daemon than a cycle
-	// query. Zero means the default weight of 1.
-	Cost int
-	Run  func(env *Env, args []string) error
+	// MinArgs/MaxArgs bound len(args) for Run; MaxArgs -1 means variadic.
+	MinArgs, MaxArgs int
+	// Run is the body of a verb shared with the livesim shell; nil for
+	// the daemon verbs, whose bodies live in the daemons.
+	Run func(env *Env, args []string) error
 }
 
-var registry = map[string]*Command{}
-var order []string
+// Shared reports whether the shell and the session workers share the
+// verb's body.
+func (v *Verb) Shared() bool { return v.Run != nil }
 
-// Register adds a command to the shared table. Duplicate names panic:
-// the table is assembled at init time and a collision is a programming
-// error, not a runtime condition.
-func Register(c *Command) {
-	if _, dup := registry[c.Name]; dup {
-		panic(fmt.Sprintf("command %q registered twice", c.Name))
+// Livesimd reports whether livesimd runs the verb.
+func (v *Verb) Livesimd() bool { return v.Place != Gateway }
+
+var (
+	catalogue []*Verb
+	livesimd  = map[string]*Verb{}
+	lsgate    = map[string]*Verb{}
+	resend    = map[string]bool{} // by name: every entry of a name agrees
+)
+
+// Register adds a verb to the catalogue. A second entry for a name on
+// the same daemon, or one that disagrees with the other daemon's entry
+// about Mutates, panics: the catalogue is assembled at init time and a
+// collision is a programming error, not a runtime condition.
+func Register(v *Verb) {
+	own := livesimd
+	if !v.Livesimd() {
+		own = lsgate
 	}
-	registry[c.Name] = c
-	order = append(order, c.Name)
+	if _, dup := own[v.Name]; dup {
+		panic(fmt.Sprintf("verb %q registered twice", v.Name))
+	}
+	if r, seen := resend[v.Name]; seen && r == v.Mutates {
+		panic(fmt.Sprintf("verb %q: the daemons disagree on Mutates", v.Name))
+	}
+	own[v.Name], resend[v.Name] = v, !v.Mutates
+	catalogue = append(catalogue, v)
 }
 
-// Lookup finds a command by name.
-func Lookup(name string) (*Command, bool) {
-	c, ok := registry[strings.ToLower(name)]
-	return c, ok
+// Lookup finds the verb livesimd runs under name.
+func Lookup(name string) (*Verb, bool) {
+	v, ok := livesimd[strings.ToLower(name)]
+	return v, ok
 }
 
-// All returns the registered commands in registration order.
-func All() []*Command {
-	out := make([]*Command, 0, len(order))
-	for _, n := range order {
-		out = append(out, registry[n])
+// Verbs returns the entries in reports true for, in catalogue order.
+func Verbs(in func(*Verb) bool) []*Verb {
+	var out []*Verb
+	for _, v := range catalogue {
+		if in(v) {
+			out = append(out, v)
+		}
 	}
 	return out
 }
 
-// HelpText renders the shared portion of the help screen — one aligned
-// line per verb, identical in the shell and over the wire.
-func HelpText() string {
-	var b strings.Builder
-	for _, c := range All() {
-		fmt.Fprintf(&b, "  %-29s %s\n", c.Usage, c.Help)
-	}
-	return b.String()
-}
-
-// CostOf returns a verb's admission-budget weight: its registered Cost,
-// or 1 for unweighted verbs and unknown names (an unknown verb still
-// occupies a queue slot until it is rejected).
-func CostOf(name string) int {
-	if c, ok := Lookup(name); ok && c.Cost > 0 {
-		return c.Cost
+// CostOf returns a verb's admission-budget weight on livesimd; an
+// unknown name weighs 1, because it still occupies a queue slot until
+// it is rejected.
+func CostOf(name string) int64 {
+	if v, ok := Lookup(name); ok {
+		return v.Cost
 	}
 	return 1
 }
 
-// Dispatch validates the argument count and runs the named command.
+// Resendable reports whether a client may send the verb twice: some
+// daemon knows it, and it does not mutate. The daemon may have run a
+// mutation before the connection died, and an unknown verb is not
+// worth the risk.
+func Resendable(name string) bool { return resend[strings.ToLower(name)] }
+
+// MustMatch panics unless handlers has one entry per catalogue verb in
+// reports true for, and no other: each daemon calls it on its handler
+// map when it is built, so a verb cannot be declared and not answered,
+// or answered and not declared.
+func MustMatch[H any](daemon string, handlers map[string]H, in func(*Verb) bool) {
+	want := Verbs(in)
+	for _, v := range want {
+		if _, ok := handlers[v.Name]; !ok {
+			panic(fmt.Sprintf("%s: no handler for catalogue verb %q", daemon, v.Name))
+		}
+	}
+	if len(handlers) != len(want) {
+		panic(fmt.Sprintf("%s: %d handlers for %d catalogue verbs", daemon, len(handlers), len(want)))
+	}
+}
+
+const helpFormat = "  %-29s %s\n"
+
+// helpText renders one aligned line per verb in reports true for.
+func helpText(in func(*Verb) bool) string {
+	var b strings.Builder
+	for _, v := range Verbs(in) {
+		fmt.Fprintf(&b, helpFormat, v.Usage, v.Help)
+	}
+	return b.String()
+}
+
+// ShellHelp is the livesim shell's help screen: the shared verbs, then
+// the shell's own two.
+func ShellHelp() string {
+	return "commands (paper Table I plus inspection):\n" + helpText((*Verb).Shared) +
+		fmt.Sprintf(helpFormat+helpFormat, "help", "this text", "exit", "leave the shell")
+}
+
+// ServerHelp is livesimd's help screen: every verb it runs, once.
+func ServerHelp() string {
+	return "session verbs (shared with the livesim shell):\n" + helpText((*Verb).Shared) +
+		"server verbs:\n" + helpText(func(v *Verb) bool { return v.Livesimd() && !v.Shared() })
+}
+
+// GatewayHelp is lsgate's help screen: the verbs it answers itself, then
+// every other livesimd verb, which it forwards.
+func GatewayHelp() string {
+	return "gateway verbs:\n" + helpText(func(v *Verb) bool { return !v.Livesimd() }) +
+		"forwarded to the backend hosting the named session:\n" + helpText(func(v *Verb) bool {
+		_, own := lsgate[v.Name]
+		return v.Livesimd() && !own
+	})
+}
+
+// Dispatch validates the argument count and runs the named shared verb.
+// The daemon verbs are unknown here: the shell cannot run them.
 func Dispatch(env *Env, name string, args []string) error {
-	c, ok := Lookup(name)
-	if !ok {
+	v, ok := Lookup(name)
+	if !ok || !v.Shared() {
 		return fmt.Errorf("unknown command %q (try help)", name)
 	}
-	if len(args) < c.MinArgs || (c.MaxArgs >= 0 && len(args) > c.MaxArgs) {
-		return fmt.Errorf("usage: %s", c.Usage)
+	if len(args) < v.MinArgs || (v.MaxArgs >= 0 && len(args) > v.MaxArgs) {
+		return fmt.Errorf("usage: %s", v.Usage)
 	}
-	return c.Run(env, args)
+	return v.Run(env, args)
 }
 
 // DispatchLine splits a shell line into verb and arguments and runs it.
@@ -122,12 +215,9 @@ func DispatchLine(env *Env, line string) error {
 	return Dispatch(env, fields[0], fields[1:])
 }
 
-
 func init() {
-	minMax := func(c *Command, lo, hi int) *Command { c.MinArgs, c.MaxArgs = lo, hi; return c }
-
-	Register(&Command{
-		Name: "ldlib", Usage: "ldlib", Help: "list the Object Library Table",
+	Register(&Verb{
+		Name: "ldlib", Usage: "ldlib", Help: "list the Object Library Table", Cost: 1,
 		Run: func(env *Env, _ []string) error {
 			for _, e := range env.Session.Library() {
 				fmt.Fprintf(env.Out, "  %-10s %-10s %-30s %s\n", e.Handle, e.Type, e.CodePath, e.ObjectPath)
@@ -136,24 +226,24 @@ func init() {
 		},
 	})
 
-	Register(minMax(&Command{
-		Name: "instpipe", Usage: "instpipe <name>", Help: "instantiate a pipeline", Mutates: true, Cost: 4,
+	Register(&Verb{
+		Name: "instpipe", Usage: "instpipe <name>", Help: "instantiate a pipeline", Mutates: true, Cost: 4, MinArgs: 1, MaxArgs: 1,
 		Run: func(env *Env, args []string) error {
 			_, err := env.Session.InstPipe(args[0])
 			return err
 		},
-	}, 1, 1))
+	})
 
-	Register(minMax(&Command{
-		Name: "copypipe", Usage: "copypipe <new> <old>", Help: "copy a pipeline including state", Mutates: true, Cost: 4,
+	Register(&Verb{
+		Name: "copypipe", Usage: "copypipe <new> <old>", Help: "copy a pipeline including state", Mutates: true, Cost: 4, MinArgs: 2, MaxArgs: 2,
 		Run: func(env *Env, args []string) error {
 			_, err := env.Session.CopyPipe(args[0], args[1])
 			return err
 		},
-	}, 2, 2))
+	})
 
-	Register(&Command{
-		Name: "pipes", Usage: "pipes", Help: "list the Pipeline Table",
+	Register(&Verb{
+		Name: "pipes", Usage: "pipes", Help: "list the Pipeline Table", Cost: 1,
 		Run: func(env *Env, _ []string) error {
 			for _, r := range env.Session.Pipes() {
 				fmt.Fprintf(env.Out, "  %-10s %-12s %s\n", r.Name, r.Handle, r.Pointer)
@@ -162,8 +252,8 @@ func init() {
 		},
 	})
 
-	Register(minMax(&Command{
-		Name: "stages", Usage: "stages <pipe>", Help: "list the Stage Table",
+	Register(&Verb{
+		Name: "stages", Usage: "stages <pipe>", Help: "list the Stage Table", Cost: 1, MinArgs: 1, MaxArgs: 1,
 		Run: func(env *Env, args []string) error {
 			rows, err := env.Session.Stages(args[0])
 			if err != nil {
@@ -174,10 +264,10 @@ func init() {
 			}
 			return nil
 		},
-	}, 1, 1))
+	})
 
-	Register(minMax(&Command{
-		Name: "run", Usage: "run <tb> <pipe> <cycles>", Help: "run a testbench", Mutates: true, Cost: 8,
+	Register(&Verb{
+		Name: "run", Usage: "run <tb> <pipe> <cycles>", Help: "run a testbench", Mutates: true, Cost: 8, MinArgs: 3, MaxArgs: 3,
 		Run: func(env *Env, args []string) error {
 			cycles, err := strconv.Atoi(args[2])
 			if err != nil {
@@ -190,23 +280,23 @@ func init() {
 			fmt.Fprintf(env.Out, "  pipe %s at cycle %d\n", args[1], p.Sim.Cycle())
 			return nil
 		},
-	}, 3, 3))
+	})
 
-	Register(minMax(&Command{
-		Name: "chkp", Usage: "chkp <pipe> <path>", Help: "save a checkpoint file",
+	Register(&Verb{
+		Name: "chkp", Usage: "chkp <pipe> <path>", Help: "save a checkpoint file", Cost: 1, MinArgs: 2, MaxArgs: 2,
 		Run: func(env *Env, args []string) error {
 			return env.Session.SaveCheckpoint(args[0], args[1])
 		},
-	}, 2, 2))
+	})
 
-	Register(minMax(&Command{
-		Name: "ldch", Usage: "ldch <pipe> <path>", Help: "load a checkpoint file", Mutates: true, Cost: 2,
+	Register(&Verb{
+		Name: "ldch", Usage: "ldch <pipe> <path>", Help: "load a checkpoint file", Mutates: true, Cost: 2, MinArgs: 2, MaxArgs: 2,
 		Run: func(env *Env, args []string) error {
 			return env.Session.LoadCheckpoint(args[0], args[1])
 		},
-	}, 2, 2))
+	})
 
-	Register(&Command{
+	Register(&Verb{
 		Name: "apply", Usage: "apply", Help: "re-read sources and hot reload (ERD loop)", Mutates: true, Cost: 8,
 		Run: func(env *Env, _ []string) error {
 			if env.ApplySource == nil {
@@ -242,16 +332,16 @@ func init() {
 		},
 	})
 
-	Register(&Command{
-		Name: "history", Usage: "history", Help: "show the register transform history",
+	Register(&Verb{
+		Name: "history", Usage: "history", Help: "show the register transform history", Cost: 1,
 		Run: func(env *Env, _ []string) error {
 			fmt.Fprint(env.Out, env.Session.TransformOps().Describe())
 			return nil
 		},
 	})
 
-	Register(minMax(&Command{
-		Name: "peek", Usage: "peek <pipe> <hier.signal>", Help: "read a signal",
+	Register(&Verb{
+		Name: "peek", Usage: "peek <pipe> <hier.signal>", Help: "read a signal", Cost: 1, MinArgs: 2, MaxArgs: 2,
 		Run: func(env *Env, args []string) error {
 			p, ok := env.Session.Pipe(args[0])
 			if !ok {
@@ -264,10 +354,10 @@ func init() {
 			fmt.Fprintf(env.Out, "  %s = %d (%#x)\n", args[1], v, v)
 			return nil
 		},
-	}, 2, 2))
+	})
 
-	Register(minMax(&Command{
-		Name: "poke", Usage: "poke <pipe> <hier.signal> <v>", Help: "write a signal", Mutates: true, Cost: 2,
+	Register(&Verb{
+		Name: "poke", Usage: "poke <pipe> <hier.signal> <v>", Help: "write a signal", Mutates: true, Cost: 2, MinArgs: 3, MaxArgs: 3,
 		Run: func(env *Env, args []string) error {
 			p, ok := env.Session.Pipe(args[0])
 			if !ok {
@@ -279,11 +369,11 @@ func init() {
 			}
 			return p.Sim.Poke(args[1], v)
 		},
-	}, 3, 3))
+	})
 
-	Register(minMax(&Command{
+	Register(&Verb{
 		Name: "trace", Usage: "trace <tb> <pipe> <cycles> <file.vcd> [scope]",
-		Help: "run while dumping a VCD waveform", Mutates: true, Cost: 8,
+		Help: "run while dumping a VCD waveform", Mutates: true, Cost: 8, MinArgs: 4, MaxArgs: 5,
 		Run: func(env *Env, args []string) error {
 			cycles, err := strconv.Atoi(args[2])
 			if err != nil {
@@ -318,10 +408,10 @@ func init() {
 			fmt.Fprintf(env.Out, "  wrote %s (%d signals, %d cycles)\n", args[3], tr.NumProbes(), cycles)
 			return nil
 		},
-	}, 4, 5))
+	})
 
-	Register(minMax(&Command{
-		Name: "checkpoints", Usage: "checkpoints <pipe>", Help: "list the pipe's checkpoints",
+	Register(&Verb{
+		Name: "checkpoints", Usage: "checkpoints <pipe>", Help: "list the pipe's checkpoints", Cost: 1, MinArgs: 1, MaxArgs: 1,
 		Run: func(env *Env, args []string) error {
 			p, ok := env.Session.Pipe(args[0])
 			if !ok {
@@ -333,10 +423,10 @@ func init() {
 			}
 			return nil
 		},
-	}, 1, 1))
+	})
 
-	Register(minMax(&Command{
-		Name: "cycle", Usage: "cycle <pipe>", Help: "show the pipe's cycle",
+	Register(&Verb{
+		Name: "cycle", Usage: "cycle <pipe>", Help: "show the pipe's cycle", Cost: 1, MinArgs: 1, MaxArgs: 1,
 		Run: func(env *Env, args []string) error {
 			p, ok := env.Session.Pipe(args[0])
 			if !ok {
@@ -345,10 +435,10 @@ func init() {
 			fmt.Fprintf(env.Out, "  %d (version %s)\n", p.Sim.Cycle(), env.Session.Version())
 			return nil
 		},
-	}, 1, 1))
+	})
 
-	Register(&Command{
-		Name: "health", Usage: "health", Help: "show the session's robustness summary",
+	Register(&Verb{
+		Name: "health", Usage: "health", Help: "show the session's robustness summary", Cost: 1,
 		Run: func(env *Env, _ []string) error {
 			fmt.Fprintln(env.Out, indent(env.Session.Health().String()))
 			return nil
@@ -359,9 +449,9 @@ func init() {
 	// observability state, never simulated state, so the server neither
 	// journals it nor needs a checkpoint before eviction, and a client
 	// may safely resend it after a reconnect.
-	Register(minMax(&Command{
+	Register(&Verb{
 		Name: "profile", Usage: "profile <start|stop|report|reset> [pipe] [json]",
-		Help: "control the activity/heat profiler",
+		Help: "control the activity/heat profiler", Cost: 1, MinArgs: 1, MaxArgs: 3,
 		Run: func(env *Env, args []string) error {
 			sub := args[0]
 			rest := args[1:]
@@ -431,10 +521,10 @@ func init() {
 				return fmt.Errorf("usage: profile <start|stop|report|reset> [pipe] [json]")
 			}
 		},
-	}, 1, 3))
+	})
 
-	Register(minMax(&Command{
-		Name: "stats", Usage: "stats [json]", Help: "dump the metrics registry",
+	Register(&Verb{
+		Name: "stats", Usage: "stats [json]", Help: "dump the metrics registry", Cost: 1, MinArgs: 0, MaxArgs: 1,
 		Run: func(env *Env, args []string) error {
 			if env.Metrics == nil {
 				return fmt.Errorf("metrics are disabled; restart with -metrics")
@@ -448,19 +538,9 @@ func init() {
 			}
 			return env.Metrics.WriteText(env.Out)
 		},
-	}, 0, 1))
+	})
 }
 
 func indent(s string) string {
 	return "  " + strings.ReplaceAll(s, "\n", "\n  ")
-}
-
-// Names returns the sorted verb names — the protocol's session-verb set.
-func Names() []string {
-	names := make([]string, 0, len(registry))
-	for n := range registry {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -100,15 +100,60 @@ func TestApplyThroughSharedCommand(t *testing.T) {
 	}
 }
 
-func TestHelpTextCoversEveryVerb(t *testing.T) {
-	help := HelpText()
-	for _, c := range All() {
-		if !strings.Contains(help, c.Usage) {
-			t.Errorf("help text is missing %q", c.Usage)
+// listed counts the help lines that document each verb: lines whose
+// first word is its name.
+func listed(help string) map[string]int {
+	n := map[string]int{}
+	for _, line := range strings.Split(help, "\n") {
+		if strings.HasPrefix(line, "  ") {
+			n[strings.Fields(line)[0]]++
 		}
 	}
-	if len(All()) != len(Names()) {
-		t.Errorf("All()=%d Names()=%d", len(All()), len(Names()))
+	return n
+}
+
+// Every help screen is generated from the catalogue: each daemon lists
+// every verb it answers exactly once (lsgate counts what it forwards),
+// and the shell lists the shared verbs and its own help and exit.
+func TestHelpTextCoversEveryVerb(t *testing.T) {
+	all := Verbs(func(*Verb) bool { return true })
+	server, gateway, shell := listed(ServerHelp()), listed(GatewayHelp()), listed(ShellHelp())
+	for _, v := range all {
+		if v.Livesimd() && server[v.Name] != 1 {
+			t.Errorf("livesimd help lists %q %d times, want once", v.Name, server[v.Name])
+		}
+		if gateway[v.Name] != 1 {
+			t.Errorf("lsgate help lists %q %d times, want once", v.Name, gateway[v.Name])
+		}
+		if want := shared(v.Name) || v.Name == "help"; (shell[v.Name] == 1) != want {
+			t.Errorf("shell help lists %q %d times, want shared verbs once and nothing else", v.Name, shell[v.Name])
+		}
+	}
+	for _, help := range []map[string]int{server, gateway} {
+		if len(help) == 0 || len(help) > len(all) {
+			t.Errorf("help lists %d names for a catalogue of %d entries", len(help), len(all))
+		}
+	}
+	if len(shell) != len(Verbs((*Verb).Shared))+2 {
+		t.Errorf("shell help lists %v, want the shared verbs plus help and exit", shell)
+	}
+}
+
+// shared reports whether livesimd's verb of that name is a shared one
+// (lsgate's `trace` shares the session verb's name).
+func shared(name string) bool {
+	v, ok := Lookup(name)
+	return ok && v.Shared()
+}
+
+// The shell runs shared verbs only: a daemon verb is as unknown to it as
+// a misspelt one.
+func TestDispatchRefusesDaemonVerbs(t *testing.T) {
+	env := &Env{Session: bootTiny(t), Out: &strings.Builder{}}
+	for _, v := range Verbs(func(v *Verb) bool { return !shared(v.Name) }) {
+		if err := Dispatch(env, v.Name, nil); err == nil || !strings.Contains(err.Error(), "unknown command") {
+			t.Errorf("shell ran daemon verb %q: %v", v.Name, err)
+		}
 	}
 }
 
@@ -157,9 +202,7 @@ func TestProfileVerb(t *testing.T) {
 	}
 	// The verb must stay non-mutating: journaled replay and client
 	// resend correctness both depend on it.
-	for _, c := range All() {
-		if c.Name == "profile" && c.Mutates {
-			t.Error("profile verb marked Mutates")
-		}
+	if v, _ := Lookup("profile"); v.Mutates {
+		t.Error("profile verb marked Mutates")
 	}
 }

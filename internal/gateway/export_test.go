@@ -1,5 +1,17 @@
 package gateway
 
+import "sort"
+
 // RendezvousScore exposes placement to the external tests, which need a
 // session name that lands on a chosen backend.
 var RendezvousScore = rendezvousScore
+
+// HandlerVerbs returns the names lsgate answers itself, sorted.
+func HandlerVerbs() []string {
+	var names []string
+	for name := range (&Gateway{}).handlerMap() {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}

@@ -20,7 +20,6 @@
 package gateway
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -32,6 +31,7 @@ import (
 	"sync"
 	"time"
 
+	"livesim/internal/command"
 	"livesim/internal/faultinject"
 	"livesim/internal/govern"
 	"livesim/internal/obs"
@@ -99,6 +99,7 @@ type Gateway struct {
 	acc *wire.Acceptor
 
 	backends []*backend
+	handlers map[string]func(*wire.Request) *wire.Response // the verbs lsgate answers itself
 
 	mu       sync.Mutex
 	routes   map[string]*route
@@ -217,6 +218,7 @@ func New(cfg Config) (*Gateway, error) {
 		routes:   make(map[string]*route),
 		stop:     make(chan struct{}),
 	}
+	g.handlers = g.handlerMap()
 	g.acc = wire.NewAcceptor(g.serveConn)
 	g.probeAll() // synchronous: placement works from the first request
 	for _, b := range g.backends {
@@ -364,9 +366,6 @@ func (g *Gateway) discover(b *backend) {
 	}
 }
 
-// reconcile is the recovered-backend sweep the health checker kicks.
-func (g *Gateway) reconcile(b *backend) { g.discover(b) }
-
 // standbyNamed resolves the standby address a primary on b reports (a
 // `sessions` row's replica_addr, or a `replicate` request's argument):
 // nil when empty, not a pool member, or b itself.
@@ -459,21 +458,59 @@ func (g *Gateway) Serve(ln net.Listener) error { return g.acc.Serve(ln) }
 // serveConn is the acceptor's per-connection hook. Every request gets
 // its own goroutine: a forward blocks on the backend, and one slow
 // session must not stall the others pipelined on this connection.
-// Responses are id-matched.
+// Responses are id-matched. A request that arrives once Shutdown began
+// is refused inline and never counted in flight: the check and the Add
+// share the lock Shutdown sets draining under, so nothing adds to
+// inflight while Shutdown waits on it.
 func (g *Gateway) serveConn(c *wire.Conn) func(*wire.Request) {
 	g.reg.Counter("gateway_conns_opened").Inc()
 	c.OnClose(g.reg.Counter("gateway_conns_closed").Inc)
 	return func(req *wire.Request) {
-		g.inflight.Add(1)
+		g.mu.Lock()
+		draining := g.draining
+		if !draining {
+			g.inflight.Add(1)
+		}
+		g.mu.Unlock()
+		if draining { // answered on the reader, which Shutdown's acc.Close waits for
+			c.Reply(g.handle(req, true))
+			return
+		}
 		go func() {
 			defer g.inflight.Done()
-			c.Reply(g.handle(req)) // a failed write is the client's loss
+			c.Reply(g.handle(req, false)) // a failed write is the client's loss
 		}()
 	}
 }
 
-// handle routes one request and returns its response.
-func (g *Gateway) handle(req *wire.Request) (resp *wire.Response) {
+var errNoSubscribe = errors.New(
+	"subscribe is not supported through the gateway; connect to the backend directly (see `backends`)")
+
+// handlerMap is lsgate's one map from verb name to body, checked against
+// the catalogue's Gateway verbs. Every other verb is forwarded.
+func (g *Gateway) handlerMap() map[string]func(*wire.Request) *wire.Response {
+	m := map[string]func(*wire.Request) *wire.Response{
+		"backends":  g.backendsResp,
+		"sessions":  g.aggregateSessions,
+		"create":    g.placeCreate,
+		"migrate":   g.migrateVerb,
+		"drain":     g.drainVerb,
+		"trace":     g.traceOrForward,
+		"subscribe": func(req *wire.Request) *wire.Response { return gerr(req, wire.CodeBadRequest, errNoSubscribe) },
+		"metricz":   func(req *wire.Request) *wire.Response { return server.Metricz(g.reg, req) },
+		"events":    func(req *wire.Request) *wire.Response { return server.Events(g.tel, req) },
+		"ping":      g.pingResp,
+		"help": func(req *wire.Request) *wire.Response {
+			return &wire.Response{ID: req.ID, OK: true, Output: command.GatewayHelp()}
+		},
+	}
+	command.MustMatch("lsgate", m, func(v *command.Verb) bool { return v.Place == command.Gateway })
+	return m
+}
+
+// handle answers one request: lsgate's own verbs through the handler
+// map, anything else forwarded to the session's backend.
+func (g *Gateway) handle(req *wire.Request, draining bool) (resp *wire.Response) {
 	t0 := time.Now()
 	g.reg.Counter("gateway_requests").Inc()
 	if req.TraceID == "" {
@@ -498,65 +535,35 @@ func (g *Gateway) handle(req *wire.Request) (resp *wire.Response) {
 		g.reg.Histogram("gateway_request_seconds", nil).Observe(dur.Seconds())
 	}()
 
-	g.mu.Lock()
-	draining := g.draining
-	g.mu.Unlock()
 	if draining {
 		return gerr(req, wire.CodeDraining, server.ErrDraining)
 	}
+	if run := g.handlers[strings.ToLower(req.Verb)]; run != nil {
+		return run(req)
+	}
+	return g.forwardSession(req)
+}
 
-	verb := strings.ToLower(req.Verb)
-	switch verb {
-	case "ping":
-		return g.pingResp(req)
-	case "help":
-		return g.helpResp(req)
-	case "metricz":
-		snap := g.reg.Snapshot()
-		var txt bytes.Buffer
-		g.reg.WriteText(&txt)
-		return &wire.Response{ID: req.ID, OK: true, Output: txt.String(), Data: snap.JSON()}
-	case "events":
-		out, data, err := g.tel.EventsVerb(req.Args)
-		if err != nil {
-			return gerr(req, wire.CodeBadRequest, err)
-		}
-		return &wire.Response{ID: req.ID, OK: true, Output: out, Data: data}
-	case "backends":
-		return g.backendsResp(req)
-	case "sessions":
-		return g.aggregateSessions(req)
-	case "create":
-		return g.placeCreate(req)
-	case "migrate":
-		return g.migrateVerb(req)
-	case "drain":
-		return g.drainVerb(req)
-	case "trace":
-		// `trace` is two verbs: the fleet assembly verb (`trace <id>`,
-		// no session needed) and the session-scoped VCD dump (session +
-		// signal args). A lone 16-hex argument, or no session at all,
-		// means the fleet verb; anything else follows the route table.
-		if req.Session == "" || (len(req.Args) == 1 && isTraceID(req.Args[0])) || len(req.Args) == 0 {
-			return g.traceVerb(req)
-		}
-	case "subscribe":
-		return gerr(req, wire.CodeBadRequest, fmt.Errorf(
-			"subscribe is not supported through the gateway; connect to the backend directly (see `backends`)"))
+// traceOrForward serves `trace`, which is two verbs: the fleet assembly
+// verb (`trace <id>`, no session needed) and the session-scoped VCD dump
+// (session + signal args). A lone 16-hex argument, or no session at all,
+// means the fleet verb; anything else follows the route table.
+func (g *Gateway) traceOrForward(req *wire.Request) *wire.Response {
+	if req.Session == "" || (len(req.Args) == 1 && isTraceID(req.Args[0])) || len(req.Args) == 0 {
+		return g.traceVerb(req)
 	}
-	// Everything else — session verbs, close, unquarantine, replicate —
-	// needs a session and follows the route table.
-	if req.Session == "" {
-		return gerr(req, wire.CodeBadRequest, fmt.Errorf("verb %q needs a session", req.Verb))
-	}
-	return g.forwardSession(req, verb)
+	return g.forwardSession(req)
 }
 
 // forwardSession routes a session-addressed request: routed sessions
 // go to their backend (waiting out any migration freeze); unknown
 // sessions sweep the alive backends in rendezvous order so the answer
 // is found wherever it lives and the route is learned for next time.
-func (g *Gateway) forwardSession(req *wire.Request, verb string) *wire.Response {
+func (g *Gateway) forwardSession(req *wire.Request) *wire.Response {
+	if req.Session == "" {
+		return gerr(req, wire.CodeBadRequest, fmt.Errorf("verb %q needs a session", req.Verb))
+	}
+	verb := strings.ToLower(req.Verb)
 	g.mu.Lock()
 	r := g.routes[req.Session]
 	g.mu.Unlock()
@@ -594,9 +601,11 @@ func (g *Gateway) forwardSession(req *wire.Request, verb string) *wire.Response 
 				g.setRoute(req.Session, nb, false)
 				return g.forward(nb, req)
 			}
-		case verb == "close" && resp.OK:
+		}
+		if resp.OK && verb == "close" {
 			g.dropRoute(req.Session, b)
-		case verb == "replicate" && resp.OK && len(req.Args) == 1:
+		}
+		if resp.OK && verb == "replicate" && len(req.Args) == 1 {
 			// The primary's stream moved (or stopped): the route's failover
 			// target follows it, or promoting a stale copy would lose every
 			// mutation acked since.
@@ -756,23 +765,6 @@ func (g *Gateway) pingResp(req *wire.Request) *wire.Response {
 		"gateway":     true,
 	})
 	return &wire.Response{ID: req.ID, OK: true, Output: "pong (gateway)\n", Data: data}
-}
-
-func (g *Gateway) helpResp(req *wire.Request) *wire.Response {
-	var b strings.Builder
-	b.WriteString("gateway verbs:\n")
-	b.WriteString("  backends                      backend pool health and route counts\n")
-	b.WriteString("  sessions                      sessions aggregated across all backends\n")
-	b.WriteString("  migrate [target-addr]         live-migrate a session (name in \"session\")\n")
-	b.WriteString("  drain <backend-addr>          move every session and standby off a backend, then drain it\n")
-	b.WriteString("  trace [trace-id]              assemble one trace's span tree across the fleet\n")
-	b.WriteString("  metricz                       gateway metrics registry\n")
-	b.WriteString("  events [since-seq]            gateway operational events\n")
-	b.WriteString("  ping                          gateway liveness + pool summary\n")
-	b.WriteString("everything else (create, close, run, apply, …) is forwarded to\n")
-	b.WriteString("the backend hosting the named session; `subscribe` is the one\n")
-	b.WriteString("verb that needs a direct backend connection.\n")
-	return &wire.Response{ID: req.ID, OK: true, Output: b.String()}
 }
 
 // BackendInfo is one row of the `backends` verb's Data payload.

@@ -27,7 +27,6 @@ import (
 	"math/rand"
 	"net"
 	"os"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -192,29 +191,14 @@ func dial(addr string) (net.Conn, error) {
 	return net.DialTimeout(network, target, dialTimeout)
 }
 
-// Idempotent reports whether a verb can safely be sent twice: read-only
-// session verbs (from the shared command table's Mutates flag) and
-// read-only server and gateway verbs, each named here on purpose — the
-// server and gateway tests fail on a verb this switch does not know.
-// Mutations and one-shot verbs (create, close, subscribe, migrate, …)
-// are not resendable: the daemon may have applied them before the
+// Idempotent reports whether a verb can safely be sent twice: the verb
+// catalogue (internal/command) knows it and it does not mutate. A
+// mutation or one-shot verb (create, close, subscribe, migrate, …) is
+// not resent, because the daemon may have applied it before the
 // connection died. Verbs that change only observability state (profile
-// start/stop/reset) are deliberately marked non-mutating in the table:
-// resending one after a reconnect is harmless, so they stay on the
-// resend path.
-func Idempotent(verb string) bool {
-	switch strings.ToLower(verb) {
-	case "ping", "help", "metricz", "sessions", "events", "top", "spans", "backends":
-		return true
-	case "create", "close", "subscribe", "unquarantine", "import", "drain",
-		"replicate", "replapply", "promote", "migrate":
-		return false
-	}
-	if cmd, ok := command.Lookup(verb); ok {
-		return !cmd.Mutates
-	}
-	return false
-}
+// start/stop/reset) are deliberately non-mutating in the catalogue:
+// resending one after a reconnect is harmless.
+func Idempotent(verb string) bool { return command.Resendable(verb) }
 
 // Do sends one request and waits for its response. The request's ID is
 // assigned by the client, and a TraceID is stamped if the caller didn't

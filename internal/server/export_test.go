@@ -1,19 +1,9 @@
 package server
 
-import "time"
-
-// WireVerbs lists every verb the server answers outside the shared
-// command table: the server verbs and the session-queued special verbs.
-func WireVerbs() []string {
-	var out []string
-	for v := range serverVerbs {
-		out = append(out, v)
-	}
-	for v := range specialVerbs {
-		out = append(out, v)
-	}
-	return out
-}
+import (
+	"sort"
+	"time"
+)
 
 // SetMemEvictIdle shortens how long a session must idle before the
 // memory governor may shed it, and returns the restore func.
@@ -21,4 +11,14 @@ func SetMemEvictIdle(d time.Duration) (restore func()) {
 	old := memEvictIdle
 	memEvictIdle = d
 	return func() { memEvictIdle = old }
+}
+
+// HandlerVerbs returns the names in livesimd's handler map, sorted.
+func HandlerVerbs() []string {
+	var names []string
+	for name := range (&Server{}).handlerMap() {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
 }

@@ -25,7 +25,8 @@ import (
 //	eviction, shed,     a dirty session's checkpoints in DrainDir (when
 //	drain               set) and a final watermark in its journal; a
 //	                    paused journal is reanchored first if the disk
-//	                    rung allows, and never marked while still paused
+//	                    rung allows, and never marked while still paused;
+//	                    a follower's journal is left as the stream wrote it
 //	halt                the journal as last fsynced, as a SIGKILL would
 //
 // Shutdown and Halt wait for recoveries in flight; one that ends after
@@ -183,7 +184,9 @@ func (s *Server) persist(h *hosted, how leave) DrainedSession {
 		if s.cfg.DrainDir != "" {
 			ds = s.saveSession(h)
 		}
-		if h.wal != nil && s.resumePaused(h) == nil {
+		// A follower's journal has one writer, the replication stream: a
+		// mark here would move its head past the primary's seq.
+		if h.wal != nil && !h.follower.Load() && s.resumePaused(h) == nil {
 			s.watermark(h, wal.TypeMark)
 		}
 	}

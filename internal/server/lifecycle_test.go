@@ -168,8 +168,9 @@ type lcWayOut struct {
 	// kept: the journal stays and a restart rebuilds the acked state;
 	// otherwise every file of l0 is gone and a restart finds nothing.
 	kept bool
-	// marks: the way out watermarks the journal (checkpoints plus mark
-	// records). A kept journal without marks is left byte for byte.
+	// marks: the way out watermarks a primary's journal (checkpoints plus
+	// mark records). A kept journal without marks, a follower's included,
+	// is left byte for byte.
 	marks bool
 }
 
@@ -254,7 +255,7 @@ func TestSessionLifecycle(t *testing.T) {
 					if len(after) != 0 {
 						t.Fatalf("%s left files: %v", out.name, keys(after))
 					}
-				case out.marks:
+				case out.marks && !in.follower: // the stream is a follower's only journal writer
 					if lcMarks(t, after["l0.wal"]) <= lcMarks(t, before["l0.wal"]) {
 						t.Errorf("%s wrote no marks into the journal", out.name)
 					}
@@ -421,5 +422,46 @@ func TestStopWaitsForRecovery(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestFollowerRestartKeepsTheStream drains a follower, restarts it on the
+// same state dir and keeps shipping to it. The drain must not watermark
+// the follower's journal: marks of its own would put its head past the
+// primary's seq, the next batch would be answered repl_resync, and the
+// shipper would skip as many of the primary's records.
+func TestFollowerRestartKeepsTheStream(t *testing.T) {
+	dir := shortDir(t)
+	A := lcStart(t, server.Config{StateDir: filepath.Join(dir, "a"), WALSyncEvery: -1}, filepath.Join(dir, "a.sock"))
+	tcfg := server.Config{StateDir: filepath.Join(dir, "t"), WALSyncEvery: -1}
+	T := lcStart(t, tcfg, filepath.Join(dir, "t.sock"))
+	createTiny(t, A.c, "l0", 25)
+	lcMutate(t, A.c, func() {
+		mustOK(t, A.c, &server.Request{Session: "l0", Verb: "replicate", Args: []string{T.addr}})
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if _, err := T.srv.Shutdown(ctx); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	T.c.Close()
+	R := lcStart(t, tcfg, filepath.Join(dir, "t.sock"))
+	R.srv.WaitRecovered()
+
+	// The shipper redials the restarted follower on a later mutation.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(100 * time.Millisecond) {
+		mustOK(t, A.c, &server.Request{Session: "l0", Verb: "run", Args: []string{"clock", "p0", "5"}})
+		if info, _ := sessionInfo(t, A.c, "l0"); info.HeadSeq > 0 && info.ReplAckedSeq == info.HeadSeq {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the stream never caught up with the restarted follower")
+		}
+	}
+	if n := R.srv.Metrics().Counter("server_repl_resyncs").Value(); n != 0 {
+		t.Errorf("restarted follower answered %d batch(es) repl_resync", n)
+	}
+	if got, want := lcFingerprint(t, R.c), lcFingerprint(t, A.c); got != want {
+		t.Errorf("follower after restart = %q, primary = %q", got, want)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"time"
 
-	"livesim/internal/command"
 	"livesim/internal/govern"
 	"livesim/internal/obs"
 )
@@ -34,16 +33,14 @@ import (
 //     journaled session resurrects at the next boot).
 //
 // Admission control is the third governor but needs no ticker: it is
-// the synchronous TryAcquire/Release pair in dispatch (server.go).
+// the synchronous TryAcquire/Release pair in dispatch (server.go), each
+// request weighed by its verb's cost in the catalogue (internal/command).
 
 const (
 	// defaultAdmitBudget is the stock process-wide in-flight budget in
 	// verb cost units: 32 concurrent run/apply-weight requests, or a few
 	// hundred light ones.
 	defaultAdmitBudget = 256
-	// createCost weights session creation (compile + boot + journal IO)
-	// against the admission budget like the heavy session verbs.
-	createCost = 8
 	// defaultDiskPollEvery is the governor tick cadence.
 	defaultDiskPollEvery = 2 * time.Second
 	// defaultJournalResumeDelay is the pause→resume cooldown.
@@ -61,29 +58,6 @@ const (
 // however tight the budget — someone is using them. A var so tests can
 // shrink it.
 var memEvictIdle = 30 * time.Second
-
-// admissionCost maps a verb onto its admission-budget weight. Session
-// verbs use the shared command table's cost; create is weighed like a
-// heavy verb; every other server verb (ping, sessions, events, top, …)
-// is free so overload can always be diagnosed from the outside.
-func admissionCost(verb string) int64 {
-	switch verb {
-	case "create", "import", "replicate":
-		// import writes a seed's journal and checkpoints and replays them;
-		// replicate checkpoints every pipe, reads the journal and waits on
-		// that import — both weigh like create.
-		return createCost
-	case "replapply", "promote":
-		// The replication stream and failover must keep flowing under
-		// overload — rejecting them would turn load into lag (or a failed
-		// failover). They are paced by the primary's own mutation path.
-		return 0
-	}
-	if serverVerbs[verb] {
-		return 0
-	}
-	return int64(command.CostOf(verb))
-}
 
 // diskProbe builds the governor's free-space probe: the configured one
 // (or Statfs), with a Faults plan's ForceDiskFree override winning so

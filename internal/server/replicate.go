@@ -150,7 +150,7 @@ func (s *Server) fenceSession(h *hosted, why string) {
 	s.blackbox("session_fenced", h.name, "", why)
 }
 
-// replicateTask (task.special, verb "replicate") arms replication:
+// replicateTask (verb "replicate", on the session worker) arms replication:
 // export the session's state as a transfer blob, seed the standby with
 // it as a follower, and install the shipper the ship-on-commit hook
 // drives from then on. On a session already shipping to the named
@@ -355,7 +355,7 @@ func replAck(h *hosted) []byte {
 	return data
 }
 
-// replApplyTask (task.special, verb "replapply") is the follower half of
+// replApplyTask (verb "replapply", on the session worker) is the follower half of
 // the stream: decode one shipped batch, verify it continues exactly at
 // this journal's head, apply each record to the live session AND append
 // it to the local journal (preserving the primary's sequence numbers),
@@ -491,7 +491,7 @@ func (s *Server) replApplyTask(h *hosted, t *task) *Response {
 		Data:   replAck(h)}
 }
 
-// promoteTask (task.special, verb "promote") turns a follower into the
+// promoteTask (verb "promote", on the session worker) turns a follower into the
 // session's primary under a new, strictly higher epoch. The epoch is
 // journaled (and fsynced) before the flags flip, so the promotion — and
 // the fencing of every older stream — survives a crash. Idempotent at

@@ -136,6 +136,8 @@ type Server struct {
 	// acc owns the listeners and client connections.
 	acc *wire.Acceptor
 
+	handlers map[string]handler // every verb livesimd runs, by name
+
 	winMu    sync.Mutex
 	verbWins map[string]*obs.Window // per-verb rolling request latencies
 
@@ -222,6 +224,7 @@ func New(cfg Config) *Server {
 		drainReq:    make(chan struct{}),
 		janitorStop: make(chan struct{}),
 	}
+	s.handlers = s.handlerMap()
 	s.acc = wire.NewAcceptor(s.serveConn)
 	s.admit = govern.NewAdmission(cfg.AdmitBudget)
 	s.ckptFactor.Store(1)
@@ -276,23 +279,12 @@ func (s *Server) blackbox(reason, session, trace, msg string) {
 	s.tel.Dump(reason)
 }
 
-// specialVerbs run on the session's worker goroutine via task.special
-// instead of the shared command table: the replication verbs, which must
-// serialize with every other operation on the session.
-var specialVerbs = map[string]func(*Server) func(h *hosted, t *task) *Response{
-	"replicate": func(s *Server) func(*hosted, *task) *Response { return s.replicateTask },
-	"replapply": func(s *Server) func(*hosted, *task) *Response { return s.replApplyTask },
-	"promote":   func(s *Server) func(*hosted, *task) *Response { return s.promoteTask },
-}
-
 // verbWindow returns the rolling latency window for a verb. Unknown
 // verbs share one bucket so a misbehaving client cannot grow the map
 // without bound.
 func (s *Server) verbWindow(verb string) *obs.Window {
-	if !serverVerbs[verb] && specialVerbs[verb] == nil {
-		if _, ok := command.Lookup(verb); !ok {
-			verb = "_unknown"
-		}
+	if _, ok := command.Lookup(verb); !ok {
+		verb = "_unknown"
 	}
 	s.winMu.Lock()
 	defer s.winMu.Unlock()
@@ -335,20 +327,54 @@ func (s *Server) serveConn(c *wire.Conn) func(*Request) {
 	}
 }
 
-// serverVerbs are handled on the connection goroutine, outside any
-// session worker.
-var serverVerbs = map[string]bool{
-	"ping": true, "help": true, "metricz": true, "sessions": true,
-	"create": true, "close": true, "subscribe": true, "unquarantine": true,
-	"events": true, "top": true, "import": true, "drain": true,
-	"spans": true,
+// handler runs one verb: on the connection's goroutine (h nil) or on
+// the session's worker.
+type handler func(h *hosted, t *task) *Response
+
+// handlerMap is livesimd's one map from verb name to body: the daemon
+// verbs by name, every shared verb through runCommand. New checks it
+// against the catalogue.
+func (s *Server) handlerMap() map[string]handler {
+	onConn := func(f func(*Request) *Response) handler {
+		return func(_ *hosted, t *task) *Response { return f(t.req) }
+	}
+	m := map[string]handler{
+		"create":       onConn(s.createSession),
+		"close":        onConn(s.closeSession),
+		"replicate":    s.replicateTask,
+		"import":       onConn(s.importSession),
+		"replapply":    s.replApplyTask,
+		"promote":      s.promoteTask,
+		"drain":        onConn(s.requestDrain),
+		"sessions":     onConn(s.listSessions),
+		"subscribe":    func(_ *hosted, t *task) *Response { return s.subscribe(t.conn, t.req) },
+		"unquarantine": onConn(s.unquarantine),
+		"metricz":      onConn(func(req *Request) *Response { return Metricz(s.reg, req) }),
+		"events":       onConn(func(req *Request) *Response { return Events(s.tel, req) }),
+		"spans":        onConn(s.spansVerb),
+		"top":          onConn(s.topReport),
+		"ping":         onConn(s.ping),
+		"help":         onConn(func(req *Request) *Response { return &Response{ID: req.ID, OK: true, Output: command.ServerHelp()} }),
+	}
+	for _, v := range command.Verbs((*command.Verb).Shared) {
+		m[v.Name] = s.runCommand
+	}
+	command.MustMatch("livesimd", m, (*command.Verb).Livesimd)
+	return m
 }
 
-// dispatch routes one request: server verbs run inline, session verbs
-// enqueue on the session's worker (rejecting on a full queue) and a
+// dispatch routes one request: a Conn verb runs inline, anything else
+// enqueues on the session's worker (rejecting on a full queue) and a
 // waiter goroutine enforces the deadline so the reader keeps reading.
 func (s *Server) dispatch(c *wire.Conn, req *Request) {
-	s.inflight.Add(1)
+	// Checked with the Add under the lock beginStop takes: once Shutdown
+	// waits on inflight, no request can add to it.
+	s.mu.Lock()
+	draining := s.draining
+	if !draining {
+		s.inflight.Add(1)
+	}
+	s.mu.Unlock()
 	s.reg.Counter("server_requests").Inc()
 	verb := strings.ToLower(req.Verb)
 	trace := req.TraceID
@@ -388,20 +414,20 @@ func (s *Server) dispatch(c *wire.Conn, req *Request) {
 			time.Sleep(d)
 		}
 		c.Reply(resp) // a failed write is the client's loss; Reply closed the conn
-		s.inflight.Done()
+		if !draining {
+			s.inflight.Done()
+		}
 	}
 
-	if s.isDraining() {
+	if draining {
 		s.reg.Counter("server_draining_rejects").Inc()
 		finish(errResp(req, wire.CodeDraining, ErrDraining))
 		return
 	}
 
-	// Global admission: session verbs and create are weighted by cost
-	// against the process-wide in-flight budget. Operator verbs (ping,
-	// sessions, events, …) stay free — overload must never lock out the
-	// introspection needed to diagnose it.
-	if cost := admissionCost(verb); cost > 0 {
+	// Global admission: each request is weighed by its verb's catalogue
+	// cost against the process-wide in-flight budget.
+	if cost := command.CostOf(verb); cost > 0 {
 		ok, retry := s.admit.TryAcquire(cost)
 		if !ok {
 			s.reg.Counter("server_overload_rejects").Inc()
@@ -415,18 +441,16 @@ func (s *Server) dispatch(c *wire.Conn, req *Request) {
 		admitted = cost
 	}
 
-	if serverVerbs[verb] {
-		finish(s.execServer(c, req, verb))
+	t := &task{req: req, verb: verb, conn: c, span: sp, trace: trace}
+	if v, ok := command.Lookup(verb); ok && v.Place == command.Conn {
+		finish(s.exec(nil, t))
 		return
 	}
 
-	// Session verb: resolve and enqueue under the lock so an eviction
-	// cannot close the queue between lookup and enqueue. The replication
-	// verbs are session-queued too — they must serialize with everything
-	// else touching the session — but run server code (task.special), not
-	// the command table.
+	// Worker verb: resolve and enqueue under the lock so an eviction
+	// cannot close the queue between lookup and enqueue. An unknown verb
+	// takes this path too, and the worker answers it.
 	var (
-		t          *task
 		enqErr     error
 		recovering bool
 	)
@@ -438,10 +462,7 @@ func (s *Server) dispatch(c *wire.Conn, req *Request) {
 		// queue yet, so enqueueing would just wedge until backpressure.
 		recovering = true
 	} else if h != nil {
-		t = &task{req: req, reply: make(chan *Response, 1), span: sp, trace: trace}
-		if mk := specialVerbs[verb]; mk != nil {
-			t.special = mk(s)
-		}
+		t.reply = make(chan *Response, 1)
 		if s.cfg.RequestTimeout > 0 {
 			t.deadline = time.Now().Add(s.cfg.RequestTimeout)
 		}
@@ -492,97 +513,58 @@ func (s *Server) dispatch(c *wire.Conn, req *Request) {
 
 var nameRE = regexp.MustCompile(`^[A-Za-z0-9_.-]{1,64}$`)
 
-// execServer runs one server verb with the same panic-to-error recovery
-// the session workers use.
-func (s *Server) execServer(c *wire.Conn, req *Request, verb string) (resp *Response) {
+// exec runs one request's handler — on the connection's goroutine for a
+// Conn verb (h nil), on the session's worker otherwise — and turns a
+// panic into a CodePanic answer, never a dead daemon. A worker panic
+// also counts against the session's failure breaker.
+func (s *Server) exec(h *hosted, t *task) (resp *Response) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.reg.Counter("server_panics_recovered").Inc()
-			resp = errResp(req, wire.CodePanic, fmt.Errorf("request panic: %v", r))
+			s.blackbox("panic", t.req.Session, t.trace, fmt.Sprintf("recovered request panic: %v", r))
+			if h != nil {
+				s.noteFailure(h, fmt.Sprintf("panic: %v", r))
+			}
+			resp = errResp(t.req, wire.CodePanic, fmt.Errorf("request panic: %v", r))
 		}
 	}()
-	switch verb {
-	case "ping":
-		data, _ := json.Marshal(map[string]any{
-			"uptime_secs": time.Since(s.start).Seconds(),
-			"sessions":    s.sessionCount(),
-			"draining":    s.isDraining(),
-		})
-		return &Response{ID: req.ID, OK: true, Output: "pong\n", Data: data}
-
-	case "help":
-		var b strings.Builder
-		b.WriteString("session verbs (shared with the livesim shell):\n")
-		b.WriteString(command.HelpText())
-		b.WriteString("server verbs:\n")
-		b.WriteString("  create [pgas N | files]       create a session (name in \"session\")\n")
-		b.WriteString("  close [moved <addr>]          discard a session (optionally leaving a forwarding tombstone)\n")
-		b.WriteString("  replicate <addr>|stop         stream committed WAL records to a standby (seeded unless it already is one)\n")
-		b.WriteString("  import                        land a replication seed blob as a follower (sent by replicate)\n")
-		b.WriteString("  promote                       promote a follower to primary under a new fencing epoch\n")
-		b.WriteString("  drain                         request a graceful drain (same path as SIGTERM)\n")
-		b.WriteString("  sessions                      list hosted sessions\n")
-		b.WriteString("  subscribe                     stream span events (empty session = server spans)\n")
-		b.WriteString("  unquarantine                  clear a session's failure breaker\n")
-		b.WriteString("  stats [json]                  per-session metrics registry\n")
-		b.WriteString("  metricz                       server-level metrics registry\n")
-		b.WriteString("  events [since-seq]            recent operational events\n")
-		b.WriteString("  spans [trace-id]              this process's span store: index, or one trace's spans\n")
-		b.WriteString("  top                           live per-session req/s + latency table\n")
-		b.WriteString("  ping                          liveness + uptime\n")
-		return &Response{ID: req.ID, OK: true, Output: b.String()}
-
-	case "metricz":
-		snap := s.reg.Snapshot()
-		var txt bytes.Buffer
-		s.reg.WriteText(&txt)
-		return &Response{ID: req.ID, OK: true, Output: txt.String(), Data: snap.JSON()}
-
-	case "sessions":
-		return s.listSessions(req)
-
-	case "events":
-		return s.listEvents(req)
-
-	case "spans":
-		return s.spansVerb(req)
-
-	case "top":
-		return s.topReport(req)
-
-	case "create":
-		return s.createSession(req)
-
-	case "close":
-		return s.closeSession(req)
-
-	case "import":
-		return s.importSession(req)
-
-	case "drain":
-		return s.requestDrain(req)
-
-	case "subscribe":
-		return s.subscribe(c, req)
-
-	case "unquarantine":
-		h := s.lookup(req.Session)
-		if h == nil {
-			return errResp(req, wire.CodeNoSession, fmt.Errorf("no session %q", req.Session))
-		}
-		h.brk.clear()
-		s.updateQuarantineGauge()
-		s.event("unquarantine", req.Session, "failure breaker cleared by operator")
-		return &Response{ID: req.ID, OK: true,
-			Output: fmt.Sprintf("session %s unquarantined\n", req.Session)}
+	run := s.handlers[t.verb]
+	if run == nil {
+		return errResp(t.req, wire.CodeBadRequest, fmt.Errorf("unknown verb %q (try help)", t.req.Verb))
 	}
-	return errResp(req, wire.CodeBadRequest, fmt.Errorf("unknown server verb %q", verb))
+	return run(h, t)
 }
 
-func (s *Server) sessionCount() int {
+func (s *Server) ping(req *Request) *Response {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.sessions)
+	sessions, draining := len(s.sessions), s.draining
+	s.mu.Unlock()
+	data, _ := json.Marshal(map[string]any{
+		"uptime_secs": time.Since(s.start).Seconds(),
+		"sessions":    sessions,
+		"draining":    draining,
+	})
+	return &Response{ID: req.ID, OK: true, Output: "pong\n", Data: data}
+}
+
+// Metricz answers `metricz` from reg; lsgate answers it the same way.
+func Metricz(reg *obs.Registry, req *Request) *Response {
+	snap := reg.Snapshot()
+	var txt bytes.Buffer
+	reg.WriteText(&txt)
+	return &Response{ID: req.ID, OK: true, Output: txt.String(), Data: snap.JSON()}
+}
+
+func (s *Server) unquarantine(req *Request) *Response {
+	h := s.lookup(req.Session)
+	if h == nil {
+		return errResp(req, wire.CodeNoSession, fmt.Errorf("no session %q", req.Session))
+	}
+	h.brk.clear()
+	s.updateQuarantineGauge()
+	s.event("unquarantine", req.Session, "failure breaker cleared by operator")
+	return &Response{ID: req.ID, OK: true,
+		Output: fmt.Sprintf("session %s unquarantined\n", req.Session)}
 }
 
 func (s *Server) listSessions(req *Request) *Response {
@@ -653,11 +635,11 @@ func (s *Server) listSessions(req *Request) *Response {
 	return &Response{ID: req.ID, OK: true, Output: out.String(), Data: data}
 }
 
-// listEvents serves `events [since-seq]`: the retained operational
-// events newer than since-seq (all of them without an argument), oldest
-// first.
-func (s *Server) listEvents(req *Request) *Response {
-	out, data, err := s.tel.EventsVerb(req.Args)
+// Events answers `events [since-seq]` from tel's event ring: the
+// retained operational events newer than since-seq (all of them without
+// an argument), oldest first. lsgate answers it the same way.
+func Events(tel *obs.Telemetry, req *Request) *Response {
+	out, data, err := tel.EventsVerb(req.Args)
 	if err != nil {
 		return errResp(req, wire.CodeBadRequest, err)
 	}

@@ -50,8 +50,8 @@ func armGate() (enteredCh, gateCh chan struct{}) {
 }
 
 func init() {
-	command.Register(&command.Command{
-		Name: "testblock", Usage: "testblock", Help: "test: block the worker until the gate opens",
+	command.Register(&command.Verb{
+		Name: "testblock", Usage: "testblock", Help: "test: block the worker until the gate opens", Cost: 1,
 		Run: func(_ *command.Env, _ []string) error {
 			gateMu.Lock()
 			e, g := entered, gate
@@ -65,8 +65,8 @@ func init() {
 			return nil
 		},
 	})
-	command.Register(&command.Command{
-		Name: "testpanic", Usage: "testpanic", Help: "test: panic inside the worker",
+	command.Register(&command.Verb{
+		Name: "testpanic", Usage: "testpanic", Help: "test: panic inside the worker", Cost: 1,
 		Run: func(_ *command.Env, _ []string) error {
 			panic("injected test panic")
 		},

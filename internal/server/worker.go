@@ -97,22 +97,19 @@ func (h *hosted) memBytes() govern.MemEstimate {
 	}
 }
 
-// task is one session-verb request in flight. reply is buffered so the
-// worker can always deliver (or abandon) a result without blocking on a
-// client that gave up.
+// task is one request in flight. A worker task's reply is buffered so
+// the worker can always deliver (or abandon) a result without blocking
+// on a client that gave up; a Conn verb's task has none.
 type task struct {
 	req       *Request
+	verb      string     // lower-cased req.Verb
+	conn      *wire.Conn // the connection it arrived on
 	deadline  time.Time
 	reply     chan *Response
 	abandoned atomic.Bool
 	span      *obs.Span
 	trace     string // wire trace id the session's live-loop spans inherit
 	execSID   string // exec span's sid: parent for live-loop + shipping spans
-	// special, when set, replaces command-table dispatch: the worker
-	// runs it instead of looking the verb up. It is how the replication
-	// verbs run on the session's own goroutine — serialized against every
-	// other operation — without entering the shared verb table.
-	special func(h *hosted, t *task) *Response
 }
 
 func (s *Server) newHosted(name string) *hosted {
@@ -157,7 +154,14 @@ func (h *hosted) enqueue(t *task) error {
 func (s *Server) worker(h *hosted) {
 	defer close(h.stopped)
 	for t := range h.queue {
-		resp := s.execSession(h, t)
+		var resp *Response
+		if !t.deadline.IsZero() && time.Now().After(t.deadline) {
+			s.reg.Counter("server_timeouts").Inc()
+			resp = errResp(t.req, wire.CodeTimeout, ErrDeadline)
+		} else {
+			resp = s.exec(h, t)
+			h.touch()
+		}
 		if t.abandoned.Load() {
 			// The client's deadline expired while we worked: the result is
 			// unroutable, and a session that keeps blowing deadlines is
@@ -170,33 +174,12 @@ func (s *Server) worker(h *hosted) {
 	}
 }
 
-// execSession runs one session verb with deadline enforcement and
-// panic-to-error recovery (the same shape as core/health.go's safeRun:
-// a panic in command code becomes an error response, never a dead
-// daemon).
-func (s *Server) execSession(h *hosted, t *task) (resp *Response) {
-	defer func() {
-		if r := recover(); r != nil {
-			s.reg.Counter("server_panics_recovered").Inc()
-			s.blackbox("panic", h.name, t.trace, fmt.Sprintf("recovered request panic: %v", r))
-			s.noteFailure(h, fmt.Sprintf("panic: %v", r))
-			resp = errResp(t.req, wire.CodePanic, fmt.Errorf("request panic: %v", r))
-		}
-	}()
-	if !t.deadline.IsZero() && time.Now().After(t.deadline) {
-		s.reg.Counter("server_timeouts").Inc()
-		return errResp(t.req, wire.CodeTimeout, ErrDeadline)
-	}
-	if t.special != nil {
-		resp = t.special(h, t)
-		h.touch()
-		return resp
-	}
-
-	cmd, ok := command.Lookup(t.req.Verb)
-	if !ok {
-		return errResp(t.req, wire.CodeBadRequest, fmt.Errorf("unknown verb %q (try help)", t.req.Verb))
-	}
+// runCommand is every shared verb's handler: it runs the catalogue's
+// body against the session, and for a mutation also the gates before
+// (fencing, quarantine, disk) and the bookkeeping after (dirty flag,
+// breaker, journal, memory estimate).
+func (s *Server) runCommand(h *hosted, t *task) *Response {
+	cmd, _ := command.Lookup(t.verb)
 	if cmd.Mutates {
 		if resp := s.replGate(h, t.req); resp != nil {
 			return resp
@@ -240,7 +223,7 @@ func (s *Server) execSession(h *hosted, t *task) (resp *Response) {
 			return liveparser.Source{Files: files}, nil
 		}
 	}
-	err := command.Dispatch(env, t.req.Verb, t.req.Args)
+	err := command.Dispatch(env, t.verb, t.req.Args)
 	if cmd.Mutates {
 		switch {
 		case err == nil:
@@ -267,7 +250,6 @@ func (s *Server) execSession(h *hosted, t *task) (resp *Response) {
 			s.noteFailure(h, err.Error())
 		}
 	}
-	h.touch()
 
 	output := out.String()
 	if disp := h.out.Drain(); disp != "" {

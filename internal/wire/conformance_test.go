@@ -11,9 +11,11 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"livesim/internal/command"
 	"livesim/internal/gateway"
 	"livesim/internal/server"
 	"livesim/internal/server/client"
@@ -350,6 +352,90 @@ func TestConformance(t *testing.T) {
 		for _, tc := range conformance {
 			t.Run(kind.name+"/"+tc.name, func(t *testing.T) { tc.row(t, kind.start(t)) })
 		}
+	}
+}
+
+// Every verb of the catalogue reaches its body on every daemon that
+// answers it: livesimd runs its own, lsgate its own and forwards the
+// rest. Each verb goes, without arguments, to an existing session on a
+// connection of its own (subscribe keeps streaming on its connection);
+// whatever the answer is, it must not be the one an unknown verb gets.
+func TestEveryCatalogueVerbIsAnswered(t *testing.T) {
+	defer wire.SetLimits(testMaxLine, testWriteTimeout)()
+	for _, kind := range []struct {
+		name    string
+		start   func(*testing.T) *speaker
+		answers func(*command.Verb) bool
+	}{
+		{"livesimd", startServer, (*command.Verb).Livesimd},
+		{"lsgate", startGateway, func(*command.Verb) bool { return true }},
+	} {
+		t.Run(kind.name, func(t *testing.T) {
+			sp := kind.start(t)
+			cli := dialClient(t, sp)
+			create := &wire.Request{Session: "v", Verb: "create", Files: map[string]string{"top.v": tinyDesign}}
+			asked := map[string]bool{}
+			for _, v := range command.Verbs(kind.answers) {
+				if asked[v.Name] {
+					continue
+				}
+				asked[v.Name] = true
+				cli.Do(create) // `close` may have taken it; "already exists" otherwise
+				c := dialRaw(t, sp)
+				c.send(`{"id":1,"session":"v","verb":"` + v.Name + `"}` + "\n")
+				resp := c.mustRecv()
+				if strings.Contains(resp.Error, "unknown verb") || strings.Contains(resp.Error, "unknown command") {
+					t.Errorf("%s: %s (%s)", v.Name, resp.Error, resp.Code)
+				}
+				c.nc.Close()
+			}
+			c := dialRaw(t, sp)
+			c.send(`{"id":2,"session":"v","verb":"frobnicate"}` + "\n")
+			wantCode(t, c.mustRecv(), 2, wire.CodeBadRequest, "unknown verb")
+		})
+	}
+}
+
+// Shutdown racing a stream of requests: every request is answered or
+// refused draining, and none is counted in flight once Shutdown waits
+// for the ones that are (a WaitGroup added to after its Wait woke panics
+// the whole process). Each round keeps a few connections pinging in
+// lock step and shuts the speaker down under them.
+func TestShutdownRacesRequests(t *testing.T) {
+	for _, kind := range []struct {
+		name  string
+		start func(*testing.T) *speaker
+	}{{"livesimd", startServer}, {"lsgate", startGateway}} {
+		t.Run(kind.name, func(t *testing.T) {
+			for round := 0; round < 20; round++ {
+				sp := kind.start(t)
+				var wg sync.WaitGroup
+				for i := 0; i < 4; i++ {
+					c := dialRaw(t, sp)
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for {
+							c.nc.SetWriteDeadline(time.Now().Add(5 * time.Second))
+							if _, err := io.WriteString(c.nc, `{"id":1,"verb":"ping"}`+"\n"); err != nil {
+								return
+							}
+							resp, err := c.recv()
+							if err != nil {
+								return
+							}
+							if !resp.OK && resp.Code != wire.CodeDraining {
+								t.Errorf("ping during shutdown: %s (%s)", resp.Error, resp.Code)
+								return
+							}
+						}
+					}()
+				}
+				time.Sleep(10 * time.Millisecond)
+				sp.shutdown()
+				wg.Wait()
+			}
+		})
 	}
 }
 

@@ -43,24 +43,20 @@ var (
 	flagListen  = flag.String("listen", "", "TCP address to listen on (e.g. :9310)")
 	flagUnix    = flag.String("unix", "", "unix socket path to listen on")
 	flagQueue   = flag.Int("queue-depth", 8, "per-session request queue depth (full queues reject with backpressure)")
-	flagReqTO   = flag.Duration("request-timeout", 30*time.Second, "per-request deadline")
 	flagIdle    = flag.Duration("idle-evict", 0, "evict sessions idle this long (0 = never; dirty sessions are checkpointed)")
 	flagDrain   = flag.String("drain-dir", "", "directory for drain/eviction checkpoints and the drain.json manifest")
-	flagDrainTO = flag.Duration("drain-timeout", 30*time.Second, "how long a drain waits for in-flight requests")
 	flagCkpt    = flag.Uint64("ckpt-every", 10_000, "default checkpoint interval for created sessions")
 	flagMetrics = flag.Bool("metrics", true, "print the server metrics registry on exit")
 	flagTrace   = flag.String("trace-out", "", "write server request-span JSONL to this file")
 
 	// Observability plane (see README "Operations").
 	flagAdmin    = flag.String("admin-addr", "", "HTTP admin endpoint serving /metrics, /healthz, /eventsz, /tracez, /flightz and /debug/pprof (e.g. 127.0.0.1:9311)")
-	flagSlowReq  = flag.Duration("slow-request", time.Second, "log + ring-record requests slower than this, with their trace id (0 = off)")
+	flagSlowReq  = flag.Duration("slow-request", time.Second, "log + ring-record requests slower than this, with their trace id, and keep their traces in the span store (0 = off; the store then keeps traces from 250ms)")
 	flagLogLevel = flag.String("log-level", "info", "structured log threshold: debug, info, warn or error")
-	flagEvents   = flag.Int("event-ring", 256, "operational event ring capacity (events verb, /eventsz)")
 
 	// Durability & robustness (see README "Durability & recovery").
 	flagState     = flag.String("state-dir", "", "state directory for per-session change journals + watermark checkpoints; enables crash-restart recovery")
 	flagRunBudget = flag.Duration("run-budget", 0, "hung-run watchdog: cancel runs exceeding this wall-clock budget (0 = off)")
-	flagQuarAfter = flag.Int("quarantine-after", 0, "quarantine a session after N consecutive failures (0 = default 3, negative = off)")
 	flagWALSync   = flag.Duration("wal-fsync-every", 100*time.Millisecond, "journal fsync batching interval; 0 = fsync on every append (durable but slow)")
 	flagJournalCk = flag.Int("journal-ckpt-every", 0, "save watermark checkpoints every N journaled mutations (0 = only on drain/evict)")
 	flagCrashWAL  = flag.Int64("crash-wal-offset", -1, "TESTING: SIGKILL self once any session journal reaches this byte offset")
@@ -72,20 +68,17 @@ var (
 	flagResume      = flag.Duration("journal-resume-delay", 0, "cooldown before a paused (nondurable) journal may resume and reanchor (0 = default 250ms)")
 	flagFaultFull   = flag.String("fault-disk-full", "", "TESTING: inject ENOSPC into WAL appends, format from:count (1-based append index)")
 	flagFaultFree   = flag.String("fault-disk-free", "", "TESTING: force the disk probe to report free:total bytes, walking the pressure ladder without filling a filesystem")
-
-	// Replication (see README "Replication & failover"). Sessions are
-	// replicated by verb (`replicate <addr>`), usually driven by lsgate;
-	// these flags only inject faults into the shipper for crash tests.
-	flagFaultRepl     = flag.String("fault-repl", "", "TESTING: fail the next replication stage of this name (seed or ship) with an injected error")
-	flagFaultReplDrop = flag.Int("fault-repl-drop", 0, "TESTING: sever the replication stream before the Nth shipped batch (1-based; 0 = off)")
 )
+
+// drainTimeout bounds how long a drain waits for in-flight requests.
+const drainTimeout = 30 * time.Second
 
 // telemetry holds the distributed-tracing & flight-recorder flags (see
 // README "Distributed tracing & flight recorder").
 var telemetry obs.TelemetryConfig
 
 func init() {
-	telemetry.RegisterFlags(flag.CommandLine, "livesimd", "`spans`/`trace <id>`", ": -slow-request, else 250ms", "default: -state-dir")
+	telemetry.RegisterFlags(flag.CommandLine, "livesimd", "`spans`/`trace <id>`", "default: -state-dir")
 }
 
 // parsePair splits a "from:count"-style flag into two non-negative ints.
@@ -127,20 +120,17 @@ func run() int {
 	reg := obs.NewRegistry()
 	cfg := server.Config{
 		QueueDepth:      *flagQueue,
-		RequestTimeout:  *flagReqTO,
 		IdleTimeout:     *flagIdle,
 		CheckpointEvery: *flagCkpt,
 		DrainDir:        *flagDrain,
 		Metrics:         reg,
 		Log:             logger,
 		SlowRequest:     *flagSlowReq,
-		EventRingCap:    *flagEvents,
 
 		TelemetryConfig: telemetry,
 
 		StateDir:               *flagState,
 		RunBudget:              *flagRunBudget,
-		QuarantineAfter:        *flagQuarAfter,
 		JournalCheckpointEvery: *flagJournalCk,
 
 		AdmitBudget:        *flagAdmitBudget,
@@ -153,8 +143,7 @@ func run() int {
 	} else {
 		cfg.WALSyncEvery = *flagWALSync
 	}
-	if *flagCrashWAL >= 0 || *flagFaultFull != "" || *flagFaultFree != "" ||
-		*flagFaultRepl != "" || *flagFaultReplDrop > 0 {
+	if *flagCrashWAL >= 0 || *flagFaultFull != "" || *flagFaultFree != "" {
 		plan := faultinject.New()
 		cfg.Faults = plan
 		if *flagCrashWAL >= 0 {
@@ -183,12 +172,6 @@ func run() int {
 				return 2
 			}
 			plan.ForceDiskFree(uint64(free), uint64(total))
-		}
-		if *flagFaultRepl != "" {
-			plan.FailReplAt(*flagFaultRepl)
-		}
-		if *flagFaultReplDrop > 0 {
-			plan.DropReplStream(*flagFaultReplDrop)
 		}
 	}
 	if *flagTrace != "" {
@@ -271,7 +254,7 @@ func run() int {
 		return 0
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), *flagDrainTO)
+	ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
 	rep, err := srv.Shutdown(ctx)
 	if err != nil {

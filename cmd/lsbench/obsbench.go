@@ -95,7 +95,6 @@ func measureObsArm(arm int) obsArm {
 	}
 	if admin {
 		cfg.SlowRequest = time.Second
-		cfg.EventRingCap = 256
 	}
 	srv := server.New(cfg)
 	go srv.Serve(ln)

@@ -68,11 +68,7 @@ var (
 	flagUnix     = flag.String("unix", "", "unix socket path to listen on")
 	flagAdmin    = flag.String("admin-addr", "", "HTTP admin endpoint serving /metrics, /healthz, /backendz, /eventsz, /tracez, /flightz")
 	flagHealth   = flag.Duration("health-every", 500*time.Millisecond, "backend health probe cadence")
-	flagProbeTO  = flag.Duration("probe-timeout", 2*time.Second, "per-probe and per-discovery timeout")
-	flagFwdTO    = flag.Duration("forward-timeout", 60*time.Second, "per-forwarded-request timeout")
-	flagMigTO    = flag.Duration("migrate-timeout", 15*time.Second, "per-migration timeout, including the in-flight drain wait")
 	flagLogLevel = flag.String("log-level", "info", "structured log threshold: debug, info, warn or error")
-	flagEvents   = flag.Int("event-ring", 256, "operational event ring capacity")
 	flagMetrics  = flag.Bool("metrics", true, "print the gateway metrics registry on exit")
 
 	// Replication & failover (see README "Replication & failover").
@@ -84,8 +80,12 @@ var (
 // README "Distributed tracing & flight recorder").
 var telemetry obs.TelemetryConfig
 
+// backends is the pool the repeated -backend flags name.
+var backends backendFlags
+
 func init() {
-	telemetry.RegisterFlags(flag.CommandLine, "lsgate", "`trace <id>`", " 250ms", "empty = no dumps")
+	flag.Var(&backends, "backend", "backend wire address, optionally addr=adminaddr (repeatable)")
+	telemetry.RegisterFlags(flag.CommandLine, "lsgate", "`trace <id>`", "empty = no dumps")
 }
 
 func main() {
@@ -93,8 +93,6 @@ func main() {
 }
 
 func run() int {
-	var backends backendFlags
-	flag.Var(&backends, "backend", "backend wire address, optionally addr=adminaddr (repeatable)")
 	flag.Parse()
 
 	level, lerr := obs.ParseLevel(*flagLogLevel)
@@ -114,16 +112,12 @@ func run() int {
 
 	reg := obs.NewRegistry()
 	gw, err := gateway.New(gateway.Config{
-		Backends:       backends,
-		HealthEvery:    *flagHealth,
-		ProbeTimeout:   *flagProbeTO,
-		ForwardTimeout: *flagFwdTO,
-		MigrateTimeout: *flagMigTO,
-		Replicate:      *flagReplicate,
-		FailoverGrace:  *flagFailGrace,
-		Metrics:        reg,
-		Log:            logger,
-		EventRingCap:   *flagEvents,
+		Backends:      backends,
+		HealthEvery:   *flagHealth,
+		Replicate:     *flagReplicate,
+		FailoverGrace: *flagFailGrace,
+		Metrics:       reg,
+		Log:           logger,
 
 		TelemetryConfig: telemetry,
 	})

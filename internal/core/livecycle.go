@@ -26,9 +26,9 @@ var ErrRolledBack = errors.New("change rolled back")
 // underlying cause (e.g. faultinject.ErrInjected) through it unchanged.
 type rolledBackError struct{ cause error }
 
-func (e *rolledBackError) Error() string            { return e.cause.Error() }
-func (e *rolledBackError) Unwrap() error            { return e.cause }
-func (e *rolledBackError) Is(target error) bool     { return target == ErrRolledBack }
+func (e *rolledBackError) Error() string        { return e.cause.Error() }
+func (e *rolledBackError) Unwrap() error        { return e.cause }
+func (e *rolledBackError) Is(target error) bool { return target == ErrRolledBack }
 
 // ChangeReport describes one trip around the live ERD loop — the latency
 // budget of Figure 8.
@@ -484,10 +484,7 @@ func (s *Session) startVerification(p *Pipe, oldVersion string, target uint64, s
 		compare := func(replayed *sim.State, recorded *checkpoint.Checkpoint) (bool, string) {
 			return s.compareToRecorded(replayed, recorded)
 		}
-		res, err := verify.Run(oldCps, replay, verify.Options{
-			Workers: s.cfg.VerifyWorkers,
-			Compare: compare,
-		})
+		res, err := verify.Run(oldCps, replay, verify.Options{Compare: compare})
 		h.Result, h.Err = res, err
 		if err != nil || res.Consistent() {
 			if err == nil {

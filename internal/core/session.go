@@ -152,8 +152,6 @@ type Config struct {
 	ObjectDir string
 	// Output receives $display text.
 	Output io.Writer
-	// VerifyWorkers sizes the background consistency pool (0 = NumCPU).
-	VerifyWorkers int
 	// Metrics, when set, is the registry every layer of the session
 	// reports into: the compiler, the kernel, the checkpoint stores and
 	// the session itself. Nil disables metrics at zero hot-path cost.

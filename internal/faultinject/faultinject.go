@@ -53,7 +53,6 @@ type Plan struct {
 	diskDelayLeft int             // appends the delay still applies to
 	forceFree     int64           // DiskFree override: free bytes, -1 = unarmed
 	forceTotal    int64           // DiskFree override: total bytes
-	replStages    map[string]bool // replication stage -> armed
 	replDropAt    int             // sever the repl stream before the nth batch, -1 = unarmed
 	promoteStale  bool            // gateway promotes under a stale (non-bumped) epoch
 
@@ -229,21 +228,6 @@ func (p *Plan) ClearDiskFree() *Plan {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.forceFree = -1
-	return p
-}
-
-// FailReplAt arms a one-shot failure at the named session-replication
-// stage ("seed" — the transfer-blob handoff to the standby — or "ship"
-// — a WAL-tail batch send). The shipper consults ReplFault before each
-// stage, so an armed stage simulates the standby or network dying at
-// exactly that point of the protocol.
-func (p *Plan) FailReplAt(stage string) *Plan {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.replStages == nil {
-		p.replStages = make(map[string]bool)
-	}
-	p.replStages[stage] = true
 	return p
 }
 
@@ -498,23 +482,6 @@ func (p *Plan) DiskFree() (free, total uint64, ok bool) {
 		return 0, 0, false
 	}
 	return uint64(p.forceFree), uint64(p.forceTotal), true
-}
-
-// ReplFault is consulted by the replication shipper before each
-// protocol stage. Nil-safe; returns a wrapped ErrInjected at the armed
-// stage exactly once.
-func (p *Plan) ReplFault(stage string) error {
-	if p == nil {
-		return nil
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if !p.replStages[stage] {
-		return nil
-	}
-	delete(p.replStages, stage)
-	p.fired = append(p.fired, "repl:"+stage)
-	return fmt.Errorf("faultinject: replication stage %s: %w", stage, ErrInjected)
 }
 
 // ReplDrop is consulted by the shipper before sending each batch, with

@@ -147,7 +147,7 @@ func (g *Gateway) probe(b *backend) {
 		g.setBackendState(b, bsDown, err.Error())
 		return
 	}
-	resp, err := cli.DoTimeout(&wire.Request{Verb: "ping"}, g.cfg.ProbeTimeout)
+	resp, err := cli.DoTimeout(&wire.Request{Verb: "ping"}, probeTimeout)
 	if err != nil {
 		b.dropClient(cli)
 		g.setBackendState(b, bsDown, err.Error())
@@ -165,7 +165,7 @@ func (g *Gateway) probe(b *backend) {
 	if pd.Draining {
 		st = bsDraining
 	} else if b.spec.AdminAddr != "" {
-		if adm, ok := adminState(b.spec.AdminAddr, g.cfg.ProbeTimeout); ok {
+		if adm, ok := adminState(b.spec.AdminAddr, probeTimeout); ok {
 			st = adm
 		}
 	}

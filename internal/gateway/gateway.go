@@ -46,15 +46,6 @@ type Config struct {
 	Backends []BackendSpec
 	// HealthEvery is the probe cadence (default 500ms).
 	HealthEvery time.Duration
-	// ProbeTimeout bounds one health probe or discovery call (default 2s).
-	ProbeTimeout time.Duration
-	// ForwardTimeout bounds one proxied request (default 60s) — a
-	// wedged backend must not pin gateway goroutines forever. Backends
-	// enforce their own RequestTimeout well under this.
-	ForwardTimeout time.Duration
-	// MigrateTimeout bounds one live migration end to end, including
-	// waiting out the session's in-flight requests (default 15s).
-	MigrateTimeout time.Duration
 	// Replicate arms session replication: every placed session gets a
 	// standby on the rendezvous next-best backend, and the failover
 	// sweep promotes it when the primary stays down past FailoverGrace.
@@ -63,11 +54,10 @@ type Config struct {
 	// sessions fail over to their standbys (default 2s). Too short and
 	// a probe blip burns an epoch; too long and the blackout grows.
 	FailoverGrace time.Duration
-	// Metrics/Log/EventRingCap wire the observability plane (all
-	// optional; nil is off).
-	Metrics      *obs.Registry
-	Log          *obs.Logger
-	EventRingCap int
+	// Metrics/Log wire the observability plane (both optional; nil is
+	// off).
+	Metrics *obs.Registry
+	Log     *obs.Logger
 	// TraceOut, when set, receives the gateway's span JSONL (request,
 	// forward, migrate and failover spans) in addition to the span store.
 	TraceOut io.Writer
@@ -81,6 +71,18 @@ type Config struct {
 	// fault-matrix tests use to crash a backend at exactly the worst moment.
 	OnMigrateStage func(session, stage string)
 }
+
+const (
+	// probeTimeout bounds one health probe or discovery call.
+	probeTimeout = 2 * time.Second
+	// forwardTimeout bounds one proxied request: a wedged backend must
+	// not pin gateway goroutines forever. Backends enforce their own
+	// 30s request deadline well under this.
+	forwardTimeout = 60 * time.Second
+	// migrateTimeout bounds one live migration end to end, including
+	// waiting out the session's in-flight requests.
+	migrateTimeout = 15 * time.Second
+)
 
 // Gateway fronts a pool of livesimd backends. Stateless by design:
 // everything in it (routes, health) is re-derivable from the backends.
@@ -181,15 +183,6 @@ func New(cfg Config) (*Gateway, error) {
 	if cfg.HealthEvery <= 0 {
 		cfg.HealthEvery = 500 * time.Millisecond
 	}
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = 2 * time.Second
-	}
-	if cfg.ForwardTimeout <= 0 {
-		cfg.ForwardTimeout = 60 * time.Second
-	}
-	if cfg.MigrateTimeout <= 0 {
-		cfg.MigrateTimeout = 15 * time.Second
-	}
 	if cfg.FailoverGrace <= 0 {
 		cfg.FailoverGrace = 2 * time.Second
 	}
@@ -212,7 +205,7 @@ func New(cfg Config) (*Gateway, error) {
 		reg:   cfg.Metrics,
 		log:   cfg.Log,
 		start: time.Now(),
-		tel: obs.NewTelemetry(cfg.TelemetryConfig, "lsgate", cfg.TraceOut, cfg.EventRingCap,
+		tel: obs.NewTelemetry(cfg.TelemetryConfig, "lsgate", cfg.TraceOut, 0,
 			cfg.Metrics.Counter("gateway_blackbox_dumps"), cfg.Log),
 		backends: backends,
 		routes:   make(map[string]*route),
@@ -286,7 +279,7 @@ func (g *Gateway) discover(b *backend) {
 	if err != nil {
 		return
 	}
-	resp, err := cli.DoTimeout(&wire.Request{Verb: "sessions"}, g.cfg.ProbeTimeout)
+	resp, err := cli.DoTimeout(&wire.Request{Verb: "sessions"}, probeTimeout)
 	if err != nil {
 		b.dropClient(cli)
 		return
@@ -569,7 +562,7 @@ func (g *Gateway) forwardSession(req *wire.Request) *wire.Response {
 	g.mu.Unlock()
 
 	if r != nil {
-		b, err := r.acquire(g.cfg.MigrateTimeout)
+		b, err := r.acquire(migrateTimeout)
 		if err != nil {
 			return gerr(req, wire.CodeUnavailable, err)
 		}
@@ -680,7 +673,7 @@ func (g *Gateway) forward(b *backend, req *wire.Request) *wire.Response {
 			obs.Str("backend", b.addr()), obs.Str("verb", creq.Verb))
 		creq.ParentSpan = fsp.SID()
 	}
-	resp, err := cli.DoTimeout(&creq, g.cfg.ForwardTimeout)
+	resp, err := cli.DoTimeout(&creq, forwardTimeout)
 	if err != nil {
 		fsp.Annotate(obs.Bool("ok", false))
 		fsp.End()

@@ -227,7 +227,7 @@ func (g *Gateway) migrate(r *route, session string, source, target *backend, tra
 		seeded = true
 	}
 	t0 := time.Now()
-	unfreeze, err := r.freeze(g.cfg.MigrateTimeout)
+	unfreeze, err := r.freeze(migrateTimeout)
 	if err != nil {
 		return abort(nil, err)
 	}

@@ -46,33 +46,17 @@ func (l PressureLevel) String() string {
 	return fmt.Sprintf("level(%d)", int(l))
 }
 
-// Watermarks are the free-space fractions (free/total) at which each
-// rung engages. A level engages when free drops BELOW its watermark and
-// disengages when free rises back above watermark*(1+Hysteresis), so a
-// workload oscillating around a threshold doesn't toggle degradations
-// every probe.
-type Watermarks struct {
-	Elevated  float64 // default 0.20: <20% free → elevated
-	Critical  float64 // default 0.10: <10% free → critical
-	Emergency float64 // default 0.03: <3% free → emergency
-	// Hysteresis is the fractional margin required to step back down
-	// (default 0.25: elevated at <20% clears at >25% of the 20% mark,
-	// i.e. 25% free... no — clears at free > 20%*1.25 = 25%).
-	Hysteresis float64
-}
+// engageBelow holds each rung's watermark, the free-space fraction
+// (free/total) below which it engages. A rung disengages only once free
+// rises above its watermark*(1+hysteresis) — elevated at <20% free
+// clears at >25% — so a workload oscillating around a threshold doesn't
+// toggle degradations every probe.
+var engageBelow = [...]float64{LevelElevated: 0.20, LevelCritical: 0.10, LevelEmergency: 0.03}
 
-// DefaultWatermarks returns the stock ladder thresholds.
-func DefaultWatermarks() Watermarks {
-	return Watermarks{Elevated: 0.20, Critical: 0.10, Emergency: 0.03, Hysteresis: 0.25}
-}
+const hysteresis = 0.25
 
-// DiskProbe reports free and total bytes for the filesystem holding
-// path. The default uses Statfs; tests and fault injection substitute
-// their own.
-type DiskProbe func(path string) (free, total uint64, err error)
-
-// StatfsProbe is the production DiskProbe: Statfs on the state dir,
-// counting blocks available to unprivileged callers (Bavail, not
+// StatfsProbe is the production free-space probe: Statfs on the state
+// dir, counting blocks available to unprivileged callers (Bavail, not
 // Bfree) because that is what a write from the daemon can actually
 // use.
 func StatfsProbe(path string) (free, total uint64, err error) {
@@ -90,27 +74,18 @@ func StatfsProbe(path string) (free, total uint64, err error) {
 // tests call it with synthetic numbers.
 type DiskMonitor struct {
 	mu    sync.Mutex
-	wm    Watermarks
-	probe DiskProbe
+	probe func(path string) (free, total uint64, err error)
 	path  string
 	level PressureLevel
 	free  uint64
 	total uint64
 }
 
-// NewDiskMonitor builds a monitor over path using probe (nil → Statfs)
-// and watermarks (zero-value → defaults).
-func NewDiskMonitor(path string, probe DiskProbe, wm Watermarks) *DiskMonitor {
-	if probe == nil {
-		probe = StatfsProbe
-	}
-	if wm.Elevated == 0 && wm.Critical == 0 && wm.Emergency == 0 {
-		wm = DefaultWatermarks()
-	}
-	if wm.Hysteresis == 0 {
-		wm.Hysteresis = 0.25
-	}
-	return &DiskMonitor{wm: wm, probe: probe, path: path}
+// NewDiskMonitor builds a monitor over path, reading free and total
+// bytes of its filesystem through probe: StatfsProbe, or a substitute
+// in tests and fault injection.
+func NewDiskMonitor(path string, probe func(path string) (free, total uint64, err error)) *DiskMonitor {
+	return &DiskMonitor{probe: probe, path: path}
 }
 
 // Eval probes the disk and returns the (possibly unchanged) pressure
@@ -156,13 +131,8 @@ func (m *DiskMonitor) classify(free, total uint64) PressureLevel {
 	}
 	frac := float64(free) / float64(total)
 	raw := LevelOK
-	switch {
-	case frac < m.wm.Emergency:
-		raw = LevelEmergency
-	case frac < m.wm.Critical:
-		raw = LevelCritical
-	case frac < m.wm.Elevated:
-		raw = LevelElevated
+	for raw < LevelEmergency && frac < engageBelow[raw+1] {
+		raw++
 	}
 	if raw >= m.level {
 		return raw // escalate (or hold) immediately
@@ -172,19 +142,7 @@ func (m *DiskMonitor) classify(free, total uint64) PressureLevel {
 	// reclaim drops several rungs in one probe while a marginal one
 	// holds inside the band.
 	lvl := m.level
-	for lvl > raw {
-		mark := 0.0
-		switch lvl {
-		case LevelEmergency:
-			mark = m.wm.Emergency
-		case LevelCritical:
-			mark = m.wm.Critical
-		case LevelElevated:
-			mark = m.wm.Elevated
-		}
-		if frac <= mark*(1+m.wm.Hysteresis) {
-			break
-		}
+	for lvl > raw && frac > engageBelow[lvl]*(1+hysteresis) {
 		lvl--
 	}
 	return lvl

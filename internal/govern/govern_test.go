@@ -166,7 +166,7 @@ func TestRetryExhaustsAndReturnsLastError(t *testing.T) {
 func TestDiskLadderEscalationAndHysteresis(t *testing.T) {
 	free := uint64(1000) // per-mille of a fixed total=1000
 	probe := func(string) (uint64, uint64, error) { return free, 1000, nil }
-	m := NewDiskMonitor("/ignored", probe, DefaultWatermarks())
+	m := NewDiskMonitor("/ignored", probe)
 
 	step := func(f uint64, want PressureLevel) {
 		t.Helper()
@@ -205,7 +205,7 @@ func TestDiskMonitorProbeErrorHoldsLevel(t *testing.T) {
 		}
 		return free, 100, nil
 	}
-	m := NewDiskMonitor("x", probe, DefaultWatermarks())
+	m := NewDiskMonitor("x", probe)
 	if lvl, _, _ := m.Eval(); lvl != LevelEmergency {
 		t.Fatalf("level = %v, want emergency", lvl)
 	}

@@ -10,32 +10,33 @@ import (
 )
 
 // eventTel is a telemetry plane with only its event ring on.
-func eventTel(capacity int) *Telemetry {
-	return NewTelemetry(TelemetryConfig{SpanStoreCap: -1, FlightRecorderCap: -1}, "testd", nil, capacity, nil, nil)
+func eventTel() *Telemetry {
+	return NewTelemetry(TelemetryConfig{SpanStoreCap: -1, FlightRecorderCap: -1}, "testd", nil, 0, nil, nil)
 }
 
 func TestEventRingRetainsNewest(t *testing.T) {
-	tel := eventTel(3)
-	for i := 0; i < 5; i++ {
+	tel := eventTel()
+	const pushed = eventRingCap + 2
+	for i := 0; i < pushed; i++ {
 		tel.Event("rollback", "s1", "", "boom")
 	}
 	evs := tel.Events(0)
-	if len(evs) != 3 {
-		t.Fatalf("retained %d events, want 3", len(evs))
+	if len(evs) != eventRingCap {
+		t.Fatalf("retained %d events, want %d", len(evs), eventRingCap)
 	}
-	// Newest 3 of 5 survive: seqs 3, 4, 5 oldest-first.
-	for i, want := range []uint64{3, 4, 5} {
-		if evs[i].Seq != want {
+	// The newest eventRingCap survive, oldest first: the first two are gone.
+	for i := range evs {
+		if want := uint64(i + 3); evs[i].Seq != want {
 			t.Errorf("evs[%d].Seq = %d, want %d", i, evs[i].Seq, want)
 		}
 	}
-	if tel.events.Seq() != 5 {
-		t.Errorf("Seq = %d, want 5", tel.events.Seq())
+	if tel.events.Seq() != pushed {
+		t.Errorf("Seq = %d, want %d", tel.events.Seq(), pushed)
 	}
 }
 
 func TestEventRingSince(t *testing.T) {
-	tel := eventTel(8)
+	tel := eventTel()
 	for i := 0; i < 5; i++ {
 		tel.Event("evict", "", "", "idle")
 	}
@@ -55,7 +56,7 @@ func TestEventRingNilSafe(t *testing.T) {
 }
 
 func TestEventRingConcurrent(t *testing.T) {
-	tel := eventTel(32)
+	tel := eventTel()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -69,8 +70,8 @@ func TestEventRingConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	evs := tel.Events(0)
-	if len(evs) != 32 || evs[len(evs)-1].Seq != 8*500 {
-		t.Fatalf("kept %d events ending at seq %d, want 32 ending at %d", len(evs), evs[len(evs)-1].Seq, 8*500)
+	if len(evs) != eventRingCap || evs[len(evs)-1].Seq != 8*500 {
+		t.Fatalf("kept %d events ending at seq %d, want %d ending at %d", len(evs), evs[len(evs)-1].Seq, eventRingCap, 8*500)
 	}
 	for i := 1; i < len(evs); i++ {
 		if evs[i].Seq != evs[i-1].Seq+1 {
@@ -82,7 +83,7 @@ func TestEventRingConcurrent(t *testing.T) {
 // The verb and /eventsz are one read path: both take a since-seq, and
 // an empty answer is [] rather than null.
 func TestEventsVerbAndEventsz(t *testing.T) {
-	tel := eventTel(8)
+	tel := eventTel()
 	tel.Event("placed", "s0", "00112233aabbccdd", "created")
 	tel.Event("migrated", "s0", "", "moved")
 	out, data, err := tel.EventsVerb([]string{"1"})

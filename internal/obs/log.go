@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -58,59 +57,27 @@ func ParseLevel(s string) (Level, error) {
 //	{"ts":"2026-08-05T12:00:00.123Z","level":"warn","msg":"slow request",
 //	 "session":"s1","verb":"apply","trace":"9f86d081884c7d65"}
 //
-// With derives scoped loggers that stamp bound fields (a session name, a
-// request trace) on every line without re-threading them through call
-// sites. Field values reuse the tracer's Attr vocabulary (Str, U64,
-// Bool) so spans and logs share one idiom.
+// Field values reuse the tracer's Attr vocabulary (Str, U64, Bool) so
+// spans and logs share one idiom.
 //
 // Nil is the off switch, same contract as the rest of the package: every
 // method no-ops on a nil receiver, and a level check precedes all field
-// formatting so suppressed lines cost one atomic load.
+// formatting so suppressed lines cost one comparison.
 type Logger struct {
-	core   *logCore
-	fields []Attr
-}
-
-// logCore is the shared sink behind a logger and everything derived
-// from it via With: one writer, one mutex, one dynamic level.
-type logCore struct {
 	mu    sync.Mutex
 	w     io.Writer
-	level atomic.Int32
+	level Level
 	clock func() time.Time // test seam; nil = time.Now
 }
 
 // NewLogger returns a logger emitting lines at or above level to w.
 func NewLogger(w io.Writer, level Level) *Logger {
-	core := &logCore{w: w}
-	core.level.Store(int32(level))
-	return &Logger{core: core}
-}
-
-// SetLevel adjusts the threshold for this logger and everything sharing
-// its sink (all With-derived loggers). Nil-safe.
-func (l *Logger) SetLevel(level Level) {
-	if l != nil {
-		l.core.level.Store(int32(level))
-	}
+	return &Logger{w: w, level: level}
 }
 
 // Enabled reports whether a line at level would be emitted.
 func (l *Logger) Enabled(level Level) bool {
-	return l != nil && int32(level) >= l.core.level.Load()
-}
-
-// With returns a logger that stamps fields on every line it emits, in
-// addition to (and before) per-call fields. The derived logger shares
-// the parent's sink and level. Nil-safe: With on nil returns nil.
-func (l *Logger) With(fields ...Attr) *Logger {
-	if l == nil || len(fields) == 0 {
-		return l
-	}
-	bound := make([]Attr, 0, len(l.fields)+len(fields))
-	bound = append(bound, l.fields...)
-	bound = append(bound, fields...)
-	return &Logger{core: l.core, fields: bound}
+	return l != nil && level >= l.level
 }
 
 // Debug, Info, Warn and Error emit one structured line at their level.
@@ -124,12 +91,12 @@ func (l *Logger) log(level Level, msg string, fields []Attr) {
 		return
 	}
 	now := time.Now()
-	if l.core.clock != nil {
-		now = l.core.clock()
+	if l.clock != nil {
+		now = l.clock()
 	}
 	// Hand-assembled JSON keeps field order stable (ts, level, msg, then
-	// bound fields, then call fields) — greppable and diffable, which a
-	// map marshal would shuffle.
+	// the call's fields) — greppable and diffable, which a map marshal
+	// would shuffle.
 	var b bytes.Buffer
 	b.WriteString(`{"ts":"`)
 	b.WriteString(now.UTC().Format(time.RFC3339Nano))
@@ -137,16 +104,13 @@ func (l *Logger) log(level Level, msg string, fields []Attr) {
 	b.WriteString(level.String())
 	b.WriteString(`","msg":`)
 	b.Write(jsonValue(msg))
-	for _, f := range l.fields {
-		writeField(&b, f)
-	}
 	for _, f := range fields {
 		writeField(&b, f)
 	}
 	b.WriteString("}\n")
-	l.core.mu.Lock()
-	l.core.w.Write(b.Bytes())
-	l.core.mu.Unlock()
+	l.mu.Lock()
+	l.w.Write(b.Bytes())
+	l.mu.Unlock()
 }
 
 func writeField(b *bytes.Buffer, f Attr) {

@@ -13,7 +13,7 @@ import (
 
 // TelemetryConfig is the tracing and crash-forensics configuration every
 // daemon shares; server.Config and gateway.Config embed it, and
-// RegisterFlags declares its six flags.
+// RegisterFlags declares its five flags.
 type TelemetryConfig struct {
 	// ProcName identifies this process in assembled fleet traces and
 	// blackbox dumps. Empty defaults to "<daemon>:<pid>".
@@ -22,11 +22,6 @@ type TelemetryConfig struct {
 	// traces) behind the `spans`/`trace` verbs and /tracez. 0 uses the
 	// default (256 traces); negative disables the store.
 	SpanStoreCap int
-	// TraceSlow is the tail-sampling threshold: completed traces at
-	// least this slow (or errored) are retained in the span store, fast
-	// successful ones rotate through a small recent ring. 0 defaults to
-	// 250ms (livesimd: to its SlowRequest, when that is set).
-	TraceSlow time.Duration
 	// FlightRecorderCap bounds the always-on black-box ring of recent
 	// spans and lifecycle notes dumped on abnormal exits and served by
 	// /flightz. 0 uses the default (512 lines); negative disables it.
@@ -42,13 +37,12 @@ type TelemetryConfig struct {
 	BlackboxFlushEvery time.Duration
 }
 
-// RegisterFlags declares the six telemetry flags on fs, bound to c. The
-// help text is shared; daemon, storeVerbs, slowDefault and dirDefault
-// fill in the four places where livesimd and lsgate word it differently.
-func (c *TelemetryConfig) RegisterFlags(fs *flag.FlagSet, daemon, storeVerbs, slowDefault, dirDefault string) {
+// RegisterFlags declares the five telemetry flags on fs, bound to c. The
+// help text is shared; daemon, storeVerbs and dirDefault fill in the
+// three places where livesimd and lsgate word it differently.
+func (c *TelemetryConfig) RegisterFlags(fs *flag.FlagSet, daemon, storeVerbs, dirDefault string) {
 	fs.StringVar(&c.ProcName, "proc-name", "", "process label in assembled fleet traces and blackbox dumps (default "+daemon+":<pid>)")
 	fs.IntVar(&c.SpanStoreCap, "trace-store", 0, "in-memory span store capacity in traces, for "+storeVerbs+"/tracez (0 = default 256, negative = off)")
-	fs.DurationVar(&c.TraceSlow, "trace-slow", 0, "tail-sampling threshold: retain completed traces at least this slow, or errored (0 = default"+slowDefault+")")
 	fs.IntVar(&c.FlightRecorderCap, "flight", 0, "flight-recorder ring capacity in span/event lines, for /flightz and blackbox dumps (0 = default 512, negative = off)")
 	fs.StringVar(&c.BlackboxDir, "blackbox-dir", "", "directory for blackbox-<ts>.jsonl dumps on abnormal exits ("+dirDefault+")")
 	fs.DurationVar(&c.BlackboxFlushEvery, "blackbox-flush", 0, "periodic blackbox flush cadence — the record surviving SIGKILL (0 = default 2s, negative = off)")
@@ -79,16 +73,27 @@ type Telemetry struct {
 	flusher  sync.WaitGroup
 }
 
+// eventRingCap bounds the operational event ring behind the `events`
+// verb and /eventsz of both daemons.
+const eventRingCap = 256
+
+// defaultRetainOver is the tail-sampling threshold when the daemon has
+// no slow-request threshold of its own.
+const defaultRetainOver = 250 * time.Millisecond
+
 // NewTelemetry builds the plane and, when a blackbox directory and a
 // flight recorder exist, starts the periodic flusher; Stop ends it.
 // daemon names the process when cfg.ProcName does not; traceOut (may be
-// nil) additionally receives every span line; dumps counts trigger
+// nil) additionally receives every span line; retainOver is the
+// tail-sampling threshold: completed traces at least this slow, or
+// errored, stay in the span store while fast successful ones rotate
+// through a small recent ring (0 or less: 250ms); dumps counts trigger
 // dumps under the caller's metric name.
-func NewTelemetry(cfg TelemetryConfig, daemon string, traceOut io.Writer, eventCap int, dumps *Counter, log *Logger) *Telemetry {
+func NewTelemetry(cfg TelemetryConfig, daemon string, traceOut io.Writer, retainOver time.Duration, dumps *Counter, log *Logger) *Telemetry {
 	t := &Telemetry{
 		Proc:   cfg.ProcName,
 		Fan:    NewFanout(),
-		events: NewRing[Event](eventCap),
+		events: NewRing[Event](eventRingCap),
 		dir:    cfg.BlackboxDir,
 		log:    log,
 		dumps:  dumps,
@@ -100,14 +105,14 @@ func NewTelemetry(cfg TelemetryConfig, daemon string, traceOut io.Writer, eventC
 	if traceOut != nil {
 		t.Fan.Attach(traceOut)
 	}
-	if cfg.TraceSlow == 0 {
-		cfg.TraceSlow = 250 * time.Millisecond
+	if retainOver <= 0 {
+		retainOver = defaultRetainOver
 	}
 	if cfg.SpanStoreCap >= 0 {
 		t.Store = NewSpanStore(SpanStoreConfig{
 			Proc:         t.Proc,
 			MaxTraces:    cfg.SpanStoreCap,
-			RetainOverUS: cfg.TraceSlow.Microseconds(),
+			RetainOverUS: retainOver.Microseconds(),
 		})
 	}
 	if cfg.FlightRecorderCap >= 0 {

@@ -9,7 +9,7 @@ import (
 	"time"
 )
 
-// The six telemetry flags are declared once for both daemons; their
+// The five telemetry flags are declared once for both daemons; their
 // names, defaults and help text are what livesimd and lsgate each
 // declared by hand before, word for word.
 func TestTelemetryFlagsKeepTheirHelp(t *testing.T) {
@@ -18,25 +18,23 @@ func TestTelemetryFlagsKeepTheirHelp(t *testing.T) {
 		"blackbox-flush": "periodic blackbox flush cadence — the record surviving SIGKILL (0 = default 2s, negative = off)",
 	}
 	for _, d := range []struct {
-		args [4]string
+		args [3]string
 		want map[string]string
 	}{
-		{[4]string{"livesimd", "`spans`/`trace <id>`", ": -slow-request, else 250ms", "default: -state-dir"}, map[string]string{
+		{[3]string{"livesimd", "`spans`/`trace <id>`", "default: -state-dir"}, map[string]string{
 			"proc-name":    "process label in assembled fleet traces and blackbox dumps (default livesimd:<pid>)",
 			"trace-store":  "in-memory span store capacity in traces, for `spans`/`trace <id>`/tracez (0 = default 256, negative = off)",
-			"trace-slow":   "tail-sampling threshold: retain completed traces at least this slow, or errored (0 = default: -slow-request, else 250ms)",
 			"blackbox-dir": "directory for blackbox-<ts>.jsonl dumps on abnormal exits (default: -state-dir)",
 		}},
-		{[4]string{"lsgate", "`trace <id>`", " 250ms", "empty = no dumps"}, map[string]string{
+		{[3]string{"lsgate", "`trace <id>`", "empty = no dumps"}, map[string]string{
 			"proc-name":    "process label in assembled fleet traces and blackbox dumps (default lsgate:<pid>)",
 			"trace-store":  "in-memory span store capacity in traces, for `trace <id>`/tracez (0 = default 256, negative = off)",
-			"trace-slow":   "tail-sampling threshold: retain completed traces at least this slow, or errored (0 = default 250ms)",
 			"blackbox-dir": "directory for blackbox-<ts>.jsonl dumps on abnormal exits (empty = no dumps)",
 		}},
 	} {
 		var cfg TelemetryConfig
 		fs := flag.NewFlagSet(d.args[0], flag.ContinueOnError)
-		cfg.RegisterFlags(fs, d.args[0], d.args[1], d.args[2], d.args[3])
+		cfg.RegisterFlags(fs, d.args[0], d.args[1], d.args[2])
 		n := 0
 		fs.VisitAll(func(f *flag.Flag) {
 			n++
@@ -51,8 +49,8 @@ func TestTelemetryFlagsKeepTheirHelp(t *testing.T) {
 				t.Errorf("%s -%s default %q, want zero", d.args[0], f.Name, f.DefValue)
 			}
 		})
-		if n != 6 {
-			t.Errorf("%s: %d telemetry flags, want 6", d.args[0], n)
+		if n != 5 {
+			t.Errorf("%s: %d telemetry flags, want 5", d.args[0], n)
 		}
 		if err := fs.Parse([]string{"-proc-name", "p", "-trace-store", "-1", "-flight", "9", "-blackbox-flush", "3s"}); err != nil {
 			t.Fatal(err)

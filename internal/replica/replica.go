@@ -199,9 +199,6 @@ func (s *Shipper) Seed(blob []byte, seq uint64, off int64) error {
 	if s.fenced {
 		return ErrFenced
 	}
-	if err := s.cfg.Faults.ReplFault("seed"); err != nil {
-		return err
-	}
 	resp, err := s.call(&wire.Request{
 		Session: s.cfg.Session, Verb: "import", Blob: blob, Epoch: s.cfg.Epoch,
 	})
@@ -235,10 +232,6 @@ func (s *Shipper) ShipTraced(trace, parentSID string) error {
 	defer s.mu.Unlock()
 	if s.fenced {
 		return ErrFenced
-	}
-	if err := s.cfg.Faults.ReplFault("ship"); err != nil {
-		s.severLocked()
-		return err
 	}
 
 	recs, newOff, err := wal.ReadSince(s.cfg.WALPath, s.sentSeq, s.off)

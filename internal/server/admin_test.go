@@ -208,10 +208,12 @@ func jsonUint(v uint64) string {
 // quarantined session keeps the daemon serving (200) but flips status
 // to degraded.
 func TestAdminHealthzDegraded(t *testing.T) {
-	srv, addr := startServer(t, server.Config{Metrics: obs.NewRegistry(), QuarantineAfter: 1})
+	// Registered before startServer, so the restore runs after shutdown.
+	t.Cleanup(server.SetBreakerThreshold(1))
+	srv, addr := startServer(t, server.Config{Metrics: obs.NewRegistry()})
 	c := dial(t, addr)
 	createTiny(t, c, "q0", 20)
-	// One failure trips the breaker at QuarantineAfter=1.
+	// One failure trips the breaker.
 	resp, err := c.Do(&server.Request{Session: "q0", Verb: "testpanic"})
 	if err != nil {
 		t.Fatal(err)

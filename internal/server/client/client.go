@@ -47,13 +47,6 @@ type Options struct {
 	// Reconnect enables transparent redial-and-resend. Off, the client
 	// behaves exactly like Dial: any disconnect fails all calls.
 	Reconnect bool
-	// MaxAttempts bounds consecutive redial attempts before the client
-	// gives up for good. Default 8.
-	MaxAttempts int
-	// BackoffBase is the first redial delay, doubling per attempt up to
-	// BackoffCap. Defaults 50ms and 2s.
-	BackoffBase time.Duration
-	BackoffCap  time.Duration
 	// OnReconnect, when set, is called after each successful redial with
 	// the attempt count it took (for logging). Called off the caller's
 	// goroutine.
@@ -85,6 +78,15 @@ const maxMovedHops = 4
 // dialTimeout bounds every connect (first dial, redial, moved-follow):
 // a peer that accepts nothing must cost a caller seconds, not forever.
 const dialTimeout = 2 * time.Second
+
+// A reconnecting client redials at most redialAttempts times in a row
+// before it gives up for good, sleeping backoffBase after the first
+// failure and doubling up to backoffCap.
+const (
+	redialAttempts = 8
+	backoffBase    = 50 * time.Millisecond
+	backoffCap     = 2 * time.Second
+)
 
 // redialJitter is the ±fraction applied to every redial backoff and
 // overload-retry sleep: N clients cut off by one daemon restart must
@@ -157,15 +159,6 @@ func Dial(addr string) (*Client, error) {
 
 // DialOptions connects with explicit reconnect behaviour.
 func DialOptions(addr string, opts Options) (*Client, error) {
-	if opts.MaxAttempts <= 0 {
-		opts.MaxAttempts = 8
-	}
-	if opts.BackoffBase <= 0 {
-		opts.BackoffBase = 50 * time.Millisecond
-	}
-	if opts.BackoffCap <= 0 {
-		opts.BackoffCap = 2 * time.Second
-	}
 	if opts.OverloadRetries == 0 {
 		opts.OverloadRetries = 4
 	}
@@ -450,18 +443,14 @@ func (c *Client) disconnected(nc net.Conn, err error) {
 	go c.redial()
 }
 
-// backoffDelays computes the first n redial sleeps for opts drawing
-// jitter from rng: base doubling up to cap, each ±redialJitter. Split
-// out so tests can assert two clients' schedules diverge.
-func backoffDelays(opts Options, rng *rand.Rand, n int) []time.Duration {
-	out := make([]time.Duration, 0, n)
-	backoff := opts.BackoffBase
-	for i := 0; i < n; i++ {
+// backoffDelays draws the redial sleeps from rng: backoffBase doubling
+// up to backoffCap, each ±redialJitter.
+func backoffDelays(rng *rand.Rand) []time.Duration {
+	out := make([]time.Duration, 0, redialAttempts)
+	backoff := backoffBase
+	for i := 0; i < redialAttempts; i++ {
 		out = append(out, govern.Jitter(backoff, redialJitter, rng))
-		backoff *= 2
-		if backoff > opts.BackoffCap {
-			backoff = opts.BackoffCap
-		}
+		backoff = min(2*backoff, backoffCap)
 	}
 	return out
 }
@@ -470,9 +459,12 @@ func backoffDelays(opts Options, rng *rand.Rand, n int) []time.Duration {
 // daemon restart doesn't herd every client back at once), then resends
 // every registered idempotent call on the new connection.
 func (c *Client) redial() {
-	backoff := c.opts.BackoffBase
+	c.rngMu.Lock()
+	delays := backoffDelays(c.rng)
+	c.rngMu.Unlock()
 	var lastErr error
-	for attempt := 1; attempt <= c.opts.MaxAttempts; attempt++ {
+	for i, delay := range delays {
+		attempt := i + 1
 		c.mu.Lock()
 		if c.state != stReconnecting {
 			c.mu.Unlock()
@@ -511,13 +503,9 @@ func (c *Client) redial() {
 			return
 		}
 		lastErr = err
-		time.Sleep(c.jitter(backoff))
-		backoff *= 2
-		if backoff > c.opts.BackoffCap {
-			backoff = c.opts.BackoffCap
-		}
+		time.Sleep(delay)
 	}
-	c.shutdown(fmt.Errorf("reconnect: gave up after %d attempts: %w", c.opts.MaxAttempts, lastErr))
+	c.shutdown(fmt.Errorf("reconnect: gave up after %d attempts: %w", redialAttempts, lastErr))
 }
 
 func (c *Client) readLoop(nc net.Conn) {

@@ -15,9 +15,8 @@ import (
 // Two clients' redial schedules must diverge: jitter exists so a daemon
 // restart doesn't herd every disconnected client back in lockstep.
 func TestBackoffSchedulesDiverge(t *testing.T) {
-	opts := Options{BackoffBase: 50 * time.Millisecond, BackoffCap: 2 * time.Second}
-	a := backoffDelays(opts, govern.NewRand(), 8)
-	b := backoffDelays(opts, govern.NewRand(), 8)
+	a := backoffDelays(govern.NewRand())
+	b := backoffDelays(govern.NewRand())
 
 	same := 0
 	for i := range a {
@@ -30,7 +29,10 @@ func TestBackoffSchedulesDiverge(t *testing.T) {
 	}
 
 	// Every delay stays inside the ±20% band around the unjittered value.
-	want := opts.BackoffBase
+	if len(a) != 8 {
+		t.Fatalf("%d redial attempts, want 8", len(a))
+	}
+	want := 50 * time.Millisecond
 	for i, d := range a {
 		lo := time.Duration(float64(want) * (1 - redialJitter))
 		hi := time.Duration(float64(want) * (1 + redialJitter))
@@ -38,8 +40,8 @@ func TestBackoffSchedulesDiverge(t *testing.T) {
 			t.Errorf("delay %d = %v outside [%v, %v]", i, d, lo, hi)
 		}
 		want *= 2
-		if want > opts.BackoffCap {
-			want = opts.BackoffCap
+		if want > 2*time.Second {
+			want = 2 * time.Second
 		}
 	}
 }

@@ -351,8 +351,7 @@ func TestWatchdogCancelsRunawayRunServer(t *testing.T) {
 // unquarantine verb restores the session.
 func TestQuarantineTripsAndClears(t *testing.T) {
 	_, addr := startServer(t, server.Config{
-		RunBudget:       time.Nanosecond, // every run blows the budget instantly
-		QuarantineAfter: 3,
+		RunBudget: time.Nanosecond, // every run blows the budget instantly
 	})
 	c := dial(t, addr)
 	createTiny(t, c, "q0", 25)
@@ -387,6 +386,54 @@ func TestQuarantineTripsAndClears(t *testing.T) {
 	mustOK(t, c, &server.Request{Session: "q0", Verb: "unquarantine"})
 	// Mutations accepted again; a healthy one resets the streak.
 	mustOK(t, c, &server.Request{Session: "q0", Verb: "poke", Args: []string{"p0", "top.en", "1"}})
+}
+
+// TestSessionLimit: a create past the session cap is answered
+// session_limit and counted, while boot-time recovery is exempt — a
+// daemon restarted under a lower cap still brings back every journaled
+// session, and only then refuses new ones.
+func TestSessionLimit(t *testing.T) {
+	t.Cleanup(server.SetSessionCap(2))
+	dir := shortDir(t)
+	cfg := server.Config{StateDir: filepath.Join(dir, "state"), WALSyncEvery: -1}
+	create := func(c *client.Client, name string) *server.Response {
+		t.Helper()
+		resp, err := c.Do(&server.Request{Session: name, Verb: "create",
+			Files: map[string]string{"top.v": tinyDesign}, Top: "top"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+
+	srvA, stopA := startServerOn(t, cfg, filepath.Join(dir, "a.sock"))
+	cA := dial(t, "unix:"+filepath.Join(dir, "a.sock"))
+	createTiny(t, cA, "s0", 25)
+	createTiny(t, cA, "s1", 25)
+	if resp := create(cA, "s2"); resp.OK || resp.Code != wire.CodeSessionLimit {
+		t.Fatalf("create at the cap: ok=%v code=%q, want %q", resp.OK, resp.Code, wire.CodeSessionLimit)
+	}
+	if n := srvA.Metrics().Counter("server_session_limit_rejects").Value(); n != 1 {
+		t.Fatalf("server_session_limit_rejects = %d, want 1", n)
+	}
+	mustOK(t, cA, &server.Request{Session: "s1", Verb: "run", Args: []string{"clock", "p0", "10"}})
+	if err := stopA(); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+
+	server.SetSessionCap(1) // the Cleanup above restores the stock cap
+	srvB, stopB := startServerOn(t, cfg, filepath.Join(dir, "b.sock"))
+	defer stopB()
+	srvB.WaitRecovered()
+	for _, name := range []string{"s0", "s1"} {
+		if srvB.Session(name) == nil {
+			t.Fatalf("session %s not recovered past the cap", name)
+		}
+	}
+	cB := dial(t, "unix:"+filepath.Join(dir, "b.sock"))
+	if resp := create(cB, "s2"); resp.OK || resp.Code != wire.CodeSessionLimit {
+		t.Fatalf("create past the cap after recovery: ok=%v code=%q", resp.OK, resp.Code)
+	}
 }
 
 // TestClientReconnectAcrossRestart: a reconnecting client survives a

@@ -13,6 +13,30 @@ func SetMemEvictIdle(d time.Duration) (restore func()) {
 	return func() { memEvictIdle = old }
 }
 
+// SetRequestDeadline changes the per-request deadline, and returns the
+// restore func.
+func SetRequestDeadline(d time.Duration) (restore func()) {
+	old := requestTimeout
+	requestTimeout = d
+	return func() { requestTimeout = old }
+}
+
+// SetBreakerThreshold changes how many consecutive failures trip a
+// session's breaker, and returns the restore func.
+func SetBreakerThreshold(n int) (restore func()) {
+	old := quarantineAfter
+	quarantineAfter = n
+	return func() { quarantineAfter = old }
+}
+
+// SetSessionCap changes the hosted-session cap, and returns the
+// restore func.
+func SetSessionCap(n int) (restore func()) {
+	old := maxSessions
+	maxSessions = n
+	return func() { maxSessions = old }
+}
+
 // HandlerVerbs returns the names in livesimd's handler map, sorted.
 func HandlerVerbs() []string {
 	var names []string

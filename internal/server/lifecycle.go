@@ -32,12 +32,16 @@ import (
 // Shutdown and Halt wait for recoveries in flight; one that ends after
 // the stop began closes its journal and starts nothing.
 
+// maxSessions caps the sessions hosted at once; create and import past
+// it answer CodeSessionLimit. A var so tests can lower it.
+var maxSessions = 64
+
 // way is how a session comes in.
 type way int
 
 const (
 	viaCreate  way = iota
-	viaRecover     // boot-time recovery, exempt from MaxSessions
+	viaRecover     // boot-time recovery, exempt from maxSessions
 	viaImport
 )
 
@@ -102,10 +106,10 @@ func (s *Server) reserve(name string, via way) (*hosted, string, error) {
 		return nil, wire.CodeDraining, ErrDraining
 	case s.sessions[name] != nil:
 		return nil, wire.CodeBadRequest, fmt.Errorf("session %q already exists", name)
-	case via != viaRecover && len(s.sessions) >= s.cfg.MaxSessions:
+	case via != viaRecover && len(s.sessions) >= maxSessions:
 		s.reg.Counter("server_session_limit_rejects").Inc()
 		return nil, wire.CodeSessionLimit,
-			fmt.Errorf("session limit %d reached: %w", s.cfg.MaxSessions, ErrSessionLimit)
+			fmt.Errorf("session limit %d reached: %w", maxSessions, ErrSessionLimit)
 	}
 	s.sessions[name] = h
 	delete(s.moved, name) // the session lives here now; drop any stale forwarding

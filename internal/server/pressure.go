@@ -59,21 +59,14 @@ const (
 // shrink it.
 var memEvictIdle = 30 * time.Second
 
-// diskProbe builds the governor's free-space probe: the configured one
-// (or Statfs), with a Faults plan's ForceDiskFree override winning so
-// fault tests drive the ladder deterministically on any filesystem.
-func (s *Server) diskProbe() govern.DiskProbe {
-	base := s.cfg.DiskProbe
-	if base == nil {
-		base = govern.StatfsProbe
+// diskProbe is the governor's free-space probe: Statfs, with a Faults
+// plan's ForceDiskFree override winning so fault tests drive the ladder
+// deterministically on any filesystem.
+func (s *Server) diskProbe(path string) (free, total uint64, err error) {
+	if f, t, ok := s.cfg.Faults.DiskFree(); ok {
+		return f, t, nil
 	}
-	faults := s.cfg.Faults
-	return func(path string) (free, total uint64, err error) {
-		if f, t, ok := faults.DiskFree(); ok {
-			return f, t, nil
-		}
-		return base(path)
-	}
+	return govern.StatfsProbe(path)
 }
 
 // diskLevelNow returns the cached pressure rung the request path checks

@@ -61,8 +61,8 @@ var (
 	ErrDiskFull   = govern.ErrDiskFull
 )
 
-// ErrSessionLimit is wrapped by create rejections once MaxSessions
-// sessions are hosted.
+// ErrSessionLimit is wrapped by create and import rejections once the
+// daemon hosts its maximum number of sessions.
 var ErrSessionLimit = errors.New("session limit reached")
 
 // ErrMoved is wrapped by CodeMoved rejections after a migration.

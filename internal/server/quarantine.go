@@ -15,9 +15,10 @@ import (
 // that hits one bad edit a day never trips. An operator (or a test)
 // clears a tripped breaker with the `unquarantine` server verb.
 
-// defaultQuarantineAfter is the consecutive-failure threshold when
-// Config.QuarantineAfter is unset.
-const defaultQuarantineAfter = 3
+// quarantineAfter is how many consecutive failures (rollbacks, panics,
+// blown deadlines, durability IO failures) trip a session's breaker. A
+// var so tests can lower it.
+var quarantineAfter = 3
 
 // quarantineDecay is how far apart failures may be and still count as
 // one streak.
@@ -25,12 +26,11 @@ const quarantineDecay = time.Minute
 
 // breaker is the per-session failure circuit breaker.
 type breaker struct {
-	mu        sync.Mutex
-	threshold int // <= 0 disables tripping entirely
-	fails     int
-	lastFail  time.Time
-	tripped   bool
-	reason    string
+	mu       sync.Mutex
+	fails    int
+	lastFail time.Time
+	tripped  bool
+	reason   string
 }
 
 // fail records one failure and reports whether this call tripped the
@@ -44,7 +44,7 @@ func (b *breaker) fail(reason string) bool {
 	}
 	b.fails++
 	b.lastFail = now
-	if b.tripped || b.threshold <= 0 || b.fails < b.threshold {
+	if b.tripped || b.fails < quarantineAfter {
 		return false
 	}
 	b.tripped = true

@@ -30,16 +30,9 @@ type Config struct {
 	// QueueDepth bounds each session's request queue; a full queue
 	// rejects with ErrBackpressure. Default 8.
 	QueueDepth int
-	// RequestTimeout is the per-request deadline: queued requests that
-	// miss it are never executed, running ones have their result
-	// discarded and the client gets CodeTimeout. Default 30s; negative
-	// disables.
-	RequestTimeout time.Duration
 	// IdleTimeout evicts sessions with no traffic for this long (dirty
 	// ones are checkpointed into DrainDir first). 0 disables eviction.
 	IdleTimeout time.Duration
-	// MaxSessions caps concurrently hosted sessions. Default 64.
-	MaxSessions int
 	// CheckpointEvery is the default checkpoint interval for created
 	// sessions (requests can override). Default 10_000.
 	CheckpointEvery uint64
@@ -55,10 +48,6 @@ type Config struct {
 	// and change re-executions past this wall-clock budget are cancelled
 	// at a cycle-batch boundary and rolled back. 0 disables.
 	RunBudget time.Duration
-	// QuarantineAfter trips a session's failure breaker after this many
-	// consecutive failures (rollbacks, panics, blown deadlines, durability
-	// IO failures). 0 uses the default (3); negative disables quarantine.
-	QuarantineAfter int
 	// WALSyncEvery tunes journal fsync batching: negative = fsync inline
 	// on every append (maximum durability, the crash-test setting), 0 =
 	// default 100ms group commit, positive = that flush interval.
@@ -86,16 +75,12 @@ type Config struct {
 	Log *obs.Logger
 	// SlowRequest, when positive, logs a warning and records an event for
 	// every request slower than this threshold, with its trace id — the
-	// paper's latency claim made greppable per offending request.
+	// paper's latency claim made greppable per offending request. It is
+	// also the span store's tail-sampling threshold (250ms when unset).
 	SlowRequest time.Duration
-	// EventRingCap bounds the in-memory operational event ring (rollbacks,
-	// quarantine trips, recoveries, watchdog cancels, evictions, WAL
-	// fallbacks) served by the `events` verb and /eventsz. Default 256.
-	EventRingCap int
 
 	// TelemetryConfig tunes fleet tracing and the crash flight recorder.
-	// Two defaults are livesimd's own: TraceSlow falls back to
-	// SlowRequest when that is set, BlackboxDir to StateDir.
+	// BlackboxDir defaults to StateDir.
 	obs.TelemetryConfig
 
 	// AdmitBudget is the process-wide in-flight admission budget in verb
@@ -107,9 +92,6 @@ type Config struct {
 	// DiskPollEvery is the resource governor's probe cadence (disk
 	// pressure ladder, memory gauges, journal-resume sweep). Default 2s.
 	DiskPollEvery time.Duration
-	// DiskProbe overrides the free-space probe (tests); nil uses Statfs
-	// on StateDir. A Faults plan's ForceDiskFree always wins over both.
-	DiskProbe govern.DiskProbe
 	// MemBudget caps the summed per-session memory estimate (checkpoint
 	// history + pipe state + journal tails); past it the governor sheds
 	// the idlest evictable sessions (checkpointing dirty ones first,
@@ -175,17 +157,8 @@ func New(cfg Config) *Server {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 8
 	}
-	if cfg.RequestTimeout == 0 {
-		cfg.RequestTimeout = 30 * time.Second
-	}
-	if cfg.MaxSessions <= 0 {
-		cfg.MaxSessions = 64
-	}
 	if cfg.CheckpointEvery == 0 {
 		cfg.CheckpointEvery = 10_000
-	}
-	if cfg.QuarantineAfter == 0 {
-		cfg.QuarantineAfter = defaultQuarantineAfter
 	}
 	if cfg.AdmitBudget == 0 {
 		cfg.AdmitBudget = defaultAdmitBudget
@@ -205,9 +178,6 @@ func New(cfg Config) *Server {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	if cfg.TraceSlow == 0 && cfg.SlowRequest > 0 {
-		cfg.TraceSlow = cfg.SlowRequest
-	}
 	if cfg.BlackboxDir == "" {
 		cfg.BlackboxDir = cfg.StateDir
 	}
@@ -216,7 +186,7 @@ func New(cfg Config) *Server {
 		reg:   reg,
 		log:   cfg.Log, // nil discards: obs.Logger methods are nil-safe
 		start: time.Now(),
-		tel: obs.NewTelemetry(cfg.TelemetryConfig, "livesimd", cfg.TraceOut, cfg.EventRingCap,
+		tel: obs.NewTelemetry(cfg.TelemetryConfig, "livesimd", cfg.TraceOut, cfg.SlowRequest,
 			reg.Counter("server_blackbox_dumps"), cfg.Log),
 		verbWins:    make(map[string]*obs.Window),
 		sessions:    make(map[string]*hosted),
@@ -229,7 +199,7 @@ func New(cfg Config) *Server {
 	s.admit = govern.NewAdmission(cfg.AdmitBudget)
 	s.ckptFactor.Store(1)
 	if cfg.StateDir != "" {
-		s.disk = govern.NewDiskMonitor(cfg.StateDir, s.diskProbe(), govern.Watermarks{})
+		s.disk = govern.NewDiskMonitor(cfg.StateDir, s.diskProbe)
 	}
 	if cfg.IdleTimeout > 0 {
 		s.background(s.janitor)
@@ -463,9 +433,7 @@ func (s *Server) dispatch(c *wire.Conn, req *Request) {
 		recovering = true
 	} else if h != nil {
 		t.reply = make(chan *Response, 1)
-		if s.cfg.RequestTimeout > 0 {
-			t.deadline = time.Now().Add(s.cfg.RequestTimeout)
-		}
+		t.deadline = time.Now().Add(requestTimeout)
 		enqErr = h.enqueue(t)
 	}
 	s.mu.Unlock()
@@ -489,27 +457,29 @@ func (s *Server) dispatch(c *wire.Conn, req *Request) {
 	default:
 		go func() {
 			var resp *Response
-			if t.deadline.IsZero() {
-				resp = <-t.reply
-			} else {
-				timer := time.NewTimer(time.Until(t.deadline))
-				defer timer.Stop()
+			timer := time.NewTimer(time.Until(t.deadline))
+			defer timer.Stop()
+			select {
+			case resp = <-t.reply:
+			case <-timer.C:
+				t.abandoned.Store(true)
 				select {
-				case resp = <-t.reply:
-				case <-timer.C:
-					t.abandoned.Store(true)
-					select {
-					case resp = <-t.reply: // finished on the wire, barely
-					default:
-						s.reg.Counter("server_timeouts").Inc()
-						resp = errResp(req, wire.CodeTimeout, ErrDeadline)
-					}
+				case resp = <-t.reply: // finished on the wire, barely
+				default:
+					s.reg.Counter("server_timeouts").Inc()
+					resp = errResp(req, wire.CodeTimeout, ErrDeadline)
 				}
 			}
 			finish(resp)
 		}()
 	}
 }
+
+// requestTimeout is the per-request deadline of a worker verb: a queued
+// request that misses it is never executed, a running one has its
+// result discarded, and the client gets CodeTimeout. A var so tests can
+// shrink it.
+var requestTimeout = 30 * time.Second
 
 var nameRE = regexp.MustCompile(`^[A-Za-z0-9_.-]{1,64}$`)
 

@@ -298,7 +298,9 @@ func TestBackpressureRejectsCleanly(t *testing.T) {
 // parked worker times out with the typed code, its late result is
 // discarded, and the session stays usable.
 func TestRequestTimeout(t *testing.T) {
-	_, addr := startServer(t, server.Config{QueueDepth: 4, RequestTimeout: 80 * time.Millisecond})
+	// Registered before startServer, so the restore runs after shutdown.
+	t.Cleanup(server.SetRequestDeadline(80 * time.Millisecond))
+	_, addr := startServer(t, server.Config{QueueDepth: 4})
 	c := dial(t, addr)
 	createTiny(t, c, "s", 100)
 	mustOK(t, c, &server.Request{Session: "s", Verb: "run", Args: []string{"clock", "p0", "5"}})

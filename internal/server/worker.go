@@ -125,7 +125,6 @@ func (s *Server) newHosted(name string) *hosted {
 	// The session's live-loop spans flow into the fleet span store and
 	// the flight recorder alongside any `subscribe` clients.
 	s.tel.AttachSinks(h.fan)
-	h.brk.threshold = s.cfg.QuarantineAfter
 	h.touch()
 	return h
 }
@@ -155,7 +154,7 @@ func (s *Server) worker(h *hosted) {
 	defer close(h.stopped)
 	for t := range h.queue {
 		var resp *Response
-		if !t.deadline.IsZero() && time.Now().After(t.deadline) {
+		if time.Now().After(t.deadline) {
 			s.reg.Counter("server_timeouts").Inc()
 			resp = errResp(t.req, wire.CodeTimeout, ErrDeadline)
 		} else {

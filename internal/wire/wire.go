@@ -138,8 +138,8 @@ const (
 	// retry_after_ms; retrying after that backoff is always safe because
 	// an overload rejection happens before the verb executes.
 	CodeOverloaded = "overloaded"
-	// CodeSessionLimit: create was rejected because MaxSessions hosted
-	// sessions already exist. Distinct from CodeBackpressure (a transient
+	// CodeSessionLimit: create was rejected because the daemon already
+	// hosts its maximum number of sessions (64). Distinct from CodeBackpressure (a transient
 	// full queue): the limit clears only when a session is closed or
 	// evicted, so retrying without acting on that is pointless.
 	CodeSessionLimit = "session_limit"

@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"livesim"
+	"livesim/internal/catalogue"
 	"livesim/internal/command"
 	"livesim/internal/server"
 	"livesim/internal/server/client"
@@ -125,7 +126,7 @@ func run() int {
 		}
 		switch {
 		case line == "help":
-			fmt.Print(command.ShellHelp())
+			fmt.Print(catalogue.ShellHelp())
 		case line != "":
 			if err := command.DispatchLine(env, line); err != nil {
 				fmt.Println("error:", err)
@@ -214,9 +215,11 @@ func remoteExec(c *client.Client, line string) error {
 	req := &server.Request{Session: *flagSession, Verb: verb, Args: rest, Epoch: *flagEpoch,
 		TraceID: *flagTraceID}
 
+	// create and apply are shaped here, from local files; the catalogue's
+	// usage lines are the forms accepted.
+	v, _ := catalogue.Lookup(verb)
 	switch verb {
 	case "create":
-		// create pgas <n> | create dir <path> [top]
 		switch {
 		case len(rest) == 2 && rest[0] == "pgas":
 			n, err := strconv.Atoi(rest[1])
@@ -234,13 +237,13 @@ func remoteExec(c *client.Client, line string) error {
 				req.Top = rest[2]
 			}
 		default:
-			return fmt.Errorf("usage: create pgas <n> | create dir <path> [top]")
+			return fmt.Errorf("usage: %s", v.Usage)
 		}
 		req.CheckpointEvery = *flagCkpt
 	case "apply":
 		// apply <dir>: read the edited sources client-side and ship them.
 		if len(rest) != 1 {
-			return fmt.Errorf("usage: apply <dir> (remote mode ships the edited sources)")
+			return fmt.Errorf("usage: %s <dir> (remote mode ships the edited sources)", v.Usage)
 		}
 		files, err := readDir(rest[0])
 		if err != nil {

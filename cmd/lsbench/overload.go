@@ -26,7 +26,7 @@ import (
 func overloadBench() {
 	const (
 		budget  = 16 // admission units
-		runCost = 8  // the run verb's weight (internal/command)
+		runCost = 8  // the run verb's weight (internal/catalogue)
 	)
 	capacity := budget / runCost // concurrent heavy runs admitted
 	fmt.Println("== Overload: admission control at 1x/2x/4x capacity (in-process livesimd) ==")

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"livesim/internal/catalogue"
 	"livesim/internal/checkpoint"
 	"livesim/internal/wal"
 )
@@ -77,18 +78,14 @@ func (s *Session) replayFrom(dir string, recs []*wal.Record, exec ExecRecord, al
 		s.metrics.Histogram("replay_ms", nil).Observe(float64(rep.Duration.Milliseconds()))
 	}()
 
-	// Fast-path eligibility: with only instpipe/run/poke in the stream
-	// there is a single design version and no external file dependency,
-	// so a watermark checkpoint plus a virtually reconstructed journal is
-	// provably equivalent to re-execution.
+	// Fast-path eligibility: with only structural and watermark-covered
+	// verbs in the stream (the catalogue's replay classes: instpipe, run,
+	// poke) there is a single design version and no external file
+	// dependency, so a watermark checkpoint plus a virtually reconstructed
+	// journal is provably equivalent to re-execution.
 	fast := allowFast
 	for _, r := range recs {
-		if r.Type != wal.TypeCmd {
-			continue
-		}
-		switch r.Verb {
-		case "instpipe", "run", "poke":
-		default:
+		if v, ok := catalogue.Lookup(r.Verb); r.Type == wal.TypeCmd && (!ok || v.Replay == catalogue.Reexec) {
 			fast = false
 		}
 	}
@@ -234,11 +231,11 @@ func (s *Session) replayFrom(dir string, recs []*wal.Record, exec ExecRecord, al
 			continue
 		}
 
-		// Skip records a chosen watermark covers, reconstructing
-		// the run journal they would have produced.
+		// Skip records a chosen watermark covers. One that ran its pipe
+		// extends the run journal it would have produced; any other's
+		// state effect is inside the watermark checkpoint.
 		if mi, ok := markAt[cmdPipe(r)]; fast && ok && i < mi {
-			switch r.Verb {
-			case "run":
+			if runsPipe(r) {
 				pipe := r.Args[1]
 				if adv := r.Cycle - virtCycle[pipe]; adv > 0 {
 					virtHist[pipe] = append(virtHist[pipe], RunOp{
@@ -246,8 +243,6 @@ func (s *Session) replayFrom(dir string, recs []*wal.Record, exec ExecRecord, al
 					})
 					virtCycle[pipe] = r.Cycle
 				}
-			case "poke":
-				// State effect is inside the watermark checkpoint.
 			}
 			rep.Skipped++
 			continue
@@ -267,7 +262,7 @@ func (s *Session) replayFrom(dir string, recs []*wal.Record, exec ExecRecord, al
 			}
 		}
 		// Runs also record the cycle they ended on.
-		if r.Cycle != 0 && (r.Verb == "run" || r.Verb == "trace") && len(r.Args) >= 2 {
+		if r.Cycle != 0 && runsPipe(r) {
 			if p, ok := s.Pipe(r.Args[1]); ok {
 				if c := p.Sim.Cycle(); c != r.Cycle {
 					return rep, fmt.Errorf("record %d (%s %s): cycle %d after replay, journal says %d: %w",
@@ -283,17 +278,18 @@ func (s *Session) replayFrom(dir string, recs []*wal.Record, exec ExecRecord, al
 // "" for structural/design-wide verbs (instpipe, copypipe, apply) that
 // must always re-execute.
 func cmdPipe(r *wal.Record) string {
-	switch r.Verb {
-	case "run", "trace":
-		if len(r.Args) >= 2 {
-			return r.Args[1]
-		}
-	case "poke", "ldch":
-		if len(r.Args) >= 1 {
-			return r.Args[0]
-		}
+	if v, ok := catalogue.Lookup(r.Verb); ok {
+		return v.PipeOf(r.Args)
 	}
 	return ""
+}
+
+// runsPipe reports whether a command record ran its pipe under a
+// testbench (run, trace): its Args are <tb> <pipe> ..., and its Cycle
+// is where the pipe ended.
+func runsPipe(r *wal.Record) bool {
+	v, ok := catalogue.Lookup(r.Verb)
+	return ok && v.Pipe == catalogue.PipeAfterTB && len(r.Args) >= 2
 }
 
 // historyFromSteps converts a reanchor record's inline history to the

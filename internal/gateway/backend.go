@@ -224,6 +224,6 @@ func (g *Gateway) setBackendState(b *backend, st backendState, why string) {
 		obs.Str("from", prev.String()), obs.Str("to", st.String()))
 	wasAlive := prev != bsDown && prev != bsUnknown
 	if !wasAlive && st != bsDown {
-		go g.discover(b) // the reconcile sweep
+		g.background(func() { g.discover(b) }) // the reconcile sweep
 	}
 }

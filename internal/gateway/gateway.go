@@ -31,7 +31,7 @@ import (
 	"sync"
 	"time"
 
-	"livesim/internal/command"
+	"livesim/internal/catalogue"
 	"livesim/internal/faultinject"
 	"livesim/internal/govern"
 	"livesim/internal/obs"
@@ -95,21 +95,23 @@ type Gateway struct {
 	// tel is the tracing + crash-forensics plane: every request and
 	// forward is a span on its tracer; the span store backs the `trace`
 	// verb and /tracez; the flight recorder is the black box /flightz
-	// serves and blackbox() dumps.
+	// serves and Blackbox dumps.
 	tel *obs.Telemetry
-	// acc owns the listeners and client connections.
-	acc *wire.Acceptor
+	// env owns the listeners and client connections, and every request's
+	// life from read to answer: drain gate, in-flight count, request
+	// span, panic recovery.
+	env *wire.Envelope[*wire.Request]
 
 	backends []*backend
-	handlers map[string]func(*wire.Request) *wire.Response // the verbs lsgate answers itself
 
-	mu       sync.Mutex
-	routes   map[string]*route
-	draining bool
+	mu     sync.Mutex
+	routes map[string]*route
 
-	inflight sync.WaitGroup
+	// stop ends the health loop and refuses new background work (closed
+	// under mu); bg counts the goroutines Shutdown waits for.
 	stop     chan struct{}
 	stopOnce sync.Once
+	bg       sync.WaitGroup
 }
 
 // route is where one session lives, plus the freeze latch a migration
@@ -211,16 +213,41 @@ func New(cfg Config) (*Gateway, error) {
 		routes:   make(map[string]*route),
 		stop:     make(chan struct{}),
 	}
-	g.handlers = g.handlerMap()
-	g.acc = wire.NewAcceptor(g.serveConn)
+	// lsgate's own verbs, and every other verb livesimd runs forwarded to
+	// the backend hosting the named session.
+	handlers := g.handlerMap()
+	for _, v := range catalogue.Verbs((*catalogue.Verb).Livesimd) {
+		if handlers[v.Name] == nil {
+			handlers[v.Name] = g.forwardSession
+		}
+	}
+	g.env = wire.NewEnvelope(wire.Daemon[*wire.Request]{Name: "gateway", Tel: g.tel, Metrics: g.reg,
+		Handlers: handlers, Place: g.place})
 	g.probeAll() // synchronous: placement works from the first request
 	for _, b := range g.backends {
 		if b.alive() {
 			g.discover(b)
 		}
 	}
-	go g.healthLoop()
+	g.background(g.healthLoop)
 	return g, nil
+}
+
+// background runs f on a goroutine Shutdown waits for; once Shutdown
+// began it starts nothing.
+func (g *Gateway) background(f func()) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	select {
+	case <-g.stop:
+		return
+	default:
+	}
+	g.bg.Add(1)
+	go func() {
+		defer g.bg.Done()
+		f()
+	}()
 }
 
 // Metrics returns the gateway's registry (nil when disabled).
@@ -253,16 +280,27 @@ func (g *Gateway) healthLoop() {
 	}
 }
 
-func (g *Gateway) probeAll() {
+func (g *Gateway) probeAll() { parallel(g.backends, func(_ int, b *backend) { g.probe(b) }) }
+
+// parallel runs f on each of bs, each on its own goroutine, and waits.
+func parallel(bs []*backend, f func(i int, b *backend)) {
 	var wg sync.WaitGroup
-	for _, b := range g.backends {
+	for i, b := range bs {
 		wg.Add(1)
-		go func(b *backend) {
+		go func(i int, b *backend) {
 			defer wg.Done()
-			g.probe(b)
-		}(b)
+			f(i, b)
+		}(i, b)
 	}
 	wg.Wait()
+}
+
+// askAll forwards req to each of bs in parallel; answers come back in
+// the order of bs.
+func (g *Gateway) askAll(bs []*backend, req *wire.Request) []*wire.Response {
+	resps := make([]*wire.Response, len(bs))
+	parallel(bs, func(i int, b *backend) { resps[i] = g.forward(b, req) })
+	return resps
 }
 
 // discover asks one backend what it hosts and folds that into the
@@ -446,41 +484,20 @@ func (g *Gateway) dropRoute(session string, b *backend) {
 
 // Serve accepts connections on ln until the listener closes: nil when
 // Shutdown stopped it, wire.ErrClosed if the gateway had already stopped.
-func (g *Gateway) Serve(ln net.Listener) error { return g.acc.Serve(ln) }
+func (g *Gateway) Serve(ln net.Listener) error { return g.env.Serve(ln) }
 
-// serveConn is the acceptor's per-connection hook. Every request gets
-// its own goroutine: a forward blocks on the backend, and one slow
-// session must not stall the others pipelined on this connection.
-// Responses are id-matched. A request that arrives once Shutdown began
-// is refused inline and never counted in flight: the check and the Add
-// share the lock Shutdown sets draining under, so nothing adds to
-// inflight while Shutdown waits on it.
-func (g *Gateway) serveConn(c *wire.Conn) func(*wire.Request) {
-	g.reg.Counter("gateway_conns_opened").Inc()
-	c.OnClose(g.reg.Counter("gateway_conns_closed").Inc)
-	return func(req *wire.Request) {
-		g.mu.Lock()
-		draining := g.draining
-		if !draining {
-			g.inflight.Add(1)
-		}
-		g.mu.Unlock()
-		if draining { // answered on the reader, which Shutdown's acc.Close waits for
-			c.Reply(g.handle(req, true))
-			return
-		}
-		go func() {
-			defer g.inflight.Done()
-			c.Reply(g.handle(req, false)) // a failed write is the client's loss
-		}()
-	}
+// place gives every request its own goroutine: a forward blocks on the
+// backend, and one slow session must not stall the others pipelined on
+// its connection. Responses are id-matched.
+func (g *Gateway) place(c *wire.Call) {
+	go func() { c.Finish(g.env.Exec(c, c.Req)) }()
 }
 
 var errNoSubscribe = errors.New(
 	"subscribe is not supported through the gateway; connect to the backend directly (see `backends`)")
 
-// handlerMap is lsgate's one map from verb name to body, checked against
-// the catalogue's Gateway verbs. Every other verb is forwarded.
+// handlerMap is lsgate's one map from verb name to body for the verbs it
+// answers itself, checked against the catalogue's Gateway verbs.
 func (g *Gateway) handlerMap() map[string]func(*wire.Request) *wire.Response {
 	m := map[string]func(*wire.Request) *wire.Response{
 		"backends":  g.backendsResp,
@@ -489,52 +506,16 @@ func (g *Gateway) handlerMap() map[string]func(*wire.Request) *wire.Response {
 		"migrate":   g.migrateVerb,
 		"drain":     g.drainVerb,
 		"trace":     g.traceOrForward,
-		"subscribe": func(req *wire.Request) *wire.Response { return gerr(req, wire.CodeBadRequest, errNoSubscribe) },
+		"subscribe": func(req *wire.Request) *wire.Response { return wire.Refuse(req, wire.CodeBadRequest, errNoSubscribe) },
 		"metricz":   func(req *wire.Request) *wire.Response { return server.Metricz(g.reg, req) },
 		"events":    func(req *wire.Request) *wire.Response { return server.Events(g.tel, req) },
 		"ping":      g.pingResp,
 		"help": func(req *wire.Request) *wire.Response {
-			return &wire.Response{ID: req.ID, OK: true, Output: command.GatewayHelp()}
+			return &wire.Response{ID: req.ID, OK: true, Output: catalogue.GatewayHelp()}
 		},
 	}
-	command.MustMatch("lsgate", m, func(v *command.Verb) bool { return v.Place == command.Gateway })
+	catalogue.MustMatch("lsgate", m, func(v *catalogue.Verb) bool { return v.Place == catalogue.Gateway })
 	return m
-}
-
-// handle answers one request: lsgate's own verbs through the handler
-// map, anything else forwarded to the session's backend.
-func (g *Gateway) handle(req *wire.Request, draining bool) (resp *wire.Response) {
-	t0 := time.Now()
-	g.reg.Counter("gateway_requests").Inc()
-	if req.TraceID == "" {
-		req.TraceID = obs.NewTraceID() // one tree across gateway and backend
-	}
-	trace := req.TraceID
-	sp := g.tel.Tracer.StartRemote(trace, req.ParentSpan, "request",
-		obs.Str("verb", req.Verb), obs.Str("session", req.Session))
-	req.ParentSpan = sp.SID() // forwards and fleet verbs parent here
-	defer func() {
-		if r := recover(); r != nil {
-			g.reg.Counter("gateway_panics_recovered").Inc()
-			g.blackbox("panic", req.Session, trace, fmt.Sprintf("recovered gateway panic: %v", r))
-			resp = gerr(req, wire.CodePanic, fmt.Errorf("gateway panic: %v", r))
-		}
-		sp.Annotate(obs.Bool("ok", resp != nil && resp.OK))
-		sp.End()
-		dur := time.Since(t0)
-		// The request span just emitted, so the store holds the whole
-		// gateway-side tree — the tail keep/drop decision happens here.
-		g.tel.Store.Complete(trace, dur.Microseconds(), resp != nil && resp.OK)
-		g.reg.Histogram("gateway_request_seconds", nil).Observe(dur.Seconds())
-	}()
-
-	if draining {
-		return gerr(req, wire.CodeDraining, server.ErrDraining)
-	}
-	if run := g.handlers[strings.ToLower(req.Verb)]; run != nil {
-		return run(req)
-	}
-	return g.forwardSession(req)
 }
 
 // traceOrForward serves `trace`, which is two verbs: the fleet assembly
@@ -554,7 +535,7 @@ func (g *Gateway) traceOrForward(req *wire.Request) *wire.Response {
 // is found wherever it lives and the route is learned for next time.
 func (g *Gateway) forwardSession(req *wire.Request) *wire.Response {
 	if req.Session == "" {
-		return gerr(req, wire.CodeBadRequest, fmt.Errorf("verb %q needs a session", req.Verb))
+		return wire.Refuse(req, wire.CodeBadRequest, fmt.Errorf("verb %q needs a session", req.Verb))
 	}
 	verb := strings.ToLower(req.Verb)
 	g.mu.Lock()
@@ -564,7 +545,7 @@ func (g *Gateway) forwardSession(req *wire.Request) *wire.Response {
 	if r != nil {
 		b, err := r.acquire(migrateTimeout)
 		if err != nil {
-			return gerr(req, wire.CodeUnavailable, err)
+			return wire.Refuse(req, wire.CodeUnavailable, err)
 		}
 		if req.Epoch == 0 && verb != "promote" && verb != "replapply" {
 			// Stamp the fencing token the gateway knows for this session.
@@ -617,7 +598,7 @@ func (g *Gateway) forwardSession(req *wire.Request) *wire.Response {
 
 	order := rendezvousOrder(req.Session, g.aliveBackends())
 	if len(order) == 0 {
-		return gerr(req, wire.CodeUnavailable, fmt.Errorf("no backend available"))
+		return wire.Refuse(req, wire.CodeUnavailable, fmt.Errorf("no backend available"))
 	}
 	var last *wire.Response
 	for _, b := range order {
@@ -682,7 +663,7 @@ func (g *Gateway) forward(b *backend, req *wire.Request) *wire.Response {
 			// The request was too long to frame and never left: that says
 			// nothing about the backend, and its connection carries other
 			// sessions. Fail this request with the reason and keep routing.
-			return gerr(req, wire.CodeError, fmt.Errorf("backend %s: %w", b.addr(), err))
+			return wire.Refuse(req, wire.CodeError, fmt.Errorf("backend %s: %w", b.addr(), err))
 		}
 		b.dropClient(cli)
 		g.setBackendState(b, bsDown, err.Error())
@@ -702,17 +683,13 @@ func (g *Gateway) unavailResp(req *wire.Request, b *backend, err error) *wire.Re
 	}
 }
 
-func gerr(req *wire.Request, code string, err error) *wire.Response {
-	return &wire.Response{ID: req.ID, OK: false, Error: err.Error(), Code: code}
-}
-
 // placeCreate picks a backend by rendezvous hash over the placeable
 // slate and pins the route. The typed failure path flows through: a
 // session_limit or disk_full from the chosen backend is the client's
 // answer (placement is deterministic, not load-dodging).
 func (g *Gateway) placeCreate(req *wire.Request) *wire.Response {
 	if req.Session == "" {
-		return gerr(req, wire.CodeBadRequest, fmt.Errorf("create needs a session name"))
+		return wire.Refuse(req, wire.CodeBadRequest, fmt.Errorf("create needs a session name"))
 	}
 	g.mu.Lock()
 	if r := g.routes[req.Session]; r != nil {
@@ -720,13 +697,13 @@ func (g *Gateway) placeCreate(req *wire.Request) *wire.Response {
 		owner := r.backend
 		r.mu.Unlock()
 		g.mu.Unlock()
-		return gerr(req, wire.CodeNoSession,
+		return wire.Refuse(req, wire.CodeNoSession,
 			fmt.Errorf("session %q already exists on %s", req.Session, owner.addr()))
 	}
 	g.mu.Unlock()
 	b := rendezvousPick(req.Session, g.placeableBackends())
 	if b == nil {
-		return gerr(req, wire.CodeUnavailable, fmt.Errorf("no placeable backend"))
+		return wire.Refuse(req, wire.CodeUnavailable, fmt.Errorf("no placeable backend"))
 	}
 	resp := g.forward(b, req)
 	if resp.OK {
@@ -810,28 +787,15 @@ type FleetSessionInfo struct {
 }
 
 func (g *Gateway) aggregateSessions(req *wire.Request) *wire.Response {
-	type result struct {
-		b     *backend
-		infos []server.SessionInfo
-	}
 	alive := g.aliveBackends()
-	ch := make(chan result, len(alive))
-	for _, b := range alive {
-		go func(b *backend) {
-			resp := g.forward(b, &wire.Request{Verb: "sessions",
-				TraceID: req.TraceID, ParentSpan: req.ParentSpan})
-			var infos []server.SessionInfo
-			if resp.OK && resp.Data != nil {
-				json.Unmarshal(resp.Data, &infos)
-			}
-			ch <- result{b, infos}
-		}(b)
-	}
 	rows := make([]FleetSessionInfo, 0, 16)
-	for range alive {
-		res := <-ch
-		for _, info := range res.infos {
-			rows = append(rows, FleetSessionInfo{Backend: res.b.addr(), SessionInfo: info})
+	for i, resp := range g.askAll(alive, &wire.Request{Verb: "sessions", TraceID: req.TraceID, ParentSpan: req.ParentSpan}) {
+		var infos []server.SessionInfo
+		if resp.OK && resp.Data != nil {
+			json.Unmarshal(resp.Data, &infos)
+		}
+		for _, info := range infos {
+			rows = append(rows, FleetSessionInfo{Backend: alive[i].addr(), SessionInfo: info})
 		}
 	}
 	sort.Slice(rows, func(i, j int) bool {
@@ -864,7 +828,7 @@ func (g *Gateway) aggregateSessions(req *wire.Request) *wire.Response {
 
 func (g *Gateway) migrateVerb(req *wire.Request) *wire.Response {
 	if req.Session == "" {
-		return gerr(req, wire.CodeBadRequest, fmt.Errorf("migrate needs a session"))
+		return wire.Refuse(req, wire.CodeBadRequest, fmt.Errorf("migrate needs a session"))
 	}
 	target := ""
 	if len(req.Args) > 0 {
@@ -872,7 +836,7 @@ func (g *Gateway) migrateVerb(req *wire.Request) *wire.Response {
 	}
 	rep, err := g.MigrateTraced(req.Session, target, req.TraceID, req.ParentSpan)
 	if err != nil {
-		return gerr(req, wire.CodeError, err)
+		return wire.Refuse(req, wire.CodeError, err)
 	}
 	data, _ := json.Marshal(rep)
 	return &wire.Response{ID: req.ID, OK: true, Data: data,
@@ -882,11 +846,11 @@ func (g *Gateway) migrateVerb(req *wire.Request) *wire.Response {
 
 func (g *Gateway) drainVerb(req *wire.Request) *wire.Response {
 	if len(req.Args) == 0 {
-		return gerr(req, wire.CodeBadRequest, fmt.Errorf("drain needs a backend address"))
+		return wire.Refuse(req, wire.CodeBadRequest, fmt.Errorf("drain needs a backend address"))
 	}
 	rep, err := g.drainBackendTraced(req.Args[0], req.TraceID, req.ParentSpan)
 	if err != nil {
-		return gerr(req, wire.CodeError, err)
+		return wire.Refuse(req, wire.CodeError, err)
 	}
 	data, _ := json.Marshal(rep)
 	var b strings.Builder
@@ -913,35 +877,24 @@ func (g *Gateway) AdminPing() []byte { return g.pingResp(&wire.Request{}).Data }
 // AdminBackends returns the backends table as JSON, for /backendz.
 func (g *Gateway) AdminBackends() []byte { return g.backendsResp(&wire.Request{}).Data }
 
-// Shutdown stops the gateway: close listeners, stop the health loop,
-// wait out in-flight forwards (bounded by ctx), drop client conns.
-// Stateless: nothing to save.
+// Shutdown stops the gateway: close listeners, wait out in-flight
+// requests (bounded by ctx), stop the health loop and wait for it and
+// every reconcile sweep, then drop client conns. Stateless: nothing to
+// save.
 func (g *Gateway) Shutdown(ctx context.Context) error {
-	g.mu.Lock()
-	g.draining = true
-	g.mu.Unlock()
-	g.acc.StopAccepting()
-	g.stopOnce.Do(func() { close(g.stop) })
-
-	done := make(chan struct{})
-	go func() {
-		g.inflight.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-ctx.Done():
-	}
-
-	g.acc.Close()
+	g.env.Shutdown(ctx)
+	g.stopOnce.Do(func() {
+		g.mu.Lock()
+		close(g.stop)
+		g.mu.Unlock()
+	})
+	g.bg.Wait()
+	g.env.Close()
 	for _, b := range g.backends {
 		b.mu.Lock()
 		cli := b.cli
-		b.cli = nil
 		b.mu.Unlock()
-		if cli != nil {
-			cli.Close()
-		}
+		b.dropClient(cli)
 	}
 	g.tel.Stop()
 	return nil

@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"livesim/internal/obs"
@@ -56,9 +55,6 @@ type TraceAssembly struct {
 // is reading), merged with the gateway's own store.
 func (g *Gateway) assembleTrace(id string) *TraceAssembly {
 	asm := &TraceAssembly{Trace: id}
-	// Partition first: the down-backend notes are appended before any
-	// goroutine is spawned, so every append to asm after this point
-	// happens under mu.
 	var alive []*backend
 	for _, b := range g.backends {
 		if b.alive() {
@@ -68,30 +64,19 @@ func (g *Gateway) assembleTrace(id string) *TraceAssembly {
 				fmt.Sprintf("backend %s is down; any spans it held are not shown", b.addr()))
 		}
 	}
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for _, b := range alive {
-		wg.Add(1)
-		go func(b *backend) {
-			defer wg.Done()
-			resp := g.forward(b, &wire.Request{Verb: "spans", Args: []string{id}})
-			mu.Lock()
-			defer mu.Unlock()
-			if !resp.OK {
-				asm.Missing = append(asm.Missing,
-					fmt.Sprintf("backend %s: %s (%s)", b.addr(), resp.Error, resp.Code))
-				return
-			}
-			var dump server.SpanDump
-			if resp.Data == nil || json.Unmarshal(resp.Data, &dump) != nil {
-				asm.Missing = append(asm.Missing,
-					fmt.Sprintf("backend %s: unparseable span dump", b.addr()))
-				return
-			}
+	for i, resp := range g.askAll(alive, &wire.Request{Verb: "spans", Args: []string{id}}) {
+		var dump server.SpanDump
+		switch {
+		case !resp.OK:
+			asm.Missing = append(asm.Missing,
+				fmt.Sprintf("backend %s: %s (%s)", alive[i].addr(), resp.Error, resp.Code))
+		case resp.Data == nil || json.Unmarshal(resp.Data, &dump) != nil:
+			asm.Missing = append(asm.Missing,
+				fmt.Sprintf("backend %s: unparseable span dump", alive[i].addr()))
+		default:
 			asm.Spans = append(asm.Spans, dump.Spans...)
-		}(b)
+		}
 	}
-	wg.Wait()
 	asm.Spans = append(asm.Spans, g.tel.Store.Query(id)...)
 	sort.Strings(asm.Missing)
 	return asm
@@ -122,7 +107,7 @@ func renderAssembly(w *strings.Builder, asm *TraceAssembly) {
 // index aggregated across the gateway and every alive backend.
 func (g *Gateway) traceVerb(req *wire.Request) *wire.Response {
 	if len(req.Args) > 1 {
-		return gerr(req, wire.CodeBadRequest, fmt.Errorf("usage: trace [trace-id]"))
+		return wire.Refuse(req, wire.CodeBadRequest, fmt.Errorf("usage: trace [trace-id]"))
 	}
 	if len(req.Args) == 1 {
 		asm := g.assembleTrace(req.Args[0])
@@ -139,26 +124,13 @@ func (g *Gateway) traceVerb(req *wire.Request) *wire.Response {
 		Traces []obs.TraceSummary `json:"traces"`
 	}
 	idx := []procIndex{{Proc: g.tel.Proc, Traces: g.tel.Store.Traces(64)}}
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for _, b := range g.aliveBackends() {
-		wg.Add(1)
-		go func(b *backend) {
-			defer wg.Done()
-			resp := g.forward(b, &wire.Request{Verb: "spans"})
-			if !resp.OK || resp.Data == nil {
-				return
-			}
-			var sums []obs.TraceSummary
-			if json.Unmarshal(resp.Data, &sums) != nil {
-				return
-			}
-			mu.Lock()
-			idx = append(idx, procIndex{Proc: b.addr(), Traces: sums})
-			mu.Unlock()
-		}(b)
+	alive := g.aliveBackends()
+	for i, resp := range g.askAll(alive, &wire.Request{Verb: "spans"}) {
+		var sums []obs.TraceSummary
+		if resp.OK && resp.Data != nil && json.Unmarshal(resp.Data, &sums) == nil {
+			idx = append(idx, procIndex{Proc: alive[i].addr(), Traces: sums})
+		}
 	}
-	wg.Wait()
 	sort.Slice(idx[1:], func(i, j int) bool { return idx[i+1].Proc < idx[j+1].Proc })
 	data, _ := json.Marshal(idx)
 	var out strings.Builder
@@ -206,12 +178,4 @@ func (g *Gateway) HandleTracez(w http.ResponseWriter, r *http.Request) {
 	body, _ := json.Marshal(asm)
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(append(body, '\n'))
-}
-
-// blackbox records an abnormal event and dumps the flight recorder
-// (rate-limited). Gateway callers: panic recovery; the periodic flusher
-// covers everything it can't see.
-func (g *Gateway) blackbox(reason, session, trace, msg string) {
-	g.tel.Event(reason, session, trace, msg)
-	g.tel.Dump(reason)
 }

@@ -156,6 +156,15 @@ func (t *Telemetry) HandleFlightz(w http.ResponseWriter, r *http.Request) {
 	t.Flight.Dump(w, "flightz")
 }
 
+// Blackbox records an abnormal incident as an event, logs it, and dumps
+// the flight recorder: request panics, self-fence, quarantine trips,
+// watchdog cancels, a worker stuck at drain.
+func (t *Telemetry) Blackbox(reason, session, trace, msg string) {
+	t.Event(reason, session, trace, msg)
+	t.log.Info(msg, Str("event", reason), Str("session", session), Str("trace", trace))
+	t.Dump(reason)
+}
+
 // Dump writes the flight recorder to a fresh blackbox file, at most
 // once per second so a flapping trigger cannot grind the disk.
 func (t *Telemetry) Dump(reason string) {

@@ -108,7 +108,7 @@ func formatQ(q float64) string {
 // nondurable, or the disk ladder is engaged (serving, but an operator
 // should look); 200 "ok" otherwise.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	draining := s.isDraining()
+	draining := s.env.Draining()
 	hs := s.hostedSet(true)
 	recovering, quarantined, nondurable := 0, 0, 0
 	for _, h := range hs {

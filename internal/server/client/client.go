@@ -31,7 +31,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"livesim/internal/command"
+	"livesim/internal/catalogue"
 	"livesim/internal/govern"
 	"livesim/internal/obs"
 	"livesim/internal/wire"
@@ -185,13 +185,13 @@ func dial(addr string) (net.Conn, error) {
 }
 
 // Idempotent reports whether a verb can safely be sent twice: the verb
-// catalogue (internal/command) knows it and it does not mutate. A
+// catalogue (internal/catalogue) knows it and it does not mutate. A
 // mutation or one-shot verb (create, close, subscribe, migrate, …) is
 // not resent, because the daemon may have applied it before the
 // connection died. Verbs that change only observability state (profile
 // start/stop/reset) are deliberately non-mutating in the catalogue:
 // resending one after a reconnect is harmless.
-func Idempotent(verb string) bool { return command.Resendable(verb) }
+func Idempotent(verb string) bool { return catalogue.Resendable(verb) }
 
 // Do sends one request and waits for its response. The request's ID is
 // assigned by the client, and a TraceID is stamped if the caller didn't

@@ -102,7 +102,7 @@ func (s *Server) reserve(name string, via way) (*hosted, string, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	switch {
-	case s.draining:
+	case s.env.Draining():
 		return nil, wire.CodeDraining, ErrDraining
 	case s.sessions[name] != nil:
 		return nil, wire.CodeBadRequest, fmt.Errorf("session %q already exists", name)
@@ -125,7 +125,7 @@ func (s *Server) reserve(name string, via way) (*hosted, string, error) {
 func (s *Server) launch(h *hosted, sess *core.Session, rep *core.ReplayReport) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.draining {
+	if s.env.Draining() {
 		return false
 	}
 	h.sess = sess
@@ -145,7 +145,7 @@ func (s *Server) launch(h *hosted, sess *core.Session, rep *core.ReplayReport) b
 // in which case a recovery leaves the state dir as it found it.
 func (s *Server) abandon(h *hosted) (stopping bool) {
 	s.mu.Lock()
-	stopping = s.draining
+	stopping = s.env.Draining()
 	if s.sessions[h.name] == h {
 		delete(s.sessions, h.name)
 	}
@@ -165,7 +165,7 @@ func (s *Server) stop(h *hosted, patience time.Duration) bool {
 	if h.sess == nil {
 		for t := range h.queue {
 			if !t.abandoned.Load() {
-				t.reply <- errResp(t.req, wire.CodeNoSession, fmt.Errorf("session %q failed to start", h.name))
+				t.reply <- wire.Refuse(t.Req, wire.CodeNoSession, fmt.Errorf("session %q failed to start", h.name))
 			}
 		}
 		return true
@@ -213,17 +213,6 @@ func (s *Server) evict(h *hosted, why string) {
 	}
 	s.event("eviction", h.name, why)
 	s.reg.Counter("server_sessions_evicted").Inc()
-}
-
-// beginStop marks the server draining; false if a stop already began.
-func (s *Server) beginStop() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.draining {
-		return false
-	}
-	s.draining = true
-	return true
 }
 
 // watermark is the one writer of watermarks. It checkpoints every pipe

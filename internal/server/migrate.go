@@ -33,8 +33,8 @@ var movedTombstoneTTL = 10 * time.Minute
 // and drain-dir policy. The verb acks immediately; running Shutdown
 // inline would deadlock on this very request's in-flight count.
 func (s *Server) requestDrain(req *Request) *Response {
-	if s.isDraining() {
-		return errResp(req, wire.CodeDraining, ErrDraining)
+	if s.env.Draining() {
+		return wire.Refuse(req, wire.CodeDraining, ErrDraining)
 	}
 	s.drainOnce.Do(func() { close(s.drainReq) })
 	s.reg.Counter("server_drain_requests").Inc()
@@ -91,7 +91,7 @@ func (s *Server) movedTo(name string) (string, bool) {
 
 // movedResp builds the CodeMoved redirect response.
 func movedResp(req *Request, addr string) *Response {
-	r := errResp(req, wire.CodeMoved, fmt.Errorf("session %q: %w (now at %s)", req.Session, ErrMoved, addr))
+	r := wire.Refuse(req, wire.CodeMoved, fmt.Errorf("session %q: %w (now at %s)", req.Session, ErrMoved, addr))
 	r.MovedTo = addr
 	return r
 }
@@ -102,11 +102,11 @@ func movedResp(req *Request, addr string) *Response {
 // in-process crash tests and the fleet benchmark can kill a backend
 // and restart it on the same state dir without forking a process.
 func (s *Server) Halt() {
-	if !s.beginStop() {
+	if !s.env.Stop() {
 		return
 	}
-	s.acc.Close()
-	s.stopOnce.Do(func() { close(s.janitorStop) })
+	s.env.Close()
+	close(s.janitorStop)
 	for _, h := range s.hostedSet(false) {
 		// No marks are written: recovery must replay the journal tail,
 		// exactly as after a real crash. (Closing the journal still

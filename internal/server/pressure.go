@@ -33,8 +33,8 @@ import (
 //     journaled session resurrects at the next boot).
 //
 // Admission control is the third governor but needs no ticker: it is
-// the synchronous TryAcquire/Release pair in dispatch (server.go), each
-// request weighed by its verb's cost in the catalogue (internal/command).
+// the synchronous TryAcquire/Release pair of admitCall (server.go), each
+// request weighed by its verb's cost in the catalogue (internal/catalogue).
 
 const (
 	// defaultAdmitBudget is the stock process-wide in-flight budget in

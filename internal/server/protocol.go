@@ -40,8 +40,9 @@ type (
 // session's bounded request queue is full.
 var ErrBackpressure = errors.New("session queue full (backpressure)")
 
-// ErrDraining is returned for requests arriving during graceful drain.
-var ErrDraining = errors.New("server is draining")
+// ErrDraining (wire.ErrDraining) answers requests arriving during a
+// graceful drain.
+var ErrDraining = wire.ErrDraining
 
 // ErrDeadline is returned when a request misses its deadline.
 var ErrDeadline = errors.New("request deadline exceeded")

@@ -85,7 +85,7 @@ func (s *Server) noteFailure(h *hosted, reason string) {
 		// A breaker trip means the session repeatedly failed in quick
 		// succession — dump the black box while the evidence (the spans
 		// and events of the failing streak) is still in the ring.
-		s.blackbox("quarantine_trip", h.name, "", reason)
+		s.tel.Blackbox("quarantine_trip", h.name, "", reason)
 		s.updateQuarantineGauge()
 	}
 }

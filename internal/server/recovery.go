@@ -10,6 +10,7 @@ import (
 	"strings"
 	"time"
 
+	"livesim/internal/catalogue"
 	"livesim/internal/command"
 	"livesim/internal/core"
 	"livesim/internal/govern"
@@ -275,7 +276,7 @@ func execRecord(sess *core.Session, reg *obs.Registry, rec *wal.Record) error {
 // that both replay gears treat as authoritative, so the unjournaled gap
 // can never silently diverge a recovery.
 func (s *Server) journalMutation(h *hosted, t *task) {
-	req := t.req
+	req := t.Req
 	if h.wal == nil {
 		return
 	}
@@ -301,8 +302,8 @@ func (s *Server) journalMutation(h *hosted, t *task) {
 		Files:   req.Files,
 		Version: h.sess.Version(),
 	}
-	if (rec.Verb == "run" || rec.Verb == "trace") && len(req.Args) >= 2 {
-		if cycle, _, ok := h.sess.PipeStatus(req.Args[1]); ok {
+	if v, ok := catalogue.Lookup(rec.Verb); ok && v.Pipe == catalogue.PipeAfterTB {
+		if cycle, _, ok := h.sess.PipeStatus(v.PipeOf(req.Args)); ok {
 			rec.Cycle = cycle
 		}
 	}

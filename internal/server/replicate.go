@@ -80,7 +80,7 @@ func (s *Server) readFollowerMeta(name string) (followerMeta, bool) {
 // journal head and epoch so the (stale) caller can at least observe how
 // far ahead the fleet moved.
 func (s *Server) fencedResp(req *Request, h *hosted) *Response {
-	r := errResp(req, wire.CodeFenced,
+	r := wire.Refuse(req, wire.CodeFenced,
 		fmt.Errorf("session %q: %w (epoch here %d, request carried %d)",
 			req.Session, ErrFenced, h.epoch.Load(), req.Epoch))
 	ack := replica.Ack{Epoch: h.epoch.Load()}
@@ -104,7 +104,7 @@ func (s *Server) replGate(h *hosted, req *Request) *Response {
 	}
 	if h.follower.Load() {
 		s.reg.Counter("server_follower_rejects").Inc()
-		return errResp(req, wire.CodeFollower,
+		return wire.Refuse(req, wire.CodeFollower,
 			fmt.Errorf("session %q: %w", req.Session, ErrFollower))
 	}
 	if req.Epoch != 0 {
@@ -147,7 +147,7 @@ func (s *Server) fenceSession(h *hosted, why string) {
 	h.reg.Counter("repl_self_fenced").Inc()
 	// A self-fence is an abnormal exit for this branch of the session's
 	// history — leave the black box explaining what led up to it.
-	s.blackbox("session_fenced", h.name, "", why)
+	s.tel.Blackbox("session_fenced", h.name, "", why)
 }
 
 // replicateTask (verb "replicate", on the session worker) arms replication:
@@ -158,8 +158,9 @@ func (s *Server) fenceSession(h *hosted, why string) {
 // standby holds the journal head, which is what a migration commits on
 // (marks written outside a mutation wait for the next one's batch, so a
 // lag of zero is not enough). `replicate stop` tears the stream down.
-func (s *Server) replicateTask(h *hosted, t *task) *Response {
-	req := t.req
+func (s *Server) replicateTask(t *task) *Response {
+	h := t.h
+	req := t.Req
 	if len(req.Args) == 1 && req.Args[0] == "stop" {
 		if sp := h.shipper.Swap(nil); sp != nil {
 			sp.Stop()
@@ -169,17 +170,17 @@ func (s *Server) replicateTask(h *hosted, t *task) *Response {
 			Output: fmt.Sprintf("replication for %s stopped\n", h.name)}
 	}
 	if len(req.Args) != 1 || req.Args[0] == "" {
-		return errResp(req, wire.CodeBadRequest, fmt.Errorf("usage: replicate <addr>|stop"))
+		return wire.Refuse(req, wire.CodeBadRequest, fmt.Errorf("usage: replicate <addr>|stop"))
 	}
 	if h.wal == nil {
-		return errResp(req, wire.CodeBadRequest,
+		return wire.Refuse(req, wire.CodeBadRequest,
 			fmt.Errorf("session %q has no journal (state dir disabled); cannot replicate", h.name))
 	}
 	if h.fenced.Load() {
 		return s.fencedResp(req, h)
 	}
 	if h.follower.Load() {
-		return errResp(req, wire.CodeFollower,
+		return wire.Refuse(req, wire.CodeFollower,
 			fmt.Errorf("session %q: %w; promote it before replicating onward", h.name, ErrFollower))
 	}
 	target := req.Args[0]
@@ -189,17 +190,17 @@ func (s *Server) replicateTask(h *hosted, t *task) *Response {
 		// journaled nor shipped: resume first, and the reanchor that closes
 		// over them makes the standby ask for a fresh seed.
 		if err := s.resumePaused(h); err != nil {
-			return errResp(req, wire.CodeError, fmt.Errorf("replicate catch-up to %s: %w", target, err))
+			return wire.Refuse(req, wire.CodeError, fmt.Errorf("replicate catch-up to %s: %w", target, err))
 		}
-		if err := s.ship(h, sp, t.trace, t.span.SID()); err != nil {
+		if err := s.ship(h, sp, t.Req.TraceID, t.Span.SID()); err != nil {
 			if errors.Is(err, replica.ErrFenced) {
 				return s.fencedResp(req, h)
 			}
-			return errResp(req, wire.CodeError, fmt.Errorf("replicate catch-up to %s: %w", target, err))
+			return wire.Refuse(req, wire.CodeError, fmt.Errorf("replicate catch-up to %s: %w", target, err))
 		}
 		acked, head := sp.AckedSeq(), h.wal.Seq()
 		if acked != head {
-			return errResp(req, wire.CodeError,
+			return wire.Refuse(req, wire.CodeError,
 				fmt.Errorf("replicate catch-up to %s: standby acked seq %d, journal head is %d", target, acked, head))
 		}
 		data, _ := json.Marshal(replica.Ack{AckedSeq: acked, Epoch: h.epoch.Load()})
@@ -209,7 +210,7 @@ func (s *Server) replicateTask(h *hosted, t *task) *Response {
 
 	img, meta, err := s.exportBlob(h)
 	if err != nil {
-		return errResp(req, wire.CodeError, fmt.Errorf("replicate seed export: %w", err))
+		return wire.Refuse(req, wire.CodeError, fmt.Errorf("replicate seed export: %w", err))
 	}
 	if old := h.shipper.Swap(nil); old != nil {
 		old.Stop()
@@ -227,7 +228,7 @@ func (s *Server) replicateTask(h *hosted, t *task) *Response {
 			s.fenceSession(h, "standby "+target+" holds a newer epoch")
 			return s.fencedResp(req, h)
 		}
-		return errResp(req, wire.CodeError, fmt.Errorf("replicate seed to %s: %w", target, err))
+		return wire.Refuse(req, wire.CodeError, fmt.Errorf("replicate seed to %s: %w", target, err))
 	}
 	h.shipper.Store(sp)
 	h.reg.Gauge("repl_lag_records").Set(0)
@@ -253,25 +254,25 @@ func (s *Server) replicateTask(h *hosted, t *task) *Response {
 // stale copy a moved stream left behind — but never over a primary.
 func (s *Server) importSession(req *Request) *Response {
 	if s.cfg.StateDir == "" {
-		return errResp(req, wire.CodeBadRequest, fmt.Errorf("import requires a state dir"))
+		return wire.Refuse(req, wire.CodeBadRequest, fmt.Errorf("import requires a state dir"))
 	}
 	if len(req.Args) != 0 {
-		return errResp(req, wire.CodeBadRequest, fmt.Errorf("usage: import"))
+		return wire.Refuse(req, wire.CodeBadRequest, fmt.Errorf("usage: import"))
 	}
 	if len(req.Blob) == 0 {
-		return errResp(req, wire.CodeBadRequest, fmt.Errorf("import needs a transfer blob"))
+		return wire.Refuse(req, wire.CodeBadRequest, fmt.Errorf("import needs a transfer blob"))
 	}
 	blob, err := transfer.Decode(req.Blob)
 	if err != nil {
-		return errResp(req, wire.CodeBadRequest, err)
+		return wire.Refuse(req, wire.CodeBadRequest, err)
 	}
 	name := blob.Meta.Session
 	if req.Session != "" && req.Session != name {
-		return errResp(req, wire.CodeBadRequest,
+		return wire.Refuse(req, wire.CodeBadRequest,
 			fmt.Errorf("request names session %q but blob carries %q", req.Session, name))
 	}
 	if !nameRE.MatchString(name) {
-		return errResp(req, wire.CodeBadRequest,
+		return wire.Refuse(req, wire.CodeBadRequest,
 			fmt.Errorf("session name %q must match %s", name, nameRE.String()))
 	}
 	// Entry whitelist: exactly this session's journal and checkpoint
@@ -285,18 +286,18 @@ func (s *Server) importSession(req *Request) *Response {
 		case filepath.Ext(e.Name) == ".lscp" &&
 			len(e.Name) > len(name)+6 && e.Name[:len(name)+1] == name+".":
 		default:
-			return errResp(req, wire.CodeBadRequest,
+			return wire.Refuse(req, wire.CodeBadRequest,
 				fmt.Errorf("blob entry %q does not belong to session %q", e.Name, name))
 		}
 	}
 	if !sawWAL {
-		return errResp(req, wire.CodeBadRequest, fmt.Errorf("blob carries no journal for %q", name))
+		return wire.Refuse(req, wire.CodeBadRequest, fmt.Errorf("blob carries no journal for %q", name))
 	}
 	if s.diskLevelNow() >= govern.LevelCritical {
 		// An import is all writes; at the critical rung the target could
 		// not even keep the session durable once landed.
 		s.reg.Counter("server_diskfull_rejects").Inc()
-		return errResp(req, wire.CodeDiskFull, ErrDiskFull)
+		return wire.Refuse(req, wire.CodeDiskFull, ErrDiskFull)
 	}
 
 	reseed := func(h *hosted) bool { return h.follower.Load() && req.Epoch >= h.epoch.Load() }
@@ -308,7 +309,7 @@ func (s *Server) importSession(req *Request) *Response {
 
 	h, code, err := s.reserve(name, viaImport)
 	if err != nil {
-		return errResp(req, code, err)
+		return wire.Refuse(req, code, err)
 	}
 	defer s.recoveryWG.Done()
 	t0 := time.Now()
@@ -333,7 +334,7 @@ func (s *Server) importSession(req *Request) *Response {
 		}
 		s.reg.Counter("server_imports_failed").Inc()
 		s.event("import_failed", name, err.Error())
-		return errResp(req, wire.CodeError, fmt.Errorf("import %q: %w", name, err))
+		return wire.Refuse(req, wire.CodeError, fmt.Errorf("import %q: %w", name, err))
 	}
 	dur := time.Since(t0)
 	s.reg.Counter("server_imports").Inc()
@@ -361,8 +362,9 @@ func replAck(h *hosted) []byte {
 // it to the local journal (preserving the primary's sequence numbers),
 // fsync, ack the new head. The follower is a hot standby — promote is a
 // flag flip plus one epoch record, not a replay.
-func (s *Server) replApplyTask(h *hosted, t *task) *Response {
-	req := t.req
+func (s *Server) replApplyTask(t *task) *Response {
+	h := t.h
+	req := t.Req
 	cur := h.epoch.Load()
 	if req.Epoch < cur {
 		// A stale primary's stream: it was superseded by a promote here
@@ -379,13 +381,13 @@ func (s *Server) replApplyTask(h *hosted, t *task) *Response {
 		return s.fencedResp(req, h)
 	}
 	if h.wal == nil {
-		return errResp(req, wire.CodeBadRequest,
+		return wire.Refuse(req, wire.CodeBadRequest,
 			fmt.Errorf("session %q has no journal; cannot apply a replication batch", h.name))
 	}
 
 	epoch, afterSeq, recs, err := replica.DecodeBatch(req.Blob)
 	if err != nil {
-		return errResp(req, wire.CodeBadRequest, fmt.Errorf("replapply: %w", err))
+		return wire.Refuse(req, wire.CodeBadRequest, fmt.Errorf("replapply: %w", err))
 	}
 	if epoch < cur {
 		s.reg.Counter("server_fenced_rejects").Inc()
@@ -397,7 +399,7 @@ func (s *Server) replApplyTask(h *hosted, t *task) *Response {
 		// Adopt it durably so a later stream from the older epoch is
 		// rejected even across a follower restart.
 		if err := s.writeFollowerMeta(h.name, epoch); err != nil {
-			return errResp(req, wire.CodeError, fmt.Errorf("replapply: persist epoch: %w", err))
+			return wire.Refuse(req, wire.CodeError, fmt.Errorf("replapply: persist epoch: %w", err))
 		}
 		h.epoch.Store(epoch)
 	}
@@ -406,7 +408,7 @@ func (s *Server) replApplyTask(h *hosted, t *task) *Response {
 		// The stream and this journal disagree about the head (a shipper
 		// restart, or our own crash recovery truncated an unsynced tail).
 		// Tell the shipper where to resume.
-		r := errResp(req, wire.CodeReplResync,
+		r := wire.Refuse(req, wire.CodeReplResync,
 			fmt.Errorf("batch continues from seq %d but journal head is %d", afterSeq, head))
 		r.Data = replAck(h)
 		s.reg.Counter("server_repl_resyncs").Inc()
@@ -418,7 +420,7 @@ func (s *Server) replApplyTask(h *hosted, t *task) *Response {
 			// checkpoint exists only on its disk, so the gap is
 			// unreconstructable from records here. A fresh seed is the
 			// only honest continuation.
-			resp := errResp(req, wire.CodeReplReseed,
+			resp := wire.Refuse(req, wire.CodeReplReseed,
 				fmt.Errorf("batch carries a reanchor for pipe %q; follower needs a fresh seed", r.Pipe))
 			resp.Data = replAck(h)
 			s.reg.Counter("server_repl_reseed_requests").Inc()
@@ -431,7 +433,7 @@ func (s *Server) replApplyTask(h *hosted, t *task) *Response {
 	// cannot repair. The honest recovery is a fresh seed, which rebuilds
 	// this follower from the primary's current image.
 	poison := func(stage string, cause error) *Response {
-		r := errResp(req, wire.CodeReplReseed,
+		r := wire.Refuse(req, wire.CodeReplReseed,
 			fmt.Errorf("replapply %s: %w; follower needs a fresh seed", stage, cause))
 		r.Data = replAck(h)
 		s.reg.Counter("server_repl_reseed_requests").Inc()
@@ -456,12 +458,12 @@ func (s *Server) replApplyTask(h *hosted, t *task) *Response {
 		case wal.TypeEpoch:
 			if r.Epoch > h.epoch.Load() {
 				if err := s.writeFollowerMeta(h.name, r.Epoch); err != nil {
-					return errResp(req, wire.CodeError, fmt.Errorf("replapply: persist epoch: %w", err))
+					return wire.Refuse(req, wire.CodeError, fmt.Errorf("replapply: persist epoch: %w", err))
 				}
 				h.epoch.Store(r.Epoch)
 			}
 		default:
-			return errResp(req, wire.CodeBadRequest,
+			return wire.Refuse(req, wire.CodeBadRequest,
 				fmt.Errorf("replapply: record seq %d has type %q (not shippable)", r.Seq, r.Type))
 		}
 		// Append mirrors the primary's journal seq-for-seq: Append assigns
@@ -497,8 +499,9 @@ func (s *Server) replApplyTask(h *hosted, t *task) *Response {
 // the fencing of every older stream — survives a crash. Idempotent at
 // the same epoch; a promote carrying an older epoch is itself fenced
 // (the promote-stale fault exercises exactly that).
-func (s *Server) promoteTask(h *hosted, t *task) *Response {
-	req := t.req
+func (s *Server) promoteTask(t *task) *Response {
+	h := t.h
+	req := t.Req
 	cur := h.epoch.Load()
 	newEpoch := req.Epoch
 	if newEpoch == 0 {
@@ -517,10 +520,10 @@ func (s *Server) promoteTask(h *hosted, t *task) *Response {
 	}
 	if h.wal != nil {
 		if err := h.wal.Append(&wal.Record{Type: wal.TypeEpoch, Epoch: newEpoch}); err != nil {
-			return errResp(req, wire.CodeError, fmt.Errorf("promote: journal epoch record: %w", err))
+			return wire.Refuse(req, wire.CodeError, fmt.Errorf("promote: journal epoch record: %w", err))
 		}
 		if err := h.wal.Sync(); err != nil {
-			return errResp(req, wire.CodeError, fmt.Errorf("promote: journal sync: %w", err))
+			return wire.Refuse(req, wire.CodeError, fmt.Errorf("promote: journal sync: %w", err))
 		}
 	}
 	h.epoch.Store(newEpoch)
@@ -549,7 +552,7 @@ func (s *Server) promoteTask(h *hosted, t *task) *Response {
 // re-exports and re-seeds in place, still on the worker goroutine.
 func (s *Server) shipTail(h *hosted, t *task) {
 	if sp := h.shipper.Load(); sp != nil {
-		s.ship(h, sp, t.trace, t.execSID)
+		s.ship(h, sp, t.Req.TraceID, t.execSID)
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"livesim/internal/catalogue"
 	"livesim/internal/command"
 	"livesim/internal/core"
 	"livesim/internal/faultinject"
@@ -84,7 +85,7 @@ type Config struct {
 	obs.TelemetryConfig
 
 	// AdmitBudget is the process-wide in-flight admission budget in verb
-	// cost units (see command.Command.Cost), layered on top of the
+	// cost units (see catalogue.Verb.Cost), layered on top of the
 	// per-session queues. Requests past the budget are rejected with
 	// CodeOverloaded and a retry_after_ms hint. 0 uses the default (256);
 	// negative disables admission control.
@@ -115,17 +116,16 @@ type Server struct {
 	// span store behind `spans` and /tracez, the flight recorder dumped
 	// to blackbox-<ts>.jsonl on abnormal exits, the event ring.
 	tel *obs.Telemetry
-	// acc owns the listeners and client connections.
-	acc *wire.Acceptor
-
-	handlers map[string]handler // every verb livesimd runs, by name
+	// env owns the listeners and client connections, and every request's
+	// life from read to answer: drain gate, in-flight count, request
+	// span, panic recovery.
+	env *wire.Envelope[*task]
 
 	winMu    sync.Mutex
 	verbWins map[string]*obs.Window // per-verb rolling request latencies
 
 	mu       sync.Mutex
 	sessions map[string]*hosted
-	draining bool
 	// moved holds forwarding tombstones for migrated-away sessions:
 	// name -> new backend address, served as CodeMoved redirects.
 	moved map[string]movedEntry
@@ -135,11 +135,9 @@ type Server struct {
 	drainReq  chan struct{}
 	drainOnce sync.Once
 
-	inflight    sync.WaitGroup // every request from read to response write
 	recoveryWG  sync.WaitGroup // outstanding Recover goroutines
 	bgWG        sync.WaitGroup // janitor, governor
-	janitorStop chan struct{}
-	stopOnce    sync.Once
+	janitorStop chan struct{}  // closed by whichever of Shutdown and Halt stops the envelope
 
 	// Resource governance (internal/govern): the global admission
 	// budget, the disk-pressure monitor (nil without a StateDir), the
@@ -194,8 +192,8 @@ func New(cfg Config) *Server {
 		drainReq:    make(chan struct{}),
 		janitorStop: make(chan struct{}),
 	}
-	s.handlers = s.handlerMap()
-	s.acc = wire.NewAcceptor(s.serveConn)
+	s.env = wire.NewEnvelope(wire.Daemon[*task]{Name: "server", Tel: s.tel, Metrics: reg,
+		Handlers: s.handlerMap(), Admit: s.admitCall, Place: s.place, Done: s.observe})
 	s.admit = govern.NewAdmission(cfg.AdmitBudget)
 	s.ckptFactor.Store(1)
 	if cfg.StateDir != "" {
@@ -231,29 +229,18 @@ func (s *Server) Events() []obs.Event { return s.tel.Events(0) }
 // event records one operational incident in the ring, mirrors it to the
 // structured log, and copies it into the black-box ring — the event ring
 // is the queryable recent history, the log the durable trail, and the
-// flight recorder what survives an abnormal exit.
-func (s *Server) event(typ, session, msg string) { s.eventT(typ, session, "", msg) }
-
-// eventT is event with the trace id the incident happened under, so
-// operators can pivot from an /eventsz row to its assembled span tree.
-func (s *Server) eventT(typ, session, trace, msg string) {
-	s.tel.Event(typ, session, trace, msg)
-	s.log.Info(msg, obs.Str("event", typ), obs.Str("session", session), obs.Str("trace", trace))
-}
-
-// blackbox records an abnormal event (always) and dumps the flight
-// recorder (rate-limited). Callers: panic recovery, self-fence,
-// quarantine trip, watchdog cancel, drain-stuck.
-func (s *Server) blackbox(reason, session, trace, msg string) {
-	s.eventT(reason, session, trace, msg)
-	s.tel.Dump(reason)
+// flight recorder what survives an abnormal exit. Abnormal incidents go
+// through tel.Blackbox instead, which also dumps the flight recorder.
+func (s *Server) event(typ, session, msg string) {
+	s.tel.Event(typ, session, "", msg)
+	s.log.Info(msg, obs.Str("event", typ), obs.Str("session", session), obs.Str("trace", ""))
 }
 
 // verbWindow returns the rolling latency window for a verb. Unknown
 // verbs share one bucket so a misbehaving client cannot grow the map
 // without bound.
 func (s *Server) verbWindow(verb string) *obs.Window {
-	if _, ok := command.Lookup(verb); !ok {
+	if _, ok := catalogue.Lookup(verb); !ok {
 		verb = "_unknown"
 	}
 	s.winMu.Lock()
@@ -266,47 +253,22 @@ func (s *Server) verbWindow(verb string) *obs.Window {
 	return w
 }
 
-func (s *Server) isDraining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
-}
-
 // Serve accepts connections on ln until the listener closes (Shutdown
 // closes all registered listeners). It blocks; run it in a goroutine to
 // serve several listeners at once. It returns nil when Shutdown or Halt
 // stopped it, wire.ErrClosed if the server had already stopped.
-func (s *Server) Serve(ln net.Listener) error { return s.acc.Serve(ln) }
+func (s *Server) Serve(ln net.Listener) error { return s.env.Serve(ln) }
 
-// serveConn is the acceptor's per-connection hook; the handler it
-// returns dispatches each request inline on the connection's reader.
-func (s *Server) serveConn(c *wire.Conn) func(*Request) {
-	s.reg.Counter("server_conns_opened").Inc()
-	c.OnClose(s.reg.Counter("server_conns_closed").Inc)
-	served := 0
-	return func(req *Request) {
-		served++
-		if s.cfg.Faults.ConnRequest(served) {
-			// Injected mid-request disconnect: sever the transport but let
-			// the request run — the server must finish the work, discard
-			// the unroutable response and free the session worker.
-			s.reg.Counter("server_conns_dropped_by_fault").Inc()
-			c.Close()
-		}
-		s.dispatch(c, req)
-	}
-}
-
-// handler runs one verb: on the connection's goroutine (h nil) or on
+// handler runs one verb: on the connection's goroutine (t.h nil) or on
 // the session's worker.
-type handler func(h *hosted, t *task) *Response
+type handler = func(t *task) *Response
 
 // handlerMap is livesimd's one map from verb name to body: the daemon
 // verbs by name, every shared verb through runCommand. New checks it
 // against the catalogue.
 func (s *Server) handlerMap() map[string]handler {
 	onConn := func(f func(*Request) *Response) handler {
-		return func(_ *hosted, t *task) *Response { return f(t.req) }
+		return func(t *task) *Response { return f(t.Req) }
 	}
 	m := map[string]handler{
 		"create":       onConn(s.createSession),
@@ -317,161 +279,143 @@ func (s *Server) handlerMap() map[string]handler {
 		"promote":      s.promoteTask,
 		"drain":        onConn(s.requestDrain),
 		"sessions":     onConn(s.listSessions),
-		"subscribe":    func(_ *hosted, t *task) *Response { return s.subscribe(t.conn, t.req) },
+		"subscribe":    func(t *task) *Response { return s.subscribe(t.Conn, t.Req) },
 		"unquarantine": onConn(s.unquarantine),
 		"metricz":      onConn(func(req *Request) *Response { return Metricz(s.reg, req) }),
 		"events":       onConn(func(req *Request) *Response { return Events(s.tel, req) }),
 		"spans":        onConn(s.spansVerb),
 		"top":          onConn(s.topReport),
 		"ping":         onConn(s.ping),
-		"help":         onConn(func(req *Request) *Response { return &Response{ID: req.ID, OK: true, Output: command.ServerHelp()} }),
+		"help":         onConn(func(req *Request) *Response { return &Response{ID: req.ID, OK: true, Output: catalogue.ServerHelp()} }),
 	}
-	for _, v := range command.Verbs((*command.Verb).Shared) {
+	for _, v := range catalogue.Verbs((*catalogue.Verb).Shared) {
 		m[v.Name] = s.runCommand
 	}
-	command.MustMatch("livesimd", m, (*command.Verb).Livesimd)
+	catalogue.MustMatch("livesimd", m, (*catalogue.Verb).Livesimd)
 	return m
 }
 
-// dispatch routes one request: a Conn verb runs inline, anything else
+// admitCall is livesimd's admission: the connection fault first (an
+// injected mid-request disconnect severs the transport but lets the
+// request run — the server must finish the work, discard the unroutable
+// response and free the session worker), then the request's verb weighed
+// by its catalogue cost against the process-wide in-flight budget.
+func (s *Server) admitCall(c *wire.Call) (release func(), reject *Response) {
+	if s.cfg.Faults.ConnRequest(c.N) {
+		s.reg.Counter("server_conns_dropped_by_fault").Inc()
+		c.Conn.Close()
+	}
+	cost := catalogue.CostOf(c.Verb)
+	if cost <= 0 {
+		return nil, nil
+	}
+	ok, retry := s.admit.TryAcquire(cost)
+	if !ok {
+		s.reg.Counter("server_overload_rejects").Inc()
+		resp := wire.Refuse(c.Req, wire.CodeOverloaded, ErrOverloaded)
+		if resp.RetryAfterMs = retry.Milliseconds(); resp.RetryAfterMs < 1 {
+			resp.RetryAfterMs = 1
+		}
+		return nil, resp
+	}
+	return func() { s.admit.Release(cost) }, nil
+}
+
+// place runs a Conn verb inline on the connection's reader; anything else
 // enqueues on the session's worker (rejecting on a full queue) and a
 // waiter goroutine enforces the deadline so the reader keeps reading.
-func (s *Server) dispatch(c *wire.Conn, req *Request) {
-	// Checked with the Add under the lock beginStop takes: once Shutdown
-	// waits on inflight, no request can add to it.
-	s.mu.Lock()
-	draining := s.draining
-	if !draining {
-		s.inflight.Add(1)
-	}
-	s.mu.Unlock()
-	s.reg.Counter("server_requests").Inc()
-	verb := strings.ToLower(req.Verb)
-	trace := req.TraceID
-	if trace == "" {
-		trace = obs.NewTraceID() // unstamped client: still one correlatable tree
-	}
-	sp := s.tel.Tracer.StartRemote(trace, req.ParentSpan, "request",
-		obs.Str("verb", req.Verb), obs.Str("session", req.Session))
-	t0 := time.Now()
-	var h *hosted      // set before any finish call; read by the waiter goroutine
-	var admitted int64 // cost units held against the admission budget
-	finish := func(resp *Response) {
-		if admitted > 0 {
-			s.admit.Release(admitted)
-		}
-		sp.Annotate(obs.Bool("ok", resp.OK), obs.Str("code", resp.Code))
-		sp.End()
-		dur := time.Since(t0)
-		// The request span just emitted, so the store has the whole local
-		// tree in hand — the tail keep/drop decision happens here.
-		s.tel.Store.Complete(trace, dur.Microseconds(), resp.OK)
-		secs := dur.Seconds()
-		s.reg.Histogram("server_request_seconds", nil).Observe(secs)
-		s.verbWindow(verb).Observe(secs)
-		if h != nil {
-			h.win.Observe(secs)
-		}
-		if s.cfg.SlowRequest > 0 && dur >= s.cfg.SlowRequest {
-			s.reg.Counter("server_slow_requests").Inc()
-			s.tel.Event("slow_request", req.Session, trace,
-				fmt.Sprintf("%s took %v (trace %s)", verb, dur.Round(time.Microsecond), trace))
-			s.log.Warn("slow request",
-				obs.Str("verb", verb), obs.Str("session", req.Session),
-				obs.Str("trace", trace), obs.Str("dur", dur.String()))
-		}
-		if d := s.cfg.Faults.ResponseDelay(); d > 0 {
-			time.Sleep(d)
-		}
-		c.Reply(resp) // a failed write is the client's loss; Reply closed the conn
-		if !draining {
-			s.inflight.Done()
-		}
-	}
-
-	if draining {
-		s.reg.Counter("server_draining_rejects").Inc()
-		finish(errResp(req, wire.CodeDraining, ErrDraining))
-		return
-	}
-
-	// Global admission: each request is weighed by its verb's catalogue
-	// cost against the process-wide in-flight budget.
-	if cost := command.CostOf(verb); cost > 0 {
-		ok, retry := s.admit.TryAcquire(cost)
-		if !ok {
-			s.reg.Counter("server_overload_rejects").Inc()
-			resp := errResp(req, wire.CodeOverloaded, ErrOverloaded)
-			if resp.RetryAfterMs = retry.Milliseconds(); resp.RetryAfterMs < 1 {
-				resp.RetryAfterMs = 1
-			}
-			finish(resp)
-			return
-		}
-		admitted = cost
-	}
-
-	t := &task{req: req, verb: verb, conn: c, span: sp, trace: trace}
-	if v, ok := command.Lookup(verb); ok && v.Place == command.Conn {
-		finish(s.exec(nil, t))
+func (s *Server) place(c *wire.Call) {
+	t := &task{Call: c}
+	if v, ok := catalogue.Lookup(c.Verb); ok && v.Place == catalogue.Conn {
+		c.Finish(s.env.Exec(c, t))
 		return
 	}
 
 	// Worker verb: resolve and enqueue under the lock so an eviction
 	// cannot close the queue between lookup and enqueue. An unknown verb
 	// takes this path too, and the worker answers it.
+	req := c.Req
 	var (
 		enqErr     error
 		recovering bool
 	)
 	s.mu.Lock()
-	h = s.sessions[req.Session]
+	h := s.sessions[req.Session]
 	if h != nil && h.recovering.Load() {
 		// Journal replay is rebuilding this session; even reads must wait —
 		// half-replayed state is not servable. No worker is draining the
 		// queue yet, so enqueueing would just wedge until backpressure.
 		recovering = true
 	} else if h != nil {
+		t.h = h
 		t.reply = make(chan *Response, 1)
 		t.deadline = time.Now().Add(requestTimeout)
 		enqErr = h.enqueue(t)
 	}
 	s.mu.Unlock()
 
+	var resp *Response
 	switch {
 	case h == nil && req.Session == "":
-		finish(errResp(req, wire.CodeBadRequest, fmt.Errorf("verb %q needs a session", req.Verb)))
+		resp = wire.Refuse(req, wire.CodeBadRequest, fmt.Errorf("verb %q needs a session", req.Verb))
 	case h == nil:
+		resp = wire.Refuse(req, wire.CodeNoSession, fmt.Errorf("no session %q", req.Session))
 		if addr, ok := s.movedTo(req.Session); ok {
 			s.reg.Counter("server_moved_redirects").Inc()
-			finish(movedResp(req, addr))
-			return
+			resp = movedResp(req, addr)
 		}
-		finish(errResp(req, wire.CodeNoSession, fmt.Errorf("no session %q", req.Session)))
 	case recovering:
 		s.reg.Counter("server_recovering_rejects").Inc()
-		finish(errResp(req, wire.CodeRecovering, ErrRecovering))
+		resp = wire.Refuse(req, wire.CodeRecovering, ErrRecovering)
 	case enqErr != nil:
 		s.reg.Counter("server_backpressure_rejects").Inc()
-		finish(errResp(req, wire.CodeBackpressure, enqErr))
+		resp = wire.Refuse(req, wire.CodeBackpressure, enqErr)
 	default:
-		go func() {
-			var resp *Response
-			timer := time.NewTimer(time.Until(t.deadline))
-			defer timer.Stop()
-			select {
-			case resp = <-t.reply:
-			case <-timer.C:
-				t.abandoned.Store(true)
-				select {
-				case resp = <-t.reply: // finished on the wire, barely
-				default:
-					s.reg.Counter("server_timeouts").Inc()
-					resp = errResp(req, wire.CodeTimeout, ErrDeadline)
-				}
-			}
-			finish(resp)
-		}()
+		go s.await(h, t)
+		return
+	}
+	if h != nil {
+		h.win.Observe(c.Elapsed().Seconds())
+	}
+	c.Finish(resp)
+}
+
+// await answers a queued task with what its worker replied, or with
+// CodeTimeout once its deadline passes.
+func (s *Server) await(h *hosted, t *task) {
+	var resp *Response
+	timer := time.NewTimer(time.Until(t.deadline))
+	defer timer.Stop()
+	select {
+	case resp = <-t.reply:
+	case <-timer.C:
+		t.abandoned.Store(true)
+		select {
+		case resp = <-t.reply: // finished on the wire, barely
+		default:
+			s.reg.Counter("server_timeouts").Inc()
+			resp = wire.Refuse(t.Req, wire.CodeTimeout, ErrDeadline)
+		}
+	}
+	h.win.Observe(t.Elapsed().Seconds())
+	t.Finish(resp)
+}
+
+// observe is livesimd's view of every answer before it is written: the
+// per-verb latency window, the slow-request event and the slow-client
+// fault.
+func (s *Server) observe(c *wire.Call, resp *Response, dur time.Duration) {
+	s.verbWindow(c.Verb).Observe(dur.Seconds())
+	if s.cfg.SlowRequest > 0 && dur >= s.cfg.SlowRequest {
+		s.reg.Counter("server_slow_requests").Inc()
+		s.tel.Event("slow_request", c.Req.Session, c.Req.TraceID,
+			fmt.Sprintf("%s took %v (trace %s)", c.Verb, dur.Round(time.Microsecond), c.Req.TraceID))
+		s.log.Warn("slow request",
+			obs.Str("verb", c.Verb), obs.Str("session", c.Req.Session),
+			obs.Str("trace", c.Req.TraceID), obs.Str("dur", dur.String()))
+	}
+	if d := s.cfg.Faults.ResponseDelay(); d > 0 {
+		time.Sleep(d)
 	}
 }
 
@@ -483,36 +427,14 @@ var requestTimeout = 30 * time.Second
 
 var nameRE = regexp.MustCompile(`^[A-Za-z0-9_.-]{1,64}$`)
 
-// exec runs one request's handler — on the connection's goroutine for a
-// Conn verb (h nil), on the session's worker otherwise — and turns a
-// panic into a CodePanic answer, never a dead daemon. A worker panic
-// also counts against the session's failure breaker.
-func (s *Server) exec(h *hosted, t *task) (resp *Response) {
-	defer func() {
-		if r := recover(); r != nil {
-			s.reg.Counter("server_panics_recovered").Inc()
-			s.blackbox("panic", t.req.Session, t.trace, fmt.Sprintf("recovered request panic: %v", r))
-			if h != nil {
-				s.noteFailure(h, fmt.Sprintf("panic: %v", r))
-			}
-			resp = errResp(t.req, wire.CodePanic, fmt.Errorf("request panic: %v", r))
-		}
-	}()
-	run := s.handlers[t.verb]
-	if run == nil {
-		return errResp(t.req, wire.CodeBadRequest, fmt.Errorf("unknown verb %q (try help)", t.req.Verb))
-	}
-	return run(h, t)
-}
-
 func (s *Server) ping(req *Request) *Response {
 	s.mu.Lock()
-	sessions, draining := len(s.sessions), s.draining
+	sessions := len(s.sessions)
 	s.mu.Unlock()
 	data, _ := json.Marshal(map[string]any{
 		"uptime_secs": time.Since(s.start).Seconds(),
 		"sessions":    sessions,
-		"draining":    draining,
+		"draining":    s.env.Draining(),
 	})
 	return &Response{ID: req.ID, OK: true, Output: "pong\n", Data: data}
 }
@@ -528,7 +450,7 @@ func Metricz(reg *obs.Registry, req *Request) *Response {
 func (s *Server) unquarantine(req *Request) *Response {
 	h := s.lookup(req.Session)
 	if h == nil {
-		return errResp(req, wire.CodeNoSession, fmt.Errorf("no session %q", req.Session))
+		return wire.Refuse(req, wire.CodeNoSession, fmt.Errorf("no session %q", req.Session))
 	}
 	h.brk.clear()
 	s.updateQuarantineGauge()
@@ -611,7 +533,7 @@ func (s *Server) listSessions(req *Request) *Response {
 func Events(tel *obs.Telemetry, req *Request) *Response {
 	out, data, err := tel.EventsVerb(req.Args)
 	if err != nil {
-		return errResp(req, wire.CodeBadRequest, err)
+		return wire.Refuse(req, wire.CodeBadRequest, err)
 	}
 	return &Response{ID: req.ID, OK: true, Output: out, Data: data}
 }
@@ -702,18 +624,18 @@ func (s *Server) Session(name string) *core.Session {
 func (s *Server) createSession(req *Request) *Response {
 	name := req.Session
 	if !nameRE.MatchString(name) {
-		return errResp(req, wire.CodeBadRequest,
+		return wire.Refuse(req, wire.CodeBadRequest,
 			fmt.Errorf("session name %q must match %s", name, nameRE.String()))
 	}
 	if s.diskLevelNow() >= govern.LevelEmergency {
 		// A new session's first durable act is journaling its boot record;
 		// with no room for even that, creating it would be a lie.
 		s.reg.Counter("server_diskfull_rejects").Inc()
-		return errResp(req, wire.CodeDiskFull, ErrDiskFull)
+		return wire.Refuse(req, wire.CodeDiskFull, ErrDiskFull)
 	}
 	h, code, err := s.reserve(name, viaCreate)
 	if err != nil {
-		return errResp(req, code, err)
+		return wire.Refuse(req, code, err)
 	}
 
 	every := req.CheckpointEvery
@@ -758,7 +680,7 @@ func (s *Server) createSession(req *Request) *Response {
 		if sess != nil { // the journal this create opened goes with it
 			s.removeSessionState(name)
 		}
-		return errResp(req, wire.CodeError, err)
+		return wire.Refuse(req, wire.CodeError, err)
 	}
 	s.reg.Counter("server_sessions_created").Inc()
 	s.event("session_created", name, desc)
@@ -779,10 +701,10 @@ func (s *Server) closeSession(req *Request) *Response {
 	case len(req.Args) == 2 && req.Args[0] == "moved" && req.Args[1] != "":
 		movedAddr = req.Args[1]
 	default:
-		return errResp(req, wire.CodeBadRequest, fmt.Errorf("usage: close [moved <addr>]"))
+		return wire.Refuse(req, wire.CodeBadRequest, fmt.Errorf("usage: close [moved <addr>]"))
 	}
 	if h := s.lookup(req.Session); h != nil && h.recovering.Load() {
-		return errResp(req, wire.CodeRecovering, ErrRecovering)
+		return wire.Refuse(req, wire.CodeRecovering, ErrRecovering)
 	}
 	h := s.unlink(req.Session, nil)
 	if h == nil {
@@ -797,7 +719,7 @@ func (s *Server) closeSession(req *Request) *Response {
 		if addr, ok := s.movedTo(req.Session); ok {
 			return movedResp(req, addr)
 		}
-		return errResp(req, wire.CodeNoSession, fmt.Errorf("no session %q", req.Session))
+		return wire.Refuse(req, wire.CodeNoSession, fmt.Errorf("no session %q", req.Session))
 	}
 	s.stop(h, 0)
 	s.persist(h, leaveNothing)
@@ -818,7 +740,7 @@ func (s *Server) subscribe(c *wire.Conn, req *Request) *Response {
 	if req.Session != "" {
 		h := s.lookup(req.Session)
 		if h == nil {
-			return errResp(req, wire.CodeNoSession, fmt.Errorf("no session %q", req.Session))
+			return wire.Refuse(req, wire.CodeNoSession, fmt.Errorf("no session %q", req.Session))
 		}
 		fan = h.fan
 		scope = "session " + req.Session
@@ -891,23 +813,11 @@ func (s *Server) saveSession(h *hosted) DrainedSession {
 // saves every session whose worker could be stopped, and returns the
 // report alongside ctx's error.
 func (s *Server) Shutdown(ctx context.Context) (*DrainReport, error) {
-	if !s.beginStop() {
+	if !s.env.Stop() {
 		return nil, fmt.Errorf("already draining")
 	}
-	s.acc.StopAccepting()
-	s.stopOnce.Do(func() { close(s.janitorStop) })
-
-	rep := &DrainReport{}
-	inflightDone := make(chan struct{})
-	go func() {
-		s.inflight.Wait()
-		close(inflightDone)
-	}()
-	select {
-	case <-inflightDone:
-	case <-ctx.Done():
-		rep.Timeout = true
-	}
+	close(s.janitorStop)
+	rep := &DrainReport{Timeout: s.env.Shutdown(ctx) != nil}
 
 	// Sessions still mid-recovery are not in the running set: their
 	// journal on disk already holds everything, and their recovery, seeing
@@ -919,7 +829,7 @@ func (s *Server) Shutdown(ctx context.Context) (*DrainReport, error) {
 		if !s.stop(h, 2*time.Second) {
 			// The worker is wedged mid-operation; saving now would race
 			// the running simulation, so skip this session.
-			s.blackbox("drain_stuck", h.name, "", "worker did not stop; skipping save")
+			s.tel.Blackbox("drain_stuck", h.name, "", "worker did not stop; skipping save")
 			continue
 		}
 		ds := s.persist(h, leaveWatermark)
@@ -940,7 +850,7 @@ func (s *Server) Shutdown(ctx context.Context) (*DrainReport, error) {
 		}
 	}
 
-	s.acc.Close()
+	s.env.Close()
 	s.recoveryWG.Wait()
 	s.bgWG.Wait()
 	s.tel.Stop()

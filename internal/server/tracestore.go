@@ -18,10 +18,10 @@ import (
 // locally-assembled tree); without one it returns the store's index.
 func (s *Server) spansVerb(req *Request) *Response {
 	if s.tel.Store == nil {
-		return errResp(req, wire.CodeBadRequest, fmt.Errorf("span store disabled"))
+		return wire.Refuse(req, wire.CodeBadRequest, fmt.Errorf("span store disabled"))
 	}
 	if len(req.Args) > 1 {
-		return errResp(req, wire.CodeBadRequest, fmt.Errorf("usage: spans [trace-id]"))
+		return wire.Refuse(req, wire.CodeBadRequest, fmt.Errorf("usage: spans [trace-id]"))
 	}
 	if len(req.Args) == 1 {
 		trace := req.Args[0]

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"livesim/internal/catalogue"
 	"livesim/internal/command"
 	"livesim/internal/core"
 	"livesim/internal/govern"
@@ -97,18 +98,17 @@ func (h *hosted) memBytes() govern.MemEstimate {
 	}
 }
 
-// task is one request in flight. A worker task's reply is buffered so
-// the worker can always deliver (or abandon) a result without blocking
-// on a client that gave up; a Conn verb's task has none.
+// task is one request in flight: its envelope call, plus, for a worker
+// verb, the session it was queued on and the deadline it is held to. A
+// worker task's reply is buffered so the worker can always deliver (or
+// abandon) a result without blocking on a client that gave up; a Conn
+// verb's task has none.
 type task struct {
-	req       *Request
-	verb      string     // lower-cased req.Verb
-	conn      *wire.Conn // the connection it arrived on
+	*wire.Call
+	h         *hosted
 	deadline  time.Time
 	reply     chan *Response
 	abandoned atomic.Bool
-	span      *obs.Span
-	trace     string // wire trace id the session's live-loop spans inherit
 	execSID   string // exec span's sid: parent for live-loop + shipping spans
 }
 
@@ -156,9 +156,11 @@ func (s *Server) worker(h *hosted) {
 		var resp *Response
 		if time.Now().After(t.deadline) {
 			s.reg.Counter("server_timeouts").Inc()
-			resp = errResp(t.req, wire.CodeTimeout, ErrDeadline)
+			resp = wire.Refuse(t.Req, wire.CodeTimeout, ErrDeadline)
 		} else {
-			resp = s.exec(h, t)
+			if resp = s.env.Exec(t.Call, t); resp.Code == wire.CodePanic {
+				s.noteFailure(h, resp.Error) // a panic counts against the breaker
+			}
 			h.touch()
 		}
 		if t.abandoned.Load() {
@@ -177,26 +179,27 @@ func (s *Server) worker(h *hosted) {
 // body against the session, and for a mutation also the gates before
 // (fencing, quarantine, disk) and the bookkeeping after (dirty flag,
 // breaker, journal, memory estimate).
-func (s *Server) runCommand(h *hosted, t *task) *Response {
-	cmd, _ := command.Lookup(t.verb)
+func (s *Server) runCommand(t *task) *Response {
+	h := t.h
+	cmd, _ := catalogue.Lookup(t.Verb)
 	if cmd.Mutates {
-		if resp := s.replGate(h, t.req); resp != nil {
+		if resp := s.replGate(h, t.Req); resp != nil {
 			return resp
 		}
 		if q, reason := h.brk.quarantined(); q {
 			s.reg.Counter("server_quarantine_rejects").Inc()
-			return errResp(t.req, wire.CodeQuarantined, fmt.Errorf("%s: %w", reason, ErrQuarantined))
+			return wire.Refuse(t.Req, wire.CodeQuarantined, fmt.Errorf("%s: %w", reason, ErrQuarantined))
 		}
 		if s.diskLevelNow() >= govern.LevelEmergency {
 			// Emergency rung: no room left to journal or checkpoint what
 			// this mutation would produce — refusing it is the only honest
 			// answer. Reads keep working.
 			s.reg.Counter("server_diskfull_rejects").Inc()
-			return errResp(t.req, wire.CodeDiskFull, ErrDiskFull)
+			return wire.Refuse(t.Req, wire.CodeDiskFull, ErrDiskFull)
 		}
 	}
 
-	sp := t.span.Child("exec")
+	sp := t.Span.Child("exec")
 	defer sp.End()
 	t.execSID = sp.SID()
 
@@ -207,7 +210,7 @@ func (s *Server) runCommand(h *hosted, t *task) *Response {
 	// cannot interleave with another request — except verify spans ended
 	// by background workers, which captured the context at Child() time
 	// and keep it.
-	h.sess.SetTraceContext(t.trace, t.execSID)
+	h.sess.SetTraceContext(t.Req.TraceID, t.execSID)
 	defer h.sess.SetTraceContext("", "")
 
 	var out bytes.Buffer
@@ -216,13 +219,13 @@ func (s *Server) runCommand(h *hosted, t *task) *Response {
 		Metrics: h.reg,
 		Out:     &out,
 	}
-	if t.req.Files != nil {
-		files := t.req.Files
+	if t.Req.Files != nil {
+		files := t.Req.Files
 		env.ApplySource = func() (liveparser.Source, error) {
 			return liveparser.Source{Files: files}, nil
 		}
 	}
-	err := command.Dispatch(env, t.verb, t.req.Args)
+	err := command.Dispatch(env, t.Verb, t.Req.Args)
 	if cmd.Mutates {
 		switch {
 		case err == nil:
@@ -235,17 +238,17 @@ func (s *Server) runCommand(h *hosted, t *task) *Response {
 				// promoted under a newer epoch: the mutation is applied
 				// locally, but this branch of the session is dead — acking
 				// it would claim a write the promoted replica never saw.
-				return errResp(t.req, wire.CodeFenced,
+				return wire.Refuse(t.Req, wire.CodeFenced,
 					fmt.Errorf("session %q: %w", h.name, ErrFenced))
 			}
 		case errors.Is(err, core.ErrRunCancelled):
 			// The session actively failed — a cancelled runaway run — as
 			// opposed to merely rejecting bad arguments; those streaks are
 			// what quarantine watches.
-			s.blackbox("watchdog_cancel", h.name, t.trace, err.Error())
+			s.tel.Blackbox("watchdog_cancel", h.name, t.Req.TraceID, err.Error())
 			s.noteFailure(h, err.Error())
 		case errors.Is(err, core.ErrRolledBack):
-			s.tel.Event("rollback", h.name, t.trace, err.Error())
+			s.tel.Event("rollback", h.name, t.Req.TraceID, err.Error())
 			s.noteFailure(h, err.Error())
 		}
 	}
@@ -255,16 +258,12 @@ func (s *Server) runCommand(h *hosted, t *task) *Response {
 		output = disp + output
 	}
 	if err != nil {
-		r := errResp(t.req, wire.CodeError, err)
+		r := wire.Refuse(t.Req, wire.CodeError, err)
 		r.Output = output
 		return r
 	}
 	h.reg.Counter("session_requests").Inc()
-	return &Response{ID: t.req.ID, OK: true, Output: output}
-}
-
-func errResp(req *Request, code string, err error) *Response {
-	return &Response{ID: req.ID, OK: false, Error: err.Error(), Code: code}
+	return &Response{ID: t.Req.ID, OK: true, Output: output}
 }
 
 // boundedBuf captures a session's $display output between requests. It

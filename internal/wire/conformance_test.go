@@ -17,6 +17,7 @@ import (
 
 	"livesim/internal/command"
 	"livesim/internal/gateway"
+	"livesim/internal/obs"
 	"livesim/internal/server"
 	"livesim/internal/server/client"
 	"livesim/internal/wire"
@@ -313,6 +314,42 @@ var conformance = []struct {
 		n, err := io.Copy(io.Discard, stalled.nc)
 		if ne, ok := err.(net.Error); ok && ne.Timeout() {
 			t.Fatalf("stalled connection still open after %d bytes: the write deadline never tripped", n)
+		}
+	}},
+	{"request spans carry verb, session, ok and code", func(t *testing.T, sp *speaker) {
+		cli := dialClient(t, sp)
+		for _, tc := range []struct {
+			req  *wire.Request
+			code string
+		}{
+			{&wire.Request{Verb: "ping", TraceID: "00000000000000a1"}, ""},
+			{&wire.Request{Verb: "run", Args: []string{"clock", "p0", "1"}, TraceID: "00000000000000a2"}, wire.CodeBadRequest},
+		} {
+			if resp, err := cli.Do(tc.req); err != nil || resp.Code != tc.code {
+				t.Fatalf("%s: %+v, %v; want code %q", tc.req.Verb, resp, err, tc.code)
+			}
+			query := &wire.Request{Verb: "spans", Args: []string{tc.req.TraceID}}
+			if sp.backend != nil {
+				query.Verb = "trace" // lsgate's own store, assembled with the fleet's
+			}
+			var got struct{ Spans []obs.SpanRecord }
+			if err := json.Unmarshal(mustOK(t, cli, query).Data, &got); err != nil {
+				t.Fatal(err)
+			}
+			var reqs []obs.SpanRecord
+			for _, rec := range got.Spans {
+				if rec.Name == "request" {
+					reqs = append(reqs, rec)
+				}
+			}
+			if len(reqs) != 1 {
+				t.Fatalf("%s: %d request spans in %+v, want 1", tc.req.Verb, len(reqs), got.Spans)
+			}
+			a := reqs[0].Attrs
+			if _, ok := a["session"]; !ok || a["verb"] != tc.req.Verb || a["ok"] != (tc.code == "") || a["code"] != tc.code {
+				t.Errorf("%s: request span attrs %v; want verb, session, ok=%v and code %q",
+					tc.req.Verb, a, tc.code == "", tc.code)
+			}
 		}
 	}},
 	{"shutdown closes idle connections and Serve returns nil", func(t *testing.T, sp *speaker) {

@@ -1,14 +1,17 @@
 // Package wire is the one place that knows livesim's wire protocol: the
 // request/response envelope, the line framing and its size bound, the
-// address syntax, and the connection plumbing every speaker shares
+// address syntax, the connection plumbing every speaker shares
 // (livesimd, lsgate, the client and — through the client — the
-// replication shipper). It imports only the standard library, so any
+// replication shipper), and the one request life both daemons serve
+// through (Envelope: drain gate, in-flight count, request span, panic
+// recovery, unknown-verb answer). Its only import from this repository
+// is internal/obs, which imports only the standard library, so any
 // package may depend on it.
 //
 // The protocol is one JSON object per line in each direction, over TCP
 // or a unix socket. Requests name a verb: either a server verb (create,
 // close, sessions, ping, metricz, subscribe, help, …) or any session
-// verb from internal/command — run, apply, profile, stats and the rest
+// verb of internal/catalogue — run, apply, profile, stats and the rest
 // of the same table the interactive shell dispatches into, so the wire
 // vocabulary and `help` can never drift from the shell. Responses echo
 // the request id, so requests pipeline and answers may arrive in any
@@ -49,7 +52,7 @@ type Request struct {
 	// Session names the target session. Required for session verbs and
 	// create/close/subscribe (empty on subscribe = server-level spans).
 	Session string `json:"session,omitempty"`
-	// Verb is a server verb or a session verb from internal/command.
+	// Verb is a server verb or a session verb of internal/catalogue.
 	Verb string `json:"verb"`
 	// TraceID correlates this request across process boundaries: the
 	// client stamps it (see client.Do), the server opens its request span

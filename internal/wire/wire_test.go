@@ -91,8 +91,10 @@ func TestLineBoundAgrees(t *testing.T) {
 
 // TestNoFifthTransport fails if any non-test package outside this one
 // (bench/ aside: it is frozen and measures from outside) declares its
-// own request envelope or parses the address syntax — the two things
-// every hand-rolled transport before internal/wire started with.
+// own request envelope, parses the address syntax — the two things
+// every hand-rolled transport before internal/wire started with — or
+// opens a "request" span, the mark of a request life kept beside the
+// Envelope.
 func TestNoFifthTransport(t *testing.T) {
 	root := filepath.Join("..", "..")
 	fset := token.NewFileSet()
@@ -123,12 +125,20 @@ func TestNoFifthTransport(t *testing.T) {
 				}
 			case *ast.CallExpr:
 				// strings.HasPrefix(x, "unix:"), TrimPrefix, CutPrefix, …: any
-				// call handed the bare scheme is parsing an address.
+				// call handed the bare scheme is parsing an address. A span
+				// named "request" is a request life of its own beside the
+				// Envelope's.
+				sel, _ := n.Fun.(*ast.SelectorExpr)
 				for _, arg := range n.Args {
 					if lit, ok := arg.(*ast.BasicLit); ok && lit.Kind == token.STRING {
-						if s, _ := strconv.Unquote(lit.Value); s == "unix:" || s == "tcp:" {
+						s, _ := strconv.Unquote(lit.Value)
+						if s == "unix:" || s == "tcp:" {
 							t.Errorf("%s: parses the %q address prefix — use wire.SplitAddr",
 								fset.Position(n.Pos()), s)
+						}
+						if s == "request" && sel != nil && (strings.HasPrefix(sel.Sel.Name, "Start") || sel.Sel.Name == "Child") {
+							t.Errorf("%s: opens a \"request\" span — requests live in wire.Envelope",
+								fset.Position(n.Pos()))
 						}
 					}
 				}

@@ -58,8 +58,9 @@ state:
 	$(GO) test -run '^$$' -bench BenchmarkSnapshot -benchtime 20x -count=1 ./internal/pgas
 
 # Short fuzz runs over the frame container, the checkpoint, journal,
-# transfer and replication decoders on it, and the incremental analyzer
-# (Go allows one -fuzz target per invocation). ~10s each keeps this viable in CI while still churning hundreds of thousands
+# transfer and replication decoders on it, the incremental analyzer, and
+# xform's Table V plan against its map-based reference (Go allows one
+# -fuzz target per invocation). ~10s each keeps this viable in CI while still churning hundreds of thousands
 # of corrupted inputs. The analyzer's inputs are whole source files at a
 # millisecond per run: without a cap the fuzzer spends the whole budget
 # minimizing the first one that reaches new coverage.
@@ -72,6 +73,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzTransferDecode -fuzztime=$(FUZZTIME) ./internal/transfer/
 	$(GO) test -run='^$$' -fuzz=FuzzReplicaFrameDecode -fuzztime=$(FUZZTIME) ./internal/replica/
 	$(GO) test -run='^$$' -fuzz=FuzzAnalyzeIncremental -fuzztime=$(FUZZTIME) -fuzzminimizetime=50x ./internal/liveparser/
+	$(GO) test -run='^$$' -fuzz=FuzzPlan -fuzztime=$(FUZZTIME) ./internal/xform/
 
 # End-to-end server smoke: scripted livesim session against a livesimd
 # on a unix socket, then a SIGTERM graceful-drain assertion.

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"livesim/internal/checkpoint"
@@ -11,7 +12,6 @@ import (
 	"livesim/internal/obs"
 	"livesim/internal/sim"
 	"livesim/internal/verify"
-	"livesim/internal/vm"
 	"livesim/internal/xform"
 )
 
@@ -332,68 +332,39 @@ func (s *Session) restoreFromCheckpoint(p *Pipe, cp *checkpoint.Checkpoint) erro
 	return nil
 }
 
-// restoreStateAdapted restores cp.State into sm, transforming node states
-// recorded under older object versions through the version graph.
+// restoreStateAdapted restores cp.State into sm, carrying node states
+// recorded under older object versions by their xform.Plan, through the
+// ops the version history holds from cp's version to the current one.
 func (s *Session) restoreStateAdapted(sm *sim.Sim, cp *checkpoint.Checkpoint) error {
 	s.mu.Lock()
 	fromObjects := s.versionObjects[cp.Version]
 	curVersion := s.version
-	graph := s.versions
+	history := s.versions
 	s.mu.Unlock()
 	if fromObjects == nil {
 		return fmt.Errorf("no retained objects for version %s", cp.Version)
 	}
 
 	return sm.RestoreAdapted(cp.State, func(n *sim.Node, ns *sim.NodeState) error {
-		// Fast path: state recorded under the identical object.
-		if ns.ObjKey == n.Obj.Key && len(ns.Slots) == len(n.Inst.Slots) && len(ns.Mems) == len(n.Inst.Mems) {
-			if fromObjects[ns.ObjKey] == n.Obj {
-				copy(n.Inst.Slots, ns.Slots)
-				for mi, m := range ns.Mems {
-					m.CopyTo(n.Inst.Mems[mi])
-				}
-				return nil
-			}
-		}
-		// Transform path: registers by name through the version graph's
-		// ops (Table V rules), memories and input ports by name.
 		oldObj := fromObjects[ns.ObjKey]
-		if oldObj == nil {
-			n.Inst.ZeroState()
+		// Fast path: state recorded under the identical object.
+		if oldObj == n.Obj && len(ns.Slots) == len(n.Inst.Slots) && len(ns.Mems) == len(n.Inst.Mems) {
+			copy(n.Inst.Slots, ns.Slots)
+			for mi, m := range ns.Mems {
+				m.CopyTo(n.Inst.Mems[mi])
+			}
 			return nil
 		}
-		ops, err := graph.PathOps(n.Obj.Key, cp.Version, curVersion)
-		if err != nil {
-			// Keys can change across versions (parameter edits); fall back
-			// to pure name matching.
-			ops = nil
-		}
 		n.Inst.ZeroState()
-		vals := applyOpsToRegs(oldObj, ns.Slots, ops)
-		for _, r := range n.Obj.Regs {
-			if v, ok := vals[r.Name]; ok {
-				n.Inst.Slots[r.Cur] = v & r.Mask
-			}
+		if oldObj == nil {
+			return nil
 		}
-		for _, m := range n.Obj.Mems {
-			om := oldObj.MemByName(m.Name)
-			if om == nil || int(om.Index) >= len(ns.Mems) {
-				continue
-			}
-			dst, src := n.Inst.Mems[m.Index], ns.Mems[om.Index]
-			src.CopyTo(dst)
-			for i := range min(len(dst), src.Len()) {
-				dst[i] &= m.Mask
-			}
-		}
-		for _, pt := range n.Obj.Ports {
-			if pt.Dir != vm.In {
-				continue
-			}
-			if oi := oldObj.PortIndex(pt.Name); oi >= 0 && int(oldObj.Ports[oi].Slot) < len(ns.Slots) {
-				n.Inst.Slots[pt.Slot] = ns.Slots[oldObj.Ports[oi].Slot] & pt.Mask
-			}
-		}
+		// Keys can change across versions (parameter edits): with no path
+		// in the history the plan matches by name alone.
+		ops, _ := history.PathOps(n.Obj.Key, cp.Version, curVersion)
+		xform.NewPlan(oldObj, n.Obj, ops).Apply(n.Inst, ns.Slots, len(ns.Mems), func(i int, dst []uint64) int {
+			return ns.Mems[i].CopyTo(dst)
+		})
 		return nil
 	})
 }
@@ -402,38 +373,36 @@ func (s *Session) restoreStateAdapted(sm *sim.Sim, cp *checkpoint.Checkpoint) er
 // up to target, taking new checkpoints along the way. The token bounds
 // the whole replay leg (nil = unbudgeted).
 func (s *Session) replayTo(p *Pipe, target uint64, tok *runToken) error {
-	for p.Sim.Cycle() < target && !p.Sim.Finished() {
-		cur := p.Sim.Cycle()
-		op := activeOp(p.History, cur)
-		if op == nil {
-			return fmt.Errorf("no journaled operation covers cycle %d", cur)
-		}
-		opEnd := op.StartCycle + uint64(op.Cycles)
-		runTo := opEnd
-		if target < runTo {
-			runTo = target
-		}
-		tb, ok := p.tbs[op.TB]
-		if !ok {
-			tb = s.tbFactory[op.TB]()
-			p.tbs[op.TB] = tb
-		}
-		if err := s.runChunked(p, tb, int(runTo-cur), tok); err != nil {
-			return err
-		}
-		if p.Sim.Cycle() <= cur {
-			return fmt.Errorf("replay made no progress at cycle %d", cur)
-		}
-	}
-	return nil
+	return replayJournal(p.Sim, p.History, s.tbFactory, p.tbs, target, func(tb Testbench, cycles int) error {
+		return s.runChunked(p, tb, cycles, tok)
+	})
 }
 
-// activeOp finds the history operation covering a cycle.
-func activeOp(history []RunOp, cycle uint64) *RunOp {
-	for i := range history {
-		op := &history[i]
-		if cycle >= op.StartCycle && cycle < op.StartCycle+uint64(op.Cycles) {
-			return op
+// replayJournal runs sm from its cycle up to target through the journaled
+// operations in history: each operation's testbench — tbs[op.TB], made
+// from factories on first use — runs to the operation's end or to target,
+// whichever comes first.
+func replayJournal(sm *sim.Sim, history []RunOp, factories map[string]TestbenchFactory, tbs map[string]Testbench,
+	target uint64, run func(tb Testbench, cycles int) error) error {
+	for sm.Cycle() < target && !sm.Finished() {
+		cur := sm.Cycle()
+		i := slices.IndexFunc(history, func(op RunOp) bool {
+			return cur >= op.StartCycle && cur < op.StartCycle+uint64(op.Cycles)
+		})
+		if i < 0 {
+			return fmt.Errorf("no journaled operation covers cycle %d", cur)
+		}
+		op := history[i]
+		tb, ok := tbs[op.TB]
+		if !ok {
+			tb = factories[op.TB]()
+			tbs[op.TB] = tb
+		}
+		if err := run(tb, int(min(op.StartCycle+uint64(op.Cycles), target)-cur)); err != nil {
+			return err
+		}
+		if sm.Cycle() <= cur {
+			return fmt.Errorf("replay made no progress at cycle %d", cur)
 		}
 	}
 	return nil
@@ -548,27 +517,10 @@ func (s *Session) verifyReplay(p *Pipe, from *checkpoint.Checkpoint, toCycle uin
 		tbs[h] = tb
 	}
 	d := &Driver{s: sm}
-	for sm.Cycle() < toCycle && !sm.Finished() {
-		cur := sm.Cycle()
-		op := activeOp(history, cur)
-		if op == nil {
-			return nil, fmt.Errorf("no journaled operation covers cycle %d", cur)
-		}
-		runTo := op.StartCycle + uint64(op.Cycles)
-		if toCycle < runTo {
-			runTo = toCycle
-		}
-		tb, ok := tbs[op.TB]
-		if !ok {
-			tb = factories[op.TB]()
-			tbs[op.TB] = tb
-		}
-		if err := s.safeRun(tb, d, int(runTo-cur)); err != nil {
-			return nil, err
-		}
-		if sm.Cycle() <= cur {
-			return nil, fmt.Errorf("verification replay made no progress at cycle %d", cur)
-		}
+	if err := replayJournal(sm, history, factories, tbs, toCycle, func(tb Testbench, cycles int) error {
+		return s.safeRun(tb, d, cycles)
+	}); err != nil {
+		return nil, err
 	}
 	if err := sm.Settle(); err != nil {
 		return nil, err
@@ -577,16 +529,18 @@ func (s *Session) verifyReplay(p *Pipe, from *checkpoint.Checkpoint, toCycle uin
 }
 
 // compareToRecorded checks a replayed (current-version) state against a
-// recorded (possibly old-version) checkpoint: architectural registers are
-// compared through the transform ops, memories by name. A replay shares
-// the pages it did not change with the checkpoint it started from, and so
-// often with the recorded one: those are skipped (sim.FirstDiff).
+// recorded (possibly old-version) checkpoint through each node's
+// xform.Plan: the carried registers and the memories. A register the
+// edit created has no recorded value and is unconstrained. A replay
+// shares the pages it did not change with the checkpoint it started
+// from, and so often with the recorded one: those are skipped
+// (sim.FirstDiff).
 func (s *Session) compareToRecorded(replayed *sim.State, recorded *checkpoint.Checkpoint) (bool, string) {
 	s.mu.Lock()
 	fromObjects := s.versionObjects[recorded.Version]
 	curObjects := s.objects
 	curVersion := s.version
-	graph := s.versions
+	history := s.versions
 	s.mu.Unlock()
 	if fromObjects == nil {
 		return false, "no retained objects for version " + recorded.Version
@@ -607,33 +561,27 @@ func (s *Session) compareToRecorded(replayed *sim.State, recorded *checkpoint.Ch
 		if newObj == nil || oldObj == nil {
 			continue
 		}
-		ops, err := graph.PathOps(rn.ObjKey, recorded.Version, curVersion)
-		if err != nil {
-			ops = nil
-		}
-		want := applyOpsToRegs(oldObj, rec.Slots, ops)
-		for _, r := range newObj.Regs {
-			wv, ok := want[r.Name]
-			if !ok {
-				continue // register new in this version: unconstrained
-			}
-			if int(r.Cur) >= len(rn.Slots) {
-				return false, fmt.Sprintf("%s: reg %s slot out of range", rn.Path, r.Name)
-			}
-			if rn.Slots[r.Cur] != wv&r.Mask {
-				return false, fmt.Sprintf("%s reg %s: replayed %#x, recorded %#x",
-					rn.Path, r.Name, rn.Slots[r.Cur], wv&r.Mask)
-			}
-		}
-		for _, m := range newObj.Mems {
-			om := oldObj.MemByName(m.Name)
-			if om == nil || int(om.Index) >= len(rec.Mems) || int(m.Index) >= len(rn.Mems) {
+		ops, _ := history.PathOps(rn.ObjKey, recorded.Version, curVersion)
+		plan := xform.NewPlan(oldObj, newObj, ops)
+		for _, r := range plan.Regs {
+			if int(r.From) >= len(rec.Slots) {
 				continue
 			}
-			got, wantM := rn.Mems[m.Index], rec.Mems[om.Index]
-			if j := sim.FirstDiff(got, wantM, m.Mask); j >= 0 {
+			if int(r.To) >= len(rn.Slots) {
+				return false, fmt.Sprintf("%s: reg %s slot out of range", rn.Path, r.Name)
+			}
+			if want := rec.Slots[r.From] & r.Mask; rn.Slots[r.To] != want {
+				return false, fmt.Sprintf("%s reg %s: replayed %#x, recorded %#x", rn.Path, r.Name, rn.Slots[r.To], want)
+			}
+		}
+		for _, m := range plan.Mems {
+			if int(m.From) >= len(rec.Mems) || int(m.To) >= len(rn.Mems) {
+				continue
+			}
+			got, want := rn.Mems[m.To], rec.Mems[m.From]
+			if j := sim.FirstDiff(got, want, m.Mask); j >= 0 {
 				return false, fmt.Sprintf("%s mem %s[%d]: replayed %#x, recorded %#x",
-					rn.Path, m.Name, j, got.At(j), wantM.At(j)&m.Mask)
+					rn.Path, m.Name, j, got.At(j), want.At(j)&m.Mask)
 			}
 		}
 	}

@@ -224,7 +224,7 @@ func (s *Session) replayFrom(dir string, recs []*wal.Record, exec ExecRecord, al
 		// superseded by it in both gears — the anchor's checkpoint and
 		// inline history are the ground truth for that pipe. Structural
 		// and design-wide verbs (instpipe, copypipe, apply) still execute
-		// so the pipe table and version graph exist for the anchor to
+		// so the pipe table and version history exist for the anchor to
 		// land on.
 		if ai, anchored := anchorAt[cmdPipe(r)]; anchored && i < ai {
 			rep.Skipped++

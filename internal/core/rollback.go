@@ -93,7 +93,7 @@ func (s *Session) rollback(txn *changeTxn, failedPipe string, cause error, root 
 		// The version was never given children (no later change committed),
 		// so Remove cannot fail in practice; surface it for debugging.
 		s.noteHealthLocked(func(h *healthState) {
-			h.lastRollbackErr = fmt.Sprintf("version graph: %v", err)
+			h.lastRollbackErr = fmt.Sprintf("version history: %v", err)
 		})
 	}
 	s.mu.Unlock()

@@ -187,7 +187,7 @@ type Session struct {
 	topKey         string
 	version        string
 	versionSeq     int
-	versions       *VersionGraph
+	versions       *xform.History
 	versionObjects map[string]map[string]*vm.Object
 
 	pipes     map[string]*Pipe
@@ -307,7 +307,7 @@ func (s *Session) LoadDesign(src liveparser.Source) (*livecompiler.Result, error
 	s.objects = res.Objects
 	s.topKey = res.TopKey
 	s.version = "v0"
-	s.versions = NewVersionGraph("v0")
+	s.versions = xform.NewHistory("v0")
 	s.versionObjects["v0"] = res.Objects
 	return res, nil
 }
@@ -815,9 +815,9 @@ func (s *Session) PipeNames() []string {
 // reflects every finished operation.
 func (s *Session) Quiesce() { s.verifyWG.Wait() }
 
-// TransformOps exposes the version graph (for inspection and the manual
-// edits Section III-E allows).
-func (s *Session) TransformOps() *VersionGraph {
+// TransformOps exposes the version history (for inspection and the
+// manual edits Section III-E allows).
+func (s *Session) TransformOps() *xform.History {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.versions
@@ -854,14 +854,4 @@ func (s *Session) RetainedVersions() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.versionObjects)
-}
-
-func applyOpsToRegs(oldObj *vm.Object, slots []uint64, ops []xform.Op) map[string]uint64 {
-	vals := make(map[string]uint64, len(oldObj.Regs))
-	for _, r := range oldObj.Regs {
-		if int(r.Cur) < len(slots) {
-			vals[r.Name] = slots[r.Cur]
-		}
-	}
-	return xform.ApplyOps(vals, ops)
 }

@@ -367,7 +367,7 @@ func TestApplyChangeRegisterRename(t *testing.T) {
 	if v != 60 {
 		t.Errorf("renamed register lost value: %d", v)
 	}
-	// The version graph recorded the rename.
+	// The version history recorded the rename.
 	desc := s.TransformOps().Describe()
 	if !strings.Contains(desc, "rename cyc, cyc_r") {
 		t.Errorf("transform history missing rename:\n%s", desc)
@@ -451,31 +451,6 @@ func TestSessionErrors(t *testing.T) {
 	}
 	if err := s.LoadCheckpoint("nope", "x"); err == nil {
 		t.Error("load of missing pipe")
-	}
-}
-
-func TestVersionGraphOps(t *testing.T) {
-	g := NewVersionGraph("v0")
-	if err := g.Add("v1", "v0", nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Add("v1", "v0", nil); err == nil {
-		t.Error("duplicate version")
-	}
-	if err := g.Add("vx", "missing", nil); err == nil {
-		t.Error("missing parent")
-	}
-	if err := g.EditOps("v1", "m", nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.EditOps("missing", "m", nil); err == nil {
-		t.Error("edit missing version")
-	}
-	if _, err := g.PathOps("m", "v1", "v0"); err == nil {
-		t.Error("descendant->ancestor should fail")
-	}
-	if got := g.Versions(); len(got) != 2 || g.Parent("v1") != "v0" {
-		t.Errorf("versions %v", got)
 	}
 }
 

@@ -45,7 +45,7 @@ func (f ResolverFunc) Object(key string) (*vm.Object, error) { return f(key) }
 
 // MigrateFunc transfers architectural state from an instance of the old
 // object to an instance of the new one during hot reload. A nil MigrateFunc
-// uses name-based matching with the default rules of Table V.
+// uses xform.Migrator(nil): the rules of Table V by name.
 type MigrateFunc func(oldObj *vm.Object, old *vm.Instance, newObj *vm.Object, nu *vm.Instance) error
 
 // Node is one instance in the hierarchy.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"livesim/internal/vm"
+	"livesim/internal/xform"
 )
 
 // PageWords is the page size of a captured memory, in words: the unit a
@@ -80,14 +81,16 @@ func (m Mem) Len() int {
 // At returns word i.
 func (m Mem) At(i int) uint64 { return m[i/PageWords][i%PageWords] }
 
-// CopyTo copies the memory's words into dst, as far as dst reaches.
-func (m Mem) CopyTo(dst []uint64) {
+// CopyTo copies the memory's words into dst, as far as dst reaches, and
+// returns the number of words copied.
+func (m Mem) CopyTo(dst []uint64) int {
 	for i, p := range m {
 		if i*PageWords >= len(dst) {
-			return
+			return len(dst)
 		}
 		copy(dst[i*PageWords:], p)
 	}
+	return min(len(dst), m.Len())
 }
 
 // SamePage reports whether a and b are one page, shared by two States.
@@ -199,10 +202,10 @@ func (s *Sim) Snapshot() *State {
 }
 
 // Restore loads a snapshot taken from an identically-shaped hierarchy.
-// Restoring across a code change goes through the register-transform
-// rules instead (package xform); this is the fast path for same-version
-// checkpoint reloads. Every node is checked before any is written, so a
-// refused state leaves the simulation as it was.
+// Restoring across a code change goes through RestoreAdapted, with a
+// transfer that carries each node by its xform.Plan; this is the fast
+// path for same-version checkpoint reloads. Every node is checked before
+// any is written, so a refused state leaves the simulation as it was.
 func (s *Sim) Restore(st *State) error {
 	if len(st.Nodes) != len(s.nodes) {
 		return fmt.Errorf("snapshot has %d instances, simulation has %d", len(st.Nodes), len(s.nodes))
@@ -275,15 +278,15 @@ func (s *Sim) SetCycle(c uint64) { s.cycle = c }
 // Reload hot-swaps the object behind every instance whose specialization
 // key is key. The resolver must already return the new object for that
 // key. migrate transfers state instance by instance (nil uses
-// DefaultMigrate). Children of swapped instances are reconciled by
-// instance name and key: matching subtrees keep their state, new ones
-// power on at zero.
+// xform.Migrator(nil): the rules of Table V by name). Children of
+// swapped instances are reconciled by instance name and key: matching
+// subtrees keep their state, new ones power on at zero.
 //
 // This is the kernel half of the paper's swapStage command: one compiled
 // object replaces N instances' code without touching unrelated state.
 func (s *Sim) Reload(key string, migrate MigrateFunc) (int, error) {
 	if migrate == nil {
-		migrate = DefaultMigrate
+		migrate = xform.Migrator(nil)
 	}
 	newObj, err := s.resolver.Object(key)
 	if err != nil {
@@ -342,44 +345,5 @@ func (s *Sim) swapNode(n *Node, newObj *vm.Object, migrate MigrateFunc) error {
 		kids = append(kids, cn)
 	}
 	n.Obj, n.Inst, n.Children = newObj, newInst, kids
-	return nil
-}
-
-// DefaultMigrate implements the reload rules of Table V by name matching:
-//
-//   - register present in both versions: value copied (masked to the new
-//     width),
-//   - register only in the new version: initialized to zero,
-//   - register only in the old version: dropped,
-//   - memories: matched by name, copied up to the smaller depth,
-//   - input ports: copied by name so externally driven values survive.
-func DefaultMigrate(oldObj *vm.Object, old *vm.Instance, newObj *vm.Object, nu *vm.Instance) error {
-	for _, r := range newObj.Regs {
-		if or := oldObj.RegByName(r.Name); or != nil {
-			nu.Slots[r.Cur] = old.Slots[or.Cur] & r.Mask
-		}
-	}
-	for _, m := range newObj.Mems {
-		om := oldObj.MemByName(m.Name)
-		if om == nil {
-			continue
-		}
-		dst, src := nu.Mems[m.Index], old.Mems[om.Index]
-		nwords := len(dst)
-		if len(src) < nwords {
-			nwords = len(src)
-		}
-		for i := 0; i < nwords; i++ {
-			dst[i] = src[i] & m.Mask
-		}
-	}
-	for _, p := range newObj.Ports {
-		if p.Dir != vm.In {
-			continue
-		}
-		if oi := oldObj.PortIndex(p.Name); oi >= 0 && oldObj.Ports[oi].Dir == vm.In {
-			nu.Slots[p.Slot] = old.Slots[oldObj.Ports[oi].Slot] & p.Mask
-		}
-	}
 	return nil
 }

@@ -15,11 +15,17 @@
 // When LiveSim cannot unambiguously infer the mapping it "makes its best
 // guess based on the similarities of names and types" — implemented here
 // by BestGuess — and the user may edit the history manually.
+//
+// A Plan is the rules of Table V resolved for one pair of object
+// versions and one op list. Hot reload (Migrator), the cross-version
+// checkpoint restore and the consistency check all carry state by it.
 package xform
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"livesim/internal/vm"
 )
@@ -71,126 +77,130 @@ func (o Op) String() string {
 	}
 }
 
-// Version is one node in the transform history tree.
-type Version struct {
-	ID     string
-	Parent string // "" for the root
-	Ops    []Op
-}
-
-// History is the Register Transform History table.
+// History is the Register Transform History table (Table VI): a tree of
+// design versions, each carrying per-object ops that translate its
+// parent's register state into its own. Branching is supported —
+// checking out an old version and editing from there adds a sibling.
 type History struct {
-	versions map[string]*Version
-	order    []string // insertion order, for deterministic listing
+	parents map[string]string
+	ops     map[string]map[string][]Op // version -> object key -> ops
+	order   []string
 }
 
-// NewHistory creates a history whose root version is id (no ops).
-func NewHistory(rootID string) *History {
-	h := &History{versions: make(map[string]*Version)}
-	h.versions[rootID] = &Version{ID: rootID}
-	h.order = append(h.order, rootID)
-	return h
+// NewHistory creates a history rooted at root (no ops).
+func NewHistory(root string) *History {
+	return &History{
+		parents: map[string]string{root: ""},
+		ops:     map[string]map[string][]Op{root: nil},
+		order:   []string{root},
+	}
 }
 
-// Root returns the root version id.
-func (h *History) Root() string { return h.order[0] }
-
-// Add records a new version derived from parent with the given ops.
-func (h *History) Add(id, parent string, ops []Op) error {
-	if _, dup := h.versions[id]; dup {
+// Add records a version derived from parent with per-object ops.
+func (h *History) Add(id, parent string, ops map[string][]Op) error {
+	if _, dup := h.ops[id]; dup {
 		return fmt.Errorf("version %q already exists", id)
 	}
-	if _, ok := h.versions[parent]; !ok {
+	if _, ok := h.ops[parent]; !ok {
 		return fmt.Errorf("parent version %q not found", parent)
 	}
-	h.versions[id] = &Version{ID: id, Parent: parent, Ops: ops}
+	h.parents[id] = parent
+	h.ops[id] = ops
 	h.order = append(h.order, id)
 	return nil
 }
 
-// Version returns a version by id.
-func (h *History) Version(id string) (*Version, bool) {
-	v, ok := h.versions[id]
-	return v, ok
-}
-
-// Versions lists all versions in insertion order.
-func (h *History) Versions() []*Version {
-	out := make([]*Version, len(h.order))
-	for i, id := range h.order {
-		out[i] = h.versions[id]
-	}
-	return out
-}
-
-// EditOps replaces the ops of an existing version — the manual override
-// the paper allows when the automatic guess is wrong ("the user can
-// manually edit the Register Transform History").
-func (h *History) EditOps(id string, ops []Op) error {
-	v, ok := h.versions[id]
+// EditOps overrides the ops of one object at one version — the manual
+// correction the paper allows ("the user can manually edit the Register
+// Transform History if the mapping is incorrect").
+func (h *History) EditOps(id, module string, ops []Op) error {
+	m, ok := h.ops[id]
 	if !ok {
 		return fmt.Errorf("version %q not found", id)
 	}
-	v.Ops = ops
+	if m == nil {
+		m = make(map[string][]Op)
+		h.ops[id] = m
+	}
+	m[module] = ops
 	return nil
 }
 
-// PathOps returns the operations translating state at version from into
-// state at version to. to must be a descendant of from (the common case:
-// loading an old checkpoint into a newer version). Branching histories are
-// trees, so the path is unique.
-func (h *History) PathOps(from, to string) ([]Op, error) {
-	if _, ok := h.versions[from]; !ok {
+// PathOps returns one object's ops along the path from version from to
+// its descendant to, oldest first. The history is a tree, so the path is
+// unique.
+func (h *History) PathOps(module, from, to string) ([]Op, error) {
+	if _, ok := h.ops[from]; !ok {
 		return nil, fmt.Errorf("version %q not found", from)
 	}
-	var chain []*Version
-	cur, ok := h.versions[to]
-	if !ok {
-		return nil, fmt.Errorf("version %q not found", to)
-	}
-	for {
-		if cur.ID == from {
-			break
+	var chain []string
+	for cur := to; cur != from; cur = h.parents[cur] {
+		if _, ok := h.ops[cur]; !ok {
+			return nil, fmt.Errorf("version %q not found", cur)
 		}
-		chain = append(chain, cur)
-		if cur.Parent == "" {
+		if h.parents[cur] == "" {
 			return nil, fmt.Errorf("version %q is not an ancestor of %q", from, to)
 		}
-		next, ok := h.versions[cur.Parent]
-		if !ok {
-			return nil, fmt.Errorf("history corrupt: missing parent %q", cur.Parent)
-		}
-		cur = next
+		chain = append(chain, cur)
 	}
-	// chain is to..child-of-from; apply oldest first.
-	var ops []Op
+	var out []Op
 	for i := len(chain) - 1; i >= 0; i-- {
-		ops = append(ops, chain[i].Ops...)
+		out = append(out, h.ops[chain[i]][module]...)
 	}
-	return ops, nil
+	return out, nil
 }
 
-// ApplyOps translates a register-name → value map through a sequence of
-// transform operations, implementing the rules of Table V.
-func ApplyOps(values map[string]uint64, ops []Op) map[string]uint64 {
-	out := make(map[string]uint64, len(values))
-	for k, v := range values {
-		out[k] = v
+// Remove deletes a childless non-root version — the version-table half
+// of a transactional rollback: a version created for a change that failed
+// to commit must not survive as a phantom branch.
+func (h *History) Remove(id string) error {
+	parent, ok := h.parents[id]
+	if !ok {
+		return fmt.Errorf("version %q not found", id)
 	}
-	for _, op := range ops {
-		switch op.Kind {
-		case Create:
-			out[op.Name] = op.Init
-		case Delete:
-			delete(out, op.Name)
-		case Rename:
-			if v, ok := out[op.Name]; ok {
-				delete(out, op.Name)
-				out[op.NewName] = v
-			}
+	if parent == "" {
+		return fmt.Errorf("cannot remove root version %q", id)
+	}
+	for v, p := range h.parents {
+		if p == id {
+			return fmt.Errorf("version %q still has child %q", id, v)
 		}
 	}
-	return out
+	delete(h.parents, id)
+	delete(h.ops, id)
+	h.order = slices.DeleteFunc(h.order, func(v string) bool { return v == id })
+	return nil
+}
+
+// Versions lists version ids in creation order, the root first.
+func (h *History) Versions() []string { return slices.Clone(h.order) }
+
+// Describe renders the history like Table VI of the paper.
+func (h *History) Describe() string {
+	var b strings.Builder
+	b.WriteString("Version | Operations | Parent\n")
+	for _, id := range h.order {
+		parent := h.parents[id]
+		if parent == "" {
+			parent = "null"
+		}
+		mods := make([]string, 0, len(h.ops[id]))
+		for m := range h.ops[id] {
+			mods = append(mods, m)
+		}
+		sort.Strings(mods)
+		var ops []string
+		for _, m := range mods {
+			for _, op := range h.ops[id][m] {
+				ops = append(ops, m+": "+op.String())
+			}
+		}
+		if len(ops) == 0 {
+			ops = []string{"-"}
+		}
+		fmt.Fprintf(&b, "%s | %s | %s\n", id, strings.Join(ops, "; "), parent)
+	}
+	return b.String()
 }
 
 // ---------------------------------------------------------------- guess
@@ -303,45 +313,123 @@ func editDistance(a, b string) int {
 	return prev[lb]
 }
 
-// ---------------------------------------------------------------- migrate
+// ---------------------------------------------------------------- plan
+
+// Plan is Table V applied to one pair of object versions: where each
+// piece of a new instance's state comes from in an instance of the old
+// one. Its indices are the objects' own slot and memory numbers, so a
+// caller carrying state only copies (Apply).
+type Plan struct {
+	Regs  []Pair // carried registers: slot to slot
+	Inits []Init // created registers
+	Mems  []Pair // memories by name: memory index to memory index
+	Ins   []Pair // input ports by name: slot to slot
+}
+
+// Pair carries one old slot or memory into the new instance, masked to
+// the new width. Name is the new version's name for it.
+type Pair struct {
+	Name     string
+	From, To uint32
+	Mask     uint64
+}
+
+// Init is a created register's slot and its (masked) initial value.
+type Init struct {
+	Slot  uint32
+	Value uint64
+}
+
+// NewPlan derives the plan from oldObj to newObj through ops. It is the
+// one place the reload rules of Table V are written:
+//
+//   - a register's value flows through the ops (rename maps it, delete
+//     drops it), then lands on the new register of the same name, masked
+//     to the new width;
+//   - a created register gets its Init; a new register that no op creates
+//     and no old value reaches keeps its power-on value;
+//   - a memory is carried by name, up to the smaller depth, masked;
+//   - an input port is carried by name when it is an input in both.
+func NewPlan(oldObj, newObj *vm.Object, ops []Op) *Plan {
+	// src is where a register's value comes from: an old register's slot,
+	// or (created) an initial value.
+	type src struct {
+		slot    uint32
+		created bool
+		init    uint64
+	}
+	vals := make(map[string]src, len(oldObj.Regs))
+	for _, r := range oldObj.Regs {
+		vals[r.Name] = src{slot: r.Cur}
+	}
+	for _, op := range ops {
+		switch op.Kind {
+		case Create:
+			vals[op.Name] = src{created: true, init: op.Init}
+		case Delete:
+			delete(vals, op.Name)
+		case Rename:
+			if v, ok := vals[op.Name]; ok {
+				delete(vals, op.Name)
+				vals[op.NewName] = v
+			}
+		}
+	}
+	p := &Plan{}
+	for _, r := range newObj.Regs {
+		if v, ok := vals[r.Name]; ok && v.created {
+			p.Inits = append(p.Inits, Init{r.Cur, v.init & r.Mask})
+		} else if ok {
+			p.Regs = append(p.Regs, Pair{r.Name, v.slot, r.Cur, r.Mask})
+		}
+	}
+	for _, m := range newObj.Mems {
+		if om := oldObj.MemByName(m.Name); om != nil {
+			p.Mems = append(p.Mems, Pair{m.Name, om.Index, m.Index, m.Mask})
+		}
+	}
+	for _, pt := range newObj.Ports {
+		if oi := oldObj.PortIndex(pt.Name); pt.Dir == vm.In && oi >= 0 && oldObj.Ports[oi].Dir == vm.In {
+			p.Ins = append(p.Ins, Pair{pt.Name, oldObj.Ports[oi].Slot, pt.Slot, pt.Mask})
+		}
+	}
+	return p
+}
+
+// Apply carries old state into nu by the plan. slots is the old
+// instance's slot array; copyMem copies its memory i into dst as far as
+// both reach and returns the words copied, for i below nmems. A source
+// index past slots or nmems is skipped, so a decoded checkpoint cannot
+// index out of range; nu must be an instance of the plan's new object.
+func (p *Plan) Apply(nu *vm.Instance, slots []uint64, nmems int, copyMem func(i int, dst []uint64) int) {
+	for _, ps := range [][]Pair{p.Regs, p.Ins} {
+		for _, r := range ps {
+			if int(r.From) < len(slots) {
+				nu.Slots[r.To] = slots[r.From] & r.Mask
+			}
+		}
+	}
+	for _, c := range p.Inits {
+		nu.Slots[c.Slot] = c.Value
+	}
+	for _, m := range p.Mems {
+		if int(m.From) < nmems {
+			dst := nu.Mems[m.To]
+			for i := range copyMem(int(m.From), dst) {
+				dst[i] &= m.Mask
+			}
+		}
+	}
+}
 
 // Migrator builds a state-migration function for hot reloads that honors
-// a transform-op list: register values flow old→new through the ops, then
-// land by name. Memories and input ports migrate as in the default rules.
+// a transform-op list: it applies the Plan from the old object to the new
+// one to each swapped instance.
 func Migrator(ops []Op) func(oldObj *vm.Object, old *vm.Instance, newObj *vm.Object, nu *vm.Instance) error {
 	return func(oldObj *vm.Object, old *vm.Instance, newObj *vm.Object, nu *vm.Instance) error {
-		vals := make(map[string]uint64, len(oldObj.Regs))
-		for _, r := range oldObj.Regs {
-			vals[r.Name] = old.Slots[r.Cur]
-		}
-		vals = ApplyOps(vals, ops)
-		for _, r := range newObj.Regs {
-			if v, ok := vals[r.Name]; ok {
-				nu.Slots[r.Cur] = v & r.Mask
-			}
-		}
-		for _, m := range newObj.Mems {
-			om := oldObj.MemByName(m.Name)
-			if om == nil {
-				continue
-			}
-			dst, src := nu.Mems[m.Index], old.Mems[om.Index]
-			n := len(dst)
-			if len(src) < n {
-				n = len(src)
-			}
-			for i := 0; i < n; i++ {
-				dst[i] = src[i] & m.Mask
-			}
-		}
-		for _, p := range newObj.Ports {
-			if p.Dir != vm.In {
-				continue
-			}
-			if oi := oldObj.PortIndex(p.Name); oi >= 0 && oldObj.Ports[oi].Dir == vm.In {
-				nu.Slots[p.Slot] = old.Slots[oldObj.Ports[oi].Slot] & p.Mask
-			}
-		}
+		NewPlan(oldObj, newObj, ops).Apply(nu, old.Slots, len(old.Mems), func(i int, dst []uint64) int {
+			return copy(dst, old.Mems[i])
+		})
 		return nil
 	}
 }

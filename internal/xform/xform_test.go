@@ -1,6 +1,8 @@
 package xform
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -9,21 +11,25 @@ import (
 
 func TestHistoryLinearPath(t *testing.T) {
 	h := NewHistory("1.0")
-	if err := h.Add("1.1", "1.0", []Op{{Kind: Create, Name: "newR"}}); err != nil {
+	if err := h.Add("1.1", "1.0", map[string][]Op{"m": {{Kind: Create, Name: "newR"}}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Add("1.2", "1.1", []Op{{Kind: Rename, Name: "someR", NewName: "newR2"}}); err != nil {
+	if err := h.Add("1.2", "1.1", map[string][]Op{"m": {{Kind: Rename, Name: "someR", NewName: "newR2"}}}); err != nil {
 		t.Fatal(err)
 	}
-	ops, err := h.PathOps("1.0", "1.2")
+	ops, err := h.PathOps("m", "1.0", "1.2")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ops) != 2 || ops[0].Kind != Create || ops[1].Kind != Rename {
 		t.Fatalf("ops %v", ops)
 	}
+	// Ops are per object: another object's path is empty.
+	if ops, err := h.PathOps("other", "1.0", "1.2"); err != nil || len(ops) != 0 {
+		t.Fatalf("other object's path %v %v", ops, err)
+	}
 	// Self path is empty.
-	ops, err = h.PathOps("1.2", "1.2")
+	ops, err = h.PathOps("m", "1.2", "1.2")
 	if err != nil || len(ops) != 0 {
 		t.Fatalf("self path %v %v", ops, err)
 	}
@@ -33,27 +39,27 @@ func TestHistoryLinearPath(t *testing.T) {
 // 1.3a, with different transforms.
 func TestHistoryBranching(t *testing.T) {
 	h := NewHistory("1.1")
-	h.Add("1.2", "1.1", []Op{{Kind: Create, Name: "newR1"}})
-	h.Add("1.3", "1.2", []Op{{Kind: Rename, Name: "someR", NewName: "newR"}, {Kind: Delete, Name: "otherR"}})
-	h.Add("1.3a", "1.2", []Op{{Kind: Rename, Name: "newR1", NewName: "myR1"}, {Kind: Delete, Name: "newR"}})
+	h.Add("1.2", "1.1", map[string][]Op{"m": {{Kind: Create, Name: "newR1"}}})
+	h.Add("1.3", "1.2", map[string][]Op{"m": {{Kind: Rename, Name: "someR", NewName: "newR"}, {Kind: Delete, Name: "otherR"}}})
+	h.Add("1.3a", "1.2", map[string][]Op{"m": {{Kind: Rename, Name: "newR1", NewName: "myR1"}, {Kind: Delete, Name: "newR"}}})
 
-	opsA, err := h.PathOps("1.1", "1.3")
+	opsA, err := h.PathOps("m", "1.1", "1.3")
 	if err != nil {
 		t.Fatal(err)
 	}
-	opsB, err := h.PathOps("1.1", "1.3a")
+	opsB, err := h.PathOps("m", "1.1", "1.3a")
 	if err != nil {
 		t.Fatal(err)
 	}
 	vals := map[string]uint64{"someR": 7, "otherR": 9, "newR": 5}
-	a := ApplyOps(vals, opsA)
+	a := applyOps(vals, opsA)
 	if a["newR"] != 7 || a["newR1"] != 0 {
 		t.Errorf("branch A: %v", a)
 	}
 	if _, ok := a["otherR"]; ok {
 		t.Errorf("otherR should be deleted: %v", a)
 	}
-	b := ApplyOps(vals, opsB)
+	b := applyOps(vals, opsB)
 	if b["myR1"] != 0 {
 		t.Errorf("branch B myR1: %v", b)
 	}
@@ -61,8 +67,16 @@ func TestHistoryBranching(t *testing.T) {
 		t.Errorf("newR should be deleted on branch B: %v", b)
 	}
 	// Sibling is not an ancestor.
-	if _, err := h.PathOps("1.3", "1.3a"); err == nil {
+	if _, err := h.PathOps("m", "1.3", "1.3a"); err == nil {
 		t.Error("want error for cross-branch path")
+	}
+	want := "Version | Operations | Parent\n" +
+		"1.1 | - | null\n" +
+		"1.2 | m: create newR1 | 1.1\n" +
+		"1.3 | m: rename someR, newR; m: delete otherR | 1.2\n" +
+		"1.3a | m: rename newR1, myR1; m: delete newR | 1.2\n"
+	if got := h.Describe(); got != want {
+		t.Errorf("Describe:\n%s\nwant:\n%s", got, want)
 	}
 }
 
@@ -74,26 +88,96 @@ func TestHistoryErrors(t *testing.T) {
 	if err := h.Add("x", "nope", nil); err == nil {
 		t.Error("missing parent")
 	}
-	if _, err := h.PathOps("nope", "r"); err == nil {
+	if _, err := h.PathOps("m", "nope", "r"); err == nil {
 		t.Error("missing from")
 	}
-	if _, err := h.PathOps("r", "nope"); err == nil {
+	if _, err := h.PathOps("m", "r", "nope"); err == nil {
 		t.Error("missing to")
 	}
-	if err := h.EditOps("nope", nil); err == nil {
+	if err := h.EditOps("nope", "m", nil); err == nil {
 		t.Error("edit missing version")
 	}
-	if err := h.EditOps("r", []Op{{Kind: Create, Name: "a"}}); err != nil {
+	if err := h.EditOps("r", "m", []Op{{Kind: Create, Name: "a"}}); err != nil {
 		t.Error(err)
 	}
-	if len(h.Versions()) != 1 || h.Root() != "r" {
+	if v := h.Versions(); len(v) != 1 || v[0] != "r" {
 		t.Error("versions/root wrong")
 	}
 }
 
+// TestHistoryEditAndRemove: a manual edit replaces one object's ops at
+// one version; Remove takes out only childless non-root versions, as a
+// rolled-back change needs.
+func TestHistoryEditAndRemove(t *testing.T) {
+	h := NewHistory("v0")
+	if err := h.Add("v1", "v0", nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Add("v2", "v1", map[string][]Op{"m": {{Kind: Delete, Name: "x"}}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.EditOps("v1", "m", []Op{{Kind: Rename, Name: "x", NewName: "y"}}); err != nil {
+		t.Fatal(err)
+	}
+	if ops, err := h.PathOps("m", "v0", "v2"); err != nil || len(ops) != 2 || ops[0].Kind != Rename || ops[1].Kind != Delete {
+		t.Fatalf("path after edit %v %v", ops, err)
+	}
+	if _, err := h.PathOps("m", "v1", "v0"); err == nil {
+		t.Error("descendant->ancestor should fail")
+	}
+	if err := h.Remove("v0"); err == nil {
+		t.Error("removed the root")
+	}
+	if err := h.Remove("v1"); err == nil {
+		t.Error("removed a version with a child")
+	}
+	if err := h.Remove("nope"); err == nil {
+		t.Error("removed a missing version")
+	}
+	if err := h.Remove("v2"); err != nil {
+		t.Fatal(err)
+	}
+	if v := h.Versions(); len(v) != 2 || v[1] != "v1" {
+		t.Errorf("versions %v", v)
+	}
+	if want := "Version | Operations | Parent\nv0 | - | null\nv1 | m: rename x, y | v0\n"; h.Describe() != want {
+		t.Errorf("Describe:\n%s\nwant:\n%s", h.Describe(), want)
+	}
+	if _, err := h.PathOps("m", "v0", "v2"); err == nil {
+		t.Error("removed version still reachable")
+	}
+	if err := h.Add("v2", "v1", nil); err != nil {
+		t.Errorf("re-adding a removed id: %v", err)
+	}
+}
+
+// applyOps is the reference for the register rules of Table V: a
+// register-name → value map translated through the ops one at a time.
+// NewPlan must land the same values by name (TestPlanMatchesReference).
+func applyOps(values map[string]uint64, ops []Op) map[string]uint64 {
+	out := make(map[string]uint64, len(values))
+	for k, v := range values {
+		out[k] = v
+	}
+	for _, op := range ops {
+		switch op.Kind {
+		case Create:
+			out[op.Name] = op.Init
+		case Delete:
+			delete(out, op.Name)
+		case Rename:
+			if v, ok := out[op.Name]; ok {
+				delete(out, op.Name)
+				out[op.NewName] = v
+			}
+		}
+	}
+	return out
+}
+
 func TestApplyOpsRules(t *testing.T) {
 	vals := map[string]uint64{"a": 1, "b": 2}
-	out := ApplyOps(vals, []Op{
+	out := applyOps(vals, []Op{
 		{Kind: Create, Name: "c", Init: 42},
 		{Kind: Delete, Name: "a"},
 		{Kind: Rename, Name: "b", NewName: "bb"},
@@ -111,6 +195,131 @@ func TestApplyOpsRules(t *testing.T) {
 	// Input map untouched.
 	if vals["a"] != 1 || len(vals) != 2 {
 		t.Errorf("input mutated: %v", vals)
+	}
+}
+
+var regNames = []string{"a", "b", "c", "d", "e"}
+
+// planCase is one generated Table V case: two register tables over the
+// names in regNames, the old instance's values, and an op list over the
+// same names.
+type planCase struct {
+	oldObj, newObj *vm.Object
+	old            *vm.Instance
+	ops            []Op
+}
+
+// genPlanCase builds a case from next, which returns a value in [0, n).
+func genPlanCase(next func(n int) int) planCase {
+	word := func() uint64 { return uint64(next(1<<16)) * 0x9E3779B97F4A7C15 }
+	table := func() *vm.Object {
+		obj := &vm.Object{Key: "t", ModName: "t"}
+		for _, name := range regNames {
+			if next(2) == 1 {
+				i := uint32(len(obj.Regs))
+				obj.Regs = append(obj.Regs, vm.Reg{Name: name, Cur: 2 * i, Next: 2*i + 1, Mask: vm.Mask(1 + next(63))})
+			}
+		}
+		obj.NumSlots = uint32(2 * len(obj.Regs))
+		return obj
+	}
+	c := planCase{oldObj: table(), newObj: table()}
+	c.old = vm.NewInstance(c.oldObj)
+	for _, r := range c.oldObj.Regs {
+		c.old.Slots[r.Cur] = word() & r.Mask
+	}
+	for range next(9) {
+		op := Op{Kind: OpKind(next(3)), Name: regNames[next(len(regNames))]}
+		switch op.Kind {
+		case Create:
+			op.Init = word()
+		case Rename:
+			op.NewName = regNames[next(len(regNames))]
+		}
+		c.ops = append(c.ops, op)
+	}
+	return c
+}
+
+// checkPlan holds the register values NewPlan + Apply land against the
+// reference: applyOps on the old values, then by name, masked; a new
+// register the reference has no value for keeps what it held.
+func checkPlan(t *testing.T, c planCase) {
+	t.Helper()
+	const untouched = 1 << 63 // no mask of 63 bits or fewer reaches it
+	nu := vm.NewInstance(c.newObj)
+	for i := range nu.Slots {
+		nu.Slots[i] = untouched
+	}
+	NewPlan(c.oldObj, c.newObj, c.ops).Apply(nu, c.old.Slots, 0, nil)
+	vals := make(map[string]uint64)
+	for _, r := range c.oldObj.Regs {
+		vals[r.Name] = c.old.Slots[r.Cur]
+	}
+	want := applyOps(vals, c.ops)
+	for _, r := range c.newObj.Regs {
+		w, ok := want[r.Name]
+		if w &= r.Mask; !ok {
+			w = untouched
+		}
+		if got := nu.Slots[r.Cur]; got != w {
+			t.Fatalf("old %v new %v ops %v: reg %s = %#x, reference %#x",
+				c.oldObj.Regs, c.newObj.Regs, c.ops, r.Name, got, w)
+		}
+	}
+}
+
+// TestPlanMatchesReference: random register tables and op lists land the
+// same register values through NewPlan as through applyOps.
+func TestPlanMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for range 5000 {
+		checkPlan(t, genPlanCase(rng.Intn))
+	}
+}
+
+// FuzzPlan is TestPlanMatchesReference on fuzzed cases: each input byte
+// is one choice of genPlanCase, and a spent input chooses 0.
+func FuzzPlan(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{1, 7, 1, 9, 0, 1, 3, 1, 1, 1, 5, 0, 1, 8, 1, 2, 4, 0, 3, 3, 2, 0, 2, 1, 1, 4, 0, 1, 2})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkPlan(t, genPlanCase(func(n int) int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := int(data[0])
+			data = data[1:]
+			return b % n
+		}))
+	})
+}
+
+// TestPlanMemsAndInputs: memories carry by name up to the smaller depth,
+// masked to the new width; input ports carry by name only when an input
+// in both versions.
+func TestPlanMemsAndInputs(t *testing.T) {
+	oldObj := &vm.Object{
+		Mems:     []vm.Mem{{Name: "ram", Index: 0, Depth: 4, Mask: vm.Mask(16)}, {Name: "gone", Index: 1, Depth: 2, Mask: vm.Mask(8)}},
+		Ports:    []vm.Port{{Name: "d", Dir: vm.In, Slot: 0, Mask: vm.Mask(16)}, {Name: "q", Dir: vm.Out, Slot: 1, Mask: vm.Mask(16)}},
+		NumSlots: 2,
+	}
+	newObj := &vm.Object{
+		Mems:     []vm.Mem{{Name: "ram", Index: 0, Depth: 6, Mask: vm.Mask(8)}},
+		Ports:    []vm.Port{{Name: "q", Dir: vm.In, Slot: 0, Mask: vm.Mask(8)}, {Name: "d", Dir: vm.In, Slot: 1, Mask: vm.Mask(8)}},
+		NumSlots: 2,
+	}
+	old, nu := vm.NewInstance(oldObj), vm.NewInstance(newObj)
+	old.Slots[0], old.Slots[1] = 0x1234, 0x5678
+	copy(old.Mems[0], []uint64{0x101, 0x202, 0x303, 0x404})
+	if err := Migrator(nil)(oldObj, old, newObj, nu); err != nil {
+		t.Fatal(err)
+	}
+	if nu.Slots[1] != 0x34 || nu.Slots[0] != 0 {
+		t.Errorf("ports %#x: want d carried and masked, q (an output before) left alone", nu.Slots)
+	}
+	if want := []uint64{0x01, 0x02, 0x03, 0x04, 0, 0}; !slices.Equal(nu.Mems[0], want) {
+		t.Errorf("ram %#x, want %#x", nu.Mems[0], want)
 	}
 }
 
@@ -232,13 +441,13 @@ func TestEditDistanceProperty(t *testing.T) {
 	}
 }
 
-// Property: ApplyOps with only renames is invertible.
+// Property: applyOps with only renames is invertible.
 func TestRenameInvertibleProperty(t *testing.T) {
 	f := func(v1, v2, v3 uint64) bool {
 		vals := map[string]uint64{"a": v1, "b": v2, "c": v3}
 		fwd := []Op{{Kind: Rename, Name: "a", NewName: "x"}, {Kind: Rename, Name: "b", NewName: "y"}}
 		bwd := []Op{{Kind: Rename, Name: "x", NewName: "a"}, {Kind: Rename, Name: "y", NewName: "b"}}
-		out := ApplyOps(ApplyOps(vals, fwd), bwd)
+		out := applyOps(applyOps(vals, fwd), bwd)
 		if len(out) != len(vals) {
 			return false
 		}

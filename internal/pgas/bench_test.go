@@ -13,51 +13,68 @@ import (
 
 // BenchmarkTick sizes a kernel change in seconds: raw sim.Tick on the 1x1
 // and 4x4 meshes running the compute kernel, no session around it. One
-// iteration is 256 cycles, so `make bench` (-benchtime=1x) still averages
-// over a few hundred cycles. comb-evals/cycle comes from a profiled
-// segment before the timed one.
+// iteration is 256 cycles in one Tick, so `make bench` (-benchtime=1x)
+// still averages over a few hundred cycles; the -tick1 variants call
+// Tick(1) 256 times, as a per-cycle testbench does. comb-evals/cycle and
+// seq-evals/cycle (clock edges run) come from a profiled segment before
+// the timed one, binds/cycle (bind copies, producer slot to consumer slot)
+// from sim.Counts.
 func BenchmarkTick(b *testing.B) {
-	const chunk = 256
 	for _, side := range []int{1, 4} {
-		n := side * side
-		b.Run(fmt.Sprintf("%dx%d", side, side), func(b *testing.B) {
-			reg := obs.NewRegistry()
-			s, err := NewSim(n, codegen.StyleGrouped, sim.WithMetrics(reg))
-			if err != nil {
-				b.Fatal(err)
+		for _, chunk := range []int{tickCycles, 1} {
+			name := fmt.Sprintf("%dx%d", side, side)
+			if chunk == 1 {
+				name += "-tick1"
 			}
-			images, err := ComputeImages(n, 1<<30)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for i, img := range images {
-				if err := LoadImage(s, n, i, img); err != nil {
-					b.Fatal(err)
-				}
-			}
-			p := prof.New()
-			s.SetProfiler(p)
-			if err := s.Tick(4 * chunk); err != nil {
-				b.Fatal(err)
-			}
-			s.SetProfiler(nil)
-			t := p.Totals()
-
-			ops0, scans0 := s.Stats.Ops, reg.Counter("sim_settle_passes").Value()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := s.Tick(chunk); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			cycles := float64(b.N * chunk)
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/cycles, "ns/cycle")
-			b.ReportMetric(float64(s.Stats.Ops-ops0)/cycles, "ops/cycle")
-			b.ReportMetric(float64(t.CombEvals)/float64(t.Cycles), "comb-evals/cycle")
-			b.ReportMetric(float64(reg.Counter("sim_settle_passes").Value()-scans0)/cycles, "scans/cycle")
-		})
+			b.Run(name, func(b *testing.B) { benchTick(b, side*side, chunk) })
+		}
 	}
+}
+
+// tickCycles is one BenchmarkTick iteration.
+const tickCycles = 256
+
+func benchTick(b *testing.B, n, chunk int) {
+	reg := obs.NewRegistry()
+	s, err := NewSim(n, codegen.StyleGrouped, sim.WithMetrics(reg))
+	if err != nil {
+		b.Fatal(err)
+	}
+	images, err := ComputeImages(n, 1<<30)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i, img := range images {
+		if err := LoadImage(s, n, i, img); err != nil {
+			b.Fatal(err)
+		}
+	}
+	p := prof.New()
+	s.SetProfiler(p)
+	if err := s.Tick(4 * tickCycles); err != nil {
+		b.Fatal(err)
+	}
+	s.SetProfiler(nil)
+	t := p.Totals()
+
+	ops0, scans0, k0 := s.Stats.Ops, reg.Counter("sim_settle_passes").Value(), s.Counts()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for c := 0; c < tickCycles; c += chunk {
+			if err := s.Tick(chunk); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.StopTimer()
+	total := float64(b.N * tickCycles)
+	k := s.Counts()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/total, "ns/cycle")
+	b.ReportMetric(float64(s.Stats.Ops-ops0)/total, "ops/cycle")
+	b.ReportMetric(float64(k.Copies-k0.Copies)/total, "binds/cycle")
+	b.ReportMetric(float64(t.SeqEvals)/float64(t.Cycles), "seq-evals/cycle")
+	b.ReportMetric(float64(t.CombEvals)/float64(t.Cycles), "comb-evals/cycle")
+	b.ReportMetric(float64(reg.Counter("sim_settle_passes").Value()-scans0)/total, "scans/cycle")
 }
 
 // BenchmarkSnapshot sizes a capture: sim.Snapshot on the 4x4 and 8x8

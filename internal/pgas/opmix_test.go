@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"livesim/internal/codegen"
+	"livesim/internal/prof"
 	"livesim/internal/sim"
 	"livesim/internal/vm"
 )
@@ -143,6 +144,69 @@ func TestOpMix(t *testing.T) {
 			t.Logf("PGAS %dx%d, compute kernel: %s", c.side, c.side, m.report(cycles))
 			if got := float64(s.Stats.Ops-ops0) / cycles; got > c.ceiling {
 				t.Errorf("%.0f VM ops/cycle, ceiling %.0f: a lowering in internal/codegen got more expensive (run with -v for the op mix)", got, c.ceiling)
+			}
+		})
+	}
+}
+
+// TestOpMixKernel runs the compute kernel on the 1x1 and 4x4 meshes and
+// holds the kernel's own work per cycle under a ceiling: bind copies
+// (producer slot to consumer slot, transit slots skipped) and clock edges
+// run (instances whose Seq could not change anything are skipped), the
+// latter counted by the activity profiler. A copy through every wiring
+// level and a clock edge on every instance read 110 copies and 9 seq evals
+// per cycle at 1x1, 2 120 and 130 at 4x4. Transit slots are filled only
+// when slots are read (sim.Sim.Sync), never by Tick itself; with -v it
+// prints how many one Sync fills.
+func TestOpMixKernel(t *testing.T) {
+	const warm, cycles = 1024, 256
+	for _, c := range []struct {
+		side             int
+		copies, seqEvals float64
+	}{{1, 70, 7}, {4, 1300, 110}} {
+		c := c
+		t.Run(fmt.Sprintf("%dx%d", c.side, c.side), func(t *testing.T) {
+			n := c.side * c.side
+			s, err := NewSim(n, codegen.StyleGrouped)
+			if err != nil {
+				t.Fatal(err)
+			}
+			images, err := ComputeImages(n, 1<<30)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, img := range images {
+				if err := LoadImage(s, n, i, img); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := s.Tick(warm); err != nil {
+				t.Fatal(err)
+			}
+			k0 := s.Counts()
+			p := prof.New()
+			s.SetProfiler(p)
+			for i := 0; i < cycles; i++ {
+				if err := s.Tick(1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			s.SetProfiler(nil)
+			k := s.Counts()
+			s.Sync()
+			fills := s.Counts().Fills - k.Fills
+			copies := float64(k.Copies-k0.Copies) / cycles
+			seqEvals := float64(p.Totals().SeqEvals) / cycles
+			t.Logf("PGAS %dx%d, compute kernel: %.1f bind copies/cycle, %.1f seq evals/cycle of %d instances, %d transit slots filled per Sync",
+				c.side, c.side, copies, seqEvals, s.NumInstances(), fills)
+			if copies > c.copies {
+				t.Errorf("%.0f bind copies/cycle, ceiling %.0f", copies, c.copies)
+			}
+			if seqEvals > c.seqEvals {
+				t.Errorf("%.0f seq evals/cycle, ceiling %.0f", seqEvals, c.seqEvals)
+			}
+			if k.Fills != k0.Fills {
+				t.Errorf("%d transit slots filled by %d Ticks with no read in between, want 0", k.Fills-k0.Fills, cycles)
 			}
 		})
 	}

@@ -218,7 +218,10 @@ func (p *Profiler) SeqDone(idx int, t0 int64) {
 // Commit records the outcome of instance idx's clock-edge commit:
 // changed is vm.Instance.Commit's return — whether any architectural
 // state actually moved. A false commit is a quiescent eval, the unit the
-// headline quiescence fraction counts.
+// headline quiescence fraction counts. The kernel reports an instance
+// whose clock edge it skipped (nothing its Seq reads moved) as a false
+// commit with no SeqDone, so every instance commits once per cycle while
+// seq evals count only the Seq programs that ran.
 func (p *Profiler) Commit(idx int, changed bool) {
 	h := &p.hot[idx]
 	if changed {

@@ -16,7 +16,7 @@ func (s *Snapshot) Render(w io.Writer) {
 	fmt.Fprintf(w, "profile: %d instances, cycles %d..%d (%d profiled)\n",
 		s.Instances, s.FirstCycle, s.LastCycle, s.Cycles)
 	fmt.Fprintf(w, "quiescence: %d of %d instance-evals changed nothing (%.1f%%)\n",
-		s.QuiescentEvals, s.SeqEvals, 100*s.QuiescentFraction)
+		s.QuiescentEvals, s.commits(), 100*s.QuiescentFraction)
 
 	if len(s.Levels) > 0 {
 		fmt.Fprintf(w, "\nlevels (parallelism potential per hierarchy depth):\n")

@@ -54,8 +54,9 @@ type Snapshot struct {
 	LastCycle  uint64 `json:"last_cycle"`
 	Cycles     uint64 `json:"cycles"`
 
-	// Quiescence headline: of all sequential instance-evals, how many
-	// committed no state change.
+	// Quiescence headline: of all instance commits (one per instance per
+	// cycle, a clock edge the kernel skipped included), how many changed
+	// no state. SeqEvals counts the Seq programs that actually ran.
 	SeqEvals          uint64  `json:"seq_evals"`
 	QuiescentEvals    uint64  `json:"quiescent_evals"`
 	QuiescentFraction float64 `json:"quiescent_fraction"`
@@ -165,8 +166,18 @@ func (p *Profiler) Snapshot() *Snapshot {
 		lv.SeqEvals += s.Insts[i].SeqEvals
 		lv.EvalNs += s.Insts[i].SelfNs
 	}
-	if s.SeqEvals > 0 {
-		s.QuiescentFraction = float64(s.QuiescentEvals) / float64(s.SeqEvals)
+	if n := s.commits(); n > 0 {
+		s.QuiescentFraction = float64(s.QuiescentEvals) / float64(n)
 	}
 	return s
+}
+
+// commits is the number of instance commits: each is a toggle or
+// quiescent.
+func (s *Snapshot) commits() uint64 {
+	var n uint64
+	for i := range s.Insts {
+		n += s.Insts[i].Toggles + s.Insts[i].QuiescentEvals
+	}
+	return n
 }

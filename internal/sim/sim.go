@@ -10,13 +10,27 @@
 // levelized; combinational values that cross module boundaries are
 // settled by a schedule compiled once per New and per Reload: every port
 // bind becomes a copy that its source instance pushes right after it
-// evaluates, a value that lands on a slot wired further is carried on at
-// once, a push that changes a slot the receiver's comb code reads marks the
-// receiver dirty, and a worklist evaluates the dirty instances, cheapest
+// evaluates, a push that changes a slot the receiver's comb code reads marks
+// the receiver dirty, and a worklist evaluates the dirty instances, cheapest
 // comb program first. When the worklist is empty every instance has
 // evaluated on exactly the values its neighbours drive — the unique fixed
 // point of acyclic combinational logic; a combinational loop through
 // module boundaries has none and is reported as an error.
+//
+// A value crossing wiring-only levels is copied once, from the slot that
+// produces it to each slot that consumes it. The bound slots in between —
+// transit slots, which no code of their own instance touches — are not
+// written while the simulation runs: Peek and Out read one through its
+// producer, and Sync, which Nodes, Snapshot, Poke and Reload call first,
+// fills them all, so whatever reads slots between calls sees what a copy at
+// every level would have left. A consumer slot that is also wired further
+// carries the value on at once.
+//
+// At a clock edge an instance runs Seq and Commit only if that can change
+// something: its comb code ran, a push changed a slot its Seq reads, or its
+// last Commit changed its state; an instance whose Seq holds $display or
+// $finish runs every cycle. A skipped instance's Seq would have computed
+// the state it already holds.
 package sim
 
 import (
@@ -67,22 +81,45 @@ type Node struct {
 	// compiled binds, sorted by source slot.
 	rank int
 	push []copyOp
+
+	// seqDirty says the next clock edge must run the node's Seq and
+	// Commit: its comb code ran, a push changed a slot its Seq reads, its
+	// last Commit changed its state, or its Seq holds $display or $finish
+	// (seqAlways).
+	seqDirty, seqAlways bool
 }
 
-// copyOp is one compiled port bind: slot src of the owning node — an
-// out-port, or a slot wired to a child's in-port — is copied into dstSlot
-// of the parent or child dst.
+// copyOp is one compiled port bind, or a chain of binds through transit
+// slots: slot src of the owning node is copied into dstSlot of dst, masked
+// by every port on the way.
 type copyOp struct {
 	dst     *Node
 	src     uint32
 	dstSlot uint32
 	mask    uint64
-	// dst.push[fwdLo:fwdHi] are the binds that carry dstSlot onwards: a
-	// value crosses a wiring-only level without an evaluation of dst.
+	// dst.push[fwdLo:fwdHi] are the binds that carry dstSlot onwards from
+	// a slot that dst's own code uses as well.
 	fwdLo, fwdHi int32
 	// wake says dst's comb program reads dstSlot, so dst must re-evaluate
-	// when the value changes; a port that feeds Seq only is just stored.
-	wake bool
+	// when the value changes; seqWake says its Seq reads it, so dst's next
+	// clock edge must run.
+	wake, seqWake bool
+}
+
+// fillOp sets transit slot dstSlot of dst to what its chain of binds
+// carries from slot srcSlot of src.
+type fillOp struct {
+	src, dst         *Node
+	srcSlot, dstSlot uint32
+	mask             uint64
+}
+
+// cmpSlot orders slots by node, then by slot: the order of Sim.fill.
+func cmpSlot(a *Node, x uint32, b *Node, y uint32) int {
+	if a.idx != b.idx {
+		return a.idx - b.idx
+	}
+	return int(x) - int(y)
 }
 
 // Sim is a running hierarchical simulation.
@@ -114,6 +151,15 @@ type Sim struct {
 	order []*Node
 	dirty []uint64
 	low   int
+
+	// fill has one entry per transit slot, sorted by node and slot. The
+	// kernel does not write transit slots; stale says one may be behind
+	// its producer, and Sync fills them all before slots are read.
+	fill  []fillOp
+	stale bool
+	binds []copyOp // every node's push table, in one array
+
+	copies, fills uint64 // see Counts
 
 	codeBase uint64
 	dataBase uint64
@@ -240,33 +286,128 @@ func (s *Sim) rebuildIndex() {
 // program reads no bound port first — nothing that happens during a settle
 // can make them evaluate twice — then cheapest first, so that the
 // expensive instances wait until their inputs have stopped moving.
+//
+// A transit slot — driven by one bind, carried on by others, and neither
+// read nor written by its own instance's code — gets no copy: each bind
+// into it is replaced by the binds out of it, so a value goes from the
+// slot that produces it straight to the slots that consume it, and the
+// transit slot gets a fill entry instead.
 func (s *Sim) compileSchedule() {
-	// A counting sort by source slot: start[off[i]+x] and the entry after
-	// it delimit, in the push table of node i, the binds that read slot x.
+	// Slot x of node i is slot off[i]+x of the hierarchy. The binds as
+	// written, counting-sorted by source slot: raw[start[g]:start[g+1]]
+	// read slot g. Only the collapsed tables built from raw are kept.
 	off := make([]int, len(s.nodes)+1)
 	for i, n := range s.nodes {
-		off[i+1] = off[i] + int(n.Obj.NumSlots) + 1
+		off[i+1] = off[i] + int(n.Obj.NumSlots)
 	}
-	start := make([]int32, off[len(s.nodes)])
-	s.eachBind(func(from *Node, op copyOp) { start[off[from.idx]+int(op.src)+1]++ })
-	for i, n := range s.nodes {
-		seg := start[off[i]:off[i+1]]
-		for x := 1; x < len(seg); x++ {
-			seg[x] += seg[x-1]
-		}
-		n.push = append(n.push[:0], make([]copyOp, seg[len(seg)-1])...)
-	}
-	next := append([]int32(nil), start...)
-	woken := make([]bool, len(s.nodes)) // by idx: some bind wakes the node
+	start := make([]int32, off[len(s.nodes)]+1)
+	// drivers counts the binds into each slot, capped at 2; transit marks
+	// a transit slot.
+	const transit = 3
+	drivers := make([]uint8, off[len(s.nodes)])
 	s.eachBind(func(from *Node, op copyOp) {
-		d := off[op.dst.idx] + int(op.dstSlot)
-		op.fwdLo, op.fwdHi = start[d], start[d+1]
-		op.wake = op.dst.Obj.CombReads()[op.dstSlot]
-		woken[op.dst.idx] = woken[op.dst.idx] || op.wake
+		start[off[from.idx]+int(op.src)+1]++
+		if d := &drivers[off[op.dst.idx]+int(op.dstSlot)]; *d < 2 {
+			*d++
+		}
+	})
+	for g := 1; g < len(start); g++ {
+		start[g] += start[g-1]
+	}
+	type hop struct {
+		dst  *Node
+		slot uint32
+		mask uint64
+	}
+	raw := make([]hop, start[len(start)-1])
+	next := append([]int32(nil), start...)
+	s.eachBind(func(from *Node, op copyOp) {
 		at := &next[off[from.idx]+int(op.src)]
-		from.push[*at] = op
+		raw[*at] = hop{op.dst, op.dstSlot, op.mask}
 		*at++
 	})
+
+	// Mark the transit slots in drivers (one bind drives each, so each is
+	// found once) and number them in slot order: transit slot g gets fill
+	// entry next[g], which the counting sort no longer needs.
+	nFill := 0
+	for _, r := range raw {
+		g := off[r.dst.idx] + int(r.slot)
+		if drivers[g] == 1 && start[g] < start[g+1] && !r.dst.Obj.UsedSlots().Has(r.slot) {
+			drivers[g] = transit
+			nFill++
+		}
+	}
+	s.fill = slices.Grow(s.fill[:0], nFill)[:nFill]
+	clear(s.fill)
+	nFill = 0
+	for g, d := range drivers {
+		if d == transit {
+			next[g] = int32(nFill)
+			nFill++
+		}
+	}
+
+	// Every other bind ends one chain, so the collapsed tables fit in
+	// len(raw)-nFill entries; they share one array, the last compile's
+	// when it is large enough.
+	all := s.binds[:0]
+	if cap(all) < len(raw)-nFill {
+		all = make([]copyOp, 0, len(raw)-nFill)
+	}
+	var carry func(from *Node, src uint32, r hop)
+	carry = func(from *Node, src uint32, r hop) {
+		g := off[r.dst.idx] + int(r.slot)
+		if drivers[g] != transit {
+			all = append(all, copyOp{dst: r.dst, src: src, dstSlot: r.slot, mask: r.mask})
+			return
+		}
+		s.fill[next[g]] = fillOp{src: from, dst: r.dst, srcSlot: src, dstSlot: r.slot, mask: r.mask}
+		for _, o := range raw[start[g]:start[g+1]] {
+			carry(from, src, hop{o.dst, o.slot, r.mask & o.mask})
+		}
+	}
+	for i, n := range s.nodes {
+		lo := len(all)
+		for g := off[i]; g < off[i+1]; g++ {
+			if drivers[g] != transit {
+				for _, r := range raw[start[g]:start[g+1]] {
+					carry(n, uint32(g-off[i]), r)
+				}
+			}
+		}
+		n.push = all[lo:len(all):len(all)]
+	}
+	s.binds = all
+	// A loop of wiring alone has no producer to reach it: its slots keep
+	// their values and get no fill entry.
+	s.fill = slices.DeleteFunc(s.fill, func(f fillOp) bool { return f.dst == nil })
+
+	// The collapsed tables are sorted by source slot too: reuse start and
+	// next to delimit, in the table of node i, the binds that read slot g.
+	clear(start)
+	clear(next)
+	for i, n := range s.nodes {
+		for j := len(n.push) - 1; j >= 0; j-- {
+			g := off[i] + int(n.push[j].src)
+			start[g], next[g] = int32(j), max(next[g], int32(j+1))
+		}
+	}
+	woken := make([]bool, len(s.nodes)) // by idx: some bind wakes the node
+	for _, n := range s.nodes {
+		n.seqAlways = slices.ContainsFunc(n.Obj.Seq, func(in vm.Instr) bool {
+			return in.Op == vm.OpDisplay || in.Op == vm.OpFinish
+		})
+		for i := range n.push {
+			op := &n.push[i]
+			d := op.dst
+			g := off[d.idx] + int(op.dstSlot)
+			op.fwdLo, op.fwdHi = start[g], next[g]
+			op.wake = d.Obj.CombReads().Has(op.dstSlot)
+			op.seqWake = d.Obj.SeqReads().Has(op.dstSlot)
+			woken[d.idx] = woken[d.idx] || op.wake
+		}
+	}
 
 	s.order = append(s.order[:0], s.nodes...)
 	slices.SortStableFunc(s.order, func(a, b *Node) int {
@@ -314,8 +455,10 @@ func (s *Sim) mark(n *Node) {
 
 // push copies the source slots of ops, binds of n, to their destinations.
 // A destination whose value changed is marked if its comb program reads
-// the slot, and the binds that carry the slot onwards are pushed in turn.
+// the slot and due for a clock edge if its Seq does, and the binds that
+// carry the slot onwards are pushed in turn.
 func (s *Sim) push(n *Node, ops []copyOp) {
+	s.copies += uint64(len(ops))
 	src := n.Inst.Slots
 	for i := range ops {
 		op := &ops[i]
@@ -325,6 +468,9 @@ func (s *Sim) push(n *Node, ops []copyOp) {
 			*p = v
 			if op.wake {
 				s.mark(d)
+			}
+			if op.seqWake {
+				d.seqDirty = true
 			}
 			if op.fwdLo < op.fwdHi {
 				s.push(d, d.push[op.fwdLo:op.fwdHi])
@@ -371,8 +517,52 @@ func (s *Sim) Finished() bool { return s.finished }
 // NumInstances returns the number of instances in the hierarchy.
 func (s *Sim) NumInstances() int { return len(s.nodes) }
 
-// Nodes returns the instances in pre-order. The slice is owned by the Sim.
-func (s *Sim) Nodes() []*Node { return s.nodes }
+// Nodes returns the instances in pre-order, after Sync. The slice is owned
+// by the Sim.
+func (s *Sim) Nodes() []*Node {
+	s.Sync()
+	return s.nodes
+}
+
+// Sync brings every slot current: a slot that only carries a value across
+// a wiring level, which the kernel does not write while it runs, is set to
+// what its producer drives. A reader that keeps nodes across Ticks, as a
+// tracer does, calls it before reading their slots.
+func (s *Sim) Sync() {
+	if !s.stale {
+		return
+	}
+	for i := range s.fill {
+		f := &s.fill[i]
+		f.dst.Inst.Slots[f.dstSlot] = f.src.Inst.Slots[f.srcSlot] & f.mask
+	}
+	s.fills += uint64(len(s.fill))
+	s.stale = false
+}
+
+// read returns slot x of n as Nodes would show it, without filling the
+// other transit slots.
+func (s *Sim) read(n *Node, x uint32) uint64 {
+	if s.stale {
+		if i, ok := slices.BinarySearchFunc(s.fill, n, func(f fillOp, n *Node) int {
+			return cmpSlot(f.dst, f.dstSlot, n, x)
+		}); ok {
+			f := &s.fill[i]
+			return f.src.Inst.Slots[f.srcSlot] & f.mask
+		}
+	}
+	return n.Inst.Slots[x]
+}
+
+// Counts is the slot traffic of the kernel besides VM instructions, since
+// New: Copies counts the bind copies pushed, producer slot to consumer
+// slot; Fills the transit slots Sync wrote.
+type Counts struct {
+	Copies, Fills uint64
+}
+
+// Counts returns the kernel's counts.
+func (s *Sim) Counts() Counts { return Counts{Copies: s.copies, Fills: s.fills} }
 
 // Settle runs the combinational fixed point. It must be called after
 // changing root inputs if outputs are read before the next Tick.
@@ -388,7 +578,7 @@ func (s *Sim) SettleProfiled(prof vm.Profiler) error { return s.settle(prof) }
 // source slot: an instance pushes all its binds right after it evaluates;
 // a slot a neighbour's push wrote is pushed onwards at once and marks its
 // instance if comb code reads it; whatever else writes a slot (Commit,
-// SetIn, Poke, PokeMem; Restore and Reload dirty everything) marks the
+// SetIn, PokeMem; Poke, Restore and Reload dirty everything) marks the
 // written instance, which then evaluates and pushes again. Evaluations are
 // bounded by MaxSettle per instance, which only a combinational loop
 // through module boundaries exceeds.
@@ -397,6 +587,7 @@ func (s *Sim) settle(vp vm.Profiler) error {
 		return nil
 	}
 	s.cSettleCalls.Inc()
+	s.stale = true
 	if s.allDirty {
 		for _, n := range s.order {
 			s.mark(n)
@@ -424,6 +615,7 @@ func (s *Sim) settle(vp vm.Profiler) error {
 		} else {
 			s.combInstrumented(n, vp)
 		}
+		n.seqDirty = true
 		s.push(n, n.push)
 		if s.low < w || s.dirty[w]&(bit-1) != 0 {
 			scans++
@@ -483,46 +675,52 @@ func (s *Sim) tick(n int, vp vm.Profiler) error {
 	return nil
 }
 
-// clockEdge evaluates every instance's sequential program and commits it;
-// an instance whose registers or memories changed is dirty for the next
-// settle.
+// clockEdge runs Seq and Commit on every instance that is due for it; an
+// instance whose registers or memories changed is dirty for the next
+// settle and due at the next edge. RunSeq reads and writes only its own
+// instance, so each instance can commit right after its own Seq.
 func (s *Sim) clockEdge() {
 	for _, nd := range s.nodes {
-		nd.Inst.RunSeq(&s.Stats)
-	}
-	for _, nd := range s.nodes {
-		if nd.Inst.Commit() {
-			s.mark(nd)
-		}
-		if nd.Inst.FinishReq {
-			s.finished = true
+		if nd.seqDirty {
+			nd.Inst.RunSeq(&s.Stats)
+			s.commit(nd)
 		}
 	}
 }
 
+// commit completes nd's clock edge after its Seq ran and reports whether
+// its state changed.
+func (s *Sim) commit(nd *Node) bool {
+	changed := nd.Inst.Commit()
+	if changed {
+		s.mark(nd)
+	}
+	nd.seqDirty = changed || nd.seqAlways
+	if nd.Inst.FinishReq {
+		s.finished = true
+	}
+	return changed
+}
+
 // clockEdgeInstrumented is clockEdge with the activity profiler, the
-// instruction-stream profiler, or both attached.
+// instruction-stream profiler, or both attached. A skipped instance is
+// reported as a commit that changed nothing, with no Seq evaluation.
 func (s *Sim) clockEdgeInstrumented(vp vm.Profiler) {
 	sp := s.sp
 	for _, nd := range s.nodes {
-		if sp == nil {
-			nd.Inst.RunSeqProfiled(&s.Stats, vp)
-			continue
-		}
-		t0 := sp.SampleStart()
-		nd.Inst.RunSeqProfiled(&s.Stats, vp)
-		sp.SeqDone(nd.idx, t0)
-	}
-	for _, nd := range s.nodes {
-		changed := nd.Inst.Commit()
-		if changed {
-			s.mark(nd)
+		changed := false
+		if nd.seqDirty {
+			if sp == nil {
+				nd.Inst.RunSeqProfiled(&s.Stats, vp)
+			} else {
+				t0 := sp.SampleStart()
+				nd.Inst.RunSeqProfiled(&s.Stats, vp)
+				sp.SeqDone(nd.idx, t0)
+			}
+			changed = s.commit(nd)
 		}
 		if sp != nil {
 			sp.Commit(nd.idx, changed)
-		}
-		if nd.Inst.FinishReq {
-			s.finished = true
 		}
 	}
 	if sp != nil {
@@ -553,7 +751,7 @@ func (s *Sim) Out(port string) (uint64, error) {
 	if i < 0 {
 		return 0, fmt.Errorf("no port %q on %s", port, s.Root.Obj.Key)
 	}
-	return s.Root.Inst.Slots[s.Root.Obj.Ports[i].Slot], nil
+	return s.read(s.Root, s.Root.Obj.Ports[i].Slot), nil
 }
 
 // FindNode resolves a hierarchical instance path relative to the root,
@@ -585,7 +783,7 @@ func (s *Sim) Peek(path string) (uint64, error) {
 	}
 	for _, d := range node.Obj.Debug {
 		if d.Name == sig {
-			return node.Inst.Slots[d.Slot], nil
+			return s.read(node, d.Slot), nil
 		}
 	}
 	return 0, fmt.Errorf("no signal %q in %s", sig, node.Path)
@@ -599,17 +797,15 @@ func (s *Sim) Poke(path string, v uint64) error {
 	}
 	for _, d := range node.Obj.Debug {
 		if d.Name == sig {
+			s.Sync()
 			node.Inst.Slots[d.Slot] = v & vm.Mask(d.Bits)
 			s.settled = false
-			// A neighbour may drive the poked slot: have the neighbours
-			// push again, so the poke is overwritten as a driven wire's is.
-			s.mark(node)
-			if node.parent != nil {
-				s.mark(node.parent)
-			}
-			for _, c := range node.Children {
-				s.mark(c)
-			}
+			// The poked slot's driver may sit any number of wiring levels
+			// away, where the schedule copies straight from producer to
+			// consumer: have every instance evaluate and push again, so
+			// the poke is overwritten as a driven wire's is. Poke is off
+			// the hot path.
+			s.allDirty = true
 			return nil
 		}
 	}

@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -471,5 +472,123 @@ func TestMemPages(t *testing.T) {
 	other[1][7]++
 	if got := FirstDiff(m, other, ^uint64(0)); got != PageWords+7 {
 		t.Errorf("FirstDiff = %d, want %d", got, PageWords+7)
+	}
+}
+
+// wiringSrc passes a register's value through two wiring-only levels (top
+// and wrap) to the comb code that reads it, and that code's output back
+// out: top.q, u_wrap.d and u_wrap.y are transit slots, so the schedule
+// copies u_src.q straight into u_sink.d and u_sink.y straight into out.
+const wiringSrc = `
+module src (input clk, output reg [7:0] q);
+  always @(posedge clk) q <= q + 1;
+endmodule
+module sink (input clk, input [7:0] d, output [7:0] y);
+  assign y = d + 8'd100;
+endmodule
+module wrap (input clk, input [7:0] d, output [7:0] y);
+  sink u_sink (.clk(clk), .d(d), .y(y));
+endmodule
+module wtop (input clk, output [7:0] out);
+  wire [7:0] q;
+  src u_src (.clk(clk), .q(q));
+  wrap u_wrap (.clk(clk), .d(q), .y(out));
+endmodule
+`
+
+// TestTransitSlotsReadDriven: every slot on a wire reads its driver's
+// value once Tick or Settle returns, and a poke of any of them is
+// overwritten by the driver, however many wiring levels away it sits.
+func TestTransitSlotsReadDriven(t *testing.T) {
+	objs, top := buildDesign(t, wiringSrc, "wtop", codegen.StyleGrouped)
+	s, err := New(tableResolver(objs), top)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Tick(3); err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string) {
+		t.Helper()
+		for path, want := range map[string]uint64{
+			"top.u_src.q": 3, "top.q": 3, "top.u_wrap.d": 3, "top.u_wrap.u_sink.d": 3,
+			"top.u_wrap.u_sink.y": 103, "top.u_wrap.y": 103, "top.out": 103,
+		} {
+			if got, err := s.Peek(path); err != nil || got != want {
+				t.Errorf("%s: %s = %d (%v), want %d", when, path, got, err, want)
+			}
+		}
+	}
+	check("after Tick")
+	// Peek reads a transit slot through its producer; only Sync (here by
+	// Nodes) writes them, and a node's slots then hold the driven values.
+	if k := s.Counts(); k.Fills != 0 {
+		t.Errorf("Tick and Peek filled %d transit slots, want 0", k.Fills)
+	}
+	wrap, err := s.FindNode("top.u_wrap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := wrap.Obj.Debug[slices.IndexFunc(wrap.Obj.Debug, func(d vm.SlotDebug) bool { return d.Name == "d" })]
+	s.Nodes()
+	if got := wrap.Inst.Slots[d.Slot]; got != 3 {
+		t.Errorf("after Nodes, u_wrap.d holds %d, want 3", got)
+	}
+	if k := s.Counts(); k.Fills != 4 {
+		t.Errorf("%d transit fills, want 4 (top.q, u_wrap.clk, u_wrap.d, u_wrap.y)", k.Fills)
+	}
+	// The consumer slot: its driver u_src is two levels away; marking the
+	// poked instance's neighbours alone would leave the poke in place.
+	for _, path := range []string{"top.u_wrap.u_sink.d", "top.u_wrap.d", "top.q", "top.u_wrap.y"} {
+		if err := s.Poke(path, 0x55); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Settle(); err != nil {
+			t.Fatal(err)
+		}
+		check("after poking " + path + " and Settle")
+	}
+}
+
+// TestQuiescentEffectsRun: an instance whose Seq holds $display and
+// $finish runs its clock edge every cycle although nothing it reads moves.
+func TestQuiescentEffectsRun(t *testing.T) {
+	src := `
+module mon (input clk, input [7:0] v, input stop);
+  always @(posedge clk) begin
+    $display("v=%d", v);
+    if (stop) $finish;
+  end
+endmodule
+module mtop (input clk, input [7:0] v, input stop);
+  mon u_mon (.clk(clk), .v(v), .stop(stop));
+endmodule
+`
+	objs, top := buildDesign(t, src, "mtop", codegen.StyleGrouped)
+	var buf bytes.Buffer
+	s, err := New(tableResolver(objs), top, WithOutput(&buf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SetIn("v", 7); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Tick(5); err != nil {
+		t.Fatal(err)
+	}
+	if got := buf.String(); got != strings.Repeat("v=7\n", 5) {
+		t.Errorf("5 cycles printed %q", got)
+	}
+	if err := s.SetIn("stop", 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Tick(10); err != nil {
+		t.Fatal(err)
+	}
+	if !s.Finished() || s.Cycle() != 6 {
+		t.Errorf("finished %v at cycle %d, want true at 6", s.Finished(), s.Cycle())
+	}
+	if got := buf.String(); got != strings.Repeat("v=7\n", 6) {
+		t.Errorf("6 cycles printed %q", got)
 	}
 }

@@ -182,6 +182,7 @@ func (s *Sim) StateBytes() int {
 // memory once and copies only the pages written since. Nothing is
 // serialized: a checkpoint is this State until it leaves the process.
 func (s *Sim) Snapshot() *State {
+	s.Sync()
 	st := &State{Cycle: s.cycle, Finished: s.finished, Nodes: make([]NodeState, len(s.nodes))}
 	for i, n := range s.nodes {
 		ns := &st.Nodes[i]
@@ -237,6 +238,7 @@ func (s *Sim) Restore(st *State) error {
 	s.finished = st.Finished
 	s.settled = false
 	s.allDirty = true
+	s.stale = false // every slot was written
 	s.base = st
 	return nil
 }
@@ -266,6 +268,7 @@ func (s *Sim) RestoreAdapted(st *State, xfer func(n *Node, ns *NodeState) error)
 	s.finished = st.Finished
 	s.settled = false
 	s.allDirty = true
+	s.stale = false // every slot was written
 	s.base = st
 	return nil
 }
@@ -293,6 +296,7 @@ func (s *Sim) Reload(key string, migrate MigrateFunc) (int, error) {
 		return 0, err
 	}
 	s.place(newObj)
+	s.Sync() // migrate may read a transit slot
 	count := 0
 	var walk func(n *Node) error
 	walk = func(n *Node) error {

@@ -152,6 +152,7 @@ func (t *Tracer) header() error {
 	}
 	fmt.Fprintln(t.w, "$enddefinitions $end")
 	fmt.Fprintln(t.w, "$dumpvars")
+	t.s.Sync()
 	for _, p := range t.probes {
 		t.emit(p, p.node.Inst.Slots[p.slot])
 		p.last = p.node.Inst.Slots[p.slot]
@@ -168,6 +169,7 @@ func (t *Tracer) Sample() error {
 		return fmt.Errorf("trace: closed")
 	}
 	wroteTime := false
+	t.s.Sync()
 	for _, p := range t.probes {
 		v := p.node.Inst.Slots[p.slot]
 		if p.init && v == p.last {

@@ -179,3 +179,40 @@ func min(a, b int) int {
 	}
 	return b
 }
+
+// TestVCDWiringOnlySlot traces a port that only carries a value across a
+// wiring level (u_w.q, from u_c.q up to the root): the kernel copies
+// straight from producer to consumer, and the tracer still sees every
+// value the wire takes.
+func TestVCDWiringOnlySlot(t *testing.T) {
+	s := buildSim(t, `
+module cnt (input clk, output reg [3:0] q);
+  always @(posedge clk) q <= q + 1;
+endmodule
+module wrap (input clk, output [3:0] q);
+  cnt u_c (.clk(clk), .q(q));
+endmodule
+module root (input clk, output [3:0] q);
+  wrap u_w (.clk(clk), .q(q));
+endmodule
+`, "root")
+	var buf bytes.Buffer
+	tr, err := New(&buf, s, Signals("top.u_w.q"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 6; i++ {
+		if err := s.Tick(1); err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.Sample(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if out := buf.String(); !strings.Contains(out, "#1\nb1 ") || !strings.Contains(out, "#5\nb101 ") {
+		t.Errorf("u_w.q missing 1 at #1 or 5 at #5:\n%s", out)
+	}
+}

@@ -115,9 +115,56 @@ type Object struct {
 
 	hash string
 
-	baseMu        sync.Mutex // orders AssignBase between loaders
-	combReadsOnce sync.Once
-	combReads     []bool
+	baseMu    sync.Mutex // orders AssignBase between loaders
+	readsOnce sync.Once
+	reads     SlotSet // CombReads, SeqReads, then UsedSlots
+}
+
+// SlotSet is a set of an object's slots, one bit per slot.
+type SlotSet []uint64
+
+// Has reports whether slot is in the set.
+func (s SlotSet) Has(slot uint32) bool { return s[slot/64]&(1<<(slot%64)) != 0 }
+
+func (s SlotSet) add(slot uint32) { s[slot/64] |= 1 << (slot % 64) }
+
+// readSets returns CombReads, SeqReads and UsedSlots. They are derived on
+// first use and cached in one allocation; not part of the content hash.
+func (o *Object) readSets() (comb, seq, used SlotSet) {
+	o.readsOnce.Do(func() {
+		n := (o.NumSlots + 63) / 64
+		o.reads = make(SlotSet, 3*n)
+		comb, seq, used := o.reads[:n], o.reads[n:2*n], o.reads[2*n:]
+		o.addReads(comb, o.Comb)
+		for _, r := range o.Regs {
+			seq.add(r.Cur)
+			used.add(r.Cur)
+			used.add(r.Next)
+		}
+		o.addReads(seq, o.Seq)
+		for _, c := range o.Consts {
+			used.add(c.Slot)
+		}
+		for _, code := range [][]Instr{o.Comb, o.Seq} {
+			for _, in := range code {
+				if in.Op.Pure() {
+					used.add(in.Dst)
+				}
+			}
+		}
+		for i := range used {
+			used[i] |= comb[i] | seq[i]
+		}
+	})
+	n := len(o.reads) / 3
+	return o.reads[:n:n], o.reads[n : 2*n : 2*n], o.reads[2*n:]
+}
+
+// addReads adds to set every slot an instruction of code reads.
+func (o *Object) addReads(set SlotSet, code []Instr) {
+	for i := range code {
+		code[i].Reads(o, set.add)
+	}
 }
 
 // AssignBase places the object at base unless a loader already placed it,
@@ -134,18 +181,32 @@ func (o *Object) AssignBase(base uint64) bool {
 	return true
 }
 
-// CombReads reports, per slot, whether any Comb instruction reads it. The
-// kernel compiles it into its settle schedule: a port that feeds only Seq
-// can change without the instance's combinational outputs moving. Derived
-// from Comb on first use and cached; not part of the content hash.
-func (o *Object) CombReads() []bool {
-	o.combReadsOnce.Do(func() {
-		o.combReads = make([]bool, o.NumSlots)
-		for i := range o.Comb {
-			o.Comb[i].Reads(o, func(slot uint32) { o.combReads[slot] = true })
-		}
-	})
-	return o.combReads
+// CombReads is the set of slots some Comb instruction reads. The kernel
+// compiles it into its settle schedule: a port that feeds only Seq can
+// change without the instance's combinational outputs moving. Derived from
+// Comb on first use and cached; not part of the content hash.
+func (o *Object) CombReads() SlotSet {
+	comb, _, _ := o.readSets()
+	return comb
+}
+
+// SeqReads is the set of slots the sequential evaluation reads: those a
+// Seq instruction reads, and each register's current value, which RunSeq
+// copies into the register's next value before Seq runs. The kernel skips
+// the clock edge of an instance none of whose SeqReads slots moved. Cached
+// like CombReads.
+func (o *Object) SeqReads() SlotSet {
+	_, seq, _ := o.readSets()
+	return seq
+}
+
+// UsedSlots is the set of slots an instance's own code uses: read or
+// written by Comb or Seq, or holding a register or a constant. A bound port
+// slot outside it only carries a value between other instances. Cached
+// like CombReads.
+func (o *Object) UsedSlots() SlotSet {
+	_, _, used := o.readSets()
+	return used
 }
 
 // PortIndex returns the index of the named port, or -1.

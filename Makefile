@@ -61,8 +61,9 @@ state:
 	$(GO) test -run '^$$' -bench BenchmarkSnapshot -benchtime 20x -count=1 ./internal/pgas
 
 # Short fuzz runs over the frame container, the checkpoint, journal,
-# transfer and replication decoders on it, the incremental analyzer, and
-# xform's Table V plan against its map-based reference (Go allows one
+# transfer and replication decoders on it, the incremental analyzer,
+# xform's Table V plan against its map-based reference, and codegen's
+# tidied code against its lowered code on random modules (Go allows one
 # -fuzz target per invocation). ~10s each keeps this viable in CI while still churning hundreds of thousands
 # of corrupted inputs. The analyzer's inputs are whole source files at a
 # millisecond per run: without a cap the fuzzer spends the whole budget
@@ -77,6 +78,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReplicaFrameDecode -fuzztime=$(FUZZTIME) ./internal/replica/
 	$(GO) test -run='^$$' -fuzz=FuzzAnalyzeIncremental -fuzztime=$(FUZZTIME) -fuzzminimizetime=50x ./internal/liveparser/
 	$(GO) test -run='^$$' -fuzz=FuzzPlan -fuzztime=$(FUZZTIME) ./internal/xform/
+	$(GO) test -run='^$$' -fuzz=FuzzCompile -fuzztime=$(FUZZTIME) ./internal/codegen/
 
 # End-to-end server smoke: scripted livesim session against a livesimd
 # on a unix socket, then a SIGTERM graceful-drain assertion.

@@ -59,7 +59,7 @@ type Options struct {
 // keeps compiled objects beyond the process (livecompiler's object
 // directory) keys them on it; bump it with every change to what Compile
 // emits, so an object written by an older binary is recompiled, not served.
-const Version = 2
+const Version = 3
 
 // Compile lowers one elaborated module specialization to an object.
 func Compile(m *elab.Module, opts Options) (*vm.Object, error) {

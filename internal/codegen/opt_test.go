@@ -232,3 +232,69 @@ func TestTidyForwardsTheWriterNextToTheMove(t *testing.T) {
 		t.Errorf("want the jump and neg into w:\n%s", disasm(got))
 	}
 }
+
+// TestTidyFusesMeasuredPairs: each of the four pairs becomes its fused
+// op when the first op's temporary has no other reader, in either operand
+// position of the second op.
+func TestTidyFusesMeasuredPairs(t *testing.T) {
+	const c, a, w, k, tmp = 0, 1, 2, 3, 4
+	consts := []vm.ConstInit{{Slot: k, Value: 1}}
+	for _, tc := range []struct {
+		code []vm.Instr
+		want vm.Instr
+	}{
+		{[]vm.Instr{
+			{Op: vm.OpShlImm, Dst: tmp, A: c, B: 4, Imm: 0xff},
+			{Op: vm.OpOr, Dst: w, A: a, B: tmp},
+		}, vm.Instr{Op: vm.OpShlOr, Dst: w, A: c, B: a, W: 4, Imm: 0xff}},
+		{[]vm.Instr{
+			{Op: vm.OpEqImm, Dst: tmp, A: c, Imm: 1},
+			{Op: vm.OpAnd, Dst: w, A: tmp, B: a},
+		}, vm.Instr{Op: vm.OpAndEqI, Dst: w, A: c, B: a, Imm: 1}},
+		{[]vm.Instr{
+			{Op: vm.OpEq, Dst: tmp, A: c, B: k},
+			{Op: vm.OpAnd, Dst: w, A: a, B: tmp},
+		}, vm.Instr{Op: vm.OpAndEq, Dst: w, A: c, B: k, C: a}},
+		{[]vm.Instr{
+			{Op: vm.OpEq, Dst: tmp, A: c, B: k},
+			{Op: vm.OpJz, A: tmp, B: 3},
+			{Op: vm.OpMove, Dst: w, A: a},
+		}, vm.Instr{Op: vm.OpJne, A: c, C: k, B: 2}},
+	} {
+		got := tidyByHand(t, 5, consts, tc.code)
+		if len(got) != len(tc.code)-1 || got[0] != tc.want {
+			t.Errorf("%s\ntidied to\n%s\nwant first %v", disasm(tc.code), disasm(got), tc.want)
+		}
+	}
+}
+
+// TestTidyLeavesPairsItCannotFuse: a pair whose second op is a jump
+// target, whose temporary has a second reader or is pinned, stays two
+// ops.
+func TestTidyLeavesPairsItCannotFuse(t *testing.T) {
+	const c, a, w, k, tmp = 0, 1, 2, 3, 4
+	consts := []vm.ConstInit{{Slot: k, Value: 1}}
+	for _, code := range [][]vm.Instr{
+		{ // the and is a jump target
+			{Op: vm.OpJz, A: c, B: 2},
+			{Op: vm.OpEq, Dst: tmp, A: c, B: k},
+			{Op: vm.OpAnd, Dst: w, A: tmp, B: a},
+		},
+		{ // the temporary has a second reader
+			{Op: vm.OpEqImm, Dst: tmp, A: c, Imm: 1},
+			{Op: vm.OpAnd, Dst: w, A: tmp, B: a},
+			{Op: vm.OpOr, Dst: w, A: w, B: tmp},
+		},
+		{ // the temporary is a constant's slot
+			{Op: vm.OpEq, Dst: k, A: c, B: a},
+			{Op: vm.OpAnd, Dst: w, A: k, B: a},
+		},
+	} {
+		got := tidyByHand(t, 5, consts, code)
+		for _, in := range got {
+			if in.Op >= vm.OpShlOr {
+				t.Errorf("%s\nfused:\n%s", disasm(code), disasm(got))
+			}
+		}
+	}
+}

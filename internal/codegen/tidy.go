@@ -15,6 +15,11 @@ import "livesim/internal/vm"
 // temporaries), no table of the object names it, and the move is not a jump
 // target, so the producer is the only way to reach the move. Whatever else
 // wrote the temporary then has no reader and goes with the dead code.
+//
+// Last, an op whose result only the next op reads is fused with it, where
+// the pair is one of the four that run most (see fuse); the same three
+// conditions make the temporary unobservable, with "the next op" read
+// across the instructions the earlier steps dropped.
 func tidy(o *vm.Object) {
 	streams := []*[]vm.Instr{&o.Comb, &o.Seq}
 
@@ -51,21 +56,28 @@ func tidy(o *vm.Object) {
 		}
 	}
 
+	// target[si][pc]: some jump of stream si lands on pc. Jumps are never
+	// dropped, so the table holds until compaction.
+	var target [2][]bool
+	for si, code := range streams {
+		c := *code
+		target[si] = make([]bool, len(c)+1)
+		for i := range c {
+			if c[i].Op.IsBranch() {
+				target[si][c[i].B] = true
+			}
+		}
+	}
+
 	// Forward. prod is the last instruction kept, so a chain of moves
 	// collapses onto its first producer.
 	dead := [2][]bool{make([]bool, len(o.Comb)), make([]bool, len(o.Seq))}
 	for si, code := range streams {
 		c := *code
-		target := make([]bool, len(c)+1)
-		for i := range c {
-			if c[i].Op.IsBranch() {
-				target[c[i].B] = true
-			}
-		}
 		prod := -1
 		for pc := range c {
 			in := &c[pc]
-			if prod >= 0 && in.Op == vm.OpMove && !target[pc] {
+			if prod >= 0 && in.Op == vm.OpMove && !target[si][pc] {
 				p := &c[prod]
 				if t := p.Dst; p.Op.Pure() && t == in.A && !pinned[t] && reads[t] == 1 {
 					p.Dst = in.Dst
@@ -92,6 +104,32 @@ func tidy(o *vm.Object) {
 		}
 	}
 
+	// Fuse. q is the next instruction kept after pc; a jump to anything in
+	// (pc, q] lands on q after compaction, so q is reached only from pc
+	// when none does.
+	for si, code := range streams {
+		c := *code
+		for pc := 0; pc < len(c); {
+			q, landed := pc+1, target[si][pc+1]
+			for q < len(c) && dead[si][q] {
+				q++
+				landed = landed || target[si][q]
+			}
+			if q == len(c) {
+				break
+			}
+			if t := c[pc].Dst; !dead[si][pc] && !landed && c[pc].Op.Pure() && !pinned[t] && reads[t] == 1 {
+				if f, ok := fuse(&c[pc], &c[q]); ok {
+					c[pc], dead[si][q] = f, true
+					reads[t] = 0
+					pc = q + 1
+					continue
+				}
+			}
+			pc = q
+		}
+	}
+
 	// Compact and remap jump targets; a jump to a dropped instruction
 	// lands on the next one kept.
 	for si, code := range streams {
@@ -112,4 +150,34 @@ func tidy(o *vm.Object) {
 		}
 		*code = kept
 	}
+}
+
+// fuse returns the one op that does what p and then n do, for the pairs
+// `make opmix` measured as the most frequent with n reading p's result t
+// and nothing else reading it: shli→or, eqi→and, eq→and and eq→jz. The
+// result writes n's destination and leaves t unwritten.
+func fuse(p, n *vm.Instr) (vm.Instr, bool) {
+	t := p.Dst
+	if n.Op == vm.OpJz {
+		if p.Op == vm.OpEq && n.A == t {
+			return vm.Instr{Op: vm.OpJne, A: p.A, C: p.B, B: n.B}, true
+		}
+		return vm.Instr{}, false
+	}
+	if (n.Op != vm.OpAnd && n.Op != vm.OpOr) || (n.A == t) == (n.B == t) {
+		return vm.Instr{}, false
+	}
+	other := n.A // n's operand that is not t
+	if other == t {
+		other = n.B
+	}
+	switch {
+	case p.Op == vm.OpShlImm && n.Op == vm.OpOr && p.B < 64:
+		return vm.Instr{Op: vm.OpShlOr, Dst: n.Dst, A: p.A, B: other, W: uint8(p.B), Imm: p.Imm}, true
+	case p.Op == vm.OpEqImm && n.Op == vm.OpAnd:
+		return vm.Instr{Op: vm.OpAndEqI, Dst: n.Dst, A: p.A, B: other, Imm: p.Imm}, true
+	case p.Op == vm.OpEq && n.Op == vm.OpAnd:
+		return vm.Instr{Op: vm.OpAndEq, Dst: n.Dst, A: p.A, B: p.B, C: other}, true
+	}
+	return vm.Instr{}, false
 }

@@ -188,3 +188,20 @@ endmodule`}, "m")
 	}
 	checkTidy(t, d, codegen.StyleGrouped, 5, 64)
 }
+
+// FuzzCompile runs checkTidy on the random module of a fuzzed randrtl seed
+// in either style: the lowered code is tidy's reference, and forwarding,
+// dead-code removal and fusion have to keep every named slot and memory
+// equal to it.
+func FuzzCompile(f *testing.F) {
+	f.Add(uint64(1), false)
+	f.Add(uint64(2), true)
+	f.Fuzz(func(t *testing.T, seed uint64, mux bool) {
+		style := codegen.StyleGrouped
+		if mux {
+			style = codegen.StyleMux
+		}
+		d := elaborate(t, map[string]string{"r.v": randrtl.Module(seed, "rnd", 0)}, "rnd")
+		checkTidy(t, d, style, seed, 200)
+	})
+}

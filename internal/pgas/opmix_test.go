@@ -2,6 +2,7 @@ package pgas
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -106,6 +107,30 @@ func (m *opMix) report(cycles int) string {
 	return sb.String()
 }
 
+// computeSim is a side x side mesh running the compute kernel, ticked
+// warm cycles.
+func computeSim(t *testing.T, side, warm int) *sim.Sim {
+	t.Helper()
+	n := side * side
+	s, err := NewSim(n, codegen.StyleGrouped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	images, err := ComputeImages(n, 1<<30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, img := range images {
+		if err := LoadImage(s, n, i, img); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Tick(warm); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 // TestOpMix runs the compute kernel on the 1x1 and 4x4 meshes and holds
 // executed VM ops per cycle under a ceiling, so that a lowering regression
 // in internal/codegen fails `go test ./...` and not only the benchmark.
@@ -116,26 +141,10 @@ func TestOpMix(t *testing.T) {
 	for _, c := range []struct {
 		side    int
 		ceiling float64
-	}{{1, 400}, {4, 7200}} {
+	}{{1, 340}, {4, 6200}} {
 		c := c
 		t.Run(fmt.Sprintf("%dx%d", c.side, c.side), func(t *testing.T) {
-			n := c.side * c.side
-			s, err := NewSim(n, codegen.StyleGrouped)
-			if err != nil {
-				t.Fatal(err)
-			}
-			images, err := ComputeImages(n, 1<<30)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, img := range images {
-				if err := LoadImage(s, n, i, img); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := s.Tick(warm); err != nil {
-				t.Fatal(err)
-			}
+			s := computeSim(t, c.side, warm)
 			ops0 := s.Stats.Ops
 			m := newOpMix(s)
 			if err := s.TickProfiled(cycles, m); err != nil {
@@ -166,23 +175,7 @@ func TestOpMixKernel(t *testing.T) {
 	}{{1, 70, 7}, {4, 1300, 110}} {
 		c := c
 		t.Run(fmt.Sprintf("%dx%d", c.side, c.side), func(t *testing.T) {
-			n := c.side * c.side
-			s, err := NewSim(n, codegen.StyleGrouped)
-			if err != nil {
-				t.Fatal(err)
-			}
-			images, err := ComputeImages(n, 1<<30)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, img := range images {
-				if err := LoadImage(s, n, i, img); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := s.Tick(warm); err != nil {
-				t.Fatal(err)
-			}
+			s := computeSim(t, c.side, warm)
 			k0 := s.Counts()
 			p := prof.New()
 			s.SetProfiler(p)
@@ -209,5 +202,33 @@ func TestOpMixKernel(t *testing.T) {
 				t.Errorf("%d transit slots filled by %d Ticks with no read in between, want 0", k.Fills-k0.Fills, cycles)
 			}
 		})
+	}
+}
+
+type noProfiler struct{}
+
+func (noProfiler) Instr(uint64, bool, bool) {}
+func (noProfiler) Data(uint64, bool)        {}
+
+// TestTickProfiledMatchesTick: the VM's plain and profiled loops are two
+// loops; 256 cycles of the compute kernel on the 4x4 mesh through each
+// leave the same VM counters and the same slots and memories everywhere.
+func TestTickProfiledMatchesTick(t *testing.T) {
+	const cycles = 256
+	plain, profiled := computeSim(t, 4, 0), computeSim(t, 4, 0)
+	if err := plain.Tick(cycles); err != nil {
+		t.Fatal(err)
+	}
+	if err := profiled.TickProfiled(cycles, noProfiler{}); err != nil {
+		t.Fatal(err)
+	}
+	if plain.Stats != profiled.Stats || plain.Cycle() != profiled.Cycle() {
+		t.Errorf("cycle %d / %d, stats %+v / %+v", plain.Cycle(), profiled.Cycle(), plain.Stats, profiled.Stats)
+	}
+	pn, qn := plain.Nodes(), profiled.Nodes()
+	for i, n := range pn {
+		if !reflect.DeepEqual(n.Inst.Slots, qn[i].Inst.Slots) || !reflect.DeepEqual(n.Inst.Mems, qn[i].Inst.Mems) {
+			t.Errorf("%s: state differs after %d cycles", n.Path, cycles)
+		}
 	}
 }

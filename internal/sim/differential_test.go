@@ -154,13 +154,12 @@ func deadCombTemps(o *vm.Object) []bool {
 	dead := make([]bool, o.NumSlots)
 	end := 0 // comb instructions before end sit inside a branch region
 	for pc, in := range o.Comb {
-		switch in.Op {
-		case vm.OpJmp, vm.OpJz, vm.OpJnz:
+		switch {
+		case in.Op.IsBranch():
 			if int(in.B) > end {
 				end = int(in.B)
 			}
-		case vm.OpNop, vm.OpMemWr, vm.OpDisplay, vm.OpFinish:
-		default:
+		case in.Op.Pure():
 			if pc < end && !named[in.Dst] {
 				dead[in.Dst] = true
 			}

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -27,11 +28,15 @@ func fullObject() *Object {
 		Comb: []Instr{
 			{Op: OpMemRd, Dst: 1, A: 2, B: 0},
 			{Op: OpAdd, Dst: 6, A: 2, B: 4, Imm: Mask(2)},
+			{Op: OpShlOr, Dst: 7, A: 2, B: 4, W: 3, Imm: m},
+			{Op: OpAndEqI, Dst: 8, A: 2, B: 4, Imm: 3},
+			{Op: OpAndEq, Dst: 9, A: 2, B: 5, C: 4},
 		},
 		Seq: []Instr{
 			{Op: OpJz, A: 0, B: 3},
 			{Op: OpMove, Dst: 3, A: 6},
 			{Op: OpDisplay, Imm: 0},
+			{Op: OpJne, A: 2, C: 4, B: 4},
 		},
 		Debug: []SlotDebug{{Name: "head", Slot: 2, Bits: 2}},
 	}
@@ -58,6 +63,9 @@ func TestObjectCodecRoundTrip(t *testing.T) {
 	}
 	if len(got.Displays) != 2 || got.Displays[0].Format != "head=%d" {
 		t.Errorf("displays %+v", got.Displays)
+	}
+	if !reflect.DeepEqual(got.Comb, o.Comb) || !reflect.DeepEqual(got.Seq, o.Seq) {
+		t.Errorf("code %v %v, want %v %v", got.Comb, got.Seq, o.Comb, o.Seq)
 	}
 	// Behavioural equivalence: run both.
 	a, b := NewInstance(o), NewInstance(got)

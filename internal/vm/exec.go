@@ -117,22 +117,23 @@ func (in *Instance) ZeroState() {
 }
 
 // RunComb executes the object's combinational program.
-func (in *Instance) RunComb(st *Stats) { in.exec(in.Obj.Comb, st, nil, 0) }
+func (in *Instance) RunComb(st *Stats) { in.exec(in.Obj.Comb, st) }
 
 // RunSeq executes the sequential program: register next values default to
 // their current values, the program overwrites some of them and buffers
 // memory writes.
-func (in *Instance) RunSeq(st *Stats) { in.runSeq(st, nil, 0) }
+func (in *Instance) RunSeq(st *Stats) {
+	in.seqDefaults()
+	in.exec(in.Obj.Seq, st)
+}
 
-// runSeq is the single sequential-eval implementation behind RunSeq and
-// RunSeqProfiled (they previously duplicated the next-value default
-// loop).
-func (in *Instance) runSeq(st *Stats, p Profiler, base uint64) {
+// seqDefaults starts a sequential eval: every register's next value is
+// its current one until the Seq program says otherwise.
+func (in *Instance) seqDefaults() {
 	s := in.Slots
 	for _, r := range in.Obj.Regs {
 		s[r.Next] = s[r.Cur]
 	}
-	in.exec(in.Obj.Seq, st, p, base)
 }
 
 // Commit moves register next values into place and applies buffered memory
@@ -159,27 +160,36 @@ func (in *Instance) Commit() bool {
 	return changed
 }
 
-// RunCombProfiled is RunComb with a profiler attached.
+// RunCombProfiled is RunComb with a profiler attached; a nil profiler
+// runs RunComb.
 func (in *Instance) RunCombProfiled(st *Stats, p Profiler) {
-	in.exec(in.Obj.Comb, st, p, in.Obj.BaseAddr)
+	if p == nil {
+		in.RunComb(st)
+		return
+	}
+	in.execProfiled(in.Obj.Comb, st, p, in.Obj.BaseAddr)
 }
 
-// RunSeqProfiled is RunSeq with a profiler attached.
+// RunSeqProfiled is RunSeq with a profiler attached; a nil profiler runs
+// RunSeq.
 func (in *Instance) RunSeqProfiled(st *Stats, p Profiler) {
-	in.runSeq(st, p, in.Obj.BaseAddr+uint64(len(in.Obj.Comb)*InstrBytes))
+	if p == nil {
+		in.RunSeq(st)
+		return
+	}
+	in.seqDefaults()
+	in.execProfiled(in.Obj.Seq, st, p, in.Obj.BaseAddr+uint64(len(in.Obj.Comb)*InstrBytes))
 }
 
-// exec interprets code against the instance state. base is the modeled
-// code address of code[0] for profiling; prof may be nil.
-func (in *Instance) exec(code []Instr, st *Stats, prof Profiler, base uint64) {
+// exec interprets code against the instance state. It is the one
+// definition of what each op does; execProfiled runs every op that is
+// not a branch through it too.
+func (in *Instance) exec(code []Instr, st *Stats) {
 	s := in.Slots
 	var ops, branches, taken, memops uint64
 	for pc := 0; pc < len(code); {
 		ins := &code[pc]
 		ops++
-		if prof != nil {
-			in.profInstr(prof, ins, base, pc, s)
-		}
 		switch ins.Op {
 		case OpNop:
 		case OpConst:
@@ -269,6 +279,12 @@ func (in *Instance) exec(code []Instr, st *Stats, prof Profiler, base uint64) {
 			s[ins.Dst] = s[ins.A] >> ins.B
 		case OpEqImm:
 			s[ins.Dst] = b2u(s[ins.A] == ins.Imm)
+		case OpShlOr:
+			s[ins.Dst] = (s[ins.A]<<ins.W)&ins.Imm | s[ins.B]
+		case OpAndEqI:
+			s[ins.Dst] = b2u(s[ins.A] == ins.Imm) & s[ins.B]
+		case OpAndEq:
+			s[ins.Dst] = b2u(s[ins.A] == s[ins.B]) & s[ins.C]
 		case OpJmp:
 			branches++
 			taken++
@@ -284,6 +300,13 @@ func (in *Instance) exec(code []Instr, st *Stats, prof Profiler, base uint64) {
 		case OpJnz:
 			branches++
 			if s[ins.A] != 0 {
+				taken++
+				pc = int(ins.B)
+				continue
+			}
+		case OpJne:
+			branches++
+			if s[ins.A] != s[ins.C] {
 				taken++
 				pc = int(ins.B)
 				continue
@@ -314,39 +337,59 @@ func (in *Instance) exec(code []Instr, st *Stats, prof Profiler, base uint64) {
 	}
 }
 
-// profInstr reports one instruction and its data accesses to the profiler.
-func (in *Instance) profInstr(prof Profiler, ins *Instr, base uint64, pc int, s []uint64) {
-	isBr := ins.Op.IsBranch()
-	tk := false
-	switch ins.Op {
-	case OpJmp:
-		tk = true
-	case OpJz:
-		tk = s[ins.A] == 0
-	case OpJnz:
-		tk = s[ins.A] != 0
+// execProfiled is exec with every instruction and its data accesses
+// reported to prof first. base is the modeled code address of code[0].
+// It decides branches itself and hands every other op to exec as a
+// one-instruction program, so the two loops cannot disagree on what an
+// op computes.
+func (in *Instance) execProfiled(code []Instr, st *Stats, prof Profiler, base uint64) {
+	if st == nil {
+		st = new(Stats)
 	}
-	prof.Instr(base+uint64(pc*InstrBytes), isBr, tk)
-	switch ins.Op {
-	case OpConst, OpJmp:
-		prof.Data(in.DataBase+uint64(ins.Dst)*8, true)
-	case OpJz, OpJnz:
-		prof.Data(in.DataBase+uint64(ins.A)*8, false)
-	case OpMemRd:
-		prof.Data(in.DataBase+uint64(ins.A)*8, false)
-		if int(ins.B) < len(in.MemBases) {
-			prof.Data(in.MemBases[ins.B]+(s[ins.A]%uint64(len(in.Mems[ins.B])))*8, false)
+	s := in.Slots
+	for pc := 0; pc < len(code); {
+		ins := &code[pc]
+		tk := false
+		switch ins.Op {
+		case OpJmp:
+			tk = true
+		case OpJz:
+			tk = s[ins.A] == 0
+		case OpJnz:
+			tk = s[ins.A] != 0
+		case OpJne:
+			tk = s[ins.A] != s[ins.C]
 		}
-		prof.Data(in.DataBase+uint64(ins.Dst)*8, true)
-	case OpMemWr:
-		prof.Data(in.DataBase+uint64(ins.A)*8, false)
-		prof.Data(in.DataBase+uint64(ins.C)*8, false)
-		if int(ins.B) < len(in.MemBases) {
-			prof.Data(in.MemBases[ins.B]+(s[ins.A]%uint64(len(in.Mems[ins.B])))*8, true)
+		prof.Instr(base+uint64(pc*InstrBytes), ins.Op.IsBranch(), tk)
+		in.profData(prof, ins)
+		if !ins.Op.IsBranch() {
+			in.exec(code[pc:pc+1], st)
+			pc++
+			continue
 		}
-	default:
-		prof.Data(in.DataBase+uint64(ins.A)*8, false)
-		prof.Data(in.DataBase+uint64(ins.B)*8, false)
+		st.Ops++
+		st.Branches++
+		if tk {
+			st.Taken++
+			pc = int(ins.B)
+		} else {
+			pc++
+		}
+	}
+}
+
+// profData reports the data accesses of ins, about to execute: the slots
+// Instr.Reads names, the memory word a memrd or memwr touches (none when
+// the address is out of range: the read yields 0 and Commit drops the
+// write), then the write of Dst if the op computes one.
+func (in *Instance) profData(prof Profiler, ins *Instr) {
+	ins.Reads(in.Obj, func(slot uint32) { prof.Data(in.DataBase+uint64(slot)*8, false) })
+	if ins.Op == OpMemRd || ins.Op == OpMemWr {
+		if a := in.Slots[ins.A]; int(ins.B) < len(in.MemBases) && a < uint64(len(in.Mems[ins.B])) {
+			prof.Data(in.MemBases[ins.B]+a*8, ins.Op == OpMemWr)
+		}
+	}
+	if ins.Op.Pure() {
 		prof.Data(in.DataBase+uint64(ins.Dst)*8, true)
 	}
 }

@@ -23,7 +23,8 @@ type OpCode uint8
 
 // Operation codes. In the comments below, s[] is the instance slot array,
 // d is the destination slot, a/b/c are source slots, imm is the 64-bit
-// immediate (usually the destination mask), and W is an operand bit width.
+// immediate (usually the destination mask), and W is an operand bit width
+// (the shift amount in OpShlOr).
 const (
 	OpNop     OpCode = iota
 	OpConst          // s[d] = imm
@@ -61,9 +62,17 @@ const (
 	OpJz             // if s[a] == 0 { pc = b }
 	OpJnz            // if s[a] != 0 { pc = b }
 	OpMemRd          // s[d] = mem[b][s[a]] (out of range -> 0)
-	OpMemWr          // mem[b][s[a] mod len] = s[c] & imm, buffered until commit
+	OpMemWr          // mem[b][s[a]] = s[c] & imm, buffered until commit (out of range -> dropped)
 	OpDisplay        // run display record imm (args read from slots)
 	OpFinish         // request simulation stop
+
+	// Fused pairs, emitted by codegen's tidy where the first op's result
+	// has no reader but the second. Appended so the numbers above keep
+	// their encoding.
+	OpShlOr  // s[d] = ((s[a] << W) & imm) | s[b]   (shli -> or)
+	OpAndEqI // s[d] = (s[a] == imm) & s[b]         (eqi -> and)
+	OpAndEq  // s[d] = (s[a] == s[b]) & s[c]        (eq -> and)
+	OpJne    // if s[a] != s[c] { pc = b }          (eq -> jz)
 	opCount
 )
 
@@ -79,6 +88,7 @@ var opNames = [...]string{
 	OpJmp: "jmp", OpJz: "jz", OpJnz: "jnz",
 	OpMemRd: "memrd", OpMemWr: "memwr",
 	OpDisplay: "display", OpFinish: "finish",
+	OpShlOr: "shlor", OpAndEqI: "andeqi", OpAndEq: "andeq", OpJne: "jne",
 }
 
 // String returns the mnemonic of the opcode.
@@ -91,12 +101,14 @@ func (op OpCode) String() string {
 
 // IsBranch reports whether the op is a control-flow transfer. The host
 // model uses this to feed its branch predictor.
-func (op OpCode) IsBranch() bool { return op == OpJmp || op == OpJz || op == OpJnz }
+func (op OpCode) IsBranch() bool {
+	return op == OpJmp || op == OpJz || op == OpJnz || op == OpJne
+}
 
 // Instr is one bytecode instruction.
 type Instr struct {
 	Op   OpCode
-	W    uint8 // operand width for OpSext/OpSshr
+	W    uint8 // operand width for OpSext/OpSshr; the literal shift of OpShlOr
 	Dst  uint32
 	A, B uint32
 	C    uint32
@@ -107,7 +119,7 @@ type Instr struct {
 // nothing else, so an instruction whose destination nobody reads can go.
 func (op OpCode) Pure() bool {
 	switch op {
-	case OpNop, OpJmp, OpJz, OpJnz, OpMemWr, OpDisplay, OpFinish:
+	case OpNop, OpJmp, OpJz, OpJnz, OpJne, OpMemWr, OpDisplay, OpFinish:
 		return false
 	}
 	return op < opCount
@@ -121,11 +133,11 @@ func (in *Instr) Reads(o *Object, f func(slot uint32)) {
 	case OpMove, OpNot, OpNeg, OpSext, OpRedOr, OpRedAnd, OpRedXor,
 		OpAndImm, OpOrImm, OpShlImm, OpShrImm, OpEqImm, OpJz, OpJnz, OpMemRd:
 		f(in.A)
-	case OpMux:
+	case OpMux, OpAndEq:
 		f(in.A)
 		f(in.B)
 		f(in.C)
-	case OpMemWr:
+	case OpMemWr, OpJne:
 		f(in.A)
 		f(in.C)
 	case OpDisplay:
@@ -147,6 +159,14 @@ func (in Instr) String() string {
 		return fmt.Sprintf("%-7s -> %d", in.Op, in.B)
 	case OpJz, OpJnz:
 		return fmt.Sprintf("%-7s s%d -> %d", in.Op, in.A, in.B)
+	case OpJne:
+		return fmt.Sprintf("%-7s s%d != s%d -> %d", in.Op, in.A, in.C, in.B)
+	case OpShlOr:
+		return fmt.Sprintf("%-7s s%d = (s%d << %d) & %#x | s%d", in.Op, in.Dst, in.A, in.W, in.Imm, in.B)
+	case OpAndEqI:
+		return fmt.Sprintf("%-7s s%d = (s%d == %#x) & s%d", in.Op, in.Dst, in.A, in.Imm, in.B)
+	case OpAndEq:
+		return fmt.Sprintf("%-7s s%d = (s%d == s%d) & s%d", in.Op, in.Dst, in.A, in.B, in.C)
 	case OpMux:
 		return fmt.Sprintf("%-7s s%d = s%d ? s%d : s%d", in.Op, in.Dst, in.A, in.B, in.C)
 	case OpMemRd:

@@ -372,7 +372,7 @@ func (o *Object) Validate() error {
 				return fmt.Errorf("object %s: %s pc %d: bad opcode %d", o.Key, name, pc, in.Op)
 			}
 			switch in.Op {
-			case OpJmp, OpJz, OpJnz:
+			case OpJmp, OpJz, OpJnz, OpJne:
 				if int(in.B) > len(code) {
 					return fmt.Errorf("object %s: %s pc %d: jump target %d out of range", o.Key, name, pc, in.B)
 				}

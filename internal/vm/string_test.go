@@ -30,6 +30,10 @@ func TestInstrDisassembly(t *testing.T) {
 		{Instr{Op: OpMemWr, A: 2, B: 1, C: 3}, "m1[s2] = s3"},
 		{Instr{Op: OpSext, Dst: 1, A: 2, W: 8}, "w=8"},
 		{Instr{Op: OpAdd, Dst: 1, A: 2, B: 3, Imm: 0xF}, "add"},
+		{Instr{Op: OpShlOr, Dst: 1, A: 2, B: 3, W: 4, Imm: 0xF0}, "s1 = (s2 << 4) & 0xf0 | s3"},
+		{Instr{Op: OpAndEqI, Dst: 1, A: 2, B: 3, Imm: 0x7}, "s1 = (s2 == 0x7) & s3"},
+		{Instr{Op: OpAndEq, Dst: 1, A: 2, B: 3, C: 4}, "s1 = (s2 == s3) & s4"},
+		{Instr{Op: OpJne, A: 2, B: 9, C: 3}, "s2 != s3 -> 9"},
 	}
 	for _, c := range cases {
 		if got := c.in.String(); !strings.Contains(got, c.want) {
@@ -40,7 +44,7 @@ func TestInstrDisassembly(t *testing.T) {
 
 func TestIsBranch(t *testing.T) {
 	for op, want := range map[OpCode]bool{
-		OpJmp: true, OpJz: true, OpJnz: true,
+		OpJmp: true, OpJz: true, OpJnz: true, OpJne: true,
 		OpAdd: false, OpMemRd: false, OpFinish: false,
 	} {
 		if op.IsBranch() != want {

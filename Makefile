@@ -62,8 +62,9 @@ state:
 
 # Short fuzz runs over the frame container, the checkpoint, journal,
 # transfer and replication decoders on it, the incremental analyzer,
-# xform's Table V plan against its map-based reference, and codegen's
-# tidied code against its lowered code on random modules (Go allows one
+# xform's Table V plan against its map-based reference, codegen's
+# tidied code against its lowered code on random modules, and span lines
+# against encoding/json on fuzzed strings and ids (Go allows one
 # -fuzz target per invocation). ~10s each keeps this viable in CI while still churning hundreds of thousands
 # of corrupted inputs. The analyzer's inputs are whole source files at a
 # millisecond per run: without a cap the fuzzer spends the whole budget
@@ -79,6 +80,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzAnalyzeIncremental -fuzztime=$(FUZZTIME) -fuzzminimizetime=50x ./internal/liveparser/
 	$(GO) test -run='^$$' -fuzz=FuzzPlan -fuzztime=$(FUZZTIME) ./internal/xform/
 	$(GO) test -run='^$$' -fuzz=FuzzCompile -fuzztime=$(FUZZTIME) ./internal/codegen/
+	$(GO) test -run='^$$' -fuzz=FuzzSpanLine -fuzztime=$(FUZZTIME) ./internal/obs/
 
 # End-to-end server smoke: scripted livesim session against a livesimd
 # on a unix socket, then a SIGTERM graceful-drain assertion.

@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sync"
@@ -96,36 +94,16 @@ func (l *Logger) log(level Level, msg string, fields []Attr) {
 	}
 	// Hand-assembled JSON keeps field order stable (ts, level, msg, then
 	// the call's fields) — greppable and diffable, which a map marshal
-	// would shuffle.
-	var b bytes.Buffer
-	b.WriteString(`{"ts":"`)
-	b.WriteString(now.UTC().Format(time.RFC3339Nano))
-	b.WriteString(`","level":"`)
-	b.WriteString(level.String())
-	b.WriteString(`","msg":`)
-	b.Write(jsonValue(msg))
+	// would shuffle. Values are written as span attrs are.
+	b := append(make([]byte, 0, 256), `{"ts":"`...)
+	b = now.UTC().AppendFormat(b, time.RFC3339Nano)
+	b = append(append(b, `","level":"`...), level.String()...)
+	b = appendJSONString(append(b, `","msg":`...), msg)
 	for _, f := range fields {
-		writeField(&b, f)
+		b = appendAttr(append(b, ','), f)
 	}
-	b.WriteString("}\n")
+	b = append(b, "}\n"...)
 	l.mu.Lock()
-	l.w.Write(b.Bytes())
+	l.w.Write(b)
 	l.mu.Unlock()
-}
-
-func writeField(b *bytes.Buffer, f Attr) {
-	b.WriteByte(',')
-	b.Write(jsonValue(f.Key))
-	b.WriteByte(':')
-	b.Write(jsonValue(f.Val))
-}
-
-func jsonValue(v any) []byte {
-	data, err := json.Marshal(v)
-	if err != nil {
-		// Attr values are scalars in-tree; anything exotic degrades to its
-		// quoted fmt representation rather than corrupting the line.
-		data, _ = json.Marshal(fmt.Sprint(v))
-	}
-	return data
 }

@@ -12,8 +12,8 @@ import (
 )
 
 // SpanRecord is one completed span as the fleet-wide assembler sees it:
-// the spanEvent wire form plus the name of the process that emitted it.
-// JSON tags match spanEvent so a SpanStore can parse the same JSONL
+// the span line's fields plus the name of the process that emitted it.
+// JSON tags match the span line so a SpanStore can parse the same JSONL
 // stream the Tracer writes, and a SpanDump can round-trip records over
 // the wire untouched.
 type SpanRecord struct {
@@ -133,9 +133,9 @@ func NewSpanStore(cfg SpanStoreConfig) *SpanStore {
 }
 
 // spanEvMark, spanKeyTrace and spanKeySID are the byte patterns the
-// hot-path scan keys on. They cannot false-match other fields: every
-// pattern starts with the opening quote of the key, and span field
-// values (hex ids, verb names) never contain them.
+// hot-path scan keys on. They cannot false-match inside a value: every
+// pattern starts with a key's opening quote, and a quote inside a JSON
+// string is escaped.
 var (
 	spanEvMark   = []byte(`"ev":"span"`)
 	spanKeyTrace = []byte(`"trace":"`)
@@ -143,19 +143,34 @@ var (
 )
 
 // spanField extracts a string field's value from a span JSONL line by
-// byte scan — valid because the tracer emits ids and names that never
-// need JSON escaping. Returns nil when the key is absent.
+// byte scan. Sids and in-tree trace ids are printed as they are; a
+// client-sent trace id may be escaped, and only then (a backslash in
+// the value) is the value decoded. Returns nil when the key is absent
+// or the value is malformed.
 func spanField(line, key []byte) []byte {
 	i := bytes.Index(line, key)
 	if i < 0 {
 		return nil
 	}
 	rest := line[i+len(key):]
-	j := bytes.IndexByte(rest, '"')
-	if j < 0 {
-		return nil
+	escaped := false
+	for j := 0; j < len(rest); j++ {
+		switch rest[j] {
+		case '\\':
+			escaped = true
+			j++ // the escaped byte cannot end the string
+		case '"':
+			if !escaped {
+				return rest[:j]
+			}
+			var v string
+			if json.Unmarshal(line[i+len(key)-1:i+len(key)+j+1], &v) != nil {
+				return nil
+			}
+			return []byte(v)
+		}
 	}
-	return rest[:j]
+	return nil
 }
 
 // ingest indexes one JSONL line (no newline, owned by the store from

@@ -17,7 +17,7 @@ func storeSink(st *SpanStore) io.Writer { return &lineWriter{fn: st.ingest} }
 func feedSpans(t *testing.T, st *SpanStore, trace string) {
 	t.Helper()
 	tr := NewTracer(storeSink(st))
-	root := tr.StartTrace(trace, "request")
+	root := tr.StartRemote(trace, "", "request")
 	child := root.Child("exec")
 	child.End()
 	root.End()
@@ -78,7 +78,7 @@ func TestSpanStoreTailRetention(t *testing.T) {
 func TestSpanStorePerTraceCap(t *testing.T) {
 	st := NewSpanStore(SpanStoreConfig{Proc: "p1", MaxSpans: 3})
 	tr := NewTracer(storeSink(st))
-	root := tr.StartTrace("bbbbbbbbbbbbbbb1", "request")
+	root := tr.StartRemote("bbbbbbbbbbbbbbb1", "", "request")
 	for i := 0; i < 10; i++ {
 		root.Child("exec").End()
 	}
@@ -172,7 +172,7 @@ func TestSpanStoreActiveEviction(t *testing.T) {
 func TestSpanStoreWallClockOrdering(t *testing.T) {
 	st := NewSpanStore(SpanStoreConfig{Proc: "p1"})
 	tr := NewTracer(storeSink(st))
-	root := tr.StartTrace("ddddddddddddddd1", "request")
+	root := tr.StartRemote("ddddddddddddddd1", "", "request")
 	time.Sleep(2 * time.Millisecond)
 	c1 := root.Child("first")
 	time.Sleep(2 * time.Millisecond)
@@ -219,6 +219,27 @@ func TestSpanStoreReopenRecent(t *testing.T) {
 	}
 	if n != 1 {
 		t.Fatalf("trace listed %d times in index, want 1", n)
+	}
+}
+
+// TestSpanStoreEscapedTraceIDs: a client-sent trace id that JSON
+// escapes is stored under the id itself, so it is queryable and
+// Complete closes it.
+func TestSpanStoreEscapedTraceIDs(t *testing.T) {
+	st := NewSpanStore(SpanStoreConfig{Proc: "p"})
+	for _, id := range []string{`a"b`, "a<b>", "tab\tid", `a\b`, `q\"`} {
+		feedSpans(t, st, id)
+		if got := st.Query(id); len(got) != 2 || got[0].Trace != id {
+			t.Fatalf("trace %q: got %d spans %+v, want 2", id, len(got), got)
+		}
+		st.Complete(id, 10, true)
+		done := false
+		for _, s := range st.Traces(0) {
+			done = done || s.Trace == id && s.Done
+		}
+		if !done {
+			t.Fatalf("trace %q not done after Complete: %+v", id, st.Traces(0))
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"io"
 	"strconv"
 	"sync"
@@ -26,7 +27,7 @@ import (
 // and every Span method is a no-op on a nil receiver.
 //
 // The trace field correlates spans across tracers: the server stamps
-// each request span with the client's wire TraceID (StartTrace), sets
+// each request span with the client's wire TraceID (StartRemote), sets
 // the same id as the session tracer's implicit trace (SetTrace) for the
 // duration of the request, and every span the live loop starts inherits
 // it — one hot reload reads as a single tree from client call to verify
@@ -90,6 +91,7 @@ type Span struct {
 	tr     *Tracer
 	id     uint64
 	parent uint64 // 0 = root
+	sid    string // formatted on first SID(), "" until then
 	remote string // parent sid in another process (roots only), "" = none
 	trace  string // wire trace id, "" = uncorrelated
 	name   string
@@ -101,16 +103,21 @@ type Span struct {
 
 // SID returns the span's globally unique id ("" on nil) — what callers
 // put in a wire request's pspan field so the receiver's request span
-// parents here.
+// parents here. It is formatted on first use and kept.
 func (s *Span) SID() string {
 	if s == nil {
 		return ""
 	}
-	return s.tr.sid(s.id)
+	if s.sid == "" {
+		var b [32]byte
+		s.sid = string(s.tr.appendSID(b[:0], s.id))
+	}
+	return s.sid
 }
 
-func (t *Tracer) sid(id uint64) string {
-	return t.prefix + "-" + strconv.FormatUint(id, 16)
+func (t *Tracer) appendSID(b []byte, id uint64) []byte {
+	b = append(append(b, t.prefix...), '-')
+	return strconv.AppendUint(b, id, 16)
 }
 
 // SetTrace sets the implicit wire trace id inherited by root spans
@@ -147,13 +154,6 @@ func (t *Tracer) curCtx() traceCtx {
 func (t *Tracer) Start(name string, attrs ...Attr) *Span {
 	ctx := t.curCtx()
 	return t.StartRemote(ctx.trace, ctx.parent, name, attrs...)
-}
-
-// StartTrace begins a root span explicitly bound to a wire trace id —
-// the server uses it to parent each request span on the id the client
-// stamped.
-func (t *Tracer) StartTrace(trace, name string, attrs ...Attr) *Span {
-	return t.StartRemote(trace, "", name, attrs...)
 }
 
 // StartRemote begins a root span bound to a wire trace id AND parented
@@ -197,14 +197,6 @@ func (s *Span) Child(name string, attrs ...Attr) *Span {
 	return sp
 }
 
-// Trace returns the span's wire trace id ("" when uncorrelated or nil).
-func (s *Span) Trace() string {
-	if s == nil {
-		return ""
-	}
-	return s.trace
-}
-
 // Annotate attaches attributes to a not-yet-ended span.
 func (s *Span) Annotate(attrs ...Attr) {
 	if s == nil || s.ended {
@@ -232,56 +224,106 @@ func (s *Span) Dur() time.Duration {
 	return s.dur
 }
 
-// spanEvent is the JSONL wire form of one completed span. id/parent are
-// the tracer-local numeric ids (kept for single-process trace files);
-// sid/psid are the globally unique forms the fleet-wide assembler keys
-// on. psid for a root span is the remote parent carried on the wire.
-type spanEvent struct {
-	Ev      string         `json:"ev"`
-	ID      uint64         `json:"id"`
-	Parent  uint64         `json:"parent,omitempty"`
-	SID     string         `json:"sid,omitempty"`
-	PSID    string         `json:"psid,omitempty"`
-	Trace   string         `json:"trace,omitempty"`
-	Name    string         `json:"name"`
-	StartUS int64          `json:"start_us"`
-	DurUS   int64          `json:"dur_us"`
-	WallUS  int64          `json:"wall_us,omitempty"`
-	Attrs   map[string]any `json:"attrs,omitempty"`
-}
-
 func (t *Tracer) emit(s *Span) {
 	if t.sink == nil {
 		return
 	}
-	psid := s.remote
-	if s.parent != 0 {
-		psid = t.sid(s.parent)
-	}
-	ev := spanEvent{
-		Ev:      "span",
-		ID:      s.id,
-		Parent:  s.parent,
-		SID:     t.sid(s.id),
-		PSID:    psid,
-		Trace:   s.trace,
-		Name:    s.name,
-		StartUS: s.start.Sub(t.epoch).Microseconds(),
-		DurUS:   s.dur.Microseconds(),
-		WallUS:  s.start.UnixMicro(),
-	}
-	if len(s.attrs) > 0 {
-		ev.Attrs = make(map[string]any, len(s.attrs))
-		for _, a := range s.attrs {
-			ev.Attrs[a.Key] = a.Val
-		}
-	}
-	line, err := json.Marshal(ev)
-	if err != nil {
-		return // attrs are caller-supplied scalars; never happens in-tree
-	}
-	line = append(line, '\n')
+	// A fresh buffer, not a pooled one: a pool measured slower end to end
+	// (EXPERIMENTS.md, "Telemetry — span lines without reflection").
+	line := t.appendSpan(make([]byte, 0, 384), s)
 	t.mu.Lock()
 	t.sink.Write(line)
 	t.mu.Unlock()
+}
+
+// appendSpan writes s as one JSONL line: the fields SpanRecord reads, in
+// this order, byte for byte what encoding/json writes for them with a
+// map of the attrs (keys sorted, the last value of a repeated key
+// kept). id/parent are the tracer-local numeric ids (kept for
+// single-process trace files); sid/psid are the globally unique forms
+// the fleet-wide assembler keys on. psid for a root span is the remote
+// parent carried on the wire.
+func (t *Tracer) appendSpan(b []byte, s *Span) []byte {
+	b = append(b, `{"ev":"span","id":`...)
+	b = strconv.AppendUint(b, s.id, 10)
+	if s.parent != 0 {
+		b = strconv.AppendUint(append(b, `,"parent":`...), s.parent, 10)
+	}
+	// Sids are a hex prefix, '-' and a hex counter: nothing to escape.
+	b = append(b, `,"sid":"`...)
+	if s.sid != "" {
+		b = append(b, s.sid...)
+	} else {
+		b = t.appendSID(b, s.id)
+	}
+	b = append(b, '"')
+	if s.parent != 0 {
+		b = append(t.appendSID(append(b, `,"psid":"`...), s.parent), '"')
+	} else if s.remote != "" {
+		b = appendJSONString(append(b, `,"psid":`...), s.remote)
+	}
+	if s.trace != "" {
+		b = appendJSONString(append(b, `,"trace":`...), s.trace)
+	}
+	b = appendJSONString(append(b, `,"name":`...), s.name)
+	b = strconv.AppendInt(append(b, `,"start_us":`...), s.start.Sub(t.epoch).Microseconds(), 10)
+	b = strconv.AppendInt(append(b, `,"dur_us":`...), s.dur.Microseconds(), 10)
+	if wall := s.start.UnixMicro(); wall != 0 {
+		b = strconv.AppendInt(append(b, `,"wall_us":`...), wall, 10)
+	}
+	if len(s.attrs) > 0 {
+		var sorted [8]Attr
+		as := append(sorted[:0], s.attrs...)
+		for i := 1; i < len(as); i++ { // stable, so equal keys keep call order
+			for j := i; j > 0 && as[j].Key < as[j-1].Key; j-- {
+				as[j], as[j-1] = as[j-1], as[j]
+			}
+		}
+		b = append(b, `,"attrs":`...)
+		sep := byte('{')
+		for i, a := range as {
+			if i+1 < len(as) && as[i+1].Key == a.Key {
+				continue // a later value for the key wins
+			}
+			b = appendAttr(append(b, sep), a)
+			sep = ','
+		}
+		b = append(b, '}')
+	}
+	return append(b, "}\n"...)
+}
+
+// appendJSONString appends s as a JSON string exactly as encoding/json
+// writes it. A string of printable ASCII with no '"', '\\', '<', '>' or
+// '&' (every id, name and verb in tree) is copied between quotes; any
+// other goes through encoding/json for its escapes.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always encodes
+			return append(b, q...)
+		}
+	}
+	return append(append(append(b, '"'), s...), '"')
+}
+
+// appendAttr appends a as a JSON object member, "key":value. string,
+// uint64 and bool values are written directly and any other through
+// encoding/json; one it cannot encode is written as its quoted
+// fmt.Sprint form rather than lose the line.
+func appendAttr(b []byte, a Attr) []byte {
+	b = append(appendJSONString(b, a.Key), ':')
+	switch v := a.Val.(type) {
+	case string:
+		return appendJSONString(b, v)
+	case uint64:
+		return strconv.AppendUint(b, v, 10)
+	case bool:
+		return strconv.AppendBool(b, v)
+	}
+	data, err := json.Marshal(a.Val)
+	if err != nil {
+		return appendJSONString(b, fmt.Sprint(a.Val))
+	}
+	return append(b, data...)
 }

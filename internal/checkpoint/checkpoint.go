@@ -118,33 +118,11 @@ func (s *Store) ApproxBytes() uint64 {
 	var prev *sim.State
 	for _, cp := range s.cps {
 		if cp.State != nil {
-			n += unsharedBytes(cp.State, prev)
+			n += uint64(cp.State.UnsharedBytes(prev))
 			prev = cp.State
 		}
 		for _, aux := range cp.Aux {
 			n += uint64(len(aux))
-		}
-	}
-	return n
-}
-
-// unsharedBytes is the size of st less the memory pages it shares with
-// prev at the same node, memory and page index; prev may be nil.
-func unsharedBytes(st, prev *sim.State) uint64 {
-	var n uint64
-	for i := range st.Nodes {
-		nd := &st.Nodes[i]
-		n += 8 * uint64(len(nd.Slots))
-		for mi, m := range nd.Mems {
-			var pm sim.Mem
-			if prev != nil && i < len(prev.Nodes) && mi < len(prev.Nodes[i].Mems) {
-				pm = prev.Nodes[i].Mems[mi]
-			}
-			for pi, page := range m {
-				if pi >= len(pm) || !sim.SamePage(page, pm[pi]) {
-					n += 8 * uint64(len(page))
-				}
-			}
 		}
 	}
 	return n

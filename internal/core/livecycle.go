@@ -12,6 +12,7 @@ import (
 	"livesim/internal/obs"
 	"livesim/internal/sim"
 	"livesim/internal/verify"
+	"livesim/internal/vm"
 	"livesim/internal/xform"
 )
 
@@ -308,10 +309,7 @@ func (s *Session) ApplyChange(newSrc liveparser.Source) (*ChangeReport, error) {
 // into the pipe; nil cp resets to the power-on state.
 func (s *Session) restoreFromCheckpoint(p *Pipe, cp *checkpoint.Checkpoint) error {
 	if cp == nil {
-		for _, n := range p.Sim.Nodes() {
-			n.Inst.ZeroState()
-		}
-		p.Sim.SetCycle(0)
+		p.Sim.RestoreAdapted(&sim.State{}, nil, nil)
 		for h := range p.tbs {
 			p.tbs[h] = s.tbFactory[h]()
 		}
@@ -333,40 +331,33 @@ func (s *Session) restoreFromCheckpoint(p *Pipe, cp *checkpoint.Checkpoint) erro
 }
 
 // restoreStateAdapted restores cp.State into sm, carrying node states
-// recorded under older object versions by their xform.Plan, through the
-// ops the version history holds from cp's version to the current one.
+// recorded under older object versions by their plans (lineage).
 func (s *Session) restoreStateAdapted(sm *sim.Sim, cp *checkpoint.Checkpoint) error {
+	from, _, migrate, err := s.lineage(cp.Version)
+	if err != nil {
+		return err
+	}
+	sm.RestoreAdapted(cp.State, from, migrate)
+	return nil
+}
+
+// lineage returns the objects of version from, the current objects, and
+// the plan builder that carries state from the one to the other through
+// the ops the version history holds between the two versions.
+func (s *Session) lineage(from string) (fromObjects, curObjects map[string]*vm.Object, migrate sim.MigrateFunc, err error) {
 	s.mu.Lock()
-	fromObjects := s.versionObjects[cp.Version]
-	curVersion := s.version
-	history := s.versions
+	fromObjects, curObjects = s.versionObjects[from], s.objects
+	curVersion, history := s.version, s.versions
 	s.mu.Unlock()
 	if fromObjects == nil {
-		return fmt.Errorf("no retained objects for version %s", cp.Version)
+		return nil, nil, nil, fmt.Errorf("no retained objects for version %s", from)
 	}
-
-	return sm.RestoreAdapted(cp.State, func(n *sim.Node, ns *sim.NodeState) error {
-		oldObj := fromObjects[ns.ObjKey]
-		// Fast path: state recorded under the identical object.
-		if oldObj == n.Obj && len(ns.Slots) == len(n.Inst.Slots) && len(ns.Mems) == len(n.Inst.Mems) {
-			copy(n.Inst.Slots, ns.Slots)
-			for mi, m := range ns.Mems {
-				m.CopyTo(n.Inst.Mems[mi])
-			}
-			return nil
-		}
-		n.Inst.ZeroState()
-		if oldObj == nil {
-			return nil
-		}
+	return fromObjects, curObjects, func(oldObj, newObj *vm.Object) *xform.Plan {
 		// Keys can change across versions (parameter edits): with no path
 		// in the history the plan matches by name alone.
-		ops, _ := history.PathOps(n.Obj.Key, cp.Version, curVersion)
-		xform.NewPlan(oldObj, n.Obj, ops).Apply(n.Inst, ns.Slots, len(ns.Mems), func(i int, dst []uint64) int {
-			return ns.Mems[i].CopyTo(dst)
-		})
-		return nil
-	})
+		ops, _ := history.PathOps(newObj.Key, from, curVersion)
+		return xform.NewPlan(oldObj, newObj, ops)
+	}, nil
 }
 
 // replayTo re-applies the journaled history from the pipe's current cycle
@@ -529,61 +520,18 @@ func (s *Session) verifyReplay(p *Pipe, from *checkpoint.Checkpoint, toCycle uin
 }
 
 // compareToRecorded checks a replayed (current-version) state against a
-// recorded (possibly old-version) checkpoint through each node's
-// xform.Plan: the carried registers and the memories. A register the
-// edit created has no recorded value and is unconstrained. A replay
-// shares the pages it did not change with the checkpoint it started
-// from, and so often with the recorded one: those are skipped
-// (sim.FirstDiff).
+// recorded (possibly old-version) checkpoint through each node's plan
+// (sim.CarriedEqual).
 func (s *Session) compareToRecorded(replayed *sim.State, recorded *checkpoint.Checkpoint) (bool, string) {
-	s.mu.Lock()
-	fromObjects := s.versionObjects[recorded.Version]
-	curObjects := s.objects
-	curVersion := s.version
-	history := s.versions
-	s.mu.Unlock()
-	if fromObjects == nil {
-		return false, "no retained objects for version " + recorded.Version
+	fromObjects, curObjects, migrate, err := s.lineage(recorded.Version)
+	if err != nil {
+		return false, err.Error()
 	}
-
-	recByPath := make(map[string]*sim.NodeState, len(recorded.State.Nodes))
-	for i := range recorded.State.Nodes {
-		recByPath[recorded.State.Nodes[i].Path] = &recorded.State.Nodes[i]
-	}
-	for i := range replayed.Nodes {
-		rn := &replayed.Nodes[i]
-		rec := recByPath[rn.Path]
-		if rec == nil {
-			continue // instance new in this version: nothing to compare
-		}
-		newObj := curObjects[rn.ObjKey]
-		oldObj := fromObjects[rec.ObjKey]
+	return sim.CarriedEqual(replayed, recorded.State, func(rn, rec *sim.NodeState) *xform.Plan {
+		newObj, oldObj := curObjects[rn.ObjKey], fromObjects[rec.ObjKey]
 		if newObj == nil || oldObj == nil {
-			continue
+			return nil
 		}
-		ops, _ := history.PathOps(rn.ObjKey, recorded.Version, curVersion)
-		plan := xform.NewPlan(oldObj, newObj, ops)
-		for _, r := range plan.Regs {
-			if int(r.From) >= len(rec.Slots) {
-				continue
-			}
-			if int(r.To) >= len(rn.Slots) {
-				return false, fmt.Sprintf("%s: reg %s slot out of range", rn.Path, r.Name)
-			}
-			if want := rec.Slots[r.From] & r.Mask; rn.Slots[r.To] != want {
-				return false, fmt.Sprintf("%s reg %s: replayed %#x, recorded %#x", rn.Path, r.Name, rn.Slots[r.To], want)
-			}
-		}
-		for _, m := range plan.Mems {
-			if int(m.From) >= len(rec.Mems) || int(m.To) >= len(rn.Mems) {
-				continue
-			}
-			got, want := rn.Mems[m.To], rec.Mems[m.From]
-			if j := sim.FirstDiff(got, want, m.Mask); j >= 0 {
-				return false, fmt.Sprintf("%s mem %s[%d]: replayed %#x, recorded %#x",
-					rn.Path, m.Name, j, got.At(j), want.At(j)&m.Mask)
-			}
-		}
-	}
-	return true, ""
+		return migrate(oldObj, newObj)
+	})
 }

@@ -2,7 +2,8 @@
 // environment itself. A Session owns the Object Library Table (Table II),
 // the Pipeline Table (Table III) and the Stage Table (Table IV), speaks
 // the command vocabulary of Table I (ldLib, instPipe, instStage, copyPipe,
-// run, chkp, ldch, swapStage), journals the operation history, takes
+// run, chkp, ldch; swapStage is ApplyChange's reload of each swapped
+// object), journals the operation history, takes
 // checkpoints at regular intervals, and drives the live
 // edit-run-debug loop: incremental compile → hot reload → checkpoint
 // restore → fast re-execution → background consistency verification.
@@ -723,18 +724,6 @@ func (s *Session) LoadCheckpoint(pipeName, path string) error {
 	s.metrics.Counter("checkpoint_loads").Inc()
 	s.metrics.Histogram("checkpoint_load_seconds", nil).Observe(time.Since(t0).Seconds())
 	return nil
-}
-
-// SwapStage hot-swaps one stage object in one pipe (Table I swapStage).
-// Normally ApplyChange drives this; the command is exposed for manual use.
-func (s *Session) SwapStage(pipeName, key string, migrate sim.MigrateFunc) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	p, ok := s.pipes[pipeName]
-	if !ok {
-		return 0, fmt.Errorf("no pipe %q", pipeName)
-	}
-	return p.Sim.Reload(key, migrate)
 }
 
 // resolverLocked resolves against the live object table.

@@ -11,7 +11,6 @@ import (
 	"livesim/internal/livecompiler"
 	"livesim/internal/pgas"
 	"livesim/internal/sim"
-	"livesim/internal/verify"
 	"livesim/internal/vm"
 )
 
@@ -301,7 +300,7 @@ func TestRefusedRestoreChangesNothing(t *testing.T) {
 	if err := s.Restore(at5); err == nil {
 		t.Fatalf("Restore of a state with two more slots in %s succeeded", last.Path)
 	}
-	if ok, detail := verify.StateEqual(s.Snapshot(), at9); !ok {
+	if ok, detail := sim.StateEqual(s.Snapshot(), at9); !ok {
 		t.Fatalf("a refused Restore changed the simulation: %s", detail)
 	}
 }

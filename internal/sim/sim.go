@@ -31,6 +31,11 @@
 // last Commit changed its state; an instance whose Seq holds $display or
 // $finish runs every cycle. A skipped instance's Seq would have computed
 // the state it already holds.
+//
+// The package owns the slot layout of instance state: other packages hand
+// it objects, transform ops and xform plans (Reload, RestoreAdapted,
+// StateEqual, CarriedEqual, Signal) and do not index slots or memories
+// themselves (TestOneOwnerOfTheSlotLayout).
 package sim
 
 import (
@@ -43,6 +48,7 @@ import (
 	"livesim/internal/obs"
 	"livesim/internal/prof"
 	"livesim/internal/vm"
+	"livesim/internal/xform"
 )
 
 // Resolver supplies compiled objects by specialization key. The session's
@@ -57,10 +63,11 @@ type ResolverFunc func(key string) (*vm.Object, error)
 // Object calls f.
 func (f ResolverFunc) Object(key string) (*vm.Object, error) { return f(key) }
 
-// MigrateFunc transfers architectural state from an instance of the old
-// object to an instance of the new one during hot reload. A nil MigrateFunc
-// uses xform.Migrator(nil): the rules of Table V by name.
-type MigrateFunc func(oldObj *vm.Object, old *vm.Instance, newObj *vm.Object, nu *vm.Instance) error
+// MigrateFunc returns the plan that carries the state of an instance of
+// oldObj into an instance of newObj, for a hot reload or a cross-version
+// restore; the kernel applies it. A nil MigrateFunc uses
+// xform.Migrator(nil): the rules of Table V by name.
+type MigrateFunc func(oldObj, newObj *vm.Object) *xform.Plan
 
 // Node is one instance in the hierarchy.
 type Node struct {
@@ -140,6 +147,10 @@ type Sim struct {
 	resolver Resolver
 	output   io.Writer
 	nodes    []*Node // pre-order
+
+	// epoch counts hierarchy builds (New and every Reload): a Signal
+	// found at another epoch is looked up again.
+	epoch uint64
 
 	// base is the state last captured or loaded: Snapshot shares each of
 	// its memory pages whose words the live memory still holds.
@@ -265,6 +276,7 @@ func (s *Sim) newInstance(obj *vm.Object) *vm.Instance {
 }
 
 func (s *Sim) rebuildIndex() {
+	s.epoch++
 	s.nodes = s.nodes[:0]
 	var walk func(n *Node)
 	walk = func(n *Node) {
@@ -781,12 +793,50 @@ func (s *Sim) Peek(path string) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	for _, d := range node.Obj.Debug {
-		if d.Name == sig {
-			return s.read(node, d.Slot), nil
-		}
+	if d := debugSym(node, sig); d != nil {
+		return s.read(node, d.Slot), nil
 	}
 	return 0, fmt.Errorf("no signal %q in %s", sig, node.Path)
+}
+
+// debugSym returns n's named signal, or nil.
+func debugSym(n *Node, name string) *vm.SlotDebug {
+	for i := range n.Obj.Debug {
+		if n.Obj.Debug[i].Name == name {
+			return &n.Obj.Debug[i]
+		}
+	}
+	return nil
+}
+
+// Signal is a named signal of one instance, held by instance path and
+// signal name: Read finds it again after a Reload, which may have moved it
+// to another slot or removed it.
+type Signal struct {
+	Path, Name string
+
+	node  *Node
+	slot  uint32
+	found bool
+	epoch uint64 // s.epoch when found; the zero value is never current
+}
+
+// Read returns the signal's value as Peek would, or false if the current
+// hierarchy has no such signal. Only the first Read after New or a Reload
+// looks the signal up; a reader of many signals calls Sync first.
+func (s *Sim) Read(sig *Signal) (uint64, bool) {
+	if sig.epoch != s.epoch {
+		sig.epoch, sig.found = s.epoch, false
+		if n, err := s.FindNode(sig.Path); err == nil {
+			if d := debugSym(n, sig.Name); d != nil {
+				sig.node, sig.slot, sig.found = n, d.Slot, true
+			}
+		}
+	}
+	if !sig.found {
+		return 0, false
+	}
+	return s.read(sig.node, sig.slot), true
 }
 
 // Poke writes a named register or wire at a hierarchical path.
@@ -795,21 +845,19 @@ func (s *Sim) Poke(path string, v uint64) error {
 	if err != nil {
 		return err
 	}
-	for _, d := range node.Obj.Debug {
-		if d.Name == sig {
-			s.Sync()
-			node.Inst.Slots[d.Slot] = v & vm.Mask(d.Bits)
-			s.settled = false
-			// The poked slot's driver may sit any number of wiring levels
-			// away, where the schedule copies straight from producer to
-			// consumer: have every instance evaluate and push again, so
-			// the poke is overwritten as a driven wire's is. Poke is off
-			// the hot path.
-			s.allDirty = true
-			return nil
-		}
+	d := debugSym(node, sig)
+	if d == nil {
+		return fmt.Errorf("no signal %q in %s", sig, node.Path)
 	}
-	return fmt.Errorf("no signal %q in %s", sig, node.Path)
+	s.Sync()
+	node.Inst.Slots[d.Slot] = v & vm.Mask(d.Bits)
+	s.settled = false
+	// The poked slot's driver may sit any number of wiring levels away,
+	// where the schedule copies straight from producer to consumer: have
+	// every instance evaluate and push again, so the poke is overwritten
+	// as a driven wire's is. Poke is off the hot path.
+	s.allDirty = true
+	return nil
 }
 
 // PeekMem reads one memory word.

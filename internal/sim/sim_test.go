@@ -407,6 +407,50 @@ endmodule
 	}
 }
 
+// TestRestoreAfterFinishRunsOn: a simulation that ran into $finish and
+// is restored to a state before it runs on to the same $finish, through
+// Restore and through RestoreAdapted, and not to the first clock edge.
+func TestRestoreAfterFinishRunsOn(t *testing.T) {
+	src := `
+module f (input clk);
+  reg [7:0] c;
+  always @(posedge clk) begin
+    c <= c + 1;
+    if (c == 8'd4) $finish;
+  end
+endmodule
+`
+	objs, top := buildDesign(t, src, "f", codegen.StyleGrouped)
+	for _, restore := range []struct {
+		name string
+		load func(s *Sim, st *State) error
+	}{
+		{"Restore", (*Sim).Restore},
+		{"RestoreAdapted", func(s *Sim, st *State) error { s.RestoreAdapted(st, objs, nil); return nil }},
+	} {
+		s, _ := New(tableResolver(objs), top)
+		if err := s.Tick(2); err != nil {
+			t.Fatal(err)
+		}
+		at2 := s.Snapshot()
+		if err := s.Tick(100); err != nil || !s.Finished() || s.Cycle() != 5 {
+			t.Fatalf("first run: cycle %d finished %v err %v, want $finish at 5", s.Cycle(), s.Finished(), err)
+		}
+		if err := restore.load(s, at2); err != nil {
+			t.Fatal(err)
+		}
+		if s.Finished() {
+			t.Errorf("%s: finished right after restoring cycle 2", restore.name)
+		}
+		if err := s.Tick(100); err != nil {
+			t.Fatal(err)
+		}
+		if !s.Finished() || s.Cycle() != 5 {
+			t.Errorf("%s: rerun stopped at cycle %d (finished %v), want $finish at 5", restore.name, s.Cycle(), s.Finished())
+		}
+	}
+}
+
 func TestStylesAgreeHierarchical(t *testing.T) {
 	outs := map[codegen.Style]uint64{}
 	for _, style := range []codegen.Style{codegen.StyleGrouped, codegen.StyleMux} {
@@ -459,19 +503,19 @@ func TestMemPages(t *testing.T) {
 		t.Error("a memory of no words has no pages")
 	}
 
-	// FirstDiff compares words under the mask, except in pages the two
+	// firstDiff compares words under the mask, except in pages the two
 	// share: there bit 40, outside the mask, is not seen.
 	other := append(Mem(nil), m...)
 	other[1] = append([]uint64(nil), m[1]...)
-	if got := FirstDiff(m, other, 0xFFFF); got != PageWords {
-		t.Errorf("FirstDiff under a mask = %d, want %d: the first word of the one unshared page", got, PageWords)
+	if got := firstDiff(m, other, 0xFFFF); got != PageWords {
+		t.Errorf("firstDiff under a mask = %d, want %d: the first word of the one unshared page", got, PageWords)
 	}
-	if got := FirstDiff(m, other, ^uint64(0)); got != -1 {
-		t.Errorf("FirstDiff of equal memories = %d", got)
+	if got := firstDiff(m, other, ^uint64(0)); got != -1 {
+		t.Errorf("firstDiff of equal memories = %d", got)
 	}
 	other[1][7]++
-	if got := FirstDiff(m, other, ^uint64(0)); got != PageWords+7 {
-		t.Errorf("FirstDiff = %d, want %d", got, PageWords+7)
+	if got := firstDiff(m, other, ^uint64(0)); got != PageWords+7 {
+		t.Errorf("firstDiff = %d, want %d", got, PageWords+7)
 	}
 }
 

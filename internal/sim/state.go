@@ -98,11 +98,11 @@ func SamePage(a, b []uint64) bool {
 	return len(a) > 0 && len(a) == len(b) && &a[0] == &b[0]
 }
 
-// FirstDiff returns the first word index below both depths at which
+// firstDiff returns the first word index below both depths at which
 // a[i] != b[i]&mask, or -1 if there is none. A page that a and b share is
 // not read: it holds the same words, each already masked to its memory's
 // width by whatever wrote it.
-func FirstDiff(a, b Mem, mask uint64) int {
+func firstDiff(a, b Mem, mask uint64) int {
 	for i := 0; i < len(a) && i < len(b); i++ {
 		pa, pb := a[i], b[i]
 		if SamePage(pa, pb) {
@@ -137,15 +137,37 @@ type State struct {
 
 // Bytes returns the logical size of the state: every slot and memory
 // word, shared pages included.
-func (st *State) Bytes() int {
+func (st *State) Bytes() int { return st.UnsharedBytes(nil) }
+
+// UnsharedBytes is the size of st less the memory pages it shares with
+// prev at the same node, memory and page index; prev may be nil.
+func (st *State) UnsharedBytes(prev *State) int {
 	n := 0
 	for i := range st.Nodes {
-		n += 8 * len(st.Nodes[i].Slots)
-		for _, m := range st.Nodes[i].Mems {
-			n += 8 * m.Len()
+		nd := &st.Nodes[i]
+		n += 8 * len(nd.Slots)
+		for mi, m := range nd.Mems {
+			var pm Mem
+			if prev != nil && i < len(prev.Nodes) && mi < len(prev.Nodes[i].Mems) {
+				pm = prev.Nodes[i].Mems[mi]
+			}
+			for pi, page := range m {
+				if pi >= len(pm) || !SamePage(page, pm[pi]) {
+					n += 8 * len(page)
+				}
+			}
 		}
 	}
 	return n
+}
+
+// byPath indexes st's nodes by path.
+func (st *State) byPath() map[string]*NodeState {
+	m := make(map[string]*NodeState, len(st.Nodes))
+	for i := range st.Nodes {
+		m[st.Nodes[i].Path] = &st.Nodes[i]
+	}
+	return m
 }
 
 // node returns node i of st if it has path, else nil; st may be nil.
@@ -203,10 +225,10 @@ func (s *Sim) Snapshot() *State {
 }
 
 // Restore loads a snapshot taken from an identically-shaped hierarchy.
-// Restoring across a code change goes through RestoreAdapted, with a
-// transfer that carries each node by its xform.Plan; this is the fast
-// path for same-version checkpoint reloads. Every node is checked before
-// any is written, so a refused state leaves the simulation as it was.
+// Restoring across a code change goes through RestoreAdapted, which
+// carries each node by its xform.Plan; this is the fast path for
+// same-version checkpoint reloads. Every node is checked before any is
+// written, so a refused state leaves the simulation as it was.
 func (s *Sim) Restore(st *State) error {
 	if len(st.Nodes) != len(s.nodes) {
 		return fmt.Errorf("snapshot has %d instances, simulation has %d", len(st.Nodes), len(s.nodes))
@@ -217,51 +239,43 @@ func (s *Sim) Restore(st *State) error {
 			return fmt.Errorf("snapshot node %d is %s(%s), simulation has %s(%s); use a transformed reload",
 				i, ns.Path, ns.ObjKey, n.Path, n.Obj.Key)
 		}
-		if len(ns.Slots) != len(n.Inst.Slots) || len(ns.Mems) != len(n.Inst.Mems) {
-			return fmt.Errorf("snapshot node %s shape mismatch", ns.Path)
-		}
-		for mi, m := range ns.Mems {
-			if m.Len() != len(n.Inst.Mems[mi]) {
-				return fmt.Errorf("snapshot node %s memory %d depth mismatch", ns.Path, mi)
-			}
+		if err := shapeErr(n, ns); err != nil {
+			return err
 		}
 	}
-	for i, n := range s.nodes {
-		ns := &st.Nodes[i]
-		copy(n.Inst.Slots, ns.Slots)
-		for mi, m := range ns.Mems {
-			m.CopyTo(n.Inst.Mems[mi])
-		}
-		n.Inst.Reset() // constants belong to the code, not the state
-	}
-	s.cycle = st.Cycle
-	s.finished = st.Finished
-	s.settled = false
-	s.allDirty = true
-	s.stale = false // every slot was written
-	s.base = st
+	s.load(st, func(i int, n *Node) { copyIn(n.Inst, &st.Nodes[i]) })
 	return nil
 }
 
-// RestoreAdapted loads a snapshot that may have been captured under a
-// different code version. Nodes are matched by hierarchical path; xfer
-// moves (and, if needed, transforms) the captured node state into the
-// live instance. Nodes with no captured counterpart are zeroed. This is
-// the cross-version half of checkpoint reloading (Section III-E).
-func (s *Sim) RestoreAdapted(st *State, xfer func(n *Node, ns *NodeState) error) error {
-	byPath := make(map[string]*NodeState, len(st.Nodes))
-	for i := range st.Nodes {
-		byPath[st.Nodes[i].Path] = &st.Nodes[i]
+// shapeErr says why ns does not fit n's instance slot for slot and word
+// for word, or returns nil.
+func shapeErr(n *Node, ns *NodeState) error {
+	if len(ns.Slots) != len(n.Inst.Slots) || len(ns.Mems) != len(n.Inst.Mems) {
+		return fmt.Errorf("snapshot node %s shape mismatch", ns.Path)
 	}
-	for _, n := range s.nodes {
-		ns := byPath[n.Path]
-		if ns == nil {
-			n.Inst.ZeroState()
-			continue
+	for mi, m := range ns.Mems {
+		if m.Len() != len(n.Inst.Mems[mi]) {
+			return fmt.Errorf("snapshot node %s memory %d depth mismatch", ns.Path, mi)
 		}
-		if err := xfer(n, ns); err != nil {
-			return fmt.Errorf("restoring %s: %w", n.Path, err)
-		}
+	}
+	return nil
+}
+
+// copyIn writes ns into inst, whose shape it has.
+func copyIn(inst *vm.Instance, ns *NodeState) {
+	copy(inst.Slots, ns.Slots)
+	for mi, m := range ns.Mems {
+		m.CopyTo(inst.Mems[mi])
+	}
+}
+
+// load is the one end of every restore: put writes node i's state, then
+// the node's constants go back in place and a $finish or memory write
+// left over from the execution before is dropped (vm.Instance.Reset), and
+// the simulation stands at st's cycle with every instance to evaluate.
+func (s *Sim) load(st *State, put func(i int, n *Node)) {
+	for i, n := range s.nodes {
+		put(i, n)
 		n.Inst.Reset()
 	}
 	s.cycle = st.Cycle
@@ -270,7 +284,163 @@ func (s *Sim) RestoreAdapted(st *State, xfer func(n *Node, ns *NodeState) error)
 	s.allDirty = true
 	s.stale = false // every slot was written
 	s.base = st
-	return nil
+}
+
+// RestoreAdapted loads a snapshot that may have been captured under other
+// versions of the code, matching nodes by hierarchical path. recorded
+// holds the objects the captured nodes' keys named at capture. A node
+// captured under its current object is copied as Restore copies it; any
+// other is zeroed and then, if its recorded object is known, carried by
+// the plan migrate returns for the two objects (nil: xform.Migrator(nil)).
+// A node with no captured counterpart powers on at zero. This is the
+// cross-version half of checkpoint reloading (Section III-E).
+func (s *Sim) RestoreAdapted(st *State, recorded map[string]*vm.Object, migrate MigrateFunc) {
+	byPath, plan := st.byPath(), planCache(migrate)
+	s.load(st, func(_ int, n *Node) {
+		ns := byPath[n.Path]
+		var old *vm.Object
+		if ns != nil {
+			old = recorded[ns.ObjKey]
+		}
+		if old == n.Obj && shapeErr(n, ns) == nil {
+			copyIn(n.Inst, ns)
+			return
+		}
+		n.Inst.ZeroState()
+		if old != nil {
+			carry(plan(old, n.Obj), n.Inst, ns.Slots, len(ns.Mems), func(i int, dst []uint64) int {
+				return ns.Mems[i].CopyTo(dst)
+			})
+		}
+	})
+}
+
+// planCache returns migrate (nil: xform.Migrator(nil)) building each plan
+// once per pair of objects.
+func planCache(migrate MigrateFunc) MigrateFunc {
+	if migrate == nil {
+		migrate = xform.Migrator(nil)
+	}
+	plans := make(map[[2]*vm.Object]*xform.Plan)
+	return func(oldObj, newObj *vm.Object) *xform.Plan {
+		k := [2]*vm.Object{oldObj, newObj}
+		p, ok := plans[k]
+		if !ok {
+			p = migrate(oldObj, newObj)
+			plans[k] = p
+		}
+		return p
+	}
+}
+
+// carry moves an old instance's state into nu, an instance of p's new
+// object: slots is the old slot array, and copyMem copies old memory i,
+// for i below nmems, into dst as far as both reach and returns the words
+// copied. A source index past slots or nmems is skipped, so a decoded
+// checkpoint cannot index out of range.
+func carry(p *xform.Plan, nu *vm.Instance, slots []uint64, nmems int, copyMem func(i int, dst []uint64) int) {
+	for _, ps := range [][]xform.Pair{p.Regs, p.Ins} {
+		for _, r := range ps {
+			if int(r.From) < len(slots) {
+				nu.Slots[r.To] = slots[r.From] & r.Mask
+			}
+		}
+	}
+	for _, c := range p.Inits {
+		nu.Slots[c.Slot] = c.Value
+	}
+	for _, m := range p.Mems {
+		if int(m.From) < nmems {
+			dst := nu.Mems[m.To]
+			for i := range copyMem(int(m.From), dst) {
+				dst[i] &= m.Mask
+			}
+		}
+	}
+}
+
+// StateEqual compares two simulation states structurally, reporting the
+// first differing signal or memory word. Memory pages the two states
+// share are skipped, not compared.
+func StateEqual(a, b *State) (bool, string) {
+	if a.Cycle != b.Cycle {
+		return false, fmt.Sprintf("cycle %d vs %d", a.Cycle, b.Cycle)
+	}
+	if len(a.Nodes) != len(b.Nodes) {
+		return false, fmt.Sprintf("instance count %d vs %d", len(a.Nodes), len(b.Nodes))
+	}
+	for i := range a.Nodes {
+		na, nb := &a.Nodes[i], &b.Nodes[i]
+		if na.Path != nb.Path {
+			return false, fmt.Sprintf("node %d path %q vs %q", i, na.Path, nb.Path)
+		}
+		if len(na.Slots) != len(nb.Slots) {
+			return false, fmt.Sprintf("%s: slot count %d vs %d", na.Path, len(na.Slots), len(nb.Slots))
+		}
+		for j := range na.Slots {
+			if na.Slots[j] != nb.Slots[j] {
+				return false, fmt.Sprintf("%s slot %d: %#x vs %#x", na.Path, j, na.Slots[j], nb.Slots[j])
+			}
+		}
+		if len(na.Mems) != len(nb.Mems) {
+			return false, fmt.Sprintf("%s: memory count differs", na.Path)
+		}
+		for mi := range na.Mems {
+			ma, mb := na.Mems[mi], nb.Mems[mi]
+			if ma.Len() != mb.Len() {
+				return false, fmt.Sprintf("%s mem %d: depth %d vs %d", na.Path, mi, ma.Len(), mb.Len())
+			}
+			if j := firstDiff(ma, mb, ^uint64(0)); j >= 0 {
+				return false, fmt.Sprintf("%s mem %d[%d]: %#x vs %#x", na.Path, mi, j, ma.At(j), mb.At(j))
+			}
+		}
+	}
+	return true, ""
+}
+
+// CarriedEqual checks a replayed state against a recorded one, captured
+// under possibly older objects, through each node's plan: plan returns
+// the plan from the recorded node's object to the replayed node's, or nil
+// to leave the node out. The carried registers and the memories are
+// compared, masked to the new widths; a register the plan creates has no
+// recorded value and is unconstrained, and a node recorded has no
+// counterpart for is new. A page the two states share is skipped
+// (firstDiff).
+func CarriedEqual(replayed, recorded *State, plan func(rn, rec *NodeState) *xform.Plan) (bool, string) {
+	recByPath := recorded.byPath()
+	for i := range replayed.Nodes {
+		rn := &replayed.Nodes[i]
+		rec := recByPath[rn.Path]
+		if rec == nil {
+			continue
+		}
+		p := plan(rn, rec)
+		if p == nil {
+			continue
+		}
+		for _, r := range p.Regs {
+			if int(r.From) >= len(rec.Slots) {
+				continue
+			}
+			if int(r.To) >= len(rn.Slots) {
+				return false, fmt.Sprintf("%s: reg %s slot out of range", rn.Path, r.Name)
+			}
+			if want := rec.Slots[r.From] & r.Mask; rn.Slots[r.To] != want {
+				return false, fmt.Sprintf("%s reg %s: replayed %#x, recorded %#x", rn.Path, r.Name, rn.Slots[r.To], want)
+			}
+		}
+		for _, m := range p.Mems {
+			if int(m.From) >= len(rec.Mems) || int(m.To) >= len(rn.Mems) {
+				continue
+			}
+			got, want := rn.Mems[m.To], rec.Mems[m.From]
+			if j := firstDiff(got, want, m.Mask); j >= 0 {
+				return false, fmt.Sprintf("%s mem %s[%d]: replayed %#x, recorded %#x",
+					rn.Path, m.Name, j, got.At(j), want.At(j)&m.Mask)
+			}
+		}
+	}
+	return true, ""
 }
 
 // SetCycle overrides the cycle counter (used by session-level replay).
@@ -288,20 +458,18 @@ func (s *Sim) SetCycle(c uint64) { s.cycle = c }
 // This is the kernel half of the paper's swapStage command: one compiled
 // object replaces N instances' code without touching unrelated state.
 func (s *Sim) Reload(key string, migrate MigrateFunc) (int, error) {
-	if migrate == nil {
-		migrate = xform.Migrator(nil)
-	}
+	plan := planCache(migrate)
 	newObj, err := s.resolver.Object(key)
 	if err != nil {
 		return 0, err
 	}
 	s.place(newObj)
-	s.Sync() // migrate may read a transit slot
+	s.Sync() // a plan may carry a transit slot
 	count := 0
 	var walk func(n *Node) error
 	walk = func(n *Node) error {
 		if n.Obj.Key == key && n.Obj != newObj {
-			if err := s.swapNode(n, newObj, migrate); err != nil {
+			if err := s.swapNode(n, newObj, plan(n.Obj, newObj)); err != nil {
 				return err
 			}
 			count++
@@ -324,12 +492,11 @@ func (s *Sim) Reload(key string, migrate MigrateFunc) (int, error) {
 	return count, nil
 }
 
-func (s *Sim) swapNode(n *Node, newObj *vm.Object, migrate MigrateFunc) error {
-	oldObj, oldInst := n.Obj, n.Inst
-	newInst := s.newInstance(newObj)
-	if err := migrate(oldObj, oldInst, newObj, newInst); err != nil {
-		return fmt.Errorf("migrating %s: %w", n.Path, err)
-	}
+func (s *Sim) swapNode(n *Node, newObj *vm.Object, plan *xform.Plan) error {
+	old, newInst := n.Inst, s.newInstance(newObj)
+	carry(plan, newInst, old.Slots, len(old.Mems), func(i int, dst []uint64) int {
+		return copy(dst, old.Mems[i])
+	})
 
 	// Reconcile children by (instance name, object key).
 	oldKids := make(map[string]*Node, len(n.Children))

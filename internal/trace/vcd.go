@@ -26,15 +26,16 @@ import (
 	"livesim/internal/sim"
 )
 
-// probe is one watched signal.
+// probe is one watched signal. It reads through the simulation by path
+// and name, so a hot reload that moves the signal to another slot is
+// followed, and one that removes it is dumped as x.
 type probe struct {
-	node *sim.Node
-	name string // signal name within the node
-	slot uint32
+	sig  sim.Signal
 	bits int
 	id   string // VCD identifier code
 	last uint64
-	init bool
+	init bool // last was dumped
+	gone bool // x was dumped
 }
 
 // Tracer streams VCD to a writer.
@@ -78,9 +79,7 @@ func New(w io.Writer, s *sim.Sim, filter Filter) (*Tracer, error) {
 			if !filter(n.Path, d.Name) {
 				continue
 			}
-			t.probes = append(t.probes, &probe{
-				node: n, name: d.Name, slot: d.Slot, bits: d.Bits,
-			})
+			t.probes = append(t.probes, &probe{sig: sim.Signal{Path: n.Path, Name: d.Name}, bits: d.Bits})
 		}
 	}
 	if len(t.probes) == 0 {
@@ -118,10 +117,10 @@ func (t *Tracer) header() error {
 	byPath := map[string][]*probe{}
 	var paths []string
 	for _, p := range t.probes {
-		if _, ok := byPath[p.node.Path]; !ok {
-			paths = append(paths, p.node.Path)
+		if _, ok := byPath[p.sig.Path]; !ok {
+			paths = append(paths, p.sig.Path)
 		}
-		byPath[p.node.Path] = append(byPath[p.node.Path], p)
+		byPath[p.sig.Path] = append(byPath[p.sig.Path], p)
 	}
 	sort.Strings(paths)
 
@@ -144,7 +143,7 @@ func (t *Tracer) header() error {
 		}
 		open = parts
 		for _, p := range byPath[path] {
-			fmt.Fprintf(t.w, "$var wire %d %s %s $end\n", p.bits, p.id, p.name)
+			fmt.Fprintf(t.w, "$var wire %d %s %s $end\n", p.bits, p.id, p.sig.Name)
 		}
 	}
 	for range open {
@@ -152,14 +151,27 @@ func (t *Tracer) header() error {
 	}
 	fmt.Fprintln(t.w, "$enddefinitions $end")
 	fmt.Fprintln(t.w, "$dumpvars")
-	t.s.Sync()
-	for _, p := range t.probes {
-		t.emit(p, p.node.Inst.Slots[p.slot])
-		p.last = p.node.Inst.Slots[p.slot]
-		p.init = true
-	}
+	t.dump(false)
 	fmt.Fprintln(t.w, "$end")
 	return t.w.Flush()
+}
+
+// dump writes every probe whose value changed since it was last dumped,
+// after the current cycle's timestamp if stamp is set and one changed.
+func (t *Tracer) dump(stamp bool) {
+	t.s.Sync()
+	for _, p := range t.probes {
+		v, ok := t.s.Read(&p.sig)
+		if ok && p.init && v == p.last || !ok && p.gone {
+			continue
+		}
+		if stamp {
+			fmt.Fprintf(t.w, "#%d\n", t.s.Cycle())
+			stamp = false
+		}
+		t.emit(p, v, ok)
+		p.last, p.init, p.gone = v, ok, !ok
+	}
 }
 
 // Sample records changed values at the simulation's current cycle. Call
@@ -168,31 +180,22 @@ func (t *Tracer) Sample() error {
 	if t.closed {
 		return fmt.Errorf("trace: closed")
 	}
-	wroteTime := false
-	t.s.Sync()
-	for _, p := range t.probes {
-		v := p.node.Inst.Slots[p.slot]
-		if p.init && v == p.last {
-			continue
-		}
-		if !wroteTime {
-			fmt.Fprintf(t.w, "#%d\n", t.s.Cycle())
-			wroteTime = true
-		}
-		t.emit(p, v)
-		p.last = v
-		p.init = true
-	}
+	t.dump(true)
 	return nil
 }
 
-// emit writes one value change.
-func (t *Tracer) emit(p *probe, v uint64) {
-	if p.bits == 1 {
+// emit writes one value change; a signal the design no longer has is x.
+func (t *Tracer) emit(p *probe, v uint64, ok bool) {
+	switch {
+	case !ok && p.bits == 1:
+		fmt.Fprintf(t.w, "x%s\n", p.id)
+	case !ok:
+		fmt.Fprintf(t.w, "bx %s\n", p.id)
+	case p.bits == 1:
 		fmt.Fprintf(t.w, "%d%s\n", v&1, p.id)
-		return
+	default:
+		fmt.Fprintf(t.w, "b%b %s\n", v, p.id)
 	}
-	fmt.Fprintf(t.w, "b%b %s\n", v, p.id)
 }
 
 // Close flushes the stream. The tracer cannot be used afterwards.

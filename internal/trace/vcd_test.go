@@ -16,6 +16,23 @@ import (
 
 func buildSim(t *testing.T, src, top string) *sim.Sim {
 	t.Helper()
+	objs, topKey := compile(t, src, top)
+	s, err := sim.New(sim.ResolverFunc(func(k string) (*vm.Object, error) {
+		if o, ok := objs[k]; ok {
+			return o, nil
+		}
+		return nil, fmt.Errorf("no %q", k)
+	}), topKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// compile elaborates and compiles src under top: the objects by key and
+// the top's key.
+func compile(t *testing.T, src, top string) (map[string]*vm.Object, string) {
+	t.Helper()
 	srcs := map[string]*ast.Module{}
 	sf, err := parser.ParseFile("t.v", src)
 	if err != nil {
@@ -36,16 +53,7 @@ func buildSim(t *testing.T, src, top string) *sim.Sim {
 		}
 		objs[key] = obj
 	}
-	s, err := sim.New(sim.ResolverFunc(func(k string) (*vm.Object, error) {
-		if o, ok := objs[k]; ok {
-			return o, nil
-		}
-		return nil, fmt.Errorf("no %q", k)
-	}), d.TopKey)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
+	return objs, d.TopKey
 }
 
 const counterSrc = `
@@ -214,5 +222,67 @@ endmodule
 	}
 	if out := buf.String(); !strings.Contains(out, "#1\nb1 ") || !strings.Contains(out, "#5\nb101 ") {
 		t.Errorf("u_w.q missing 1 at #1 or 5 at #5:\n%s", out)
+	}
+}
+
+// TestVCDFollowsHotReload: a reload that moves a traced register to
+// another slot is followed, so the dump shows what Peek reads, and a
+// traced register the reload removed is dumped as x once.
+func TestVCDFollowsHotReload(t *testing.T) {
+	const v1 = `
+module top (input clk);
+  reg [7:0] cnt, gone;
+  always @(posedge clk) begin cnt <= cnt + 1; gone <= cnt; end
+endmodule
+`
+	const v2 = `
+module top (input clk);
+  reg [7:0] pad0, pad1, pad2;
+  reg [7:0] cnt;
+  always @(posedge clk) begin pad0 <= 8'hAA; pad1 <= 8'h55; pad2 <= 8'h0F; cnt <= cnt + 1; end
+endmodule
+`
+	objs, top := compile(t, v1, "top")
+	s, err := sim.New(sim.ResolverFunc(func(k string) (*vm.Object, error) { return objs[k], nil }), top)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	tr, err := New(&buf, s, Signals("top.cnt", "top.gone"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := func(n int) {
+		for range n {
+			if err := s.Tick(1); err != nil {
+				t.Fatal(err)
+			}
+			if err := tr.Sample(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	step(3)
+	slot := func() uint32 { return s.Root.Obj.RegByName("cnt").Cur }
+	before := slot()
+	objs2, _ := compile(t, v2, "top")
+	objs[top] = objs2[top]
+	if _, err := s.Reload(top, nil); err != nil {
+		t.Fatal(err)
+	}
+	if slot() == before {
+		t.Fatalf("cnt stayed at slot %d: the edit must move it", before)
+	}
+	step(2)
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := s.Peek("top.cnt"); err != nil || v != 5 {
+		t.Fatalf("Peek top.cnt = %d, %v; want 5", v, err)
+	}
+	// Signals are declared in name order: cnt is !, gone is ".
+	out := buf.String()
+	if !strings.Contains(out, "#4\nb100 !\nbx \"\n#5\nb101 !\n") {
+		t.Errorf("want cnt 4 and gone x at #4, cnt 5 alone at #5:\n%s", out)
 	}
 }

@@ -63,7 +63,7 @@ func (r *Result) Consistent() bool { return r.FirstDivergence < 0 }
 type Options struct {
 	// Workers is the worker-pool size; 0 means GOMAXPROCS.
 	Workers int
-	// Compare overrides the state comparator; nil uses StateEqual.
+	// Compare overrides the state comparator; nil uses sim.StateEqual.
 	Compare CompareFn
 }
 
@@ -76,7 +76,7 @@ func Run(cps []*checkpoint.Checkpoint, replay ReplayFn, opts Options) (*Result, 
 	compare := opts.Compare
 	if compare == nil {
 		compare = func(replayed *sim.State, recorded *checkpoint.Checkpoint) (bool, string) {
-			return StateEqual(replayed, recorded.State)
+			return sim.StateEqual(replayed, recorded.State)
 		}
 	}
 	workers := opts.Workers
@@ -156,73 +156,4 @@ func storeMin(addr *int64, v int64) {
 			return
 		}
 	}
-}
-
-// StateEqual compares two simulation states structurally, reporting the
-// first differing signal or memory word. Memory pages the two states
-// share are skipped, not compared.
-func StateEqual(a, b *sim.State) (bool, string) {
-	if a.Cycle != b.Cycle {
-		return false, fmt.Sprintf("cycle %d vs %d", a.Cycle, b.Cycle)
-	}
-	if len(a.Nodes) != len(b.Nodes) {
-		return false, fmt.Sprintf("instance count %d vs %d", len(a.Nodes), len(b.Nodes))
-	}
-	for i := range a.Nodes {
-		na, nb := &a.Nodes[i], &b.Nodes[i]
-		if na.Path != nb.Path {
-			return false, fmt.Sprintf("node %d path %q vs %q", i, na.Path, nb.Path)
-		}
-		if len(na.Slots) != len(nb.Slots) {
-			return false, fmt.Sprintf("%s: slot count %d vs %d", na.Path, len(na.Slots), len(nb.Slots))
-		}
-		for j := range na.Slots {
-			if na.Slots[j] != nb.Slots[j] {
-				return false, fmt.Sprintf("%s slot %d: %#x vs %#x", na.Path, j, na.Slots[j], nb.Slots[j])
-			}
-		}
-		if len(na.Mems) != len(nb.Mems) {
-			return false, fmt.Sprintf("%s: memory count differs", na.Path)
-		}
-		for mi := range na.Mems {
-			ma, mb := na.Mems[mi], nb.Mems[mi]
-			if ma.Len() != mb.Len() {
-				return false, fmt.Sprintf("%s mem %d: depth %d vs %d", na.Path, mi, ma.Len(), mb.Len())
-			}
-			if j := sim.FirstDiff(ma, mb, ^uint64(0)); j >= 0 {
-				return false, fmt.Sprintf("%s mem %d[%d]: %#x vs %#x", na.Path, mi, j, ma.At(j), mb.At(j))
-			}
-		}
-	}
-	return true, ""
-}
-
-// RegsEqual compares only architectural registers (by slot position) —
-// useful when wire slots may legitimately differ (e.g. unsettled comb
-// state in a stored checkpoint).
-func RegsEqual(a, b *sim.State, regSlots map[string][]uint32) (bool, string) {
-	if len(a.Nodes) != len(b.Nodes) {
-		return false, "instance count differs"
-	}
-	for i := range a.Nodes {
-		na, nb := &a.Nodes[i], &b.Nodes[i]
-		slots := regSlots[na.ObjKey]
-		for _, s := range slots {
-			if int(s) >= len(na.Slots) || int(s) >= len(nb.Slots) {
-				return false, fmt.Sprintf("%s: reg slot %d out of range", na.Path, s)
-			}
-			if na.Slots[s] != nb.Slots[s] {
-				return false, fmt.Sprintf("%s reg slot %d: %#x vs %#x", na.Path, s, na.Slots[s], nb.Slots[s])
-			}
-		}
-		for mi := range na.Mems {
-			if mi >= len(nb.Mems) {
-				return false, fmt.Sprintf("%s: memory count differs", na.Path)
-			}
-			if j := sim.FirstDiff(na.Mems[mi], nb.Mems[mi], ^uint64(0)); j >= 0 {
-				return false, fmt.Sprintf("%s mem %d[%d] differs", na.Path, mi, j)
-			}
-		}
-	}
-	return true, ""
 }

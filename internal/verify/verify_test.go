@@ -170,95 +170,3 @@ func TestParallelismActuallyUsed(t *testing.T) {
 		t.Errorf("max inflight %d; expected overlap", maxInflight)
 	}
 }
-
-func TestStateEqualDetails(t *testing.T) {
-	a := &sim.State{Cycle: 1, Nodes: []sim.NodeState{{Path: "top", Slots: []uint64{1, 2}, Mems: []sim.Mem{{{5}}}}}}
-	same := &sim.State{Cycle: 1, Nodes: []sim.NodeState{{Path: "top", Slots: []uint64{1, 2}, Mems: []sim.Mem{{{5}}}}}}
-	if ok, _ := StateEqual(a, same); !ok {
-		t.Error("identical states unequal")
-	}
-	cases := []*sim.State{
-		{Cycle: 2, Nodes: same.Nodes},
-		{Cycle: 1, Nodes: []sim.NodeState{}},
-		{Cycle: 1, Nodes: []sim.NodeState{{Path: "other", Slots: []uint64{1, 2}, Mems: []sim.Mem{{{5}}}}}},
-		{Cycle: 1, Nodes: []sim.NodeState{{Path: "top", Slots: []uint64{1, 3}, Mems: []sim.Mem{{{5}}}}}},
-		{Cycle: 1, Nodes: []sim.NodeState{{Path: "top", Slots: []uint64{1, 2}, Mems: []sim.Mem{{{6}}}}}},
-		{Cycle: 1, Nodes: []sim.NodeState{{Path: "top", Slots: []uint64{1, 2}, Mems: []sim.Mem{{{5, 6}}}}}},
-	}
-	for i, b := range cases {
-		if ok, detail := StateEqual(a, b); ok || detail == "" {
-			t.Errorf("case %d: ok=%v detail=%q", i, ok, detail)
-		}
-	}
-}
-
-func TestRegsEqual(t *testing.T) {
-	a := &sim.State{Nodes: []sim.NodeState{{Path: "top", ObjKey: "m", Slots: []uint64{1, 99}}}}
-	b := &sim.State{Nodes: []sim.NodeState{{Path: "top", ObjKey: "m", Slots: []uint64{1, 42}}}}
-	// Slot 1 is a wire: comparing only reg slot 0 passes.
-	if ok, _ := RegsEqual(a, b, map[string][]uint32{"m": {0}}); !ok {
-		t.Error("reg-only compare should pass")
-	}
-	if ok, _ := RegsEqual(a, b, map[string][]uint32{"m": {0, 1}}); ok {
-		t.Error("reg compare including slot 1 should fail")
-	}
-}
-
-// deepCopy copies a state into pages it shares with nothing.
-func deepCopy(st *sim.State) *sim.State {
-	out := &sim.State{Cycle: st.Cycle, Finished: st.Finished}
-	for _, n := range st.Nodes {
-		c := sim.NodeState{Path: n.Path, ObjKey: n.ObjKey, Slots: append([]uint64(nil), n.Slots...)}
-		for _, m := range n.Mems {
-			flat := make([]uint64, m.Len())
-			m.CopyTo(flat)
-			c.Mems = append(c.Mems, sim.PagedMem(flat))
-		}
-		out.Nodes = append(out.Nodes, c)
-	}
-	return out
-}
-
-// TestComparisonsSkipSharedPages: StateEqual and RegsEqual do not read a
-// page two states share, and give the verdict and the first-difference
-// message they give on unshared copies of the same states.
-func TestComparisonsSkipSharedPages(t *testing.T) {
-	words := make([]uint64, 3*sim.PageWords+7)
-	for i := range words {
-		words[i] = uint64(i) * 3
-	}
-	a := &sim.State{Cycle: 4, Nodes: []sim.NodeState{{Path: "top", ObjKey: "m", Slots: []uint64{1}, Mems: []sim.Mem{sim.PagedMem(words)}}}}
-	// variant shares every page of a but page p, which differs at word w.
-	variant := func(p, w int) *sim.State {
-		b := &sim.State{Cycle: 4, Nodes: []sim.NodeState{{Path: "top", ObjKey: "m", Slots: []uint64{1}}}}
-		m := append(sim.Mem(nil), a.Nodes[0].Mems[0]...)
-		if p >= 0 {
-			m[p] = append([]uint64(nil), m[p]...)
-			m[p][w] ^= 0x40
-		}
-		b.Nodes[0].Mems = []sim.Mem{m}
-		return b
-	}
-	regs := map[string][]uint32{"m": {0}}
-	for _, c := range []struct {
-		name  string
-		b     *sim.State
-		equal bool
-	}{
-		{"all pages shared", variant(-1, 0), true},
-		{"first word", variant(0, 0), false},
-		{"last word of a full page", variant(1, sim.PageWords-1), false},
-		{"last word of the short page", variant(3, 6), false},
-	} {
-		ok, detail := StateEqual(a, c.b)
-		dok, ddetail := StateEqual(deepCopy(a), deepCopy(c.b))
-		if ok != c.equal || ok != dok || detail != ddetail {
-			t.Errorf("%s: StateEqual shared (%v, %q), unshared (%v, %q), want equal=%v", c.name, ok, detail, dok, ddetail, c.equal)
-		}
-		ok, detail = RegsEqual(a, c.b, regs)
-		dok, ddetail = RegsEqual(deepCopy(a), deepCopy(c.b), regs)
-		if ok != c.equal || ok != dok || detail != ddetail {
-			t.Errorf("%s: RegsEqual shared (%v, %q), unshared (%v, %q), want equal=%v", c.name, ok, detail, dok, ddetail, c.equal)
-		}
-	}
-}

@@ -92,13 +92,16 @@ func NewInstance(obj *Object) *Instance {
 	return inst
 }
 
-// Reset re-applies the constant pool; register and memory contents are
-// left untouched (hardware state survives a hot reload; constants belong
-// to the code).
+// Reset re-applies the constant pool and drops a pending $finish and any
+// buffered memory writes; register and memory contents are left untouched
+// (hardware state survives a hot reload; constants belong to the code,
+// requests to the execution that made them).
 func (in *Instance) Reset() {
 	for _, c := range in.Obj.Consts {
 		in.Slots[c.Slot] = c.Value
 	}
+	in.memLog = in.memLog[:0]
+	in.FinishReq = false
 }
 
 // ZeroState clears all registers, wires and memories (power-on state).
@@ -111,8 +114,6 @@ func (in *Instance) ZeroState() {
 			m[i] = 0
 		}
 	}
-	in.memLog = in.memLog[:0]
-	in.FinishReq = false
 	in.Reset()
 }
 

@@ -18,7 +18,8 @@
 //
 // A Plan is the rules of Table V resolved for one pair of object
 // versions and one op list. Hot reload (Migrator), the cross-version
-// checkpoint restore and the consistency check all carry state by it.
+// checkpoint restore and the consistency check all carry state by it;
+// internal/sim, which owns the slot layout, applies and compares it.
 package xform
 
 import (
@@ -317,8 +318,8 @@ func editDistance(a, b string) int {
 
 // Plan is Table V applied to one pair of object versions: where each
 // piece of a new instance's state comes from in an instance of the old
-// one. Its indices are the objects' own slot and memory numbers, so a
-// caller carrying state only copies (Apply).
+// one. Its indices are the objects' own slot and memory numbers, so the
+// kernel that applies it (internal/sim) only copies.
 type Plan struct {
 	Regs  []Pair // carried registers: slot to slot
 	Inits []Init // created registers
@@ -396,40 +397,8 @@ func NewPlan(oldObj, newObj *vm.Object, ops []Op) *Plan {
 	return p
 }
 
-// Apply carries old state into nu by the plan. slots is the old
-// instance's slot array; copyMem copies its memory i into dst as far as
-// both reach and returns the words copied, for i below nmems. A source
-// index past slots or nmems is skipped, so a decoded checkpoint cannot
-// index out of range; nu must be an instance of the plan's new object.
-func (p *Plan) Apply(nu *vm.Instance, slots []uint64, nmems int, copyMem func(i int, dst []uint64) int) {
-	for _, ps := range [][]Pair{p.Regs, p.Ins} {
-		for _, r := range ps {
-			if int(r.From) < len(slots) {
-				nu.Slots[r.To] = slots[r.From] & r.Mask
-			}
-		}
-	}
-	for _, c := range p.Inits {
-		nu.Slots[c.Slot] = c.Value
-	}
-	for _, m := range p.Mems {
-		if int(m.From) < nmems {
-			dst := nu.Mems[m.To]
-			for i := range copyMem(int(m.From), dst) {
-				dst[i] &= m.Mask
-			}
-		}
-	}
-}
-
-// Migrator builds a state-migration function for hot reloads that honors
-// a transform-op list: it applies the Plan from the old object to the new
-// one to each swapped instance.
-func Migrator(ops []Op) func(oldObj *vm.Object, old *vm.Instance, newObj *vm.Object, nu *vm.Instance) error {
-	return func(oldObj *vm.Object, old *vm.Instance, newObj *vm.Object, nu *vm.Instance) error {
-		NewPlan(oldObj, newObj, ops).Apply(nu, old.Slots, len(old.Mems), func(i int, dst []uint64) int {
-			return copy(dst, old.Mems[i])
-		})
-		return nil
-	}
+// Migrator returns the plan builder hot reloads use: the Plan from the
+// old object to the new one through ops (sim.MigrateFunc).
+func Migrator(ops []Op) func(oldObj, newObj *vm.Object) *Plan {
+	return func(oldObj, newObj *vm.Object) *Plan { return NewPlan(oldObj, newObj, ops) }
 }

@@ -201,11 +201,11 @@ func TestApplyOpsRules(t *testing.T) {
 var regNames = []string{"a", "b", "c", "d", "e"}
 
 // planCase is one generated Table V case: two register tables over the
-// names in regNames, the old instance's values, and an op list over the
-// same names.
+// names in regNames, the old registers' values by Cur slot, and an op
+// list over the same names.
 type planCase struct {
 	oldObj, newObj *vm.Object
-	old            *vm.Instance
+	old            []uint64
 	ops            []Op
 }
 
@@ -224,9 +224,9 @@ func genPlanCase(next func(n int) int) planCase {
 		return obj
 	}
 	c := planCase{oldObj: table(), newObj: table()}
-	c.old = vm.NewInstance(c.oldObj)
+	c.old = make([]uint64, c.oldObj.NumSlots)
 	for _, r := range c.oldObj.Regs {
-		c.old.Slots[r.Cur] = word() & r.Mask
+		c.old[r.Cur] = word() & r.Mask
 	}
 	for range next(9) {
 		op := Op{Kind: OpKind(next(3)), Name: regNames[next(len(regNames))]}
@@ -241,31 +241,42 @@ func genPlanCase(next func(n int) int) planCase {
 	return c
 }
 
-// checkPlan holds the register values NewPlan + Apply land against the
-// reference: applyOps on the old values, then by name, masked; a new
-// register the reference has no value for keeps what it held.
+// checkPlan holds the register values NewPlan's pairs and inits land
+// against the reference: applyOps on the old values, then by name,
+// masked. A new register lands at most once, and one the reference has
+// no value for is not landed.
 func checkPlan(t *testing.T, c planCase) {
 	t.Helper()
-	const untouched = 1 << 63 // no mask of 63 bits or fewer reaches it
-	nu := vm.NewInstance(c.newObj)
-	for i := range nu.Slots {
-		nu.Slots[i] = untouched
+	p := NewPlan(c.oldObj, c.newObj, c.ops)
+	got := make(map[uint32]uint64) // new Cur slot -> landed value
+	land := func(slot uint32, v uint64) {
+		if _, dup := got[slot]; dup {
+			t.Fatalf("ops %v: slot %d landed twice", c.ops, slot)
+		}
+		got[slot] = v
 	}
-	NewPlan(c.oldObj, c.newObj, c.ops).Apply(nu, c.old.Slots, 0, nil)
+	for _, r := range p.Regs {
+		land(r.To, c.old[r.From]&r.Mask)
+	}
+	for _, in := range p.Inits {
+		land(in.Slot, in.Value)
+	}
 	vals := make(map[string]uint64)
 	for _, r := range c.oldObj.Regs {
-		vals[r.Name] = c.old.Slots[r.Cur]
+		vals[r.Name] = c.old[r.Cur]
 	}
 	want := applyOps(vals, c.ops)
 	for _, r := range c.newObj.Regs {
 		w, ok := want[r.Name]
-		if w &= r.Mask; !ok {
-			w = untouched
+		g, landed := got[r.Cur]
+		if ok != landed || g != w&r.Mask {
+			t.Fatalf("old %v new %v ops %v: reg %s = %#x (landed %v), reference %#x (%v)",
+				c.oldObj.Regs, c.newObj.Regs, c.ops, r.Name, g, landed, w&r.Mask, ok)
 		}
-		if got := nu.Slots[r.Cur]; got != w {
-			t.Fatalf("old %v new %v ops %v: reg %s = %#x, reference %#x",
-				c.oldObj.Regs, c.newObj.Regs, c.ops, r.Name, got, w)
-		}
+		delete(got, r.Cur)
+	}
+	if len(got) != 0 {
+		t.Fatalf("ops %v: slots %v landed that are no register's", c.ops, got)
 	}
 }
 
@@ -295,12 +306,11 @@ func FuzzPlan(f *testing.F) {
 	})
 }
 
-// TestPlanMemsAndInputs: memories carry by name up to the smaller depth,
-// masked to the new width; input ports carry by name only when an input
-// in both versions.
+// TestPlanMemsAndInputs: memories pair by name, masked to the new width;
+// input ports pair by name only when an input in both versions.
 func TestPlanMemsAndInputs(t *testing.T) {
 	oldObj := &vm.Object{
-		Mems:     []vm.Mem{{Name: "ram", Index: 0, Depth: 4, Mask: vm.Mask(16)}, {Name: "gone", Index: 1, Depth: 2, Mask: vm.Mask(8)}},
+		Mems:     []vm.Mem{{Name: "gone", Index: 0, Depth: 2, Mask: vm.Mask(8)}, {Name: "ram", Index: 1, Depth: 4, Mask: vm.Mask(16)}},
 		Ports:    []vm.Port{{Name: "d", Dir: vm.In, Slot: 0, Mask: vm.Mask(16)}, {Name: "q", Dir: vm.Out, Slot: 1, Mask: vm.Mask(16)}},
 		NumSlots: 2,
 	}
@@ -309,17 +319,12 @@ func TestPlanMemsAndInputs(t *testing.T) {
 		Ports:    []vm.Port{{Name: "q", Dir: vm.In, Slot: 0, Mask: vm.Mask(8)}, {Name: "d", Dir: vm.In, Slot: 1, Mask: vm.Mask(8)}},
 		NumSlots: 2,
 	}
-	old, nu := vm.NewInstance(oldObj), vm.NewInstance(newObj)
-	old.Slots[0], old.Slots[1] = 0x1234, 0x5678
-	copy(old.Mems[0], []uint64{0x101, 0x202, 0x303, 0x404})
-	if err := Migrator(nil)(oldObj, old, newObj, nu); err != nil {
-		t.Fatal(err)
+	p := NewPlan(oldObj, newObj, nil)
+	if want := []Pair{{"d", 0, 1, vm.Mask(8)}}; !slices.Equal(p.Ins, want) {
+		t.Errorf("inputs %v, want %v: d carried and masked, q (an output before) left alone", p.Ins, want)
 	}
-	if nu.Slots[1] != 0x34 || nu.Slots[0] != 0 {
-		t.Errorf("ports %#x: want d carried and masked, q (an output before) left alone", nu.Slots)
-	}
-	if want := []uint64{0x01, 0x02, 0x03, 0x04, 0, 0}; !slices.Equal(nu.Mems[0], want) {
-		t.Errorf("ram %#x, want %#x", nu.Mems[0], want)
+	if want := []Pair{{"ram", 1, 0, vm.Mask(8)}}; !slices.Equal(p.Mems, want) {
+		t.Errorf("memories %v, want %v", p.Mems, want)
 	}
 }
 
@@ -377,29 +382,18 @@ func TestBestGuessIdentical(t *testing.T) {
 func TestMigratorAppliesRename(t *testing.T) {
 	oldObj := regObj("old_name")
 	newObj := regObj("new_name")
-	oldInst := vm.NewInstance(oldObj)
-	newInst := vm.NewInstance(newObj)
-	oldInst.Slots[oldObj.Regs[0].Cur] = 0x5A
-	mig := Migrator([]Op{{Kind: Rename, Name: "old_name", NewName: "new_name"}})
-	if err := mig(oldObj, oldInst, newObj, newInst); err != nil {
-		t.Fatal(err)
-	}
-	if newInst.Slots[newObj.Regs[0].Cur] != 0x5A {
-		t.Errorf("value not migrated: %x", newInst.Slots[newObj.Regs[0].Cur])
+	p := Migrator([]Op{{Kind: Rename, Name: "old_name", NewName: "new_name"}})(oldObj, newObj)
+	if want := []Pair{{"new_name", oldObj.Regs[0].Cur, newObj.Regs[0].Cur, vm.Mask(8)}}; !slices.Equal(p.Regs, want) || len(p.Inits) != 0 {
+		t.Errorf("plan %+v, want the renamed register carried: %v", p, want)
 	}
 }
 
 func TestMigratorCreateInit(t *testing.T) {
 	oldObj := regObj()
 	newObj := regObj("fresh")
-	oldInst := vm.NewInstance(oldObj)
-	newInst := vm.NewInstance(newObj)
-	mig := Migrator([]Op{{Kind: Create, Name: "fresh", Init: 0x33}})
-	if err := mig(oldObj, oldInst, newObj, newInst); err != nil {
-		t.Fatal(err)
-	}
-	if newInst.Slots[newObj.Regs[0].Cur] != 0x33 {
-		t.Errorf("create init not applied: %x", newInst.Slots[newObj.Regs[0].Cur])
+	p := Migrator([]Op{{Kind: Create, Name: "fresh", Init: 0x133}})(oldObj, newObj)
+	if want := []Init{{newObj.Regs[0].Cur, 0x33}}; !slices.Equal(p.Inits, want) || len(p.Regs) != 0 {
+		t.Errorf("plan %+v, want fresh created at its masked Init: %v", p, want)
 	}
 }
 

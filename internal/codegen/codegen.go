@@ -59,23 +59,24 @@ type Options struct {
 // keeps compiled objects beyond the process (livecompiler's object
 // directory) keys them on it; bump it with every change to what Compile
 // emits, so an object written by an older binary is recompiled, not served.
-const Version = 3
+const Version = 4
 
 // Compile lowers one elaborated module specialization to an object.
 func Compile(m *elab.Module, opts Options) (*vm.Object, error) {
-	obj, err := lower(m, opts)
+	obj, childOut, err := lower(m, opts)
 	if err != nil {
 		return nil, fmt.Errorf("module %s: %w", m.Key, err)
 	}
-	tidy(obj)
+	tidy(obj, childOut)
 	if err := obj.Validate(); err != nil {
 		return nil, fmt.Errorf("module %s: internal codegen error: %w", m.Key, err)
 	}
 	return obj, nil
 }
 
-// lower emits the object's tables and code; tidy has not run on it.
-func lower(m *elab.Module, opts Options) (*vm.Object, error) {
+// lower emits the object's tables and code, and the slots its children's
+// output ports drive; tidy has not run on it.
+func lower(m *elab.Module, opts Options) (*vm.Object, []uint32, error) {
 	c := &compiler{
 		m: m,
 		obj: &vm.Object{
@@ -90,9 +91,9 @@ func lower(m *elab.Module, opts Options) (*vm.Object, error) {
 		consts:   make(map[uint64]uint32),
 	}
 	if err := c.run(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return c.obj, nil
+	return c.obj, c.childOut, nil
 }
 
 // driverKind classifies how a signal is driven.
@@ -130,6 +131,8 @@ type compiler struct {
 	// extra holds compiler-synthesized glue signals for instance
 	// connections that are expressions rather than plain nets.
 	extra map[string]*elab.Signal
+	// childOut lists the slots child output ports drive.
+	childOut []uint32
 }
 
 func (c *compiler) alloc() uint32 {

@@ -11,8 +11,8 @@ import (
 	"livesim/internal/vm"
 )
 
-// tryCompileSrc parses, elaborates and compiles the module named top.
-func tryCompileSrc(src, top string, style Style) (*vm.Object, error) {
+// elabSrc parses src and elaborates the module named top.
+func elabSrc(src, top string) (*elab.Module, error) {
 	sf, err := parser.ParseFile("t.v", src)
 	if err != nil {
 		return nil, err
@@ -25,7 +25,16 @@ func tryCompileSrc(src, top string, style Style) (*vm.Object, error) {
 	if err != nil {
 		return nil, err
 	}
-	return Compile(d.Top(), Options{Style: style})
+	return d.Top(), nil
+}
+
+// tryCompileSrc parses, elaborates and compiles the module named top.
+func tryCompileSrc(src, top string, style Style) (*vm.Object, error) {
+	m, err := elabSrc(src, top)
+	if err != nil {
+		return nil, err
+	}
+	return Compile(m, Options{Style: style})
 }
 
 func compileSrc(t *testing.T, src, top string, style Style) *vm.Object {

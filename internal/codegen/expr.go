@@ -426,6 +426,14 @@ func (e *emitter) binary(n *ast.Binary) (value, error) {
 	case ast.Mod:
 		return bin(vm.OpMod), nil
 	case ast.And:
+		// Both sides are stored masked to w bits by now, so an all-ones
+		// side of that width leaves the other one as it is.
+		if v, ok := e.c.constValue(y.slot); ok && v == mask {
+			return value{slot: x.slot, width: w, signed: bothSigned}, nil
+		}
+		if v, ok := e.c.constValue(x.slot); ok && v == mask {
+			return value{slot: y.slot, width: w, signed: bothSigned}, nil
+		}
 		return bin(vm.OpAnd), nil
 	case ast.Or:
 		return bin(vm.OpOr), nil
@@ -458,13 +466,12 @@ func (e *emitter) binary(n *ast.Binary) (value, error) {
 // with the same condition into if-else blocks" optimization, which shows
 // up as more branches but fewer data references (Table VII).
 func (e *emitter) ternary(n *ast.Ternary) (value, error) {
-	cond, err := e.expr(n.Cond)
-	if err != nil {
-		return value{}, err
-	}
-	cbool := e.truth(cond)
-
 	if e.c.style == StyleMux {
+		cond, err := e.expr(n.Cond)
+		if err != nil {
+			return value{}, err
+		}
+		cbool := e.truth(cond)
 		a, err := e.expr(n.Then)
 		if err != nil {
 			return value{}, err
@@ -484,53 +491,61 @@ func (e *emitter) ternary(n *ast.Ternary) (value, error) {
 		return value{slot: s, width: w, signed: bothSigned}, nil
 	}
 
-	// Grouped style: branch around the arms. The result width must be
-	// known before emission, so pre-compute arm widths via a dry scan.
-	wThen, sgThen, err := e.exprShape(n.Then)
-	if err != nil {
-		return value{}, err
-	}
-	wElse, sgElse, err := e.exprShape(n.Else)
-	if err != nil {
-		return value{}, err
-	}
-	w := wThen
-	if wElse > w {
-		w = wElse
-	}
-	bothSigned := sgThen && sgElse
-	dst := e.c.alloc()
+	return e.ternaryInto(e.c.alloc(), n)
+}
 
+// ternaryInto lowers the grouped style's cond ? a : b with each arm
+// writing dst itself. The result width must be known before emission, so
+// the arm widths come from a dry scan.
+func (e *emitter) ternaryInto(dst uint32, n *ast.Ternary) (value, error) {
+	cond, err := e.expr(n.Cond)
+	if err != nil {
+		return value{}, err
+	}
+	cbool := e.truth(cond)
+	w, signed, err := e.exprShape(n)
+	if err != nil {
+		return value{}, err
+	}
 	jz := e.jump(vm.OpJz, cbool)
 	e.pushScope()
-	a, err := e.expr(n.Then)
-	if err != nil {
+	if err := e.exprInto(dst, w, n.Then); err != nil {
 		return value{}, err
 	}
-	a = e.extend(a, w)
-	e.coerceInto(dst, w, a)
 	e.popScope()
 	jend := e.jump(vm.OpJmp, 0)
 	e.patch(jz)
 	e.pushScope()
-	b, err := e.expr(n.Else)
-	if err != nil {
+	if err := e.exprInto(dst, w, n.Else); err != nil {
 		return value{}, err
 	}
-	b = e.extend(b, w)
-	e.coerceInto(dst, w, b)
 	e.popScope()
 	e.patch(jend)
-	return value{slot: dst, width: w, signed: bothSigned}, nil
+	return value{slot: dst, width: w, signed: signed}, nil
 }
 
-// coerceInto writes v (already width-extended) into dst masked to width w.
-func (e *emitter) coerceInto(dst uint32, w int, v value) {
-	if v.width > w {
-		e.opInto(dst, vm.Instr{Op: vm.OpAndImm, A: v.slot, Imm: vm.Mask(w)})
-		return
+// exprInto lowers x into dst, a signal of width w: it writes what
+// assignTo(dst, w, expr(x)) would. A grouped-style ternary whose value
+// assignTo would only move is lowered with its arms writing dst, so neither
+// the ternary's temporary nor the move after its join is emitted; the arms
+// recurse, so a nested ternary writes dst too.
+func (e *emitter) exprInto(dst uint32, w int, x ast.Expr) error {
+	if t, ok := x.(*ast.Ternary); ok && e.c.style == StyleGrouped {
+		tw, signed, err := e.exprShape(t)
+		if err != nil {
+			return err
+		}
+		if tw == w || tw < w && !signed {
+			_, err := e.ternaryInto(dst, t)
+			return err
+		}
 	}
-	e.opInto(dst, vm.Instr{Op: vm.OpMove, A: v.slot})
+	v, err := e.expr(x)
+	if err != nil {
+		return err
+	}
+	e.assignTo(dst, w, v)
+	return nil
 }
 
 // assignTo coerces v into the destination slot with the target's width and

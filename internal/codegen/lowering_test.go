@@ -149,3 +149,20 @@ func TestOneOpPerConstruct(t *testing.T) {
 		}
 	}
 }
+
+// TestAndWithAllOnesIsTheValue: an AND whose one side is all ones at the
+// result width is the other side, signed or not, mask on either side.
+func TestAndWithAllOnesIsTheValue(t *testing.T) {
+	for _, width := range []int{1, 8, 63, 64} {
+		ones := fmt.Sprintf("%d'h%x", width, vm.Mask(width))
+		t.Run(fmt.Sprintf("w%d", width), func(t *testing.T) {
+			checkPairs(t, width, 5, fmt.Sprintf(`
+  assign y0 = a & 64'hFFFF_FFFF_FFFF_FFFF;        assign z0 = a;
+  assign y1 = a & %[1]s;                          assign z1 = a;
+  assign y2 = 64'hFFFF_FFFF_FFFF_FFFF & b;        assign z2 = b;
+  assign y3 = $signed(a) & $signed(%[1]s);        assign z3 = $signed(a);
+  assign y4 = (a ^ b) & 64'hFFFF_FFFF_FFFF_FFFF;  assign z4 = a ^ b;
+`, ones))
+		})
+	}
+}

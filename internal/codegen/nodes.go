@@ -36,6 +36,7 @@ func (c *compiler) prepareChildren() error {
 					return fmt.Errorf("instance %s: unknown signal %q", inst.Name, id.Name)
 				}
 				parentSlot = c.slots[id.Name]
+				c.childOut = append(c.childOut, parentSlot)
 			} else {
 				// Input port: direct bind for a plain matching signal,
 				// otherwise synthesize a glue wire.
@@ -64,14 +65,7 @@ func (c *compiler) prepareChildren() error {
 					defs:  []string{glueName},
 					reads: readList(reads),
 					what:  "connection " + glueName,
-					emit: func(e *emitter) error {
-						v, err := e.expr(expr)
-						if err != nil {
-							return err
-						}
-						e.assignTo(slot, width, v)
-						return nil
-					},
+					emit:  func(e *emitter) error { return e.exprInto(slot, width, expr) },
 				})
 			}
 			child.Binds = append(child.Binds, vm.ChildBind{ParentSlot: parentSlot, ChildPort: uint32(portIdx)})
@@ -107,14 +101,7 @@ func (c *compiler) buildCombNodes() error {
 				defs:  []string{lhs.Name},
 				reads: readList(reads),
 				what:  "assign " + lhs.Name,
-				emit: func(e *emitter) error {
-					v, err := e.expr(a.RHS)
-					if err != nil {
-						return err
-					}
-					e.assignTo(slot, width, v)
-					return nil
-				},
+				emit:  func(e *emitter) error { return e.exprInto(slot, width, a.RHS) },
 			})
 
 		case *ast.Concat:
@@ -184,14 +171,7 @@ func (c *compiler) buildCombNodes() error {
 				defs:  []string{name},
 				reads: readList(reads),
 				what:  "always@(*) " + name,
-				emit: func(e *emitter) error {
-					v, err := e.expr(target)
-					if err != nil {
-						return err
-					}
-					e.assignTo(slot, width, v)
-					return nil
-				},
+				emit:  func(e *emitter) error { return e.exprInto(slot, width, target) },
 			})
 		}
 	}
@@ -413,12 +393,7 @@ func (c *compiler) emitAssignDirect(e *emitter, a *ast.Assign, effectsOnly bool)
 		if !ok {
 			return fmt.Errorf("%q assigned in clocked block but has no register slot", lhs.Name)
 		}
-		v, err := e.expr(a.RHS)
-		if err != nil {
-			return err
-		}
-		e.assignTo(next, s.Width, v)
-		return nil
+		return e.exprInto(next, s.Width, a.RHS)
 
 	case *ast.Index:
 		// Bit RMW on the next slot.

@@ -96,6 +96,76 @@ endmodule`, "k", StyleGrouped)
 	}
 }
 
+// TestAndWithFullMaskEmitsNothing: the full-width mask of a 64-bit result
+// latch costs no op, and the output then names the register's slot.
+func TestAndWithFullMaskEmitsNothing(t *testing.T) {
+	obj := compileSrc(t, `
+module k (input clk, input [63:0] a, input [31:0] b, output [63:0] y, output [31:0] z);
+  reg [63:0] res_r;
+  always @(posedge clk) res_r <= a;
+  assign y = res_r & 64'hFFFF_FFFF_FFFF_FFFF;
+  assign z = 32'hFFFF_FFFF & b;
+endmodule`, "k", StyleGrouped)
+	for _, code := range [][]vm.Instr{obj.Comb, obj.Seq} {
+		if ops := countOps(code); ops[vm.OpAnd]+ops[vm.OpAndImm] != 0 {
+			t.Errorf("an and with the full mask was emitted:\n%s", disasm(code))
+		}
+	}
+	if y := obj.Ports[obj.PortIndex("y")]; y.Slot != obj.RegByName("res_r").Cur {
+		t.Errorf("y reads slot %d, want res_r's current value (slot %d)", y.Slot, obj.RegByName("res_r").Cur)
+	}
+}
+
+// TestTernaryWritesItsDestination: in the grouped style a ternary whose
+// value its destination only copies has its arms write the destination —
+// a continuous assign, an always @(*) target, a connection's glue wire and
+// a clocked <= — nested ternaries included, so the lowering writes no
+// temporary and no move follows a join.
+func TestTernaryWritesItsDestination(t *testing.T) {
+	const leaf = "module leaf (input [7:0] i, output [7:0] o);\n  assign o = i;\nendmodule\n"
+	for _, c := range []struct {
+		name, body string
+		moves      int // one per arm; the clocked form adds y = r
+	}{
+		{"assign", "assign y = c1 ? a : c2 ? b : d;", 3},
+		{"always", "always @(*) begin if (c1) y = a; else if (c2) y = b; else y = d; end", 3},
+		{"glue", "leaf u (.i(c1 ? a : c2 ? b : d), .o(y));", 3},
+		{"clocked", "reg [7:0] r;\nalways @(posedge clk) r <= c1 ? a : c2 ? b : d;\nassign y = r;", 4},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			m, err := elabSrc(leaf+"module m (input clk, input c1, c2, input [7:0] a, b, d, output reg [7:0] y);\n"+c.body+"\nendmodule\n", "m")
+			if err != nil {
+				t.Fatal(err)
+			}
+			obj, _, err := lower(m, Options{Style: StyleGrouped})
+			if err != nil {
+				t.Fatal(err)
+			}
+			named := map[uint32]bool{}
+			for _, p := range obj.Ports {
+				named[p.Slot] = true
+			}
+			for _, r := range obj.Regs {
+				named[r.Next] = true
+			}
+			for _, ch := range obj.Children {
+				for _, b := range ch.Binds {
+					named[b.ParentSlot] = true
+				}
+			}
+			code := append(append([]vm.Instr(nil), obj.Comb...), obj.Seq...)
+			for _, in := range code {
+				if in.Op.Pure() && !named[in.Dst] {
+					t.Errorf("%s writes a temporary:\n%s", in, disasm(code))
+				}
+			}
+			if got := countOps(code)[vm.OpMove]; got != c.moves {
+				t.Errorf("%d moves, want %d:\n%s", got, c.moves, disasm(code))
+			}
+		})
+	}
+}
+
 func disasm(code []vm.Instr) string {
 	var sb strings.Builder
 	for i, in := range code {
@@ -170,7 +240,8 @@ func TestFoldConstMirrorsVM(t *testing.T) {
 
 // tidyByHand runs a hand-built object as written and tidied, for both values
 // of its 1-bit input c (slot 0) and a (slot 1) = 0x0f, and requires equal
-// outputs w (slot 2). It returns the tidied code.
+// outputs w (slot 2 as written; tidy may point the port elsewhere). It
+// returns the tidied code.
 func tidyByHand(t *testing.T, numSlots uint32, consts []vm.ConstInit, comb []vm.Instr) []vm.Instr {
 	t.Helper()
 	const c, a, w = 0, 1, 2
@@ -186,7 +257,7 @@ func tidyByHand(t *testing.T, numSlots uint32, consts []vm.ConstInit, comb []vm.
 		}
 	}
 	ref, obj := build(), build()
-	tidy(obj)
+	tidy(obj, nil)
 	if err := obj.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -196,8 +267,8 @@ func tidyByHand(t *testing.T, numSlots uint32, consts []vm.ConstInit, comb []vm.
 			in.Slots[c], in.Slots[a] = cv, 0x0f
 			in.RunComb(nil)
 		}
-		if ri.Slots[w] != oi.Slots[w] {
-			t.Errorf("c=%d: w = %#x as lowered, %#x tidied\n%s", cv, ri.Slots[w], oi.Slots[w], disasm(obj.Comb))
+		if got := oi.Slots[obj.Ports[w].Slot]; ri.Slots[w] != got {
+			t.Errorf("c=%d: w = %#x as lowered, %#x tidied\n%s", cv, ri.Slots[w], got, disasm(obj.Comb))
 		}
 	}
 	return obj.Comb
@@ -230,6 +301,88 @@ func TestTidyForwardsTheWriterNextToTheMove(t *testing.T) {
 	})
 	if len(got) != 2 || got[1].Op != vm.OpNeg || got[1].Dst != w || got[0].B != 1 {
 		t.Errorf("want the jump and neg into w:\n%s", disasm(got))
+	}
+}
+
+// TestTidyAliasConditions: a Comb move w ← s that tidy may turn into w
+// naming s, and one row for each condition under which it may not, each of
+// which keeps its move. Every row runs as written and tidied for a few
+// clock cycles, each object read through its own tables.
+func TestTidyAliasConditions(t *testing.T) {
+	// c and a are inputs, w and v outputs, r a register with next value
+	// rn, k the constant 5 and tmp a temporary.
+	const c, a, w, v, r, rn, k, tmp = 0, 1, 2, 3, 4, 5, 6, 7
+	move := func(d, s uint32) vm.Instr { return vm.Instr{Op: vm.OpMove, Dst: d, A: s} }
+	not := func(d, s uint32) vm.Instr { return vm.Instr{Op: vm.OpNot, Dst: d, A: s, Imm: 0xff} }
+	for _, tc := range []struct {
+		name      string
+		comb, seq []vm.Instr
+		childOut  []uint32
+		d         uint32 // the move's destination
+		aliased   bool
+	}{
+		{name: "aliased", comb: []vm.Instr{move(w, a)}, d: w, aliased: true},
+		{name: "a branch jumps over it", comb: []vm.Instr{{Op: vm.OpJz, A: c, B: 2}, move(w, a)}, d: w},
+		{name: "not its only writer", comb: []vm.Instr{{Op: vm.OpJz, A: c, B: 2}, not(w, a), move(w, k)}, d: w},
+		{name: "read before it", comb: []vm.Instr{not(v, w), move(w, a)}, d: w},
+		{name: "source written after it", comb: []vm.Instr{move(w, tmp), not(tmp, a)}, d: w},
+		{name: "source written by seq", comb: []vm.Instr{move(w, tmp)}, seq: []vm.Instr{not(tmp, a)}, d: w},
+		{name: "register value", comb: []vm.Instr{move(r, a)}, d: r},
+		{name: "register next value", comb: []vm.Instr{move(rn, a)}, d: rn},
+		{name: "constant", comb: []vm.Instr{move(k, a)}, d: k},
+		{name: "input port", comb: []vm.Instr{move(c, a)}, d: c},
+		{name: "driven by a child", comb: []vm.Instr{move(w, a)}, childOut: []uint32{w}, d: w},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			build := func() *vm.Object {
+				return &vm.Object{
+					Key: "t", ModName: "t", NumSlots: 8,
+					Ports: []vm.Port{
+						{Name: "c", Slot: c, Mask: 1}, {Name: "a", Slot: a, Mask: 0xff},
+						{Name: "w", Dir: vm.Out, Slot: w, Mask: 0xff}, {Name: "v", Dir: vm.Out, Slot: v, Mask: 0xff},
+					},
+					Regs:   []vm.Reg{{Name: "r", Cur: r, Next: rn, Mask: 0xff}},
+					Consts: []vm.ConstInit{{Slot: k, Value: 5}},
+					Comb:   append([]vm.Instr(nil), tc.comb...),
+					Seq:    append([]vm.Instr(nil), tc.seq...),
+					Debug:  []vm.SlotDebug{{Name: "w", Slot: w, Bits: 8}, {Name: "r", Slot: r, Bits: 8}},
+				}
+			}
+			ref, obj := build(), build()
+			tidy(obj, tc.childOut)
+			if err := obj.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			kept := false
+			for _, in := range obj.Comb {
+				kept = kept || in.Op == vm.OpMove && in.Dst == tc.d
+			}
+			if kept == tc.aliased {
+				t.Errorf("move into s%d kept: %v, want %v\n%s", tc.d, kept, !tc.aliased, disasm(obj.Comb))
+			}
+			if tc.aliased && (obj.Ports[2].Slot != a || obj.Debug[0].Slot != a) {
+				t.Errorf("port w names s%d and its Debug entry s%d, want both s%d", obj.Ports[2].Slot, obj.Debug[0].Slot, a)
+			}
+			ri, oi := vm.NewInstance(ref), vm.NewInstance(obj)
+			for cycle := uint64(0); cycle < 4; cycle++ {
+				for _, in := range []*vm.Instance{ri, oi} {
+					in.Slots[in.Obj.Ports[0].Slot], in.Slots[in.Obj.Ports[1].Slot] = cycle&1, 0x30+cycle
+					in.RunComb(nil)
+				}
+				for i, p := range ref.Ports {
+					if got, want := oi.Slots[obj.Ports[i].Slot], ri.Slots[p.Slot]; got != want {
+						t.Fatalf("cycle %d: %s = %#x tidied, %#x as written\n%s", cycle, p.Name, got, want, disasm(obj.Comb))
+					}
+				}
+				for _, in := range []*vm.Instance{ri, oi} {
+					in.RunSeq(nil)
+					in.Commit()
+				}
+				if oi.Slots[r] != ri.Slots[r] {
+					t.Fatalf("cycle %d: r = %#x tidied, %#x as written", cycle, oi.Slots[r], ri.Slots[r])
+				}
+			}
+		})
 	}
 }
 

@@ -16,8 +16,10 @@ import (
 // tidy's input is its reference: every module here is lowered once, run
 // as lowered and run tidied, side by side as bare instances under the same
 // seeded stimulus, and everything the object tables name — ports,
-// registers and their next values, Debug slots, memories — must agree
-// after every RunComb and after every clock edge.
+// registers and their next values, Debug signals, memories — must agree
+// after every RunComb and after every clock edge. Each object is read
+// through its own tables: tidy may have pointed a port or a signal at the
+// slot it used to copy.
 
 func elaborate(t *testing.T, files map[string]string, top string) *elab.Design {
 	t.Helper()
@@ -60,44 +62,61 @@ func checkTidy(t *testing.T, d *elab.Design, style codegen.Style, seed uint64, c
 		}
 
 		// What the kernel would write into an instance: input ports, and
-		// the slots bound to a child's output ports.
+		// the slots bound to a child's output ports; in each object's own
+		// slot, which the kernel finds through the port and bind tables.
 		type driven struct {
-			slot uint32
-			mask uint64
+			ref, obj uint32
+			mask     uint64
 		}
 		var inputs []driven
-		for _, p := range obj.Ports {
+		for i, p := range obj.Ports {
 			if p.Dir == vm.In {
-				inputs = append(inputs, driven{p.Slot, p.Mask})
+				inputs = append(inputs, driven{ref.Ports[i].Slot, p.Slot, p.Mask})
 			}
 		}
-		for _, c := range obj.Children {
-			for _, b := range c.Binds {
+		for ci, c := range obj.Children {
+			for bi, b := range c.Binds {
 				if cp := tidied[c.ObjectKey].Ports[b.ChildPort]; cp.Dir == vm.Out {
-					inputs = append(inputs, driven{b.ParentSlot, cp.Mask})
+					inputs = append(inputs, driven{ref.Children[ci].Binds[bi].ParentSlot, b.ParentSlot, cp.Mask})
 				}
 			}
+		}
+		if len(obj.Ports) != len(ref.Ports) || len(obj.Regs) != len(ref.Regs) || len(obj.Debug) != len(ref.Debug) {
+			t.Fatalf("%s: tidy changed the tables: %d/%d ports, %d/%d regs, %d/%d debug entries",
+				key, len(ref.Ports), len(obj.Ports), len(ref.Regs), len(obj.Regs), len(ref.Debug), len(obj.Debug))
+		}
+
+		// A name tidy pointed at a register's current value shows the
+		// register's new value once the clock edge committed it, where the
+		// lowered object's copy still holds what Comb copied; until Comb
+		// runs again, which nothing reads before, they differ.
+		regOf := map[uint32]string{}
+		for _, r := range obj.Regs {
+			regOf[r.Cur] = r.Name
 		}
 
 		a, b := vm.NewInstance(ref), vm.NewInstance(obj)
 		compare := func(cycle int, when string) {
 			t.Helper()
-			slot := func(what string, s uint32) {
+			slot := func(what, name string, x, y uint32) {
 				t.Helper()
-				if a.Slots[s] != b.Slots[s] {
-					t.Fatalf("%s (%s, seed %d) cycle %d after %s: %s: lowered %#x, tidied %#x",
-						key, style, seed, cycle, when, what, a.Slots[s], b.Slots[s])
+				if reg, ok := regOf[y]; ok && reg != name && when == "clock edge" {
+					return
+				}
+				if a.Slots[x] != b.Slots[y] {
+					t.Fatalf("%s (%s, seed %d) cycle %d after %s: %s %s: lowered %#x, tidied %#x",
+						key, style, seed, cycle, when, what, name, a.Slots[x], b.Slots[y])
 				}
 			}
-			for _, p := range ref.Ports {
-				slot("port "+p.Name, p.Slot)
+			for i, p := range ref.Ports {
+				slot("port", p.Name, p.Slot, obj.Ports[i].Slot)
 			}
-			for _, r := range ref.Regs {
-				slot("reg "+r.Name, r.Cur)
-				slot("next of reg "+r.Name, r.Next)
+			for i, r := range ref.Regs {
+				slot("reg", r.Name, r.Cur, obj.Regs[i].Cur)
+				slot("next of reg", r.Name, r.Next, obj.Regs[i].Next)
 			}
-			for _, dbg := range ref.Debug {
-				slot("signal "+dbg.Name, dbg.Slot)
+			for i, dbg := range ref.Debug {
+				slot("signal", dbg.Name, dbg.Slot, obj.Debug[i].Slot)
 			}
 			for m := range a.Mems {
 				for i := range a.Mems[m] {
@@ -116,7 +135,7 @@ func checkTidy(t *testing.T, d *elab.Design, style codegen.Style, seed uint64, c
 				if cycle%7 == 3 {
 					v = 0 // idle inputs let state settle into its rarer branches
 				}
-				a.Slots[in.slot], b.Slots[in.slot] = v&in.mask, v&in.mask
+				a.Slots[in.ref], b.Slots[in.obj] = v&in.mask, v&in.mask
 			}
 			a.RunComb(nil)
 			b.RunComb(nil)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"livesim/internal/prof"
 )
@@ -204,19 +203,4 @@ func (s *Session) publishProfStats() {
 	s.metrics.Gauge("prof_quiescent_evals").Set(agg.QuiescentEvals)
 	s.metrics.Gauge("prof_eval_ns").Set(agg.EvalNs)
 	s.metrics.Gauge("prof_cycles").Set(agg.Cycles)
-}
-
-// ProfiledPipeNames returns the pipes that have a profiler (recording or
-// stopped), sorted — the admin plane uses it to enumerate /profilez.
-func (s *Session) ProfiledPipeNames() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []string
-	for name, p := range s.pipes {
-		if p.profiler != nil {
-			out = append(out, name)
-		}
-	}
-	sort.Strings(out)
-	return out
 }

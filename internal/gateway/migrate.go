@@ -286,19 +286,14 @@ type DrainBackendReport struct {
 	DrainSent bool `json:"drain_sent"`
 }
 
-// DrainBackend empties a backend for maintenance: exclude it from
+// drainBackendTraced empties a backend for maintenance: exclude it from
 // placement, migrate every session it is primary for off — cheapest
 // journal first, so most sessions are safe early if the budget runs out
 // — move every standby copy it holds elsewhere, and only when none
 // remain, send the wire `drain` that makes the host process run its
-// SIGTERM path.
-func (g *Gateway) DrainBackend(addr string) (*DrainBackendReport, error) {
-	return g.drainBackendTraced(addr, "", "")
-}
-
-// drainBackendTraced runs the drain under one trace: the inventory, every
-// per-session migration, and the final wire drain all parent under a
-// drain_backend span, so `trace <id>` reads as the whole operation.
+// SIGTERM path. It runs under one trace: the inventory, every per-session
+// migration, and the final wire drain all parent under a drain_backend
+// span, so `trace <id>` reads as the whole operation.
 func (g *Gateway) drainBackendTraced(addr, trace, parentSID string) (*DrainBackendReport, error) {
 	b := g.backendByAddr(addr)
 	if b == nil {

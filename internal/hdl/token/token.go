@@ -130,15 +130,6 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-// IsTrivia reports whether the kind carries no behavioural meaning.
-// LiveParser strips trivia before deciding whether a change is behavioural.
-func (k Kind) IsTrivia() bool {
-	return k == Whitespace || k == LineComment || k == BlockComment
-}
-
-// IsKeyword reports whether the kind is a reserved word.
-func (k Kind) IsKeyword() bool { return k >= KwModule && k <= KwSigned }
-
 // Keywords maps reserved words to their kinds.
 var Keywords = map[string]Kind{
 	"module": KwModule, "endmodule": KwEndmodule,

@@ -14,13 +14,16 @@ import (
 )
 
 // opMix is a vm.Profiler that turns the executed code addresses back into
-// instructions: how often each opcode runs, and how often an instruction
-// reads the destination of the one executed just before it at pc-1 — the
-// pairs a lowering or a peephole could turn into one op.
+// instructions: how often each opcode runs, how often an instruction reads
+// the destination of the one executed just before it at pc-1 — the pairs a
+// lowering or a peephole could turn into one op — and what kind of slot
+// each move copies into what kind of slot, the census of moves left.
 type opMix struct {
-	objs []*vm.Object // sorted by BaseAddr
-	ops  [256]uint64
-	pair map[[2]vm.OpCode]uint64
+	objs  []*vm.Object // sorted by BaseAddr
+	ops   [256]uint64
+	pair  map[[2]vm.OpCode]uint64
+	kinds map[*vm.Object][]string // slot -> kind, see slotKinds
+	moves map[[2]string]uint64    // source kind, destination kind
 
 	prevObj *vm.Object
 	prevPC  int
@@ -28,11 +31,10 @@ type opMix struct {
 }
 
 func newOpMix(s *sim.Sim) *opMix {
-	m := &opMix{pair: map[[2]vm.OpCode]uint64{}}
-	seen := map[*vm.Object]bool{}
+	m := &opMix{pair: map[[2]vm.OpCode]uint64{}, kinds: map[*vm.Object][]string{}, moves: map[[2]string]uint64{}}
 	for _, n := range s.Nodes() {
-		if !seen[n.Obj] {
-			seen[n.Obj] = true
+		if _, seen := m.kinds[n.Obj]; !seen {
+			m.kinds[n.Obj] = slotKinds(n)
 			m.objs = append(m.objs, n.Obj)
 		}
 	}
@@ -50,6 +52,10 @@ func (m *opMix) Instr(addr uint64, _, _ bool) {
 	}
 	ins := &code[at]
 	m.ops[ins.Op]++
+	if ins.Op == vm.OpMove {
+		k := m.kinds[o]
+		m.moves[[2]string{k[ins.A], k[ins.Dst]}]++
+	}
 	if m.prev != nil && m.prevObj == o && m.prevPC+1 == pc && m.prev.Op.Pure() {
 		dep := false
 		ins.Reads(o, func(slot uint32) { dep = dep || slot == m.prev.Dst })
@@ -61,6 +67,71 @@ func (m *opMix) Instr(addr uint64, _, _ bool) {
 }
 
 func (m *opMix) Data(uint64, bool) {}
+
+// slotKinds names what each slot of n's object is, for the move census: a
+// register's current or next value, a constant, an input port, a slot a
+// child's output drives, an output port, another named wire, or a
+// temporary with one writer or more. A slot with several roles, which
+// tidy's aliasing makes, takes the first of that list.
+func slotKinds(n *sim.Node) []string {
+	o := n.Obj
+	kinds := make([]string, o.NumSlots)
+	writers := make([]int, o.NumSlots)
+	for _, code := range [][]vm.Instr{o.Comb, o.Seq} {
+		for _, in := range code {
+			if in.Op.Pure() {
+				writers[in.Dst]++
+			}
+		}
+	}
+	for s, w := range writers {
+		kinds[s] = "temp"
+		if w > 1 {
+			kinds[s] = "multi-writer temp"
+		}
+	}
+	set := func(slot uint32, kind string) {
+		if !strings.HasSuffix(kinds[slot], "temp") {
+			return // a kind set earlier comes first
+		}
+		kinds[slot] = kind
+	}
+	for _, r := range o.Regs {
+		set(r.Cur, "reg")
+		set(r.Next, "reg next")
+	}
+	for _, c := range o.Consts {
+		set(c.Slot, "const")
+	}
+	for _, p := range o.Ports {
+		if p.Dir == vm.In {
+			set(p.Slot, "in port")
+		}
+	}
+	for ci, spec := range o.Children {
+		for _, b := range spec.Binds {
+			if n.Children[ci].Obj.Ports[b.ChildPort].Dir == vm.Out {
+				set(b.ParentSlot, "child out")
+			}
+		}
+	}
+	for _, p := range o.Ports {
+		set(p.Slot, "out port")
+	}
+	for _, d := range o.Debug {
+		set(d.Slot, "wire")
+	}
+	return kinds
+}
+
+// movesPerCycle is the number of moves the census counted, per cycle.
+func (m *opMix) movesPerCycle(cycles int) float64 {
+	var n uint64
+	for _, c := range m.moves {
+		n += c
+	}
+	return float64(n) / float64(cycles)
+}
 
 // report renders ops/cycle per opcode and the top dependent pairs.
 func (m *opMix) report(cycles int) string {
@@ -79,6 +150,10 @@ func (m *opMix) report(cycles int) string {
 	for p, n := range m.pair {
 		pairs = append(pairs, row{p[0].String() + "→" + p[1].String(), n})
 	}
+	var moves []row
+	for k, n := range m.moves {
+		moves = append(moves, row{k[0] + " → " + k[1], n})
+	}
 	byCount := func(r []row) {
 		sort.Slice(r, func(i, j int) bool {
 			if r[i].n != r[j].n {
@@ -89,6 +164,7 @@ func (m *opMix) report(cycles int) string {
 	}
 	byCount(ops)
 	byCount(pairs)
+	byCount(moves)
 	if len(pairs) > 10 {
 		pairs = pairs[:10]
 	}
@@ -97,10 +173,10 @@ func (m *opMix) report(cycles int) string {
 	for _, part := range []struct {
 		title string
 		rows  []row
-	}{{"opcode", ops}, {"dependent pair (pc, pc+1)", pairs}} {
-		fmt.Fprintf(&sb, "  %-26s %10s %6s\n", part.title, "per cycle", "share")
+	}{{"opcode", ops}, {"dependent pair (pc, pc+1)", pairs}, {"move, source → destination", moves}} {
+		fmt.Fprintf(&sb, "  %-36s %10s %6s\n", part.title, "per cycle", "share")
 		for _, r := range part.rows {
-			fmt.Fprintf(&sb, "  %-26s %10.1f %5.1f%%\n", r.name,
+			fmt.Fprintf(&sb, "  %-36s %10.1f %5.1f%%\n", r.name,
 				float64(r.n)/float64(cycles), 100*float64(r.n)/float64(total))
 		}
 	}
@@ -132,16 +208,16 @@ func computeSim(t *testing.T, side, warm int) *sim.Sim {
 }
 
 // TestOpMix runs the compute kernel on the 1x1 and 4x4 meshes and holds
-// executed VM ops per cycle under a ceiling, so that a lowering regression
-// in internal/codegen fails `go test ./...` and not only the benchmark.
-// With -v it prints the dynamic op histogram the ceilings came from
-// (`make opmix`).
+// executed VM ops per cycle, and moves among them, under a ceiling, so
+// that a lowering regression in internal/codegen fails `go test ./...` and
+// not only the benchmark. With -v it prints the dynamic op histogram and
+// the move census the ceilings came from (`make opmix`).
 func TestOpMix(t *testing.T) {
 	const warm, cycles = 1024, 256
 	for _, c := range []struct {
-		side    int
-		ceiling float64
-	}{{1, 340}, {4, 6200}} {
+		side           int
+		ceiling, moves float64
+	}{{1, 290, 40}, {4, 5400, 800}} {
 		c := c
 		t.Run(fmt.Sprintf("%dx%d", c.side, c.side), func(t *testing.T) {
 			s := computeSim(t, c.side, warm)
@@ -153,6 +229,9 @@ func TestOpMix(t *testing.T) {
 			t.Logf("PGAS %dx%d, compute kernel: %s", c.side, c.side, m.report(cycles))
 			if got := float64(s.Stats.Ops-ops0) / cycles; got > c.ceiling {
 				t.Errorf("%.0f VM ops/cycle, ceiling %.0f: a lowering in internal/codegen got more expensive (run with -v for the op mix)", got, c.ceiling)
+			}
+			if got := m.movesPerCycle(cycles); got > c.moves {
+				t.Errorf("%.0f moves/cycle, ceiling %.0f: a move tidy used to remove is back (run with -v for the census)", got, c.moves)
 			}
 		})
 	}

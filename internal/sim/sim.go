@@ -839,7 +839,12 @@ func (s *Sim) Read(sig *Signal) (uint64, bool) {
 	return s.read(sig.node, sig.slot), true
 }
 
-// Poke writes a named register or wire at a hierarchical path.
+// Poke writes a named register or wire at a hierarchical path. A poke of
+// a wire or port its instance drives lasts until the next settle drives it
+// again. Codegen points a wire or port that only copies a register, an
+// input port or a constant at that slot (tidy's aliasing); the next settle
+// would drive it back as well, and writing the slot would change the
+// register, input or constant instead, so such a poke writes nothing.
 func (s *Sim) Poke(path string, v uint64) error {
 	node, sig, err := s.splitSignalPath(path)
 	if err != nil {
@@ -848,6 +853,9 @@ func (s *Sim) Poke(path string, v uint64) error {
 	d := debugSym(node, sig)
 	if d == nil {
 		return fmt.Errorf("no signal %q in %s", sig, node.Path)
+	}
+	if aliased(node.Obj, d) {
+		return nil
 	}
 	s.Sync()
 	node.Inst.Slots[d.Slot] = v & vm.Mask(d.Bits)
@@ -858,6 +866,22 @@ func (s *Sim) Poke(path string, v uint64) error {
 	// as a driven wire's is. Poke is off the hot path.
 	s.allDirty = true
 	return nil
+}
+
+// aliased reports whether d names a slot that holds another signal's
+// state: a register's current or next value, an input port or a constant.
+func aliased(o *vm.Object, d *vm.SlotDebug) bool {
+	for _, r := range o.Regs {
+		if r.Cur == d.Slot || r.Next == d.Slot {
+			return r.Name != d.Name
+		}
+	}
+	for _, p := range o.Ports {
+		if p.Dir == vm.In && p.Slot == d.Slot {
+			return p.Name != d.Name
+		}
+	}
+	return slices.ContainsFunc(o.Consts, func(c vm.ConstInit) bool { return c.Slot == d.Slot })
 }
 
 // PeekMem reads one memory word.

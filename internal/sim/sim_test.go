@@ -636,3 +636,78 @@ endmodule
 		t.Errorf("6 cycles printed %q", got)
 	}
 }
+
+// TestPokeThroughAnAliasLeavesItsOwner: codegen points an output that only
+// copies a register, a constant or an input port at that slot. Poking the
+// output by its own name, which the next settle would drive again anyway,
+// must not change the register, constant or input: after some cycles
+// every register holds what a run without the pokes holds.
+func TestPokeThroughAnAliasLeavesItsOwner(t *testing.T) {
+	src := `
+module acc (input clk, input [7:0] d, output [7:0] q, output [7:0] k, output [7:0] e);
+  reg [7:0] sum;
+  always @(posedge clk) sum <= sum + d;
+  assign q = sum;
+  assign k = 8'h5a;
+  assign e = d;
+endmodule
+module top (input clk, input [7:0] d, output [7:0] q, output [7:0] x);
+  wire [7:0] k, e;
+  reg [7:0] seen;
+  acc u (.clk(clk), .d(d), .q(q), .k(k), .e(e));
+  always @(posedge clk) seen <= seen + (k ^ e);
+  assign x = seen;
+endmodule
+`
+	objs, top := buildDesign(t, src, "top", codegen.StyleGrouped)
+	acc := objs["acc"]
+	slot := func(port string) uint32 { return acc.Ports[acc.PortIndex(port)].Slot }
+	if slot("q") != acc.RegByName("sum").Cur || slot("e") != slot("d") ||
+		!slices.ContainsFunc(acc.Consts, func(c vm.ConstInit) bool { return c.Slot == slot("k") }) {
+		t.Fatalf("acc's outputs are not aliased (q s%d, k s%d, e s%d); the test needs them to be", slot("q"), slot("k"), slot("e"))
+	}
+	poked, plain := mustNew(t, objs, top), mustNew(t, objs, top)
+	for cycle := uint64(0); cycle < 6; cycle++ {
+		for _, s := range []*Sim{poked, plain} {
+			if err := s.SetIn("d", 3+cycle); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, path := range []string{"top.u.q", "top.u.k", "top.u.e"} {
+			if err := poked.Poke(path, 0xee); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, s := range []*Sim{poked, plain} {
+			if err := s.Tick(1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, path := range []string{"top.u.sum", "top.seen", "top.u.q", "top.u.k", "top.u.e", "top.u.d", "top.q", "top.x"} {
+			got, _ := poked.Peek(path)
+			want, _ := plain.Peek(path)
+			if got != want {
+				t.Fatalf("cycle %d: %s = %#x after poking the aliases, %#x without", cycle, path, got, want)
+			}
+		}
+	}
+	// The owner's own name still pokes the owner.
+	if err := poked.Poke("top.u.sum", 0x21); err != nil {
+		t.Fatal(err)
+	}
+	if err := poked.Settle(); err != nil {
+		t.Fatal(err)
+	}
+	if q, _ := poked.Peek("top.q"); q != 0x21 {
+		t.Errorf("after poking top.u.sum, top.q = %#x, want 0x21", q)
+	}
+}
+
+func mustNew(t *testing.T, objs map[string]*vm.Object, top string) *Sim {
+	t.Helper()
+	s, err := New(tableResolver(objs), top)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}

@@ -112,6 +112,43 @@ func TestObjectCodecErrors(t *testing.T) {
 	}
 }
 
+// TestDecodedSlotsAreChecked: every place an object file names a slot is
+// checked before the object is accepted. Each mutation of fullObject points
+// one reference past NumSlots; exec, Peek or the kernel would index with it.
+func TestDecodedSlotsAreChecked(t *testing.T) {
+	for _, c := range []struct {
+		what string
+		bad  func(o *Object)
+	}{
+		{"comb operand A", func(o *Object) { o.Comb[1].A = 12 }},
+		{"comb operand B", func(o *Object) { o.Comb[1].B = 40 }},
+		{"comb operand C", func(o *Object) { o.Comb[4].C = 12 }},
+		{"comb destination", func(o *Object) { o.Comb[0].Dst = 12 }},
+		{"seq branch operand", func(o *Object) { o.Seq[0].A = 99 }},
+		{"seq jne operand C", func(o *Object) { o.Seq[3].C = 12 }},
+		{"seq destination", func(o *Object) { o.Seq[1].Dst = 12 }},
+		{"debug slot", func(o *Object) { o.Debug[0].Slot = 12 }},
+		{"display arg", func(o *Object) { o.Displays[0].Args[0] = 12 }},
+		{"bind parent slot", func(o *Object) { o.Children[0].Binds[0].ParentSlot = 12 }},
+	} {
+		o := fullObject()
+		c.bad(o)
+		if err := o.Validate(); err == nil {
+			t.Errorf("%s out of range: Validate accepts it", c.what)
+		}
+		if _, err := DecodeObject(EncodeObject(o)); err == nil {
+			t.Errorf("%s out of range: DecodeObject accepts it", c.what)
+		}
+	}
+	// Fields an op does not read as slots are not slots: a shift amount,
+	// a memory index, a jump target.
+	o := fullObject()
+	o.Comb = append(o.Comb, Instr{Op: OpShlImm, Dst: 10, A: 2, B: 63, Imm: Mask(16)})
+	if err := o.Validate(); err != nil {
+		t.Errorf("literal shift taken for a slot: %v", err)
+	}
+}
+
 // Property: random truncations never panic.
 func TestObjectCodecTruncationProperty(t *testing.T) {
 	enc := EncodeObject(fullObject())

@@ -125,28 +125,64 @@ func (op OpCode) Pure() bool {
 	return op < opCount
 }
 
+// The slot operands an op reads, as a set of these bits.
+const (
+	readA = 1 << iota
+	readB
+	readC
+)
+
+// operands returns the fields of an instruction of op that name slots it
+// reads; OpDisplay reads its record's args, which live in the Object.
+func (op OpCode) operands() uint8 {
+	switch op {
+	case OpNop, OpConst, OpJmp, OpFinish, OpDisplay:
+		return 0
+	case OpMove, OpNot, OpNeg, OpSext, OpRedOr, OpRedAnd, OpRedXor,
+		OpAndImm, OpOrImm, OpShlImm, OpShrImm, OpEqImm, OpJz, OpJnz, OpMemRd:
+		return readA
+	case OpMux, OpAndEq:
+		return readA | readB | readC
+	case OpMemWr, OpJne:
+		return readA | readC
+	default: // two-operand arithmetic, logic, shifts and compares
+		return readA | readB
+	}
+}
+
 // Reads calls f for every slot the instruction reads when it executes in
 // an instance of o.
 func (in *Instr) Reads(o *Object, f func(slot uint32)) {
-	switch in.Op {
-	case OpNop, OpConst, OpJmp, OpFinish:
-	case OpMove, OpNot, OpNeg, OpSext, OpRedOr, OpRedAnd, OpRedXor,
-		OpAndImm, OpOrImm, OpShlImm, OpShrImm, OpEqImm, OpJz, OpJnz, OpMemRd:
+	r := in.Op.operands()
+	if r&readA != 0 {
 		f(in.A)
-	case OpMux, OpAndEq:
-		f(in.A)
+	}
+	if r&readB != 0 {
 		f(in.B)
+	}
+	if r&readC != 0 {
 		f(in.C)
-	case OpMemWr, OpJne:
-		f(in.A)
-		f(in.C)
-	case OpDisplay:
+	}
+	if in.Op == OpDisplay {
 		for _, a := range o.Displays[in.Imm].Args {
 			f(a)
 		}
-	default: // two-operand arithmetic, logic, shifts and compares
-		f(in.A)
-		f(in.B)
+	}
+}
+
+// MapReads replaces every slot operand the instruction reads by f of it.
+// An OpDisplay's args live in the Object's Displays and are left to the
+// caller.
+func (in *Instr) MapReads(f func(slot uint32) uint32) {
+	r := in.Op.operands()
+	if r&readA != 0 {
+		in.A = f(in.A)
+	}
+	if r&readB != 0 {
+		in.B = f(in.B)
+	}
+	if r&readC != 0 {
+		in.C = f(in.C)
 	}
 }
 

@@ -330,8 +330,11 @@ func (o *Object) encodeForHash() []byte {
 	return h.Sum(nil)[:16]
 }
 
-// Validate checks internal consistency: slot indices in range, jump targets
-// in range, memory indices valid. Codegen bugs surface here instead of as
+// Validate checks internal consistency: every slot the object names in
+// range — ports, registers, constants, display args, child binds, Debug
+// entries and each instruction's operands and destination — jump targets
+// in range, memory and display indices valid. Codegen bugs, and object
+// files that decode into something else, surface here instead of as
 // runtime panics.
 func (o *Object) Validate() error {
 	checkSlot := func(s uint32, what string) error {
@@ -366,24 +369,58 @@ func (o *Object) Validate() error {
 			return err
 		}
 	}
-	for name, code := range map[string][]Instr{"comb": o.Comb, "seq": o.Seq} {
-		for pc, in := range code {
+	for i, d := range o.Displays {
+		for _, a := range d.Args {
+			if err := checkSlot(a, fmt.Sprintf("display %d arg", i)); err != nil {
+				return err
+			}
+		}
+	}
+	for _, c := range o.Children {
+		for _, b := range c.Binds {
+			if err := checkSlot(b.ParentSlot, "bind of "+c.InstName); err != nil {
+				return err
+			}
+		}
+	}
+	for _, d := range o.Debug {
+		if err := checkSlot(d.Slot, "signal "+d.Name); err != nil {
+			return err
+		}
+	}
+	for _, c := range []struct {
+		name string
+		code []Instr
+	}{{"comb", o.Comb}, {"seq", o.Seq}} {
+		for pc, in := range c.code {
 			if in.Op >= opCount {
-				return fmt.Errorf("object %s: %s pc %d: bad opcode %d", o.Key, name, pc, in.Op)
+				return fmt.Errorf("object %s: %s pc %d: bad opcode %d", o.Key, c.name, pc, in.Op)
 			}
 			switch in.Op {
 			case OpJmp, OpJz, OpJnz, OpJne:
-				if int(in.B) > len(code) {
-					return fmt.Errorf("object %s: %s pc %d: jump target %d out of range", o.Key, name, pc, in.B)
+				if int(in.B) > len(c.code) {
+					return fmt.Errorf("object %s: %s pc %d: jump target %d out of range", o.Key, c.name, pc, in.B)
 				}
 			case OpMemRd, OpMemWr:
 				if int(in.B) >= len(o.Mems) {
-					return fmt.Errorf("object %s: %s pc %d: memory %d out of range", o.Key, name, pc, in.B)
+					return fmt.Errorf("object %s: %s pc %d: memory %d out of range", o.Key, c.name, pc, in.B)
 				}
 			case OpDisplay:
 				if int(in.Imm) >= len(o.Displays) {
-					return fmt.Errorf("object %s: %s pc %d: display %d out of range", o.Key, name, pc, in.Imm)
+					return fmt.Errorf("object %s: %s pc %d: display %d out of range", o.Key, c.name, pc, in.Imm)
 				}
+			}
+			var err error
+			in.Reads(o, func(s uint32) {
+				if err == nil {
+					err = checkSlot(s, fmt.Sprintf("%s pc %d operand", c.name, pc))
+				}
+			})
+			if err == nil && in.Op.Pure() {
+				err = checkSlot(in.Dst, fmt.Sprintf("%s pc %d destination", c.name, pc))
+			}
+			if err != nil {
+				return err
 			}
 		}
 	}

@@ -10,18 +10,17 @@
 //	lsgate -listen :9300 -backend :9310 -backend :9320
 //	lsgate -unix /run/lsgate.sock \
 //	       -backend unix:/run/ls1.sock -backend unix:/run/ls2.sock
-//	lsgate -listen :9300 -backend :9310=127.0.0.1:9311   # wire=admin
 //	lsgate -listen :9300 -backend :9310 -backend :9320 \
 //	       -replicate -failover-grace 2s              # hot standbys + failover
 //
-// A backend spec is its wire address, optionally "=adminaddr" to let
-// the health checker read the richer /healthz states (recovering,
-// disk_emergency) instead of inferring from wire pings alone. Drive
-// the gateway with `livesim -connect <addr>` — every session verb is
-// forwarded; `backends`, `sessions`, `migrate`, `drain` and `trace
-// <id>` (fleet-wide span assembly) are the fleet-level additions. The
-// admin plane serves /metrics, /healthz, /backendz, /eventsz, /tracez
-// and /flightz.
+// A backend spec is its wire address alone: the health checker pings
+// it, and the ping carries the backend's /healthz verdict (ok,
+// degraded, draining, recovering, disk_emergency). Drive the gateway
+// with `livesim -connect <addr>` — every session verb is forwarded;
+// `backends`, `sessions`, `migrate`, `drain` and `trace <id>`
+// (fleet-wide span assembly) are the fleet-level additions. The admin
+// plane serves /metrics, /healthz, /backendz, /eventsz, /tracez and
+// /flightz.
 package main
 
 import (
@@ -52,14 +51,13 @@ func (b *backendFlags) String() string {
 }
 
 func (b *backendFlags) Set(v string) error {
-	spec := gateway.BackendSpec{Addr: v}
-	if i := strings.IndexByte(v, '='); i >= 0 {
-		spec.Addr, spec.AdminAddr = v[:i], v[i+1:]
-	}
-	if spec.Addr == "" {
+	if v == "" {
 		return fmt.Errorf("empty backend address")
 	}
-	*b = append(*b, spec)
+	if strings.Contains(v, "=") {
+		return fmt.Errorf("backend %q: admin addresses are no longer read (the wire ping carries the backend's health); pass the wire address alone", v)
+	}
+	*b = append(*b, gateway.BackendSpec{Addr: v})
 	return nil
 }
 
@@ -84,7 +82,7 @@ var telemetry obs.TelemetryConfig
 var backends backendFlags
 
 func init() {
-	flag.Var(&backends, "backend", "backend wire address, optionally addr=adminaddr (repeatable)")
+	flag.Var(&backends, "backend", "backend wire address, \"unix:/path\" or \"host:port\" (repeatable)")
 	telemetry.RegisterFlags(flag.CommandLine, "lsgate", "`trace <id>`", "empty = no dumps")
 }
 

@@ -2,6 +2,7 @@ package main
 
 import (
 	"flag"
+	"io"
 	"strings"
 	"testing"
 )
@@ -24,5 +25,21 @@ func TestFlagsGolden(t *testing.T) {
 	})
 	if strings.Join(got, " ") != strings.Join(goldenFlags, " ") {
 		t.Errorf("lsgate flags drifted:\n got %d %v\nwant %d %v", len(got), got, len(goldenFlags), goldenFlags)
+	}
+}
+
+// A backend is named by its wire address alone: the old addr=adminaddr
+// form fails at flag parsing instead of being dialed as an address.
+func TestBackendFlagTakesWireAddressOnly(t *testing.T) {
+	var b backendFlags
+	fs := flag.NewFlagSet("lsgate", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	fs.Var(&b, "backend", "")
+	err := fs.Parse([]string{"-backend", "unix:/tmp/ls1.sock", "-backend", "a=b"})
+	if err == nil || !strings.Contains(err.Error(), "admin addresses are no longer read") {
+		t.Fatalf("parse -backend a=b: err = %v, want the admin-address rejection", err)
+	}
+	if len(b) != 1 || b[0].Addr != "unix:/tmp/ls1.sock" {
+		t.Fatalf("backends = %+v, want only the plain address", b)
 	}
 }

@@ -273,7 +273,7 @@ func init() {
 		{Name: "events", Usage: "events [since-seq]", Help: "recent operational events", Place: Conn, Cost: 0},
 		{Name: "spans", Usage: "spans [trace-id]", Help: "this process's span store: index, or one trace's spans", Place: Conn, Cost: 0},
 		{Name: "top", Usage: "top", Help: "live per-session req/s + latency table", Place: Conn, Cost: 0},
-		{Name: "ping", Usage: "ping", Help: "liveness + uptime", Place: Conn, Cost: 0},
+		{Name: "ping", Usage: "ping", Help: "liveness + the /healthz verdict (status, uptime, sessions, draining, disk level)", Place: Conn, Cost: 0},
 		{Name: "help", Usage: "help", Help: "this text", Place: Conn, Cost: 0},
 
 		// lsgate, which has no admission budget of its own.

@@ -48,8 +48,9 @@ type Health struct {
 	LastWatchdog    string
 	// ProfiledPipes counts pipes with the activity profiler currently
 	// recording; ProfInstances the instances bound across all profilers
-	// (recording or stopped); ProfQuiescentPct the fraction of observed
-	// instance-evals that committed no state change.
+	// (recording or stopped); ProfQuiescentPct the percentage of
+	// observed instance commits that changed no state, as `profile
+	// report` computes it (prof.Totals.QuiescentFraction).
 	ProfiledPipes    int
 	ProfInstances    int
 	ProfQuiescentPct float64

@@ -139,8 +139,8 @@ func (s *Session) ProfileSnapshot(pipeName string) ([]PipeProfile, error) {
 }
 
 // profileSummary aggregates the per-pipe profilers for Health: how many
-// pipes are recording, total bound instances, and the quiescent fraction
-// of all sequential instance-evals observed so far.
+// pipes are recording, total bound instances, and the quiescent share of
+// all instance commits observed so far (prof.Totals.QuiescentFraction).
 func (s *Session) profileSummary() (pipes, instances int, quiescentPct float64) {
 	s.mu.Lock()
 	var agg prof.Totals
@@ -152,16 +152,10 @@ func (s *Session) profileSummary() (pipes, instances int, quiescentPct float64) 
 		if p.Sim.Profiler() != nil {
 			pipes++
 		}
-		t := p.profiler.Totals()
-		instances += t.Instances
-		agg.SeqEvals += t.SeqEvals
-		agg.QuiescentEvals += t.QuiescentEvals
+		agg.Add(p.profiler.Totals())
 	}
 	s.mu.Unlock()
-	if agg.SeqEvals > 0 {
-		quiescentPct = 100 * float64(agg.QuiescentEvals) / float64(agg.SeqEvals)
-	}
-	return pipes, instances, quiescentPct
+	return pipes, agg.Instances, 100 * agg.QuiescentFraction()
 }
 
 // publishProfStats bridges the per-pipe profiler totals into registry
@@ -186,14 +180,7 @@ func (s *Session) publishProfStats() {
 
 	var agg prof.Totals
 	for _, pr := range profs {
-		t := pr.Totals()
-		agg.Instances += t.Instances
-		agg.CombEvals += t.CombEvals
-		agg.SeqEvals += t.SeqEvals
-		agg.Toggles += t.Toggles
-		agg.QuiescentEvals += t.QuiescentEvals
-		agg.EvalNs += t.EvalNs
-		agg.Cycles += t.Cycles
+		agg.Add(pr.Totals())
 	}
 	s.metrics.Gauge("prof_pipes_enabled").Set(uint64(enabled))
 	s.metrics.Gauge("prof_instances").Set(uint64(agg.Instances))

@@ -157,6 +157,34 @@ func TestProfileHealthAndMetrics(t *testing.T) {
 	}
 }
 
+// TestProfileHealthAgreesWithSnapshot: Health's quiescent percentage is
+// the snapshot's fraction. acc_top's clock edge is skipped after the
+// first settle, so it commits quiescent with no Seq evaluation: 30
+// quiescent commits over 31 Seq evaluations but 60 commits.
+func TestProfileHealthAgreesWithSnapshot(t *testing.T) {
+	s := newAccSession(t, accDesign)
+	if _, err := s.InstPipe("p0"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.ProfileStart("p0"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Run("tb0", "p0", 30); err != nil {
+		t.Fatal(err)
+	}
+	profiles, err := s.ProfileSnapshot("p0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := profiles[0].Snapshot
+	if snap.QuiescentFraction != 0.5 {
+		t.Fatalf("snapshot quiescent fraction %v, want 30 of 60 commits", snap.QuiescentFraction)
+	}
+	if got := s.Health().ProfQuiescentPct; got != 100*snap.QuiescentFraction {
+		t.Errorf("Health quiescent %.1f%%, snapshot %.1f%%", got, 100*snap.QuiescentFraction)
+	}
+}
+
 // TestProfileSurvivesApplyAndRollback pins the two sim-replacement
 // paths: a successful hot reload keeps the profiler attached (in-place
 // Reload rebinds it), and a failed one — whose rollback rebuilds the

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"livesim/internal/catalogue"
@@ -180,7 +181,7 @@ func (s *Session) replayFrom(dir string, recs []*wal.Record, exec ExecRecord, al
 				// baseline (no file IO) so the mark's own history-length
 				// check still lines up.
 				virtCycle[r.Pipe] = r.Cycle
-				virtHist[r.Pipe] = historyFromSteps(r.History)
+				virtHist[r.Pipe] = r.History
 				continue
 			}
 			// Apply the anchor: install its inline history verbatim, then
@@ -191,7 +192,7 @@ func (s *Session) replayFrom(dir string, recs []*wal.Record, exec ExecRecord, al
 			s.mu.Lock()
 			p, ok := s.pipes[r.Pipe]
 			if ok {
-				p.History = historyFromSteps(r.History)
+				p.History = slices.Clone(r.History) // virtHist keeps r.History
 			}
 			s.mu.Unlock()
 			if !ok {
@@ -215,7 +216,7 @@ func (s *Session) replayFrom(dir string, recs []*wal.Record, exec ExecRecord, al
 				}
 			}
 			virtCycle[r.Pipe] = r.Cycle
-			virtHist[r.Pipe] = historyFromSteps(r.History)
+			virtHist[r.Pipe] = r.History
 			rep.Checkpoints++
 			continue
 		}
@@ -292,22 +293,8 @@ func runsPipe(r *wal.Record) bool {
 	return ok && v.Pipe == catalogue.PipeAfterTB && len(r.Args) >= 2
 }
 
-// historyFromSteps converts a reanchor record's inline history to the
-// session's run-journal representation.
-func historyFromSteps(steps []wal.RunStep) []RunOp {
-	if len(steps) == 0 {
-		return nil
-	}
-	ops := make([]RunOp, len(steps))
-	for i, st := range steps {
-		ops[i] = RunOp{TB: st.TB, Cycles: st.Cycles, StartCycle: st.StartCycle}
-	}
-	return ops
-}
-
-// HistorySteps exports a pipe's run journal in the WAL's reanchor
-// representation (the inverse of historyFromSteps), read under the
-// session lock. Unknown pipes return nil.
+// HistorySteps returns a copy of a pipe's run journal, read under the
+// session lock, for a reanchor record. Unknown pipes return nil.
 func (s *Session) HistorySteps(pipe string) []wal.RunStep {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -315,11 +302,7 @@ func (s *Session) HistorySteps(pipe string) []wal.RunStep {
 	if !ok || len(p.History) == 0 {
 		return nil
 	}
-	steps := make([]wal.RunStep, len(p.History))
-	for i, op := range p.History {
-		steps[i] = wal.RunStep{TB: op.TB, Cycles: op.Cycles, StartCycle: op.StartCycle}
-	}
-	return steps
+	return slices.Clone(p.History)
 }
 
 // historyLen reads a pipe's journal length under the session lock.

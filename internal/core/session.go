@@ -27,6 +27,7 @@ import (
 	"livesim/internal/prof"
 	"livesim/internal/sim"
 	"livesim/internal/vm"
+	"livesim/internal/wal"
 	"livesim/internal/xform"
 )
 
@@ -84,13 +85,9 @@ func (d *Driver) PokeMem(path string, addr, v uint64) error { return d.s.PokeMem
 // RunOp is one journaled run command (the session history of Sec. III-B:
 // "such changes are viewed by LiveSim as operations on the UUT, whose
 // history is tracked ... allowing those same operations to be applied
-// again, should the design be updated").
-type RunOp struct {
-	TB     string
-	Cycles int
-	// StartCycle is the pipe cycle when the op began.
-	StartCycle uint64
-}
+// again, should the design be updated"). It is the WAL's RunStep, so a
+// reanchor record carries a pipe's history as it is.
+type RunOp = wal.RunStep
 
 // LibEntry is one row of the Object Library Table (Table II).
 type LibEntry struct {

@@ -3,12 +3,12 @@ package gateway
 import (
 	"encoding/json"
 	"fmt"
-	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"livesim/internal/obs"
+	"livesim/internal/server"
 	"livesim/internal/server/client"
 	"livesim/internal/wire"
 )
@@ -19,11 +19,6 @@ type BackendSpec struct {
 	// the identity used for routing, rendezvous hashing and moved
 	// tombstones, so it must be the address clients could also reach.
 	Addr string
-	// AdminAddr, when set, is the backend's admin-plane HTTP address;
-	// the health checker then reads /healthz for the full state ladder
-	// (recovering, disk_emergency, degraded) instead of inferring from
-	// the wire ping alone.
-	AdminAddr string
 }
 
 // backendState is the health checker's verdict on one backend,
@@ -43,8 +38,9 @@ const (
 	// bsDraining: the backend is shutting down. Routable so in-flight
 	// sessions hear the typed draining rejection, never placeable.
 	bsDraining
-	// bsDegraded: serving, but /healthz reports quarantined or
-	// nondurable sessions or disk-ladder engagement. Placeable last.
+	// bsDegraded: serving, but with quarantined or nondurable sessions
+	// or the disk ladder engaged. Routable and placeable like bsOK; the
+	// state is there for an operator reading `backends`.
 	bsDegraded
 	// bsOK: healthy.
 	bsOK
@@ -138,9 +134,8 @@ func (b *backend) dropClient(cli *client.Client) {
 	}
 }
 
-// probe refreshes the backend's state: a wire ping for liveness and
-// the draining flag, plus /healthz when an admin address is known for
-// the states the ping cannot see (recovering, disk rungs, degraded).
+// probe refreshes the backend's state from one wire ping, whose Data
+// is the backend's health verdict (server.Health).
 func (g *Gateway) probe(b *backend) {
 	cli, err := b.client()
 	if err != nil {
@@ -153,53 +148,21 @@ func (g *Gateway) probe(b *backend) {
 		g.setBackendState(b, bsDown, err.Error())
 		return
 	}
-	var pd struct {
-		Sessions int  `json:"sessions"`
-		Draining bool `json:"draining"`
-	}
-	if resp.Data != nil {
-		json.Unmarshal(resp.Data, &pd)
-	}
-	b.sessions.Store(int64(pd.Sessions))
+	var h server.Health
+	json.Unmarshal(resp.Data, &h) // undecodable: no status, the ping verdict stands
+	b.sessions.Store(int64(h.Sessions))
 	st := bsOK
-	if pd.Draining {
-		st = bsDraining
-	} else if b.spec.AdminAddr != "" {
-		if adm, ok := adminState(b.spec.AdminAddr, probeTimeout); ok {
-			st = adm
+	switch h.Status {
+	case "degraded":
+		st = bsDegraded
+	case "recovering", "disk_emergency":
+		st = bsNotReady
+	default: // "ok", "draining", or a status this gateway does not know
+		if h.Draining {
+			st = bsDraining
 		}
 	}
 	g.setBackendState(b, st, "")
-}
-
-// adminState maps the backend's /healthz status string onto the
-// gateway's ladder. A failed scrape is not evidence of anything (the
-// wire ping just succeeded), so it reports !ok and the caller keeps
-// the ping verdict.
-func adminState(addr string, timeout time.Duration) (backendState, bool) {
-	hc := http.Client{Timeout: timeout}
-	resp, err := hc.Get("http://" + addr + "/healthz")
-	if err != nil {
-		return bsUnknown, false
-	}
-	defer resp.Body.Close()
-	var body struct {
-		Status string `json:"status"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		return bsUnknown, false
-	}
-	switch body.Status {
-	case "ok":
-		return bsOK, true
-	case "degraded":
-		return bsDegraded, true
-	case "draining":
-		return bsDraining, true
-	case "recovering", "disk_emergency":
-		return bsNotReady, true
-	}
-	return bsUnknown, false
 }
 
 // setBackendState records a probe verdict, logging transitions and

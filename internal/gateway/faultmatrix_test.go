@@ -135,11 +135,11 @@ func (m *matrix) waitPoolOK(t *testing.T) {
 // sweep closes.
 func TestMigrateSourceCrashAtCommit(t *testing.T) {
 	var m *matrix
-	m = setupMatrix(t, gateway.Config{OnMigrateStage: func(_, stage string) {
+	m = setupMatrix(t, gateway.OnMigrateStage(gateway.Config{}, func(_, stage string) {
 		if stage == "commit" {
 			m.src.halt()
 		}
-	}}, false)
+	}), false)
 
 	rep, resp := m.migrate(t)
 	if rep == nil || rep.To != m.dst.addr() {
@@ -160,11 +160,11 @@ func TestMigrateSourceCrashAtCommit(t *testing.T) {
 // adopted as the route's standby: the reconcile sweep closes it.
 func TestMigrateTargetCrashBeforeCommit(t *testing.T) {
 	var m *matrix
-	m = setupMatrix(t, gateway.Config{OnMigrateStage: func(_, stage string) {
+	m = setupMatrix(t, gateway.OnMigrateStage(gateway.Config{}, func(_, stage string) {
 		if stage == "promote" {
 			m.dst.halt()
 		}
-	}}, false)
+	}), false)
 
 	if rep, _ := m.migrate(t); rep != nil {
 		t.Fatalf("migration reported success with the target dead at promote: %+v", rep)
@@ -203,13 +203,12 @@ func TestMigrateSourceCrashBeforeCommit(t *testing.T) {
 				specs = append(specs, gateway.BackendSpec{Addr: pool[i].addr()})
 			}
 			var src *testBackend
-			g, gaddr := startGateway(t, gateway.Config{Backends: specs, Replicate: true,
-				FailoverGrace: 200 * time.Millisecond,
-				OnMigrateStage: func(_, stage string) {
-					if stage == "seed" {
-						src.halt()
-					}
-				}})
+			cfg := gateway.Config{Backends: specs, Replicate: true, FailoverGrace: 200 * time.Millisecond}
+			g, gaddr := startGateway(t, gateway.OnMigrateStage(cfg, func(_, stage string) {
+				if stage == "seed" {
+					src.halt()
+				}
+			}))
 			c := dial(t, gaddr)
 			createTiny(t, c, "f0")
 			wantPeek, wantCycle := drive(t, c, "f0")
@@ -259,11 +258,11 @@ func TestMigrateSourceCrashBeforeCommit(t *testing.T) {
 func TestMigratePromoteReplyLost(t *testing.T) {
 	var m *matrix
 	var cut sync.Once
-	m = setupMatrix(t, gateway.Config{OnMigrateStage: func(_, stage string) {
+	m = setupMatrix(t, gateway.OnMigrateStage(gateway.Config{}, func(_, stage string) {
 		if stage == "promote" {
 			cut.Do(func() { m.via[m.dst].armed.Store(true) })
 		}
-	}}, true)
+	}), true)
 
 	if rep, _ := m.migrate(t); rep != nil {
 		t.Fatalf("migration reported success with the promote reply lost: %+v", rep)

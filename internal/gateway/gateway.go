@@ -4,8 +4,8 @@
 //
 // Placement is rendezvous hashing over the backend list — no placement
 // database, no coordination; a restarted gateway re-derives routes by
-// asking each backend what it hosts. A health checker walks the pool
-// (wire ping, plus /healthz when an admin address is known) and keeps
+// asking each backend what it hosts. A health checker pings the pool
+// (each backend's ping carries its /healthz verdict) and keeps
 // unhealthy backends out of placement while still routing existing
 // sessions to them, so the backend's own typed rejections (draining,
 // recovering, disk_full, overloaded with retry_after_ms) flow through
@@ -65,11 +65,12 @@ type Config struct {
 	obs.TelemetryConfig
 	// Faults injects a stale promote into the failover sweep (tests only).
 	Faults *faultinject.Plan
-	// OnMigrateStage, when set, is called at each migration stage ("seed"
+
+	// onMigrateStage, when set, is called at each migration stage ("seed"
 	// before the seed, "promote" inside the freeze before the promote,
 	// "commit" once the route points at the target) — the seam
 	// fault-matrix tests use to crash a backend at exactly the worst moment.
-	OnMigrateStage func(session, stage string)
+	onMigrateStage func(session, stage string)
 }
 
 const (
@@ -739,11 +740,10 @@ func (g *Gateway) pingResp(req *wire.Request) *wire.Response {
 
 // BackendInfo is one row of the `backends` verb's Data payload.
 type BackendInfo struct {
-	Addr      string `json:"addr"`
-	AdminAddr string `json:"admin_addr,omitempty"`
-	State     string `json:"state"`
-	Sessions  int64  `json:"sessions"`
-	Routes    int    `json:"routes"`
+	Addr     string `json:"addr"`
+	State    string `json:"state"`
+	Sessions int64  `json:"sessions"`
+	Routes   int    `json:"routes"`
 	// ReplicaRoutes counts sessions whose hot standby lives on this
 	// backend — the load a failover of their primaries would add here.
 	ReplicaRoutes int  `json:"replica_routes,omitempty"`
@@ -767,8 +767,7 @@ func (g *Gateway) backendsResp(req *wire.Request) *wire.Response {
 	var b strings.Builder
 	for _, be := range g.backends {
 		info := BackendInfo{
-			Addr: be.addr(), AdminAddr: be.spec.AdminAddr,
-			State: be.getState().String(), Sessions: be.sessions.Load(),
+			Addr: be.addr(), State: be.getState().String(), Sessions: be.sessions.Load(),
 			Routes: byBackend[be], ReplicaRoutes: replicasOn[be], Placeable: be.placeable(),
 		}
 		infos = append(infos, info)

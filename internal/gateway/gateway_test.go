@@ -31,7 +31,9 @@ endmodule
 // testBackend is one restartable in-process livesimd: Halt() leaves
 // the state dir as a SIGKILL would, restart() recovers from it on the
 // same socket — the crash half of every fault-matrix test. faults is
-// its fault plan, empty until a test arms it.
+// its fault plan: its disk probe reads half the disk free, so the
+// host's own free space never moves the backend's health, and nothing
+// else is armed until a test does it.
 type testBackend struct {
 	t         *testing.T
 	dir, sock string
@@ -47,7 +49,7 @@ func newTestBackend(t *testing.T) *testBackend {
 	}
 	t.Cleanup(func() { os.RemoveAll(dir) })
 	b := &testBackend{t: t, dir: filepath.Join(dir, "state"), sock: filepath.Join(dir, "d.sock"),
-		faults: faultinject.New()}
+		faults: faultinject.New().ForceDiskFree(50, 100)}
 	if err := os.MkdirAll(b.dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -64,10 +66,12 @@ func (b *testBackend) addr() string { return "unix:" + b.sock }
 
 // start boots a server on the backend's state dir: WALSyncEvery -1
 // means every acked mutation is fsynced, so anything a test observed
-// as committed must survive Halt+restart bit-identically.
+// as committed must survive Halt+restart bit-identically. The disk
+// governor polls every 10ms, so a forced disk level shows at once.
 func (b *testBackend) start() {
 	b.t.Helper()
-	srv := server.New(server.Config{StateDir: b.dir, WALSyncEvery: -1, Faults: b.faults})
+	srv := server.New(server.Config{StateDir: b.dir, WALSyncEvery: -1, Faults: b.faults,
+		DiskPollEvery: 10 * time.Millisecond})
 	if err := srv.Recover(); err != nil {
 		b.t.Fatal(err)
 	}

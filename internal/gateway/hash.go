@@ -15,14 +15,27 @@ import (
 // same placement from the same backend list.
 
 // rendezvousScore is the weight of placing session on the backend at
-// addr. FNV-1a over addr NUL session — the separator keeps
-// ("ab","c") and ("a","bc") from colliding.
+// addr: FNV-1a over addr NUL session — the separator keeps ("ab","c")
+// and ("a","bc") from colliding — through fmix64. FNV-1a's high bits
+// are set almost entirely by the last bytes hashed, so compared raw,
+// the last character of the session name would pick the backend.
 func rendezvousScore(addr, session string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(addr))
 	h.Write([]byte{0})
 	h.Write([]byte(session))
-	return h.Sum64()
+	return fmix64(h.Sum64())
+}
+
+// fmix64 is murmur3's 64-bit finalizer: every input bit moves every
+// output bit with probability near one half.
+func fmix64(k uint64) uint64 {
+	k ^= k >> 33
+	k *= 0xff51afd7ed558ccd
+	k ^= k >> 33
+	k *= 0xc4ceb9fe1a85ec53
+	k ^= k >> 33
+	return k
 }
 
 // rendezvousPick returns the highest-scoring backend for session, or

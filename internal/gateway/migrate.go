@@ -253,10 +253,10 @@ func (g *Gateway) migrate(r *route, session string, source, target *backend, tra
 	return rep, nil
 }
 
-// onStage calls the OnMigrateStage test seam, when set.
+// onStage calls the onMigrateStage test seam, when set.
 func (g *Gateway) onStage(session, stage string) {
-	if g.cfg.OnMigrateStage != nil {
-		g.cfg.OnMigrateStage(session, stage)
+	if g.cfg.onMigrateStage != nil {
+		g.cfg.onMigrateStage(session, stage)
 	}
 }
 

@@ -82,6 +82,29 @@ type Totals struct {
 	Cycles         uint64
 }
 
+// Add accumulates o into t.
+func (t *Totals) Add(o Totals) {
+	t.Instances += o.Instances
+	t.CombEvals += o.CombEvals
+	t.SeqEvals += o.SeqEvals
+	t.Toggles += o.Toggles
+	t.QuiescentEvals += o.QuiescentEvals
+	t.EvalNs += o.EvalNs
+	t.Cycles += o.Cycles
+}
+
+// QuiescentFraction is the share of instance commits that changed no
+// state. Every commit is a toggle or quiescent, and a clock edge the
+// kernel skipped commits as quiescent with no Seq evaluation, so
+// SeqEvals is not the denominator. Snapshot, `profile report` and
+// core's Health all read this one fraction.
+func (t Totals) QuiescentFraction() float64 {
+	if n := t.Toggles + t.QuiescentEvals; n > 0 {
+		return float64(t.QuiescentEvals) / float64(n)
+	}
+	return 0
+}
+
 // Totals sums the hot counters. Much cheaper than Snapshot; safe from
 // any goroutine.
 func (p *Profiler) Totals() Totals {
@@ -114,6 +137,7 @@ func (p *Profiler) Snapshot() *Snapshot {
 		Insts:       make([]InstStat, len(p.metas)),
 	}
 	maxDepth := 0
+	var toggles uint64
 	for i := range p.metas {
 		m := &p.metas[i]
 		h := &p.hot[i]
@@ -140,6 +164,7 @@ func (p *Profiler) Snapshot() *Snapshot {
 			maxDepth = m.Depth
 		}
 		s.SeqEvals += st.SeqEvals
+		toggles += st.Toggles
 		s.QuiescentEvals += st.QuiescentEvals
 		s.CombEvals += st.CombEvals
 		s.EvalNs += st.SelfNs
@@ -166,9 +191,7 @@ func (p *Profiler) Snapshot() *Snapshot {
 		lv.SeqEvals += s.Insts[i].SeqEvals
 		lv.EvalNs += s.Insts[i].SelfNs
 	}
-	if n := s.commits(); n > 0 {
-		s.QuiescentFraction = float64(s.QuiescentEvals) / float64(n)
-	}
+	s.QuiescentFraction = Totals{Toggles: toggles, QuiescentEvals: s.QuiescentEvals}.QuiescentFraction()
 	return s
 }
 

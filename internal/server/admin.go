@@ -100,54 +100,79 @@ func formatQ(q float64) string {
 	return strconv.FormatFloat(q, 'g', -1, 64)
 }
 
-// handleHealthz maps daemon state to status codes a load balancer can
-// act on: 503 while draining (stop routing here), while any session is
-// still replaying its journal (state not yet servable), or at the
-// emergency disk rung (mutations rejected — route writes elsewhere);
-// 200 with status "degraded" when sessions are quarantined or
+// Health is livesimd's one health verdict: `ping` carries it as its
+// Data and /healthz writes it as its body, so a gateway reading the wire
+// and a load balancer reading HTTP see the same state.
+type Health struct {
+	AdmitBudget     int64   `json:"admit_budget"`
+	AdmitInflight   int64   `json:"admit_inflight"`
+	DiskLevel       string  `json:"disk_level"`
+	Draining        bool    `json:"draining"`
+	Nondurable      int     `json:"nondurable"`
+	OverloadRejects int64   `json:"overload_rejects"`
+	Quarantined     int     `json:"quarantined"`
+	Recovering      int     `json:"recovering"`
+	Sessions        int     `json:"sessions"`
+	Status          string  `json:"status"`
+	UptimeSecs      float64 `json:"uptime_secs"`
+}
+
+// health works out the verdict. Status is "draining", "recovering" (a
+// session is still replaying its journal after a restart: state not yet
+// servable; a standby's seed landing through `import` does not count)
+// or "disk_emergency" (mutations rejected) when the daemon should take
+// no new sessions; "degraded" when sessions are quarantined or
 // nondurable, or the disk ladder is engaged (serving, but an operator
-// should look); 200 "ok" otherwise.
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	draining := s.env.Draining()
+// should look); "ok" otherwise.
+func (s *Server) health() Health {
 	hs := s.hostedSet(true)
-	recovering, quarantined, nondurable := 0, 0, 0
-	for _, h := range hs {
-		if h.recovering.Load() {
-			recovering++
+	h := Health{
+		AdmitBudget:     s.admit.Budget(),
+		AdmitInflight:   s.admit.Inflight(),
+		Draining:        s.env.Draining(),
+		OverloadRejects: s.admit.Rejects(),
+		Sessions:        len(hs),
+		UptimeSecs:      time.Since(s.start).Seconds(),
+	}
+	for _, e := range hs {
+		if e.recovering.Load() && !e.importing {
+			h.Recovering++
 		}
-		if q, _ := h.brk.quarantined(); q {
-			quarantined++
+		if q, _ := e.brk.quarantined(); q {
+			h.Quarantined++
 		}
-		if h.journalPaused.Load() {
-			nondurable++
+		if e.journalPaused.Load() {
+			h.Nondurable++
 		}
 	}
 	disk := s.diskLevelNow()
-
-	status, code := "ok", http.StatusOK
+	h.DiskLevel = disk.String()
 	switch {
-	case draining:
-		status, code = "draining", http.StatusServiceUnavailable
-	case recovering > 0:
-		status, code = "recovering", http.StatusServiceUnavailable
+	case h.Draining:
+		h.Status = "draining"
+	case h.Recovering > 0:
+		h.Status = "recovering"
 	case disk >= govern.LevelEmergency:
-		status, code = "disk_emergency", http.StatusServiceUnavailable
-	case quarantined > 0 || nondurable > 0 || disk > govern.LevelOK:
-		status = "degraded"
+		h.Status = "disk_emergency"
+	case h.Quarantined > 0 || h.Nondurable > 0 || disk > govern.LevelOK:
+		h.Status = "degraded"
+	default:
+		h.Status = "ok"
 	}
-	body, _ := json.Marshal(map[string]any{
-		"status":           status,
-		"uptime_secs":      time.Since(s.start).Seconds(),
-		"sessions":         len(hs),
-		"recovering":       recovering,
-		"quarantined":      quarantined,
-		"nondurable":       nondurable,
-		"draining":         draining,
-		"disk_level":       disk.String(),
-		"admit_inflight":   s.admit.Inflight(),
-		"admit_budget":     s.admit.Budget(),
-		"overload_rejects": s.admit.Rejects(),
-	})
+	return h
+}
+
+// handleHealthz writes the health verdict with a status code a load
+// balancer can act on: 503 when the daemon should take no new sessions
+// (draining, recovering, disk_emergency), 200 otherwise.
+func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+	h := s.health()
+	code := http.StatusOK
+	switch h.Status {
+	case "draining", "recovering", "disk_emergency":
+		code = http.StatusServiceUnavailable
+	}
+	body, _ := json.Marshal(h)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	w.Write(append(body, '\n'))

@@ -99,6 +99,7 @@ func (s *Server) unlink(name string, ok func(*hosted) bool) *hosted {
 func (s *Server) reserve(name string, via way) (*hosted, string, error) {
 	h := s.newHosted(name)
 	h.recovering.Store(via != viaCreate)
+	h.importing = via == viaImport
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	switch {

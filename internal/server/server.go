@@ -427,15 +427,9 @@ var requestTimeout = 30 * time.Second
 
 var nameRE = regexp.MustCompile(`^[A-Za-z0-9_.-]{1,64}$`)
 
+// ping answers with the daemon's Health as its Data.
 func (s *Server) ping(req *Request) *Response {
-	s.mu.Lock()
-	sessions := len(s.sessions)
-	s.mu.Unlock()
-	data, _ := json.Marshal(map[string]any{
-		"uptime_secs": time.Since(s.start).Seconds(),
-		"sessions":    sessions,
-		"draining":    s.env.Draining(),
-	})
+	data, _ := json.Marshal(s.health())
 	return &Response{ID: req.ID, OK: true, Output: "pong\n", Data: data}
 }
 

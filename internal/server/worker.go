@@ -47,8 +47,13 @@ type hosted struct {
 	// (worker goroutine only).
 	mutations int
 	// recovering is set while journal replay is rebuilding the session
-	// after a restart; every request gets CodeRecovering until it clears.
+	// after a restart, or landing an imported seed; every request gets
+	// CodeRecovering until it clears.
 	recovering atomic.Bool
+	// importing marks an `import` placeholder: a standby's seed landing,
+	// which no client reads, so it does not hold the daemon's health at
+	// "recovering" the way a boot-time replay does.
+	importing bool
 	// markSeq/markCycle describe the last checkpoint watermark (journal
 	// sequence of the marks, highest pipe cycle they cover) — surfaced
 	// by `sessions`.

@@ -75,7 +75,8 @@ const (
 )
 
 // RunStep is one entry of a pipe's run history, carried inline by
-// TypeReanchor records (mirrors core's RunOp — wal cannot import core).
+// TypeReanchor records. core keeps its run journal in this type
+// (core.RunOp is an alias), so neither side converts.
 type RunStep struct {
 	TB         string `json:"tb"`
 	Cycles     int    `json:"cycles"`

@@ -25,7 +25,8 @@ func TestConfigFieldsGolden(t *testing.T) {
 			"WALSyncEvery WALOnWrite JournalCheckpointEvery Faults Metrics TraceOut Log SlowRequest " +
 			"TelemetryConfig AdmitBudget DiskPollEvery MemBudget JournalResumeDelay"},
 		{gateway.Config{}, "Backends HealthEvery Replicate FailoverGrace Metrics Log TraceOut " +
-			"TelemetryConfig Faults OnMigrateStage"},
+			"TelemetryConfig Faults"},
+		{gateway.BackendSpec{}, "Addr"},
 		{obs.TelemetryConfig{}, "ProcName SpanStoreCap FlightRecorderCap BlackboxDir BlackboxFlushEvery"},
 		{core.Config{}, "Style CheckpointEvery Lookback Overrides ObjectDir Output Metrics TraceOut " +
 			"Faults RunBudget"},

@@ -10,6 +10,7 @@ import (
 
 	"livesim/internal/checkpoint"
 	"livesim/internal/codegen"
+	"livesim/internal/command"
 	"livesim/internal/core"
 	"livesim/internal/flatsim"
 	"livesim/internal/hdl/ast"
@@ -117,17 +118,12 @@ func pgasName(n int) string {
 // checkpoint reload -> re-execute).
 func BenchmarkFig8HotReload(b *testing.B) {
 	const n = 1
-	s := core.NewSession(pgas.TopName(n), core.Config{
+	s, err := command.BootPGAS(n, core.Config{
 		Style: codegen.StyleGrouped, CheckpointEvery: 500, Lookback: 500,
 	})
-	if _, err := s.LoadDesign(pgas.Source(n)); err != nil {
-		b.Fatal(err)
-	}
-	images, err := pgas.ComputeImages(n, 1<<30)
 	if err != nil {
 		b.Fatal(err)
 	}
-	s.RegisterTestbench("tb0", pgas.NewTestbench(n, images))
 	if _, err := s.InstPipe("p0"); err != nil {
 		b.Fatal(err)
 	}

@@ -341,17 +341,12 @@ func fig7(sizes []int) {
 
 // erdLatency measures one full live loop on a warmed-up session.
 func erdLatency(n, warm int, every uint64) time.Duration {
-	s := core.NewSession(pgas.TopName(n), core.Config{
+	s, err := command.BootPGAS(n, core.Config{
 		Style: codegen.StyleGrouped, CheckpointEvery: every, Lookback: every,
 	})
-	if _, err := s.LoadDesign(pgas.Source(n)); err != nil {
-		fatal(err)
-	}
-	images, err := pgas.ComputeImages(n, 1<<30)
 	if err != nil {
 		fatal(err)
 	}
-	s.RegisterTestbench("tb0", pgas.NewTestbench(n, images))
 	if _, err := s.InstPipe("p0"); err != nil {
 		fatal(err)
 	}
@@ -434,18 +429,13 @@ func fig8(sizes []int) {
 		"PGAS", "change", "parse+comp", "swap", "reload", "re-exec", "total (ms)", "swaps")
 	for _, n := range sizes {
 		reg := benchRegistry()
-		s := core.NewSession(pgas.TopName(n), core.Config{
+		s, err := command.BootPGAS(n, core.Config{
 			Style: codegen.StyleGrouped, CheckpointEvery: 500, Lookback: 500,
 			Metrics: reg,
 		})
-		if _, err := s.LoadDesign(pgas.Source(n)); err != nil {
-			fatal(err)
-		}
-		images, err := pgas.ComputeImages(n, 1<<30)
 		if err != nil {
 			fatal(err)
 		}
-		s.RegisterTestbench("tb0", pgas.NewTestbench(n, images))
 		p, err := s.InstPipe("p0")
 		if err != nil {
 			fatal(err)
@@ -512,18 +502,13 @@ func ckptOverhead(sizes []int) {
 	fmt.Printf("%-8s %14s %14s %10s %12s\n", "PGAS", "KHz (off)", "KHz (on)", "overhead", "ckpt bytes")
 	for _, n := range sizes {
 		run := func(every uint64, reg *obs.Registry) (float64, int) {
-			s := core.NewSession(pgas.TopName(n), core.Config{
+			s, err := command.BootPGAS(n, core.Config{
 				Style: codegen.StyleGrouped, CheckpointEvery: every,
 				Metrics: reg,
 			})
-			if _, err := s.LoadDesign(pgas.Source(n)); err != nil {
-				fatal(err)
-			}
-			images, err := pgas.ComputeImages(n, 1<<30)
 			if err != nil {
 				fatal(err)
 			}
-			s.RegisterTestbench("tb0", pgas.NewTestbench(n, images))
 			p, err := s.InstPipe("p0")
 			if err != nil {
 				fatal(err)
@@ -564,17 +549,12 @@ func fig6() {
 	// Build a synthetic but real workload: single-node mesh with 32
 	// checkpoints, verified after a semantics-preserving recompile.
 	const n, every, total = 1, 250, 8000
-	s := core.NewSession(pgas.TopName(n), core.Config{
+	s, err := command.BootPGAS(n, core.Config{
 		Style: codegen.StyleGrouped, CheckpointEvery: every, Lookback: every,
 	})
-	if _, err := s.LoadDesign(pgas.Source(n)); err != nil {
-		fatal(err)
-	}
-	images, err := pgas.ComputeImages(n, 1<<30)
 	if err != nil {
 		fatal(err)
 	}
-	s.RegisterTestbench("tb0", pgas.NewTestbench(n, images))
 	p, err := s.InstPipe("p0")
 	if err != nil {
 		fatal(err)
@@ -690,18 +670,13 @@ func rollbackBench(sizes []int) {
 		"PGAS", "change", "apply (ms)", "rollback (ms)", "retry")
 	for _, n := range sizes {
 		fp := faultinject.New()
-		s := core.NewSession(pgas.TopName(n), core.Config{
+		s, err := command.BootPGAS(n, core.Config{
 			Style: codegen.StyleGrouped, CheckpointEvery: 500, Lookback: 500,
 			Faults: fp,
 		})
-		if _, err := s.LoadDesign(pgas.Source(n)); err != nil {
-			fatal(err)
-		}
-		images, err := pgas.ComputeImages(n, 1<<30)
 		if err != nil {
 			fatal(err)
 		}
-		s.RegisterTestbench("tb0", pgas.NewTestbench(n, images))
 		if _, err := s.InstPipe("p0"); err != nil {
 			fatal(err)
 		}
@@ -772,17 +747,12 @@ func rollbackBench(sizes []int) {
 // Replay targets start without the pipe — the journal's instpipe record
 // recreates it.
 func recoverySession(n int, withPipe bool) *core.Session {
-	s := core.NewSession(pgas.TopName(n), core.Config{
+	s, err := command.BootPGAS(n, core.Config{
 		Style: codegen.StyleGrouped, CheckpointEvery: 500, Lookback: 500,
 	})
-	if _, err := s.LoadDesign(pgas.Source(n)); err != nil {
-		fatal(err)
-	}
-	images, err := pgas.ComputeImages(n, 1<<30)
 	if err != nil {
 		fatal(err)
 	}
-	s.RegisterTestbench("tb0", pgas.NewTestbench(n, images))
 	if withPipe {
 		if _, err := s.InstPipe("p0"); err != nil {
 			fatal(err)

@@ -24,8 +24,9 @@ import (
 	"livesim/internal/sim"
 )
 
-// Checkpoint is one saved simulation state. Its State is never written
-// after Add, so any number of goroutines may read it.
+// Checkpoint is one saved simulation state: a Store's, or one in no
+// store yet (a capture, or a decoded file) with ID 0. Its State is never
+// written after Add, so any number of goroutines may read it.
 type Checkpoint struct {
 	ID      int
 	Cycle   uint64
@@ -48,18 +49,18 @@ func (c *Checkpoint) Bytes() []byte { return encodeState(c.State) }
 type Store struct {
 	mu sync.Mutex
 
-	// KeepLatest is how many of the newest checkpoints are immune to
+	// keepLatest is how many of the newest checkpoints are immune to
 	// thinning (the paper keeps the 100 latest).
-	KeepLatest int
-	// MaxTotal caps the total number of live checkpoints; older ones are
+	keepLatest int
+	// maxTotal caps the total number of live checkpoints; older ones are
 	// thinned toward equal spacing when the cap is exceeded.
-	MaxTotal int
+	maxTotal int
 
 	cps    []*Checkpoint
 	nextID int
 
-	// Deleted counts checkpoints removed by GC (observability).
-	Deleted int
+	// deleted counts checkpoints removed by GC and the Drop calls.
+	deleted int
 
 	// metrics, when set, receives checkpoint_* counters. cTakes is
 	// resolved once in SetMetrics so Add never pays a registry lookup;
@@ -70,7 +71,7 @@ type Store struct {
 
 // NewStore returns a store with the paper's defaults.
 func NewStore() *Store {
-	return &Store{KeepLatest: 100, MaxTotal: 400}
+	return &Store{keepLatest: 100, maxTotal: 400}
 }
 
 // SetMetrics points the store at a metrics registry (nil = off):
@@ -196,45 +197,11 @@ func (s *Store) Before(target uint64) []*Checkpoint {
 	return out
 }
 
-// DropOtherVersions removes checkpoints whose design version is not v — used
-// when the consistency verifier proves old-version checkpoints invalid.
-func (s *Store) DropOtherVersions(v string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	kept := s.cps[:0]
-	dropped := 0
-	for _, cp := range s.cps {
-		if cp.Version == v {
-			kept = append(kept, cp)
-		} else {
-			dropped++
-		}
-	}
-	s.cps = kept
-	s.Deleted += dropped
-	s.metrics.Counter("checkpoint_gc_deleted").Add(uint64(dropped))
-	return dropped
-}
-
 // DropVersionAfter removes checkpoints of the given version at or beyond
 // cycle — the cleanup after the consistency verifier finds a divergence
 // point: everything past it describes states the new code cannot reach.
 func (s *Store) DropVersionAfter(version string, cycle uint64) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	kept := s.cps[:0]
-	dropped := 0
-	for _, cp := range s.cps {
-		if cp.Version == version && cp.Cycle >= cycle {
-			dropped++
-			continue
-		}
-		kept = append(kept, cp)
-	}
-	s.cps = kept
-	s.Deleted += dropped
-	s.metrics.Counter("checkpoint_gc_deleted").Add(uint64(dropped))
-	return dropped
+	return s.drop(func(cp *Checkpoint) bool { return cp.Version == version && cp.Cycle >= cycle })
 }
 
 // Mark returns a watermark: the ID the next added checkpoint will get.
@@ -250,72 +217,48 @@ func (s *Store) Mark() int {
 // while re-executing under a change that later failed describe states the
 // restored session never reached.
 func (s *Store) DropSince(mark int) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	kept := s.cps[:0]
-	dropped := 0
-	for _, cp := range s.cps {
-		if cp.ID >= mark {
-			dropped++
-			continue
-		}
-		kept = append(kept, cp)
-	}
-	s.cps = kept
-	s.Deleted += dropped
-	s.metrics.Counter("checkpoint_gc_deleted").Add(uint64(dropped))
-	return dropped
+	return s.drop(func(cp *Checkpoint) bool { return cp.ID >= mark })
 }
 
 // DropAfterCycle removes checkpoints beyond the given cycle — the cleanup
 // after restoring an external checkpoint file: later checkpoints describe
 // a future the restored session may never revisit.
 func (s *Store) DropAfterCycle(cycle uint64) int {
+	return s.drop(func(cp *Checkpoint) bool { return cp.Cycle > cycle })
+}
+
+// drop removes the checkpoints gone reports and returns how many. It
+// filters in place without clearing the slots past the new length, as
+// gcLocked does: a dropped checkpoint stays reachable from the backing
+// array until a later Add overwrites it (ROADMAP item 1(d)).
+func (s *Store) drop(gone func(cp *Checkpoint) bool) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	kept := s.cps[:0]
-	dropped := 0
 	for _, cp := range s.cps {
-		if cp.Cycle > cycle {
-			dropped++
-			continue
+		if !gone(cp) {
+			kept = append(kept, cp)
 		}
-		kept = append(kept, cp)
 	}
+	dropped := len(s.cps) - len(kept)
 	s.cps = kept
-	s.Deleted += dropped
+	s.deleted += dropped
 	s.metrics.Counter("checkpoint_gc_deleted").Add(uint64(dropped))
 	return dropped
 }
 
-// RelabelVersion rewrites the version tag on checkpoints — used after the
-// verifier proves old-version checkpoints remain consistent under the new
-// code, making them loadable as new-version checkpoints.
-func (s *Store) RelabelVersion(from, to string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for _, cp := range s.cps {
-		if cp.Version == from {
-			cp.Version = to
-			n++
-		}
-	}
-	return n
-}
-
-// gcLocked applies the Figure 2(c) policy: the newest KeepLatest
-// checkpoints always survive; if the total still exceeds MaxTotal, older
+// gcLocked applies the Figure 2(c) policy: the newest keepLatest
+// checkpoints always survive; if the total still exceeds maxTotal, older
 // checkpoints are thinned by repeatedly deleting the one whose removal
 // leaves the most even spacing (approximated by deleting the checkpoint
 // with the smallest gap to its predecessor).
 func (s *Store) gcLocked() {
-	if s.MaxTotal <= 0 || len(s.cps) <= s.MaxTotal {
+	if s.maxTotal <= 0 || len(s.cps) <= s.maxTotal {
 		return
 	}
 	sort.Slice(s.cps, func(i, j int) bool { return s.cps[i].Cycle < s.cps[j].Cycle })
-	for len(s.cps) > s.MaxTotal {
-		limit := len(s.cps) - s.KeepLatest // only indexes < limit are candidates
+	for len(s.cps) > s.maxTotal {
+		limit := len(s.cps) - s.keepLatest // only indexes < limit are candidates
 		if limit <= 1 {
 			break
 		}
@@ -333,7 +276,7 @@ func (s *Store) gcLocked() {
 			break
 		}
 		s.cps = append(s.cps[:bestIdx], s.cps[bestIdx+1:]...)
-		s.Deleted++
+		s.deleted++
 		s.metrics.Counter("checkpoint_gc_deleted").Inc()
 	}
 }

@@ -107,7 +107,7 @@ func TestApproxBytesCountsEachStateOnce(t *testing.T) {
 // at once (run under -race).
 func TestConcurrentUse(t *testing.T) {
 	s := NewStore()
-	s.MaxTotal, s.KeepLatest = 20, 5
+	s.setGC(5, 20)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -147,8 +147,7 @@ func TestDecodeErrors(t *testing.T) {
 
 func TestGCKeepsLatestAndThins(t *testing.T) {
 	s := NewStore()
-	s.KeepLatest = 10
-	s.MaxTotal = 20
+	s.setGC(10, 20)
 	for c := uint64(0); c < 100; c++ {
 		s.Add(mkState(c*1000), "v1", int(c))
 	}
@@ -179,8 +178,8 @@ func TestGCKeepsLatestAndThins(t *testing.T) {
 			t.Errorf("gap %d too large (ideal %d): %v", gap, ideal, cycles(older))
 		}
 	}
-	if s.Deleted != 80 {
-		t.Errorf("deleted %d", s.Deleted)
+	if n := s.deletedCount(); n != 80 {
+		t.Errorf("deleted %d", n)
 	}
 }
 
@@ -201,22 +200,6 @@ func TestBefore(t *testing.T) {
 	want := []uint64{100, 300, 500}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("got %v want %v", got, want)
-	}
-}
-
-func TestVersionOps(t *testing.T) {
-	s := NewStore()
-	s.Add(mkState(1), "v1", 0)
-	s.Add(mkState(2), "v1", 0)
-	s.Add(mkState(3), "v2", 0)
-	if n := s.RelabelVersion("v1", "v3"); n != 2 {
-		t.Errorf("relabel %d", n)
-	}
-	if n := s.DropOtherVersions("v3"); n != 1 {
-		t.Errorf("dropped %d", n)
-	}
-	if s.Len() != 2 {
-		t.Errorf("len %d", s.Len())
 	}
 }
 

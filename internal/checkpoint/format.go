@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"livesim/internal/frame"
-	"livesim/internal/sim"
 )
 
 // A checkpoint file (format version 2) is a frame header and one frame
@@ -21,20 +20,6 @@ import (
 // (every state and drain dir written before version 2) carry the same
 // payload behind the same CRC, with a u64 length; they stay readable.
 var fileFormat = frame.Header{Magic: "LSCP", Min: 1, Max: 2}
-
-// FileCheckpoint is the decoded content of a checkpoint file.
-type FileCheckpoint struct {
-	// FormatVersion is the container version the file was written in.
-	FormatVersion uint32
-	// Version is the design version the state was captured under.
-	Version string
-	// HistoryPos is the session-history position at capture.
-	HistoryPos int
-	// State is the simulation state.
-	State *sim.State
-	// Aux carries the testbench snapshots captured with the state.
-	Aux map[string][]byte
-}
 
 // EncodeFile serializes a checkpoint into the current file format.
 func EncodeFile(cp *Checkpoint) []byte {
@@ -62,7 +47,9 @@ func EncodeFile(cp *Checkpoint) []byte {
 
 // DecodeFile parses a checkpoint file, rejecting unsupported versions,
 // CRC mismatches and anything but exactly one record after the header.
-func DecodeFile(data []byte) (*FileCheckpoint, error) {
+// The checkpoint it returns is in no store: its ID is 0 and its Cycle is
+// its state's.
+func DecodeFile(data []byte) (*Checkpoint, error) {
 	ver, body, err := fileFormat.Read(data)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint file: %w", err)
@@ -84,42 +71,43 @@ func DecodeFile(data []byte) (*FileCheckpoint, error) {
 	}
 
 	r := &reader{buf: payload}
-	fc := &FileCheckpoint{FormatVersion: ver, Version: string(r.bytes()), HistoryPos: int(r.u64())}
+	cp := &Checkpoint{Version: string(r.bytes()), HistoryPos: int(r.u64())}
 	// An aux entry is at least its two length prefixes.
 	if nAux := r.count(16, "aux entries"); nAux > 0 {
-		fc.Aux = make(map[string][]byte, nAux)
+		cp.Aux = make(map[string][]byte, nAux)
 		for i := 0; i < nAux; i++ {
 			h := string(r.bytes())
-			fc.Aux[h] = append([]byte(nil), r.bytes()...)
+			cp.Aux[h] = append([]byte(nil), r.bytes()...)
 		}
 	}
 	stateBlob := r.bytes()
 	if r.err != nil {
 		return nil, r.err
 	}
-	if fc.State, err = DecodeState(stateBlob); err != nil {
+	if cp.State, err = DecodeState(stateBlob); err != nil {
 		return nil, err
 	}
-	return fc, nil
+	cp.Cycle = cp.State.Cycle
+	return cp, nil
 }
 
 // LoadFile reads and decodes a checkpoint file. When the primary file is
 // missing or corrupt and its frame.BackupPath sibling decodes cleanly, the
 // backup is returned with fromBackup=true; otherwise the primary error is
 // returned.
-func LoadFile(path string) (fc *FileCheckpoint, fromBackup bool, err error) {
+func LoadFile(path string) (cp *Checkpoint, fromBackup bool, err error) {
 	data, rerr := os.ReadFile(path)
 	if rerr == nil {
-		if fc, derr := DecodeFile(data); derr == nil {
-			return fc, false, nil
+		if cp, derr := DecodeFile(data); derr == nil {
+			return cp, false, nil
 		} else {
 			rerr = derr
 		}
 	}
 	bdata, berr := os.ReadFile(frame.BackupPath(path))
 	if berr == nil {
-		if fc, derr := DecodeFile(bdata); derr == nil {
-			return fc, true, nil
+		if cp, derr := DecodeFile(bdata); derr == nil {
+			return cp, true, nil
 		}
 	}
 	return nil, false, fmt.Errorf("checkpoint %s unreadable (no usable backup): %w", path, rerr)

@@ -31,11 +31,11 @@ func TestFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fc.FormatVersion != fileFormat.Max {
-		t.Errorf("format version %d", fc.FormatVersion)
+	if v := formatVersion(data); v != fileFormat.Max {
+		t.Errorf("format version %d", v)
 	}
-	if fc.Version != "v3" || fc.HistoryPos != 7 {
-		t.Errorf("version %q historyPos %d", fc.Version, fc.HistoryPos)
+	if fc.Version != "v3" || fc.HistoryPos != 7 || fc.Cycle != 42 {
+		t.Errorf("version %q historyPos %d cycle %d", fc.Version, fc.HistoryPos, fc.Cycle)
 	}
 	if !reflect.DeepEqual(fc.State, cp.State) {
 		t.Errorf("state mismatch:\n%+v\n%+v", fc.State, cp.State)
@@ -59,18 +59,18 @@ func TestFileEncodeDeterministic(t *testing.T) {
 // last build that wrote version 1 from mkFileCheckpoint(42)) decodes to
 // what the current encoding of the same checkpoint decodes to.
 func TestFileV1Readable(t *testing.T) {
-	v1, err := DecodeFile(mustRead(t, filepath.Join("testdata", "v1.lscp")))
+	v1File, curFile := mustRead(t, filepath.Join("testdata", "v1.lscp")), EncodeFile(mkFileCheckpoint(42))
+	v1, err := DecodeFile(v1File)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cur, err := DecodeFile(EncodeFile(mkFileCheckpoint(42)))
+	cur, err := DecodeFile(curFile)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v1.FormatVersion != 1 || cur.FormatVersion != 2 {
-		t.Errorf("format versions %d and %d, want 1 and 2", v1.FormatVersion, cur.FormatVersion)
+	if v1v, curv := formatVersion(v1File), formatVersion(curFile); v1v != 1 || curv != 2 {
+		t.Errorf("format versions %d and %d, want 1 and 2", v1v, curv)
 	}
-	v1.FormatVersion = cur.FormatVersion
 	if !reflect.DeepEqual(v1, cur) {
 		t.Errorf("version 1 file decodes to\n%+v\nwant\n%+v", v1, cur)
 	}

@@ -80,8 +80,8 @@ func FuzzDecodeFile(f *testing.F) {
 		if fc == nil || fc.State == nil {
 			t.Fatal("clean decode returned nil checkpoint or state")
 		}
-		if fc.FormatVersion < fileFormat.Min || fc.FormatVersion > fileFormat.Max {
-			t.Fatalf("accepted format version %d", fc.FormatVersion)
+		if v := formatVersion(data); v < fileFormat.Min || v > fileFormat.Max {
+			t.Fatalf("accepted format version %d", v)
 		}
 	})
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"time"
 
@@ -308,26 +309,20 @@ func (s *Session) ApplyChange(newSrc liveparser.Source) (*ChangeReport, error) {
 // restoreFromCheckpoint loads cp (possibly from an older design version)
 // into the pipe; nil cp resets to the power-on state.
 func (s *Session) restoreFromCheckpoint(p *Pipe, cp *checkpoint.Checkpoint) error {
+	var aux map[string][]byte
 	if cp == nil {
 		p.Sim.RestoreAdapted(&sim.State{}, nil, nil)
-		for h := range p.tbs {
-			p.tbs[h] = s.tbFactory[h]()
+	} else {
+		if err := s.restoreStateAdapted(p.Sim, cp); err != nil {
+			return err
 		}
-		return nil
+		aux = cp.Aux
 	}
-	if err := s.restoreStateAdapted(p.Sim, cp); err != nil {
-		return err
-	}
-	for h, tb := range p.tbs {
-		if data, ok := cp.Aux[h]; ok {
-			if err := s.safeRestore(tb, data); err != nil {
-				return fmt.Errorf("testbench %s: %w", h, err)
-			}
-		} else {
-			p.tbs[h] = s.tbFactory[h]()
-		}
-	}
-	return nil
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	tbs, err := s.testbenchesLocked(aux, p.tbs)
+	p.tbs = tbs
+	return err
 }
 
 // restoreStateAdapted restores cp.State into sm, carrying node states
@@ -482,11 +477,12 @@ func (s *Session) verifyReplay(p *Pipe, from *checkpoint.Checkpoint, toCycle uin
 	resolver := s.resolverLocked()
 	topKey := s.topKey
 	history := append([]RunOp(nil), p.History...)
-	factories := make(map[string]TestbenchFactory, len(s.tbFactory))
-	for k, v := range s.tbFactory {
-		factories[k] = v
-	}
+	factories := maps.Clone(s.tbFactory)
+	tbs, err := s.testbenchesLocked(from.Aux, nil)
 	s.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
 
 	sm, err := sim.New(resolver, topKey)
 	if err != nil {
@@ -494,18 +490,6 @@ func (s *Session) verifyReplay(p *Pipe, from *checkpoint.Checkpoint, toCycle uin
 	}
 	if err := s.restoreStateAdapted(sm, from); err != nil {
 		return nil, err
-	}
-	tbs := make(map[string]Testbench)
-	for h, data := range from.Aux {
-		f, ok := factories[h]
-		if !ok {
-			return nil, fmt.Errorf("testbench %q not registered", h)
-		}
-		tb := f()
-		if err := s.safeRestore(tb, data); err != nil {
-			return nil, err
-		}
-		tbs[h] = tb
 	}
 	d := &Driver{s: sm}
 	if err := replayJournal(sm, history, factories, tbs, toCycle, func(tb Testbench, cycles int) error {

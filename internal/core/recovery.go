@@ -114,7 +114,8 @@ func (s *Session) replayFrom(dir string, recs []*wal.Record, exec ExecRecord, al
 	// pipe's records. Marks older than the pipe's newest reanchor are
 	// never chosen: the anchor supersedes them (and the records between
 	// them are incomplete anyway).
-	markAt := make(map[string]int) // pipe -> record index of chosen mark
+	markAt := make(map[string]int)                    // pipe -> record index of chosen mark
+	markCp := make(map[string]*checkpoint.Checkpoint) // pipe -> its decoded checkpoint
 	if fast {
 		checked := make(map[string]bool)
 		for i := len(recs) - 1; i >= 0; i-- {
@@ -126,8 +127,8 @@ func (s *Session) replayFrom(dir string, recs []*wal.Record, exec ExecRecord, al
 				checked[r.Pipe] = true
 				continue
 			}
-			if _, _, err := checkpoint.LoadFile(filepath.Join(dir, r.Path)); err == nil {
-				markAt[r.Pipe] = i
+			if cp, _, err := checkpoint.LoadFile(filepath.Join(dir, r.Path)); err == nil {
+				markAt[r.Pipe], markCp[r.Pipe] = i, cp
 				checked[r.Pipe] = true
 			}
 		}
@@ -146,27 +147,10 @@ func (s *Session) replayFrom(dir string, recs []*wal.Record, exec ExecRecord, al
 				continue
 			}
 			// Apply the watermark: install the virtually reconstructed
-			// journal, then load the checkpoint (which truncates it to the
-			// file's history position and restores state + testbenches).
-			s.mu.Lock()
-			p, ok := s.pipes[r.Pipe]
-			if ok {
-				p.History = virtHist[r.Pipe]
-			}
-			s.mu.Unlock()
-			if !ok {
-				return rep, fmt.Errorf("record %d: watermark for unknown pipe %q: %w", i, r.Pipe, ErrReplayDiverged)
-			}
-			if err := s.LoadCheckpoint(r.Pipe, filepath.Join(dir, r.Path)); err != nil {
-				return rep, fmt.Errorf("record %d: watermark %s: %w", i, r.Path, err)
-			}
-			if c := p.Sim.Cycle(); c != r.Cycle {
-				return rep, fmt.Errorf("record %d: watermark restored cycle %d, journal says %d: %w",
-					i, c, r.Cycle, ErrReplayDiverged)
-			}
-			if got := s.historyLen(p); got != r.HistoryLen {
-				return rep, fmt.Errorf("record %d: watermark restored %d journal ops, journal says %d: %w",
-					i, got, r.HistoryLen, ErrReplayDiverged)
+			// journal, then restore the checkpoint (which truncates it to
+			// the file's history position).
+			if err := s.applyCheckpoint(i, r, virtHist[r.Pipe], markCp[r.Pipe]); err != nil {
+				return rep, err
 			}
 			rep.Checkpoints++
 			continue
@@ -185,35 +169,16 @@ func (s *Session) replayFrom(dir string, recs []*wal.Record, exec ExecRecord, al
 				continue
 			}
 			// Apply the anchor: install its inline history verbatim, then
-			// load its checkpoint. Unlike watermarks there is no earlier
+			// restore its checkpoint. Unlike watermarks there is no earlier
 			// fallback — the pre-anchor gap is unreconstructable — so a
 			// load failure fails the replay (honest degradation: the
 			// journal is set aside, not silently mis-served).
-			s.mu.Lock()
-			p, ok := s.pipes[r.Pipe]
-			if ok {
-				p.History = slices.Clone(r.History) // virtHist keeps r.History
-			}
-			s.mu.Unlock()
-			if !ok {
-				return rep, fmt.Errorf("record %d: reanchor for unknown pipe %q: %w", i, r.Pipe, ErrReplayDiverged)
-			}
-			if err := s.LoadCheckpoint(r.Pipe, filepath.Join(dir, r.Path)); err != nil {
+			cp, _, err := checkpoint.LoadFile(filepath.Join(dir, r.Path))
+			if err != nil {
 				return rep, fmt.Errorf("record %d: reanchor %s: %w", i, r.Path, err)
 			}
-			if c := p.Sim.Cycle(); c != r.Cycle {
-				return rep, fmt.Errorf("record %d: reanchor restored cycle %d, journal says %d: %w",
-					i, c, r.Cycle, ErrReplayDiverged)
-			}
-			if got := s.historyLen(p); got != r.HistoryLen {
-				return rep, fmt.Errorf("record %d: reanchor restored %d journal ops, journal says %d: %w",
-					i, got, r.HistoryLen, ErrReplayDiverged)
-			}
-			if r.Version != "" {
-				if v := s.Version(); v != r.Version {
-					return rep, fmt.Errorf("record %d: version %s at reanchor, journal says %s (mutation lost in journal-pause gap): %w",
-						i, v, r.Version, ErrReplayDiverged)
-				}
+			if err := s.applyCheckpoint(i, r, slices.Clone(r.History), cp); err != nil { // virtHist keeps r.History
+				return rep, err
 			}
 			virtCycle[r.Pipe] = r.Cycle
 			virtHist[r.Pipe] = r.History
@@ -273,6 +238,40 @@ func (s *Session) replayFrom(dir string, recs []*wal.Record, exec ExecRecord, al
 		}
 	}
 	return rep, nil
+}
+
+// applyCheckpoint applies a watermark or reanchor record r (index i):
+// it installs history as the pipe's journal, restores cp into the pipe,
+// and checks the result against the record's cycle, journal length and
+// — when the record carries one — design version.
+func (s *Session) applyCheckpoint(i int, r *wal.Record, history []RunOp, cp *checkpoint.Checkpoint) error {
+	s.mu.Lock()
+	p, ok := s.pipes[r.Pipe]
+	if ok {
+		p.History = history
+	}
+	s.mu.Unlock()
+	if !ok {
+		return fmt.Errorf("record %d: %s for unknown pipe %q: %w", i, r.Type, r.Pipe, ErrReplayDiverged)
+	}
+	if err := s.loadCheckpoint(p, cp); err != nil {
+		return fmt.Errorf("record %d: %s %s: %w", i, r.Type, r.Path, err)
+	}
+	if c := p.Sim.Cycle(); c != r.Cycle {
+		return fmt.Errorf("record %d: %s restored cycle %d, journal says %d: %w",
+			i, r.Type, c, r.Cycle, ErrReplayDiverged)
+	}
+	if got := s.historyLen(p); got != r.HistoryLen {
+		return fmt.Errorf("record %d: %s restored %d journal ops, journal says %d: %w",
+			i, r.Type, got, r.HistoryLen, ErrReplayDiverged)
+	}
+	if r.Version != "" {
+		if v := s.Version(); v != r.Version {
+			return fmt.Errorf("record %d: version %s at %s, journal says %s (mutation lost in journal-pause gap): %w",
+				i, v, r.Type, r.Version, ErrReplayDiverged)
+		}
+	}
+	return nil
 }
 
 // cmdPipe names the single pipe a state-mutating command targets, or

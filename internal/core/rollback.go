@@ -3,10 +3,10 @@ package core
 import (
 	"fmt"
 
-	"livesim/internal/liveparser"
+	"livesim/internal/checkpoint"
 	"livesim/internal/livecompiler"
+	"livesim/internal/liveparser"
 	"livesim/internal/obs"
-	"livesim/internal/sim"
 	"livesim/internal/vm"
 )
 
@@ -20,42 +20,34 @@ import (
 // bit-identical with the pre-change state, so the REPL keeps running on
 // the old version and a corrected edit can follow.
 
-// pipeSnapshot captures everything ApplyChange may mutate in one pipe.
+// pipeSnapshot holds everything ApplyChange may mutate in one pipe: a
+// capture, plus what a checkpoint does not carry.
 type pipeSnapshot struct {
 	p              *Pipe
-	state          *sim.State
-	stats          vm.Stats
-	tbs            map[string][]byte
-	version        string
+	cp             *checkpoint.Checkpoint
 	history        []RunOp
+	stats          vm.Stats
 	lastCheckpoint uint64
 	// cpMark is the checkpoint store watermark; checkpoints taken during
 	// a failed re-execution are dropped back to it.
 	cpMark int
 }
 
-// snapshotPipe captures a pipe's pre-change state. Testbench Snapshot is
-// user code, so it runs under panic recovery — a panic fails the prepare
-// phase before anything live has been touched.
+// snapshotPipe captures a pipe's pre-change state. A testbench panic
+// fails the prepare phase before anything live has been touched.
 func (s *Session) snapshotPipe(p *Pipe) (*pipeSnapshot, error) {
-	snap := &pipeSnapshot{
+	cp, err := s.capture(p)
+	if err != nil {
+		return nil, err
+	}
+	return &pipeSnapshot{
 		p:              p,
-		state:          p.Sim.Snapshot(),
-		stats:          p.Sim.Stats,
-		tbs:            make(map[string][]byte, len(p.tbs)),
-		version:        p.Version,
+		cp:             cp,
 		history:        append([]RunOp(nil), p.History...),
+		stats:          p.Sim.Stats,
 		lastCheckpoint: p.lastCheckpoint,
 		cpMark:         p.Checkpoints.Mark(),
-	}
-	for h, tb := range p.tbs {
-		data, err := s.safeSnapshot(tb)
-		if err != nil {
-			return nil, fmt.Errorf("pipe %s: testbench %s: %w", p.Name, h, err)
-		}
-		snap.tbs[h] = data
-	}
-	return snap, nil
+	}, nil
 }
 
 // changeTxn is the undo record for one ApplyChange.
@@ -124,58 +116,28 @@ func (s *Session) rollback(txn *changeTxn, failedPipe string, cause error, root 
 // the old object table back, and a later corrected ApplyChange must be
 // able to hot-reload new objects into this rebuilt sim.
 func (s *Session) restorePipeSnapshot(snap *pipeSnapshot) error {
-	var opts []sim.Option
-	if s.cfg.Output != nil {
-		opts = append(opts, sim.WithOutput(s.cfg.Output))
-	}
-	opts = append(opts, sim.WithMetrics(s.metrics))
 	s.mu.Lock()
-	resolver := s.resolverLocked()
-	s.mu.Unlock()
-	sm, err := sim.New(resolver, snap.p.TopKey, opts...)
+	defer s.mu.Unlock()
+	p := snap.p
+	sm, err := s.newSim(s.resolverLocked(), p.TopKey)
 	if err != nil {
 		return err
 	}
-	if err := sm.Restore(snap.state); err != nil {
+	if err := sm.Restore(snap.cp.State); err != nil {
 		return err
 	}
 	sm.Stats = snap.stats
-
-	s.mu.Lock()
-	factories := make(map[string]TestbenchFactory, len(snap.tbs))
-	for h := range snap.tbs {
-		factories[h] = s.tbFactory[h]
-	}
-	s.mu.Unlock()
-
-	tbs := make(map[string]Testbench, len(snap.tbs))
-	var tbErr error
-	for h, data := range snap.tbs {
-		f := factories[h]
-		if f == nil {
-			tbErr = fmt.Errorf("testbench %q not registered", h)
-			continue
-		}
-		tb := f()
-		if err := s.safeRestore(tb, data); err != nil && tbErr == nil {
-			tbErr = fmt.Errorf("testbench %s: %w", h, err)
-		}
-		tbs[h] = tb
-	}
-
-	p := snap.p
-	s.mu.Lock()
+	tbs, tbErr := s.testbenchesLocked(snap.cp.Aux, nil)
 	// The rebuild replaced the kernel, so a recording profiler must be
 	// re-attached (Bind carries the accumulated heat over by path).
 	if p.profiler != nil && p.Sim.Profiler() != nil {
 		sm.SetProfiler(p.profiler)
 	}
 	p.Sim = sm
-	p.Version = snap.version
+	p.Version = snap.cp.Version
 	p.History = snap.history
 	p.tbs = tbs
 	p.lastCheckpoint = snap.lastCheckpoint
-	s.mu.Unlock()
 	p.Checkpoints.DropSince(snap.cpMark)
 	return tbErr
 }

@@ -10,6 +10,7 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
@@ -272,20 +273,14 @@ func (s *Session) publishVMStats() {
 	s.metrics.Gauge("versions_retained").Set(uint64(len(s.versionObjects)))
 }
 
-// SetTraceID binds a wire trace id to the session's tracer: live-loop
-// spans started until the next call carry it, correlating them with the
-// server request that triggered them ("" clears). The caller must
-// serialize requests on the session (livesimd's per-session worker
-// does); spans handed to background goroutines keep the id they
-// captured at creation.
-func (s *Session) SetTraceID(id string) {
-	s.tracer.SetTrace(id)
-}
-
-// SetTraceContext is SetTraceID plus a parent span id: live-loop spans
-// started until the next call parent under parentSID (the server's
-// request span) in the fleet-assembled tree instead of floating as
-// sibling roots.
+// SetTraceContext binds a wire trace id and a parent span id to the
+// session's tracer: live-loop spans started until the next call carry
+// the id, correlating them with the server request that triggered them,
+// and parent under parentSID (the server's request span) in the
+// fleet-assembled tree instead of floating as sibling roots ("" clears
+// either). The caller must serialize requests on the session
+// (livesimd's per-session worker does); spans handed to background
+// goroutines keep the context they captured at creation.
 func (s *Session) SetTraceContext(id, parentSID string) {
 	s.tracer.SetTraceContext(id, parentSID)
 }
@@ -362,12 +357,7 @@ func (s *Session) InstPipe(name string) (*Pipe, error) {
 	if _, dup := s.pipes[name]; dup {
 		return nil, fmt.Errorf("pipe %q already exists", name)
 	}
-	var opts []sim.Option
-	if s.cfg.Output != nil {
-		opts = append(opts, sim.WithOutput(s.cfg.Output))
-	}
-	opts = append(opts, sim.WithMetrics(s.metrics))
-	sm, err := sim.New(s.resolverLocked(), s.topKey, opts...)
+	sm, err := s.newSim(s.resolverLocked(), s.topKey)
 	if err != nil {
 		return nil, err
 	}
@@ -396,39 +386,31 @@ func (s *Session) CopyPipe(newName, oldName string) (*Pipe, error) {
 	if _, dup := s.pipes[newName]; dup {
 		return nil, fmt.Errorf("pipe %q already exists", newName)
 	}
-	var opts []sim.Option
-	if s.cfg.Output != nil {
-		opts = append(opts, sim.WithOutput(s.cfg.Output))
-	}
-	opts = append(opts, sim.WithMetrics(s.metrics))
-	sm, err := sim.New(s.resolverForVersionLocked(old.Version), old.TopKey, opts...)
+	cp, err := s.capture(old)
 	if err != nil {
 		return nil, err
 	}
-	if err := sm.Restore(old.Sim.Snapshot()); err != nil {
+	sm, err := s.newSim(s.resolverForVersionLocked(cp.Version), old.TopKey)
+	if err != nil {
+		return nil, err
+	}
+	if err := sm.Restore(cp.State); err != nil {
+		return nil, err
+	}
+	tbs, err := s.testbenchesLocked(cp.Aux, nil)
+	if err != nil {
 		return nil, err
 	}
 	p := &Pipe{
 		Name:        newName,
 		TopKey:      old.TopKey,
 		Sim:         sm,
-		Version:     old.Version,
+		Version:     cp.Version,
 		Checkpoints: checkpoint.NewStore(),
 		History:     append([]RunOp(nil), old.History...),
-		tbs:         make(map[string]Testbench),
+		tbs:         tbs,
 	}
 	p.Checkpoints.SetMetrics(s.metrics)
-	for h, tb := range old.tbs {
-		f, ok := s.tbFactory[h]
-		if !ok {
-			return nil, fmt.Errorf("testbench %q not registered", h)
-		}
-		nt := f()
-		if err := nt.Restore(tb.Snapshot()); err != nil {
-			return nil, err
-		}
-		p.tbs[h] = nt
-	}
 	s.pipes[newName] = p
 	s.pipeOrder = append(s.pipeOrder, newName)
 	return p, nil
@@ -552,7 +534,9 @@ func (s *Session) runChunked(p *Pipe, tb Testbench, cycles int, tok *runToken) e
 	d := &Driver{s: p.Sim}
 	every := s.cfg.CheckpointEvery
 	if p.Checkpoints.Len() == 0 && every > 0 {
-		s.takeCheckpoint(p)
+		if _, err := s.takeCheckpoint(p); err != nil {
+			return err
+		}
 	}
 	remaining := cycles
 	for remaining > 0 && !p.Sim.Finished() {
@@ -592,31 +576,87 @@ func (s *Session) runChunked(p *Pipe, tb Testbench, cycles int, tok *runToken) e
 		}
 		remaining -= advanced
 		if every > 0 && p.Sim.Cycle()-p.lastCheckpoint >= every {
-			s.takeCheckpoint(p)
+			if _, err := s.takeCheckpoint(p); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
 }
 
-// takeCheckpoint captures pipe state plus testbench snapshots — the
-// stop-the-world capture that is the whole checkpoint (Figure 2(a)).
-func (s *Session) takeCheckpoint(p *Pipe) *checkpoint.Checkpoint {
+// capture is the one capture of a pipe's saved state — the
+// stop-the-world copy that is the whole checkpoint (Figure 2(a)): kernel
+// state, every live testbench's snapshot (user code, so through
+// safeSnapshot), design version and history position. The checkpoint
+// it returns is in no store.
+func (s *Session) capture(p *Pipe) (*checkpoint.Checkpoint, error) {
+	aux := make(map[string][]byte, len(p.tbs))
+	for h, tb := range p.tbs {
+		data, err := s.safeSnapshot(tb)
+		if err != nil {
+			return nil, fmt.Errorf("pipe %s: testbench %s: %w", p.Name, h, err)
+		}
+		aux[h] = data
+	}
+	st := p.Sim.Snapshot()
+	return &checkpoint.Checkpoint{Cycle: st.Cycle, Version: p.Version, HistoryPos: len(p.History), State: st, Aux: aux}, nil
+}
+
+// testbenchesLocked makes the testbench set a pipe resumes with from a
+// capture's aux: a fresh instance per handle in aux, loaded from its
+// snapshot through safeRestore, and a fresh power-on instance per other
+// handle in live. It builds every instance it can and returns the first
+// error. The caller holds s.mu.
+func (s *Session) testbenchesLocked(aux map[string][]byte, live map[string]Testbench) (map[string]Testbench, error) {
+	tbs := make(map[string]Testbench, len(aux)+len(live))
+	var first error
+	for h := range live {
+		if _, saved := aux[h]; !saved {
+			tbs[h] = s.tbFactory[h]()
+		}
+	}
+	for h, data := range aux {
+		f, ok := s.tbFactory[h]
+		if !ok {
+			first = cmp.Or(first, fmt.Errorf("testbench %q not registered", h))
+			continue
+		}
+		tb := f()
+		if err := s.safeRestore(tb, data); err != nil {
+			first = cmp.Or(first, fmt.Errorf("testbench %s: %w", h, err))
+		}
+		tbs[h] = tb
+	}
+	return tbs, first
+}
+
+// newSim builds a kernel for topKey that prints $display text to the
+// session's output and reports into its registry.
+func (s *Session) newSim(r sim.Resolver, topKey string) (*sim.Sim, error) {
+	opts := []sim.Option{sim.WithMetrics(s.metrics)}
+	if s.cfg.Output != nil {
+		opts = append(opts, sim.WithOutput(s.cfg.Output))
+	}
+	return sim.New(r, topKey, opts...)
+}
+
+// takeCheckpoint adds a capture of the pipe to its store.
+func (s *Session) takeCheckpoint(p *Pipe) (*checkpoint.Checkpoint, error) {
 	var t0 time.Time
 	if s.metrics != nil {
 		t0 = time.Now()
 	}
-	st := p.Sim.Snapshot()
-	aux := make(map[string][]byte, len(p.tbs))
-	for h, tb := range p.tbs {
-		aux[h] = tb.Snapshot()
+	c, err := s.capture(p)
+	if err != nil {
+		return nil, err
 	}
-	cp := p.Checkpoints.Add(st, p.Version, len(p.History))
-	cp.Aux = aux
-	p.lastCheckpoint = st.Cycle
+	cp := p.Checkpoints.Add(c.State, c.Version, c.HistoryPos)
+	cp.Aux = c.Aux
+	p.lastCheckpoint = c.Cycle
 	if s.metrics != nil {
 		s.hCkptCapture.Observe(time.Since(t0).Seconds())
 	}
-	return cp
+	return cp, nil
 }
 
 // Checkpoint forces a checkpoint now (Table I chkp without a path).
@@ -627,7 +667,7 @@ func (s *Session) Checkpoint(pipeName string) (*checkpoint.Checkpoint, error) {
 	if !ok {
 		return nil, fmt.Errorf("no pipe %q", pipeName)
 	}
-	return s.takeCheckpoint(p), nil
+	return s.takeCheckpoint(p)
 }
 
 // SaveCheckpoint writes the pipe's current state to a file (Table I chkp)
@@ -642,8 +682,11 @@ func (s *Session) SaveCheckpoint(pipeName, path string) error {
 		s.mu.Unlock()
 		return fmt.Errorf("no pipe %q", pipeName)
 	}
-	cp := s.takeCheckpoint(p)
+	cp, err := s.takeCheckpoint(p)
 	s.mu.Unlock()
+	if err != nil {
+		return err
+	}
 	t0 := time.Now()
 	data := checkpoint.EncodeFile(cp)
 	data = s.cfg.Faults.Corrupt(data)
@@ -667,59 +710,53 @@ func (s *Session) SaveCheckpoint(pipeName, path string) error {
 // run continues from a consistent picture. A corrupt primary file falls
 // back to its .bak sibling.
 func (s *Session) LoadCheckpoint(pipeName, path string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	p, ok := s.pipes[pipeName]
+	p, ok := s.Pipe(pipeName)
 	if !ok {
 		return fmt.Errorf("no pipe %q", pipeName)
 	}
 	t0 := time.Now()
-	fc, fromBackup, err := checkpoint.LoadFile(path)
+	cp, fromBackup, err := checkpoint.LoadFile(path)
 	if err != nil {
 		return err
 	}
-
-	// Prepare the testbench set before touching the pipe, so a bad
-	// snapshot fails the load with the pipe untouched.
-	var tbs map[string]Testbench
-	if fc.Aux != nil {
-		tbs = make(map[string]Testbench, len(fc.Aux))
-		for h, data := range fc.Aux {
-			f, ok := s.tbFactory[h]
-			if !ok {
-				return fmt.Errorf("checkpoint references unregistered testbench %q", h)
-			}
-			tb := f()
-			if err := s.safeRestore(tb, data); err != nil {
-				return fmt.Errorf("testbench %s: %w", h, err)
-			}
-			tbs[h] = tb
-		}
-	}
-
-	if err := p.Sim.Restore(fc.State); err != nil {
+	if err := s.loadCheckpoint(p, cp); err != nil {
 		return err
 	}
-	if tbs != nil {
-		p.tbs = tbs
-	}
-	if fc.Version != "" {
-		if _, retained := s.versionObjects[fc.Version]; retained {
-			p.Version = fc.Version
-		} else {
-			p.Version = s.version
-		}
-	}
-	if fc.HistoryPos >= 0 && fc.HistoryPos <= len(p.History) {
-		p.History = p.History[:fc.HistoryPos]
-	}
-	p.lastCheckpoint = fc.State.Cycle
-	p.Checkpoints.DropAfterCycle(fc.State.Cycle)
 	if fromBackup {
 		s.metrics.Counter("checkpoint_backup_loads").Inc()
 	}
 	s.metrics.Counter("checkpoint_loads").Inc()
 	s.metrics.Histogram("checkpoint_load_seconds", nil).Observe(time.Since(t0).Seconds())
+	return nil
+}
+
+// loadCheckpoint is LoadCheckpoint on an already-decoded file; recovery
+// applies watermark and reanchor checkpoints through it.
+func (s *Session) loadCheckpoint(p *Pipe, cp *checkpoint.Checkpoint) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	// Build the testbench set before touching the pipe, so a bad
+	// snapshot fails the load with the pipe untouched.
+	tbs, err := s.testbenchesLocked(cp.Aux, p.tbs)
+	if err != nil {
+		return err
+	}
+	if err := p.Sim.Restore(cp.State); err != nil {
+		return err
+	}
+	p.tbs = tbs
+	if cp.Version != "" {
+		if _, retained := s.versionObjects[cp.Version]; retained {
+			p.Version = cp.Version
+		} else {
+			p.Version = s.version
+		}
+	}
+	if cp.HistoryPos >= 0 && cp.HistoryPos <= len(p.History) {
+		p.History = p.History[:cp.HistoryPos]
+	}
+	p.lastCheckpoint = cp.Cycle
+	p.Checkpoints.DropAfterCycle(cp.Cycle)
 	return nil
 }
 
@@ -752,6 +789,8 @@ func (s *Session) Version() string {
 }
 
 // WaitBackground blocks until background verification work completes.
+// Servers call it before checkpointing a session for drain or eviction,
+// so the saved state reflects every finished operation.
 func (s *Session) WaitBackground() { s.verifyWG.Wait() }
 
 // PipeStatus returns a pipe's current cycle and journaled-op count under
@@ -795,12 +834,6 @@ func (s *Session) PipeNames() []string {
 	return append([]string(nil), s.pipeOrder...)
 }
 
-// Quiesce blocks until all background work owned by the session — the
-// verification replays — has completed. Servers call it before
-// checkpointing a session for drain or eviction, so the saved state
-// reflects every finished operation.
-func (s *Session) Quiesce() { s.verifyWG.Wait() }
-
 // TransformOps exposes the version history (for inspection and the
 // manual edits Section III-E allows).
 func (s *Session) TransformOps() *xform.History {
@@ -833,11 +866,4 @@ func (s *Session) PruneVersions() int {
 		}
 	}
 	return pruned
-}
-
-// RetainedVersions reports how many version object tables are held.
-func (s *Session) RetainedVersions() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.versionObjects)
 }

@@ -491,7 +491,10 @@ func TestVersionPruning(t *testing.T) {
 		p.Checkpoints.DropVersionAfter(v, 0)
 	}
 	s.PruneVersions()
-	if got := s.RetainedVersions(); got != 1 {
+	s.mu.Lock()
+	got := len(s.versionObjects)
+	s.mu.Unlock()
+	if got != 1 {
 		t.Errorf("retained %d version tables, want 1", got)
 	}
 	// The session still runs and checkpoints on the current version.

@@ -49,8 +49,6 @@ type Plan struct {
 	stallFor      time.Duration   // how long the stalled chunk sleeps
 	fullFrom      int             // first WAL append (1-based) to ENOSPC-fail, -1 = unarmed
 	fullLeft      int             // how many consecutive appends fail from fullFrom
-	diskDelay     time.Duration   // per-WAL-append artificial disk latency
-	diskDelayLeft int             // appends the delay still applies to
 	forceFree     int64           // DiskFree override: free bytes, -1 = unarmed
 	forceTotal    int64           // DiskFree override: total bytes
 	replDropAt    int             // sever the repl stream before the nth batch, -1 = unarmed
@@ -199,35 +197,15 @@ func (p *Plan) DiskFullAppends(from, count int) *Plan {
 	return p
 }
 
-// SlowDisk arms an artificial latency before each of the next n WAL
-// appends, simulating a saturated or throttled device so backoff and
-// group-commit behavior can be exercised deterministically.
-func (p *Plan) SlowDisk(d time.Duration, n int) *Plan {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.diskDelay = d
-	p.diskDelayLeft = n
-	return p
-}
-
 // ForceDiskFree arms a persistent (not one-shot) override of the disk
 // probe: every DiskFree call reports the given free/total bytes until
-// re-armed or cleared with ClearDiskFree. This is how tests and the
-// smoke script walk the pressure ladder without actually filling a
-// filesystem.
+// re-armed. This is how tests and the smoke script walk the pressure
+// ladder without actually filling a filesystem.
 func (p *Plan) ForceDiskFree(free, total uint64) *Plan {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.forceFree = int64(free)
 	p.forceTotal = int64(total)
-	return p
-}
-
-// ClearDiskFree disarms the ForceDiskFree override.
-func (p *Plan) ClearDiskFree() *Plan {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.forceFree = -1
 	return p
 }
 
@@ -450,24 +428,6 @@ func (p *Plan) WALWriteErr(appendIdx int) error {
 	}
 	p.fired = append(p.fired, fmt.Sprintf("disk-full:%d", appendIdx))
 	return fmt.Errorf("faultinject: write wal append %d: no space left on device: %w", appendIdx, ErrInjected)
-}
-
-// DiskDelay is consulted by the WAL before each append; it returns the
-// armed slow-disk latency (consuming one use) or zero. Nil-safe.
-func (p *Plan) DiskDelay() time.Duration {
-	if p == nil {
-		return 0
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.diskDelayLeft <= 0 {
-		return 0
-	}
-	p.diskDelayLeft--
-	if p.diskDelayLeft == 0 {
-		p.fired = append(p.fired, "slow-disk")
-	}
-	return p.diskDelay
 }
 
 // DiskFree reports the armed free-space override, if any. Nil-safe;

@@ -172,20 +172,6 @@ func TestDiskFullAppends(t *testing.T) {
 	}
 }
 
-func TestSlowDiskConsumesUses(t *testing.T) {
-	p := New().SlowDisk(2*time.Millisecond, 1)
-	if d := p.DiskDelay(); d != 2*time.Millisecond {
-		t.Fatalf("delay = %v", d)
-	}
-	if d := p.DiskDelay(); d != 0 {
-		t.Fatalf("delay after consumed = %v", d)
-	}
-	var nilPlan *Plan
-	if d := nilPlan.DiskDelay(); d != 0 {
-		t.Errorf("nil plan delayed: %v", d)
-	}
-}
-
 func TestForceDiskFree(t *testing.T) {
 	p := New()
 	if _, _, ok := p.DiskFree(); ok {
@@ -198,10 +184,6 @@ func TestForceDiskFree(t *testing.T) {
 		if !ok || free != 5 || total != 100 {
 			t.Fatalf("probe %d: free=%d total=%d ok=%v", i, free, total, ok)
 		}
-	}
-	p.ClearDiskFree()
-	if _, _, ok := p.DiskFree(); ok {
-		t.Fatal("cleared plan still reports an override")
 	}
 	var nilPlan *Plan
 	if _, _, ok := nilPlan.DiskFree(); ok {

@@ -59,17 +59,12 @@ type MigrationReport struct {
 	BlackoutMs float64 `json:"blackout_ms"`
 }
 
-// Migrate moves one session to targetAddr (empty = rendezvous-pick
-// among placeable backends, excluding the current host).
-func (g *Gateway) Migrate(session, targetAddr string) (*MigrationReport, error) {
-	return g.MigrateTraced(session, targetAddr, "", "")
-}
-
-// MigrateTraced is Migrate joined to a wire trace: every stage RPC
-// (seed, catch-up, promote, tombstone) is stamped with it and its
-// forward span parents under one migrate span, so `trace <id>` shows
-// where a migration spent its blackout. An empty trace mints one —
-// migrations are always traced.
+// MigrateTraced moves one session to targetAddr (empty = rendezvous-pick
+// among placeable backends, excluding the current host), joined to a
+// wire trace: every stage RPC (seed, catch-up, promote, tombstone) is
+// stamped with it and its forward span parents under one migrate span,
+// so `trace <id>` shows where a migration spent its blackout. An empty
+// trace mints one — migrations are always traced.
 func (g *Gateway) MigrateTraced(session, targetAddr, trace, parentSID string) (*MigrationReport, error) {
 	g.mu.Lock()
 	r := g.routes[session]

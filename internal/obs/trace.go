@@ -28,11 +28,11 @@ import (
 //
 // The trace field correlates spans across tracers: the server stamps
 // each request span with the client's wire TraceID (StartRemote), sets
-// the same id as the session tracer's implicit trace (SetTrace) for the
-// duration of the request, and every span the live loop starts inherits
-// it — one hot reload reads as a single tree from client call to verify
-// completion even though the request span and the live-loop spans come
-// from different tracers.
+// the same id as the session tracer's implicit trace (SetTraceContext)
+// for the duration of the request, and every span the live loop starts
+// inherits it — one hot reload reads as a single tree from client call
+// to verify completion even though the request span and the live-loop
+// spans come from different tracers.
 //
 // sid/psid are the distributed span context: sid is the span's globally
 // unique id (a per-tracer random prefix plus the local counter), psid
@@ -119,13 +119,6 @@ func (t *Tracer) appendSID(b []byte, id uint64) []byte {
 	b = append(append(b, t.prefix...), '-')
 	return strconv.AppendUint(b, id, 16)
 }
-
-// SetTrace sets the implicit wire trace id inherited by root spans
-// started after this call ("" clears it). Callers that serialize work —
-// the session worker runs one request at a time — bracket each request
-// with SetTrace(id) / SetTrace("") so the live loop's spans carry the
-// request's id without the loop knowing about the wire. Nil-safe.
-func (t *Tracer) SetTrace(id string) { t.SetTraceContext(id, "") }
 
 // SetTraceContext sets the implicit (trace id, remote parent sid) pair
 // inherited by root spans started after this call. The session worker

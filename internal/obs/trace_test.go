@@ -153,11 +153,11 @@ func TestSetTraceContextInheritance(t *testing.T) {
 		t.Fatalf("cleared context leaked: %+v", evs[1])
 	}
 
-	// SetTrace keeps working as the trace-only form.
-	tr.SetTrace("feedfacefeedface")
+	// An empty parent sid is the trace-only form.
+	tr.SetTraceContext("feedfacefeedface", "")
 	tr.Start("later").End()
-	if evs = decodeSpans(t, buf.Bytes()); evs[2].Trace != "feedfacefeedface" {
-		t.Fatalf("SetTrace broken: %+v", evs[2])
+	if evs = decodeSpans(t, buf.Bytes()); evs[2].Trace != "feedfacefeedface" || evs[2].PSID != "" {
+		t.Fatalf("trace-only context wrong: %+v", evs[2])
 	}
 }
 

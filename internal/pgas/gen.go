@@ -7,8 +7,9 @@ import (
 
 // GenerateMesh emits the generated part of the design for an n-node PGAS:
 // the crossbar fabric and the mesh top module. n == 1 produces a minimal
-// wrapper with the remote port tied off. The returned source, concatenated
-// with CoreRTL(), is a complete design whose top module is TopName(n).
+// wrapper with the remote port tied off. The returned source, with the
+// fixed modules DesignSource lists, is a complete design whose top module
+// is TopName(n).
 func GenerateMesh(n int) string {
 	if n <= 1 {
 		return singleTop

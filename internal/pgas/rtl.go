@@ -607,8 +607,3 @@ module pgas_node (
   );
 endmodule
 `
-
-// CoreRTL concatenates the fixed (non-generated) modules.
-func CoreRTL() string {
-	return StageIF + StageID + StageEX + StageMEM + StageWB + RVCore + NodeMem + PGASNode
-}

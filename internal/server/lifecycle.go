@@ -176,7 +176,7 @@ func (s *Server) stop(h *hosted, patience time.Duration) bool {
 	}
 	<-h.stopped
 	stopShipper(h)
-	h.sess.Quiesce()
+	h.sess.WaitBackground()
 	return true
 }
 

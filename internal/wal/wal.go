@@ -270,9 +270,6 @@ func (w *WAL) Append(r *Record) error {
 	}
 
 	w.appends++
-	if d := w.opts.Faults.DiskDelay(); d > 0 {
-		time.Sleep(d)
-	}
 	if ferr := w.opts.Faults.WALWriteErr(w.appends); ferr != nil {
 		// Injected ENOSPC: the write fails before any bytes land, the
 		// way a full filesystem fails it. Unlike a torn append the

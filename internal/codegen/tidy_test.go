@@ -211,7 +211,8 @@ endmodule`}, "m")
 // FuzzCompile runs checkTidy on the random module of a fuzzed randrtl seed
 // in either style: the lowered code is tidy's reference, and forwarding,
 // dead-code removal and fusion have to keep every named slot and memory
-// equal to it.
+// equal to it. The compiled object's edge program and Deps are held to
+// vm.CheckEdge.
 func FuzzCompile(f *testing.F) {
 	f.Add(uint64(1), false)
 	f.Add(uint64(2), true)
@@ -222,5 +223,15 @@ func FuzzCompile(f *testing.F) {
 		}
 		d := elaborate(t, map[string]string{"r.v": randrtl.Module(seed, "rnd", 0)}, "rnd")
 		checkTidy(t, d, style, seed, 200)
+		obj, err := codegen.Compile(d.Modules[d.TopKey], codegen.Options{Style: style})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := seed
+		for i := 0; i < 4; i++ {
+			if err := vm.CheckEdge(obj, func() uint64 { rng = rng*6364136223846793005 + 1442695040888963407; return rng ^ rng>>31 }); err != nil {
+				t.Fatalf("seed %d %s: %v", seed, style, err)
+			}
+		}
 	})
 }

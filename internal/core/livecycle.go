@@ -248,19 +248,22 @@ func (s *Session) ApplyChange(newSrc liveparser.Source) (*ChangeReport, error) {
 		pipeAttrs := []obs.Attr{obs.Str("pipe", p.Name), obs.U64("cycle", target), obs.Str("version", newVersion)}
 
 		sp := root.Child("swap", pipeAttrs...)
+		swaps := make([]sim.Swap, 0, len(build.Swapped))
 		for _, key := range build.Swapped {
-			mig := sim.MigrateFunc(nil)
-			if o := ops[key]; o != nil {
-				mig = xform.Migrator(o)
-			}
 			if err := s.cfg.Faults.ReloadFault(key); err != nil {
 				sp.End()
 				return abort(p, fmt.Errorf("pipe %s: reload %s: %w", p.Name, key, err))
 			}
-			if _, err := p.Sim.Reload(key, mig); err != nil {
-				sp.End()
-				return abort(p, fmt.Errorf("pipe %s: reload %s: %w", p.Name, key, err))
+			sw := sim.Swap{Key: key}
+			if o := ops[key]; o != nil {
+				sw.Migrate = xform.Migrator(o)
 			}
+			swaps = append(swaps, sw)
+		}
+		// One call: the schedule is compiled once every object is in.
+		if _, err := p.Sim.ReloadAll(swaps...); err != nil {
+			sp.End()
+			return abort(p, fmt.Errorf("pipe %s: reload: %w", p.Name, err))
 		}
 		sp.End()
 		rep.SwapTime += sp.Dur()

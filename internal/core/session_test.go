@@ -402,6 +402,49 @@ func TestRunAfterChangeContinues(t *testing.T) {
 	}
 }
 
+// TestApplyChangeRemovesChildPort: an edit that drops a child's output
+// port and the parent's binding of it swaps two objects whose port lists
+// only agree once both are in. The pipe must land where a cold run of the
+// edited design does.
+func TestApplyChangeRemovesChildPort(t *testing.T) {
+	s := newAccSession(t, accDesign)
+	if _, err := s.InstPipe("p0"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Run("tb0", "p0", 80); err != nil {
+		t.Fatal(err)
+	}
+	edited := strings.NewReplacer(
+		", output reg [31:0] cyc);", ");\n  reg [31:0] cyc;",
+		"  wire [31:0] cyc_unused;\n", "",
+		", .cyc(cyc_unused)", "",
+	).Replace(accDesign)
+	if edited == accDesign || strings.Contains(edited, "cyc_unused") {
+		t.Fatalf("edit did not apply:\n%s", edited)
+	}
+	rep, err := s.ApplyChange(srcOf(edited))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Swapped) != 2 {
+		t.Fatalf("swapped %v, want acc_stage and acc_top", rep.Swapped)
+	}
+	rep.WaitVerification()
+	for _, h := range rep.Verifications {
+		if h.Err != nil {
+			t.Fatal(h.Err)
+		}
+	}
+	p := mustPipe(t, s, "p0")
+	if err := p.Sim.Settle(); err != nil {
+		t.Fatal(err)
+	}
+	sum, _ := p.Sim.Out("sum")
+	if want := groundTruth(t, edited, 80); sum != want || p.Sim.Cycle() != 80 {
+		t.Errorf("cycle %d, sum %d; a cold run of the edit reads %d at cycle 80", p.Sim.Cycle(), sum, want)
+	}
+}
+
 func TestCountingTBSnapshotRestore(t *testing.T) {
 	f := NewCountingTB(nil)
 	tb := f()

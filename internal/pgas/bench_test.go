@@ -15,10 +15,11 @@ import (
 // and 4x4 meshes running the compute kernel, no session around it. One
 // iteration is 256 cycles in one Tick, so `make bench` (-benchtime=1x)
 // still averages over a few hundred cycles; the -tick1 variants call
-// Tick(1) 256 times, as a per-cycle testbench does. comb-evals/cycle and
-// seq-evals/cycle (clock edges run) come from a profiled segment before
-// the timed one, binds/cycle (bind copies, producer slot to consumer slot)
-// from sim.Counts.
+// Tick(1) 256 times, as a per-cycle testbench does. comb-evals/cycle
+// (whole comb programs run, in the settle or at the clock edge),
+// edge-evals/cycle (edge programs run) and seq-evals/cycle (clock edges
+// run) come from a profiled segment before the timed one, binds/cycle
+// (bind copies, producer slot to consumer slot) from sim.Counts.
 func BenchmarkTick(b *testing.B) {
 	for _, side := range []int{1, 4} {
 		for _, chunk := range []int{tickCycles, 1} {
@@ -74,7 +75,37 @@ func benchTick(b *testing.B, n, chunk int) {
 	b.ReportMetric(float64(k.Copies-k0.Copies)/total, "binds/cycle")
 	b.ReportMetric(float64(t.SeqEvals)/float64(t.Cycles), "seq-evals/cycle")
 	b.ReportMetric(float64(t.CombEvals)/float64(t.Cycles), "comb-evals/cycle")
+	b.ReportMetric(float64(t.EdgeEvals)/float64(t.Cycles), "edge-evals/cycle")
 	b.ReportMetric(float64(reg.Counter("sim_settle_passes").Value()-scans0)/total, "scans/cycle")
+}
+
+// BenchmarkReload sizes the schedule's set-up: a sim.Reload that swaps
+// nothing (the object behind the key is the one already loaded) on the 4x4
+// and 8x8 meshes still compiles the settle schedule — push tables, transit
+// fills and dependency ranks — as every hot reload does. us/reload and
+// allocs/op are one call's.
+func BenchmarkReload(b *testing.B) {
+	for _, side := range []int{4, 8} {
+		n := side * side
+		b.Run(fmt.Sprintf("%dx%d", side, side), func(b *testing.B) {
+			s, err := NewSim(n, codegen.StyleGrouped)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := s.Tick(16); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if swapped, err := s.Reload("stage_id", nil); err != nil || swapped != 0 {
+					b.Fatalf("reload: %d swapped, %v", swapped, err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(b.N), "us/reload")
+		})
+	}
 }
 
 // BenchmarkSnapshot sizes a capture: sim.Snapshot on the 4x4 and 8x8

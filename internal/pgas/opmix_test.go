@@ -217,7 +217,7 @@ func TestOpMix(t *testing.T) {
 	for _, c := range []struct {
 		side           int
 		ceiling, moves float64
-	}{{1, 290, 40}, {4, 5400, 800}} {
+	}{{1, 240, 40}, {4, 4400, 800}} {
 		c := c
 		t.Run(fmt.Sprintf("%dx%d", c.side, c.side), func(t *testing.T) {
 			s := computeSim(t, c.side, warm)
@@ -239,19 +239,23 @@ func TestOpMix(t *testing.T) {
 
 // TestOpMixKernel runs the compute kernel on the 1x1 and 4x4 meshes and
 // holds the kernel's own work per cycle under a ceiling: bind copies
-// (producer slot to consumer slot, transit slots skipped) and clock edges
-// run (instances whose Seq could not change anything are skipped), the
-// latter counted by the activity profiler. A copy through every wiring
-// level and a clock edge on every instance read 110 copies and 9 seq evals
-// per cycle at 1x1, 2 120 and 130 at 4x4. Transit slots are filled only
-// when slots are read (sim.Sim.Sync), never by Tick itself; with -v it
-// prints how many one Sync fills.
+// (producer slot to consumer slot, transit slots skipped), full comb
+// evaluations (in the settle, or at the clock edge when an edge program is
+// the whole comb code) and clock edges run (instances whose Seq could not
+// change anything are skipped), the latter two counted by the activity
+// profiler. A copy through every wiring level and a clock edge on every
+// instance read 110 copies and 9 seq evals per cycle at 1x1, 2 120 and 130
+// at 4x4; ranking the settle cheapest comb program first and computing no
+// output at the edge read 127–130 comb evaluations per cycle at 4x4.
+// Transit slots are filled only when slots are read (sim.Sim.Sync), never
+// by Tick itself; with -v it prints how many one Sync fills, and per
+// object the comb evaluations and edge-program runs per cycle.
 func TestOpMixKernel(t *testing.T) {
 	const warm, cycles = 1024, 256
 	for _, c := range []struct {
-		side             int
-		copies, seqEvals float64
-	}{{1, 70, 7}, {4, 1300, 110}} {
+		side                        int
+		copies, combEvals, seqEvals float64
+	}{{1, 70, 9, 7}, {4, 1300, 110, 110}} {
 		c := c
 		t.Run(fmt.Sprintf("%dx%d", c.side, c.side), func(t *testing.T) {
 			s := computeSim(t, c.side, warm)
@@ -268,11 +272,15 @@ func TestOpMixKernel(t *testing.T) {
 			s.Sync()
 			fills := s.Counts().Fills - k.Fills
 			copies := float64(k.Copies-k0.Copies) / cycles
-			seqEvals := float64(p.Totals().SeqEvals) / cycles
-			t.Logf("PGAS %dx%d, compute kernel: %.1f bind copies/cycle, %.1f seq evals/cycle of %d instances, %d transit slots filled per Sync",
-				c.side, c.side, copies, seqEvals, s.NumInstances(), fills)
+			tot := p.Totals()
+			combEvals, seqEvals := float64(tot.CombEvals)/cycles, float64(tot.SeqEvals)/cycles
+			t.Logf("PGAS %dx%d, compute kernel: %.1f bind copies/cycle, %.1f comb evals/cycle, %.1f edge-program runs/cycle, %.1f seq evals/cycle of %d instances, %d transit slots filled per Sync\n%s",
+				c.side, c.side, copies, combEvals, float64(tot.EdgeEvals)/cycles, seqEvals, s.NumInstances(), fills, evalsByObject(p.Snapshot(), cycles))
 			if copies > c.copies {
 				t.Errorf("%.0f bind copies/cycle, ceiling %.0f", copies, c.copies)
+			}
+			if combEvals > c.combEvals {
+				t.Errorf("%.0f comb evals/cycle, ceiling %.0f", combEvals, c.combEvals)
 			}
 			if seqEvals > c.seqEvals {
 				t.Errorf("%.0f seq evals/cycle, ceiling %.0f", seqEvals, c.seqEvals)
@@ -282,6 +290,37 @@ func TestOpMixKernel(t *testing.T) {
 			}
 		})
 	}
+}
+
+// evalsByObject renders, per object, its instances and their comb
+// evaluations and edge-program runs per cycle.
+func evalsByObject(snap *prof.Snapshot, cycles int) string {
+	type row struct {
+		insts             int
+		comb, edge, whole uint64
+	}
+	rows := map[string]*row{}
+	var keys []string
+	for _, in := range snap.Insts {
+		r := rows[in.Key]
+		if r == nil {
+			r = &row{}
+			rows[in.Key] = r
+			keys = append(keys, in.Key)
+		}
+		r.insts++
+		r.comb += in.CombEvals
+		r.edge += in.EdgeEvals
+	}
+	sort.Strings(keys)
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "  %-12s %5s %14s %14s\n", "object", "insts", "comb evals", "edge runs")
+	for _, key := range keys {
+		r := rows[key]
+		fmt.Fprintf(&sb, "  %-12s %5d %14.1f %14.1f\n", key, r.insts,
+			float64(r.comb)/float64(cycles), float64(r.edge)/float64(cycles))
+	}
+	return sb.String()
 }
 
 type noProfiler struct{}

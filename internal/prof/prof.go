@@ -17,7 +17,7 @@
 // is amortized to noise).
 //
 // Concurrency contract: the recording methods (SampleStart, CombDone,
-// SeqDone, Commit, EndCycle) and the rebinding methods (Bind, Reset)
+// EdgeDone, SeqDone, Commit, EndCycle) and the rebinding methods (Bind, Reset)
 // must all be called from the goroutine that owns the simulation —
 // livesimd's per-session worker already serializes them with runs.
 // Snapshot may be called from any goroutine at any time (the admin
@@ -56,6 +56,7 @@ type InstMeta struct {
 type instHot struct {
 	combEvals atomic.Uint64
 	seqEvals  atomic.Uint64
+	edgeEvals atomic.Uint64
 	evalNs    atomic.Uint64 // sampled-and-scaled eval time
 	toggles   atomic.Uint64 // commits that changed architectural state
 	quiescent atomic.Uint64 // commits that changed nothing
@@ -121,6 +122,7 @@ func (p *Profiler) Bind(metas []InstMeta, cycle uint64) {
 		}
 		hot[i].combEvals.Store(p.hot[j].combEvals.Load())
 		hot[i].seqEvals.Store(p.hot[j].seqEvals.Load())
+		hot[i].edgeEvals.Store(p.hot[j].edgeEvals.Load())
 		hot[i].evalNs.Store(p.hot[j].evalNs.Load())
 		hot[i].toggles.Store(p.hot[j].toggles.Load())
 		hot[i].quiescent.Store(p.hot[j].quiescent.Load())
@@ -147,6 +149,7 @@ func (p *Profiler) Reset() {
 	for i := range p.hot {
 		p.hot[i].combEvals.Store(0)
 		p.hot[i].seqEvals.Store(0)
+		p.hot[i].edgeEvals.Store(0)
 		p.hot[i].evalNs.Store(0)
 		p.hot[i].toggles.Store(0)
 		p.hot[i].quiescent.Store(0)
@@ -201,6 +204,21 @@ func (p *Profiler) SampleStart() int64 {
 func (p *Profiler) CombDone(idx int, t0 int64) {
 	h := &p.hot[idx]
 	h.combEvals.Store(h.combEvals.Load() + 1)
+	if t0 != 0 {
+		h.evalNs.Store(h.evalNs.Load() + uint64(int64(time.Since(epoch))-t0)*SampleEvery)
+	}
+}
+
+// EdgeDone records one run of instance idx's edge program, which the
+// kernel runs after a clock edge changed the instance's state; whole says
+// the program is the instance's whole comb code, which counts as a
+// combinational eval too.
+func (p *Profiler) EdgeDone(idx int, whole bool, t0 int64) {
+	h := &p.hot[idx]
+	h.edgeEvals.Store(h.edgeEvals.Load() + 1)
+	if whole {
+		h.combEvals.Store(h.combEvals.Load() + 1)
+	}
 	if t0 != 0 {
 		h.evalNs.Store(h.evalNs.Load() + uint64(int64(time.Since(epoch))-t0)*SampleEvery)
 	}

@@ -14,6 +14,10 @@ type InstStat struct {
 
 	CombEvals uint64 `json:"comb_evals"`
 	SeqEvals  uint64 `json:"seq_evals"`
+	// EdgeEvals counts runs of the instance's edge program, which computes
+	// its outputs that depend on state alone right after a clock edge
+	// changed its state; a run of a whole comb program is a CombEval too.
+	EdgeEvals uint64 `json:"edge_evals"`
 	// SelfNs is this instance's own sampled eval time; TotalNs rolls up
 	// self plus all descendants (the flame-style view).
 	SelfNs  uint64 `json:"self_ns"`
@@ -76,6 +80,7 @@ type Totals struct {
 	Instances      int
 	CombEvals      uint64
 	SeqEvals       uint64
+	EdgeEvals      uint64
 	Toggles        uint64
 	QuiescentEvals uint64
 	EvalNs         uint64
@@ -87,6 +92,7 @@ func (t *Totals) Add(o Totals) {
 	t.Instances += o.Instances
 	t.CombEvals += o.CombEvals
 	t.SeqEvals += o.SeqEvals
+	t.EdgeEvals += o.EdgeEvals
 	t.Toggles += o.Toggles
 	t.QuiescentEvals += o.QuiescentEvals
 	t.EvalNs += o.EvalNs
@@ -115,6 +121,7 @@ func (p *Profiler) Totals() Totals {
 		h := &p.hot[i]
 		t.CombEvals += h.combEvals.Load()
 		t.SeqEvals += h.seqEvals.Load()
+		t.EdgeEvals += h.edgeEvals.Load()
 		t.Toggles += h.toggles.Load()
 		t.QuiescentEvals += h.quiescent.Load()
 		t.EvalNs += h.evalNs.Load()
@@ -149,6 +156,7 @@ func (p *Profiler) Snapshot() *Snapshot {
 			Parent:          m.Parent,
 			CombEvals:       h.combEvals.Load(),
 			SeqEvals:        h.seqEvals.Load(),
+			EdgeEvals:       h.edgeEvals.Load(),
 			SelfNs:          h.evalNs.Load(),
 			Toggles:         h.toggles.Load(),
 			QuiescentEvals:  h.quiescent.Load(),

@@ -2,6 +2,9 @@ package sim_test
 
 import (
 	"fmt"
+	"maps"
+	"math/rand/v2"
+	"slices"
 	"strings"
 	"testing"
 
@@ -36,9 +39,11 @@ type lockstep struct {
 	table   *objTable
 	nu, ref *sim.Sim
 	// vp, when set, routes both kernels through their profiled paths.
-	vp   vm.Profiler
-	rng  uint64
-	dead map[*vm.Object][]bool // deadCombTemps per object
+	vp vm.Profiler
+	// scheduled makes ref run the compiled schedule too.
+	scheduled bool
+	rng       uint64
+	dead      map[*vm.Object][]bool // deadCombTemps per object
 }
 
 func newLockstep(t *testing.T, objs map[string]*vm.Object, top string, seed uint64) *lockstep {
@@ -82,7 +87,12 @@ func (l *lockstep) tick(n int) {
 		if err != nil {
 			l.t.Fatalf("schedule: %v", err)
 		}
-		if err := sim.ReferenceTick(l.ref, 1, l.vp); err != nil {
+		if l.scheduled {
+			err = l.ref.Tick(1)
+		} else {
+			err = sim.ReferenceTick(l.ref, 1, l.vp)
+		}
+		if err != nil {
 			l.t.Fatalf("reference: %v", err)
 		}
 		l.compare()
@@ -95,7 +105,11 @@ func (l *lockstep) settle() {
 	if err := l.nu.Settle(); err != nil {
 		l.t.Fatalf("schedule: %v", err)
 	}
-	if err := sim.ReferenceSettle(l.ref); err != nil {
+	settle := sim.ReferenceSettle
+	if l.scheduled {
+		settle = (*sim.Sim).Settle
+	}
+	if err := settle(l.ref); err != nil {
 		l.t.Fatalf("reference: %v", err)
 	}
 	l.compare()
@@ -292,6 +306,17 @@ func (l *lockstep) exercise(cycles int, recompiled map[string]*vm.Object) {
 	}
 }
 
+// hazardEdit is the mid-run reload of the PGAS tests: decode stalls behind
+// any pending MEM write, which moves pipeline timing in every core.
+func hazardEdit() pgas.Change {
+	for _, c := range pgas.Changes {
+		if c.Name == "id-hazard-tighten" {
+			return c
+		}
+	}
+	panic("no id-hazard-tighten change")
+}
+
 func TestDifferentialPGAS(t *testing.T) {
 	programs := []struct {
 		name   string
@@ -301,14 +326,7 @@ func TestDifferentialPGAS(t *testing.T) {
 		{"tokenring", pgas.TokenRingImages},
 		{"reduce", pgas.ReduceImages},
 	}
-	// The mid-run reload: decode stalls behind any pending MEM write, which
-	// moves pipeline timing in every core.
-	var hazard pgas.Change
-	for _, c := range pgas.Changes {
-		if c.Name == "id-hazard-tighten" {
-			hazard = c
-		}
-	}
+	hazard := hazardEdit()
 	for _, n := range []int{1, 4, 16} {
 		objs, top, err := pgas.Build(n, codegen.StyleGrouped)
 		if err != nil {
@@ -490,3 +508,84 @@ type countingProfiler struct{ instrs int }
 
 func (c *countingProfiler) Instr(uint64, bool, bool) { c.instrs++ }
 func (c *countingProfiler) Data(uint64, bool)        {}
+
+// TestOrderIndependence: the settle's fixed point is the same for any
+// worklist order, which is what lets the schedule rank by dependency level
+// for speed alone. The compiled schedule runs in lock step with itself in
+// rank order, its worklist reversed or shuffled, on the PGAS 4x4 design and
+// on random hierarchies.
+func TestOrderIndependence(t *testing.T) {
+	orders := []struct {
+		name string
+		f    func(seed uint64) func(order []*sim.Node)
+	}{
+		{"reversed", func(uint64) func(order []*sim.Node) { return slices.Reverse[[]*sim.Node] }},
+		{"shuffled", func(seed uint64) func(order []*sim.Node) {
+			r := rand.New(rand.NewPCG(seed, 0))
+			return func(order []*sim.Node) {
+				r.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+			}
+		}},
+	}
+	run := func(t *testing.T, objs map[string]*vm.Object, top string, seed uint64, order func([]*sim.Node),
+		load func(l *lockstep), cycles int, recompiled map[string]*vm.Object) {
+		l := newLockstep(t, objs, top, seed)
+		l.scheduled = true
+		defer sim.SetOrder(l.nu, order)()
+		load(l)
+		l.exercise(cycles, recompiled)
+	}
+
+	objs, top, err := pgas.Build(16, codegen.StyleGrouped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	images, err := pgas.ComputeImages(16, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edited, err := hazardEdit().Apply(pgas.Source(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := livecompiler.New(top, codegen.StyleGrouped, nil).Build(edited)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recompiled := map[string]*vm.Object{}
+	for key, obj := range res.Objects {
+		if obj.Hash() != objs[key].Hash() {
+			recompiled[key] = obj
+		}
+	}
+	seeds := 12
+	if testing.Short() {
+		seeds = 3
+	}
+	for _, o := range orders {
+		t.Run("pgas16/"+o.name, func(t *testing.T) {
+			table := maps.Clone(objs)
+			run(t, table, top, 5, o.f(5), func(l *lockstep) {
+				for i, img := range images {
+					l.both("load image", func(s *sim.Sim) error { return pgas.LoadImage(s, 16, i, img) })
+				}
+			}, 512, recompiled)
+		})
+		for seed := uint64(1); seed <= uint64(seeds); seed++ {
+			style := codegen.StyleGrouped
+			if seed%3 == 0 {
+				style = codegen.StyleMux
+			}
+			t.Run(fmt.Sprintf("seed%d/%s/%s", seed, style, o.name), func(t *testing.T) {
+				objs, top := sim.BuildDesign(t, randomHierarchy(seed, -1), "rndtop", style)
+				last := objs[top].Children[len(objs[top].Children)-1].ObjectKey
+				var alt int
+				if _, err := fmt.Sscanf(last, "leaf%d", &alt); err != nil {
+					t.Fatalf("top's last child is %q: %v", last, err)
+				}
+				newObjs, _ := sim.BuildDesign(t, randomHierarchy(seed, alt), "rndtop", style)
+				run(t, objs, top, seed, o.f(seed), func(*lockstep) {}, 192, map[string]*vm.Object{last: newObjs[last]})
+			})
+		}
+	}
+}

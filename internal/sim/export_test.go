@@ -11,6 +11,20 @@ func ReferenceTick(s *Sim, n int, prof vm.Profiler) error { return s.referenceTi
 // ReferenceSettle is Settle on the reference kernel.
 func ReferenceSettle(s *Sim) error { return s.referenceSettle(nil) }
 
+// SetOrder has every settle schedule s compiles from now on, its current
+// one included, evaluate in the order f leaves the ranked worklist in;
+// restore puts the rank order back. Each change re-evaluates everything at
+// the next settle, as a Reload does.
+func SetOrder(s *Sim, f func(order []*Node)) (restore func()) {
+	set := func(f func(order []*Node)) {
+		s.reorder = f
+		s.rebuildIndex()
+		s.settled, s.allDirty = false, true
+	}
+	set(f)
+	return func() { set(nil) }
+}
+
 // TestDesign is one of this package's small hierarchical test designs.
 type TestDesign struct{ Name, Src, Top string }
 

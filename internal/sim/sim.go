@@ -11,11 +11,13 @@
 // settled by a schedule compiled once per New and per Reload: every port
 // bind becomes a copy that its source instance pushes right after it
 // evaluates, a push that changes a slot the receiver's comb code reads marks
-// the receiver dirty, and a worklist evaluates the dirty instances, cheapest
-// comb program first. When the worklist is empty every instance has
-// evaluated on exactly the values its neighbours drive — the unique fixed
-// point of acyclic combinational logic; a combinational loop through
-// module boundaries has none and is reported as an error.
+// the receiver dirty, and a worklist evaluates the dirty instances in order
+// of the port-level dependencies between them (compileSchedule), so that
+// an instance evaluates once its inputs have settled. When the worklist is
+// empty every instance has evaluated on exactly the values its neighbours
+// drive — the unique fixed point of acyclic combinational logic, whatever
+// the order; a combinational loop through module boundaries has none and
+// is reported as an error.
 //
 // A value crossing wiring-only levels is copied once, from the slot that
 // produces it to each slot that consumes it. The bound slots in between —
@@ -30,7 +32,12 @@
 // something: its comb code ran, a push changed a slot its Seq reads, or its
 // last Commit changed its state; an instance whose Seq holds $display or
 // $finish runs every cycle. A skipped instance's Seq would have computed
-// the state it already holds.
+// the state it already holds. Once every instance has committed, each one
+// whose state changed runs its object's edge program (vm.Object.Edge) and
+// pushes the outputs that depend on its state alone, so its neighbours
+// find them in place when the settle starts; an instance whose edge
+// program is its whole comb code is done for the cycle there. The edge
+// program writes only what Comb would write from the same state.
 //
 // The package owns the slot layout of instance state: other packages hand
 // it objects, transform ops and xform plans (Reload, RestoreAdapted,
@@ -85,9 +92,18 @@ type Node struct {
 
 	// The node's part of the settle schedule, rebuilt by rebuildIndex:
 	// rank is its position in the worklist (Sim.order) and push its
-	// compiled binds, sorted by source slot.
-	rank int
-	push []copyOp
+	// compiled binds, sorted by source slot within two groups: first the
+	// push[:nEdge] whose source slots the clock edge computes — its object's
+	// edge program or its state — then the others.
+	rank  int
+	push  []copyOp
+	nEdge int
+	// edge is the object's edge program. When a Commit changes the node's
+	// state and atEdge is set, the clock edge runs it and pushes
+	// push[:nEdge] once every instance has committed; a node whose edge
+	// program is its whole comb code is not marked for the settle.
+	edge   *vm.Edge
+	atEdge bool
 
 	// seqDirty says the next clock edge must run the node's Seq and
 	// Commit: its comb code ran, a push changed a slot its Seq reads, its
@@ -158,10 +174,12 @@ type Sim struct {
 
 	// The settle schedule: order is the worklist, bit r of dirty says
 	// order[r] saw an input or its own state change since it last
-	// evaluated, and no word of dirty below low has a bit set.
+	// evaluated, and no word of dirty below low has a bit set. moved holds
+	// the nodes a clock edge's commits changed that have work at the edge.
 	order []*Node
 	dirty []uint64
 	low   int
+	moved []*Node
 
 	// fill has one entry per transit slot, sorted by node and slot. The
 	// kernel does not write transit slots; stale says one may be behind
@@ -174,6 +192,10 @@ type Sim struct {
 
 	codeBase uint64
 	dataBase uint64
+
+	// reorder, when set, permutes the worklist after compileSchedule ranks
+	// it; the order-independence test sets it (SetOrder in export_test.go).
+	reorder func(order []*Node)
 
 	// sp is the attached activity profiler; nil means off, and every
 	// instrumented site below pays exactly one nil check.
@@ -196,8 +218,10 @@ type Option func(*Sim)
 func WithOutput(w io.Writer) Option { return func(s *Sim) { s.output = w } }
 
 // WithMetrics reports kernel activity (sim_ticks, sim_settle_calls,
-// sim_settle_passes, sim_reloads, sim_swapped_instances) into reg. A nil
-// registry keeps the hot path at its uninstrumented cost.
+// sim_settle_passes, sim_reloads, sim_swapped_instances) into reg.
+// sim_settle_passes counts worklist scans: one per settle, and one more
+// each time an evaluation marks an instance ranked before the one that
+// evaluated. A nil registry keeps the hot path at its uninstrumented cost.
 func WithMetrics(reg *obs.Registry) Option {
 	return func(s *Sim) {
 		if reg == nil {
@@ -294,10 +318,17 @@ func (s *Sim) rebuildIndex() {
 }
 
 // compileSchedule turns the hierarchy's port binds into per-node push
-// tables and ranks the nodes for the settle worklist: instances whose comb
-// program reads no bound port first — nothing that happens during a settle
-// can make them evaluate twice — then cheapest first, so that the
-// expensive instances wait until their inputs have stopped moving.
+// tables and ranks the nodes for the settle worklist by dependency level.
+// A bind source's level is 0 if the clock edge computes it (vm.Object.Deps
+// is empty, or the edge program is the whole comb code) and otherwise one
+// more than the highest level among the sources that drive the slots it
+// depends on; a slot no bind drives, such as a root input, is level 0. A
+// node ranks at the lowest level among its sources that some consumer's
+// comb code reads and the edge does not compute, and a node without one
+// just after the inputs its comb code reads; ties go to the shorter comb
+// program. A node then evaluates once its inputs have settled, unless it
+// drives outputs of different levels. A combinational loop is cut where
+// the walk finds it; the settle reports it.
 //
 // A transit slot — driven by one bind, carried on by others, and neither
 // read nor written by its own instance's code — gets no copy: each bind
@@ -309,8 +340,10 @@ func (s *Sim) compileSchedule() {
 	// written, counting-sorted by source slot: raw[start[g]:start[g+1]]
 	// read slot g. Only the collapsed tables built from raw are kept.
 	off := make([]int, len(s.nodes)+1)
+	widest := 0
 	for i, n := range s.nodes {
 		off[i+1] = off[i] + int(n.Obj.NumSlots)
+		widest = max(widest, int(n.Obj.NumSlots))
 	}
 	start := make([]int32, off[len(s.nodes)]+1)
 	// drivers counts the binds into each slot, capped at 2; transit marks
@@ -323,8 +356,10 @@ func (s *Sim) compileSchedule() {
 			*d++
 		}
 	})
-	for g := 1; g < len(start); g++ {
-		start[g] += start[g-1]
+	var sum int32
+	for g, c := range start {
+		sum += c
+		start[g] = sum
 	}
 	type hop struct {
 		dst  *Node
@@ -379,16 +414,31 @@ func (s *Sim) compileSchedule() {
 			carry(from, src, hop{o.dst, o.slot, r.mask & o.mask})
 		}
 	}
+	later := make([]int32, 0, widest) // the node's source slots the edge does not compute
 	for i, n := range s.nodes {
 		lo := len(all)
+		n.edge = n.Obj.Edge()
+		later = later[:0]
 		for g := off[i]; g < off[i+1]; g++ {
-			if drivers[g] != transit {
-				for _, r := range raw[start[g]:start[g+1]] {
-					carry(n, uint32(g-off[i]), r)
-				}
+			if drivers[g] == transit || start[g] == start[g+1] {
+				continue
+			}
+			if !n.edge.Computes.Has(uint32(g - off[i])) {
+				later = append(later, int32(g))
+				continue
+			}
+			for _, r := range raw[start[g]:start[g+1]] {
+				carry(n, uint32(g-off[i]), r)
+			}
+		}
+		n.nEdge = len(all) - lo
+		for _, g := range later {
+			for _, r := range raw[start[g]:start[g+1]] {
+				carry(n, uint32(int(g)-off[i]), r)
 			}
 		}
 		n.push = all[lo:len(all):len(all)]
+		n.atEdge = len(n.edge.Code) > 0 || n.nEdge > 0
 	}
 	s.binds = all
 	// A loop of wiring alone has no producer to reach it: its slots keep
@@ -405,7 +455,6 @@ func (s *Sim) compileSchedule() {
 			start[g], next[g] = int32(j), max(next[g], int32(j+1))
 		}
 	}
-	woken := make([]bool, len(s.nodes)) // by idx: some bind wakes the node
 	for _, n := range s.nodes {
 		n.seqAlways = slices.ContainsFunc(n.Obj.Seq, func(in vm.Instr) bool {
 			return in.Op == vm.OpDisplay || in.Op == vm.OpFinish
@@ -417,25 +466,112 @@ func (s *Sim) compileSchedule() {
 			op.fwdLo, op.fwdHi = start[g], next[g]
 			op.wake = d.Obj.CombReads().Has(op.dstSlot)
 			op.seqWake = d.Obj.SeqReads().Has(op.dstSlot)
-			woken[d.idx] = woken[d.idx] || op.wake
 		}
 	}
-
+	s.rank(off, start[:len(start)-1], next[:len(next)-1])
 	s.order = append(s.order[:0], s.nodes...)
 	slices.SortStableFunc(s.order, func(a, b *Node) int {
-		if woken[a.idx] != woken[b.idx] {
-			if woken[b.idx] {
-				return -1
-			}
-			return 1
+		if a.rank != b.rank {
+			return a.rank - b.rank
 		}
 		return len(a.Obj.Comb) - len(b.Obj.Comb)
 	})
+	if s.reorder != nil {
+		s.reorder(s.order)
+	}
 	for r, n := range s.order {
 		n.rank = r
 	}
 	s.dirty = make([]uint64, (len(s.order)+63)/64)
 	s.low = 0
+}
+
+// rank sets each node's rank to its dependency level, as compileSchedule
+// describes, in one memoised walk over the bound slots. Slot x of node i is
+// slot off[i]+x of the hierarchy; drv and lvl, one entry per slot, are
+// scratch space.
+func (s *Sim) rank(off []int, drv, lvl []int32) {
+	// drv[g]-1 is the slot whose push writes slot g; 0 is none. lvl[g]-2
+	// is the level of source slot g; 0 is not yet known, 1 being found.
+	clear(drv)
+	clear(lvl)
+	for i, n := range s.nodes {
+		for _, op := range n.push {
+			drv[off[op.dst.idx]+int(op.dstSlot)] = int32(off[i]+int(op.src)) + 1
+		}
+	}
+	var find func(g int) int32
+	level := func(g int) int32 {
+		if l := lvl[g]; l > 1 {
+			return l - 2
+		}
+		return find(g)
+	}
+	find = func(g int) int32 {
+		if lvl[g] == 1 {
+			return 0 // a combinational loop
+		}
+		lvl[g] = 1
+		var l int32
+		if d := drv[g]; d > 0 {
+			l = level(int(d - 1)) // a slot that carries a neighbour's value on
+		} else {
+			i, _ := slices.BinarySearch(off, g+1)
+			n, x := s.nodes[i-1], uint32(g-off[i-1])
+			if !n.edge.Computes.Has(x) {
+				for _, y := range n.Obj.Deps(x) {
+					if d := drv[off[i-1]+int(y)]; d > 0 {
+						l = max(l, 1+level(int(d-1)))
+					} else {
+						l = max(l, 1)
+					}
+				}
+			}
+		}
+		lvl[g] = l + 2
+		return l
+	}
+	var read func(op *copyOp) bool // some consumer's comb code reads op's value
+	read = func(op *copyOp) bool {
+		for j := op.fwdLo; j < op.fwdHi; j++ {
+			if fwd := &op.dst.push[j]; fwd.wake || read(fwd) {
+				return true
+			}
+		}
+		return false
+	}
+	for i, n := range s.nodes {
+		n.rank = -1
+		for j := n.nEdge; j < len(n.push); j++ {
+			op := &n.push[j]
+			if g := off[i] + int(op.src); drv[g] == 0 && (op.wake || read(op)) {
+				if l := int(level(g)); n.rank < 0 || l < n.rank {
+					n.rank = l
+				}
+			}
+		}
+	}
+	// A node that drives no such output ranks just after the inputs its
+	// comb code reads: until the end, its rank is -1-m for m the highest
+	// level among them plus one.
+	for i, n := range s.nodes {
+		for j := range n.push {
+			op := &n.push[j]
+			if !op.wake || op.dst.rank >= 0 {
+				continue
+			}
+			l := 0
+			if j >= n.nEdge {
+				l = int(level(off[i] + int(op.src)))
+			}
+			op.dst.rank = min(op.dst.rank, -2-l)
+		}
+	}
+	for _, n := range s.nodes {
+		if n.rank < 0 {
+			n.rank = -1 - n.rank
+		}
+	}
 }
 
 // eachBind calls f for every port bind of the hierarchy, as the copy it
@@ -591,7 +727,9 @@ func (s *Sim) SettleProfiled(prof vm.Profiler) error { return s.settle(prof) }
 // a slot a neighbour's push wrote is pushed onwards at once and marks its
 // instance if comb code reads it; whatever else writes a slot (Commit,
 // SetIn, PokeMem; Poke, Restore and Reload dirty everything) marks the
-// written instance, which then evaluates and pushes again. Evaluations are
+// written instance, which then evaluates and pushes again — except that a
+// Commit of an instance whose edge program is its whole comb code runs it
+// and pushes at the clock edge instead. Evaluations are
 // bounded by MaxSettle per instance, which only a combinational loop
 // through module boundaries exceeds.
 func (s *Sim) settle(vp vm.Profiler) error {
@@ -690,7 +828,8 @@ func (s *Sim) tick(n int, vp vm.Profiler) error {
 // clockEdge runs Seq and Commit on every instance that is due for it; an
 // instance whose registers or memories changed is dirty for the next
 // settle and due at the next edge. RunSeq reads and writes only its own
-// instance, so each instance can commit right after its own Seq.
+// instance, so each instance can commit right after its own Seq. Then the
+// edge pass runs, once every Seq has read its inputs.
 func (s *Sim) clockEdge() {
 	for _, nd := range s.nodes {
 		if nd.seqDirty {
@@ -698,6 +837,7 @@ func (s *Sim) clockEdge() {
 			s.commit(nd)
 		}
 	}
+	s.edgePass(nil)
 }
 
 // commit completes nd's clock edge after its Seq ran and reports whether
@@ -705,13 +845,42 @@ func (s *Sim) clockEdge() {
 func (s *Sim) commit(nd *Node) bool {
 	changed := nd.Inst.Commit()
 	if changed {
-		s.mark(nd)
+		if !nd.edge.Whole {
+			s.mark(nd)
+		}
+		if nd.atEdge {
+			s.moved = append(s.moved, nd)
+		}
 	}
 	nd.seqDirty = changed || nd.seqAlways
 	if nd.Inst.FinishReq {
 		s.finished = true
 	}
 	return changed
+}
+
+// edgePass runs the edge program of each node whose state the clock edge
+// changed and pushes the binds of the slots the edge computes, so that
+// the settle finds the outputs that depend on state alone already in
+// place. It must follow every commit: a push before a neighbour's Seq
+// would change what that Seq reads.
+func (s *Sim) edgePass(vp vm.Profiler) {
+	sp := s.sp
+	for _, nd := range s.moved {
+		switch {
+		case len(nd.edge.Code) == 0:
+		case sp == nil && vp == nil:
+			nd.Inst.RunEdge(&s.Stats)
+		case sp == nil:
+			nd.Inst.RunEdgeProfiled(&s.Stats, vp)
+		default:
+			t0 := sp.SampleStart()
+			nd.Inst.RunEdgeProfiled(&s.Stats, vp)
+			sp.EdgeDone(nd.idx, nd.edge.Whole, t0)
+		}
+		s.push(nd, nd.push[:nd.nEdge])
+	}
+	s.moved = s.moved[:0]
 }
 
 // clockEdgeInstrumented is clockEdge with the activity profiler, the
@@ -735,6 +904,7 @@ func (s *Sim) clockEdgeInstrumented(vp vm.Profiler) {
 			sp.Commit(nd.idx, changed)
 		}
 	}
+	s.edgePass(vp)
 	if sp != nil {
 		sp.EndCycle(s.cycle)
 	}

@@ -449,40 +449,57 @@ func (s *Sim) SetCycle(c uint64) { s.cycle = c }
 // ---------------------------------------------------------------- reload
 
 // Reload hot-swaps the object behind every instance whose specialization
-// key is key. The resolver must already return the new object for that
-// key. migrate transfers state instance by instance (nil uses
-// xform.Migrator(nil): the rules of Table V by name). Children of
-// swapped instances are reconciled by instance name and key: matching
-// subtrees keep their state, new ones power on at zero.
+// key is key: ReloadAll with one Swap.
+func (s *Sim) Reload(key string, migrate MigrateFunc) (int, error) {
+	return s.ReloadAll(Swap{key, migrate})
+}
+
+// Swap names one specialization key for ReloadAll and the MigrateFunc that
+// carries the state of its instances (nil uses xform.Migrator(nil): the
+// rules of Table V by name).
+type Swap struct {
+	Key     string
+	Migrate MigrateFunc
+}
+
+// ReloadAll hot-swaps, for each swap, the object behind every instance
+// whose specialization key is swap.Key, and returns how many instances it
+// swapped. The resolver must already return the new object for every key.
+// Children of swapped instances are reconciled by instance name and key:
+// matching subtrees keep their state, new ones power on at zero. The
+// schedule is compiled once, after the last swap: an edit that changes a
+// child's ports and its parent's binds is consistent only when both are in.
 //
 // This is the kernel half of the paper's swapStage command: one compiled
 // object replaces N instances' code without touching unrelated state.
-func (s *Sim) Reload(key string, migrate MigrateFunc) (int, error) {
-	plan := planCache(migrate)
-	newObj, err := s.resolver.Object(key)
-	if err != nil {
-		return 0, err
-	}
-	s.place(newObj)
+func (s *Sim) ReloadAll(swaps ...Swap) (int, error) {
 	s.Sync() // a plan may carry a transit slot
 	count := 0
-	var walk func(n *Node) error
-	walk = func(n *Node) error {
-		if n.Obj.Key == key && n.Obj != newObj {
-			if err := s.swapNode(n, newObj, plan(n.Obj, newObj)); err != nil {
-				return err
-			}
-			count++
+	for _, sw := range swaps {
+		plan := planCache(sw.Migrate)
+		newObj, err := s.resolver.Object(sw.Key)
+		if err != nil {
+			return count, err
 		}
-		for _, c := range n.Children {
-			if err := walk(c); err != nil {
-				return err
+		s.place(newObj)
+		var walk func(n *Node) error
+		walk = func(n *Node) error {
+			if n.Obj.Key == sw.Key && n.Obj != newObj {
+				if err := s.swapNode(n, newObj, plan(n.Obj, newObj)); err != nil {
+					return err
+				}
+				count++
 			}
+			for _, c := range n.Children {
+				if err := walk(c); err != nil {
+					return err
+				}
+			}
+			return nil
 		}
-		return nil
-	}
-	if err := walk(s.Root); err != nil {
-		return count, err
+		if err := walk(s.Root); err != nil {
+			return count, err
+		}
 	}
 	s.rebuildIndex()
 	s.settled = false

@@ -168,7 +168,7 @@ func (in *Instance) RunCombProfiled(st *Stats, p Profiler) {
 		in.RunComb(st)
 		return
 	}
-	in.execProfiled(in.Obj.Comb, st, p, in.Obj.BaseAddr)
+	in.execProfiled(in.Obj.Comb, nil, st, p, in.Obj.BaseAddr)
 }
 
 // RunSeqProfiled is RunSeq with a profiler attached; a nil profiler runs
@@ -179,7 +179,7 @@ func (in *Instance) RunSeqProfiled(st *Stats, p Profiler) {
 		return
 	}
 	in.seqDefaults()
-	in.execProfiled(in.Obj.Seq, st, p, in.Obj.BaseAddr+uint64(len(in.Obj.Comb)*InstrBytes))
+	in.execProfiled(in.Obj.Seq, nil, st, p, in.Obj.BaseAddr+uint64(len(in.Obj.Comb)*InstrBytes))
 }
 
 // exec interprets code against the instance state. It is the one
@@ -339,11 +339,11 @@ func (in *Instance) exec(code []Instr, st *Stats) {
 }
 
 // execProfiled is exec with every instruction and its data accesses
-// reported to prof first. base is the modeled code address of code[0].
-// It decides branches itself and hands every other op to exec as a
-// one-instruction program, so the two loops cannot disagree on what an
-// op computes.
-func (in *Instance) execProfiled(code []Instr, st *Stats, prof Profiler, base uint64) {
+// reported to prof first. code[pc] is modeled at base+at[pc]*InstrBytes,
+// or at base+pc*InstrBytes when at is nil. It decides branches itself and
+// hands every other op to exec as a one-instruction program, so the two
+// loops cannot disagree on what an op computes.
+func (in *Instance) execProfiled(code []Instr, at []uint32, st *Stats, prof Profiler, base uint64) {
 	if st == nil {
 		st = new(Stats)
 	}
@@ -361,7 +361,11 @@ func (in *Instance) execProfiled(code []Instr, st *Stats, prof Profiler, base ui
 		case OpJne:
 			tk = s[ins.A] != s[ins.C]
 		}
-		prof.Instr(base+uint64(pc*InstrBytes), ins.Op.IsBranch(), tk)
+		addr := uint64(pc)
+		if at != nil {
+			addr = uint64(at[pc])
+		}
+		prof.Instr(base+addr*InstrBytes, ins.Op.IsBranch(), tk)
 		in.profData(prof, ins)
 		if !ins.Op.IsBranch() {
 			in.exec(code[pc:pc+1], st)

@@ -118,6 +118,8 @@ type Object struct {
 	baseMu    sync.Mutex // orders AssignBase between loaders
 	readsOnce sync.Once
 	reads     SlotSet // CombReads, SeqReads, then UsedSlots
+	depsOnce  sync.Once
+	deps      *combDeps // Deps and Edge
 }
 
 // SlotSet is a set of an object's slots, one bit per slot.

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"livesim/internal/obs"
 	"livesim/internal/server"
 	"livesim/internal/server/client"
 	"livesim/internal/wire"
@@ -183,8 +182,6 @@ func (g *Gateway) setBackendState(b *backend, st backendState, why string) {
 		msg += ": " + why
 	}
 	g.tel.Event("backend_state", "", "", b.addr()+": "+msg)
-	g.log.Info("backend state", obs.Str("backend", b.addr()),
-		obs.Str("from", prev.String()), obs.Str("to", st.String()))
 	wasAlive := prev != bsDown && prev != bsUnknown
 	if !wasAlive && st != bsDown {
 		g.background(func() { g.discover(b) }) // the reconcile sweep

@@ -43,7 +43,6 @@ func (g *Gateway) armReplication(session string, primary *backend, trace, parent
 	resp := g.forward(primary, &wire.Request{Session: session, Verb: "replicate",
 		Args: []string{standby.addr()}, TraceID: trace, ParentSpan: asp.SID()})
 	if !resp.OK {
-		g.reg.Counter("gateway_replication_arm_failures").Inc()
 		g.tel.Event("replication_arm_failed", session, trace,
 			fmt.Sprintf("%s -> %s: %s (%s)", primary.addr(), standby.addr(), resp.Error, resp.Code))
 		return nil
@@ -57,7 +56,6 @@ func (g *Gateway) armReplication(session string, primary *backend, trace, parent
 		r.mu.Unlock()
 	}
 	g.mu.Unlock()
-	g.reg.Counter("gateway_replications_armed").Inc()
 	g.tel.Event("replication_armed", session, trace, primary.addr()+" -> "+standby.addr())
 	return standby
 }
@@ -117,7 +115,6 @@ func (g *Gateway) failover(name string, r *route, standby *backend) {
 		resp := g.forward(standby, &wire.Request{Session: name, Verb: "promote", Epoch: epoch,
 			TraceID: trace, ParentSpan: fsp.SID()})
 		if !resp.OK && resp.Code == wire.CodeFenced {
-			g.reg.Counter("gateway_stale_promotes_fenced").Inc()
 			g.tel.Event("stale_promote_fenced", name, trace,
 				fmt.Sprintf("standby %s rejected promote at stale epoch %d", standby.addr(), epoch))
 		}
@@ -125,16 +122,12 @@ func (g *Gateway) failover(name string, r *route, standby *backend) {
 
 	ack, err := g.promote(name, r, standby, trace, fsp.SID())
 	if err != nil {
-		g.reg.Counter("gateway_failover_failures").Inc()
 		g.tel.Event("failover_failed", name, trace, err.Error())
 		return
 	}
-	g.reg.Counter("gateway_failovers").Inc()
 	g.tel.Event("failover", name, trace,
 		fmt.Sprintf("promoted standby %s at epoch %d (acked seq %d); primary %s down past %v",
 			standby.addr(), ack.Epoch, ack.AckedSeq, dead.addr(), g.cfg.FailoverGrace))
-	g.log.Info("failover", obs.Str("session", name), obs.Str("from", dead.addr()),
-		obs.Str("to", standby.addr()), obs.U64("epoch", ack.Epoch), obs.Str("trace", trace))
 	// Close the loop: the promoted primary gets its own standby so a
 	// second failure is survivable too.
 	g.restandby(name, standby, nil, trace, fsp.SID())

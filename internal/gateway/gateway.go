@@ -209,7 +209,7 @@ func New(cfg Config) (*Gateway, error) {
 		log:   cfg.Log,
 		start: time.Now(),
 		tel: obs.NewTelemetry(cfg.TelemetryConfig, "lsgate", cfg.TraceOut, 0,
-			cfg.Metrics.Counter("gateway_blackbox_dumps"), cfg.Log),
+			cfg.Metrics, "gateway", cfg.Log),
 		backends: backends,
 		routes:   make(map[string]*route),
 		stop:     make(chan struct{}),
@@ -384,7 +384,6 @@ func (g *Gateway) discover(b *backend) {
 			continue
 		}
 		if pinned {
-			g.reg.Counter("gateway_resurrections_closed").Inc()
 			g.tel.Event("resurrection", info.Name, "",
 				fmt.Sprintf("stale copy on %s closed; authoritative on %s", b.addr(), owner.addr()))
 			g.forward(b, &wire.Request{Session: info.Name, Verb: "close",
@@ -639,7 +638,6 @@ func (g *Gateway) forwardSession(req *wire.Request) *wire.Response {
 func (g *Gateway) forward(b *backend, req *wire.Request) *wire.Response {
 	cli, err := b.client()
 	if err != nil {
-		g.reg.Counter("gateway_forward_errors").Inc()
 		g.setBackendState(b, bsDown, err.Error())
 		return g.unavailResp(req, b, err)
 	}
@@ -659,7 +657,6 @@ func (g *Gateway) forward(b *backend, req *wire.Request) *wire.Response {
 	if err != nil {
 		fsp.Annotate(obs.Bool("ok", false))
 		fsp.End()
-		g.reg.Counter("gateway_forward_errors").Inc()
 		if errors.Is(err, wire.ErrTooLong) && !errors.Is(err, client.ErrDisconnected) {
 			// The request was too long to frame and never left: that says
 			// nothing about the backend, and its connection carries other
@@ -708,7 +705,6 @@ func (g *Gateway) placeCreate(req *wire.Request) *wire.Response {
 	}
 	resp := g.forward(b, req)
 	if resp.OK {
-		g.reg.Counter("gateway_creates_placed").Inc()
 		g.setRoute(req.Session, b, true)
 		g.tel.Event("placed", req.Session, req.TraceID, "created on "+b.addr())
 		if g.cfg.Replicate {

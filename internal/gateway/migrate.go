@@ -113,14 +113,12 @@ func (g *Gateway) MigrateTraced(session, targetAddr, trace, parentSID string) (*
 	msp.Annotate(obs.Bool("ok", err == nil))
 	msp.End()
 	if err != nil {
-		g.reg.Counter("gateway_migration_failures").Inc()
 		g.tel.Event("migrate_failed", session, trace,
 			fmt.Sprintf("%s -> %s: %v", source.addr(), target.addr(), err))
 		g.log.Warn("migration failed", obs.Str("session", session), obs.Str("trace", trace),
 			obs.Str("from", source.addr()), obs.Str("to", target.addr()), obs.Str("err", err.Error()))
 		return nil, err
 	}
-	g.reg.Counter("gateway_migrations").Inc()
 	g.reg.Histogram("gateway_migration_blackout_seconds", nil).Observe(rep.BlackoutMs / 1e3)
 	g.tel.Event("migrated", session, trace,
 		fmt.Sprintf("%s -> %s in %.1fms", rep.From, rep.To, rep.BlackoutMs))

@@ -106,13 +106,6 @@ func (m *DiskMonitor) Eval() (level PressureLevel, changed bool, err error) {
 	return next, changed, nil
 }
 
-// Level returns the last evaluated level without probing.
-func (m *DiskMonitor) Level() PressureLevel {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.level
-}
-
 // Free returns the last probed (free, total) bytes.
 func (m *DiskMonitor) Free() (free, total uint64) {
 	m.mu.Lock()

@@ -11,8 +11,9 @@ import (
 
 // Event is one notable operational incident — a rollback, a quarantine
 // trip, a recovery, a watchdog cancel, an eviction, a WAL fallback.
-// Metrics say how often these happen; the event ring says which
-// session, when, and why, for the most recent window of them.
+// Telemetry.Event is its one recording site: the <prefix>_event_<type>
+// counter says how often each type happens, and the event ring says
+// which session, when, and why, for the most recent window of them.
 type Event struct {
 	// Seq is the event's number in the ring (1-based, never reused), so
 	// pollers can ask "everything after the last seq I saw" and detect
@@ -29,11 +30,15 @@ type Event struct {
 }
 
 // Event records one lifecycle incident, with the trace id it happened
-// under ("" for none), in the event ring and the black-box ring — so a
-// dump holds the event timeline interleaved with the spans.
+// under ("" for none), everywhere it is kept: the event ring (the
+// queryable recent history), the black-box ring (so a dump holds the
+// event timeline interleaved with the spans), one info log line (the
+// durable trail), and the <prefix>_event_<type> counter.
 func (t *Telemetry) Event(typ, session, trace, msg string) {
 	t.events.Push(Event{TS: time.Now(), Type: typ, Session: session, Trace: trace, Msg: msg})
 	t.Flight.Note(typ, session, trace, msg)
+	t.log.Info(msg, Str("event", typ), Str("session", session), Str("trace", trace))
+	t.reg.Counter(t.prefix + "_event_" + typ).Inc()
 }
 
 // Events returns the retained events numbered after since, oldest

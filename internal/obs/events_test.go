@@ -11,7 +11,7 @@ import (
 
 // eventTel is a telemetry plane with only its event ring on.
 func eventTel() *Telemetry {
-	return NewTelemetry(TelemetryConfig{SpanStoreCap: -1, FlightRecorderCap: -1}, "testd", nil, 0, nil, nil)
+	return NewTelemetry(TelemetryConfig{SpanStoreCap: -1, FlightRecorderCap: -1}, "testd", nil, 0, nil, "", nil)
 }
 
 func TestEventRingRetainsNewest(t *testing.T) {

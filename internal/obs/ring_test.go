@@ -59,7 +59,7 @@ func TestRingDeleteKeepsOrderAndRoom(t *testing.T) {
 // chunked lines at the same time must not splice one's held chunk onto
 // the other's.
 func TestLineWriterPerStream(t *testing.T) {
-	tel := NewTelemetry(TelemetryConfig{}, "p", nil, 0, nil, nil)
+	tel := NewTelemetry(TelemetryConfig{}, "p", nil, 0, nil, "", nil)
 	a, b := NewFanout(), NewFanout()
 	tel.AttachSinks(a)
 	tel.AttachSinks(b)

@@ -349,7 +349,7 @@ func TestFlightRecorderChunkedWrite(t *testing.T) {
 // its argument while splitting lines. A regression here silently drops
 // every span after the first, from the store and the ring alike.
 func TestSpanStoreThroughFanout(t *testing.T) {
-	tel := NewTelemetry(TelemetryConfig{}, "p", nil, 0, nil, nil)
+	tel := NewTelemetry(TelemetryConfig{}, "p", nil, 0, nil, "", nil)
 	fan := NewFanout()
 	tel.AttachSinks(fan)
 	tr := NewTracer(fan)
@@ -381,7 +381,7 @@ func BenchmarkSpanEndBare(b *testing.B) {
 }
 
 func BenchmarkSpanEndStored(b *testing.B) {
-	tel := NewTelemetry(TelemetryConfig{ProcName: "bench"}, "bench", nil, 0, nil, nil)
+	tel := NewTelemetry(TelemetryConfig{ProcName: "bench"}, "bench", nil, 0, nil, "", nil)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tel.Tracer.StartRemote("deadbeefcafe0001", "", "bench", Str("verb", "apply")).End()

@@ -65,6 +65,8 @@ type Telemetry struct {
 
 	dir      string
 	log      *Logger
+	reg      *Registry
+	prefix   string
 	dumps    *Counter
 	lastDump atomic.Int64 // last trigger dump, unixnano (rate limit)
 
@@ -87,16 +89,19 @@ const defaultRetainOver = 250 * time.Millisecond
 // nil) additionally receives every span line; retainOver is the
 // tail-sampling threshold: completed traces at least this slow, or
 // errored, stay in the span store while fast successful ones rotate
-// through a small recent ring (0 or less: 250ms); dumps counts trigger
-// dumps under the caller's metric name.
-func NewTelemetry(cfg TelemetryConfig, daemon string, traceOut io.Writer, retainOver time.Duration, dumps *Counter, log *Logger) *Telemetry {
+// through a small recent ring (0 or less: 250ms). Events and trigger
+// dumps are counted in reg under prefix: <prefix>_event_<type> and
+// <prefix>_blackbox_dumps.
+func NewTelemetry(cfg TelemetryConfig, daemon string, traceOut io.Writer, retainOver time.Duration, reg *Registry, prefix string, log *Logger) *Telemetry {
 	t := &Telemetry{
 		Proc:   cfg.ProcName,
 		Fan:    NewFanout(),
 		events: NewRing[Event](eventRingCap),
 		dir:    cfg.BlackboxDir,
 		log:    log,
-		dumps:  dumps,
+		reg:    reg,
+		prefix: prefix,
+		dumps:  reg.Counter(prefix + "_blackbox_dumps"),
 		stop:   make(chan struct{}),
 	}
 	if t.Proc == "" {
@@ -156,12 +161,11 @@ func (t *Telemetry) HandleFlightz(w http.ResponseWriter, r *http.Request) {
 	t.Flight.Dump(w, "flightz")
 }
 
-// Blackbox records an abnormal incident as an event, logs it, and dumps
-// the flight recorder: request panics, self-fence, quarantine trips,
+// Blackbox records an abnormal incident as an event and dumps the
+// flight recorder: request panics, self-fence, quarantine trips,
 // watchdog cancels, a worker stuck at drain.
 func (t *Telemetry) Blackbox(reason, session, trace, msg string) {
 	t.Event(reason, session, trace, msg)
-	t.log.Info(msg, Str("event", reason), Str("session", session), Str("trace", trace))
 	t.Dump(reason)
 }
 

@@ -76,7 +76,7 @@ func TestTelemetryDumpIsRateLimited(t *testing.T) {
 	dir := t.TempDir()
 	reg := NewRegistry()
 	tel := NewTelemetry(TelemetryConfig{BlackboxDir: dir, BlackboxFlushEvery: -1},
-		"testd", nil, 0, reg.Counter("x_blackbox_dumps"), nil)
+		"testd", nil, 0, reg, "x", nil)
 	defer tel.Stop()
 	if !strings.HasPrefix(tel.Proc, "testd:") {
 		t.Fatalf("default proc name %q, want testd:<pid>", tel.Proc)
@@ -103,7 +103,7 @@ func TestTelemetryDumpIsRateLimited(t *testing.T) {
 // while the ring is dirty, and Stop waits for its last write.
 func TestTelemetryFlusherAndStop(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "made-on-demand")
-	tel := NewTelemetry(TelemetryConfig{BlackboxDir: dir, BlackboxFlushEvery: time.Hour}, "testd", nil, 0, nil, nil)
+	tel := NewTelemetry(TelemetryConfig{BlackboxDir: dir, BlackboxFlushEvery: time.Hour}, "testd", nil, 0, nil, "", nil)
 	deadline := time.Now().Add(5 * time.Second)
 	for len(blackboxFiles(t, dir)) == 0 {
 		if time.Now().After(deadline) {
@@ -122,7 +122,7 @@ func TestTelemetryFlusherAndStop(t *testing.T) {
 		t.Fatalf("Stop returned before the last flush: %q", data)
 	}
 
-	off := NewTelemetry(TelemetryConfig{SpanStoreCap: -1, FlightRecorderCap: -1, BlackboxDir: dir}, "testd", nil, 0, nil, nil)
+	off := NewTelemetry(TelemetryConfig{SpanStoreCap: -1, FlightRecorderCap: -1, BlackboxDir: dir}, "testd", nil, 0, nil, "", nil)
 	off.Event("x", "", "", "nil-safe when disabled")
 	off.Dump("x")
 	off.Stop()

@@ -284,7 +284,7 @@ func FuzzSpanLine(f *testing.F) {
 // recorder on. The trace id is reused, so the store's entry for it is
 // made once; 101 spans stay under the store's per-trace cap.
 func TestRequestSpanAllocs(t *testing.T) {
-	tel := NewTelemetry(TelemetryConfig{ProcName: "p"}, "p", nil, 0, nil, nil)
+	tel := NewTelemetry(TelemetryConfig{ProcName: "p"}, "p", nil, 0, nil, "", nil)
 	defer tel.Stop()
 	allocs := testing.AllocsPerRun(100, func() {
 		sp := tel.Tracer.StartRemote("deadbeefcafe0001", "gw-7", "request", Str("verb", "run"), Str("session", "s1"))

@@ -19,9 +19,10 @@ import (
 // the NDJSON session port so scrapes and profilers never contend with
 // simulation traffic:
 //
-//	GET /metrics      Prometheus text exposition: the server registry
-//	                  plus every per-session registry (session label)
-//	                  and the rolling-window latency quantiles
+//	GET /metrics      Prometheus text exposition: the health verdict,
+//	                  the server registry plus every per-session
+//	                  registry (session label) and the rolling-window
+//	                  latency quantiles
 //	GET /healthz      liveness with drain/recovery/quarantine awareness
 //	GET /eventsz      the operational event ring as JSON (?since=seq)
 //	GET /profilez     per-session activity-profiler snapshots as JSON
@@ -55,9 +56,21 @@ func (s *Server) AdminHandler() http.Handler {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	pw := obs.NewPromWriter("livesim_")
+	// The health verdict as /healthz would write it now: each numeric
+	// field as livesim_health_<json key>, and the disk rung as a number.
+	health := s.health()
+	var fields map[string]any
+	body, _ := json.Marshal(health)
+	json.Unmarshal(body, &fields)
+	for k, v := range fields {
+		if f, ok := v.(float64); ok {
+			pw.AddSample("health_"+k, "gauge", nil, f)
+		}
+	}
+	pw.AddSample("health_disk_level", "gauge", nil, float64(health.disk))
 	// Snapshot outside the table lock: Registry.Snapshot runs OnSnapshot
 	// hooks that take session locks.
-	pw := obs.NewPromWriter("livesim_")
 	pw.AddSnapshot(nil, s.reg.Snapshot())
 	for _, h := range s.hostedSet(true) {
 		labels := map[string]string{"session": h.name}
@@ -115,6 +128,8 @@ type Health struct {
 	Sessions        int     `json:"sessions"`
 	Status          string  `json:"status"`
 	UptimeSecs      float64 `json:"uptime_secs"`
+
+	disk govern.PressureLevel // DiskLevel's rung, for /metrics
 }
 
 // health works out the verdict. Status is "draining", "recovering" (a
@@ -146,7 +161,7 @@ func (s *Server) health() Health {
 		}
 	}
 	disk := s.diskLevelNow()
-	h.DiskLevel = disk.String()
+	h.disk, h.DiskLevel = disk, disk.String()
 	switch {
 	case h.Draining:
 		h.Status = "draining"

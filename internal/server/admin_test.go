@@ -4,10 +4,15 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"livesim/internal/core"
+	"livesim/internal/faultinject"
+	"livesim/internal/govern"
 	"livesim/internal/obs"
 	"livesim/internal/server"
 )
@@ -235,5 +240,75 @@ func TestAdminHealthzDegraded(t *testing.T) {
 	}
 	if health.Status != "degraded" || health.Quarantined != 1 {
 		t.Fatalf("/healthz = %+v, want degraded with 1 quarantined", health)
+	}
+}
+
+// TestMetricsCarryHealth: /metrics renders the health verdict as it is —
+// each numeric /healthz field as livesim_health_<key>, and the disk rung
+// as livesim_health_disk_level — so a scrape and a probe cannot disagree.
+func TestMetricsCarryHealth(t *testing.T) {
+	// Registered before startServer, so the restore runs after shutdown.
+	t.Cleanup(server.SetBreakerThreshold(1))
+	srv, addr := startServer(t, server.Config{
+		StateDir:      filepath.Join(t.TempDir(), "state"),
+		Faults:        faultinject.New().ForceDiskFree(15, 100), // the elevated rung
+		DiskPollEvery: 10 * time.Millisecond,
+	})
+	c := dial(t, addr)
+	createTiny(t, c, "q0", 20)
+	if resp, err := c.Do(&server.Request{Session: "q0", Verb: "testpanic"}); err != nil || resp.OK {
+		t.Fatalf("testpanic: %+v, %v; want a failure that trips the breaker", resp, err)
+	}
+	h := srv.AdminHandler()
+	for deadline := time.Now().Add(5 * time.Second); !strings.Contains(adminGet(t, h, "/healthz").Body.String(), `"disk_level":"elevated"`); time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the disk ladder never reached elevated")
+		}
+	}
+
+	samples := map[string]float64{}
+	for _, line := range strings.Split(adminGet(t, h, "/metrics").Body.String(), "\n") {
+		name, val, ok := strings.Cut(line, " ")
+		if key, found := strings.CutPrefix(name, "livesim_health_"); ok && found {
+			v, err := strconv.ParseFloat(val, 64)
+			if err != nil {
+				t.Fatalf("%q: %v", line, err)
+			}
+			samples[key] = v
+		}
+	}
+	var body map[string]any
+	if err := json.Unmarshal(adminGet(t, h, "/healthz").Body.Bytes(), &body); err != nil {
+		t.Fatal(err)
+	}
+	if body["quarantined"] != 1.0 || body["status"] != "degraded" {
+		t.Fatalf("/healthz = %v, want degraded with 1 quarantined", body)
+	}
+	want := map[string]float64{}
+	for k, v := range body {
+		if f, ok := v.(float64); ok {
+			want[k] = f
+		}
+	}
+	for lvl := govern.LevelOK; lvl <= govern.LevelEmergency; lvl++ {
+		if lvl.String() == body["disk_level"] {
+			want["disk_level"] = float64(lvl)
+		}
+	}
+	if len(samples) != len(want) {
+		t.Errorf("health samples %v, want one per numeric /healthz field and the disk rung: %v", samples, want)
+	}
+	for k, w := range want {
+		got, ok := samples[k]
+		switch {
+		case !ok:
+			t.Errorf("no livesim_health_%s on /metrics", k)
+		case k == "uptime_secs": // /healthz was read after /metrics
+			if got <= 0 || got > w {
+				t.Errorf("livesim_health_uptime_secs = %v, /healthz uptime_secs = %v", got, w)
+			}
+		case got != w:
+			t.Errorf("livesim_health_%s = %v, /healthz %s = %v", k, got, k, w)
+		}
 	}
 }

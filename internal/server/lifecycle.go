@@ -108,7 +108,6 @@ func (s *Server) reserve(name string, via way) (*hosted, string, error) {
 	case s.sessions[name] != nil:
 		return nil, wire.CodeBadRequest, fmt.Errorf("session %q already exists", name)
 	case via != viaRecover && len(s.sessions) >= maxSessions:
-		s.reg.Counter("server_session_limit_rejects").Inc()
 		return nil, wire.CodeSessionLimit,
 			fmt.Errorf("session limit %d reached: %w", maxSessions, ErrSessionLimit)
 	}
@@ -212,8 +211,7 @@ func (s *Server) evict(h *hosted, why string) {
 	if ds := s.persist(h, leaveWatermark); ds.Files != nil {
 		why += fmt.Sprintf("; checkpointed %d pipes", len(ds.Files))
 	}
-	s.event("eviction", h.name, why)
-	s.reg.Counter("server_sessions_evicted").Inc()
+	s.tel.Event("eviction", h.name, "", why)
 }
 
 // watermark is the one writer of watermarks. It checkpoints every pipe

@@ -183,7 +183,7 @@ func lcClose(args ...string) func(t *testing.T, T *lcServer) {
 func lcIdle(cfg *server.Config) { cfg.IdleTimeout = 300 * time.Millisecond }
 func lcShed(cfg *server.Config) { cfg.MemBudget, cfg.DiskPollEvery = 1, 5*time.Millisecond }
 
-func lcEvicted(t *testing.T, T *lcServer) { waitCounter(t, T.srv, "server_sessions_evicted", 1) }
+func lcEvicted(t *testing.T, T *lcServer) { waitCounter(t, T.srv, "server_event_eviction", 1) }
 
 var lcWaysOut = []lcWayOut{
 	{name: "close", leave: lcClose(), answer: wire.CodeNoSession},
@@ -337,7 +337,7 @@ func TestEvictionReanchorsPausedJournal(t *testing.T) {
 	mustOK(t, A.c, &server.Request{Session: "e0", Verb: "run", Args: []string{"clock", "p0", "100"}})
 	waitNondurable(t, A.c, "e0", true)
 	mustOK(t, A.c, &server.Request{Session: "e0", Verb: "run", Args: []string{"clock", "p0", "50"}})
-	waitCounter(t, A.srv, "server_sessions_evicted", 1)
+	waitCounter(t, A.srv, "server_event_eviction", 1)
 	A.srv.Halt()
 
 	B := lcStart(t, server.Config{StateDir: state, WALSyncEvery: -1}, filepath.Join(dir, "b.sock"))
@@ -411,7 +411,7 @@ func TestStopWaitsForRecovery(t *testing.T) {
 						t.Errorf("a replay that ended after the stop recorded %s: %s", ev.Type, ev.Msg)
 					}
 				}
-				if n := B.srv.Metrics().Counter("server_sessions_recovered").Value(); n != 0 {
+				if n := B.srv.Metrics().Counter("server_event_recovery").Value(); n != 0 {
 					t.Errorf("%d session(s) started after the stop", n)
 				}
 				if fileExists(filepath.Join(state, "l0.wal.failed")) {
@@ -458,7 +458,7 @@ func TestFollowerRestartKeepsTheStream(t *testing.T) {
 			t.Fatal("the stream never caught up with the restarted follower")
 		}
 	}
-	if n := R.srv.Metrics().Counter("server_repl_resyncs").Value(); n != 0 {
+	if n := R.srv.Metrics().Counter("server_refused_repl_resync").Value(); n != 0 {
 		t.Errorf("restarted follower answered %d batch(es) repl_resync", n)
 	}
 	if got, want := lcFingerprint(t, R.c), lcFingerprint(t, A.c); got != want {

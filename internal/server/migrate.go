@@ -37,8 +37,7 @@ func (s *Server) requestDrain(req *Request) *Response {
 		return wire.Refuse(req, wire.CodeDraining, ErrDraining)
 	}
 	s.drainOnce.Do(func() { close(s.drainReq) })
-	s.reg.Counter("server_drain_requests").Inc()
-	s.event("drain_requested", "", "graceful drain requested over the wire")
+	s.tel.Event("drain_requested", "", "", "graceful drain requested over the wire")
 	return &Response{ID: req.ID, OK: true,
 		Output: "drain requested; server will checkpoint sessions and stop\n"}
 }

@@ -101,7 +101,6 @@ func (s *Server) governTick() {
 		free, total := s.disk.Free()
 		s.reg.Gauge("server_disk_free_bytes").Set(free)
 		s.reg.Gauge("server_disk_total_bytes").Set(total)
-		s.reg.Gauge("server_disk_pressure_level").Set(uint64(lvl))
 		s.diskLevel.Store(int32(lvl))
 		if changed {
 			s.applyPressure(prev, lvl)
@@ -116,8 +115,6 @@ func (s *Server) governTick() {
 			}
 		}
 	}
-	s.reg.Gauge("server_admit_inflight").Set(uint64(s.admit.Inflight()))
-	s.reg.Gauge("server_admit_rejects").Set(uint64(s.admit.Rejects()))
 	s.memGovern()
 }
 
@@ -127,8 +124,7 @@ func (s *Server) governTick() {
 // goroutine, where touching the session is safe.
 func (s *Server) applyPressure(prev, next govern.PressureLevel) {
 	free, total := s.disk.Free()
-	s.reg.Counter("server_disk_pressure_changes").Inc()
-	s.event("disk_pressure", "",
+	s.tel.Event("disk_pressure", "", "",
 		fmt.Sprintf("disk pressure %s -> %s (%d of %d bytes free)", prev, next, free, total))
 
 	hs := s.hostedSet(false) // all journaled: the ladder runs only with a state dir
@@ -176,8 +172,7 @@ func (s *Server) gcCheckpointBackups() {
 		}
 	}
 	if freed > 0 {
-		s.reg.Counter("server_ckpt_backups_gced").Add(uint64(freed))
-		s.event("disk_gc", "", fmt.Sprintf("removed %d redundant checkpoint backup(s)", freed))
+		s.tel.Event("disk_gc", "", "", fmt.Sprintf("removed %d redundant checkpoint backup(s)", freed))
 	}
 }
 
@@ -191,21 +186,7 @@ func (s *Server) pauseJournal(h *hosted, reason string) {
 		return
 	}
 	h.pausedAt.Store(time.Now().UnixNano())
-	s.reg.Counter("server_journal_pauses").Inc()
-	s.updateNondurableGauge()
-	s.event("journal_paused", h.name, reason)
-}
-
-// updateNondurableGauge recounts journal-paused sessions into the
-// nondurable_sessions gauge.
-func (s *Server) updateNondurableGauge() {
-	n := uint64(0)
-	for _, h := range s.hostedSet(false) {
-		if h.journalPaused.Load() {
-			n++
-		}
-	}
-	s.reg.Gauge("nondurable_sessions").Set(n)
+	s.tel.Event("journal_paused", h.name, "", reason)
 }
 
 // updateMemUsage refreshes a session's footprint estimate. Called on
@@ -221,7 +202,7 @@ func (s *Server) updateMemUsage(h *hosted) {
 			h.memWAL.Store(uint64(sz))
 		}
 	}
-	h.reg.Gauge("session_mem_bytes").Set(h.memBytes().Total())
+	h.memGauge.Set(h.memBytes().Total())
 }
 
 // memGovern publishes the process-wide memory estimate and, past the
@@ -233,7 +214,6 @@ func (s *Server) memGovern() {
 		total += h.memBytes().Total()
 	}
 	s.reg.Gauge("server_mem_bytes").Set(total)
-	s.updateNondurableGauge()
 
 	if s.cfg.MemBudget == 0 || total <= s.cfg.MemBudget {
 		return
@@ -251,7 +231,6 @@ func (s *Server) memGovern() {
 		mem := h.memBytes().Total()
 		if h = s.unlink(h.name, sheddable); h != nil {
 			total -= mem
-			s.reg.Counter("server_mem_pressure_evictions").Inc()
 			s.evict(h, fmt.Sprintf("memory pressure: shed ~%d bytes (idle %v)", mem, h.idle().Round(time.Second)))
 		}
 	}

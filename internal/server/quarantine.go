@@ -78,26 +78,12 @@ func (b *breaker) clear() {
 }
 
 // noteFailure feeds one session failure into its breaker, handling the
-// trip transition (log, counter, gauge).
+// trip transition (the quarantine_trip event and a black-box dump).
 func (s *Server) noteFailure(h *hosted, reason string) {
 	if h.brk.fail(reason) {
-		s.reg.Counter("server_sessions_quarantined").Inc()
 		// A breaker trip means the session repeatedly failed in quick
 		// succession — dump the black box while the evidence (the spans
 		// and events of the failing streak) is still in the ring.
 		s.tel.Blackbox("quarantine_trip", h.name, "", reason)
-		s.updateQuarantineGauge()
 	}
-}
-
-// updateQuarantineGauge recounts open breakers into the
-// quarantined_sessions gauge.
-func (s *Server) updateQuarantineGauge() {
-	n := uint64(0)
-	for _, h := range s.hostedSet(false) {
-		if q, _ := h.brk.quarantined(); q {
-			n++
-		}
-	}
-	s.reg.Gauge("quarantined_sessions").Set(n)
 }

@@ -103,9 +103,8 @@ func (s *Server) Recover() error {
 			rep, err := s.recoverSession(h, nil)
 			switch {
 			case err == nil:
-				s.reg.Counter("server_sessions_recovered").Inc()
 				s.reg.Histogram("server_recover_seconds", nil).Observe(time.Since(t0).Seconds())
-				s.event("recovery", name,
+				s.tel.Event("recovery", name, "",
 					fmt.Sprintf("recovered in %v (%d records: %d replayed, %d skipped via %d checkpoints, fast=%v)",
 						time.Since(t0).Round(time.Millisecond), rep.Records, rep.Executed, rep.Skipped,
 						rep.Checkpoints, rep.FastPath))
@@ -116,8 +115,7 @@ func (s *Server) Recover() error {
 					s.log.Error("recovery set-aside failed",
 						obs.Str("session", name), obs.Str("err", rerr.Error()))
 				}
-				s.reg.Counter("server_recoveries_failed").Inc()
-				s.event("recovery_failed", name,
+				s.tel.Event("recovery_failed", name, "",
 					fmt.Sprintf("%v (journal set aside as %s.failed)", err, filepath.Base(path)))
 			}
 		}()
@@ -211,7 +209,7 @@ func (s *Server) replayRecords(h *hosted, recs []*wal.Record) (*core.Session, *c
 	if err != nil && rep != nil && rep.FastPath {
 		// The checkpoint fast path diverged (e.g. a stale watermark file):
 		// re-boot and re-execute everything — slower, always faithful.
-		s.event("wal_fallback", h.name,
+		s.tel.Event("wal_fallback", h.name, "",
 			fmt.Sprintf("checkpoint fast path failed (%v); replaying in full", err))
 		if sess, err = s.bootFromRecord(h, recs[0]); err == nil {
 			rep, err = sess.ReplayFull(s.cfg.StateDir, recs, exec)
@@ -311,8 +309,7 @@ func (s *Server) journalMutation(h *hosted, t *task) {
 		return h.wal.Append(rec)
 	})
 	if err != nil {
-		s.reg.Counter("wal_append_failures").Inc()
-		s.event("wal_append_failure", h.name, err.Error())
+		s.tel.Event("wal_append_failure", h.name, "", err.Error())
 		s.pauseJournal(h, fmt.Sprintf("journal append failed: %v", err))
 		h.missedAppends.Add(1)
 		s.reg.Counter("server_journal_missed_appends").Inc()
@@ -360,15 +357,13 @@ func (s *Server) tryResumeJournal(h *hosted) bool {
 	h.missedAppends.Store(0)
 	h.mutations = 0
 	h.journalPaused.Store(false)
-	s.updateNondurableGauge()
-	s.reg.Counter("server_journal_resumes").Inc()
 	msg := "durable again (no mutations missed)"
 	if missed > 0 {
 		// The anchor closes over the missed mutations plus the one that
 		// triggered this resume (already applied, included in the anchor).
 		msg = fmt.Sprintf("durable again (%d mutation(s) closed over by reanchor)", missed+1)
 	}
-	s.event("journal_resumed", h.name, msg)
+	s.tel.Event("journal_resumed", h.name, "", msg)
 	return true
 }
 

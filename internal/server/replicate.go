@@ -99,11 +99,9 @@ func (s *Server) fencedResp(req *Request, h *hosted) *Response {
 // else while this backend wasn't looking, so it fences itself.
 func (s *Server) replGate(h *hosted, req *Request) *Response {
 	if h.fenced.Load() {
-		s.reg.Counter("server_fenced_rejects").Inc()
 		return s.fencedResp(req, h)
 	}
 	if h.follower.Load() {
-		s.reg.Counter("server_follower_rejects").Inc()
 		return wire.Refuse(req, wire.CodeFollower,
 			fmt.Errorf("session %q: %w", req.Session, ErrFollower))
 	}
@@ -112,13 +110,11 @@ func (s *Server) replGate(h *hosted, req *Request) *Response {
 		if req.Epoch > cur {
 			s.fenceSession(h, fmt.Sprintf(
 				"request carried epoch %d, session holds %d: a newer primary exists", req.Epoch, cur))
-			s.reg.Counter("server_fenced_rejects").Inc()
 			return s.fencedResp(req, h)
 		}
 		if req.Epoch < cur {
 			// A stale route stamp (the gateway's view predates a promote
 			// here): reject without self-fencing — this backend IS current.
-			s.reg.Counter("server_fenced_rejects").Inc()
 			return s.fencedResp(req, h)
 		}
 	}
@@ -143,8 +139,6 @@ func (s *Server) fenceSession(h *hosted, why string) {
 	if sp := h.shipper.Swap(nil); sp != nil {
 		sp.Stop()
 	}
-	s.reg.Counter("server_sessions_fenced").Inc()
-	h.reg.Counter("repl_self_fenced").Inc()
 	// A self-fence is an abnormal exit for this branch of the session's
 	// history — leave the black box explaining what led up to it.
 	s.tel.Blackbox("session_fenced", h.name, "", why)
@@ -164,7 +158,7 @@ func (s *Server) replicateTask(t *task) *Response {
 	if len(req.Args) == 1 && req.Args[0] == "stop" {
 		if sp := h.shipper.Swap(nil); sp != nil {
 			sp.Stop()
-			s.event("replication_stopped", h.name, "stream to "+sp.Target()+" stopped by operator")
+			s.tel.Event("replication_stopped", h.name, "", "stream to "+sp.Target()+" stopped by operator")
 		}
 		return &Response{ID: req.ID, OK: true,
 			Output: fmt.Sprintf("replication for %s stopped\n", h.name)}
@@ -232,8 +226,7 @@ func (s *Server) replicateTask(t *task) *Response {
 	}
 	h.shipper.Store(sp)
 	h.reg.Gauge("repl_lag_records").Set(0)
-	s.reg.Counter("server_replications_started").Inc()
-	s.event("replication_started", h.name,
+	s.tel.Event("replication_started", h.name, "",
 		fmt.Sprintf("seeded standby %s at seq %d (%d bytes)", target, meta.Seq, len(img)))
 	data, _ := json.Marshal(replica.Ack{AckedSeq: meta.Seq, Epoch: h.epoch.Load()})
 	return &Response{ID: req.ID, OK: true,
@@ -296,7 +289,6 @@ func (s *Server) importSession(req *Request) *Response {
 	if s.diskLevelNow() >= govern.LevelCritical {
 		// An import is all writes; at the critical rung the target could
 		// not even keep the session durable once landed.
-		s.reg.Counter("server_diskfull_rejects").Inc()
 		return wire.Refuse(req, wire.CodeDiskFull, ErrDiskFull)
 	}
 
@@ -304,7 +296,7 @@ func (s *Server) importSession(req *Request) *Response {
 	if old := s.unlink(name, reseed); old != nil {
 		s.stop(old, 0)
 		s.persist(old, leaveNothing)
-		s.event("follower_reseed", name, "stale follower replaced by a fresh seed")
+		s.tel.Event("follower_reseed", name, "", "stale follower replaced by a fresh seed")
 	}
 
 	h, code, err := s.reserve(name, viaImport)
@@ -332,14 +324,12 @@ func (s *Server) importSession(req *Request) *Response {
 		if !errors.Is(err, ErrDraining) {
 			s.removeSessionState(name)
 		}
-		s.reg.Counter("server_imports_failed").Inc()
-		s.event("import_failed", name, err.Error())
+		s.tel.Event("import_failed", name, "", err.Error())
 		return wire.Refuse(req, wire.CodeError, fmt.Errorf("import %q: %w", name, err))
 	}
 	dur := time.Since(t0)
-	s.reg.Counter("server_imports").Inc()
 	s.reg.Histogram("server_import_seconds", nil).Observe(dur.Seconds())
-	s.event("session_imported", name,
+	s.tel.Event("session_imported", name, "",
 		fmt.Sprintf("seeded as follower (epoch %d) in %v (%d records: %d replayed, %d skipped, fast=%v)",
 			h.epoch.Load(), dur.Round(time.Millisecond), rep.Records, rep.Executed, rep.Skipped, rep.FastPath))
 	return &Response{ID: req.ID, OK: true,
@@ -370,14 +360,12 @@ func (s *Server) replApplyTask(t *task) *Response {
 		// A stale primary's stream: it was superseded by a promote here
 		// (or by an epoch this follower adopted). Rejecting with the typed
 		// code is what makes the stale primary fence itself.
-		s.reg.Counter("server_fenced_rejects").Inc()
 		return s.fencedResp(req, h)
 	}
 	if !h.follower.Load() {
 		// Promoted (or never was a follower): any stream targeting it is
 		// stale by definition — two live primaries at one epoch would be a
 		// protocol violation.
-		s.reg.Counter("server_fenced_rejects").Inc()
 		return s.fencedResp(req, h)
 	}
 	if h.wal == nil {
@@ -390,7 +378,6 @@ func (s *Server) replApplyTask(t *task) *Response {
 		return wire.Refuse(req, wire.CodeBadRequest, fmt.Errorf("replapply: %w", err))
 	}
 	if epoch < cur {
-		s.reg.Counter("server_fenced_rejects").Inc()
 		return s.fencedResp(req, h)
 	}
 	if epoch > cur {
@@ -411,7 +398,6 @@ func (s *Server) replApplyTask(t *task) *Response {
 		r := wire.Refuse(req, wire.CodeReplResync,
 			fmt.Errorf("batch continues from seq %d but journal head is %d", afterSeq, head))
 		r.Data = replAck(h)
-		s.reg.Counter("server_repl_resyncs").Inc()
 		return r
 	}
 	for _, r := range recs {
@@ -423,7 +409,6 @@ func (s *Server) replApplyTask(t *task) *Response {
 			resp := wire.Refuse(req, wire.CodeReplReseed,
 				fmt.Errorf("batch carries a reanchor for pipe %q; follower needs a fresh seed", r.Pipe))
 			resp.Data = replAck(h)
-			s.reg.Counter("server_repl_reseed_requests").Inc()
 			return resp
 		}
 	}
@@ -436,7 +421,6 @@ func (s *Server) replApplyTask(t *task) *Response {
 		r := wire.Refuse(req, wire.CodeReplReseed,
 			fmt.Errorf("replapply %s: %w; follower needs a fresh seed", stage, cause))
 		r.Data = replAck(h)
-		s.reg.Counter("server_repl_reseed_requests").Inc()
 		return r
 	}
 	applied := 0
@@ -508,7 +492,6 @@ func (s *Server) promoteTask(t *task) *Response {
 		newEpoch = cur + 1
 	}
 	if newEpoch < cur || (newEpoch == cur && h.follower.Load()) {
-		s.reg.Counter("server_stale_promotes").Inc()
 		return s.fencedResp(req, h)
 	}
 	if newEpoch == cur {
@@ -535,8 +518,7 @@ func (s *Server) promoteTask(t *task) *Response {
 	if s.cfg.StateDir != "" {
 		os.Remove(s.followerPath(h.name))
 	}
-	s.reg.Counter("server_sessions_promoted").Inc()
-	s.event("session_promoted", h.name,
+	s.tel.Event("session_promoted", h.name, "",
 		fmt.Sprintf("promoted to primary under epoch %d (was follower: %v)", newEpoch, wasFollower))
 	r := &Response{ID: req.ID, OK: true,
 		Output: fmt.Sprintf("session %s promoted to primary (epoch %d)\n", h.name, newEpoch)}
@@ -595,19 +577,16 @@ func (s *Server) ship(h *hosted, sp *replica.Shipper, trace, parentSID string) e
 func (s *Server) reseedReplica(h *hosted, sp *replica.Shipper) error {
 	img, meta, err := s.exportBlob(h)
 	if err != nil {
-		s.reg.Counter("server_repl_reseed_failures").Inc()
-		s.event("replication_reseed_failed", h.name, err.Error())
+		s.tel.Event("replication_reseed_failed", h.name, "", err.Error())
 		return err
 	}
 	if err := sp.Seed(img, meta.Seq, meta.WALBytes); err != nil {
 		if !errors.Is(err, replica.ErrFenced) {
-			s.reg.Counter("server_repl_reseed_failures").Inc()
-			s.event("replication_reseed_failed", h.name, err.Error())
+			s.tel.Event("replication_reseed_failed", h.name, "", err.Error())
 		}
 		return err
 	}
-	s.reg.Counter("server_repl_reseeds").Inc()
-	s.event("replication_reseeded", h.name,
+	s.tel.Event("replication_reseeded", h.name, "",
 		fmt.Sprintf("standby %s re-seeded at seq %d", sp.Target(), meta.Seq))
 	return nil
 }

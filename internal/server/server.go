@@ -185,7 +185,7 @@ func New(cfg Config) *Server {
 		log:   cfg.Log, // nil discards: obs.Logger methods are nil-safe
 		start: time.Now(),
 		tel: obs.NewTelemetry(cfg.TelemetryConfig, "livesimd", cfg.TraceOut, cfg.SlowRequest,
-			reg.Counter("server_blackbox_dumps"), cfg.Log),
+			reg, "server", cfg.Log),
 		verbWins:    make(map[string]*obs.Window),
 		sessions:    make(map[string]*hosted),
 		moved:       make(map[string]movedEntry),
@@ -225,16 +225,6 @@ func (s *Server) Metrics() *obs.Registry { return s.reg }
 
 // Events returns the server's retained operational events, oldest first.
 func (s *Server) Events() []obs.Event { return s.tel.Events(0) }
-
-// event records one operational incident in the ring, mirrors it to the
-// structured log, and copies it into the black-box ring — the event ring
-// is the queryable recent history, the log the durable trail, and the
-// flight recorder what survives an abnormal exit. Abnormal incidents go
-// through tel.Blackbox instead, which also dumps the flight recorder.
-func (s *Server) event(typ, session, msg string) {
-	s.tel.Event(typ, session, "", msg)
-	s.log.Info(msg, obs.Str("event", typ), obs.Str("session", session), obs.Str("trace", ""))
-}
 
 // verbWindow returns the rolling latency window for a verb. Unknown
 // verbs share one bucket so a misbehaving client cannot grow the map
@@ -311,7 +301,6 @@ func (s *Server) admitCall(c *wire.Call) (release func(), reject *Response) {
 	}
 	ok, retry := s.admit.TryAcquire(cost)
 	if !ok {
-		s.reg.Counter("server_overload_rejects").Inc()
 		resp := wire.Refuse(c.Req, wire.CodeOverloaded, ErrOverloaded)
 		if resp.RetryAfterMs = retry.Milliseconds(); resp.RetryAfterMs < 1 {
 			resp.RetryAfterMs = 1
@@ -361,14 +350,11 @@ func (s *Server) place(c *wire.Call) {
 	case h == nil:
 		resp = wire.Refuse(req, wire.CodeNoSession, fmt.Errorf("no session %q", req.Session))
 		if addr, ok := s.movedTo(req.Session); ok {
-			s.reg.Counter("server_moved_redirects").Inc()
 			resp = movedResp(req, addr)
 		}
 	case recovering:
-		s.reg.Counter("server_recovering_rejects").Inc()
 		resp = wire.Refuse(req, wire.CodeRecovering, ErrRecovering)
 	case enqErr != nil:
-		s.reg.Counter("server_backpressure_rejects").Inc()
 		resp = wire.Refuse(req, wire.CodeBackpressure, enqErr)
 	default:
 		go s.await(h, t)
@@ -393,7 +379,6 @@ func (s *Server) await(h *hosted, t *task) {
 		select {
 		case resp = <-t.reply: // finished on the wire, barely
 		default:
-			s.reg.Counter("server_timeouts").Inc()
 			resp = wire.Refuse(t.Req, wire.CodeTimeout, ErrDeadline)
 		}
 	}
@@ -407,7 +392,6 @@ func (s *Server) await(h *hosted, t *task) {
 func (s *Server) observe(c *wire.Call, resp *Response, dur time.Duration) {
 	s.verbWindow(c.Verb).Observe(dur.Seconds())
 	if s.cfg.SlowRequest > 0 && dur >= s.cfg.SlowRequest {
-		s.reg.Counter("server_slow_requests").Inc()
 		s.tel.Event("slow_request", c.Req.Session, c.Req.TraceID,
 			fmt.Sprintf("%s took %v (trace %s)", c.Verb, dur.Round(time.Microsecond), c.Req.TraceID))
 		s.log.Warn("slow request",
@@ -447,8 +431,7 @@ func (s *Server) unquarantine(req *Request) *Response {
 		return wire.Refuse(req, wire.CodeNoSession, fmt.Errorf("no session %q", req.Session))
 	}
 	h.brk.clear()
-	s.updateQuarantineGauge()
-	s.event("unquarantine", req.Session, "failure breaker cleared by operator")
+	s.tel.Event("unquarantine", req.Session, "", "failure breaker cleared by operator")
 	return &Response{ID: req.ID, OK: true,
 		Output: fmt.Sprintf("session %s unquarantined\n", req.Session)}
 }
@@ -546,7 +529,7 @@ func (s *Server) topReport(req *Request) *Response {
 			P95Ms:      h.win.Quantile(0.95) * 1e3,
 			P99Ms:      h.win.Quantile(0.99) * 1e3,
 			Queued:     len(h.queue),
-			Requests:   h.reg.Counter("session_requests").Value(),
+			Requests:   h.requests.Value(),
 			Dirty:      h.dirty.Load(),
 			Recovering: h.recovering.Load(),
 			Nondurable: h.journalPaused.Load(),
@@ -624,7 +607,6 @@ func (s *Server) createSession(req *Request) *Response {
 	if s.diskLevelNow() >= govern.LevelEmergency {
 		// A new session's first durable act is journaling its boot record;
 		// with no room for even that, creating it would be a lie.
-		s.reg.Counter("server_diskfull_rejects").Inc()
 		return wire.Refuse(req, wire.CodeDiskFull, ErrDiskFull)
 	}
 	h, code, err := s.reserve(name, viaCreate)
@@ -676,8 +658,7 @@ func (s *Server) createSession(req *Request) *Response {
 		}
 		return wire.Refuse(req, wire.CodeError, err)
 	}
-	s.reg.Counter("server_sessions_created").Inc()
-	s.event("session_created", name, desc)
+	s.tel.Event("session_created", name, "", desc)
 	return &Response{ID: req.ID, OK: true,
 		Output: fmt.Sprintf("created session %s (%s)\n", name, desc)}
 }
@@ -717,14 +698,13 @@ func (s *Server) closeSession(req *Request) *Response {
 	}
 	s.stop(h, 0)
 	s.persist(h, leaveNothing)
-	s.reg.Counter("server_sessions_closed").Inc()
 	if movedAddr != "" {
 		s.noteMoved(req.Session, movedAddr)
-		s.event("session_moved", req.Session, "migrated away; forwarding to "+movedAddr)
+		s.tel.Event("session_moved", req.Session, "", "migrated away; forwarding to "+movedAddr)
 		return &Response{ID: req.ID, OK: true,
 			Output: fmt.Sprintf("closed session %s (moved to %s)\n", req.Session, movedAddr)}
 	}
-	s.event("session_closed", req.Session, "closed by client; state discarded")
+	s.tel.Event("session_closed", req.Session, "", "closed by client; state discarded")
 	return &Response{ID: req.ID, OK: true, Output: fmt.Sprintf("closed session %s\n", req.Session)}
 }
 

@@ -498,7 +498,7 @@ func TestIdleEviction(t *testing.T) {
 	// The janitor unlinks the session first and checkpoints it afterwards,
 	// so an empty session list does not mean the checkpoint is on disk;
 	// the eviction counter moves once it is.
-	evicted := srv.Metrics().Counter("server_sessions_evicted")
+	evicted := srv.Metrics().Counter("server_event_eviction")
 	for deadline := time.Now().Add(5 * time.Second); evicted.Value() == 0; time.Sleep(10 * time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("session was never evicted")

@@ -31,6 +31,11 @@ type hosted struct {
 	out  *boundedBuf   // captured $display text
 	win  *obs.Window   // rolling request latencies for top and /metrics
 
+	// requests (session_requests) and memGauge (session_mem_bytes) are
+	// reg's per-request instruments, resolved once.
+	requests *obs.Counter
+	memGauge *obs.Gauge
+
 	queue   chan *task
 	stopped chan struct{} // closed when the worker exits
 
@@ -127,6 +132,8 @@ func (s *Server) newHosted(name string) *hosted {
 		queue:   make(chan *task, s.cfg.QueueDepth),
 		stopped: make(chan struct{}),
 	}
+	h.requests = h.reg.Counter("session_requests")
+	h.memGauge = h.reg.Gauge("session_mem_bytes")
 	// The session's live-loop spans flow into the fleet span store and
 	// the flight recorder alongside any `subscribe` clients.
 	s.tel.AttachSinks(h.fan)
@@ -160,7 +167,6 @@ func (s *Server) worker(h *hosted) {
 	for t := range h.queue {
 		var resp *Response
 		if time.Now().After(t.deadline) {
-			s.reg.Counter("server_timeouts").Inc()
 			resp = wire.Refuse(t.Req, wire.CodeTimeout, ErrDeadline)
 		} else {
 			if resp = s.env.Exec(t.Call, t); resp.Code == wire.CodePanic {
@@ -192,14 +198,12 @@ func (s *Server) runCommand(t *task) *Response {
 			return resp
 		}
 		if q, reason := h.brk.quarantined(); q {
-			s.reg.Counter("server_quarantine_rejects").Inc()
 			return wire.Refuse(t.Req, wire.CodeQuarantined, fmt.Errorf("%s: %w", reason, ErrQuarantined))
 		}
 		if s.diskLevelNow() >= govern.LevelEmergency {
 			// Emergency rung: no room left to journal or checkpoint what
 			// this mutation would produce — refusing it is the only honest
 			// answer. Reads keep working.
-			s.reg.Counter("server_diskfull_rejects").Inc()
 			return wire.Refuse(t.Req, wire.CodeDiskFull, ErrDiskFull)
 		}
 	}
@@ -267,7 +271,7 @@ func (s *Server) runCommand(t *task) *Response {
 		r.Output = output
 		return r
 	}
-	h.reg.Counter("session_requests").Inc()
+	h.requests.Inc()
 	return &Response{ID: t.Req.ID, OK: true, Output: output}
 }
 

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net"
 	"os"
 	"path/filepath"
@@ -40,6 +41,7 @@ type speaker struct {
 	served   chan error    // Serve's return value
 	shutdown func()        // stops it (idempotent enough for Cleanup)
 	backend  func() string // state of the gateway's backend, "" for the server
+	metrics  *obs.Registry // the speaker's own registry
 }
 
 func sockDir(t *testing.T) string {
@@ -60,7 +62,8 @@ func startServer(t *testing.T) *speaker {
 		t.Fatal(err)
 	}
 	srv := server.New(server.Config{StateDir: filepath.Join(dir, "state")})
-	sp := &speaker{addr: "unix:" + filepath.Join(dir, "d.sock"), served: make(chan error, 1)}
+	sp := &speaker{addr: "unix:" + filepath.Join(dir, "d.sock"), served: make(chan error, 1),
+		metrics: srv.Metrics()}
 	go func() { sp.served <- srv.Serve(ln) }()
 	sp.shutdown = func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -82,11 +85,13 @@ func startGateway(t *testing.T) *speaker {
 	gw, err := gateway.New(gateway.Config{
 		Backends:    []gateway.BackendSpec{{Addr: back.addr}},
 		HealthEvery: 50 * time.Millisecond,
+		Metrics:     obs.NewRegistry(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := &speaker{addr: "unix:" + filepath.Join(dir, "g.sock"), served: make(chan error, 1)}
+	sp := &speaker{addr: "unix:" + filepath.Join(dir, "g.sock"), served: make(chan error, 1),
+		metrics: gw.Metrics()}
 	go func() { sp.served <- gw.Serve(ln) }()
 	sp.shutdown = func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -185,25 +190,40 @@ func mustOK(t *testing.T, c *client.Client, req *wire.Request) *wire.Response {
 	return resp
 }
 
+// refusals reads reg's <speaker>_refused_<code> counters, by code.
+func refusals(reg *obs.Registry) map[string]uint64 {
+	out := map[string]uint64{}
+	for name, n := range reg.Snapshot().Counters {
+		if _, code, ok := strings.Cut(name, "_refused_"); ok && n > 0 {
+			out[code] = n
+		}
+	}
+	return out
+}
+
+// conformance is the suite's table. refused is the code the row's one
+// refused request is answered with ("" when the row refuses nothing):
+// the speaker counts it once under <speaker>_refused_<code>.
 var conformance = []struct {
-	name string
-	row  func(t *testing.T, sp *speaker)
+	name    string
+	refused string
+	row     func(t *testing.T, sp *speaker)
 }{
-	{"blank lines are ignored", func(t *testing.T, sp *speaker) {
+	{"blank lines are ignored", "", func(t *testing.T, sp *speaker) {
 		c := dialRaw(t, sp)
 		c.send("\n  \n\r\n" + `{"id":5,"verb":"ping"}` + "\n\n")
 		wantCode(t, c.mustRecv(), 5, "", "")
 		c.send(`{"id":6,"verb":"ping"}` + "\n")
 		wantCode(t, c.mustRecv(), 6, "", "") // nothing was answered in between
 	}},
-	{"malformed JSON is bad_request and the connection stays usable", func(t *testing.T, sp *speaker) {
+	{"malformed JSON is bad_request and the connection stays usable", wire.CodeBadRequest, func(t *testing.T, sp *speaker) {
 		c := dialRaw(t, sp)
 		c.send("{not json\n")
 		wantCode(t, c.mustRecv(), 0, wire.CodeBadRequest, "bad request")
 		c.send(`{"id":2,"verb":"ping"}` + "\n")
 		wantCode(t, c.mustRecv(), 2, "", "")
 	}},
-	{"pipelined requests are answered by id", func(t *testing.T, sp *speaker) {
+	{"pipelined requests are answered by id", "", func(t *testing.T, sp *speaker) {
 		c := dialRaw(t, sp)
 		c.send(`{"id":11,"verb":"ping"}` + "\n" + `{"id":12,"verb":"help"}` + "\n" + `{"id":13,"verb":"ping"}` + "\n")
 		got := map[uint64]string{}
@@ -218,19 +238,19 @@ var conformance = []struct {
 			t.Fatalf("answers not matched to ids 11, 12, 13: %q", got)
 		}
 	}},
-	{"unknown verb", func(t *testing.T, sp *speaker) {
+	{"unknown verb", wire.CodeBadRequest, func(t *testing.T, sp *speaker) {
 		cli := dialClient(t, sp)
 		mustOK(t, cli, &wire.Request{Session: "u", Verb: "create", Files: map[string]string{"top.v": tinyDesign}})
 		c := dialRaw(t, sp)
 		c.send(`{"id":3,"session":"u","verb":"frobnicate"}` + "\n")
 		wantCode(t, c.mustRecv(), 3, wire.CodeBadRequest, "unknown verb")
 	}},
-	{"session verb without a session", func(t *testing.T, sp *speaker) {
+	{"session verb without a session", wire.CodeBadRequest, func(t *testing.T, sp *speaker) {
 		c := dialRaw(t, sp)
 		c.send(`{"id":4,"verb":"run","args":["clock","p0","1"]}` + "\n")
 		wantCode(t, c.mustRecv(), 4, wire.CodeBadRequest, "needs a session")
 	}},
-	{"oversize request line is answered before the connection closes", func(t *testing.T, sp *speaker) {
+	{"oversize request line is answered before the connection closes", wire.CodeBadRequest, func(t *testing.T, sp *speaker) {
 		c := dialRaw(t, sp)
 		go func() { // the speaker stops reading at the bound: the tail of the write may fail
 			c.nc.SetWriteDeadline(time.Now().Add(5 * time.Second))
@@ -243,7 +263,7 @@ var conformance = []struct {
 			t.Fatal("connection neither answered nor closed")
 		}
 	}},
-	{"oversize reply becomes a typed error with the same id", func(t *testing.T, sp *speaker) {
+	{"oversize reply becomes a typed error with the same id", wire.CodeError, func(t *testing.T, sp *speaker) {
 		// peek's error quotes the signal name it could not find, so each `"`
 		// in the name is 2 bytes of request line and 4 of reply line: a name
 		// that fits the bound asking does not fit it answering.
@@ -265,7 +285,7 @@ var conformance = []struct {
 			}
 		}
 	}},
-	{"a request that only just fits is served, or fails alone at the hop that outgrows it", func(t *testing.T, sp *speaker) {
+	{"a request that only just fits is served, or fails alone at the hop that outgrows it", wire.CodeError, func(t *testing.T, sp *speaker) {
 		cli := dialClient(t, sp)
 		mustOK(t, cli, &wire.Request{Session: "u", Verb: "create", Files: map[string]string{"top.v": tinyDesign}})
 		c := dialRaw(t, sp)
@@ -284,7 +304,7 @@ var conformance = []struct {
 			t.Fatalf("backend state %q after an unforwardable request, want ok", st)
 		}
 	}},
-	{"stalled reader trips the write deadline without wedging other connections", func(t *testing.T, sp *speaker) {
+	{"stalled reader trips the write deadline without wedging other connections", "", func(t *testing.T, sp *speaker) {
 		stalled := dialRaw(t, sp)
 		wrote := make(chan struct{})
 		go func() { // ask for far more than the socket buffers hold, read none of it
@@ -316,7 +336,7 @@ var conformance = []struct {
 			t.Fatalf("stalled connection still open after %d bytes: the write deadline never tripped", n)
 		}
 	}},
-	{"request spans carry verb, session, ok and code", func(t *testing.T, sp *speaker) {
+	{"request spans carry verb, session, ok and code", wire.CodeBadRequest, func(t *testing.T, sp *speaker) {
 		cli := dialClient(t, sp)
 		for _, tc := range []struct {
 			req  *wire.Request
@@ -352,7 +372,7 @@ var conformance = []struct {
 			}
 		}
 	}},
-	{"shutdown closes idle connections and Serve returns nil", func(t *testing.T, sp *speaker) {
+	{"shutdown closes idle connections and Serve returns nil", "", func(t *testing.T, sp *speaker) {
 		idle := dialRaw(t, sp)
 		idle.send(`{"id":1,"verb":"ping"}` + "\n")
 		wantCode(t, idle.mustRecv(), 1, "", "")
@@ -387,7 +407,17 @@ func TestConformance(t *testing.T) {
 		start func(*testing.T) *speaker
 	}{{"livesimd", startServer}, {"lsgate", startGateway}} {
 		for _, tc := range conformance {
-			t.Run(kind.name+"/"+tc.name, func(t *testing.T) { tc.row(t, kind.start(t)) })
+			t.Run(kind.name+"/"+tc.name, func(t *testing.T) {
+				sp := kind.start(t)
+				want := refusals(sp.metrics)
+				tc.row(t, sp)
+				if tc.refused != "" {
+					want[tc.refused]++
+				}
+				if got := refusals(sp.metrics); !maps.Equal(got, want) {
+					t.Errorf("refusals counted by code: %v, want %v", got, want)
+				}
+			})
 		}
 	}
 }

@@ -112,6 +112,8 @@ func (c *Conn) OnClose(f func()) {
 // StopAccepting when a drain begins, Close when it ends.
 type Acceptor struct {
 	handler func(*Conn) func(*Request)
+	// refused, when set, counts each line the read loop refuses by code.
+	refused func(code string)
 
 	mu     sync.Mutex
 	lns    map[net.Listener]struct{}
@@ -191,15 +193,22 @@ func (a *Acceptor) serve(c *Conn) {
 		}
 		req := new(Request)
 		if err := json.Unmarshal(line, req); err != nil {
-			c.Reply(&Response{Error: "bad request: " + err.Error(), Code: CodeBadRequest})
+			a.refuse(c, "bad request: "+err.Error())
 			continue
 		}
 		handle(req)
 	}
 	if errors.Is(sc.Err(), ErrTooLong) {
-		c.Reply(&Response{Code: CodeBadRequest,
-			Error: fmt.Sprintf("bad request: line exceeds the %d-byte wire limit", maxLine)})
+		a.refuse(c, fmt.Sprintf("bad request: line exceeds the %d-byte wire limit", maxLine))
 	}
+}
+
+// refuse answers a line that is no request with bad_request.
+func (a *Acceptor) refuse(c *Conn, msg string) {
+	if a.refused != nil {
+		a.refused(CodeBadRequest)
+	}
+	c.Reply(&Response{Code: CodeBadRequest, Error: msg})
 }
 
 // StopAccepting closes every listener; Serve calls return nil and later

@@ -19,8 +19,8 @@ var ErrDraining = errors.New("server is draining")
 // speaker's own that carries the Call (livesimd).
 type Daemon[T any] struct {
 	// Name prefixes the envelope's metrics: <Name>_requests,
-	// <Name>_request_seconds, <Name>_panics_recovered,
-	// <Name>_draining_rejects, <Name>_conns_opened, <Name>_conns_closed.
+	// <Name>_request_seconds, <Name>_conns_opened, <Name>_conns_closed,
+	// and <Name>_refused_<code> for every answer that carries a code.
 	Name    string
 	Tel     *obs.Telemetry
 	Metrics *obs.Registry
@@ -46,6 +46,8 @@ type Daemon[T any] struct {
 // when it ends, is recorded in the span store and the request
 // histogram, and is answered exactly once. Exec turns a handler panic
 // into a CodePanic answer and a verb without a handler into bad_request.
+// Every answer with a code, the Acceptor's own included, is counted by
+// its code.
 type Envelope[T any] struct {
 	*Acceptor
 	d        Daemon[T]
@@ -62,7 +64,14 @@ func NewEnvelope[T any](d Daemon[T]) *Envelope[T] {
 	e := &Envelope[T]{d: d, requests: d.Metrics.Counter(d.Name + "_requests"),
 		seconds: d.Metrics.Histogram(d.Name+"_request_seconds", nil)}
 	e.Acceptor = NewAcceptor(e.conn)
+	e.Acceptor.refused = e.refused
 	return e
+}
+
+// refused counts one answer with code, under <Name>_refused_<code>: the
+// one count of refusals, whichever layer refused.
+func (e *Envelope[T]) refused(code string) {
+	e.d.Metrics.Counter(e.d.Name + "_refused_" + code).Inc()
 }
 
 // Call is one request on its way through an Envelope, from the moment
@@ -125,7 +134,6 @@ func (e *Envelope[T]) enter(conn *Conn, req *Request, n int) {
 	c := &Call{Req: req, Verb: strings.ToLower(req.Verb), Conn: conn, N: n, Span: sp,
 		start: time.Now(), counted: !draining, env: e}
 	if draining {
-		e.d.Metrics.Counter(e.d.Name + "_draining_rejects").Inc()
 		c.Finish(Refuse(req, CodeDraining, ErrDraining))
 		return
 	}
@@ -151,6 +159,9 @@ func (e *Envelope[T]) finish(c *Call, resp *Response) {
 	// tree in hand — the tail keep/drop decision happens here.
 	e.d.Tel.Store.Complete(c.Req.TraceID, dur.Microseconds(), resp.OK)
 	e.seconds.Observe(dur.Seconds())
+	if resp.Code != "" {
+		e.refused(resp.Code)
+	}
 	if e.d.Done != nil {
 		e.d.Done(c, resp, dur)
 	}
@@ -166,7 +177,6 @@ func (e *Envelope[T]) finish(c *Call, resp *Response) {
 func (e *Envelope[T]) Exec(c *Call, arg T) (resp *Response) {
 	defer func() {
 		if r := recover(); r != nil {
-			e.d.Metrics.Counter(e.d.Name + "_panics_recovered").Inc()
 			e.d.Tel.Blackbox("panic", c.Req.Session, c.Req.TraceID, fmt.Sprintf("recovered request panic: %v", r))
 			resp = Refuse(c.Req, CodePanic, fmt.Errorf("request panic: %v", r))
 		}

@@ -117,22 +117,42 @@ func run() int {
 		return 2
 	}
 
+	return repl(func(line string) error {
+		if line == "help" {
+			fmt.Print(catalogue.ShellHelp())
+			return nil
+		}
+		return command.DispatchLine(env, line)
+	})
+}
+
+// interactive is whether stdin is a terminal. Only then is there a
+// prompt: a piped transcript's output holds the responses alone.
+var interactive = func() bool {
+	fi, err := os.Stdin.Stat()
+	return err == nil && fi.Mode()&os.ModeCharDevice != 0
+}()
+
+func prompt() {
+	if interactive {
+		fmt.Print("livesim> ")
+	}
+}
+
+// repl hands each non-empty stdin line to exec, printing its error, until
+// EOF, exit or quit.
+func repl(exec func(line string) error) int {
 	in := bufio.NewScanner(os.Stdin)
-	fmt.Print("livesim> ")
-	for in.Scan() {
+	for prompt(); in.Scan(); prompt() {
 		line := strings.TrimSpace(in.Text())
 		if line == "exit" || line == "quit" {
 			break
 		}
-		switch {
-		case line == "help":
-			fmt.Print(catalogue.ShellHelp())
-		case line != "":
-			if err := command.DispatchLine(env, line); err != nil {
+		if line != "" {
+			if err := exec(line); err != nil {
 				fmt.Println("error:", err)
 			}
 		}
-		fmt.Print("livesim> ")
 	}
 	return 0
 }
@@ -174,7 +194,8 @@ func runRemote() int {
 		Reconnect:   true,
 		FollowMoves: true,
 		OnReconnect: func(attempts int) {
-			fmt.Printf("\n(reconnected to %s after %d attempt(s))\nlivesim> ", *flagConnect, attempts)
+			fmt.Printf("\n(reconnected to %s after %d attempt(s))\n", *flagConnect, attempts)
+			prompt()
 		},
 	})
 	if err != nil {
@@ -187,22 +208,7 @@ func runRemote() int {
 		}
 	}()
 	fmt.Printf("connected to %s (session %s)\n", *flagConnect, *flagSession)
-
-	in := bufio.NewScanner(os.Stdin)
-	fmt.Print("livesim> ")
-	for in.Scan() {
-		line := strings.TrimSpace(in.Text())
-		if line == "exit" || line == "quit" {
-			break
-		}
-		if line != "" {
-			if err := remoteExec(c, line); err != nil {
-				fmt.Println("error:", err)
-			}
-		}
-		fmt.Print("livesim> ")
-	}
-	return 0
+	return repl(func(line string) error { return remoteExec(c, line) })
 }
 
 func remoteExec(c *client.Client, line string) error {

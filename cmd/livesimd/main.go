@@ -67,7 +67,6 @@ var (
 	flagMemBudget   = flag.Uint64("mem-budget", 0, "shed idle sessions once summed per-session memory estimates exceed this many bytes (0 = unlimited)")
 	flagResume      = flag.Duration("journal-resume-delay", 0, "cooldown before a paused (nondurable) journal may resume and reanchor (0 = default 250ms)")
 	flagFaultFull   = flag.String("fault-disk-full", "", "TESTING: inject ENOSPC into WAL appends, format from:count (1-based append index)")
-	flagFaultFree   = flag.String("fault-disk-free", "", "TESTING: force the disk probe to report free:total bytes, walking the pressure ladder without filling a filesystem")
 )
 
 // drainTimeout bounds how long a drain waits for in-flight requests.
@@ -143,7 +142,7 @@ func run() int {
 	} else {
 		cfg.WALSyncEvery = *flagWALSync
 	}
-	if *flagCrashWAL >= 0 || *flagFaultFull != "" || *flagFaultFree != "" {
+	if *flagCrashWAL >= 0 || *flagFaultFull != "" {
 		plan := faultinject.New()
 		cfg.Faults = plan
 		if *flagCrashWAL >= 0 {
@@ -164,14 +163,6 @@ func run() int {
 				return 2
 			}
 			plan.DiskFullAppends(int(from), int(count))
-		}
-		if *flagFaultFree != "" {
-			free, total, err := parsePair("fault-disk-free", *flagFaultFree)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "livesimd:", err)
-				return 2
-			}
-			plan.ForceDiskFree(uint64(free), uint64(total))
 		}
 	}
 	if *flagTrace != "" {

@@ -12,7 +12,7 @@ import (
 var goldenFlags = []string{
 	"admin-addr", "admit-budget", "blackbox-dir", "blackbox-flush",
 	"ckpt-every", "crash-wal-offset", "disk-poll", "drain-dir",
-	"fault-disk-free", "fault-disk-full", "flight", "idle-evict",
+	"fault-disk-full", "flight", "idle-evict",
 	"journal-ckpt-every", "journal-resume-delay", "listen", "log-level",
 	"mem-budget", "metrics", "proc-name", "queue-depth", "run-budget",
 	"slow-request", "state-dir", "trace-out", "trace-store", "unix",

@@ -27,50 +27,66 @@ import (
 // fail to boot.
 
 var (
-	livesimdOnce sync.Once
-	livesimdBin  string
-	livesimdErr  error
+	binsOnce sync.Once
+	binsDir  string
+	binsErr  error
 )
 
-// buildLivesimd compiles the daemon once per test binary run.
-func buildLivesimd(t *testing.T) string {
-	t.Helper()
-	livesimdOnce.Do(func() {
-		dir, err := os.MkdirTemp("", "lsdbin")
-		if err != nil {
-			livesimdErr = err
-			return
-		}
-		livesimdBin = filepath.Join(dir, "livesimd")
-		out, err := exec.Command("go", "build", "-o", livesimdBin, "livesim/cmd/livesimd").CombinedOutput()
-		if err != nil {
-			livesimdErr = fmt.Errorf("go build livesimd: %v\n%s", err, out)
-		}
-	})
-	if livesimdErr != nil {
-		t.Fatal(livesimdErr)
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if binsDir != "" {
+		os.RemoveAll(binsDir)
 	}
-	return livesimdBin
+	os.Exit(code)
 }
 
-// daemon is one livesimd child process under test control. done is
-// closed (not sent to) when the child exits, so wait and the kill-on-
-// cleanup path can both observe it.
+// buildBinary returns the path of one shipped command — livesimd, lsgate
+// or livesim — compiling all three once per test binary run.
+func buildBinary(t *testing.T, name string) string {
+	t.Helper()
+	binsOnce.Do(func() {
+		if binsDir, binsErr = os.MkdirTemp("", "lsdbin"); binsErr != nil {
+			return
+		}
+		out, err := exec.Command("go", "build", "-o", binsDir+string(filepath.Separator),
+			"livesim/cmd/livesimd", "livesim/cmd/lsgate", "livesim/cmd/livesim").CombinedOutput()
+		if err != nil {
+			binsErr = fmt.Errorf("go build: %v\n%s", err, out)
+		}
+	})
+	if binsErr != nil {
+		t.Fatal(binsErr)
+	}
+	return filepath.Join(binsDir, name)
+}
+
+// daemon is one child process under test control. done is closed (not
+// sent to) when the child exits, so wait and the kill-on-cleanup path
+// can both observe it.
 type daemon struct {
 	cmd  *exec.Cmd
 	done chan struct{}
 	log  *os.File
 }
 
+// startDaemon starts a livesimd with a state dir and per-append fsync.
+// -disk-poll 1h keeps the disk-pressure ladder at its first rung: the
+// host's free space must not pause a journal the test relies on.
 func startDaemon(t *testing.T, bin, sock, state string, extra ...string) *daemon {
+	t.Helper()
+	return startProc(t, bin, append([]string{"-unix", sock, "-state-dir", state,
+		"-wal-fsync-every", "0", "-disk-poll", "1h", "-metrics=false"}, extra...)...)
+}
+
+// startProc starts bin with its output in a temp log file, and kills and
+// reaps it in t.Cleanup.
+func startProc(t *testing.T, bin string, args ...string) *daemon {
 	t.Helper()
 	logf, err := os.CreateTemp("", "lsdlog")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { logf.Close(); os.Remove(logf.Name()) })
-	args := append([]string{"-unix", sock, "-state-dir", state,
-		"-wal-fsync-every", "0", "-metrics=false"}, extra...)
 	cmd := exec.Command(bin, args...)
 	cmd.Stdout, cmd.Stderr = logf, logf
 	if err := cmd.Start(); err != nil {
@@ -105,6 +121,22 @@ func (d *daemon) wait(t *testing.T) syscall.WaitStatus {
 		t.Fatalf("no wait status: %v", d.cmd.ProcessState)
 	}
 	return ws
+}
+
+func (d *daemon) kill(t *testing.T) {
+	t.Helper()
+	d.cmd.Process.Kill()
+	d.wait(t)
+}
+
+// terminate sends SIGTERM and requires exit status 0.
+func (d *daemon) terminate(t *testing.T) {
+	t.Helper()
+	d.cmd.Process.Signal(syscall.SIGTERM)
+	if ws := d.wait(t); ws.ExitStatus() != 0 {
+		d.dumpLog(t)
+		t.Fatalf("%s exit = %d on SIGTERM", filepath.Base(d.cmd.Path), ws.ExitStatus())
+	}
 }
 
 // waitDial polls until the daemon's socket accepts a connection.
@@ -173,7 +205,7 @@ func TestCrashMatrixSIGKILLAtWALOffsets(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and kills livesimd subprocesses")
 	}
-	bin := buildLivesimd(t)
+	bin := buildBinary(t, "livesimd")
 
 	// Probe run: same sequence, no crash point, killed hard at the end so
 	// no drain watermark inflates the journal. Its size bounds the offset
@@ -182,8 +214,7 @@ func TestCrashMatrixSIGKILLAtWALOffsets(t *testing.T) {
 	probeDir := shortDir(t)
 	probe := startDaemon(t, bin, filepath.Join(probeDir, "d.sock"), filepath.Join(probeDir, "state"))
 	driveMatrixSession(waitDial(t, filepath.Join(probeDir, "d.sock")))
-	probe.cmd.Process.Kill()
-	probe.wait(t)
+	probe.kill(t)
 	fi, err := os.Stat(filepath.Join(probeDir, "state", "s1.wal"))
 	if err != nil {
 		probe.dumpLog(t)
@@ -260,11 +291,7 @@ func TestCrashMatrixSIGKILLAtWALOffsets(t *testing.T) {
 			}
 
 			// Phase 3: the restarted daemon must still drain cleanly.
-			d2.cmd.Process.Signal(syscall.SIGTERM)
-			if ws := d2.wait(t); ws.ExitStatus() != 0 {
-				d2.dumpLog(t)
-				t.Fatalf("restarted daemon exit = %d on SIGTERM", ws.ExitStatus())
-			}
+			d2.terminate(t)
 		})
 	}
 }
@@ -334,7 +361,7 @@ func TestCrashMatrixReplicatedPrimarySIGKILL(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and kills livesimd subprocesses")
 	}
-	bin := buildLivesimd(t)
+	bin := buildBinary(t, "livesimd")
 
 	// Probe run: find the journal size when replication arms (the sweep
 	// only kills past it — earlier offsets are the plain matrix's rows)
@@ -360,10 +387,8 @@ func TestCrashMatrixReplicatedPrimarySIGKILL(t *testing.T) {
 		t.Fatal(err)
 	}
 	walSize := fi.Size()
-	probeA.cmd.Process.Kill()
-	probeB.cmd.Process.Kill()
-	probeA.wait(t)
-	probeB.wait(t)
+	probeA.kill(t)
+	probeB.kill(t)
 
 	offsets := []int64{seedSize + 1, seedSize + (walSize-seedSize)/2, walSize}
 	seen := map[int64]bool{}
@@ -398,8 +423,7 @@ func TestCrashMatrixReplicatedPrimarySIGKILL(t *testing.T) {
 
 			// Survivor replay: SIGKILL the promoted copy too; its shipped
 			// journal must recover the exact fingerprint it served live.
-			stby.cmd.Process.Kill()
-			stby.wait(t)
+			stby.kill(t)
 			d2 := startDaemon(t, bin, sockB, filepath.Join(dir, "b"))
 			c2 := waitDial(t, sockB)
 			waitSessionSettled(t, c2)
@@ -408,11 +432,7 @@ func TestCrashMatrixReplicatedPrimarySIGKILL(t *testing.T) {
 				d2.dumpLog(t)
 				t.Fatalf("survivor replay fingerprint = %q, want %q", resp.Output, fp)
 			}
-			d2.cmd.Process.Signal(syscall.SIGTERM)
-			if ws := d2.wait(t); ws.ExitStatus() != 0 {
-				d2.dumpLog(t)
-				t.Fatalf("survivor exit = %d on SIGTERM", ws.ExitStatus())
-			}
+			d2.terminate(t)
 		})
 	}
 }
@@ -426,7 +446,7 @@ func TestCrashMatrixStalePrimaryFenced(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and kills livesimd subprocesses")
 	}
-	bin := buildLivesimd(t)
+	bin := buildBinary(t, "livesimd")
 	dir := shortDir(t)
 	prim, _, sockA, sockB := replicatedPair(t, bin, dir)
 
@@ -434,8 +454,7 @@ func TestCrashMatrixStalePrimaryFenced(t *testing.T) {
 	if acked := driveReplicatedSession(c, "unix:"+sockB); acked != 300 {
 		t.Fatalf("healthy pair acked %d cycles, want 300", acked)
 	}
-	prim.cmd.Process.Kill()
-	prim.wait(t)
+	prim.kill(t)
 
 	cB := waitDial(t, sockB)
 	if cycle := promotedCycle(t, cB); cycle != 300 {
@@ -528,7 +547,7 @@ func TestCrashMatrixENOSPCDuringAppend(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and restarts livesimd subprocesses")
 	}
-	bin := buildLivesimd(t)
+	bin := buildBinary(t, "livesimd")
 	dir := shortDir(t)
 	sock, state := filepath.Join(dir, "d.sock"), filepath.Join(dir, "state")
 
@@ -561,11 +580,7 @@ func TestCrashMatrixENOSPCDuringAppend(t *testing.T) {
 	waitSessionDurable(t, c, false)
 
 	// A daemon that weathered ENOSPC must still drain cleanly.
-	d.cmd.Process.Signal(syscall.SIGTERM)
-	if ws := d.wait(t); ws.ExitStatus() != 0 {
-		d.dumpLog(t)
-		t.Fatalf("daemon exit = %d on SIGTERM after ENOSPC incident", ws.ExitStatus())
-	}
+	d.terminate(t)
 
 	// Restart: the reanchored journal recovers everything, including the
 	// mutations made while nondurable (200 + 100 + 50 = 350).
@@ -581,9 +596,5 @@ func TestCrashMatrixENOSPCDuringAppend(t *testing.T) {
 		t.Fatalf("recovered cycle = %q, want 350", resp.Output)
 	}
 	mustOK(t, c2, &server.Request{Session: "s1", Verb: "run", Args: []string{"tb0", "p0", "10"}})
-	d2.cmd.Process.Signal(syscall.SIGTERM)
-	if ws := d2.wait(t); ws.ExitStatus() != 0 {
-		d2.dumpLog(t)
-		t.Fatalf("restarted daemon exit = %d on SIGTERM", ws.ExitStatus())
-	}
+	d2.terminate(t)
 }

@@ -518,3 +518,23 @@ func TestDrainSaveFailureExitsNonzero(t *testing.T) {
 		t.Errorf("drain error %q should name the failed saves", err)
 	}
 }
+
+// TestDrainCreatesDrainDir: a DrainDir that does not exist yet is made
+// at boot, as StateDir is, so the drain saves into it instead of failing
+// every checkpoint and the manifest.
+func TestDrainCreatesDrainDir(t *testing.T) {
+	dir := shortDir(t)
+	drain := filepath.Join(dir, "not", "yet")
+	_, stop := startServerOn(t, server.Config{DrainDir: drain}, filepath.Join(dir, "d.sock"))
+	c := dial(t, "unix:"+filepath.Join(dir, "d.sock"))
+	createTiny(t, c, "s1", 25)
+	mustOK(t, c, &server.Request{Session: "s1", Verb: "run", Args: []string{"clock", "p0", "50"}})
+	if err := stop(); err != nil {
+		t.Fatalf("drain into a drain dir made at boot: %v", err)
+	}
+	for _, f := range []string{"s1.p0.lscp", "drain.json"} {
+		if _, err := os.Stat(filepath.Join(drain, f)); err != nil {
+			t.Error(err)
+		}
+	}
+}

@@ -305,8 +305,11 @@ func TestDiskPressureLadder(t *testing.T) {
 	waitNondurable(t, c, "d0", true)
 	mustOK(t, c, &server.Request{Session: "d0", Verb: "run", Args: []string{"clock", "p0", "30"}})
 	cycles += 30
-	if code, body := healthz(t, srvA); code != http.StatusOK || body["status"] != "degraded" {
+	if code, body := healthz(t, srvA); code != http.StatusOK || body["status"] != "degraded" || body["disk_level"] != "critical" {
 		t.Errorf("healthz at critical: code=%d body=%v", code, body)
+	}
+	if out := mustOK(t, c, &server.Request{Verb: "sessions"}).Output; !strings.Contains(out, " NONDURABLE") || strings.Contains(out, "QUARANTINED") {
+		t.Errorf("sessions at critical: %q, want NONDURABLE and not QUARANTINED", out)
 	}
 
 	// Rung 3 — emergency: mutations and creates are rejected with the

@@ -167,10 +167,13 @@ func New(cfg Config) *Server {
 	if cfg.JournalResumeDelay <= 0 {
 		cfg.JournalResumeDelay = defaultJournalResumeDelay
 	}
-	if cfg.StateDir != "" {
-		// Best-effort here; a dir that still can't be written surfaces as a
-		// create-time journal error with the real cause attached.
-		os.MkdirAll(cfg.StateDir, 0o755)
+	// Best-effort here; a dir that still can't be written surfaces as a
+	// create-time journal error or a drain save error with the real cause
+	// attached.
+	for _, dir := range []string{cfg.StateDir, cfg.DrainDir} {
+		if dir != "" {
+			os.MkdirAll(dir, 0o755)
+		}
 	}
 	reg := cfg.Metrics
 	if reg == nil {

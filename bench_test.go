@@ -269,7 +269,9 @@ func BenchmarkFig6Verify(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := verify.Run(cps, replay, verify.Options{Workers: 4})
+		res, err := verify.Run(cps, replay, func(replayed *sim.State, recorded *checkpoint.Checkpoint) (bool, string) {
+			return sim.StateEqual(replayed, recorded.State)
+		})
 		if err != nil {
 			b.Fatal(err)
 		}

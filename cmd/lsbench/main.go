@@ -598,10 +598,17 @@ func fig6() {
 		return ps.Snapshot(), nil
 	}
 
+	compare := func(replayed *sim.State, recorded *checkpoint.Checkpoint) (bool, string) {
+		return sim.StateEqual(replayed, recorded.State)
+	}
+
+	// verify.Run replays as many segments at once as GOMAXPROCS allows.
 	fmt.Printf("%-10s %12s %10s\n", "workers", "elapsed", "speedup")
 	var base time.Duration
 	for _, w := range []int{1, 2, 4, 8} {
-		res, err := verify.Run(cps, replay, verify.Options{Workers: w})
+		prev := runtime.GOMAXPROCS(w)
+		res, err := verify.Run(cps, replay, compare)
+		runtime.GOMAXPROCS(prev)
 		if err != nil {
 			fatal(err)
 		}

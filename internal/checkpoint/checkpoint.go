@@ -17,6 +17,7 @@ package checkpoint
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -58,9 +59,6 @@ type Store struct {
 
 	cps    []*Checkpoint
 	nextID int
-
-	// deleted counts checkpoints removed by GC and the Drop calls.
-	deleted int
 
 	// metrics, when set, receives checkpoint_* counters. cTakes is
 	// resolved once in SetMetrics so Add never pays a registry lookup;
@@ -227,22 +225,15 @@ func (s *Store) DropAfterCycle(cycle uint64) int {
 	return s.drop(func(cp *Checkpoint) bool { return cp.Cycle > cycle })
 }
 
-// drop removes the checkpoints gone reports and returns how many. It
-// filters in place without clearing the slots past the new length, as
-// gcLocked does: a dropped checkpoint stays reachable from the backing
-// array until a later Add overwrites it (ROADMAP item 1(d)).
+// drop removes the checkpoints gone reports and returns how many. The
+// slots past the new length are cleared, so nothing keeps a dropped
+// checkpoint reachable.
 func (s *Store) drop(gone func(cp *Checkpoint) bool) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	kept := s.cps[:0]
-	for _, cp := range s.cps {
-		if !gone(cp) {
-			kept = append(kept, cp)
-		}
-	}
-	dropped := len(s.cps) - len(kept)
-	s.cps = kept
-	s.deleted += dropped
+	n := len(s.cps)
+	s.cps = slices.DeleteFunc(s.cps, gone)
+	dropped := n - len(s.cps)
 	s.metrics.Counter("checkpoint_gc_deleted").Add(uint64(dropped))
 	return dropped
 }
@@ -275,8 +266,7 @@ func (s *Store) gcLocked() {
 		if bestIdx < 0 {
 			break
 		}
-		s.cps = append(s.cps[:bestIdx], s.cps[bestIdx+1:]...)
-		s.deleted++
+		s.cps = slices.Delete(s.cps, bestIdx, bestIdx+1)
 		s.metrics.Counter("checkpoint_gc_deleted").Inc()
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"livesim/internal/obs"
 	"livesim/internal/sim"
 )
 
@@ -147,6 +148,8 @@ func TestDecodeErrors(t *testing.T) {
 
 func TestGCKeepsLatestAndThins(t *testing.T) {
 	s := NewStore()
+	reg := obs.NewRegistry()
+	s.SetMetrics(reg)
 	s.setGC(10, 20)
 	for c := uint64(0); c < 100; c++ {
 		s.Add(mkState(c*1000), "v1", int(c))
@@ -178,8 +181,27 @@ func TestGCKeepsLatestAndThins(t *testing.T) {
 			t.Errorf("gap %d too large (ideal %d): %v", gap, ideal, cycles(older))
 		}
 	}
-	if n := s.deletedCount(); n != 80 {
+	if n := reg.Counter("checkpoint_gc_deleted").Value(); n != 80 {
 		t.Errorf("deleted %d", n)
+	}
+}
+
+// TestRemovedCheckpointsAreUnreachable: neither GC nor a Drop call leaves
+// a removed checkpoint in the backing array past the store's length.
+func TestRemovedCheckpointsAreUnreachable(t *testing.T) {
+	s := NewStore()
+	s.setGC(4, 8)
+	for c := uint64(0); c < 9; c++ {
+		s.Add(mkState(c*100), "v1", int(c))
+	}
+	if n := s.heldPastLen(); n != 0 {
+		t.Errorf("after GC: %d removed checkpoints still held", n)
+	}
+	if s.DropAfterCycle(300) == 0 {
+		t.Fatal("nothing dropped")
+	}
+	if n := s.heldPastLen(); n != 0 {
+		t.Errorf("after a drop: %d removed checkpoints still held", n)
 	}
 }
 

@@ -7,11 +7,18 @@ func (s *Store) setGC(keepLatest, maxTotal int) {
 	s.keepLatest, s.maxTotal = keepLatest, maxTotal
 }
 
-// deletedCount is how many checkpoints GC and the Drop calls removed.
-func (s *Store) deletedCount() int {
+// heldPastLen counts the checkpoints the store's backing array still
+// holds beyond its length, where nothing but the array reaches them.
+func (s *Store) heldPastLen() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.deleted
+	n := 0
+	for _, cp := range s.cps[len(s.cps):cap(s.cps)] {
+		if cp != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // formatVersion is the container version a checkpoint file was written

@@ -8,11 +8,19 @@ import (
 	"livesim/internal/vm"
 )
 
-// value is a lowered expression result.
-type value struct {
-	slot   uint32
+// shape is the width and sign of an expression's value.
+type shape struct {
 	width  int
 	signed bool
+}
+
+// at is a value of shape r held in slot.
+func (r shape) at(slot uint32) value { return value{slot, r} }
+
+// value is a lowered expression result.
+type value struct {
+	slot uint32
+	shape
 }
 
 // vnKey identifies an emitted computation for value numbering. Two
@@ -68,7 +76,7 @@ func (e *emitter) remember(k vnKey, slot uint32) {
 // Instructions whose operands are all compile-time constants fold away
 // into the constant pool instead of emitting code.
 func (e *emitter) op(in vm.Instr) uint32 {
-	if v, ok := e.foldConst(in); ok {
+	if v, ok := vm.Fold(in, e.c.constValue); ok {
 		return e.c.constSlot(v)
 	}
 	k := vnKey{op: in.Op, w: in.W, a: in.A, b: in.B, c: in.C, imm: in.Imm}
@@ -79,123 +87,6 @@ func (e *emitter) op(in vm.Instr) uint32 {
 	e.code = append(e.code, in)
 	e.remember(k, in.Dst)
 	return in.Dst
-}
-
-// foldConst evaluates pure instructions over constant operands at compile
-// time, mirroring the VM's semantics exactly.
-func (e *emitter) foldConst(in vm.Instr) (uint64, bool) {
-	va, aok := e.c.constValue(in.A)
-	if !aok {
-		return 0, false
-	}
-	b2u := func(b bool) uint64 {
-		if b {
-			return 1
-		}
-		return 0
-	}
-	// Single-operand forms (B is unused or a literal field).
-	switch in.Op {
-	case vm.OpMove:
-		return va, true
-	case vm.OpNot:
-		return ^va & in.Imm, true
-	case vm.OpNeg:
-		return (-va) & in.Imm, true
-	case vm.OpSext:
-		return vm.SignExtend(va, int(in.W)) & in.Imm, true
-	case vm.OpRedOr:
-		return b2u(va != 0), true
-	case vm.OpRedAnd:
-		return b2u(va == in.Imm), true
-	case vm.OpRedXor:
-		return uint64(popcount(va) & 1), true
-	case vm.OpAndImm:
-		return va & in.Imm, true
-	case vm.OpOrImm:
-		return va | in.Imm, true
-	case vm.OpShlImm:
-		return (va << in.B) & in.Imm, true
-	case vm.OpShrImm:
-		return va >> in.B, true
-	case vm.OpEqImm:
-		return b2u(va == in.Imm), true
-	}
-	vb, bok := e.c.constValue(in.B)
-	if !bok {
-		return 0, false
-	}
-	switch in.Op {
-	case vm.OpAdd:
-		return (va + vb) & in.Imm, true
-	case vm.OpSub:
-		return (va - vb) & in.Imm, true
-	case vm.OpMul:
-		return (va * vb) & in.Imm, true
-	case vm.OpDiv:
-		if vb == 0 {
-			return in.Imm, true
-		}
-		return va / vb, true
-	case vm.OpMod:
-		if vb == 0 {
-			return in.Imm, true
-		}
-		return va % vb, true
-	case vm.OpAnd:
-		return va & vb, true
-	case vm.OpOr:
-		return va | vb, true
-	case vm.OpXor:
-		return va ^ vb, true
-	case vm.OpShl:
-		if vb >= 64 {
-			return 0, true
-		}
-		return (va << vb) & in.Imm, true
-	case vm.OpShr:
-		if vb >= 64 {
-			return 0, true
-		}
-		return va >> vb, true
-	case vm.OpSshr:
-		sh := vb
-		if sh > 63 {
-			sh = 63
-		}
-		return uint64(int64(vm.SignExtend(va, int(in.W)))>>sh) & in.Imm, true
-	case vm.OpEq:
-		return b2u(va == vb), true
-	case vm.OpNe:
-		return b2u(va != vb), true
-	case vm.OpLtU:
-		return b2u(va < vb), true
-	case vm.OpLeU:
-		return b2u(va <= vb), true
-	case vm.OpLtS:
-		return b2u(int64(va) < int64(vb)), true
-	case vm.OpLeS:
-		return b2u(int64(va) <= int64(vb)), true
-	case vm.OpMux:
-		vc, cok := e.c.constValue(in.C)
-		if !cok {
-			return 0, false
-		}
-		if va != 0 {
-			return vb, true
-		}
-		return vc, true
-	}
-	return 0, false
-}
-
-func popcount(v uint64) int {
-	n := 0
-	for v != 0 {
-		v &= v - 1
-		n++
-	}
-	return n
 }
 
 // opInto emits an instruction with a fixed destination (no CSE reuse of the
@@ -227,17 +118,11 @@ func (e *emitter) patch(at int) { e.code[at].B = uint32(len(e.code)) }
 func (e *emitter) expr(x ast.Expr) (value, error) {
 	switch n := x.(type) {
 	case *ast.Number:
-		w := n.Width
-		if w == 0 {
-			// Unsized literals are treated as 64-bit (documented deviation
-			// from Verilog's 32-bit rule; see DESIGN.md).
-			w = 64
-		}
-		return value{slot: e.c.constSlot(n.Value), width: w, signed: n.Signed}, nil
+		return e.shape(n).at(e.c.constSlot(n.Value)), nil
 
 	case *ast.Ident:
 		if cv, ok := e.c.m.Consts[n.Name]; ok {
-			return value{slot: e.c.constSlot(cv), width: 64, signed: false}, nil
+			return e.shape(n).at(e.c.constSlot(cv)), nil
 		}
 		s := e.c.sig(n.Name)
 		if s == nil {
@@ -246,7 +131,7 @@ func (e *emitter) expr(x ast.Expr) (value, error) {
 		if s.Kind == elab.Memory {
 			return value{}, fmt.Errorf("memory %q used without an index", n.Name)
 		}
-		return value{slot: e.c.slots[n.Name], width: s.Width, signed: s.Signed}, nil
+		return e.shape(n).at(e.c.slots[n.Name]), nil
 
 	case *ast.Unary:
 		return e.unary(n)
@@ -264,7 +149,7 @@ func (e *emitter) expr(x ast.Expr) (value, error) {
 		return e.partSelect(n)
 
 	case *ast.Concat:
-		return e.concat(n.Parts)
+		return e.concat(n)
 
 	case *ast.Repl:
 		return e.repl(n)
@@ -279,8 +164,7 @@ func (e *emitter) expr(x ast.Expr) (value, error) {
 			if err != nil {
 				return value{}, err
 			}
-			v.signed = n.Name == "$signed"
-			return v, nil
+			return e.shape(n, v.shape).at(v.slot), nil
 		default:
 			return value{}, fmt.Errorf("system function %s not supported in expressions", n.Name)
 		}
@@ -296,11 +180,10 @@ func (e *emitter) extend(v value, w int) value {
 		return v
 	}
 	if v.signed {
-		s := e.op(vm.Instr{Op: vm.OpSext, A: v.slot, W: uint8(v.width), Imm: vm.Mask(w)})
-		return value{slot: s, width: w, signed: true}
+		return shape{w, true}.at(e.op(vm.Instr{Op: vm.OpSext, A: v.slot, W: uint8(v.width), Imm: vm.Mask(w)}))
 	}
 	// Zero extension is free: slots are stored masked.
-	return value{slot: v.slot, width: w, signed: false}
+	return shape{width: w}.at(v.slot)
 }
 
 func (e *emitter) unary(n *ast.Unary) (value, error) {
@@ -308,39 +191,28 @@ func (e *emitter) unary(n *ast.Unary) (value, error) {
 	if err != nil {
 		return value{}, err
 	}
-	mask := vm.Mask(v.width)
+	r, mask := e.shape(n, v.shape), vm.Mask(v.width)
 	switch n.Op {
 	case ast.Plus:
-		return v, nil
+		return r.at(v.slot), nil
 	case ast.Neg:
-		s := e.op(vm.Instr{Op: vm.OpNeg, A: v.slot, Imm: mask})
-		return value{slot: s, width: v.width, signed: v.signed}, nil
+		return r.at(e.op(vm.Instr{Op: vm.OpNeg, A: v.slot, Imm: mask})), nil
 	case ast.BitNot:
-		s := e.op(vm.Instr{Op: vm.OpNot, A: v.slot, Imm: mask})
-		return value{slot: s, width: v.width, signed: v.signed}, nil
-	case ast.LogNot:
-		s := e.op(vm.Instr{Op: vm.OpEqImm, A: v.slot, Imm: 0})
-		return value{slot: s, width: 1}, nil
+		return r.at(e.op(vm.Instr{Op: vm.OpNot, A: v.slot, Imm: mask})), nil
+	case ast.LogNot, ast.RedNor:
+		return r.at(e.op(vm.Instr{Op: vm.OpEqImm, A: v.slot, Imm: 0})), nil
 	case ast.RedAnd:
-		s := e.op(vm.Instr{Op: vm.OpRedAnd, A: v.slot, Imm: mask})
-		return value{slot: s, width: 1}, nil
+		return r.at(e.op(vm.Instr{Op: vm.OpRedAnd, A: v.slot, Imm: mask})), nil
 	case ast.RedOr:
-		s := e.op(vm.Instr{Op: vm.OpRedOr, A: v.slot})
-		return value{slot: s, width: 1}, nil
+		return r.at(e.op(vm.Instr{Op: vm.OpRedOr, A: v.slot})), nil
 	case ast.RedXor:
-		s := e.op(vm.Instr{Op: vm.OpRedXor, A: v.slot})
-		return value{slot: s, width: 1}, nil
+		return r.at(e.op(vm.Instr{Op: vm.OpRedXor, A: v.slot})), nil
 	case ast.RedNand:
 		s := e.op(vm.Instr{Op: vm.OpRedAnd, A: v.slot, Imm: mask})
-		s = e.op(vm.Instr{Op: vm.OpEqImm, A: s, Imm: 0})
-		return value{slot: s, width: 1}, nil
-	case ast.RedNor:
-		s := e.op(vm.Instr{Op: vm.OpEqImm, A: v.slot, Imm: 0})
-		return value{slot: s, width: 1}, nil
+		return r.at(e.op(vm.Instr{Op: vm.OpEqImm, A: s, Imm: 0})), nil
 	case ast.RedXnor:
 		s := e.op(vm.Instr{Op: vm.OpRedXor, A: v.slot})
-		s = e.op(vm.Instr{Op: vm.OpEqImm, A: s, Imm: 0})
-		return value{slot: s, width: 1}, nil
+		return r.at(e.op(vm.Instr{Op: vm.OpEqImm, A: s, Imm: 0})), nil
 	}
 	return value{}, fmt.Errorf("unsupported unary operator %d", n.Op)
 }
@@ -354,6 +226,7 @@ func (e *emitter) binary(n *ast.Binary) (value, error) {
 	if err != nil {
 		return value{}, err
 	}
+	r := e.shape(n, x.shape, y.shape)
 
 	switch n.Op {
 	case ast.LogAnd, ast.LogOr:
@@ -361,42 +234,27 @@ func (e *emitter) binary(n *ast.Binary) (value, error) {
 		if n.Op == ast.LogOr {
 			op = vm.OpOr
 		}
-		s := e.op(vm.Instr{Op: op, A: e.truth(x), B: e.truth(y)})
-		return value{slot: s, width: 1}, nil
+		return r.at(e.op(vm.Instr{Op: op, A: e.truth(x), B: e.truth(y)})), nil
 
 	case ast.Shl:
-		s := e.op(vm.Instr{Op: vm.OpShl, A: x.slot, B: y.slot, Imm: vm.Mask(x.width)})
-		return value{slot: s, width: x.width, signed: x.signed}, nil
-	case ast.Shr:
-		s := e.op(vm.Instr{Op: vm.OpShr, A: x.slot, B: y.slot})
-		return value{slot: s, width: x.width}, nil
+		return r.at(e.op(vm.Instr{Op: vm.OpShl, A: x.slot, B: y.slot, Imm: vm.Mask(x.width)})), nil
 	case ast.Sshr:
 		if x.signed {
-			s := e.op(vm.Instr{Op: vm.OpSshr, A: x.slot, B: y.slot, W: uint8(x.width), Imm: vm.Mask(x.width)})
-			return value{slot: s, width: x.width, signed: true}, nil
+			return r.at(e.op(vm.Instr{Op: vm.OpSshr, A: x.slot, B: y.slot, W: uint8(x.width), Imm: vm.Mask(x.width)})), nil
 		}
-		s := e.op(vm.Instr{Op: vm.OpShr, A: x.slot, B: y.slot})
-		return value{slot: s, width: x.width}, nil
+		fallthrough
+	case ast.Shr:
+		return r.at(e.op(vm.Instr{Op: vm.OpShr, A: x.slot, B: y.slot})), nil
 	}
 
-	// Width-matching operators.
-	w := x.width
-	if y.width > w {
-		w = y.width
-	}
-	bothSigned := x.signed && y.signed
-	if bothSigned {
-		x = e.extend(x, w)
-		y = e.extend(y, w)
-	} else {
-		x.signed, y.signed = false, false
-		x = e.extend(x, w)
-		y = e.extend(y, w)
-	}
-	mask := vm.Mask(w)
+	// Width-matching operators: both operands are extended to the joined
+	// shape, so they are sign-extended only when both are signed.
+	j := join(x.shape, y.shape)
+	x.signed, y.signed = j.signed, j.signed
+	x, y = e.extend(x, j.width), e.extend(y, j.width)
+	mask := vm.Mask(j.width)
 	bin := func(op vm.OpCode) value {
-		s := e.op(vm.Instr{Op: op, A: x.slot, B: y.slot, Imm: mask})
-		return value{slot: s, width: w, signed: bothSigned}
+		return r.at(e.op(vm.Instr{Op: op, A: x.slot, B: y.slot, Imm: mask}))
 	}
 	cmp := func(opU, opS vm.OpCode, swap bool) value {
 		a, b := x.slot, y.slot
@@ -404,14 +262,13 @@ func (e *emitter) binary(n *ast.Binary) (value, error) {
 			a, b = b, a
 		}
 		op := opU
-		if bothSigned {
+		if j.signed {
 			// Sign-extend both to 64 bits so int64 comparison is valid.
-			a = e.op(vm.Instr{Op: vm.OpSext, A: a, W: uint8(w), Imm: vm.Mask(64)})
-			b = e.op(vm.Instr{Op: vm.OpSext, A: b, W: uint8(w), Imm: vm.Mask(64)})
+			a = e.op(vm.Instr{Op: vm.OpSext, A: a, W: uint8(j.width), Imm: vm.Mask(64)})
+			b = e.op(vm.Instr{Op: vm.OpSext, A: b, W: uint8(j.width), Imm: vm.Mask(64)})
 			op = opS
 		}
-		s := e.op(vm.Instr{Op: op, A: a, B: b})
-		return value{slot: s, width: 1}
+		return r.at(e.op(vm.Instr{Op: op, A: a, B: b}))
 	}
 
 	switch n.Op {
@@ -426,13 +283,13 @@ func (e *emitter) binary(n *ast.Binary) (value, error) {
 	case ast.Mod:
 		return bin(vm.OpMod), nil
 	case ast.And:
-		// Both sides are stored masked to w bits by now, so an all-ones
-		// side of that width leaves the other one as it is.
+		// Both sides are stored masked to the joined width by now, so an
+		// all-ones side of that width leaves the other one as it is.
 		if v, ok := e.c.constValue(y.slot); ok && v == mask {
-			return value{slot: x.slot, width: w, signed: bothSigned}, nil
+			return r.at(x.slot), nil
 		}
 		if v, ok := e.c.constValue(x.slot); ok && v == mask {
-			return value{slot: y.slot, width: w, signed: bothSigned}, nil
+			return r.at(y.slot), nil
 		}
 		return bin(vm.OpAnd), nil
 	case ast.Or:
@@ -440,15 +297,11 @@ func (e *emitter) binary(n *ast.Binary) (value, error) {
 	case ast.Xor:
 		return bin(vm.OpXor), nil
 	case ast.Xnor:
-		v := bin(vm.OpXor)
-		s := e.op(vm.Instr{Op: vm.OpNot, A: v.slot, Imm: mask})
-		return value{slot: s, width: w, signed: bothSigned}, nil
+		return r.at(e.op(vm.Instr{Op: vm.OpNot, A: bin(vm.OpXor).slot, Imm: mask})), nil
 	case ast.Eq:
-		s := e.op(vm.Instr{Op: vm.OpEq, A: x.slot, B: y.slot})
-		return value{slot: s, width: 1}, nil
+		return r.at(e.op(vm.Instr{Op: vm.OpEq, A: x.slot, B: y.slot})), nil
 	case ast.Ne:
-		s := e.op(vm.Instr{Op: vm.OpNe, A: x.slot, B: y.slot})
-		return value{slot: s, width: 1}, nil
+		return r.at(e.op(vm.Instr{Op: vm.OpNe, A: x.slot, B: y.slot})), nil
 	case ast.Lt:
 		return cmp(vm.OpLtU, vm.OpLtS, false), nil
 	case ast.Le:
@@ -480,48 +333,38 @@ func (e *emitter) ternary(n *ast.Ternary) (value, error) {
 		if err != nil {
 			return value{}, err
 		}
-		w := a.width
-		if b.width > w {
-			w = b.width
-		}
-		bothSigned := a.signed && b.signed
-		a = e.extend(a, w)
-		b = e.extend(b, w)
-		s := e.op(vm.Instr{Op: vm.OpMux, A: cbool, B: a.slot, C: b.slot})
-		return value{slot: s, width: w, signed: bothSigned}, nil
+		r := e.shape(n, a.shape, b.shape)
+		a, b = e.extend(a, r.width), e.extend(b, r.width)
+		return r.at(e.op(vm.Instr{Op: vm.OpMux, A: cbool, B: a.slot, C: b.slot})), nil
 	}
 
-	return e.ternaryInto(e.c.alloc(), n)
+	return e.ternaryInto(e.c.alloc(), e.exprShape(n), n)
 }
 
-// ternaryInto lowers the grouped style's cond ? a : b with each arm
-// writing dst itself. The result width must be known before emission, so
-// the arm widths come from a dry scan.
-func (e *emitter) ternaryInto(dst uint32, n *ast.Ternary) (value, error) {
+// ternaryInto lowers the grouped style's cond ? a : b, of shape r, with
+// each arm writing dst itself. The arms are coerced to r's width as they
+// are emitted, so r comes from a dry scan, exprShape.
+func (e *emitter) ternaryInto(dst uint32, r shape, n *ast.Ternary) (value, error) {
 	cond, err := e.expr(n.Cond)
 	if err != nil {
 		return value{}, err
 	}
 	cbool := e.truth(cond)
-	w, signed, err := e.exprShape(n)
-	if err != nil {
-		return value{}, err
-	}
 	jz := e.jump(vm.OpJz, cbool)
 	e.pushScope()
-	if err := e.exprInto(dst, w, n.Then); err != nil {
+	if err := e.exprInto(dst, r.width, n.Then); err != nil {
 		return value{}, err
 	}
 	e.popScope()
 	jend := e.jump(vm.OpJmp, 0)
 	e.patch(jz)
 	e.pushScope()
-	if err := e.exprInto(dst, w, n.Else); err != nil {
+	if err := e.exprInto(dst, r.width, n.Else); err != nil {
 		return value{}, err
 	}
 	e.popScope()
 	e.patch(jend)
-	return value{slot: dst, width: w, signed: signed}, nil
+	return r.at(dst), nil
 }
 
 // exprInto lowers x into dst, a signal of width w: it writes what
@@ -531,12 +374,8 @@ func (e *emitter) ternaryInto(dst uint32, n *ast.Ternary) (value, error) {
 // recurse, so a nested ternary writes dst too.
 func (e *emitter) exprInto(dst uint32, w int, x ast.Expr) error {
 	if t, ok := x.(*ast.Ternary); ok && e.c.style == StyleGrouped {
-		tw, signed, err := e.exprShape(t)
-		if err != nil {
-			return err
-		}
-		if tw == w || tw < w && !signed {
-			_, err := e.ternaryInto(dst, t)
+		if r := e.exprShape(t); coerce(r.at(dst), w).Op == vm.OpMove {
+			_, err := e.ternaryInto(dst, r, t)
 			return err
 		}
 	}
@@ -548,34 +387,46 @@ func (e *emitter) exprInto(dst uint32, w int, x ast.Expr) error {
 	return nil
 }
 
-// assignTo coerces v into the destination slot with the target's width and
-// the Verilog extension rule (sign-extend iff the RHS is signed).
+// coerce is the instruction that writes v to a slot of width w, by the
+// Verilog extension rule (sign-extend iff v is signed): an OpSext, an
+// OpAndImm, or an OpMove when v only moves.
+func coerce(v value, w int) vm.Instr {
+	switch {
+	case v.width < w && v.signed:
+		return vm.Instr{Op: vm.OpSext, A: v.slot, W: uint8(v.width), Imm: vm.Mask(w)}
+	case v.width > w:
+		return vm.Instr{Op: vm.OpAndImm, A: v.slot, Imm: vm.Mask(w)}
+	}
+	return vm.Instr{Op: vm.OpMove, A: v.slot}
+}
+
+// assignTo writes v into the destination slot, coerced to its width; a
+// move of dst to itself is not emitted.
 func (e *emitter) assignTo(dst uint32, dstWidth int, v value) {
-	if v.width < dstWidth && v.signed {
-		e.opInto(dst, vm.Instr{Op: vm.OpSext, A: v.slot, W: uint8(v.width), Imm: vm.Mask(dstWidth)})
-		return
+	if in := coerce(v, dstWidth); in.Op != vm.OpMove || v.slot != dst {
+		e.opInto(dst, in)
 	}
-	if v.width > dstWidth {
-		e.opInto(dst, vm.Instr{Op: vm.OpAndImm, A: v.slot, Imm: vm.Mask(dstWidth)})
-		return
+}
+
+// memory names the memory that n reads an element of, or is "" when n
+// selects a bit of a vector.
+func (e *emitter) memory(n *ast.Index) string {
+	if id, ok := n.X.(*ast.Ident); ok {
+		if s := e.c.sig(id.Name); s != nil && s.Kind == elab.Memory {
+			return id.Name
+		}
 	}
-	if v.slot == dst {
-		return
-	}
-	e.opInto(dst, vm.Instr{Op: vm.OpMove, A: v.slot})
+	return ""
 }
 
 func (e *emitter) index(n *ast.Index) (value, error) {
-	// Memory element read?
-	if id, ok := n.X.(*ast.Ident); ok {
-		if s := e.c.sig(id.Name); s != nil && s.Kind == elab.Memory {
-			addr, err := e.expr(n.Index)
-			if err != nil {
-				return value{}, err
-			}
-			slot := e.op(vm.Instr{Op: vm.OpMemRd, A: addr.slot, B: e.c.memIdx[id.Name]})
-			return value{slot: slot, width: s.Width, signed: s.Signed}, nil
+	r := e.shape(n)
+	if mem := e.memory(n); mem != "" {
+		addr, err := e.expr(n.Index)
+		if err != nil {
+			return value{}, err
 		}
+		return r.at(e.op(vm.Instr{Op: vm.OpMemRd, A: addr.slot, B: e.c.memIdx[mem]})), nil
 	}
 	// Bit select on a vector.
 	v, err := e.expr(n.X)
@@ -584,17 +435,16 @@ func (e *emitter) index(n *ast.Index) (value, error) {
 	}
 	if iv, ok := elab.TryConst(n.Index, e.c.m.Consts); ok {
 		if iv >= uint64(v.width) {
-			return value{slot: e.c.constSlot(0), width: 1}, nil
+			return r.at(e.c.constSlot(0)), nil
 		}
-		return e.bits(v, int(iv), int(iv)), nil
+		return r.at(e.bits(v, int(iv), int(iv)).slot), nil
 	}
 	idx, err := e.expr(n.Index)
 	if err != nil {
 		return value{}, err
 	}
 	s := e.op(vm.Instr{Op: vm.OpShr, A: v.slot, B: idx.slot})
-	s = e.op(vm.Instr{Op: vm.OpAndImm, A: s, Imm: 1})
-	return value{slot: s, width: 1}, nil
+	return r.at(e.op(vm.Instr{Op: vm.OpAndImm, A: s, Imm: 1})), nil
 }
 
 func (e *emitter) partSelect(n *ast.PartSelect) (value, error) {
@@ -613,7 +463,7 @@ func (e *emitter) partSelect(n *ast.PartSelect) (value, error) {
 	if msb < lsb || msb >= 64 {
 		return value{}, fmt.Errorf("bad part select [%d:%d]", msb, lsb)
 	}
-	return e.bits(v, int(msb), int(lsb)), nil
+	return e.shape(n).at(e.bits(v, int(msb), int(lsb)).slot), nil
 }
 
 // bits lowers v[msb:lsb], msb < 64, to at most one op. Slots are stored
@@ -633,7 +483,7 @@ func (e *emitter) bits(v value, msb, lsb int) value {
 	default:
 		s = e.op(vm.Instr{Op: vm.OpSshr, A: s, B: e.c.constSlot(uint64(lsb)), W: 64, Imm: vm.Mask(w)})
 	}
-	return value{slot: s, width: w}
+	return shape{width: w}.at(s)
 }
 
 // repl lowers {count{x}}: x is evaluated once and spread by one op. A 1-bit
@@ -652,162 +502,156 @@ func (e *emitter) repl(n *ast.Repl) (value, error) {
 	if err != nil {
 		return value{}, err
 	}
-	total := int(cnt) * v.width
-	if total > 64 {
-		return value{}, fmt.Errorf("concatenation wider than 64 bits (%d)", total)
+	r := e.shape(n, v.shape)
+	if r.width > 64 {
+		return value{}, fmt.Errorf("concatenation wider than 64 bits (%d)", r.width)
 	}
 	switch {
 	case cnt == 1:
-		return value{slot: v.slot, width: total}, nil
+		return r.at(v.slot), nil
 	case v.width == 1:
-		s := e.op(vm.Instr{Op: vm.OpNeg, A: v.slot, Imm: vm.Mask(total)})
-		return value{slot: s, width: total}, nil
+		return r.at(e.op(vm.Instr{Op: vm.OpNeg, A: v.slot, Imm: vm.Mask(r.width)})), nil
 	}
 	var ones uint64
-	for i := 0; i < total; i += v.width {
+	for i := 0; i < r.width; i += v.width {
 		ones |= 1 << uint(i)
 	}
-	s := e.op(vm.Instr{Op: vm.OpMul, A: v.slot, B: e.c.constSlot(ones), Imm: vm.Mask(total)})
-	return value{slot: s, width: total}, nil
+	return r.at(e.op(vm.Instr{Op: vm.OpMul, A: v.slot, B: e.c.constSlot(ones), Imm: vm.Mask(r.width)})), nil
 }
 
-func (e *emitter) concat(parts []ast.Expr) (value, error) {
-	total := 0
-	vals := make([]value, len(parts))
-	for i, p := range parts {
+func (e *emitter) concat(n *ast.Concat) (value, error) {
+	vals := make([]value, len(n.Parts))
+	var buf [4]shape
+	parts := buf[:0]
+	for i, p := range n.Parts {
 		v, err := e.expr(p)
 		if err != nil {
 			return value{}, err
 		}
-		vals[i] = v
-		total += v.width
+		vals[i], parts = v, append(parts, v.shape)
 	}
-	if total > 64 {
-		return value{}, fmt.Errorf("concatenation wider than 64 bits (%d)", total)
+	r := e.shape(n, parts...)
+	if r.width > 64 {
+		return value{}, fmt.Errorf("concatenation wider than 64 bits (%d)", r.width)
 	}
 	// Parts are MSB-first.
 	var acc value
 	for i, v := range vals {
 		if i == 0 {
-			acc = value{slot: v.slot, width: v.width}
+			acc = value{slot: v.slot, shape: shape{width: v.width}}
 			continue
 		}
 		accW := acc.width + v.width
 		sh := e.op(vm.Instr{Op: vm.OpShlImm, A: acc.slot, B: uint32(v.width), Imm: vm.Mask(accW)})
 		s := e.op(vm.Instr{Op: vm.OpOr, A: sh, B: v.slot})
-		acc = value{slot: s, width: accW}
+		acc = value{slot: s, shape: shape{width: accW}}
 	}
-	return acc, nil
+	return r.at(acc.slot), nil
 }
 
-// exprShape computes the width and signedness of x without emitting code.
-func (e *emitter) exprShape(x ast.Expr) (int, bool, error) {
+// shape is the width-and-sign rule, stated once: the shape of x's value,
+// given the shapes of x's operands in source order — a unary's operand, a
+// binary's two, a ternary's arms, a replication's value, a concatenation's
+// parts, a system function's argument. expr gives every value it lowers
+// the shape this returns, and exprShape scans an expression with it, so
+// the grouped ternary sizes its arms as the lowering does. An x that expr
+// rejects gets some shape here; lowering it reports the error.
+func (e *emitter) shape(x ast.Expr, ops ...shape) shape {
 	switch n := x.(type) {
 	case *ast.Number:
-		w := n.Width
-		if w == 0 {
-			w = 64
+		if n.Width == 0 {
+			// Unsized literals are treated as 64-bit (documented deviation
+			// from Verilog's 32-bit rule; see DESIGN.md).
+			return shape{64, n.Signed}
 		}
-		return w, n.Signed, nil
+		return shape{n.Width, n.Signed}
 	case *ast.Ident:
 		if _, ok := e.c.m.Consts[n.Name]; ok {
-			return 64, false, nil
+			return shape{width: 64}
 		}
-		s := e.c.sig(n.Name)
-		if s == nil {
-			return 0, false, fmt.Errorf("unknown signal %q", n.Name)
+		if s := e.c.sig(n.Name); s != nil {
+			return shape{s.Width, s.Signed}
 		}
-		return s.Width, s.Signed, nil
-	case *ast.Unary:
-		switch n.Op {
-		case ast.LogNot, ast.RedAnd, ast.RedOr, ast.RedXor, ast.RedNand, ast.RedNor, ast.RedXnor:
-			return 1, false, nil
-		default:
-			return e.exprShape(n.X)
-		}
-	case *ast.Binary:
-		switch n.Op {
-		case ast.LogAnd, ast.LogOr, ast.Eq, ast.Ne, ast.Lt, ast.Le, ast.Gt, ast.Ge:
-			return 1, false, nil
-		case ast.Shl, ast.Shr, ast.Sshr:
-			return e.exprShape(n.X)
-		default:
-			wx, sx, err := e.exprShape(n.X)
-			if err != nil {
-				return 0, false, err
-			}
-			wy, sy, err := e.exprShape(n.Y)
-			if err != nil {
-				return 0, false, err
-			}
-			w := wx
-			if wy > w {
-				w = wy
-			}
-			return w, sx && sy, nil
-		}
-	case *ast.Ternary:
-		wa, sa, err := e.exprShape(n.Then)
-		if err != nil {
-			return 0, false, err
-		}
-		wb, sb, err := e.exprShape(n.Else)
-		if err != nil {
-			return 0, false, err
-		}
-		w := wa
-		if wb > w {
-			w = wb
-		}
-		return w, sa && sb, nil
 	case *ast.Index:
-		if id, ok := n.X.(*ast.Ident); ok {
-			if s := e.c.sig(id.Name); s != nil && s.Kind == elab.Memory {
-				return s.Width, s.Signed, nil
-			}
+		if mem := e.memory(n); mem != "" {
+			s := e.c.sig(mem)
+			return shape{s.Width, s.Signed}
 		}
-		return 1, false, nil
+		return shape{width: 1}
 	case *ast.PartSelect:
 		msb, err := elab.EvalConst(n.MSB, e.c.m.Consts)
-		if err != nil {
-			return 0, false, err
+		lsb, err2 := elab.EvalConst(n.LSB, e.c.m.Consts)
+		if err == nil && err2 == nil {
+			return shape{width: int(msb) - int(lsb) + 1}
 		}
-		lsb, err := elab.EvalConst(n.LSB, e.c.m.Consts)
-		if err != nil {
-			return 0, false, err
+	case *ast.Unary:
+		switch n.Op {
+		case ast.Plus, ast.Neg, ast.BitNot:
+			return ops[0]
 		}
-		if msb < lsb {
-			return 0, false, fmt.Errorf("bad part select [%d:%d]", msb, lsb)
+		return shape{width: 1}
+	case *ast.Binary:
+		switch n.Op {
+		case ast.Shl, ast.Sshr:
+			return ops[0]
+		case ast.Shr:
+			// Unsigned, whatever the left operand's sign (DESIGN.md §5).
+			return shape{width: ops[0].width}
+		case ast.LogAnd, ast.LogOr, ast.Eq, ast.Ne, ast.Lt, ast.Le, ast.Gt, ast.Ge:
+			return shape{width: 1}
 		}
-		return int(msb-lsb) + 1, false, nil
-	case *ast.Concat:
-		total := 0
-		for _, p := range n.Parts {
-			w, _, err := e.exprShape(p)
-			if err != nil {
-				return 0, false, err
-			}
-			total += w
-		}
-		return total, false, nil
+		return join(ops[0], ops[1])
+	case *ast.Ternary:
+		return join(ops[0], ops[1])
 	case *ast.Repl:
-		cnt, err := elab.EvalConst(n.Count, e.c.m.Consts)
-		if err != nil {
-			return 0, false, err
+		if cnt, err := elab.EvalConst(n.Count, e.c.m.Consts); err == nil {
+			return shape{width: int(cnt) * ops[0].width}
 		}
-		w, _, err := e.exprShape(n.Value)
-		if err != nil {
-			return 0, false, err
+	case *ast.Concat:
+		var r shape
+		for _, p := range ops {
+			r.width += p.width
 		}
-		return int(cnt) * w, false, nil
+		return r
 	case *ast.SysFunc:
-		if len(n.Args) != 1 {
-			return 0, false, fmt.Errorf("%s takes one argument", n.Name)
+		if len(ops) == 1 {
+			return shape{ops[0].width, n.Name == "$signed"}
 		}
-		w, _, err := e.exprShape(n.Args[0])
-		return w, n.Name == "$signed", err
 	}
-	return 0, false, fmt.Errorf("unsupported expression %T", x)
+	return shape{}
+}
+
+// join is the shape of a width-matching operation on a and b: the wider
+// width, signed only when both are.
+func join(a, b shape) shape {
+	return shape{max(a.width, b.width), a.signed && b.signed}
+}
+
+// exprShape is the shape expr gives x, found by the same rule without
+// emitting code.
+func (e *emitter) exprShape(x ast.Expr) shape {
+	var buf [4]shape
+	ops := buf[:0]
+	scan := func(xs ...ast.Expr) {
+		for _, o := range xs {
+			ops = append(ops, e.exprShape(o))
+		}
+	}
+	switch n := x.(type) {
+	case *ast.Unary:
+		scan(n.X)
+	case *ast.Binary:
+		scan(n.X, n.Y)
+	case *ast.Ternary:
+		scan(n.Then, n.Else)
+	case *ast.Repl:
+		scan(n.Value)
+	case *ast.Concat:
+		scan(n.Parts...)
+	case *ast.SysFunc:
+		scan(n.Args...)
+	}
+	return e.shape(x, ops...)
 }
 
 // truth returns a 0/1 slot that is set iff v is non-zero. A 1-bit value,

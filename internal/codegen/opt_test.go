@@ -177,67 +177,6 @@ func disasm(code []vm.Instr) string {
 	return sb.String()
 }
 
-func TestFoldConstMirrorsVM(t *testing.T) {
-	// For every foldable opcode, compare the folded result with actual VM
-	// execution over the same constant operands.
-	cases := []vm.Instr{
-		{Op: vm.OpAdd, Imm: vm.Mask(16)},
-		{Op: vm.OpSub, Imm: vm.Mask(16)},
-		{Op: vm.OpMul, Imm: vm.Mask(16)},
-		{Op: vm.OpDiv, Imm: vm.Mask(16)},
-		{Op: vm.OpMod, Imm: vm.Mask(16)},
-		{Op: vm.OpAnd}, {Op: vm.OpOr}, {Op: vm.OpXor},
-		{Op: vm.OpShl, Imm: vm.Mask(16)}, {Op: vm.OpShr},
-		{Op: vm.OpSshr, W: 16, Imm: vm.Mask(16)},
-		{Op: vm.OpEq}, {Op: vm.OpNe}, {Op: vm.OpLtU}, {Op: vm.OpLeU},
-		{Op: vm.OpLtS}, {Op: vm.OpLeS},
-		{Op: vm.OpNot, Imm: vm.Mask(16)}, {Op: vm.OpNeg, Imm: vm.Mask(16)},
-		{Op: vm.OpSext, W: 8, Imm: vm.Mask(16)},
-		{Op: vm.OpRedOr}, {Op: vm.OpRedAnd, Imm: vm.Mask(16)}, {Op: vm.OpRedXor},
-		{Op: vm.OpAndImm, Imm: 0xF0}, {Op: vm.OpOrImm, Imm: 0x0F},
-		{Op: vm.OpShlImm, B: 3, Imm: vm.Mask(16)}, {Op: vm.OpShrImm, B: 2},
-		{Op: vm.OpEqImm, Imm: 0x8123},
-	}
-	operands := [][2]uint64{{0x8123, 0x0042}, {0, 0}, {0xFFFF, 1}, {7, 0}}
-	for _, tmpl := range cases {
-		for _, opnds := range operands {
-			c := &compiler{
-				consts: map[uint64]uint32{},
-				obj:    &vm.Object{},
-			}
-			e := &emitter{c: c}
-			e.pushScope()
-			aSlot := c.constSlot(opnds[0])
-			var bSlot uint32
-			switch tmpl.Op {
-			case vm.OpShlImm, vm.OpShrImm, vm.OpAndImm, vm.OpOrImm, vm.OpEqImm,
-				vm.OpNot, vm.OpNeg, vm.OpSext, vm.OpRedOr, vm.OpRedAnd, vm.OpRedXor:
-				bSlot = tmpl.B // literal or unused
-			default:
-				bSlot = c.constSlot(opnds[1])
-			}
-			in := tmpl
-			in.A, in.B = aSlot, bSlot
-			folded, ok := e.foldConst(in)
-			if !ok {
-				t.Fatalf("%v not folded", tmpl.Op)
-			}
-
-			// Execute the same instruction in the VM.
-			obj := &vm.Object{
-				Key: "t", ModName: "t", NumSlots: c.nslots + 1,
-				Consts: c.obj.Consts,
-				Comb:   []vm.Instr{func() vm.Instr { x := in; x.Dst = c.nslots; return x }()},
-			}
-			inst := vm.NewInstance(obj)
-			inst.RunComb(nil)
-			if got := inst.Slots[c.nslots]; got != folded {
-				t.Errorf("%v(%#x,%#x): folded %#x, VM %#x", tmpl.Op, opnds[0], opnds[1], folded, got)
-			}
-		}
-	}
-}
-
 // tidyByHand runs a hand-built object as written and tidied, for both values
 // of its 1-bit input c (slot 0) and a (slot 1) = 0x0f, and requires equal
 // outputs w (slot 2 as written; tidy may point the port elsewhere). It

@@ -442,7 +442,7 @@ func (s *Session) startVerification(p *Pipe, oldVersion string, target uint64, s
 		compare := func(replayed *sim.State, recorded *checkpoint.Checkpoint) (bool, string) {
 			return s.compareToRecorded(replayed, recorded)
 		}
-		res, err := verify.Run(oldCps, replay, verify.Options{Compare: compare})
+		res, err := verify.Run(oldCps, replay, compare)
 		h.Result, h.Err = res, err
 		if err != nil || res.Consistent() {
 			if err == nil {

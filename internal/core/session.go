@@ -143,8 +143,6 @@ type Config struct {
 	CheckpointEvery uint64
 	// Lookback is the reload distance of Section III-D (default 10_000).
 	Lookback uint64
-	// Overrides rebinds top-level parameters.
-	Overrides map[string]uint64
 	// ObjectDir, when set, persists compiled objects to disk (.lso files)
 	// so later sessions reuse them — the file-system half of Table II's
 	// Object Library.
@@ -220,7 +218,7 @@ func NewSession(top string, cfg Config) *Session {
 	if cfg.Lookback == 0 {
 		cfg.Lookback = 10_000
 	}
-	comp := livecompiler.New(top, cfg.Style, cfg.Overrides)
+	comp := livecompiler.New(top, cfg.Style, nil)
 	if cfg.ObjectDir != "" {
 		comp.SetObjectDir(cfg.ObjectDir)
 	}

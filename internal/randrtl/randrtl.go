@@ -38,7 +38,7 @@ func (g *rtlGen) expr(depth int) string {
 			return g.pick()
 		}
 	}
-	switch g.next(24) {
+	switch g.next(25) {
 	case 0:
 		return fmt.Sprintf("(%s + %s)", g.expr(depth-1), g.expr(depth-1))
 	case 1:
@@ -102,6 +102,11 @@ func (g *rtlGen) expr(depth int) string {
 		tw := 1 + g.next(min(hi+1, 64-fw))
 		sig := g.pick()
 		return fmt.Sprintf("{{%d{%s[%d:%d]}}, %s[%d:%d]}", 1+g.next((64-tw)/fw), sig, hi, hi-fw+1, sig, hi, hi-tw+1)
+	case 23: // a ternary narrower than g.w over signed selects: >> makes it unsigned, so a wider context zero-extends it
+		hi := g.next(uint64(g.w) - 1)
+		lo := g.next(hi + 1)
+		return fmt.Sprintf("(%s == %s ? ($signed(%s[%d:%d]) >> %d) : ($signed(%s[%d:%d]) >> %d))",
+			g.expr(depth-1), g.expr(depth-1), g.pick(), hi, lo, g.next(3), g.pick(), hi, lo, g.next(3))
 	default: // nested concatenation, g.w bits at most
 		h := uint64(g.w) / 2
 		lo := g.next(h)

@@ -59,34 +59,19 @@ type Result struct {
 // Consistent reports whether all segments verified clean.
 func (r *Result) Consistent() bool { return r.FirstDivergence < 0 }
 
-// Options configures a verification run.
-type Options struct {
-	// Workers is the worker-pool size; 0 means GOMAXPROCS.
-	Workers int
-	// Compare overrides the state comparator; nil uses sim.StateEqual.
-	Compare CompareFn
-}
+// poolSize is how many segments Run replays at once: one per CPU the Go
+// scheduler may use.
+var poolSize = func() int { return runtime.GOMAXPROCS(0) }
 
-// Run verifies consecutive checkpoint segments in parallel. cps must be
+// Run verifies consecutive checkpoint segments in parallel, comparing
+// each replayed state with the next checkpoint by compare. cps must be
 // ordered by cycle (checkpoint.Store.Before returns them that way).
-func Run(cps []*checkpoint.Checkpoint, replay ReplayFn, opts Options) (*Result, error) {
+func Run(cps []*checkpoint.Checkpoint, replay ReplayFn, compare CompareFn) (*Result, error) {
 	if len(cps) < 2 {
 		return &Result{FirstDivergence: -1, Workers: 0}, nil
 	}
-	compare := opts.Compare
-	if compare == nil {
-		compare = func(replayed *sim.State, recorded *checkpoint.Checkpoint) (bool, string) {
-			return sim.StateEqual(replayed, recorded.State)
-		}
-	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	nseg := len(cps) - 1
-	if workers > nseg {
-		workers = nseg
-	}
+	workers := min(poolSize(), nseg)
 
 	res := &Result{
 		Segments:        make([]SegmentResult, nseg),

@@ -31,6 +31,12 @@ func chain(n int, value func(cycle uint64) uint64) []*checkpoint.Checkpoint {
 	return cps
 }
 
+// stateEqual compares a replayed state with a recorded checkpoint's, as
+// the session's comparator does once it has adapted the recorded state.
+func stateEqual(replayed *sim.State, recorded *checkpoint.Checkpoint) (bool, string) {
+	return sim.StateEqual(replayed, recorded.State)
+}
+
 // replayWith simulates the new code's behaviour: starting from the source
 // checkpoint's value, advance to toCycle using step().
 func replayWith(step func(cycle, v uint64) uint64) ReplayFn {
@@ -49,7 +55,7 @@ func replayWith(step func(cycle, v uint64) uint64) ReplayFn {
 func TestAllConsistent(t *testing.T) {
 	// Recorded: value = cycle. Replay: +1 per cycle. Identical behaviour.
 	cps := chain(8, func(c uint64) uint64 { return c })
-	res, err := Run(cps, replayWith(func(c, v uint64) uint64 { return v + 1 }), Options{Workers: 4})
+	res, err := Run(cps, replayWith(func(c, v uint64) uint64 { return v + 1 }), stateEqual)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +79,7 @@ func TestEarliestDivergenceFound(t *testing.T) {
 			return v + 2
 		}
 		return v + 1
-	}), Options{Workers: 4})
+	}), stateEqual)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,13 +107,19 @@ func TestSerialAndParallelAgree(t *testing.T) {
 		}
 		return v + 3
 	}
-	serial, err := Run(cps, replayWith(step), Options{Workers: 1})
+	restore := setPoolSize(1)
+	serial, err := Run(cps, replayWith(step), stateEqual)
+	restore()
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Run(cps, replayWith(step), Options{Workers: 8})
+	defer setPoolSize(8)()
+	parallel, err := Run(cps, replayWith(step), stateEqual)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if serial.Workers != 1 || parallel.Workers != 8 {
+		t.Errorf("pools of %d and %d workers, want 1 and 8", serial.Workers, parallel.Workers)
 	}
 	if serial.FirstDivergence != parallel.FirstDivergence {
 		t.Errorf("serial %d parallel %d", serial.FirstDivergence, parallel.FirstDivergence)
@@ -119,18 +131,18 @@ func TestReplayErrorPropagates(t *testing.T) {
 	boom := errors.New("boom")
 	_, err := Run(cps, func(from *checkpoint.Checkpoint, to uint64) (*sim.State, error) {
 		return nil, boom
-	}, Options{Workers: 2})
+	}, stateEqual)
 	if err == nil {
 		t.Fatal("want error")
 	}
 }
 
 func TestTooFewCheckpoints(t *testing.T) {
-	res, err := Run(nil, nil, Options{})
+	res, err := Run(nil, nil, stateEqual)
 	if err != nil || !res.Consistent() {
 		t.Fatalf("%v %v", res, err)
 	}
-	res, err = Run(chain(1, func(c uint64) uint64 { return c }), nil, Options{})
+	res, err = Run(chain(1, func(c uint64) uint64 { return c }), nil, stateEqual)
 	if err != nil || !res.Consistent() {
 		t.Fatalf("%v %v", res, err)
 	}
@@ -159,7 +171,8 @@ func TestParallelismActuallyUsed(t *testing.T) {
 		atomic.AddInt64(&inflight, -1)
 		return replayWith(func(c, v uint64) uint64 { return v + 1 })(from, to)
 	}
-	res, err := Run(cps, replay, Options{Workers: 4})
+	defer setPoolSize(4)()
+	res, err := Run(cps, replay, stateEqual)
 	if err != nil {
 		t.Fatal(err)
 	}

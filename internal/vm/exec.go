@@ -338,6 +338,36 @@ func (in *Instance) exec(code []Instr, st *Stats) {
 	}
 }
 
+// Fold computes the value in writes to its destination, given val, which
+// reports the value of a slot if it is known. It runs in through exec over
+// scratch slots, so code folded at compile time computes what it would at
+// run time. It reports false when in is not Pure, reads a memory, or reads
+// a slot val does not know.
+func Fold(in Instr, val func(slot uint32) (uint64, bool)) (uint64, bool) {
+	if !in.Op.Pure() || in.Op == OpMemRd {
+		return 0, false
+	}
+	var ops [3]uint64
+	n, known := uint32(0), true
+	in.MapReads(func(slot uint32) uint32 {
+		v, ok := val(slot)
+		known = known && ok
+		ops[n] = v
+		n++
+		return n // scratch slot 0 is the result
+	})
+	if !known {
+		return 0, false
+	}
+	// Allocated only here: exec's $display case lets an Instance's slots
+	// escape, and most instructions do not fold.
+	scratch := Instance{Slots: make([]uint64, 1+len(ops))}
+	copy(scratch.Slots[1:], ops[:])
+	in.Dst = 0
+	scratch.exec([]Instr{in}, nil)
+	return scratch.Slots[0], true
+}
+
 // execProfiled is exec with every instruction and its data accesses
 // reported to prof first. code[pc] is modeled at base+at[pc]*InstrBytes,
 // or at base+pc*InstrBytes when at is nil. It decides branches itself and

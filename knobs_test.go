@@ -28,7 +28,7 @@ func TestConfigFieldsGolden(t *testing.T) {
 			"TelemetryConfig Faults"},
 		{gateway.BackendSpec{}, "Addr"},
 		{obs.TelemetryConfig{}, "ProcName SpanStoreCap FlightRecorderCap BlackboxDir BlackboxFlushEvery"},
-		{core.Config{}, "Style CheckpointEvery Lookback Overrides ObjectDir Output Metrics TraceOut " +
+		{core.Config{}, "Style CheckpointEvery Lookback ObjectDir Output Metrics TraceOut " +
 			"Faults RunBudget"},
 		{client.Options{}, "Reconnect OnReconnect OverloadRetries FollowMoves"},
 	} {

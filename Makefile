@@ -41,10 +41,12 @@ loc:
 
 # What the VM executes per cycle on the PGAS compute kernel, 1x1 and 4x4:
 # ops/cycle by opcode and the adjacent pairs where the second op reads the
-# first one's result; then the kernel's own work: bind copies and seq
-# evaluations per cycle, and the transit slots one Sync fills. The same
-# tests hold ops/cycle, copies and seq evaluations under ceilings in
-# tier-1.
+# first one's result; then the kernel's own work: bind copies, comb
+# evaluations (a settle run of the rest after the edge program counts as
+# one) and seq evaluations per cycle, comb evaluations and edge-program
+# runs per object, and the transit slots one Sync fills. The same tests
+# hold ops/cycle, moves, copies, comb and seq evaluations under ceilings
+# in tier-1.
 opmix:
 	$(GO) test -run TestOpMix -v -count=1 ./internal/pgas
 

@@ -211,8 +211,9 @@ endmodule`}, "m")
 // FuzzCompile runs checkTidy on the random module of a fuzzed randrtl seed
 // in either style: the lowered code is tidy's reference, and forwarding,
 // dead-code removal and fusion have to keep every named slot and memory
-// equal to it. The compiled object's edge program and Deps are held to
-// vm.CheckEdge.
+// equal to it. The compiled object's edge program, the Rest the settle
+// runs after it, and Deps are held to vm.CheckEdge, with no input and with
+// a random set of inputs counted as state.
 func FuzzCompile(f *testing.F) {
 	f.Add(uint64(1), false)
 	f.Add(uint64(2), true)

@@ -11,8 +11,8 @@ import (
 	"livesim/internal/sim"
 )
 
-// BenchmarkTick sizes a kernel change in seconds: raw sim.Tick on the 1x1
-// and 4x4 meshes running the compute kernel, no session around it. One
+// BenchmarkTick sizes a kernel change in seconds: raw sim.Tick on the 1x1,
+// 4x4 and 8x8 meshes running the compute kernel, no session around it. One
 // iteration is 256 cycles in one Tick, so `make bench` (-benchtime=1x)
 // still averages over a few hundred cycles; the -tick1 variants call
 // Tick(1) 256 times, as a per-cycle testbench does. comb-evals/cycle
@@ -21,7 +21,7 @@ import (
 // run) come from a profiled segment before the timed one, binds/cycle
 // (bind copies, producer slot to consumer slot) from sim.Counts.
 func BenchmarkTick(b *testing.B) {
-	for _, side := range []int{1, 4} {
+	for _, side := range []int{1, 4, 8} {
 		for _, chunk := range []int{tickCycles, 1} {
 			name := fmt.Sprintf("%dx%d", side, side)
 			if chunk == 1 {

@@ -217,7 +217,7 @@ func TestOpMix(t *testing.T) {
 	for _, c := range []struct {
 		side           int
 		ceiling, moves float64
-	}{{1, 240, 40}, {4, 4400, 800}} {
+	}{{1, 215, 40}, {4, 3700, 800}} {
 		c := c
 		t.Run(fmt.Sprintf("%dx%d", c.side, c.side), func(t *testing.T) {
 			s := computeSim(t, c.side, warm)
@@ -239,14 +239,18 @@ func TestOpMix(t *testing.T) {
 
 // TestOpMixKernel runs the compute kernel on the 1x1 and 4x4 meshes and
 // holds the kernel's own work per cycle under a ceiling: bind copies
-// (producer slot to consumer slot, transit slots skipped), full comb
-// evaluations (in the settle, or at the clock edge when an edge program is
-// the whole comb code) and clock edges run (instances whose Seq could not
-// change anything are skipped), the latter two counted by the activity
-// profiler. A copy through every wiring level and a clock edge on every
-// instance read 110 copies and 9 seq evals per cycle at 1x1, 2 120 and 130
-// at 4x4; ranking the settle cheapest comb program first and computing no
-// output at the edge read 127–130 comb evaluations per cycle at 4x4.
+// (binds pushed, producer slot to consumer slot, transit slots skipped),
+// comb evaluations (in the settle, whole or the rest after the edge
+// program, or at the clock edge when an edge program is the whole comb
+// code) and clock edges run (instances whose Seq could not change
+// anything are skipped), the latter two counted by the activity profiler.
+// A copy through every wiring level and a clock edge on every instance
+// read 110 copies and 9 seq evals per cycle at 1x1, 2 120 and 130 at 4x4;
+// ranking the settle cheapest comb program first and computing no output
+// at the edge read 127–130 comb evaluations per cycle at 4x4; an input
+// tied to a constant counted as an input, not state, and a settle that
+// pushed every bind after every evaluation read 1 139 copies and 97 comb
+// evaluations.
 // Transit slots are filled only when slots are read (sim.Sim.Sync), never
 // by Tick itself; with -v it prints how many one Sync fills, and per
 // object the comb evaluations and edge-program runs per cycle.
@@ -255,7 +259,7 @@ func TestOpMixKernel(t *testing.T) {
 	for _, c := range []struct {
 		side                        int
 		copies, combEvals, seqEvals float64
-	}{{1, 70, 9, 7}, {4, 1300, 110, 110}} {
+	}{{1, 45, 9, 7}, {4, 800, 95, 110}} {
 		c := c
 		t.Run(fmt.Sprintf("%dx%d", c.side, c.side), func(t *testing.T) {
 			s := computeSim(t, c.side, warm)

@@ -117,6 +117,13 @@ func (l *lockstep) settle() {
 
 func (l *lockstep) compare() {
 	l.t.Helper()
+	for _, s := range []*sim.Sim{l.nu, l.ref} {
+		if s == l.nu || l.scheduled {
+			if err := sim.StaleBind(s); err != nil {
+				l.t.Fatalf("cycle %d: %v", s.Cycle(), err)
+			}
+		}
+	}
 	if l.nu.Cycle() != l.ref.Cycle() || l.nu.Finished() != l.ref.Finished() {
 		l.t.Fatalf("schedule at cycle %d finished=%v, reference at cycle %d finished=%v",
 			l.nu.Cycle(), l.nu.Finished(), l.ref.Cycle(), l.ref.Finished())

@@ -1,6 +1,10 @@
 package sim
 
-import "livesim/internal/vm"
+import (
+	"fmt"
+
+	"livesim/internal/vm"
+)
 
 // Hooks for the differential tests of package sim_test, which cannot live
 // in this package because they import internal/pgas (which imports sim).
@@ -24,6 +28,23 @@ func SetOrder(s *Sim, f func(order []*Node)) (restore func()) {
 	set(f)
 	return func() { set(nil) }
 }
+
+// StaleBind reports the first bind whose remembered value differs from
+// the destination slot it wrote, among the binds that remember one, or
+// returns nil. It holds after every settle.
+func StaleBind(s *Sim) error {
+	for i := range s.binds {
+		op := &s.binds[i]
+		if v := op.dst.Inst.Slots[op.dstSlot]; !op.shared && op.last != v {
+			return fmt.Errorf("bind into %s slot %d remembers %#x, the slot holds %#x", op.dst.Path, op.dstSlot, op.last, v)
+		}
+	}
+	return nil
+}
+
+// EdgeOf returns the edge program n runs, with its tied inputs counted as
+// state.
+func EdgeOf(n *Node) *vm.Edge { return n.edge }
 
 // TestDesign is one of this package's small hierarchical test designs.
 type TestDesign struct{ Name, Src, Top string }

@@ -33,11 +33,22 @@
 // last Commit changed its state; an instance whose Seq holds $display or
 // $finish runs every cycle. A skipped instance's Seq would have computed
 // the state it already holds. Once every instance has committed, each one
-// whose state changed runs its object's edge program (vm.Object.Edge) and
-// pushes the outputs that depend on its state alone, so its neighbours
+// whose state changed runs its object's edge program (vm.Object.EdgeFor)
+// and pushes the outputs that depend on its state alone, so its neighbours
 // find them in place when the settle starts; an instance whose edge
 // program is its whole comb code is done for the cycle there. The edge
-// program writes only what Comb would write from the same state.
+// program writes only what Comb would write from the same state, and the
+// settle then runs only the rest of the comb code (vm.Edge.Rest). An input
+// that every instance of its object has tied to a constant counts as state
+// in that analysis.
+//
+// No cycle's work is done twice: a bind remembers the value it last wrote
+// and writes its destination only when the value moves, and an instance
+// whose edge program has run on its current state and inputs evaluates
+// only the rest. Whatever else writes slots — Poke, Restore, Reload — has
+// the next settle read every remembered value back and evaluate every
+// instance whole; PokeMem, and a push that moves a tied input, have that
+// instance evaluate whole.
 //
 // The package owns the slot layout of instance state: other packages hand
 // it objects, transform ops and xform plans (Reload, RestoreAdapted,
@@ -98,12 +109,23 @@ type Node struct {
 	rank  int
 	push  []copyOp
 	nEdge int
-	// edge is the object's edge program. When a Commit changes the node's
-	// state and atEdge is set, the clock edge runs it and pushes
-	// push[:nEdge] once every instance has committed; a node whose edge
-	// program is its whole comb code is not marked for the settle.
+	// edge is the object's edge program, with the inputs every instance of
+	// the object has tied to a constant counted as state (compileSchedule).
+	// When a Commit changes the node's state and atEdge is set, the clock
+	// edge runs it and pushes push[:nEdge] once every instance has
+	// committed; a node whose edge program is its whole comb code is not
+	// marked for the settle.
 	edge   *vm.Edge
 	atEdge bool
+	// full says the node's next settle evaluation runs its whole comb code,
+	// not edge.Rest: its edge program may not have run on its current
+	// state and inputs. Every node is full after whatever sets allDirty
+	// (New, Poke, Restore, RestoreAdapted, Reload), a node is after
+	// PokeMem, or a push that changed an input counted as state in edge; a
+	// full evaluation clears it unless pinned.
+	// pinned says the node's own code writes a slot that a bind or SetIn
+	// writes too, which Rest would leave as the other writer left it.
+	full, pinned bool
 
 	// seqDirty says the next clock edge must run the node's Seq and
 	// Commit: its comb code ran, a push changed a slot its Seq reads, its
@@ -120,13 +142,30 @@ type copyOp struct {
 	src     uint32
 	dstSlot uint32
 	mask    uint64
+	// last is the value the bind last wrote, which dstSlot holds: nothing
+	// else writes it but the writers that set allDirty, and the settle
+	// after them reads it back. shared says something else may: another
+	// bind, or dst's own code; the push then reads dstSlot instead.
+	last uint64
 	// dst.push[fwdLo:fwdHi] are the binds that carry dstSlot onwards from
 	// a slot that dst's own code uses as well.
 	fwdLo, fwdHi int32
 	// wake says dst's comb program reads dstSlot, so dst must re-evaluate
 	// when the value changes; seqWake says its Seq reads it, so dst's next
-	// clock edge must run.
-	wake, seqWake bool
+	// clock edge must run; full that dst's edge program counts dstSlot as
+	// state, so dst must run its whole comb code.
+	wake, seqWake, full, shared bool
+}
+
+// transit marks a transit slot in compileSchedule's driver counts.
+const transit = 3
+
+// hop is one port bind as written, out of the slot that holds its source:
+// into slot of dst, masked by mask.
+type hop struct {
+	dst  *Node
+	slot uint32
+	mask uint64
 }
 
 // fillOp sets transit slot dstSlot of dst to what its chain of binds
@@ -319,7 +358,7 @@ func (s *Sim) rebuildIndex() {
 
 // compileSchedule turns the hierarchy's port binds into per-node push
 // tables and ranks the nodes for the settle worklist by dependency level.
-// A bind source's level is 0 if the clock edge computes it (vm.Object.Deps
+// A bind source's level is 0 if the clock edge computes it (vm.Edge.Deps
 // is empty, or the edge program is the whole comb code) and otherwise one
 // more than the highest level among the sources that drive the slots it
 // depends on; a slot no bind drives, such as a root input, is level 0. A
@@ -346,9 +385,7 @@ func (s *Sim) compileSchedule() {
 		widest = max(widest, int(n.Obj.NumSlots))
 	}
 	start := make([]int32, off[len(s.nodes)]+1)
-	// drivers counts the binds into each slot, capped at 2; transit marks
-	// a transit slot.
-	const transit = 3
+	// drivers counts the binds into each slot, capped at 2, or is transit.
 	drivers := make([]uint8, off[len(s.nodes)])
 	s.eachBind(func(from *Node, op copyOp) {
 		start[off[from.idx]+int(op.src)+1]++
@@ -360,11 +397,6 @@ func (s *Sim) compileSchedule() {
 	for g, c := range start {
 		sum += c
 		start[g] = sum
-	}
-	type hop struct {
-		dst  *Node
-		slot uint32
-		mask uint64
 	}
 	raw := make([]hop, start[len(start)-1])
 	next := append([]int32(nil), start...)
@@ -414,10 +446,10 @@ func (s *Sim) compileSchedule() {
 			carry(from, src, hop{o.dst, o.slot, r.mask & o.mask})
 		}
 	}
+	s.tieInputs(off, start, drivers, raw)
 	later := make([]int32, 0, widest) // the node's source slots the edge does not compute
 	for i, n := range s.nodes {
 		lo := len(all)
-		n.edge = n.Obj.Edge()
 		later = later[:0]
 		for g := off[i]; g < off[i+1]; g++ {
 			if drivers[g] == transit || start[g] == start[g+1] {
@@ -459,6 +491,14 @@ func (s *Sim) compileSchedule() {
 		n.seqAlways = slices.ContainsFunc(n.Obj.Seq, func(in vm.Instr) bool {
 			return in.Op == vm.OpDisplay || in.Op == vm.OpFinish
 		})
+		n.pinned = false
+	}
+	for _, p := range s.Root.Obj.Ports {
+		if p.Dir == vm.In && s.Root.Obj.Writes().Has(p.Slot) {
+			s.Root.pinned = true // SetIn writes it
+		}
+	}
+	for _, n := range s.nodes {
 		for i := range n.push {
 			op := &n.push[i]
 			d := op.dst
@@ -466,6 +506,10 @@ func (s *Sim) compileSchedule() {
 			op.fwdLo, op.fwdHi = start[g], next[g]
 			op.wake = d.Obj.CombReads().Has(op.dstSlot)
 			op.seqWake = d.Obj.SeqReads().Has(op.dstSlot)
+			op.full = op.wake && d.edge.Known != nil && d.edge.Known.Has(op.dstSlot)
+			written := d.Obj.Writes().Has(op.dstSlot)
+			op.shared = drivers[g] > 1 || written
+			d.pinned = d.pinned || written
 		}
 	}
 	s.rank(off, start[:len(start)-1], next[:len(next)-1])
@@ -484,6 +528,75 @@ func (s *Sim) compileSchedule() {
 	}
 	s.dirty = make([]uint64, (len(s.order)+63)/64)
 	s.low = 0
+}
+
+// tieInputs sets each node's edge program (vm.Object.EdgeFor), counting
+// as state the input ports that every instance of its object has tied to
+// a constant: driven by binds, through transit slots, from a Consts slot
+// that no code writes, or from an input port so tied. Such an input holds
+// its value from one clock edge to the next; a push that changes one, as
+// the settle after a reload or a restore may, has the node evaluate its
+// whole comb code. The arguments are compileSchedule's: slot offsets, the
+// binds as written by source slot, and the driver counts.
+func (s *Sim) tieInputs(off []int, start []int32, drivers []uint8, raw []hop) {
+	tied := make([]uint64, (off[len(s.nodes)]+63)/64) // by slot of the hierarchy
+	has := func(g int) bool { return tied[g>>6]&(1<<(g&63)) != 0 }
+	var tie func(g int)
+	tie = func(g int) {
+		for _, r := range raw[start[g]:start[g+1]] {
+			h := off[r.dst.idx] + int(r.slot)
+			switch {
+			case drivers[h] == transit:
+				tie(h)
+			case drivers[h] == 1 && !has(h) && isInput(r.dst.Obj, r.slot):
+				tied[h>>6] |= 1 << (h & 63)
+				tie(h)
+			}
+		}
+	}
+	for i, n := range s.nodes {
+		for _, c := range n.Obj.Consts {
+			if g := off[i] + int(c.Slot); start[g] < start[g+1] && !n.Obj.Writes().Has(c.Slot) {
+				tie(g)
+			}
+		}
+	}
+	// The tied inputs of each object are those tied in every instance.
+	type object struct {
+		tied vm.SlotSet
+		edge *vm.Edge
+	}
+	objs := make(map[*vm.Object]*object)
+	of := make([]*object, len(s.nodes))
+	for i, n := range s.nodes {
+		o := objs[n.Obj]
+		first := o == nil
+		if first {
+			o = &object{tied: make(vm.SlotSet, (n.Obj.NumSlots+63)/64)}
+			objs[n.Obj] = o
+		}
+		of[i] = o
+		for _, p := range n.Obj.Ports {
+			switch x := p.Slot; {
+			case p.Dir != vm.In:
+			case first && has(off[i]+int(x)):
+				o.tied[x/64] |= 1 << (x % 64)
+			case !first && !has(off[i]+int(x)):
+				o.tied[x/64] &^= 1 << (x % 64)
+			}
+		}
+	}
+	for obj, o := range objs {
+		o.edge = obj.EdgeFor(o.tied)
+	}
+	for i, n := range s.nodes {
+		n.edge = of[i].edge
+	}
+}
+
+// isInput reports whether slot is an input port of o.
+func isInput(o *vm.Object, slot uint32) bool {
+	return slices.ContainsFunc(o.Ports, func(p vm.Port) bool { return p.Dir == vm.In && p.Slot == slot })
 }
 
 // rank sets each node's rank to its dependency level, as compileSchedule
@@ -519,7 +632,7 @@ func (s *Sim) rank(off []int, drv, lvl []int32) {
 			i, _ := slices.BinarySearch(off, g+1)
 			n, x := s.nodes[i-1], uint32(g-off[i-1])
 			if !n.edge.Computes.Has(x) {
-				for _, y := range n.Obj.Deps(x) {
+				for _, y := range n.edge.Deps(x) {
 					if d := drv[off[i-1]+int(y)]; d > 0 {
 						l = max(l, 1+level(int(d-1)))
 					} else {
@@ -604,7 +717,9 @@ func (s *Sim) mark(n *Node) {
 // push copies the source slots of ops, binds of n, to their destinations.
 // A destination whose value changed is marked if its comb program reads
 // the slot and due for a clock edge if its Seq does, and the binds that
-// carry the slot onwards are pushed in turn.
+// carry the slot onwards are pushed in turn. A bind compares the value
+// with the one it last wrote, and writes the destination only when that
+// moved.
 func (s *Sim) push(n *Node, ops []copyOp) {
 	s.copies += uint64(len(ops))
 	src := n.Inst.Slots
@@ -612,10 +727,17 @@ func (s *Sim) push(n *Node, ops []copyOp) {
 		op := &ops[i]
 		v := src[op.src] & op.mask
 		d := op.dst
-		if p := &d.Inst.Slots[op.dstSlot]; *p != v {
-			*p = v
+		if op.shared {
+			op.last = d.Inst.Slots[op.dstSlot]
+		}
+		if v != op.last {
+			op.last = v
+			d.Inst.Slots[op.dstSlot] = v
 			if op.wake {
 				s.mark(d)
+				if op.full {
+					d.full = true
+				}
 			}
 			if op.seqWake {
 				d.seqDirty = true
@@ -723,15 +845,17 @@ func (s *Sim) SettleProfiled(prof vm.Profiler) error { return s.settle(prof) }
 
 // settle runs the compiled schedule until no instance is dirty. The
 // invariant is that every bind is pushed after the last change of its
-// source slot: an instance pushes all its binds right after it evaluates;
+// source slot: an instance pushes all its binds right after it evaluates,
+// or after Rest those the clock edge does not compute, which Rest leaves;
 // a slot a neighbour's push wrote is pushed onwards at once and marks its
 // instance if comb code reads it; whatever else writes a slot (Commit,
 // SetIn, PokeMem; Poke, Restore and Reload dirty everything) marks the
 // written instance, which then evaluates and pushes again — except that a
 // Commit of an instance whose edge program is its whole comb code runs it
-// and pushes at the clock edge instead. Evaluations are
-// bounded by MaxSettle per instance, which only a combinational loop
-// through module boundaries exceeds.
+// and pushes at the clock edge instead. An evaluation runs the whole comb
+// code when the node is full, and the rest after its edge program
+// otherwise. Evaluations are bounded by MaxSettle per instance, which only
+// a combinational loop through module boundaries exceeds.
 func (s *Sim) settle(vp vm.Profiler) error {
 	if s.settled {
 		return nil
@@ -741,6 +865,11 @@ func (s *Sim) settle(vp vm.Profiler) error {
 	if s.allDirty {
 		for _, n := range s.order {
 			s.mark(n)
+			n.full = true
+		}
+		for i := range s.binds {
+			op := &s.binds[i]
+			op.last = op.dst.Inst.Slots[op.dstSlot]
 		}
 		s.allDirty = false
 	}
@@ -760,13 +889,23 @@ func (s *Sim) settle(vp vm.Profiler) error {
 		bit := word & -word
 		s.dirty[w] = word &^ bit
 		n := s.order[w<<6|bits.TrailingZeros64(word)]
-		if plain {
-			n.Inst.RunComb(&s.Stats)
-		} else {
+		// Rest leaves the sources the clock edge computes as they were
+		// when last pushed.
+		ops := n.push[n.nEdge:]
+		if n.full {
+			ops = n.push
+		}
+		switch {
+		case !plain:
 			s.combInstrumented(n, vp)
+		case n.full:
+			n.Inst.RunComb(&s.Stats)
+			n.full = n.pinned
+		default:
+			n.Inst.RunRest(n.edge, &s.Stats)
 		}
 		n.seqDirty = true
-		s.push(n, n.push)
+		s.push(n, ops)
 		if s.low < w || s.dirty[w]&(bit-1) != 0 {
 			scans++
 		}
@@ -776,16 +915,23 @@ func (s *Sim) settle(vp vm.Profiler) error {
 	return nil
 }
 
-// combInstrumented is RunComb with the activity profiler, the
-// instruction-stream profiler, or both attached.
+// combInstrumented is the settle's evaluation of n, its whole comb code or
+// the rest of it, with the activity profiler, the instruction-stream
+// profiler, or both attached.
 func (s *Sim) combInstrumented(n *Node, vp vm.Profiler) {
-	if s.sp == nil {
-		n.Inst.RunCombProfiled(&s.Stats, vp)
-		return
+	var t0 int64
+	if s.sp != nil {
+		t0 = s.sp.SampleStart()
 	}
-	t0 := s.sp.SampleStart()
-	n.Inst.RunCombProfiled(&s.Stats, vp)
-	s.sp.CombDone(n.idx, t0)
+	if n.full {
+		n.Inst.RunCombProfiled(&s.Stats, vp)
+		n.full = n.pinned
+	} else {
+		n.Inst.RunRestProfiled(n.edge, &s.Stats, vp)
+	}
+	if s.sp != nil {
+		s.sp.CombDone(n.idx, t0)
+	}
 }
 
 // Tick advances the simulation n cycles.
@@ -870,12 +1016,12 @@ func (s *Sim) edgePass(vp vm.Profiler) {
 		switch {
 		case len(nd.edge.Code) == 0:
 		case sp == nil && vp == nil:
-			nd.Inst.RunEdge(&s.Stats)
+			nd.Inst.RunEdge(nd.edge, &s.Stats)
 		case sp == nil:
-			nd.Inst.RunEdgeProfiled(&s.Stats, vp)
+			nd.Inst.RunEdgeProfiled(nd.edge, &s.Stats, vp)
 		default:
 			t0 := sp.SampleStart()
-			nd.Inst.RunEdgeProfiled(&s.Stats, vp)
+			nd.Inst.RunEdgeProfiled(nd.edge, &s.Stats, vp)
 			sp.EdgeDone(nd.idx, nd.edge.Whole, t0)
 		}
 		s.push(nd, nd.push[:nd.nEdge])
@@ -1086,6 +1232,7 @@ func (s *Sim) PokeMem(path string, addr, v uint64) error {
 	node.Inst.Mems[m.Index][addr] = v & m.Mask
 	s.settled = false
 	s.mark(node)
+	node.full = true
 	return nil
 }
 

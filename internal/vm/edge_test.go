@@ -3,6 +3,7 @@ package vm_test
 import (
 	"fmt"
 	"slices"
+	"sync"
 	"testing"
 
 	"livesim/internal/codegen"
@@ -10,10 +11,11 @@ import (
 	"livesim/internal/vm"
 )
 
-// TestEdgeMatchesComb holds every object's edge program and Deps to
-// vm.CheckEdge: on the random modules of every randrtl seed the codegen
-// tests use, in both codegen styles, and on the PGAS 4x4 objects, from
-// several random states each.
+// TestEdgeMatchesComb holds every object's edge program, Rest and Deps to
+// vm.CheckEdge, with no input and with random sets of inputs counted as
+// state: on the random modules of every randrtl seed the codegen tests
+// use, in both codegen styles, and on the PGAS 4x4 objects, from several
+// random states each.
 func TestEdgeMatchesComb(t *testing.T) {
 	var objs []*vm.Object
 	for _, style := range []codegen.Style{codegen.StyleGrouped, codegen.StyleMux} {
@@ -33,10 +35,13 @@ func TestEdgeMatchesComb(t *testing.T) {
 		rng = rng*6364136223846793005 + 1442695040888963407
 		return rng ^ rng>>29
 	}
-	sliced := 0
+	sliced, rest := 0, 0
 	for _, o := range objs {
 		if e := o.Edge(); !e.Whole && len(e.Code) > 0 {
 			sliced++
+			if e.RestPC != nil {
+				rest++
+			}
 		}
 		for i := 0; i < 8; i++ {
 			if err := vm.CheckEdge(o, rand); err != nil {
@@ -44,8 +49,8 @@ func TestEdgeMatchesComb(t *testing.T) {
 			}
 		}
 	}
-	if sliced == 0 {
-		t.Error("no object has an edge program short of its whole comb code")
+	if sliced == 0 || rest == 0 {
+		t.Errorf("%d objects have an edge program short of their whole comb code, %d of them a Rest short of it; want some of each", sliced, rest)
 	}
 }
 
@@ -94,6 +99,11 @@ func TestDepsOfBranches(t *testing.T) {
 	if !e.Computes.Has(4) || e.Computes.Has(5) || e.Computes.Has(6) {
 		t.Error("Computes must hold slot 4 alone among the outputs")
 	}
+	// Rest: pc 1, and the branch at 6 around pc 7, then pc 8; the branches
+	// at 2 and 4 skip only edge instructions.
+	if !slices.Equal(e.RestPC, []uint32{1, 6, 7, 8}) || e.Rest[1].B != 3 {
+		t.Errorf("rest at comb pcs %v, jump to %d; want [1 6 7 8] and 3:\n%v", e.RestPC, e.Rest[1].B, e.Rest)
+	}
 	for seed := uint64(1); seed < 20; seed++ {
 		if err := vm.CheckEdge(o, func() uint64 { seed = seed*0x9E3779B97F4A7C15 + 1; return seed >> (seed % 64) }); err != nil {
 			t.Fatal(err)
@@ -115,5 +125,70 @@ func TestEdgeWhole(t *testing.T) {
 	}, 4)
 	if got := loop.Deps(4); !slices.Equal(got, []uint32{0, 4}) || loop.Edge().Whole {
 		t.Errorf("with a backward jump, Deps(4) = %v and whole %v, want [0 4] and false", got, loop.Edge().Whole)
+	}
+}
+
+// TestRestRefused: when skipping the edge program could change what Comb
+// leaves, Rest is Comb. In the first object a slot the edge program writes
+// is read by the rest before the edge program's last write of it; in the
+// second the edge program reads a slot no path has written yet. CheckEdge
+// holds both.
+func TestRestRefused(t *testing.T) {
+	for name, o := range map[string]*vm.Object{
+		"read before the last write": edgeObject([]vm.Instr{
+			{Op: vm.OpMove, Dst: 4, A: 1},                       // 0: s4 = r1
+			{Op: vm.OpMove, Dst: 5, A: 4},                       // 1: s5 = s4, the output
+			{Op: vm.OpAdd, Dst: 6, A: 4, B: 0, Imm: ^uint64(0)}, // 2: s6 = s4 + in, reads r1
+			{Op: vm.OpMove, Dst: 4, A: 2},                       // 3: s4 = r2
+		}, 5),
+		"undefined read": edgeObject([]vm.Instr{
+			{Op: vm.OpMove, Dst: 4, A: 1},                       // 0: s4 = r1
+			{Op: vm.OpMove, Dst: 5, A: 4},                       // 1: s5 = s4, the output
+			{Op: vm.OpAdd, Dst: 4, A: 7, B: 2, Imm: ^uint64(0)}, // 2: s4 = s7 + r2, s7 never written
+			{Op: vm.OpAdd, Dst: 6, A: 4, B: 0, Imm: ^uint64(0)}, // 3: s6 = s4 + in
+		}, 5),
+	} {
+		e := o.Edge()
+		if len(e.Code) == 0 || e.RestPC != nil || len(e.Rest) != len(o.Comb) {
+			t.Errorf("%s: edge program %v, Rest at %v; want a slice and Rest = Comb", name, e.PC, e.RestPC)
+		}
+		for seed := uint64(1); seed < 20; seed++ {
+			if err := vm.CheckEdge(o, func() uint64 { seed = seed*0x9E3779B97F4A7C15 + 1; return seed >> (seed % 64) }); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+	}
+}
+
+// TestEdgeForKnown: an input counted as state joins the edge program, each
+// set gets its own analysis, cached, and EdgeFor is safe to call from
+// several goroutines at once.
+func TestEdgeForKnown(t *testing.T) {
+	o := edgeObject([]vm.Instr{{Op: vm.OpAdd, Dst: 4, A: 0, B: 1, Imm: ^uint64(0)}}, 4)
+	known := vm.SlotSet{1 << 0}
+	if e := o.Edge(); e.Whole || !slices.Equal(e.Deps(4), []uint32{0}) {
+		t.Errorf("no input known: whole %v, Deps(4) = %v; want false and [0]", e.Whole, e.Deps(4))
+	}
+	var wg sync.WaitGroup
+	got := make([]*vm.Edge, 8)
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = o.EdgeFor(slices.Clone(known))
+		}()
+	}
+	wg.Wait()
+	e := got[0]
+	if !e.Whole || len(e.Deps(4)) != 0 || !e.Known.Has(0) {
+		t.Errorf("input 0 known: whole %v, Deps(4) = %v, Known %v; want true, [] and {0}", e.Whole, e.Deps(4), e.Known)
+	}
+	for _, g := range got {
+		if g != e {
+			t.Fatal("one known set, two analyses")
+		}
+	}
+	if o.EdgeFor(vm.SlotSet{0}) != o.Edge() {
+		t.Error("an empty known set is not the analysis with none")
 	}
 }

@@ -117,9 +117,9 @@ type Object struct {
 
 	baseMu    sync.Mutex // orders AssignBase between loaders
 	readsOnce sync.Once
-	reads     SlotSet // CombReads, SeqReads, then UsedSlots
-	depsOnce  sync.Once
-	deps      *combDeps // Deps and Edge
+	reads     SlotSet // CombReads, SeqReads, UsedSlots, then Writes
+	edgeMu    sync.Mutex
+	edges     []*Edge // EdgeFor's analyses, one per known set
 }
 
 // SlotSet is a set of an object's slots, one bit per slot.
@@ -130,18 +130,19 @@ func (s SlotSet) Has(slot uint32) bool { return s[slot/64]&(1<<(slot%64)) != 0 }
 
 func (s SlotSet) add(slot uint32) { s[slot/64] |= 1 << (slot % 64) }
 
-// readSets returns CombReads, SeqReads and UsedSlots. They are derived on
-// first use and cached in one allocation; not part of the content hash.
-func (o *Object) readSets() (comb, seq, used SlotSet) {
+// readSets returns CombReads, SeqReads, UsedSlots and Writes. They are
+// derived on first use and cached in one allocation; not part of the
+// content hash.
+func (o *Object) readSets() (comb, seq, used, writes SlotSet) {
 	o.readsOnce.Do(func() {
 		n := (o.NumSlots + 63) / 64
-		o.reads = make(SlotSet, 3*n)
-		comb, seq, used := o.reads[:n], o.reads[n:2*n], o.reads[2*n:]
+		o.reads = make(SlotSet, 4*n)
+		comb, seq, used, writes := o.reads[:n], o.reads[n:2*n], o.reads[2*n:3*n], o.reads[3*n:]
 		o.addReads(comb, o.Comb)
 		for _, r := range o.Regs {
 			seq.add(r.Cur)
-			used.add(r.Cur)
-			used.add(r.Next)
+			writes.add(r.Cur)
+			writes.add(r.Next)
 		}
 		o.addReads(seq, o.Seq)
 		for _, c := range o.Consts {
@@ -150,16 +151,16 @@ func (o *Object) readSets() (comb, seq, used SlotSet) {
 		for _, code := range [][]Instr{o.Comb, o.Seq} {
 			for _, in := range code {
 				if in.Op.Pure() {
-					used.add(in.Dst)
+					writes.add(in.Dst)
 				}
 			}
 		}
 		for i := range used {
-			used[i] |= comb[i] | seq[i]
+			used[i] |= comb[i] | seq[i] | writes[i]
 		}
 	})
-	n := len(o.reads) / 3
-	return o.reads[:n:n], o.reads[n : 2*n : 2*n], o.reads[2*n:]
+	n := len(o.reads) / 4
+	return o.reads[:n:n], o.reads[n : 2*n : 2*n], o.reads[2*n : 3*n : 3*n], o.reads[3*n:]
 }
 
 // addReads adds to set every slot an instruction of code reads.
@@ -188,7 +189,7 @@ func (o *Object) AssignBase(base uint64) bool {
 // change without the instance's combinational outputs moving. Derived from
 // Comb on first use and cached; not part of the content hash.
 func (o *Object) CombReads() SlotSet {
-	comb, _, _ := o.readSets()
+	comb, _, _, _ := o.readSets()
 	return comb
 }
 
@@ -198,7 +199,7 @@ func (o *Object) CombReads() SlotSet {
 // the clock edge of an instance none of whose SeqReads slots moved. Cached
 // like CombReads.
 func (o *Object) SeqReads() SlotSet {
-	_, seq, _ := o.readSets()
+	_, seq, _, _ := o.readSets()
 	return seq
 }
 
@@ -207,8 +208,16 @@ func (o *Object) SeqReads() SlotSet {
 // slot outside it only carries a value between other instances. Cached
 // like CombReads.
 func (o *Object) UsedSlots() SlotSet {
-	_, _, used := o.readSets()
+	_, _, used, _ := o.readSets()
 	return used
+}
+
+// Writes is the set of slots an instance's own code writes: a destination
+// of a Comb or Seq instruction, or a register's current or next value,
+// which RunSeq and Commit write. Cached like CombReads.
+func (o *Object) Writes() SlotSet {
+	_, _, _, writes := o.readSets()
+	return writes
 }
 
 // PortIndex returns the index of the named port, or -1.

@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race bench loc opmix frontend state fuzz-smoke
+.PHONY: check vet build test race bench loc opmix frontend state serve fuzz-smoke
 
 check: vet build race fuzz-smoke
 
@@ -63,6 +63,14 @@ frontend:
 # the previous capture are shared, not copied). Times are only reported.
 state:
 	$(GO) test -run '^$$' -bench BenchmarkSnapshot -benchtime 20x -count=1 ./internal/pgas
+
+# One closed-loop wire round trip of the serve workloads' request (`run
+# tb0 p0 4` on a 1-node session) against an in-process livesimd on a unix
+# socket, direct and through an in-process lsgate: ns/op and allocs/op of
+# the whole process, client included. The gateway row minus the direct
+# one is the hop. Times are only reported.
+serve:
+	$(GO) test -run '^$$' -bench BenchmarkServeRoundTrip -benchtime 3s -count=1 ./internal/gateway
 
 # Short fuzz runs over the frame container, the checkpoint, journal,
 # transfer and replication decoders on it, the incremental analyzer,

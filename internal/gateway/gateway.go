@@ -83,6 +83,9 @@ const (
 	// migrateTimeout bounds one live migration end to end, including
 	// waiting out the session's in-flight requests.
 	migrateTimeout = 15 * time.Second
+	// forwarderIdle is how long an idle forwarder waits for the next
+	// request before it exits.
+	forwarderIdle = 10 * time.Second
 )
 
 // Gateway fronts a pool of livesimd backends. Stateless by design:
@@ -108,8 +111,12 @@ type Gateway struct {
 	mu     sync.Mutex
 	routes map[string]*route
 
-	// stop ends the health loop and refuses new background work (closed
-	// under mu); bg counts the goroutines Shutdown waits for.
+	// calls hands a request to an idle forwarder (see place).
+	calls chan *wire.Call
+
+	// stop ends the health loop and idle forwarders and refuses new
+	// background work (closed under mu); bg counts the goroutines
+	// Shutdown waits for.
 	stop     chan struct{}
 	stopOnce sync.Once
 	bg       sync.WaitGroup
@@ -212,6 +219,7 @@ func New(cfg Config) (*Gateway, error) {
 			cfg.Metrics, "gateway", cfg.Log),
 		backends: backends,
 		routes:   make(map[string]*route),
+		calls:    make(chan *wire.Call),
 		stop:     make(chan struct{}),
 	}
 	// lsgate's own verbs, and every other verb livesimd runs forwarded to
@@ -486,11 +494,35 @@ func (g *Gateway) dropRoute(session string, b *backend) {
 // Shutdown stopped it, wire.ErrClosed if the gateway had already stopped.
 func (g *Gateway) Serve(ln net.Listener) error { return g.env.Serve(ln) }
 
-// place gives every request its own goroutine: a forward blocks on the
-// backend, and one slow session must not stall the others pipelined on
-// its connection. Responses are id-matched.
+// place hands each request to an idle forwarder, and starts one only
+// when none is idle: a forward blocks on the backend, and one slow
+// session must not stall the others pipelined on its connection.
+// Responses are id-matched.
 func (g *Gateway) place(c *wire.Call) {
-	go func() { c.Finish(g.env.Exec(c, c.Req)) }()
+	select {
+	case g.calls <- c:
+	default:
+		go g.forwarder(c)
+	}
+}
+
+// forwarder answers c, then each call place hands it, until it has sat
+// idle for forwarderIdle or the gateway stops. A forwarder lives across
+// requests, so the stack a forward grows is kept, not grown anew.
+func (g *Gateway) forwarder(c *wire.Call) {
+	idle := time.NewTimer(forwarderIdle)
+	defer idle.Stop()
+	for {
+		c.Finish(g.env.Exec(c, c.Req))
+		idle.Reset(forwarderIdle) // a tick left from a long call only ends this forwarder early
+		select {
+		case c = <-g.calls:
+		case <-idle.C:
+			return
+		case <-g.stop:
+			return
+		}
+	}
 }
 
 var errNoSubscribe = errors.New(

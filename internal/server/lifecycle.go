@@ -164,9 +164,7 @@ func (s *Server) stop(h *hosted, patience time.Duration) bool {
 	close(h.queue)
 	if h.sess == nil {
 		for t := range h.queue {
-			if !t.abandoned.Load() {
-				t.reply <- wire.Refuse(t.Req, wire.CodeNoSession, fmt.Errorf("session %q failed to start", h.name))
-			}
+			s.answer(t, wire.Refuse(t.Req, wire.CodeNoSession, fmt.Errorf("session %q failed to start", h.name)))
 		}
 		return true
 	}

@@ -196,7 +196,8 @@ func New(cfg Config) *Server {
 		janitorStop: make(chan struct{}),
 	}
 	s.env = wire.NewEnvelope(wire.Daemon[*task]{Name: "server", Tel: s.tel, Metrics: reg,
-		Handlers: s.handlerMap(), Admit: s.admitCall, Place: s.place, Done: s.observe})
+		Handlers: s.handlerMap(), Admit: s.admitCall, Place: s.place, Done: s.observe,
+		Hold: s.cfg.Faults.ResponseDelay})
 	s.admit = govern.NewAdmission(cfg.AdmitBudget)
 	s.ckptFactor.Store(1)
 	if cfg.StateDir != "" {
@@ -314,8 +315,9 @@ func (s *Server) admitCall(c *wire.Call) (release func(), reject *Response) {
 }
 
 // place runs a Conn verb inline on the connection's reader; anything else
-// enqueues on the session's worker (rejecting on a full queue) and a
-// waiter goroutine enforces the deadline so the reader keeps reading.
+// enqueues on the session's worker (rejecting on a full queue), which
+// answers it, so the reader keeps reading. The deadline is a timer that
+// answers CodeTimeout if the worker has not answered first.
 func (s *Server) place(c *wire.Call) {
 	t := &task{Call: c}
 	if v, ok := catalogue.Lookup(c.Verb); ok && v.Place == catalogue.Conn {
@@ -340,9 +342,13 @@ func (s *Server) place(c *wire.Call) {
 		recovering = true
 	} else if h != nil {
 		t.h = h
-		t.reply = make(chan *Response, 1)
 		t.deadline = time.Now().Add(requestTimeout)
-		enqErr = h.enqueue(t)
+		t.timer = time.AfterFunc(requestTimeout, func() {
+			s.claim(t, wire.Refuse(t.Req, wire.CodeTimeout, ErrDeadline))
+		})
+		if enqErr = h.enqueue(t); enqErr != nil {
+			t.timer.Stop()
+		}
 	}
 	s.mu.Unlock()
 
@@ -360,8 +366,7 @@ func (s *Server) place(c *wire.Call) {
 	case enqErr != nil:
 		resp = wire.Refuse(req, wire.CodeBackpressure, enqErr)
 	default:
-		go s.await(h, t)
-		return
+		return // queued: the worker or the deadline answers
 	}
 	if h != nil {
 		h.win.Observe(c.Elapsed().Seconds())
@@ -369,29 +374,26 @@ func (s *Server) place(c *wire.Call) {
 	c.Finish(resp)
 }
 
-// await answers a queued task with what its worker replied, or with
-// CodeTimeout once its deadline passes.
-func (s *Server) await(h *hosted, t *task) {
-	var resp *Response
-	timer := time.NewTimer(time.Until(t.deadline))
-	defer timer.Stop()
-	select {
-	case resp = <-t.reply:
-	case <-timer.C:
-		t.abandoned.Store(true)
-		select {
-		case resp = <-t.reply: // finished on the wire, barely
-		default:
-			resp = wire.Refuse(t.Req, wire.CodeTimeout, ErrDeadline)
-		}
+// claim gives a queued task its one answer, from the worker or from
+// the deadline timer, whichever claims it first; false if the other
+// already did.
+func (s *Server) claim(t *task, resp *Response) bool {
+	if !t.answered.CompareAndSwap(false, true) {
+		return false
 	}
-	h.win.Observe(t.Elapsed().Seconds())
+	t.h.win.Observe(t.Elapsed().Seconds())
 	t.Finish(resp)
+	return true
+}
+
+// answer is claim on the worker's side, which also stops the timer.
+func (s *Server) answer(t *task, resp *Response) bool {
+	t.timer.Stop()
+	return s.claim(t, resp)
 }
 
 // observe is livesimd's view of every answer before it is written: the
-// per-verb latency window, the slow-request event and the slow-client
-// fault.
+// per-verb latency window and the slow-request event.
 func (s *Server) observe(c *wire.Call, resp *Response, dur time.Duration) {
 	s.verbWindow(c.Verb).Observe(dur.Seconds())
 	if s.cfg.SlowRequest > 0 && dur >= s.cfg.SlowRequest {
@@ -400,9 +402,6 @@ func (s *Server) observe(c *wire.Call, resp *Response, dur time.Duration) {
 		s.log.Warn("slow request",
 			obs.Str("verb", c.Verb), obs.Str("session", c.Req.Session),
 			obs.Str("trace", c.Req.TraceID), obs.Str("dur", dur.String()))
-	}
-	if d := s.cfg.Faults.ResponseDelay(); d > 0 {
-		time.Sleep(d)
 	}
 }
 

@@ -484,6 +484,30 @@ func TestSlowClientFault(t *testing.T) {
 	if d := time.Since(t1); d >= 60*time.Millisecond {
 		t.Errorf("fault should be exhausted after one use (second ping took %v)", d)
 	}
+
+	// The delay is on the connection's write path: the session worker that
+	// answered a held worker verb is free for the next connection's.
+	createTiny(t, c, "s", 100)
+	const hold = time.Second
+	plan.SlowClient(hold, 1)
+	held := make(chan time.Duration, 1)
+	go func() {
+		t0 := time.Now()
+		c.Do(&server.Request{Session: "s", Verb: "run", Args: []string{"clock", "p0", "5"}})
+		held <- time.Since(t0)
+	}()
+	eventually(t, "the held answer", func() bool { return strings.Count(strings.Join(plan.Fired(), " "), "slow-client") == 2 })
+	c2 := dial(t, addr)
+	t2 := time.Now()
+	if resp := mustOK(t, c2, &server.Request{Session: "s", Verb: "cycle", Args: []string{"p0"}}); !strings.Contains(resp.Output, "5 (version") {
+		t.Errorf("cycle beside a held answer: %q", resp.Output)
+	}
+	if d := time.Since(t2); d >= hold/2 {
+		t.Errorf("a worker verb on a second connection took %v beside a held answer", d)
+	}
+	if d := <-held; d < hold {
+		t.Errorf("the held answer arrived after %v, want at least %v", d, hold)
+	}
 }
 
 // TestIdleEviction: an untouched dirty session is evicted and its

@@ -109,17 +109,17 @@ func (h *hosted) memBytes() govern.MemEstimate {
 }
 
 // task is one request in flight: its envelope call, plus, for a worker
-// verb, the session it was queued on and the deadline it is held to. A
-// worker task's reply is buffered so the worker can always deliver (or
-// abandon) a result without blocking on a client that gave up; a Conn
-// verb's task has none.
+// verb, the session it was queued on, the deadline it is held to and
+// the timer that answers it when the deadline passes first. answered is
+// the claim on its one answer (see Server.claim); a Conn verb's task
+// has none of these.
 type task struct {
 	*wire.Call
-	h         *hosted
-	deadline  time.Time
-	reply     chan *Response
-	abandoned atomic.Bool
-	execSID   string // exec span's sid: parent for live-loop + shipping spans
+	h        *hosted
+	deadline time.Time
+	timer    *time.Timer
+	answered atomic.Bool
+	execSID  string // exec span's sid: parent for live-loop + shipping spans
 }
 
 func (s *Server) newHosted(name string) *hosted {
@@ -159,30 +159,32 @@ func (h *hosted) enqueue(t *task) error {
 	}
 }
 
-// worker serializes all operations on one session. It exits when the
-// queue is closed (eviction, close verb, or drain), after draining any
-// tasks that were already accepted.
+// worker serializes all operations on one session and answers each
+// task itself. It exits when the queue is closed (eviction, close verb,
+// or drain), after draining any tasks that were already accepted. A
+// session that keeps blowing deadlines is failing even if each
+// individual verb eventually succeeds, so every missed deadline counts
+// against the breaker.
 func (s *Server) worker(h *hosted) {
 	defer close(h.stopped)
 	for t := range h.queue {
-		var resp *Response
 		if time.Now().After(t.deadline) {
-			resp = wire.Refuse(t.Req, wire.CodeTimeout, ErrDeadline)
-		} else {
-			if resp = s.env.Exec(t.Call, t); resp.Code == wire.CodePanic {
-				s.noteFailure(h, resp.Error) // a panic counts against the breaker
-			}
-			h.touch()
-		}
-		if t.abandoned.Load() {
-			// The client's deadline expired while we worked: the result is
-			// unroutable, and a session that keeps blowing deadlines is
-			// failing even if each individual verb eventually succeeds.
-			s.reg.Counter("server_results_discarded").Inc()
+			// Its deadline passed in the queue (the timer may have answered
+			// it already): it is never executed.
+			s.answer(t, wire.Refuse(t.Req, wire.CodeTimeout, ErrDeadline))
 			s.noteFailure(h, "request deadline exceeded")
 			continue
 		}
-		t.reply <- resp
+		resp := s.env.Exec(t.Call, t)
+		if resp.Code == wire.CodePanic {
+			s.noteFailure(h, resp.Error) // a panic counts against the breaker
+		}
+		h.touch()
+		if !s.answer(t, resp) {
+			// The deadline answered while we worked: the result is unroutable.
+			s.reg.Counter("server_results_discarded").Inc()
+			s.noteFailure(h, "request deadline exceeded")
+		}
 	}
 }
 

@@ -35,9 +35,21 @@ module top (input clk, input [7:0] d, output reg [15:0] total);
 endmodule
 `
 
+// chattyDesign prints a kilobyte a cycle: `run clock p0 64` answers
+// with its session's whole display buffer (64 KB).
+var chattyDesign = `
+module top (input clk, input [7:0] d, output reg [15:0] total);
+  always @(posedge clk) begin
+    total <= total + d;
+    $display("total=%d ` + strings.Repeat(".", 1000) + `", total);
+  end
+endmodule
+`
+
 // speaker is one protocol endpoint under test.
 type speaker struct {
 	addr     string        // where clients dial
+	daemon   string        // the livesimd running sessions: addr, or the gateway's backend
 	served   chan error    // Serve's return value
 	shutdown func()        // stops it (idempotent enough for Cleanup)
 	backend  func() string // state of the gateway's backend, "" for the server
@@ -64,6 +76,7 @@ func startServer(t *testing.T) *speaker {
 	srv := server.New(server.Config{StateDir: filepath.Join(dir, "state")})
 	sp := &speaker{addr: "unix:" + filepath.Join(dir, "d.sock"), served: make(chan error, 1),
 		metrics: srv.Metrics()}
+	sp.daemon = sp.addr
 	go func() { sp.served <- srv.Serve(ln) }()
 	sp.shutdown = func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -90,7 +103,7 @@ func startGateway(t *testing.T) *speaker {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := &speaker{addr: "unix:" + filepath.Join(dir, "g.sock"), served: make(chan error, 1),
+	sp := &speaker{addr: "unix:" + filepath.Join(dir, "g.sock"), daemon: back.addr, served: make(chan error, 1),
 		metrics: gw.Metrics()}
 	go func() { sp.served <- gw.Serve(ln) }()
 	sp.shutdown = func() {
@@ -120,7 +133,12 @@ type rawConn struct {
 
 func dialRaw(t *testing.T, sp *speaker) *rawConn {
 	t.Helper()
-	network, target := wire.SplitAddr(sp.addr)
+	return dialRawAddr(t, sp.addr)
+}
+
+func dialRawAddr(t *testing.T, addr string) *rawConn {
+	t.Helper()
+	network, target := wire.SplitAddr(addr)
 	nc, err := net.Dial(network, target)
 	if err != nil {
 		t.Fatal(err)
@@ -334,6 +352,42 @@ var conformance = []struct {
 		n, err := io.Copy(io.Discard, stalled.nc)
 		if ne, ok := err.(net.Error); ok && ne.Timeout() {
 			t.Fatalf("stalled connection still open after %d bytes: the write deadline never tripped", n)
+		}
+	}},
+	{"stalled readers on a session do not delay its other clients", "", func(t *testing.T, sp *speaker) {
+		// The session worker answers every request on u and ends its
+		// request span. Neither may wait on a connection that stopped
+		// reading: one pipelining requests with 64 KB answers, and one
+		// subscribed to the daemon's and u's spans (on the daemon itself:
+		// lsgate does not forward subscribe).
+		cli := dialClient(t, sp)
+		mustOK(t, cli, &wire.Request{Session: "u", Verb: "create", Files: map[string]string{"top.v": chattyDesign}})
+		mustOK(t, cli, &wire.Request{Session: "u", Verb: "instpipe", Args: []string{"p0"}})
+		sub := dialRawAddr(t, sp.daemon)
+		sub.send(`{"id":1,"verb":"subscribe"}` + "\n" + `{"id":2,"session":"u","verb":"subscribe"}` + "\n")
+		for acked := 0; acked < 2; { // span events (never ok) may come between the answers
+			if resp := sub.mustRecv(); resp.OK {
+				wantCode(t, resp, uint64(acked+1), "", "")
+				acked++
+			}
+		}
+		// Four answers of 64 KB are more than a socket buffers, and little
+		// work to queue behind.
+		pipelined := dialRaw(t, sp)
+		for i := 1; i <= 4; i++ {
+			pipelined.send(fmt.Sprintf(`{"id":%d,"session":"u","verb":"run","args":["clock","p0","64"]}`+"\n", i))
+		}
+		// A thousand requests end over 300 KB of spans on the subscriber.
+		var worst time.Duration
+		for i := 0; i < 1000; i++ {
+			t0 := time.Now()
+			mustOK(t, cli, &wire.Request{Session: "u", Verb: "run", Args: []string{"clock", "p0", "1"}})
+			worst = max(worst, time.Since(t0))
+		}
+		// A worker that waited on either stalled connection would hold one
+		// of these requests for a whole write deadline.
+		if worst > testWriteTimeout*3/5 {
+			t.Fatalf("a request on u took %v beside stalled readers (write deadline %v)", worst, testWriteTimeout)
 		}
 	}},
 	{"request spans carry verb, session, ok and code", wire.CodeBadRequest, func(t *testing.T, sp *speaker) {

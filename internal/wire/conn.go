@@ -9,6 +9,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"syscall"
 	"time"
 )
 
@@ -53,22 +54,60 @@ func EncodeLine(v any) ([]byte, error) {
 	return append(line, '\n'), nil
 }
 
-// Conn is the serving side of one client connection. All writes —
-// replies from any goroutine and streamed span events — serialize on
-// one lock and carry WriteTimeout, so a stalled client can only hurt
-// itself.
+// Conn is the serving side of one client connection. A reply or an
+// event line is written on the goroutine that answers — a session
+// worker, a forwarder, the connection's reader — when the socket takes
+// the whole line at once, which is what a client that reads keeps true.
+// Only a connection with a backlog gets a flusher: one goroutine,
+// started on demand, that writes the backlog in order under
+// WriteTimeout and exits once it is empty. Lines written meanwhile join
+// the backlog. A backlog that would pass MaxLine bytes, or a flush that
+// misses WriteTimeout, closes the connection: no answering goroutine
+// ever waits on a client, and a stalled client can only hurt itself.
 type Conn struct {
-	nc      net.Conn
-	writeMu sync.Mutex
+	nc net.Conn
+	// raw writes without waiting; nil (a net.Conn with no file
+	// descriptor) sends every line through the flusher.
+	raw syscall.RawConn
+
+	mu       sync.Mutex
+	backlog  []byte // bytes the flusher has not taken, in order
+	flushing bool   // a flusher owns the socket's write side
+	closing  bool   // close once the backlog is written
+	closed   bool
+	flushed  chan struct{} // closed when the current flusher exits
+	// p, n and err are writeNow's argument and results, so the function
+	// handed to raw (put is bound once) captures nothing per call.
+	p   []byte
+	n   int
+	err error
+	put func(fd uintptr) bool
 
 	closeMu sync.Mutex
 	onClose []func()
 }
 
-// Reply sends one response. It is encoded outside the write lock. A
-// response that cannot be framed is replaced by a typed error with the
-// same id: the caller is owed an answer it can match, not a reset.
-func (c *Conn) Reply(resp *Response) error {
+func newConn(nc net.Conn) *Conn {
+	c := &Conn{nc: nc}
+	if sc, ok := nc.(syscall.Conn); ok {
+		if raw, err := sc.SyscallConn(); err == nil {
+			c.raw = raw
+			c.put = c.writeFD
+		}
+	}
+	return c
+}
+
+// Reply sends one response. It is encoded outside the lock. A response
+// that cannot be framed is replaced by a typed error with the same id:
+// the caller is owed an answer it can match, not a reset.
+func (c *Conn) Reply(resp *Response) error { return c.reply(resp, 0) }
+
+// reply is Reply with the answer held for hold before it is written,
+// on a flusher: the slow-client fault delays the write, never the
+// goroutine that answers. Behind a backlog the line waits for that
+// instead.
+func (c *Conn) reply(resp *Response, hold time.Duration) error {
 	line, err := EncodeLine(resp)
 	if err != nil {
 		line, err = EncodeLine(&Response{ID: resp.ID, Code: CodeError, Error: "reply not sent: " + err.Error()})
@@ -76,28 +115,136 @@ func (c *Conn) Reply(resp *Response) error {
 			return err
 		}
 	}
-	_, err = c.Write(line)
+	_, err = c.send(line, hold)
 	return err
 }
 
-// Write sends p — whole lines — in one deadline-bounded write; it is the
-// raw path `subscribe` event streams use (a Conn can be attached to a
-// span fanout as is). A failed write may have torn a line, so it closes
-// the connection, which ends the read loop.
-func (c *Conn) Write(p []byte) (int, error) {
-	c.writeMu.Lock()
-	defer c.writeMu.Unlock()
-	c.nc.SetWriteDeadline(time.Now().Add(writeTimeout))
-	n, err := c.nc.Write(p)
-	if err != nil {
-		c.nc.Close()
+// Write sends p — whole lines — as Reply does; it is the raw path
+// `subscribe` event streams use (a Conn can be attached to a span
+// fanout as is). It fails once the connection is closed; a socket
+// error or a backlog overflow closes it.
+func (c *Conn) Write(p []byte) (int, error) { return c.send(p, 0) }
+
+var errBacklog = errors.New("wire: connection backlog full")
+
+func (c *Conn) send(p []byte, hold time.Duration) (int, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed || c.closing {
+		return 0, net.ErrClosed
 	}
-	return n, err
+	if c.flushing {
+		if len(c.backlog)+len(p) > maxLine {
+			c.closeLocked()
+			return 0, errBacklog
+		}
+		c.backlog = append(c.backlog, p...)
+		return len(p), nil
+	}
+	rest := p
+	if hold == 0 && c.raw != nil {
+		n, err := c.writeNow(p)
+		if err != nil {
+			c.closeLocked() // the line may be torn: nothing more can be framed
+			return n, err
+		}
+		if rest = p[n:]; len(rest) == 0 {
+			return n, nil
+		}
+	}
+	c.backlog = append(c.backlog[:0], rest...)
+	c.flushing = true
+	c.flushed = make(chan struct{})
+	go c.flush(hold)
+	return len(p), nil
 }
 
-// Close severs the connection; requests already read still run, and
-// their replies are discarded.
-func (c *Conn) Close() error { return c.nc.Close() }
+// writeNow writes what the socket takes of p without waiting for room.
+func (c *Conn) writeNow(p []byte) (int, error) {
+	c.p = p
+	err := c.raw.Write(c.put)
+	n, werr := c.n, c.err
+	c.p, c.err = nil, nil
+	switch {
+	case err != nil:
+		return 0, err
+	case werr == syscall.EAGAIN:
+		return 0, nil
+	case werr != nil:
+		return 0, werr
+	}
+	return n, nil
+}
+
+func (c *Conn) writeFD(fd uintptr) bool {
+	for {
+		c.n, c.err = syscall.Write(int(fd), c.p)
+		if c.err != syscall.EINTR {
+			return true // done, even on EAGAIN: the flusher waits, never the caller
+		}
+	}
+}
+
+// flush writes the backlog, taking whatever has been added meanwhile,
+// until it is empty; then it hands the write side back to the
+// answering goroutines, or closes the connection if it is closing.
+func (c *Conn) flush(hold time.Duration) {
+	if hold > 0 {
+		time.Sleep(hold)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	defer close(c.flushed)
+	for len(c.backlog) > 0 && !c.closed {
+		buf := c.backlog
+		c.backlog = nil
+		c.mu.Unlock()
+		c.nc.SetWriteDeadline(time.Now().Add(writeTimeout))
+		_, err := c.nc.Write(buf)
+		c.mu.Lock()
+		if err != nil {
+			c.closeLocked()
+		}
+	}
+	c.flushing = false
+	switch {
+	case c.closing:
+		c.closeLocked()
+	case !c.closed:
+		c.nc.SetWriteDeadline(time.Time{}) // an expired deadline would refuse writeNow
+	}
+}
+
+// Close severs the connection at once; requests already read still
+// run, and their replies are discarded.
+func (c *Conn) Close() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.closeLocked()
+}
+
+func (c *Conn) closeLocked() error {
+	if c.closed {
+		return nil
+	}
+	c.closed, c.backlog = true, nil
+	return c.nc.Close()
+}
+
+// closeAfterFlush closes the connection once its backlog is written —
+// the answer to an over-long request line included — which takes at
+// most a hold plus WriteTimeout; done closes then (nil: closed now).
+// Nothing written after it is sent.
+func (c *Conn) closeAfterFlush() (done <-chan struct{}) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.closing = true
+	if !c.flushing {
+		c.closeLocked()
+		return nil
+	}
+	return c.flushed
+}
 
 // OnClose registers f to run when the connection is torn down (e.g. to
 // detach a subscription). Call it from the connection's handler.
@@ -161,7 +308,7 @@ func (a *Acceptor) Serve(ln net.Listener) error {
 			a.mu.Unlock()
 			return err
 		}
-		c := &Conn{nc: nc}
+		c := newConn(nc)
 		a.conns[c] = struct{}{}
 		a.wg.Add(1)
 		a.mu.Unlock()
@@ -178,7 +325,9 @@ func (a *Acceptor) serve(c *Conn) {
 		for _, f := range fs {
 			f()
 		}
-		c.nc.Close()
+		if done := c.closeAfterFlush(); done != nil {
+			<-done
+		}
 		a.mu.Lock()
 		delete(a.conns, c)
 		a.mu.Unlock()
@@ -224,8 +373,9 @@ func (a *Acceptor) StopAccepting() {
 	}
 }
 
-// Close stops accepting, severs every connection and waits for their
-// read loops (and so their OnClose hooks) to finish.
+// Close stops accepting, closes every connection once what it was
+// answered is written (or WriteTimeout passed) and waits for their read
+// loops (and so their OnClose hooks) to finish.
 func (a *Acceptor) Close() {
 	a.StopAccepting()
 	a.mu.Lock()
@@ -235,7 +385,7 @@ func (a *Acceptor) Close() {
 	}
 	a.mu.Unlock()
 	for _, c := range conns {
-		c.nc.Close()
+		c.closeAfterFlush()
 	}
 	a.wg.Wait()
 }

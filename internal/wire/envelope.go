@@ -32,10 +32,14 @@ type Daemon[T any] struct {
 	// answer is written.
 	Admit func(*Call) (release func(), reject *Response)
 	// Place runs an admitted call: Exec and Finish inline on the
-	// connection's reader, or hand it to a goroutine or worker that will.
+	// connection's reader, or hand it to a forwarder or worker that will.
 	Place func(*Call)
 	// Done, when set, observes every answer before it is written.
 	Done func(c *Call, resp *Response, dur time.Duration)
+	// Hold, when set, is how long each answer waits on its connection's
+	// write path before it is written (the slow-client fault); the
+	// goroutine that answers does not wait.
+	Hold func() time.Duration
 }
 
 // Envelope is the one request life livesimd and lsgate share, around
@@ -93,7 +97,9 @@ type Call struct {
 	env     interface{ finish(*Call, *Response) }
 }
 
-// Finish writes the call's answer and ends its life. Call it once.
+// Finish writes the call's answer, or queues it behind its connection's
+// backlog, and ends its life: it never waits on the client. Call it
+// once.
 func (c *Call) Finish(resp *Response) { c.env.finish(c, resp) }
 
 // Elapsed is how long the call has been in flight.
@@ -165,7 +171,11 @@ func (e *Envelope[T]) finish(c *Call, resp *Response) {
 	if e.d.Done != nil {
 		e.d.Done(c, resp, dur)
 	}
-	c.Conn.Reply(resp) // a failed write is the client's loss; Reply closed the conn
+	var hold time.Duration
+	if e.d.Hold != nil {
+		hold = e.d.Hold()
+	}
+	c.Conn.reply(resp, hold) // a failed write is the client's loss; it closed the conn
 	if c.counted {
 		e.inflight.Done()
 	}

@@ -48,15 +48,14 @@ const (
 )
 
 // Target says which argument names the one pipe a mutation changes: a
-// Target's value is one more than that argument's index.
+// Target's value is one more than that argument's index. The zero Target
+// marks verbs that change no single pipe's state (structural or
+// design-wide ones), so replay never skips them for a pipe's sake.
 type Target uint8
 
 const (
-	// NoPipe verbs change no single pipe's state (structural or
-	// design-wide ones), so replay never skips them for a pipe's sake.
-	NoPipe Target = iota
 	// PipeFirst verbs take the pipe first: `<pipe> ...`.
-	PipeFirst
+	PipeFirst Target = iota + 1
 	// PipeAfterTB verbs take a testbench, then the pipe: `<tb> <pipe>
 	// ...`. They run the pipe, and their journal record carries the
 	// cycle it ended on.

@@ -3,7 +3,7 @@ package command_test
 import (
 	"testing"
 
-	"livesim/internal/command"
+	"livesim/internal/catalogue"
 	"livesim/internal/server/client"
 )
 
@@ -63,16 +63,16 @@ var golden = []struct {
 }
 
 func TestCatalogueGolden(t *testing.T) {
-	places := map[command.Place]string{command.Worker: "worker", command.Conn: "conn"}
+	places := map[catalogue.Place]string{catalogue.Worker: "worker", catalogue.Conn: "conn"}
 	lsgate := map[string]bool{}
-	for _, v := range command.Verbs(func(v *command.Verb) bool { return v.Place == command.Gateway }) {
+	for _, v := range catalogue.Verbs(func(v *catalogue.Verb) bool { return v.Place == catalogue.Gateway }) {
 		lsgate[v.Name] = true
 	}
 	pinned := map[string]bool{}
 	for _, g := range golden {
 		pinned[g.name] = true
 		place := ""
-		if v, ok := command.Lookup(g.name); ok {
+		if v, ok := catalogue.Lookup(g.name); ok {
 			place = places[v.Place]
 		}
 		if place != g.livesimd {
@@ -81,14 +81,14 @@ func TestCatalogueGolden(t *testing.T) {
 		if lsgate[g.name] != g.lsgate {
 			t.Errorf("%s answered by lsgate itself = %v, want %v", g.name, lsgate[g.name], g.lsgate)
 		}
-		if c := command.CostOf(g.name); c != g.cost {
+		if c := catalogue.CostOf(g.name); c != g.cost {
 			t.Errorf("%s costs %d, want %d", g.name, c, g.cost)
 		}
 		if r := client.Idempotent(g.name); r != g.resend {
 			t.Errorf("%s resendable = %v, want %v", g.name, r, g.resend)
 		}
 	}
-	for _, v := range command.Verbs(func(*command.Verb) bool { return true }) {
+	for _, v := range catalogue.Verbs(func(*catalogue.Verb) bool { return true }) {
 		if !pinned[v.Name] {
 			t.Errorf("catalogue verb %q has no golden row", v.Name)
 		}

@@ -5,7 +5,8 @@
 // their behaviour cannot drift between frontends. What each verb is
 // called, where it runs, what it costs and how replay treats it is
 // internal/catalogue's; this package attaches a body to every catalogue
-// entry the shell shares.
+// entry the shell shares, and re-exports none of the catalogue: callers
+// read internal/catalogue directly.
 package command
 
 import (
@@ -37,34 +38,6 @@ type Env struct {
 	Out         io.Writer
 }
 
-// The catalogue's vocabulary, under the names this package's callers
-// have always used.
-type Verb = catalogue.Verb
-type Place = catalogue.Place
-
-const Worker, Conn, Gateway = catalogue.Worker, catalogue.Conn, catalogue.Gateway
-
-// Lookup finds the verb livesimd runs under name.
-func Lookup(name string) (*Verb, bool) { return catalogue.Lookup(name) }
-
-// Verbs returns the catalogue entries in reports true for.
-func Verbs(in func(*Verb) bool) []*Verb { return catalogue.Verbs(in) }
-
-// CostOf returns a verb's admission-budget weight on livesimd.
-func CostOf(name string) int64 { return catalogue.CostOf(name) }
-
-// ShellHelp, ServerHelp and GatewayHelp are the catalogue's help screens.
-func ShellHelp() string   { return catalogue.ShellHelp() }
-func ServerHelp() string  { return catalogue.ServerHelp() }
-func GatewayHelp() string { return catalogue.GatewayHelp() }
-
-// Register adds a verb the shell and the session workers share, with
-// its body in v.Run, to the catalogue.
-func Register(v *Verb) {
-	v.Shell = true
-	catalogue.Register(v)
-}
-
 // body is the type of a shared verb's catalogue Run field.
 type body = func(env *Env, args []string) error
 
@@ -93,12 +66,12 @@ func DispatchLine(env *Env, line string) error {
 // init attaches each body to its catalogue entry; an entry the shell
 // shares without a body here, or a body without an entry, panics.
 func init() {
-	for _, v := range catalogue.Verbs((*Verb).Shared) {
+	for _, v := range catalogue.Verbs((*catalogue.Verb).Shared) {
 		if v.Run = bodies[v.Name]; bodies[v.Name] == nil {
 			panic(fmt.Sprintf("command: no body for shared verb %q", v.Name))
 		}
 	}
-	if n := len(catalogue.Verbs((*Verb).Shared)); n != len(bodies) {
+	if n := len(catalogue.Verbs((*catalogue.Verb).Shared)); n != len(bodies) {
 		panic(fmt.Sprintf("command: %d bodies for %d shared verbs", len(bodies), n))
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"livesim/internal/catalogue"
 	"livesim/internal/core"
 	"livesim/internal/liveparser"
 )
@@ -116,8 +117,8 @@ func listed(help string) map[string]int {
 // every verb it answers exactly once (lsgate counts what it forwards),
 // and the shell lists the shared verbs and its own help and exit.
 func TestHelpTextCoversEveryVerb(t *testing.T) {
-	all := Verbs(func(*Verb) bool { return true })
-	server, gateway, shell := listed(ServerHelp()), listed(GatewayHelp()), listed(ShellHelp())
+	all := catalogue.Verbs(func(*catalogue.Verb) bool { return true })
+	server, gateway, shell := listed(catalogue.ServerHelp()), listed(catalogue.GatewayHelp()), listed(catalogue.ShellHelp())
 	for _, v := range all {
 		if v.Livesimd() && server[v.Name] != 1 {
 			t.Errorf("livesimd help lists %q %d times, want once", v.Name, server[v.Name])
@@ -134,7 +135,7 @@ func TestHelpTextCoversEveryVerb(t *testing.T) {
 			t.Errorf("help lists %d names for a catalogue of %d entries", len(help), len(all))
 		}
 	}
-	if len(shell) != len(Verbs((*Verb).Shared))+2 {
+	if len(shell) != len(catalogue.Verbs((*catalogue.Verb).Shared))+2 {
 		t.Errorf("shell help lists %v, want the shared verbs plus help and exit", shell)
 	}
 }
@@ -142,7 +143,7 @@ func TestHelpTextCoversEveryVerb(t *testing.T) {
 // shared reports whether livesimd's verb of that name is a shared one
 // (lsgate's `trace` shares the session verb's name).
 func shared(name string) bool {
-	v, ok := Lookup(name)
+	v, ok := catalogue.Lookup(name)
 	return ok && v.Shared()
 }
 
@@ -150,7 +151,7 @@ func shared(name string) bool {
 // a misspelt one.
 func TestDispatchRefusesDaemonVerbs(t *testing.T) {
 	env := &Env{Session: bootTiny(t), Out: &strings.Builder{}}
-	for _, v := range Verbs(func(v *Verb) bool { return !shared(v.Name) }) {
+	for _, v := range catalogue.Verbs(func(v *catalogue.Verb) bool { return !shared(v.Name) }) {
 		if err := Dispatch(env, v.Name, nil); err == nil || !strings.Contains(err.Error(), "unknown command") {
 			t.Errorf("shell ran daemon verb %q: %v", v.Name, err)
 		}
@@ -202,7 +203,7 @@ func TestProfileVerb(t *testing.T) {
 	}
 	// The verb must stay non-mutating: journaled replay and client
 	// resend correctness both depend on it.
-	if v, _ := Lookup("profile"); v.Mutates {
+	if v, _ := catalogue.Lookup("profile"); v.Mutates {
 		t.Error("profile verb marked Mutates")
 	}
 }

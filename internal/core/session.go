@@ -74,9 +74,6 @@ func (d *Driver) Finished() bool { return d.s.Finished() }
 // Peek reads a hierarchical signal.
 func (d *Driver) Peek(path string) (uint64, error) { return d.s.Peek(path) }
 
-// Poke writes a hierarchical signal.
-func (d *Driver) Poke(path string, v uint64) error { return d.s.Poke(path, v) }
-
 // PeekMem reads a memory word.
 func (d *Driver) PeekMem(path string, addr uint64) (uint64, error) { return d.s.PeekMem(path, addr) }
 

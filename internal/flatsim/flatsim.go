@@ -257,13 +257,6 @@ func NewSim(obj *vm.Object) *Sim {
 // Cycle returns the current cycle.
 func (s *Sim) Cycle() uint64 { return s.cycle }
 
-// Finished reports whether $finish was executed.
-func (s *Sim) Finished() bool { return s.finished }
-
-// Settle evaluates the combinational program (single pass — the design is
-// globally levelized).
-func (s *Sim) Settle() { s.Inst.RunComb(&s.Stats) }
-
 // Tick advances n cycles.
 func (s *Sim) Tick(n int) {
 	for i := 0; i < n && !s.finished; i++ {
@@ -288,27 +281,6 @@ func (s *Sim) TickProfiled(n int, prof vm.Profiler) {
 		}
 		s.cycle++
 	}
-}
-
-// SetIn drives a top-level input port.
-func (s *Sim) SetIn(name string, v uint64) error {
-	i := s.Obj.PortIndex(name)
-	if i < 0 || s.Obj.Ports[i].Dir != vm.In {
-		return fmt.Errorf("no input port %q", name)
-	}
-	p := s.Obj.Ports[i]
-	s.Inst.Slots[p.Slot] = v & p.Mask
-	return nil
-}
-
-// Out reads a top-level port after Settle/Tick.
-func (s *Sim) Out(name string) (uint64, error) {
-	i := s.Obj.PortIndex(name)
-	if i < 0 {
-		return 0, fmt.Errorf("no port %q", name)
-	}
-	s.Settle()
-	return s.Inst.Slots[s.Obj.Ports[i].Slot], nil
 }
 
 // Peek reads a flattened signal by its hierarchical name (a.b.sig or the

@@ -3,7 +3,7 @@ package gateway_test
 import (
 	"testing"
 
-	"livesim/internal/command"
+	"livesim/internal/catalogue"
 	"livesim/internal/gateway"
 	"livesim/internal/server/client"
 )
@@ -12,8 +12,8 @@ import (
 // decided on purpose by a catalogue Gateway entry: `backends` was once
 // forgotten, so it failed across a reconnect instead of being resent.
 func TestEveryGatewayVerbIsClassified(t *testing.T) {
-	declared := map[string]*command.Verb{}
-	for _, v := range command.Verbs(func(v *command.Verb) bool { return v.Place == command.Gateway }) {
+	declared := map[string]*catalogue.Verb{}
+	for _, v := range catalogue.Verbs(func(v *catalogue.Verb) bool { return v.Place == catalogue.Gateway }) {
 		declared[v.Name] = v
 	}
 	handled := gateway.HandlerVerbs()

@@ -34,10 +34,11 @@ endmodule`,
 // edited returns srcs with module name parsed anew from text.
 func edited(t *testing.T, srcs map[string]*ast.Module, name, text string) map[string]*ast.Module {
 	t.Helper()
-	m, err := parser.ParseModule(name+".v", text)
+	sf, err := parser.ParseFile(name+".v", text)
 	if err != nil {
 		t.Fatal(err)
 	}
+	m := sf.Modules[0]
 	out := make(map[string]*ast.Module, len(srcs))
 	for k, v := range srcs {
 		out[k] = v

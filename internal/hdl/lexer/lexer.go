@@ -1,11 +1,10 @@
 // Package lexer tokenizes LiveHDL source text.
 //
-// The lexer has two modes. The parser uses the default mode, which skips
-// whitespace and comments; LiveParser fingerprints that same token stream,
-// which is how it tells a comment-only edit from a behavioural one (paper
-// Section III-C: "confirm that actual behavior was changed, not just
-// comments or spacing"). KeepTrivia mode emits the trivia too, for tools
-// that must reproduce the text.
+// The lexer skips whitespace and comments. The parser reads its tokens,
+// and LiveParser fingerprints that same token stream, which is how it
+// tells a comment-only edit from a behavioural one (paper Section III-C:
+// "confirm that actual behavior was changed, not just comments or
+// spacing").
 package lexer
 
 import (
@@ -16,36 +15,24 @@ import (
 
 // Lexer scans LiveHDL source into tokens.
 type Lexer struct {
-	src        string
-	file       string
-	off        int
-	line       int
-	col        int
-	keepTrivia bool
+	src  string
+	file string
+	off  int
+	line int
+	col  int
 }
 
-// Option configures a Lexer.
-type Option func(*Lexer)
-
-// KeepTrivia makes the lexer emit whitespace and comment tokens instead of
-// skipping them.
-func KeepTrivia() Option { return func(l *Lexer) { l.keepTrivia = true } }
-
 // New returns a Lexer over src. file is used in positions for diagnostics.
-func New(file, src string, opts ...Option) *Lexer {
-	l := &Lexer{src: src, file: file, line: 1, col: 1}
-	for _, o := range opts {
-		o(l)
-	}
-	return l
+func New(file, src string) *Lexer {
+	return &Lexer{src: src, file: file, line: 1, col: 1}
 }
 
 // Tokenize scans the entire input and returns all tokens, ending with EOF.
 // The slice is sized from the input up front: the PGAS sources run 3.3 to
 // 5.6 bytes per token, and growing a slice of 64-byte tokens by doubling
 // used to cost more than the scan itself.
-func Tokenize(file, src string, opts ...Option) []token.Token {
-	l := New(file, src, opts...)
+func Tokenize(file, src string) []token.Token {
+	l := New(file, src)
 	toks := make([]token.Token, 0, len(src)/3+16)
 	for {
 		t := l.Next()
@@ -113,17 +100,11 @@ func (l *Lexer) Next() token.Token {
 			for l.off < len(l.src) && isSpace(l.peek()) {
 				l.advance()
 			}
-			if l.keepTrivia {
-				return l.mk(token.Whitespace, start)
-			}
 			continue
 
 		case c == '/' && l.peek2() == '/':
 			for l.off < len(l.src) && l.peek() != '\n' {
 				l.advance()
-			}
-			if l.keepTrivia {
-				return l.mk(token.LineComment, start)
 			}
 			continue
 
@@ -137,9 +118,6 @@ func (l *Lexer) Next() token.Token {
 					break
 				}
 				l.advance()
-			}
-			if l.keepTrivia {
-				return l.mk(token.BlockComment, start)
 			}
 			continue
 

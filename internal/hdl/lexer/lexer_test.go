@@ -93,22 +93,6 @@ func TestCommentsSkippedByDefault(t *testing.T) {
 	}
 }
 
-func TestKeepTrivia(t *testing.T) {
-	src := "a /* c */ b"
-	toks := Tokenize("", src, KeepTrivia())
-	want := []token.Kind{token.Ident, token.Whitespace, token.BlockComment,
-		token.Whitespace, token.Ident, token.EOF}
-	got := kinds(toks)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v want %v", got, want)
-		}
-	}
-	if toks[2].Text != "/* c */" {
-		t.Errorf("comment text %q", toks[2].Text)
-	}
-}
-
 func TestPositions(t *testing.T) {
 	src := "ab\n cd"
 	toks := Tokenize("f.v", src)
@@ -162,16 +146,21 @@ func TestUnterminatedBlockComment(t *testing.T) {
 	}
 }
 
-// Property: lexing is insensitive to surrounding whitespace, and the
-// concatenation of KeepTrivia token texts reconstructs the input exactly.
+// Property: the source is its tokens' texts, each at its offset, with
+// only whitespace and comments between them, and lexing is insensitive
+// to surrounding whitespace and comments.
 func TestTriviaRoundTripProperty(t *testing.T) {
 	f := func(seed uint32) bool {
 		src := genSource(seed)
-		var rebuilt string
-		for _, tok := range Tokenize("", src, KeepTrivia()) {
-			rebuilt += tok.Text
+		end := 0
+		for _, tok := range Tokenize("", src) {
+			at := tok.Pos.Offset
+			if at < end || src[at:at+len(tok.Text)] != tok.Text || len(Tokenize("", src[end:at])) != 1 {
+				return false
+			}
+			end = at + len(tok.Text)
 		}
-		if rebuilt != src {
+		if end != len(src) {
 			return false
 		}
 		return sameTokens(Tokenize("", src), Tokenize("", "  "+src+"\t// tail\n"))

@@ -57,20 +57,8 @@ func ParseFileTokens(file, src string) (*ast.SourceFile, [][]token.Token, error)
 	return sf, spans, nil
 }
 
-// ParseModule parses a single module definition from src.
-func ParseModule(file, src string) (*ast.Module, error) {
-	sf, err := ParseFile(file, src)
-	if err != nil {
-		return nil, err
-	}
-	if len(sf.Modules) != 1 {
-		return nil, fmt.Errorf("%s: expected exactly one module, found %d", file, len(sf.Modules))
-	}
-	return sf.Modules[0], nil
-}
-
-// ParseExpr parses a standalone expression (used by tests and by parameter
-// override strings).
+// ParseExpr parses a standalone expression. The elab and printer tests
+// build their expressions with it.
 func ParseExpr(src string) (ast.Expr, error) {
 	p := &parser{toks: lexer.Tokenize("", src)}
 	e, err := p.parseExpr()

@@ -1,8 +1,9 @@
 // Package printer renders LiveHDL ASTs back to source text. Printing is
 // behaviour-preserving: re-parsing the output yields a tree whose
 // behavioural token stream matches the original (the round-trip property
-// tests in this package enforce it). LiveSim uses it for diagnostics and
-// tooling; generators can build ASTs and emit legal source.
+// tests in this package enforce it). Only tests use it: those round
+// trips, and internal/livecompiler's oracle, which prints the ASTs it
+// checks for mutation.
 package printer
 
 import (
@@ -55,18 +56,6 @@ func Module(m *ast.Module) string {
 		sb.WriteString(item(it, "  "))
 	}
 	sb.WriteString("endmodule\n")
-	return sb.String()
-}
-
-// File renders a whole source file.
-func File(f *ast.SourceFile) string {
-	var sb strings.Builder
-	for i, m := range f.Modules {
-		if i > 0 {
-			sb.WriteByte('\n')
-		}
-		sb.WriteString(Module(m))
-	}
 	return sb.String()
 }
 

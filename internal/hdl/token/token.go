@@ -12,8 +12,8 @@ import "fmt"
 // Kind enumerates the lexical token kinds of LiveHDL.
 type Kind uint8
 
-// Token kinds. Trivia (whitespace, comments) are produced only when the
-// lexer is run in KeepTrivia mode; the parser never sees them.
+// Token kinds. Whitespace and comments are not tokens: the lexer skips
+// them.
 const (
 	EOF Kind = iota
 	Error
@@ -92,11 +92,6 @@ const (
 	KwEndfunction
 	KwSigned
 
-	// Trivia (KeepTrivia mode only).
-	Whitespace
-	LineComment  // // ...
-	BlockComment // /* ... */
-
 	kindCount
 )
 
@@ -119,7 +114,6 @@ var kindNames = [...]string{
 	KwInteger: "integer", KwGenvar: "genvar", KwGenerate: "generate",
 	KwEndgenerate: "endgenerate", KwFor: "for", KwFunction: "function",
 	KwEndfunction: "endfunction", KwSigned: "signed",
-	Whitespace: "whitespace", LineComment: "line comment", BlockComment: "block comment",
 }
 
 // String returns a human-readable name for the kind.

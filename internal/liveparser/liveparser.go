@@ -371,17 +371,3 @@ func Compare(oldA, newA *Analysis) *Diff {
 	sort.Strings(d.Removed)
 	return d
 }
-
-// DiffSources is the convenience entry point: analyze two source
-// snapshots and compare them.
-func DiffSources(oldSrc, newSrc Source) (*Diff, error) {
-	oldA, err := Analyze(oldSrc)
-	if err != nil {
-		return nil, fmt.Errorf("old snapshot: %w", err)
-	}
-	newA, err := Analyze(newSrc)
-	if err != nil {
-		return nil, fmt.Errorf("new snapshot: %w", err)
-	}
-	return Compare(oldA, newA), nil
-}

@@ -1,6 +1,7 @@
 package liveparser
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -26,7 +27,7 @@ module top (input clk, input [7:0] in, output [7:0] out);
   child c0 (.clk(clk), .d(in), .q(out));
 endmodule
 `
-	d, err := DiffSources(src(map[string]string{"a.v": baseDesign}), src(map[string]string{"a.v": edited}))
+	d, err := diffSources(src(map[string]string{"a.v": baseDesign}), src(map[string]string{"a.v": edited}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +45,7 @@ module top (input clk, input [7:0] in, output [7:0] out);
   child c0 (.clk(clk), .d(in), .q(out));
 endmodule
 `
-	d, err := DiffSources(src(map[string]string{"a.v": baseDesign}), src(map[string]string{"a.v": edited}))
+	d, err := diffSources(src(map[string]string{"a.v": baseDesign}), src(map[string]string{"a.v": edited}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +69,7 @@ module top (input clk, input [7:0] in, output [7:0] out);
   child c0 (.clk(clk), .en(1'b1), .d(in), .q(out));
 endmodule
 `
-	d, err := DiffSources(src(map[string]string{"a.v": baseDesign}), src(map[string]string{"a.v": edited}))
+	d, err := diffSources(src(map[string]string{"a.v": baseDesign}), src(map[string]string{"a.v": edited}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ module other (input a, output b);
   assign b = a;
 endmodule
 `
-	d, err := DiffSources(src(map[string]string{"a.v": oldSrc}), src(map[string]string{"a.v": newSrc}))
+	d, err := diffSources(src(map[string]string{"a.v": oldSrc}), src(map[string]string{"a.v": newSrc}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,14 +116,14 @@ module extra (input x, output y);
   assign y = x;
 endmodule
 `
-	d, err := DiffSources(src(map[string]string{"a.v": baseDesign}), src(map[string]string{"a.v": newSrc}))
+	d, err := diffSources(src(map[string]string{"a.v": baseDesign}), src(map[string]string{"a.v": newSrc}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(d.Added, []string{"extra"}) {
 		t.Errorf("added %v", d.Added)
 	}
-	d2, err := DiffSources(src(map[string]string{"a.v": newSrc}), src(map[string]string{"a.v": baseDesign}))
+	d2, err := diffSources(src(map[string]string{"a.v": newSrc}), src(map[string]string{"a.v": baseDesign}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,10 +169,10 @@ func TestParseErrorSurfaces(t *testing.T) {
 	if _, err := Analyze(src(map[string]string{"a.v": "module ("})); err == nil {
 		t.Fatal("want parse error")
 	}
-	if _, err := DiffSources(src(map[string]string{"a.v": "module ("}), src(map[string]string{"a.v": baseDesign})); err == nil {
+	if _, err := diffSources(src(map[string]string{"a.v": "module ("}), src(map[string]string{"a.v": baseDesign})); err == nil {
 		t.Fatal("want old-snapshot error")
 	}
-	if _, err := DiffSources(src(map[string]string{"a.v": baseDesign}), src(map[string]string{"a.v": "x"})); err == nil {
+	if _, err := diffSources(src(map[string]string{"a.v": baseDesign}), src(map[string]string{"a.v": "x"})); err == nil {
 		t.Fatal("want new-snapshot error")
 	}
 }
@@ -185,7 +186,7 @@ func TestMultiFileDesign(t *testing.T) {
 		"child.v": "module child (input clk, input [7:0] d, output reg [7:0] q);\n  always @(posedge clk) q <= d - 1;\nendmodule",
 		"top.v":   oldFiles["top.v"],
 	}
-	d, err := DiffSources(src(oldFiles), src(newFiles))
+	d, err := diffSources(src(oldFiles), src(newFiles))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,4 +204,17 @@ func TestIfaceHashIgnoresBody(t *testing.T) {
 	if a1.Modules["m"].BodyHash == a2.Modules["m"].BodyHash {
 		t.Error("body hash must depend on the body")
 	}
+}
+
+// diffSources analyzes two source snapshots and compares them.
+func diffSources(oldSrc, newSrc Source) (*Diff, error) {
+	oldA, err := Analyze(oldSrc)
+	if err != nil {
+		return nil, fmt.Errorf("old snapshot: %w", err)
+	}
+	newA, err := Analyze(newSrc)
+	if err != nil {
+		return nil, fmt.Errorf("new snapshot: %w", err)
+	}
+	return Compare(oldA, newA), nil
 }

@@ -78,8 +78,7 @@ func (l *Logger) Enabled(level Level) bool {
 	return l != nil && level >= l.level
 }
 
-// Debug, Info, Warn and Error emit one structured line at their level.
-func (l *Logger) Debug(msg string, fields ...Attr) { l.log(LevelDebug, msg, fields) }
+// Info, Warn and Error emit one structured line at their level.
 func (l *Logger) Info(msg string, fields ...Attr)  { l.log(LevelInfo, msg, fields) }
 func (l *Logger) Warn(msg string, fields ...Attr)  { l.log(LevelWarn, msg, fields) }
 func (l *Logger) Error(msg string, fields ...Attr) { l.log(LevelError, msg, fields) }

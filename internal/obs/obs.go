@@ -113,22 +113,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Count returns the number of observations (0 on a nil histogram).
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Sum returns the sum of observations (0 on a nil histogram).
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return math.Float64frombits(h.sum.Load())
-}
-
 // Registry is a named collection of instruments. All methods are safe
 // for concurrent use and safe on a nil receiver (returning nil
 // instruments, which no-op).

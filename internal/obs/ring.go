@@ -91,16 +91,6 @@ func (r *Ring[T]) Since(seq uint64) (vals []T, first uint64) {
 	return vals, from + 1
 }
 
-// Len returns the number of retained values.
-func (r *Ring[T]) Len() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.n
-}
-
 // Seq returns the number of the newest value — how many were ever
 // pushed, on a ring nothing was deleted from — which a poller passes
 // back to Since.

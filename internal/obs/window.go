@@ -34,9 +34,6 @@ func (w *Window) ring() *Ring[sample] { return (*Ring[sample])(w) }
 // Observe records one sample, evicting the oldest when full. Nil-safe.
 func (w *Window) Observe(v float64) { w.ring().Push(sample{v, time.Now().UnixNano()}) }
 
-// Len returns the number of retained samples (0 on nil).
-func (w *Window) Len() int { return w.ring().Len() }
-
 // Quantile returns the exact q-quantile of the retained samples
 // (linear interpolation between adjacent ranks; q outside [0,1] is
 // clamped). Returns 0 when the window is empty or nil.

@@ -163,13 +163,6 @@ func (p *Profiler) Reset() {
 	p.cycles.Store(0)
 }
 
-// NumInstances returns the number of bound instances.
-func (p *Profiler) NumInstances() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.metas)
-}
-
 // ---------------------------------------------------------------- hot path
 
 // epoch anchors the monotonic clock reads of the sampling pair:

@@ -1,59 +1,6 @@
 package riscv
 
-import (
-	"strings"
-	"testing"
-)
-
-func TestDisassembleUnknowns(t *testing.T) {
-	cases := []uint32{
-		0x0000007F,                   // unknown opcode
-		encB(0, 1, 2, 2, 0x63),       // bad branch funct3 (010)
-		encI(0, 1, 7, 2, 0x03),       // bad load funct3 (111)
-		encS(0, 1, 2, 7, 0x23),       // bad store funct3
-		encR(0x7F, 1, 2, 0, 3, 0x33), // bad R funct7
-		encI(0, 1, 2, 3, 0x1B),       // bad op-imm-32 funct3
-	}
-	for _, w := range cases {
-		if got := Disassemble(w, 0); !strings.HasPrefix(got, ".word") {
-			t.Errorf("%#08x disassembled to %q, want .word fallback", w, got)
-		}
-	}
-}
-
-func TestDisassembleFullCoverage(t *testing.T) {
-	// Every supported mnemonic disassembles to something containing its
-	// own name.
-	srcs := []string{
-		"lui a0, 1", "auipc a0, 1", "jal ra, 0", "jalr a0, 0(a1)",
-		"beq a0, a1, 0", "bne a0, a1, 0", "blt a0, a1, 0", "bge a0, a1, 0",
-		"bltu a0, a1, 0", "bgeu a0, a1, 0",
-		"lb a0, 0(a1)", "lh a0, 0(a1)", "lw a0, 0(a1)", "ld a0, 0(a1)",
-		"lbu a0, 0(a1)", "lhu a0, 0(a1)", "lwu a0, 0(a1)",
-		"sb a0, 0(a1)", "sh a0, 0(a1)", "sw a0, 0(a1)", "sd a0, 0(a1)",
-		"addi a0, a1, 1", "slti a0, a1, 1", "sltiu a0, a1, 1",
-		"xori a0, a1, 1", "ori a0, a1, 1", "andi a0, a1, 1",
-		"slli a0, a1, 1", "srli a0, a1, 1", "srai a0, a1, 1",
-		"addiw a0, a1, 1", "slliw a0, a1, 1", "srliw a0, a1, 1", "sraiw a0, a1, 1",
-		"add a0, a1, a2", "sub a0, a1, a2", "sll a0, a1, a2",
-		"slt a0, a1, a2", "sltu a0, a1, a2", "xor a0, a1, a2",
-		"srl a0, a1, a2", "sra a0, a1, a2", "or a0, a1, a2", "and a0, a1, a2",
-		"addw a0, a1, a2", "subw a0, a1, a2", "sllw a0, a1, a2",
-		"srlw a0, a1, a2", "sraw a0, a1, a2",
-		"ecall", "ebreak", "fence",
-	}
-	for _, src := range srcs {
-		p, err := Assemble(src)
-		if err != nil {
-			t.Fatalf("%s: %v", src, err)
-		}
-		mn := strings.Fields(src)[0]
-		dis := Disassemble(p.Words[0], 0)
-		if !strings.HasPrefix(dis, mn) {
-			t.Errorf("%q -> %q", src, dis)
-		}
-	}
-}
+import "testing"
 
 func TestISSIllegalInstruction(t *testing.T) {
 	mem := make(SliceMemory, 64)

@@ -1,7 +1,6 @@
 package riscv
 
 import (
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -237,30 +236,6 @@ func TestAssembleErrors(t *testing.T) {
 	for _, src := range cases {
 		if _, err := Assemble(src); err == nil {
 			t.Errorf("%q: want error", src)
-		}
-	}
-}
-
-func TestDisassembleRoundTrip(t *testing.T) {
-	srcs := []string{
-		"add a0, a1, a2", "sub s0, s1, s2", "sllw t0, t1, t2",
-		"addi a0, a1, -5", "slli a0, a1, 33", "sraiw a0, a1, 3",
-		"lw a0, 8(sp)", "sd ra, -16(s0)", "lbu t0, 0(a0)",
-		"beq a0, a1, 0", "bltu t0, t1, 0",
-		"lui a0, 0x12345", "auipc t0, 0x1",
-		"jal ra, 0", "jalr a0, 4(a1)",
-		"ecall", "fence",
-	}
-	for _, src := range srcs {
-		p, err := Assemble(src)
-		if err != nil {
-			t.Fatalf("%s: %v", src, err)
-		}
-		dis := Disassemble(p.Words[0], 0)
-		mnIn := strings.Fields(src)[0]
-		mnOut := strings.Fields(dis)[0]
-		if mnIn != mnOut {
-			t.Errorf("%q disassembled to %q", src, dis)
 		}
 	}
 }

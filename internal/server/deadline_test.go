@@ -9,6 +9,7 @@ import (
 	"net"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -22,7 +23,8 @@ import (
 // their result discarded, some expire in the queue and never run. Every
 // request gets exactly one answer, OK or timeout; every result the
 // deadline beat is counted in server_results_discarded; and the session
-// serves afterwards.
+// serves afterwards. It runs at the shipped queue depth, which a request
+// the deadline answered no longer holds a slot of.
 func TestOneAnswerPerRequest(t *testing.T) {
 	const (
 		conns    = 4
@@ -55,9 +57,7 @@ func TestOneAnswerPerRequest(t *testing.T) {
 	// Registered before startServer, so the restores run after shutdown.
 	t.Cleanup(server.SetRequestDeadline(deadline))
 	t.Cleanup(server.SetBreakerThreshold(1 << 30)) // missed deadlines must not quarantine the session
-	// An answered request stays queued until the worker reaches it, so
-	// only a queue as deep as the whole load never refuses one.
-	srv, addr := startServer(t, server.Config{QueueDepth: conns * perConn, AdmitBudget: -1})
+	srv, addr := startServer(t, server.Config{AdmitBudget: -1})
 	c = dial(t, addr)
 	createTiny(t, c, "s", 1000)
 	executed := func() uint64 {
@@ -171,4 +171,46 @@ func TestOneAnswerPerRequest(t *testing.T) {
 			t.Fatalf("session never served again: %s (%s)", resp.Error, resp.Code)
 		}
 	}
+}
+
+// TestAnsweredRequestsLeaveTheQueue parks the session worker and lets a
+// full queue of requests miss their deadline. The deadline answers each
+// one and takes it out of the queue, so the next request is admitted,
+// not refused with backpressure.
+func TestAnsweredRequestsLeaveTheQueue(t *testing.T) {
+	const depth = 8
+	t.Cleanup(server.SetRequestDeadline(100 * time.Millisecond))
+	t.Cleanup(server.SetBreakerThreshold(1 << 30))
+	_, addr := startServer(t, server.Config{QueueDepth: depth, AdmitBudget: -1})
+	c := dial(t, addr)
+	createTiny(t, c, "s", 1000)
+	cycle := func() *server.Request { return &server.Request{Session: "s", Verb: "cycle", Args: []string{"p0"}} }
+
+	enteredCh, gateCh := armGate()
+	release := sync.OnceFunc(func() { close(gateCh) })
+	defer release() // a failure below must not leave the worker parked
+	go c.Do(&server.Request{Session: "s", Verb: "testblock"})
+	<-enteredCh
+	codes := make(chan string, depth)
+	for i := 0; i < depth; i++ {
+		go func() {
+			resp, err := c.Do(cycle())
+			if err != nil {
+				codes <- err.Error()
+				return
+			}
+			codes <- resp.Code
+		}()
+	}
+	for i := 0; i < depth; i++ {
+		if code := <-codes; code != wire.CodeTimeout {
+			t.Fatalf("request %d behind the parked worker: code %q, want %q", i, code, wire.CodeTimeout)
+		}
+	}
+	resp, err := c.Do(cycle())
+	if err != nil || resp.Code != wire.CodeTimeout {
+		t.Errorf("request after %d deadline misses: %+v %v, want admitted and answered %q", depth, resp, err, wire.CodeTimeout)
+	}
+	release()
+	mustOK(t, c, cycle())
 }

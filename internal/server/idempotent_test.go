@@ -3,7 +3,7 @@ package server_test
 import (
 	"testing"
 
-	"livesim/internal/command"
+	"livesim/internal/catalogue"
 	"livesim/internal/server"
 	"livesim/internal/server/client"
 )
@@ -17,7 +17,7 @@ func TestEveryServerVerbIsClassified(t *testing.T) {
 	answered := map[string]bool{}
 	for _, name := range server.HandlerVerbs() {
 		answered[name] = true
-		v, ok := command.Lookup(name)
+		v, ok := catalogue.Lookup(name)
 		if !ok {
 			t.Errorf("server verb %q has no catalogue entry", name)
 			continue
@@ -38,7 +38,7 @@ func TestEveryServerVerbIsClassified(t *testing.T) {
 	}
 	// And the other way: every catalogue verb livesimd runs is answered,
 	// so a verb dropped from the handlers leaves no stale entry.
-	for _, v := range command.Verbs((*command.Verb).Livesimd) {
+	for _, v := range catalogue.Verbs((*catalogue.Verb).Livesimd) {
 		if !answered[v.Name] {
 			t.Errorf("catalogue verb %q runs on livesimd, which does not answer it", v.Name)
 		}

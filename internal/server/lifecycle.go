@@ -161,9 +161,9 @@ func (s *Server) abandon(h *hosted) (stopping bool) {
 // verification. A session that never started has no worker; what queued
 // on its placeholder is failed instead. False when the worker is wedged.
 func (s *Server) stop(h *hosted, patience time.Duration) bool {
-	close(h.queue)
+	h.queue.close()
 	if h.sess == nil {
-		for t := range h.queue {
+		for t, ok := h.queue.take(); ok; t, ok = h.queue.take() {
 			s.answer(t, wire.Refuse(t.Req, wire.CodeNoSession, fmt.Errorf("session %q failed to start", h.name)))
 		}
 		return true

@@ -223,7 +223,7 @@ func (s *Server) memGovern() {
 	// everything is busy, the admission budget is the backstop, not
 	// eviction mid-use.
 	sort.Slice(hs, func(i, j int) bool { return hs[i].idle() > hs[j].idle() })
-	sheddable := func(h *hosted) bool { return len(h.queue) == 0 && h.idle() >= memEvictIdle }
+	sheddable := func(h *hosted) bool { return h.queue.len() == 0 && h.idle() >= memEvictIdle }
 	for _, h := range hs {
 		if total <= s.cfg.MemBudget {
 			break

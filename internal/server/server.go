@@ -344,7 +344,9 @@ func (s *Server) place(c *wire.Call) {
 		t.h = h
 		t.deadline = time.Now().Add(requestTimeout)
 		t.timer = time.AfterFunc(requestTimeout, func() {
-			s.claim(t, wire.Refuse(t.Req, wire.CodeTimeout, ErrDeadline))
+			if s.claim(t, wire.Refuse(t.Req, wire.CodeTimeout, ErrDeadline)) && h.queue.drop(t) {
+				s.noteFailure(h, "request deadline exceeded")
+			}
 		})
 		if enqErr = h.enqueue(t); enqErr != nil {
 			t.timer.Stop()
@@ -447,7 +449,7 @@ func (s *Server) listSessions(req *Request) *Response {
 		info := SessionInfo{
 			Name:        n,
 			Dirty:       h.dirty.Load(),
-			Queued:      len(h.queue),
+			Queued:      h.queue.len(),
 			IdleSecs:    h.idle().Seconds(),
 			Subscribers: h.fan.Len(),
 			Recovering:  h.recovering.Load(),
@@ -530,7 +532,7 @@ func (s *Server) topReport(req *Request) *Response {
 			P50Ms:      h.win.Quantile(0.50) * 1e3,
 			P95Ms:      h.win.Quantile(0.95) * 1e3,
 			P99Ms:      h.win.Quantile(0.99) * 1e3,
-			Queued:     len(h.queue),
+			Queued:     h.queue.len(),
 			Requests:   h.requests.Value(),
 			Dirty:      h.dirty.Load(),
 			Recovering: h.recovering.Load(),
@@ -750,7 +752,7 @@ func (s *Server) janitor() {
 }
 
 func (s *Server) evictIdle() {
-	idle := func(h *hosted) bool { return len(h.queue) == 0 && h.idle() > s.cfg.IdleTimeout }
+	idle := func(h *hosted) bool { return h.queue.len() == 0 && h.idle() > s.cfg.IdleTimeout }
 	for _, h := range s.hostedSet(false) {
 		if h = s.unlink(h.name, idle); h != nil {
 			s.evict(h, fmt.Sprintf("idle %v", h.idle().Round(time.Second)))

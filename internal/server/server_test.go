@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"livesim/internal/catalogue"
 	"livesim/internal/checkpoint"
 	"livesim/internal/command"
 	"livesim/internal/faultinject"
@@ -50,8 +51,8 @@ func armGate() (enteredCh, gateCh chan struct{}) {
 }
 
 func init() {
-	command.Register(&command.Verb{
-		Name: "testblock", Usage: "testblock", Help: "test: block the worker until the gate opens", Cost: 1,
+	catalogue.Register(&catalogue.Verb{
+		Name: "testblock", Usage: "testblock", Help: "test: block the worker until the gate opens", Cost: 1, Shell: true,
 		Run: func(_ *command.Env, _ []string) error {
 			gateMu.Lock()
 			e, g := entered, gate
@@ -65,8 +66,8 @@ func init() {
 			return nil
 		},
 	})
-	command.Register(&command.Verb{
-		Name: "testpanic", Usage: "testpanic", Help: "test: panic inside the worker", Cost: 1,
+	catalogue.Register(&catalogue.Verb{
+		Name: "testpanic", Usage: "testpanic", Help: "test: panic inside the worker", Cost: 1, Shell: true,
 		Run: func(_ *command.Env, _ []string) error {
 			panic("injected test panic")
 		},

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,7 +37,7 @@ type hosted struct {
 	requests *obs.Counter
 	memGauge *obs.Gauge
 
-	queue   chan *task
+	queue   *taskQueue
 	stopped chan struct{} // closed when the worker exits
 
 	dirty    atomic.Bool
@@ -129,7 +130,7 @@ func (s *Server) newHosted(name string) *hosted {
 		fan:     obs.NewFanout(),
 		out:     &boundedBuf{max: 1 << 16},
 		win:     obs.NewWindow(256),
-		queue:   make(chan *task, s.cfg.QueueDepth),
+		queue:   newTaskQueue(s.cfg.QueueDepth),
 		stopped: make(chan struct{}),
 	}
 	h.requests = h.reg.Counter("session_requests")
@@ -150,13 +151,82 @@ func (h *hosted) idle() time.Duration {
 // enqueue is the backpressure gate: a full queue rejects immediately
 // instead of blocking the caller (the connection reader goroutine).
 func (h *hosted) enqueue(t *task) error {
-	select {
-	case h.queue <- t:
-		h.touch()
-		return nil
-	default:
+	if err := h.queue.push(t); err != nil {
+		return err
+	}
+	h.touch()
+	return nil
+}
+
+// taskQueue is a session's bounded request queue. A task leaves it when
+// the worker takes it or when its deadline answers it first, so the
+// queue holds only unanswered tasks: a burst of deadline misses frees
+// the slots that live requests need.
+type taskQueue struct {
+	mu     sync.Mutex
+	added  sync.Cond // on mu: a push or the close
+	tasks  []*task   // never longer than its capacity, the queue depth
+	closed bool
+}
+
+func newTaskQueue(depth int) *taskQueue {
+	q := &taskQueue{tasks: make([]*task, 0, depth)}
+	q.added.L = &q.mu
+	return q
+}
+
+// push appends t, or refuses with ErrBackpressure when the queue is full
+// or closed.
+func (q *taskQueue) push(t *task) error {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.closed || len(q.tasks) == cap(q.tasks) {
 		return ErrBackpressure
 	}
+	q.tasks = append(q.tasks, t)
+	q.added.Signal()
+	return nil
+}
+
+// take waits for the oldest task; false once the queue is closed and
+// empty. One goroutine takes at a time.
+func (q *taskQueue) take() (*task, bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for len(q.tasks) == 0 && !q.closed {
+		q.added.Wait()
+	}
+	if len(q.tasks) == 0 {
+		return nil, false
+	}
+	t := q.tasks[0]
+	q.tasks = slices.Delete(q.tasks, 0, 1)
+	return t, true
+}
+
+// drop takes t out of the queue and reports whether it was still there.
+func (q *taskQueue) drop(t *task) bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	i := slices.Index(q.tasks, t)
+	if i >= 0 {
+		q.tasks = slices.Delete(q.tasks, i, i+1)
+	}
+	return i >= 0
+}
+
+// close refuses every later push; take still returns what is queued.
+func (q *taskQueue) close() {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	q.closed = true
+	q.added.Broadcast()
+}
+
+func (q *taskQueue) len() int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return len(q.tasks)
 }
 
 // worker serializes all operations on one session and answers each
@@ -164,13 +234,14 @@ func (h *hosted) enqueue(t *task) error {
 // or drain), after draining any tasks that were already accepted. A
 // session that keeps blowing deadlines is failing even if each
 // individual verb eventually succeeds, so every missed deadline counts
-// against the breaker.
+// against the breaker once: here, or in the deadline timer when it takes
+// a task out of the queue.
 func (s *Server) worker(h *hosted) {
 	defer close(h.stopped)
-	for t := range h.queue {
+	for t, ok := h.queue.take(); ok; t, ok = h.queue.take() {
 		if time.Now().After(t.deadline) {
 			// Its deadline passed in the queue (the timer may have answered
-			// it already): it is never executed.
+			// it already and not yet taken it out): it is never executed.
 			s.answer(t, wire.Refuse(t.Req, wire.CodeTimeout, ErrDeadline))
 			s.noteFailure(h, "request deadline exceeded")
 			continue

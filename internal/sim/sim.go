@@ -838,11 +838,6 @@ func (s *Sim) Counts() Counts { return Counts{Copies: s.copies, Fills: s.fills} 
 // changing root inputs if outputs are read before the next Tick.
 func (s *Sim) Settle() error { return s.settle(nil) }
 
-// SettleProfiled is Settle with an instruction-stream profiler attached
-// — the settle-path counterpart of TickProfiled, so a profiled session
-// never has to fall back to the unprofiled fixed point.
-func (s *Sim) SettleProfiled(prof vm.Profiler) error { return s.settle(prof) }
-
 // settle runs the compiled schedule until no instance is dirty. The
 // invariant is that every bind is pushed after the last change of its
 // source slot: an instance pushes all its binds right after it evaluates,

@@ -60,15 +60,6 @@ func Under(prefix string) Filter {
 	}
 }
 
-// Signals traces an explicit set of "path.signal" names.
-func Signals(names ...string) Filter {
-	set := make(map[string]bool, len(names))
-	for _, n := range names {
-		set[n] = true
-	}
-	return func(path, signal string) bool { return set[path+"."+signal] }
-}
-
 // New builds a tracer over the simulation's current hierarchy and writes
 // the VCD header. Signals are matched by filter; the identifier space
 // supports any design size.

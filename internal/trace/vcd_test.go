@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -125,10 +126,15 @@ func TestVCDNoChangeNoTimestamp(t *testing.T) {
 	}
 }
 
+// only traces the signals named "path.signal".
+func only(names ...string) Filter {
+	return func(path, signal string) bool { return slices.Contains(names, path+"."+signal) }
+}
+
 func TestVCDFilters(t *testing.T) {
 	s := buildSim(t, counterSrc, "root")
 	var buf bytes.Buffer
-	tr, err := New(&buf, s, Signals("top.u0.q"))
+	tr, err := New(&buf, s, only("top.u0.q"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +148,7 @@ func TestVCDFilters(t *testing.T) {
 	if tr2.NumProbes() < 2 {
 		t.Errorf("Under probes %d", tr2.NumProbes())
 	}
-	if _, err := New(&buf, s, Signals("nothing.matches")); err == nil {
+	if _, err := New(&buf, s, only("nothing.matches")); err == nil {
 		t.Error("want error for empty probe set")
 	}
 }
@@ -205,7 +211,7 @@ module root (input clk, output [3:0] q);
 endmodule
 `, "root")
 	var buf bytes.Buffer
-	tr, err := New(&buf, s, Signals("top.u_w.q"))
+	tr, err := New(&buf, s, only("top.u_w.q"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +254,7 @@ endmodule
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	tr, err := New(&buf, s, Signals("top.cnt", "top.gone"))
+	tr, err := New(&buf, s, only("top.cnt", "top.gone"))
 	if err != nil {
 		t.Fatal(err)
 	}

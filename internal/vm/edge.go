@@ -70,13 +70,6 @@ func (e *Edge) Deps(slot uint32) []uint32 {
 	return e.reads
 }
 
-// Deps is Edge().Deps: the analysis with no input counted as state.
-func (o *Object) Deps(slot uint32) []uint32 { return o.Edge().Deps(slot) }
-
-// Edge returns the object's edge program with no input counted as state:
-// EdgeFor(nil).
-func (o *Object) Edge() *Edge { return o.EdgeFor(nil) }
-
 // EdgeFor returns the object's edge program and dependence analysis with
 // the input port slots of known, a set over the object's slots, counted
 // as state: slots the caller keeps at one value from one clock edge to the

@@ -85,7 +85,7 @@ func TestDepsOfBranches(t *testing.T) {
 		{Op: vm.OpMove, Dst: 6, A: 0},                       // 8: s6 = in
 	}, 4, 5, 6, 7)
 	for slot, want := range map[uint32][]uint32{4: {}, 5: {0, 5}, 6: {0}, 7: {7}} {
-		if got := o.Deps(slot); !slices.Equal(got, want) {
+		if got := o.Edge().Deps(slot); !slices.Equal(got, want) {
 			t.Errorf("Deps(%d) = %v, want %v", slot, got, want)
 		}
 	}
@@ -123,7 +123,7 @@ func TestEdgeWhole(t *testing.T) {
 		{Op: vm.OpMove, Dst: 4, A: 1},
 		{Op: vm.OpJz, A: 0, B: 0},
 	}, 4)
-	if got := loop.Deps(4); !slices.Equal(got, []uint32{0, 4}) || loop.Edge().Whole {
+	if got := loop.Edge().Deps(4); !slices.Equal(got, []uint32{0, 4}) || loop.Edge().Whole {
 		t.Errorf("with a backward jump, Deps(4) = %v and whole %v, want [0 4] and false", got, loop.Edge().Whole)
 	}
 }

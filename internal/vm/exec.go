@@ -29,12 +29,12 @@ func (s *Stats) Add(other Stats) {
 // behaviour (Table VII of the paper).
 //
 // The seam is threaded through every execution path — RunComb/RunSeq via
-// their *Profiled variants, and the kernel's Tick/Settle via
-// sim.TickProfiled/sim.SettleProfiled — so a profiled run sees exactly
-// the address stream an unprofiled run would execute. Callbacks fire
-// synchronously on the executing goroutine, once per instruction in
-// program order, with Data calls for an instruction following its Instr
-// call; implementations must be fast and must not re-enter the instance.
+// their *Profiled variants, and the kernel's Tick with its settles via
+// sim.TickProfiled — so a profiled run sees exactly the address stream an
+// unprofiled run would execute. Callbacks fire synchronously on the
+// executing goroutine, once per instruction in program order, with Data
+// calls for an instruction following its Instr call; implementations must
+// be fast and must not re-enter the instance.
 // Code addresses are Object.BaseAddr-relative modeled addresses (one
 // instruction = InstrBytes); data addresses come from Instance.DataBase
 // and Instance.MemBases. A nil Profiler selects the unprofiled fast

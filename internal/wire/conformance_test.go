@@ -16,7 +16,7 @@ import (
 	"testing"
 	"time"
 
-	"livesim/internal/command"
+	"livesim/internal/catalogue"
 	"livesim/internal/gateway"
 	"livesim/internal/obs"
 	"livesim/internal/server"
@@ -486,17 +486,17 @@ func TestEveryCatalogueVerbIsAnswered(t *testing.T) {
 	for _, kind := range []struct {
 		name    string
 		start   func(*testing.T) *speaker
-		answers func(*command.Verb) bool
+		answers func(*catalogue.Verb) bool
 	}{
-		{"livesimd", startServer, (*command.Verb).Livesimd},
-		{"lsgate", startGateway, func(*command.Verb) bool { return true }},
+		{"livesimd", startServer, (*catalogue.Verb).Livesimd},
+		{"lsgate", startGateway, func(*catalogue.Verb) bool { return true }},
 	} {
 		t.Run(kind.name, func(t *testing.T) {
 			sp := kind.start(t)
 			cli := dialClient(t, sp)
 			create := &wire.Request{Session: "v", Verb: "create", Files: map[string]string{"top.v": tinyDesign}}
 			asked := map[string]bool{}
-			for _, v := range command.Verbs(kind.answers) {
+			for _, v := range catalogue.Verbs(kind.answers) {
 				if asked[v.Name] {
 					continue
 				}

@@ -111,22 +111,6 @@ func (h *History) Add(id, parent string, ops map[string][]Op) error {
 	return nil
 }
 
-// EditOps overrides the ops of one object at one version — the manual
-// correction the paper allows ("the user can manually edit the Register
-// Transform History if the mapping is incorrect").
-func (h *History) EditOps(id, module string, ops []Op) error {
-	m, ok := h.ops[id]
-	if !ok {
-		return fmt.Errorf("version %q not found", id)
-	}
-	if m == nil {
-		m = make(map[string][]Op)
-		h.ops[id] = m
-	}
-	m[module] = ops
-	return nil
-}
-
 // PathOps returns one object's ops along the path from version from to
 // its descendant to, oldest first. The history is a tree, so the path is
 // unique.

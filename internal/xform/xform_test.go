@@ -94,12 +94,6 @@ func TestHistoryErrors(t *testing.T) {
 	if _, err := h.PathOps("m", "r", "nope"); err == nil {
 		t.Error("missing to")
 	}
-	if err := h.EditOps("nope", "m", nil); err == nil {
-		t.Error("edit missing version")
-	}
-	if err := h.EditOps("r", "m", []Op{{Kind: Create, Name: "a"}}); err != nil {
-		t.Error(err)
-	}
 	if v := h.Versions(); len(v) != 1 || v[0] != "r" {
 		t.Error("versions/root wrong")
 	}
@@ -110,17 +104,14 @@ func TestHistoryErrors(t *testing.T) {
 // rolled-back change needs.
 func TestHistoryEditAndRemove(t *testing.T) {
 	h := NewHistory("v0")
-	if err := h.Add("v1", "v0", nil); err != nil {
+	if err := h.Add("v1", "v0", map[string][]Op{"m": {{Kind: Rename, Name: "x", NewName: "y"}}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := h.Add("v2", "v1", map[string][]Op{"m": {{Kind: Delete, Name: "x"}}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.EditOps("v1", "m", []Op{{Kind: Rename, Name: "x", NewName: "y"}}); err != nil {
-		t.Fatal(err)
-	}
 	if ops, err := h.PathOps("m", "v0", "v2"); err != nil || len(ops) != 2 || ops[0].Kind != Rename || ops[1].Kind != Delete {
-		t.Fatalf("path after edit %v %v", ops, err)
+		t.Fatalf("path %v %v", ops, err)
 	}
 	if _, err := h.PathOps("m", "v1", "v0"); err == nil {
 		t.Error("descendant->ancestor should fail")

@@ -31,10 +31,8 @@ import (
 
 	"livesim/internal/codegen"
 	"livesim/internal/core"
-	"livesim/internal/faultinject"
 	"livesim/internal/liveparser"
 	"livesim/internal/obs"
-	"livesim/internal/server"
 	"livesim/internal/trace"
 )
 
@@ -50,47 +48,11 @@ type Pipe = core.Pipe
 // Driver is the interface testbenches use to drive a pipe.
 type Driver = core.Driver
 
-// Testbench drives a pipe deterministically and snapshots its own state.
-type Testbench = core.Testbench
-
 // TestbenchFactory creates fresh testbench instances.
 type TestbenchFactory = core.TestbenchFactory
 
-// ChangeReport is the outcome of one trip around the live ERD loop.
-type ChangeReport = core.ChangeReport
-
-// VerificationHandle tracks a background checkpoint-consistency check.
-type VerificationHandle = core.VerificationHandle
-
-// Health summarizes the session's robustness state: rollbacks, recovered
-// testbench panics and background verification errors. Read it with
-// Session.Health.
-type Health = core.Health
-
-// FaultPlan injects deterministic one-shot failures (compile errors, hot
-// reload errors, checkpoint corruption, testbench panics) for robustness
-// testing; pass one in Config.Faults. ErrInjected is the sentinel every
-// injected failure wraps.
-type FaultPlan = faultinject.Plan
-
-// NewFaultPlan creates an empty fault plan (injects nothing until armed).
-func NewFaultPlan() *FaultPlan { return faultinject.New() }
-
-// ErrInjected marks errors produced by a FaultPlan.
-var ErrInjected = faultinject.ErrInjected
-
 // Source is a snapshot of design source text.
 type Source = liveparser.Source
-
-// LibEntry, PipeRow and StageRow are the rows of the paper's Tables II-IV.
-type (
-	LibEntry = core.LibEntry
-	PipeRow  = core.PipeRow
-	StageRow = core.StageRow
-)
-
-// Style selects the code-generation strategy.
-type Style = codegen.Style
 
 // Codegen styles: StyleGrouped is LiveSim's if/else-grouped lowering,
 // StyleMux the Verilator-like branch-free lowering.
@@ -104,9 +66,6 @@ const (
 // verification outcomes). Pass one in Config.Metrics, read it back with
 // Session.Metrics, export it with Snapshot or WriteText.
 type Registry = obs.Registry
-
-// MetricsSnapshot is a point-in-time JSON-exportable registry capture.
-type MetricsSnapshot = obs.Snapshot
 
 // NewRegistry creates an empty metrics registry for Config.Metrics.
 func NewRegistry() *Registry { return obs.NewRegistry() }
@@ -125,34 +84,14 @@ func NewCountingTB(onStep func(d *Driver, step uint64) error) TestbenchFactory {
 	return core.NewCountingTB(onStep)
 }
 
-// Server hosts many concurrent sessions behind livesimd's wire protocol
-// (newline-delimited JSON over TCP/unix sockets): per-session worker
-// serialization, bounded queues with backpressure, request deadlines,
-// idle eviction and graceful drain. Embed one instead of shelling out to
-// cmd/livesimd when a program wants to serve sessions itself.
-type Server = server.Server
-
-// ServerConfig tunes a Server.
-type ServerConfig = server.Config
-
-// NewServer creates a session server; feed it listeners with Serve and
-// stop it with Shutdown (the graceful drain).
-func NewServer(cfg ServerConfig) *Server { return server.New(cfg) }
-
-// ErrBackpressure is the typed rejection a Server returns when a
-// session's bounded request queue is full.
-var ErrBackpressure = server.ErrBackpressure
-
 // Tracer streams a pipe's waveforms in VCD format.
 type Tracer = trace.Tracer
 
 // TraceFilter selects signals to trace by (instance path, signal name).
 type TraceFilter = trace.Filter
 
-// TraceAll, TraceUnder and TraceSignals build common trace filters.
-func TraceAll() TraceFilter                    { return trace.All() }
-func TraceUnder(prefix string) TraceFilter     { return trace.Under(prefix) }
-func TraceSignals(names ...string) TraceFilter { return trace.Signals(names...) }
+// TraceUnder traces every signal beneath an instance path prefix.
+func TraceUnder(prefix string) TraceFilter { return trace.Under(prefix) }
 
 // NewTracer attaches a VCD tracer to a pipe. Call Sample after each
 // Tick/Run step and Close when done.

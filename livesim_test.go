@@ -18,17 +18,31 @@ module top (input clk, input en, output [7:0] code);
 endmodule
 `
 
-// TestFacadeEndToEnd drives the whole public API surface: session setup,
-// run, tables, tracing, copy, hot reload with verification, and continued
-// execution.
+// TestFacadeEndToEnd drives the whole public API surface: session setup
+// in both codegen styles, metrics, both testbench kinds, run, tables,
+// tracing, copy, hot reload with verification, and continued execution.
+// Every name livesim.go declares is used here or by examples/ and cmd/.
 func TestFacadeEndToEnd(t *testing.T) {
-	s := livesim.NewSession("top", livesim.Config{CheckpointEvery: 50, Lookback: 50})
+	mux := livesim.NewSession("top", livesim.Config{Style: livesim.StyleMux})
+	if _, err := mux.LoadDesign(livesim.Source{Files: map[string]string{"g.v": facadeDesign}}); err != nil {
+		t.Fatal(err)
+	}
+
+	reg := livesim.NewRegistry()
+	s := livesim.NewSession("top", livesim.Config{CheckpointEvery: 50, Lookback: 50, Style: livesim.StyleGrouped, Metrics: reg})
+	if s.Metrics() != reg {
+		t.Error("Session.Metrics is not Config.Metrics")
+	}
 	if _, err := s.LoadDesign(livesim.Source{Files: map[string]string{"g.v": facadeDesign}}); err != nil {
 		t.Fatal(err)
 	}
 	s.RegisterTestbench("tb", livesim.NewStatelessTB(func(d *livesim.Driver, cycle uint64) error {
 		return d.SetIn("en", 1)
 	}))
+	var step livesim.TestbenchFactory = livesim.NewCountingTB(func(d *livesim.Driver, step uint64) error {
+		return d.SetIn("en", step%2)
+	})
+	s.RegisterTestbench("step", step)
 	p, err := s.InstPipe("p0")
 	if err != nil {
 		t.Fatal(err)
@@ -36,7 +50,9 @@ func TestFacadeEndToEnd(t *testing.T) {
 
 	// Trace a window while running.
 	var vcd bytes.Buffer
-	tr, err := livesim.NewTracer(&vcd, p, livesim.TraceUnder("top.u0"))
+	var under livesim.TraceFilter = livesim.TraceUnder("top.u0")
+	var tr *livesim.Tracer
+	tr, err = livesim.NewTracer(&vcd, p, under)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,6 +93,14 @@ func TestFacadeEndToEnd(t *testing.T) {
 	// session's library, so both pipes see the new code).
 	if _, err := s.CopyPipe("fork", "p0"); err != nil {
 		t.Fatal(err)
+	}
+	// The counting testbench enables every other cycle.
+	if err := s.Run("step", "fork", 100); err != nil {
+		t.Fatal(err)
+	}
+	fork, _ := s.Pipe("fork")
+	if bin, err := fork.Sim.Peek("top.u0.bin"); err != nil || bin != 250 {
+		t.Errorf("fork bin %d %v, want 200+50", bin, err)
 	}
 	edited := strings.Replace(facadeDesign, "bin <= bin + 1;", "bin <= bin + 3;", 1)
 	rep, err := s.ApplyChange(livesim.Source{Files: map[string]string{"g.v": edited}})

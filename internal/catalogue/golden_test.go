@@ -1,4 +1,4 @@
-package command_test
+package catalogue_test
 
 import (
 	"testing"

@@ -4,10 +4,11 @@
 //   - checkpoints are taken at regular cycle intervals during execution;
 //   - a checkpoint is a stop-the-world capture of the state, as the
 //     paper's forked child that "creates the checkpoint and halts" is its
-//     memory, and like the child's untouched pages its memory pages that
-//     did not change since the previous capture are shared with that
-//     capture (sim.Snapshot); nothing serializes it until it leaves the
-//     process (a checkpoint file, or Bytes);
+//     memory, less every slot one settle derives again; like the child's
+//     untouched pages, its memory pages that did not change since the
+//     previous capture are shared with that capture, and its all-zero
+//     pages are one shared page (sim.Snapshot); nothing serializes it
+//     until it leaves the process (a checkpoint file, or Bytes);
 //   - reloading picks the checkpoint closest to 10k cycles before the
 //     point of interest (Section III-D, the distance is tunable);
 //   - garbage collection keeps the latest 100 checkpoints and thins older
@@ -17,6 +18,7 @@ package checkpoint
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -105,11 +107,11 @@ func (s *Store) Add(st *sim.State, version string, historyPos int) *Checkpoint {
 func (s *Store) Wait() {}
 
 // ApproxBytes estimates the store's in-memory footprint: every live
-// checkpoint's slot arrays, memory pages and Aux side state. A memory
+// checkpoint's captured slots, memory pages and Aux side state. A memory
 // page a checkpoint shares with the one before it in the store is not
-// counted again, so a run of consecutive captures costs its first state
-// plus the pages each later one changed. Feeds the governance plane's
-// per-session memory gauges.
+// counted again, and the shared zero page not at all, so a run of
+// consecutive captures costs its first state plus the pages each later
+// one changed. Feeds the governance plane's per-session memory gauges.
 func (s *Store) ApproxBytes() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -272,8 +274,11 @@ func (s *Store) gcLocked() {
 }
 
 // encodeState serializes a state deterministically: cycle, finished flag
-// and node count, then per node its path, object key, slots and memories,
-// every string and run counted, all u64 LE.
+// and node count, then per node its path and object key, its slot count,
+// a bitmap of the slots it holds and their values, and its memories, each
+// as its word count, a bitmap of its all-zero pages and the words of the
+// others; every string and run counted, all u64 LE. This is the state
+// record of a version 3 checkpoint file.
 func encodeState(st *sim.State) []byte {
 	return appendState(make([]byte, 0, stateSize(st)), st)
 }
@@ -283,13 +288,21 @@ func stateSize(st *sim.State) int {
 	size := 24
 	for i := range st.Nodes {
 		n := &st.Nodes[i]
-		size += 32 + len(n.Path) + len(n.ObjKey) + 8*len(n.Slots)
+		size += 32 + len(n.Path) + len(n.ObjKey) + 8*words(n.SlotCount()) + 8*len(n.Slots)
 		for _, m := range n.Mems {
-			size += 8 + 8*m.Len()
+			size += 8 + 8*words(len(m))
+			for _, page := range m {
+				if !sim.AllZero(page) {
+					size += 8 * len(page)
+				}
+			}
 		}
 	}
 	return size
 }
+
+// words is the number of u64 words of a bitmap of n bits.
+func words(n int) int { return (n + 63) / 64 }
 
 func appendState(b []byte, st *sim.State) []byte {
 	finished := uint64(0)
@@ -303,13 +316,40 @@ func appendState(b []byte, st *sim.State) []byte {
 		n := &st.Nodes[i]
 		b = appendString(b, n.Path)
 		b = appendString(b, n.ObjKey)
-		b = appendWords(b, n.Slots)
+		count := n.SlotCount()
+		b = binary.LittleEndian.AppendUint64(b, uint64(count))
+		for w := range words(count) {
+			held := ^uint64(0)
+			switch {
+			case n.Present != nil && w < len(n.Present):
+				held = n.Present[w]
+			case n.Present != nil:
+				held = 0
+			case count%64 != 0 && w == count/64:
+				held = 1<<(count%64) - 1
+			}
+			b = binary.LittleEndian.AppendUint64(b, held)
+		}
+		for _, v := range n.Slots {
+			b = binary.LittleEndian.AppendUint64(b, v)
+		}
 		b = binary.LittleEndian.AppendUint64(b, uint64(len(n.Mems)))
 		for _, m := range n.Mems {
 			b = binary.LittleEndian.AppendUint64(b, uint64(m.Len()))
+			for w := range words(len(m)) {
+				var zero uint64
+				for j, page := range m[w*64 : min(len(m), w*64+64)] {
+					if sim.AllZero(page) {
+						zero |= 1 << j
+					}
+				}
+				b = binary.LittleEndian.AppendUint64(b, zero)
+			}
 			for _, page := range m {
-				for _, v := range page {
-					b = binary.LittleEndian.AppendUint64(b, v)
+				if !sim.AllZero(page) {
+					for _, v := range page {
+						b = binary.LittleEndian.AppendUint64(b, v)
+					}
 				}
 			}
 		}
@@ -321,29 +361,33 @@ func appendString(b []byte, s string) []byte {
 	return append(binary.LittleEndian.AppendUint64(b, uint64(len(s))), s...)
 }
 
-func appendWords(b []byte, w []uint64) []byte {
-	b = binary.LittleEndian.AppendUint64(b, uint64(len(w)))
-	for _, v := range w {
-		b = binary.LittleEndian.AppendUint64(b, v)
-	}
-	return b
-}
-
 // DecodeState parses what Bytes produces. It never panics, and allocates
 // nothing the length of buf cannot justify.
-func DecodeState(buf []byte) (*sim.State, error) {
+func DecodeState(buf []byte) (*sim.State, error) { return decodeState(buf, true) }
+
+// decodeState parses a state record: in the layout of version 3 files
+// (encodeState) when partial is set, and otherwise in that of versions 1
+// and 2, where a node holds its whole slot array and a memory all its
+// words in one counted run. Either way an all-zero memory page decodes to
+// the shared zero page, and a node that holds every slot has a nil
+// Present.
+func decodeState(buf []byte, partial bool) (*sim.State, error) {
 	r := &reader{buf: buf}
 	st := &sim.State{Cycle: r.u64(), Finished: r.u64() != 0}
 	// A node is at least its four 8-byte counts.
 	st.Nodes = make([]sim.NodeState, r.count(32, "nodes"))
 	for i := range st.Nodes {
-		n := &st.Nodes[i]
-		n.Path, n.ObjKey = string(r.bytes()), string(r.bytes())
-		n.Slots = r.words()
+		ns := &st.Nodes[i]
+		ns.Path, ns.ObjKey = string(r.bytes()), string(r.bytes())
+		if partial {
+			ns.NumSlots, ns.Present, ns.Slots = r.slots()
+		} else {
+			ns.Slots = r.words(r.count(8, "words"))
+		}
 		if nm := r.count(8, "memories"); nm > 0 {
-			n.Mems = make([]sim.Mem, nm)
-			for j := range n.Mems {
-				n.Mems[j] = r.mem()
+			ns.Mems = make([]sim.Mem, nm)
+			for j := range ns.Mems {
+				ns.Mems[j] = r.mem(partial)
 			}
 		}
 	}
@@ -353,21 +397,73 @@ func DecodeState(buf []byte) (*sim.State, error) {
 	return st, nil
 }
 
-// mem reads a counted run of u64s into pages of sim.PageWords, each its
-// own allocation (see sim.Mem); an empty run is nil.
-func (r *reader) mem() sim.Mem {
-	n := r.count(8, "words")
+// slots reads a version 3 node's slot count, present-slot bitmap and
+// values. A node that holds every slot has a nil bitmap and a count of 0,
+// as sim.NodeState has it.
+func (r *reader) slots() (count int, present []uint64, values []uint64) {
+	n := r.u64()
+	present = r.bitmap(n, "slots")
+	held := 0
+	for _, w := range present {
+		held += bits.OnesCount64(w)
+	}
+	values = r.words(r.bounded(uint64(held), 8, "slot values"))
+	if uint64(held) == n {
+		return 0, nil, values
+	}
+	return int(n), present, values
+}
+
+// bitmap reads a bitmap of n bits, refusing one the remaining bytes
+// cannot hold or that sets a bit past n.
+func (r *reader) bitmap(n uint64, what string) []uint64 {
+	w := r.bounded(n/64+min(n%64, 1), 8, what+" bitmap words")
+	if w == 0 {
+		return nil
+	}
+	set := r.words(w)
+	if n%64 != 0 && set[w-1]>>(n%64) != 0 && r.err == nil {
+		r.err = fmt.Errorf("checkpoint corrupt: a %s bitmap names one past its %d", what, n)
+	}
+	return set
+}
+
+// mem reads a memory into pages of sim.PageWords, each its own
+// allocation (see sim.Mem) but for all-zero pages, which are the shared
+// zero page; an empty memory is nil. A version 3 memory (partial) is its
+// word count, its zero-page bitmap and the words of the other pages; an
+// older one is a counted run of its words.
+func (r *reader) mem(partial bool) sim.Mem {
+	var n int
+	var zero []uint64
+	if partial {
+		count := r.u64()
+		pages := count/sim.PageWords + min(count%sim.PageWords, 1)
+		zero = r.bitmap(pages, "zero pages")
+		if r.err != nil {
+			return nil
+		}
+		n = int(count)
+	} else {
+		n = r.count(8, "words")
+	}
 	if n == 0 {
 		return nil
 	}
 	m := make(sim.Mem, (n+sim.PageWords-1)/sim.PageWords)
 	for i := range m {
-		page := make([]uint64, min(sim.PageWords, n-i*sim.PageWords))
-		for j := range page {
-			page[j] = binary.LittleEndian.Uint64(r.buf[r.off:])
-			r.off += 8
+		size := min(sim.PageWords, n-i*sim.PageWords)
+		if zero != nil && zero[i/64]&(1<<(i%64)) != 0 {
+			m[i] = sim.ZeroPage(size)
+			continue
 		}
-		m[i] = page
+		if page := r.words(r.bounded(uint64(size), 8, "words")); r.err != nil {
+			return nil
+		} else if sim.AllZero(page) {
+			m[i] = sim.ZeroPage(size)
+		} else {
+			m[i] = page
+		}
 	}
 	return m
 }
@@ -396,8 +492,18 @@ func (r *reader) u64() uint64 {
 // count reads the count of a run of items of at least size bytes each,
 // refusing one the remaining bytes cannot hold before anything is
 // allocated from it.
-func (r *reader) count(size int, what string) int {
-	n := r.u64()
+func (r *reader) count(size int, what string) int { return r.bounded(r.u64(), size, what) }
+
+func (r *reader) bytes() []byte {
+	n := r.count(1, "bytes of string")
+	b := r.buf[r.off : r.off+n]
+	r.off += n
+	return b
+}
+
+// bounded returns n if the remaining bytes hold n items of size bytes,
+// and otherwise refuses it and returns 0.
+func (r *reader) bounded(n uint64, size int, what string) int {
 	if rem := uint64(len(r.buf) - r.off); n > rem/uint64(size) {
 		if r.err == nil {
 			r.err = fmt.Errorf("checkpoint corrupt: %d %s in %d remaining bytes", n, what, rem)
@@ -407,16 +513,8 @@ func (r *reader) count(size int, what string) int {
 	return int(n)
 }
 
-func (r *reader) bytes() []byte {
-	n := r.count(1, "bytes of string")
-	b := r.buf[r.off : r.off+n]
-	r.off += n
-	return b
-}
-
-// words reads a counted run of u64s; an empty run is nil.
-func (r *reader) words() []uint64 {
-	n := r.count(8, "words")
+// words reads n u64s, which the caller has bounded; none is nil.
+func (r *reader) words(n int) []uint64 {
 	if n == 0 {
 		return nil
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -143,6 +144,41 @@ func TestDecodeErrors(t *testing.T) {
 		if _, err := DecodeState(enc[:cut]); err == nil {
 			t.Errorf("truncation at %d not detected", cut)
 		}
+	}
+}
+
+// partialState is a one-node state that holds slots 1 and 66 of 70, and
+// a memory of three pages whose middle one is all zero.
+func partialState(cycle uint64) *sim.State {
+	words := make([]uint64, 2*sim.PageWords+9)
+	words[3], words[2*sim.PageWords+8] = cycle, 5
+	return &sim.State{Cycle: cycle, Nodes: []sim.NodeState{{
+		Path: "top", ObjKey: "m", NumSlots: 70, Present: []uint64{1 << 1, 1 << 2},
+		Slots: []uint64{cycle, 7}, Mems: []sim.Mem{sim.PagedMem(words)},
+	}}}
+}
+
+// slotPastCount is the encoding of partialState(3) with its second
+// bitmap word naming slot 70, one past its count.
+func slotPastCount() []byte {
+	enc := encodeState(partialState(3))
+	at := 24 + 8 + len("top") + 8 + len("m") + 8 + 8 // the second bitmap word
+	binary.LittleEndian.PutUint64(enc[at:], 1<<2|1<<6)
+	return enc
+}
+
+// TestDecodeRefusesSlotPastCount: a present-slot bitmap that names a
+// slot past the node's slot count is refused, not indexed.
+func TestDecodeRefusesSlotPastCount(t *testing.T) {
+	back, err := DecodeState(encodeState(partialState(3)))
+	if err != nil || !reflect.DeepEqual(back, partialState(3)) {
+		t.Fatalf("partial state round trip: %v", err)
+	}
+	if m := back.Nodes[0].Mems[0]; !sim.SamePage(m[1], sim.ZeroPage(sim.PageWords)) {
+		t.Error("the all-zero page did not decode to the shared zero page")
+	}
+	if _, err := DecodeState(slotPastCount()); err == nil || !strings.Contains(err.Error(), "past its 70") {
+		t.Errorf("a bitmap naming slot 70 of 70: %v, want it refused", err)
 	}
 }
 
@@ -294,22 +330,32 @@ func pagedState(cycle uint64) *sim.State {
 }
 
 // TestEncodeIgnoresPaging: the bytes of a paged memory are those of its
-// words in one counted run, the layout every LSCP file has; decoding
-// builds pages of sim.PageWords again.
+// words, the layout of every version 3 file: the word count, a bitmap of
+// the pages that hold nothing but zeros, and the words of the others in
+// one run, however the memory was paged and whichever pages it shares.
+// Decoding builds pages of sim.PageWords again, an all-zero one the
+// shared zero page.
 func TestEncodeIgnoresPaging(t *testing.T) {
 	st := pagedState(9)
 	m := st.Nodes[0].Mems[0]
 	flat := make([]uint64, m.Len())
 	m.CopyTo(flat)
+	clear(flat[sim.PageWords : 2*sim.PageWords]) // page 1 all zero
+	m[1] = make([]uint64, sim.PageWords)
 	want := binary.LittleEndian.AppendUint64(nil, 9)
 	want = binary.LittleEndian.AppendUint64(want, 0)
 	want = binary.LittleEndian.AppendUint64(want, 1)
 	want = appendString(want, "top")
 	want = appendString(want, "m")
-	want = appendWords(want, []uint64{9})
-	want = binary.LittleEndian.AppendUint64(want, 2)
-	want = appendWords(want, flat)
-	want = appendWords(want, nil)
+	for _, v := range []uint64{1, 1, 9, 2, uint64(len(flat)), 1 << 1} { // 1 slot, all present; 2 memories
+		want = binary.LittleEndian.AppendUint64(want, v)
+	}
+	for i, v := range flat {
+		if i < sim.PageWords || i >= 2*sim.PageWords {
+			want = binary.LittleEndian.AppendUint64(want, v)
+		}
+	}
+	want = binary.LittleEndian.AppendUint64(want, 0) // the empty memory
 	got := encodeState(st)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("encoded %d bytes, want the flat layout's %d", len(got), len(want))
@@ -319,8 +365,8 @@ func TestEncodeIgnoresPaging(t *testing.T) {
 		t.Fatal(err)
 	}
 	dm := back.Nodes[0].Mems[0]
-	if len(dm) != 4 || len(dm[0]) != sim.PageWords || len(dm[3]) != 5 {
-		t.Fatalf("decoded %d pages, want 3 of %d words and one of 5", len(dm), sim.PageWords)
+	if len(dm) != 4 || len(dm[0]) != sim.PageWords || len(dm[3]) != 5 || !sim.SamePage(dm[1], sim.ZeroPage(sim.PageWords)) {
+		t.Fatalf("decoded %d pages, want 3 of %d words, the second the zero page, and one of 5", len(dm), sim.PageWords)
 	}
 	if !reflect.DeepEqual(back, st) {
 		t.Error("round trip mismatch")
@@ -345,5 +391,24 @@ func TestApproxBytesCountsSharedPagesOnce(t *testing.T) {
 	}
 	if got, want := b.Bytes(), a.Bytes(); got != want {
 		t.Errorf("State.Bytes %d of a state sharing pages, want the logical %d", got, want)
+	}
+}
+
+// TestApproxBytesCountsZeroPageAsNothing: a store of two captures that
+// hold two slots each and one memory — an all-zero page, the shared zero
+// page, and a written page the second capture shares with the first —
+// holds the four slots and the written page once.
+func TestApproxBytesCountsZeroPageAsNothing(t *testing.T) {
+	words := make([]uint64, 2*sim.PageWords)
+	words[sim.PageWords] = 1
+	first := partialState(1)
+	first.Nodes[0].Mems = []sim.Mem{sim.PagedMem(words)}
+	second := partialState(2)
+	second.Nodes[0].Mems = first.Nodes[0].Mems
+	s := NewStore()
+	s.Add(first, "v1", 0)
+	s.Add(second, "v1", 1)
+	if got, want := s.ApproxBytes(), uint64(4*8+8*sim.PageWords); got != want {
+		t.Errorf("ApproxBytes %d, want %d: four slots and one written page", got, want)
 	}
 }

@@ -9,17 +9,20 @@ import (
 	"livesim/internal/frame"
 )
 
-// A checkpoint file (format version 2) is a frame header and one frame
+// A checkpoint file (format version 3) is a frame header and one frame
 // record whose payload is
 //
 //	design version string | history position (u64) |
 //	aux count (u64) | { handle string | blob } ... (handles sorted) |
 //	state blob length (u64) | encodeState blob
 //
-// where strings and blobs are length-prefixed (u64 LE). Version 1 files
-// (every state and drain dir written before version 2) carry the same
-// payload behind the same CRC, with a u64 length; they stay readable.
-var fileFormat = frame.Header{Magic: "LSCP", Min: 1, Max: 2}
+// where strings and blobs are length-prefixed (u64 LE). The state blob of
+// version 3 holds each node's state slots and flags its all-zero memory
+// pages; versions 1 and 2 held every slot and every word (decodeState
+// reads both). Version 1 files (every state and drain dir written before
+// version 2) carry the payload behind the same CRC with a u64 length;
+// every version stays readable.
+var fileFormat = frame.Header{Magic: "LSCP", Min: 1, Max: 3}
 
 // EncodeFile serializes a checkpoint into the current file format.
 func EncodeFile(cp *Checkpoint) []byte {
@@ -84,7 +87,7 @@ func DecodeFile(data []byte) (*Checkpoint, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
-	if cp.State, err = DecodeState(stateBlob); err != nil {
+	if cp.State, err = decodeState(stateBlob, ver >= 3); err != nil {
 		return nil, err
 	}
 	cp.Cycle = cp.State.Cycle

@@ -68,8 +68,8 @@ func TestFileV1Readable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v1v, curv := formatVersion(v1File), formatVersion(curFile); v1v != 1 || curv != 2 {
-		t.Errorf("format versions %d and %d, want 1 and 2", v1v, curv)
+	if v1v, curv := formatVersion(v1File), formatVersion(curFile); v1v != 1 || curv != 3 {
+		t.Errorf("format versions %d and %d, want 1 and 3", v1v, curv)
 	}
 	if !reflect.DeepEqual(v1, cur) {
 		t.Errorf("version 1 file decodes to\n%+v\nwant\n%+v", v1, cur)

@@ -11,21 +11,29 @@ import (
 
 // fuzzSeeds are valid encodings plus characteristic corruptions, so the
 // fuzzer starts from the interesting region of the input space: state
-// blobs for DecodeState, version 2 and version 1 files for DecodeFile.
+// blobs for DecodeState — a partial one with a zero page, and one whose
+// bitmap names a slot past its count — and version 3, 2 and 1 files for
+// DecodeFile.
 func fuzzSeeds(f *testing.F) [][]byte {
 	s := NewStore()
 	small := s.Add(mkState(3), "v0", 0).Bytes()
 	big := s.Add(mkState(1_000_000), "v9", 42)
 	big.Aux = map[string][]byte{"tb0": bytes.Repeat([]byte{7}, 100)}
 	file := EncodeFile(big)
-	v1, err := os.ReadFile(filepath.Join("testdata", "v1.lscp"))
-	if err != nil {
-		f.Fatal(err)
+	var old [][]byte
+	for _, name := range []string{"v1.lscp", "v2.lscp"} {
+		data, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		old = append(old, data)
 	}
 	crcFlip := append([]byte(nil), file...)
 	crcFlip[frame.HeaderLen] ^= 0x80
 	seeds := [][]byte{
-		small, file, v1, crcFlip,
+		small, file, old[0], old[1], crcFlip,
+		encodeState(partialState(4)), slotPastCount(),
+		EncodeFile(s.Add(partialState(5), "v1", 1)),
 		EncodeFile(s.Add(mkState(0), "", 0)),
 		file[:frame.HeaderLen+frame.RecordHeaderLen],
 		{}, {0}, []byte("LSCP"), fileFormat.Append(nil),
@@ -66,7 +74,7 @@ func FuzzDecodeState(f *testing.F) {
 	})
 }
 
-// FuzzDecodeFile: the checkpoint file decoder, both versions, under
+// FuzzDecodeFile: the checkpoint file decoder, every version, under
 // arbitrary bytes.
 func FuzzDecodeFile(f *testing.F) {
 	for _, s := range fuzzSeeds(f) {

@@ -34,7 +34,11 @@ func TestLoadCheckpointRefusesMisfitLastNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	last := &fc.State.Nodes[len(fc.State.Nodes)-1]
-	last.Slots = append(last.Slots, 0, 0)
+	if last.Present == nil {
+		last.Slots = append(last.Slots, 0, 0)
+	} else {
+		last.NumSlots += 2
+	}
 	cp := &checkpoint.Checkpoint{Version: fc.Version, HistoryPos: fc.HistoryPos, State: fc.State, Aux: fc.Aux}
 	if err := os.WriteFile(path, checkpoint.EncodeFile(cp), 0o644); err != nil {
 		t.Fatal(err)
@@ -80,7 +84,7 @@ func newMemSession(t *testing.T) *Session {
 func unsharedState(st *sim.State) *sim.State {
 	out := &sim.State{Cycle: st.Cycle, Finished: st.Finished}
 	for _, n := range st.Nodes {
-		c := sim.NodeState{Path: n.Path, ObjKey: n.ObjKey, Slots: append([]uint64(nil), n.Slots...)}
+		c := sim.NodeState{Path: n.Path, ObjKey: n.ObjKey, NumSlots: n.NumSlots, Present: n.Present, Slots: append([]uint64(nil), n.Slots...)}
 		for _, m := range n.Mems {
 			flat := make([]uint64, m.Len())
 			m.CopyTo(flat)

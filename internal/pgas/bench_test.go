@@ -112,8 +112,9 @@ func BenchmarkReload(b *testing.B) {
 // meshes running the compute kernel, one capture per checkpoint interval
 // of simulated work, each added to a checkpoint store the way a session
 // does. ns/op and B/op are one Snapshot's (the ticks between captures are
-// not timed); retained-B/ckpt is what each added checkpoint adds to the
-// store's ApproxBytes. `make state` runs it.
+// not timed); first-B is the store's ApproxBytes after the first capture,
+// which has no earlier page to share, and retained-B/ckpt is what each
+// added checkpoint after it adds. `make state` runs it.
 func BenchmarkSnapshot(b *testing.B) {
 	const warm, every = 1000, 1000
 	for _, side := range []int{4, 8} {
@@ -154,6 +155,7 @@ func BenchmarkSnapshot(b *testing.B) {
 				b.StartTimer()
 			}
 			b.StopTimer()
+			b.ReportMetric(float64(bytes0), "first-B")
 			b.ReportMetric(float64(store.ApproxBytes()-bytes0)/float64(b.N), "retained-B/ckpt")
 		})
 	}

@@ -2,21 +2,22 @@ package server_test
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
-	"livesim/internal/checkpoint"
 	"livesim/internal/server"
+	"livesim/internal/sim"
 )
 
 // TestRecoversVersion1StateDir: a state dir written by the build before
 // the frame container (testdata/v1-state: session fx's journal and its
 // version 1 watermark checkpoint, see testdata/README.md) recovers
 // through the watermark fast path to the fingerprint that session had
-// live on that build.
+// live on that build: every slot and memory word of every instance.
 func TestRecoversVersion1StateDir(t *testing.T) {
 	const (
 		wantCycle = "  140 (version v0)\n"
@@ -54,8 +55,7 @@ func TestRecoversVersion1StateDir(t *testing.T) {
 	if !ok {
 		t.Fatal("no pipe p0")
 	}
-	sum := sha256.Sum256(checkpoint.NewStore().Add(p.Sim.Snapshot(), "", 0).Bytes())
-	if got := hex.EncodeToString(sum[:]); got != wantState {
+	if got := fullStateHash(p.Sim); got != wantState {
 		t.Errorf("recovered state fingerprint %s, want %s", got, wantState)
 	}
 	c := dial(t, "unix:"+filepath.Join(dir, "d.sock"))
@@ -67,4 +67,34 @@ func TestRecoversVersion1StateDir(t *testing.T) {
 	}
 	// The recovered session keeps journaling onto the version 1 journal.
 	mustOK(t, c, &server.Request{Session: "fx", Verb: "run", Args: []string{"clock", "p0", "10"}})
+}
+
+// fullStateHash is the SHA-256 of every slot and memory word of s, in the
+// layout of the state record of version 1 and 2 checkpoint files, which
+// held them all: cycle, finished flag and node count, then per node its
+// path, object key, counted slots and counted memories, all u64 LE.
+func fullStateHash(s *sim.Sim) string {
+	u := binary.LittleEndian.AppendUint64
+	str := func(b []byte, v string) []byte { return append(u(b, uint64(len(v))), v...) }
+	finished := uint64(0)
+	if s.Finished() {
+		finished = 1
+	}
+	nodes := s.Nodes()
+	b := u(u(u(nil, s.Cycle()), finished), uint64(len(nodes)))
+	for _, n := range nodes {
+		b = u(str(str(b, n.Path), n.Obj.Key), uint64(len(n.Inst.Slots)))
+		for _, v := range n.Inst.Slots {
+			b = u(b, v)
+		}
+		b = u(b, uint64(len(n.Inst.Mems)))
+		for _, m := range n.Inst.Mems {
+			b = u(b, uint64(len(m)))
+			for _, v := range m {
+				b = u(b, v)
+			}
+		}
+	}
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
 }

@@ -264,7 +264,11 @@ func TestWatermarkFromAnotherSlotLayoutReplaysInFull(t *testing.T) {
 		t.Fatalf("watermark was not saved: %v", err)
 	}
 	for i := range fc.State.Nodes {
-		fc.State.Nodes[i].Slots = append(fc.State.Nodes[i].Slots, 0, 0, 0)
+		if n := &fc.State.Nodes[i]; n.Present == nil {
+			n.Slots = append(n.Slots, 0, 0, 0)
+		} else {
+			n.NumSlots += 3
+		}
 	}
 	cp := checkpoint.NewStore().Add(fc.State, fc.Version, fc.HistoryPos)
 	cp.Aux = fc.Aux

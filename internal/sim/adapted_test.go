@@ -92,19 +92,19 @@ func TestCarryRegisters(t *testing.T) {
 	old.Slots[oldObj.Regs[0].Cur], old.Slots[oldObj.Regs[1].Cur] = 0x15A, 0x7
 	nu.Slots[newObj.Regs[2].Cur] = 0x99
 	plan := xform.NewPlan(oldObj, newObj, []xform.Op{{Kind: xform.Rename, Name: "old_name", NewName: "new_name"}})
-	carry(plan, nu, old.Slots, 0, nil)
+	carry(plan, nu, (&NodeState{Slots: old.Slots}).slot, 0, nil)
 	for i, want := range []uint64{0x5A, 0x7, 0x99} {
 		if got := nu.Slots[newObj.Regs[i].Cur]; got != want {
 			t.Errorf("%s = %#x, want %#x", newObj.Regs[i].Name, got, want)
 		}
 	}
 	plan = xform.NewPlan(oldObj, newObj, []xform.Op{{Kind: xform.Create, Name: "fresh", Init: 0x133}})
-	carry(plan, nu, old.Slots, 0, nil)
+	carry(plan, nu, (&NodeState{Slots: old.Slots}).slot, 0, nil)
 	if got := nu.Slots[newObj.Regs[2].Cur]; got != 0x33 {
 		t.Errorf("created fresh = %#x, want its Init masked, 0x33", got)
 	}
 	// A decoded checkpoint may hold fewer slots than the plan reads.
-	carry(plan, nu, nil, 0, nil)
+	carry(plan, nu, (&NodeState{}).slot, 0, nil)
 }
 
 // TestCarryMemsAndInputs: memories carry by name up to the smaller depth,
@@ -124,7 +124,7 @@ func TestCarryMemsAndInputs(t *testing.T) {
 	old, nu := vm.NewInstance(oldObj), vm.NewInstance(newObj)
 	old.Slots[0], old.Slots[1] = 0x1234, 0x5678
 	copy(old.Mems[0], []uint64{0x101, 0x202, 0x303, 0x404})
-	carry(xform.Migrator(nil)(oldObj, newObj), nu, old.Slots, len(old.Mems), func(i int, dst []uint64) int {
+	carry(xform.Migrator(nil)(oldObj, newObj), nu, (&NodeState{Slots: old.Slots}).slot, len(old.Mems), func(i int, dst []uint64) int {
 		return copy(dst, old.Mems[i])
 	})
 	if nu.Slots[1] != 0x34 || nu.Slots[0] != 0 {

@@ -99,6 +99,15 @@ func (l *lockstep) tick(n int) {
 	}
 }
 
+// restored follows a restore of both kernels: a restore ends in a settle
+// on the compiled schedule, so the reference evaluates everything again
+// by its own loop, deriving the slots the capture did not hold.
+func (l *lockstep) restored() {
+	if !l.scheduled {
+		sim.UnsettleReference(l.ref)
+	}
+}
+
 // settle settles both kernels without a clock edge and compares.
 func (l *lockstep) settle() {
 	l.t.Helper()
@@ -161,7 +170,11 @@ func (l *lockstep) compare() {
 // depends on the kernel's evaluation order and that nothing reads: comb
 // code writes a temporary before every read, and ports, registers, named
 // signals and anything the mux style produces are all compared.
-func deadCombTemps(o *vm.Object) []bool {
+func deadCombTemps(o *vm.Object) []bool { return branchTemps(o, o.Comb) }
+
+// branchTemps marks the unnamed temporaries that code, Comb or Seq,
+// writes inside a branch region.
+func branchTemps(o *vm.Object, code []vm.Instr) []bool {
 	named := make([]bool, o.NumSlots)
 	for _, p := range o.Ports {
 		named[p.Slot] = true
@@ -173,8 +186,8 @@ func deadCombTemps(o *vm.Object) []bool {
 		named[d.Slot] = true
 	}
 	dead := make([]bool, o.NumSlots)
-	end := 0 // comb instructions before end sit inside a branch region
-	for pc, in := range o.Comb {
+	end := 0 // instructions before end sit inside a branch region
+	for pc, in := range code {
 		switch {
 		case in.Op.IsBranch():
 			if int(in.B) > end {
@@ -301,6 +314,7 @@ func (l *lockstep) exercise(cycles int, recompiled map[string]*vm.Object) {
 			if err := l.ref.Restore(snapRef); err != nil {
 				l.t.Fatal(err)
 			}
+			l.restored()
 			l.settle()
 		case 6 * phase:
 			l.reload(recompiled)

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"livesim/internal/vm"
 )
@@ -62,3 +63,89 @@ var (
 	BuildDesign   = buildDesign
 	TableResolver = tableResolver
 )
+
+// StateOf returns the slots a capture of n holds, nil for every slot.
+func StateOf(n *Node) vm.SlotSet { return n.state }
+
+// UnsettleReference has the next settle of s, a simulation the reference
+// kernel runs, evaluate every instance again: the settle that ends a
+// restore runs the compiled schedule, and the reference must derive the
+// slots a capture does not hold by its own loop.
+func UnsettleReference(s *Sim) { s.settled, s.allDirty = false, true }
+
+// FullState captures every slot of every instance, as the whole slot
+// array, and every memory word in pages of its own: what a capture held
+// before captures held state slots alone. Restore of it writes every slot.
+func FullState(s *Sim) *State {
+	s.Sync()
+	st := &State{Cycle: s.cycle, Finished: s.finished}
+	for _, n := range s.nodes {
+		ns := NodeState{Path: n.Path, ObjKey: n.Obj.Key, Slots: append([]uint64(nil), n.Inst.Slots...)}
+		for _, m := range n.Inst.Mems {
+			ns.Mems = append(ns.Mems, PagedMem(m))
+		}
+		st.Nodes = append(st.Nodes, ns)
+	}
+	return st
+}
+
+// UnsharedState copies what Snapshot captures, each node's state slots
+// and memories, from the live instances into new arrays, slot by slot.
+func UnsharedState(s *Sim) *State {
+	st := &State{Cycle: s.cycle, Finished: s.finished}
+	for _, n := range s.nodes {
+		ns := NodeState{Path: n.Path, ObjKey: n.Obj.Key, Slots: []uint64{}}
+		if n.state != nil {
+			ns.NumSlots, ns.Present = len(n.Inst.Slots), n.state
+		}
+		for x, v := range n.Inst.Slots {
+			if n.state == nil || n.state.Has(uint32(x)) {
+				ns.Slots = append(ns.Slots, v)
+			}
+		}
+		for _, m := range n.Inst.Mems {
+			ns.Mems = append(ns.Mems, PagedMem(m))
+		}
+		st.Nodes = append(st.Nodes, ns)
+	}
+	return st
+}
+
+// Scramble sets every slot that no capture of s holds to a value drawn
+// from rand: what a restore finds in an instance that ran elsewhere.
+func Scramble(s *Sim, rand func() uint64) {
+	for _, n := range s.nodes {
+		for x := range n.Inst.Slots {
+			if n.state != nil && !n.state.Has(uint32(x)) {
+				n.Inst.Slots[x] = rand()
+			}
+		}
+	}
+}
+
+// SlotDiff returns the first slot or memory word, in pre-order, at which
+// a and b differ after Sync, skipping the slots skip names, or "". The
+// two simulations run the same objects.
+func SlotDiff(a, b *Sim, skip func(n *Node, slot uint32) bool) string {
+	an, bn := a.Nodes(), b.Nodes()
+	for i, n := range an {
+		m := bn[i]
+		for x, v := range n.Inst.Slots {
+			if w := m.Inst.Slots[x]; w != v && (skip == nil || !skip(n, uint32(x))) {
+				name := "unnamed"
+				if d := slices.IndexFunc(n.Obj.Debug, func(d vm.SlotDebug) bool { return d.Slot == uint32(x) }); d >= 0 {
+					name = n.Obj.Debug[d].Name
+				}
+				return fmt.Sprintf("%s (%s) slot %d (%s): %#x vs %#x", n.Path, n.Obj.Key, x, name, v, w)
+			}
+		}
+		for mi, mem := range n.Inst.Mems {
+			for j, v := range mem {
+				if w := m.Inst.Mems[mi][j]; w != v {
+					return fmt.Sprintf("%s.%s[%d]: %#x vs %#x", n.Path, n.Obj.Mems[mi].Name, j, v, w)
+				}
+			}
+		}
+	}
+	return ""
+}

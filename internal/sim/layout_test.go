@@ -19,7 +19,7 @@ var layoutReaders = map[string]map[string]string{
 	"internal/checkpoint": {
 		"stateSize":   "sizes the LSCP state record",
 		"appendState": "writes the LSCP state record",
-		"DecodeState": "reads the LSCP state record",
+		"decodeState": "reads the LSCP state record, in either layout",
 	},
 }
 

@@ -20,17 +20,21 @@ import (
 // reload must hold: each capture encodes to the bytes of an unshared copy
 // of the live state taken at the same moment, shares pages with the
 // capture before it, and still encodes to the same bytes when the chain is
-// done — a page is never written once a State holds it.
+// done — a page is never written once a State holds it. Each restore,
+// which writes a capture's state slots and settles, leaves every slot a
+// reader can name as a restore of every slot does.
 
 type captureChain struct {
 	t     *testing.T
 	s     *sim.Sim
 	table *objTable
 	rng   uint64
-	// states are the captures in order, encoded their bytes at capture;
-	// states from restorable on were taken under the current objects.
+	// states are the captures in order, encoded their bytes at capture,
+	// and full every slot at the same moment; states from restorable on
+	// were taken under the current objects.
 	states     []*sim.State
 	encoded    [][]byte
+	full       []*sim.State
 	restorable int
 }
 
@@ -40,19 +44,6 @@ func (c *captureChain) rand(mod int) int {
 }
 
 func encodeState(st *sim.State) []byte { return (&checkpoint.Checkpoint{State: st}).Bytes() }
-
-// unshared copies the live state into new pages.
-func unshared(s *sim.Sim) *sim.State {
-	st := &sim.State{Cycle: s.Cycle(), Finished: s.Finished()}
-	for _, n := range s.Nodes() {
-		ns := sim.NodeState{Path: n.Path, ObjKey: n.Obj.Key, Slots: append([]uint64(nil), n.Inst.Slots...)}
-		for _, m := range n.Inst.Mems {
-			ns.Mems = append(ns.Mems, sim.PagedMem(m))
-		}
-		st.Nodes = append(st.Nodes, ns)
-	}
-	return st
-}
 
 // sharedPages counts the pages b holds at the same node, memory and page
 // index as a.
@@ -81,7 +72,7 @@ func (c *captureChain) capture() {
 	c.t.Helper()
 	st := c.s.Snapshot()
 	got := encodeState(st)
-	if want := encodeState(unshared(c.s)); !bytes.Equal(got, want) {
+	if want := encodeState(sim.UnsharedState(c.s)); !bytes.Equal(got, want) {
 		c.t.Fatalf("capture %d at cycle %d encodes differently from an unshared copy", len(c.states), st.Cycle)
 	}
 	if len(c.states) > 0 {
@@ -91,6 +82,26 @@ func (c *captureChain) capture() {
 	}
 	c.states = append(c.states, st)
 	c.encoded = append(c.encoded, got)
+	c.full = append(c.full, sim.FullState(c.s))
+}
+
+// restore restores capture k and holds every slot a reader can name, and
+// every memory word, to a restore of every slot of it in a new simulation.
+func (c *captureChain) restore(k int) {
+	c.t.Helper()
+	if err := c.s.Restore(c.states[k]); err != nil {
+		c.t.Fatal(err)
+	}
+	whole, err := sim.New(c.table, c.s.Root.Obj.Key)
+	if err != nil {
+		c.t.Fatal(err)
+	}
+	if err := whole.Restore(c.full[k]); err != nil {
+		c.t.Fatal(err)
+	}
+	if d := sim.SlotDiff(c.s, whole, unnamed); d != "" {
+		c.t.Fatalf("restore of capture %d: %s (state-only vs every slot)", k, d)
+	}
 }
 
 // driveInputs sets every root input except the clock to a random value.
@@ -164,9 +175,7 @@ func (c *captureChain) run(steps int, recompiled map[string]*vm.Object) {
 			c.poke()
 		case 2:
 			if k := len(c.states) - c.restorable; k > 0 {
-				if err := c.s.Restore(c.states[c.restorable+c.rand(k)]); err != nil {
-					c.t.Fatal(err)
-				}
+				c.restore(c.restorable + c.rand(k))
 			}
 		}
 		if i == steps/2 {
@@ -294,13 +303,13 @@ func TestRefusedRestoreChangesNothing(t *testing.T) {
 	if err := s.Tick(4); err != nil {
 		t.Fatal(err)
 	}
-	at9 := s.Snapshot()
+	at9 := sim.FullState(s)
 	last := &at5.Nodes[len(at5.Nodes)-1]
-	last.Slots = append(last.Slots, 0, 0)
+	last.NumSlots += 2
 	if err := s.Restore(at5); err == nil {
-		t.Fatalf("Restore of a state with two more slots in %s succeeded", last.Path)
+		t.Fatalf("Restore of a state of two more slots in %s succeeded", last.Path)
 	}
-	if ok, detail := sim.StateEqual(s.Snapshot(), at9); !ok {
+	if ok, detail := sim.StateEqual(sim.FullState(s), at9); !ok {
 		t.Fatalf("a refused Restore changed the simulation: %s", detail)
 	}
 }

@@ -120,6 +120,7 @@ func TestEveryWriterResyncs(t *testing.T) {
 					if err := l.ref.Restore(snapRef); err != nil {
 						t.Fatal(err)
 					}
+					l.restored()
 				}},
 				{"Reload", func() {
 					l.table.objs["leaf"], l.table.objs["top"] = edited["leaf"], edited["top"]
@@ -131,6 +132,7 @@ func TestEveryWriterResyncs(t *testing.T) {
 				{"RestoreAdapted", func() {
 					l.nu.RestoreAdapted(snap, recorded, nil)
 					l.ref.RestoreAdapted(snapRef, recorded, nil)
+					l.restored()
 				}},
 			}
 			for _, row := range rows {

@@ -23,10 +23,10 @@
 // produces it to each slot that consumes it. The bound slots in between —
 // transit slots, which no code of their own instance touches — are not
 // written while the simulation runs: Peek and Out read one through its
-// producer, and Sync, which Nodes, Snapshot, Poke and Reload call first,
-// fills them all, so whatever reads slots between calls sees what a copy at
-// every level would have left. A consumer slot that is also wired further
-// carries the value on at once.
+// producer, and Sync, which Nodes, Poke and Reload call first, fills them
+// all, so whatever reads slots between calls sees what a copy at every
+// level would have left; a capture holds none of them. A consumer slot
+// that is also wired further carries the value on at once.
 //
 // At a clock edge an instance runs Seq and Commit only if that can change
 // something: its comb code ran, a push changed a slot its Seq reads, or its
@@ -49,6 +49,11 @@
 // the next settle read every remembered value back and evaluate every
 // instance whole; PokeMem, and a push that moves a tied input, have that
 // instance evaluate whole.
+//
+// A capture (Snapshot) holds each instance's state slots — its object's
+// StateSlots less the slots its hierarchy's binds drive — and memories,
+// and a restore writes them and runs that settle at once, which derives
+// every other slot; the first Tick after it finds the simulation settled.
 //
 // The package owns the slot layout of instance state: other packages hand
 // it objects, transform ops and xform plans (Reload, RestoreAdapted,
@@ -126,6 +131,15 @@ type Node struct {
 	// pinned says the node's own code writes a slot that a bind or SetIn
 	// writes too, which Rest would leave as the other writer left it.
 	full, pinned bool
+
+	// state is the set of slots a capture of the node holds: its object's
+	// StateSlots, less the slots a bind alone or a fill entry writes, and
+	// with those two writers share (stateSets); nil when that is every
+	// slot.
+	// A State captured from the node shares it, so it is never written
+	// once set; nstate is its size.
+	state  vm.SlotSet
+	nstate int
 
 	// seqDirty says the next clock edge must run the node's Seq and
 	// Commit: its comb code ran, a push changed a slot its Seq reads, its
@@ -512,6 +526,7 @@ func (s *Sim) compileSchedule() {
 			d.pinned = d.pinned || written
 		}
 	}
+	s.stateSets()
 	s.rank(off, start[:len(start)-1], next[:len(next)-1])
 	s.order = append(s.order[:0], s.nodes...)
 	slices.SortStableFunc(s.order, func(a, b *Node) int {
@@ -528,6 +543,44 @@ func (s *Sim) compileSchedule() {
 	}
 	s.dirty = make([]uint64, (len(s.order)+63)/64)
 	s.low = 0
+}
+
+// stateSets sets each node's state: its object's StateSlots, less the
+// destination of every bind that nothing else writes and every transit
+// slot with a fill entry, which the settle after a restore writes again
+// from their producers, and with the destination of every shared bind,
+// whose value depends on which writer came last. A node keeps sharing its
+// object's set until it changes a slot.
+func (s *Sim) stateSets() {
+	owned := make([]bool, len(s.nodes))
+	for _, n := range s.nodes {
+		n.state = n.Obj.StateSlots()
+	}
+	set := func(n *Node, x uint32, in bool) {
+		if n.state.Has(x) == in {
+			return
+		}
+		if !owned[n.idx] {
+			n.state, owned[n.idx] = slices.Clone(n.state), true
+		}
+		n.state[x/64] ^= 1 << (x % 64)
+	}
+	for i := range s.binds {
+		op := &s.binds[i]
+		set(op.dst, op.dstSlot, op.shared)
+	}
+	for i := range s.fill {
+		set(s.fill[i].dst, s.fill[i].dstSlot, false)
+	}
+	for _, n := range s.nodes {
+		n.nstate = 0
+		for _, w := range n.state {
+			n.nstate += bits.OnesCount64(w)
+		}
+		if n.nstate == int(n.Obj.NumSlots) {
+			n.state = nil
+		}
+	}
 }
 
 // tieInputs sets each node's edge program (vm.Object.EdgeFor), counting

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"livesim/internal/vm"
 	"livesim/internal/xform"
@@ -9,7 +11,8 @@ import (
 
 // PageWords is the page size of a captured memory, in words: the unit a
 // capture shares with the previous one or copies. Chosen with
-// BenchmarkSnapshot (`make state`): on PGAS 4x4 running the compute
+// BenchmarkSnapshot (`make state`), when a capture still copied every
+// slot and every all-zero page: on PGAS 4x4 running the compute
 // kernel, each node writes its 32-word register file and one local-store
 // page per 1 000 cycles at any of the sizes tried (32 of 272 pages at 256
 // words), and a capture allocates 147 KB at 64 words, 149 KB at 256 and
@@ -27,11 +30,29 @@ const PageWords = 256
 // the last State that holds it.
 type Mem [][]uint64
 
-// PagedMem copies words into new pages.
+// zeroPage is the one all-zero page every State shares: a capture or a
+// decode puts it, or a prefix of it for a memory's short last page,
+// wherever a page holds nothing but zeros and no earlier page is shared.
+var zeroPage = make([]uint64, PageWords)
+
+// ZeroPage returns the shared all-zero page of n words, n at most
+// PageWords.
+func ZeroPage(n int) []uint64 { return zeroPage[:n:n] }
+
+// isZeroPage reports whether page is the shared all-zero page.
+func isZeroPage(page []uint64) bool { return len(page) > 0 && &page[0] == &zeroPage[0] }
+
+// AllZero reports whether page holds nothing but zeros.
+func AllZero(page []uint64) bool {
+	return isZeroPage(page) || len(page) <= PageWords && equalWords(zeroPage[:len(page)], page)
+}
+
+// PagedMem copies words into new pages, all-zero ones shared.
 func PagedMem(words []uint64) Mem { return capture(words, nil) }
 
 // capture pages the live words of a memory, sharing each page of prev
-// whose words are unchanged; prev is nil or a Mem of the same length.
+// whose words are unchanged and the zero page wherever the words are all
+// zero; prev is nil or a Mem of the same length.
 func capture(live []uint64, prev Mem) Mem {
 	if len(live) == 0 {
 		return nil
@@ -39,9 +60,12 @@ func capture(live []uint64, prev Mem) Mem {
 	m := make(Mem, (len(live)+PageWords-1)/PageWords)
 	for i := range m {
 		w := live[i*PageWords : min((i+1)*PageWords, len(live))]
-		if prev != nil && equalWords(prev[i], w) {
+		switch {
+		case prev != nil && equalWords(prev[i], w):
 			m[i] = prev[i]
-		} else {
+		case AllZero(w):
+			m[i] = ZeroPage(len(w))
+		default:
 			m[i] = append([]uint64(nil), w...)
 		}
 	}
@@ -117,30 +141,108 @@ func firstDiff(a, b Mem, mask uint64) int {
 	return -1
 }
 
-// NodeState is the captured state of one instance.
+// NodeState is the captured state of one instance: the slots Present
+// names, their values in Slots in slot order, and every memory. A nil
+// Present names every slot, and Slots is then the whole slot array;
+// otherwise NumSlots is the instance's slot count. Snapshot captures the
+// node's state slots (vm.Object.StateSlots, less the slots its
+// hierarchy's binds alone write); whatever else the instance holds, the
+// settle that ends a restore derives again. Present is shared by every capture of the
+// node and never written.
 type NodeState struct {
-	Path   string
-	ObjKey string
-	Slots  []uint64
-	Mems   []Mem
+	Path     string
+	ObjKey   string
+	NumSlots int
+	Present  vm.SlotSet
+	Slots    []uint64
+	Mems     []Mem
 }
 
-// State is a full simulation snapshot — the payload of a checkpoint
-// (Section III-E: "a checkpoint consists of the entire state of the
-// pipeline object"). Its memory pages may be shared with other States;
-// nothing writes a State once it is captured or decoded.
+// SlotCount is the instance's slot count.
+func (ns *NodeState) SlotCount() int {
+	if ns.Present == nil {
+		return len(ns.Slots)
+	}
+	return ns.NumSlots
+}
+
+// slot returns the captured value of slot x, or false if the state holds
+// none.
+func (ns *NodeState) slot(x uint32) (uint64, bool) {
+	if ns.Present == nil {
+		if int(x) < len(ns.Slots) {
+			return ns.Slots[x], true
+		}
+		return 0, false
+	}
+	if int(x) >= ns.NumSlots || !ns.Present.Has(x) {
+		return 0, false
+	}
+	i := bits.OnesCount64(ns.Present[x/64] & (1<<(x%64) - 1))
+	for _, w := range ns.Present[:x/64] {
+		i += bits.OnesCount64(w)
+	}
+	return ns.Slots[i], true
+}
+
+// each calls f with every slot the state holds and its value, in slot
+// order.
+func (ns *NodeState) each(f func(x uint32, v uint64)) {
+	if ns.Present == nil {
+		for x, v := range ns.Slots {
+			f(uint32(x), v)
+		}
+		return
+	}
+	i := 0
+	for w, word := range ns.Present {
+		for ; word != 0; word &= word - 1 {
+			f(uint32(w*64+bits.TrailingZeros64(word)), ns.Slots[i])
+			i++
+		}
+	}
+}
+
+// layoutErr says why Present, NumSlots and Slots do not describe one
+// another, or returns nil.
+func (ns *NodeState) layoutErr() error {
+	if ns.Present == nil {
+		return nil
+	}
+	n := 0
+	for _, w := range ns.Present {
+		n += bits.OnesCount64(w)
+	}
+	switch {
+	case len(ns.Present) != (ns.NumSlots+63)/64:
+		return fmt.Errorf("snapshot node %s: %d present-slot words for %d slots", ns.Path, len(ns.Present), ns.NumSlots)
+	case ns.NumSlots%64 != 0 && ns.Present[len(ns.Present)-1]>>(ns.NumSlots%64) != 0:
+		return fmt.Errorf("snapshot node %s names a slot past its %d", ns.Path, ns.NumSlots)
+	case n != len(ns.Slots):
+		return fmt.Errorf("snapshot node %s: %d slots present, %d values", ns.Path, n, len(ns.Slots))
+	}
+	return nil
+}
+
+// State is a simulation snapshot — the payload of a checkpoint. The paper's
+// checkpoint "consists of the entire state of the pipeline object"
+// (Section III-E); this one holds what that state is derived from: each
+// instance's state slots and memories, the cycle and the $finish flag.
+// Its memory pages may be shared with other States; nothing writes a
+// State once it is captured or decoded.
 type State struct {
 	Cycle    uint64
 	Finished bool
 	Nodes    []NodeState
 }
 
-// Bytes returns the logical size of the state: every slot and memory
-// word, shared pages included.
+// Bytes returns the logical size of the state: every captured slot and
+// every memory word, shared pages included, less the shared zero page.
 func (st *State) Bytes() int { return st.UnsharedBytes(nil) }
 
 // UnsharedBytes is the size of st less the memory pages it shares with
-// prev at the same node, memory and page index; prev may be nil.
+// prev at the same node, memory and page index, and less the shared zero
+// page; prev may be nil. A slot st does not hold costs nothing.
 func (st *State) UnsharedBytes(prev *State) int {
 	n := 0
 	for i := range st.Nodes {
@@ -152,7 +254,7 @@ func (st *State) UnsharedBytes(prev *State) int {
 				pm = prev.Nodes[i].Mems[mi]
 			}
 			for pi, page := range m {
-				if pi >= len(pm) || !SamePage(page, pm[pi]) {
+				if !isZeroPage(page) && (pi >= len(pm) || !SamePage(page, pm[pi])) {
 					n += 8 * len(page)
 				}
 			}
@@ -178,10 +280,10 @@ func (st *State) node(i int, path string) *NodeState {
 	return &st.Nodes[i]
 }
 
-// StateBytes estimates the live state footprint (register slots plus
-// memories) without snapshotting. Same arithmetic as State.Bytes, read
-// off the live instances; callers must hold whatever lock serializes
-// execution (the session worker does).
+// StateBytes is the live instances' footprint: every slot and memory
+// word they hold, which is more than a capture of them holds. Callers
+// must hold whatever lock serializes execution (the session worker
+// does).
 func (s *Sim) StateBytes() int {
 	n := 0
 	for _, nd := range s.nodes {
@@ -196,20 +298,31 @@ func (s *Sim) StateBytes() int {
 	return n
 }
 
-// Snapshot captures the entire simulation state — what the paper's forked
-// child would see, with the kernel's copy-on-write done by comparison.
-// The slot arrays are copied. A memory page is shared with the state last
-// captured or restored (same node path, memory index and length) when the
-// live words equal it, and copied otherwise, so a capture reads every
-// memory once and copies only the pages written since. Nothing is
-// serialized: a checkpoint is this State until it leaves the process.
+// Snapshot captures the simulation's state — what the paper's forked
+// child would see, less what one settle derives again, with the kernel's
+// copy-on-write done by comparison. Each node's state slots are copied.
+// A memory page is shared with the state last captured or restored (same
+// node path, memory index and length) when the live words equal it, with
+// the shared zero page when they are all zero, and copied otherwise, so a
+// capture reads every memory once and copies only the pages written
+// since. Nothing is serialized: a checkpoint is this State until it
+// leaves the process.
 func (s *Sim) Snapshot() *State {
-	s.Sync()
 	st := &State{Cycle: s.cycle, Finished: s.finished, Nodes: make([]NodeState, len(s.nodes))}
 	for i, n := range s.nodes {
 		ns := &st.Nodes[i]
 		ns.Path, ns.ObjKey = n.Path, n.Obj.Key
-		ns.Slots = append([]uint64(nil), n.Inst.Slots...)
+		if n.state == nil {
+			ns.Slots = slices.Clone(n.Inst.Slots)
+		} else {
+			ns.NumSlots, ns.Present = len(n.Inst.Slots), n.state
+			ns.Slots = make([]uint64, 0, n.nstate)
+			for w, word := range n.state {
+				for ; word != 0; word &= word - 1 {
+					ns.Slots = append(ns.Slots, n.Inst.Slots[w*64+bits.TrailingZeros64(word)])
+				}
+			}
+		}
 		prev := s.base.node(i, n.Path)
 		ns.Mems = make([]Mem, len(n.Inst.Mems))
 		for mi, m := range n.Inst.Mems {
@@ -248,10 +361,24 @@ func (s *Sim) Restore(st *State) error {
 }
 
 // shapeErr says why ns does not fit n's instance slot for slot and word
-// for word, or returns nil.
+// for word, or lacks one of the node's state slots, or returns nil.
 func shapeErr(n *Node, ns *NodeState) error {
-	if len(ns.Slots) != len(n.Inst.Slots) || len(ns.Mems) != len(n.Inst.Mems) {
+	if ns.SlotCount() != len(n.Inst.Slots) || len(ns.Mems) != len(n.Inst.Mems) {
 		return fmt.Errorf("snapshot node %s shape mismatch", ns.Path)
+	}
+	if err := ns.layoutErr(); err != nil {
+		return err
+	}
+	if ns.Present != nil {
+		want := n.state
+		if want == nil {
+			want = n.Obj.StateSlots()
+		}
+		for w, word := range want {
+			if miss := word &^ ns.Present[w]; miss != 0 {
+				return fmt.Errorf("snapshot node %s holds no slot %d, which is state", ns.Path, w*64+bits.TrailingZeros64(miss))
+			}
+		}
 	}
 	for mi, m := range ns.Mems {
 		if m.Len() != len(n.Inst.Mems[mi]) {
@@ -263,7 +390,7 @@ func shapeErr(n *Node, ns *NodeState) error {
 
 // copyIn writes ns into inst, whose shape it has.
 func copyIn(inst *vm.Instance, ns *NodeState) {
-	copy(inst.Slots, ns.Slots)
+	ns.each(func(x uint32, v uint64) { inst.Slots[x] = v })
 	for mi, m := range ns.Mems {
 		m.CopyTo(inst.Mems[mi])
 	}
@@ -271,8 +398,11 @@ func copyIn(inst *vm.Instance, ns *NodeState) {
 
 // load is the one end of every restore: put writes node i's state, then
 // the node's constants go back in place and a $finish or memory write
-// left over from the execution before is dropped (vm.Instance.Reset), and
-// the simulation stands at st's cycle with every instance to evaluate.
+// left over from the execution before is dropped (vm.Instance.Reset), the
+// simulation stands at st's cycle, and one settle with every instance to
+// evaluate derives every slot the state does not hold. The first Tick
+// after a restore finds the simulation settled; if the settle fails, that
+// Tick runs it again and reports the error.
 func (s *Sim) load(st *State, put func(i int, n *Node)) {
 	for i, n := range s.nodes {
 		put(i, n)
@@ -282,18 +412,21 @@ func (s *Sim) load(st *State, put func(i int, n *Node)) {
 	s.finished = st.Finished
 	s.settled = false
 	s.allDirty = true
-	s.stale = false // every slot was written
 	s.base = st
+	if s.settle(nil) != nil {
+		s.allDirty = true
+	}
 }
 
 // RestoreAdapted loads a snapshot that may have been captured under other
 // versions of the code, matching nodes by hierarchical path. recorded
 // holds the objects the captured nodes' keys named at capture. A node
-// captured under its current object is copied as Restore copies it; any
-// other is zeroed and then, if its recorded object is known, carried by
-// the plan migrate returns for the two objects (nil: xform.Migrator(nil)).
-// A node with no captured counterpart powers on at zero. This is the
-// cross-version half of checkpoint reloading (Section III-E).
+// captured under its current object, holding every one of its state
+// slots, is copied as Restore copies it; any other is zeroed and then, if
+// its recorded object is known, carried by the plan migrate returns for
+// the two objects (nil: xform.Migrator(nil)). A node with no captured
+// counterpart powers on at zero. This is the cross-version half of
+// checkpoint reloading (Section III-E).
 func (s *Sim) RestoreAdapted(st *State, recorded map[string]*vm.Object, migrate MigrateFunc) {
 	byPath, plan := st.byPath(), planCache(migrate)
 	s.load(st, func(_ int, n *Node) {
@@ -307,8 +440,8 @@ func (s *Sim) RestoreAdapted(st *State, recorded map[string]*vm.Object, migrate 
 			return
 		}
 		n.Inst.ZeroState()
-		if old != nil {
-			carry(plan(old, n.Obj), n.Inst, ns.Slots, len(ns.Mems), func(i int, dst []uint64) int {
+		if old != nil && ns.layoutErr() == nil {
+			carry(plan(old, n.Obj), n.Inst, ns.slot, len(ns.Mems), func(i int, dst []uint64) int {
 				return ns.Mems[i].CopyTo(dst)
 			})
 		}
@@ -334,15 +467,16 @@ func planCache(migrate MigrateFunc) MigrateFunc {
 }
 
 // carry moves an old instance's state into nu, an instance of p's new
-// object: slots is the old slot array, and copyMem copies old memory i,
-// for i below nmems, into dst as far as both reach and returns the words
-// copied. A source index past slots or nmems is skipped, so a decoded
-// checkpoint cannot index out of range.
-func carry(p *xform.Plan, nu *vm.Instance, slots []uint64, nmems int, copyMem func(i int, dst []uint64) int) {
+// object: slot returns the old value of a slot, or false if there is
+// none, and copyMem copies old memory i, for i below nmems, into dst as
+// far as both reach and returns the words copied. A source the old state
+// does not hold is skipped, so a decoded checkpoint cannot index out of
+// range.
+func carry(p *xform.Plan, nu *vm.Instance, slot func(x uint32) (uint64, bool), nmems int, copyMem func(i int, dst []uint64) int) {
 	for _, ps := range [][]xform.Pair{p.Regs, p.Ins} {
 		for _, r := range ps {
-			if int(r.From) < len(slots) {
-				nu.Slots[r.To] = slots[r.From] & r.Mask
+			if v, ok := slot(r.From); ok {
+				nu.Slots[r.To] = v & r.Mask
 			}
 		}
 	}
@@ -360,8 +494,9 @@ func carry(p *xform.Plan, nu *vm.Instance, slots []uint64, nmems int, copyMem fu
 }
 
 // StateEqual compares two simulation states structurally, reporting the
-// first differing signal or memory word. Memory pages the two states
-// share are skipped, not compared.
+// first differing signal or memory word. Slots are compared where both
+// states hold them. Memory pages the two states share are skipped, not
+// compared.
 func StateEqual(a, b *State) (bool, string) {
 	if a.Cycle != b.Cycle {
 		return false, fmt.Sprintf("cycle %d vs %d", a.Cycle, b.Cycle)
@@ -374,13 +509,11 @@ func StateEqual(a, b *State) (bool, string) {
 		if na.Path != nb.Path {
 			return false, fmt.Sprintf("node %d path %q vs %q", i, na.Path, nb.Path)
 		}
-		if len(na.Slots) != len(nb.Slots) {
-			return false, fmt.Sprintf("%s: slot count %d vs %d", na.Path, len(na.Slots), len(nb.Slots))
+		if na.SlotCount() != nb.SlotCount() {
+			return false, fmt.Sprintf("%s: slot count %d vs %d", na.Path, na.SlotCount(), nb.SlotCount())
 		}
-		for j := range na.Slots {
-			if na.Slots[j] != nb.Slots[j] {
-				return false, fmt.Sprintf("%s slot %d: %#x vs %#x", na.Path, j, na.Slots[j], nb.Slots[j])
-			}
+		if detail := slotsDiffer(na, nb); detail != "" {
+			return false, detail
 		}
 		if len(na.Mems) != len(nb.Mems) {
 			return false, fmt.Sprintf("%s: memory count differs", na.Path)
@@ -396,6 +529,18 @@ func StateEqual(a, b *State) (bool, string) {
 		}
 	}
 	return true, ""
+}
+
+// slotsDiffer describes the first slot both nodes hold with different
+// values, or returns "".
+func slotsDiffer(na, nb *NodeState) string {
+	detail := ""
+	na.each(func(x uint32, v uint64) {
+		if w, ok := nb.slot(x); ok && w != v && detail == "" {
+			detail = fmt.Sprintf("%s slot %d: %#x vs %#x", na.Path, x, v, w)
+		}
+	})
+	return detail
 }
 
 // CarriedEqual checks a replayed state against a recorded one, captured
@@ -419,14 +564,16 @@ func CarriedEqual(replayed, recorded *State, plan func(rn, rec *NodeState) *xfor
 			continue
 		}
 		for _, r := range p.Regs {
-			if int(r.From) >= len(rec.Slots) {
+			v, ok := rec.slot(r.From)
+			if !ok {
 				continue
 			}
-			if int(r.To) >= len(rn.Slots) {
+			got, ok := rn.slot(r.To)
+			if !ok {
 				return false, fmt.Sprintf("%s: reg %s slot out of range", rn.Path, r.Name)
 			}
-			if want := rec.Slots[r.From] & r.Mask; rn.Slots[r.To] != want {
-				return false, fmt.Sprintf("%s reg %s: replayed %#x, recorded %#x", rn.Path, r.Name, rn.Slots[r.To], want)
+			if want := v & r.Mask; got != want {
+				return false, fmt.Sprintf("%s reg %s: replayed %#x, recorded %#x", rn.Path, r.Name, got, want)
 			}
 		}
 		for _, m := range p.Mems {
@@ -511,7 +658,8 @@ func (s *Sim) ReloadAll(swaps ...Swap) (int, error) {
 
 func (s *Sim) swapNode(n *Node, newObj *vm.Object, plan *xform.Plan) error {
 	old, newInst := n.Inst, s.newInstance(newObj)
-	carry(plan, newInst, old.Slots, len(old.Mems), func(i int, dst []uint64) int {
+	live := &NodeState{Slots: old.Slots}
+	carry(plan, newInst, live.slot, len(old.Mems), func(i int, dst []uint64) int {
 		return copy(dst, old.Mems[i])
 	})
 

@@ -341,6 +341,33 @@ func walkDefined(code []Instr, words int, f func(pc int, def SlotSet)) {
 	}
 }
 
+// liveIn returns the slots some path through code reads before code
+// writes them, and those every path writes. Code with a backward jump is
+// not walked: every slot it reads is live in, and no slot is written on
+// every path.
+func liveIn(o *Object, code []Instr) (in, all SlotSet) {
+	words := int(o.NumSlots+63) / 64
+	in = make(SlotSet, words)
+	for pc, ins := range code {
+		if ins.Op.IsBranch() && int(ins.B) <= pc {
+			o.addReads(in, code)
+			return in, make(SlotSet, words)
+		}
+	}
+	walkDefined(code, words, func(pc int, def SlotSet) {
+		if pc == len(code) {
+			all = slices.Clone(def)
+			return
+		}
+		code[pc].Reads(o, func(y uint32) {
+			if !def.Has(y) {
+				in.add(y)
+			}
+		})
+	})
+	return in, all
+}
+
 // slice returns the instructions of the edge program that computes the
 // slots of need, by Comb pc: every writer of a needed slot, the slots it
 // reads needed in turn, and every branch whose skipped range holds a kept

@@ -117,7 +117,7 @@ type Object struct {
 
 	baseMu    sync.Mutex // orders AssignBase between loaders
 	readsOnce sync.Once
-	reads     SlotSet // CombReads, SeqReads, UsedSlots, then Writes
+	reads     SlotSet // CombReads, SeqReads, UsedSlots, Writes, then StateSlots
 	edgeMu    sync.Mutex
 	edges     []*Edge // EdgeFor's analyses, one per known set
 }
@@ -130,14 +130,14 @@ func (s SlotSet) Has(slot uint32) bool { return s[slot/64]&(1<<(slot%64)) != 0 }
 
 func (s SlotSet) add(slot uint32) { s[slot/64] |= 1 << (slot % 64) }
 
-// readSets returns CombReads, SeqReads, UsedSlots and Writes. They are
-// derived on first use and cached in one allocation; not part of the
-// content hash.
-func (o *Object) readSets() (comb, seq, used, writes SlotSet) {
+// readSets returns CombReads, SeqReads, UsedSlots, Writes and StateSlots.
+// They are derived on first use and cached in one allocation; not part of
+// the content hash.
+func (o *Object) readSets() (comb, seq, used, writes, state SlotSet) {
 	o.readsOnce.Do(func() {
 		n := (o.NumSlots + 63) / 64
-		o.reads = make(SlotSet, 4*n)
-		comb, seq, used, writes := o.reads[:n], o.reads[n:2*n], o.reads[2*n:3*n], o.reads[3*n:]
+		o.reads = make(SlotSet, 5*n)
+		comb, seq, used, writes := o.reads[:n], o.reads[n:2*n], o.reads[2*n:3*n], o.reads[3*n:4*n]
 		o.addReads(comb, o.Comb)
 		for _, r := range o.Regs {
 			seq.add(r.Cur)
@@ -158,9 +158,53 @@ func (o *Object) readSets() (comb, seq, used, writes SlotSet) {
 		for i := range used {
 			used[i] |= comb[i] | seq[i] | writes[i]
 		}
+		o.stateSlots(o.reads[4*n:])
 	})
-	n := len(o.reads) / 4
-	return o.reads[:n:n], o.reads[n : 2*n : 2*n], o.reads[2*n : 3*n : 3*n], o.reads[3*n:]
+	n := len(o.reads) / 5
+	return o.reads[:n:n], o.reads[n : 2*n : 2*n], o.reads[2*n : 3*n : 3*n], o.reads[3*n : 4*n : 4*n], o.reads[4*n:]
+}
+
+// stateSlots sets state to StateSlots.
+func (o *Object) stateSlots(state SlotSet) {
+	words := len(state)
+	combIn, combAll := liveIn(o, o.Comb)
+	seqIn, _ := liveIn(o, o.Seq)
+	// named slots are read from outside the instance's code: by Peek and
+	// Out, and by the binds that push a source slot.
+	named := make(SlotSet, words)
+	for _, d := range o.Debug {
+		named.add(d.Slot)
+	}
+	for _, p := range o.Ports {
+		named.add(p.Slot)
+	}
+	for _, c := range o.Children {
+		for _, b := range c.Binds {
+			named.add(b.ParentSlot)
+		}
+	}
+	for _, r := range o.Regs {
+		seqIn[r.Next/64] &^= 1 << (r.Next % 64) // seqDefaults writes it first
+	}
+	for i := range state {
+		derived := combAll[i] &^ combIn[i]         // Comb writes it before any read, on every path
+		dead := ^(combIn[i] | seqIn[i] | named[i]) // nothing reads it before its code writes it
+		state[i] = ^(derived | dead)
+	}
+	for _, c := range o.Consts {
+		state[c.Slot/64] &^= 1 << (c.Slot % 64) // Reset writes it
+	}
+	for _, r := range o.Regs {
+		state.add(r.Cur)
+	}
+	for _, p := range o.Ports {
+		if p.Dir == In {
+			state.add(p.Slot)
+		}
+	}
+	if r := o.NumSlots % 64; r != 0 {
+		state[words-1] &= 1<<r - 1
+	}
 }
 
 // addReads adds to set every slot an instruction of code reads.
@@ -189,7 +233,7 @@ func (o *Object) AssignBase(base uint64) bool {
 // change without the instance's combinational outputs moving. Derived from
 // Comb on first use and cached; not part of the content hash.
 func (o *Object) CombReads() SlotSet {
-	comb, _, _, _ := o.readSets()
+	comb, _, _, _, _ := o.readSets()
 	return comb
 }
 
@@ -199,7 +243,7 @@ func (o *Object) CombReads() SlotSet {
 // the clock edge of an instance none of whose SeqReads slots moved. Cached
 // like CombReads.
 func (o *Object) SeqReads() SlotSet {
-	_, seq, _, _ := o.readSets()
+	_, seq, _, _, _ := o.readSets()
 	return seq
 }
 
@@ -208,7 +252,7 @@ func (o *Object) SeqReads() SlotSet {
 // slot outside it only carries a value between other instances. Cached
 // like CombReads.
 func (o *Object) UsedSlots() SlotSet {
-	_, _, used, _ := o.readSets()
+	_, _, used, _, _ := o.readSets()
 	return used
 }
 
@@ -216,8 +260,23 @@ func (o *Object) UsedSlots() SlotSet {
 // of a Comb or Seq instruction, or a register's current or next value,
 // which RunSeq and Commit write. Cached like CombReads.
 func (o *Object) Writes() SlotSet {
-	_, _, _, writes := o.readSets()
+	_, _, _, writes, _ := o.readSets()
 	return writes
+}
+
+// StateSlots is the set of slots whose values a settle does not derive
+// again from the others: a capture of them, the memories included, is the
+// whole state of an instance. A slot is left out when it is a register's
+// next value, which RunSeq writes first; a constant, which Reset writes;
+// written by Comb on every path before Comb reads it; or read by no one but
+// its own code (no port, child bind or Debug name), which writes it before
+// any read. Register current values and input ports are always in, and so
+// is a slot on which the analysis cannot decide: code with a backward
+// jump reads every slot it reads before writing it. Which bound inputs a
+// hierarchy drives is the kernel's to add. Cached like CombReads.
+func (o *Object) StateSlots() SlotSet {
+	_, _, _, _, state := o.readSets()
+	return state
 }
 
 // PortIndex returns the index of the named port, or -1.

@@ -1,6 +1,7 @@
 package vm_test
 
 import (
+	"slices"
 	"testing"
 
 	"livesim/internal/codegen"
@@ -88,4 +89,58 @@ func compileRandom(t *testing.T, seed uint64, style codegen.Style) *vm.Object {
 		t.Fatal(err)
 	}
 	return obj
+}
+
+// TestStateSlots holds StateSlots to its rules on a hand-built object
+// with one slot of each kind, and with a backward jump appended to Comb,
+// which keeps every slot Comb reads.
+func TestStateSlots(t *testing.T) {
+	const mask = 0xff
+	comb := []vm.Instr{
+		{Op: vm.OpJz, A: 0, B: 3},                     // if a != 0:
+		{Op: vm.OpMove, Dst: 8, A: 0},                 //   a branch temporary
+		{Op: vm.OpMove, Dst: 6, A: 8},                 //   latch, written on this path alone
+		{Op: vm.OpAdd, Dst: 1, A: 7, B: 2, Imm: mask}, // o = undriven + r
+	}
+	seq := []vm.Instr{
+		{Op: vm.OpAdd, Dst: 5, A: 2, B: 4, Imm: mask}, // a temporary, written before any read
+		{Op: vm.OpAdd, Dst: 3, A: 5, B: 9, Imm: mask}, // r's next value reads slot 9 ...
+		{Op: vm.OpMove, Dst: 9, A: 5},                 // ... before Seq writes it
+	}
+	build := func(comb []vm.Instr) *vm.Object {
+		return &vm.Object{
+			Key: "kinds", NumSlots: 11,
+			Ports:  []vm.Port{{Name: "a", Dir: vm.In, Slot: 0, Mask: mask}, {Name: "o", Dir: vm.Out, Slot: 1, Mask: mask}},
+			Regs:   []vm.Reg{{Name: "r", Cur: 2, Next: 3, Mask: mask}},
+			Consts: []vm.ConstInit{{Slot: 4, Value: 1}},
+			Debug: []vm.SlotDebug{{Name: "a", Slot: 0, Bits: 8}, {Name: "o", Slot: 1, Bits: 8}, {Name: "r", Slot: 2, Bits: 8},
+				{Name: "latch", Slot: 6, Bits: 8}, {Name: "undriven", Slot: 7, Bits: 8}},
+			Comb: comb, Seq: seq,
+		}
+	}
+	for _, c := range []struct {
+		name string
+		obj  *vm.Object
+		want []uint32
+	}{
+		// Left out: o (Comb writes it on every path first), r's next value,
+		// the constant, the two temporaries and slot 10, which nothing uses.
+		{"forward", build(comb), []uint32{0, 2, 6, 7, 9}},
+		// A loop keeps the branch temporary, which Comb reads, and o, which
+		// the analysis no longer sees written on every path.
+		{"backward", build(append(comb[:len(comb):len(comb)], vm.Instr{Op: vm.OpJz, A: 4, B: 0})), []uint32{0, 1, 2, 6, 7, 8, 9}},
+	} {
+		if err := c.obj.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		var got []uint32
+		for x := range c.obj.NumSlots {
+			if c.obj.StateSlots().Has(x) {
+				got = append(got, x)
+			}
+		}
+		if !slices.Equal(got, c.want) {
+			t.Errorf("%s: state slots %v, want %v", c.name, got, c.want)
+		}
+	}
 }

@@ -25,34 +25,26 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
+	"livesim/cmd/internal/daemon"
 	"livesim/internal/faultinject"
 	"livesim/internal/obs"
 	"livesim/internal/server"
 )
 
 var (
-	flagListen  = flag.String("listen", "", "TCP address to listen on (e.g. :9310)")
-	flagUnix    = flag.String("unix", "", "unix socket path to listen on")
-	flagQueue   = flag.Int("queue-depth", 8, "per-session request queue depth (full queues reject with backpressure)")
-	flagIdle    = flag.Duration("idle-evict", 0, "evict sessions idle this long (0 = never; dirty sessions are checkpointed)")
-	flagDrain   = flag.String("drain-dir", "", "directory for drain/eviction checkpoints and the drain.json manifest")
-	flagCkpt    = flag.Uint64("ckpt-every", 10_000, "default checkpoint interval for created sessions")
-	flagMetrics = flag.Bool("metrics", true, "print the server metrics registry on exit")
-	flagTrace   = flag.String("trace-out", "", "write server request-span JSONL to this file")
+	flagQueue = flag.Int("queue-depth", 8, "per-session request queue depth (full queues reject with backpressure)")
+	flagIdle  = flag.Duration("idle-evict", 0, "evict sessions idle this long (0 = never; dirty sessions are checkpointed)")
+	flagDrain = flag.String("drain-dir", "", "directory for drain/eviction checkpoints and the drain.json manifest")
+	flagCkpt  = flag.Uint64("ckpt-every", 10_000, "default checkpoint interval for created sessions")
+	flagTrace = flag.String("trace-out", "", "write server request-span JSONL to this file")
 
 	// Observability plane (see README "Operations").
-	flagAdmin    = flag.String("admin-addr", "", "HTTP admin endpoint serving /metrics, /healthz, /eventsz, /tracez, /flightz and /debug/pprof (e.g. 127.0.0.1:9311)")
-	flagSlowReq  = flag.Duration("slow-request", time.Second, "log + ring-record requests slower than this, with their trace id, and keep their traces in the span store (0 = off; the store then keeps traces from 250ms)")
-	flagLogLevel = flag.String("log-level", "info", "structured log threshold: debug, info, warn or error")
+	flagSlowReq = flag.Duration("slow-request", time.Second, "log + ring-record requests slower than this, with their trace id, and keep their traces in the span store (0 = off; the store then keeps traces from 250ms)")
 
 	// Durability & robustness (see README "Durability & recovery").
 	flagState     = flag.String("state-dir", "", "state directory for per-session change journals + watermark checkpoints; enables crash-restart recovery")
@@ -72,11 +64,18 @@ var (
 // drainTimeout bounds how long a drain waits for in-flight requests.
 const drainTimeout = 30 * time.Second
 
-// telemetry holds the distributed-tracing & flight-recorder flags (see
-// README "Distributed tracing & flight recorder").
-var telemetry obs.TelemetryConfig
+// flags are the listeners, admin plane, log level and metrics print
+// every daemon shares; telemetry holds the distributed-tracing &
+// flight-recorder flags (see README "Distributed tracing & flight
+// recorder").
+var (
+	flags     daemon.Flags
+	telemetry obs.TelemetryConfig
+)
 
 func init() {
+	flags.Register(flag.CommandLine, "livesimd", "server", ":9310",
+		"HTTP admin endpoint serving /metrics, /healthz, /eventsz, /tracez, /flightz and /debug/pprof (e.g. 127.0.0.1:9311)")
 	telemetry.RegisterFlags(flag.CommandLine, "livesimd", "`spans`/`trace <id>`", "default: -state-dir")
 }
 
@@ -103,16 +102,8 @@ func main() {
 // close, metrics summary) always executes.
 func run() int {
 	flag.Parse()
-	level, lerr := obs.ParseLevel(*flagLogLevel)
-	if lerr != nil {
-		fmt.Fprintln(os.Stderr, "livesimd:", lerr)
-		return 2
-	}
-	// Structured JSONL operational log: one JSON object per line on
-	// stderr, greppable and machine-parseable.
-	logger := obs.NewLogger(os.Stderr, level)
-	if *flagListen == "" && *flagUnix == "" {
-		fmt.Fprintln(os.Stderr, "need -listen and/or -unix; see -help")
+	logger := flags.Logger()
+	if logger == nil {
 		return 2
 	}
 
@@ -146,15 +137,10 @@ func run() int {
 		plan := faultinject.New()
 		cfg.Faults = plan
 		if *flagCrashWAL >= 0 {
-			// Crash-matrix harness: die hard (no drain, no deferred cleanup)
-			// the moment any session journal's durable size crosses the
-			// offset, so recovery tests exercise a genuinely torn process.
+			// Crash-matrix harness: the journal SIGKILLs the process (no
+			// drain, no deferred cleanup) the moment its durable size
+			// crosses the offset, so recovery tests meet a torn process.
 			plan.CrashWALAt(*flagCrashWAL)
-			cfg.WALOnWrite = func(size int64) {
-				if plan.WALSize(size) {
-					syscall.Kill(os.Getpid(), syscall.SIGKILL)
-				}
-			}
 		}
 		if *flagFaultFull != "" {
 			from, count, err := parsePair("fault-disk-full", *flagFaultFull)
@@ -174,88 +160,29 @@ func run() int {
 		defer f.Close()
 		cfg.TraceOut = f
 	}
-	if *flagMetrics {
-		defer func() {
-			fmt.Fprintln(os.Stderr, "-- server metrics --")
-			reg.WriteText(os.Stderr)
-		}()
-	}
 
 	srv := server.New(cfg)
-
-	// The admin plane binds before Recover so /healthz reports
-	// "recovering" (503) during journal replay instead of refusing
-	// connections — a load balancer can tell "booting" from "dead".
-	if *flagAdmin != "" {
-		aln, err := net.Listen("tcp", *flagAdmin)
-		if err != nil {
-			logger.Error("admin listen failed", obs.Str("addr", *flagAdmin), obs.Str("err", err.Error()))
-			return 1
-		}
-		admin := &http.Server{Handler: srv.AdminHandler()}
-		go admin.Serve(aln)
-		defer admin.Close()
-		logger.Info("admin endpoint listening", obs.Str("addr", aln.Addr().String()))
-	}
-
-	if err := srv.Recover(); err != nil {
-		logger.Error("recover failed", obs.Str("err", err.Error()))
-		return 1
-	}
-	serveErrs := make(chan error, 2)
-	listening := 0
-	if *flagListen != "" {
-		ln, err := net.Listen("tcp", *flagListen)
-		if err != nil {
-			logger.Error("tcp listen failed", obs.Str("addr", *flagListen), obs.Str("err", err.Error()))
-			return 1
-		}
-		logger.Info("listening", obs.Str("net", "tcp"), obs.Str("addr", ln.Addr().String()))
-		listening++
-		go func() { serveErrs <- srv.Serve(ln) }()
-	}
-	if *flagUnix != "" {
-		os.Remove(*flagUnix) // stale socket from an unclean previous run
-		ln, err := net.Listen("unix", *flagUnix)
-		if err != nil {
-			logger.Error("unix listen failed", obs.Str("addr", *flagUnix), obs.Str("err", err.Error()))
-			return 1
-		}
-		defer os.Remove(*flagUnix)
-		logger.Info("listening", obs.Str("net", "unix"), obs.Str("addr", *flagUnix))
-		listening++
-		go func() { serveErrs <- srv.Serve(ln) }()
-	}
-
-	sigs := make(chan os.Signal, 1)
-	signal.Notify(sigs, syscall.SIGTERM, syscall.SIGINT)
-
-	select {
-	case sig := <-sigs:
-		logger.Info("signal received; draining", obs.Str("signal", sig.String()))
-	case <-srv.DrainRequested():
-		// The wire `drain` verb (operator, or a gateway that migrated
-		// everything off) runs the exact same path SIGTERM does.
-		logger.Info("drain requested over the wire; draining")
-	case err := <-serveErrs:
-		if err != nil {
-			logger.Error("serve failed", obs.Str("err", err.Error()))
-			return 1
-		}
-		return 0
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
-	defer cancel()
-	rep, err := srv.Shutdown(ctx)
-	if err != nil {
-		logger.Error("drain failed", obs.Str("err", err.Error()))
-		return 1
-	}
-	saved := 0
-	for _, ds := range rep.Sessions {
-		saved += len(ds.Files)
-	}
-	logger.Info(fmt.Sprintf("drained cleanly (%d sessions, %d checkpoint files)", len(rep.Sessions), saved))
-	return 0
+	return flags.Run(daemon.Daemon{
+		Engine: srv, Log: logger, Metrics: reg,
+		// The admin plane binds before Recover so /healthz reports
+		// "recovering" (503) during journal replay instead of refusing
+		// connections — a load balancer can tell "booting" from "dead".
+		Recover:    srv.Recover,
+		Drain:      srv.DrainRequested(),
+		Stopping:   "draining",
+		StopWithin: drainTimeout,
+		Stop: func(ctx context.Context) int {
+			rep, err := srv.Shutdown(ctx)
+			if err != nil {
+				logger.Error("drain failed", obs.Str("err", err.Error()))
+				return 1
+			}
+			saved := 0
+			for _, ds := range rep.Sessions {
+				saved += len(ds.Files)
+			}
+			logger.Info(fmt.Sprintf("drained cleanly (%d sessions, %d checkpoint files)", len(rep.Sessions), saved))
+			return 0
+		},
+	})
 }

@@ -27,14 +27,11 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
+	"livesim/cmd/internal/daemon"
 	"livesim/internal/gateway"
 	"livesim/internal/obs"
 )
@@ -62,26 +59,26 @@ func (b *backendFlags) Set(v string) error {
 }
 
 var (
-	flagListen   = flag.String("listen", "", "TCP address to listen on (e.g. :9300)")
-	flagUnix     = flag.String("unix", "", "unix socket path to listen on")
-	flagAdmin    = flag.String("admin-addr", "", "HTTP admin endpoint serving /metrics, /healthz, /backendz, /eventsz, /tracez, /flightz")
-	flagHealth   = flag.Duration("health-every", 500*time.Millisecond, "backend health probe cadence")
-	flagLogLevel = flag.String("log-level", "info", "structured log threshold: debug, info, warn or error")
-	flagMetrics  = flag.Bool("metrics", true, "print the gateway metrics registry on exit")
+	flagHealth = flag.Duration("health-every", 500*time.Millisecond, "backend health probe cadence")
 
 	// Replication & failover (see README "Replication & failover").
 	flagReplicate = flag.Bool("replicate", false, "arm session replication: every placed session gets a hot standby on the rendezvous next-best backend, promoted automatically on primary failure")
 	flagFailGrace = flag.Duration("failover-grace", 2*time.Second, "how long a primary must stay down before its sessions fail over to their standbys")
 )
 
-// telemetry holds the distributed-tracing & flight-recorder flags (see
-// README "Distributed tracing & flight recorder").
-var telemetry obs.TelemetryConfig
-
-// backends is the pool the repeated -backend flags name.
-var backends backendFlags
+// flags are the listeners, admin plane, log level and metrics print
+// every daemon shares; telemetry holds the distributed-tracing &
+// flight-recorder flags (see README "Distributed tracing & flight
+// recorder"); backends is the pool the repeated -backend flags name.
+var (
+	flags     daemon.Flags
+	telemetry obs.TelemetryConfig
+	backends  backendFlags
+)
 
 func init() {
+	flags.Register(flag.CommandLine, "lsgate", "gateway", ":9300",
+		"HTTP admin endpoint serving /metrics, /healthz, /backendz, /eventsz, /tracez, /flightz")
 	flag.Var(&backends, "backend", "backend wire address, \"unix:/path\" or \"host:port\" (repeatable)")
 	telemetry.RegisterFlags(flag.CommandLine, "lsgate", "`trace <id>`", "empty = no dumps")
 }
@@ -92,15 +89,8 @@ func main() {
 
 func run() int {
 	flag.Parse()
-
-	level, lerr := obs.ParseLevel(*flagLogLevel)
-	if lerr != nil {
-		fmt.Fprintln(os.Stderr, "lsgate:", lerr)
-		return 2
-	}
-	logger := obs.NewLogger(os.Stderr, level)
-	if *flagListen == "" && *flagUnix == "" {
-		fmt.Fprintln(os.Stderr, "need -listen and/or -unix; see -help")
+	logger := flags.Logger()
+	if logger == nil {
 		return 2
 	}
 	if len(backends) == 0 {
@@ -123,94 +113,14 @@ func run() int {
 		logger.Error("gateway init failed", obs.Str("err", err.Error()))
 		return 1
 	}
-	if *flagMetrics {
-		defer func() {
-			fmt.Fprintln(os.Stderr, "-- gateway metrics --")
-			reg.WriteText(os.Stderr)
-		}()
-	}
-
-	if *flagAdmin != "" {
-		aln, err := net.Listen("tcp", *flagAdmin)
-		if err != nil {
-			logger.Error("admin listen failed", obs.Str("addr", *flagAdmin), obs.Str("err", err.Error()))
-			return 1
-		}
-		admin := &http.Server{Handler: adminHandler(gw, reg)}
-		go admin.Serve(aln)
-		defer admin.Close()
-		logger.Info("admin endpoint listening", obs.Str("addr", aln.Addr().String()))
-	}
-
-	serveErrs := make(chan error, 2)
-	if *flagListen != "" {
-		ln, err := net.Listen("tcp", *flagListen)
-		if err != nil {
-			logger.Error("tcp listen failed", obs.Str("addr", *flagListen), obs.Str("err", err.Error()))
-			return 1
-		}
-		logger.Info("listening", obs.Str("net", "tcp"), obs.Str("addr", ln.Addr().String()))
-		go func() { serveErrs <- gw.Serve(ln) }()
-	}
-	if *flagUnix != "" {
-		os.Remove(*flagUnix)
-		ln, err := net.Listen("unix", *flagUnix)
-		if err != nil {
-			logger.Error("unix listen failed", obs.Str("addr", *flagUnix), obs.Str("err", err.Error()))
-			return 1
-		}
-		defer os.Remove(*flagUnix)
-		logger.Info("listening", obs.Str("net", "unix"), obs.Str("addr", *flagUnix))
-		go func() { serveErrs <- gw.Serve(ln) }()
-	}
-
-	sigs := make(chan os.Signal, 1)
-	signal.Notify(sigs, syscall.SIGTERM, syscall.SIGINT)
-	select {
-	case sig := <-sigs:
-		logger.Info("signal received; shutting down", obs.Str("signal", sig.String()))
-	case err := <-serveErrs:
-		if err != nil {
-			logger.Error("serve failed", obs.Str("err", err.Error()))
-			return 1
-		}
-		return 0
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	gw.Shutdown(ctx)
-	logger.Info("gateway stopped")
-	return 0
-}
-
-// adminHandler is lsgate's HTTP surface: /metrics (Prometheus text),
-// /healthz (200 as long as the gateway runs — it is stateless, so
-// liveness is the only meaningful signal; the body carries the pool
-// summary), /backendz (the `backends` verb as JSON), /eventsz, /tracez
-// (fleet-assembled trace for ?id=) and /flightz (the black-box ring).
-func adminHandler(gw *gateway.Gateway, reg *obs.Registry) http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		pw := obs.NewPromWriter("lsgate_")
-		pw.AddSnapshot(nil, reg.Snapshot())
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		pw.Write(w)
+	return flags.Run(daemon.Daemon{
+		Engine: gw, Log: logger, Metrics: reg,
+		Stopping:   "shutting down",
+		StopWithin: 10 * time.Second,
+		Stop: func(ctx context.Context) int {
+			gw.Shutdown(ctx)
+			logger.Info("gateway stopped")
+			return 0
+		},
 	})
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		resp := gw.AdminPing()
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(append(resp, '\n'))
-	})
-	mux.HandleFunc("/backendz", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(append(gw.AdminBackends(), '\n'))
-	})
-	mux.HandleFunc("/eventsz", gw.Telemetry().HandleEventsz)
-	// /tracez assembles one trace's spans across the whole fleet (the
-	// HTTP twin of the `trace <id>` verb); /flightz is the gateway's own
-	// black-box ring.
-	mux.HandleFunc("/tracez", gw.HandleTracez)
-	mux.HandleFunc("/flightz", gw.Telemetry().HandleFlightz)
-	return mux
 }

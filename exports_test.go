@@ -282,6 +282,40 @@ func TestExportsGolden(t *testing.T) {
 	}
 }
 
+// TestUnimportedPackagesGolden pins the packages that no non-test code
+// outside themselves imports: tests alone reach them. Each has a stated
+// reason below; one added without a reason shows up here as a diff, and
+// needs an importer, a reason or a move into the tests that use it.
+func TestUnimportedPackagesGolden(t *testing.T) {
+	m := loadModule(t)
+	imported := map[*types.Package]bool{}
+	for _, p := range m.order {
+		for _, imp := range p.Imports() {
+			imported[imp] = true
+		}
+	}
+	var got []string
+	for _, p := range m.order {
+		if p.Name() != "main" && !imported[p] {
+			got = append(got, strings.TrimPrefix(strings.TrimPrefix(p.Path(), modulePath+"/"), "internal/"))
+		}
+	}
+	sort.Strings(got)
+	var want []string
+	for _, g := range unimportedGolden {
+		want = append(want, strings.Fields(g.names)...)
+	}
+	sort.Strings(want)
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("packages no non-test code imports:\n got %s\nwant %s", strings.Join(got, " "), strings.Join(want, " "))
+	}
+}
+
+var unimportedGolden = []struct{ why, names string }{
+	{"ROADMAP item 2's AST round trip; today the incremental compiler's oracle prints every shared AST to see that no build writes to it", "hdl/printer"},
+	{"the shared random design generator: the codegen, flatsim, livecompiler, sim and vm tests and fuzzers build their designs with it", "randrtl"},
+}
+
 var exportsGolden = []struct{ why, names string }{
 	{"the library API: livesim.go and the Session methods it documents, used by examples/, cmd/ and TestFacadeEndToEnd", `
 core.Session.Metrics livesim.NewCountingTB livesim.NewTracer

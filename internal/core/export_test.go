@@ -18,3 +18,9 @@ func RestoreAdapted(sm *sim.Sim, st *sim.State, objects map[string]*vm.Object, o
 	s := &Session{versions: h, version: "new", versionObjects: map[string]map[string]*vm.Object{"old": objects}}
 	return s.restoreStateAdapted(sm, &checkpoint.Checkpoint{Version: "old", State: st})
 }
+
+// PowerOn puts pipe back to power-on through the restore an edit makes
+// when no checkpoint precedes its cycle.
+func (s *Session) PowerOn(pipe string) error {
+	return s.restoreFromCheckpoint(s.pipes[pipe], nil)
+}

@@ -310,11 +310,11 @@ func (s *Session) ApplyChange(newSrc liveparser.Source) (*ChangeReport, error) {
 }
 
 // restoreFromCheckpoint loads cp (possibly from an older design version)
-// into the pipe; nil cp resets to the power-on state.
+// into the pipe; nil cp puts it back to power-on, as sim.New builds it.
 func (s *Session) restoreFromCheckpoint(p *Pipe, cp *checkpoint.Checkpoint) error {
 	var aux map[string][]byte
 	if cp == nil {
-		p.Sim.RestoreAdapted(&sim.State{}, nil, nil)
+		p.Sim.PowerOn()
 	} else {
 		if err := s.restoreStateAdapted(p.Sim, cp); err != nil {
 			return err

@@ -18,7 +18,9 @@ package faultinject
 import (
 	"errors"
 	"fmt"
+	"os"
 	"sync"
+	"syscall"
 	"time"
 )
 
@@ -160,10 +162,9 @@ func (p *Plan) TornWALWrite(nth, keep int) *Plan {
 	return p
 }
 
-// CrashWALAt arms the kill-at-WAL-offset crash point: WALSize reports
-// true (once) as soon as the journal's durable size reaches offset
-// bytes. The caller — livesimd's -crash-wal-offset wiring — is expected
-// to SIGKILL itself on that signal.
+// CrashWALAt arms the kill-at-WAL-offset crash point: the process
+// SIGKILLs itself (once) as soon as a journal's durable size reaches
+// offset bytes (WALSize). livesimd's -crash-wal-offset arms it.
 func (p *Plan) CrashWALAt(offset int64) *Plan {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -376,20 +377,21 @@ func (p *Plan) WALTear(appendIdx, frameLen int) int {
 }
 
 // WALSize is consulted after each durable WAL append with the journal's
-// new size; it returns true — crash now — exactly once, when the armed
-// offset is reached or passed. Nil-safe.
-func (p *Plan) WALSize(size int64) bool {
+// new size. The first time the armed offset is reached or passed, the
+// process SIGKILLs itself: no drain and no deferred cleanup, so recovery
+// meets a genuinely torn process. Nil-safe.
+func (p *Plan) WALSize(size int64) {
 	if p == nil {
-		return false
+		return
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.crashWALAt < 0 || size < p.crashWALAt {
-		return false
+		return
 	}
 	p.crashWALAt = -1
 	p.fired = append(p.fired, fmt.Sprintf("wal-crash:%d", size))
-	return true
+	syscall.Kill(os.Getpid(), syscall.SIGKILL)
 }
 
 // RunStall is consulted before each run chunk with the chunk's starting

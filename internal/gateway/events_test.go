@@ -29,10 +29,9 @@ func TestGatewayEventsReachBlackBoxAndTakeSince(t *testing.T) {
 		}
 		return false
 	})
-	var dump bytes.Buffer
-	g.Telemetry().Flight.Dump(&dump, "test")
-	if !strings.Contains(dump.String(), `"type":"backend_state"`) {
-		t.Fatalf("backend_state event missing from the black box:\n%s", dump.String())
+	dump := adminGet(t, g.AdminHandler(), "/flightz").Body.String()
+	if !strings.Contains(dump, `"type":"backend_state"`) {
+		t.Fatalf("backend_state event missing from the black box:\n%s", dump)
 	}
 
 	c := dial(t, gaddr)

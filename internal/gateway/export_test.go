@@ -1,6 +1,10 @@
 package gateway
 
-import "sort"
+import (
+	"sort"
+
+	"livesim/internal/wire"
+)
 
 // RendezvousScore exposes placement to the external tests, which need a
 // session name that lands on a chosen backend.
@@ -22,3 +26,7 @@ func HandlerVerbs() []string {
 	sort.Strings(names)
 	return names
 }
+
+// AdminBackends returns the `backends` verb's table as JSON, the body of
+// /backendz less its newline.
+func (g *Gateway) AdminBackends() []byte { return g.backendsResp(&wire.Request{}).Data }

@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"net/http"
 	"sort"
 	"strings"
 	"sync"
@@ -264,10 +265,6 @@ func (g *Gateway) Metrics() *obs.Registry { return g.reg }
 
 // Events returns the gateway's retained operational events, oldest first.
 func (g *Gateway) Events() []obs.Event { return g.tel.Events(0) }
-
-// Telemetry returns the gateway's tracing and event plane, whose
-// handlers serve lsgate's /eventsz and /flightz.
-func (g *Gateway) Telemetry() *obs.Telemetry { return g.tel }
 
 func (g *Gateway) healthLoop() {
 	// ±20% jitter per tick: several gateways fronting one pool (or this
@@ -897,12 +894,31 @@ func (g *Gateway) drainVerb(req *wire.Request) *wire.Response {
 	return resp
 }
 
-// AdminPing returns the ping verb's pool-summary payload as JSON, for
-// lsgate's /healthz.
-func (g *Gateway) AdminPing() []byte { return g.pingResp(&wire.Request{}).Data }
-
-// AdminBackends returns the backends table as JSON, for /backendz.
-func (g *Gateway) AdminBackends() []byte { return g.backendsResp(&wire.Request{}).Data }
+// AdminHandler returns lsgate's admin-plane HTTP handler (cmd/lsgate
+// binds it to -admin-addr). obs.Telemetry.Mount serves /eventsz,
+// /flightz and /metrics (the registry) as livesimd does; the gateway
+// adds:
+//
+//	GET /healthz   200 as long as the gateway runs — it is stateless, so
+//	               liveness is the only meaningful signal; the body is
+//	               the `ping` verb's pool summary
+//	GET /backendz  the `backends` verb's table as JSON
+//	GET /tracez    the local trace index, or ?id=<trace> for the
+//	               fleet-assembled trace (JSON; &render=text for the tree)
+func (g *Gateway) AdminHandler() http.Handler {
+	mux := http.NewServeMux()
+	g.tel.Mount(mux, "lsgate_", nil)
+	verbData := func(verb func(*wire.Request) *wire.Response) http.HandlerFunc {
+		return func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			w.Write(append(verb(&wire.Request{}).Data, '\n'))
+		}
+	}
+	mux.HandleFunc("/healthz", verbData(g.pingResp))
+	mux.HandleFunc("/backendz", verbData(g.backendsResp))
+	mux.HandleFunc("/tracez", g.handleTracez)
+	return mux
+}
 
 // Shutdown stops the gateway: close listeners, wait out in-flight
 // requests (bounded by ctx), stop the health loop and wait for it and

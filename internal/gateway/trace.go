@@ -152,10 +152,10 @@ func (g *Gateway) traceVerb(req *wire.Request) *wire.Response {
 	return &wire.Response{ID: req.ID, OK: true, Output: out.String(), Data: data}
 }
 
-// HandleTracez is the gateway's /tracez admin endpoint: the local trace
-// index without ?id=, the fleet-assembled TraceAssembly for ?id=<trace>
-// (add &render=text for the tree instead of JSON).
-func (g *Gateway) HandleTracez(w http.ResponseWriter, r *http.Request) {
+// handleTracez is the gateway's /tracez: the local trace index without
+// ?id=, the fleet-assembled TraceAssembly for ?id=<trace> (add
+// &render=text for the tree instead of JSON).
+func (g *Gateway) handleTracez(w http.ResponseWriter, r *http.Request) {
 	if g.tel.Store == nil {
 		http.Error(w, "span store disabled", http.StatusNotFound)
 		return

@@ -79,9 +79,9 @@ func (t *Telemetry) EventsVerb(args []string) (out string, data []byte, err erro
 	return b.String(), data, nil
 }
 
-// HandleEventsz is /eventsz for either daemon: the events as JSON,
-// ?since=seq as in the verb.
-func (t *Telemetry) HandleEventsz(w http.ResponseWriter, r *http.Request) {
+// handleEventsz is /eventsz: the events as JSON, ?since=seq as in the
+// verb.
+func (t *Telemetry) handleEventsz(w http.ResponseWriter, r *http.Request) {
 	since := uint64(0)
 	if v := r.URL.Query().Get("since"); v != "" {
 		n, err := strconv.ParseUint(v, 10, 64)

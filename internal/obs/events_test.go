@@ -102,7 +102,7 @@ func TestEventsVerbAndEventsz(t *testing.T) {
 	}
 	for url, want := range map[string]string{"/eventsz?since=2": "[]\n", "/eventsz?since=x": "bad since"} {
 		rec := httptest.NewRecorder()
-		tel.HandleEventsz(rec, httptest.NewRequest(http.MethodGet, url, nil))
+		tel.handleEventsz(rec, httptest.NewRequest(http.MethodGet, url, nil))
 		if !strings.Contains(rec.Body.String(), want) {
 			t.Errorf("%s = %d %q, want %q", url, rec.Code, rec.Body.String(), want)
 		}

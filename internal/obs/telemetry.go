@@ -150,9 +150,27 @@ func (t *Telemetry) AttachSinks(fan *Fanout) {
 	}
 }
 
-// HandleFlightz is /flightz for either daemon: the flight-recorder ring
-// as NDJSON, newest last, exactly as a blackbox dump writes it.
-func (t *Telemetry) HandleFlightz(w http.ResponseWriter, r *http.Request) {
+// Mount serves on mux the admin endpoints both daemons answer alike:
+// /eventsz, /flightz, and /metrics, which renders the registry in
+// Prometheus text under promPrefix and then what more adds (nil:
+// nothing).
+func (t *Telemetry) Mount(mux *http.ServeMux, promPrefix string, more func(*PromWriter)) {
+	mux.HandleFunc("/eventsz", t.handleEventsz)
+	mux.HandleFunc("/flightz", t.handleFlightz)
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
+		pw := NewPromWriter(promPrefix)
+		pw.AddSnapshot(nil, t.reg.Snapshot())
+		if more != nil {
+			more(pw)
+		}
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		pw.Write(w)
+	})
+}
+
+// handleFlightz is /flightz: the flight-recorder ring as NDJSON, newest
+// last, exactly as a blackbox dump writes it.
+func (t *Telemetry) handleFlightz(w http.ResponseWriter, r *http.Request) {
 	if t.Flight == nil {
 		http.Error(w, "flight recorder disabled", http.StatusNotFound)
 		return

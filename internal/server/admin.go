@@ -14,23 +14,20 @@ import (
 	"livesim/internal/obs"
 )
 
-// The admin plane. AdminHandler is livesimd's operational HTTP surface
-// (cmd/livesimd binds it to -admin-addr), deliberately separate from
-// the NDJSON session port so scrapes and profilers never contend with
-// simulation traffic:
+// The admin plane. AdminHandler is livesimd's operational HTTP surface,
+// deliberately separate from the NDJSON session port so scrapes and
+// profilers never contend with simulation traffic. obs.Telemetry.Mount
+// serves /eventsz, /flightz and the registry part of /metrics as lsgate
+// does; the server adds:
 //
-//	GET /metrics      Prometheus text exposition: the health verdict,
-//	                  the server registry plus every per-session
-//	                  registry (session label) and the rolling-window
-//	                  latency quantiles
+//	GET /metrics      the health verdict, every per-session registry
+//	                  (session label) and the rolling-window latency
+//	                  quantiles
 //	GET /healthz      liveness with drain/recovery/quarantine awareness
-//	GET /eventsz      the operational event ring as JSON (?since=seq)
 //	GET /profilez     per-session activity-profiler snapshots as JSON
 //	                  (?session=name to select one, ?pipe=name within it)
 //	GET /tracez       the span store: trace index, or ?id=<trace> for one
 //	                  trace's spans (JSON; &render=text for the tree)
-//	GET /flightz      the flight-recorder ring as NDJSON (the same lines
-//	                  a blackbox-<ts>.jsonl dump would hold)
 //	GET /debug/pprof  the stdlib profiler endpoints
 //
 // The handler holds no state of its own — every request renders the
@@ -41,12 +38,10 @@ import (
 // AdminHandler returns the admin-plane HTTP handler.
 func (s *Server) AdminHandler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", s.handleMetrics)
+	s.tel.Mount(mux, "livesim_", s.addMetrics)
 	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/eventsz", s.tel.HandleEventsz)
 	mux.HandleFunc("/profilez", s.handleProfilez)
 	mux.HandleFunc("/tracez", s.handleTracez)
-	mux.HandleFunc("/flightz", s.tel.HandleFlightz)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -55,10 +50,13 @@ func (s *Server) AdminHandler() http.Handler {
 	return mux
 }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	pw := obs.NewPromWriter("livesim_")
-	// The health verdict as /healthz would write it now: each numeric
-	// field as livesim_health_<json key>, and the disk rung as a number.
+// addMetrics adds to /metrics what only livesimd has: the health
+// verdict as /healthz would write it now (each numeric field as
+// livesim_health_<json key>, and the disk rung as a number), each hosted
+// session's registry and request window, and the per-verb rolling-window
+// latency quantiles. Every registry is snapshot outside the table lock:
+// Registry.Snapshot runs OnSnapshot hooks that take session locks.
+func (s *Server) addMetrics(pw *obs.PromWriter) {
 	health := s.health()
 	var fields map[string]any
 	body, _ := json.Marshal(health)
@@ -69,9 +67,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	pw.AddSample("health_disk_level", "gauge", nil, float64(health.disk))
-	// Snapshot outside the table lock: Registry.Snapshot runs OnSnapshot
-	// hooks that take session locks.
-	pw.AddSnapshot(nil, s.reg.Snapshot())
 	for _, h := range s.hostedSet(true) {
 		labels := map[string]string{"session": h.name}
 		pw.AddSnapshot(labels, h.reg.Snapshot())
@@ -104,9 +99,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 				wins[v].Quantile(q))
 		}
 	}
-
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	pw.Write(w)
 }
 
 func formatQ(q float64) string {

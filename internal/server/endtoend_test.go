@@ -201,8 +201,9 @@ func TestFleetEndToEnd(t *testing.T) {
 	gsock := filepath.Join(dir, "g.sock")
 	gate := startProc(t, buildBinary(t, "lsgate"), "-unix", gsock,
 		"-backend", "unix:"+sockA, "-backend", "unix:"+sockB, "-replicate",
-		"-failover-grace", "300ms", "-health-every", "50ms", "-metrics=false")
+		"-failover-grace", "300ms", "-health-every", "50ms", "-metrics=false", "-admin-addr", "127.0.0.1:0")
 	waitDial(t, gsock)
+	gadmin := "http://" + gate.logged(t, "admin endpoint listening")["addr"].(string)
 
 	type backend struct {
 		d           *daemon
@@ -229,6 +230,15 @@ func TestFleetEndToEnd(t *testing.T) {
 	if strings.Contains(trace, "incomplete") {
 		t.Fatalf("a healthy fleet assembled an incomplete tree:\n%s", trace)
 	}
+	var health struct {
+		Gateway         bool
+		Backends, Alive int
+	}
+	if body := httpGet(t, gadmin+"/healthz"); json.Unmarshal([]byte(body), &health) != nil ||
+		!health.Gateway || health.Backends != 2 || health.Alive != 2 {
+		t.Fatalf("lsgate /healthz = %s", body)
+	}
+	mustContain(t, httpGet(t, gadmin+"/metrics"), "# TYPE lsgate_gateway_")
 
 	src, dst := primary(out)
 	out = cli(t, gsock, nil, "migrate", "cycle p0", "sessions")
@@ -256,6 +266,8 @@ func TestFleetEndToEnd(t *testing.T) {
 	// The gateway goes first: its reconcile sweep would close the
 	// corpse's copy before the probe reaches it.
 	gate.terminate(t)
+	gate.logged(t, "signal received; shutting down")
+	gate.logged(t, "gateway stopped")
 
 	startDaemon(t, bin, prim.sock, prim.state)
 	waitDial(t, prim.sock)

@@ -48,7 +48,6 @@ func (s *Server) walOpts() wal.Options {
 	return wal.Options{
 		SyncEvery: s.walSyncInterval(),
 		Faults:    s.cfg.Faults,
-		OnWrite:   s.cfg.WALOnWrite,
 		Metrics:   s.reg,
 	}
 }
@@ -322,7 +321,7 @@ func (s *Server) journalMutation(h *hosted, t *task) {
 	}
 	// Ship-on-commit: the standby must hold this record before the client
 	// sees OK, so a primary lost the instant after responding loses no
-	// acked mutation. (The crash matrix's OnWrite hook fires inside
+	// acked mutation. (The crash matrix's SIGKILL fires inside
 	// Append, BEFORE this ship — a kill there loses only unacked work.)
 	s.shipTail(h, t)
 }

@@ -53,9 +53,6 @@ type Config struct {
 	// on every append (maximum durability, the crash-test setting), 0 =
 	// default 100ms group commit, positive = that flush interval.
 	WALSyncEvery time.Duration
-	// WALOnWrite, when set, observes the journal's durable size after
-	// every append (the crash matrix uses it to die at chosen offsets).
-	WALOnWrite func(size int64)
 	// JournalCheckpointEvery saves watermark checkpoints after this many
 	// journaled mutations, bounding replay work after a crash. 0 saves
 	// watermarks only on drain and eviction.

@@ -418,6 +418,19 @@ func (s *Sim) load(st *State, put func(i int, n *Node)) {
 	}
 }
 
+// PowerOn puts the simulation back in the state New builds: every slot
+// and memory word zero but the constants, at cycle 0, with every
+// instance to evaluate at the first settle. Unlike a restore it does not
+// settle: what a testbench writes at cycle 0 lands before the first
+// evaluation, as it does on a fresh simulation.
+func (s *Sim) PowerOn() {
+	for _, n := range s.nodes {
+		n.Inst.ZeroState()
+	}
+	s.cycle, s.finished, s.base = 0, false, nil
+	s.settled, s.allDirty, s.stale = false, true, true
+}
+
 // RestoreAdapted loads a snapshot that may have been captured under other
 // versions of the code, matching nodes by hierarchical path. recorded
 // holds the objects the captured nodes' keys named at capture. A node

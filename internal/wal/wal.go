@@ -127,14 +127,12 @@ type Options struct {
 	// every append (maximum durability, the crash-matrix setting);
 	// > 0 batches fsyncs on that interval (the steady-state setting).
 	SyncEvery time.Duration
-	// Faults, when set, injects torn appends (Plan.TornWALWrite). Nil
-	// costs one nil check.
+	// Faults, when set, injects failed and torn appends
+	// (Plan.DiskFullAppends, Plan.TornWALWrite) and, once an append's
+	// bytes reached the file (and, with SyncEvery 0, were fsynced), the
+	// crash matrix's SIGKILL at an armed size (Plan.CrashWALAt). Nil costs
+	// one nil check.
 	Faults *faultinject.Plan
-	// OnWrite, when set, observes the file size after each append's
-	// bytes reached the file (and, with SyncEvery 0, were fsynced). The
-	// crash-matrix wiring SIGKILLs the daemon from here at an armed
-	// offset.
-	OnWrite func(size int64)
 	// Metrics, when set, receives wal_bytes / wal_appends /
 	// wal_truncations. Nil-safe.
 	Metrics *obs.Registry
@@ -308,9 +306,7 @@ func (w *WAL) Append(r *Record) error {
 	}
 	w.opts.Metrics.Counter("wal_appends").Inc()
 	w.opts.Metrics.Counter("wal_bytes").Add(uint64(len(buf)))
-	if w.opts.OnWrite != nil {
-		w.opts.OnWrite(w.size)
-	}
+	w.opts.Faults.WALSize(w.size)
 	return nil
 }
 

@@ -9,6 +9,7 @@ import (
 	"io"
 	"maps"
 	"net"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -111,9 +112,12 @@ func startGateway(t *testing.T) *speaker {
 		defer cancel()
 		gw.Shutdown(ctx)
 	}
+	admin := gw.AdminHandler()
 	sp.backend = func() string {
+		rec := httptest.NewRecorder()
+		admin.ServeHTTP(rec, httptest.NewRequest("GET", "/backendz", nil))
 		var rows []gateway.BackendInfo
-		if err := json.Unmarshal(gw.AdminBackends(), &rows); err != nil || len(rows) != 1 {
+		if err := json.Unmarshal(rec.Body.Bytes(), &rows); err != nil || len(rows) != 1 {
 			t.Fatalf("backends: %v %v", rows, err)
 		}
 		return rows[0].State

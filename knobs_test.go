@@ -22,7 +22,7 @@ func TestConfigFieldsGolden(t *testing.T) {
 		want string
 	}{
 		{server.Config{}, "QueueDepth IdleTimeout CheckpointEvery DrainDir StateDir RunBudget " +
-			"WALSyncEvery WALOnWrite JournalCheckpointEvery Faults Metrics TraceOut Log SlowRequest " +
+			"WALSyncEvery JournalCheckpointEvery Faults Metrics TraceOut Log SlowRequest " +
 			"TelemetryConfig AdmitBudget DiskPollEvery MemBudget JournalResumeDelay"},
 		{gateway.Config{}, "Backends HealthEvery Replicate FailoverGrace Metrics Log TraceOut " +
 			"TelemetryConfig Faults"},

@@ -43,6 +43,10 @@ type Checkpoint struct {
 	// session stores testbench snapshots here so a reload resumes the
 	// whole operation history, not just the RTL state.
 	Aux map[string][]byte
+
+	// cost is what the checkpoint adds to its store's ApproxBytes, given
+	// the checkpoint before it there.
+	cost uint64
 }
 
 // Bytes serializes the checkpoint's state (see DecodeState), on each call.
@@ -61,6 +65,9 @@ type Store struct {
 
 	cps    []*Checkpoint
 	nextID int
+	// bytes is ApproxBytes: the sum of the live checkpoints' costs, kept
+	// current as checkpoints come and go.
+	bytes uint64
 
 	// metrics, when set, receives checkpoint_* counters. cTakes is
 	// resolved once in SetMetrics so Add never pays a registry lookup;
@@ -84,22 +91,42 @@ func (s *Store) SetMetrics(reg *obs.Registry) {
 }
 
 // Add records st, which the caller hands over and must not write again,
-// as a new checkpoint and applies the GC policy.
+// as a new checkpoint with no side state and applies the GC policy.
 func (s *Store) Add(st *sim.State, version string, historyPos int) *Checkpoint {
+	return s.AddCapture(&Checkpoint{Cycle: st.Cycle, Version: version, HistoryPos: historyPos, State: st})
+}
+
+// AddCapture records c, a capture in no store with its Aux filled in,
+// as a new checkpoint, gives it its ID and applies the GC policy. The
+// caller hands c over and must not write it again: it is whole before
+// any reader of the store can see it.
+func (s *Store) AddCapture(c *Checkpoint) *Checkpoint {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cp := &Checkpoint{
-		ID:         s.nextID,
-		Cycle:      st.Cycle,
-		Version:    version,
-		HistoryPos: historyPos,
-		State:      st,
-	}
+	c.ID = s.nextID
 	s.nextID++
-	s.cps = append(s.cps, cp)
+	s.cps = append(s.cps, c)
+	s.chargeLocked(len(s.cps) - 1)
 	s.gcLocked()
 	s.cTakes.Inc()
-	return cp
+	return c
+}
+
+// chargeLocked counts again what the checkpoint at i adds to the
+// footprint: its state less the pages it shares with the checkpoint
+// before it, and its Aux.
+func (s *Store) chargeLocked(i int) {
+	cp := s.cps[i]
+	var prev *sim.State
+	if i > 0 {
+		prev = s.cps[i-1].State
+	}
+	n := uint64(cp.State.UnsharedBytes(prev))
+	for _, aux := range cp.Aux {
+		n += uint64(len(aux))
+	}
+	s.bytes += n - cp.cost
+	cp.cost = n
 }
 
 // Wait returns at once: a checkpoint is complete when Add returns, so
@@ -112,21 +139,11 @@ func (s *Store) Wait() {}
 // counted again, and the shared zero page not at all, so a run of
 // consecutive captures costs its first state plus the pages each later
 // one changed. Feeds the governance plane's per-session memory gauges.
+// The count is kept as checkpoints come and go, so reading it is O(1).
 func (s *Store) ApproxBytes() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var n uint64
-	var prev *sim.State
-	for _, cp := range s.cps {
-		if cp.State != nil {
-			n += uint64(cp.State.UnsharedBytes(prev))
-			prev = cp.State
-		}
-		for _, aux := range cp.Aux {
-			n += uint64(len(aux))
-		}
-	}
-	return n
+	return s.bytes
 }
 
 // Len returns the number of live checkpoints.
@@ -229,13 +246,27 @@ func (s *Store) DropAfterCycle(cycle uint64) int {
 
 // drop removes the checkpoints gone reports and returns how many. The
 // slots past the new length are cleared, so nothing keeps a dropped
-// checkpoint reachable.
+// checkpoint reachable. Only a checkpoint that now follows another than
+// before is counted again.
 func (s *Store) drop(gone func(cp *Checkpoint) bool) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := len(s.cps)
-	s.cps = slices.DeleteFunc(s.cps, gone)
-	dropped := n - len(s.cps)
+	kept, moved := s.cps[:0], false
+	for _, cp := range s.cps {
+		if gone(cp) {
+			s.bytes -= cp.cost
+			moved = true
+			continue
+		}
+		kept = append(kept, cp)
+		if moved {
+			s.chargeLocked(len(kept) - 1)
+			moved = false
+		}
+	}
+	dropped := len(s.cps) - len(kept)
+	clear(s.cps[len(kept):])
+	s.cps = kept
 	s.metrics.Counter("checkpoint_gc_deleted").Add(uint64(dropped))
 	return dropped
 }
@@ -249,7 +280,13 @@ func (s *Store) gcLocked() {
 	if s.maxTotal <= 0 || len(s.cps) <= s.maxTotal {
 		return
 	}
-	sort.Slice(s.cps, func(i, j int) bool { return s.cps[i].Cycle < s.cps[j].Cycle })
+	byCycle := func(i, j int) bool { return s.cps[i].Cycle < s.cps[j].Cycle }
+	if !sort.SliceIsSorted(s.cps, byCycle) {
+		sort.Slice(s.cps, byCycle)
+		for i := range s.cps {
+			s.chargeLocked(i)
+		}
+	}
 	for len(s.cps) > s.maxTotal {
 		limit := len(s.cps) - s.keepLatest // only indexes < limit are candidates
 		if limit <= 1 {
@@ -268,7 +305,9 @@ func (s *Store) gcLocked() {
 		if bestIdx < 0 {
 			break
 		}
+		s.bytes -= s.cps[bestIdx].cost
 		s.cps = slices.Delete(s.cps, bestIdx, bestIdx+1)
+		s.chargeLocked(bestIdx) // bestIdx < limit, so one follows it
 		s.metrics.Counter("checkpoint_gc_deleted").Inc()
 	}
 }

@@ -3,6 +3,8 @@ package checkpoint
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"strings"
@@ -96,12 +98,56 @@ func TestApproxBytesCountsEachStateOnce(t *testing.T) {
 	s := NewStore()
 	want := 0
 	for c := uint64(0); c < 30; c++ {
-		cp := s.Add(mkState(c), "v1", 0)
-		cp.Aux = map[string][]byte{"tb0": make([]byte, c)}
+		cp := s.AddCapture(&Checkpoint{Cycle: c, Version: "v1", State: mkState(c),
+			Aux: map[string][]byte{"tb0": make([]byte, c)}})
 		want += cp.State.Bytes() + int(c)
 	}
 	if got := s.ApproxBytes(); got != uint64(want) {
 		t.Errorf("ApproxBytes %d, want %d", got, want)
+	}
+}
+
+// TestApproxBytesMatchesRecount: after every step of random sequences
+// of adds (at cycles out of order too, and with side state), drops by
+// version, by mark and by cycle, and GC past a small cap, the byte count
+// the store keeps equals a count from nothing. Each capture shares its
+// memory pages with the one taken before it, but for one it rewrites,
+// as sim.Snapshot does, so who follows whom decides the count.
+func TestApproxBytesMatchesRecount(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s := NewStore()
+		s.setGC(3, 8)
+		mem := sim.PagedMem(make([]uint64, 4*sim.PageWords))
+		marks := []int{s.Mark()}
+		for step := 0; step < 200; step++ {
+			switch op := rng.Intn(10); {
+			case op < 6:
+				next := append(sim.Mem(nil), mem...)
+				pg := rng.Intn(len(next))
+				next[pg] = append([]uint64(nil), next[pg]...)
+				next[pg][rng.Intn(sim.PageWords)] = rng.Uint64()
+				mem = next
+				cycle := uint64(step * 10)
+				if op == 0 {
+					cycle = uint64(rng.Intn(step*10 + 1))
+				}
+				st := &sim.State{Cycle: cycle, Nodes: []sim.NodeState{{Path: "top", ObjKey: "m",
+					Slots: []uint64{cycle}, Mems: []sim.Mem{mem}}}}
+				s.AddCapture(&Checkpoint{Cycle: cycle, Version: fmt.Sprintf("v%d", rng.Intn(3)), State: st,
+					Aux: map[string][]byte{"tb0": make([]byte, rng.Intn(64))}})
+				marks = append(marks, s.Mark())
+			case op == 6:
+				s.DropVersionAfter(fmt.Sprintf("v%d", rng.Intn(3)), uint64(rng.Intn(step*10+1)))
+			case op == 7:
+				s.DropSince(marks[rng.Intn(len(marks))])
+			default:
+				s.DropAfterCycle(uint64(rng.Intn(step*10 + 1)))
+			}
+			if got, want := s.ApproxBytes(), s.recount(); got != want {
+				t.Fatalf("seed %d step %d: ApproxBytes %d, a recount %d", seed, step, got, want)
+			}
+		}
 	}
 }
 

@@ -187,6 +187,9 @@ type Session struct {
 	pipes     map[string]*Pipe
 	pipeOrder []string
 	tbFactory map[string]TestbenchFactory
+	// tbNames holds each registered handle keyed by itself: the copy a
+	// run journals, so no request's own string stays alive in History.
+	tbNames map[string]string
 
 	verifyWG sync.WaitGroup
 
@@ -229,6 +232,7 @@ func NewSession(top string, cfg Config) *Session {
 		compiler:       comp,
 		pipes:          make(map[string]*Pipe),
 		tbFactory:      make(map[string]TestbenchFactory),
+		tbNames:        make(map[string]string),
 		versionObjects: make(map[string]map[string]*vm.Object),
 		metrics:        cfg.Metrics,
 		tracer:         obs.NewTracer(cfg.TraceOut),
@@ -306,6 +310,7 @@ func (s *Session) RegisterTestbench(handle string, f TestbenchFactory) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.tbFactory[handle] = f
+	s.tbNames[handle] = handle
 }
 
 // Library returns the Object Library Table (Table II).
@@ -490,7 +495,7 @@ func (s *Session) Run(tbHandle, pipeName string, cycles int) error {
 		}
 	}
 	start := p.Sim.Cycle()
-	p.History = append(p.History, RunOp{TB: tbHandle, Cycles: cycles, StartCycle: start})
+	p.History = append(p.History, RunOp{TB: s.tbNames[tbHandle], Cycles: cycles, StartCycle: start})
 	opIdx := len(p.History) - 1
 	s.mu.Unlock()
 
@@ -645,8 +650,7 @@ func (s *Session) takeCheckpoint(p *Pipe) (*checkpoint.Checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	cp := p.Checkpoints.Add(c.State, c.Version, c.HistoryPos)
-	cp.Aux = c.Aux
+	cp := p.Checkpoints.AddCapture(c)
 	p.lastCheckpoint = c.Cycle
 	if s.metrics != nil {
 		s.hCkptCapture.Observe(time.Since(t0).Seconds())

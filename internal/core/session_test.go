@@ -1,12 +1,16 @@
 package core
 
 import (
+	"encoding/json"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"livesim/internal/checkpoint"
 	"livesim/internal/liveparser"
+	"livesim/internal/wire"
 )
 
 // The test design: an accumulator whose step behaviour changes at cycle
@@ -543,5 +547,35 @@ func TestVersionPruning(t *testing.T) {
 	// The session still runs and checkpoints on the current version.
 	if err := s.Run("tb0", "p0", 40); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRunJournalsTheRegisteredHandle: a thousand runs decoded from wire
+// requests, each holding its own copy of "tb0", journal one string
+// between them — the handle the testbench was registered under — so the
+// journal keeps no request's string alive.
+func TestRunJournalsTheRegisteredHandle(t *testing.T) {
+	s := newAccSession(t, accDesign)
+	if _, err := s.InstPipe("p0"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 1000; i++ {
+		var req wire.Request
+		line := fmt.Sprintf(`{"id":%d,"session":"s0","verb":"run","args":["tb0","p0","1"]}`, i)
+		if err := json.Unmarshal([]byte(line), &req); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Run(req.Args[0], req.Args[1], 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p, _ := s.Pipe("p0")
+	if len(p.History) != 1000 {
+		t.Fatalf("%d runs journaled, want 1000", len(p.History))
+	}
+	for i, op := range p.History {
+		if op.TB != "tb0" || unsafe.StringData(op.TB) != unsafe.StringData(s.tbNames["tb0"]) {
+			t.Fatalf("run %d journals %q at %p, not the registered handle", i, op.TB, unsafe.StringData(op.TB))
+		}
 	}
 }

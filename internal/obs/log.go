@@ -97,7 +97,7 @@ func (l *Logger) log(level Level, msg string, fields []Attr) {
 	b := append(make([]byte, 0, 256), `{"ts":"`...)
 	b = now.UTC().AppendFormat(b, time.RFC3339Nano)
 	b = append(append(b, `","level":"`...), level.String()...)
-	b = appendJSONString(append(b, `","msg":`...), msg)
+	b = AppendJSONString(append(b, `","msg":`...), msg)
 	for _, f := range fields {
 		b = appendAttr(append(b, ','), f)
 	}

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 )
 
 // Tracer records nested timed spans — one tree per trip around the live
@@ -253,12 +254,12 @@ func (t *Tracer) appendSpan(b []byte, s *Span) []byte {
 	if s.parent != 0 {
 		b = append(t.appendSID(append(b, `,"psid":"`...), s.parent), '"')
 	} else if s.remote != "" {
-		b = appendJSONString(append(b, `,"psid":`...), s.remote)
+		b = AppendJSONString(append(b, `,"psid":`...), s.remote)
 	}
 	if s.trace != "" {
-		b = appendJSONString(append(b, `,"trace":`...), s.trace)
+		b = AppendJSONString(append(b, `,"trace":`...), s.trace)
 	}
-	b = appendJSONString(append(b, `,"name":`...), s.name)
+	b = AppendJSONString(append(b, `,"name":`...), s.name)
 	b = strconv.AppendInt(append(b, `,"start_us":`...), s.start.Sub(t.epoch).Microseconds(), 10)
 	b = strconv.AppendInt(append(b, `,"dur_us":`...), s.dur.Microseconds(), 10)
 	if wall := s.start.UnixMicro(); wall != 0 {
@@ -286,29 +287,78 @@ func (t *Tracer) appendSpan(b []byte, s *Span) []byte {
 	return append(b, "}\n"...)
 }
 
-// appendJSONString appends s as a JSON string exactly as encoding/json
-// writes it. A string of printable ASCII with no '"', '\\', '<', '>' or
-// '&' (every id, name and verb in tree) is copied between quotes; any
-// other goes through encoding/json for its escapes.
-func appendJSONString(b []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			q, _ := json.Marshal(s) // a string always encodes
-			return append(b, q...)
+// AppendJSONString appends s as a JSON string exactly as encoding/json
+// writes it: '"' and '\\' after a backslash, \b \f \n \r \t short, any
+// other control byte and '<', '>', '&' as \u00XX, an invalid UTF-8 byte
+// as \ufffd, U+2028 and U+2029 as \u2028 and \u2029, and the rest as
+// is. Span and log lines, wire envelopes and journal records all write
+// their strings through it.
+func AppendJSONString(b []byte, s string) []byte {
+	b = append(b, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c < utf8.RuneSelf {
+			if jsonPlain[c] {
+				i++
+				continue
+			}
+			b = append(b, s[start:i]...)
+			switch c {
+			case '"', '\\':
+				b = append(b, '\\', c)
+			case '\b':
+				b = append(b, '\\', 'b')
+			case '\f':
+				b = append(b, '\\', 'f')
+			case '\n':
+				b = append(b, '\\', 'n')
+			case '\r':
+				b = append(b, '\\', 'r')
+			case '\t':
+				b = append(b, '\\', 't')
+			default:
+				b = append(b, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xf])
+			}
+			i++
+			start = i
+			continue
 		}
+		r, n := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && n == 1:
+			b = append(append(b, s[start:i]...), `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			b = append(append(b, s[start:i]...), '\\', 'u', '2', '0', '2', hexDigits[r&0xf])
+		default:
+			i += n
+			continue
+		}
+		i += n
+		start = i
 	}
-	return append(append(append(b, '"'), s...), '"')
+	return append(append(b, s[start:]...), '"')
 }
+
+const hexDigits = "0123456789abcdef"
+
+// jsonPlain marks the ASCII bytes AppendJSONString copies as they are.
+var jsonPlain = func() (t [utf8.RuneSelf]bool) {
+	for c := ' '; c < utf8.RuneSelf; c++ {
+		t[c] = c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
+	}
+	return t
+}()
 
 // appendAttr appends a as a JSON object member, "key":value. string,
 // uint64 and bool values are written directly and any other through
 // encoding/json; one it cannot encode is written as its quoted
 // fmt.Sprint form rather than lose the line.
 func appendAttr(b []byte, a Attr) []byte {
-	b = append(appendJSONString(b, a.Key), ':')
+	b = append(AppendJSONString(b, a.Key), ':')
 	switch v := a.Val.(type) {
 	case string:
-		return appendJSONString(b, v)
+		return AppendJSONString(b, v)
 	case uint64:
 		return strconv.AppendUint(b, v, 10)
 	case bool:
@@ -316,7 +366,7 @@ func appendAttr(b []byte, a Attr) []byte {
 	}
 	data, err := json.Marshal(a.Val)
 	if err != nil {
-		return appendJSONString(b, fmt.Sprint(a.Val))
+		return AppendJSONString(b, fmt.Sprint(a.Val))
 	}
 	return append(b, data...)
 }

@@ -512,17 +512,13 @@ func (c *Client) readLoop(nc net.Conn) {
 	sc := wire.NewScanner(nc)
 	for sc.Scan() {
 		// One decode per line. Span events have an "ev" discriminator and
-		// no request id; responses always carry their id (the outer ID
-		// shadows the embedded one, so its absence is visible).
-		var in struct {
-			Ev string  `json:"ev"`
-			ID *uint64 `json:"id"`
-			wire.Response
-		}
-		if err := json.Unmarshal(sc.Bytes(), &in); err != nil {
+		// no request id; responses always carry their id.
+		resp := new(wire.Response)
+		event, err := wire.DecodeReply(sc.Bytes(), resp)
+		if err != nil {
 			continue
 		}
-		if in.Ev != "" || in.ID == nil {
+		if event {
 			ev := json.RawMessage(append([]byte(nil), sc.Bytes()...))
 			c.mu.Lock()
 			if c.state != stClosed {
@@ -534,14 +530,12 @@ func (c *Client) readLoop(nc net.Conn) {
 			c.mu.Unlock()
 			continue
 		}
-		resp := in.Response
-		resp.ID = *in.ID
 		c.mu.Lock()
 		pc := c.pending[resp.ID]
 		delete(c.pending, resp.ID)
 		c.mu.Unlock()
 		if pc != nil {
-			pc.ch <- callResult{&resp, nil}
+			pc.ch <- callResult{resp, nil}
 		}
 	}
 	err := sc.Err()

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 
 	"livesim/internal/frame"
@@ -75,4 +76,41 @@ func mustJSON(t *testing.T, r *Record) []byte {
 		t.Fatal(err)
 	}
 	return b
+}
+
+// FuzzRecordEncode: a record built from fuzzed strings and numbers
+// carries, as its payload, exactly the bytes json.Marshal writes for it.
+func FuzzRecordEncode(f *testing.F) {
+	for _, s := range []string{"", "run", "tab\tnl\n\"q\" \\ <a&b> \x01", "é✓  ", "bad \xff"} {
+		f.Add(s, "v1", uint64(len(s)), int64(-len(s)), uint8(0xff))
+	}
+	f.Fuzz(func(t *testing.T, s, u string, n uint64, m int64, set uint8) {
+		pick := func(bit uint, v string) string {
+			if set>>bit&1 == 1 {
+				return v
+			}
+			return ""
+		}
+		r := &Record{Seq: n, Type: u, PGAS: int(m), Top: pick(0, s), CheckpointEvery: n >> 3,
+			Verb: pick(1, u), Version: pick(2, s), Pipe: pick(3, u), Path: pick(4, s+u),
+			Cycle: n >> 1, HistoryLen: int(m >> 2), Epoch: uint64(m)}
+		if set>>5&1 == 1 {
+			r.Args = []string{s, u}[:n%3]
+			r.Files = map[string]string{s: u, u + ".v": s}
+		}
+		if set>>6&1 == 1 {
+			r.History = []RunStep{{TB: s, Cycles: int(m), StartCycle: n}, {TB: u}}[:n%3]
+		}
+		want, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := EncodeRecord(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if payload := got[frame.RecordHeaderLen:]; !bytes.Equal(payload, want) {
+			t.Fatalf("EncodeRecord payload\n  %s\nencoding/json\n  %s", payload, want)
+		}
+	})
 }

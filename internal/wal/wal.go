@@ -28,6 +28,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -377,16 +379,86 @@ func (w *WAL) flusher(every time.Duration) {
 	}
 }
 
-// EncodeRecord frames one record: a frame record carrying its JSON.
+// EncodeRecord frames one record: a frame record carrying its JSON, the
+// bytes json.Marshal writes for it.
 func EncodeRecord(r *Record) ([]byte, error) {
-	payload, err := json.Marshal(r)
-	if err != nil {
-		return nil, err
-	}
+	payload := appendRecord(nil, r)
 	if len(payload) > MaxRecord {
 		return nil, fmt.Errorf("wal record %d bytes exceeds limit %d", len(payload), MaxRecord)
 	}
 	return frame.AppendRecord(make([]byte, 0, frame.RecordHeaderLen+len(payload)), payload), nil
+}
+
+// appendRecord appends r as json.Marshal writes it.
+func appendRecord(b []byte, r *Record) []byte {
+	b = strconv.AppendUint(append(b, `{"seq":`...), r.Seq, 10)
+	b = obs.AppendJSONString(append(b, `,"type":`...), r.Type)
+	if r.PGAS != 0 {
+		b = strconv.AppendInt(append(b, `,"pgas":`...), int64(r.PGAS), 10)
+	}
+	if r.Top != "" {
+		b = obs.AppendJSONString(append(b, `,"top":`...), r.Top)
+	}
+	if r.CheckpointEvery != 0 {
+		b = strconv.AppendUint(append(b, `,"ckpt_every":`...), r.CheckpointEvery, 10)
+	}
+	if r.Verb != "" {
+		b = obs.AppendJSONString(append(b, `,"verb":`...), r.Verb)
+	}
+	if len(r.Args) > 0 {
+		b = append(b, `,"args":`...)
+		sep := byte('[')
+		for _, a := range r.Args {
+			b = obs.AppendJSONString(append(b, sep), a)
+			sep = ','
+		}
+		b = append(b, ']')
+	}
+	if len(r.Files) > 0 {
+		names := make([]string, 0, len(r.Files))
+		for name := range r.Files {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		b = append(b, `,"files":`...)
+		sep := byte('{')
+		for _, name := range names {
+			b = obs.AppendJSONString(append(b, sep), name)
+			b = obs.AppendJSONString(append(b, ':'), r.Files[name])
+			sep = ','
+		}
+		b = append(b, '}')
+	}
+	if r.Version != "" {
+		b = obs.AppendJSONString(append(b, `,"version":`...), r.Version)
+	}
+	if r.Pipe != "" {
+		b = obs.AppendJSONString(append(b, `,"pipe":`...), r.Pipe)
+	}
+	if r.Path != "" {
+		b = obs.AppendJSONString(append(b, `,"path":`...), r.Path)
+	}
+	if r.Cycle != 0 {
+		b = strconv.AppendUint(append(b, `,"cycle":`...), r.Cycle, 10)
+	}
+	if r.HistoryLen != 0 {
+		b = strconv.AppendInt(append(b, `,"history_len":`...), int64(r.HistoryLen), 10)
+	}
+	if len(r.History) > 0 {
+		b = append(b, `,"history":`...)
+		sep := byte('[')
+		for _, h := range r.History {
+			b = obs.AppendJSONString(append(append(b, sep), `{"tb":`...), h.TB)
+			b = strconv.AppendInt(append(b, `,"cycles":`...), int64(h.Cycles), 10)
+			b = append(strconv.AppendUint(append(b, `,"start_cycle":`...), h.StartCycle, 10), '}')
+			sep = ','
+		}
+		b = append(b, ']')
+	}
+	if r.Epoch != 0 {
+		b = strconv.AppendUint(append(b, `,"epoch":`...), r.Epoch, 10)
+	}
+	return append(b, '}')
 }
 
 // DecodeAll parses a WAL image, returning every intact record in order

@@ -12,6 +12,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -223,29 +225,31 @@ func refusals(reg *obs.Registry) map[string]uint64 {
 	return out
 }
 
-// conformance is the suite's table. refused is the code the row's one
-// refused request is answered with ("" when the row refuses nothing):
-// the speaker counts it once under <speaker>_refused_<code>.
+// refused is how many of a row's requests are answered with each code:
+// the speaker counts each under <speaker>_refused_<code>.
+type refused map[string]uint64
+
+// conformance is the suite's table.
 var conformance = []struct {
 	name    string
-	refused string
+	refused refused
 	row     func(t *testing.T, sp *speaker)
 }{
-	{"blank lines are ignored", "", func(t *testing.T, sp *speaker) {
+	{"blank lines are ignored", nil, func(t *testing.T, sp *speaker) {
 		c := dialRaw(t, sp)
 		c.send("\n  \n\r\n" + `{"id":5,"verb":"ping"}` + "\n\n")
 		wantCode(t, c.mustRecv(), 5, "", "")
 		c.send(`{"id":6,"verb":"ping"}` + "\n")
 		wantCode(t, c.mustRecv(), 6, "", "") // nothing was answered in between
 	}},
-	{"malformed JSON is bad_request and the connection stays usable", wire.CodeBadRequest, func(t *testing.T, sp *speaker) {
+	{"malformed JSON is bad_request and the connection stays usable", refused{wire.CodeBadRequest: 1}, func(t *testing.T, sp *speaker) {
 		c := dialRaw(t, sp)
 		c.send("{not json\n")
 		wantCode(t, c.mustRecv(), 0, wire.CodeBadRequest, "bad request")
 		c.send(`{"id":2,"verb":"ping"}` + "\n")
 		wantCode(t, c.mustRecv(), 2, "", "")
 	}},
-	{"pipelined requests are answered by id", "", func(t *testing.T, sp *speaker) {
+	{"pipelined requests are answered by id", nil, func(t *testing.T, sp *speaker) {
 		c := dialRaw(t, sp)
 		c.send(`{"id":11,"verb":"ping"}` + "\n" + `{"id":12,"verb":"help"}` + "\n" + `{"id":13,"verb":"ping"}` + "\n")
 		got := map[uint64]string{}
@@ -260,19 +264,19 @@ var conformance = []struct {
 			t.Fatalf("answers not matched to ids 11, 12, 13: %q", got)
 		}
 	}},
-	{"unknown verb", wire.CodeBadRequest, func(t *testing.T, sp *speaker) {
+	{"unknown verb", refused{wire.CodeBadRequest: 1}, func(t *testing.T, sp *speaker) {
 		cli := dialClient(t, sp)
 		mustOK(t, cli, &wire.Request{Session: "u", Verb: "create", Files: map[string]string{"top.v": tinyDesign}})
 		c := dialRaw(t, sp)
 		c.send(`{"id":3,"session":"u","verb":"frobnicate"}` + "\n")
 		wantCode(t, c.mustRecv(), 3, wire.CodeBadRequest, "unknown verb")
 	}},
-	{"session verb without a session", wire.CodeBadRequest, func(t *testing.T, sp *speaker) {
+	{"session verb without a session", refused{wire.CodeBadRequest: 1}, func(t *testing.T, sp *speaker) {
 		c := dialRaw(t, sp)
 		c.send(`{"id":4,"verb":"run","args":["clock","p0","1"]}` + "\n")
 		wantCode(t, c.mustRecv(), 4, wire.CodeBadRequest, "needs a session")
 	}},
-	{"oversize request line is answered before the connection closes", wire.CodeBadRequest, func(t *testing.T, sp *speaker) {
+	{"oversize request line is answered before the connection closes", refused{wire.CodeBadRequest: 1}, func(t *testing.T, sp *speaker) {
 		c := dialRaw(t, sp)
 		go func() { // the speaker stops reading at the bound: the tail of the write may fail
 			c.nc.SetWriteDeadline(time.Now().Add(5 * time.Second))
@@ -285,7 +289,7 @@ var conformance = []struct {
 			t.Fatal("connection neither answered nor closed")
 		}
 	}},
-	{"oversize reply becomes a typed error with the same id", wire.CodeError, func(t *testing.T, sp *speaker) {
+	{"oversize reply becomes a typed error with the same id", refused{wire.CodeError: 1}, func(t *testing.T, sp *speaker) {
 		// peek's error quotes the signal name it could not find, so each `"`
 		// in the name is 2 bytes of request line and 4 of reply line: a name
 		// that fits the bound asking does not fit it answering.
@@ -307,7 +311,7 @@ var conformance = []struct {
 			}
 		}
 	}},
-	{"a request that only just fits is served, or fails alone at the hop that outgrows it", wire.CodeError, func(t *testing.T, sp *speaker) {
+	{"a request that only just fits is served, or fails alone at the hop that outgrows it", refused{wire.CodeError: 1}, func(t *testing.T, sp *speaker) {
 		cli := dialClient(t, sp)
 		mustOK(t, cli, &wire.Request{Session: "u", Verb: "create", Files: map[string]string{"top.v": tinyDesign}})
 		c := dialRaw(t, sp)
@@ -326,7 +330,7 @@ var conformance = []struct {
 			t.Fatalf("backend state %q after an unforwardable request, want ok", st)
 		}
 	}},
-	{"stalled reader trips the write deadline without wedging other connections", "", func(t *testing.T, sp *speaker) {
+	{"stalled reader trips the write deadline without wedging other connections", nil, func(t *testing.T, sp *speaker) {
 		stalled := dialRaw(t, sp)
 		wrote := make(chan struct{})
 		go func() { // ask for far more than the socket buffers hold, read none of it
@@ -358,7 +362,7 @@ var conformance = []struct {
 			t.Fatalf("stalled connection still open after %d bytes: the write deadline never tripped", n)
 		}
 	}},
-	{"stalled readers on a session do not delay its other clients", "", func(t *testing.T, sp *speaker) {
+	{"stalled readers on a session do not delay its other clients", nil, func(t *testing.T, sp *speaker) {
 		// The session worker answers every request on u and ends its
 		// request span. Neither may wait on a connection that stopped
 		// reading: one pipelining requests with 64 KB answers, and one
@@ -394,7 +398,7 @@ var conformance = []struct {
 			t.Fatalf("a request on u took %v beside stalled readers (write deadline %v)", worst, testWriteTimeout)
 		}
 	}},
-	{"request spans carry verb, session, ok and code", wire.CodeBadRequest, func(t *testing.T, sp *speaker) {
+	{"request spans carry verb, session, ok and code", refused{wire.CodeBadRequest: 1}, func(t *testing.T, sp *speaker) {
 		cli := dialClient(t, sp)
 		for _, tc := range []struct {
 			req  *wire.Request
@@ -430,7 +434,39 @@ var conformance = []struct {
 			}
 		}
 	}},
-	{"shutdown closes idle connections and Serve returns nil", "", func(t *testing.T, sp *speaker) {
+	{"every escape class crosses the wire as encoding/json writes it", refused{wire.CodeError: 4}, func(t *testing.T, sp *speaker) {
+		// Tab, newline, quote, backslash, '<' and '&', a control byte and
+		// UTF-8, in the arguments of every request, in the output of
+		// `pipes` and in the error of a create whose file does not parse.
+		const odd = "p\t1\n\"q\" \\ <a&b> \x01 é✓"
+		cli := dialClient(t, sp)
+		mustOK(t, cli, &wire.Request{Session: "u", Verb: "create", Files: map[string]string{"top.v": tinyDesign}})
+		mustOK(t, cli, &wire.Request{Session: "u", Verb: "instpipe", Args: []string{odd}})
+		raw := dialRaw(t, sp) // a client written with encoding/json alone
+		for i, req := range []*wire.Request{
+			{Session: "u", Verb: "pipes"},
+			{Session: "u", Verb: "instpipe", Args: []string{odd}},
+			{Session: "v", Verb: "create", Files: map[string]string{odd + ".v": "module top(; " + odd}},
+		} {
+			got, err := cli.Do(req)
+			if err != nil {
+				t.Fatalf("%s: %v", req.Verb, err)
+			}
+			asked := *req
+			asked.ID = uint64(100 + i)
+			line, _ := json.Marshal(&asked)
+			raw.send(string(line) + "\n")
+			want := raw.mustRecv()
+			want.ID = got.ID
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: the client read %+v, encoding/json %+v", req.Verb, got, want)
+			}
+			if text := got.Output + got.Error; !strings.Contains(text, odd) && !strings.Contains(text, strconv.Quote(odd)[1:]) {
+				t.Errorf("%s: %q carries no copy of the name", req.Verb, text)
+			}
+		}
+	}},
+	{"shutdown closes idle connections and Serve returns nil", nil, func(t *testing.T, sp *speaker) {
 		idle := dialRaw(t, sp)
 		idle.send(`{"id":1,"verb":"ping"}` + "\n")
 		wantCode(t, idle.mustRecv(), 1, "", "")
@@ -460,6 +496,17 @@ const (
 
 func TestConformance(t *testing.T) {
 	defer wire.SetLimits(testMaxLine, testWriteTimeout)()
+	// Whatever a speaker or the client writes, the other side reads
+	// without encoding/json: the one line deferred is the row's own
+	// malformed one.
+	stop := wire.RecordDeferred()
+	defer func() {
+		for _, line := range stop() {
+			if line != "{not json" {
+				t.Errorf("a line left to encoding/json: %.300q", line)
+			}
+		}
+	}()
 	for _, kind := range []struct {
 		name  string
 		start func(*testing.T) *speaker
@@ -469,8 +516,8 @@ func TestConformance(t *testing.T) {
 				sp := kind.start(t)
 				want := refusals(sp.metrics)
 				tc.row(t, sp)
-				if tc.refused != "" {
-					want[tc.refused]++
+				for code, n := range tc.refused {
+					want[code] += n
 				}
 				if got := refusals(sp.metrics); !maps.Equal(got, want) {
 					t.Errorf("refusals counted by code: %v, want %v", got, want)

@@ -3,7 +3,6 @@ package wire
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -41,10 +40,11 @@ func NewScanner(r io.Reader) *bufio.Scanner {
 	return sc
 }
 
-// EncodeLine marshals v as one protocol line, newline included. A line
-// the peer's scanner could not take is an error wrapping ErrTooLong.
-func EncodeLine(v any) ([]byte, error) {
-	line, err := json.Marshal(v)
+// EncodeLine writes v, a *Request or a *Response, as one protocol line,
+// newline included: the bytes json.Marshal writes for it. A line the
+// peer's scanner could not take is an error wrapping ErrTooLong.
+func EncodeLine(v message) ([]byte, error) {
+	line, err := v.marshal()
 	if err != nil {
 		return nil, err
 	}
@@ -340,8 +340,8 @@ func (a *Acceptor) serve(c *Conn) {
 		if len(line) == 0 {
 			continue
 		}
-		req := new(Request)
-		if err := json.Unmarshal(line, req); err != nil {
+		req, err := decodeRequest(line)
+		if err != nil {
 			a.refuse(c, "bad request: "+err.Error())
 			continue
 		}

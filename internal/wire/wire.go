@@ -22,7 +22,10 @@
 // terminator included — longer than MaxLine cannot be framed: a request
 // that long is answered with "bad_request" before the connection
 // closes, and a response that long is replaced by a typed "error"
-// response with the same id.
+// response with the same id. Lines are written and read without
+// reflection by the package's codec (codec.go): the bytes it writes are
+// encoding/json's, and a line it cannot read exactly as encoding/json
+// would is left to encoding/json.
 package wire
 
 import (

@@ -28,7 +28,7 @@ func TestGoldenEnvelope(t *testing.T) {
 		RetryAfterMs: 25, MovedTo: "unix:/run/ls2.sock", Data: json.RawMessage(`{"acked_seq":9}`),
 	}
 	for _, tc := range []struct {
-		v    any
+		v    message
 		want string
 	}{
 		{&req, `{"id":7,"session":"s0","verb":"apply","trace":"00112233aabbccdd","pspan":"1a2b3c4d-9","args":["p0","a b"],"files":{"top.v":"module top;\nendmodule\n"},"top":"top","pgas":4,"ckpt_every":500,"blob":"AAEC/w==","epoch":3}`},

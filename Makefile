@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race bench loc opmix frontend state serve fuzz-smoke
+.PHONY: check vet build test race bench loc opmix frontend state serve fleet fuzz-smoke
 
 check: vet build race fuzz-smoke
 
@@ -25,7 +25,9 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Small-configuration benchmarks (cmd/lsbench runs the full sweeps).
+# Every benchmark once, at its small configuration: a smoke run that
+# each still builds and completes. cmd/lsbench prints the paper's tables
+# and figures at chosen mesh sizes; the targets below time one layer each.
 bench:
 	$(GO) test -bench=. -benchtime=1x ./...
 
@@ -80,6 +82,21 @@ state:
 serve:
 	$(GO) test -run '^$$' -bench BenchmarkServeRoundTrip -benchtime 3s -count=1 ./internal/gateway
 	$(GO) test -run '^$$' -bench BenchmarkWireCodec -benchmem -count=1 ./internal/wire
+
+# The serving plane under load, on in-process livesimd and lsgate over
+# unix sockets. Live migration between two durable backends while 4
+# clients load the session: the gateway's freeze window (p50, max) and
+# the slowest client request, seeding the target on every move and onto
+# the standby of a replicating gateway. Failover: ms per mutation with
+# replication off and on, then the time from SIGKILL of a loaded
+# primary until the promoted standby answers; a lost acked mutation
+# fails it. Overload at 1x, 2x and 4x admission capacity: ok/s,
+# overloaded/s, p50 and p99 latency, and the blackout until a run
+# succeeds after the load stops. Times are only reported.
+fleet:
+	$(GO) test -run '^$$' -bench BenchmarkMigrationBlackout -benchtime 20x -count=1 ./internal/gateway
+	$(GO) test -run '^$$' -bench BenchmarkFailover -benchtime 150x -count=1 ./internal/gateway
+	$(GO) test -run '^$$' -bench BenchmarkOverload -benchtime 20000x -count=1 ./internal/server
 
 # Short fuzz runs over the frame container, the checkpoint, journal,
 # transfer and replication decoders on it, the incremental analyzer,

@@ -26,16 +26,7 @@ import (
 
 func buildLiveSim(b *testing.B, n int) *sim.Sim {
 	b.Helper()
-	objs, top, err := pgas.Build(n, codegen.StyleGrouped)
-	if err != nil {
-		b.Fatal(err)
-	}
-	s, err := sim.New(sim.ResolverFunc(func(k string) (*vm.Object, error) {
-		if o, ok := objs[k]; ok {
-			return o, nil
-		}
-		return nil, fmt.Errorf("no object %q", k)
-	}), top)
+	s, err := pgas.NewSim(n, codegen.StyleGrouped)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -287,16 +278,7 @@ func BenchmarkCodegenStyleGrouped(b *testing.B) { benchStyle(b, codegen.StyleGro
 func BenchmarkCodegenStyleMux(b *testing.B)     { benchStyle(b, codegen.StyleMux) }
 
 func benchStyle(b *testing.B, style codegen.Style) {
-	objs, top, err := pgas.Build(1, style)
-	if err != nil {
-		b.Fatal(err)
-	}
-	s, err := sim.New(sim.ResolverFunc(func(k string) (*vm.Object, error) {
-		if o, ok := objs[k]; ok {
-			return o, nil
-		}
-		return nil, fmt.Errorf("no object %q", k)
-	}), top)
+	s, err := pgas.NewSim(1, style)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -52,12 +52,7 @@ var (
 	flagFig6    = flag.Bool("fig6", false, "Figure 6: parallel consistency verification")
 	flagAblate  = flag.Bool("ablation", false, "codegen-style ablation (grouped vs mux)")
 	flagRollbck = flag.Bool("rollback", false, "robustness: rollback latency after an injected hot-reload failure")
-	flagServe   = flag.Bool("serve", false, "server throughput: req/s vs concurrent clients against an in-process livesimd")
-	flagFleet   = flag.Bool("fleet", false, "fleet: aggregate req/s through the gateway vs backend count, live-migration blackout, kill-one-backend durability")
-	flagFailovr = flag.Bool("failover", false, "replication: ship-on-commit overhead, failover blackout under load, zero-lost-acked audit, stale-primary fencing")
-	flagOver    = flag.Bool("overload", false, "overload: typed rejections, latency and recovery blackout at 1x/2x/4x admission capacity")
 	flagRecover = flag.Bool("recovery", false, "durability: WAL journaling overhead and crash-recovery replay latency")
-	flagObs     = flag.Bool("obs", false, "observability: hot-reload latency with the admin plane off vs on")
 	flagAct     = flag.Bool("activity", false, "activity profiler: quiescent-eval fraction per mesh and profiler overhead")
 	flagBudget  = flag.Duration("budget", 3*time.Second, "time budget per speed measurement")
 	flagProfCyc = flag.Int("profcycles", 300, "profiled cycles for Table VII")
@@ -85,11 +80,10 @@ func printSnapshot(label string, reg *obs.Registry) {
 func main() {
 	flag.Parse()
 	sizes := parseSizes(*flagSizes)
-	any := *flagFig7 || *flagFig8 || *flagTable7 || *flagTable8 || *flagCkpt || *flagFig6 || *flagAblate || *flagRollbck || *flagServe || *flagFleet || *flagFailovr || *flagOver || *flagRecover || *flagObs || *flagAct
+	any := *flagFig7 || *flagFig8 || *flagTable7 || *flagTable8 || *flagCkpt || *flagFig6 || *flagAblate || *flagRollbck || *flagRecover || *flagAct
 	if *flagAll || !any {
 		*flagFig7, *flagFig8, *flagTable7, *flagTable8 = true, true, true, true
-		*flagCkpt, *flagFig6, *flagAblate, *flagRollbck, *flagServe, *flagRecover, *flagObs, *flagAct = true, true, true, true, true, true, true, true
-		*flagOver = true
+		*flagCkpt, *flagFig6, *flagAblate, *flagRollbck, *flagRecover, *flagAct = true, true, true, true, true, true
 	}
 	fmt.Printf("lsbench: sizes=%v budget=%v GOMAXPROCS=%d\n\n", sizes, *flagBudget, runtime.GOMAXPROCS(0))
 
@@ -117,23 +111,8 @@ func main() {
 	if *flagRollbck {
 		rollbackBench(sizes)
 	}
-	if *flagServe {
-		serveBench()
-	}
-	if *flagFleet {
-		fleetBench()
-	}
-	if *flagFailovr {
-		failoverBench()
-	}
-	if *flagOver {
-		overloadBench()
-	}
 	if *flagRecover {
 		recoveryBench(sizes)
-	}
-	if *flagObs {
-		obsBench()
 	}
 	if *flagAct {
 		activityBench(sizes)

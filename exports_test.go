@@ -320,7 +320,7 @@ var exportsGolden = []struct{ why, names string }{
 	{"the library API: livesim.go and the Session methods it documents, used by examples/, cmd/ and TestFacadeEndToEnd", `
 core.Session.Metrics livesim.NewCountingTB livesim.NewTracer
 livesim.StyleGrouped livesim.StyleMux livesim.TraceUnder`},
-	{"test seams: other packages' tests arm faults, read daemon metrics and events, and build or inspect designs through these", `
+	{"test seams: other packages' tests arm faults, crash and recover daemons, read daemon metrics and events, and build or inspect designs through these", `
 faultinject.Plan.CorruptCheckpoint faultinject.Plan.CrashSaveAt
 faultinject.Plan.DropConnAfter faultinject.Plan.DropReplStream
 faultinject.Plan.FailCompileAt faultinject.Plan.Fired
@@ -328,7 +328,8 @@ faultinject.Plan.ForceDiskFree faultinject.Plan.ForcePromoteStale
 faultinject.Plan.PanicTestbenchAt faultinject.Plan.SlowClient
 faultinject.Plan.StallRunAt faultinject.Plan.TornWALWrite
 gateway.Gateway.Events gateway.Gateway.Metrics server.Server.Events
-server.Server.Metrics hdl/parser.ParseExpr hdl/printer.Module
+server.Server.Halt server.Server.Metrics server.Server.WaitRecovered
+hdl/parser.ParseExpr hdl/printer.Module
 pgas.ReduceImages randrtl.Module riscv.Program.Bytes sim.PagedMem
 sim.Sim.Counts sim.Sim.NumInstances vm.CheckEdge vm.Object.RegByName
 xform.History.Versions`},

@@ -267,6 +267,11 @@ func TestWatchdogCancelsStalledRun(t *testing.T) {
 	if cycle, _, _ := s.PipeStatus("p0"); cycle != 60 {
 		t.Errorf("cycle after recovery run = %d, want 60", cycle)
 	}
+	// The rollback truncated the journal in place: the cancelled op is
+	// gone, and the next run's op took its slot.
+	if p, _ := s.Pipe("p0"); len(p.History) != 2 || p.History[0].Cycles != 15 || p.History[1].Cycles != 45 {
+		t.Errorf("journal after cancel and rerun = %+v, want runs of 15 and 45 cycles", p.History)
+	}
 }
 
 // journalPausedRun mirrors what the server does while journal-paused:

@@ -25,9 +25,12 @@ import (
 type pipeSnapshot struct {
 	p              *Pipe
 	cp             *checkpoint.Checkpoint
-	history        []RunOp
 	stats          vm.Stats
 	lastCheckpoint uint64
+	// histLen is the journal's length. Neither a commit phase nor a
+	// cancelled run rewrites an op below it, so the journal is restored
+	// by truncation, not from a copy.
+	histLen int
 	// cpMark is the checkpoint store watermark; checkpoints taken during
 	// a failed re-execution are dropped back to it.
 	cpMark int
@@ -43,9 +46,9 @@ func (s *Session) snapshotPipe(p *Pipe) (*pipeSnapshot, error) {
 	return &pipeSnapshot{
 		p:              p,
 		cp:             cp,
-		history:        append([]RunOp(nil), p.History...),
 		stats:          p.Sim.Stats,
 		lastCheckpoint: p.lastCheckpoint,
+		histLen:        len(p.History),
 		cpMark:         p.Checkpoints.Mark(),
 	}, nil
 }
@@ -135,7 +138,7 @@ func (s *Session) restorePipeSnapshot(snap *pipeSnapshot) error {
 	}
 	p.Sim = sm
 	p.Version = snap.cp.Version
-	p.History = snap.history
+	p.History = p.History[:snap.histLen]
 	p.tbs = tbs
 	p.lastCheckpoint = snap.lastCheckpoint
 	p.Checkpoints.DropSince(snap.cpMark)

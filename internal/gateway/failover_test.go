@@ -21,7 +21,7 @@ import (
 // sessionInfosOf lists what a backend hosts, with the replication
 // columns the plain name list hides. A dead backend reports hosting
 // nothing (failover tests walk pools with halted members).
-func sessionInfosOf(t *testing.T, b *testBackend) map[string]server.SessionInfo {
+func sessionInfosOf(t testing.TB, b *testBackend) map[string]server.SessionInfo {
 	t.Helper()
 	c, err := client.Dial(b.addr())
 	if err != nil {
@@ -45,7 +45,7 @@ func sessionInfosOf(t *testing.T, b *testBackend) map[string]server.SessionInfo 
 
 // primaryOf returns which backend hosts the session as a primary (not
 // a follower copy).
-func primaryOf(t *testing.T, backends []*testBackend, name string) *testBackend {
+func primaryOf(t testing.TB, backends []*testBackend, name string) *testBackend {
 	t.Helper()
 	for _, b := range backends {
 		if in, ok := sessionInfosOf(t, b)[name]; ok && !in.Follower {

@@ -35,13 +35,13 @@ endmodule
 // host's own free space never moves the backend's health, and nothing
 // else is armed until a test does it.
 type testBackend struct {
-	t         *testing.T
+	t         testing.TB
 	dir, sock string
 	srv       *server.Server
 	faults    *faultinject.Plan
 }
 
-func newTestBackend(t *testing.T) *testBackend {
+func newTestBackend(t testing.TB) *testBackend {
 	t.Helper()
 	dir, err := os.MkdirTemp("", "lsgw") // short path: unix sockets cap ~104 bytes
 	if err != nil {
@@ -111,7 +111,7 @@ func (b *testBackend) sessionNames(t *testing.T) []string {
 	return names
 }
 
-func startGateway(t *testing.T, cfg gateway.Config) (*gateway.Gateway, string) {
+func startGateway(t testing.TB, cfg gateway.Config) (*gateway.Gateway, string) {
 	t.Helper()
 	if cfg.HealthEvery == 0 {
 		cfg.HealthEvery = 50 * time.Millisecond
@@ -139,7 +139,7 @@ func startGateway(t *testing.T, cfg gateway.Config) (*gateway.Gateway, string) {
 	return g, "unix:" + sock
 }
 
-func dial(t *testing.T, addr string) *client.Client {
+func dial(t testing.TB, addr string) *client.Client {
 	t.Helper()
 	c, err := client.Dial(addr)
 	if err != nil {
@@ -149,7 +149,7 @@ func dial(t *testing.T, addr string) *client.Client {
 	return c
 }
 
-func mustOK(t *testing.T, c *client.Client, req *server.Request) *server.Response {
+func mustOK(t testing.TB, c *client.Client, req *server.Request) *server.Response {
 	t.Helper()
 	resp, err := c.Do(req)
 	if err != nil {
@@ -161,7 +161,7 @@ func mustOK(t *testing.T, c *client.Client, req *server.Request) *server.Respons
 	return resp
 }
 
-func createTiny(t *testing.T, c *client.Client, name string) {
+func createTiny(t testing.TB, c *client.Client, name string) {
 	t.Helper()
 	mustOK(t, c, &server.Request{Session: name, Verb: "create",
 		Files: map[string]string{"top.v": tinyDesign}, Top: "top", CheckpointEvery: 25})
@@ -186,7 +186,7 @@ func fingerprint(t *testing.T, c *client.Client, name string) (peek, cycle strin
 	return peek, cycle
 }
 
-func waitUntil(t *testing.T, d time.Duration, what string, fn func() bool) {
+func waitUntil(t testing.TB, d time.Duration, what string, fn func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(d)
 	for time.Now().Before(deadline) {

@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -24,7 +25,7 @@ import (
 
 // rawDial returns a client with overload retries disabled, so tests see
 // the typed rejections instead of the client absorbing them.
-func rawDial(t *testing.T, addr string) *client.Client {
+func rawDial(t testing.TB, addr string) *client.Client {
 	t.Helper()
 	c, err := client.DialOptions(addr, client.Options{OverloadRetries: -1})
 	if err != nil {
@@ -71,7 +72,7 @@ func waitNondurable(t *testing.T, c *client.Client, name string, want bool) {
 	}
 }
 
-func healthz(t *testing.T, srv *server.Server) (int, map[string]any) {
+func healthz(t testing.TB, srv *server.Server) (int, map[string]any) {
 	t.Helper()
 	rec := httptest.NewRecorder()
 	srv.AdminHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
@@ -142,58 +143,65 @@ func TestAdmissionRejectsOverBudget(t *testing.T) {
 	}
 }
 
-// TestOverloadSoak drives ~4x the admission capacity of concurrent run
-// traffic through raw clients. Invariants: no transport errors or
-// panics, every rejection is a typed overload/backpressure code (with a
-// retry hint on overloads), the daemon keeps answering free verbs
-// throughout, latencies stay bounded, and after the storm admission
-// drains to zero and normal service resumes.
-func TestOverloadSoak(t *testing.T) {
-	const (
-		sessions = 4
-		workers  = 16 // 16 workers x cost 8 vs budget 16: ~4x over capacity
-		iters    = 25
-	)
+const soakSessions = 4
+
+// startOverloaded is the overload soak's daemon: 4 sessions on a
+// 16-unit admission budget with a depth-2 queue. A run costs 8 units,
+// so 2 runs are admitted at once, and 4 clients keep that full.
+func startOverloaded(t testing.TB) (*server.Server, string, *client.Client) {
 	srv, addr := startServer(t, server.Config{AdmitBudget: 16, QueueDepth: 2})
 	setup := dial(t, addr)
-	for i := 0; i < sessions; i++ {
+	for i := 0; i < soakSessions; i++ {
 		createTiny(t, setup, fmt.Sprintf("o%d", i), 100)
 	}
+	return srv, addr, setup
+}
 
+// stormResult is what a storm's clients saw: latencies sorted.
+type stormResult struct {
+	lats           []time.Duration
+	ok, over, back int
+}
+
+// storm has workers raw clients share requests runs of `run clock p0
+// 50`, client w on session o(w mod soakSessions). A transport error, an untyped
+// rejection or an overload rejection without a retry hint fails t:
+// overload must turn into typed rejections and nothing else.
+func storm(t testing.TB, addr string, workers, requests int) stormResult {
+	t.Helper()
 	var (
 		mu        sync.Mutex
-		lats      []time.Duration
-		okN       int
-		overN     int
-		backN     int
+		res       stormResult
 		transport []error
 		badCodes  []string
+		left      atomic.Int64
 	)
+	left.Store(int64(requests))
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
+		c := rawDial(t, addr)
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			c := rawDial(t, addr)
-			sess := fmt.Sprintf("o%d", w%sessions)
-			for k := 0; k < iters; k++ {
+			req := &server.Request{Session: fmt.Sprintf("o%d", w%soakSessions), Verb: "run", Args: []string{"clock", "p0", "50"}}
+			for left.Add(-1) >= 0 {
 				t0 := time.Now()
-				resp, err := c.Do(&server.Request{Session: sess, Verb: "run", Args: []string{"clock", "p0", "50"}})
+				resp, err := c.Do(req)
 				d := time.Since(t0)
 				mu.Lock()
-				lats = append(lats, d)
+				res.lats = append(res.lats, d)
 				switch {
 				case err != nil:
 					transport = append(transport, err)
 				case resp.OK:
-					okN++
+					res.ok++
 				case resp.Code == wire.CodeOverloaded:
-					overN++
+					res.over++
 					if resp.RetryAfterMs < 1 {
 						badCodes = append(badCodes, "overloaded-without-hint")
 					}
 				case resp.Code == wire.CodeBackpressure:
-					backN++
+					res.back++
 				default:
 					badCodes = append(badCodes, fmt.Sprintf("%s(%s)", resp.Code, resp.Error))
 				}
@@ -201,12 +209,31 @@ func TestOverloadSoak(t *testing.T) {
 			}
 		}(w)
 	}
+	wg.Wait()
+	if len(transport) > 0 {
+		t.Fatalf("%d transport errors under overload, first: %v", len(transport), transport[0])
+	}
+	if len(badCodes) > 0 {
+		t.Fatalf("untyped rejections under overload: %v", badCodes)
+	}
+	sort.Slice(res.lats, func(i, j int) bool { return res.lats[i] < res.lats[j] })
+	return res
+}
+
+// TestOverloadSoak drives ~4x the admission capacity of concurrent run
+// traffic through raw clients. Invariants: no transport errors or
+// panics, every rejection is a typed overload/backpressure code (with a
+// retry hint on overloads), the daemon keeps answering free verbs
+// throughout, latencies stay bounded, and after the storm admission
+// drains to zero and normal service resumes.
+func TestOverloadSoak(t *testing.T) {
+	srv, addr, setup := startOverloaded(t)
 
 	// A pinger proves the daemon stays diagnosable under the storm.
 	pingStop := make(chan struct{})
 	pingErr := make(chan error, 1)
+	pc := rawDial(t, addr)
 	go func() {
-		c := rawDial(t, addr)
 		for {
 			select {
 			case <-pingStop:
@@ -214,7 +241,7 @@ func TestOverloadSoak(t *testing.T) {
 				return
 			default:
 			}
-			if resp, err := c.Do(&server.Request{Verb: "ping"}); err != nil || !resp.OK {
+			if resp, err := pc.Do(&server.Request{Verb: "ping"}); err != nil || !resp.OK {
 				pingErr <- fmt.Errorf("ping during overload: resp=%+v err=%v", resp, err)
 				return
 			}
@@ -222,25 +249,18 @@ func TestOverloadSoak(t *testing.T) {
 		}
 	}()
 
-	wg.Wait()
+	res := storm(t, addr, 16, 16*25) // 16 workers x cost 8 vs budget 16: ~4x over capacity
 	close(pingStop)
 	if err := <-pingErr; err != nil {
 		t.Error(err)
 	}
-
-	if len(transport) > 0 {
-		t.Fatalf("%d transport errors under overload, first: %v", len(transport), transport[0])
-	}
-	if len(badCodes) > 0 {
-		t.Fatalf("untyped rejections under overload: %v", badCodes)
-	}
-	if okN == 0 {
+	if res.ok == 0 {
 		t.Fatal("no request succeeded under overload")
 	}
-	if overN == 0 {
-		t.Fatalf("4x-capacity storm produced no overload rejections (ok=%d back=%d)", okN, backN)
+	if res.over == 0 {
+		t.Fatalf("4x-capacity storm produced no overload rejections (ok=%d back=%d)", res.ok, res.back)
 	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
+	lats := res.lats
 	if p99 := lats[len(lats)*99/100]; p99 > 5*time.Second {
 		t.Errorf("p99 latency unbounded under overload: %v", p99)
 	}
@@ -259,7 +279,54 @@ func TestOverloadSoak(t *testing.T) {
 	}
 	mustOK(t, setup, &server.Request{Session: "o0", Verb: "run", Args: []string{"clock", "p0", "10"}})
 	t.Logf("soak: ok=%d overloaded=%d backpressure=%d p50=%v p99=%v",
-		okN, overN, backN, lats[len(lats)/2], lats[len(lats)*99/100])
+		res.ok, res.over, res.back, lats[len(lats)/2], lats[len(lats)*99/100])
+}
+
+// BenchmarkOverload drives TestOverloadSoak's daemon at 1x, 2x and 4x
+// its admission capacity: 4, 8 and 16 raw clients (overload retries
+// off) share b.N runs. It reports completed, overload-rejected and
+// backpressured requests per second, p50 and p99 request latency, and
+// the blackout: the time from the end of the load until a run succeeds
+// again. ns/op is wall time per offered request. A transport error or
+// an untyped rejection fails the benchmark.
+//
+//	make fleet
+func BenchmarkOverload(b *testing.B) {
+	for _, mult := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("%dx", mult), func(b *testing.B) {
+			_, addr, _ := startOverloaded(b)
+			probe := rawDial(b, addr)
+			b.ResetTimer()
+			t0 := time.Now()
+			res := storm(b, addr, 4*mult, b.N)
+			el := time.Since(t0).Seconds()
+			b.StopTimer()
+
+			t0 = time.Now()
+			for {
+				resp, err := probe.Do(&server.Request{Session: "o0", Verb: "run", Args: []string{"clock", "p0", "50"}})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if resp.OK {
+					break
+				}
+				if resp.Code != wire.CodeOverloaded && resp.Code != wire.CodeBackpressure {
+					b.Fatalf("probe after the load: %s (%s)", resp.Error, resp.Code)
+				}
+				time.Sleep(time.Duration(resp.RetryAfterMs) * time.Millisecond)
+			}
+			blackout := time.Since(t0)
+
+			ms := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
+			b.ReportMetric(float64(res.ok)/el, "ok/s")
+			b.ReportMetric(float64(res.over)/el, "overloaded/s")
+			b.ReportMetric(float64(res.back)/el, "backpressure/s")
+			b.ReportMetric(ms(res.lats[len(res.lats)/2]), "p50_ms")
+			b.ReportMetric(ms(res.lats[len(res.lats)*99/100]), "p99_ms")
+			b.ReportMetric(ms(blackout), "blackout_ms")
+		})
+	}
 }
 
 // TestDiskPressureLadder walks every rung with a forced disk probe:

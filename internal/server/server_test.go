@@ -77,7 +77,7 @@ func init() {
 // startServer runs a server on a unix socket and returns a dialer for it.
 // Shutdown runs at cleanup (already-drained servers report an error,
 // which is fine).
-func startServer(t *testing.T, cfg server.Config) (*server.Server, string) {
+func startServer(t testing.TB, cfg server.Config) (*server.Server, string) {
 	t.Helper()
 	dir, err := os.MkdirTemp("", "lss") // short path: unix sockets cap ~104 bytes
 	if err != nil {
@@ -103,7 +103,7 @@ func startServer(t *testing.T, cfg server.Config) (*server.Server, string) {
 	return srv, "unix:" + sock
 }
 
-func dial(t *testing.T, addr string) *client.Client {
+func dial(t testing.TB, addr string) *client.Client {
 	t.Helper()
 	c, err := client.Dial(addr)
 	if err != nil {
@@ -113,7 +113,7 @@ func dial(t *testing.T, addr string) *client.Client {
 	return c
 }
 
-func mustOK(t *testing.T, c *client.Client, req *server.Request) *server.Response {
+func mustOK(t testing.TB, c *client.Client, req *server.Request) *server.Response {
 	t.Helper()
 	resp, err := c.Do(req)
 	if err != nil {
@@ -125,7 +125,7 @@ func mustOK(t *testing.T, c *client.Client, req *server.Request) *server.Respons
 	return resp
 }
 
-func createTiny(t *testing.T, c *client.Client, name string, every uint64) {
+func createTiny(t testing.TB, c *client.Client, name string, every uint64) {
 	t.Helper()
 	mustOK(t, c, &server.Request{Session: name, Verb: "create",
 		Files: map[string]string{"top.v": tinyDesign}, Top: "top", CheckpointEvery: every})

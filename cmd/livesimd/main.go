@@ -57,7 +57,6 @@ var (
 	flagAdmitBudget = flag.Int64("admit-budget", 0, "global admission budget in verb-cost units; excess requests are rejected with a retry hint (0 = default 256, negative = off)")
 	flagDiskPoll    = flag.Duration("disk-poll", 0, "resource-governor probe cadence for the disk-pressure ladder and memory gauges (0 = default 2s)")
 	flagMemBudget   = flag.Uint64("mem-budget", 0, "shed idle sessions once summed per-session memory estimates exceed this many bytes (0 = unlimited)")
-	flagResume      = flag.Duration("journal-resume-delay", 0, "cooldown before a paused (nondurable) journal may resume and reanchor (0 = default 250ms)")
 	flagFaultFull   = flag.String("fault-disk-full", "", "TESTING: inject ENOSPC into WAL appends, format from:count (1-based append index)")
 )
 
@@ -123,10 +122,9 @@ func run() int {
 		RunBudget:              *flagRunBudget,
 		JournalCheckpointEvery: *flagJournalCk,
 
-		AdmitBudget:        *flagAdmitBudget,
-		DiskPollEvery:      *flagDiskPoll,
-		MemBudget:          *flagMemBudget,
-		JournalResumeDelay: *flagResume,
+		AdmitBudget:   *flagAdmitBudget,
+		DiskPollEvery: *flagDiskPoll,
+		MemBudget:     *flagMemBudget,
 	}
 	if *flagWALSync <= 0 {
 		cfg.WALSyncEvery = -1 // fsync on every append

@@ -13,7 +13,7 @@ var goldenFlags = []string{
 	"admin-addr", "admit-budget", "blackbox-dir", "blackbox-flush",
 	"ckpt-every", "crash-wal-offset", "disk-poll", "drain-dir",
 	"fault-disk-full", "flight", "idle-evict",
-	"journal-ckpt-every", "journal-resume-delay", "listen", "log-level",
+	"journal-ckpt-every", "listen", "log-level",
 	"mem-budget", "metrics", "proc-name", "queue-depth", "run-budget",
 	"slow-request", "state-dir", "trace-out", "trace-store", "unix",
 	"wal-fsync-every",

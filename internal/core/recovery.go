@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"slices"
 	"time"
 
 	"livesim/internal/catalogue"
@@ -84,36 +83,29 @@ func (s *Session) replayFrom(dir string, recs []*wal.Record, exec ExecRecord, al
 	// poke) there is a single design version and no external file
 	// dependency, so a watermark checkpoint plus a virtually reconstructed
 	// journal is provably equivalent to re-execution.
+	//
+	// A record type this build does not replay refuses the journal before
+	// anything runs: the reanchor records of journals that once acked
+	// mutations they did not hold are among them, and the records around
+	// one do not describe the session on their own.
 	fast := allowFast
-	for _, r := range recs {
-		if v, ok := catalogue.Lookup(r.Verb); r.Type == wal.TypeCmd && (!ok || v.Replay == catalogue.Reexec) {
-			fast = false
+	for i, r := range recs {
+		switch r.Type {
+		case wal.TypeBoot, wal.TypeMark:
+		case wal.TypeCmd:
+			if v, ok := catalogue.Lookup(r.Verb); !ok || v.Replay == catalogue.Reexec {
+				fast = false
+			}
+		default:
+			return rep, fmt.Errorf("record %d: record type %q cannot be replayed: %w", i, r.Type, ErrReplayDiverged)
 		}
 	}
 	rep.FastPath = fast
 
-	// Reanchor records (journal-pause recovery, see wal.TypeReanchor) are
-	// authoritative in BOTH gears: the journal has a gap before each one
-	// — mutations committed while journaling was paused were never
-	// appended — so records before a pipe's newest anchor cannot be
-	// meaningfully re-executed and are superseded by the anchor's
-	// checkpoint + inline history.
-	anchorAt := make(map[string]int) // pipe -> record index of newest reanchor
-	for i := len(recs) - 1; i >= 0; i-- {
-		r := recs[i]
-		if r.Type == wal.TypeReanchor {
-			if _, seen := anchorAt[r.Pipe]; !seen {
-				anchorAt[r.Pipe] = i
-			}
-		}
-	}
-
 	// Pick each pipe's newest *intact* watermark: a mark whose checkpoint
 	// file (or its .bak) still loads. Damaged or missing files just push
 	// recovery to an earlier mark — or to full re-execution of that
-	// pipe's records. Marks older than the pipe's newest reanchor are
-	// never chosen: the anchor supersedes them (and the records between
-	// them are incomplete anyway).
+	// pipe's records.
 	markAt := make(map[string]int)                    // pipe -> record index of chosen mark
 	markCp := make(map[string]*checkpoint.Checkpoint) // pipe -> its decoded checkpoint
 	if fast {
@@ -121,10 +113,6 @@ func (s *Session) replayFrom(dir string, recs []*wal.Record, exec ExecRecord, al
 		for i := len(recs) - 1; i >= 0; i-- {
 			r := recs[i]
 			if r.Type != wal.TypeMark || checked[r.Pipe] {
-				continue
-			}
-			if ai, anchored := anchorAt[r.Pipe]; anchored && i < ai {
-				checked[r.Pipe] = true
 				continue
 			}
 			if cp, _, err := checkpoint.LoadFile(filepath.Join(dir, r.Path)); err == nil {
@@ -154,50 +142,9 @@ func (s *Session) replayFrom(dir string, recs []*wal.Record, exec ExecRecord, al
 			}
 			rep.Checkpoints++
 			continue
-		case wal.TypeReanchor:
-			ai, chosen := anchorAt[r.Pipe]
-			if !chosen || ai != i {
-				continue // older anchor, superseded by a newer one
-			}
-			if mi, marked := markAt[r.Pipe]; fast && marked && mi > i {
-				// A later watermark supersedes this anchor: adopt its
-				// recorded cycle/history as the virtual-reconstruction
-				// baseline (no file IO) so the mark's own history-length
-				// check still lines up.
-				virtCycle[r.Pipe] = r.Cycle
-				virtHist[r.Pipe] = r.History
-				continue
-			}
-			// Apply the anchor: install its inline history verbatim, then
-			// restore its checkpoint. Unlike watermarks there is no earlier
-			// fallback — the pre-anchor gap is unreconstructable — so a
-			// load failure fails the replay (honest degradation: the
-			// journal is set aside, not silently mis-served).
-			cp, _, err := checkpoint.LoadFile(filepath.Join(dir, r.Path))
-			if err != nil {
-				return rep, fmt.Errorf("record %d: reanchor %s: %w", i, r.Path, err)
-			}
-			if err := s.applyCheckpoint(i, r, slices.Clone(r.History), cp); err != nil { // virtHist keeps r.History
-				return rep, err
-			}
-			virtCycle[r.Pipe] = r.Cycle
-			virtHist[r.Pipe] = r.History
-			rep.Checkpoints++
-			continue
 		}
 
-		// TypeCmd. Records older than the pipe's newest reanchor are
-		// superseded by it in both gears — the anchor's checkpoint and
-		// inline history are the ground truth for that pipe. Structural
-		// and design-wide verbs (instpipe, copypipe, apply) still execute
-		// so the pipe table and version history exist for the anchor to
-		// land on.
-		if ai, anchored := anchorAt[cmdPipe(r)]; anchored && i < ai {
-			rep.Skipped++
-			continue
-		}
-
-		// Skip records a chosen watermark covers. One that ran its pipe
+		// TypeCmd. Skip records a chosen watermark covers. One that ran its pipe
 		// extends the run journal it would have produced; any other's
 		// state effect is inside the watermark checkpoint.
 		if mi, ok := markAt[cmdPipe(r)]; fast && ok && i < mi {
@@ -240,10 +187,9 @@ func (s *Session) replayFrom(dir string, recs []*wal.Record, exec ExecRecord, al
 	return rep, nil
 }
 
-// applyCheckpoint applies a watermark or reanchor record r (index i):
-// it installs history as the pipe's journal, restores cp into the pipe,
-// and checks the result against the record's cycle, journal length and
-// — when the record carries one — design version.
+// applyCheckpoint applies a watermark record r (index i): it installs
+// history as the pipe's journal, restores cp into the pipe, and checks
+// the result against the record's cycle and journal length.
 func (s *Session) applyCheckpoint(i int, r *wal.Record, history []RunOp, cp *checkpoint.Checkpoint) error {
 	s.mu.Lock()
 	p, ok := s.pipes[r.Pipe]
@@ -265,12 +211,6 @@ func (s *Session) applyCheckpoint(i int, r *wal.Record, history []RunOp, cp *che
 		return fmt.Errorf("record %d: %s restored %d journal ops, journal says %d: %w",
 			i, r.Type, got, r.HistoryLen, ErrReplayDiverged)
 	}
-	if r.Version != "" {
-		if v := s.Version(); v != r.Version {
-			return fmt.Errorf("record %d: version %s at %s, journal says %s (mutation lost in journal-pause gap): %w",
-				i, v, r.Type, r.Version, ErrReplayDiverged)
-		}
-	}
 	return nil
 }
 
@@ -290,18 +230,6 @@ func cmdPipe(r *wal.Record) string {
 func runsPipe(r *wal.Record) bool {
 	v, ok := catalogue.Lookup(r.Verb)
 	return ok && v.Pipe == catalogue.PipeAfterTB && len(r.Args) >= 2
-}
-
-// HistorySteps returns a copy of a pipe's run journal, read under the
-// session lock, for a reanchor record. Unknown pipes return nil.
-func (s *Session) HistorySteps(pipe string) []wal.RunStep {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	p, ok := s.pipes[pipe]
-	if !ok || len(p.History) == 0 {
-		return nil
-	}
-	return slices.Clone(p.History)
 }
 
 // historyLen reads a pipe's journal length under the session lock.

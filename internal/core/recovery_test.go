@@ -274,160 +274,48 @@ func TestWatchdogCancelsStalledRun(t *testing.T) {
 	}
 }
 
-// journalPausedRun mirrors what the server does while journal-paused:
-// the run executes and commits, but nothing is appended to the journal.
-// The follow-up reanchor record must make replay whole again.
-func reanchorRecord(t *testing.T, s *Session, dir, pipe, path string) *wal.Record {
-	t.Helper()
-	if err := s.SaveCheckpoint(pipe, filepath.Join(dir, path)); err != nil {
-		t.Fatal(err)
-	}
-	cycle, histLen, _ := s.PipeStatus(pipe)
-	return &wal.Record{Type: wal.TypeReanchor, Pipe: pipe, Path: path,
-		Cycle: cycle, HistoryLen: histLen, Version: s.Version(),
-		History: s.HistorySteps(pipe)}
-}
-
-// TestReplayReanchorClosesJournalGap: mutations committed while the
-// journal was paused (disk pressure) never reach the WAL; the reanchor
-// record appended on resume — fresh checkpoint + inline history — must
-// let BOTH replay gears reconstruct the session, including the
-// post-resume tail, without the missing records.
-func TestReplayReanchorClosesJournalGap(t *testing.T) {
+// TestReplayRefusesReanchorRecord: journals written while a session
+// acked mutations it did not journal hold reanchor records, whose
+// checkpoint stood in for the missing records. Neither replay gear
+// replays one or skips it: the journal is refused, naming the record
+// type, before any record runs.
+func TestReplayRefusesReanchorRecord(t *testing.T) {
 	dir := t.TempDir()
 	s := newAccSession(t, accDesign)
-	var recs []*wal.Record
 	if _, err := s.InstPipe("p0"); err != nil {
 		t.Fatal(err)
 	}
-	recs = append(recs, &wal.Record{Type: wal.TypeCmd, Verb: "instpipe",
-		Args: []string{"p0"}, Version: s.Version()})
+	recs := []*wal.Record{{Type: wal.TypeCmd, Verb: "instpipe", Args: []string{"p0"}, Version: s.Version()}}
 	recs = append(recs, journalRun(t, s, "tb0", "p0", 30))
-
-	// Journal-paused stretch: these commit but are NOT journaled.
-	if err := s.Run("tb0", "p0", 25); err != nil {
+	if err := s.Run("tb0", "p0", 25); err != nil { // acked, never journaled
 		t.Fatal(err)
 	}
-	p := mustPipe(t, s, "p0")
-	if err := p.Sim.Poke("top.u0.sum", 55); err != nil {
-		t.Fatal(err)
-	}
-
-	// Resume: reanchor p0, then a journaled tail.
-	recs = append(recs, reanchorRecord(t, s, dir, "p0", "s.p0.reanchor.lscp"))
-	recs = append(recs, journalRun(t, s, "tb0", "p0", 15))
-	s.WaitBackground()
-
-	wantCycle, wantHist, _ := s.PipeStatus("p0")
-	if wantCycle != 70 {
-		t.Fatalf("live cycle = %d, want 70", wantCycle)
-	}
-
-	check := func(t *testing.T, s2 *Session, rep *ReplayReport, err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatalf("replay: %v", err)
-		}
-		if rep.Checkpoints != 1 {
-			t.Errorf("checkpoints restored = %d, want 1 (the anchor)", rep.Checkpoints)
-		}
-		if rep.Skipped == 0 {
-			t.Errorf("pre-anchor records must be skipped: %+v", rep)
-		}
-		gotCycle, gotHist, ok := s2.PipeStatus("p0")
-		if !ok || gotCycle != wantCycle || gotHist != wantHist {
-			t.Fatalf("recovered pipe cycle=%d hist=%d ok=%v, want cycle=%d hist=%d",
-				gotCycle, gotHist, ok, wantCycle, wantHist)
-		}
-		pre, post := printPipe(mustPipe(t, s, "p0")), printPipe(mustPipe(t, s2, "p0"))
-		pre.Checkpoints, post.Checkpoints = nil, nil
-		pre.LastCheckpoint, post.LastCheckpoint = 0, 0
-		requireIdentical(t, map[string]pipePrint{"p0": pre}, map[string]pipePrint{"p0": post})
-	}
-
-	t.Run("fast-gear", func(t *testing.T) {
-		s2 := newAccSession(t, accDesign)
-		rep, err := s2.ReplayFrom(dir, recs, sessionExec(s2))
-		if err == nil && !rep.FastPath {
-			t.Errorf("pure stream should take the fast path: %+v", rep)
-		}
-		check(t, s2, rep, err)
-	})
-	t.Run("full-gear", func(t *testing.T) {
-		s2 := newAccSession(t, accDesign)
-		rep, err := s2.ReplayFull(dir, recs, sessionExec(s2))
-		check(t, s2, rep, err)
-	})
-}
-
-// TestReplayReanchorSupersededByLaterMark: after a resume, normal
-// watermarks continue; the newest mark wins and the anchor only seeds
-// the virtual history baseline (no second checkpoint load).
-func TestReplayReanchorSupersededByLaterMark(t *testing.T) {
-	dir := t.TempDir()
-	s := newAccSession(t, accDesign)
-	var recs []*wal.Record
-	if _, err := s.InstPipe("p0"); err != nil {
-		t.Fatal(err)
-	}
-	recs = append(recs, &wal.Record{Type: wal.TypeCmd, Verb: "instpipe",
-		Args: []string{"p0"}, Version: s.Version()})
-	recs = append(recs, journalRun(t, s, "tb0", "p0", 20))
-
-	// Pause gap, then anchor.
-	if err := s.Run("tb0", "p0", 10); err != nil {
-		t.Fatal(err)
-	}
-	recs = append(recs, reanchorRecord(t, s, dir, "p0", "s.p0.reanchor.lscp"))
-
-	// Journaled post-resume traffic, then a regular watermark.
-	recs = append(recs, journalRun(t, s, "tb0", "p0", 12))
 	if err := s.SaveCheckpoint("p0", filepath.Join(dir, "s.p0.lscp")); err != nil {
 		t.Fatal(err)
 	}
 	cycle, histLen, _ := s.PipeStatus("p0")
-	recs = append(recs, &wal.Record{Type: wal.TypeMark, Pipe: "p0",
-		Path: "s.p0.lscp", Cycle: cycle, HistoryLen: histLen})
-	recs = append(recs, journalRun(t, s, "tb0", "p0", 8))
+	recs = append(recs, &wal.Record{Type: "reanchor", Pipe: "p0", Path: "s.p0.lscp",
+		Cycle: cycle, HistoryLen: histLen, Version: s.Version()})
+	recs = append(recs, journalRun(t, s, "tb0", "p0", 15))
 	s.WaitBackground()
 
-	s2 := newAccSession(t, accDesign)
-	rep, err := s2.ReplayFrom(dir, recs, sessionExec(s2))
-	if err != nil {
-		t.Fatalf("replay: %v", err)
+	check := func(t *testing.T, rep *ReplayReport, err error) {
+		t.Helper()
+		if !errors.Is(err, ErrReplayDiverged) || !strings.Contains(err.Error(), `"reanchor"`) {
+			t.Fatalf("err = %v, want ErrReplayDiverged naming the reanchor record", err)
+		}
+		if rep.Executed != 0 || rep.Checkpoints != 0 || rep.FastPath {
+			t.Errorf("a refused journal ran records: %+v", rep)
+		}
 	}
-	if !rep.FastPath || rep.Checkpoints != 1 {
-		t.Errorf("want fast path restoring only the later mark, got %+v", rep)
-	}
-	gotCycle, gotHist, _ := s2.PipeStatus("p0")
-	wantCycle, wantHist, _ := s.PipeStatus("p0")
-	if gotCycle != wantCycle || gotHist != wantHist {
-		t.Fatalf("recovered cycle=%d hist=%d, want cycle=%d hist=%d",
-			gotCycle, gotHist, wantCycle, wantHist)
-	}
-}
-
-// TestReplayReanchorVersionMismatchDiverges: a design mutation lost in
-// the journal-pause gap is unrecoverable — the anchor records the
-// post-gap version, replay arrives with the pre-gap one, and the
-// journal must be rejected (set aside), not mis-served.
-func TestReplayReanchorVersionMismatchDiverges(t *testing.T) {
-	dir := t.TempDir()
-	s := newAccSession(t, accDesign)
-	if _, err := s.InstPipe("p0"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Run("tb0", "p0", 10); err != nil {
-		t.Fatal(err)
-	}
-	anchor := reanchorRecord(t, s, dir, "p0", "s.p0.reanchor.lscp")
-	anchor.Version = "v99" // the version an un-journaled apply would have left
-	recs := []*wal.Record{
-		{Type: wal.TypeCmd, Verb: "instpipe", Args: []string{"p0"}, Version: s.Version()},
-		anchor,
-	}
-	s2 := newAccSession(t, accDesign)
-	if _, err := s2.ReplayFull(dir, recs, sessionExec(s2)); !errors.Is(err, ErrReplayDiverged) {
-		t.Fatalf("err = %v, want ErrReplayDiverged", err)
-	}
+	t.Run("fast-gear", func(t *testing.T) {
+		s2 := newAccSession(t, accDesign)
+		rep, err := s2.ReplayFrom(dir, recs, sessionExec(s2))
+		check(t, rep, err)
+	})
+	t.Run("full-gear", func(t *testing.T) {
+		s2 := newAccSession(t, accDesign)
+		rep, err := s2.ReplayFull(dir, recs, sessionExec(s2))
+		check(t, rep, err)
+	})
 }

@@ -28,7 +28,6 @@ import (
 	"livesim/internal/prof"
 	"livesim/internal/sim"
 	"livesim/internal/vm"
-	"livesim/internal/wal"
 	"livesim/internal/xform"
 )
 
@@ -83,9 +82,12 @@ func (d *Driver) PokeMem(path string, addr, v uint64) error { return d.s.PokeMem
 // RunOp is one journaled run command (the session history of Sec. III-B:
 // "such changes are viewed by LiveSim as operations on the UUT, whose
 // history is tracked ... allowing those same operations to be applied
-// again, should the design be updated"). It is the WAL's RunStep, so a
-// reanchor record carries a pipe's history as it is.
-type RunOp = wal.RunStep
+// again, should the design be updated").
+type RunOp struct {
+	TB         string
+	Cycles     int
+	StartCycle uint64
+}
 
 // LibEntry is one row of the Object Library Table (Table II).
 type LibEntry struct {
@@ -730,7 +732,7 @@ func (s *Session) LoadCheckpoint(pipeName, path string) error {
 }
 
 // loadCheckpoint is LoadCheckpoint on an already-decoded file; recovery
-// applies watermark and reanchor checkpoints through it.
+// applies watermark checkpoints through it.
 func (s *Session) loadCheckpoint(p *Pipe, cp *checkpoint.Checkpoint) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -188,8 +188,8 @@ func (p *Plan) StallRunAt(cycle uint64, d time.Duration) *Plan {
 // starting at the from-th (1-based, counted per plan across all WALs
 // consulting it). Unlike TornWALWrite nothing reaches the disk — the
 // write fails up front, the way a full filesystem fails it — so the
-// journal stays frame-aligned and the session must degrade to
-// journal-paused rather than quarantine.
+// journal stays frame-aligned, and the server must refuse the mutation
+// rather than quarantine the session.
 func (p *Plan) DiskFullAppends(from, count int) *Plan {
 	p.mu.Lock()
 	defer p.mu.Unlock()

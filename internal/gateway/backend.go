@@ -37,8 +37,8 @@ const (
 	// bsDraining: the backend is shutting down. Routable so in-flight
 	// sessions hear the typed draining rejection, never placeable.
 	bsDraining
-	// bsDegraded: serving, but with quarantined or nondurable sessions
-	// or the disk ladder engaged. Routable and placeable like bsOK; the
+	// bsDegraded: serving, but with quarantined sessions or the disk
+	// ladder engaged. Routable and placeable like bsOK; the
 	// state is there for an operator reading `backends`.
 	bsDegraded
 	// bsOK: healthy.

@@ -344,21 +344,26 @@ func TestMigrateToStandbySeedsNothing(t *testing.T) {
 	}
 }
 
-// With replication on, a full disk pauses the source's journal: the next
-// mutation is acked but neither journaled nor shipped, and the journal
-// head does not move. The catch-up must resume the journal before it
-// compares heads, or the promoted standby lacks that mutation.
-func TestMigratePausedJournalCatchesUp(t *testing.T) {
+// With replication on, a full disk refuses the source's next append:
+// the mutation is answered disk_full and undone, nothing is shipped, and
+// the journal head does not move. The migration then moves exactly the
+// acked state — the fingerprint from before the refused mutation.
+func TestMigrateAfterRefusedAppend(t *testing.T) {
 	m := setupMatrix(t, gateway.Config{Replicate: true}, false)
 
 	// The next mutation's append and both its retries hit ENOSPC.
 	head := sessionInfosOf(t, m.src)["f0"].HeadSeq
 	m.src.faults.DiskFullAppends(int(head)+1, 3)
-	mustOK(t, m.c, &server.Request{Session: "f0", Verb: "run", Args: []string{"clock", "p0", "5"}})
-	if in := sessionInfosOf(t, m.src)["f0"]; !in.Nondurable || in.HeadSeq != head {
-		t.Fatalf("source row = %+v, want a paused journal still at seq %d", in, head)
+	resp, err := m.c.Do(&server.Request{Session: "f0", Verb: "run", Args: []string{"clock", "p0", "5"}})
+	if err != nil || resp.OK || resp.Code != wire.CodeDiskFull {
+		t.Fatalf("run with a refused append: resp=%+v err=%v, want disk_full", resp, err)
 	}
-	m.wantPeek, m.wantCycle = fingerprint(t, m.c, "f0")
+	if in := sessionInfosOf(t, m.src)["f0"]; in.HeadSeq != head || in.Quarantined {
+		t.Fatalf("source row = %+v, want its journal still at seq %d and no quarantine", in, head)
+	}
+	if peek, cycle := fingerprint(t, m.c, "f0"); peek != m.wantPeek || cycle != m.wantCycle {
+		t.Fatalf("after the refused run: (%q, %q), want the acked (%q, %q)", peek, cycle, m.wantPeek, m.wantCycle)
+	}
 
 	rep, resp := m.migrate(t)
 	if rep == nil || rep.To != m.dst.addr() {

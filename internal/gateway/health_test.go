@@ -8,6 +8,7 @@ import (
 
 	"livesim/internal/gateway"
 	"livesim/internal/server"
+	"livesim/internal/wire"
 )
 
 // backendInfo is the gateway's `backends` row for b.
@@ -36,8 +37,10 @@ func waitBackendState(t *testing.T, g *gateway.Gateway, b *testBackend, state st
 
 // TestProbeReadsBackendHealth: a pool of plain wire addresses sees each
 // backend's /healthz verdict through the ping alone. The emergency disk
-// rung takes a backend out of placement until it clears, and a
-// nondurable session shows as degraded.
+// rung takes a backend out of placement until it clears, the elevated
+// rung shows as degraded but placeable, and an append the journal
+// refuses is answered disk_full through the gateway without taking the
+// backend or the session out of service.
 func TestProbeReadsBackendHealth(t *testing.T) {
 	full, spare := newTestBackend(t), newTestBackend(t)
 	g, gaddr := startGateway(t, gateway.Config{Backends: []gateway.BackendSpec{
@@ -64,11 +67,28 @@ func TestProbeReadsBackendHealth(t *testing.T) {
 		t.Fatalf("backend back at the ok rung is not placeable: %+v", in)
 	}
 
-	// The next append and both its retries hit ENOSPC: h0's journal
-	// pauses and the session is nondurable, still serving.
-	spare.faults.DiskFullAppends(1, 3)
-	mustOK(t, c, &server.Request{Session: "h0", Verb: "run", Args: []string{"clock", "p0", "5"}})
+	// 8% free is the elevated rung: degraded, still journaling.
+	spare.faults.ForceDiskFree(8, 100)
 	if in := waitBackendState(t, g, spare, "degraded"); !in.Placeable {
 		t.Fatalf("degraded backend is not placeable: %+v", in)
 	}
+	mustOK(t, c, &server.Request{Session: "h0", Verb: "run", Args: []string{"clock", "p0", "5"}})
+	spare.faults.ForceDiskFree(50, 100)
+	waitBackendState(t, g, spare, "ok")
+
+	// The next append and both its retries hit ENOSPC: the run is refused
+	// and undone, and the backend and the session keep serving.
+	_, before := fingerprint(t, c, "h0")
+	spare.faults.DiskFullAppends(1, 3)
+	resp, err := c.Do(&server.Request{Session: "h0", Verb: "run", Args: []string{"clock", "p0", "5"}})
+	if err != nil || resp.OK || resp.Code != wire.CodeDiskFull {
+		t.Fatalf("run with a refused append: resp=%+v err=%v, want disk_full", resp, err)
+	}
+	if _, after := fingerprint(t, c, "h0"); after != before {
+		t.Fatalf("refused run changed the session: %q -> %q", before, after)
+	}
+	if in := backendInfo(t, g, spare); in.State != "ok" || !in.Placeable {
+		t.Fatalf("backend after a refused append = %+v, want ok and placeable", in)
+	}
+	mustOK(t, c, &server.Request{Session: "h0", Verb: "run", Args: []string{"clock", "p0", "5"}})
 }

@@ -70,7 +70,7 @@ func serveFleet(b *testing.B, viaGateway bool) string {
 		StateDir:     dir,
 		WALSyncEvery: 100 * time.Millisecond,
 		SlowRequest:  time.Second,
-		// The host's free space must not pause the journal mid-benchmark.
+		// The host's free space must not move the disk rung mid-benchmark.
 		Faults: faultinject.New().ForceDiskFree(50, 100),
 	})
 	addr := listen(b, filepath.Join(dir, "d.sock"), srv.Serve)

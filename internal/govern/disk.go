@@ -8,9 +8,8 @@ import (
 
 // PressureLevel is one rung of the disk-pressure ladder. Rungs are
 // ordered: every degradation active at Elevated stays active at
-// Critical, and so on — clearing pressure walks back down through the
-// same rungs (with hysteresis so a byte of freed space doesn't flap
-// the level).
+// Emergency — clearing pressure walks back down through the same rungs
+// (with hysteresis so a byte of freed space doesn't flap the level).
 type PressureLevel int
 
 const (
@@ -21,11 +20,6 @@ const (
 	// fsync, checkpoint watermark cadence widens, redundant checkpoint
 	// backups are GC'd. Durability window widens but nothing is lost.
 	LevelElevated
-	// LevelCritical: writes may start failing. Journaling pauses and
-	// sessions are marked nondurable (visible in /healthz, sessions,
-	// and the event ring); committed in-memory state is preserved and
-	// re-anchored into the journal once space returns.
-	LevelCritical
 	// LevelEmergency: no room to even checkpoint. Mutations are
 	// rejected with ErrDiskFull (reads still work) so the daemon never
 	// accepts state changes it has no way to make durable or recover.
@@ -38,8 +32,6 @@ func (l PressureLevel) String() string {
 		return "ok"
 	case LevelElevated:
 		return "elevated"
-	case LevelCritical:
-		return "critical"
 	case LevelEmergency:
 		return "emergency"
 	}
@@ -51,7 +43,7 @@ func (l PressureLevel) String() string {
 // rises above its watermark*(1+hysteresis) — elevated at <20% free
 // clears at >25% — so a workload oscillating around a threshold doesn't
 // toggle degradations every probe.
-var engageBelow = [...]float64{LevelElevated: 0.20, LevelCritical: 0.10, LevelEmergency: 0.03}
+var engageBelow = [...]float64{LevelElevated: 0.20, LevelEmergency: 0.03}
 
 const hysteresis = 0.25
 

@@ -12,13 +12,13 @@
 //     retry_after_ms hint proportional to the overshoot, so well-behaved
 //     clients back off instead of hammering.
 //
-//   - the disk-pressure ladder (Ladder / DiskMonitor): free space under
-//     the state directory is classified into rungs — OK, Elevated,
-//     Critical, Emergency — with hysteresis so the level doesn't flap at
-//     a threshold. The server maps rungs to degradations: wider
-//     checkpoint cadence and group-commit fsync (Elevated), journaling
-//     paused and sessions marked nondurable (Critical), mutations
-//     rejected (Emergency). ENOSPC becomes a ladder, not a cliff.
+//   - the disk-pressure ladder (DiskMonitor): free space under the
+//     state directory is classified into rungs — OK, Elevated, Emergency
+//     — with hysteresis so the level doesn't flap at a threshold. The
+//     server maps rungs to degradations: wider checkpoint cadence and
+//     group-commit fsync (Elevated), mutations refused (Emergency). No
+//     rung ever acks a mutation the journal does not hold: between the
+//     rungs, an append that fails refuses its own mutation.
 //
 //   - Retry: the one retry-with-jittered-backoff loop shared by WAL
 //     appends and checkpoint saves (both previously hand-rolled their

@@ -185,13 +185,12 @@ func TestDiskLadderEscalationAndHysteresis(t *testing.T) {
 	step(190, LevelElevated) // <20% engages
 	step(210, LevelElevated) // inside hysteresis band (needs >25%)
 	step(260, LevelOK)       // cleared 20%*1.25
-	step(90, LevelCritical)  // skips straight past elevated
-	step(20, LevelEmergency)
+	step(20, LevelEmergency) // skips straight past elevated
 	step(37, LevelEmergency) // >3% but inside emergency band (needs >3.75%)
-	step(50, LevelCritical)  // cleared emergency band, still <10%*1.25
-	step(110, LevelCritical) // inside critical band (needs >12.5%)
-	step(130, LevelElevated) // cleared critical band, still <25%
-	step(400, LevelOK)       // big reclaim drops the rest in one probe
+	step(50, LevelElevated)  // cleared emergency band, still <20%
+	step(90, LevelElevated)  // 9% free is no rung of its own
+	step(230, LevelElevated) // inside elevated band (needs >25%)
+	step(400, LevelOK)       // cleared elevated band
 	step(10, LevelEmergency) // immediate re-escalation
 	step(500, LevelOK)       // multi-rung drop emergency→OK in one probe
 }
@@ -235,7 +234,7 @@ func TestStatfsProbeOnRealDir(t *testing.T) {
 
 func TestPressureLevelString(t *testing.T) {
 	want := map[PressureLevel]string{
-		LevelOK: "ok", LevelElevated: "elevated", LevelCritical: "critical", LevelEmergency: "emergency",
+		LevelOK: "ok", LevelElevated: "elevated", LevelEmergency: "emergency",
 	}
 	for lvl, s := range want {
 		if lvl.String() != s {

@@ -66,11 +66,11 @@ const (
 // must stop serving mutations for the session.
 var ErrFenced = errors.New("replication stream fenced by newer epoch")
 
-// ErrReseed is returned when the standby cannot apply the shipped tail
-// from records alone (a reanchor crossed the stream: its checkpoint
-// exists only on the primary's disk). The caller re-seeds the standby
-// with a fresh transfer blob; the stream itself is healthy.
-var ErrReseed = errors.New("standby needs a fresh seed (reanchor in stream)")
+// ErrReseed is returned when the standby failed to apply a shipped batch
+// part way, leaving its live state and journal out of step. The caller
+// re-seeds the standby with a fresh transfer blob; the stream itself is
+// healthy.
+var ErrReseed = errors.New("standby needs a fresh seed")
 
 // Ack is the standby's structured answer to a seed or batch: its
 // journal head after applying (the primary's new acked watermark) and

@@ -113,7 +113,6 @@ type Health struct {
 	AdmitInflight   int64   `json:"admit_inflight"`
 	DiskLevel       string  `json:"disk_level"`
 	Draining        bool    `json:"draining"`
-	Nondurable      int     `json:"nondurable"`
 	OverloadRejects int64   `json:"overload_rejects"`
 	Quarantined     int     `json:"quarantined"`
 	Recovering      int     `json:"recovering"`
@@ -128,9 +127,9 @@ type Health struct {
 // session is still replaying its journal after a restart: state not yet
 // servable; a standby's seed landing through `import` does not count)
 // or "disk_emergency" (mutations rejected) when the daemon should take
-// no new sessions; "degraded" when sessions are quarantined or
-// nondurable, or the disk ladder is engaged (serving, but an operator
-// should look); "ok" otherwise.
+// no new sessions; "degraded" when sessions are quarantined or the disk
+// ladder is engaged (serving, but an operator should look); "ok"
+// otherwise.
 func (s *Server) health() Health {
 	hs := s.hostedSet(true)
 	h := Health{
@@ -148,9 +147,6 @@ func (s *Server) health() Health {
 		if q, _ := e.brk.quarantined(); q {
 			h.Quarantined++
 		}
-		if e.journalPaused.Load() {
-			h.Nondurable++
-		}
 	}
 	disk := s.diskLevelNow()
 	h.disk, h.DiskLevel = disk, disk.String()
@@ -161,7 +157,7 @@ func (s *Server) health() Health {
 		h.Status = "recovering"
 	case disk >= govern.LevelEmergency:
 		h.Status = "disk_emergency"
-	case h.Quarantined > 0 || h.Nondurable > 0 || disk > govern.LevelOK:
+	case h.Quarantined > 0 || disk > govern.LevelOK:
 		h.Status = "degraded"
 	default:
 		h.Status = "ok"
@@ -208,7 +204,7 @@ func (s *Server) handleProfilez(w http.ResponseWriter, r *http.Request) {
 
 	out := make(map[string][]core.PipeProfile, len(hs))
 	for _, h := range hs {
-		profiles, err := h.sess.ProfileSnapshot(wantPipe)
+		profiles, err := h.sess.Load().ProfileSnapshot(wantPipe)
 		if err != nil {
 			// An unknown pipe is only an error when the caller named one
 			// session explicitly; across sessions it just means "not here".

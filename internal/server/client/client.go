@@ -193,12 +193,15 @@ func dial(addr string) (net.Conn, error) {
 // resending one after a reconnect is harmless.
 func Idempotent(verb string) bool { return catalogue.Resendable(verb) }
 
-// Do sends one request and waits for its response. The request's ID is
-// assigned by the client, and a TraceID is stamped if the caller didn't
-// set one — the id the server's request span and the session's
-// live-loop spans inherit, so one client call reads as one span tree
-// end to end. The stamp happens before the line is encoded, so a
-// reconnect resend carries the same id.
+// Do sends one request and waits for its response. The client numbers
+// the call on the wire line, and req.ID is left as it was. A TraceID is
+// stamped into req if the caller didn't set one — the id the server's
+// request span and the session's live-loop spans inherit, so one client
+// call reads as one span tree end to end. The stamp happens before the
+// line is encoded, so a reconnect resend carries the same id, and it
+// stays on req: calls that reuse req share that trace id, and a req
+// sent from several goroutines at once must carry its TraceID already,
+// as the stamp would be a write they race on.
 //
 // Overload rejections (code "overloaded") are retried automatically up
 // to Options.OverloadRetries times, sleeping the server's
@@ -292,11 +295,10 @@ func (c *Client) follow(addr string) error {
 // doOnce runs one request/response exchange on the wire.
 func (c *Client) doOnce(req *wire.Request, d time.Duration) (*wire.Response, error) {
 	id := c.nextID.Add(1)
-	req.ID = id
 	if req.TraceID == "" {
 		req.TraceID = obs.NewTraceID()
 	}
-	line, err := wire.EncodeLine(req)
+	line, err := wire.EncodeRequest(req, id)
 	if err != nil {
 		return nil, fmt.Errorf("%s request not sent: %w", req.Verb, err)
 	}

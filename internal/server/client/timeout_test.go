@@ -113,3 +113,66 @@ func TestDialTimesOutOnSilentListener(t *testing.T) {
 		t.Fatalf("Dial gave up after %v, want about %v (%v)", d, dialTimeout, err)
 	}
 }
+
+// Two clients sending one shared request from two goroutines each get
+// the answer to their own call: the call's id goes on the wire line, not
+// into the request, so neither can take the other's. The request carries
+// its TraceID, which Do would otherwise stamp into it.
+func TestSharedRequestGetsItsOwnAnswers(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() { // echoes each request's id and verb
+		for {
+			nc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer nc.Close()
+				sc := bufio.NewScanner(nc)
+				for sc.Scan() {
+					var req wire.Request
+					if json.Unmarshal(sc.Bytes(), &req) != nil {
+						continue
+					}
+					line, _ := wire.EncodeLine(&wire.Response{ID: req.ID, OK: true, Output: req.Verb})
+					nc.Write(line)
+				}
+			}()
+		}
+	}()
+
+	req := &wire.Request{Verb: "ping", TraceID: "shared"}
+	errs := make(chan error, 2)
+	for k := 0; k < 2; k++ {
+		c, err := Dial("tcp:" + ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		go func() {
+			for i := 0; i < 500; i++ {
+				resp, err := c.DoTimeout(req, 5*time.Second)
+				if err == nil && (!resp.OK || resp.Output != "ping") {
+					err = fmt.Errorf("answer %+v", resp)
+				}
+				if err != nil {
+					errs <- fmt.Errorf("call %d: %w", i, err)
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for k := 0; k < 2; k++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if req.ID != 0 {
+		t.Fatalf("the shared request's ID was written: %d", req.ID)
+	}
+}

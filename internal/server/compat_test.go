@@ -4,13 +4,16 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"livesim/internal/frame"
 	"livesim/internal/server"
 	"livesim/internal/sim"
+	"livesim/internal/wal"
 )
 
 // TestRecoversVersion1StateDir: a state dir written by the build before
@@ -97,4 +100,76 @@ func fullStateHash(s *sim.Sim) string {
 	}
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])
+}
+
+// TestRefusesJournalWithReanchorRecord: a state dir written while
+// sessions acked mutations they did not journal can hold a reanchor
+// record — a checkpoint with the pipe's run history inline, standing in
+// for records that were never written. Recovery does not replay one and
+// does not skip it: the journal is set aside as .wal.failed, with an
+// error that names the record type, and the daemon boots.
+func TestRefusesJournalWithReanchorRecord(t *testing.T) {
+	dir := shortDir(t)
+	state := filepath.Join(dir, "state")
+	_, stopA := startServerOn(t, server.Config{StateDir: state, WALSyncEvery: -1}, filepath.Join(dir, "a.sock"))
+	c := dial(t, "unix:"+filepath.Join(dir, "a.sock"))
+	createTiny(t, c, "rx", 25)
+	mustOK(t, c, &server.Request{Session: "rx", Verb: "run", Args: []string{"clock", "p0", "200"}})
+	if err := stopA(); err != nil { // the drain's watermark: rx.p0.lscp and a mark
+		t.Fatal(err)
+	}
+
+	// Rewrite the drain's mark as the reanchor such a build wrote over
+	// the same checkpoint file.
+	path := filepath.Join(state, "rx.wal")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, _, err := wal.DecodeAll(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := append([]byte(nil), data[:frame.HeaderLen]...)
+	anchors := 0
+	for _, r := range recs {
+		if r.Type != wal.TypeMark {
+			rec, err := wal.EncodeRecord(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			img = append(img, rec...)
+			continue
+		}
+		anchors++
+		img = frame.AppendRecord(img, []byte(fmt.Sprintf(
+			`{"seq":%d,"type":"reanchor","version":"v0","pipe":%q,"path":%q,"cycle":%d,"history_len":1,`+
+				`"history":[{"tb":"clock","cycles":%d,"start_cycle":0}]}`, r.Seq, r.Pipe, r.Path, r.Cycle, r.Cycle)))
+	}
+	if anchors != 1 {
+		t.Fatalf("the drain wrote %d marks, want 1", anchors)
+	}
+	if err := os.WriteFile(path, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	srvB, stopB := startServerOn(t, server.Config{StateDir: state, WALSyncEvery: -1}, filepath.Join(dir, "b.sock"))
+	defer stopB()
+	srvB.WaitRecovered()
+	if srvB.Session("rx") != nil {
+		t.Fatal("a journal holding a reanchor record recovered")
+	}
+	if _, err := os.Stat(path + ".failed"); err != nil {
+		t.Fatalf("journal not set aside: %v", err)
+	}
+	var failed string
+	for _, ev := range srvB.Events() {
+		if ev.Session == "rx" && ev.Type == "recovery_failed" {
+			failed = ev.Msg
+		}
+	}
+	if !strings.Contains(failed, `"reanchor"`) {
+		t.Fatalf("recovery_failed event %q does not name the reanchor record", failed)
+	}
+	mustOK(t, dial(t, "unix:"+filepath.Join(dir, "b.sock")), &server.Request{Verb: "ping"})
 }

@@ -1,8 +1,11 @@
 package server_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -12,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"livesim/internal/faultinject"
 	"livesim/internal/server"
 	"livesim/internal/server/client"
 	"livesim/internal/wal"
@@ -32,7 +36,28 @@ var (
 	binsErr  error
 )
 
+// emergencyDaemonEnv, set to "<socket>|<state dir>", makes this test
+// binary serve as a daemon instead of running tests: a livesimd whose
+// disk probe reads the emergency rung, which no livesimd flag forces.
+// The crash matrix SIGKILLs it like any other child.
+const emergencyDaemonEnv = "LIVESIM_TEST_EMERGENCY_DAEMON"
+
 func TestMain(m *testing.M) {
+	if spec := os.Getenv(emergencyDaemonEnv); spec != "" {
+		sock, state, _ := strings.Cut(spec, "|")
+		srv := server.New(server.Config{StateDir: state, WALSyncEvery: -1,
+			Faults: faultinject.New().ForceDiskFree(2, 100), DiskPollEvery: time.Millisecond})
+		os.Remove(sock) // a SIGKILLed daemon's socket file
+		ln, err := net.Listen("unix", sock)
+		if err == nil {
+			err = srv.Recover()
+		}
+		if err == nil {
+			err = srv.Serve(ln)
+		}
+		fmt.Fprintln(os.Stderr, "emergency daemon:", err)
+		os.Exit(2)
+	}
 	code := m.Run()
 	if binsDir != "" {
 		os.RemoveAll(binsDir)
@@ -71,7 +96,8 @@ type daemon struct {
 
 // startDaemon starts a livesimd with a state dir and per-append fsync.
 // -disk-poll 1h keeps the disk-pressure ladder at its first rung: the
-// host's free space must not pause a journal the test relies on.
+// host's free space must not batch the fsyncs or refuse the mutations
+// the test relies on.
 func startDaemon(t *testing.T, bin, sock, state string, extra ...string) *daemon {
 	t.Helper()
 	return startProc(t, bin, append([]string{"-unix", sock, "-state-dir", state,
@@ -82,12 +108,17 @@ func startDaemon(t *testing.T, bin, sock, state string, extra ...string) *daemon
 // reaps it in t.Cleanup.
 func startProc(t *testing.T, bin string, args ...string) *daemon {
 	t.Helper()
+	return startCmd(t, exec.Command(bin, args...))
+}
+
+// startCmd is startProc for a command already built.
+func startCmd(t *testing.T, cmd *exec.Cmd) *daemon {
+	t.Helper()
 	logf, err := os.CreateTemp("", "lsdlog")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { logf.Close(); os.Remove(logf.Name()) })
-	cmd := exec.Command(bin, args...)
 	cmd.Stdout, cmd.Stderr = logf, logf
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
@@ -503,97 +534,155 @@ func TestCrashMatrixStalePrimaryFenced(t *testing.T) {
 	}
 }
 
-// waitSessionDurable polls `sessions` until s1's nondurable flag
-// reaches want, failing fast if the session ever lands in quarantine —
-// an ENOSPC incident must degrade durability, not condemn the session.
-func waitSessionDurable(t *testing.T, c *client.Client, nondurable bool) {
+// matrixFingerprint is s1's observable state: its cycle line and the
+// SHA-256 of a checkpoint file of pipe p0 — state, run history position,
+// design version and testbench state — saved through the daemon to path.
+func matrixFingerprint(t *testing.T, c *client.Client, path string) string {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		resp, err := c.Do(&server.Request{Verb: "sessions"})
-		if err != nil {
-			t.Fatalf("sessions: %v", err)
-		}
-		var infos []server.SessionInfo
-		if err := json.Unmarshal(resp.Data, &infos); err != nil {
-			t.Fatalf("sessions data: %v", err)
-		}
-		for _, info := range infos {
-			if info.Name != "s1" {
-				continue
-			}
-			if info.Quarantined {
-				t.Fatalf("session quarantined during ENOSPC incident: %+v", info)
-			}
-			if info.Nondurable == nondurable {
-				return
-			}
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("session never reached nondurable=%v: %s", nondurable, resp.Data)
-		}
-		time.Sleep(10 * time.Millisecond)
+	cycle := mustOK(t, c, &server.Request{Session: "s1", Verb: "cycle", Args: []string{"p0"}}).Output
+	mustOK(t, c, &server.Request{Session: "s1", Verb: "chkp", Args: []string{"p0", path}})
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
+	sum := sha256.Sum256(data)
+	return cycle + hex.EncodeToString(sum[:])
 }
 
-// TestCrashMatrixENOSPCDuringAppend extends the matrix with the
-// disk-full row: a real livesimd child whose 4th WAL append (run 100)
-// and its retries fail with injected ENOSPC. The mutation must still
-// succeed, the session must land journal-paused (nondurable) — NOT
-// quarantined — and once space returns the next mutation resumes
-// durability via reanchor, proven by a clean drain, a restart
-// recovering the exact state, and continued service.
+// restartSettled starts a livesimd on state and returns a client once s1
+// has recovered.
+func restartSettled(t *testing.T, bin, sock, state string) (*daemon, *client.Client) {
+	t.Helper()
+	d := startDaemon(t, bin, sock, state)
+	c := waitDial(t, sock)
+	waitSessionSettled(t, c)
+	return d, c
+}
+
+// TestCrashMatrixENOSPCDuringAppend is the disk-full row: a real livesimd
+// child whose 4th WAL append (run 100) and its retries fail with
+// injected ENOSPC. The request gets the typed disk_full answer; the live
+// session afterwards is a cold replay of its journal, checkpoint file
+// for checkpoint file; the next mutation is taken; and after a SIGKILL
+// the restart recovers exactly the acked history — 200 + 50 cycles, not
+// the refused 100 — and keeps serving.
 func TestCrashMatrixENOSPCDuringAppend(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds and restarts livesimd subprocesses")
+		t.Skip("builds and kills livesimd subprocesses")
 	}
 	bin := buildBinary(t, "livesimd")
 	dir := shortDir(t)
 	sock, state := filepath.Join(dir, "d.sock"), filepath.Join(dir, "state")
 
 	// Appends for s1: 1 boot, 2 instpipe, 3 run(200), 4 run(100) — fail
-	// append 4 plus both bounded retries so the journal pauses.
-	d := startDaemon(t, bin, sock, state,
-		"-fault-disk-full", "4:3", "-journal-resume-delay", "50ms")
+	// append 4 plus both bounded retries.
+	d := startDaemon(t, bin, sock, state, "-fault-disk-full", "4:3")
 	c := waitDial(t, sock)
-	for _, req := range []*server.Request{
-		{Session: "s1", Verb: "create", PGAS: 1, CheckpointEvery: 25},
-		{Session: "s1", Verb: "instpipe", Args: []string{"p0"}},
-		{Session: "s1", Verb: "run", Args: []string{"tb0", "p0", "200"}},
-		{Session: "s1", Verb: "run", Args: []string{"tb0", "p0", "100"}},
-	} {
-		resp, err := c.Do(req)
-		if err != nil || !resp.OK {
-			d.dumpLog(t)
-			t.Fatalf("%s %v: resp=%+v err=%v", req.Verb, req.Args, resp, err)
-		}
-	}
-	waitSessionDurable(t, c, true)
-
-	// The fault plan is exhausted — space has "returned". The next
-	// mutation after the cooldown must resume and reanchor the journal.
-	time.Sleep(80 * time.Millisecond)
-	if resp, err := c.Do(&server.Request{Session: "s1", Verb: "run", Args: []string{"tb0", "p0", "50"}}); err != nil || !resp.OK {
+	mustOK(t, c, &server.Request{Session: "s1", Verb: "create", PGAS: 1, CheckpointEvery: 25})
+	mustOK(t, c, &server.Request{Session: "s1", Verb: "instpipe", Args: []string{"p0"}})
+	mustOK(t, c, &server.Request{Session: "s1", Verb: "run", Args: []string{"tb0", "p0", "200"}})
+	resp, err := c.Do(&server.Request{Session: "s1", Verb: "run", Args: []string{"tb0", "p0", "100"}})
+	if err != nil || resp.OK || resp.Code != wire.CodeDiskFull {
 		d.dumpLog(t)
-		t.Fatalf("post-incident run: resp=%+v err=%v", resp, err)
+		t.Fatalf("run with a refused append: resp=%+v err=%v, want disk_full", resp, err)
 	}
-	waitSessionDurable(t, c, false)
-
-	// A daemon that weathered ENOSPC must still drain cleanly.
-	d.terminate(t)
-
-	// Restart: the reanchored journal recovers everything, including the
-	// mutations made while nondurable (200 + 100 + 50 = 350).
-	d2 := startDaemon(t, bin, sock, state)
-	c2 := waitDial(t, sock)
-	info := waitSessionSettled(t, c2)
-	if info.Nondurable || info.Quarantined {
-		t.Fatalf("recovered session not healthy: %+v", info)
+	live := matrixFingerprint(t, c, filepath.Join(dir, "live.lscp"))
+	if !strings.HasPrefix(live, "  200 (version v0)") {
+		t.Fatalf("live session after the refusal: %q, want cycle 200", live)
 	}
-	resp := mustOK(t, c2, &server.Request{Session: "s1", Verb: "cycle", Args: []string{"p0"}})
-	if !strings.Contains(resp.Output, "350 (version") {
+	if info := waitSessionSettled(t, c); info.Quarantined {
+		t.Fatalf("session quarantined by a refused append: %+v", info)
+	}
+
+	// Cold replay: a second daemon recovers a copy of the journal.
+	cold := filepath.Join(dir, "cold")
+	if err := os.MkdirAll(cold, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	journal, err := os.ReadFile(filepath.Join(state, "s1.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(cold, "s1.wal"), journal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	dc, cc := restartSettled(t, bin, filepath.Join(dir, "c.sock"), cold)
+	if got := matrixFingerprint(t, cc, filepath.Join(dir, "cold.lscp")); got != live {
+		dc.dumpLog(t)
+		t.Fatalf("cold replay of the journal = %q, live session = %q", got, live)
+	}
+	dc.kill(t)
+
+	mustOK(t, c, &server.Request{Session: "s1", Verb: "run", Args: []string{"tb0", "p0", "50"}})
+	acked := matrixFingerprint(t, c, filepath.Join(dir, "acked.lscp"))
+	d.kill(t)
+
+	d2, c2 := restartSettled(t, bin, sock, state)
+	if got := matrixFingerprint(t, c2, filepath.Join(dir, "recovered.lscp")); got != acked {
 		d2.dumpLog(t)
-		t.Fatalf("recovered cycle = %q, want 350", resp.Output)
+		t.Fatalf("recovered %q, want the acked %q", got, acked)
+	}
+	mustOK(t, c2, &server.Request{Session: "s1", Verb: "run", Args: []string{"tb0", "p0", "10"}})
+	d2.terminate(t)
+}
+
+// TestCrashMatrixEmergencyRefusalSIGKILL is the emergency-rung row: a
+// session with acked history comes back on a daemon whose disk reads
+// the emergency rung, a mutation there is refused with disk_full, and
+// the daemon is SIGKILLed. The restart recovers exactly the acked
+// history and keeps serving.
+func TestCrashMatrixEmergencyRefusalSIGKILL(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and kills livesimd subprocesses")
+	}
+	bin := buildBinary(t, "livesimd")
+	dir := shortDir(t)
+	sock, state := filepath.Join(dir, "d.sock"), filepath.Join(dir, "state")
+
+	d := startDaemon(t, bin, sock, state)
+	c := waitDial(t, sock)
+	mustOK(t, c, &server.Request{Session: "s1", Verb: "create", PGAS: 1, CheckpointEvery: 25})
+	mustOK(t, c, &server.Request{Session: "s1", Verb: "instpipe", Args: []string{"p0"}})
+	mustOK(t, c, &server.Request{Session: "s1", Verb: "run", Args: []string{"tb0", "p0", "200"}})
+	acked := matrixFingerprint(t, c, filepath.Join(dir, "acked.lscp"))
+	d.kill(t)
+
+	// The emergency daemon recovers s1, then refuses the mutation.
+	self, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(self)
+	cmd.Env = append(os.Environ(), emergencyDaemonEnv+"="+sock+"|"+state)
+	e := startCmd(t, cmd)
+	c = waitDial(t, sock)
+	waitSessionSettled(t, c)
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		var h server.Health
+		if err := json.Unmarshal(mustOK(t, c, &server.Request{Verb: "ping"}).Data, &h); err != nil {
+			t.Fatal(err)
+		}
+		if h.DiskLevel == "emergency" {
+			break
+		}
+		if time.Now().After(deadline) {
+			e.dumpLog(t)
+			t.Fatalf("the emergency daemon never reached the emergency rung: %+v", h)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	resp, err := c.Do(&server.Request{Session: "s1", Verb: "run", Args: []string{"tb0", "p0", "100"}})
+	if err != nil || resp.OK || resp.Code != wire.CodeDiskFull {
+		e.dumpLog(t)
+		t.Fatalf("run at the emergency rung: resp=%+v err=%v, want disk_full", resp, err)
+	}
+	e.kill(t)
+
+	d2, c2 := restartSettled(t, bin, sock, state)
+	if got := matrixFingerprint(t, c2, filepath.Join(dir, "recovered.lscp")); got != acked {
+		d2.dumpLog(t)
+		t.Fatalf("recovered %q, want the acked %q", got, acked)
 	}
 	mustOK(t, c2, &server.Request{Session: "s1", Verb: "run", Args: []string{"tb0", "p0", "10"}})
 	d2.terminate(t)

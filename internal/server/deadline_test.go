@@ -2,7 +2,6 @@ package server_test
 
 import (
 	"bufio"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -31,35 +30,30 @@ func TestOneAnswerPerRequest(t *testing.T) {
 		perConn  = 125
 		cycles   = 2000 // per run
 		runCycle = "2000"
+		timed    = 9 // runs timed before the deadline drops
 	)
 	run := func(id uint64) string {
 		return fmt.Sprintf(`{"id":%d,"session":"s","verb":"run","args":["clock","p0","%s"]}`+"\n", id, runCycle)
 	}
 
-	// How long one run takes, on a server with the shipped deadline; it
-	// stops before the deadline changes, so no request reads it meanwhile.
-	calib, addr := startServer(t, server.Config{})
+	// Registered before startServer, so the restore runs after shutdown.
+	t.Cleanup(server.SetBreakerThreshold(1 << 30)) // missed deadlines must not quarantine the session
+	srv, addr := startServer(t, server.Config{AdmitBudget: -1})
 	c := dial(t, addr)
+
+	// The session is set up, and one run timed, under the shipped
+	// deadline: a loaded host must not time out the setup. The deadline
+	// then drops to the median run.
 	createTiny(t, c, "s", 1000)
 	var took []time.Duration
-	for i := 0; i < 9; i++ {
+	for i := 0; i < timed; i++ {
 		t0 := time.Now()
 		mustOK(t, c, &server.Request{Session: "s", Verb: "run", Args: []string{"clock", "p0", runCycle}})
 		took = append(took, time.Since(t0))
 	}
-	c.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	calib.Shutdown(ctx)
-	cancel()
 	sort.Slice(took, func(i, j int) bool { return took[i] < took[j] })
 	deadline := took[len(took)/2]
-
-	// Registered before startServer, so the restores run after shutdown.
 	t.Cleanup(server.SetRequestDeadline(deadline))
-	t.Cleanup(server.SetBreakerThreshold(1 << 30)) // missed deadlines must not quarantine the session
-	srv, addr := startServer(t, server.Config{AdmitBudget: -1})
-	c = dial(t, addr)
-	createTiny(t, c, "s", 1000)
 	executed := func() uint64 {
 		var rows []server.TopRow
 		if err := json.Unmarshal(mustOK(t, c, &server.Request{Verb: "top"}).Data, &rows); err != nil || len(rows) != 1 {
@@ -155,7 +149,7 @@ func TestOneAnswerPerRequest(t *testing.T) {
 	}
 
 	// The session still serves, and every run that executed is in its cycle.
-	want := fmt.Sprintf("%d (version", ran*cycles)
+	want := fmt.Sprintf("%d (version", (ran+timed)*cycles)
 	for end := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
 		resp, err := c.Do(&server.Request{Session: "s", Verb: "cycle", Args: []string{"p0"}})
 		if err != nil {

@@ -166,10 +166,11 @@ func TestTornJournalTailTruncated(t *testing.T) {
 	cA := dial(t, "unix:"+filepath.Join(dir, "a.sock"))
 	createTiny(t, cA, "t0", 25)
 	mustOK(t, cA, &server.Request{Session: "t0", Verb: "run", Args: []string{"clock", "p0", "200"}})
-	// This run commits in memory but its journal append is torn: the
-	// request still succeeds (write-behind journal), durability is lost
-	// for this one mutation.
-	mustOK(t, cA, &server.Request{Session: "t0", Verb: "run", Args: []string{"clock", "p0", "100"}})
+	// This run's journal append is torn: the mutation is undone and the
+	// request refused, as for any append the journal does not take.
+	if resp, err := cA.Do(&server.Request{Session: "t0", Verb: "run", Args: []string{"clock", "p0", "100"}}); err != nil || resp.Code != wire.CodeDiskFull {
+		t.Fatalf("run with a torn append: resp=%+v err=%v, want disk_full", resp, err)
+	}
 
 	cfgB := server.Config{StateDir: state, WALSyncEvery: -1}
 	srvB, stopB := startServerOn(t, cfgB, filepath.Join(dir, "b.sock"))

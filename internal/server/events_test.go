@@ -116,7 +116,7 @@ func TestEventRecordedOnce(t *testing.T) {
 			if cfg.Faults == nil {
 				cfg.Faults = faultinject.New()
 			}
-			cfg.Faults.ForceDiskFree(50, 100) // the host's free space must not pause journals
+			cfg.Faults.ForceDiskFree(50, 100) // the host's free space must not move the disk rung
 			fx := &eventFixture{cfg: cfg, sock: filepath.Join(dir, "d.sock")}
 			_, fx.stop = startServerOn(t, cfg, fx.sock)
 			t.Cleanup(func() { fx.stop() })

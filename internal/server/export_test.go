@@ -13,12 +13,11 @@ func SetMemEvictIdle(d time.Duration) (restore func()) {
 	return func() { memEvictIdle = old }
 }
 
-// SetRequestDeadline changes the per-request deadline, and returns the
-// restore func.
+// SetRequestDeadline changes the per-request deadline, on a running
+// server too, and returns the restore func.
 func SetRequestDeadline(d time.Duration) (restore func()) {
-	old := requestTimeout
-	requestTimeout = d
-	return func() { requestTimeout = old }
+	old := requestTimeout.Swap(int64(d))
+	return func() { requestTimeout.Store(old) }
 }
 
 // SetBreakerThreshold changes how many consecutive failures trip a

@@ -21,7 +21,8 @@ import (
 )
 
 // Resource-governance tests: the global admission budget, the
-// disk-pressure ladder, and the ENOSPC journal-pause/reanchor cycle.
+// disk-pressure ladder, and the refusal of a mutation whose journal
+// append fails.
 
 // rawDial returns a client with overload retries disabled, so tests see
 // the typed rejections instead of the client absorbing them.
@@ -49,27 +50,6 @@ func sessionInfo(t *testing.T, c *client.Client, name string) (server.SessionInf
 		}
 	}
 	return server.SessionInfo{}, false
-}
-
-// waitNondurable polls until the named session's nondurable flag
-// reaches want, asserting it is never quarantined along the way — a
-// full disk is the daemon's condition, not the session's fault.
-func waitNondurable(t *testing.T, c *client.Client, name string, want bool) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		info, ok := sessionInfo(t, c, name)
-		if ok && info.Quarantined {
-			t.Fatalf("session %s quarantined during a disk incident: %+v", name, info)
-		}
-		if ok && info.Nondurable == want {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("session %s never reached nondurable=%v: %+v (found=%v)", name, want, info, ok)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
 }
 
 func healthz(t testing.TB, srv *server.Server) (int, map[string]any) {
@@ -330,18 +310,18 @@ func BenchmarkOverload(b *testing.B) {
 }
 
 // TestDiskPressureLadder walks every rung with a forced disk probe:
-// elevated GCs checkpoint backups, critical pauses journals (sessions
-// nondurable but still mutable), emergency rejects mutations and
+// elevated GCs checkpoint backups and keeps journaling — at 8% free
+// too — emergency refuses mutations and
 // creates with the typed disk_full code while reads keep working, and
-// clearing pressure resumes durability via reanchor — proven by a
-// restart recovering the exact final state.
+// clearing pressure takes mutations again at once. Every acked mutation
+// was journaled, proven by a restart recovering the exact final state.
 func TestDiskPressureLadder(t *testing.T) {
 	dir := shortDir(t)
 	state := filepath.Join(dir, "state")
 	plan := faultinject.New().ForceDiskFree(50, 100) // start at OK
 	cfgA := server.Config{
 		StateDir: state, WALSyncEvery: -1, Faults: plan,
-		DiskPollEvery: 2 * time.Millisecond, JournalResumeDelay: 10 * time.Millisecond,
+		DiskPollEvery: 2 * time.Millisecond,
 	}
 	srvA, _ := startServerOn(t, cfgA, filepath.Join(dir, "a.sock"))
 	c := dial(t, "unix:"+filepath.Join(dir, "a.sock"))
@@ -366,20 +346,27 @@ func TestDiskPressureLadder(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 
-	// Rung 2 — critical: journals pause, sessions go nondurable (never
-	// quarantined), but mutations still work from memory.
+	// 8% free is still elevated: a mutation is journaled before its ack,
+	// and the session is never quarantined.
 	plan.ForceDiskFree(8, 100)
-	waitNondurable(t, c, "d0", true)
+	head := func() uint64 {
+		info, _ := sessionInfo(t, c, "d0")
+		if info.Quarantined {
+			t.Fatalf("session quarantined during a disk incident: %+v", info)
+		}
+		return info.HeadSeq
+	}
+	before := head()
 	mustOK(t, c, &server.Request{Session: "d0", Verb: "run", Args: []string{"clock", "p0", "30"}})
 	cycles += 30
-	if code, body := healthz(t, srvA); code != http.StatusOK || body["status"] != "degraded" || body["disk_level"] != "critical" {
-		t.Errorf("healthz at critical: code=%d body=%v", code, body)
+	if after := head(); after != before+1 {
+		t.Errorf("journal head %d -> %d across an acked run at 8%% free, want one record", before, after)
 	}
-	if out := mustOK(t, c, &server.Request{Verb: "sessions"}).Output; !strings.Contains(out, " NONDURABLE") || strings.Contains(out, "QUARANTINED") {
-		t.Errorf("sessions at critical: %q, want NONDURABLE and not QUARANTINED", out)
+	if code, body := healthz(t, srvA); code != http.StatusOK || body["status"] != "degraded" || body["disk_level"] != "elevated" {
+		t.Errorf("healthz at 8%% free: code=%d body=%v", code, body)
 	}
 
-	// Rung 3 — emergency: mutations and creates are rejected with the
+	// Rung 2 — emergency: mutations and creates are rejected with the
 	// typed code; reads keep working; healthz turns 503.
 	plan.ForceDiskFree(2, 100)
 	deadline = time.Now().Add(10 * time.Second)
@@ -409,8 +396,8 @@ func TestDiskPressureLadder(t *testing.T) {
 		t.Errorf("healthz at emergency: code=%d body=%v", code, body)
 	}
 
-	// Pressure clears: the next mutation after the cooldown resumes the
-	// journal with a reanchor record and the session is durable again.
+	// Pressure clears: mutations are taken again as soon as the governor
+	// sees it.
 	plan.ForceDiskFree(60, 100)
 	deadline = time.Now().Add(10 * time.Second)
 	for {
@@ -420,14 +407,13 @@ func TestDiskPressureLadder(t *testing.T) {
 		}
 		if resp.OK {
 			cycles += 10
-			if info, ok := sessionInfo(t, c, "d0"); ok && !info.Nondurable {
-				break
-			}
-		} else if resp.Code != wire.CodeDiskFull {
+			break
+		}
+		if resp.Code != wire.CodeDiskFull {
 			t.Fatalf("unexpected rejection while clearing: %s (%s)", resp.Error, resp.Code)
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("journal never resumed after pressure cleared")
+			t.Fatal("mutations never resumed after pressure cleared")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -436,7 +422,7 @@ func TestDiskPressureLadder(t *testing.T) {
 		t.Fatalf("live cycle %q, want %q", resp.Output, want)
 	}
 
-	// The reanchored journal must recover the exact final state.
+	// The journal must recover the exact final state.
 	cfgB := server.Config{StateDir: state, WALSyncEvery: -1}
 	srvB, stopB := startServerOn(t, cfgB, filepath.Join(dir, "b.sock"))
 	defer stopB()
@@ -448,128 +434,205 @@ func TestDiskPressureLadder(t *testing.T) {
 	}
 }
 
-// TestENOSPCJournalPauseAndReanchorResume injects ENOSPC into a WAL
-// append (and its retries): the mutation still succeeds (write-behind
-// journal), the session degrades to journal-paused — nondurable, NOT
-// quarantined — and the next mutation after the cooldown re-anchors the
-// journal so a restart recovers everything including the mutations
-// made while paused.
-func TestENOSPCJournalPauseAndReanchorResume(t *testing.T) {
+// refusedRun sends a run whose journal append is expected to fail and
+// requires the typed refusal, with the session neither quarantined nor
+// changed by it.
+func refusedRun(t *testing.T, c *client.Client, name string, cycles int) {
+	t.Helper()
+	before := mustOK(t, c, &server.Request{Session: name, Verb: "cycle", Args: []string{"p0"}}).Output
+	resp, err := c.Do(&server.Request{Session: name, Verb: "run", Args: []string{"clock", "p0", fmt.Sprint(cycles)}})
+	if err != nil || resp.OK || resp.Code != wire.CodeDiskFull {
+		t.Fatalf("run with a refused append: resp=%+v err=%v, want disk_full", resp, err)
+	}
+	if after := mustOK(t, c, &server.Request{Session: name, Verb: "cycle", Args: []string{"p0"}}).Output; after != before {
+		t.Fatalf("refused run changed the session: %q -> %q", before, after)
+	}
+	if info, _ := sessionInfo(t, c, name); info.Quarantined {
+		t.Fatalf("session quarantined by a refused append: %+v", info)
+	}
+}
+
+// recoveredCycle restarts a daemon on state and returns session name's
+// cycle line.
+func recoveredCycle(t *testing.T, dir, state, name string) string {
+	t.Helper()
+	srvB, stopB := startServerOn(t, server.Config{StateDir: state, WALSyncEvery: -1}, filepath.Join(dir, "b.sock"))
+	defer stopB()
+	srvB.WaitRecovered()
+	cB := dial(t, "unix:"+filepath.Join(dir, "b.sock"))
+	return doUntilRecovered(t, cB, &server.Request{Session: name, Verb: "cycle", Args: []string{"p0"}}).Output
+}
+
+// TestENOSPCAppendRefusesAndRebuilds injects ENOSPC into a WAL append
+// and both its retries: the mutation is refused with the typed code, the
+// session is rebuilt from its journal — it holds exactly the acked
+// history, is not quarantined, and its state matches a cold replay of
+// the journal — and the next mutation is taken as usual. A restart
+// recovers the acked history: 200 + 50 cycles, not the refused 100.
+func TestENOSPCAppendRefusesAndRebuilds(t *testing.T) {
 	dir := shortDir(t)
 	state := filepath.Join(dir, "state")
-	plan := faultinject.New()
 	// Appends for this session: 1 boot, 2 instpipe, 3 run(200), 4
-	// run(100). Fail append 4 and both its retries so the bounded retry
-	// budget exhausts and the journal pauses.
-	plan.DiskFullAppends(4, 3)
-	cfgA := server.Config{
-		StateDir: state, WALSyncEvery: -1, Faults: plan,
-		JournalResumeDelay: 20 * time.Millisecond,
-	}
-	_, _ = startServerOn(t, cfgA, filepath.Join(dir, "a.sock"))
+	// run(100). Fail append 4 and both its retries.
+	plan := faultinject.New().ForceDiskFree(50, 100).DiskFullAppends(4, 3)
+	srvA, stopA := startServerOn(t, server.Config{StateDir: state, WALSyncEvery: -1, Faults: plan}, filepath.Join(dir, "a.sock"))
 	c := dial(t, "unix:"+filepath.Join(dir, "a.sock"))
 	createTiny(t, c, "e0", 25)
 	mustOK(t, c, &server.Request{Session: "e0", Verb: "run", Args: []string{"clock", "p0", "200"}})
-
-	// The ENOSPC mutation commits in memory; durability pauses.
-	mustOK(t, c, &server.Request{Session: "e0", Verb: "run", Args: []string{"clock", "p0", "100"}})
-	waitNondurable(t, c, "e0", true)
-	fired := strings.Join(plan.Fired(), ",")
-	if !strings.Contains(fired, "disk-full:4") {
+	// The listings read the session from other goroutines while its
+	// worker swaps in the rebuilt one.
+	watcher, stopWatch := dial(t, "unix:"+filepath.Join(dir, "a.sock")), make(chan struct{})
+	watched := make(chan struct{})
+	go func() {
+		defer close(watched)
+		for {
+			select {
+			case <-stopWatch:
+				return
+			default:
+			}
+			watcher.Do(&server.Request{Verb: "sessions"})
+			watcher.Do(&server.Request{Verb: "top"})
+		}
+	}()
+	refusedRun(t, c, "e0", 100)
+	close(stopWatch)
+	<-watched
+	if fired := strings.Join(plan.Fired(), ","); !strings.Contains(fired, "disk-full:4") {
 		t.Fatalf("ENOSPC fault never fired: %q", fired)
 	}
 
-	// Space has "returned" (the fault plan is exhausted): the next
-	// mutation after the cooldown resumes and re-anchors.
-	time.Sleep(25 * time.Millisecond)
-	mustOK(t, c, &server.Request{Session: "e0", Verb: "run", Args: []string{"clock", "p0", "50"}})
-	waitNondurable(t, c, "e0", false)
-
-	// Restart: the reanchor closes over the missed run(100), and the
-	// post-resume run(50) is journaled normally — cycle 350 total.
-	cfgB := server.Config{StateDir: state, WALSyncEvery: -1}
-	srvB, stopB := startServerOn(t, cfgB, filepath.Join(dir, "b.sock"))
-	defer stopB()
-	srvB.WaitRecovered()
-	cB := dial(t, "unix:"+filepath.Join(dir, "b.sock"))
-	got := doUntilRecovered(t, cB, &server.Request{Session: "e0", Verb: "cycle", Args: []string{"p0"}})
-	if !strings.Contains(got.Output, "350 (version") {
-		t.Fatalf("recovered cycle %q, want 350", got.Output)
+	// Live ≡ a cold replay of the journal: a second daemon recovers a copy
+	// of the state dir, and every slot and memory word agrees.
+	cold := filepath.Join(dir, "cold")
+	if err := os.MkdirAll(cold, 0o755); err != nil {
+		t.Fatal(err)
 	}
-	mustOK(t, cB, &server.Request{Session: "e0", Verb: "run", Args: []string{"clock", "p0", "10"}})
+	matches, _ := filepath.Glob(filepath.Join(state, "e0.*"))
+	for _, m := range matches {
+		data, err := os.ReadFile(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(cold, filepath.Base(m)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srvC, stopC := startServerOn(t, server.Config{StateDir: cold, WALSyncEvery: -1}, filepath.Join(dir, "c.sock"))
+	srvC.WaitRecovered()
+	mustOK(t, dial(t, "unix:"+filepath.Join(dir, "c.sock")), &server.Request{Verb: "ping"}) // serving, so the stop below is a drain
+	live, _ := srvA.Session("e0").Pipe("p0")
+	replayed, ok := srvC.Session("e0").Pipe("p0")
+	if !ok || fullStateHash(live.Sim) != fullStateHash(replayed.Sim) {
+		t.Fatalf("live session after the refusal differs from a cold replay of its journal (pipe found: %v)", ok)
+	}
+	stopC()
+
+	mustOK(t, c, &server.Request{Session: "e0", Verb: "run", Args: []string{"clock", "p0", "50"}})
+	if err := stopA(); err != nil {
+		t.Fatal(err)
+	}
+	if got := recoveredCycle(t, dir, state, "e0"); !strings.Contains(got, "250 (version") {
+		t.Fatalf("recovered cycle %q, want the acked 250", got)
+	}
 }
 
-// TestDrainReanchorsPausedJournal: a drain hitting a session whose
-// journal is still paused (the live resume cooldown never elapsed) must
-// use its last chance to reanchor — the worker is stopped, so it is
-// safe — and the restart recovers the full state including the
-// mutations missed while paused.
-func TestDrainReanchorsPausedJournal(t *testing.T) {
+// TestRefusedAppendSetsAsideUnreplayableJournal: when the rebuild after
+// a refused append cannot replay the journal — here its boot record was
+// damaged on disk — the session is not served from state its journal
+// does not describe: the journal is set aside as .wal.failed, as boot
+// recovery does, the name answers no_session, and the daemon serves on.
+func TestRefusedAppendSetsAsideUnreplayableJournal(t *testing.T) {
 	dir := shortDir(t)
 	state := filepath.Join(dir, "state")
-	plan := faultinject.New()
-	plan.DiskFullAppends(4, 3)
-	cfgA := server.Config{
-		StateDir: state, WALSyncEvery: -1, Faults: plan,
-		JournalResumeDelay: time.Hour, // the live path never resumes
-	}
-	_, stopA := startServerOn(t, cfgA, filepath.Join(dir, "a.sock"))
+	plan := faultinject.New().ForceDiskFree(50, 100)
+	srv, stop := startServerOn(t, server.Config{StateDir: state, WALSyncEvery: -1, Faults: plan}, filepath.Join(dir, "a.sock"))
+	defer stop()
 	c := dial(t, "unix:"+filepath.Join(dir, "a.sock"))
 	createTiny(t, c, "e0", 25)
 	mustOK(t, c, &server.Request{Session: "e0", Verb: "run", Args: []string{"clock", "p0", "200"}})
-	mustOK(t, c, &server.Request{Session: "e0", Verb: "run", Args: []string{"clock", "p0", "100"}})
-	waitNondurable(t, c, "e0", true)
+
+	path := filepath.Join(state, "e0.wal")
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte("XX"), 24); err != nil { // inside the boot record's payload
+		t.Fatal(err)
+	}
+	f.Close()
+	plan.DiskFullAppends(1, 3)
+	resp, err := c.Do(&server.Request{Session: "e0", Verb: "run", Args: []string{"clock", "p0", "100"}})
+	if err != nil || resp.Code != wire.CodeDiskFull {
+		t.Fatalf("run with a refused append: resp=%+v err=%v, want disk_full", resp, err)
+	}
+	if resp, err := c.Do(&server.Request{Session: "e0", Verb: "cycle", Args: []string{"p0"}}); err != nil || resp.Code != wire.CodeNoSession {
+		t.Fatalf("set-aside session still answers: resp=%+v err=%v", resp, err)
+	}
+	if _, err := os.Stat(path + ".failed"); err != nil {
+		t.Fatalf("journal not set aside: %v", err)
+	}
+	failed := false
+	for _, ev := range srv.Events() {
+		failed = failed || ev.Session == "e0" && ev.Type == "recovery_failed"
+	}
+	if !failed {
+		t.Error("no recovery_failed event for the set-aside journal")
+	}
+	createTiny(t, c, "e1", 25)
+}
+
+// TestDrainAfterRefusedAppendKeepsAckedHistory: a drain right after a
+// refused append watermarks the rebuilt session, so the restart recovers
+// exactly the acked history.
+func TestDrainAfterRefusedAppendKeepsAckedHistory(t *testing.T) {
+	dir := shortDir(t)
+	state := filepath.Join(dir, "state")
+	plan := faultinject.New().ForceDiskFree(50, 100).DiskFullAppends(4, 3)
+	_, stopA := startServerOn(t, server.Config{StateDir: state, WALSyncEvery: -1, Faults: plan}, filepath.Join(dir, "a.sock"))
+	c := dial(t, "unix:"+filepath.Join(dir, "a.sock"))
+	createTiny(t, c, "e0", 25)
+	mustOK(t, c, &server.Request{Session: "e0", Verb: "run", Args: []string{"clock", "p0", "200"}})
+	refusedRun(t, c, "e0", 100)
 	mustOK(t, c, &server.Request{Session: "e0", Verb: "run", Args: []string{"clock", "p0", "50"}})
 	if err := stopA(); err != nil {
-		t.Fatalf("drain with a paused journal: %v", err)
+		t.Fatalf("drain after a refused append: %v", err)
 	}
-
-	cfgB := server.Config{StateDir: state, WALSyncEvery: -1}
-	srvB, stopB := startServerOn(t, cfgB, filepath.Join(dir, "b.sock"))
-	defer stopB()
-	srvB.WaitRecovered()
-	cB := dial(t, "unix:"+filepath.Join(dir, "b.sock"))
-	got := doUntilRecovered(t, cB, &server.Request{Session: "e0", Verb: "cycle", Args: []string{"p0"}})
-	if !strings.Contains(got.Output, "350 (version") {
-		t.Fatalf("drain-time reanchor lost state: recovered cycle %q, want 350", got.Output)
+	if got := recoveredCycle(t, dir, state, "e0"); !strings.Contains(got, "250 (version") {
+		t.Fatalf("recovered cycle %q, want the acked 250", got)
 	}
 }
 
-// TestDrainSkipsWatermarkWhileDiskCritical: when the disk is still at
-// the critical rung at drain time the resume must fail and the drain
-// must NOT watermark the paused journal — a mark appended after missed
-// mutations would silently diverge replay. The restart recovers
-// honestly to the pre-pause prefix.
-func TestDrainSkipsWatermarkWhileDiskCritical(t *testing.T) {
+// TestDrainAtEmergencyKeepsAckedHistory: a drain at the emergency rung,
+// after a mutation was refused there, still watermarks the session, and
+// the restart recovers exactly the acked history — the refused run is
+// nowhere.
+func TestDrainAtEmergencyKeepsAckedHistory(t *testing.T) {
 	dir := shortDir(t)
 	state := filepath.Join(dir, "state")
 	plan := faultinject.New().ForceDiskFree(50, 100)
 	cfgA := server.Config{
 		StateDir: state, WALSyncEvery: -1, Faults: plan,
-		DiskPollEvery: 2 * time.Millisecond, JournalResumeDelay: 10 * time.Millisecond,
+		DiskPollEvery: 2 * time.Millisecond,
 	}
-	_, stopA := startServerOn(t, cfgA, filepath.Join(dir, "a.sock"))
+	srvA, stopA := startServerOn(t, cfgA, filepath.Join(dir, "a.sock"))
 	c := dial(t, "unix:"+filepath.Join(dir, "a.sock"))
 	createTiny(t, c, "d0", 25)
 	mustOK(t, c, &server.Request{Session: "d0", Verb: "run", Args: []string{"clock", "p0", "200"}})
 
-	plan.ForceDiskFree(8, 100) // critical: journal pauses
-	waitNondurable(t, c, "d0", true)
-	mustOK(t, c, &server.Request{Session: "d0", Verb: "run", Args: []string{"clock", "p0", "100"}}) // missed
+	plan.ForceDiskFree(2, 100)
+	deadline := time.Now().Add(10 * time.Second)
+	for _, body := healthz(t, srvA); body["disk_level"] != "emergency"; _, body = healthz(t, srvA) {
+		if time.Now().After(deadline) {
+			t.Fatal("the governor never reached the emergency rung")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	refusedRun(t, c, "d0", 100)
 	if err := stopA(); err != nil {
-		t.Fatalf("drain at critical rung: %v", err)
+		t.Fatalf("drain at the emergency rung: %v", err)
 	}
-
-	cfgB := server.Config{StateDir: state, WALSyncEvery: -1}
-	srvB, stopB := startServerOn(t, cfgB, filepath.Join(dir, "b.sock"))
-	defer stopB()
-	srvB.WaitRecovered()
-	if srvB.Session("d0") == nil {
-		t.Fatal("session d0 not recovered (journal set aside => replay diverged)")
-	}
-	cB := dial(t, "unix:"+filepath.Join(dir, "b.sock"))
-	got := doUntilRecovered(t, cB, &server.Request{Session: "d0", Verb: "cycle", Args: []string{"p0"}})
-	if !strings.Contains(got.Output, "200 (version") || strings.Contains(got.Output, "300") {
-		t.Fatalf("recovered cycle %q, want the pre-pause 200, not 300", got.Output)
+	if got := recoveredCycle(t, dir, state, "d0"); !strings.Contains(got, "200 (version") {
+		t.Fatalf("recovered cycle %q, want the acked 200", got)
 	}
 }

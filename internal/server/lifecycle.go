@@ -24,9 +24,7 @@ import (
 //	close               nothing: journal, checkpoints and sidecar deleted
 //	eviction, shed,     a dirty session's checkpoints in DrainDir (when
 //	drain               set) and a final watermark in its journal; a
-//	                    paused journal is reanchored first if the disk
-//	                    rung allows, and never marked while still paused;
-//	                    a follower's journal is left as the stream wrote it
+//	                    follower's journal is left as the stream wrote it
 //	halt                the journal as last fsynced, as a SIGKILL would
 //
 // Shutdown and Halt wait for recoveries in flight; one that ends after
@@ -62,7 +60,7 @@ func (s *Server) hostedSet(recovering bool) []*hosted {
 	s.mu.Lock()
 	hs := make([]*hosted, 0, len(s.sessions))
 	for _, h := range s.sessions {
-		if h.recovering.Load() && recovering || !h.recovering.Load() && h.sess != nil {
+		if h.recovering.Load() && recovering || !h.recovering.Load() && h.sess.Load() != nil {
 			hs = append(hs, h)
 		}
 	}
@@ -85,7 +83,7 @@ func (s *Server) unlink(name string, ok func(*hosted) bool) *hosted {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	h := s.sessions[name]
-	if h == nil || h.sess == nil || h.recovering.Load() || ok != nil && !ok(h) {
+	if h == nil || h.sess.Load() == nil || h.recovering.Load() || ok != nil && !ok(h) {
 		return nil
 	}
 	delete(s.sessions, name)
@@ -128,7 +126,7 @@ func (s *Server) launch(h *hosted, sess *core.Session, rep *core.ReplayReport) b
 	if s.env.Draining() {
 		return false
 	}
-	h.sess = sess
+	h.sess.Store(sess)
 	if rep != nil {
 		h.dirty.Store(rep.Executed+rep.Skipped > 0)
 		s.noteMark(h)
@@ -162,7 +160,7 @@ func (s *Server) abandon(h *hosted) (stopping bool) {
 // on its placeholder is failed instead. False when the worker is wedged.
 func (s *Server) stop(h *hosted, patience time.Duration) bool {
 	h.queue.close()
-	if h.sess == nil {
+	if h.sess.Load() == nil {
 		for t, ok := h.queue.take(); ok; t, ok = h.queue.take() {
 			s.answer(t, wire.Refuse(t.Req, wire.CodeNoSession, fmt.Errorf("session %q failed to start", h.name)))
 		}
@@ -173,13 +171,12 @@ func (s *Server) stop(h *hosted, patience time.Duration) bool {
 	}
 	<-h.stopped
 	stopShipper(h)
-	h.sess.WaitBackground()
+	h.sess.Load().WaitBackground()
 	return true
 }
 
 // persist releases a stopped session's journal and leaves on disk what
-// its way out promises (see the table above). The worker is stopped, so
-// reanchoring a paused journal here is safe, and the cooldown is moot.
+// its way out promises (see the table above).
 func (s *Server) persist(h *hosted, how leave) DrainedSession {
 	ds := DrainedSession{Name: h.name}
 	if how == leaveWatermark && h.dirty.Load() {
@@ -188,8 +185,8 @@ func (s *Server) persist(h *hosted, how leave) DrainedSession {
 		}
 		// A follower's journal has one writer, the replication stream: a
 		// mark here would move its head past the primary's seq.
-		if h.wal != nil && !h.follower.Load() && s.resumePaused(h) == nil {
-			s.watermark(h, wal.TypeMark)
+		if h.wal != nil && !h.follower.Load() {
+			s.watermark(h)
 		}
 	}
 	if h.wal != nil {
@@ -213,34 +210,30 @@ func (s *Server) evict(h *hosted, why string) {
 }
 
 // watermark is the one writer of watermarks. It checkpoints every pipe
-// into the state dir, journals one record of typ per pipe — a mark, or a
-// reanchor that also carries version and history because it closes over
-// mutations a paused journal missed — and syncs. The periodic, eviction,
-// drain, seed and resume paths all come through here. The first failure
-// aborts: a partial watermark only sends a replay further back, but a
-// seed or a resume built on one would be a lie.
-func (s *Server) watermark(h *hosted, typ string) (err error) {
+// into the state dir, journals one mark record per pipe and syncs. The
+// periodic, eviction, drain and seed paths all come through here. The
+// first failure aborts: a partial watermark only sends a replay further
+// back, but a seed built on one would be a lie.
+func (s *Server) watermark(h *hosted) (err error) {
 	h.mutations = 0
 	defer func() {
 		if err != nil {
-			s.log.Error("watermark failed", obs.Str("session", h.name), obs.Str("type", typ), obs.Str("err", err.Error()))
+			s.log.Error("watermark failed", obs.Str("session", h.name), obs.Str("err", err.Error()))
 		}
 	}()
-	for _, pipe := range h.sess.PipeNames() {
+	sess := h.sess.Load()
+	for _, pipe := range sess.PipeNames() {
 		base := fmt.Sprintf("%s.%s.lscp", h.name, pipe)
 		if err := s.saveCheckpointRetry(h, pipe, filepath.Join(s.cfg.StateDir, base)); err != nil {
 			return fmt.Errorf("checkpoint %s: %w", pipe, err)
 		}
-		cycle, histLen, ok := h.sess.PipeStatus(pipe)
+		cycle, histLen, ok := sess.PipeStatus(pipe)
 		if !ok {
 			continue
 		}
-		rec := &wal.Record{Type: typ, Pipe: pipe, Path: base, Cycle: cycle, HistoryLen: histLen}
-		if typ == wal.TypeReanchor {
-			rec.Version, rec.History = h.sess.Version(), h.sess.HistorySteps(pipe)
-		}
+		rec := &wal.Record{Type: wal.TypeMark, Pipe: pipe, Path: base, Cycle: cycle, HistoryLen: histLen}
 		if err := h.wal.Append(rec); err != nil {
-			return fmt.Errorf("%s %s: %w", typ, pipe, err)
+			return fmt.Errorf("mark %s: %w", pipe, err)
 		}
 	}
 	if err := h.wal.Sync(); err != nil {
@@ -255,13 +248,14 @@ func (s *Server) watermark(h *hosted, typ string) (err error) {
 // a journal replayed. Callers hold the session quiescent (worker
 // goroutine, or before the worker starts).
 func (s *Server) noteMark(h *hosted) {
-	if h.wal == nil || h.sess == nil {
+	sess := h.sess.Load()
+	if h.wal == nil || sess == nil {
 		return
 	}
 	h.markSeq.Store(h.wal.Seq())
 	top := uint64(0)
-	for _, pipe := range h.sess.PipeNames() {
-		if cycle, _, ok := h.sess.PipeStatus(pipe); ok && cycle > top {
+	for _, pipe := range sess.PipeNames() {
+		if cycle, _, ok := sess.PipeStatus(pipe); ok && cycle > top {
 			top = cycle
 		}
 	}

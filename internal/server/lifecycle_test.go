@@ -158,11 +158,12 @@ var lcWaysIn = []lcWayIn{
 type lcWayOut struct {
 	name string
 	cfg  func(*server.Config) // what T needs for this way out
-	// paused pauses T's journal before the way out and commits one more
-	// mutation (run 150) that only memory holds. A follower takes no
-	// direct mutations, so these rows skip the import way in.
-	paused bool
-	leave  func(t *testing.T, T *lcServer)
+	// refused fails the journal append of one more mutation (run 150)
+	// before the way out: it is answered disk_full and undone, so the way
+	// out leaves the acked history. A follower takes no direct
+	// mutations, so these rows skip the import way in.
+	refused bool
+	leave   func(t *testing.T, T *lcServer)
 	// answer is the code T gives for l0 afterwards ("" when T is down).
 	answer string
 	// kept: the journal stays and a restart rebuilds the acked state;
@@ -198,14 +199,11 @@ var lcWaysOut = []lcWayOut{
 		}
 	}, kept: true, marks: true},
 	{name: "halt", leave: func(t *testing.T, T *lcServer) { T.srv.Halt() }, kept: true},
-	// Changed rows: eviction used to close a paused journal as it stood,
-	// so the restart came back at cycle 200 without the acked run 150.
-	// It now reanchors first, as a drain always did.
-	{name: "idle_eviction_paused", cfg: lcIdle, paused: true, leave: lcEvicted,
+	{name: "idle_eviction_refused", cfg: lcIdle, refused: true, leave: lcEvicted,
 		answer: wire.CodeNoSession, kept: true, marks: true},
-	{name: "memory_shed_paused", cfg: lcShed, paused: true, leave: lcEvicted,
+	{name: "memory_shed_refused", cfg: lcShed, refused: true, leave: lcEvicted,
 		answer: wire.CodeNoSession, kept: true, marks: true},
-	{name: "drain_paused", paused: true, leave: func(t *testing.T, T *lcServer) {
+	{name: "drain_refused", refused: true, leave: func(t *testing.T, T *lcServer) {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		if _, err := T.srv.Shutdown(ctx); err != nil {
@@ -218,27 +216,28 @@ func TestSessionLifecycle(t *testing.T) {
 	defer server.SetMemEvictIdle(100 * time.Millisecond)()
 	for _, in := range lcWaysIn {
 		for _, out := range lcWaysOut {
-			if out.paused && in.follower {
+			if out.refused && in.follower {
 				continue
 			}
 			t.Run(in.name+"/"+out.name, func(t *testing.T) {
 				dir := shortDir(t)
 				state := filepath.Join(dir, "t")
 				// The disk probe is pinned at 50% free: the governor's real
-				// probe must not page journals on a nearly full host disk.
+				// probe must not change the rung on a nearly full host disk.
 				plan := faultinject.New().ForceDiskFree(50, 100)
-				cfg := server.Config{StateDir: state, WALSyncEvery: -1, Faults: plan,
-					JournalResumeDelay: time.Hour} // only a way out may resume
+				cfg := server.Config{StateDir: state, WALSyncEvery: -1, Faults: plan}
 				if out.cfg != nil {
 					out.cfg(&cfg)
 				}
 				T, primary := in.host(t, dir, cfg)
-				if out.paused {
-					plan.DiskFullAppends(1, 3) // the next append and both retries
-					mustOK(t, primary, &server.Request{Session: "l0", Verb: "run", Args: []string{"clock", "p0", "150"}})
-					waitNondurable(t, T.c, "l0", true)
-				}
 				want := lcFingerprint(t, primary)
+				if out.refused {
+					plan.DiskFullAppends(1, 3) // the next append and both retries
+					refusedRun(t, primary, "l0", 150)
+					if got := lcFingerprint(t, primary); got != want {
+						t.Fatalf("refused run left %q, want the acked %q", got, want)
+					}
+				}
 				before := lcFiles(t, state)
 
 				out.leave(t, T)
@@ -318,24 +317,22 @@ func sameFiles(a, b map[string][]byte) bool {
 	return true
 }
 
-// TestEvictionReanchorsPausedJournal is TestDrainReanchorsPausedJournal
-// with idle eviction in place of the drain: the eviction must use the
-// same last chance to reanchor, so the restart recovers the mutations
-// acked while the journal was paused.
-func TestEvictionReanchorsPausedJournal(t *testing.T) {
+// TestEvictionAfterRefusedAppendKeepsAckedHistory is
+// TestDrainAfterRefusedAppendKeepsAckedHistory with idle eviction in
+// place of the drain: the eviction watermarks the rebuilt session, so
+// the restart recovers exactly the acked history.
+func TestEvictionAfterRefusedAppendKeepsAckedHistory(t *testing.T) {
 	dir := shortDir(t)
 	state := filepath.Join(dir, "state")
 	plan := faultinject.New().ForceDiskFree(50, 100).DiskFullAppends(4, 3)
 	cfgA := server.Config{
 		StateDir: state, WALSyncEvery: -1, Faults: plan,
-		JournalResumeDelay: time.Hour, // the live path never resumes
-		IdleTimeout:        300 * time.Millisecond,
+		IdleTimeout: 300 * time.Millisecond,
 	}
 	A := lcStart(t, cfgA, filepath.Join(dir, "a.sock"))
 	createTiny(t, A.c, "e0", 25)
 	mustOK(t, A.c, &server.Request{Session: "e0", Verb: "run", Args: []string{"clock", "p0", "200"}})
-	mustOK(t, A.c, &server.Request{Session: "e0", Verb: "run", Args: []string{"clock", "p0", "100"}})
-	waitNondurable(t, A.c, "e0", true)
+	refusedRun(t, A.c, "e0", 100)
 	mustOK(t, A.c, &server.Request{Session: "e0", Verb: "run", Args: []string{"clock", "p0", "50"}})
 	waitCounter(t, A.srv, "server_event_eviction", 1)
 	A.srv.Halt()
@@ -343,8 +340,8 @@ func TestEvictionReanchorsPausedJournal(t *testing.T) {
 	B := lcStart(t, server.Config{StateDir: state, WALSyncEvery: -1}, filepath.Join(dir, "b.sock"))
 	B.srv.WaitRecovered()
 	got := doUntilRecovered(t, B.c, &server.Request{Session: "e0", Verb: "cycle", Args: []string{"p0"}})
-	if !strings.Contains(got.Output, "350 (version") {
-		t.Fatalf("eviction-time reanchor lost state: recovered cycle %q, want 350", got.Output)
+	if !strings.Contains(got.Output, "250 (version") {
+		t.Fatalf("recovered cycle %q after eviction, want the acked 250", got.Output)
 	}
 }
 

@@ -18,12 +18,10 @@ import (
 //   - the disk-pressure ladder: free space under StateDir is classified
 //     into rungs, and rung transitions map onto concrete degradations —
 //     group-commit fsync + wider checkpoint cadence + backup GC at
-//     Elevated, journals paused (sessions nondurable) at Critical,
-//     mutations rejected at Emergency. De-escalation walks the same
-//     rungs back with hysteresis; paused journals resume on the
-//     worker goroutine via a reanchor record (see tryResumeJournal in
-//     recovery.go) so the pre-pause gap can never silently diverge a
-//     replay.
+//     Elevated, mutations refused at Emergency. De-escalation walks the
+//     same rungs back with hysteresis. No rung acks a mutation its
+//     journal does not hold: below Emergency an append the disk refuses
+//     undoes and refuses its own mutation (see rewind in recovery.go).
 //
 //   - memory accounting: each session's byte estimate (checkpoint
 //     history + live pipe state + journal tail, refreshed by its worker
@@ -43,8 +41,6 @@ const (
 	defaultAdmitBudget = 256
 	// defaultDiskPollEvery is the governor tick cadence.
 	defaultDiskPollEvery = 2 * time.Second
-	// defaultJournalResumeDelay is the pause→resume cooldown.
-	defaultJournalResumeDelay = 250 * time.Millisecond
 	// pressureGroupCommit is the WAL fsync batching interval forced onto
 	// inline-fsync journals at the Elevated rung: fewer fsyncs, wider
 	// durability window, nothing lost unless the process dies inside it.
@@ -105,23 +101,13 @@ func (s *Server) governTick() {
 		if changed {
 			s.applyPressure(prev, lvl)
 		}
-		if lvl >= govern.LevelCritical {
-			// Steady-state enforcement: sessions created (or recovered)
-			// while the rung was already critical missed the transition —
-			// the sweep pauses them too, so no journal writes happen at a
-			// rung where they are expected to fail.
-			for _, h := range s.hostedSet(false) {
-				s.pauseJournal(h, fmt.Sprintf("disk pressure %s", lvl))
-			}
-		}
 	}
 	s.memGovern()
 }
 
-// applyPressure maps one rung transition onto degradations. Escalation
-// applies them; de-escalation lifts what this side owns (group commit,
-// checkpoint cadence) — journal resume stays on each session's worker
-// goroutine, where touching the session is safe.
+// applyPressure maps one rung transition onto degradations: escalation
+// applies them, de-escalation lifts them. The Emergency refusal needs
+// nothing here — the request path reads the cached rung.
 func (s *Server) applyPressure(prev, next govern.PressureLevel) {
 	free, total := s.disk.Free()
 	s.tel.Event("disk_pressure", "", "",
@@ -151,14 +137,6 @@ func (s *Server) applyPressure(prev, next govern.PressureLevel) {
 			}
 		}
 	}
-
-	if next >= govern.LevelCritical && prev < govern.LevelCritical {
-		// Writes are about to start failing; stop issuing them on our own
-		// terms instead of discovering ENOSPC one mutation at a time.
-		for _, h := range hs {
-			s.pauseJournal(h, fmt.Sprintf("disk pressure %s", next))
-		}
-	}
 }
 
 // gcCheckpointBackups reclaims the .lscp.bak redundancy copies in the
@@ -176,25 +154,12 @@ func (s *Server) gcCheckpointBackups() {
 	}
 }
 
-// pauseJournal suspends a session's durability. Safe from any
-// goroutine: the flag is atomic, and the worker observes it at the top
-// of journalMutation (one append may still slip through on the rung
-// transition — harmless, it either lands or fails into this same
-// path).
-func (s *Server) pauseJournal(h *hosted, reason string) {
-	if h.wal == nil || !h.journalPaused.CompareAndSwap(false, true) {
-		return
-	}
-	h.pausedAt.Store(time.Now().UnixNano())
-	s.tel.Event("journal_paused", h.name, "", reason)
-}
-
 // updateMemUsage refreshes a session's footprint estimate. Called on
 // the session's worker goroutine (after mutations) and during recovery
 // before the worker starts — the only places touching the live session
 // is safe.
 func (s *Server) updateMemUsage(h *hosted) {
-	ck, st := h.sess.MemUsage()
+	ck, st := h.sess.Load().MemUsage()
 	h.memCkpt.Store(ck)
 	h.memState.Store(st)
 	if h.wal != nil {

@@ -91,11 +91,6 @@ type SessionInfo struct {
 	// it after a restart (all session verbs rejected).
 	Quarantined bool `json:"quarantined,omitempty"`
 	Recovering  bool `json:"recovering,omitempty"`
-	// Nondurable is set while the session's journal is paused (disk
-	// pressure or repeated append failures): it keeps serving from
-	// memory, but mutations made now would not survive a crash until the
-	// journal resumes and re-anchors.
-	Nondurable bool `json:"nondurable,omitempty"`
 	// MemBytes is the session's estimated memory footprint (checkpoint
 	// history + live pipe state + journal tail).
 	MemBytes uint64 `json:"mem_bytes,omitempty"`
@@ -173,5 +168,4 @@ type TopRow struct {
 	Dirty       bool    `json:"dirty,omitempty"`
 	Quarantined bool    `json:"quarantined,omitempty"`
 	Recovering  bool    `json:"recovering,omitempty"`
-	Nondurable  bool    `json:"nondurable,omitempty"`
 }

@@ -17,6 +17,7 @@ import (
 	"livesim/internal/liveparser"
 	"livesim/internal/obs"
 	"livesim/internal/wal"
+	"livesim/internal/wire"
 )
 
 // Restart recovery. With Config.StateDir set, every hosted session
@@ -108,14 +109,8 @@ func (s *Server) Recover() error {
 						time.Since(t0).Round(time.Millisecond), rep.Records, rep.Executed, rep.Skipped,
 						rep.Checkpoints, rep.FastPath))
 			case !errors.Is(err, ErrDraining):
-				// Deterministic replay failure: set the journal aside so the
-				// next boot doesn't retry it forever, keep booting.
-				if rerr := os.Rename(path, path+".failed"); rerr != nil {
-					s.log.Error("recovery set-aside failed",
-						obs.Str("session", name), obs.Str("err", rerr.Error()))
-				}
-				s.tel.Event("recovery_failed", name, "",
-					fmt.Sprintf("%v (journal set aside as %s.failed)", err, filepath.Base(path)))
+				// Deterministic replay failure: keep booting.
+				s.failJournal(name, err)
 			}
 		}()
 	}
@@ -157,9 +152,6 @@ func (s *Server) rebuild(h *hosted, land func() error) (*core.Session, *core.Rep
 		return nil, nil, err
 	}
 	h.wal = w
-	if len(recs) == 0 || recs[0].Type != wal.TypeBoot {
-		return nil, nil, fmt.Errorf("journal has no boot record")
-	}
 	sess, rep, err := s.replayRecords(h, recs)
 	if err != nil {
 		return nil, nil, err
@@ -182,6 +174,9 @@ func (s *Server) rebuild(h *hosted, land func() error) (*core.Session, *core.Rep
 // from the boot record, replay via the checkpoint fast path, fall back
 // to full re-execution if the fast path diverges.
 func (s *Server) replayRecords(h *hosted, recs []*wal.Record) (*core.Session, *core.ReplayReport, error) {
+	if len(recs) == 0 || recs[0].Type != wal.TypeBoot {
+		return nil, nil, fmt.Errorf("journal has no boot record")
+	}
 	// Epoch records are fencing metadata, not session state: core replay
 	// would try to execute them as commands. Strip them here and adopt
 	// the highest epoch seen — that is their entire replay semantics.
@@ -255,52 +250,27 @@ func execRecord(sess *core.Session, reg *obs.Registry, rec *wal.Record) error {
 	return command.Dispatch(env, rec.Verb, rec.Args)
 }
 
-// journalMutation appends one committed mutation to the session's
-// journal (write-behind: the mutation is already applied; the journal
-// is its durability record). Run-style verbs also record the cycle the
-// pipe ended on, so replay is verified — and the checkpoint fast path
-// can reconstruct the run journal — from actual, not requested, cycles.
-//
-// A journal that stays broken past the bounded retries (ENOSPC, a
-// yanked volume) pauses: the session keeps serving from memory, marked
-// nondurable in sessions/top/healthz, and every further mutation counts
-// as missed. It does NOT feed the quarantine breaker — a full disk is
-// the daemon's condition, not the session's fault, and quarantining
-// every session the moment the disk fills would turn a disk incident
-// into a total mutation outage. Once pressure clears (and the resume
-// cooldown passes), the next mutation re-anchors the journal: fresh
-// checkpoints plus a reanchor record carrying cycle/history/version
-// that both replay gears treat as authoritative, so the unjournaled gap
-// can never silently diverge a recovery.
-func (s *Server) journalMutation(h *hosted, t *task) {
+// journalMutation appends one applied mutation to the session's journal
+// before it is acked. Run-style verbs also record the cycle the pipe
+// ended on, so replay is verified — and the checkpoint fast path can
+// reconstruct the run journal — from actual, not requested, cycles. An
+// append that still fails after the bounded retries is the caller's to
+// undo and refuse (see rewind).
+func (s *Server) journalMutation(h *hosted, t *task) error {
 	req := t.Req
 	if h.wal == nil {
-		return
+		return nil
 	}
-	if h.journalPaused.Load() {
-		// The mutation triggering this call is already applied (write-
-		// behind), so a resume's reanchor checkpoint includes it: when an
-		// anchor is written (something was missed), appending the record
-		// too would replay the mutation twice on top of the anchor.
-		covered := h.missedAppends.Load() > 0
-		if !s.tryResumeJournal(h) {
-			h.missedAppends.Add(1)
-			s.reg.Counter("server_journal_missed_appends").Inc()
-			return
-		}
-		if covered {
-			return
-		}
-	}
+	sess := h.sess.Load()
 	rec := &wal.Record{
 		Type:    wal.TypeCmd,
 		Verb:    strings.ToLower(req.Verb),
 		Args:    req.Args,
 		Files:   req.Files,
-		Version: h.sess.Version(),
+		Version: sess.Version(),
 	}
 	if v, ok := catalogue.Lookup(rec.Verb); ok && v.Pipe == catalogue.PipeAfterTB {
-		if cycle, _, ok := h.sess.PipeStatus(v.PipeOf(req.Args)); ok {
+		if cycle, _, ok := sess.PipeStatus(v.PipeOf(req.Args)); ok {
 			rec.Cycle = cycle
 		}
 	}
@@ -309,77 +279,86 @@ func (s *Server) journalMutation(h *hosted, t *task) {
 	})
 	if err != nil {
 		s.tel.Event("wal_append_failure", h.name, "", err.Error())
-		s.pauseJournal(h, fmt.Sprintf("journal append failed: %v", err))
-		h.missedAppends.Add(1)
-		s.reg.Counter("server_journal_missed_appends").Inc()
-		return
+		return err
 	}
 	h.mutations++
 	every := s.cfg.JournalCheckpointEvery * int(s.ckptFactor.Load())
 	if s.cfg.JournalCheckpointEvery > 0 && h.mutations >= every {
-		s.watermark(h, wal.TypeMark)
+		s.watermark(h)
 	}
 	// Ship-on-commit: the standby must hold this record before the client
 	// sees OK, so a primary lost the instant after responding loses no
 	// acked mutation. (The crash matrix's SIGKILL fires inside
 	// Append, BEFORE this ship — a kill there loses only unacked work.)
 	s.shipTail(h, t)
+	return nil
 }
 
-// tryResumeJournal attempts to end a journal pause. Worker goroutine
-// only (it touches the live session). Resume requires the cooldown to
-// have passed and the disk ladder to be below the critical rung; then:
-//
-//   - nothing was missed: just lift the pause — the journal tail is
-//     still a faithful prefix.
-//   - mutations were missed: the gap is unreconstructable from records,
-//     so re-anchor — a reanchor watermark, whose records carry cycle,
-//     history and version. Replay (both gears) skips everything before
-//     the anchor and restores from it, which is exactly what the journal
-//     can now honestly promise.
-//
-// Any IO failure re-arms the cooldown and keeps the pause: a resume
-// must be all-or-nothing, half an anchor is worse than none.
-func (s *Server) tryResumeJournal(h *hosted) bool {
-	if time.Since(time.Unix(0, h.pausedAt.Load())) < s.cfg.JournalResumeDelay {
-		return false
+// rewind undoes a mutation its journal refused: the worker rebuilds the
+// session in place from the journal, through the replay a restart runs,
+// so the session holds exactly its acked history again. A journal that
+// cannot be replayed is set aside as <name>.wal.failed, as boot recovery
+// does, and the session goes with it. Worker goroutine only.
+func (s *Server) rewind(h *hosted, cause error) {
+	h.sess.Load().WaitBackground()
+	recs, err := h.wal.Records()
+	var sess *core.Session
+	if err == nil {
+		sess, _, err = s.replayRecords(h, recs)
 	}
-	if s.diskLevelNow() >= govern.LevelCritical {
-		return false
+	h.out.Drain() // the undone mutation's $display text, and the replay's
+	if err != nil {
+		s.setAside(h, err)
+		return
 	}
-	missed := h.missedAppends.Load()
-	if missed > 0 && s.watermark(h, wal.TypeReanchor) != nil {
-		h.pausedAt.Store(time.Now().UnixNano())
-		s.reg.Counter("server_journal_resume_failures").Inc()
-		return false
+	h.sess.Store(sess)
+	s.noteMark(h)
+	s.updateMemUsage(h)
+	s.tel.Event("recovery", h.name, "",
+		fmt.Sprintf("rebuilt from its journal (%d records) after a refused append: %v", len(recs), cause))
+}
+
+// setAside takes a session whose journal cannot be replayed out of
+// service from its own worker: the name leaves the table, what queued
+// behind the failed request is refused, and the journal is renamed
+// <name>.wal.failed. A stop already under way finds the session clean,
+// so it does not watermark state its journal never held. Worker
+// goroutine only.
+func (s *Server) setAside(h *hosted, cause error) {
+	s.unlink(h.name, func(x *hosted) bool { return x == h })
+	h.dirty.Store(false)
+	h.queue.close()
+	for t, ok := h.queue.take(); ok; t, ok = h.queue.take() {
+		s.answer(t, wire.Refuse(t.Req, wire.CodeNoSession, fmt.Errorf("session %q set aside: %v", h.name, cause)))
 	}
-	h.missedAppends.Store(0)
-	h.mutations = 0
-	h.journalPaused.Store(false)
-	msg := "durable again (no mutations missed)"
-	if missed > 0 {
-		// The anchor closes over the missed mutations plus the one that
-		// triggered this resume (already applied, included in the anchor).
-		msg = fmt.Sprintf("durable again (%d mutation(s) closed over by reanchor)", missed+1)
+	stopShipper(h)
+	h.wal.Close()
+	s.failJournal(h.name, cause)
+}
+
+// failJournal sets an unreplayable journal aside as <name>.wal.failed, so
+// no later boot retries it forever, and records why.
+func (s *Server) failJournal(name string, cause error) {
+	path := s.walPath(name)
+	if err := os.Rename(path, path+".failed"); err != nil {
+		s.log.Error("recovery set-aside failed", obs.Str("session", name), obs.Str("err", err.Error()))
 	}
-	s.tel.Event("journal_resumed", h.name, "", msg)
-	return true
+	s.tel.Event("recovery_failed", name, "",
+		fmt.Sprintf("%v (journal set aside as %s.failed)", cause, filepath.Base(path)))
 }
 
 // saveCheckpointRetry is checkpoint-save IO with bounded jittered
 // retry-with-backoff (the shared govern.Retry loop); only an exhausted
-// retry budget feeds the session's quarantine breaker — and not while
-// the journal is paused: the resume's reanchor failing on a full disk is
-// the daemon's condition, not the session's fault.
+// retry budget feeds the session's quarantine breaker.
 func (s *Server) saveCheckpointRetry(h *hosted, pipe, path string) error {
 	err := govern.Retry(3, 10*time.Millisecond, nil, func() error {
-		if serr := h.sess.SaveCheckpoint(pipe, path); serr != nil {
+		if serr := h.sess.Load().SaveCheckpoint(pipe, path); serr != nil {
 			s.reg.Counter("server_checkpoint_save_retries").Inc()
 			return serr
 		}
 		return nil
 	})
-	if err != nil && !h.journalPaused.Load() {
+	if err != nil {
 		s.noteFailure(h, fmt.Sprintf("checkpoint save %s: %v", pipe, err))
 	}
 	return err

@@ -180,12 +180,6 @@ func (s *Server) replicateTask(t *task) *Response {
 	target := req.Args[0]
 
 	if sp := h.shipper.Load(); sp != nil && sp.Target() == target {
-		// Mutations acked while the journal was paused were neither
-		// journaled nor shipped: resume first, and the reanchor that closes
-		// over them makes the standby ask for a fresh seed.
-		if err := s.resumePaused(h); err != nil {
-			return wire.Refuse(req, wire.CodeError, fmt.Errorf("replicate catch-up to %s: %w", target, err))
-		}
 		if err := s.ship(h, sp, t.Req.TraceID, t.Span.SID()); err != nil {
 			if errors.Is(err, replica.ErrFenced) {
 				return s.fencedResp(req, h)
@@ -243,8 +237,8 @@ func (s *Server) replicateTask(t *task) *Response {
 // requests out until replay completes. The landed session takes
 // mutations only from the primary's replapply stream, under the epoch
 // the request carries. A seed may land over an existing follower of the
-// same session — the re-seed after a reanchor crossed the stream, or a
-// stale copy a moved stream left behind — but never over a primary.
+// same session — the re-seed after a batch failed mid-apply, or a stale
+// copy a moved stream left behind — but never over a primary.
 func (s *Server) importSession(req *Request) *Response {
 	if s.cfg.StateDir == "" {
 		return wire.Refuse(req, wire.CodeBadRequest, fmt.Errorf("import requires a state dir"))
@@ -286,9 +280,9 @@ func (s *Server) importSession(req *Request) *Response {
 	if !sawWAL {
 		return wire.Refuse(req, wire.CodeBadRequest, fmt.Errorf("blob carries no journal for %q", name))
 	}
-	if s.diskLevelNow() >= govern.LevelCritical {
-		// An import is all writes; at the critical rung the target could
-		// not even keep the session durable once landed.
+	if s.diskLevelNow() >= govern.LevelEmergency {
+		// An import is all writes; at the emergency rung the target could
+		// not even journal the session's next mutation once landed.
 		return wire.Refuse(req, wire.CodeDiskFull, ErrDiskFull)
 	}
 
@@ -400,19 +394,6 @@ func (s *Server) replApplyTask(t *task) *Response {
 		r.Data = replAck(h)
 		return r
 	}
-	for _, r := range recs {
-		if r.Type == wal.TypeReanchor {
-			// The primary journal-paused and reanchored: the anchor's
-			// checkpoint exists only on its disk, so the gap is
-			// unreconstructable from records here. A fresh seed is the
-			// only honest continuation.
-			resp := wire.Refuse(req, wire.CodeReplReseed,
-				fmt.Errorf("batch carries a reanchor for pipe %q; follower needs a fresh seed", r.Pipe))
-			resp.Data = replAck(h)
-			return resp
-		}
-	}
-
 	// Any failure mid-batch leaves live state and journal out of step —
 	// something the resync protocol (which only compares journal heads)
 	// cannot repair. The honest recovery is a fresh seed, which rebuilds
@@ -427,7 +408,7 @@ func (s *Server) replApplyTask(t *task) *Response {
 	for _, r := range recs {
 		switch r.Type {
 		case wal.TypeCmd:
-			if err := execRecord(h.sess, h.reg, r); err != nil {
+			if err := execRecord(h.sess.Load(), h.reg, r); err != nil {
 				return poison(fmt.Sprintf("record seq %d (%s)", r.Seq, r.Verb), err)
 			}
 		case wal.TypeMark:
@@ -436,7 +417,7 @@ func (s *Server) replApplyTask(t *task) *Response {
 			// follower's own crash recovery — and a promote-then-reseed —
 			// keep the watermark fast path. Best-effort: a failed save just
 			// pushes a future replay to an earlier mark or full replay.
-			if err := h.sess.SaveCheckpoint(r.Pipe, filepath.Join(s.cfg.StateDir, r.Path)); err != nil {
+			if err := h.sess.Load().SaveCheckpoint(r.Pipe, filepath.Join(s.cfg.StateDir, r.Path)); err != nil {
 				s.reg.Counter("server_repl_mark_save_failures").Inc()
 			}
 		case wal.TypeEpoch:
@@ -573,7 +554,7 @@ func (s *Server) ship(h *hosted, sp *replica.Shipper, trace, parentSID string) e
 }
 
 // reseedReplica re-establishes the replication baseline after the
-// follower asked for a fresh seed (a reanchor crossed the stream).
+// follower asked for a fresh seed (a batch failed mid-apply there).
 func (s *Server) reseedReplica(h *hosted, sp *replica.Shipper) error {
 	img, meta, err := s.exportBlob(h)
 	if err != nil {
@@ -595,31 +576,12 @@ func (s *Server) reseedReplica(h *hosted, sp *replica.Shipper) error {
 // under the 16 MB wire line limit both sides enforce.
 const maxWireBlob = 11 << 20
 
-// resumePaused ends a journal pause before the session's state leaves
-// this backend or this process (a seed, a reseed, a migration's
-// catch-up, an eviction, a drain): a paused journal is missing acked
-// mutations, so what it would hand over is stale. The resume cooldown
-// is moot then.
-func (s *Server) resumePaused(h *hosted) error {
-	if !h.journalPaused.Load() {
-		return nil
-	}
-	h.pausedAt.Store(0)
-	if !s.tryResumeJournal(h) {
-		return fmt.Errorf("session %q is nondurable (journal paused) and resume failed", h.name)
-	}
-	return nil
-}
-
 // exportBlob freezes the session's durable state into a transfer blob:
-// resume a paused journal if needed, watermark strictly, then frame the
-// journal and its checkpoints. The seed and the reseed both ship it.
+// watermark strictly, then frame the journal and its checkpoints. The
+// seed and the reseed both ship it.
 func (s *Server) exportBlob(h *hosted) ([]byte, transfer.Meta, error) {
 	var meta transfer.Meta
-	if err := s.resumePaused(h); err != nil {
-		return nil, meta, err
-	}
-	if err := s.watermark(h, wal.TypeMark); err != nil {
+	if err := s.watermark(h); err != nil {
 		return nil, meta, fmt.Errorf("watermark: %w", err)
 	}
 	walBytes, err := os.ReadFile(h.wal.Path())
@@ -627,7 +589,7 @@ func (s *Server) exportBlob(h *hosted) ([]byte, transfer.Meta, error) {
 		return nil, meta, fmt.Errorf("journal read: %w", err)
 	}
 	entries := []transfer.Entry{{Name: h.name + ".wal", Payload: walBytes}}
-	pipes := h.sess.PipeNames()
+	pipes := h.sess.Load().PipeNames()
 	for _, pipe := range pipes {
 		base := fmt.Sprintf("%s.%s.lscp", h.name, pipe)
 		data, err := os.ReadFile(filepath.Join(s.cfg.StateDir, base))

@@ -88,17 +88,13 @@ type Config struct {
 	// negative disables admission control.
 	AdmitBudget int64
 	// DiskPollEvery is the resource governor's probe cadence (disk
-	// pressure ladder, memory gauges, journal-resume sweep). Default 2s.
+	// pressure ladder, memory gauges). Default 2s.
 	DiskPollEvery time.Duration
 	// MemBudget caps the summed per-session memory estimate (checkpoint
 	// history + pipe state + journal tails); past it the governor sheds
 	// the idlest evictable sessions (checkpointing dirty ones first,
 	// exactly like idle eviction). 0 disables.
 	MemBudget uint64
-	// JournalResumeDelay is the cooldown between a journal pause and the
-	// first resume attempt, so a flapping disk doesn't thrash
-	// pause/reanchor cycles. Default 250ms.
-	JournalResumeDelay time.Duration
 }
 
 // Server hosts sessions and serves connections. Create one with New,
@@ -160,9 +156,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.DiskPollEvery <= 0 {
 		cfg.DiskPollEvery = defaultDiskPollEvery
-	}
-	if cfg.JournalResumeDelay <= 0 {
-		cfg.JournalResumeDelay = defaultJournalResumeDelay
 	}
 	// Best-effort here; a dir that still can't be written surfaces as a
 	// create-time journal error or a drain save error with the real cause
@@ -339,8 +332,9 @@ func (s *Server) place(c *wire.Call) {
 		recovering = true
 	} else if h != nil {
 		t.h = h
-		t.deadline = time.Now().Add(requestTimeout)
-		t.timer = time.AfterFunc(requestTimeout, func() {
+		timeout := time.Duration(requestTimeout.Load())
+		t.deadline = time.Now().Add(timeout)
+		t.timer = time.AfterFunc(timeout, func() {
 			if s.claim(t, wire.Refuse(t.Req, wire.CodeTimeout, ErrDeadline)) && h.queue.drop(t) {
 				s.noteFailure(h, "request deadline exceeded")
 			}
@@ -404,11 +398,14 @@ func (s *Server) observe(c *wire.Call, resp *Response, dur time.Duration) {
 	}
 }
 
-// requestTimeout is the per-request deadline of a worker verb: a queued
-// request that misses it is never executed, a running one has its
-// result discarded, and the client gets CodeTimeout. A var so tests can
-// shrink it.
-var requestTimeout = 30 * time.Second
+// requestTimeout is the per-request deadline of a worker verb, as a
+// time.Duration: a queued request that misses it is never executed, a
+// running one has its result discarded, and the client gets
+// CodeTimeout. Read per request, so tests can shrink it on a running
+// server.
+var requestTimeout atomic.Int64
+
+func init() { requestTimeout.Store(int64(30 * time.Second)) }
 
 var nameRE = regexp.MustCompile(`^[A-Za-z0-9_.-]{1,64}$`)
 
@@ -450,7 +447,6 @@ func (s *Server) listSessions(req *Request) *Response {
 			IdleSecs:    h.idle().Seconds(),
 			Subscribers: h.fan.Len(),
 			Recovering:  h.recovering.Load(),
-			Nondurable:  h.journalPaused.Load(),
 			MemBytes:    h.memBytes().Total(),
 			MarkSeq:     h.markSeq.Load(),
 			MarkCycle:   h.markCycle.Load(),
@@ -459,7 +455,8 @@ func (s *Server) listSessions(req *Request) *Response {
 			Fenced:      h.fenced.Load(),
 		}
 		if !info.Recovering { // a replaying session is not built yet
-			info.Pipes, info.Version = h.sess.PipeNames(), h.sess.Version()
+			sess := h.sess.Load()
+			info.Pipes, info.Version = sess.PipeNames(), sess.Version()
 			if h.wal != nil {
 				info.WALBytes, info.HeadSeq = h.wal.Size(), h.wal.Seq()
 			}
@@ -496,9 +493,6 @@ func (s *Server) listSessions(req *Request) *Response {
 		if info.Recovering {
 			out.WriteString(" RECOVERING")
 		}
-		if info.Nondurable {
-			out.WriteString(" NONDURABLE")
-		}
 		out.WriteString("\n")
 	}
 	data, _ := json.Marshal(infos)
@@ -533,10 +527,9 @@ func (s *Server) topReport(req *Request) *Response {
 			Requests:   h.requests.Value(),
 			Dirty:      h.dirty.Load(),
 			Recovering: h.recovering.Load(),
-			Nondurable: h.journalPaused.Load(),
 		}
 		if !row.Recovering {
-			row.Version = h.sess.Version()
+			row.Version = h.sess.Load().Version()
 		}
 		row.Quarantined, _ = h.brk.quarantined()
 		rows = append(rows, row)
@@ -555,9 +548,6 @@ func (s *Server) topReport(req *Request) *Response {
 		}
 		if r.Recovering {
 			flags += "RECOVERING "
-		}
-		if r.Nondurable {
-			flags += "NONDURABLE "
 		}
 		fmt.Fprintf(&out, "  %-16s %8.1f %9.3f %9.3f %9.3f %6d %8d %-6s %s\n",
 			r.Name, r.ReqPerSec, r.P50Ms, r.P95Ms, r.P99Ms, r.Queued, r.Requests, r.Version,
@@ -591,7 +581,7 @@ func (s *Server) Session(name string) *core.Session {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if h := s.sessions[name]; h != nil {
-		return h.sess
+		return h.sess.Load()
 	}
 	return nil
 }
@@ -763,7 +753,7 @@ func (s *Server) evictIdle() {
 // dropped — so Shutdown can report it and the daemon can exit nonzero.
 func (s *Server) saveSession(h *hosted) DrainedSession {
 	ds := DrainedSession{Name: h.name, Files: map[string]string{}}
-	for _, pipe := range h.sess.PipeNames() {
+	for _, pipe := range h.sess.Load().PipeNames() {
 		path := filepath.Join(s.cfg.DrainDir, fmt.Sprintf("%s.%s.lscp", h.name, pipe))
 		if err := s.saveCheckpointRetry(h, pipe, path); err != nil {
 			s.log.Error("drain save failed",

@@ -26,7 +26,9 @@ import (
 // drain path read.
 type hosted struct {
 	name string
-	sess *core.Session
+	// sess is the live session: set by launch, replaced only by its own
+	// worker when a refused append rebuilds it (rewind), read anywhere.
+	sess atomic.Pointer[core.Session]
 	reg  *obs.Registry // per-session registry (always on)
 	fan  *obs.Fanout   // live-loop span subscribers
 	out  *boundedBuf   // captured $display text
@@ -66,17 +68,6 @@ type hosted struct {
 	markSeq   atomic.Uint64
 	markCycle atomic.Uint64
 
-	// journalPaused is set when durability is suspended — disk pressure
-	// reached the critical rung, or the journal append path kept failing
-	// past its retries. The session keeps serving from memory
-	// (nondurable, surfaced in sessions/top/healthz); the worker resumes
-	// the journal via a reanchor record once pressure clears.
-	journalPaused atomic.Bool
-	// pausedAt is when the pause engaged (unix nanos), gating the resume
-	// cooldown; missedAppends counts mutations committed while paused —
-	// zero means the journal can resume without a reanchor.
-	pausedAt      atomic.Int64
-	missedAppends atomic.Int64
 	// memCkpt/memState/memWAL are the session's byte-estimate components
 	// (checkpoint history, live pipe state, journal tail), refreshed by
 	// the worker after mutations and read by the memory governor.
@@ -261,8 +252,9 @@ func (s *Server) worker(h *hosted) {
 
 // runCommand is every shared verb's handler: it runs the catalogue's
 // body against the session, and for a mutation also the gates before
-// (fencing, quarantine, disk) and the bookkeeping after (dirty flag,
-// breaker, journal, memory estimate).
+// (fencing, quarantine, disk) and the bookkeeping after (journal, dirty
+// flag, breaker, memory estimate). A mutation is acked only once its
+// journal holds it.
 func (s *Server) runCommand(t *task) *Response {
 	h := t.h
 	cmd, _ := catalogue.Lookup(t.Verb)
@@ -292,12 +284,13 @@ func (s *Server) runCommand(t *task) *Response {
 	// cannot interleave with another request — except verify spans ended
 	// by background workers, which captured the context at Child() time
 	// and keep it.
-	h.sess.SetTraceContext(t.Req.TraceID, t.execSID)
-	defer h.sess.SetTraceContext("", "")
+	sess := h.sess.Load()
+	sess.SetTraceContext(t.Req.TraceID, t.execSID)
+	defer sess.SetTraceContext("", "")
 
 	var out bytes.Buffer
 	env := &command.Env{
-		Session: h.sess,
+		Session: sess,
 		Metrics: h.reg,
 		Out:     &out,
 	}
@@ -311,9 +304,18 @@ func (s *Server) runCommand(t *task) *Response {
 	if cmd.Mutates {
 		switch {
 		case err == nil:
+			if jerr := s.journalMutation(h, t); jerr != nil {
+				// Durable or refused: the journal would not take the
+				// mutation, so it is undone — the session is rebuilt from
+				// what the journal holds — and refused. A full disk is the
+				// daemon's condition, not the session's fault: the breaker
+				// does not hear of it.
+				s.rewind(h, jerr)
+				return wire.Refuse(t.Req, wire.CodeDiskFull,
+					fmt.Errorf("journal append failed, mutation undone (%v): %w", jerr, ErrDiskFull))
+			}
 			h.dirty.Store(true)
 			h.brk.success()
-			s.journalMutation(h, t)
 			s.updateMemUsage(h)
 			if h.fenced.Load() {
 				// The ship-on-commit hook just learned the standby was

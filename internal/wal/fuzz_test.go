@@ -98,9 +98,6 @@ func FuzzRecordEncode(f *testing.F) {
 			r.Args = []string{s, u}[:n%3]
 			r.Files = map[string]string{s: u, u + ".v": s}
 		}
-		if set>>6&1 == 1 {
-			r.History = []RunStep{{TB: s, Cycles: int(m), StartCycle: n}, {TB: u}}[:n%3]
-		}
 		want, err := json.Marshal(r)
 		if err != nil {
 			t.Fatal(err)

@@ -59,14 +59,6 @@ const (
 	// the journal was saved to a checkpoint file, so recovery may load
 	// the file and skip re-executing the records it covers.
 	TypeMark = "mark"
-	// TypeReanchor closes a journal gap: while a session is
-	// journal-paused (disk pressure, ENOSPC) committed mutations are NOT
-	// appended, so on resume the journal no longer describes the
-	// session. A reanchor record re-establishes ground truth for one
-	// pipe — a fresh checkpoint file plus the pipe's full run history
-	// carried inline — and replay treats it as authoritative: everything
-	// journaled for that pipe before the reanchor is superseded.
-	TypeReanchor = "reanchor"
 	// TypeEpoch records a replication epoch change: a standby promoted
 	// to primary journals the fencing token it was promoted under, so
 	// the epoch survives restarts and a resurrected stale primary (with
@@ -75,15 +67,6 @@ const (
 	// epoch seen.
 	TypeEpoch = "epoch"
 )
-
-// RunStep is one entry of a pipe's run history, carried inline by
-// TypeReanchor records. core keeps its run journal in this type
-// (core.RunOp is an alias), so neither side converts.
-type RunStep struct {
-	TB         string `json:"tb"`
-	Cycles     int    `json:"cycles"`
-	StartCycle uint64 `json:"start_cycle"`
-}
 
 // Record is one journal entry. Which fields are meaningful depends on
 // Type; JSON encoding keeps unused fields off the wire.
@@ -107,17 +90,13 @@ type Record struct {
 	// table).
 	Version string `json:"version,omitempty"`
 
-	// Watermark fields (TypeMark and TypeReanchor).
+	// Watermark fields (TypeMark).
 	Pipe string `json:"pipe,omitempty"`
 	// Path names the checkpoint file, relative to the journal's
 	// directory (so a state dir can be moved wholesale).
 	Path       string `json:"path,omitempty"`
 	Cycle      uint64 `json:"cycle,omitempty"`
 	HistoryLen int    `json:"history_len,omitempty"`
-	// History is the pipe's full run history as of a TypeReanchor:
-	// journal-paused runs never made it into the journal, so the anchor
-	// carries them inline for replay to install verbatim.
-	History []RunStep `json:"history,omitempty"`
 
 	// Epoch is the replication fencing token as of a TypeEpoch record.
 	Epoch uint64 `json:"epoch,omitempty"`
@@ -256,7 +235,9 @@ func (w *WAL) SetGroupCommit(d time.Duration) error {
 
 // Append frames, writes and (per the sync policy) fsyncs one record,
 // assigning its sequence number. The record's bytes are in the kernel
-// when Append returns; with SyncEvery 0 they are on the platter too.
+// when Append returns; with SyncEvery 0 they are on the platter too. A
+// failed Append leaves the journal as it was, but for an injected torn
+// append, which models a crash.
 func (w *WAL) Append(r *Record) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -273,8 +254,7 @@ func (w *WAL) Append(r *Record) error {
 	if ferr := w.opts.Faults.WALWriteErr(w.appends); ferr != nil {
 		// Injected ENOSPC: the write fails before any bytes land, the
 		// way a full filesystem fails it. Unlike a torn append the
-		// journal stays frame-aligned and the WAL stays usable — the
-		// session degrades to journal-paused, not dead.
+		// journal stays frame-aligned and the WAL stays usable.
 		return fmt.Errorf("wal %s: append: %w", w.path, ferr)
 	}
 	if tear := w.opts.Faults.WALTear(w.appends, len(buf)); tear >= 0 {
@@ -294,18 +274,26 @@ func (w *WAL) Append(r *Record) error {
 			w.path, tear, len(buf), faultinject.ErrInjected)
 	}
 
-	if _, err := w.f.Write(buf); err != nil {
-		return err
+	_, err = w.f.Write(buf)
+	inline := w.opts.SyncEvery == 0 && w.group == 0
+	if err == nil && inline {
+		err = w.f.Sync()
+	}
+	if err != nil {
+		// No part of a failed append stays in the file: cut it back to the
+		// last whole record, so a retry appends the record once and a
+		// refused mutation leaves no trace. A file that cannot be cut is a
+		// writer that must not write again.
+		if terr := w.f.Truncate(w.size); terr != nil {
+			w.closed = true
+		} else if _, serr := w.f.Seek(w.size, 0); serr != nil {
+			w.closed = true
+		}
+		return fmt.Errorf("wal %s: append: %w", w.path, err)
 	}
 	w.seq = r.Seq
 	w.size += int64(len(buf))
-	if w.opts.SyncEvery == 0 && w.group == 0 {
-		if err := w.f.Sync(); err != nil {
-			return err
-		}
-	} else {
-		w.dirty = true
-	}
+	w.dirty = !inline
 	w.opts.Metrics.Counter("wal_appends").Inc()
 	w.opts.Metrics.Counter("wal_bytes").Add(uint64(len(buf)))
 	w.opts.Faults.WALSize(w.size)
@@ -342,6 +330,23 @@ func (w *WAL) Close() error {
 	close(w.stop)
 	<-stopped
 	return err
+}
+
+// Records reads back every whole record appended so far: the journal a
+// restart would replay. A torn tail, which only an injected torn append
+// leaves in a live journal, is not part of it.
+func (w *WAL) Records() ([]*Record, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	buf := make([]byte, w.size)
+	if _, err := w.f.ReadAt(buf, 0); err != nil {
+		return nil, fmt.Errorf("wal %s: %w", w.path, err)
+	}
+	recs, clean, err := DecodeAll(buf)
+	if clean == 0 {
+		return nil, fmt.Errorf("wal %s: %w", w.path, err)
+	}
+	return recs, nil
 }
 
 // Size returns the current file size in bytes.
@@ -443,17 +448,6 @@ func appendRecord(b []byte, r *Record) []byte {
 	}
 	if r.HistoryLen != 0 {
 		b = strconv.AppendInt(append(b, `,"history_len":`...), int64(r.HistoryLen), 10)
-	}
-	if len(r.History) > 0 {
-		b = append(b, `,"history":`...)
-		sep := byte('[')
-		for _, h := range r.History {
-			b = obs.AppendJSONString(append(append(b, sep), `{"tb":`...), h.TB)
-			b = strconv.AppendInt(append(b, `,"cycles":`...), int64(h.Cycles), 10)
-			b = append(strconv.AppendUint(append(b, `,"start_cycle":`...), h.StartCycle, 10), '}')
-			sep = ','
-		}
-		b = append(b, ']')
 	}
 	if r.Epoch != 0 {
 		b = strconv.AppendUint(append(b, `,"epoch":`...), r.Epoch, 10)

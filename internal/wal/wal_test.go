@@ -7,6 +7,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -146,9 +147,13 @@ func TestInjectedTornAppend(t *testing.T) {
 	if len(plan.Fired()) != 1 {
 		t.Fatalf("fired = %v", plan.Fired())
 	}
-	// A crashed writer must not accept further appends.
+	// A crashed writer must not accept further appends, and what it reads
+	// back is the intact prefix a restart would replay.
 	if err := w.Append(&Record{Type: TypeCmd, Verb: "run"}); err == nil {
 		t.Fatal("append after torn write succeeded")
+	}
+	if recs, err := w.Records(); err != nil || len(recs) != 1 {
+		t.Fatalf("Records after torn append = %d recs, err %v", len(recs), err)
 	}
 
 	_, recs := openT(t, path, Options{})
@@ -312,32 +317,64 @@ func TestSetGroupCommitBatchesAndRestores(t *testing.T) {
 	}
 }
 
+// TestReanchorRecordRoundTrip: journals written while sessions acked
+// mutations they did not journal can hold a reanchor record, whose run
+// history rode inline. Such a record still decodes, and still
+// round-trips through a journal, with its type — so replay can refuse
+// it by name — while its history field is simply not read.
 func TestReanchorRecordRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "s.wal")
-	w, _ := openT(t, path, Options{})
-	anchor := &Record{
-		Type: TypeReanchor, Pipe: "p0", Path: "s.p0.lscp",
-		Cycle: 350, HistoryLen: 3, Version: "v2",
-		History: []RunStep{
-			{TB: "tb", Cycles: 200, StartCycle: 0},
-			{TB: "tb", Cycles: 100, StartCycle: 200},
-			{TB: "tb", Cycles: 50, StartCycle: 300},
-		},
-	}
-	if err := w.Append(anchor); err != nil {
-		t.Fatalf("append reanchor: %v", err)
-	}
-	w.Close()
-	recs, _, err := DecodeAll(mustRead(t, path))
+	old := `{"seq":1,"type":"reanchor","version":"v2","pipe":"p0","path":"s.p0.lscp",` +
+		`"cycle":350,"history_len":1,"history":[{"tb":"tb","cycles":350,"start_cycle":0}]}`
+	recs, _, err := DecodeAll(frame.AppendRecord(format.Append(nil), []byte(old)))
 	if err != nil || len(recs) != 1 {
 		t.Fatalf("decode: %d recs, err %v", len(recs), err)
 	}
-	got := recs[0]
-	if got.Type != TypeReanchor || got.Cycle != 350 || len(got.History) != 3 {
-		t.Fatalf("reanchor fields lost: %+v", got)
+	if r := recs[0]; r.Type != "reanchor" || r.Pipe != "p0" || r.Cycle != 350 || r.HistoryLen != 1 {
+		t.Fatalf("old reanchor record decoded as %+v", r)
 	}
-	if got.History[2] != (RunStep{TB: "tb", Cycles: 50, StartCycle: 300}) {
-		t.Fatalf("history step mangled: %+v", got.History[2])
+
+	path := filepath.Join(t.TempDir(), "s.wal")
+	w, _ := openT(t, path, Options{})
+	if err := w.Append(recs[0]); err != nil {
+		t.Fatalf("append reanchor: %v", err)
+	}
+	w.Close()
+	again, _, err := DecodeAll(mustRead(t, path))
+	if err != nil || len(again) != 1 || !reflect.DeepEqual(again[0], recs[0]) {
+		t.Fatalf("round trip: %+v, err %v, want %+v", again, err, recs[0])
+	}
+}
+
+// TestFailedAppendLeavesJournalWhole: an append whose write fails leaves
+// no part of itself in the journal and burns no sequence number, and
+// Records reads back exactly the records appended before it. A journal
+// that cannot be cut back takes no further appends.
+func TestFailedAppendLeavesJournalWhole(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "s.wal")
+	w, _ := openT(t, path, Options{})
+	if err := w.Append(&Record{Type: TypeBoot, PGAS: 1}); err != nil {
+		t.Fatal(err)
+	}
+	size := w.Size()
+	rw := w.f
+	ro, err := os.Open(path) // a descriptor that can neither write nor truncate
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.f = ro
+	t.Cleanup(func() { rw.Close() })
+	if err := w.Append(&Record{Type: TypeCmd, Verb: "run"}); err == nil {
+		t.Fatal("append through a read-only descriptor succeeded")
+	}
+	if w.Seq() != 1 || w.Size() != size {
+		t.Fatalf("failed append moved seq %d / size %d -> %d", w.Seq(), size, w.Size())
+	}
+	recs, err := w.Records()
+	if err != nil || len(recs) != 1 || recs[0].Type != TypeBoot {
+		t.Fatalf("Records after a failed append = %d recs, err %v", len(recs), err)
+	}
+	if err := w.Append(&Record{Type: TypeCmd, Verb: "run"}); err == nil {
+		t.Fatal("a journal that could not be cut back took another append")
 	}
 }
 

@@ -36,7 +36,10 @@ type message interface {
 	marshal() ([]byte, error)
 }
 
-func (r *Request) marshal() ([]byte, error) {
+func (r *Request) marshal() ([]byte, error) { return r.marshalAs(r.ID), nil }
+
+// marshalAs is marshal with id in place of r.ID.
+func (r *Request) marshalAs(id uint64) []byte {
 	n := 128 + len(r.Session) + len(r.Verb) + len(r.TraceID) + len(r.ParentSpan) + len(r.Top) + len(r.Blob)*4/3
 	for _, a := range r.Args {
 		n += len(a) + 3
@@ -45,7 +48,7 @@ func (r *Request) marshal() ([]byte, error) {
 		n += len(name) + len(text) + 6
 	}
 	b := make([]byte, 0, n)
-	b = strconv.AppendUint(append(b, `{"id":`...), r.ID, 10)
+	b = strconv.AppendUint(append(b, `{"id":`...), id, 10)
 	if r.Session != "" {
 		b = obs.AppendJSONString(append(b, `,"session":`...), r.Session)
 	}
@@ -95,7 +98,7 @@ func (r *Request) marshal() ([]byte, error) {
 	if r.Epoch != 0 {
 		b = strconv.AppendUint(append(b, `,"epoch":`...), r.Epoch, 10)
 	}
-	return append(b, '}'), nil
+	return append(b, '}')
 }
 
 // marshal leaves a response whose Data json.Marshal would rewrite

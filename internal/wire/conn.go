@@ -48,6 +48,17 @@ func EncodeLine(v message) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	return endLine(line)
+}
+
+// EncodeRequest is EncodeLine for req sent under id, whatever req.ID
+// holds: a client numbers its calls without writing into a request its
+// caller may be sending from another goroutine too.
+func EncodeRequest(req *Request, id uint64) ([]byte, error) {
+	return endLine(req.marshalAs(id))
+}
+
+func endLine(line []byte) ([]byte, error) {
 	if len(line) >= maxLine {
 		return nil, lineTooLong(len(line) + 1)
 	}

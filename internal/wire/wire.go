@@ -149,9 +149,11 @@ const (
 	// full queue): the limit clears only when a session is closed or
 	// evicted, so retrying without acting on that is pointless.
 	CodeSessionLimit = "session_limit"
-	// CodeDiskFull: the state disk is at the emergency rung of the
-	// pressure ladder; mutating verbs are rejected (reads still work)
-	// until space is reclaimed.
+	// CodeDiskFull: the mutation was not applied. Either the state disk
+	// is at the emergency rung of the pressure ladder, where mutating
+	// verbs are rejected (reads still work) until space is reclaimed, or
+	// the session's journal refused the append and the mutation was
+	// undone.
 	CodeDiskFull = "disk_full"
 	// CodeMoved: the session was migrated to another backend; MovedTo
 	// carries the new address. Rejection happens before execution, so
@@ -174,9 +176,9 @@ const (
 	// follower's journal head; the response Data carries the head
 	// (replica.Ack) so the shipper resends the tail from there.
 	CodeReplResync = "repl_resync"
-	// CodeReplReseed: the replapply stream carried a reanchor record —
-	// state the follower cannot reconstruct from records alone — so the
-	// primary must re-seed it with a fresh transfer blob.
+	// CodeReplReseed: a replapply batch failed part way on the follower,
+	// leaving its live state and journal out of step, so the primary
+	// must re-seed it with a fresh transfer blob.
 	CodeReplReseed = "repl_reseed"
 	// CodeError: any other execution failure.
 	CodeError = "error"

@@ -23,7 +23,7 @@ func TestConfigFieldsGolden(t *testing.T) {
 	}{
 		{server.Config{}, "QueueDepth IdleTimeout CheckpointEvery DrainDir StateDir RunBudget " +
 			"WALSyncEvery JournalCheckpointEvery Faults Metrics TraceOut Log SlowRequest " +
-			"TelemetryConfig AdmitBudget DiskPollEvery MemBudget JournalResumeDelay"},
+			"TelemetryConfig AdmitBudget DiskPollEvery MemBudget"},
 		{gateway.Config{}, "Backends HealthEvery Replicate FailoverGrace Metrics Log TraceOut " +
 			"TelemetryConfig Faults"},
 		{gateway.BackendSpec{}, "Addr"},

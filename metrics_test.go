@@ -110,7 +110,6 @@ repl_follower_seq repl_lag_records repl_records repl_seeds
 repl_ship_errors replay_ms server_checkpoint_save_retries
 server_conns_dropped_by_fault server_disk_free_bytes
 server_disk_total_bytes server_drain_saves server_import_seconds
-server_journal_missed_appends server_journal_resume_failures
 server_mem_bytes server_recover_seconds server_repl_mark_save_failures
 server_results_discarded server_subscriptions session_cycles_run
 session_mem_bytes session_pipes session_requests session_runs
@@ -124,7 +123,7 @@ wal_truncated_bytes wal_truncations watchdog_cancels
 const eventTypesGolden = `
 backend_drained backend_state disk_gc disk_pressure drain_requested
 drain_stuck eviction failover failover_failed follower_reseed
-import_failed journal_paused journal_resumed migrate_failed migrated
+import_failed migrate_failed migrated
 panic placed quarantine_trip recovery recovery_failed
 replication_arm_failed replication_armed replication_reseed_failed
 replication_reseeded replication_started replication_stopped

@@ -102,12 +102,15 @@ fleet:
 # transfer and replication decoders on it, the incremental analyzer,
 # xform's Table V plan against its map-based reference, codegen's
 # tidied code against its lowered code on random modules, span lines
-# against encoding/json on fuzzed strings and ids, and the wire codec
-# and journal record encoder against encoding/json (Go allows one
+# against encoding/json on fuzzed strings and ids, the wire codec and
+# journal record encoder against encoding/json, and the session's merged
+# run journal against one op per run (Go allows one
 # -fuzz target per invocation). ~10s each keeps this viable in CI while still churning hundreds of thousands
 # of corrupted inputs. The analyzer's inputs are whole source files at a
 # millisecond per run: without a cap the fuzzer spends the whole budget
-# minimizing the first one that reaches new coverage.
+# minimizing the first one that reaches new coverage. The run journal's
+# fuzzer stalls the same way for seconds at each new input, so it is
+# capped too.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzFrame -fuzztime=$(FUZZTIME) ./internal/frame/
@@ -123,3 +126,4 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzWireDecode -fuzztime=$(FUZZTIME) ./internal/wire/
 	$(GO) test -run='^$$' -fuzz=FuzzWireEncode -fuzztime=$(FUZZTIME) ./internal/wire/
 	$(GO) test -run='^$$' -fuzz=FuzzRecordEncode -fuzztime=$(FUZZTIME) ./internal/wal/
+	$(GO) test -run='^$$' -fuzz=FuzzRunJournal -fuzztime=$(FUZZTIME) -fuzzminimizetime=50x ./internal/core/

@@ -323,7 +323,8 @@ livesim.StyleGrouped livesim.StyleMux livesim.TraceUnder`},
 	{"test seams: other packages' tests arm faults, crash and recover daemons, read daemon metrics and events, and build or inspect designs through these", `
 faultinject.Plan.CorruptCheckpoint faultinject.Plan.CrashSaveAt
 faultinject.Plan.DropConnAfter faultinject.Plan.DropReplStream
-faultinject.Plan.FailCompileAt faultinject.Plan.Fired
+faultinject.Plan.FailCompileAt faultinject.Plan.FailWALSync
+faultinject.Plan.Fired
 faultinject.Plan.ForceDiskFree faultinject.Plan.ForcePromoteStale
 faultinject.Plan.PanicTestbenchAt faultinject.Plan.SlowClient
 faultinject.Plan.StallRunAt faultinject.Plan.TornWALWrite

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -414,10 +415,10 @@ func TestFaultTestbenchPanicInPlainRun(t *testing.T) {
 	if p.Sim.Cycle() != 30 {
 		t.Fatalf("cycle %d", p.Sim.Cycle())
 	}
-	// Journaled as 5 cycles actually run (25 -> 30), not 35.
-	last := p.History[len(p.History)-1]
-	if last.Cycles != 5 || last.StartCycle != 25 {
-		t.Fatalf("journal %+v", p.History)
+	// Journaled as the 5 cycles actually run (25 -> 30), not 35: the one
+	// tb0 op now ends at cycle 30.
+	if want := []RunOp{{TB: "tb0", Cycles: 30}}; !slices.Equal(p.History, want) {
+		t.Fatalf("journal %+v, want %+v", p.History, want)
 	}
 	if h := s.Health(); h.TestbenchPanics != 1 {
 		t.Errorf("health %+v", h)
@@ -428,5 +429,11 @@ func TestFaultTestbenchPanicInPlainRun(t *testing.T) {
 	}
 	if p.Sim.Cycle() != 60 {
 		t.Errorf("cycle %d", p.Sim.Cycle())
+	}
+	if want := []RunOp{{TB: "tb0", Cycles: 60}}; !slices.Equal(p.History, want) {
+		t.Errorf("journal %+v, want %+v", p.History, want)
+	}
+	if _, runs, _ := s.PipeStatus("p0"); runs != 3 {
+		t.Errorf("%d runs counted, want 3", runs)
 	}
 }

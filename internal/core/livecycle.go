@@ -370,15 +370,17 @@ func (s *Session) replayTo(p *Pipe, target uint64, tok *runToken) error {
 // replayJournal runs sm from its cycle up to target through the journaled
 // operations in history: each operation's testbench — tbs[op.TB], made
 // from factories on first use — runs to the operation's end or to target,
-// whichever comes first.
+// whichever comes first. The op covering the start is found by binary
+// search; the ops after it follow in order.
 func replayJournal(sm *sim.Sim, history []RunOp, factories map[string]TestbenchFactory, tbs map[string]Testbench,
 	target uint64, run func(tb Testbench, cycles int) error) error {
+	i := firstOpEndingAfter(history, sm.Cycle())
 	for sm.Cycle() < target && !sm.Finished() {
 		cur := sm.Cycle()
-		i := slices.IndexFunc(history, func(op RunOp) bool {
-			return cur >= op.StartCycle && cur < op.StartCycle+uint64(op.Cycles)
-		})
-		if i < 0 {
+		for i < len(history) && history[i].end() <= cur {
+			i++
+		}
+		if i == len(history) || history[i].StartCycle > cur {
 			return fmt.Errorf("no journaled operation covers cycle %d", cur)
 		}
 		op := history[i]
@@ -387,7 +389,7 @@ func replayJournal(sm *sim.Sim, history []RunOp, factories map[string]TestbenchF
 			tb = factories[op.TB]()
 			tbs[op.TB] = tb
 		}
-		if err := run(tb, int(min(op.StartCycle+uint64(op.Cycles), target)-cur)); err != nil {
+		if err := run(tb, int(min(op.end(), target)-cur)); err != nil {
 			return err
 		}
 		if sm.Cycle() <= cur {
@@ -479,7 +481,8 @@ func (s *Session) verifyReplay(p *Pipe, from *checkpoint.Checkpoint, toCycle uin
 	s.mu.Lock()
 	resolver := s.resolverLocked()
 	topKey := s.topKey
-	history := append([]RunOp(nil), p.History...)
+	// Only the ops the segment replays: the last one may still grow.
+	history := slices.Clone(journalSpan(p.History, from.Cycle, toCycle))
 	factories := maps.Clone(s.tbFactory)
 	tbs, err := s.testbenchesLocked(from.Aux, nil)
 	s.mu.Unlock()

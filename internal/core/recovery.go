@@ -122,8 +122,9 @@ func (s *Session) replayFrom(dir string, recs []*wal.Record, exec ExecRecord, al
 		}
 	}
 
-	virtCycle := make(map[string]uint64)
-	virtHist := make(map[string][]RunOp)
+	// Each watermarked pipe's run journal, rebuilt from the records its
+	// watermark covers.
+	virtHist := make(map[string]*virtJournal)
 
 	for i, r := range recs {
 		switch r.Type {
@@ -149,12 +150,14 @@ func (s *Session) replayFrom(dir string, recs []*wal.Record, exec ExecRecord, al
 		// state effect is inside the watermark checkpoint.
 		if mi, ok := markAt[cmdPipe(r)]; fast && ok && i < mi {
 			if runsPipe(r) {
-				pipe := r.Args[1]
-				if adv := r.Cycle - virtCycle[pipe]; adv > 0 {
-					virtHist[pipe] = append(virtHist[pipe], RunOp{
-						TB: r.Args[0], Cycles: int(adv), StartCycle: virtCycle[pipe],
-					})
-					virtCycle[pipe] = r.Cycle
+				v := virtHist[r.Args[1]]
+				if v == nil {
+					v = &virtJournal{}
+					virtHist[r.Args[1]] = v
+				}
+				if start := journalEnd(v.history); r.Cycle > start {
+					v.history = extendJournal(v.history, r.Args[0], start, int(r.Cycle-start))
+					v.runs++
 				}
 			}
 			rep.Skipped++
@@ -187,14 +190,32 @@ func (s *Session) replayFrom(dir string, recs []*wal.Record, exec ExecRecord, al
 	return rep, nil
 }
 
+// virtJournal is a pipe's run journal and run count as the records a
+// watermark skips would have built them.
+type virtJournal struct {
+	history []RunOp
+	runs    int
+}
+
+// journalEnd is the cycle after the journal's last op.
+func journalEnd(h []RunOp) uint64 {
+	if len(h) == 0 {
+		return 0
+	}
+	return h[len(h)-1].end()
+}
+
 // applyCheckpoint applies a watermark record r (index i): it installs
-// history as the pipe's journal, restores cp into the pipe, and checks
-// the result against the record's cycle and journal length.
-func (s *Session) applyCheckpoint(i int, r *wal.Record, history []RunOp, cp *checkpoint.Checkpoint) error {
+// virt (nil: no runs) as the pipe's run journal, restores cp into the
+// pipe, and checks the result against the record's cycle and run count.
+func (s *Session) applyCheckpoint(i int, r *wal.Record, virt *virtJournal, cp *checkpoint.Checkpoint) error {
 	s.mu.Lock()
 	p, ok := s.pipes[r.Pipe]
 	if ok {
-		p.History = history
+		p.History, p.runs = nil, 0
+		if virt != nil {
+			p.History, p.runs = virt.history, virt.runs
+		}
 	}
 	s.mu.Unlock()
 	if !ok {
@@ -207,8 +228,8 @@ func (s *Session) applyCheckpoint(i int, r *wal.Record, history []RunOp, cp *che
 		return fmt.Errorf("record %d: %s restored cycle %d, journal says %d: %w",
 			i, r.Type, c, r.Cycle, ErrReplayDiverged)
 	}
-	if got := s.historyLen(p); got != r.HistoryLen {
-		return fmt.Errorf("record %d: %s restored %d journal ops, journal says %d: %w",
+	if got := s.runCount(p); got != r.HistoryLen {
+		return fmt.Errorf("record %d: %s restored %d journaled runs, journal says %d: %w",
 			i, r.Type, got, r.HistoryLen, ErrReplayDiverged)
 	}
 	return nil
@@ -232,9 +253,9 @@ func runsPipe(r *wal.Record) bool {
 	return ok && v.Pipe == catalogue.PipeAfterTB && len(r.Args) >= 2
 }
 
-// historyLen reads a pipe's journal length under the session lock.
-func (s *Session) historyLen(p *Pipe) int {
+// runCount reads a pipe's journaled-run count under the session lock.
+func (s *Session) runCount(p *Pipe) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(p.History)
+	return p.runs
 }

@@ -27,10 +27,10 @@ type pipeSnapshot struct {
 	cp             *checkpoint.Checkpoint
 	stats          vm.Stats
 	lastCheckpoint uint64
-	// histLen is the journal's length. Neither a commit phase nor a
-	// cancelled run rewrites an op below it, so the journal is restored
-	// by truncation, not from a copy.
-	histLen int
+	// runs is the pipe's run count. Neither a commit phase nor a
+	// cancelled run rewrites the journal below the captured cycle, so
+	// the journal is restored by a cut there, not from a copy.
+	runs int
 	// cpMark is the checkpoint store watermark; checkpoints taken during
 	// a failed re-execution are dropped back to it.
 	cpMark int
@@ -48,7 +48,7 @@ func (s *Session) snapshotPipe(p *Pipe) (*pipeSnapshot, error) {
 		cp:             cp,
 		stats:          p.Sim.Stats,
 		lastCheckpoint: p.lastCheckpoint,
-		histLen:        len(p.History),
+		runs:           p.runs,
 		cpMark:         p.Checkpoints.Mark(),
 	}, nil
 }
@@ -138,7 +138,8 @@ func (s *Session) restorePipeSnapshot(snap *pipeSnapshot) error {
 	}
 	p.Sim = sm
 	p.Version = snap.cp.Version
-	p.History = p.History[:snap.histLen]
+	p.History = cutJournal(p.History, snap.cp.Cycle)
+	p.runs = snap.runs
 	p.tbs = tbs
 	p.lastCheckpoint = snap.lastCheckpoint
 	p.Checkpoints.DropSince(snap.cpMark)

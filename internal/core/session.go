@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -79,14 +80,64 @@ func (d *Driver) PeekMem(path string, addr uint64) (uint64, error) { return d.s.
 // PokeMem writes a memory word.
 func (d *Driver) PokeMem(path string, addr, v uint64) error { return d.s.PokeMem(path, addr, v) }
 
-// RunOp is one journaled run command (the session history of Sec. III-B:
-// "such changes are viewed by LiveSim as operations on the UUT, whose
-// history is tracked ... allowing those same operations to be applied
-// again, should the design be updated").
+// RunOp is one stretch of the run journal (the session history of Sec.
+// III-B: "such changes are viewed by LiveSim as operations on the UUT,
+// whose history is tracked ... allowing those same operations to be
+// applied again, should the design be updated"): testbench TB drove
+// cycles [StartCycle, StartCycle+Cycles). Consecutive runs of one
+// testbench share one op, which testbenches' resumability allows.
 type RunOp struct {
 	TB         string
 	Cycles     int
 	StartCycle uint64
+}
+
+// end is the cycle after the op's last.
+func (op RunOp) end() uint64 { return op.StartCycle + uint64(op.Cycles) }
+
+// extendJournal records that tb drove cycles [start, start+cycles): the
+// journal is cut at start, since a run supersedes whatever it said from
+// there on, and the run then extends the last op if that op is tb's and
+// ends at start, or becomes a new op. The journal's ops stay ordered by
+// StartCycle and disjoint.
+func extendJournal(h []RunOp, tb string, start uint64, cycles int) []RunOp {
+	h = cutJournal(h, start)
+	if cycles <= 0 {
+		return h
+	}
+	if n := len(h); n > 0 && h[n-1].TB == tb && h[n-1].end() == start {
+		h[n-1].Cycles += cycles
+		return h
+	}
+	return append(h, RunOp{TB: tb, Cycles: cycles, StartCycle: start})
+}
+
+// firstOpEndingAfter is the index of the first op that ends after cycle
+// (len(h) if none): the op covering cycle, if any op does.
+func firstOpEndingAfter(h []RunOp, cycle uint64) int {
+	return sort.Search(len(h), func(i int) bool { return h[i].end() > cycle })
+}
+
+// journalSpan is the run of ops that overlap cycles [from, to).
+func journalSpan(h []RunOp, from, to uint64) []RunOp {
+	i := firstOpEndingAfter(h, from)
+	j := i + sort.Search(len(h)-i, func(k int) bool { return h[i+k].StartCycle >= to })
+	return h[i:j]
+}
+
+// cutJournal drops every journaled cycle at or after cycle: an op that
+// starts there or later goes, and the op running across it is shortened
+// to end there.
+func cutJournal(h []RunOp, cycle uint64) []RunOp {
+	i := firstOpEndingAfter(h, cycle)
+	if i == len(h) {
+		return h
+	}
+	if h[i].StartCycle >= cycle {
+		return h[:i]
+	}
+	h[i].Cycles = int(cycle - h[i].StartCycle)
+	return h[:i+1]
 }
 
 // LibEntry is one row of the Object Library Table (Table II).
@@ -119,7 +170,13 @@ type Pipe struct {
 	Sim         *sim.Sim
 	Version     string
 	Checkpoints *checkpoint.Store
-	History     []RunOp
+	// History is the run journal (extendJournal, cutJournal).
+	History []RunOp
+
+	// runs counts the run commands the journal holds, merged or not:
+	// what a checkpoint's HistoryPos and a watermark's history_len
+	// record, so their meaning on disk does not depend on the merging.
+	runs int
 
 	tbs map[string]Testbench // live testbench instances by handle
 
@@ -409,7 +466,8 @@ func (s *Session) CopyPipe(newName, oldName string) (*Pipe, error) {
 		Sim:         sm,
 		Version:     cp.Version,
 		Checkpoints: checkpoint.NewStore(),
-		History:     append([]RunOp(nil), old.History...),
+		History:     slices.Clone(old.History),
+		runs:        old.runs,
 		tbs:         tbs,
 	}
 	p.Checkpoints.SetMetrics(s.metrics)
@@ -496,31 +554,32 @@ func (s *Session) Run(tbHandle, pipeName string, cycles int) error {
 			return serr
 		}
 	}
+	// Journaled before it runs, so the checkpoints the run takes record
+	// it in their history position.
 	start := p.Sim.Cycle()
-	p.History = append(p.History, RunOp{TB: s.tbNames[tbHandle], Cycles: cycles, StartCycle: start})
-	opIdx := len(p.History) - 1
+	p.History = extendJournal(p.History, s.tbNames[tbHandle], start, cycles)
+	p.runs++
 	s.mu.Unlock()
 
 	err := s.runChunked(p, tb, cycles, tok)
 
 	if errors.Is(err, ErrRunCancelled) {
-		// Watchdog fired: the rollback below restores state, testbenches,
-		// journal and checkpoints, so the truncation bookkeeping that
-		// follows must not run — opIdx no longer indexes this op.
+		// Watchdog fired: the rollback restores state, testbenches,
+		// journal and checkpoints to the pre-run snapshot.
 		return s.cancelRun(p, snap, err)
 	}
 
 	// The journal must record what actually happened, not what was asked:
-	// on early stop ($finish, an error, a panic) the op is truncated to the
-	// cycles really advanced, so a later replay of the history reproduces
-	// this run exactly instead of over-running past the stop point.
+	// on early stop ($finish, an error, a panic) the run is journaled
+	// again with the cycles really advanced, so a later replay of the
+	// history reproduces it exactly instead of over-running past the stop
+	// point. A run that advanced nothing is not journaled at all.
 	advanced := int(p.Sim.Cycle() - start)
 	if advanced != cycles {
 		s.mu.Lock()
+		p.History = extendJournal(p.History, s.tbNames[tbHandle], start, advanced)
 		if advanced <= 0 {
-			p.History = append(p.History[:opIdx], p.History[opIdx+1:]...)
-		} else {
-			p.History[opIdx].Cycles = advanced
+			p.runs--
 		}
 		s.mu.Unlock()
 	}
@@ -601,7 +660,7 @@ func (s *Session) capture(p *Pipe) (*checkpoint.Checkpoint, error) {
 		aux[h] = data
 	}
 	st := p.Sim.Snapshot()
-	return &checkpoint.Checkpoint{Cycle: st.Cycle, Version: p.Version, HistoryPos: len(p.History), State: st, Aux: aux}, nil
+	return &checkpoint.Checkpoint{Cycle: st.Cycle, Version: p.Version, HistoryPos: p.runs, State: st, Aux: aux}, nil
 }
 
 // testbenchesLocked makes the testbench set a pipe resumes with from a
@@ -753,8 +812,11 @@ func (s *Session) loadCheckpoint(p *Pipe, cp *checkpoint.Checkpoint) error {
 			p.Version = s.version
 		}
 	}
-	if cp.HistoryPos >= 0 && cp.HistoryPos <= len(p.History) {
-		p.History = p.History[:cp.HistoryPos]
+	// The journal is cut at the restored cycle, not at HistoryPos ops:
+	// an op that merged runs on past the file's cycle must not outlive it.
+	p.History = cutJournal(p.History, cp.Cycle)
+	if cp.HistoryPos >= 0 && cp.HistoryPos <= p.runs {
+		p.runs = cp.HistoryPos
 	}
 	p.lastCheckpoint = cp.Cycle
 	p.Checkpoints.DropAfterCycle(cp.Cycle)
@@ -794,8 +856,8 @@ func (s *Session) Version() string {
 // so the saved state reflects every finished operation.
 func (s *Session) WaitBackground() { s.verifyWG.Wait() }
 
-// PipeStatus returns a pipe's current cycle and journaled-op count under
-// the session lock. The server's WAL watermark records carry both, so
+// PipeStatus returns a pipe's current cycle and journaled-run count
+// under the session lock. The server's WAL watermark records carry both, so
 // restart recovery can verify a restored checkpoint lines up with the
 // journal.
 func (s *Session) PipeStatus(name string) (cycle uint64, historyLen int, ok bool) {
@@ -805,7 +867,7 @@ func (s *Session) PipeStatus(name string) (cycle uint64, historyLen int, ok bool
 	if !ok {
 		return 0, 0, false
 	}
-	return p.Sim.Cycle(), len(p.History), true
+	return p.Sim.Cycle(), p.runs, true
 }
 
 // MemUsage estimates the session's in-memory footprint for the

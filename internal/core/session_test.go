@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -551,9 +552,9 @@ func TestVersionPruning(t *testing.T) {
 }
 
 // TestRunJournalsTheRegisteredHandle: a thousand runs decoded from wire
-// requests, each holding its own copy of "tb0", journal one string
-// between them — the handle the testbench was registered under — so the
-// journal keeps no request's string alive.
+// requests, each holding its own copy of "tb0", journal one op under the
+// handle the testbench was registered under, so the journal keeps no
+// request's string alive, and count a thousand runs.
 func TestRunJournalsTheRegisteredHandle(t *testing.T) {
 	s := newAccSession(t, accDesign)
 	if _, err := s.InstPipe("p0"); err != nil {
@@ -570,12 +571,13 @@ func TestRunJournalsTheRegisteredHandle(t *testing.T) {
 		}
 	}
 	p, _ := s.Pipe("p0")
-	if len(p.History) != 1000 {
-		t.Fatalf("%d runs journaled, want 1000", len(p.History))
+	if want := []RunOp{{TB: "tb0", Cycles: 1000}}; !slices.Equal(p.History, want) {
+		t.Fatalf("journal %+v, want %+v", p.History, want)
 	}
-	for i, op := range p.History {
-		if op.TB != "tb0" || unsafe.StringData(op.TB) != unsafe.StringData(s.tbNames["tb0"]) {
-			t.Fatalf("run %d journals %q at %p, not the registered handle", i, op.TB, unsafe.StringData(op.TB))
-		}
+	if op := p.History[0]; unsafe.StringData(op.TB) != unsafe.StringData(s.tbNames["tb0"]) {
+		t.Fatalf("journal holds %q at %p, not the registered handle", op.TB, unsafe.StringData(op.TB))
+	}
+	if _, runs, _ := s.PipeStatus("p0"); runs != 1000 {
+		t.Fatalf("%d runs counted, want 1000", runs)
 	}
 }

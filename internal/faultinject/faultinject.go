@@ -51,6 +51,7 @@ type Plan struct {
 	stallFor      time.Duration   // how long the stalled chunk sleeps
 	fullFrom      int             // first WAL append (1-based) to ENOSPC-fail, -1 = unarmed
 	fullLeft      int             // how many consecutive appends fail from fullFrom
+	failSync      bool            // fail the next WAL fsync
 	forceFree     int64           // DiskFree override: free bytes, -1 = unarmed
 	forceTotal    int64           // DiskFree override: total bytes
 	replDropAt    int             // sever the repl stream before the nth batch, -1 = unarmed
@@ -195,6 +196,16 @@ func (p *Plan) DiskFullAppends(from, count int) *Plan {
 	defer p.mu.Unlock()
 	p.fullFrom = from
 	p.fullLeft = count
+	return p
+}
+
+// FailWALSync arms a one-shot fsync failure: the next fsync any WAL
+// consulting the plan issues (WALSyncErr) fails with EIO before it
+// reaches the disk. Tests only; no daemon flag arms it.
+func (p *Plan) FailWALSync() *Plan {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.failSync = true
 	return p
 }
 
@@ -430,6 +441,23 @@ func (p *Plan) WALWriteErr(appendIdx int) error {
 	}
 	p.fired = append(p.fired, fmt.Sprintf("disk-full:%d", appendIdx))
 	return fmt.Errorf("faultinject: write wal append %d: no space left on device: %w", appendIdx, ErrInjected)
+}
+
+// WALSyncErr is consulted by the WAL before each fsync. It returns a
+// wrapped ErrInjected once after FailWALSync, and nil otherwise.
+// Nil-safe.
+func (p *Plan) WALSyncErr() error {
+	if p == nil {
+		return nil
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if !p.failSync {
+		return nil
+	}
+	p.failSync = false
+	p.fired = append(p.fired, "wal-sync")
+	return fmt.Errorf("faultinject: fsync: input/output error: %w", ErrInjected)
 }
 
 // DiskFree reports the armed free-space override, if any. Nil-safe;

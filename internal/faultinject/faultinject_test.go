@@ -172,6 +172,27 @@ func TestDiskFullAppends(t *testing.T) {
 	}
 }
 
+func TestFailWALSync(t *testing.T) {
+	p := New()
+	if err := p.WALSyncErr(); err != nil {
+		t.Fatalf("unarmed plan failed an fsync: %v", err)
+	}
+	p.FailWALSync()
+	if err := p.WALSyncErr(); !errors.Is(err, ErrInjected) {
+		t.Fatalf("armed fsync: %v, want ErrInjected", err)
+	}
+	if err := p.WALSyncErr(); err != nil {
+		t.Fatalf("fired twice: %v", err)
+	}
+	if f := p.Fired(); len(f) != 1 || f[0] != "wal-sync" {
+		t.Errorf("fired %v", f)
+	}
+	var nilPlan *Plan
+	if err := nilPlan.WALSyncErr(); err != nil {
+		t.Errorf("nil plan injected: %v", err)
+	}
+}
+
 func TestForceDiskFree(t *testing.T) {
 	p := New()
 	if _, _, ok := p.DiskFree(); ok {

@@ -603,6 +603,42 @@ func TestDrainAfterRefusedAppendKeepsAckedHistory(t *testing.T) {
 	}
 }
 
+// TestFailedFsyncAcksNothingAfter: the group-commit flusher's fsync
+// fails. The journal keeps that error, so every mutation after it is
+// refused disk_full and undone, and reads still answer. A restart
+// recovers the history acked before the failure.
+func TestFailedFsyncAcksNothingAfter(t *testing.T) {
+	dir := shortDir(t)
+	state := filepath.Join(dir, "state")
+	plan := faultinject.New().ForceDiskFree(50, 100)
+	_, stopA := startServerOn(t, server.Config{StateDir: state, WALSyncEvery: time.Millisecond, Faults: plan},
+		filepath.Join(dir, "a.sock"))
+	c := dial(t, "unix:"+filepath.Join(dir, "a.sock"))
+	createTiny(t, c, "e0", 25)
+	mustOK(t, c, &server.Request{Session: "e0", Verb: "run", Args: []string{"clock", "p0", "200"}})
+	// The fsync that fails is the one after run 50's append, or, if the
+	// flusher had not synced run 200 yet, the one before it; either way
+	// run 50 is acked only if its append came before the failure.
+	plan.FailWALSync()
+	if resp, err := c.Do(&server.Request{Session: "e0", Verb: "run", Args: []string{"clock", "p0", "50"}}); err != nil ||
+		!resp.OK && resp.Code != wire.CodeDiskFull {
+		t.Fatalf("run across the failed fsync: resp=%+v err=%v", resp, err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); len(plan.Fired()) == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the flusher never fsynced")
+		}
+	}
+	acked := mustOK(t, c, &server.Request{Session: "e0", Verb: "cycle", Args: []string{"p0"}}).Output
+	for range 3 {
+		refusedRun(t, c, "e0", 100)
+	}
+	stopA()
+	if got := recoveredCycle(t, dir, state, "e0"); got != acked {
+		t.Fatalf("recovered %q, want the history acked before the failure, %q", got, acked)
+	}
+}
+
 // TestDrainAtEmergencyKeepsAckedHistory: a drain at the emergency rung,
 // after a mutation was refused there, still watermarks the session, and
 // the restart recovers exactly the acked history — the refused run is

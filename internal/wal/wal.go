@@ -20,7 +20,11 @@
 // fsynced either inline (SyncEvery == 0, the crash-matrix setting) or
 // by a background flusher on a short interval (the steady-state
 // setting: the live-loop hot path pays a buffer copy and a write, not
-// an fsync). Sync and Close force the flush.
+// an fsync). Sync and Close force the flush. A batched fsync that fails
+// leaves records already acked of unknown durability, and a later fsync
+// that succeeds does not say otherwise: the WAL keeps the first such
+// error, and every later Append, Sync and Close returns it, so nothing
+// more is acked on a journal that may have lost what it held.
 package wal
 
 import (
@@ -109,10 +113,10 @@ type Options struct {
 	// > 0 batches fsyncs on that interval (the steady-state setting).
 	SyncEvery time.Duration
 	// Faults, when set, injects failed and torn appends
-	// (Plan.DiskFullAppends, Plan.TornWALWrite) and, once an append's
-	// bytes reached the file (and, with SyncEvery 0, were fsynced), the
-	// crash matrix's SIGKILL at an armed size (Plan.CrashWALAt). Nil costs
-	// one nil check.
+	// (Plan.DiskFullAppends, Plan.TornWALWrite), a failed fsync
+	// (Plan.FailWALSync) and, once an append's bytes reached the file
+	// (and, with SyncEvery 0, were fsynced), the crash matrix's SIGKILL
+	// at an armed size (Plan.CrashWALAt). Nil costs one nil check.
 	Faults *faultinject.Plan
 	// Metrics, when set, receives wal_bytes / wal_appends /
 	// wal_truncations. Nil-safe.
@@ -130,6 +134,9 @@ type WAL struct {
 	appends int // lifetime append count, for the disk-fault hooks
 	dirty   bool
 	closed  bool
+	// syncErr is the first failed fsync of batched appends; once set,
+	// Append, Sync and Close return it.
+	syncErr error
 	opts    Options
 	// group is the disk-pressure group-commit override: when > 0,
 	// appends batch fsyncs on this interval even if the WAL was opened
@@ -221,8 +228,7 @@ func (w *WAL) SetGroupCommit(d time.Duration) error {
 	w.group = d
 	var syncErr error
 	if d == 0 && w.opts.SyncEvery == 0 && w.dirty {
-		w.dirty = false
-		syncErr = w.f.Sync()
+		syncErr = w.syncBatched()
 	}
 	if d > 0 && !w.flusherOn {
 		w.flusherOn = true
@@ -243,6 +249,9 @@ func (w *WAL) Append(r *Record) error {
 	defer w.mu.Unlock()
 	if w.closed {
 		return fmt.Errorf("wal %s: closed", w.path)
+	}
+	if w.syncErr != nil {
+		return w.syncErr
 	}
 	r.Seq = w.seq + 1
 	buf, err := EncodeRecord(r)
@@ -277,7 +286,7 @@ func (w *WAL) Append(r *Record) error {
 	_, err = w.f.Write(buf)
 	inline := w.opts.SyncEvery == 0 && w.group == 0
 	if err == nil && inline {
-		err = w.f.Sync()
+		err = w.fsync()
 	}
 	if err != nil {
 		// No part of a failed append stays in the file: cut it back to the
@@ -300,18 +309,40 @@ func (w *WAL) Append(r *Record) error {
 	return nil
 }
 
-// Sync forces any batched appends to stable storage.
+// Sync forces any batched appends to stable storage. It returns the
+// WAL's kept fsync error, if any.
 func (w *WAL) Sync() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.closed || !w.dirty {
+	if w.closed {
 		return nil
 	}
+	return w.syncBatched()
+}
+
+// syncBatched fsyncs the batched appends, if there are any, and keeps
+// the error of the first fsync that fails. The caller holds w.mu.
+func (w *WAL) syncBatched() error {
+	if w.syncErr != nil || !w.dirty {
+		return w.syncErr
+	}
 	w.dirty = false
+	if err := w.fsync(); err != nil {
+		w.syncErr = fmt.Errorf("wal %s: fsync of batched appends: %w", w.path, err)
+	}
+	return w.syncErr
+}
+
+// fsync is every fsync of the journal's records, behind the fault hook.
+func (w *WAL) fsync() error {
+	if err := w.opts.Faults.WALSyncErr(); err != nil {
+		return err
+	}
 	return w.f.Sync()
 }
 
-// Close syncs and closes the journal. The file stays on disk — it is
+// Close syncs and closes the journal; its error is the kept fsync
+// error, else the first new one. The file stays on disk — it is
 // the session's durability record; remove it only when the session is
 // explicitly discarded.
 func (w *WAL) Close() error {
@@ -321,10 +352,10 @@ func (w *WAL) Close() error {
 		return nil
 	}
 	w.closed = true
-	if w.dirty {
-		w.f.Sync()
+	err := w.syncBatched()
+	if cerr := w.f.Close(); err == nil {
+		err = cerr
 	}
-	err := w.f.Close()
 	stopped := w.stopped
 	w.mu.Unlock()
 	close(w.stop)
@@ -379,7 +410,7 @@ func (w *WAL) flusher(every time.Duration) {
 		case <-w.stop:
 			return
 		case <-tick.C:
-			w.Sync()
+			w.Sync() // a failure is kept for the next Append
 		}
 	}
 }

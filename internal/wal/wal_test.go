@@ -291,6 +291,73 @@ func TestInjectedDiskFullAppend(t *testing.T) {
 	}
 }
 
+// TestFailedBatchedFsyncIsKept: the flusher's failed fsync is not lost.
+// The WAL keeps it, and every later Append, Sync and Close returns it,
+// with nothing more written. An inline fsync that fails only fails its
+// own append, which is cut back off the file.
+func TestFailedBatchedFsyncIsKept(t *testing.T) {
+	t.Run("flusher", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "s.wal")
+		plan := faultinject.New()
+		w, _ := openT(t, path, Options{SyncEvery: time.Millisecond, Faults: plan})
+		if err := w.Append(&Record{Type: TypeBoot}); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		plan.FailWALSync()
+		if err := w.Append(&Record{Type: TypeCmd, Verb: "run"}); err != nil {
+			t.Fatal(err)
+		}
+		for deadline := time.Now().Add(5 * time.Second); len(plan.Fired()) == 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("the flusher never fsynced")
+			}
+		}
+		size, seq := w.Size(), w.Seq()
+		for i := range 3 {
+			if err := w.Append(&Record{Type: TypeCmd, Verb: "run"}); !errors.Is(err, faultinject.ErrInjected) {
+				t.Fatalf("append %d after the failed fsync: %v, want the kept error", i, err)
+			}
+		}
+		if err := w.Sync(); !errors.Is(err, faultinject.ErrInjected) {
+			t.Fatalf("sync after the failed fsync: %v, want the kept error", err)
+		}
+		if w.Size() != size || w.Seq() != seq {
+			t.Fatalf("refused appends moved size %d -> %d, seq %d -> %d", size, w.Size(), seq, w.Seq())
+		}
+		if err := w.Close(); !errors.Is(err, faultinject.ErrInjected) {
+			t.Fatalf("close: %v, want the kept error", err)
+		}
+		if recs, _, err := DecodeAll(mustRead(t, path)); err != nil || len(recs) != 2 {
+			t.Fatalf("journal holds %d records (%v), want the 2 appended before the failure", len(recs), err)
+		}
+	})
+	t.Run("inline", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "s.wal")
+		plan := faultinject.New()
+		w, _ := openT(t, path, Options{Faults: plan})
+		if err := w.Append(&Record{Type: TypeBoot}); err != nil {
+			t.Fatal(err)
+		}
+		plan.FailWALSync()
+		size := w.Size()
+		if err := w.Append(&Record{Type: TypeCmd, Verb: "run"}); !errors.Is(err, faultinject.ErrInjected) {
+			t.Fatalf("append with a failed inline fsync: %v, want ErrInjected", err)
+		}
+		if w.Size() != size {
+			t.Fatalf("failed append left %d bytes", w.Size()-size)
+		}
+		if err := w.Append(&Record{Type: TypeCmd, Verb: "run"}); err != nil {
+			t.Fatalf("append after a failed inline fsync: %v", err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
 func TestSetGroupCommitBatchesAndRestores(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "s.wal")
 	w, _ := openT(t, path, Options{}) // inline fsync mode

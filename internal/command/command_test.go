@@ -1,6 +1,7 @@
 package command
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -98,6 +99,54 @@ func TestApplyThroughSharedCommand(t *testing.T) {
 	}
 	if v := env.Session.Version(); v != "v1" {
 		t.Errorf("version after apply = %s", v)
+	}
+}
+
+// TestLoadCheckpointFromEarlierVersion: a file saved before an apply
+// loads after it, its state carried to the running version by the
+// edit's plans, and a pipe copied afterwards runs the session's objects.
+func TestLoadCheckpointFromEarlierVersion(t *testing.T) {
+	var out strings.Builder
+	edited := strings.Replace(tinyDesign, "total + d", "total + d + 1", 1)
+	env := &Env{
+		Session: bootTiny(t),
+		Out:     &out,
+		ApplySource: func() (liveparser.Source, error) {
+			return liveparser.Source{Files: map[string]string{"top.v": edited}}, nil
+		},
+	}
+	do := func(lines ...string) {
+		t.Helper()
+		for _, line := range lines {
+			if err := DispatchLine(env, line); err != nil {
+				t.Fatalf("%s: %v", line, err)
+			}
+		}
+	}
+	total := func(pipe string) uint64 {
+		t.Helper()
+		p, _ := env.Session.Pipe(pipe)
+		v, err := p.Sim.Peek("top.u0.total")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	path := filepath.Join(t.TempDir(), "f")
+	do("instpipe p0", "poke p0 top.en 1", "poke p0 top.d 3", "run clock p0 100", "chkp p0 "+path)
+	saved := total("p0")
+	do("run clock p0 50", "apply", "ldch p0 "+path)
+	p0, _ := env.Session.Pipe("p0")
+	if c := p0.Sim.Cycle(); c != 100 {
+		t.Errorf("ldch: pipe at cycle %d, want 100", c)
+	}
+	if got := total("p0"); got != saved {
+		t.Errorf("ldch: total %d, saved %d", got, saved)
+	}
+	// The edit adds d+1 a cycle; the copy must add it too.
+	do("copypipe p1 p0", "run clock p0 10", "run clock p1 10")
+	if got, want := total("p1"), saved+10*4; got != want || total("p0") != want {
+		t.Errorf("10 cycles after ldch: total p0 %d, p1 %d, want %d", total("p0"), got, want)
 	}
 }
 

@@ -173,10 +173,9 @@ func TestCheckpointSnapshotPanicIsAnError(t *testing.T) {
 // Testbench method: each calls it under panic recovery.
 var safeCallers = map[string]bool{"safeRun": true, "safeSnapshot": true, "safeRestore": true}
 
-// TestTestbenchCallsRecoverPanics fails if a non-test file of this
-// package calls a Testbench method outside safeCallers: testbench code is
-// user code, and a panic in it must come back as an error.
-func TestTestbenchCallsRecoverPanics(t *testing.T) {
+// typedCore parses and type-checks the non-test files of this package.
+func typedCore(t *testing.T) (*token.FileSet, []*ast.File, *types.Info, *types.Package) {
+	t.Helper()
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool {
 		return !strings.HasSuffix(fi.Name(), "_test.go")
@@ -207,31 +206,60 @@ func TestTestbenchCallsRecoverPanics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb := pkg.Scope().Lookup("Testbench").Type().Underlying().(*types.Interface)
-	isTestbench := func(recv types.Type) bool {
-		return types.Implements(recv, tb) || types.Implements(types.NewPointer(recv), tb)
-	}
-	for _, f := range files {
-		for _, decl := range f.Decls {
-			fd, isFunc := decl.(*ast.FuncDecl)
-			if isFunc && safeCallers[fd.Name.Name] {
+	return fset, files, info, pkg
+}
+
+// eachMethodCall calls f with every method selection in the package's
+// functions but those skip names.
+func eachMethodCall(files []*ast.File, info *types.Info, skip map[string]bool, f func(*ast.SelectorExpr, *types.Selection)) {
+	for _, file := range files {
+		for _, decl := range file.Decls {
+			if fd, isFunc := decl.(*ast.FuncDecl); isFunc && skip[fd.Name.Name] {
 				continue
 			}
 			ast.Inspect(decl, func(n ast.Node) bool {
-				se, ok := n.(*ast.SelectorExpr)
-				if !ok {
-					return true
-				}
-				sel := info.Selections[se]
-				if sel == nil || sel.Kind() != types.MethodVal || !isTestbench(sel.Recv()) {
-					return true
-				}
-				if m, _, _ := types.LookupFieldOrMethod(tb, false, nil, sel.Obj().Name()); m != nil {
-					t.Errorf("%s: calls Testbench.%s outside safeRun, safeSnapshot and safeRestore",
-						fset.Position(se.Sel.Pos()), sel.Obj().Name())
+				if se, ok := n.(*ast.SelectorExpr); ok {
+					if sel := info.Selections[se]; sel != nil && sel.Kind() == types.MethodVal {
+						f(se, sel)
+					}
 				}
 				return true
 			})
 		}
 	}
+}
+
+// TestTestbenchCallsRecoverPanics fails if a non-test file of this
+// package calls a Testbench method outside safeCallers: testbench code is
+// user code, and a panic in it must come back as an error.
+func TestTestbenchCallsRecoverPanics(t *testing.T) {
+	fset, files, info, pkg := typedCore(t)
+	tb := pkg.Scope().Lookup("Testbench").Type().Underlying().(*types.Interface)
+	isTestbench := func(recv types.Type) bool {
+		return types.Implements(recv, tb) || types.Implements(types.NewPointer(recv), tb)
+	}
+	eachMethodCall(files, info, safeCallers, func(se *ast.SelectorExpr, sel *types.Selection) {
+		if !isTestbench(sel.Recv()) {
+			return
+		}
+		if m, _, _ := types.LookupFieldOrMethod(tb, false, nil, sel.Obj().Name()); m != nil {
+			t.Errorf("%s: calls Testbench.%s outside safeRun, safeSnapshot and safeRestore",
+				fset.Position(se.Sel.Pos()), sel.Obj().Name())
+		}
+	})
+}
+
+// TestOneRestoreRule fails if a non-test file of this package puts state
+// into a kernel (sim.Sim's Restore, RestoreAdapted or PowerOn) anywhere
+// but restoreStateLocked, the one rule that picks among them by the
+// capture's version.
+func TestOneRestoreRule(t *testing.T) {
+	fset, files, info, _ := typedCore(t)
+	restores := map[string]bool{"Restore": true, "RestoreAdapted": true, "PowerOn": true}
+	eachMethodCall(files, info, map[string]bool{"restoreStateLocked": true}, func(se *ast.SelectorExpr, sel *types.Selection) {
+		fn := sel.Obj().(*types.Func)
+		if restores[fn.Name()] && fn.Pkg().Path() == "livesim/internal/sim" {
+			t.Errorf("%s: calls sim.Sim.%s outside restoreStateLocked", fset.Position(se.Sel.Pos()), fn.Name())
+		}
+	})
 }

@@ -25,10 +25,10 @@ type pipePrint struct {
 	TBs            map[string][]byte
 }
 
-// printPipe fingerprints one pipe.
-func printPipe(p *Pipe) pipePrint {
+// printPipe fingerprints one pipe of s.
+func printPipe(s *Session, p *Pipe) pipePrint {
 	pr := pipePrint{
-		Version:        p.Version,
+		Version:        s.Version(),
 		Cycle:          p.Sim.Cycle(),
 		State:          p.Sim.Snapshot(),
 		History:        append([]RunOp(nil), p.History...),
@@ -54,7 +54,7 @@ func printSession(s *Session) map[string]pipePrint {
 	s.mu.Unlock()
 	for _, name := range names {
 		p, _ := s.Pipe(name)
-		out[name] = printPipe(p)
+		out[name] = printPipe(s, p)
 	}
 	return out
 }

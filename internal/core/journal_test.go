@@ -182,7 +182,7 @@ func TestReplayFastPathMergedRuns(t *testing.T) {
 	if !rep.FastPath || rep.Checkpoints != 1 || rep.Executed != 3 {
 		t.Errorf("want the fast path through one watermark, executing instpipe and the two tail runs: %+v", rep)
 	}
-	pre, post := printPipe(mustPipe(t, s, "p0")), printPipe(mustPipe(t, s2, "p0"))
+	pre, post := printPipe(s, mustPipe(t, s, "p0")), printPipe(s2, mustPipe(t, s2, "p0"))
 	pre.Checkpoints, post.Checkpoints = nil, nil
 	pre.LastCheckpoint, post.LastCheckpoint = 0, 0
 	requireIdentical(t, map[string]pipePrint{"p0": pre}, map[string]pipePrint{"p0": post})

@@ -287,11 +287,6 @@ func (s *Session) ApplyChange(newSrc liveparser.Source) (*ChangeReport, error) {
 		}
 		sp.End()
 		rep.ReExecTime += sp.Dur()
-		// Under s.mu: an earlier pipe's background verification may be
-		// reading every pipe's Version through PruneVersions already.
-		s.mu.Lock()
-		p.Version = newVersion
-		s.mu.Unlock()
 		pending = append(pending, pendingVerify{p, target})
 	}
 
@@ -312,41 +307,27 @@ func (s *Session) ApplyChange(newSrc liveparser.Source) (*ChangeReport, error) {
 // restoreFromCheckpoint loads cp (possibly from an older design version)
 // into the pipe; nil cp puts it back to power-on, as sim.New builds it.
 func (s *Session) restoreFromCheckpoint(p *Pipe, cp *checkpoint.Checkpoint) error {
-	var aux map[string][]byte
-	if cp == nil {
-		p.Sim.PowerOn()
-	} else {
-		if err := s.restoreStateAdapted(p.Sim, cp); err != nil {
-			return err
-		}
-		aux = cp.Aux
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if err := s.restoreStateLocked(p.Sim, cp); err != nil {
+		return err
+	}
+	var aux map[string][]byte
+	if cp != nil {
+		aux = cp.Aux
+	}
 	tbs, err := s.testbenchesLocked(aux, p.tbs)
 	p.tbs = tbs
 	return err
 }
 
-// restoreStateAdapted restores cp.State into sm, carrying node states
-// recorded under older object versions by their plans (lineage).
-func (s *Session) restoreStateAdapted(sm *sim.Sim, cp *checkpoint.Checkpoint) error {
-	from, _, migrate, err := s.lineage(cp.Version)
-	if err != nil {
-		return err
-	}
-	sm.RestoreAdapted(cp.State, from, migrate)
-	return nil
-}
-
-// lineage returns the objects of version from, the current objects, and
-// the plan builder that carries state from the one to the other through
-// the ops the version history holds between the two versions.
-func (s *Session) lineage(from string) (fromObjects, curObjects map[string]*vm.Object, migrate sim.MigrateFunc, err error) {
-	s.mu.Lock()
+// lineageLocked returns the objects of version from, the current objects,
+// and the plan builder that carries state from the one to the other
+// through the ops the version history holds between the two versions.
+// The caller holds s.mu.
+func (s *Session) lineageLocked(from string) (fromObjects, curObjects map[string]*vm.Object, migrate sim.MigrateFunc, err error) {
 	fromObjects, curObjects = s.versionObjects[from], s.objects
 	curVersion, history := s.version, s.versions
-	s.mu.Unlock()
 	if fromObjects == nil {
 		return nil, nil, nil, fmt.Errorf("no retained objects for version %s", from)
 	}
@@ -494,7 +475,10 @@ func (s *Session) verifyReplay(p *Pipe, from *checkpoint.Checkpoint, toCycle uin
 	if err != nil {
 		return nil, err
 	}
-	if err := s.restoreStateAdapted(sm, from); err != nil {
+	s.mu.Lock()
+	err = s.restoreStateLocked(sm, from)
+	s.mu.Unlock()
+	if err != nil {
 		return nil, err
 	}
 	d := &Driver{s: sm}
@@ -513,7 +497,9 @@ func (s *Session) verifyReplay(p *Pipe, from *checkpoint.Checkpoint, toCycle uin
 // recorded (possibly old-version) checkpoint through each node's plan
 // (sim.CarriedEqual).
 func (s *Session) compareToRecorded(replayed *sim.State, recorded *checkpoint.Checkpoint) (bool, string) {
-	fromObjects, curObjects, migrate, err := s.lineage(recorded.Version)
+	s.mu.Lock()
+	fromObjects, curObjects, migrate, err := s.lineageLocked(recorded.Version)
+	s.mu.Unlock()
 	if err != nil {
 		return false, err.Error()
 	}

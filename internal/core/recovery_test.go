@@ -174,7 +174,7 @@ func TestReplayFastPathFromWatermark(t *testing.T) {
 		t.Errorf("watermark should cover pre-mark records: %+v", rep)
 	}
 
-	pre, post := printPipe(mustPipe(t, s, "p0")), printPipe(mustPipe(t, s2, "p0"))
+	pre, post := printPipe(s, mustPipe(t, s, "p0")), printPipe(s2, mustPipe(t, s2, "p0"))
 	// The checkpoint ring's IDs/timeline differ on the fast path; the
 	// session-observable state must not.
 	pre.Checkpoints, post.Checkpoints = nil, nil

@@ -37,9 +37,10 @@ type pipeSnapshot struct {
 }
 
 // snapshotPipe captures a pipe's pre-change state. A testbench panic
-// fails the prepare phase before anything live has been touched.
+// fails the prepare phase before anything live has been touched. The
+// caller holds s.mu.
 func (s *Session) snapshotPipe(p *Pipe) (*pipeSnapshot, error) {
-	cp, err := s.capture(p)
+	cp, err := s.capture(p, s.version)
 	if err != nil {
 		return nil, err
 	}
@@ -126,7 +127,7 @@ func (s *Session) restorePipeSnapshot(snap *pipeSnapshot) error {
 	if err != nil {
 		return err
 	}
-	if err := sm.Restore(snap.cp.State); err != nil {
+	if err := s.restoreStateLocked(sm, snap.cp); err != nil {
 		return err
 	}
 	sm.Stats = snap.stats
@@ -137,7 +138,6 @@ func (s *Session) restorePipeSnapshot(snap *pipeSnapshot) error {
 		sm.SetProfiler(p.profiler)
 	}
 	p.Sim = sm
-	p.Version = snap.cp.Version
 	p.History = cutJournal(p.History, snap.cp.Cycle)
 	p.runs = snap.runs
 	p.tbs = tbs

@@ -168,7 +168,6 @@ type Pipe struct {
 	Name        string
 	TopKey      string
 	Sim         *sim.Sim
-	Version     string
 	Checkpoints *checkpoint.Store
 	// History is the run journal (extendJournal, cutJournal).
 	History []RunOp
@@ -424,7 +423,6 @@ func (s *Session) InstPipe(name string) (*Pipe, error) {
 		Name:        name,
 		TopKey:      s.topKey,
 		Sim:         sm,
-		Version:     s.version,
 		Checkpoints: checkpoint.NewStore(),
 		tbs:         make(map[string]Testbench),
 	}
@@ -445,15 +443,15 @@ func (s *Session) CopyPipe(newName, oldName string) (*Pipe, error) {
 	if _, dup := s.pipes[newName]; dup {
 		return nil, fmt.Errorf("pipe %q already exists", newName)
 	}
-	cp, err := s.capture(old)
+	cp, err := s.capture(old, s.version)
 	if err != nil {
 		return nil, err
 	}
-	sm, err := s.newSim(s.resolverForVersionLocked(cp.Version), old.TopKey)
+	sm, err := s.newSim(s.resolverLocked(), old.TopKey)
 	if err != nil {
 		return nil, err
 	}
-	if err := sm.Restore(cp.State); err != nil {
+	if err := s.restoreStateLocked(sm, cp); err != nil {
 		return nil, err
 	}
 	tbs, err := s.testbenchesLocked(cp.Aux, nil)
@@ -464,7 +462,6 @@ func (s *Session) CopyPipe(newName, oldName string) (*Pipe, error) {
 		Name:        newName,
 		TopKey:      old.TopKey,
 		Sim:         sm,
-		Version:     cp.Version,
 		Checkpoints: checkpoint.NewStore(),
 		History:     slices.Clone(old.History),
 		runs:        old.runs,
@@ -589,13 +586,19 @@ func (s *Session) Run(tbHandle, pipeName string, cycles int) error {
 }
 
 // runChunked advances the testbench, pausing at checkpoint boundaries.
-// The token (nil when no budget applies) is consulted at each boundary:
-// these are the watchdog's cancellation points.
+// The next checkpoint is due at lastCheckpoint+every: a pipe below that
+// mark — a re-execution from an earlier checkpoint — takes none until it
+// passes it, whatever the journal's ops. The token (nil when no budget
+// applies) is consulted at each boundary: these are the watchdog's
+// cancellation points.
 func (s *Session) runChunked(p *Pipe, tb Testbench, cycles int, tok *runToken) error {
 	d := &Driver{s: p.Sim}
 	every := s.cfg.CheckpointEvery
+	// Only a change moves the version, and no change runs beside a run or
+	// a re-execution.
+	version := s.Version()
 	if p.Checkpoints.Len() == 0 && every > 0 {
-		if _, err := s.takeCheckpoint(p); err != nil {
+		if _, err := s.takeCheckpoint(p, version); err != nil {
 			return err
 		}
 	}
@@ -614,13 +617,11 @@ func (s *Session) runChunked(p *Pipe, tb Testbench, cycles int, tok *runToken) e
 		}
 		chunk := remaining
 		if every > 0 {
-			untilNext := int(every - (p.Sim.Cycle() - p.lastCheckpoint))
-			if untilNext <= 0 {
-				untilNext = int(every)
+			untilDue := every // overdue: a whole interval
+			if due := p.lastCheckpoint + every; p.Sim.Cycle() < due {
+				untilDue = due - p.Sim.Cycle()
 			}
-			if untilNext < chunk {
-				chunk = untilNext
-			}
+			chunk = int(min(uint64(chunk), untilDue))
 		}
 		if tok != nil && chunk > watchdogChunk {
 			// Keep cancellation points flowing even with checkpoints off,
@@ -636,8 +637,8 @@ func (s *Session) runChunked(p *Pipe, tb Testbench, cycles int, tok *runToken) e
 			return fmt.Errorf("testbench did not advance the simulation")
 		}
 		remaining -= advanced
-		if every > 0 && p.Sim.Cycle()-p.lastCheckpoint >= every {
-			if _, err := s.takeCheckpoint(p); err != nil {
+		if every > 0 && p.Sim.Cycle() >= p.lastCheckpoint+every {
+			if _, err := s.takeCheckpoint(p, version); err != nil {
 				return err
 			}
 		}
@@ -648,9 +649,11 @@ func (s *Session) runChunked(p *Pipe, tb Testbench, cycles int, tok *runToken) e
 // capture is the one capture of a pipe's saved state — the
 // stop-the-world copy that is the whole checkpoint (Figure 2(a)): kernel
 // state, every live testbench's snapshot (user code, so through
-// safeSnapshot), design version and history position. The checkpoint
-// it returns is in no store.
-func (s *Session) capture(p *Pipe) (*checkpoint.Checkpoint, error) {
+// safeSnapshot), design version and history position. version is the
+// session's, read under s.mu: pipes run the session's objects, so it
+// names the objects the state came from. The checkpoint it returns is
+// in no store.
+func (s *Session) capture(p *Pipe, version string) (*checkpoint.Checkpoint, error) {
 	aux := make(map[string][]byte, len(p.tbs))
 	for h, tb := range p.tbs {
 		data, err := s.safeSnapshot(tb)
@@ -660,7 +663,29 @@ func (s *Session) capture(p *Pipe) (*checkpoint.Checkpoint, error) {
 		aux[h] = data
 	}
 	st := p.Sim.Snapshot()
-	return &checkpoint.Checkpoint{Cycle: st.Cycle, Version: p.Version, HistoryPos: p.runs, State: st, Aux: aux}, nil
+	return &checkpoint.Checkpoint{Cycle: st.Cycle, Version: version, HistoryPos: p.runs, State: st, Aux: aux}, nil
+}
+
+// restoreStateLocked is the one way core puts a capture's kernel state
+// into a kernel built from the session's objects: a nil capture powers
+// it on; a capture from a retained older version is carried by the
+// plans between that version and the current one (lineageLocked,
+// sim.RestoreAdapted); any other — the current version's, or one the
+// session does not retain (never had, or pruned) — must fit node for
+// node (sim.Restore), which refuses what does not. The caller holds
+// s.mu.
+func (s *Session) restoreStateLocked(sm *sim.Sim, cp *checkpoint.Checkpoint) error {
+	if cp == nil {
+		sm.PowerOn()
+		return nil
+	}
+	if cp.Version != s.version {
+		if from, _, migrate, err := s.lineageLocked(cp.Version); err == nil {
+			sm.RestoreAdapted(cp.State, from, migrate)
+			return nil
+		}
+	}
+	return sm.Restore(cp.State)
 }
 
 // testbenchesLocked makes the testbench set a pipe resumes with from a
@@ -701,13 +726,14 @@ func (s *Session) newSim(r sim.Resolver, topKey string) (*sim.Sim, error) {
 	return sim.New(r, topKey, opts...)
 }
 
-// takeCheckpoint adds a capture of the pipe to its store.
-func (s *Session) takeCheckpoint(p *Pipe) (*checkpoint.Checkpoint, error) {
+// takeCheckpoint adds a capture of the pipe, labelled version, to its
+// store.
+func (s *Session) takeCheckpoint(p *Pipe, version string) (*checkpoint.Checkpoint, error) {
 	var t0 time.Time
 	if s.metrics != nil {
 		t0 = time.Now()
 	}
-	c, err := s.capture(p)
+	c, err := s.capture(p, version)
 	if err != nil {
 		return nil, err
 	}
@@ -727,7 +753,7 @@ func (s *Session) Checkpoint(pipeName string) (*checkpoint.Checkpoint, error) {
 	if !ok {
 		return nil, fmt.Errorf("no pipe %q", pipeName)
 	}
-	return s.takeCheckpoint(p)
+	return s.takeCheckpoint(p, s.version)
 }
 
 // SaveCheckpoint writes the pipe's current state to a file (Table I chkp)
@@ -742,7 +768,7 @@ func (s *Session) SaveCheckpoint(pipeName, path string) error {
 		s.mu.Unlock()
 		return fmt.Errorf("no pipe %q", pipeName)
 	}
-	cp, err := s.takeCheckpoint(p)
+	cp, err := s.takeCheckpoint(p, s.version)
 	s.mu.Unlock()
 	if err != nil {
 		return err
@@ -767,7 +793,9 @@ func (s *Session) SaveCheckpoint(pipeName, path string) error {
 // simulation state, testbench snapshots and history position all come
 // from the file, and stale in-memory leftovers (checkpoints beyond the
 // restored cycle, the lastCheckpoint watermark) are cleared so the next
-// run continues from a consistent picture. A corrupt primary file falls
+// run continues from a consistent picture. A file from a retained
+// earlier version of the session is carried to the current one by its
+// plans, unverified (restoreStateLocked). A corrupt primary file falls
 // back to its .bak sibling.
 func (s *Session) LoadCheckpoint(pipeName, path string) error {
 	p, ok := s.Pipe(pipeName)
@@ -801,17 +829,10 @@ func (s *Session) loadCheckpoint(p *Pipe, cp *checkpoint.Checkpoint) error {
 	if err != nil {
 		return err
 	}
-	if err := p.Sim.Restore(cp.State); err != nil {
+	if err := s.restoreStateLocked(p.Sim, cp); err != nil {
 		return err
 	}
 	p.tbs = tbs
-	if cp.Version != "" {
-		if _, retained := s.versionObjects[cp.Version]; retained {
-			p.Version = cp.Version
-		} else {
-			p.Version = s.version
-		}
-	}
 	// The journal is cut at the restored cycle, not at HistoryPos ops:
 	// an op that merged runs on past the file's cycle must not outlive it.
 	p.History = cutJournal(p.History, cp.Cycle)
@@ -830,17 +851,6 @@ func (s *Session) resolverLocked() sim.Resolver {
 			return o, nil
 		}
 		return nil, fmt.Errorf("no object %q in library", key)
-	})
-}
-
-// resolverForVersionLocked resolves against a retained version table.
-func (s *Session) resolverForVersionLocked(version string) sim.Resolver {
-	tbl := s.versionObjects[version]
-	return sim.ResolverFunc(func(key string) (*vm.Object, error) {
-		if o, ok := tbl[key]; ok {
-			return o, nil
-		}
-		return nil, fmt.Errorf("no object %q in version %s", key, version)
 	})
 }
 
@@ -916,7 +926,6 @@ func (s *Session) PruneVersions() int {
 	defer s.mu.Unlock()
 	live := map[string]bool{s.version: true}
 	for _, p := range s.pipes {
-		live[p.Version] = true
 		for _, cp := range p.Checkpoints.All() {
 			live[cp.Version] = true
 		}
